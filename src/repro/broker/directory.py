@@ -61,9 +61,11 @@ class HashRing:
         return host in self._hosts
 
     def hosts(self) -> list:
+        """Shard hosts on the ring, sorted."""
         return sorted(self._hosts)
 
     def add(self, host: str) -> None:
+        """Put a shard's virtual nodes on the ring; a duplicate is a conflict."""
         if host in self._hosts:
             raise ConflictError(f"shard already on the ring: {host!r}")
         self._hosts.add(host)
@@ -77,6 +79,7 @@ class HashRing:
             self._owner[point] = host
 
     def remove(self, host: str) -> None:
+        """Take a shard's virtual nodes off the ring."""
         if host not in self._hosts:
             raise NotFoundError(f"shard not on the ring: {host!r}")
         self._hosts.discard(host)
@@ -139,6 +142,7 @@ class ShardDirectory:
         return self._bump()
 
     def shards(self) -> list:
+        """Shard hosts currently in the directory, sorted."""
         return self.ring.hosts()
 
     # -- placement and lookup -------------------------------------------

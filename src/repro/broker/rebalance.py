@@ -253,6 +253,7 @@ class ShardRebalancer:
     # ------------------------------------------------------------------
 
     def status(self) -> dict:
+        """Whether a rebalance is running, plus the recent event tail."""
         return {
             "Active": self.active,
             "Migrations": sum(1 for e in self.events if e["Event"] == "migrate"),

@@ -19,8 +19,13 @@ assert the paper's privacy guarantees directly on it:
   gazetteer label at the effective level, and raw GPS channels are
   withheld whenever location is coarser than raw coordinates;
 * **piece-geometry / value-integrity** — released pieces stay inside the
-  source segment, never overlap, and carry values identical to the
-  source samples they cover.
+  source segment, never overlap, begin and end only where the matching
+  rule set flips (piece edges are on the wire as ``Timestamp``), and
+  carry values identical to the source samples they cover;
+* **withheld-reasons** — the ``Withheld`` map (it feeds the audit trail
+  and the owner's UI) names only channels of the source segment, never a
+  channel the same piece releases, and every ``denied by rule <id>``
+  names a Deny rule of the contributor whose sensor scope covers it.
 
 The query-containment invariant ("the query API never returns more than
 the engine released") needs a live service and lives in
@@ -44,6 +49,7 @@ from repro.util.geo import abstract_location
 from repro.util.timeutil import truncate_timestamp
 
 _GPS = frozenset(("GpsLat", "GpsLon"))
+_DENIED_BY = "denied by rule "
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,16 @@ def check_release(
             )
         )
 
+    deny_scopes = {
+        r.rule_id: _expand_sensors(r) for r in trial.rules if r.action.is_deny
+    }
+
+    def matching_ids(t: int) -> list:
+        return [
+            r.rule_id
+            for r in matching_rules_at(trial.rules, segment, principals, trial.places, t)
+        ]
+
     seen_intervals: list = []
     for index, piece in enumerate(pieces):
         released_channels = set(piece.channels()) - {TIME_CHANNEL}
@@ -130,6 +146,22 @@ def check_release(
                     )
                 )
         seen_intervals.append(piece.interval)
+        # An interior edge must sit exactly on an instant where the set of
+        # matching rules changes — not a unit early or late, even when no
+        # sample lands there to make the slip visible in the data.
+        for edge in (piece.interval.start, piece.interval.end):
+            if not segment.interval.start < edge < segment.interval.end:
+                continue
+            if matching_ids(edge - 1) == matching_ids(edge):
+                out.append(
+                    Violation(
+                        "piece-geometry",
+                        f"piece {piece.interval} has an edge at t={edge}, where "
+                        "the matching rule set does not change",
+                        segment.segment_id,
+                        index,
+                    )
+                )
 
         # Deny dominance, judged at every covered sample instant (and at
         # the piece start, so label-only pieces are covered too).
@@ -301,6 +333,30 @@ def check_release(
                     index,
                 )
             )
+
+        # Withheld reasons: explanations for channels of this segment that
+        # did not flow, attributable to a rule that could have denied them.
+        for channel_name, reason in sorted(piece.withheld.items()):
+            problem = None
+            if channel_name not in segment.channels:
+                problem = "is not a channel of the source segment"
+            elif channel_name in piece.channels():
+                problem = "is also released by the same piece"
+            elif reason.startswith(_DENIED_BY):
+                rule_id = reason[len(_DENIED_BY):]
+                if rule_id not in deny_scopes:
+                    problem = f"blames {rule_id!r}, which is not a Deny rule of the trial"
+                elif deny_scopes[rule_id] is not None and channel_name not in deny_scopes[rule_id]:
+                    problem = f"blames Deny {rule_id}, whose sensor scope excludes it"
+            if problem is not None:
+                out.append(
+                    Violation(
+                        "withheld-reasons",
+                        f"withheld channel {channel_name} ({reason!r}) {problem}",
+                        segment.segment_id,
+                        index,
+                    )
+                )
 
         # Value integrity: released samples must be exactly the source
         # samples the piece covers, channel for channel.

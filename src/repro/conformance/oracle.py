@@ -13,7 +13,7 @@ engine makes — condition matching (including repeated-time windows, done
 here with raw :mod:`datetime` arithmetic), Deny-overrides-Allow, the
 coarsest-wins abstraction fold, the Section 5.1 dependency closure, and
 label coarsening.  It imports nothing from :mod:`repro.rules.engine`,
-:mod:`repro.rules.conditions`, :mod:`repro.rules.abstraction`, or
+:mod:`repro.rules.compiler`, :mod:`repro.rules.abstraction`, or
 :mod:`repro.rules.dependency`.  It does read the shared *data registries*
 (channel groups, context specs, the gazetteer) — those define the
 vocabulary both implementations speak, not the semantics under test.

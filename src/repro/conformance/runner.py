@@ -20,21 +20,12 @@ persists — and printed as a minimal JSON repro that replays with
 :func:`repro.conformance.generators.trial_from_json`.
 
 Mutation smoke tests: ``MUTATIONS`` maps names to deliberately broken
-engine factories ("ignore-deny", "no-closure", ...).  The harness must
+engine factories — five that remove an enforcement layer ("ignore-deny",
+"no-closure", ...) and four broken *compilers* (dropped deny
+short-circuit, off-by-one interval boundaries, stale dependency
+bitmasks, a stale artifact surviving a rule edit).  The harness must
 find and shrink a divergence against each of them; if it cannot, the
 harness itself is broken.
-
-Three-way differential mode: whenever the *real* engine is under test,
-every trial also runs through the compiled engine
-(:mod:`repro.rules.compiler`) and the released payloads are compared
-byte-for-byte against the interpreted engine's.  Because interpreted ==
-oracle and compiled == interpreted are both checked, compiled == oracle
-follows by transitivity — and any compiled-vs-interpreted mismatch is
-additionally localized against the oracle directly.
-``COMPILED_MUTATIONS`` holds deliberately broken *compilers* (dropped
-deny short-circuit, off-by-one interval boundaries, stale dependency
-bitmasks, a stale artifact surviving a rule edit); the harness must
-catch and shrink every one of those too.
 """
 
 from __future__ import annotations
@@ -62,7 +53,6 @@ from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
 from repro.rules.compiler import compile_rules
 from repro.rules.engine import ReleasedSegment, RuleEngine
-from repro.util.jsonutil import canonical_dumps
 from repro.util.timeutil import TimeCondition
 
 
@@ -141,30 +131,13 @@ def _engine_ignoring_context(trial: Trial) -> RuleEngine:
     return build_engine(stripped)
 
 
-#: Deliberately broken engines.  Each removes one enforcement layer, the
-#: way a careless refactor of rules/engine.py might; the harness must
-#: catch every one of them (tests/conformance/test_runner.py asserts it).
-MUTATIONS: dict = {
-    "ignore-deny": _engine_dropping("deny"),
-    "ignore-abstraction": _engine_dropping("abstraction"),
-    "no-closure": lambda trial: build_engine(trial, enforce_closure=False),
-    "ignore-time": _engine_ignoring_time,
-    "ignore-context": _engine_ignoring_context,
-}
-
-
-def build_compiled_engine(trial: Trial) -> RuleEngine:
-    """The compiled twin of :func:`build_engine` (three-way mode)."""
-    return build_engine(trial, engine="compiled")
-
-
 def _compiled_ignore_full_deny(trial: Trial) -> RuleEngine:
     """Mutant compiler: the unscoped-Deny short-circuit is dropped.
 
     An unscoped Deny rule is rewritten with an empty sensor scope, so it
     never matches a segment and the deny-first short-circuit never fires
     — everything the Allow rules grant leaks through pieces the real
-    engines suppress outright.
+    engine suppresses outright.
     """
     artifact = compile_rules(trial.rules, trial.places)
     broken = [
@@ -211,20 +184,26 @@ def _compiled_stale_bitmask(trial: Trial) -> RuleEngine:
 def _compiled_stale_rules(trial: Trial) -> RuleEngine:
     """Mutant wiring: an artifact compiled before the last rule edit.
 
-    The engine carries the trial's full rules but evaluates through an
-    artifact compiled from all-but-the-last rule — exactly the bug the
-    epoch-keyed :class:`~repro.rules.compiler.CompiledRuleCache` exists
-    to make unreachable.
+    The engine is asked about the trial's full rules but evaluates
+    through an artifact compiled from all-but-the-last rule — exactly the
+    bug the epoch-keyed :class:`~repro.rules.compiler.CompiledRuleCache`
+    exists to make unreachable.
     """
-    stale = replace(trial, rules=trial.rules[:-1]) if trial.rules else trial
-    artifact = compile_rules(stale.rules, stale.places)
+    artifact = compile_rules(trial.rules[:-1], trial.places)
     return build_engine(trial, compiled=artifact)
 
 
-#: Deliberately broken *compiled* engines.  Unlike ``MUTATIONS`` these
-#: leave the interpreted engine intact: the three-way differential mode
-#: must catch each one as a compiled-vs-interpreted payload mismatch.
-COMPILED_MUTATIONS: dict = {
+#: Deliberately broken engines.  The first five remove one enforcement
+#: layer, the way a careless refactor of the rule path might; the
+#: ``compiled-*`` four re-introduce a plausible compilation bug.  The
+#: oracle diff must catch every one of them
+#: (tests/conformance/test_runner.py asserts it).
+MUTATIONS: dict = {
+    "ignore-deny": _engine_dropping("deny"),
+    "ignore-abstraction": _engine_dropping("abstraction"),
+    "no-closure": lambda trial: build_engine(trial, enforce_closure=False),
+    "ignore-time": _engine_ignoring_time,
+    "ignore-context": _engine_ignoring_context,
     "compiled-ignore-full-deny": _compiled_ignore_full_deny,
     "compiled-interval-off-by-one": _compiled_interval_off_by_one,
     "compiled-stale-bitmask": _compiled_stale_bitmask,
@@ -359,48 +338,14 @@ def diff_segment(trial: Trial, segment: WaveSegment, pieces: Iterable[ReleasedSe
 def run_trial(
     trial: Trial,
     engine_factory: Optional[Callable[[Trial], RuleEngine]] = None,
-    *,
-    compiled_factory: Optional[Callable[[Trial], RuleEngine]] = None,
 ) -> TrialResult:
-    """Diff + invariant-check one trial against the (possibly broken) engine.
-
-    With no ``engine_factory`` (the real engine under test) this runs the
-    **three-way** differential: the interpreted engine is diffed against
-    the oracle as before, and the compiled engine — the real one, or the
-    broken one ``compiled_factory`` builds — must release a byte-identical
-    payload.  A mismatch is reported as a ``compiled-vs-interpreted``
-    divergence and additionally localized against the oracle.  With an
-    ``engine_factory`` (legacy interpreted mutants) the comparison stays
-    two-way, keeping the stored repro JSONs stable.
-    """
-    factory = engine_factory or build_engine
-    engine = factory(trial)
-    compiled_engine = None
-    if engine_factory is None:
-        compiled_engine = (compiled_factory or build_compiled_engine)(trial)
+    """Diff + invariant-check one trial against the (possibly broken) engine."""
+    engine = (engine_factory or build_engine)(trial)
     result = TrialResult(trial)
     for segment in trial.segments:
         pieces = engine.evaluate_segment(trial.consumer, segment)
         result.divergences.extend(diff_segment(trial, segment, pieces))
         result.violations.extend(check_release(trial, segment, pieces))
-        if compiled_engine is None:
-            continue
-        compiled_pieces = compiled_engine.evaluate_segment(trial.consumer, segment)
-        interpreted_json = canonical_dumps([p.to_json() for p in pieces])
-        compiled_json = canonical_dumps([p.to_json() for p in compiled_pieces])
-        if interpreted_json != compiled_json:
-            result.divergences.append(
-                Divergence(
-                    "compiled-vs-interpreted",
-                    segment.segment_id,
-                    f"interpreted released {len(pieces)} piece(s), compiled "
-                    f"{len(compiled_pieces)}; canonical payloads differ",
-                )
-            )
-            # Localize the compiled engine's output against the oracle too.
-            result.divergences.extend(
-                diff_segment(trial, segment, compiled_pieces)
-            )
     return result
 
 
@@ -414,57 +359,34 @@ def end_to_end_violations(trial: Trial) -> list:
       the service's release-guard hook) — the API adds nothing;
     * the payload re-derives from an independently constructed engine over
       the segments the store actually served (which may be merged);
-    * the oracle diff holds on those served segments too;
-    * a twin service running ``engine="compiled"`` returns an identical
-      payload (the three-way check, end to end).
+    * the oracle diff holds on those served segments too.
     """
     from repro.net.client import HttpClient
     from repro.net.transport import Network
     from repro.server.datastore_service import DataStoreService
 
-    def load_store(network, host, engine):
-        store = DataStoreService(host, network, seed=0, engine=engine)
-        store.register_contributor(trial.contributor)
-        consumer_key = store.register_consumer(trial.consumer)
-        for name, groups in trial.memberships.items():
-            store.memberships[name] = frozenset(groups)
-        store.set_places(trial.contributor, trial.places)
-        store.rules.replace_all(trial.contributor, trial.rules)
-        for segment in trial.segments:
-            store.store.add_segment(segment)
-        store.store.flush()
-        return store, consumer_key
-
-    def query(network, store, consumer_key):
-        client = HttpClient(network, name=trial.consumer, api_key=consumer_key)
-        body = client.post(
-            f"https://{store.host}/api/query",
-            {"Contributor": trial.contributor, "Query": DataQuery().to_json()},
-        )
-        return body.get("Released", [])
-
     network = Network()
-    store, consumer_key = load_store(network, "conformance-store", "interpreted")
+    store = DataStoreService("conformance-store", network, seed=0)
+    store.register_contributor(trial.contributor)
+    consumer_key = store.register_consumer(trial.consumer)
+    for name, groups in trial.memberships.items():
+        store.memberships[name] = frozenset(groups)
+    store.set_places(trial.contributor, trial.places)
+    store.rules.replace_all(trial.contributor, trial.rules)
+    for segment in trial.segments:
+        store.store.add_segment(segment)
+    store.store.flush()
     events: list = []
     store.release_guards.append(events.append)
-    api_released = query(network, store, consumer_key)
 
-    compiled_network = Network()
-    compiled_store, compiled_key = load_store(
-        compiled_network, "conformance-store-compiled", "compiled"
+    client = HttpClient(network, name=trial.consumer, api_key=consumer_key)
+    body = client.post(
+        f"https://{store.host}/api/query",
+        {"Contributor": trial.contributor, "Query": DataQuery().to_json()},
     )
-    compiled_released = query(compiled_network, compiled_store, compiled_key)
+    api_released = body.get("Released", [])
 
     out: list[Violation] = []
-    if canonical_dumps(compiled_released) != canonical_dumps(api_released):
-        out.append(
-            Violation(
-                "query-containment",
-                f"compiled-engine store returned {len(compiled_released)} "
-                f"piece(s) but the interpreted store returned "
-                f"{len(api_released)} — end-to-end payloads differ",
-            )
-        )
     if not events:
         out.append(
             Violation("query-containment", "release guard never fired on the query path")
@@ -641,34 +563,21 @@ def run_conformance(
     max_shrink_checks: int = 400,
 ) -> ConformanceSummary:
     """Run ``trials`` seeded trials; stop, shrink, and report on failure."""
-    compiled_factory = None
     if mutation is not None:
-        if mutation in MUTATIONS:
-            engine_factory = MUTATIONS[mutation]
-        elif mutation in COMPILED_MUTATIONS:
-            # Compiled mutants keep the interpreted engine honest: the
-            # bug must surface as a compiled-vs-interpreted divergence.
-            compiled_factory = COMPILED_MUTATIONS[mutation]
-        else:
+        if mutation not in MUTATIONS:
             raise ValueError(
-                f"unknown mutation {mutation!r}; known: "
-                f"{sorted(MUTATIONS) + sorted(COMPILED_MUTATIONS)}"
+                f"unknown mutation {mutation!r}; known: {sorted(MUTATIONS)}"
             )
+        engine_factory = MUTATIONS[mutation]
     generator = TrialGenerator(seed)
     summary = ConformanceSummary(trials=trials, seed=seed, mutation=mutation)
 
     for index in range(trials):
         trial = generator.trial(index)
-        result = run_trial(trial, engine_factory, compiled_factory=compiled_factory)
+        result = run_trial(trial, engine_factory)
         # The end-to-end path only makes sense against the real engine —
         # the service builds its own, so mutations cannot reach it.
-        if (
-            mutation is None
-            and engine_factory is None
-            and compiled_factory is None
-            and end_to_end_every
-            and index % end_to_end_every == 0
-        ):
+        if engine_factory is None and end_to_end_every and index % end_to_end_every == 0:
             result.violations.extend(end_to_end_violations(trial))
             summary.end_to_end_runs += 1
         if result.ok:
@@ -679,14 +588,10 @@ def run_conformance(
         shrunk_trial = trial
         if shrink:
             def _fails(candidate: Trial) -> bool:
-                return not run_trial(
-                    candidate, engine_factory, compiled_factory=compiled_factory
-                ).ok
+                return not run_trial(candidate, engine_factory).ok
 
             shrunk_trial = shrink_trial(trial, _fails, max_checks=max_shrink_checks)
-        summary.repro = run_trial(
-            shrunk_trial, engine_factory, compiled_factory=compiled_factory
-        ).to_json()
+        summary.repro = run_trial(shrunk_trial, engine_factory).to_json()
         break
     return summary
 
@@ -694,11 +599,7 @@ def run_conformance(
 def replay_repro(repro: dict, mutation: Optional[str] = None) -> TrialResult:
     """Re-run a shrunken repro JSON (the ``Repro`` field of a summary)."""
     trial = trial_from_json(repro["Trial"] if "Trial" in repro else repro)
-    if mutation is None:
-        return run_trial(trial)
-    if mutation in MUTATIONS:
-        return run_trial(trial, MUTATIONS[mutation])
-    return run_trial(trial, compiled_factory=COMPILED_MUTATIONS[mutation])
+    return run_trial(trial, MUTATIONS[mutation] if mutation else None)
 
 
 # ----------------------------------------------------------------------
@@ -715,7 +616,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="corpus seed")
     parser.add_argument(
         "--mutate",
-        choices=sorted(MUTATIONS) + sorted(COMPILED_MUTATIONS),
+        choices=sorted(MUTATIONS),
         default=None,
         help="run against a deliberately broken engine or compiler "
         "(harness smoke test)",

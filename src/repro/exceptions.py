@@ -196,6 +196,7 @@ class OverloadedError(ServiceError):
         self.retry_after_ms = max(0, int(retry_after_ms))
 
     def body_fields(self) -> dict:
+        """The ``RetryAfterMs`` hint carried in the 503 body."""
         return {"RetryAfterMs": self.retry_after_ms}
 
 

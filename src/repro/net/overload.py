@@ -194,11 +194,13 @@ class OverloadConfig:
             raise ValueError(f"unknown overload mode {self.mode!r}")
 
     def service_cost(self, cls: str, cached: bool) -> float:
+        """Modelled service time (ms) of one request of this class."""
         if cached and cls == CLASS_QUERY:
             return self.cached_query_ms
         return self.service_ms.get(cls, self.service_ms[CLASS_QUERY])
 
     def queue_budget(self, cls: str, cached: bool) -> float:
+        """Queueing delay (ms) a request of this class may absorb before shedding."""
         if cached and cls == CLASS_QUERY:
             return self.cached_query_budget_ms
         return self.queue_budget_ms.get(cls, self.queue_budget_ms[CLASS_QUERY])

@@ -1,16 +1,15 @@
-"""Compiled rule evaluation: the interpreter's hot path, precomputed.
+"""The rule compiler: one contributor's rules, lowered once, evaluated many times.
 
-The interpreted :class:`~repro.rules.engine.RuleEngine` re-derives
-everything per evaluation: it rebuilds consumer buckets, re-expands
-sensor groups, re-groups context labels, re-walks the networkx
-dependency graph, and re-splits time conditions with ``datetime``
-arithmetic — for every segment of every query.  This module compiles a
-contributor's rule set **once per rules-version epoch** into a
-:class:`CompiledRuleSet`:
+:class:`~repro.rules.engine.RuleEngine` decides every release through a
+:class:`CompiledRuleSet`.  Evaluating rules as written would re-derive
+everything per segment — consumer buckets, sensor-group expansion,
+context-label grouping, networkx dependency-graph walks, ``datetime``
+arithmetic for weekly windows — so a contributor's rule set is compiled
+**once per rules-version epoch** into:
 
 * **consumer buckets** — rule indices keyed by consumer name, with a
   memo from resolved principal sets to the deduplicated candidate list
-  (the interpreter's ``candidate_rules`` order, frozen);
+  (wildcard bucket first, then principals in sorted order);
 * **interval structure** — each rule's static time ranges pre-coalesced
   into disjoint sorted windows and its weekly windows pre-split per
   weekday into millisecond offsets (midnight wrap resolved at compile
@@ -26,23 +25,24 @@ contributor's rule set **once per rules-version epoch** into a
 * **deny-first short-circuit** — a piece's matching rules are scanned
   for an unscoped Deny *before* any grant computation; deny dominance
   (machine-checked by the C8 conformance oracle) makes the early return
-  output-equivalent to the interpreter's late one.
+  safe.
 
-Equivalence is the contract: for identical inputs the compiled and
-interpreted engines must produce byte-identical
-:meth:`~repro.rules.engine.ReleasedSegment.to_json` payloads.  The
-three-way conformance sweep (oracle vs interpreted vs compiled, see
-:mod:`repro.conformance.runner`) and benchmark C13 gate this on every
-change; the proof obligations that make precomputation safe (coalesce
-distributes over span intersection, piece membership reduces to a
-start-point test, deny dominance) are spelled out in
-docs/ARCHITECTURE.md.
+Correctness is pinned from outside: the conformance sweep
+(:mod:`repro.conformance.runner`) diffs every release against the
+brute-force oracle, and ``tests/conformance/golden_release_digests.json``
+pins the exact wire payload.  The arguments that make precomputation
+safe are stated where they are used (coalesce distributes over span
+intersection: :func:`_compile_time`; piece membership reduces to a
+start-point test: ``_time_pieces``; deny dominance: ``_release_piece``);
+docs/ARCHITECTURE.md, "The rule engine", lists the evaluation order and
+the test that pins each step.
 
 Artifacts are cached by :class:`CompiledRuleCache` keyed on the
 store-wide ``rules_version`` epoch — the same invariant the PR 5 release
 cache rides — so a stale artifact is unreachable by construction; places
 edits, recovery, and failover rules installs invalidate wholesale,
-exactly where the release cache does.
+exactly where the release cache does
+(``DataStoreService.invalidate_decisions``).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import RuleError
 from repro.rules.abstraction import coarsen_context_label
 from repro.rules.dependency import DEFAULT_DEPENDENCIES, DependencyGraph
-from repro.rules.engine import ReleasedSegment, RuleEngine, _GPS_CHANNELS
+from repro.rules.engine import ReleasedSegment, _GPS_CHANNELS, _shape_timestamps
 from repro.rules.model import (
     LOCATION_ASPECT,
     LOCATION_LEVELS,
@@ -155,9 +155,10 @@ def _compile_time(rule: Rule) -> tuple:
     Static intervals are filtered of zero-length entries (the runtime
     ``Interval.intersect`` drops them unconditionally) and coalesced once:
     union distributes over span intersection, so coalescing before the
-    span is known yields the same canonical disjoint list the interpreter
-    computes per segment.  Weekly windows are split at midnight exactly
-    as :meth:`~repro.util.timeutil.TimeCondition.matching_intervals` does
+    span is known yields the same canonical disjoint list a per-segment
+    ``matching_intervals`` call would.  Weekly windows are split at
+    midnight exactly as
+    :meth:`~repro.util.timeutil.TimeCondition.matching_intervals` does
     (wrap → ``[start, 1440)`` + ``[0, end)``; start == end → full day)
     and merged per weekday.
     """
@@ -227,8 +228,8 @@ class CompiledRuleSet:
         # Sharing categories (those with an abstraction ladder) first, in
         # registry order; graph-only categories after.  A graph-only
         # category can never be shared raw, so any channel revealing one
-        # is always closure-blocked — mirroring the interpreter, whose
-        # raw_contexts() only ever contains registry categories.
+        # is always closure-blocked (only registry categories have a raw
+        # ladder rung to be shared at).
         self._sharing_cats = tuple(CONTEXTS)
         extra = tuple(c for c in self.dependencies.contexts if c not in CONTEXTS)
         self._cat_bit = {
@@ -421,7 +422,7 @@ class CompiledRuleSet:
 
         The conformance mutation smokes (:mod:`repro.conformance.runner`)
         use this to build *broken* artifacts — off-by-one interval
-        boundaries, zeroed dependency bitmasks — that the three-way
+        boundaries, zeroed dependency bitmasks — that the oracle
         differential sweep must catch.  Candidate memos are reset so the
         substituted rules are actually consulted.  Never used on the
         serving path.
@@ -443,7 +444,7 @@ class CompiledRuleSet:
     # ------------------------------------------------------------------
 
     def _candidates(self, principals: FrozenSet[str]) -> tuple:
-        """Deduplicated candidate rules in the interpreter's bucket order.
+        """Deduplicated candidate rules: wildcard bucket, then sorted principals.
 
         Returns ``(candidates, scope_filters)`` where ``scope_filters``
         is the entry's per-channel-tuple filter memo consumed by
@@ -510,8 +511,7 @@ class CompiledRuleSet:
 
         Candidate resolution (bucket walk + dedup) happens once for the
         batch; per-segment work starts at the piece-invariant match.
-        Returns released pieces in segment order, exactly as the
-        interpreter's ``evaluate`` loop would.
+        Returns released pieces in segment order.
         """
         entry = self._candidates(principals)
         bucketed_out = len(self.compiled) - len(entry[0])
@@ -641,11 +641,11 @@ class CompiledRuleSet:
     def _time_pieces(self, segment: WaveSegment, applicable: list) -> list:
         """Split the segment span where time-condition matching flips.
 
-        Mirrors the interpreter's ``_time_pieces``: every timed rule's
-        matching windows contribute boundary points, and a piece belongs
-        to a timed rule iff some window contains it — which, because all
-        window boundaries are piece boundaries, reduces to a start-point
-        test walked with a per-rule pointer over the sorted windows.
+        Every timed rule's matching windows contribute boundary points,
+        and a piece belongs to a timed rule iff some window contains it —
+        which, because all window boundaries are piece boundaries, reduces
+        to a start-point test walked with a per-rule pointer over the
+        sorted windows.
         """
         span = segment.interval
         timed = [cr for cr in applicable if not cr.time_unconstrained]
@@ -764,7 +764,7 @@ class CompiledRuleSet:
         # Dependency closure via bitmasks: a raw channel flows only if
         # every context it could reveal is itself shared raw.  Graph-only
         # categories never appear in raw_mask, so revealing one always
-        # blocks — matching the interpreter's raw_contexts() ⊆ registry.
+        # blocks.
         if self.enforce_closure:
             raw_mask = 0
             for i, level in enumerate(levels):
@@ -811,8 +811,8 @@ class CompiledRuleSet:
                     withheld[name] = reason
             granted &= ~self._gps_mask
 
-        # Shape the surviving data — shared mechanics with the
-        # interpreter (slicing, channel selection, timestamp re-anchor).
+        # Shape the surviving data: slicing, channel selection, timestamp
+        # re-anchor.
         sliced = segment.slice_time(piece)
         out_segment: Optional[WaveSegment] = None
         if sliced is not None and granted:
@@ -823,7 +823,7 @@ class CompiledRuleSet:
         if time_idx != _NOTSHARE_TIME:
             timestamp = truncate_timestamp(piece.start, time_level)
         if out_segment is not None:
-            out_segment = RuleEngine._shape_timestamps(out_segment, time_level, timestamp)
+            out_segment = _shape_timestamps(out_segment, time_level, timestamp)
             out_segment = out_segment.drop_location()
 
         location_level = LOCATION_LEVELS[loc_idx]

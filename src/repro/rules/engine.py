@@ -1,14 +1,19 @@
 """The privacy-rule evaluation engine.
 
 For every (consumer, wave segment) pair the engine decides what — if
-anything — leaves the remote data store:
+anything — leaves the remote data store.  :class:`RuleEngine` is the one
+production decider: it owns a
+:class:`~repro.rules.compiler.CompiledRuleSet` (one contributor's rules
+lowered once into buckets, interval tables, a spatial grid, and
+dependency bitmasks) and a membership resolver, and every evaluation is
+``artifact.evaluate_batch(membership(consumer), segments)``:
 
-1. **Bucketing** — rules are pre-indexed by consumer name so evaluation
-   cost scales with the rules that *could* apply, not the total rule count
-   (benchmark C6 measures this).
-2. **Matching** — piece-invariant conditions (consumer, location, context,
-   sensor overlap) are checked once per segment; time conditions then
-   split the segment into pieces with a constant matching-rule set.
+1. **Candidates** — rules are bucketed by consumer name, so evaluation
+   cost scales with the rules that *could* apply, not the total rule
+   count (benchmark C6 measures this).
+2. **Matching** — piece-invariant conditions (location, context, sensor
+   overlap) are checked once per segment; time conditions then split the
+   segment into pieces with a constant matching-rule set.
 3. **Conflict resolution** — default deny (no matching Allow ⇒ nothing
    flows); Deny overrides Allow within its sensor scope; abstraction
    levels combine coarsest-wins.
@@ -21,24 +26,22 @@ anything — leaves the remote data store:
    via the gazetteer, and context labels coarsened per ladder.
 
 The result is a list of :class:`ReleasedSegment` — the exact payload the
-query API returns to the data consumer.
+query API returns to the data consumer.  The only other decider in the
+repository is the brute-force conformance oracle
+(:mod:`repro.conformance.oracle`), which shares no code with this path.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional
 
-from repro.datastore.wavesegment import WaveSegment
-from repro.exceptions import RuleError
-from repro.rules.abstraction import EffectiveSharing
-from repro.rules.conditions import rule_applies
-from repro.rules.dependency import DEFAULT_DEPENDENCIES, DependencyGraph
+from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
+from repro.rules.dependency import DependencyGraph
 from repro.rules.model import Rule
 from repro.sensors.channels import GPS_LAT, GPS_LON
-from repro.util.geo import LabeledPlace, abstract_location
-from repro.util.timeutil import Interval, truncate_timestamp
+from repro.util.geo import LabeledPlace
+from repro.util.timeutil import Interval
 
 _GPS_CHANNELS = frozenset((GPS_LAT.name, GPS_LON.name))
 
@@ -127,8 +130,39 @@ class ReleasedSegment:
         )
 
 
+def _shape_timestamps(
+    segment: WaveSegment, time_level: str, timestamp: Optional[int]
+) -> WaveSegment:
+    """Re-anchor the released segment's clock to the granted precision.
+
+    At the ``milliseconds`` level the true start is kept.  At coarser
+    levels the segment is re-anchored to the truncated timestamp, so
+    relative sample spacing survives but the absolute clock does not.
+    At ``NotShare`` the segment is anchored at epoch zero.
+    """
+    if time_level == "milliseconds":
+        return segment
+    anchor = 0 if timestamp is None else timestamp
+    if not segment.is_uniform:
+        # Shift the embedded Time column so raw stamps cannot leak.
+        values = segment.values.copy()
+        col = segment.channels.index(TIME_CHANNEL)
+        values[:, col] += anchor - segment.start_ms
+        return replace(segment, start_ms=anchor, values=values, segment_id="")
+    return replace(segment, start_ms=anchor, segment_id="")
+
+
 class RuleEngine:
     """Evaluates one contributor's rules against outgoing segments.
+
+    The engine is a thin owner of one
+    :class:`~repro.rules.compiler.CompiledRuleSet`: the artifact passed
+    as ``compiled=`` (how the service's epoch-keyed
+    :class:`~repro.rules.compiler.CompiledRuleCache` and the conformance
+    mutants inject one — ``rules``/``places``/``dependencies``/
+    ``enforce_closure`` are then already baked into it), or one compiled
+    here from the constructor arguments.  Membership is a query-time
+    input and is never baked into the artifact.
 
     Determinism contract: for fixed inputs — rules, places, the
     membership function's answers, the dependency graph, and the segments
@@ -152,376 +186,45 @@ class RuleEngine:
         membership: Optional[Callable[[str], FrozenSet[str]]] = None,
         dependencies: Optional[DependencyGraph] = None,
         enforce_closure: bool = True,
-        engine: str = "interpreted",
         compiled=None,
         obs=None,
     ):
-        if engine not in ("interpreted", "compiled"):
-            raise RuleError(f"unknown engine mode {engine!r}")
-        self.places = dict(places or {})
         self.membership = membership or _self_membership
-        self.dependencies = dependencies or DEFAULT_DEPENDENCIES
-        self.enforce_closure = enforce_closure
-        #: "interpreted" walks rules per evaluation; "compiled" evaluates
-        #: through a :class:`~repro.rules.compiler.CompiledRuleSet` —
-        #: either one injected via ``compiled=`` (the service's cached
-        #: artifact) or one compiled lazily on first use.  Passing
-        #: ``compiled=`` implies compiled mode.
-        self.engine_mode = "compiled" if (engine == "compiled" or compiled is not None) else "interpreted"
-        self._all_rules: list[Rule] = []
-        # consumer name -> rules naming it; None key holds wildcard rules.
-        # None (the whole dict) means "not built yet": the injected-artifact
-        # fast path skips bucket construction entirely, since the artifact
-        # carries its own buckets; candidate_rules() rebuilds on demand.
-        self._buckets: Optional[dict] = {None: []}
-        self._compiled = None
-        # Observability (repro.obs.Observability): instruments are bound
-        # once here so the per-segment cost is one None-check plus integer
-        # adds; with obs=None instrumentation costs nothing.
+        # Observability (repro.obs.Observability): with obs=None
+        # instrumentation costs one None-check per call.
         self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._c_evals = m.counter("rule_evaluations_total")
-            self._c_denials = m.counter("rule_denials_total")
-            self._c_abstractions = m.counter("rule_abstractions_total")
-            self._c_closure = m.counter("rule_closure_withheld_total")
-            self._h_eval = m.histogram("rule_eval_us")
-        else:
-            self._c_evals = None
-            self._c_denials = None
-            self._c_abstractions = None
-            self._c_closure = None
-            self._h_eval = None
-        if compiled is not None:
-            # Cached-artifact injection: take the rule list as-is and keep
-            # the artifact; skip per-construction bucketing (the artifact
-            # owns the buckets), which is part of the compiled speedup for
-            # the service's engine-per-query pattern.
-            self._all_rules = list(rules)
-            self._buckets = None
-            self._compiled = compiled
-        else:
-            self.set_rules(rules)
+        self._c_evals = (
+            self.obs.metrics.counter("rule_evaluations_total")
+            if self.obs is not None
+            else None
+        )
+        if compiled is None:
+            # Deferred: the compiler module imports this one.
+            from repro.rules.compiler import CompiledRuleSet
 
-    # ------------------------------------------------------------------
-    # Rule management
-    # ------------------------------------------------------------------
-
-    @property
-    def rules(self) -> tuple:
-        """The engine's current rules, as a tuple."""
-        return tuple(self._all_rules)
-
-    def set_rules(self, rules: Iterable[Rule]) -> None:
-        """Replace the engine's rule set."""
-        self._all_rules = []
-        self._buckets = {None: []}
-        self._compiled = None
-        for rule in rules:
-            self.add_rule(rule)
-
-    def add_rule(self, rule: Rule) -> None:
-        """Append one rule to the engine's rule set."""
-        self._compiled = None  # any mutation invalidates the lazy artifact
-        self._all_rules.append(rule)
-        if self._buckets is None:
-            self._rebuild_buckets()
-            return
-        if not rule.consumers:
-            self._buckets[None].append(rule)
-        else:
-            for consumer in rule.consumers:
-                self._buckets.setdefault(consumer, []).append(rule)
-
-    def _rebuild_buckets(self) -> None:
-        """(Re)build consumer buckets from the full rule list."""
-        buckets: dict = {None: []}
-        for rule in self._all_rules:
-            if not rule.consumers:
-                buckets[None].append(rule)
-            else:
-                for consumer in rule.consumers:
-                    buckets.setdefault(consumer, []).append(rule)
-        self._buckets = buckets
-
-    def candidate_rules(self, principals: FrozenSet[str]) -> list:
-        """Rules whose consumer condition could cover these principals."""
-        if self._buckets is None:
-            self._rebuild_buckets()
-        seen: set = set()
-        out: list[Rule] = []
-        for key in [None, *sorted(principals)]:
-            for rule in self._buckets.get(key, ()):
-                if rule.rule_id not in seen:
-                    seen.add(rule.rule_id)
-                    out.append(rule)
-        return out
-
-    def compiled_artifact(self):
-        """The engine's compiled form, compiling lazily on first use.
-
-        Returns the injected artifact when one was passed at
-        construction; otherwise compiles the current rule set (and caches
-        it until the next rule mutation).  Import is deferred because the
-        compiler module imports this one.
-        """
-        if self._compiled is None:
-            from repro.rules.compiler import compile_rules
-
-            self._compiled = compile_rules(
-                self._all_rules,
-                self.places,
-                dependencies=self.dependencies,
-                enforce_closure=self.enforce_closure,
+            compiled = CompiledRuleSet(
+                rules,
+                places,
+                dependencies=dependencies,
+                enforce_closure=enforce_closure,
                 obs=self.obs,
             )
-        return self._compiled
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
+        self.compiled = compiled
 
     def evaluate(self, consumer: str, segments: Iterable[WaveSegment]) -> list:
         """Evaluate many segments; returns the released pieces in order."""
-        if self.engine_mode == "compiled":
-            artifact = self.compiled_artifact()
-            principals = self.membership(consumer)
-            if self.obs is None:
-                return artifact.evaluate_batch(principals, segments)
-            with self.obs.tracer.start_span(
-                "rules.evaluate", consumer=consumer
-            ) as span:
-                segments = list(segments)
-                out = artifact.evaluate_batch(principals, segments)
-                self._c_evals.inc(len(segments))
-                span.set_attributes(segments_in=len(segments), pieces_out=len(out))
-            return out
+        principals = self.membership(consumer)
         if self.obs is None:
-            out = []
-            for segment in segments:
-                out.extend(self.evaluate_segment(consumer, segment))
-            return out
+            return self.compiled.evaluate_batch(principals, segments)
         with self.obs.tracer.start_span("rules.evaluate", consumer=consumer) as span:
-            out = []
-            n_in = 0
-            for segment in segments:
-                n_in += 1
-                out.extend(self.evaluate_segment(consumer, segment))
-            span.set_attributes(segments_in=n_in, pieces_out=len(out))
+            segments = list(segments)
+            out = self.compiled.evaluate_batch(principals, segments)
+            self._c_evals.inc(len(segments))
+            span.set_attributes(segments_in=len(segments), pieces_out=len(out))
         return out
 
     def evaluate_segment(self, consumer: str, segment: WaveSegment) -> list:
         """Evaluate one segment for one consumer; returns released pieces."""
-        if self._h_eval is None:
-            return self._dispatch_segment(consumer, segment)
-        started = time.perf_counter()
-        released = self._dispatch_segment(consumer, segment)
-        self._h_eval.observe((time.perf_counter() - started) * 1e6)
-        self._c_evals.inc()
-        return released
-
-    def _dispatch_segment(self, consumer: str, segment: WaveSegment) -> list:
-        """Route one segment to the compiled or interpreted pipeline."""
-        if self.engine_mode == "compiled":
-            return self.compiled_artifact().evaluate_segment(
-                self.membership(consumer), segment
-            )
-        return self._evaluate_segment(consumer, segment)
-
-    def _evaluate_segment(self, consumer: str, segment: WaveSegment) -> list:
-        principals = self.membership(consumer)
-        applicable = [
-            rule
-            for rule in self.candidate_rules(principals)
-            if rule_applies(rule, principals, segment, self.places)
-        ]
-        if not any(rule.action.is_allow for rule in applicable):
-            if self._c_denials is not None:
-                self._c_denials.inc()
-            return []  # default deny: nothing grants access
-        pieces = self._time_pieces(segment, applicable)
-        released = []
-        for piece, piece_rules in pieces:
-            item = self._release_piece(segment, piece, piece_rules)
-            if item is not None and not item.is_empty():
-                released.append(item)
-        return released
-
-    def _time_pieces(self, segment: WaveSegment, rules: list) -> list:
-        """Split the segment span where time-condition matching flips.
-
-        Returns ``[(piece_interval, rules_matching_that_piece), ...]``.
-        """
-        span = segment.interval
-        timed = [r for r in rules if not r.time.is_unconstrained()]
-        if not timed:
-            return [(span, rules)]
-        boundaries = {span.start, span.end}
-        matches: dict = {}
-        for rule in timed:
-            ivs = rule.time.matching_intervals(span)
-            matches[rule.rule_id] = ivs
-            for iv in ivs:
-                boundaries.add(iv.start)
-                boundaries.add(iv.end)
-        points = sorted(boundaries)
-        pieces = []
-        for lo, hi in zip(points, points[1:]):
-            piece = Interval(lo, hi)
-            if piece.is_empty():
-                continue
-            piece_rules = []
-            for rule in rules:
-                if rule.time.is_unconstrained():
-                    piece_rules.append(rule)
-                elif any(iv.contains_interval(piece) for iv in matches[rule.rule_id]):
-                    piece_rules.append(rule)
-            pieces.append((piece, piece_rules))
-        return pieces
-
-    def _release_piece(
-        self, segment: WaveSegment, piece: Interval, rules: list
-    ) -> Optional[ReleasedSegment]:
-        allow_rules = [r for r in rules if r.action.is_allow]
-        if not allow_rules:
-            return None  # this window grants nothing
-
-        # Channel grant set: union of the allow rules' sensor scopes.
-        granted: set = set()
-        for rule in allow_rules:
-            scope = rule.sensor_channels()
-            granted.update(segment.channels if scope is None else scope & set(segment.channels))
-
-        withheld: dict = {}
-
-        # Deny overrides, within each deny rule's sensor scope.
-        for rule in rules:
-            if not rule.action.is_deny:
-                continue
-            scope = rule.sensor_channels()
-            blocked = set(segment.channels) if scope is None else scope & set(segment.channels)
-            for channel_name in blocked & granted:
-                withheld[channel_name] = f"denied by rule {rule.rule_id}"
-            granted -= blocked
-            if scope is None:
-                # A full deny also suppresses labels and location.
-                if self._c_denials is not None:
-                    self._c_denials.inc()
-                return None
-
-        # Context labels are only releasable for categories the granted
-        # channels could reveal: an allow scoped to the accelerometer
-        # shares Activity labels, never Stress labels.  Eligibility is
-        # judged before the closure — abstraction converts a granted raw
-        # channel into its label rather than into silence.
-        label_eligible = frozenset(
-            category
-            for category in self.dependencies.contexts
-            if self.dependencies.channels_revealing(category) & granted
-        )
-
-        # Coarsest-wins abstraction folding.
-        sharing = EffectiveSharing()
-        abstracted = False
-        for rule in rules:
-            if rule.action.is_abstraction:
-                sharing.apply(rule.action.abstraction)
-                abstracted = True
-        if abstracted and self._c_abstractions is not None:
-            self._c_abstractions.inc()
-        if sharing.shares_nothing():
-            return None
-
-        # Dependency closure: a raw channel flows only if every context it
-        # could reveal is itself shared raw.
-        if self.enforce_closure:
-            permitted = self.dependencies.raw_permitted_channels(
-                granted, sharing.raw_contexts()
-            )
-            closed_over = granted - permitted
-            if closed_over and self._c_closure is not None:
-                self._c_closure.inc(len(closed_over))
-            for channel_name in closed_over:
-                revealed = sorted(
-                    self.dependencies.contexts_revealed_by(channel_name)
-                    & sharing.restricted_contexts()
-                )
-                withheld[channel_name] = (
-                    f"withheld: could reveal restricted context(s) {', '.join(revealed)}"
-                )
-            granted = set(permitted)
-
-        # Location coarser than raw coordinates forbids raw GPS channels.
-        if not sharing.location_is_raw():
-            for channel_name in granted & _GPS_CHANNELS:
-                withheld[channel_name] = (
-                    f"withheld: location abstracted to {sharing.location_level}"
-                )
-            granted -= _GPS_CHANNELS
-
-        # Shape the surviving data.
-        sliced = segment.slice_time(piece)
-        out_segment: Optional[WaveSegment] = None
-        if sliced is not None and granted:
-            out_segment = sliced.select_channels(sorted(granted))
-
-        timestamp: Optional[int] = None
-        if sharing.time_level != "NotShare":
-            timestamp = truncate_timestamp(piece.start, sharing.time_level)
-        if out_segment is not None:
-            out_segment = self._shape_timestamps(out_segment, sharing.time_level, timestamp)
-            out_segment = out_segment.drop_location()  # location released separately
-
-        location = None
-        if segment.location is not None and sharing.location_level != "NotShare":
-            location = abstract_location(segment.location, sharing.location_level)
-
-        labels: dict = {}
-        for category, fine_label in segment.context.items():
-            if category not in sharing.context_levels or category not in label_eligible:
-                continue
-            label = sharing.context_label(category, fine_label)
-            if label is not None:
-                labels[category] = label
-
-        if out_segment is None and not labels:
-            # Nothing attributable to the data remains; releasing bare
-            # location/timestamp metadata would leak without utility.
-            return None
-
-        released = ReleasedSegment(
-            contributor=segment.contributor,
-            interval=piece,
-            segment=out_segment,
-            timestamp=timestamp,
-            time_level=sharing.time_level,
-            location=location,
-            location_level=sharing.location_level,
-            context_labels=labels,
-            withheld=withheld,
-        )
-        return released
-
-    @staticmethod
-    def _shape_timestamps(
-        segment: WaveSegment, time_level: str, timestamp: Optional[int]
-    ) -> WaveSegment:
-        """Re-anchor the released segment's clock to the granted precision.
-
-        At the ``milliseconds`` level the true start is kept.  At coarser
-        levels the segment is re-anchored to the truncated timestamp, so
-        relative sample spacing survives but the absolute clock does not.
-        At ``NotShare`` the segment is anchored at epoch zero.
-        """
-        if time_level == "milliseconds":
-            return segment
-        anchor = 0 if timestamp is None else timestamp
-        if not segment.is_uniform:
-            # Shift the embedded Time column so raw stamps cannot leak.
-            from repro.datastore.wavesegment import TIME_CHANNEL
-
-            values = segment.values.copy()
-            col = segment.channels.index(TIME_CHANNEL)
-            values[:, col] += anchor - segment.start_ms
-            return replace(segment, start_ms=anchor, values=values, segment_id="")
-        return replace(segment, start_ms=anchor, segment_id="")
+        if self._c_evals is not None:
+            self._c_evals.inc()
+        return self.compiled.evaluate_segment(self.membership(consumer), segment)

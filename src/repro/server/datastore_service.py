@@ -108,17 +108,10 @@ class DataStoreService:
         cache_capacity: int = 1024,
         cache_max_bytes: int = 32 << 20,
         role: str = ROLE_PRIMARY,
-        engine: str = "interpreted",
         overload: str = "observe",
         overload_config: Optional[OverloadConfig] = None,
     ):
-        if engine not in ("interpreted", "compiled"):
-            raise ValueError(f"unknown engine mode {engine!r}")
         self.host = host
-        #: Rule-evaluation strategy: "interpreted" walks rules per query;
-        #: "compiled" evaluates through per-contributor compiled artifacts
-        #: cached by rules-version epoch (see repro.rules.compiler).
-        self.engine = engine
         self.network = network
         self.institution = institution
         #: "primary" serves reads and writes; "replica" only applies
@@ -173,13 +166,10 @@ class DataStoreService:
                 cache_capacity, cache_max_bytes, obs=network.obs, store=host
             )
         #: Per-contributor compiled rule artifacts, keyed by the same
-        #: store-wide rules-version epoch as the release cache and
-        #: invalidated at the same sites (places edits, recovery,
-        #: replication places-apply, promotion).  Created before
+        #: store-wide rules-version epoch as the release cache and dropped
+        #: with it by :meth:`invalidate_decisions`.  Created before
         #: durability opens so recovery's sweep has a target.
-        self.compiled_rules: Optional[CompiledRuleCache] = None
-        if engine == "compiled":
-            self.compiled_rules = CompiledRuleCache(obs=network.obs, store=host)
+        self.compiled_rules = CompiledRuleCache(obs=network.obs, store=host)
         self.durability = None
         self.recovery_report = None
         self.router = Router()
@@ -325,10 +315,7 @@ class DataStoreService:
             # Our stream is the authoritative one now; stop honoring any
             # fencing verdict aimed at the *old* primary's stream.
             self.replication.fenced = False
-        if self.release_cache is not None:
-            self.release_cache.invalidate_all("promotion")
-        if self.compiled_rules is not None:
-            self.compiled_rules.invalidate_all("promotion")
+        self.invalidate_decisions("promotion")
         return {
             "Host": self.host,
             "Epoch": self.epoch,
@@ -437,10 +424,7 @@ class DataStoreService:
         self.places[contributor] = dict(places)
         # Labeled places feed rule semantics but move no version counter,
         # so cached decisions cannot be keyed around them — drop them all.
-        if self.release_cache is not None:
-            self.release_cache.invalidate_all("places")
-        if self.compiled_rules is not None:
-            self.compiled_rules.invalidate_all("places")
+        self.invalidate_decisions("places")
         if self.durability is not None:
             self.durability.log_places(contributor)
         # Places affect rule semantics; nudge a sync so the broker's
@@ -502,33 +486,32 @@ class DataStoreService:
     def _membership(self, consumer: str) -> frozenset:
         return frozenset({consumer}) | self.memberships.get(consumer, frozenset())
 
+    def invalidate_decisions(self, reason: str) -> None:
+        """Drop every cached release decision and compiled rule artifact.
+
+        The one call for any change that feeds rule semantics without
+        moving ``rules_version`` (places edits and restores) or that
+        installs state this process never evaluated under (recovery,
+        replica apply, promotion, migration).
+        """
+        if self.release_cache is not None:
+            self.release_cache.invalidate_all(reason)
+        self.compiled_rules.invalidate_all(reason)
+
     def _engine_for(self, contributor: str) -> RuleEngine:
         # Belt and braces: recovery already emptied a fail-closed
         # contributor's rules, and an empty rule set is default-deny.
-        rules = () if contributor in self.fail_closed else self.rules.rules_of(contributor)
-        if self.compiled_rules is not None:
-            artifact = self.compiled_rules.artifact_for(
-                contributor,
-                epoch=self.rules.rules_version,
-                fail_closed=contributor in self.fail_closed,
-                rules=rules,
-                places=self.places.get(contributor, {}),
-                enforce_closure=self.enforce_closure,
-            )
-            return RuleEngine(
-                rules,
-                self.places.get(contributor, {}),
-                membership=self._membership,
-                enforce_closure=self.enforce_closure,
-                compiled=artifact,
-                obs=self.network.obs,
-            )
-        return RuleEngine(
-            rules,
-            self.places.get(contributor, {}),
-            membership=self._membership,
+        fail_closed = contributor in self.fail_closed
+        artifact = self.compiled_rules.artifact_for(
+            contributor,
+            epoch=self.rules.rules_version,
+            fail_closed=fail_closed,
+            rules=() if fail_closed else self.rules.rules_of(contributor),
+            places=self.places.get(contributor, {}),
             enforce_closure=self.enforce_closure,
-            obs=self.network.obs,
+        )
+        return RuleEngine(
+            membership=self._membership, compiled=artifact, obs=self.network.obs
         )
 
     def _trace_id(self) -> str:
@@ -808,10 +791,7 @@ class DataStoreService:
         # Fenced contributors' cached decisions are unreachable (the fence
         # fires before cache lookup), but drop them anyway: their memory
         # now belongs to contributors still resident here.
-        if self.release_cache is not None:
-            self.release_cache.invalidate_all("migration")
-        if self.compiled_rules is not None:
-            self.compiled_rules.invalidate_all("migration")
+        self.invalidate_decisions("migration")
         last_lsn = 0
         if self.durability is not None and self.durability.wal is not None:
             self.durability.wal.commit()
@@ -837,10 +817,7 @@ class DataStoreService:
             dict(request.body.get("RuleVersions", {}))
         )
         if fenced:
-            if self.release_cache is not None:
-                self.release_cache.invalidate_all("migration")
-            if self.compiled_rules is not None:
-                self.compiled_rules.invalidate_all("migration")
+            self.invalidate_decisions("migration")
         self._replication_barrier()
         return {
             "Host": self.host,

@@ -148,8 +148,8 @@ def load_service_state(service, directory: Optional[str] = None) -> dict:
         for obj in _read_lines(_path(directory, service.host, "audit"))
     )
     # Restored places/rules replace live state wholesale; decisions cached
-    # against the pre-load state must not survive it.
-    release_cache = getattr(service, "release_cache", None)
-    if release_cache is not None:
-        release_cache.invalidate_all("restore")
+    # and artifacts compiled against the pre-load state must not survive
+    # it (places move no epoch, so a snapshot with no rule lines would
+    # otherwise leave an artifact holding the old places' regions).
+    service.invalidate_decisions("restore")
     return counts

@@ -199,11 +199,7 @@ def install_records(service, records) -> dict:
                         service.host, contributor
                     )
     if installed:
-        if service.release_cache is not None:
-            service.release_cache.invalidate_all("migration")
-        compiled = getattr(service, "compiled_rules", None)
-        if compiled is not None:
-            compiled.invalidate_all("migration")
+        service.invalidate_decisions("migration")
     return {
         "Installed": installed,
         "RuleVersions": {

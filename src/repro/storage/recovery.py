@@ -460,19 +460,13 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
                 + " until rules are re-published"
             )
 
-    # Fail closed on the cache too: every decision cached before this
-    # recovery was made under a rule/data state this process can no longer
-    # vouch for.  The rules-version epoch already moved (restore bumps it),
-    # but recovery also rewrites places and fail-closed state directly, so
-    # the cache is emptied wholesale rather than reasoned about.
-    release_cache = getattr(service, "release_cache", None)
-    if release_cache is not None:
-        release_cache.invalidate_all("recovery")
-    # Same argument for compiled rule artifacts: recovery rewrote places
-    # and fail-closed state out from under any cached compilation.
-    compiled_rules = getattr(service, "compiled_rules", None)
-    if compiled_rules is not None:
-        compiled_rules.invalidate_all("recovery")
+    # Fail closed on the caches too: every decision cached and artifact
+    # compiled before this recovery was made under a rule/data state this
+    # process can no longer vouch for.  The rules-version epoch already
+    # moved (restore bumps it), but recovery also rewrites places and
+    # fail-closed state directly, so both are emptied wholesale rather
+    # than reasoned about.
+    service.invalidate_decisions("recovery")
 
     if obs is not None and getattr(obs, "enabled", False):
         m = obs.metrics

@@ -629,12 +629,8 @@ class ReplicaApplier:
         if service.durability is not None and service.durability.wal is not None:
             service.durability.wal.append(op, data, force_sync=op in _CONTROL_OPS)
         if op == OP_PLACES:
-            if service.release_cache is not None:
-                # Places feed rule semantics but move no cache-key component.
-                service.release_cache.invalidate_all("replication")
-            compiled_rules = getattr(service, "compiled_rules", None)
-            if compiled_rules is not None:
-                compiled_rules.invalidate_all("replication")
+            # Places feed rule semantics but move no cache-key component.
+            service.invalidate_decisions("replication")
 
     def _apply_frame(self, entry: dict) -> bool:
         """Verify + apply one frame; False on a continuity rejection."""

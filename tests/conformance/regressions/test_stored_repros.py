@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.conformance.generators import trial_from_json
-from repro.conformance.runner import COMPILED_MUTATIONS, MUTATIONS, run_trial
+from repro.conformance.runner import MUTATIONS, run_trial
 
 HERE = Path(__file__).parent
 REPRO_FILES = sorted(HERE.glob("*.json"))
@@ -42,13 +42,8 @@ def test_stored_repro_replays(path):
         assert run_trial(trial).ok
         return
     # Mutation-sourced repro: caught under the mutation with the exact
-    # recorded findings, clean on the real engine.  Interpreted-engine
-    # mutants replay two-way; compiled-compiler mutants replay through
-    # the three-way path with the broken compiled twin.
-    if mutation in MUTATIONS:
-        replayed = run_trial(trial, MUTATIONS[mutation])
-    else:
-        replayed = run_trial(trial, compiled_factory=COMPILED_MUTATIONS[mutation])
+    # recorded findings, clean on the real engine.
+    replayed = run_trial(trial, MUTATIONS[mutation])
     assert not replayed.ok
     assert [d.to_json() for d in replayed.divergences] == stored["Repro"]["Divergences"]
     assert [v.to_json() for v in replayed.violations] == stored["Repro"]["Violations"]

@@ -179,3 +179,50 @@ def test_generated_corpus_hits_the_advertised_traps():
     assert any(s.location is None for s in segments)
     assert any(t.memberships for t in trials)
     assert any(not t.rules for t in trials)  # pure default-deny trials
+
+
+def test_withheld_reasons_are_checked():
+    """The ``Withheld`` map feeds the audit trail: it may only explain
+    channels of this segment that did not flow, and a "denied by rule"
+    reason must name a Deny whose sensor scope covers the channel."""
+    from dataclasses import replace
+
+    from repro.conformance.invariants import check_release
+
+    segment = make_segment(channels=("ECG", "AccelX"), n=4)
+    deny = Rule(sensors=("ECG",), action=DENY)
+    trial = _trial([Rule(consumers=("bob",), action=ALLOW), deny], [segment])
+    (piece,) = build_engine(trial).evaluate_segment("bob", segment)
+    assert piece.withheld == {"ECG": f"denied by rule {deny.rule_id}"}
+    assert check_release(trial, segment, [piece]) == []
+
+    def broken(withheld):
+        found = check_release(trial, segment, [replace(piece, withheld=withheld)])
+        return [v.invariant for v in found]
+
+    assert broken({"GSR": "withheld: whatever"}) == ["withheld-reasons"]
+    assert broken({"AccelX": "withheld: whatever"}) == ["withheld-reasons"]
+    assert broken({"ECG": "denied by rule no-such-rule"}) == ["withheld-reasons"]
+    allow_id = trial.rules[0].rule_id
+    assert broken({"ECG": f"denied by rule {allow_id}"}) == ["withheld-reasons"]
+    accel_deny = Rule(consumers=("carol",), sensors=("Accelerometer",), action=DENY)
+    trial.rules.append(accel_deny)  # a real Deny, but its scope excludes ECG
+    assert broken({"ECG": f"denied by rule {accel_deny.rule_id}"}) == ["withheld-reasons"]
+
+
+def test_piece_edges_must_sit_on_rule_flips():
+    """A window ending one unit late moves a piece edge off the instant
+    where the matching rules change — caught even when no sample lands
+    there (the off-by-one compiler mutant lives on this check)."""
+    from dataclasses import replace
+
+    from repro.conformance.invariants import check_release
+
+    segment = make_segment(channels=("AccelX",), n=8)
+    window = TimeCondition(intervals=(Interval(MONDAY, MONDAY + 3500),))
+    trial = _trial([Rule(consumers=("bob",), time=window, action=ALLOW)], [segment])
+    (piece,) = build_engine(trial).evaluate_segment("bob", segment)
+    assert piece.interval == Interval(MONDAY, MONDAY + 3500)
+    assert check_release(trial, segment, [piece]) == []
+    late = replace(piece, interval=Interval(MONDAY, MONDAY + 3501))
+    assert [v.invariant for v in check_release(trial, segment, [late])] == ["piece-geometry"]

@@ -31,6 +31,11 @@ def test_tier1_sweep_200_trials():
     assert summary.end_to_end_runs == 4
 
 
+def test_sweep_is_clean_on_second_seed():
+    summary = run_conformance(60, 23, end_to_end_every=0)
+    assert summary.ok, _report(summary)
+
+
 def test_sweep_is_deterministic():
     first = run_conformance(30, SEED, end_to_end_every=0)
     second = run_conformance(30, SEED, end_to_end_every=0)
@@ -67,3 +72,12 @@ def test_nightly_sweep_alternate_seeds():
     for seed in (1, 2, 3):
         summary = run_conformance(500, seed, end_to_end_every=250)
         assert summary.ok, _report(summary)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 7, 11, 42])
+def test_nightly_sweep_at_scale(seed):
+    """≥2,000 trials across seeds (8 × 260) — the corpus whose wire
+    payloads ``golden_release_digests.json`` pins."""
+    summary = run_conformance(260, seed, end_to_end_every=65)
+    assert summary.ok, _report(summary)

@@ -228,7 +228,7 @@ def test_oracle_imports_no_engine_code():
     tree = ast.parse(open(oracle_mod.__file__, encoding="utf-8").read())
     forbidden = {
         "repro.rules.engine",
-        "repro.rules.conditions",
+        "repro.rules.compiler",
         "repro.rules.abstraction",
         "repro.rules.dependency",
     }

@@ -22,9 +22,13 @@ from repro.conformance.runner import (
 
 TRIALS = 120
 SEED = 7
+#: The five mutants that remove an enforcement layer.  The four broken
+#: *compilers* shrink less far and one needs a bigger trial budget, so
+#: their smokes live in test_compiled_conformance.py.
+LAYER_MUTATIONS = sorted(m for m in MUTATIONS if not m.startswith("compiled-"))
 
 
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("mutation", LAYER_MUTATIONS)
 def test_mutation_is_caught_and_shrunk(mutation):
     summary = run_conformance(
         TRIALS, SEED, mutation=mutation, end_to_end_every=0, max_shrink_checks=300
@@ -45,7 +49,7 @@ def test_mutation_is_caught_and_shrunk(mutation):
     assert run_trial(trial_from_json(repro["Trial"])).ok
 
 
-@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("mutation", LAYER_MUTATIONS)
 def test_mutation_detection_is_deterministic(mutation):
     first = run_conformance(TRIALS, SEED, mutation=mutation, end_to_end_every=0)
     second = run_conformance(TRIALS, SEED, mutation=mutation, end_to_end_every=0)
@@ -130,7 +134,8 @@ def test_mutants_actually_differ_from_real_engine():
     from repro.conformance.generators import TrialGenerator
 
     generator = TrialGenerator(SEED)
-    for mutation, factory in MUTATIONS.items():
+    for mutation in LAYER_MUTATIONS:
+        factory = MUTATIONS[mutation]
         differs = False
         for index in range(TRIALS):
             trial = generator.trial(index)

@@ -1,29 +1,33 @@
-"""Compiled rule evaluation: boundaries + compile/invalidation lifecycle.
+"""The rule compiler: boundaries + compile/invalidation lifecycle.
 
 Two layers of coverage for :mod:`repro.rules.compiler`:
 
 * **Boundary units** — time windows touching span edges and wrapping
   midnight, locations exactly on spatial-grid cell borders, empty and
   one-rule contributors, and consumers with no bucket.  Each case runs
-  the compiled and interpreted engines side by side and asserts
-  byte-identical payloads (the equivalence contract, at its corners).
+  the engine and asserts the release against the brute-force oracle
+  (``diff_segment``) and the output invariants (``check_release``).
 
-* **Lifecycle properties** — twin ``engine="compiled"`` and
-  ``engine="interpreted"`` stores driven through random interleavings of
-  rule publish/remove, places edits, and membership flips, plus a
-  crash/recovery boundary and a promotion: the compiled twin must never
-  serve from a stale artifact.  This mirrors the release-cache epoch
-  argument: the artifact key folds in the store-wide ``rules_version``,
-  which moves on every mutation and every restore, and everything the
-  epoch cannot see (places, promotion, recovery's fail-closed rewrite)
-  invalidates wholesale.
+* **Lifecycle properties** — a store driven through random
+  interleavings of rule publish/remove, places edits, and membership
+  flips, plus a crash/recovery boundary and a promotion: what it serves
+  must always equal what a **freshly compiled** engine releases over the
+  segments the release guard observed — it must never serve from a stale
+  artifact.  This mirrors the release-cache epoch argument: the artifact
+  key folds in the store-wide ``rules_version``, which moves on every
+  mutation and every restore, and everything the epoch cannot see
+  (places, promotion, recovery's fail-closed rewrite) invalidates
+  wholesale.
 """
 
 import random
 
 import pytest
 
-from repro.conformance.generators import TrialGenerator
+from dataclasses import replace
+
+from repro.conformance.generators import Trial, TrialGenerator
+from repro.conformance.runner import build_engine, run_trial
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import WaveSegment
 from repro.net.transport import Network
@@ -33,7 +37,6 @@ from repro.rules.compiler import (
     CompiledRuleSet,
     compile_rules,
 )
-from repro.rules.engine import RuleEngine
 from repro.rules.model import Action, Rule
 from repro.server.datastore_service import DataStoreService
 from repro.util import jsonutil
@@ -70,14 +73,12 @@ def _payload(engine, consumer, segment):
     )
 
 
-def assert_equivalent(rules, segment, *, places=None, consumer="bob"):
-    """Compiled and interpreted engines agree byte-for-byte."""
-    interpreted = RuleEngine(rules, places)
-    compiled = RuleEngine(rules, places, engine="compiled")
-    a = _payload(interpreted, consumer, segment)
-    b = _payload(compiled, consumer, segment)
-    assert a == b, f"interpreted:\n{a}\nvs compiled:\n{b}"
-    return a
+def assert_conforms(rules, segment, *, consumer="bob"):
+    """The release agrees with the oracle and holds every invariant."""
+    trial = Trial(seed="boundary", rules=list(rules), segments=[segment], consumer=consumer)
+    result = run_trial(trial)
+    assert result.ok, result.to_json()
+    return _payload(build_engine(trial), consumer, segment)
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +92,7 @@ def test_window_exactly_covering_span():
         Rule(time=TimeCondition((Interval(BASE_MS, BASE_MS + 10_000),)),
              action=Action("allow"))
     ]
-    released = assert_equivalent(rules, seg)
+    released = assert_conforms(rules, seg)
     assert released != "[]"  # the full span flows
 
 
@@ -104,7 +105,7 @@ def test_window_end_touching_span_edges(offset):
         Rule(time=TimeCondition((Interval(BASE_MS - 5_000, end),)),
              action=Action("allow"))
     ]
-    assert_equivalent(rules, seg)
+    assert_conforms(rules, seg)
 
 
 def test_window_boundary_exactly_on_sample_instant():
@@ -115,14 +116,14 @@ def test_window_boundary_exactly_on_sample_instant():
         Rule(time=TimeCondition((Interval(BASE_MS, BASE_MS + 5_000),)),
              action=Action("allow"))
     ]
-    assert_equivalent(rules, seg)
+    assert_conforms(rules, seg)
 
 
 def test_zero_length_window_matches_nothing():
     seg = _segment(BASE_MS, n=4, interval=1000)
     degenerate = Interval(BASE_MS + 2_000, BASE_MS + 2_000)
     rules = [Rule(time=TimeCondition((degenerate,)), action=Action("allow"))]
-    assert assert_equivalent(rules, seg) == "[]"
+    assert assert_conforms(rules, seg) == "[]"
     art = compile_rules(rules)
     assert art.compiled[0].static_windows == ()  # dropped at compile time
 
@@ -139,7 +140,7 @@ def test_midnight_wrap_repeated_window():
             action=Action("allow"),
         )
     ]
-    assert_equivalent(rules, seg)
+    assert_conforms(rules, seg)
 
 
 def test_degenerate_equal_minutes_is_full_day():
@@ -150,12 +151,12 @@ def test_degenerate_equal_minutes_is_full_day():
             action=Action("allow"),
         )
     ]
-    released = assert_equivalent(rules, seg)
+    released = assert_conforms(rules, seg)
     assert released != "[]"  # equal minutes = the whole matching day
 
 
 def test_weekday_windows_only_fire_on_their_day():
-    # Tuesday-only window, Monday segment: nothing flows either way.
+    # Tuesday-only window, Monday segment: nothing flows.
     seg = _segment(BASE_MS + 10 * _MINUTE, n=5, interval=1000)
     rules = [
         Rule(
@@ -163,7 +164,7 @@ def test_weekday_windows_only_fire_on_their_day():
             action=Action("allow"),
         )
     ]
-    assert assert_equivalent(rules, seg) == "[]"
+    assert assert_conforms(rules, seg) == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +198,10 @@ def test_location_exactly_on_grid_cell_border(corner):
     }[corner]
     seg = _segment(BASE_MS, n=5, location=point)
     rules = [Rule(location_regions=(region,), action=Action("allow"))]
-    released = assert_equivalent(rules, seg)
+    released = assert_conforms(rules, seg)
     # The ray-cast includes the south-west edges and excludes north-east
     # ones; either way the *grid* must agree with the exact region test —
-    # equivalence above is the load-bearing assertion.
+    # the oracle check above is the load-bearing assertion.
     if corner in ("south-west", "center"):
         assert released != "[]"
 
@@ -211,7 +212,7 @@ def test_location_just_outside_grid_indexed_region():
     outside = LatLon(box.north + 1e-9, box.east + 1e-9)
     seg = _segment(BASE_MS, n=5, location=outside)
     rules = [Rule(location_regions=(region,), action=Action("allow"))]
-    assert assert_equivalent(rules, seg) == "[]"
+    assert assert_conforms(rules, seg) == "[]"
 
 
 def test_oversized_region_skips_the_grid_but_still_matches():
@@ -224,14 +225,14 @@ def test_oversized_region_skips_the_grid_but_still_matches():
     rules = [Rule(location_regions=(region,), action=Action("allow"))]
     art = compile_rules(rules)
     assert not art.compiled[0].grid_indexed
-    assert assert_equivalent(rules, seg) != "[]"
+    assert assert_conforms(rules, seg) != "[]"
 
 
 def test_location_condition_with_no_location_never_matches():
     region = _cell_border_box()
     seg = _segment(BASE_MS, n=5, location=None)
     rules = [Rule(location_regions=(region,), action=Action("allow"))]
-    assert assert_equivalent(rules, seg) == "[]"
+    assert assert_conforms(rules, seg) == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -241,21 +242,21 @@ def test_location_condition_with_no_location_never_matches():
 
 def test_empty_contributor_is_default_deny():
     seg = _segment(BASE_MS, n=3)
-    assert assert_equivalent([], seg) == "[]"
+    assert assert_conforms([], seg) == "[]"
     art = compile_rules(())
     assert art.evaluate_segment(frozenset({"bob"}), seg) == []
 
 
 def test_one_rule_contributor():
     seg = _segment(BASE_MS, n=3)
-    assert assert_equivalent([Rule(action=Action("allow"))], seg) != "[]"
+    assert assert_conforms([Rule(action=Action("allow"))], seg) != "[]"
 
 
 def test_consumer_with_no_bucket_is_default_deny():
     seg = _segment(BASE_MS, n=3)
     rules = [Rule(consumers=("carol",), action=Action("allow"))]
-    assert assert_equivalent(rules, seg, consumer="bob") == "[]"
-    assert assert_equivalent(rules, seg, consumer="carol") != "[]"
+    assert assert_conforms(rules, seg, consumer="bob") == "[]"
+    assert assert_conforms(rules, seg, consumer="carol") != "[]"
 
 
 def test_batch_evaluation_matches_per_segment():
@@ -312,16 +313,8 @@ def test_cache_capacity_evicts_lru():
     assert len(cache) == 2
 
 
-def test_lazy_engine_artifact_invalidated_by_rule_mutation():
-    engine = RuleEngine((Rule(action=Action("allow")),), engine="compiled")
-    first = engine.compiled_artifact()
-    assert engine.compiled_artifact() is first  # cached until a mutation
-    engine.add_rule(Rule(consumers=("carol",), action=Action("deny")))
-    assert engine.compiled_artifact() is not first
-
-
 # ----------------------------------------------------------------------
-# Lifecycle: twin stores under random interleavings
+# Lifecycle: served payload vs a freshly compiled engine
 # ----------------------------------------------------------------------
 
 
@@ -345,57 +338,69 @@ def _query(service, key, trial, query):
         {"Contributor": trial.contributor, "Query": query.to_json(), "ApiKey": key},
     ).body
     assert "Error" not in body, body
-    return jsonutil.canonical_dumps(body)
+    return body
+
+
+def _assert_served_fresh(service, key, trial, query):
+    """The store serves what an engine compiled *now* from ``trial`` would.
+
+    ``trial`` carries the rules, places and memberships the store should
+    currently be enforcing; the reference engine is built from them and
+    run over the segments the release guard saw the store serve.
+    """
+    events = []
+    service.release_guards.append(events.append)
+    try:
+        body = _query(service, key, trial, query)
+    finally:
+        service.release_guards.remove(events.append)
+    (event,) = events
+    fresh = build_engine(trial).evaluate(trial.consumer, event.segments)
+    assert body["Released"] == [piece.to_json() for piece in fresh]
 
 
 def test_twin_stores_agree_under_random_interleavings():
-    """Publish/remove/places/membership churn: compiled == interpreted."""
+    """Publish/remove/places/membership churn: served == freshly compiled."""
     generator = TrialGenerator(6021)
     gen = TrialGenerator(88)
     comparisons = 0
     for index in range(12):
         trial = generator.trial(index)
         rng = random.Random(f"compiled-lifecycle:{index}")
-        services, keys = [], []
-        for engine in ("compiled", "interpreted"):
-            service = DataStoreService(HOST, Network(), seed=0, engine=engine)
-            services.append(service)
-            keys.append(_load(service, trial))
-        current_rules = list(trial.rules)
-        current_places = dict(trial.places)
+        service = DataStoreService(HOST, Network(), seed=0)
+        key = _load(service, trial)
         query = DataQuery()
         for _ in range(6):
-            got = [_query(s, k, trial, query) for s, k in zip(services, keys)]
-            assert got[0] == got[1], f"trial {index} diverged"
+            _assert_served_fresh(service, key, trial, query)
             comparisons += 1
             kind = rng.choice(("add_rule", "drop_rule", "places", "membership"))
             if kind == "add_rule":
-                current_rules = current_rules + [gen.gen_rule(rng, current_places)]
-                for s in services:
-                    s.rules.replace_all(trial.contributor, current_rules)
-            elif kind == "drop_rule" and current_rules:
-                current_rules = list(current_rules)
-                current_rules.pop(rng.randrange(len(current_rules)))
-                for s in services:
-                    s.rules.replace_all(trial.contributor, current_rules)
+                trial = replace(trial, rules=trial.rules + [gen.gen_rule(rng, trial.places)])
+                service.rules.replace_all(trial.contributor, trial.rules)
+            elif kind == "drop_rule" and trial.rules:
+                rules = list(trial.rules)
+                rules.pop(rng.randrange(len(rules)))
+                trial = replace(trial, rules=rules)
+                service.rules.replace_all(trial.contributor, trial.rules)
             elif kind == "places":
-                if current_places and rng.random() < 0.5:
-                    current_places = dict(current_places)
-                    current_places.pop(rng.choice(sorted(current_places)))
-                for s in services:
-                    s.set_places(trial.contributor, current_places)
+                places = dict(trial.places)
+                if places and rng.random() < 0.5:
+                    places.pop(rng.choice(sorted(places)))
+                trial = replace(trial, places=places)
+                service.set_places(trial.contributor, trial.places)
             elif kind == "membership":
-                groups = set(services[0].memberships.get(trial.consumer, frozenset()))
+                groups = set(trial.memberships.get(trial.consumer, frozenset()))
                 groups.symmetric_difference_update({rng.choice(("study-x", "labmates"))})
-                for s in services:
-                    s.memberships[trial.consumer] = frozenset(groups)
-        got = [_query(s, k, trial, query) for s, k in zip(services, keys)]
-        assert got[0] == got[1]
+                trial = replace(
+                    trial, memberships={trial.consumer: frozenset(groups)}
+                )
+                service.memberships[trial.consumer] = frozenset(groups)
+        _assert_served_fresh(service, key, trial, query)
         comparisons += 1
     assert comparisons >= 80
     # The sweep proves staleness-freedom only if artifacts were reused
     # between mutations *and* recompiled after them.
-    compiles = services[0].network.obs.metrics.counter_value(
+    compiles = service.network.obs.metrics.counter_value(
         "rules_compile_total", store=HOST
     )
     assert compiles >= 1
@@ -405,9 +410,7 @@ def test_compiled_cache_hits_between_mutations():
     # Release cache off, so every query reaches _engine_for and the
     # compiled-artifact cache is what absorbs the repeats.
     trial = TrialGenerator(6022).trial(1)
-    service = DataStoreService(
-        HOST, Network(), seed=0, engine="compiled", cache_capacity=0
-    )
+    service = DataStoreService(HOST, Network(), seed=0, cache_capacity=0)
     key = _load(service, trial)
     query = DataQuery()
     for _ in range(4):
@@ -426,33 +429,28 @@ def test_recovery_invalidates_compiled_artifacts(tmp_path):
     trial = TrialGenerator(6023).trial(2)
     directory = str(tmp_path / "compiled-recovery")
     service = DataStoreService(
-        HOST, Network(), seed=0, engine="compiled", directory=directory, durable=True
+        HOST, Network(), seed=0, directory=directory, durable=True
     )
     key = _load(service, trial)
-    interpreted = DataStoreService("plain-" + HOST, Network(), seed=0)
-    _load(interpreted, trial)
     query = DataQuery()
     _query(service, key, trial, query)
     assert len(service.compiled_rules) >= 1
     service._wal_commit()
 
     restarted = DataStoreService(
-        HOST, Network(), seed=0, engine="compiled", directory=directory, durable=True
+        HOST, Network(), seed=0, directory=directory, durable=True
     )
     # Recovery's sweep emptied the cache; the epoch also moved (restore).
     assert len(restarted.compiled_rules) == 0
     for name, groups in trial.memberships.items():
         restarted.memberships[name] = frozenset(groups)
     key2 = restarted.keys.issue(trial.consumer)
-    ikey = interpreted.keys.issue(trial.consumer)
-    assert _query(restarted, key2, trial, query) == _query(
-        interpreted, ikey, trial, query
-    )
+    _assert_served_fresh(restarted, key2, trial, query)
 
 
 def test_promotion_invalidates_compiled_artifacts():
     trial = TrialGenerator(6024).trial(0)
-    service = DataStoreService(HOST, Network(), seed=0, engine="compiled")
+    service = DataStoreService(HOST, Network(), seed=0)
     key = _load(service, trial)
     _query(service, key, trial, DataQuery())
     assert len(service.compiled_rules) >= 1
@@ -462,7 +460,7 @@ def test_promotion_invalidates_compiled_artifacts():
 
 def test_fail_closed_contributor_compiles_to_default_deny():
     trial = TrialGenerator(6025).trial(1)
-    service = DataStoreService(HOST, Network(), seed=0, engine="compiled")
+    service = DataStoreService(HOST, Network(), seed=0)
     key = _load(service, trial)
     service.fail_closed.add(trial.contributor)
     body = service.network.request(
@@ -477,4 +475,4 @@ def test_fail_closed_contributor_compiles_to_default_deny():
     released = body.get("Released")
     assert released == []
     engine = service._engine_for(trial.contributor)
-    assert engine.compiled_artifact().compiled == ()
+    assert engine.compiled.compiled == ()

@@ -1,14 +1,10 @@
-"""Tests for per-rule condition matching."""
+"""Per-rule condition matching, observed through the engine.
 
-import pytest
+Each case puts one condition on an otherwise unconditional Allow: the
+condition matches exactly when the segment is released.
+"""
 
-from repro.rules.conditions import (
-    consumer_matches,
-    context_matches,
-    location_matches,
-    rule_applies,
-    sensor_overlaps,
-)
+from repro.rules.engine import RuleEngine
 from repro.rules.model import ALLOW, Rule
 from repro.util.geo import BoundingBox, LabeledPlace, LatLon
 
@@ -20,96 +16,104 @@ PLACES = {
 }
 
 
+def matches(segment=None, *, principals=("bob",), places=PLACES, **conditions) -> bool:
+    """Does an Allow carrying ``conditions`` release ``segment``?"""
+    engine = RuleEngine(
+        [Rule(action=ALLOW, **conditions)],
+        places,
+        membership=lambda _consumer: frozenset(principals),
+    )
+    return bool(engine.evaluate("bob", [segment or make_segment()]))
+
+
 class TestConsumer:
     def test_empty_condition_matches_anyone(self):
-        assert consumer_matches(Rule(), frozenset({"whoever"}))
+        assert matches(principals=("whoever",))
 
     def test_name_match(self):
-        rule = Rule(consumers=("bob",))
-        assert consumer_matches(rule, frozenset({"bob"}))
-        assert not consumer_matches(rule, frozenset({"carol"}))
+        assert matches(consumers=("bob",), principals=("bob",))
+        assert not matches(consumers=("bob",), principals=("carol",))
 
     def test_group_membership_match(self):
-        rule = Rule(consumers=("stress-study",))
-        assert consumer_matches(rule, frozenset({"bob", "stress-study"}))
+        assert matches(consumers=("stress-study",), principals=("bob", "stress-study"))
 
 
 class TestLocation:
     def test_unconstrained(self):
-        assert location_matches(Rule(), None, PLACES)
-        assert location_matches(Rule(), UCLA, {})
+        assert matches(make_segment(location=None))
+        assert matches(make_segment(location=UCLA), places={})
 
     def test_label_resolution(self):
-        rule = Rule(location_labels=("UCLA",))
-        assert location_matches(rule, UCLA, PLACES)
-        assert not location_matches(rule, LatLon(35.0, -118.0), PLACES)
+        assert matches(make_segment(location=UCLA), location_labels=("UCLA",))
+        away = make_segment(location=LatLon(35.0, -118.0))
+        assert not matches(away, location_labels=("UCLA",))
 
     def test_undefined_label_never_matches(self):
-        rule = Rule(location_labels=("mars",))
-        assert not location_matches(rule, UCLA, PLACES)
+        assert not matches(make_segment(location=UCLA), location_labels=("mars",))
 
     def test_region_condition(self):
-        rule = Rule(location_regions=(BoundingBox(34.0, -118.5, 34.1, -118.4),))
-        assert location_matches(rule, UCLA, {})
+        region = BoundingBox(34.0, -118.5, 34.1, -118.4)
+        assert matches(make_segment(location=UCLA), places={}, location_regions=(region,))
 
     def test_unknown_location_fails_constrained_rules(self):
-        rule = Rule(location_labels=("UCLA",))
-        assert not location_matches(rule, None, PLACES)
+        assert not matches(make_segment(location=None), location_labels=("UCLA",))
 
     def test_label_or_region_is_or(self):
-        rule = Rule(
+        # The region matches, the label does not.
+        assert matches(
+            make_segment(location=UCLA),
             location_labels=("home",),
             location_regions=(BoundingBox(34.0, -118.5, 34.1, -118.4),),
         )
-        assert location_matches(rule, UCLA, PLACES)  # region matches, label not
 
 
 class TestContext:
     CTX = {"Activity": "Drive", "Stress": "Stressed", "Conversation": "NotConversation"}
 
+    def seg(self):
+        return make_segment(context=self.CTX)
+
     def test_unconstrained(self):
-        assert context_matches(Rule(), {})
+        assert matches(make_segment(context={}))
 
     def test_single_label(self):
-        assert context_matches(Rule(contexts=("Drive",)), self.CTX)
-        assert not context_matches(Rule(contexts=("Walk",)), self.CTX)
+        assert matches(self.seg(), contexts=("Drive",))
+        assert not matches(self.seg(), contexts=("Walk",))
 
     def test_or_within_category(self):
-        assert context_matches(Rule(contexts=("Walk", "Drive")), self.CTX)
+        assert matches(self.seg(), contexts=("Walk", "Drive"))
 
     def test_and_across_categories(self):
-        assert context_matches(Rule(contexts=("Drive", "Stress")), self.CTX)
-        assert not context_matches(Rule(contexts=("Drive", "Conversation")), self.CTX)
+        assert matches(self.seg(), contexts=("Drive", "Stress"))
+        assert not matches(self.seg(), contexts=("Drive", "Conversation"))
 
     def test_moving_meta_label(self):
-        assert context_matches(Rule(contexts=("Moving",)), self.CTX)
-        assert not context_matches(Rule(contexts=("NotMoving",)), self.CTX)
+        assert matches(self.seg(), contexts=("Moving",))
+        assert not matches(self.seg(), contexts=("NotMoving",))
 
     def test_unannotated_category_never_matches(self):
-        assert not context_matches(Rule(contexts=("Smoke",)), self.CTX)
+        assert not matches(self.seg(), contexts=("Smoke",))
 
 
 class TestSensorOverlap:
     def test_unconstrained(self):
-        assert sensor_overlaps(Rule(), make_segment(channels=("ECG",)))
+        assert matches(make_segment(channels=("ECG",)))
 
     def test_overlap_and_disjoint(self):
-        rule = Rule(sensors=("Accelerometer",))
-        assert sensor_overlaps(rule, make_segment(channels=("AccelX",)))
-        assert not sensor_overlaps(rule, make_segment(channels=("ECG",)))
+        assert matches(make_segment(channels=("AccelX",)), sensors=("Accelerometer",))
+        assert not matches(make_segment(channels=("ECG",)), sensors=("Accelerometer",))
 
 
 class TestRuleApplies:
     def test_all_conditions_conjoined(self):
-        rule = Rule(
+        conditions = dict(
             consumers=("bob",),
             location_labels=("UCLA",),
             contexts=("Still",),
             sensors=("ECG",),
-            action=ALLOW,
         )
         seg = make_segment(channels=("ECG",), location=UCLA)
-        assert rule_applies(rule, frozenset({"bob"}), seg, PLACES)
-        assert not rule_applies(rule, frozenset({"carol"}), seg, PLACES)
+        assert matches(seg, principals=("bob",), **conditions)
+        assert not matches(seg, principals=("carol",), **conditions)
         away = make_segment(channels=("ECG",), location=LatLon(35.0, -118.0))
-        assert not rule_applies(rule, frozenset({"bob"}), away, PLACES)
+        assert not matches(away, principals=("bob",), **conditions)

@@ -320,13 +320,31 @@ class TestBuckets:
         rules = [Rule(consumers=(f"user{i}",), action=ALLOW) for i in range(50)]
         rules.append(Rule(action=DENY))  # wildcard
         engine = RuleEngine(rules, PLACES)
-        candidates = engine.candidate_rules(frozenset({"user7"}))
+        candidates, _ = engine.compiled._candidates(frozenset({"user7"}))
         assert len(candidates) == 2  # user7's rule + the wildcard
 
-    def test_add_rule_incremental(self):
-        engine = RuleEngine([], PLACES)
-        engine.add_rule(Rule(consumers=("bob",), action=ALLOW))
-        assert engine.evaluate("bob", [make_segment()]) != []
+
+    def test_candidate_order_decides_which_deny_is_blamed(self):
+        # Candidate order reaches the wire through the Withheld reasons:
+        # wildcard bucket first, then principals in sorted order — not the
+        # rule list's own order.  The first Deny to hit a channel is blamed.
+        allow = Rule(consumers=("bob",), action=ALLOW)
+        named = Rule(consumers=("bob",), sensors=("ECG",), action=DENY)
+        group = Rule(consumers=("a-study",), sensors=("ECG",), action=DENY)
+        wildcard = Rule(sensors=("ECG",), action=DENY)
+        segment = make_segment(channels=("ECG", "AccelX"))
+
+        def blamed(rules):
+            engine = RuleEngine(
+                rules, PLACES, membership=lambda c: frozenset({c, "a-study"})
+            )
+            (released,) = engine.evaluate("bob", [segment])
+            assert released.channels() == ("AccelX",)
+            return released.withheld["ECG"]
+
+        assert blamed([allow, named, group, wildcard]) == f"denied by rule {wildcard.rule_id}"
+        assert blamed([allow, named, group]) == f"denied by rule {group.rule_id}"
+        assert blamed([allow, named]) == f"denied by rule {named.rule_id}"
 
 
 class TestReleasedSegmentJson:

@@ -8,6 +8,7 @@ from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule, abstraction
 from repro.server.datastore_service import DataStoreService
 from repro.server.persistence import load_service_state, save_service_state
+from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LabeledPlace
 
 from tests.conftest import make_segment
@@ -106,6 +107,44 @@ class TestRoundtrip:
         _, service, _ = build_service(tmp_path, register=False)
         counts = load_service_state(service)
         assert counts == {"segments": 0, "rules": 0, "places": 0, "roles": 0, "audit": 0}
+
+
+class TestRestoreInvalidatesDecisions:
+    def test_restored_places_reach_the_next_release(self, tmp_path):
+        """Places move no epoch: a snapshot that changes them without a
+        single rule line must still drop the compiled artifact holding the
+        old regions, not only the cached decisions."""
+        from tests.conftest import UCLA
+
+        network, service, _ = build_service(tmp_path)
+        bob_key = service.register_consumer("bob")
+        campus = BoundingBox(UCLA.lat - 0.01, UCLA.lon - 0.01, UCLA.lat + 0.01, UCLA.lon + 0.01)
+        service.set_places("alice", {"campus": LabeledPlace("campus", campus)})
+        service.rules.add(
+            "alice", Rule(consumers=("bob",), location_labels=("campus",), action=ALLOW)
+        )
+        service.store.add_segment(make_segment(channels=("AccelX",), n=8))
+        service.store.flush()
+
+        def released():
+            return network.request(
+                "POST",
+                "https://store/api/query",
+                {"Contributor": "alice", "Query": {}, "ApiKey": bob_key},
+            ).body["Released"]
+
+        assert released()  # captured on campus, and campus is shared
+
+        save_service_state(service)
+        elsewhere = LabeledPlace("campus", BoundingBox(0, 0, 1, 1))
+        (tmp_path / "store.places.jsonl").write_text(
+            jsonutil.dumps({"Contributor": "alice", "Places": [elsewhere.to_json()]}) + "\n"
+        )
+        (tmp_path / "store.rules.jsonl").write_text("")
+        version = service.rules.rules_version
+        load_service_state(service)
+        assert service.rules.rules_version == version  # nothing moved the epoch
+        assert released() == []  # "campus" is somewhere else now
 
 
 class TestAtomicSnapshots:

@@ -104,7 +104,9 @@ class TestCandidateRuleDedup:
 
         rule = Rule(consumers=("study-a", "study-b"), action=ALLOW)
         engine = RuleEngine([rule], {})
-        candidates = engine.candidate_rules(frozenset({"bob", "study-a", "study-b"}))
+        candidates, _ = engine.compiled._candidates(
+            frozenset({"bob", "study-a", "study-b"})
+        )
         assert len(candidates) == 1
 
 
