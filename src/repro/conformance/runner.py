@@ -5,6 +5,8 @@ evaluates the generated segments and the result is checked three ways:
 
 1. **differential** — every sample instant is compared against the
    brute-force oracle: which channels flow, which labels, which levels;
+   the trial's segments are also evaluated as one batch, which must
+   release exactly the per-segment pieces the oracle just checked;
 2. **invariants** — the release is checked against the output properties
    in :mod:`repro.conformance.invariants`;
 3. **end-to-end** (every N-th trial) — the same scenario is loaded into a
@@ -21,9 +23,10 @@ persists — and printed as a minimal JSON repro that replays with
 
 Mutation smoke tests: ``MUTATIONS`` maps names to deliberately broken
 engine factories — five that remove an enforcement layer ("ignore-deny",
-"no-closure", ...) and four broken *compilers* (dropped deny
+"no-closure", ...) and five broken *compilers* (dropped deny
 short-circuit, off-by-one interval boundaries, stale dependency
-bitmasks, a stale artifact surviving a rule edit).  The harness must
+bitmasks, a stale artifact surviving a rule edit, a batch time-prune
+that only looks at the first segment).  The harness must
 find and shrink a divergence against each of them; if it cannot, the
 harness itself is broken.
 """
@@ -193,9 +196,24 @@ def _compiled_stale_rules(trial: Trial) -> RuleEngine:
     return build_engine(trial, compiled=artifact)
 
 
+def _compiled_batch_prune_narrow(trial: Trial) -> RuleEngine:
+    """Mutant evaluator: the batch window is the first segment's span.
+
+    Timed rules are resolved against that span alone, so a rule whose
+    windows only touch later segments is pruned for the whole batch — a
+    Deny stops denying, an Allow stops granting.  One segment at a time
+    the mutant is correct; only the batch-vs-per-segment check in
+    :func:`run_trial` can see it.
+    """
+    artifact = compile_rules(trial.rules, trial.places)
+    return build_engine(
+        trial, compiled=artifact.mutated_copy(batch_span=lambda spans: spans[0])
+    )
+
+
 #: Deliberately broken engines.  The first five remove one enforcement
 #: layer, the way a careless refactor of the rule path might; the
-#: ``compiled-*`` four re-introduce a plausible compilation bug.  The
+#: ``compiled-*`` five re-introduce a plausible compilation bug.  The
 #: oracle diff must catch every one of them
 #: (tests/conformance/test_runner.py asserts it).
 MUTATIONS: dict = {
@@ -208,6 +226,7 @@ MUTATIONS: dict = {
     "compiled-interval-off-by-one": _compiled_interval_off_by_one,
     "compiled-stale-bitmask": _compiled_stale_bitmask,
     "compiled-stale-rules": _compiled_stale_rules,
+    "compiled-batch-prune-narrow": _compiled_batch_prune_narrow,
 }
 
 
@@ -342,10 +361,27 @@ def run_trial(
     """Diff + invariant-check one trial against the (possibly broken) engine."""
     engine = (engine_factory or build_engine)(trial)
     result = TrialResult(trial)
+    per_segment: list = []
     for segment in trial.segments:
         pieces = engine.evaluate_segment(trial.consumer, segment)
         result.divergences.extend(diff_segment(trial, segment, pieces))
         result.violations.extend(check_release(trial, segment, pieces))
+        per_segment.extend(piece.to_json() for piece in pieces)
+    # The query path evaluates a window of segments as one batch; it must
+    # release exactly the pieces the oracle just checked one by one.
+    batch = [p.to_json() for p in engine.evaluate(trial.consumer, trial.segments)]
+    if batch != per_segment:
+        shared = min(len(batch), len(per_segment))
+        first = next((i for i in range(shared) if batch[i] != per_segment[i]), shared)
+        result.divergences.append(
+            Divergence(
+                "batch-mismatch",
+                "",
+                f"batch evaluation released {len(batch)} piece(s), per-segment "
+                f"evaluation {len(per_segment)}; they first differ at piece {first}",
+                piece_index=first,
+            )
+        )
     return result
 
 

@@ -176,26 +176,39 @@ class WaveSegment:
     # Slicing and projection (used by the rule engine)
     # ------------------------------------------------------------------
 
+    def _sample_range(self, window: Interval) -> tuple:
+        """Row range ``[first, stop)`` of a uniform segment inside ``window``.
+
+        Sample ``i`` sits at ``start_ms + i * interval_ms``, so the first
+        row at or after ``window.start`` and the first row at or after
+        ``window.end`` are ceiling divisions; a half-open window over
+        evenly spaced samples always selects one contiguous run.
+        """
+        step = self.interval_ms
+        first = max(0, -((self.start_ms - window.start) // step))
+        stop = min(self.n_samples, -((self.start_ms - window.end) // step))
+        return first, stop
+
     def slice_time(self, window: Interval) -> Optional["WaveSegment"]:
         """Samples falling inside ``window``, or None when empty."""
+        if self.interval_ms is not None:
+            first, stop = self._sample_range(window)
+            if first >= stop:
+                return None
+            if first == 0 and stop == self.n_samples:
+                return self
+            return replace(
+                self,
+                start_ms=self.start_ms + first * self.interval_ms,
+                values=self.values[first:stop],
+                segment_id="",
+            )
         times = self.sample_times()
         mask = (times >= window.start) & (times < window.end)
         if not mask.any():
             return None
         if mask.all():
             return self
-        if self.is_uniform:
-            idx = np.flatnonzero(mask)
-            first, last = int(idx[0]), int(idx[-1])
-            if last - first + 1 == len(idx):  # contiguous run stays uniform
-                return replace(
-                    self,
-                    start_ms=int(times[first]),
-                    values=self.values[first : last + 1],
-                    segment_id="",
-                )
-            # Non-contiguous selection: fall back to explicit timestamps.
-            return self._with_time_column(mask)
         return replace(
             self,
             start_ms=int(times[mask][0]),
@@ -203,17 +216,16 @@ class WaveSegment:
             segment_id="",
         )
 
-    def _with_time_column(self, mask: np.ndarray) -> "WaveSegment":
-        times = self.sample_times()[mask].astype(np.float64).reshape(-1, 1)
-        return WaveSegment(
-            contributor=self.contributor,
-            channels=(TIME_CHANNEL,) + tuple(self.channels),
-            start_ms=int(times[0, 0]),
-            interval_ms=None,
-            values=np.hstack([times, self.values[mask]]),
-            location=self.location,
-            context=dict(self.context),
-        )
+    def _kept_channels(self, names: Sequence[str]) -> tuple:
+        """The segment's channels among ``names``, in segment order.
+
+        The ``Time`` pseudo-channel is always retained.  When every
+        channel is kept the result *is* ``self.channels``, so projections
+        that change nothing share the tuple instead of holding a copy.
+        """
+        wanted = {TIME_CHANNEL, *names}
+        keep = tuple(c for c in self.channels if c in wanted)
+        return self.channels if keep == self.channels else keep
 
     def select_channels(self, names: Sequence[str]) -> Optional["WaveSegment"]:
         """Project onto a subset of channels; None when none remain.
@@ -221,19 +233,50 @@ class WaveSegment:
         The ``Time`` pseudo-channel of a non-uniform segment is always
         retained.
         """
-        keep = [c for c in self.channels if c in set(names) or c == TIME_CHANNEL]
-        if not self.is_uniform and keep == [TIME_CHANNEL]:
+        keep = self._kept_channels(names)
+        if not keep or (not self.is_uniform and keep == (TIME_CHANNEL,)):
             return None
-        if not keep:
-            return None
-        if tuple(keep) == self.channels:
+        if keep is self.channels:
             return self
         cols = [self.channels.index(c) for c in keep]
         return replace(
             self,
-            channels=tuple(keep),
+            channels=keep,
             values=self.values[:, cols],
             segment_id="",
+        )
+
+    def released_piece(
+        self, window: Interval, names: Sequence[str], anchor_ms: Optional[int] = None
+    ) -> Optional["WaveSegment"]:
+        """What a uniform segment releases for one rule piece, built once.
+
+        The samples inside ``window``, projected onto ``names``, with the
+        location dropped and — when ``anchor_ms`` is given — the clock
+        re-anchored there.  Equal to ``slice_time`` → ``select_channels``
+        → re-anchor → ``drop_location`` without the intermediate copies;
+        None when no sample or no channel survives.
+        """
+        first, stop = self._sample_range(window)
+        keep = self._kept_channels(names)
+        if first >= stop or not keep:
+            return None
+        # A fully covered segment shares the stored array itself, not a
+        # fresh view of it: the release cache holds these by the thousand.
+        values = self.values
+        if first > 0 or stop < self.n_samples:
+            values = values[first:stop]
+        if keep is not self.channels:
+            values = values[:, [self.channels.index(c) for c in keep]]
+        if anchor_ms is None:
+            anchor_ms = self.start_ms + first * self.interval_ms
+        return WaveSegment(
+            contributor=self.contributor,
+            channels=keep,
+            start_ms=anchor_ms,
+            interval_ms=self.interval_ms,
+            values=values,
+            context=self.context,
         )
 
     def with_context(self, context: dict) -> "WaveSegment":

@@ -9,11 +9,16 @@ arithmetic for weekly windows — so a contributor's rule set is compiled
 
 * **consumer buckets** — rule indices keyed by consumer name, with a
   memo from resolved principal sets to the deduplicated candidate list
-  (wildcard bucket first, then principals in sorted order);
+  (wildcard bucket first, then principals in sorted order); each batch
+  narrows that list once per distinct segment-channel tuple to the rules
+  whose sensor scope could apply;
 * **interval structure** — each rule's static time ranges pre-coalesced
   into disjoint sorted windows and its weekly windows pre-split per
   weekday into millisecond offsets (midnight wrap resolved at compile
-  time), so piece membership is pointer-walking over sorted tuples;
+  time).  A batch resolves each timed rule's matching windows **once**,
+  against the span its segments cover — a rule with none is dropped for
+  the whole batch — and clips them per segment, so piece membership is
+  pointer-walking over sorted tuples;
 * **spatial grid** — location-conditioned rules indexed by the grid
   cells their regions' bounding boxes cover, so a segment's capture
   point prunes region tests to the rules that could possibly contain it;
@@ -32,8 +37,10 @@ Correctness is pinned from outside: the conformance sweep
 brute-force oracle, and ``tests/conformance/golden_release_digests.json``
 pins the exact wire payload.  The arguments that make precomputation
 safe are stated where they are used (coalesce distributes over span
-intersection: :func:`_compile_time`; piece membership reduces to a
-start-point test: ``_time_pieces``; deny dominance: ``_release_piece``);
+intersection: :func:`_compile_time`; a batch's windows clip to each
+segment's own: ``_matching_windows``; pruning by the batch span:
+``evaluate_batch``; piece membership reduces to a start-point test:
+``_time_pieces``; deny dominance: ``_release_piece``);
 docs/ARCHITECTURE.md, "The rule engine", lists the evaluation order and
 the test that pins each step.
 
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Mapping, Optional
@@ -57,7 +65,7 @@ from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import RuleError
 from repro.rules.abstraction import coarsen_context_label
 from repro.rules.dependency import DEFAULT_DEPENDENCIES, DependencyGraph
-from repro.rules.engine import ReleasedSegment, _GPS_CHANNELS, _shape_timestamps
+from repro.rules.engine import ReleasedSegment, _GPS_CHANNELS, _shape_segment
 from repro.rules.model import (
     LOCATION_ASPECT,
     LOCATION_LEVELS,
@@ -303,6 +311,7 @@ class CompiledRuleSet:
             self._c_segments = m.counter("compiled_eval_segments_total")
             self._c_bucket_skips = m.counter("compiled_bucket_skips_total")
             self._c_grid_prunes = m.counter("compiled_grid_prunes_total")
+            self._c_time_prunes = m.counter("compiled_time_prunes_total")
             self._c_full_deny = m.counter("compiled_full_deny_short_circuits_total")
             self._c_default_deny = m.counter("compiled_default_deny_total")
         else:
@@ -417,15 +426,17 @@ class CompiledRuleSet:
         """Mask covering every channel the artifact has assigned a bit."""
         return (1 << len(self._bit_channels)) - 1
 
-    def mutated_copy(self, *, compiled=None, zero_dependency_masks=False):
+    def mutated_copy(
+        self, *, compiled=None, zero_dependency_masks=False, batch_span=None
+    ):
         """Return a copy with substituted internals — a deliberate-bug hook.
 
         The conformance mutation smokes (:mod:`repro.conformance.runner`)
         use this to build *broken* artifacts — off-by-one interval
-        boundaries, zeroed dependency bitmasks — that the oracle
-        differential sweep must catch.  Candidate memos are reset so the
-        substituted rules are actually consulted.  Never used on the
-        serving path.
+        boundaries, zeroed dependency bitmasks, a batch window that
+        misses segments — that the oracle differential sweep must catch.
+        Candidate memos are reset so the substituted rules are actually
+        consulted.  Never used on the serving path.
         """
         import copy
 
@@ -437,6 +448,8 @@ class CompiledRuleSet:
         if zero_dependency_masks:
             clone._channel_ctx_masks = [0] * len(self._channel_ctx_masks)
             clone._revealing = tuple((bit, 0) for bit, _ in self._revealing)
+        if batch_span is not None:
+            clone._batch_span = batch_span
         return clone
 
     # ------------------------------------------------------------------
@@ -444,12 +457,7 @@ class CompiledRuleSet:
     # ------------------------------------------------------------------
 
     def _candidates(self, principals: FrozenSet[str]) -> tuple:
-        """Deduplicated candidate rules: wildcard bucket, then sorted principals.
-
-        Returns ``(candidates, scope_filters)`` where ``scope_filters``
-        is the entry's per-channel-tuple filter memo consumed by
-        :meth:`_scope_filtered`.
-        """
+        """Deduplicated candidate rules: wildcard bucket, then sorted principals."""
         memo = self._candidate_memo
         cached = memo.get(principals)
         if cached is not None:
@@ -464,35 +472,11 @@ class CompiledRuleSet:
                 if rid not in seen:
                     seen.add(rid)
                     out.append(cr)
-        result = (tuple(out), {})
+        result = tuple(out)
         if len(memo) >= CANDIDATE_MEMO_MAX:
             memo.popitem(last=False)
         memo[principals] = result
         return result
-
-    def _scope_filtered(self, entry: tuple, channels: tuple) -> tuple:
-        """Candidates that could apply to a segment with these channels.
-
-        A rule with a sensor scope that shares no channel with the
-        segment can never apply, whatever the segment's time, location,
-        or context — so the filtered tuple depends only on the channel
-        tuple and is memoized per candidate entry.  Sample windows from
-        one device repeat a handful of channel tuples, so batch
-        evaluation walks only the rules that could matter.
-        """
-        base, filters = entry
-        cached = filters.get(channels)
-        if cached is None:
-            seg_mask = self._segment_mask(channels)
-            cached = tuple(
-                cr
-                for cr in base
-                if cr.scope_mask is None or (cr.scope_mask & seg_mask)
-            )
-            if len(filters) >= 64:
-                filters.clear()  # bound per-entry growth; rebuilt on demand
-            filters[channels] = cached
-        return cached
 
     def _segment_mask(self, channels: tuple) -> int:
         """Bitmask of a segment's channel tuple (memoized per tuple)."""
@@ -504,47 +488,91 @@ class CompiledRuleSet:
             self._seg_mask_memo[channels] = mask
         return mask
 
+    @staticmethod
+    def _batch_span(spans: list) -> tuple:
+        """``[min start, max end)`` over the batch's segment spans."""
+        return min(start for start, _ in spans), max(end for _, end in spans)
+
     def evaluate_batch(
         self, principals: FrozenSet[str], segments: Iterable[WaveSegment]
     ) -> list:
         """Evaluate a whole window of segments for one principal set.
 
-        Candidate resolution (bucket walk + dedup) happens once for the
-        batch; per-segment work starts at the piece-invariant match.
+        Everything that does not depend on the individual segment happens
+        once for the batch: candidate resolution (bucket walk + dedup),
+        each timed candidate's matching windows over the batch span, and
+        the sensor-scope filter per distinct channel tuple.  A timed rule
+        with no window inside the batch span cannot match any piece of
+        any segment in it, so it leaves the candidate list for the whole
+        batch — whatever its action: a pruned Allow grants nothing, a
+        pruned Deny or abstraction restricts nothing, and the survivors
+        keep their relative order (which decides the ``Withheld`` blame).
         Returns released pieces in segment order.
         """
-        entry = self._candidates(principals)
-        bucketed_out = len(self.compiled) - len(entry[0])
+        segments = list(segments)
+        candidates = self._candidates(principals)
         out: list = []
-        n = 0
-        for segment in segments:
-            n += 1
-            out.extend(
-                self._evaluate_segment(
-                    self._scope_filtered(entry, segment.channels), segment
-                )
-            )
+        time_pruned = 0
+        if segments:
+            spans = [(segment.start_ms, segment.end_ms) for segment in segments]
+            lo, hi = self._batch_span(spans)
+            live: list = []
+            windows: dict = {}  # rule index -> (matching windows, their ends)
+            for cr in candidates:
+                if not cr.time_unconstrained:
+                    ivs = self._matching_windows(cr, lo, hi)
+                    if not ivs:
+                        continue
+                    windows[cr.index] = (ivs, [we for _, we in ivs])
+                live.append(cr)
+            time_pruned = len(candidates) - len(live)
+            # A rule whose sensor scope shares no channel with the segment
+            # can never apply, whatever else holds — and one device's
+            # sample windows repeat a handful of channel tuples.
+            scoped: dict = {}  # channel tuple -> (its bitmask, rules in scope)
+            for segment, (start, end) in zip(segments, spans):
+                scope = scoped.get(segment.channels)
+                if scope is None:
+                    seg_mask = self._segment_mask(segment.channels)
+                    scope = scoped[segment.channels] = (
+                        seg_mask,
+                        [
+                            cr
+                            for cr in live
+                            if cr.scope_mask is None or cr.scope_mask & seg_mask
+                        ],
+                    )
+                out.extend(self._evaluate_segment(segment, start, end, *scope, windows))
         if self._c_batches is not None:
             self._c_batches.inc()
-            self._c_segments.inc(n)
-            self._c_bucket_skips.inc(bucketed_out * n)
+            self._c_segments.inc(len(segments))
+            self._c_bucket_skips.inc(
+                (len(self.compiled) - len(candidates)) * len(segments)
+            )
+            self._c_time_prunes.inc(time_pruned)
         return out
 
     def evaluate_segment(
         self, principals: FrozenSet[str], segment: WaveSegment
     ) -> list:
-        """Evaluate one segment for one principal set; released pieces."""
-        entry = self._candidates(principals)
-        released = self._evaluate_segment(
-            self._scope_filtered(entry, segment.channels), segment
-        )
-        if self._c_batches is not None:
-            self._c_segments.inc()
-            self._c_bucket_skips.inc(len(self.compiled) - len(entry[0]))
-        return released
+        """Evaluate one segment for one principal set: the batch of one."""
+        return self.evaluate_batch(principals, (segment,))
 
-    def _evaluate_segment(self, candidates: tuple, segment: WaveSegment) -> list:
-        seg_mask = self._segment_mask(segment.channels)
+    def _evaluate_segment(
+        self,
+        segment: WaveSegment,
+        start: int,
+        end: int,
+        seg_mask: int,
+        candidates: list,
+        windows: dict,
+    ) -> list:
+        """Release one segment, spanning ``[start, end)``, of a batch.
+
+        ``candidates`` are already scope-filtered for the segment's
+        channel tuple; ``windows`` holds each timed candidate's matching
+        windows over the batch span, clipped here to the segment's.
+        """
         location = segment.location
         context = segment.context
         grid_allowed: Optional[frozenset] = None
@@ -556,6 +584,7 @@ class CompiledRuleSet:
             grid_allowed = self._grid.get(cell, self._empty_cell)
 
         applicable: list = []
+        clipped: dict = {}  # timed rule index -> its windows inside this segment
         has_allow = False
         grid_pruned = 0
         for cr in candidates:
@@ -580,8 +609,17 @@ class CompiledRuleSet:
                         break
                 if not matched:
                     continue
-            if cr.scope_mask is not None and not (cr.scope_mask & seg_mask):
-                continue
+            if not cr.time_unconstrained:
+                ivs, ends = windows[cr.index]
+                mine: list = []
+                for pos in range(bisect_right(ends, start), len(ivs)):
+                    ws, we = ivs[pos]
+                    if ws >= end:
+                        break
+                    mine.append((ws if ws > start else start, we if we < end else end))
+                if not mine:
+                    continue  # matches no instant of this segment
+                clipped[cr.index] = mine
             applicable.append(cr)
             if cr.kind == _KIND_ALLOW:
                 has_allow = True
@@ -594,7 +632,7 @@ class CompiledRuleSet:
             return []  # default deny: nothing grants access
 
         released: list = []
-        for piece, piece_rules in self._time_pieces(segment, applicable):
+        for piece, piece_rules in self._time_pieces(start, end, applicable, clipped):
             item = self._release_piece(segment, piece, piece_rules, seg_mask)
             if item is not None and not item.is_empty():
                 released.append(item)
@@ -609,7 +647,9 @@ class CompiledRuleSet:
         weekday-by-arithmetic instead of ``datetime``, and the final merge
         produces the same canonical disjoint list ``coalesce_intervals``
         would (both compute the canonical decomposition of the same
-        union, and neither side carries zero-length windows).
+        union, and neither side carries zero-length windows).  Clipping
+        that list to a sub-span yields the sub-span's own canonical list,
+        which is why one call per batch serves every segment in it.
         """
         out: list = []
         for ws, we in cr.static_windows:
@@ -638,28 +678,25 @@ class CompiledRuleSet:
                 merged.append([ws, we])
         return merged
 
-    def _time_pieces(self, segment: WaveSegment, applicable: list) -> list:
-        """Split the segment span where time-condition matching flips.
+    @staticmethod
+    def _time_pieces(start: int, end: int, applicable: list, clipped: dict) -> list:
+        """Split ``[start, end)`` where time-condition matching flips.
 
-        Every timed rule's matching windows contribute boundary points,
-        and a piece belongs to a timed rule iff some window contains it —
-        which, because all window boundaries are piece boundaries, reduces
-        to a start-point test walked with a per-rule pointer over the
-        sorted windows.
+        Every timed rule's windows inside the segment (``clipped``)
+        contribute boundary points, and a piece belongs to a timed rule
+        iff some window contains it — which, because all window
+        boundaries are piece boundaries, reduces to a start-point test
+        walked with a per-rule pointer over the sorted windows.
         """
-        span = segment.interval
-        timed = [cr for cr in applicable if not cr.time_unconstrained]
-        if not timed:
-            return [(span, applicable)]
-        boundaries = {span.start, span.end}
-        windows: dict = {}
-        for cr in timed:
-            ivs = self._matching_windows(cr, span.start, span.end)
-            windows[cr.index] = [ivs, 0]
+        if not clipped:
+            return [(Interval(start, end), applicable)]
+        boundaries = {start, end}
+        for ivs in clipped.values():
             for ws, we in ivs:
                 boundaries.add(ws)
                 boundaries.add(we)
         points = sorted(boundaries)
+        cursor = dict.fromkeys(clipped, 0)
         pieces: list = []
         for lo, hi in zip(points, points[1:]):
             piece_rules: list = []
@@ -667,11 +704,11 @@ class CompiledRuleSet:
                 if cr.time_unconstrained:
                     piece_rules.append(cr)
                     continue
-                entry = windows[cr.index]
-                ivs, pos = entry
+                ivs = clipped[cr.index]
+                pos = cursor[cr.index]
                 while pos < len(ivs) and ivs[pos][1] <= lo:
                     pos += 1
-                entry[1] = pos
+                cursor[cr.index] = pos
                 if pos < len(ivs) and ivs[pos][0] <= lo:
                     piece_rules.append(cr)
             pieces.append((Interval(lo, hi), piece_rules))
@@ -811,20 +848,15 @@ class CompiledRuleSet:
                     withheld[name] = reason
             granted &= ~self._gps_mask
 
-        # Shape the surviving data: slicing, channel selection, timestamp
-        # re-anchor.
-        sliced = segment.slice_time(piece)
-        out_segment: Optional[WaveSegment] = None
-        if sliced is not None and granted:
-            out_segment = sliced.select_channels(self._bit_names(granted))
-
         time_level = TIME_LEVELS[time_idx]
         timestamp: Optional[int] = None
         if time_idx != _NOTSHARE_TIME:
             timestamp = truncate_timestamp(piece.start, time_level)
-        if out_segment is not None:
-            out_segment = _shape_timestamps(out_segment, time_level, timestamp)
-            out_segment = out_segment.drop_location()
+        out_segment: Optional[WaveSegment] = None
+        if granted:
+            out_segment = _shape_segment(
+                segment, piece, self._bit_names(granted), time_level, timestamp
+            )
 
         location_level = LOCATION_LEVELS[loc_idx]
         location = None

@@ -11,9 +11,12 @@ dependency bitmasks) and a membership resolver, and every evaluation is
 1. **Candidates** — rules are bucketed by consumer name, so evaluation
    cost scales with the rules that *could* apply, not the total rule
    count (benchmark C6 measures this).
-2. **Matching** — piece-invariant conditions (location, context, sensor
-   overlap) are checked once per segment; time conditions then split the
-   segment into pieces with a constant matching-rule set.
+2. **Matching** — timed rules are resolved once per batch against the
+   span its segments cover, and a rule with no window there is dropped
+   for the whole batch; piece-invariant conditions (location, context,
+   sensor overlap) are checked once per segment; the batch's windows,
+   clipped to the segment, then split it into pieces with a constant
+   matching-rule set.
 3. **Conflict resolution** — default deny (no matching Allow ⇒ nothing
    flows); Deny overrides Allow within its sensor scope; abstraction
    levels combine coarsest-wins.
@@ -21,9 +24,10 @@ dependency bitmasks) and a membership resolver, and every evaluation is
    not shared at raw level are withheld (Section 5.1's respiration/smoking
    example); GPS channels are additionally withheld whenever location is
    abstracted below raw coordinates.
-5. **Release shaping** — surviving channels are sliced to the piece,
-   timestamps truncated to the effective time level, location abstracted
-   via the gazetteer, and context labels coarsened per ladder.
+5. **Release shaping** — surviving channels are sliced to the piece and
+   re-anchored at the effective time level in one construction
+   (:func:`_shape_segment`), location abstracted via the gazetteer, and
+   context labels coarsened per ladder.
 
 The result is a list of :class:`ReleasedSegment` — the exact payload the
 query API returns to the data consumer.  The only other decider in the
@@ -130,26 +134,38 @@ class ReleasedSegment:
         )
 
 
-def _shape_timestamps(
-    segment: WaveSegment, time_level: str, timestamp: Optional[int]
-) -> WaveSegment:
-    """Re-anchor the released segment's clock to the granted precision.
+def _shape_segment(
+    segment: WaveSegment,
+    piece: Interval,
+    channels: list,
+    time_level: str,
+    timestamp: Optional[int],
+) -> Optional[WaveSegment]:
+    """The data a piece releases: sliced, projected, re-anchored, unlocated.
 
-    At the ``milliseconds`` level the true start is kept.  At coarser
-    levels the segment is re-anchored to the truncated timestamp, so
-    relative sample spacing survives but the absolute clock does not.
-    At ``NotShare`` the segment is anchored at epoch zero.
+    The clock is re-anchored to the granted precision: at the
+    ``milliseconds`` level the true start is kept; at coarser levels the
+    segment starts at the truncated timestamp, so relative sample spacing
+    survives but the absolute clock does not; at ``NotShare`` it starts
+    at epoch zero.  A uniform segment is built in one construction; a
+    non-uniform one also has its embedded Time column shifted so raw
+    stamps cannot leak.
     """
-    if time_level == "milliseconds":
-        return segment
-    anchor = 0 if timestamp is None else timestamp
-    if not segment.is_uniform:
-        # Shift the embedded Time column so raw stamps cannot leak.
-        values = segment.values.copy()
-        col = segment.channels.index(TIME_CHANNEL)
-        values[:, col] += anchor - segment.start_ms
-        return replace(segment, start_ms=anchor, values=values, segment_id="")
-    return replace(segment, start_ms=anchor, segment_id="")
+    anchor: Optional[int] = None
+    if time_level != "milliseconds":
+        anchor = 0 if timestamp is None else timestamp
+    if segment.is_uniform:
+        return segment.released_piece(piece, channels, anchor)
+    out = segment.slice_time(piece)
+    if out is not None:
+        out = out.select_channels(channels)
+    if out is None:
+        return None
+    if anchor is not None:
+        values = out.values.copy()
+        values[:, out.channels.index(TIME_CHANNEL)] += anchor - out.start_ms
+        out = replace(out, start_ms=anchor, values=values, segment_id="")
+    return out.drop_location()
 
 
 class RuleEngine:

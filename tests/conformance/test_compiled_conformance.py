@@ -3,7 +3,8 @@
 Each ``compiled-*`` entry in ``MUTATIONS`` re-introduces a plausible
 compilation bug (dropped deny short-circuit, off-by-one window
 boundaries, zeroed dependency bitmasks, a stale artifact surviving a rule
-edit).  There is no second engine to compare bytes against: the oracle
+edit, a batch time-prune that looks at the first segment only).  There
+is no second engine to compare bytes against: the oracle
 diff and the output invariants alone must catch and shrink every one.
 """
 
@@ -21,6 +22,9 @@ COMPILED_MUTATIONS = sorted(m for m in MUTATIONS if m.startswith("compiled-"))
 #: interior edge next to it (or a sample lands exactly on the boundary) —
 #: rarer than the other mutants, so its smoke gets a bigger trial budget.
 MUTATION_TRIALS = {"compiled-interval-off-by-one": 300}
+#: A batch-level bug needs a batch: its repro cannot shrink below two
+#: segments.
+MUTATION_SEGMENTS = {"compiled-batch-prune-narrow": 2}
 
 
 @pytest.mark.parametrize("mutation", COMPILED_MUTATIONS)
@@ -34,7 +38,7 @@ def test_compiled_mutation_is_caught_and_shrunk(mutation):
     repro = summary.repro
     # The shrunken repro is small...
     assert len(repro["Trial"]["Rules"]) <= 3
-    assert len(repro["Trial"]["Segments"]) == 1
+    assert len(repro["Trial"]["Segments"]) == MUTATION_SEGMENTS.get(mutation, 1)
     # ...still failing when replayed from its JSON against the mutant...
     replayed = run_trial(trial_from_json(repro["Trial"]), MUTATIONS[mutation])
     assert not replayed.ok

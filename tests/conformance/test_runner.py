@@ -22,7 +22,7 @@ from repro.conformance.runner import (
 
 TRIALS = 120
 SEED = 7
-#: The five mutants that remove an enforcement layer.  The four broken
+#: The five mutants that remove an enforcement layer.  The five broken
 #: *compilers* shrink less far and one needs a bigger trial budget, so
 #: their smokes live in test_compiled_conformance.py.
 LAYER_MUTATIONS = sorted(m for m in MUTATIONS if not m.startswith("compiled-"))
@@ -78,6 +78,27 @@ def test_shrink_preserves_failure_and_reaches_fixpoint():
     # Shrinking is deterministic too.
     again = shrink_trial(trial, fails)
     assert trial_to_json(again) == trial_to_json(shrunk)
+
+
+def test_batch_check_is_what_catches_the_narrow_prune():
+    """``compiled-batch-prune-narrow`` is correct one segment at a time, so
+    the oracle diff alone passes it; the batch-vs-per-segment comparison
+    that ``run_trial`` makes on every trial is the only thing that can
+    fail it."""
+    mutation = "compiled-batch-prune-narrow"
+    summary = run_conformance(TRIALS, SEED, mutation=mutation, end_to_end_every=0)
+    assert not summary.ok, f"harness missed the {mutation} mutation"
+    assert {d["Kind"] for d in summary.repro["Divergences"]} == {"batch-mismatch"}
+    assert summary.repro["Violations"] == []
+    trial = trial_from_json(summary.repro["Trial"])
+    real, mutant = build_engine(trial), MUTATIONS[mutation](trial)
+    for segment in trial.segments:
+        assert [p.to_json() for p in mutant.evaluate_segment(trial.consumer, segment)] == [
+            p.to_json() for p in real.evaluate_segment(trial.consumer, segment)
+        ]
+    assert [p.to_json() for p in mutant.evaluate(trial.consumer, trial.segments)] != [
+        p.to_json() for p in real.evaluate(trial.consumer, trial.segments)
+    ]
 
 
 def test_unknown_mutation_rejected():

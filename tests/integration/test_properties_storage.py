@@ -8,9 +8,15 @@ storage-side contracts:
 * compaction idempotence — compacting twice equals compacting once;
 * slicing partitions — slicing a segment at arbitrary cut points and
   concatenating the pieces reproduces the original samples;
+* slicing by index arithmetic — ``slice_time`` on a uniform segment
+  selects exactly the samples a timestamp mask would, and
+  ``released_piece`` equals the slice → project → re-anchor → drop
+  location chain it replaces;
 * rule JSON round-trips — parser(serializer(rule)) preserves identity for
   arbitrary generated rules.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -101,6 +107,59 @@ def test_slicing_partitions_samples(n_samples, cut_offsets):
             pieces.append(piece)
     reassembled = [v for p in pieces for v in p.channel_values("ECG")]
     assert reassembled == list(segment.channel_values("ECG"))
+
+
+def _mask_slice(segment, window):
+    """Reference selection: ``(start_ms, rows)`` by timestamp mask, or None."""
+    times = segment.sample_times()
+    mask = (times >= window.start) & (times < window.end)
+    if not mask.any():
+        return None
+    return int(times[mask][0]), segment.values[mask]
+
+
+# Offsets are in quarter-intervals from the first sample, so windows land
+# before, between, exactly on and past the sample instants.
+_QUARTERS = st.integers(min_value=-12, max_value=52)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=-10**6, max_value=10**13),
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=10),
+    _QUARTERS,
+    _QUARTERS,
+    st.sampled_from([("ECG",), ("AccelX", "ECG"), ("ECG", "AccelX", "Respiration"), ()]),
+    st.sampled_from([None, 0, 1_297_036_800_000]),
+)
+def test_arithmetic_slice_equals_mask_selection(
+    start_ms, quarter_ms, n_samples, lo, hi, names, anchor
+):
+    interval_ms = 4 * quarter_ms
+    segment = make_segment(
+        channels=("ECG", "AccelX"), start_ms=start_ms, n=n_samples, interval_ms=interval_ms
+    )
+    window = Interval(start_ms + min(lo, hi) * quarter_ms, start_ms + max(lo, hi) * quarter_ms)
+    expected = _mask_slice(segment, window)
+    sliced = segment.slice_time(window)
+    if expected is None:
+        assert sliced is None
+    else:
+        assert (sliced.start_ms, sliced.interval_ms) == (expected[0], interval_ms)
+        assert np.array_equal(sliced.values, expected[1])
+        assert (sliced is segment) == (len(expected[1]) == n_samples)
+
+    chain = sliced.select_channels(names) if sliced is not None else None
+    if chain is not None:
+        if anchor is not None:
+            chain = replace(chain, start_ms=anchor, segment_id="")
+        chain = chain.drop_location()
+    built = segment.released_piece(window, names, anchor)
+    assert (built is None) == (chain is None)
+    if built is not None:
+        assert built.to_json() == chain.to_json()
+        assert built.location is None and built.context == segment.context
 
 
 _ACTIONS = st.one_of(

@@ -8,6 +8,12 @@ Two layers of coverage for :mod:`repro.rules.compiler`:
   the engine and asserts the release against the brute-force oracle
   (``diff_segment``) and the output invariants (``check_release``).
 
+* **Batch prune units** — timed rules whose windows touch the batch
+  span's edges, fall between two segments, or cross midnight inside a
+  multi-day batch: the batch release must equal the per-segment releases
+  (which the oracle checks), and ``compiled_time_prunes_total`` says
+  whether the batch window dropped the rule.
+
 * **Lifecycle properties** — a store driven through random
   interleavings of rule publish/remove, places edits, and membership
   flips, plus a crash/recovery boundary and a promotion: what it serves
@@ -31,6 +37,7 @@ from repro.conformance.runner import build_engine, run_trial
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import WaveSegment
 from repro.net.transport import Network
+from repro.obs import Observability
 from repro.rules.compiler import (
     GRID_DEGREES,
     CompiledRuleCache,
@@ -271,6 +278,118 @@ def test_batch_evaluation_matches_per_segment():
         for piece in art.evaluate_segment(principals, segment)
     ]
     assert [p.to_json() for p in batch] == [p.to_json() for p in singles]
+
+
+# ----------------------------------------------------------------------
+# Batch-level time pruning
+# ----------------------------------------------------------------------
+
+
+def assert_batch_conforms(rules, segments, *, consumer="bob"):
+    """Oracle-check the batch and return ``(payload, rules time-pruned)``.
+
+    ``run_trial`` diffs every segment against the oracle and requires the
+    one-batch release to equal the per-segment releases.
+    """
+    trial = Trial(seed="batch", rules=list(rules), segments=list(segments), consumer=consumer)
+    result = run_trial(trial)
+    assert result.ok, result.to_json()
+    obs = Observability()
+    art = compile_rules(rules, obs=obs)
+    released = art.evaluate_batch(trial.principals(), iter(segments))
+    pruned = obs.metrics.counter_value("compiled_time_prunes_total")
+    return jsonutil.canonical_dumps([p.to_json() for p in released]), pruned
+
+
+def _timed(action, start, end):
+    return Rule(time=TimeCondition((Interval(start, end),)), action=Action(action))
+
+
+@pytest.mark.parametrize(
+    "window, pruned",
+    [
+        ((BASE_MS - 5_000, BASE_MS), 1),  # ends exactly at the batch start
+        ((BASE_MS - 5_000, BASE_MS + 1), 0),  # reaches one ms into it
+        ((BASE_MS + 30_000, BASE_MS + 40_000), 1),  # starts exactly at the batch end
+        ((BASE_MS + 29_999, BASE_MS + 40_000), 0),  # starts one ms before it
+    ],
+)
+def test_window_touching_the_batch_span_is_half_open(window, pruned):
+    segments = [_segment(BASE_MS, n=10), _segment(BASE_MS + 20_000, n=10)]
+    rules = [Rule(action=Action("allow")), _timed("deny", *window)]
+    payload, time_pruned = assert_batch_conforms(rules, segments)
+    assert time_pruned == pruned
+    assert payload != "[]"
+
+
+def test_window_in_the_gap_between_two_segments():
+    # Inside the batch span, so the batch window keeps the rule; it then
+    # clips to nothing in either segment and must not split or deny them.
+    segments = [_segment(BASE_MS, n=10), _segment(BASE_MS + 20_000, n=10)]
+    allow = Rule(action=Action("allow"))
+    gap_deny = _timed("deny", BASE_MS + 12_000, BASE_MS + 18_000)
+    payload, time_pruned = assert_batch_conforms([allow, gap_deny], segments)
+    assert time_pruned == 0
+    assert payload == assert_batch_conforms([allow], segments)[0]
+
+
+def test_weekly_window_crossing_midnight_in_a_multi_day_batch():
+    # Mon/Tue 23:50 → 00:10 over a Monday-to-Wednesday batch: the first
+    # segment straddles Monday midnight, the second sits mid-Tuesday
+    # (no window), the third straddles Tuesday midnight.
+    rules = [
+        Rule(action=Action("allow")),
+        Rule(
+            time=TimeCondition(
+                repeated=(RepeatedTime(frozenset({"Mon", "Tue"}), 23 * 60 + 50, 10),)
+            ),
+            action=Action("deny"),
+        ),
+    ]
+    segments = [
+        _segment(BASE_MS + _DAY - 15 * _MINUTE, n=30, interval=_MINUTE),
+        _segment(BASE_MS + _DAY + 12 * 60 * _MINUTE, n=30, interval=_MINUTE),
+        _segment(BASE_MS + 2 * _DAY - 15 * _MINUTE, n=30, interval=_MINUTE),
+    ]
+    payload, time_pruned = assert_batch_conforms(rules, segments)
+    assert time_pruned == 0
+    pieces = jsonutil.loads(payload)
+    # A wrapping window covers 00:00-00:10 and 23:50-24:00 of each named
+    # day, so Wednesday's first ten minutes flow where Tuesday's did not.
+    assert [p["Segment"]["Values"]["Samples"] for p in pieces] == [5, 5, 30, 5, 15]
+
+
+def test_pruned_timed_allow_is_default_deny():
+    segments = [_segment(BASE_MS, n=10), _segment(BASE_MS + 20_000, n=10)]
+    rules = [_timed("allow", BASE_MS + _DAY, BASE_MS + 2 * _DAY)]
+    payload, time_pruned = assert_batch_conforms(rules, segments)
+    assert (payload, time_pruned) == ("[]", 1)
+
+
+def test_prune_keeps_the_withheld_blame_order():
+    # Two scoped Denys over the same channel: the earlier rule is blamed.
+    # Pruning an unrelated timed rule between them must not reorder that.
+    segments = [_segment(BASE_MS, n=10)]
+    first = Rule(sensors=("ECG",), action=Action("deny"))
+    elsewhere = _timed("deny", BASE_MS + _DAY, BASE_MS + 2 * _DAY)
+    second = Rule(sensors=("ECG",), action=Action("deny"))
+    rules = [Rule(action=Action("allow")), first, elsewhere, second]
+    payload, time_pruned = assert_batch_conforms(rules, segments)
+    assert time_pruned == 1
+    (piece,) = jsonutil.loads(payload)
+    assert piece["Withheld"] == {"ECG": f"denied by rule {first.rule_id}"}
+
+
+def test_batch_accepts_a_one_shot_generator():
+    segments = [_segment(BASE_MS, n=10), _segment(BASE_MS + 20_000, n=10)]
+    art = compile_rules([Rule(action=Action("allow"))])
+    principals = frozenset({"bob"})
+    from_generator = art.evaluate_batch(principals, (s for s in segments))
+    assert [p.to_json() for p in from_generator] == [
+        p.to_json() for p in art.evaluate_batch(principals, segments)
+    ]
+    assert len(from_generator) == 2
+    assert art.evaluate_batch(principals, iter(())) == []
 
 
 # ----------------------------------------------------------------------

@@ -320,7 +320,7 @@ class TestBuckets:
         rules = [Rule(consumers=(f"user{i}",), action=ALLOW) for i in range(50)]
         rules.append(Rule(action=DENY))  # wildcard
         engine = RuleEngine(rules, PLACES)
-        candidates, _ = engine.compiled._candidates(frozenset({"user7"}))
+        candidates = engine.compiled._candidates(frozenset({"user7"}))
         assert len(candidates) == 2  # user7's rule + the wildcard
 
 

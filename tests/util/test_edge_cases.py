@@ -104,7 +104,7 @@ class TestCandidateRuleDedup:
 
         rule = Rule(consumers=("study-a", "study-b"), action=ALLOW)
         engine = RuleEngine([rule], {})
-        candidates, _ = engine.compiled._candidates(
+        candidates = engine.compiled._candidates(
             frozenset({"bob", "study-a", "study-b"})
         )
         assert len(candidates) == 1
