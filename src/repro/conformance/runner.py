@@ -14,7 +14,9 @@ evaluates the generated segments and the result is checked three ways:
    queried over the simulated network; the HTTP payload must be exactly
    what the engine released (the release-guard hook observes the engine
    output inside the service) and must re-derive from an independently
-   constructed engine.
+   constructed engine; the query is asked twice so the release-cache hit
+   is held to the same checks, and the transport's response byte count
+   must equal the encoded body both times.
 
 A failing trial is shrunk — greedily removing rules, segments, samples,
 channels, context annotations, and rule conditions while the failure
@@ -56,6 +58,7 @@ from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
 from repro.rules.compiler import compile_rules
 from repro.rules.engine import ReleasedSegment, RuleEngine
+from repro.util import jsonutil
 from repro.util.timeutil import TimeCondition
 
 
@@ -389,13 +392,20 @@ def end_to_end_violations(trial: Trial) -> list:
     """Drive the real query path and check query-API containment.
 
     Loads the trial into a live :class:`DataStoreService` on a simulated
-    network, queries it as the trial's consumer, and asserts:
+    network, queries it twice as the trial's consumer — the repeat is
+    served from the release cache — and asserts:
 
     * the HTTP payload is byte-for-byte the engine's release (observed by
       the service's release-guard hook) — the API adds nothing;
+    * the cached response is the miss over again: equal body, and the
+      release guard fired with the same served segments and release;
     * the payload re-derives from an independently constructed engine over
       the segments the store actually served (which may be merged);
-    * the oracle diff holds on those served segments too.
+    * the oracle diff holds on those served segments too;
+    * the transport counted exactly ``len(canonical_dumps(body))`` response
+      bytes for each request (``wire-accounting``) — a cached release
+      declares its size instead of being measured, and a wrong declared
+      size would silently falsify the C2 traffic figures.
     """
     from repro.net.client import HttpClient
     from repro.net.transport import Network
@@ -416,19 +426,48 @@ def end_to_end_violations(trial: Trial) -> list:
     store.release_guards.append(events.append)
 
     client = HttpClient(network, name=trial.consumer, api_key=consumer_key)
-    body = client.post(
-        f"https://{store.host}/api/query",
-        {"Contributor": trial.contributor, "Query": DataQuery().to_json()},
-    )
-    api_released = body.get("Released", [])
-
+    traffic = network.metrics_of(store.host)
     out: list[Violation] = []
+    bodies = []
+    for path in ("miss", "cached"):
+        before = traffic.bytes_out
+        body = client.post(
+            f"https://{store.host}/api/query",
+            {"Contributor": trial.contributor, "Query": DataQuery().to_json()},
+        )
+        counted = traffic.bytes_out - before
+        measured = len(jsonutil.canonical_dumps(body))
+        if counted != measured:
+            out.append(
+                Violation(
+                    "wire-accounting",
+                    f"{path} response: the transport counted {counted} bytes "
+                    f"but the body encodes to {measured}",
+                )
+            )
+        bodies.append(body)
+    api_released = bodies[-1].get("Released", [])
+
     if not events:
         out.append(
             Violation("query-containment", "release guard never fired on the query path")
         )
         return out
     event = events[-1]
+    # Compared in wire form: segment equality is undefined across instances
+    # (numpy payloads), and a non-replaying service would hand out new ones.
+    replays = [
+        ([s.to_json() for s in e.segments], [r.to_json() for r in e.released])
+        for e in events
+    ]
+    if bodies[0] != bodies[1] or len(events) != 2 or replays[0] != replays[1]:
+        out.append(
+            Violation(
+                "query-containment",
+                "the repeated (cached) query did not replay the first response "
+                "and its release-guard event",
+            )
+        )
     engine_payload = [r.to_json() for r in event.released]
     if api_released != engine_payload:
         out.append(

@@ -29,6 +29,12 @@ Events that change release semantics *without* moving any key component
 (labeled-places edits, recovery itself) call :meth:`ReleaseCache.invalidate_all`
 instead — correctness never depends on an entry "aging out".
 
+An entry also remembers what its release *amounts to* — the encoded
+length of the payload and a :class:`ReleaseSummary` of the pieces — so
+the per-request bookkeeping a hit still owes (traffic accounting, the
+audit record, cost attribution) is O(1) rather than a re-encode and two
+walks over the released pieces.
+
 The cache is a bounded LRU with byte-size accounting; hits, misses,
 evictions, invalidations, resident bytes, and entry count are exported
 through the shared metrics registry (``cache_*``).
@@ -38,8 +44,9 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Optional
 
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import WaveSegment
@@ -78,6 +85,38 @@ def query_shape(query: DataQuery) -> str:
     return jsonutil.canonical_dumps(query.to_json())
 
 
+@dataclass(frozen=True)
+class ReleaseSummary:
+    """What one release let out, counted once instead of once per request.
+
+    The audit trail and cost attribution both need these totals for every
+    served query; a cache hit reads them here rather than re-walking the
+    released pieces.
+    """
+
+    pieces: int = 0
+    samples: int = 0
+    labels: tuple = ()  # sorted context-category names that flowed
+    withheld: dict = field(default_factory=dict)  # channel -> reason, across pieces
+    #: approximate size of the released pieces (cost attribution).
+    released_bytes: int = 0
+
+    @classmethod
+    def of(cls, released: Iterable) -> "ReleaseSummary":
+        """Summarize an iterable of :class:`~repro.rules.engine.ReleasedSegment`."""
+        pieces = samples = released_bytes = 0
+        labels: set = set()
+        withheld: dict = {}
+        for item in released:
+            pieces += 1
+            samples += item.n_samples
+            labels.update(item.context_labels)
+            withheld.update(item.withheld)
+            segment = item.segment
+            released_bytes += segment.storage_bytes() if segment is not None else 64
+        return cls(pieces, samples, tuple(sorted(labels)), withheld, released_bytes)
+
+
 @dataclass
 class CacheEntry:
     """One cached release: everything the query handler needs on a hit."""
@@ -96,16 +135,28 @@ class CacheEntry:
     scanned: int
     #: approximate resident size, charged against the byte budget.
     nbytes: int = 0
+    #: totals over ``released`` for the audit record and cost attribution.
+    summary: ReleaseSummary = field(init=False)
 
     def __post_init__(self) -> None:
+        self.summary = ReleaseSummary.of(self.released)
         if not self.nbytes:
             size = 512  # key + bookkeeping overhead
             for segment in self.segments:
                 size += segment.storage_bytes()
-            for item in self.released:
-                segment = getattr(item, "segment", None)
-                size += segment.storage_bytes() if segment is not None else 64
-            self.nbytes = size
+            self.nbytes = size + self.summary.released_bytes
+
+    @cached_property
+    def payload_bytes(self) -> int:
+        """``len(canonical_dumps(payload))``, measured once per entry.
+
+        The query handler asks on the miss that builds the entry (which
+        pays for evaluation anyway), so the transport can count every
+        later hit's bytes without encoding ~100 KB again; an entry only
+        ever aggregated over never pays.  The length, not the text: the
+        text would add ~100 KB of resident memory per entry.
+        """
+        return len(jsonutil.canonical_dumps(self.payload))
 
 
 class ReleaseCache:

@@ -44,6 +44,10 @@ class Response:
     status: int = 200
     body: dict = field(default_factory=dict)
     content_type: str = "application/json"
+    #: ``len(canonical_dumps(body))`` when the handler already knows it;
+    #: the transport counts this instead of encoding ``body`` again.
+    #: ``None`` (every route but a consumer release) means "measure me".
+    wire_bytes: Optional[int] = None
 
     @property
     def ok(self) -> bool:

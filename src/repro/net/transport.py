@@ -10,7 +10,11 @@ The byte accounting is the instrument for benchmark C2: the paper claims
 "the broker is not a performance bottleneck because sensor data are
 directly transferred from each remote data store to data consumers" — with
 these counters we can show broker traffic stays flat while store traffic
-scales with data volume.
+scales with data volume.  A response's bytes are the length of its
+canonical JSON: measured here, unless the handler declares
+``Response.wire_bytes`` (a cached release knows its size from the miss
+that built it), in which case the declared size must equal the measured
+one — the conformance runner holds every end-to-end trial to that.
 
 Observability: the network owns the deployment's
 :class:`~repro.obs.Observability` hub.  Every delivered request increments
@@ -233,7 +237,14 @@ class Network:
                     if lost is not None:
                         response = lost
                         span.set_attribute("fault_injected", True)
-            metrics._bytes_out.inc(len(jsonutil.canonical_dumps(response.body)))
+            # Only a consumer release declares its size (docs/ARCHITECTURE.md,
+            # "Wire accounting"); injected faults, errors and every other
+            # route leave it unset and are measured here.
+            metrics._bytes_out.inc(
+                response.wire_bytes
+                if response.wire_bytes is not None
+                else len(jsonutil.canonical_dumps(response.body))
+            )
             status_class = f"{response.status // 100}xx"
             counter = metrics._status.get(status_class)
             if counter is not None:

@@ -22,6 +22,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional
 
+from repro.datastore.cache import ReleaseSummary
 from repro.util import jsonutil
 
 
@@ -112,19 +113,10 @@ class AuditLog:
         query: dict,
         raw_access: bool,
         segments_scanned: int,
-        released: Iterable = (),
+        summary: ReleaseSummary = ReleaseSummary(),
         trace_id: str = "",
     ) -> AuditRecord:
-        """Log one query-API access; ``released`` are ReleasedSegments."""
-        pieces = 0
-        samples = 0
-        labels: set = set()
-        withheld: dict = {}
-        for item in released:
-            pieces += 1
-            samples += item.n_samples
-            labels.update(item.context_labels)
-            withheld.update(item.withheld)
+        """Log one query-API access; ``summary`` totals what was released."""
         seq = self._next_seq
         self._next_seq += 1
         record = AuditRecord(
@@ -135,10 +127,10 @@ class AuditLog:
             query=dict(query),
             raw_access=raw_access,
             segments_scanned=segments_scanned,
-            pieces_released=pieces,
-            samples_released=samples,
-            labels_released=tuple(sorted(labels)),
-            withheld=withheld,
+            pieces_released=summary.pieces,
+            samples_released=summary.samples,
+            labels_released=summary.labels,
+            withheld=dict(summary.withheld),
             trace_id=trace_id,
         )
         trail = self._records.setdefault(contributor, [])

@@ -21,11 +21,11 @@ broker may read rule snapshots or set consumer group memberships.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from repro.auth.accounts import AccountRegistry, ROLE_CONSUMER, ROLE_CONTRIBUTOR
 from repro.auth.apikeys import ApiKeyRegistry
-from repro.datastore.cache import CacheEntry, ReleaseCache, query_shape
+from repro.datastore.cache import CacheEntry, ReleaseCache, ReleaseSummary, query_shape
 from repro.datastore.optimizer import MergePolicy
 from repro.datastore.query import DataQuery
 from repro.datastore.segment_store import SegmentStore
@@ -37,7 +37,7 @@ from repro.exceptions import (
     NotPrimaryError,
     SensorSafeError,
 )
-from repro.net.http import Request, Router
+from repro.net.http import Request, Response, Router
 from repro.net.overload import (
     STORE_ROUTE_CLASSES,
     AdmissionController,
@@ -51,6 +51,7 @@ from repro.rules.parser import rule_from_json, rules_from_json, rules_to_json
 from repro.rules.rulestore import RuleStore
 from repro.sensors.packets import SensorPacket
 from repro.server.audit import AuditLog
+from repro.util import jsonutil
 from repro.util.geo import LabeledPlace
 from repro.util.idgen import DeterministicRng
 
@@ -59,6 +60,13 @@ PRIMARY_PRINCIPAL = "__primary__"
 
 ROLE_PRIMARY = "primary"
 ROLE_REPLICA = "replica"
+
+#: Canonical-JSON bytes of the consumer ``/api/query`` response around its
+#: two variable parts — ``{"Raw":false,"Released":`` payload ``,"Scanned":``
+#: digits ``}`` — taken from the encoder itself rather than counted by hand.
+_RELEASE_ENVELOPE_BYTES = len(
+    jsonutil.canonical_dumps({"Raw": False, "Released": [], "Scanned": 0})
+) - len("[]0")
 
 
 @dataclass(frozen=True)
@@ -924,7 +932,7 @@ class DataStoreService:
         self._replication_barrier()
         return {"Finalized": finalized}
 
-    def _h_query(self, request: Request) -> dict:
+    def _h_query(self, request: Request) -> Union[dict, Response]:
         """The query API: every access regulated by the owner's rules.
 
         The owner reading their own data bypasses the engine — the paper's
@@ -974,7 +982,7 @@ class DataStoreService:
             query=query.to_json(),
             raw_access=False,
             segments_scanned=entry.scanned,
-            released=entry.released,
+            summary=entry.summary,
             trace_id=self._trace_id(),
         )
         costs.finish(
@@ -982,23 +990,19 @@ class DataStoreService:
             endpoint="/api/query",
             consumer=principal,
             contributor=contributor,
-            segments_released=len(entry.released),
-            released_bytes=self._released_bytes(entry.released),
+            segments_released=entry.summary.pieces,
+            released_bytes=entry.summary.released_bytes,
         )
-        return {
-            "Raw": False,
-            "Released": list(entry.payload),
-            "Scanned": entry.scanned,
-        }
-
-    @staticmethod
-    def _released_bytes(released) -> int:
-        """Approximate wire size of the released pieces (cost attribution)."""
-        total = 0
-        for item in released:
-            segment = getattr(item, "segment", None)
-            total += segment.storage_bytes() if segment is not None else 64
-        return total
+        return Response(
+            body={
+                "Raw": False,
+                "Released": list(entry.payload),
+                "Scanned": entry.scanned,
+            },
+            wire_bytes=_RELEASE_ENVELOPE_BYTES
+            + entry.payload_bytes
+            + len(str(entry.scanned)),
+        )
 
     def _h_rules_list(self, request: Request) -> dict:
         contributor = str(request.body.get("Contributor", ""))
@@ -1111,7 +1115,7 @@ class DataStoreService:
             result = self.store.query(contributor, query)
             rows = aggregate_segments(result.segments, spec)
             raw = True
-            released: tuple = ()
+            summary = ReleaseSummary()
             scanned = result.scanned_segments
         else:
             entry = self._release_for("/api/aggregate", principal, contributor, query)
@@ -1120,7 +1124,7 @@ class DataStoreService:
             )
             rows = aggregate_released(entry.released, spec)
             raw = False
-            released = entry.released
+            summary = entry.summary
             scanned = entry.scanned
         self.audit.record_access(
             principal=principal,
@@ -1128,7 +1132,7 @@ class DataStoreService:
             query={**query.to_json(), "Aggregate": spec.to_json()},
             raw_access=raw,
             segments_scanned=scanned,
-            released=released,
+            summary=summary,
             trace_id=self._trace_id(),
         )
         costs.finish(
@@ -1136,8 +1140,8 @@ class DataStoreService:
             endpoint="/api/aggregate",
             consumer=principal,
             contributor=contributor,
-            segments_released=len(released),
-            released_bytes=self._released_bytes(released),
+            segments_released=summary.pieces,
+            released_bytes=summary.released_bytes,
         )
         return {"Rows": [r.to_json() for r in rows]}
 

@@ -171,3 +171,42 @@ def test_mutants_actually_differ_from_real_engine():
             if differs:
                 break
         assert differs, f"mutation {mutation} never changed any release"
+
+
+def test_end_to_end_runs_the_cached_path_and_counts_its_bytes(monkeypatch):
+    """The clean end-to-end check asks twice; the repeat is a cache hit."""
+    from repro.conformance.generators import TrialGenerator
+    from repro.conformance.runner import end_to_end_violations
+    from repro.datastore.cache import ReleaseCache
+
+    hits = []
+    real_get = ReleaseCache.get
+
+    def spying_get(cache, key):
+        entry = real_get(cache, key)
+        hits.append(entry is not None)
+        return entry
+
+    monkeypatch.setattr(ReleaseCache, "get", spying_get)
+    assert end_to_end_violations(TrialGenerator(SEED).trial(0)) == []
+    assert hits == [False, True]
+
+
+def test_off_by_one_envelope_constant_is_a_wire_accounting_violation(monkeypatch):
+    """A wrong declared size must not slip past the sweep: it would
+    silently falsify every traffic figure built on ``net_bytes_out_total``."""
+    from repro.conformance.generators import TrialGenerator
+    from repro.conformance.runner import end_to_end_violations
+    from repro.server import datastore_service
+
+    monkeypatch.setattr(
+        datastore_service,
+        "_RELEASE_ENVELOPE_BYTES",
+        datastore_service._RELEASE_ENVELOPE_BYTES + 1,
+    )
+    violations = end_to_end_violations(TrialGenerator(SEED).trial(0))
+    assert [v.invariant for v in violations] == ["wire-accounting"] * 2
+    assert "miss" in violations[0].detail and "cached" in violations[1].detail
+
+    summary = run_conformance(1, SEED, end_to_end_every=1, shrink=False)
+    assert not summary.ok and summary.violations == 2

@@ -7,6 +7,7 @@ import pytest
 from repro.datastore.cache import (
     CacheEntry,
     ReleaseCache,
+    ReleaseSummary,
     query_shape,
     segment_content_hash,
 )
@@ -115,6 +116,25 @@ class TestReleaseCacheLru:
         seg = make_segment(n=64)
         e = CacheEntry(segments=(seg,), released=(), payload=[], scanned=1)
         assert e.nbytes >= seg.storage_bytes()
+
+    def test_entry_measures_its_payload_and_release_once(self):
+        from repro.rules.engine import ReleasedSegment
+        from repro.util import jsonutil
+
+        seg = make_segment(n=8)
+        released = (
+            ReleasedSegment("alice", seg.interval, segment=seg,
+                            context_labels={"Stress": "Stressed"}),
+            ReleasedSegment("alice", Interval(0, 1), withheld={"ECG": "closure"}),
+        )
+        payload = [r.to_json() for r in released]
+        e = CacheEntry(segments=(seg,), released=released, payload=payload, scanned=1)
+        assert e.payload_bytes == len(jsonutil.canonical_dumps(payload))
+        assert e.summary == ReleaseSummary(
+            pieces=2, samples=8, labels=("Stress",), withheld={"ECG": "closure"},
+            released_bytes=seg.storage_bytes() + 64,
+        )
+        assert e.nbytes == 512 + seg.storage_bytes() + e.summary.released_bytes
 
 
 class TestCacheMetrics:

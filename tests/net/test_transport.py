@@ -3,8 +3,9 @@
 import pytest
 
 from repro.exceptions import InsecureTransportError, TransportError
-from repro.net.http import Router
+from repro.net.http import Response, Router
 from repro.net.transport import Network
+from repro.util import jsonutil
 
 
 def make_network():
@@ -182,3 +183,76 @@ class TestMetrics:
         with pytest.raises(NetworkUnavailableError):
             network.request("POST", "https://store/api/echo", {"msg": "x"})
         assert network.metrics_of("store").requests_in == 0  # never arrived
+
+
+class TestWireAccounting:
+    """``bytes_out`` is the canonical length of what was delivered: taken
+    from ``Response.wire_bytes`` when a handler declares it, measured
+    otherwise — and never the declared size of a response a fault replaced."""
+
+    BODY = {"Released": [{"Context": {"Activity": "Café ☕"}}], "Scanned": 10}
+    EXACT = len(jsonutil.canonical_dumps(BODY))
+
+    def network(self, wire_bytes):
+        network = Network()
+        router = Router()
+        router.add(
+            "POST", "/api/data", lambda req: Response(body=self.BODY, wire_bytes=wire_bytes)
+        )
+        network.register_host("store", router)
+        return network
+
+    def test_canonical_json_is_ascii_so_its_length_is_a_byte_count(self):
+        encoded = jsonutil.canonical_dumps(self.BODY)
+        assert encoded.isascii() and len(encoded.encode("utf-8")) == self.EXACT
+
+    def test_undeclared_response_is_measured(self):
+        network = self.network(None)
+        network.request("POST", "https://store/api/data")
+        assert network.metrics_of("store").bytes_out == self.EXACT
+
+    def test_declared_size_is_what_gets_counted(self):
+        # Off by one on purpose: the transport trusts a declared size, which
+        # is why the conformance sweep re-measures every end-to-end response.
+        network = self.network(self.EXACT + 1)
+        network.request("POST", "https://store/api/data")
+        assert network.metrics_of("store").bytes_out == self.EXACT + 1
+
+    @pytest.mark.parametrize("fault", ["add_error", "add_response_error"])
+    def test_fault_replaced_response_is_measured(self, fault):
+        from repro.net.faults import FaultPlan
+
+        plan = FaultPlan()
+        getattr(plan, fault)("store", status=503)
+        network = self.network(self.EXACT)
+        network.install_faults(plan)
+        response = network.request("POST", "https://store/api/data")
+        assert response.status == 503 and response.wire_bytes is None
+        counted = network.metrics_of("store").bytes_out
+        assert counted == len(jsonutil.canonical_dumps(response.body)) != self.EXACT
+
+    def test_broker_proxy_measures_what_the_store_declared(self, system):
+        """``fetch_via_broker``: the store's release declares its size, the
+        broker's copy of it is an ordinary response and is measured."""
+        from repro.datastore.query import DataQuery
+        from repro.rules.model import ALLOW, Rule
+        from tests.conftest import make_segment
+
+        alice = system.add_contributor("alice")
+        bob = system.add_consumer("bob")
+        alice.upload_segments([make_segment(n=16)])
+        alice.flush()
+        alice.add_rule(Rule(consumers=("bob",), action=ALLOW))
+        bob.add_contributors(["alice"])
+        assert len(bob.fetch_via_broker("alice")) == 1  # warm the store's entry
+
+        system.network.reset_metrics()
+        proxied = bob.client.post(
+            "https://broker/api/data",
+            {"Contributor": "alice", "Query": DataQuery().to_json()},
+            raw=True,
+        )
+        exact = len(jsonutil.canonical_dumps(proxied.body))
+        assert proxied.ok and proxied.body["Released"] and proxied.wire_bytes is None
+        assert system.network.metrics_of("broker").bytes_out == exact
+        assert system.network.metrics_of("alice-store").bytes_out == exact

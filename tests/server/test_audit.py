@@ -42,6 +42,7 @@ class TestAuditLogUnit:
         assert [r.principal for r in log.trail_of("alice", limit=2)] == ["p3", "p4"]
 
     def test_released_items_summarized(self):
+        from repro.datastore.cache import ReleaseSummary
         from repro.rules.engine import ReleasedSegment
         from repro.util.timeutil import Interval
 
@@ -57,7 +58,7 @@ class TestAuditLogUnit:
         ]
         record = log.record_access(
             principal="bob", contributor="alice", query={}, raw_access=False,
-            segments_scanned=1, released=items,
+            segments_scanned=1, summary=ReleaseSummary.of(items),
         )
         assert record.pieces_released == 1
         assert record.samples_released == 8

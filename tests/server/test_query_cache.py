@@ -9,7 +9,7 @@ unreachable (key moves) or gone (wholesale invalidation).
 import pytest
 
 from repro.net.transport import Network
-from repro.rules.model import ALLOW, DENY, Rule
+from repro.rules.model import ALLOW, DENY, Rule, abstraction
 from repro.server.datastore_service import DataStoreService
 from repro.util import jsonutil
 
@@ -31,13 +31,22 @@ def make_service(**kwargs):
     return service, bob_key
 
 
-def query(service, key, body=None):
-    """POST /api/query as the holder of ``key``; returns the body dict."""
-    return service.network.request(
+def counted_query(service, key, body=None):
+    """POST /api/query as the holder of ``key``; returns (response, bytes
+    the transport counted for it)."""
+    traffic = service.network.metrics_of(service.host)
+    before = traffic.bytes_out
+    response = service.network.request(
         "POST",
         f"https://{service.host}/api/query",
         {"Contributor": "alice", "Query": body or {}, "ApiKey": key},
-    ).body
+    )
+    return response, traffic.bytes_out - before
+
+
+def query(service, key, body=None):
+    """POST /api/query as the holder of ``key``; returns the body dict."""
+    return counted_query(service, key, body)[0].body
 
 
 def canonical(body) -> str:
@@ -76,6 +85,31 @@ class TestHitPath:
         assert events[0].segments == events[1].segments
         assert events[0].released == events[1].released
         assert len(service.audit.accesses_by("alice", "bob")) == 2
+
+    def test_hit_books_the_same_release_as_the_miss(self):
+        """Audit and cost attribution read the entry's one-time summary on
+        a hit; what they record must be what the miss recorded."""
+        service, bob_key = make_service()
+        service.store.add_segment(
+            make_segment(channels=("ECG", "AccelX"), n=8, start_ms=MONDAY + 10 * 3_600_000)
+        )
+        service.store.flush()
+        service.rules.add(
+            "alice", Rule(consumers=("bob",), action=abstraction(Stress="NotShare"))
+        )
+        query(service, bob_key)
+        query(service, bob_key)
+        assert cache_counters(service)["hits"] == 1
+        miss, hit = (r.core_json() for r in service.audit.accesses_by("alice", "bob"))
+        assert miss["PiecesReleased"] == 1 and miss["SamplesReleased"] == 8
+        assert miss["LabelsReleased"] == ["Activity"] and list(miss["Withheld"]) == ["ECG"]
+        for field in ("Seq", "At", "TraceId"):
+            miss.pop(field), hit.pop(field)
+        assert canonical(miss) == canonical(hit)
+        assert service.audit.verify_chain("alice") == []
+        costs = service.network.obs.costs.recent(2)
+        assert costs[0]["ReleasedBytes"] == costs[1]["ReleasedBytes"] > 0
+        assert costs[0]["SegmentsReleased"] == costs[1]["SegmentsReleased"] == 1
 
     def test_distinct_query_shapes_cached_separately(self):
         service, bob_key = make_service()
@@ -203,3 +237,107 @@ class TestCacheOffParity:
         service, bob_key = make_service(cache_max_bytes=0)
         assert service.release_cache is None
         assert query(service, bob_key)["Released"]
+
+
+class TestDeclaredWireSize:
+    """A consumer release declares its wire size (``Response.wire_bytes``)
+    instead of being encoded again by the transport; C2's traffic figures
+    are only true if declared == ``len(canonical_dumps(body))``, always."""
+
+    def assert_exact(self, service, key, body=None, *, rounds=2):
+        """Miss then hit(s): declared, counted and measured sizes agree."""
+        responses = []
+        for _ in range(rounds):
+            response, counted = counted_query(service, key, body)
+            assert response.ok
+            assert response.wire_bytes == counted == len(canonical(response.body))
+            responses.append(response)
+        return responses
+
+    def test_miss_and_hit_declare_the_measured_size(self):
+        service, bob_key = make_service()
+        miss, hit = self.assert_exact(service, bob_key)
+        assert miss.body["Released"] and miss.wire_bytes == hit.wire_bytes
+        assert cache_counters(service)["hits"] == 1
+
+    def test_empty_release(self):
+        service, _ = make_service()
+        carol_key = service.register_consumer("carol")  # no rule: default deny
+        for response in self.assert_exact(service, carol_key):
+            assert response.body["Released"] == []
+
+    def test_limit_truncates_the_payload_and_its_size(self):
+        service, bob_key = make_service()
+        full = self.assert_exact(service, bob_key)[0]
+        limited = self.assert_exact(service, bob_key, {"Limit": 2})[0]
+        assert 0 < len(limited.body["Released"]) < len(full.body["Released"])
+        assert limited.wire_bytes < full.wire_bytes
+
+    @pytest.mark.parametrize("scanned", [0, 9, 10, 1000])
+    def test_scanned_digit_width(self, scanned, monkeypatch):
+        service, bob_key = make_service()
+        real_query = service.store.query
+
+        def query_scanning(contributor, data_query):
+            result = real_query(contributor, data_query)
+            result.scanned_segments = scanned
+            return result
+
+        monkeypatch.setattr(service.store, "query", query_scanning)
+        for response in self.assert_exact(service, bob_key):
+            assert response.body["Scanned"] == scanned
+
+    def test_non_ascii_labels_encode_to_ascii(self):
+        """``len(str)`` is a byte count only because the canonical encoder
+        escapes everything outside ASCII; pin that alongside the sizes."""
+        from repro.util.geo import BoundingBox, LabeledPlace
+
+        service = DataStoreService(HOST, Network(), seed=0)
+        service.register_contributor("alice")
+        bob_key = service.register_consumer("bob")
+        service.set_places(
+            "alice", {"café-é": LabeledPlace("café-é", BoundingBox(34.0, -118.5, 34.1, -118.4))}
+        )
+        service.rules.add(
+            "alice",
+            Rule(consumers=("bob",), location_labels=("café-é",), action=ALLOW, rule_id="r"),
+        )
+        service.store.add_segment(make_segment(n=4, context={"Activity": "Café ☕"}))
+        service.store.flush()
+        response = self.assert_exact(service, bob_key)[1]
+        assert response.body["Released"][0]["Segment"]["Context"] == {"Activity": "Café ☕"}
+        encoded = canonical(response.body)
+        assert encoded.isascii() and len(encoded.encode("utf-8")) == response.wire_bytes
+
+    def test_cache_disabled_still_declares_exactly(self):
+        service, bob_key = make_service(cache_capacity=0)
+        assert service.release_cache is None
+        self.assert_exact(service, bob_key)
+
+    def test_owner_raw_read_and_errors_are_measured_not_declared(self):
+        service, bob_key = make_service()
+        alice_key = service.keys.issue("alice")
+        for key, status in ((alice_key, 200), ("not-a-key", 401)):
+            response, counted = counted_query(service, key)
+            assert response.status == status and response.wire_bytes is None
+            assert counted == len(canonical(response.body))
+
+    def test_injected_5xx_and_lost_ack_fall_back_to_measuring(self):
+        """A fault plan swaps the response on the wire: the bytes counted
+        are those of what was delivered, never the replaced release's."""
+        from repro.net.faults import FaultPlan
+
+        service, bob_key = make_service()
+        released = self.assert_exact(service, bob_key)[1]  # entry is warm
+        for install in (
+            lambda plan: plan.add_error(HOST, status=503),
+            lambda plan: plan.add_response_error(HOST, status=502),
+        ):
+            plan = FaultPlan()
+            install(plan)
+            service.network.install_faults(plan)
+            response, counted = counted_query(service, bob_key)
+            assert response.status >= 500 and response.wire_bytes is None
+            assert counted == len(canonical(response.body)) < released.wire_bytes
+        service.network.install_faults(None)
+        self.assert_exact(service, bob_key, rounds=1)
