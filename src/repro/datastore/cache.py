@@ -15,8 +15,9 @@ depends on is folded into the key —
 * ``consumer`` and the consumer's group membership (rules match on
   groups, and the broker can change membership without touching rules);
 * the store-wide :attr:`~repro.rules.rulestore.RuleStore.rules_version`
-  epoch, which moves on *every* rule mutation anywhere in the store and
-  on every post-recovery restore;
+  epoch, which moves on *every* rule mutation anywhere in the store, on
+  every restore, and on every labeled-places assignment (places feed
+  rule geography);
 * the contributor's **content fingerprint** — an XOR accumulator over
   per-segment content hashes maintained incrementally by
   :class:`~repro.datastore.segment_store.SegmentStore`, so any persist,
@@ -25,9 +26,10 @@ depends on is folded into the key —
   without a rule mutation);
 * the canonical **query shape** (channels, time range, region, limit).
 
-Events that change release semantics *without* moving any key component
-(labeled-places edits, recovery itself) call :meth:`ReleaseCache.invalidate_all`
-instead — correctness never depends on an entry "aging out".
+Every event that changes release semantics moves a key component, so
+correctness never depends on an entry "aging out" or on an invalidation
+call arriving.  Recovery alone also calls
+:meth:`ReleaseCache.invalidate_all`, as belt and braces.
 
 An entry also remembers what its release *amounts to* — the encoded
 length of the payload and a :class:`ReleaseSummary` of the pieces — so
@@ -263,10 +265,8 @@ class ReleaseCache:
     def invalidate_all(self, reason: str = "") -> int:
         """Drop every entry; returns how many were dropped.
 
-        Used for events that change release semantics without moving any
-        key component: labeled-places edits, membership changes, and —
-        fail-closed — WAL recovery, where the rule state on disk cannot
-        be trusted to match what any cached decision was made under.
+        Recovery's fail-closed sweep: the rule state on disk cannot be
+        trusted to match what any cached decision was made under.
         """
         dropped = len(self._entries)
         self._entries.clear()

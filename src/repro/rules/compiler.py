@@ -46,9 +46,9 @@ the test that pins each step.
 
 Artifacts are cached by :class:`CompiledRuleCache` keyed on the
 store-wide ``rules_version`` epoch — the same invariant the PR 5 release
-cache rides — so a stale artifact is unreachable by construction; places
-edits, recovery, and failover rules installs invalidate wholesale,
-exactly where the release cache does
+cache rides, moved by rule mutations, restores and places assignments
+alike — so a stale artifact is unreachable by construction; recovery
+alone also invalidates wholesale, exactly where the release cache does
 (``DataStoreService.invalidate_decisions``).
 """
 
@@ -916,12 +916,11 @@ class CompiledRuleCache:
     A stale compiled artifact is a privacy leak of exactly the same shape
     as a stale cached decision, so the key copies the PR 5 argument: it
     folds in the **store-wide rules-version epoch**, which moves on every
-    rule mutation for any contributor and on every post-recovery/failover
-    ``restore`` — a rule state this process has never evaluated under can
-    never hit an old entry.  Places edits move no version counter, so
-    every site that wholesale-invalidates the release cache (places
-    edits, recovery, replication places-apply, promotion) calls
-    :meth:`invalidate_all` here too.
+    rule mutation for any contributor, on every post-recovery/failover
+    ``restore`` and on every labeled-places assignment — a rule or place
+    state this process has never evaluated under can never hit an old
+    entry.  Recovery also calls :meth:`invalidate_all`, with the release
+    cache's.
 
     Compile telemetry (``rules_compile_total``, ``rules_compile_seconds``,
     hits, invalidations) is exported through the shared metrics registry.
@@ -991,7 +990,7 @@ class CompiledRuleCache:
         return artifact
 
     def invalidate_all(self, reason: str = "") -> int:
-        """Drop every artifact (places edits, recovery, promotion).
+        """Drop every artifact (recovery).
 
         Returns the number of entries dropped; ``reason`` is for logs and
         symmetry with :meth:`ReleaseCache.invalidate_all`.

@@ -52,8 +52,10 @@ class RuleStore:
         self._versions: dict[str, int] = {}
         self._listeners: list[Callable[[RuleSetSnapshot], None]] = []
         #: Store-wide monotonic epoch: moves on *every* rule mutation for
-        #: *any* contributor, and on every :meth:`restore` (reload or WAL
-        #: replay installs state this process has never evaluated under).
+        #: *any* contributor, on every :meth:`restore` (reload or WAL
+        #: replay installs state this process has never evaluated under),
+        #: and — advanced by :func:`repro.storage.records.apply` — on every
+        #: labeled-places assignment, since places feed rule semantics.
         #: The release cache keys decisions by this epoch, so "bump the
         #: epoch" is the one invariant that keeps cached grants fresh —
         #: per-contributor versions exist for broker sync and cannot serve

@@ -9,13 +9,10 @@ which consults the rule engine and the underlying database.
 from repro.server.datastore_service import DataStoreService
 from repro.server.broker_service import BrokerService
 from repro.server.audit import AuditLog, AuditRecord
-from repro.server.persistence import load_service_state, save_service_state
 
 __all__ = [
     "DataStoreService",
     "BrokerService",
     "AuditLog",
     "AuditRecord",
-    "load_service_state",
-    "save_service_state",
 ]

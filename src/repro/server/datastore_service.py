@@ -51,6 +51,7 @@ from repro.rules.parser import rule_from_json, rules_from_json, rules_to_json
 from repro.rules.rulestore import RuleStore
 from repro.sensors.packets import SensorPacket
 from repro.server.audit import AuditLog
+from repro.storage import records
 from repro.util import jsonutil
 from repro.util.geo import LabeledPlace
 from repro.util.idgen import DeterministicRng
@@ -204,10 +205,6 @@ class DataStoreService:
                 self, sync=wal_sync, faults=storage_faults
             )
             self.recovery_report = self.durability.open()
-            self.fail_closed = set(self.recovery_report.fail_closed)
-            for contributor in sorted(self.fail_closed):
-                # Start the fail-closed dwell clock for the SLO tracker.
-                network.obs.slo.fail_closed_entered(host, contributor)
         # Join the network only once recovery has succeeded: a failed
         # open() must leave no half-constructed host registered, or the
         # constructor retry dies on "host name already registered" instead
@@ -229,21 +226,17 @@ class DataStoreService:
         ``push`` receives the profile JSON of a contributor whose rules
         changed; the broker wires this to its sync endpoint.
         """
-        self.roles[BROKER_PRINCIPAL] = "broker"
-        self._log_role(BROKER_PRINCIPAL, "broker")
+        self._assign(records.OP_ROLE, {"Principal": BROKER_PRINCIPAL, "Role": "broker"})
         self._broker_push = push
         return self.keys.issue(BROKER_PRINCIPAL)
 
     def _on_rules_changed(self, snapshot) -> None:
         contributor = snapshot.contributor
-        slo = self.network.obs.slo
         # An owner re-publishing rules lifts the post-recovery deny state.
-        if contributor in self.fail_closed:
-            self.fail_closed.discard(contributor)
-            slo.fail_closed_cleared(self.host, contributor)
+        records.lift_fail_closed(self, contributor)
         # Open a revocation-latency window: releases evaluated at versions
         # below this mutation are stale until a fresh one settles it.
-        slo.rule_mutated(
+        self.network.obs.slo.rule_mutated(
             contributor,
             snapshot.version,
             store=self.host,
@@ -302,7 +295,14 @@ class DataStoreService:
 
     def pair_primary(self) -> str:
         """Issue the API key a primary uses to ship WAL frames here."""
-        self.roles[PRIMARY_PRINCIPAL] = "primary"
+        # Not journaled: the pairing lives as long as the key it issues,
+        # and keys rotate at restart.
+        records.apply(
+            self,
+            records.OP_ROLE,
+            {"Principal": PRIMARY_PRINCIPAL, "Role": "primary"},
+            journal=False,
+        )
         return self.keys.issue(PRIMARY_PRINCIPAL)
 
     def promote(self, epoch: int, rule_versions: Optional[dict] = None) -> dict:
@@ -323,7 +323,6 @@ class DataStoreService:
             # Our stream is the authoritative one now; stop honoring any
             # fencing verdict aimed at the *old* primary's stream.
             self.replication.fenced = False
-        self.invalidate_decisions("promotion")
         return {
             "Host": self.host,
             "Epoch": self.epoch,
@@ -334,33 +333,21 @@ class DataStoreService:
     def _fence_rule_versions(self, rule_versions: Optional[dict]) -> list:
         """Deny-by-default any contributor whose rules lag the broker mirror.
 
-        The shared handover fence (promotion *and* migration cutover): for
-        each contributor whose applied rule version is older than what the
-        broker last saw — or entirely unknown here — install an empty rule
-        set (default deny) at a version *above* the broker's, so the deny
-        state wins the next sync instead of the broker's stale-but-newer-
-        looking mirror.  Same shape as recovery's fail-closed sweep.  A
-        handover may deny; it must never widen access.
+        The shared handover fence (promotion *and* migration cutover): each
+        contributor whose applied rule version is older than what the
+        broker last saw — or entirely unknown here — is failed closed
+        (:func:`repro.storage.records.fail_close`, recovery's routine) at
+        a version *above* the broker's, so the deny state wins the next
+        sync instead of the broker's stale-but-newer-looking mirror.  The
+        deny moves the rules epoch and the fail-closed flag, both
+        cache-key components, so nothing cached before it is reachable.
+        A handover may deny; it must never widen access.
         """
         fenced = []
         for contributor, version in sorted((rule_versions or {}).items()):
             if self.rules.version_of(contributor) < int(version):
-                self.rules.register(contributor)
-                self.rules.restore(contributor, [], int(version) + 1)
-                self.fail_closed.add(contributor)
-                self.network.obs.slo.fail_closed_entered(self.host, contributor)
+                records.fail_close(self, contributor, int(version) + 1)
                 fenced.append(contributor)
-                if self.durability is not None:
-                    # Journal the deny itself (restore() fires no hooks):
-                    # a crash right after the handover must recover to
-                    # deny, not to the stale rules this fencing rejected.
-                    from repro.storage.recovery import OP_RULES
-
-                    self.durability._append(
-                        OP_RULES,
-                        self.rules.snapshot(contributor).to_json(),
-                        control=True,
-                    )
         return fenced
 
     def demote(self, epoch: Optional[int] = None) -> dict:
@@ -414,8 +401,7 @@ class DataStoreService:
     def register_contributor(self, name: str, password: str = "pw") -> str:
         """Register a data owner; returns their API key."""
         self.accounts.register(name, password, ROLE_CONTRIBUTOR)
-        self.roles[name] = ROLE_CONTRIBUTOR
-        self._log_role(name, ROLE_CONTRIBUTOR)
+        self._assign(records.OP_ROLE, {"Principal": name, "Role": ROLE_CONTRIBUTOR})
         self.rules.register(name)
         self.places.setdefault(name, {})
         return self.keys.issue(name)
@@ -423,27 +409,32 @@ class DataStoreService:
     def register_consumer(self, name: str, password: str = "pw") -> str:
         """Register a data consumer; returns their API key."""
         self.accounts.register(name, password, ROLE_CONSUMER)
-        self.roles[name] = ROLE_CONSUMER
-        self._log_role(name, ROLE_CONSUMER)
+        self._assign(records.OP_ROLE, {"Principal": name, "Role": ROLE_CONSUMER})
         return self.keys.issue(name)
 
     def set_places(self, contributor: str, places: dict) -> None:
-        """Replace a contributor's labeled places (journal + sync + cache)."""
-        self.places[contributor] = dict(places)
-        # Labeled places feed rule semantics but move no version counter,
-        # so cached decisions cannot be keyed around them — drop them all.
-        self.invalidate_decisions("places")
-        if self.durability is not None:
-            self.durability.log_places(contributor)
+        """Replace a contributor's labeled places (install + journal + sync).
+
+        The installer moves the rules epoch, so decisions cached under the
+        old places are unreachable from here on.
+        """
+        self._assign(records.OP_PLACES, records.places_record(contributor, places))
         # Places affect rule semantics; nudge a sync so the broker's
         # search sees the same geography the engine enforces.
         if self.rules.version_of(contributor) or self._broker_push is not None:
             if self._broker_push is not None:
                 self._broker_push(self._profile_json(contributor))
 
-    def _log_role(self, principal: str, role: str) -> None:
+    def _assign(self, op: str, data: dict) -> None:
+        """A live "assign complete state" mutation, as one of this store's own.
+
+        Places and principal roles have no store object that versions or
+        hashes them, so the live write *is* the record: install it the way
+        a replay would, then journal it.
+        """
+        records.apply(self, op, data, journal=False)
         if self.durability is not None:
-            self.durability.log_role(principal, role)
+            self.durability.journal(op, data)
 
     def _wal_commit(self) -> None:
         """Group-commit barrier: journaled bulk mutations become durable.
@@ -464,9 +455,9 @@ class DataStoreService:
     def checkpoint(self) -> dict:
         """Snapshot state, write the generation manifest, reset the WAL."""
         if self.durability is None:
-            from repro.server.persistence import save_service_state
+            from repro.storage.durability import write_snapshot
 
-            return {"Paths": save_service_state(self)}
+            return {"Paths": write_snapshot(self)}
         return self.durability.checkpoint()
 
     # ------------------------------------------------------------------
@@ -497,10 +488,11 @@ class DataStoreService:
     def invalidate_decisions(self, reason: str) -> None:
         """Drop every cached release decision and compiled rule artifact.
 
-        The one call for any change that feeds rule semantics without
-        moving ``rules_version`` (places edits and restores) or that
-        installs state this process never evaluated under (recovery,
-        replica apply, promotion, migration).
+        Recovery's belt and braces, and its only caller: every other
+        change to an input of a release decision moves a component of
+        :meth:`_cache_key` (rules and labeled places the store-wide epoch,
+        segments the content fingerprint, fail-closed its flag), which
+        makes stale entries unreachable without an event.
         """
         if self.release_cache is not None:
             self.release_cache.invalidate_all(reason)
@@ -553,7 +545,8 @@ class DataStoreService:
         resurrect an old entry); rules ride the store-wide epoch; store
         content rides the contributor's XOR fingerprint; the fail-closed
         flag covers recovery denying a contributor without a rule bump.
-        Places changes move no component and invalidate wholesale instead.
+        Labeled places ride the same epoch (their one installer,
+        :func:`repro.storage.records.apply`, moves it).
         """
         return (
             principal,
@@ -738,27 +731,27 @@ class DataStoreService:
         ``LastLsn`` is captured *before* the export so the next round
         covers anything racing it.
         """
-        from repro.storage.migration import migration_records, wal_records_since
+        from repro.storage.migration import wal_records_since
 
         self._require_broker(request)
         contributors = [str(c) for c in request.body.get("Contributors", [])]
         from_lsn = int(request.body.get("FromLsn", 0))
-        records, last_lsn, complete = [], 0, False
+        exported, last_lsn, complete = [], 0, False
         if from_lsn > 0:
-            records, last_lsn, complete = wal_records_since(
+            exported, last_lsn, complete = wal_records_since(
                 self, from_lsn, contributors
             )
         if from_lsn == 0 or not complete:
             if self.durability is not None and self.durability.wal is not None:
                 self.durability.wal.commit()
                 last_lsn = self.durability.wal.last_lsn
-            records = migration_records(self, contributors)
+            exported = records.dump(self, contributors)
             base = "snapshot"
         else:
             base = "wal"
         return {
             "Host": self.host,
-            "Records": [[op, data] for op, data in records],
+            "Records": [[op, data] for op, data in exported],
             "LastLsn": last_lsn,
             "Base": base,
         }
@@ -766,8 +759,8 @@ class DataStoreService:
     def _h_migrate_install(self, request: Request) -> dict:
         """Broker-only: install exported records on this (destination) store.
 
-        Records flow through the recovery apply path and are re-journaled
-        into this store's own WAL; the replication barrier then ships them
+        Records flow through the one installer and are re-journaled into
+        this store's own WAL; the replication barrier then ships them
         to any replicas, so the migrated range is as durable here as
         natively written data.
         """
@@ -797,9 +790,7 @@ class DataStoreService:
         for contributor in contributors:
             self.moved_out[contributor] = dest
         # Fenced contributors' cached decisions are unreachable (the fence
-        # fires before cache lookup), but drop them anyway: their memory
-        # now belongs to contributors still resident here.
-        self.invalidate_decisions("migration")
+        # fires before cache lookup); the LRU reclaims their memory.
         last_lsn = 0
         if self.durability is not None and self.durability.wal is not None:
             self.durability.wal.commit()
@@ -824,8 +815,6 @@ class DataStoreService:
         fenced = self._fence_rule_versions(
             dict(request.body.get("RuleVersions", {}))
         )
-        if fenced:
-            self.invalidate_decisions("migration")
         self._replication_barrier()
         return {
             "Host": self.host,
@@ -1176,10 +1165,10 @@ class DataStoreService:
         self._require_contributor(request, contributor)
         self._require_resident(contributor)
         limit = request.body.get("Limit")
-        records = self.audit.trail_of(
+        trail = self.audit.trail_of(
             contributor, limit=int(limit) if limit is not None else None
         )
-        return {"Records": [r.to_json() for r in records]}
+        return {"Records": [r.to_json() for r in trail]}
 
     def _h_audit_summary(self, request: Request) -> dict:
         """Per-consumer aggregate of accesses and samples taken."""

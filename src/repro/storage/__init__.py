@@ -9,6 +9,8 @@ state as suspect until proven intact:
   write-ahead log with torn-tail vs corruption classification;
 * :mod:`repro.storage.faults` — deterministic, seeded crash/torn-write/
   bit-flip injection (the disk-side sibling of :mod:`repro.net.faults`);
+* :mod:`repro.storage.records` — the store's log vocabulary: the six
+  ``(op, data)`` record kinds, the one dumper and the one installer;
 * :mod:`repro.storage.recovery` — replay + quarantine + fail-closed;
 * :mod:`repro.storage.durability` — the manager wiring it into a service;
 * :mod:`repro.storage.replication` — WAL shipping to replica stores with

@@ -8,12 +8,15 @@ One :class:`Durability` instance owns crash safety for one
   and hooks every mutation source — rule changes, segment persists and
   unpersists, audit appends — so each is journaled *before* the API call
   that caused it returns;
-* :meth:`checkpoint` snapshots the full service state through the atomic
-  writer, records a manifest (generation marker + checkpoint LSN + file
-  SHA-256s), and resets the WAL.  A crash at *any* interior point leaves a
-  state recovery handles: the manifest and log cover each other.
+* :meth:`checkpoint` snapshots the full service state through
+  :func:`write_snapshot`, records a manifest (generation marker +
+  checkpoint LSN + file SHA-256s), and resets the WAL.  A crash at *any*
+  interior point leaves a state recovery handles: the manifest and log
+  cover each other.
 
-Durability classes: control-plane records (rules, roles, places, audit)
+Durability classes: :meth:`Durability.journal` is the one place a record
+reaches the WAL with a sync class.  Control-plane records
+(:data:`~repro.storage.records.CONTROL_OPS`: rules, roles, places, audit)
 are appended with ``force_sync`` — an acknowledged rule change is on disk
 before the ack, whatever the sync policy — while bulk segment data rides
 the group-commit window until a *barrier-bearing* request (``flush``,
@@ -29,21 +32,51 @@ import os
 from typing import Optional
 
 from repro.exceptions import CorruptRecordError, StorageError
-from repro.storage.atomic import atomic_write_bytes, file_sha256
-from repro.storage.recovery import (
+from repro.storage.atomic import atomic_write_bytes, atomic_write_jsonl, file_sha256
+from repro.storage.records import (
+    CONTROL_OPS,
     OP_AUDIT,
-    OP_PLACES,
-    OP_ROLE,
     OP_RULES,
     OP_SEGMENT,
     OP_SEGMENT_DELETE,
+    dump,
+)
+from repro.storage.recovery import (
+    SNAPSHOT_KINDS,
     RecoveryReport,
     manifest_path,
     recover_service,
+    snapshot_path,
     wal_path,
 )
 from repro.storage.wal import SYNC_GROUP, WriteAheadLog, scan_wal
 from repro.util import jsonutil
+
+
+def write_snapshot(service, directory: Optional[str] = None, *, faults=None) -> list:
+    """Write a service's full state as snapshot files; returns their paths.
+
+    The segment store saves its own table; every other kind is the dump's
+    records of that file's op, one ``data`` per line.  Each file is
+    replaced atomically (temp + fsync + rename, never in place), so a
+    crash mid-save leaves the previous complete file.  API keys are never
+    written: they rotate at restart.  :func:`recover_service` is the
+    loader.
+    """
+    directory = directory or service.store.db.directory
+    if directory is None:
+        raise StorageError(
+            f"store {service.host!r} has no persistence directory configured"
+        )
+    paths = service.store.save(faults=faults)
+    records = dump(service, segments=False)
+    for kind, kind_op in SNAPSHOT_KINDS:
+        path = snapshot_path(directory, service.host, kind)
+        atomic_write_jsonl(
+            path, [data for op, data in records if op == kind_op], faults=faults
+        )
+        paths.append(path)
+    return paths
 
 
 class Durability:
@@ -127,32 +160,29 @@ class Durability:
             faults=self.faults,
             resume=scan,
         )
-        # Journal the fail-closed deny state itself: a second crash before
-        # the next checkpoint must recover to *deny*, not to the damage.
+        # Journal the fail-closed deny state itself (the sweep ran before
+        # the log was open): a second crash before the next checkpoint
+        # must recover to *deny*, not to the damage.
         for contributor in report.fail_closed:
-            self._append(
-                OP_RULES,
-                self.service.rules.snapshot(contributor).to_json(),
-                control=True,
-            )
+            self.journal(OP_RULES, self.service.rules.snapshot(contributor).to_json())
         self._attach()
         return report
 
     def _attach(self) -> None:
         service = self.service
         service.rules.on_change(
-            lambda snapshot: self._append(OP_RULES, snapshot.to_json(), control=True)
+            lambda snapshot: self.journal(OP_RULES, snapshot.to_json())
         )
         service.store.on_persist.append(
-            lambda segment: self._append(OP_SEGMENT, segment.to_json())
+            lambda segment: self.journal(OP_SEGMENT, segment.to_json())
         )
         service.store.on_unpersist.append(
-            lambda segment: self._append(
+            lambda segment: self.journal(
                 OP_SEGMENT_DELETE, {"SegmentId": segment.segment_id}
             )
         )
         service.audit.on_append(
-            lambda record: self._append(OP_AUDIT, record.to_json(), control=True)
+            lambda record: self.journal(OP_AUDIT, record.to_json())
         )
 
     def close(self) -> None:
@@ -165,29 +195,20 @@ class Durability:
     # Journaling
     # ------------------------------------------------------------------
 
-    def _append(self, op: str, data: dict, *, control: bool = False) -> Optional[int]:
+    def journal(self, op: str, data: dict, *, own: bool = True) -> Optional[int]:
+        """Append one record with its op's sync class; returns its LSN.
+
+        The only WAL append that picks a sync class.  ``own=False`` marks
+        a record this store re-journals for another (a shipped frame, a
+        migration batch): as durable, but ``wal_appends_total`` counts
+        only the mutations a store itself accepted.
+        """
         if self.wal is None:  # recovery replay phase, or closed
             return None
-        lsn = self.wal.append(op, data, force_sync=control)
-        if self._c_appends is not None:
+        lsn = self.wal.append(op, data, force_sync=op in CONTROL_OPS)
+        if own and self._c_appends is not None:
             self._c_appends.inc()
         return lsn
-
-    def log_places(self, contributor: str) -> None:
-        """Journal a places update (control plane: feeds rule semantics)."""
-        places = self.service.places.get(contributor, {})
-        self._append(
-            OP_PLACES,
-            {
-                "Contributor": contributor,
-                "Places": [p.to_json() for p in places.values()],
-            },
-            control=True,
-        )
-
-    def log_role(self, principal: str, role: str) -> None:
-        """Journal a principal registration (control plane)."""
-        self._append(OP_ROLE, {"Principal": principal, "Role": role}, control=True)
 
     def commit(self) -> None:
         """Group-commit barrier: everything journaled so far becomes durable.
@@ -222,8 +243,6 @@ class Durability:
         """
         if self.wal is None:
             raise StorageError("durability not opened; call open() first")
-        from repro.server.persistence import save_service_state
-
         faults = self.faults
         if faults is not None:
             faults.at_point("checkpoint.pre_snapshot")
@@ -232,7 +251,7 @@ class Durability:
         self.service.store.flush()
         self.wal.commit()
         checkpoint_lsn = self.wal.last_lsn
-        paths = save_service_state(self.service, self.directory, faults=faults)
+        paths = write_snapshot(self.service, self.directory, faults=faults)
         manifest = {
             "Host": self.service.host,
             "Generation": self.generation + 1,

@@ -1,0 +1,203 @@
+"""The store's log vocabulary: six record kinds, one dumper, one installer.
+
+Everything a data store must not lose — segments, privacy rules, labeled
+places, principal roles, the audit trail — travels as ``(op, data)``
+records: WAL payloads, snapshot rows, shipped replica frames, resync
+bootstraps and migration batches are all the same six shapes.  This
+module owns them:
+
+* the op names and :data:`CONTROL_OPS`, the force-synced set;
+* :func:`dump` — live state as records, optionally one contributor range;
+* :func:`apply` — the **only** code that installs a record into a live
+  service.  WAL replay and snapshot load call it with ``journal=False``;
+  replica apply and migration install with ``journal=True``;
+  ``DataStoreService.set_places`` and principal registration are its
+  live callers.  ``tests/integration/test_one_installer.py`` fails the
+  build if any other module assigns that state;
+* the two fail-closed transitions, :func:`fail_close` and
+  :func:`lift_fail_closed`.
+
+Live rule, segment and audit *mutations* do not come through here:
+versioning, optimizer merges and chain hashing are not "assign complete
+state".  They go through ``RuleStore`` / ``SegmentStore`` / ``AuditLog``
+and journal from the hooks :class:`~repro.storage.durability.Durability`
+attaches.
+
+Every op is idempotent or last-wins (rule snapshots carry a version and
+install monotonically, segments replace by id, audit restore dedupes per
+seq), so overlapping snapshots, bootstraps and log tails converge instead
+of double-applying.  docs/ARCHITECTURE.md, "The store's log", has the
+per-op table.
+"""
+
+from __future__ import annotations
+
+from repro.datastore.wavesegment import WaveSegment
+from repro.exceptions import StorageError
+from repro.rules.rulestore import RuleSetSnapshot
+from repro.server.audit import AuditRecord
+from repro.util.geo import LabeledPlace
+
+OP_SEGMENT = "segment"
+OP_SEGMENT_DELETE = "segment_delete"
+OP_RULES = "rules"
+OP_PLACES = "places"
+OP_ROLE = "role"
+OP_AUDIT = "audit"
+KNOWN_OPS = (OP_SEGMENT, OP_SEGMENT_DELETE, OP_RULES, OP_PLACES, OP_ROLE, OP_AUDIT)
+
+#: Ops that carry rule semantics or the audit trail.  Every journal append
+#: of one is ``force_sync``: an acknowledged rule change is on disk before
+#: the ack whatever the sync policy, on the store that wrote it and on
+#: every store that re-journals it.  Bulk segment data rides the group
+#: window instead.
+CONTROL_OPS = frozenset((OP_RULES, OP_PLACES, OP_ROLE, OP_AUDIT))
+
+ROLE_CONTRIBUTOR = "contributor"
+
+
+def places_record(contributor: str, places: dict) -> dict:
+    """The ``data`` of a places record: one contributor's complete set."""
+    return {
+        "Contributor": contributor,
+        "Places": [place.to_json() for place in places.values()],
+    }
+
+
+def record_owner(op: str, data: dict) -> str:
+    """The contributor (or principal) one record names ('' = store-wide)."""
+    if op in (OP_SEGMENT, OP_RULES, OP_PLACES, OP_AUDIT):
+        return str(data.get("Contributor", ""))
+    if op == OP_ROLE:
+        return str(data.get("Principal", ""))
+    return ""
+
+
+def dump(service, contributors=None, *, segments: bool = True) -> list:
+    """A service's durable state as ``(op, data)`` records.
+
+    ``contributors=None`` is everything (a replica's resync bootstrap);
+    a set restricts the walk to the records :func:`record_owner` assigns
+    to its members (a migration's moving range).  ``segments=False``
+    leaves the segment records out, for the snapshot writer: the segment
+    store saves its own table.
+
+    The records come from live state, not disk, so the frame CRC
+    machinery has nothing to vouch for; integrity rides the authenticated
+    transport, the same trust as any other broker- or primary-keyed call.
+    """
+    wanted = None if contributors is None else set(contributors)
+
+    def moving(name: str) -> bool:
+        return wanted is None or name in wanted
+
+    records = [
+        (OP_ROLE, {"Principal": principal, "Role": role})
+        for principal, role in sorted(service.roles.items())
+        if moving(principal)
+    ]
+    if segments:
+        for contributor in filter(moving, service.store.contributors()):
+            for segment in service.store.segments_of(contributor):
+                records.append((OP_SEGMENT, segment.to_json()))
+    for contributor in filter(moving, service.rules.contributors()):
+        records.append((OP_RULES, service.rules.snapshot(contributor).to_json()))
+    for contributor, places in sorted(service.places.items()):
+        if moving(contributor):
+            records.append((OP_PLACES, places_record(contributor, places)))
+    for contributor in filter(moving, service.audit.contributors()):
+        for record in service.audit.trail_of(contributor):
+            records.append((OP_AUDIT, record.to_json()))
+    return records
+
+
+def apply(service, op: str, data: dict, *, journal: bool, rules_trusted: bool = True) -> int:
+    """Install one record into a live service; returns the items it installed.
+
+    The count is rules, places or audit records actually taken (a rule
+    record whose version lost, or an audit record already held, is 0) and
+    1 for a role or a segment.
+
+    ``journal=True`` re-journals the record into the service's own WAL
+    with its op's sync class — a replica or migration destination must
+    recover to what it was sent — and is a no-op on a non-durable store.
+
+    Rule records install version-monotonically: an older snapshot never
+    rewinds a newer one.  ``rules_trusted=False`` means the state already
+    in the store came from a rules snapshot that could not be verified;
+    its version numbers are then as suspect as its rules, so the record
+    overwrites unconditionally (records carry complete state and replay
+    in LSN order, so the last one wins) instead of letting a possibly
+    bit-flipped version win the comparison.
+
+    **The lift rule:** a rule record lifts the contributor's fail-closed
+    flag iff it was installed (its version won, or ``rules_trusted`` is
+    False).  A skipped record changed nothing, so the deny stands.
+
+    Places move the store-wide rules epoch, exactly as an installed rule
+    set does: they feed rule semantics, so decisions cached and artifacts
+    compiled under the old places must become unreachable.
+    """
+    if op == OP_SEGMENT:
+        service.store.restore_segment(WaveSegment.from_json(data))
+        count = 1
+    elif op == OP_SEGMENT_DELETE:
+        count = int(service.store.remove_segment(str(data["SegmentId"])))
+    elif op == OP_RULES:
+        snapshot = RuleSetSnapshot.from_json(data)
+        rules = service.rules
+        rules.register(snapshot.contributor)
+        count = 0
+        if not rules_trusted or snapshot.version >= rules.version_of(snapshot.contributor):
+            rules.restore(snapshot.contributor, snapshot.rules, snapshot.version)
+            lift_fail_closed(service, snapshot.contributor)
+            count = len(snapshot.rules)
+    elif op == OP_PLACES:
+        places = {
+            place.label: place
+            for place in (LabeledPlace.from_json(p) for p in data.get("Places", []))
+        }
+        service.places[str(data["Contributor"])] = places
+        service.rules.rules_version += 1
+        count = len(places)
+    elif op == OP_ROLE:
+        service.roles[str(data["Principal"])] = str(data["Role"])
+        count = 1
+    elif op == OP_AUDIT:
+        count = service.audit.restore([AuditRecord.from_json(data)])
+    else:
+        raise StorageError(f"unknown WAL op {op!r} (written by a newer version?)")
+    if journal and service.durability is not None:
+        service.durability.journal(op, data, own=False)
+    return count
+
+
+def fail_close(service, contributor: str, version: int) -> None:
+    """Deny ``contributor`` by default at rule version ``version``.
+
+    The one fail-close routine, for rule state this store cannot vouch
+    for (recovery's sweep; the promotion and cutover fence): an *empty*
+    rule set — the engine's default deny — at a version the caller picks
+    *above* any it distrusts, so the deny wins the next broker sync
+    instead of the stale-but-newer-looking copy.  The deny itself is
+    journaled (``restore`` fires no hooks): a crash right after must
+    recover to deny, not to the state this rejected.  During recovery the
+    WAL is not open yet; :meth:`Durability.open` journals the denies it
+    finds in the report once it is.  The flag lifts per :func:`apply`'s
+    lift rule, or when the owner re-publishes.
+    """
+    service.rules.register(contributor)
+    service.rules.restore(contributor, [], version)
+    service.fail_closed.add(contributor)
+    service.network.obs.slo.fail_closed_entered(service.host, contributor)
+    if service.durability is not None:
+        service.durability.journal(
+            OP_RULES, service.rules.snapshot(contributor).to_json()
+        )
+
+
+def lift_fail_closed(service, contributor: str) -> None:
+    """Clear the fail-closed flag: the contributor's rules are current again."""
+    if contributor in service.fail_closed:
+        service.fail_closed.discard(contributor)
+        service.network.obs.slo.fail_closed_cleared(service.host, contributor)

@@ -5,19 +5,23 @@ DataStoreService` (driven by :class:`~repro.storage.durability.Durability`):
 
 1. read the checkpoint **manifest** (generation marker) and verify the
    SHA-256 of every snapshot file it lists;
-2. load the snapshot state, routing undecodable lines to **quarantine**
-   (they are copied out and counted, never silently dropped);
+2. load the snapshot state — every row through the one installer,
+   :func:`repro.storage.records.apply` — routing undecodable lines and
+   refused rows to **quarantine** (they are copied out and counted,
+   never silently dropped);
 3. scan the write-ahead log: truncate a *torn tail* (the append that was
    in flight when the process died — never acknowledged, safe to cut),
    quarantine anything *corrupt* (checksum/chain/LSN breaks);
-4. replay WAL records with LSN above the manifest's checkpoint LSN;
+4. replay WAL records with LSN above the manifest's checkpoint LSN,
+   through the same installer;
 5. verify the audit trail's checksum chain;
 6. **fail closed for rules**: when corruption touched anything that feeds
    rule semantics, affected contributors get an *empty* rule set with a
-   bumped version — the engine's default-deny means nothing flows until
-   the owner re-publishes rules, and the bumped version propagates the
-   deny state to the broker on the next sync.  A corrupt rule record may
-   deny; it must never silently widen sharing.
+   bumped version (:func:`repro.storage.records.fail_close`) — the
+   engine's default-deny means nothing flows until the owner
+   re-publishes rules, and the bumped version propagates the deny state
+   to the broker on the next sync.  A corrupt rule record may deny; it
+   must never silently widen sharing.
 
 The fail-closed trigger matrix (conservative by construction):
 
@@ -53,25 +57,47 @@ from typing import Optional
 
 from repro.exceptions import SensorSafeError, StorageError
 from repro.storage.atomic import file_sha256
+from repro.storage.records import (
+    KNOWN_OPS,
+    OP_AUDIT,
+    OP_PLACES,
+    OP_ROLE,
+    OP_RULES,
+    ROLE_CONTRIBUTOR,
+    apply,
+    fail_close,
+    record_owner,
+)
 from repro.storage.wal import WalScan, repair_wal, scan_wal
 from repro.util import jsonutil
-
-#: WAL record operations the replayer understands.
-OP_SEGMENT = "segment"
-OP_SEGMENT_DELETE = "segment_delete"
-OP_RULES = "rules"
-OP_PLACES = "places"
-OP_ROLE = "role"
-OP_AUDIT = "audit"
-KNOWN_OPS = (OP_SEGMENT, OP_SEGMENT_DELETE, OP_RULES, OP_PLACES, OP_ROLE, OP_AUDIT)
-
-ROLE_CONTRIBUTOR = "contributor"
 
 
 # ----------------------------------------------------------------------
 # On-disk layout (shared with Durability; kept here so durability.py can
 # import it without a cycle)
 # ----------------------------------------------------------------------
+
+#: Snapshot file kind -> the op whose ``data`` each of its rows is.  The
+#: segment store saves and loads its own ``segments`` file.
+SNAPSHOT_KINDS = (
+    ("rules", OP_RULES),
+    ("places", OP_PLACES),
+    ("roles", OP_ROLE),
+    ("audit", OP_AUDIT),
+)
+
+
+#: Unreadable lines in these files cannot widen sharing: alert, don't deny.
+_SNAPSHOT_ALERTS = {
+    "roles": "roles snapshot had corrupt lines (quarantined)",
+    "audit": "audit snapshot had corrupt lines (quarantined); trail has gaps",
+}
+
+
+def snapshot_path(directory: str, host: str, kind: str) -> str:
+    """Path of one host's snapshot file of one kind inside a store directory."""
+    return os.path.join(directory, f"{host}.{kind}.jsonl")
+
 
 
 def wal_path(directory: str, host: str) -> str:
@@ -246,16 +272,16 @@ def _read_lines_tolerant(path: str, quarantine: _Quarantine) -> tuple:
 def recover_service(service, directory: Optional[str] = None, *, obs=None) -> RecoveryReport:
     """Restore a DataStoreService from disk, tolerating and reporting damage.
 
-    The strict counterpart is
-    :func:`repro.server.persistence.load_service_state`, which raises on
-    the first corrupt line; this function instead quarantines, replays the
-    WAL, and fails closed for rules per the module-docstring matrix.
+    The only loader: it quarantines what it cannot read, replays the WAL,
+    and fails closed for rules per the module-docstring matrix.  On an
+    undamaged directory — with or without a manifest and a WAL — that is
+    a plain reload.  Principals' API keys are *not* restored: keys are
+    re-issued after a restart (a deliberate rotation; stale clients
+    re-register through the broker escrow), so key material never sits in
+    the same snapshot as the data it protects.  Rules install through
+    ``restore``, which fires no sync listeners: the broker already has
+    this state.
     """
-    from repro.rules.rulestore import RuleSetSnapshot
-    from repro.server.audit import AuditRecord
-    from repro.server.persistence import _path
-    from repro.util.geo import LabeledPlace
-
     directory = directory or service.store.db.directory
     if directory is None:
         raise StorageError(
@@ -319,37 +345,29 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
 
     counts = {"segments": service.store.load(on_corrupt=on_corrupt_segment)}
 
-    rules_objs, bad = _read_lines_tolerant(_path(directory, host, "rules"), quarantine)
-    rules_untrusted = rules_untrusted or bad
-    counts["rules"] = 0
-    for obj in rules_objs:
-        try:
-            snapshot = RuleSetSnapshot.from_json(obj)
-        except SensorSafeError as exc:
-            quarantine.record(_path(directory, host, "rules"), 0,
-                              jsonutil.canonical_dumps(obj), str(exc))
-            rules_untrusted = True
-            continue
-        service.rules.register(snapshot.contributor)
-        service.rules.restore(snapshot.contributor, snapshot.rules, snapshot.version)
-        counts["rules"] += len(snapshot.rules)
-
-    places_objs, bad = _read_lines_tolerant(_path(directory, host, "places"), quarantine)
-    places_untrusted = places_untrusted or bad  # places feed rule semantics
-    counts["places"] = 0
-    for obj in places_objs:
-        try:
-            places = {
-                place.label: place
-                for place in (LabeledPlace.from_json(p) for p in obj.get("Places", []))
-            }
-            service.places[str(obj["Contributor"])] = places
-        except (SensorSafeError, KeyError, TypeError) as exc:
-            quarantine.record(_path(directory, host, "places"), 0,
-                              jsonutil.canonical_dumps(obj), str(exc))
-            places_untrusted = True
-            continue
-        counts["places"] += len(places)
+    # A snapshot row is the ``data`` of a record of its file's op, so each
+    # file loads through the one installer.  A row it refuses quarantines
+    # like an unreadable line — and for rules or places, which feed rule
+    # semantics, marks the whole file untrusted.
+    for kind, op in SNAPSHOT_KINDS:
+        path = snapshot_path(directory, host, kind)
+        rows, damaged = _read_lines_tolerant(path, quarantine)
+        if damaged and kind in _SNAPSHOT_ALERTS:
+            report.alert(_SNAPSHOT_ALERTS[kind])
+        counts[kind] = 0
+        for row in rows:
+            try:
+                counts[kind] += apply(
+                    service, op, row, journal=False, rules_trusted=not rules_untrusted
+                )
+            except (SensorSafeError, KeyError, TypeError, ValueError) as exc:
+                quarantine.record(path, 0, jsonutil.canonical_dumps(row), str(exc))
+                damaged = True
+        if kind == "rules":
+            rules_untrusted = rules_untrusted or damaged
+        elif kind == "places":
+            places_untrusted = places_untrusted or damaged
+    report.loaded = counts
 
     # The fail-closed exemption (module docstring) is granted ONLY by WAL
     # replay: a contributor lands in these sets when the intact log carries
@@ -358,32 +376,6 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     # cleanly yet carry a flipped bit that widens sharing.
     wal_clean_rules: set = set()
     wal_clean_places: set = set()
-
-    roles_objs, bad = _read_lines_tolerant(_path(directory, host, "roles"), quarantine)
-    if bad:
-        report.alert("roles snapshot had corrupt lines (quarantined)")
-    counts["roles"] = 0
-    for obj in roles_objs:
-        try:
-            service.roles[str(obj["Principal"])] = str(obj["Role"])
-        except (KeyError, TypeError) as exc:
-            quarantine.record(_path(directory, host, "roles"), 0,
-                              jsonutil.canonical_dumps(obj), str(exc))
-            continue
-        counts["roles"] += 1
-
-    audit_objs, bad = _read_lines_tolerant(_path(directory, host, "audit"), quarantine)
-    if bad:
-        report.alert("audit snapshot had corrupt lines (quarantined); trail has gaps")
-    audit_records = []
-    for obj in audit_objs:
-        try:
-            audit_records.append(AuditRecord.from_json(obj))
-        except (SensorSafeError, KeyError, TypeError, ValueError) as exc:
-            quarantine.record(_path(directory, host, "audit"), 0,
-                              jsonutil.canonical_dumps(obj), str(exc))
-    counts["audit"] = service.audit.restore(audit_records)
-    report.loaded = counts
 
     # ------------------------------------------------------------------
     # 3 + 4. WAL: repair, then replay past the checkpoint LSN.
@@ -404,14 +396,7 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
             report.wal_records_skipped += 1
             continue
         try:
-            _apply(
-                service,
-                op,
-                data,
-                wal_clean_rules,
-                wal_clean_places,
-                rules_trusted=not rules_untrusted,
-            )
+            apply(service, op, data, journal=False, rules_trusted=not rules_untrusted)
         except SensorSafeError as exc:
             quarantine.record(wal_path(directory, host), lsn,
                               jsonutil.canonical_dumps({"Op": op, "Data": data}),
@@ -421,6 +406,12 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
             report.alert(f"WAL record lsn={lsn} op={op!r} failed to apply: {exc}")
             continue
         report.wal_records_replayed += 1
+        # Rule and place records carry complete state, so replaying one
+        # vouches for its contributor whether or not its version won.
+        if op == OP_RULES:
+            wal_clean_rules.add(record_owner(op, data))
+        elif op == OP_PLACES:
+            wal_clean_places.add(record_owner(op, data))
 
     # ------------------------------------------------------------------
     # 5. Audit chain verification.
@@ -448,9 +439,7 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
                 # replayed from the intact WAL — the snapshot damage is a
                 # crash-inside-checkpoint artifact, not lost semantics.
                 continue
-            version = service.rules.version_of(contributor)
-            service.rules.register(contributor)
-            service.rules.restore(contributor, [], version + 1)
+            fail_close(service, contributor, service.rules.version_of(contributor) + 1)
             report.fail_closed.append(contributor)
         report.fail_closed.sort()
         if report.fail_closed:
@@ -462,10 +451,11 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
 
     # Fail closed on the caches too: every decision cached and artifact
     # compiled before this recovery was made under a rule/data state this
-    # process can no longer vouch for.  The rules-version epoch already
-    # moved (restore bumps it), but recovery also rewrites places and
-    # fail-closed state directly, so both are emptied wholesale rather
-    # than reasoned about.
+    # process can no longer vouch for.  Every record installed above moved
+    # a cache-key component (rules and places the epoch, segments the
+    # content fingerprint, the sweep the fail-closed flag), so this is
+    # belt and braces — the one wholesale drop left, emptied rather than
+    # reasoned about (tests/storage/test_cache_invalidation.py).
     service.invalidate_decisions("recovery")
 
     if obs is not None and getattr(obs, "enabled", False):
@@ -490,53 +480,3 @@ def _known_contributors(service) -> list:
         if role == ROLE_CONTRIBUTOR
     )
     return sorted(names)
-
-
-def _apply(
-    service,
-    op: str,
-    data: dict,
-    clean_rules: set,
-    clean_places: set,
-    *,
-    rules_trusted: bool = True,
-) -> None:
-    """Apply one replayed WAL record to live service state.
-
-    ``rules_trusted=False`` means the rules snapshot could not be
-    verified; its version numbers are then as suspect as its rules, so a
-    replayed rule record overwrites unconditionally (WAL records carry
-    complete state and replay in LSN order, so the last one wins) instead
-    of letting a possibly bit-flipped snapshot version win the comparison.
-    """
-    from repro.datastore.wavesegment import WaveSegment
-    from repro.rules.rulestore import RuleSetSnapshot
-    from repro.server.audit import AuditRecord
-    from repro.util.geo import LabeledPlace
-
-    if op == OP_SEGMENT:
-        service.store.restore_segment(WaveSegment.from_json(data))
-    elif op == OP_SEGMENT_DELETE:
-        service.store.remove_segment(str(data["SegmentId"]))
-    elif op == OP_RULES:
-        snapshot = RuleSetSnapshot.from_json(data)
-        service.rules.register(snapshot.contributor)
-        if (
-            not rules_trusted
-            or snapshot.version >= service.rules.version_of(snapshot.contributor)
-        ):
-            service.rules.restore(snapshot.contributor, snapshot.rules, snapshot.version)
-        clean_rules.add(snapshot.contributor)
-    elif op == OP_PLACES:
-        contributor = str(data["Contributor"])
-        service.places[contributor] = {
-            place.label: place
-            for place in (LabeledPlace.from_json(p) for p in data.get("Places", []))
-        }
-        clean_places.add(contributor)
-    elif op == OP_ROLE:
-        service.roles[str(data["Principal"])] = str(data["Role"])
-    elif op == OP_AUDIT:
-        service.audit.restore([AuditRecord.from_json(data)])
-    else:
-        raise StorageError(f"unknown WAL op {op!r} (written by a newer version?)")

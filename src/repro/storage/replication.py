@@ -14,16 +14,16 @@ stores over the ordinary :mod:`repro.net` transport:
   is verified with the same rigor the on-disk scanner applies — header
   CRC, payload CRC, chain binding to the previous frame, strict LSN
   continuity (a stream with no applied history must start at lsn 1) —
-  and only then replayed through the *existing* recovery path
-  (:func:`repro.storage.recovery._apply`), so replication cannot
-  apply anything a crash recovery would have refused.
+  and only then installed by :func:`repro.storage.records.apply`, the
+  installer crash recovery uses, so replication cannot apply anything a
+  crash recovery would have refused.
 
 Checkpoints truncate the WAL, so once a primary has checkpointed its
 frames no longer reach back to lsn 1.  A resync then leads with a
-**snapshot bootstrap** (:func:`bootstrap_records`): the primary's full
-durable state as WAL-shaped ``(op, data)`` records, applied through the
-same recovery path, after which the applier resumes frame continuity at
-``BaseLsn + 1``.  A resync that names a base but carries no bootstrap is
+**snapshot bootstrap** (:func:`repro.storage.records.dump`): the
+primary's full durable state as WAL-shaped ``(op, data)`` records,
+installed the same way, after which the applier resumes frame continuity
+at ``BaseLsn + 1``.  A resync that names a base but carries no bootstrap is
 rejected — a joiner must never be marked caught-up with a silent hole in
 its history.
 
@@ -60,16 +60,13 @@ from repro.exceptions import (
     StorageError,
     TransportError,
 )
+from repro.storage.records import apply, dump
 from repro.storage.wal import HEADER_SIZE, MAX_FRAME_BYTES, _HEADER, decode_frame
 from repro.util import jsonutil
 
 MODE_ASYNC = "async"
 MODE_SEMI_SYNC = "semi-sync"
 _MODES = (MODE_ASYNC, MODE_SEMI_SYNC)
-
-#: WAL ops that carry rule semantics or the audit trail; a replica
-#: re-journals these with ``force_sync`` exactly like the primary did.
-_CONTROL_OPS = ("rules", "places", "role", "audit")
 
 #: Consecutive failed ships before a replica is declared *lagging*: it
 #: stops pinning the primary's in-memory frame buffer and is converged by
@@ -106,57 +103,6 @@ def read_wal_frames(path: str) -> list:
         chain_prev = chain
         offset = end
     return frames
-
-
-def bootstrap_records(service) -> list:
-    """A primary's full durable state as ``(op, data)`` WAL-shaped records.
-
-    A replica that attaches — or returns — after the primary has
-    checkpointed cannot be converged from WAL frames alone: the checkpoint
-    truncated every earlier generation.  This dump carries everything the
-    checkpoint covers, shaped exactly like WAL payloads, so the replica
-    installs it through the same recovery apply path it uses for shipped
-    frames.  Every op is idempotent or last-wins (rule snapshots carry a
-    version and replay monotonically; audit restore dedupes per seq), so
-    replaying the current generation's frames *over* the bootstrap
-    converges on the primary's live state.
-
-    Integrity rides the authenticated transport: these records come from
-    live state, not disk, so the frame CRC machinery has nothing on disk
-    to vouch for — the same trust as any other broker- or primary-keyed
-    API call.
-    """
-    from repro.storage.recovery import (
-        OP_AUDIT,
-        OP_PLACES,
-        OP_ROLE,
-        OP_RULES,
-        OP_SEGMENT,
-    )
-
-    records = []
-    for principal, role in sorted(service.roles.items()):
-        records.append((OP_ROLE, {"Principal": principal, "Role": role}))
-    store = service.store
-    for contributor in store.contributors():
-        for segment in store.segments_of(contributor):
-            records.append((OP_SEGMENT, segment.to_json()))
-    for contributor in service.rules.contributors():
-        records.append((OP_RULES, service.rules.snapshot(contributor).to_json()))
-    for contributor, places in sorted(service.places.items()):
-        records.append(
-            (
-                OP_PLACES,
-                {
-                    "Contributor": contributor,
-                    "Places": [p.to_json() for p in places.values()],
-                },
-            )
-        )
-    for contributor in service.audit.contributors():
-        for record in service.audit.trail_of(contributor):
-            records.append((OP_AUDIT, record.to_json()))
-    return records
 
 
 @dataclass
@@ -353,7 +299,10 @@ class WalShipper:
             # applier resets continuity), plus a snapshot bootstrap when
             # the generation itself starts above lsn 1 — without it a
             # post-checkpoint joiner would silently lack all checkpointed
-            # state while staying promotion-eligible.
+            # state while staying promotion-eligible.  The bootstrap is
+            # everything the checkpoint covers; every op is idempotent or
+            # last-wins, so replaying the generation's frames *over* it
+            # converges on the live state.
             self._cover_generation()
             pending = list(self._buffer)
         else:
@@ -373,7 +322,7 @@ class WalShipper:
             if self._base_lsn:
                 body["Bootstrap"] = [
                     {"Op": op, "Data": data}
-                    for op, data in bootstrap_records(self.service)
+                    for op, data in dump(self.service)
                 ]
         try:
             reply = link.client.post(f"https://{link.host}/api/replicate/append", body)
@@ -512,9 +461,9 @@ class WalShipper:
 class ReplicaApplier:
     """Verifies and applies shipped WAL frames on a replica store.
 
-    Frames are replayed through :func:`repro.storage.recovery._apply` —
-    the same code path crash recovery trusts — and, when the replica is
-    itself durable, re-journaled into its own WAL so a replica crash
+    Frames install through :func:`repro.storage.records.apply` — the
+    code path crash recovery trusts — which, when the replica is itself
+    durable, re-journals them into its own WAL so a replica crash
     recovers to the replicated state.
     """
 
@@ -605,8 +554,11 @@ class ReplicaApplier:
                         ),
                     }
                 for record in bootstrap:
-                    self._apply_op(
-                        str(record.get("Op", "")), record.get("Data", {})
+                    apply(
+                        service,
+                        str(record.get("Op", "")),
+                        record.get("Data", {}),
+                        journal=True,
                     )
                     self.bootstrap_applied += 1
                 self.applied_lsn = base
@@ -619,18 +571,6 @@ class ReplicaApplier:
                     "Rejected": f"continuity break at lsn {entry.get('Lsn')}",
                 }
         return {"AppliedLsn": self.applied_lsn}
-
-    def _apply_op(self, op: str, data: dict) -> None:
-        """Apply one op through the recovery path and re-journal it."""
-        from repro.storage.recovery import OP_PLACES, _apply
-
-        service = self.service
-        _apply(service, op, data, set(), set())
-        if service.durability is not None and service.durability.wal is not None:
-            service.durability.wal.append(op, data, force_sync=op in _CONTROL_OPS)
-        if op == OP_PLACES:
-            # Places feed rule semantics but move no cache-key component.
-            service.invalidate_decisions("replication")
 
     def _apply_frame(self, entry: dict) -> bool:
         """Verify + apply one frame; False on a continuity rejection."""
@@ -661,7 +601,7 @@ class ReplicaApplier:
                 f"shipped frame lsn mismatch: envelope {lsn}, frame {frame_lsn}"
             )
         obj = jsonutil.loads(payload.decode("utf-8"))
-        self._apply_op(str(obj["Op"]), obj.get("Data", {}))
+        apply(self.service, str(obj["Op"]), obj.get("Data", {}), journal=True)
         self.applied_lsn = lsn
         self.chain = chain
         self.frames_applied += 1

@@ -13,7 +13,11 @@ storage-side contracts:
   ``released_piece`` equals the slice → project → re-anchor → drop
   location chain it replaces;
 * rule JSON round-trips — parser(serializer(rule)) preserves identity for
-  arbitrary generated rules.
+  arbitrary generated rules;
+* the store's log — ``dump`` ∘ ``install`` is the identity on a store's
+  durable state, installing a dump twice changes nothing, and a dump
+  restricted to a contributor set is exactly the slice of the full dump
+  that ``record_concerns`` assigns to it.
 """
 
 from dataclasses import replace
@@ -22,11 +26,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
+from repro.net.transport import Network
+from repro.server.datastore_service import DataStoreService
+from repro.storage.migration import record_concerns
+from repro.storage.records import apply, dump
+from repro.util import jsonutil
 from repro.datastore.wavesegment import segment_from_packet
 from repro.rules.model import ALLOW, DENY, Rule, abstraction
 from repro.rules.parser import rule_from_json, rule_to_json
 from repro.sensors.packets import packetize
-from repro.util.geo import LatLon
+from repro.util.geo import BoundingBox, LabeledPlace, LatLon
 from repro.util.timeutil import Interval, RepeatedTime, TimeCondition
 
 from tests.conftest import MONDAY, make_segment
@@ -210,3 +219,78 @@ def test_rule_json_roundtrip_preserves_identity(rule):
     assert again.action == rule.action
     assert again.time == rule.time
     assert again.note == rule.note
+
+
+# ----------------------------------------------------------------------
+# The store's log: dump and install
+# ----------------------------------------------------------------------
+
+_NAMES = ("alice", "ben", "cy")
+
+_holdings = st.fixed_dictionaries(
+    {
+        "rules": st.integers(min_value=0, max_value=3),
+        "places": st.integers(min_value=0, max_value=2),
+        "segments": st.integers(min_value=0, max_value=3),
+        "accesses": st.integers(min_value=0, max_value=3),
+    }
+)
+
+
+def _build_store(holdings):
+    """A store holding, per contributor, the generated amount of each kind."""
+    service = DataStoreService("st", Network())
+    service.register_consumer("bob")
+    for name, held in sorted(holdings.items()):
+        service.register_contributor(name)
+        for i in range(held["rules"]):
+            action = DENY if i % 2 else ALLOW
+            service.rules.add(name, Rule(consumers=("bob",), action=action, rule_id=f"{name}-{i}"))
+        if held["places"]:
+            service.set_places(
+                name,
+                {
+                    f"p{i}": LabeledPlace(f"p{i}", BoundingBox(i, i, i + 1, i + 1))
+                    for i in range(held["places"])
+                },
+            )
+        for i in range(held["segments"]):
+            service.store.add_segment(
+                make_segment(contributor=name, start_ms=MONDAY + i * 3_600_000)
+            )
+        for i in range(held["accesses"]):
+            service.audit.record_access(
+                principal="bob", contributor=name, query={"N": i}, raw_access=False,
+                segments_scanned=i,
+            )
+    service.store.flush()
+    return service
+
+
+def _canonical(records):
+    return sorted(jsonutil.canonical_dumps([op, data]) for op, data in records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_NAMES), _holdings, max_size=3),
+    st.sets(st.sampled_from(_NAMES + ("nobody",))),
+)
+def test_dump_then_install_is_the_identity(holdings, moving):
+    source = _build_store(holdings)
+    dumped = dump(source)
+
+    copy = DataStoreService("st", Network())
+    for op, data in dumped:
+        apply(copy, op, data, journal=False)
+    assert _canonical(dump(copy)) == _canonical(dumped)
+
+    # Every op is idempotent or last-wins: a second install is a no-op.
+    for op, data in dumped:
+        apply(copy, op, data, journal=False)
+    assert _canonical(dump(copy)) == _canonical(dumped)
+
+    # A contributor range is a filter over the one walk, not a second walk.
+    assert dump(source, moving) == [
+        (op, data) for op, data in dumped if record_concerns(op, data, moving)
+    ]

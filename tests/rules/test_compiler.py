@@ -21,9 +21,8 @@ Two layers of coverage for :mod:`repro.rules.compiler`:
   segments the release guard observed — it must never serve from a stale
   artifact.  This mirrors the release-cache epoch argument: the artifact
   key folds in the store-wide ``rules_version``, which moves on every
-  mutation and every restore, and everything the epoch cannot see
-  (places, promotion, recovery's fail-closed rewrite) invalidates
-  wholesale.
+  mutation, every restore and every places assignment, and in the
+  fail-closed flag; recovery alone also drops the cache wholesale.
 """
 
 import random
@@ -567,14 +566,21 @@ def test_recovery_invalidates_compiled_artifacts(tmp_path):
     _assert_served_fresh(restarted, key2, trial, query)
 
 
-def test_promotion_invalidates_compiled_artifacts():
+def test_promotion_fence_recompiles_to_default_deny():
+    """Promotion drops nothing wholesale: a contributor the fence denies
+    moves the epoch and the fail-closed flag, so the next lookup compiles
+    a fresh default-deny artifact; everyone else's artifact stays a hit."""
     trial = TrialGenerator(6024).trial(0)
     service = DataStoreService(HOST, Network(), seed=0)
     key = _load(service, trial)
     _query(service, key, trial, DataQuery())
     assert len(service.compiled_rules) >= 1
-    service.promote(service.epoch + 1)
-    assert len(service.compiled_rules) == 0
+    metrics = service.network.obs.metrics
+    ahead = service.rules.version_of(trial.contributor) + 1
+    promoted = service.promote(service.epoch + 1, {trial.contributor: ahead})
+    assert promoted["FailClosed"] == [trial.contributor]
+    assert service._engine_for(trial.contributor).compiled.compiled == ()
+    assert metrics.counter_value("compiled_cache_invalidations_total", store=HOST) == 0
 
 
 def test_fail_closed_contributor_compiles_to_default_deny():

@@ -1,4 +1,10 @@
-"""Tests for full service-state persistence across restarts."""
+"""Tests for full service-state persistence across restarts.
+
+The snapshot writer is :func:`repro.storage.durability.write_snapshot`;
+the loader is :func:`repro.storage.recovery.recover_service` (damage to a
+snapshot — quarantine and fail-closed rather than a raise — is covered by
+``tests/storage/test_recovery.py``).
+"""
 
 import pytest
 
@@ -7,7 +13,8 @@ from repro.exceptions import StorageError
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule, abstraction
 from repro.server.datastore_service import DataStoreService
-from repro.server.persistence import load_service_state, save_service_state
+from repro.storage.durability import write_snapshot
+from repro.storage.recovery import recover_service
 from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LabeledPlace
 
@@ -41,14 +48,16 @@ def saved(tmp_path):
         "https://store/api/query",
         {"Contributor": "alice", "Query": {}, "ApiKey": bob_key},
     )
-    save_service_state(service)
+    write_snapshot(service)
     return tmp_path
 
 
 class TestRoundtrip:
     def test_everything_survives_restart(self, saved):
         network2, service2, _ = build_service(saved, register=False)
-        counts = load_service_state(service2)
+        report = recover_service(service2)
+        assert report.clean
+        counts = report.loaded
         assert counts["segments"] > 0
         assert counts["rules"] == 2
         assert counts["places"] == 1
@@ -77,7 +86,7 @@ class TestRoundtrip:
 
     def test_data_queryable_after_reload(self, saved):
         _, service2, _ = build_service(saved, register=False)
-        load_service_state(service2)
+        recover_service(service2)
         result = service2.store.query("alice", DataQuery(channels=("ECG",)))
         assert result.n_samples == 32
 
@@ -85,35 +94,35 @@ class TestRoundtrip:
         """Key material is never written to disk: after a restart the old
         keys are invalid until principals re-register."""
         network2, service2, _ = build_service(saved, register=False)
-        load_service_state(service2)
+        recover_service(service2)
         assert service2.keys.key_of("alice") is None
 
     def test_reload_does_not_refire_broker_sync(self, saved):
         _, service2, _ = build_service(saved, register=False)
         pushes = []
         service2.pair_broker(push=pushes.append)
-        load_service_state(service2)
+        recover_service(service2)
         assert pushes == []  # restore() bypasses change listeners
 
     def test_save_requires_directory(self):
         network = Network()
         service = DataStoreService("memonly", network)
         with pytest.raises(StorageError):
-            save_service_state(service)
+            write_snapshot(service)
         with pytest.raises(StorageError):
-            load_service_state(service)
+            recover_service(service)
 
     def test_load_from_empty_directory_is_fresh(self, tmp_path):
         _, service, _ = build_service(tmp_path, register=False)
-        counts = load_service_state(service)
+        counts = recover_service(service).loaded
         assert counts == {"segments": 0, "rules": 0, "places": 0, "roles": 0, "audit": 0}
 
 
 class TestRestoreInvalidatesDecisions:
     def test_restored_places_reach_the_next_release(self, tmp_path):
-        """Places move no epoch: a snapshot that changes them without a
-        single rule line must still drop the compiled artifact holding the
-        old regions, not only the cached decisions."""
+        """A snapshot that changes places without a single rule line must
+        still retire the compiled artifact holding the old regions, not
+        only the cached decisions."""
         from tests.conftest import UCLA
 
         network, service, _ = build_service(tmp_path)
@@ -135,38 +144,36 @@ class TestRestoreInvalidatesDecisions:
 
         assert released()  # captured on campus, and campus is shared
 
-        save_service_state(service)
+        write_snapshot(service)
         elsewhere = LabeledPlace("campus", BoundingBox(0, 0, 1, 1))
         (tmp_path / "store.places.jsonl").write_text(
             jsonutil.dumps({"Contributor": "alice", "Places": [elsewhere.to_json()]}) + "\n"
         )
         (tmp_path / "store.rules.jsonl").write_text("")
-        version = service.rules.rules_version
-        load_service_state(service)
-        assert service.rules.rules_version == version  # nothing moved the epoch
+        recover_service(service)
         assert released() == []  # "campus" is somewhere else now
 
 
 class TestAtomicSnapshots:
     """Snapshot rewrites are atomic (durability PR): a crash mid-save
-    leaves the previous complete file, and the strict loader refuses —
-    rather than silently skips — a malformed line."""
+    leaves the previous complete file."""
 
     def test_crash_before_rename_preserves_previous_snapshot(self, saved):
         from repro.exceptions import SimulatedCrashError
         from repro.storage import StorageFaultPlan
 
         _, service, _ = build_service(saved, register=False)
-        load_service_state(service)
+        recover_service(service)
         service.rules.add("alice", Rule(consumers=("eve",), action=ALLOW))
         plan = StorageFaultPlan(seed=0)
         plan.add_crash("snapshot.pre_rename")
         with pytest.raises(SimulatedCrashError):
-            save_service_state(service, faults=plan)
+            write_snapshot(service, faults=plan)
 
         _, fresh, _ = build_service(saved, register=False)
-        counts = load_service_state(fresh)
-        assert counts["rules"] == 2  # the pre-crash save, complete
+        report = recover_service(fresh)
+        assert report.clean
+        assert report.loaded["rules"] == 2  # the pre-crash save, complete
         assert fresh.rules.version_of("alice") == 2
 
     def test_torn_rewrite_never_tears_the_live_file(self, saved):
@@ -174,29 +181,32 @@ class TestAtomicSnapshots:
         from repro.storage import StorageFaultPlan
 
         _, service, _ = build_service(saved, register=False)
-        load_service_state(service)
+        recover_service(service)
         plan = StorageFaultPlan(seed=3)
         plan.add_torn_write("snapshot.write")
         with pytest.raises(SimulatedCrashError):
-            save_service_state(service, faults=plan)
+            write_snapshot(service, faults=plan)
         _, fresh, _ = build_service(saved, register=False)
-        assert load_service_state(fresh)["segments"] > 0
+        report = recover_service(fresh)
+        assert report.clean and report.loaded["segments"] > 0
 
-    def test_malformed_rules_line_raises_not_skips(self, saved):
-        from repro.exceptions import CorruptRecordError
-
+    def test_malformed_rules_line_fails_closed_not_skips(self, saved):
+        """A rule line that cannot be read may have been a Deny: the
+        loader quarantines it and denies the contributor by default."""
         with open(saved / "store.rules.jsonl", "a", encoding="utf-8") as fh:
             fh.write("{broken\n")
         _, service, _ = build_service(saved, register=False)
-        with pytest.raises(CorruptRecordError) as exc:
-            load_service_state(service)
-        assert "rules" in str(exc.value)
+        report = recover_service(service)
+        assert report.quarantined_records == 1
+        assert report.fail_closed == ["alice"] and service.fail_closed == {"alice"}
+        assert service.rules.rules_of("alice") == ()
+        assert service.rules.version_of("alice") == 3  # above the snapshot's 2
 
-    def test_malformed_segment_line_raises_not_skips(self, saved):
-        from repro.exceptions import CorruptRecordError
-
+    def test_malformed_segment_line_quarantines_not_skips(self, saved):
         with open(saved / "store.segments.jsonl", "a", encoding="utf-8") as fh:
             fh.write("not json\n")
         _, service, _ = build_service(saved, register=False)
-        with pytest.raises(CorruptRecordError):
-            load_service_state(service)
+        report = recover_service(service)
+        assert report.quarantined_records == 1 and not report.clean
+        assert any("segment record lost" in alert for alert in report.alerts)
+        assert report.loaded["segments"] > 0 and report.fail_closed == []

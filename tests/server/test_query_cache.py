@@ -199,12 +199,16 @@ class TestInvalidation:
         assert canonical(resurrected) == canonical(granted)
         assert cache_counters(service)["hits"] == 1
 
-    def test_places_edit_invalidates_wholesale(self):
+    def test_places_edit_moves_the_epoch(self):
         service, bob_key = make_service()
         query(service, bob_key)
-        assert len(service.release_cache) == 1
+        epoch = service.rules.rules_version
         service.set_places("alice", {})
-        assert len(service.release_cache) == 0
+        assert service.rules.rules_version == epoch + 1
+        # The entry made under the old places is still held, unreachable.
+        query(service, bob_key)
+        assert cache_counters(service)["hits"] == 0
+        assert len(service.release_cache) == 2
 
     def test_fail_closed_flag_is_part_of_the_key(self):
         service, bob_key = make_service()

@@ -6,17 +6,28 @@ serves a consumer from a cache entry recorded back when the rules still
 allowed the release.  These tests pin down the two defenses: recovery
 wholesale-invalidates the cache, and the fail-closed flag is part of
 every cache key, so even a re-populated entry denies.
+
+Recovery's drop is the *only* wholesale one.  Every other event that
+changes an input of a release decision moves a cache-key component
+instead (``TestKeyMovesInstead``): the next release and the
+next compiled artifact reflect the new state, and neither invalidation
+counter moves.
 """
+
+import pytest
 
 from repro.datastore.query import DataQuery
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rule_to_json
 from repro.server.datastore_service import DataStoreService
-from repro.storage import StorageFaultPlan, wal_path
+from repro.storage import StorageFaultPlan, records, wal_path
+from repro.storage.migration import install_records
+from repro.util.geo import BoundingBox, LabeledPlace
 from repro.util import jsonutil
 
-from tests.conftest import make_segment
+from tests.conftest import UCLA, make_segment
+from tests.storage.test_records import one_frame_batch
 
 HOST = "st"
 
@@ -124,3 +135,93 @@ class TestRecoveryInvalidation:
         recover_service(service)
         assert len(service.release_cache) == 0
         assert m.counter_value("cache_invalidations_total", store=HOST) == before + 1
+
+
+CAMPUS = LabeledPlace(
+    "campus",
+    BoundingBox(UCLA.lat - 0.01, UCLA.lon - 0.01, UCLA.lat + 0.01, UCLA.lon + 0.01),
+)
+ELSEWHERE = LabeledPlace("campus", BoundingBox(0, 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "cache_capacity", [1024, 0], ids=["cached", "uncached"]
+)
+class TestKeyMovesInstead:
+    """Four events that used to drop both caches wholesale.  With the
+    release cache off (capacity 0) only the compiled-artifact cache stands
+    between the event and the next release, so each case proves both."""
+
+    def sharing_campus(self, tmp_path, cache_capacity):
+        """alice shares with bob on campus, where her one segment was
+        captured; bob has asked once, so both caches are warm."""
+        service = durable_service(tmp_path, cache_capacity=cache_capacity)
+        service.register_contributor("alice")
+        service.register_consumer("bob")
+        service.set_places("alice", {"campus": CAMPUS})
+        service.rules.add(
+            "alice", Rule(consumers=("bob",), location_labels=("campus",), action=ALLOW)
+        )
+        service.store.add_segment(make_segment(channels=("AccelX",), n=8))
+        service.store.flush()
+        assert query_as_bob(service)["Released"]
+        assert len(service.compiled_rules) == 1
+        return service
+
+    def drops(self, service):
+        m = service.network.obs.metrics
+        return (
+            m.counter_value("cache_invalidations_total", store=HOST),
+            m.counter_value("compiled_cache_invalidations_total", store=HOST),
+        )
+
+    def test_live_places_edit(self, tmp_path, cache_capacity):
+        service = self.sharing_campus(tmp_path, cache_capacity)
+        before = self.drops(service)
+        service.set_places("alice", {"campus": ELSEWHERE})
+        assert query_as_bob(service)["Released"] == []  # campus is somewhere else now
+        service.set_places("alice", {"campus": CAMPUS})
+        assert query_as_bob(service)["Released"]
+        assert self.drops(service) == before
+
+    def test_replica_places_frame(self, tmp_path, cache_capacity):
+        """A places record applied while a replica, then a promotion."""
+        service = self.sharing_campus(tmp_path, cache_capacity)
+        before = self.drops(service)
+        service.demote()
+        moved = records.places_record("alice", {"campus": ELSEWHERE})
+        service.applier.apply_batch(
+            one_frame_batch(tmp_path, records.OP_PLACES, moved, service.epoch)
+        )
+        service.promote(service.epoch + 1, {"alice": service.rules.version_of("alice")})
+        assert service.fail_closed == set()
+        assert query_as_bob(service)["Released"] == []
+        assert self.drops(service) == before
+
+    def test_migrated_places(self, tmp_path, cache_capacity):
+        """A places record installed by ``/api/migrate/install``'s path."""
+        service = self.sharing_campus(tmp_path, cache_capacity)
+        before = self.drops(service)
+        install_records(
+            service,
+            [[records.OP_PLACES, records.places_record("alice", {"campus": ELSEWHERE})]],
+        )
+        assert query_as_bob(service)["Released"] == []
+        assert self.drops(service) == before
+
+    def test_cutover_fence(self, tmp_path, cache_capacity):
+        service = self.sharing_campus(tmp_path, cache_capacity)
+        before = self.drops(service)
+        broker_key = service.pair_broker()
+        reply = service.network.request(
+            "POST",
+            f"https://{HOST}/api/migrate/complete",
+            {
+                "RuleVersions": {"alice": service.rules.version_of("alice") + 1},
+                "ApiKey": broker_key,
+            },
+        ).body
+        assert reply["FailClosed"] == ["alice"]
+        assert query_as_bob(service)["Released"] == []
+        assert service._engine_for("alice").compiled.compiled == ()  # default deny
+        assert self.drops(service) == before

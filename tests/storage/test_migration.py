@@ -4,11 +4,8 @@ import pytest
 
 from repro.core import SensorSafeSystem
 from repro.rules.model import ALLOW, Rule
-from repro.storage.migration import (
-    install_records,
-    migration_records,
-    wal_records_since,
-)
+from repro.storage.migration import install_records, wal_records_since
+from repro.storage.records import dump
 from tests.conftest import make_segment
 
 
@@ -31,7 +28,7 @@ def shard_system(tmp_path):
 class TestMigrationRecords:
     def test_snapshot_is_filtered_to_the_moving_range(self, shard_system):
         _, shards = shard_system
-        records = migration_records(shards[0], ["alice"])
+        records = dump(shards[0], ["alice"])
         ops = [op for op, _ in records]
         assert "role" in ops and "segment" in ops and "rules" in ops
         for op, data in records:
@@ -83,7 +80,7 @@ class TestInstallRecords:
     def test_roundtrip_installs_state_on_the_destination(self, shard_system):
         _, shards = shard_system
         source, dest = shards
-        records = migration_records(source, ["alice"])
+        records = dump(source, ["alice"])
         result = install_records(dest, records)
         assert result["Installed"] == len(records)
         assert result["RuleVersions"]["alice"] == source.rules.version_of("alice")
@@ -98,7 +95,7 @@ class TestInstallRecords:
     def test_install_is_idempotent(self, shard_system):
         _, shards = shard_system
         source, dest = shards
-        records = migration_records(source, ["alice"])
+        records = dump(source, ["alice"])
         install_records(dest, records)
         before = len(dest.store.segments_of("alice"))
         version = dest.rules.version_of("alice")
@@ -113,7 +110,7 @@ class TestInstallRecords:
         # rule state is then unverifiable against the broker mirror.
         records = [
             (op, data)
-            for op, data in migration_records(source, ["alice"])
+            for op, data in dump(source, ["alice"])
             if op != "rules"
         ]
         install_records(dest, records)
@@ -125,3 +122,36 @@ class TestInstallRecords:
         # Default deny at a version above the mirror: the deny wins sync.
         assert dest.rules.version_of("alice") > source.rules.version_of("alice")
         assert dest.rules.rules_of("alice") == ()
+
+    def test_retried_install_keeps_the_cutover_fence(self, shard_system):
+        """The documented idempotent retry, after the fence: the source's
+        snapshot is older than the deny, so it is skipped — and a skipped
+        record must leave every view of the deny standing."""
+        _, shards = shard_system
+        source, dest = shards
+        version = source.rules.version_of("alice")
+        records = dump(source, ["alice"])
+        install_records(dest, [r for r in records if r[0] != "rules"])
+        assert dest._fence_rule_versions({"alice": version}) == ["alice"]
+
+        install_records(dest, records)
+
+        assert dest.rules.rules_of("alice") == ()
+        assert dest.rules.version_of("alice") == version + 1
+        assert "alice" in dest.fail_closed
+        probe = dest.keys.issue("probe")
+        health = dest.network.request(
+            "POST", f"https://{dest.host}/api/health", {"ApiKey": probe}
+        ).body
+        assert health["FailClosed"] == ["alice"]
+        open_denies = dest.network.obs.slo.report()["OpenFailClosed"]
+        assert [(d["Store"], d["Contributor"]) for d in open_denies] == [
+            (dest.host, "alice")
+        ]
+        # The owner's current rules — a version that wins — do lift it.
+        source.rules.add("alice", Rule(consumers=("carol",), action=ALLOW))
+        source.rules.add("alice", Rule(consumers=("dave",), action=ALLOW))
+        install_records(dest, dump(source, ["alice"]))
+        assert "alice" not in dest.fail_closed
+        assert len(dest.rules.rules_of("alice")) == 3
+        assert dest.network.obs.slo.report()["OpenFailClosed"] == []

@@ -1,0 +1,74 @@
+"""What commit 7718e51 wrote, the current code must still read.
+
+The one-installer refactor changed no file format and no wire body.  The
+fixtures under ``fixtures/parent_7718e51/`` were produced by the parent
+commit's code (see ``generate.py`` there): a checkpointed-then-journaled
+store directory, the bodies its shipper POSTed to ``/api/replicate/
+append``, and a ``/api/migrate/install`` body.  Each must land, through
+the current code, on the state the parent's own dumper recorded.
+"""
+
+import json
+import shutil
+from pathlib import Path
+
+from repro.net.transport import Network
+from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
+from repro.storage.records import dump, record_owner
+from repro.util import jsonutil
+
+FIXTURE = Path(__file__).parent / "fixtures" / "parent_7718e51"
+
+
+def load(name):
+    return json.loads((FIXTURE / name).read_text(encoding="utf-8"))
+
+
+def canonical(records):
+    return sorted(jsonutil.canonical_dumps([op, data]) for op, data in records)
+
+
+def test_parent_store_directory_recovers_clean_with_the_same_dump(tmp_path):
+    directory = tmp_path / "st"
+    shutil.copytree(FIXTURE / "store", directory)
+    service = DataStoreService("st", Network(), directory=str(directory), durable=True)
+    report = service.recovery_report
+    assert report.clean, report.summary()
+    assert report.manifest_found and report.checkpoint_lsn == 7
+    assert report.wal_records_replayed == 4
+    assert canonical(dump(service)) == load("expected_dump.json")
+
+
+def test_replicate_append_accepts_the_parent_s_bodies(tmp_path):
+    network = Network()
+    replica = DataStoreService(
+        "st-r1", network, directory=str(tmp_path / "st-r1"), durable=True, role=ROLE_REPLICA
+    )
+    key = replica.pair_primary()
+    first, live, bootstrap = load("replicate_append.json")
+    assert "Bootstrap" not in first and "Bootstrap" in bootstrap and not live["Resync"]
+    for body in (first, live, bootstrap):
+        reply = network.request(
+            "POST", "https://st-r1/api/replicate/append", {**body, "ApiKey": key}
+        ).body
+        assert reply == {"AppliedLsn": body["Frames"][-1]["Lsn"]}
+    assert replica.applier.bootstrap_applied == len(bootstrap["Bootstrap"])
+    replicated = [r for r in dump(replica) if r[1].get("Principal") != "__primary__"]
+    assert canonical(replicated) == load("expected_dump.json")
+
+
+def test_migrate_install_accepts_the_parent_s_body(tmp_path):
+    network = Network()
+    dest = DataStoreService("dest", network, directory=str(tmp_path / "dest"), durable=True)
+    key = dest.pair_broker()
+    body = load("migrate_install.json")
+    reply = network.request(
+        "POST", "https://dest/api/migrate/install", {**body, "ApiKey": key}
+    ).body
+    assert reply["Installed"] == len(body["Records"])
+    assert reply["RuleVersions"] == {"alice": 3}
+    # alice's slice of what the parent's own full dump recorded
+    expected = [
+        line for line in load("expected_dump.json") if record_owner(*json.loads(line)) == "alice"
+    ]
+    assert canonical(dump(dest, ["alice"])) == expected

@@ -1,0 +1,335 @@
+"""One record, four log-fed paths, one outcome.
+
+WAL replay, snapshot load, a shipped replica frame and a migration
+install are all callers of :func:`repro.storage.records.apply`.  The
+table below drives the *same* record through each of them onto the same
+pre-state and requires the same resulting state — so "when does a rule
+set win", "when does a fail-closed deny lift" and "what is force-synced"
+have one answer, stated in the ``expect`` column, not one per path.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from tests.conftest import make_segment
+from repro.net.client import HttpClient
+from repro.net.transport import Network
+from repro.rules.model import ALLOW, DENY, Rule
+from repro.rules.rulestore import RuleSetSnapshot
+from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
+from repro.storage import records
+from repro.storage.atomic import atomic_write_jsonl
+from repro.storage.migration import install_records
+from repro.storage.recovery import SNAPSHOT_KINDS, recover_service, snapshot_path, wal_path
+from repro.storage.replication import read_wal_frames
+from repro.storage.wal import WriteAheadLog
+from repro.util.geo import BoundingBox, LabeledPlace
+
+HOST = "st"
+HOME = LabeledPlace("home", BoundingBox(0, 0, 1, 1))
+WORK = LabeledPlace("work", BoundingBox(2, 2, 3, 3))
+MIRROR = 5  # the broker-mirror version the fail-closed pre-state is fenced above
+
+
+def target(tmp_path, name, *, durable=False, role="primary", fail_closed=False):
+    """A store in the table's pre-state: alice at rule version 2."""
+    service = DataStoreService(
+        HOST, Network(), directory=str(tmp_path / name), durable=durable, role=role
+    )
+    service.register_contributor("alice")
+    service.register_consumer("bob")
+    service.rules.add("alice", Rule(consumers=("bob",), action=ALLOW, rule_id="r1"))
+    service.rules.add("alice", Rule(consumers=("bob",), action=DENY, rule_id="r2"))
+    service.set_places("alice", {"home": HOME})
+    service.store.add_segment(make_segment())
+    service.store.flush()
+    service.audit.record_access(
+        principal="bob", contributor="alice", query={}, raw_access=False, segments_scanned=1
+    )
+    if fail_closed:
+        assert service._fence_rule_versions({"alice": MIRROR}) == ["alice"]
+    return service
+
+
+def observe(service):
+    """Everything a record can change, in comparable form."""
+    return {
+        "rules": {
+            name: (service.rules.version_of(name), [r.rule_id for r in service.rules.rules_of(name)])
+            for name in service.rules.contributors()
+        },
+        "places": {name: sorted(places) for name, places in service.places.items()},
+        "roles": dict(service.roles),
+        "fail_closed": sorted(service.fail_closed),
+        "segments": sorted(s.segment_id for s in service.store.segments_of("alice")),
+        "audit": [r.seq for r in service.audit.trail_of("alice")],
+    }
+
+
+# -- the four paths -----------------------------------------------------
+
+
+def via_wal_replay(tmp_path, op, data, **pre):
+    service = target(tmp_path, "replay", **pre)
+    wal = WriteAheadLog(wal_path(str(tmp_path / "replay"), HOST))
+    wal.append(op, data)
+    wal.close()
+    report = recover_service(service)
+    assert report.wal_records_replayed == 1 and report.clean
+    return service, None
+
+
+def via_snapshot_load(tmp_path, op, data, **pre):
+    kind = {kind_op: kind for kind, kind_op in SNAPSHOT_KINDS}.get(op)
+    if kind is None:
+        pytest.skip("the segment store loads its own snapshot table")
+    service = target(tmp_path, "snapshot", **pre)
+    atomic_write_jsonl(snapshot_path(str(tmp_path / "snapshot"), HOST, kind), [data])
+    assert recover_service(service).clean
+    return service, None
+
+
+def journaled(service):
+    """Record ``(op, force_sync)`` of every append to the service's WAL."""
+    wal, seen = service.durability.wal, []
+    append = wal.append
+
+    def spy(op, data, *, force_sync=False):
+        seen.append((op, force_sync))
+        return append(op, data, force_sync=force_sync)
+
+    wal.append = spy
+    return seen
+
+
+def one_frame_batch(tmp_path, op, data, epoch):
+    """The ``/api/replicate/append`` body a primary would ship for one record."""
+    scratch = WriteAheadLog(str(tmp_path / "primary.wal"))
+    scratch.append(op, data)
+    scratch.close()
+    ((lsn, frame, chain_prev),) = read_wal_frames(scratch.path)
+    return {
+        "Primary": "primary",
+        "Epoch": epoch,
+        "Resync": True,
+        "Frames": [{"Lsn": lsn, "ChainPrev": chain_prev, "Frame": frame.hex()}],
+    }
+
+
+def via_replica_frame(tmp_path, op, data, **pre):
+    service = target(tmp_path, "replica", durable=True, role=ROLE_REPLICA, **pre)
+    seen = journaled(service)
+    reply = service.applier.apply_batch(one_frame_batch(tmp_path, op, data, service.epoch))
+    assert reply == {"AppliedLsn": 1}
+    return service, seen
+
+
+def via_migration_install(tmp_path, op, data, **pre):
+    service = target(tmp_path, "dest", durable=True, **pre)
+    seen = journaled(service)
+    assert install_records(service, [[op, data]])["Installed"] == 1
+    return service, seen
+
+
+PATHS = [via_wal_replay, via_snapshot_load, via_replica_frame, via_migration_install]
+
+
+# -- the table ------------------------------------------------------------
+
+
+def rules_at(version):
+    rule = Rule(consumers=("carol",), action=ALLOW, rule_id="r9")
+    return RuleSetSnapshot("alice", version, (rule,)).to_json()
+
+
+def reference(tmp_path):
+    """A pre-state store to read generated ids and records off."""
+    return target(tmp_path, "reference")
+
+
+def new_segment(tmp_path):
+    return make_segment(start_ms=1_300_000_000_000).to_json()
+
+
+def held_segment_id(tmp_path):
+    (segment,) = reference(tmp_path).store.segments_of("alice")
+    return {"SegmentId": segment.segment_id}
+
+
+def next_audit_record(tmp_path):
+    record = reference(tmp_path).audit.record_access(
+        principal="bob", contributor="alice", query={}, raw_access=False, segments_scanned=2
+    )
+    return record.to_json()
+
+
+#: (case, op, data or data factory, pre-state, what the record must do)
+TABLE = [
+    # A rule record wins at a newer or an equal version; an older one is
+    # skipped and changes nothing.
+    ("rules-newer", records.OP_RULES, rules_at(3), {},
+     {"rules": {"alice": (3, ["r9"])}}),
+    ("rules-equal", records.OP_RULES, rules_at(2), {},
+     {"rules": {"alice": (2, ["r9"])}}),
+    ("rules-older", records.OP_RULES, rules_at(1), {},
+     {}),
+    # Onto a fail-closed contributor (deny at MIRROR + 1): a skipped record
+    # leaves the deny and the flag; one that wins installs and lifts.
+    ("rules-older-denied",
+     records.OP_RULES, rules_at(MIRROR), {"fail_closed": True},
+     {}),
+    ("rules-newer-denied",
+     records.OP_RULES, rules_at(MIRROR + 1), {"fail_closed": True},
+     {"rules": {"alice": (MIRROR + 1, ["r9"])}, "fail_closed": []}),
+    # Places and roles are assigned complete; segments replace by id and
+    # delete by id; an audit record not yet held is appended.
+    ("places", records.OP_PLACES,
+     records.places_record("alice", {"work": WORK}), {},
+     {"places": {"alice": ["work"]}}),
+    ("role", records.OP_ROLE, {"Principal": "carol", "Role": "consumer"}, {},
+     {"roles": {"alice": "contributor", "bob": "consumer", "carol": "consumer"}}),
+    ("segment", records.OP_SEGMENT, new_segment, {}, None),
+    ("segment-delete", records.OP_SEGMENT_DELETE, held_segment_id, {},
+     {"segments": []}),
+    ("audit", records.OP_AUDIT, next_audit_record, {},
+     {"audit": [1, 2]}),
+]
+
+
+@pytest.mark.parametrize("path", PATHS, ids=lambda p: p.__name__[4:])
+@pytest.mark.parametrize("case", TABLE, ids=lambda c: c[0])
+def test_one_outcome_on_every_path(tmp_path, case, path):
+    _, op, data, pre, expect = case
+    if callable(data):
+        data = data(tmp_path)
+    before = observe(target(tmp_path, "before", **pre))
+    if pre.get("fail_closed"):
+        assert before["rules"]["alice"] == (MIRROR + 1, [])
+        assert before["fail_closed"] == ["alice"]
+
+    service, seen = path(tmp_path, op, data, **pre)
+
+    after = observe(service)
+    if expect is None:  # a new segment: one more id than before, same everything else
+        assert len(after["segments"]) == len(before["segments"]) + 1
+        expect = {"segments": after["segments"]}
+    assert after == {**before, **expect}
+    # journal=True re-journals exactly this record with its op's sync
+    # class; journal=False writes nothing (there is no WAL to write to).
+    if seen is not None:
+        assert seen == [(op, op in records.CONTROL_OPS)]
+
+
+def test_untrusted_snapshot_versions_do_not_win(tmp_path):
+    """``rules_trusted=False`` (recovery with an unverifiable rules
+    snapshot): the older record overwrites, and — installed — lifts."""
+    service = target(tmp_path, "untrusted", fail_closed=True)
+    assert records.apply(service, records.OP_RULES, rules_at(1), journal=False) == 0
+    assert "alice" in service.fail_closed
+    taken = records.apply(
+        service, records.OP_RULES, rules_at(1), journal=False, rules_trusted=False
+    )
+    assert taken == 1
+    assert observe(service)["rules"]["alice"] == (1, ["r9"])
+    assert service.fail_closed == set()
+
+
+def test_places_record_moves_the_rules_epoch(tmp_path):
+    service = target(tmp_path, "epoch")
+    epoch = service.rules.rules_version
+    records.apply(
+        service, records.OP_PLACES, records.places_record("alice", {}), journal=False
+    )
+    assert service.rules.rules_version == epoch + 1
+
+
+def test_unknown_op_is_refused(tmp_path):
+    from repro.exceptions import StorageError
+
+    with pytest.raises(StorageError):
+        records.apply(target(tmp_path, "unknown"), "teleport", {}, journal=False)
+
+
+class TestFailClosedReplica:
+    """A replica recovers fail-closed, takes a complete resync, and is
+    promoted with a broker mirror that matches the primary.  The one lift
+    rule decides what the resync does to the deny, by version alone."""
+
+    def recovered_replica(self, tmp_path, rotten_kind):
+        """Primary + replica in sync on alice's rules at version 1; the
+        replica then checkpoints, one snapshot file rots, and it restarts
+        and takes a complete resync."""
+        network = Network()
+        primary = DataStoreService(
+            "primary", network, directory=str(tmp_path / "primary"), durable=True
+        )
+        shipper = primary.enable_replication("async")
+
+        def start_replica():
+            replica = DataStoreService(
+                "replica", network, directory=str(tmp_path / "replica"), durable=True,
+                role=ROLE_REPLICA,
+            )
+            key = replica.pair_primary()
+            shipper.attach("replica", HttpClient(network, name="primary", api_key=key))
+            return replica
+
+        replica = start_replica()
+        primary.register_contributor("alice")
+        primary.rules.add("alice", Rule(consumers=("bob",), action=ALLOW, rule_id="r1"))
+        shipper.pump()
+        assert replica.rules.version_of("alice") == 1
+
+        replica.checkpoint()
+        replica.durability.close()
+        path = snapshot_path(str(tmp_path / "replica"), "replica", rotten_kind)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{rot\n")
+        network.unregister_host("replica")
+        replica = start_replica()
+        assert replica.recovery_report.fail_closed == ["alice"]
+        assert replica.fail_closed == {"alice"}
+        denied_at = replica.rules.version_of("alice")
+
+        assert shipper.links["replica"].resync
+        shipper.pump()
+        assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+        return network, replica, denied_at
+
+    def test_resync_lifts_a_deny_the_primary_beats(self, tmp_path):
+        """The rules snapshot itself was quarantined, so the version went
+        with it: the deny sits at 1, the primary's record at 1 wins, is
+        installed — the replica's rules are the primary's again — and lifts."""
+        network, replica, denied_at = self.recovered_replica(tmp_path, "rules")
+        assert denied_at == 1
+        assert replica.fail_closed == set()
+        assert [r.rule_id for r in replica.rules.rules_of("alice")] == ["r1"]
+        assert network.obs.slo.report()["OpenFailClosed"] == []
+        assert replica.promote(replica.epoch + 1, {"alice": 1})["FailClosed"] == []
+
+    def test_deny_above_primary_version_stands(self, tmp_path):
+        """The places snapshot rotted instead: rules loaded at version 1,
+        so the deny sits at 2 and the primary's record at 1 is skipped.
+        The deny — flag, health, dwell clock — stands through the resync
+        and a promotion whose mirror matches, until a version that wins."""
+        network, replica, denied_at = self.recovered_replica(tmp_path, "places")
+        assert denied_at == 2
+        assert replica.fail_closed == {"alice"}
+        assert replica.rules.rules_of("alice") == ()
+
+        promoted = replica.promote(replica.epoch + 1, {"alice": 1})
+        assert promoted["FailClosed"] == []  # nobody *newly* fenced
+        assert replica.fail_closed == {"alice"}
+        probe = replica.keys.issue("probe")
+        health = network.request(
+            "POST", "https://replica/api/health", {"ApiKey": probe}
+        ).body
+        assert health["FailClosed"] == ["alice"]
+        open_denies = network.obs.slo.report()["OpenFailClosed"]
+        assert [d["Contributor"] for d in open_denies] == ["alice"]
+
+        # The owner re-publishing on the new primary is a version that wins.
+        replica.rules.add("alice", Rule(consumers=("bob",), action=ALLOW, rule_id="r2"))
+        assert replica.fail_closed == set()
+        assert network.obs.slo.report()["OpenFailClosed"] == []
