@@ -81,6 +81,8 @@ class CentralizedService:
         stored = 0
         for obj in request.body.get("Packets", []):
             stored += len(self.store.add_packet(contributor, SensorPacket.from_json(obj)))
+        if request.body.get("Flush"):
+            return {"Finalized": stored + len(self.store.flush()), "Flushed": True}
         return {"Finalized": stored}
 
     def _h_flush(self, request: Request) -> dict:

@@ -307,6 +307,11 @@ class SmartphoneAgent:
         the next :meth:`upload` or an explicit :meth:`drain_offline` once
         the store recovers.  Non-resilient agents count the failed batch
         as lost and move on.
+
+        The final chunk carries ``"Flush": true`` so the store finalizes,
+        fsyncs and replicates in that same request; the separate
+        ``/api/flush`` is sent only when no reply said ``Flushed`` (the
+        final chunk failed, or the store does not know the field).
         """
         if self._backing_off():
             # The store asked for breathing room; park everything rather
@@ -324,17 +329,16 @@ class SmartphoneAgent:
         delivered = 0
         for offset in range(0, len(pending), batch):
             chunk = pending[offset : offset + batch]
-            if not self._post_chunk(chunk):
+            if not self._post_chunk(chunk, flush=offset + batch >= len(pending)):
                 remainder = pending[offset:]
                 if self.config.resilient:
                     self._buffer(remainder)
                 else:
                     self.stats.packets_lost += len(remainder)
+                    self._flush_pending = True
                 break
             delivered += len(chunk)
         self.stats.packets_recovered += min(delivered, recovering)
-        if delivered or (pending and not self.config.resilient):
-            self._flush_pending = True
         self._try_flush()
 
     #: Backoff applied when an overloaded store supplies no Retry-After hint.
@@ -346,14 +350,16 @@ class SmartphoneAgent:
             return False
         return self.client.network.clock.now_ms() < self._backoff_until_ms
 
-    def _post_chunk(self, chunk: list) -> bool:
+    def _post_chunk(self, chunk: list, *, flush: bool = False) -> bool:
+        body = {
+            "Contributor": self.contributor,
+            "Packets": [p.to_json() for p in chunk],
+        }
+        if flush:
+            body["Flush"] = True
         try:
-            self.client.post(
-                f"https://{self.store_host}/api/upload_packets",
-                {
-                    "Contributor": self.contributor,
-                    "Packets": [p.to_json() for p in chunk],
-                },
+            reply = self.client.post(
+                f"https://{self.store_host}/api/upload_packets", body
             )
         except OverloadedError as exc:
             # A typed shed is an explicit answer: honor its Retry-After
@@ -367,6 +373,8 @@ class SmartphoneAgent:
             return False
         self.stats.upload_requests += 1
         self.stats.packets_delivered += len(chunk)
+        # Delivered data awaits a flush unless this very reply carried one.
+        self._flush_pending = not reply.get("Flushed")
         return True
 
     def _buffer(self, packets: list) -> None:

@@ -33,16 +33,11 @@ class FeatureVector:
         return self.maximum - self.minimum
 
 
-def dominant_frequency(values: np.ndarray, rate_hz: float) -> float:
-    """Dominant non-DC frequency via the real FFT, in Hz.
-
-    Returns 0.0 for windows too short to estimate or with negligible
-    spectral energy (a flat signal has no meaningful dominant frequency).
-    """
-    n = len(values)
+def _peak_frequency(centered: np.ndarray, rate_hz: float) -> float:
+    """Dominant non-DC frequency of an already mean-centred window, in Hz."""
+    n = len(centered)
     if n < 8 or rate_hz <= 0:
         return 0.0
-    centered = values - values.mean()
     spectrum = np.abs(np.fft.rfft(centered))
     if len(spectrum) <= 1:
         return 0.0
@@ -54,19 +49,40 @@ def dominant_frequency(values: np.ndarray, rate_hz: float) -> float:
     return float(freqs[peak])
 
 
+def dominant_frequency(values: np.ndarray, rate_hz: float) -> float:
+    """Dominant non-DC frequency via the real FFT, in Hz.
+
+    Returns 0.0 for windows too short to estimate or with negligible
+    spectral energy (a flat signal has no meaningful dominant frequency).
+    """
+    if len(values) < 8:
+        return 0.0
+    return _peak_frequency(values - values.mean(), rate_hz)
+
+
 def window_features(values: np.ndarray, rate_hz: float) -> FeatureVector:
-    """Compute the standard feature vector for one channel window."""
+    """Compute the standard feature vector for one channel window.
+
+    One pass: the mean is taken once and the window centred once; the
+    centred copy feeds the variance and the FFT.  The arithmetic is what
+    ``arr.mean()`` / ``arr.std()`` / ``np.mean(centered**2)`` do
+    internally, in the same order, so the results are bit-identical to
+    those expressions (pinned in ``tests/context/test_features.py``).
+    """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ValidationError("cannot extract features from an empty window")
-    centered = arr - arr.mean()
+    mean = np.add.reduce(arr) / n
+    centered = arr - mean
+    energy = np.add.reduce(centered * centered) / n
     return FeatureVector(
-        mean=float(arr.mean()),
-        std=float(arr.std()),
+        mean=float(mean),
+        std=float(np.sqrt(energy)),
         minimum=float(arr.min()),
         maximum=float(arr.max()),
-        dominant_freq_hz=dominant_frequency(arr, rate_hz),
-        energy=float(np.mean(centered**2)),
+        dominant_freq_hz=_peak_frequency(centered, rate_hz),
+        energy=float(energy),
     )
 
 

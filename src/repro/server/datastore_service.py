@@ -908,16 +908,27 @@ class DataStoreService:
         for obj in packets:
             packet = SensorPacket.from_json(obj)
             stored += len(self.store.add_packet(contributor, packet))
+        reply = {"Accepted": len(packets), "Finalized": stored}
+        if request.body.get("Flush"):
+            # The phone's last chunk carries its flush: same routine, same
+            # ack (fsynced here, held by ``min_acks`` replicas), one request.
+            reply["Finalized"] += self._flush_store()
+            reply["Flushed"] = True
         self._replication_barrier()
-        return {"Accepted": len(packets), "Finalized": stored}
+        return reply
+
+    def _flush_store(self) -> int:
+        """The client's durability point: finalize open segments, then fsync."""
+        finalized = len(self.store.flush())
+        self._wal_commit()
+        return finalized
 
     def _h_flush(self, request: Request) -> dict:
         self._require_writable()
         contributor = str(request.body.get("Contributor", ""))
         self._require_contributor(request, contributor)
         self._require_resident(contributor)
-        finalized = len(self.store.flush())
-        self._wal_commit()
+        finalized = self._flush_store()
         self._replication_barrier()
         return {"Finalized": finalized}
 

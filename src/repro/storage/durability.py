@@ -195,17 +195,21 @@ class Durability:
     # Journaling
     # ------------------------------------------------------------------
 
-    def journal(self, op: str, data: dict, *, own: bool = True) -> Optional[int]:
+    def journal(
+        self, op: str, data: dict, *, own: bool = True, payload: Optional[bytes] = None
+    ) -> Optional[int]:
         """Append one record with its op's sync class; returns its LSN.
 
         The only WAL append that picks a sync class.  ``own=False`` marks
         a record this store re-journals for another (a shipped frame, a
         migration batch): as durable, but ``wal_appends_total`` counts
-        only the mutations a store itself accepted.
+        only the mutations a store itself accepted.  ``payload`` is the
+        record's verified encoding, when the caller holds it (see
+        :meth:`WriteAheadLog.append`).
         """
         if self.wal is None:  # recovery replay phase, or closed
             return None
-        lsn = self.wal.append(op, data, force_sync=op in CONTROL_OPS)
+        lsn = self.wal.append(op, data, force_sync=op in CONTROL_OPS, payload=payload)
         if own and self._c_appends is not None:
             self._c_appends.inc()
         return lsn

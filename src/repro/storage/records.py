@@ -32,6 +32,8 @@ per-op table.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import StorageError
 from repro.rules.rulestore import RuleSetSnapshot
@@ -111,7 +113,15 @@ def dump(service, contributors=None, *, segments: bool = True) -> list:
     return records
 
 
-def apply(service, op: str, data: dict, *, journal: bool, rules_trusted: bool = True) -> int:
+def apply(
+    service,
+    op: str,
+    data: dict,
+    *,
+    journal: bool,
+    rules_trusted: bool = True,
+    payload: Optional[bytes] = None,
+) -> int:
     """Install one record into a live service; returns the items it installed.
 
     The count is rules, places or audit records actually taken (a rule
@@ -121,6 +131,9 @@ def apply(service, op: str, data: dict, *, journal: bool, rules_trusted: bool = 
     ``journal=True`` re-journals the record into the service's own WAL
     with its op's sync class — a replica or migration destination must
     recover to what it was sent — and is a no-op on a non-durable store.
+    ``payload`` is the record's encoding when the caller verified it byte
+    for byte (a shipped frame): it is journaled verbatim instead of being
+    re-encoded from ``data``.
 
     Rule records install version-monotonically: an older snapshot never
     rewinds a newer one.  ``rules_trusted=False`` means the state already
@@ -168,7 +181,7 @@ def apply(service, op: str, data: dict, *, journal: bool, rules_trusted: bool = 
     else:
         raise StorageError(f"unknown WAL op {op!r} (written by a newer version?)")
     if journal and service.durability is not None:
-        service.durability.journal(op, data, own=False)
+        service.durability.journal(op, data, own=False, payload=payload)
     return count
 
 

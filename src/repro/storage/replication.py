@@ -61,8 +61,13 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.storage.records import apply, dump
-from repro.storage.wal import HEADER_SIZE, MAX_FRAME_BYTES, _HEADER, decode_frame
-from repro.util import jsonutil
+from repro.storage.wal import (
+    HEADER_SIZE,
+    MAX_FRAME_BYTES,
+    _HEADER,
+    decode_frame,
+    decode_payload,
+)
 
 MODE_ASYNC = "async"
 MODE_SEMI_SYNC = "semi-sync"
@@ -600,8 +605,9 @@ class ReplicaApplier:
             raise CorruptRecordError(
                 f"shipped frame lsn mismatch: envelope {lsn}, frame {frame_lsn}"
             )
-        obj = jsonutil.loads(payload.decode("utf-8"))
-        apply(self.service, str(obj["Op"]), obj.get("Data", {}), journal=True)
+        op, data = decode_payload(payload)
+        # The payload is CRC-, chain- and LSN-verified: journal those bytes.
+        apply(self.service, op, data, journal=True, payload=payload)
         self.applied_lsn = lsn
         self.chain = chain
         self.frames_applied += 1

@@ -110,6 +110,19 @@ def decode_frame(frame: bytes, *, chain_prev: Optional[int] = None) -> tuple:
     return lsn, chain, payload
 
 
+def decode_payload(payload: bytes) -> tuple:
+    """Parse one frame payload into ``(op, data)``.
+
+    A payload that is not a JSON object with an ``Op`` is corruption the
+    CRCs could not see; raises :class:`~repro.exceptions.CorruptRecordError`.
+    """
+    try:
+        obj = jsonutil.loads(payload.decode("utf-8"))
+        return str(obj["Op"]), obj.get("Data", {})
+    except (SensorSafeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        raise CorruptRecordError(f"undecodable payload: {exc}") from exc
+
+
 @dataclass
 class WalScan:
     """Result of reading a WAL file back: records plus damage assessment."""
@@ -176,12 +189,10 @@ def scan_wal(path: str) -> WalScan:
             scan.corrupt_reason = f"LSN not monotonic ({lsn} after {last_lsn})"
             break
         try:
-            obj = jsonutil.loads(payload.decode("utf-8"))
-            op = str(obj["Op"])
-            body = obj.get("Data", {})
-        except (SensorSafeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+            op, body = decode_payload(payload)
+        except CorruptRecordError as exc:
             scan.corrupt_offset = offset
-            scan.corrupt_reason = f"undecodable payload: {exc}"
+            scan.corrupt_reason = str(exc)
             break
         scan.records.append((lsn, op, body))
         chain_prev = chain
@@ -297,16 +308,28 @@ class WriteAheadLog:
     # Appending
     # ------------------------------------------------------------------
 
-    def append(self, op: str, data: dict, *, force_sync: bool = False) -> int:
+    def append(
+        self,
+        op: str,
+        data: dict,
+        *,
+        force_sync: bool = False,
+        payload: Optional[bytes] = None,
+    ) -> int:
         """Frame and append one record; returns its LSN.
 
         ``force_sync=True`` makes this append durable before returning
         regardless of the group policy — the control-plane records (rules,
         roles, places, audit) always pass it, so an acknowledged rule
         change is on disk even when bulk segment data rides group commit.
+
+        ``payload`` is the record's encoding when the caller already holds
+        it (a replica re-journaling a shipped frame it verified byte for
+        byte); given none, the record is encoded here.
         """
         started = time.perf_counter()
-        payload = jsonutil.canonical_dumps({"Op": op, "Data": data}).encode("utf-8")
+        if payload is None:
+            payload = jsonutil.canonical_dumps({"Op": op, "Data": data}).encode("utf-8")
         chain_prev = self._chain
         frame, chain = encode_frame(self._next_lsn, chain_prev, payload)
         if self.faults is not None:

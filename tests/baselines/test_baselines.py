@@ -88,6 +88,20 @@ class TestCentralized:
         body = bob.post("https://central/api/query", {"Contributor": "alice", "Query": {}})
         assert len(body["Released"]) == 1
 
+    def test_phone_flush_rides_the_last_chunk_here_too(self, central):
+        """The phone speaks one upload protocol to both architectures."""
+        from repro.collection.phone import PhoneConfig, SmartphoneAgent
+
+        network, service = central
+        alice = self._register(network, "alice", "contributor")
+        packets = packetize("ECG", MONDAY, 250, list(range(64)), packet_samples=16, location=UCLA)
+        phone = SmartphoneAgent("alice", "central", alice, PhoneConfig(upload_batch_packets=3))
+        before = network.metrics_of("central").requests_in
+        phone.upload(packets)
+        # two chunks, the second carrying the flush; no /api/flush request
+        assert network.metrics_of("central").requests_in == before + 2
+        assert service.breach() == {"alice": 64}
+
     def test_breach_exposes_everyone(self, central):
         """Single point of failure: one compromise leaks all owners."""
         network, service = central

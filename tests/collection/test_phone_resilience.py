@@ -4,6 +4,7 @@ import pytest
 
 from repro.collection.phone import PhoneConfig
 from repro.core import SensorSafeSystem
+from repro.exceptions import NetworkUnavailableError
 from repro.net.faults import FaultPlan
 from repro.net.resilience import NO_RETRY, RetryPolicy
 from repro.rules.model import ALLOW, Rule
@@ -90,18 +91,146 @@ class TestOfflineQueue:
         assert phone.offline_backlog == 15
         assert phone.stats.packets_lost == 5
 
-    def test_flush_retried_after_recovery(self):
+
+
+def tap(system, intercept=None):
+    """Log the path of every upload/flush request from here on;
+    ``intercept(path, body)`` may rewrite the body or raise to lose the
+    request before dispatch."""
+    seen, request = [], system.network.request
+
+    def spy(method, url, body=None, **kwargs):
+        path = system.network.parse_url(url)[2]
+        if path in ("/api/upload_packets", "/api/flush"):
+            seen.append(path)
+        if intercept is not None:
+            body = intercept(path, dict(body or {}))
+        return request(method, url, body, **kwargs)
+
+    system.network.request = spy
+    return seen
+
+
+def lose_flushing_chunks(dark):
+    """Intercept: while ``dark[0]``, the chunk carrying the flush is lost."""
+
+    def intercept(path, body):
+        if dark[0] and body.get("Flush"):
+            raise NetworkUnavailableError("final chunk dropped by the test")
+        return body
+
+    return intercept
+
+
+def older_store(path, body):
+    """Intercept: a store that has never heard of the ``Flush`` field."""
+    body.pop("Flush", None)
+    return body
+
+
+class TestFlushRidesTheLastChunk:
+    """The final ``/api/upload_packets`` chunk carries the flush; the
+    separate ``/api/flush`` is the fallback, never a second trip."""
+
+    def test_fault_free_upload_sends_no_flush_request(self):
+        system, alice, phone = make_phone()
+        seen = tap(system)
+        phone.upload(make_packets(25))
+        assert seen == ["/api/upload_packets"] * 3
+        assert not phone._flush_pending
+        assert sum(s.n_samples for s in alice.view_data()) == 100
+
+    def test_one_collect_is_one_request_and_one_ship(self, tmp_path):
+        """The ledger's ``requests_per_op`` pinned in tier-1: a collect of
+        one batch is one client request — plus, on a durable semi-sync
+        store with one replica, exactly one ship."""
+        system = SensorSafeSystem(seed=11)
+        primary = system.create_replicated_store(
+            "clinic", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+        )
+        total = system.obs.metrics.sum_counter
+        for store, requests, ships in ((primary, 2, 1), (None, 1, 0)):
+            alice = system.add_contributor(f"alice-{ships}", store=store)
+            alice.add_rule(Rule(consumers=("bob",), action=ALLOW))
+            phone = alice.phone()
+            before = total("net_requests_total"), total("replication_ships_total")
+            assert len(phone.collect(make_packets(10))) == 10
+            after = total("net_requests_total"), total("replication_ships_total")
+            assert (after[0] - before[0], after[1] - before[1]) == (requests, ships)
+            if store is primary:  # the ack means the replica holds every frame
+                held = system.stores["clinic-r1"].applier.applied_lsn
+                assert held == primary.durability.wal.last_lsn
+            assert sum(s.n_samples for s in alice.view_data()) == 40
+
+    def test_lost_ack_on_the_flushing_chunk_dedupes_and_still_flushes(self):
+        plan = FaultPlan(seed=11)
+        plan.add_response_error("alice-store", path="/api/upload_packets", fail_first=1)
+        system, alice, phone = make_phone(plan)
+        seen = tap(system)
+        phone.upload(make_packets(10))
+        # The handler ran (ingest + flush) and the ack was lost; the
+        # client's retry re-offers ids the store drops and is told Flushed.
+        assert seen == ["/api/upload_packets"] * 2
+        assert phone.stats.packets_delivered == 10 and phone.offline_backlog == 0
+        assert not phone._flush_pending
+        assert system.stores["alice-store"].store.duplicate_uploads == 10
+        assert sum(s.n_samples for s in alice.view_data()) == 40
+        assert phone.drain_offline() == 0 and len(seen) == 2
+
+    def test_dropped_final_chunk_leaves_the_prefix_to_api_flush(self):
+        dark = [True]
+        system, alice, phone = make_phone(retry=NO_RETRY)
+        seen = tap(system, lose_flushing_chunks(dark))
+        phone.upload(make_packets(15))
+        # 10 delivered without a flush of their own, 5 parked: as before
+        # this PR, /api/flush makes the delivered prefix durable and visible.
+        assert seen == ["/api/upload_packets", "/api/upload_packets", "/api/flush"]
+        assert phone.offline_backlog == 5 and not phone._flush_pending
+        assert sum(s.n_samples for s in alice.view_data()) == 40
+        dark[0] = False
+        assert phone.drain_offline() == 0
+        assert seen[3:] == ["/api/upload_packets"]  # redelivered chunk flushed itself
+        assert sum(s.n_samples for s in alice.view_data()) == 60
+
+    def test_store_that_ignores_the_field_gets_api_flush(self):
+        system, alice, phone = make_phone()
+        seen = tap(system, older_store)
+        phone.upload(make_packets(10))
+        assert seen == ["/api/upload_packets", "/api/flush"]
+        assert not phone._flush_pending
+        assert sum(s.n_samples for s in alice.view_data()) == 40
+
+    def test_flush_fallback_retried_after_recovery(self):
         from repro.net.faults import DROP, FaultRule
 
         plan = FaultPlan(seed=11)
-        # Only the flush endpoint is dark for the first 10 simulated seconds.
+        # The store ignores the field, so the phone needs /api/flush — which
+        # is dark for the first 10 simulated seconds.
         plan.add_rule(FaultRule(DROP, "alice-store", "/api/flush", until_ms=10_000))
-        system, alice, phone = make_phone(plan)
+        system, alice, phone = make_phone(plan, retry=NO_RETRY)
+        tap(system, older_store)
         phone.upload(make_packets(10))
-        assert phone.stats.packets_delivered == 10
+        assert phone.stats.packets_delivered == 10 and phone._flush_pending
+        assert alice.view_data() == []
         system.clock.advance(10_000)
         assert phone.drain_offline() == 0
         assert len(alice.view_data()) > 0  # flush finally finalized segments
+
+    def test_non_resilient_agent_unchanged(self):
+        config = PhoneConfig(resilient=False, upload_batch_packets=10)
+        system, alice, phone = make_phone(retry=NO_RETRY, config=config)
+        seen = tap(system)
+        phone.upload(make_packets(10))
+        assert seen == ["/api/upload_packets"] and not phone._flush_pending
+
+        system, alice, phone = make_phone(retry=NO_RETRY, config=config)
+        seen = tap(system, lose_flushing_chunks([True]))
+        phone.upload(make_packets(15))
+        # The lost remainder is lost; the delivered prefix is still flushed.
+        assert seen == ["/api/upload_packets", "/api/upload_packets", "/api/flush"]
+        assert phone.stats.packets_lost == 5 and phone.offline_backlog == 0
+        assert not phone._flush_pending
+        assert sum(s.n_samples for s in alice.view_data()) == 40
 
 
 class TestRetryAfterBackoff:

@@ -53,6 +53,63 @@ class TestDominantFrequency:
         assert dominant_frequency(signal, rate) == pytest.approx(2.0, abs=0.2)
 
 
+def textbook_dominant_frequency(values, rate_hz):
+    """``dominant_frequency`` as it stood before the one-pass rewrite."""
+    n = len(values)
+    if n < 8 or rate_hz <= 0:
+        return 0.0
+    centered = values - values.mean()
+    spectrum = np.abs(np.fft.rfft(centered))
+    spectrum[0] = 0.0
+    peak = int(np.argmax(spectrum))
+    if spectrum[peak] < 1e-9:
+        return 0.0
+    return float(np.fft.rfftfreq(n, d=1.0 / rate_hz)[peak])
+
+
+def textbook_features(values, rate_hz):
+    """The expressions ``window_features`` replaced, one library call each."""
+    arr = np.asarray(values, dtype=np.float64)
+    centered = arr - arr.mean()
+    return FeatureVector(
+        mean=float(arr.mean()),
+        std=float(arr.std()),
+        minimum=float(arr.min()),
+        maximum=float(arr.max()),
+        dominant_freq_hz=textbook_dominant_frequency(arr, rate_hz),
+        energy=float(np.mean(centered**2)),
+    )
+
+
+class TestOnePassIsBitIdentical:
+    """Inferred labels gate uploads, so the single-pass arithmetic must
+    equal the textbook expressions in every bit, not approximately."""
+
+    def windows(self):
+        rng = np.random.default_rng(20111)
+        yield np.array([3.25]), 4.0  # single sample
+        for n in (1, 2, 7, 8, 9, 64):
+            yield np.full(n, 0.1), 4.0  # constant: mean*n != sum in float
+        for i in range(2_000):
+            n = int(rng.integers(1, 80))
+            values = rng.normal(rng.normal(0, 50), abs(rng.normal(0, 10)), n)
+            if i % 3 == 1:
+                values = np.round(values, 2)
+            elif i % 3 == 2:
+                values = values.astype(np.float32)
+            yield values, float(rng.choice([0.0, 1.0, 4.0, 25.0]))
+
+    def test_window_features_match_the_textbook_expressions(self):
+        for values, rate in self.windows():
+            assert window_features(values, rate) == textbook_features(values, rate)
+            assert window_features(list(values), rate) == textbook_features(values, rate)
+
+    def test_dominant_frequency_matches_its_old_body(self):
+        for values, rate in self.windows():
+            arr = np.asarray(values, dtype=np.float64)
+            assert dominant_frequency(arr, rate) == textbook_dominant_frequency(arr, rate)
+
+
 class TestChannelFeatures:
     def test_multi_channel(self):
         out = channel_features(

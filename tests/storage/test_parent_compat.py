@@ -15,6 +15,8 @@ from pathlib import Path
 from repro.net.transport import Network
 from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
 from repro.storage.records import dump, record_owner
+from repro.storage.wal import HEADER_SIZE
+from tests.storage.test_records import wal_payloads
 from repro.util import jsonutil
 
 FIXTURE = Path(__file__).parent / "fixtures" / "parent_7718e51"
@@ -55,6 +57,16 @@ def test_replicate_append_accepts_the_parent_s_bodies(tmp_path):
     assert replica.applier.bootstrap_applied == len(bootstrap["Bootstrap"])
     replicated = [r for r in dump(replica) if r[1].get("Principal") != "__primary__"]
     assert canonical(replicated) == load("expected_dump.json")
+    # The replica's own log holds the parent's payloads byte for byte: the
+    # 11 shipped frames verbatim, with the 8 bootstrap records (dicts,
+    # encoded here) between frames 7 and 8.
+    journaled = wal_payloads(replica)
+    shipped = [
+        bytes.fromhex(entry["Frame"])[HEADER_SIZE:]
+        for body in (first, live, bootstrap)
+        for entry in body["Frames"]
+    ]
+    assert journaled[:7] + journaled[15:] == shipped and len(journaled) == 19
 
 
 def test_migrate_install_accepts_the_parent_s_body(tmp_path):

@@ -10,9 +10,11 @@ have one answer, stated in the ``expect`` column, not one per path.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tests.conftest import make_segment
+from repro.datastore.query import DataQuery
 from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule
@@ -23,7 +25,8 @@ from repro.storage.atomic import atomic_write_jsonl
 from repro.storage.migration import install_records
 from repro.storage.recovery import SNAPSHOT_KINDS, recover_service, snapshot_path, wal_path
 from repro.storage.replication import read_wal_frames
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import HEADER_SIZE, WriteAheadLog, decode_payload, scan_wal
+from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LabeledPlace
 
 HOST = "st"
@@ -95,9 +98,9 @@ def journaled(service):
     wal, seen = service.durability.wal, []
     append = wal.append
 
-    def spy(op, data, *, force_sync=False):
+    def spy(op, data, *, force_sync=False, **kwargs):
         seen.append((op, force_sync))
-        return append(op, data, force_sync=force_sync)
+        return append(op, data, force_sync=force_sync, **kwargs)
 
     wal.append = spy
     return seen
@@ -249,6 +252,90 @@ def test_unknown_op_is_refused(tmp_path):
 
     with pytest.raises(StorageError):
         records.apply(target(tmp_path, "unknown"), "teleport", {}, journal=False)
+
+
+# -- the replica journals the bytes it verified ---------------------------
+
+
+def wal_payloads(service):
+    frames = read_wal_frames(service.durability.wal.path)
+    return [frame[HEADER_SIZE:] for _lsn, frame, _chain_prev in frames]
+
+
+def reencoded(payload):
+    return jsonutil.canonical_dumps(jsonutil.loads(payload.decode("utf-8"))).encode("utf-8")
+
+
+def shipping_pair(tmp_path):
+    """A primary whose log holds every op kind, shipped to a live replica."""
+    network = Network()
+    primary = DataStoreService(
+        "primary", network, directory=str(tmp_path / "primary"), durable=True
+    )
+    shipper = primary.enable_replication("async")
+    replica = DataStoreService(
+        "replica", network, directory=str(tmp_path / "replica"), durable=True,
+        role=ROLE_REPLICA,
+    )
+    shipper.attach(
+        "replica", HttpClient(network, name="primary", api_key=replica.pair_primary())
+    )
+    primary.register_contributor("alice")
+    primary.register_consumer("bob")
+    primary.rules.add("alice", Rule(consumers=("bob",), action=ALLOW, rule_id="r1"))
+    primary.set_places("alice", {"home": HOME, "café": WORK})  # non-ASCII label
+    primary.store.add_segment(make_segment(values=np.linspace(-0.1, 1e-7, 16).reshape(16, 1)))
+    primary.store.flush()
+    assert primary.store.delete("alice", DataQuery()) == 1
+    primary.store.add_segment(make_segment(start_ms=1_300_000_000_000))
+    primary.store.flush()
+    primary.audit.record_access(
+        principal="bob", contributor="alice", query={}, raw_access=False, segments_scanned=1
+    )
+    primary.durability.commit()
+    shipper.pump()
+    assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+    return primary, replica
+
+
+def test_replica_wal_holds_the_primary_s_payload_bytes(tmp_path):
+    primary, replica = shipping_pair(tmp_path)
+    shipped = wal_payloads(primary)
+    assert wal_payloads(replica) == shipped
+    ours = scan_wal(primary.durability.wal.path)
+    theirs = scan_wal(replica.durability.wal.path)
+    assert not (theirs.corrupt or theirs.torn)
+    assert [(op, data) for _, op, data in theirs.records] == [
+        (op, data) for _, op, data in ours.records
+    ]
+    assert {op for _, op, _ in ours.records} == set(records.KNOWN_OPS)
+    assert records.dump(replica, ["alice", "bob"]) == records.dump(primary)
+
+
+def test_every_dumped_record_is_a_fixed_point_of_the_encoder(tmp_path):
+    """Journaling verified bytes verbatim writes what re-encoding the
+    parsed record would have: decode-then-encode is the identity."""
+    primary, _ = shipping_pair(tmp_path)
+    dumped = records.dump(primary)
+    assert {op for op, _ in dumped} == set(records.KNOWN_OPS) - {records.OP_SEGMENT_DELETE}
+    for op, data in dumped:
+        payload = jsonutil.canonical_dumps({"Op": op, "Data": data}).encode("utf-8")
+        assert reencoded(payload) == payload
+        assert decode_payload(payload)[0] == op
+    for payload in wal_payloads(primary):
+        assert reencoded(payload) == payload
+
+
+def test_only_verified_bytes_skip_the_encoder(tmp_path):
+    """Bootstrap and migration records arrive as dicts: they keep encoding,
+    through the same framing path."""
+    service = target(tmp_path, "dest", durable=True)
+    before = wal_payloads(service)
+    data = {"Principal": "carol", "Role": "consumer"}
+    assert install_records(service, [[records.OP_ROLE, data]])["Installed"] == 1
+    assert wal_payloads(service)[len(before):] == [
+        jsonutil.canonical_dumps({"Op": records.OP_ROLE, "Data": data}).encode("utf-8")
+    ]
 
 
 class TestFailClosedReplica:

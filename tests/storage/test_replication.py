@@ -374,6 +374,28 @@ class TestResyncBootstrap:
         assert "Rejected" in reply
         assert replica.applier.applied_lsn == 0
 
+    @pytest.mark.parametrize(
+        "payload", [b"[1,2]", b'{"Data":{}}', b'"rules"', b"\xff\xfe", b"{not json"]
+    )
+    def test_checksummed_payload_that_is_no_record_is_corruption(self, tmp_path, payload):
+        """CRC-, chain- and LSN-valid bytes that do not parse to a record
+        with an ``Op`` get the typed error ``scan_wal`` gives the same
+        bytes, before anything is installed or journaled."""
+        from repro.exceptions import CorruptRecordError
+        from repro.storage.wal import encode_frame
+
+        _, _, (replica,) = make_pair(tmp_path)
+        frame, _ = encode_frame(1, 0, payload)
+        batch = {
+            "Primary": "primary", "Epoch": 1, "Resync": True,
+            "Frames": [{"Lsn": 1, "ChainPrev": 0, "Frame": frame.hex()}],
+        }
+        with pytest.raises(CorruptRecordError, match="undecodable payload"):
+            replica.applier.apply_batch(batch)
+        assert replica.applier.applied_lsn == 0 and replica.applier.chain == 0
+        assert replica.durability.wal.last_lsn == 0
+        assert read_wal_frames(replica.durability.wal.path) == []
+
 
 class TestLaggingReplica:
     def test_dead_replica_stops_pinning_the_buffer(self, tmp_path):
