@@ -381,6 +381,9 @@ def main(argv) -> int:
     # Standalone runs write the metrics artifact themselves (under
     # pytest the terminal-summary hook does it).
     out_path = os.environ.get(METRICS_OUT_ENV, METRICS_OUT_DEFAULT)
+    parent = os.path.dirname(out_path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(
             {"c11_query_cache": result["obs"].metrics.snapshot()},

@@ -25,7 +25,7 @@ from repro.datastore.segment_store import SegmentStore
 from repro.exceptions import AuthorizationError, BadRequestError
 from repro.net.http import Request, Router
 from repro.net.transport import Network
-from repro.rules.engine import RuleEngine
+from repro.rules.engine import RuleEngine, encode_release
 from repro.rules.parser import rules_from_json
 from repro.rules.rulestore import RuleStore
 from repro.sensors.packets import SensorPacket
@@ -98,7 +98,7 @@ class CentralizedService:
             return {"Segments": [s.to_json() for s in result.segments]}
         engine = RuleEngine(self.rules.rules_of(contributor))
         released = engine.evaluate(principal, result.segments)
-        return {"Released": [r.to_json() for r in released]}
+        return {"Released": encode_release(released)}
 
     def _h_rules_replace(self, request: Request) -> dict:
         principal = self._principal(request)

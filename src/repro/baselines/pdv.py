@@ -16,7 +16,7 @@ from typing import Iterable
 
 from repro.datastore.query import DataQuery
 from repro.net.client import HttpClient
-from repro.rules.engine import ReleasedSegment
+from repro.rules.engine import decode_release
 from repro.util.timeutil import Interval
 
 
@@ -63,7 +63,7 @@ class NoBrokerDiscovery:
                 },
             )
             self.queries_issued += 1
-            released = [ReleasedSegment.from_json(r) for r in body.get("Released", [])]
+            released = decode_release(body.get("Released"))
             got_channels: set = set()
             got_labels: set = set()
             for item in released:

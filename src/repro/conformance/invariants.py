@@ -18,6 +18,8 @@ assert the paper's privacy guarantees directly on it:
 * **location-abstraction** — the released location is exactly the
   gazetteer label at the effective level, and raw GPS channels are
   withheld whenever location is coarser than raw coordinates;
+* **stored-context** — a released waveform never carries the context
+  labels stored on its source segment, only the shaped ``ContextLabels``;
 * **piece-geometry / value-integrity** — released pieces stay inside the
   source segment, never overlap, begin and end only where the matching
   rule set flips (piece edges are on the wire as ``Timestamp``), and
@@ -329,6 +331,17 @@ def check_release(
                 Violation(
                     "location-abstraction",
                     "released waveform still carries its capture location",
+                    segment.segment_id,
+                    index,
+                )
+            )
+
+        # Context leaves only as the ContextLabels the oracle diff polices.
+        if piece.segment is not None and piece.segment.context:
+            out.append(
+                Violation(
+                    "stored-context",
+                    "released waveform still carries stored context",
                     segment.segment_id,
                     index,
                 )

@@ -24,7 +24,7 @@ persists — and printed as a minimal JSON repro that replays with
 :func:`repro.conformance.generators.trial_from_json`.
 
 Mutation smoke tests: ``MUTATIONS`` maps names to deliberately broken
-engine factories — five that remove an enforcement layer ("ignore-deny",
+engine factories — six that remove an enforcement layer ("ignore-deny",
 "no-closure", ...) and five broken *compilers* (dropped deny
 short-circuit, off-by-one interval boundaries, stale dependency
 bitmasks, a stale artifact surviving a rule edit, a batch time-prune
@@ -57,7 +57,7 @@ from repro.conformance.oracle import decide_instant
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
 from repro.rules.compiler import compile_rules
-from repro.rules.engine import ReleasedSegment, RuleEngine
+from repro.rules.engine import ReleasedSegment, RuleEngine, decode_release
 from repro.util import jsonutil
 from repro.util.timeutil import TimeCondition
 
@@ -214,10 +214,32 @@ def _compiled_batch_prune_narrow(trial: Trial) -> RuleEngine:
     )
 
 
-#: Deliberately broken engines.  The first five remove one enforcement
+def _engine_releasing_stored_context(trial: Trial) -> RuleEngine:
+    """Mutant shaping: a released waveform keeps its segment's stored context.
+
+    Decisions, labels and samples are all right, so only the
+    ``stored-context`` invariant of ``check_release`` can see it.
+    """
+    engine = build_engine(trial)
+    shaped = engine.evaluate_segment
+
+    def evaluate_segment(consumer: str, segment: WaveSegment) -> list:
+        return [
+            replace(p, segment=p.segment and p.segment.with_context(segment.context))
+            for p in shaped(consumer, segment)
+        ]
+
+    engine.evaluate_segment = evaluate_segment
+    engine.evaluate = lambda consumer, segments: [
+        p for segment in segments for p in evaluate_segment(consumer, segment)
+    ]
+    return engine
+
+
+#: Deliberately broken engines.  The first six remove one enforcement
 #: layer, the way a careless refactor of the rule path might; the
 #: ``compiled-*`` five re-introduce a plausible compilation bug.  The
-#: oracle diff must catch every one of them
+#: oracle diff or the release invariants must catch every one of them
 #: (tests/conformance/test_runner.py asserts it).
 MUTATIONS: dict = {
     "ignore-deny": _engine_dropping("deny"),
@@ -225,6 +247,7 @@ MUTATIONS: dict = {
     "no-closure": lambda trial: build_engine(trial, enforce_closure=False),
     "ignore-time": _engine_ignoring_time,
     "ignore-context": _engine_ignoring_context,
+    "release-stored-context": _engine_releasing_stored_context,
     "compiled-ignore-full-deny": _compiled_ignore_full_deny,
     "compiled-interval-off-by-one": _compiled_interval_off_by_one,
     "compiled-stale-bitmask": _compiled_stale_bitmask,
@@ -446,7 +469,7 @@ def end_to_end_violations(trial: Trial) -> list:
                 )
             )
         bodies.append(body)
-    api_released = bodies[-1].get("Released", [])
+    api_released = [p.to_json() for p in decode_release(bodies[-1].get("Released"))]
 
     if not events:
         out.append(

@@ -14,8 +14,9 @@ from typing import Iterable, Optional, Union
 
 from repro.broker.search import SearchCriteria
 from repro.datastore.query import DataQuery
+from repro.exceptions import AuthorizationError, NotFoundError, NotPrimaryError, TransportError
 from repro.net.client import HttpClient
-from repro.rules.engine import ReleasedSegment
+from repro.rules.engine import decode_release
 
 
 class Consumer:
@@ -106,8 +107,6 @@ class Consumer:
         one per query.  ``force=True`` drops the cached route first (the
         fenced-retry path).  Returns ``None`` for unknown contributors.
         """
-        from repro.exceptions import NotFoundError
-
         if force:
             self._hosts.pop(contributor, None)
         host = self._hosts.get(contributor)
@@ -150,8 +149,6 @@ class Consumer:
         refresh the key ring, and retry exactly once against the new
         host.  One fenced retry, then the client has converged.
         """
-        from repro.exceptions import AuthorizationError, NotPrimaryError, TransportError
-
         host, key = self._store_client(contributor)
         if host is None or key is None:
             raise AuthorizationError(
@@ -183,7 +180,7 @@ class Consumer:
             "/api/query",
             {"Contributor": contributor, "Query": (query or DataQuery()).to_json()},
         )
-        return [ReleasedSegment.from_json(r) for r in body.get("Released", [])]
+        return decode_release(body.get("Released"))
 
     def fetch_aggregate(
         self,
@@ -217,4 +214,4 @@ class Consumer:
             self._broker("/api/data"),
             {"Contributor": contributor, "Query": (query or DataQuery()).to_json()},
         )
-        return [ReleasedSegment.from_json(r) for r in body.get("Released", [])]
+        return decode_release(body.get("Released"))

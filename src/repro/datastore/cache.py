@@ -31,9 +31,9 @@ correctness never depends on an entry "aging out" or on an invalidation
 call arriving.  Recovery alone also calls
 :meth:`ReleaseCache.invalidate_all`, as belt and braces.
 
-An entry also remembers what its release *amounts to* — the encoded
-length of the payload and a :class:`ReleaseSummary` of the pieces — so
-the per-request bookkeeping a hit still owes (traffic accounting, the
+An entry also remembers what its release *amounts to* — its wire frame,
+that frame's encoded length and a :class:`ReleaseSummary` of the pieces —
+so the per-request bookkeeping a hit still owes (traffic accounting, the
 audit record, cost attribution) is O(1) rather than a re-encode and two
 walks over the released pieces.
 
@@ -52,6 +52,7 @@ from typing import Iterable, Optional
 
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import WaveSegment
+from repro.rules.engine import encode_release
 from repro.util import jsonutil
 
 
@@ -129,10 +130,6 @@ class CacheEntry:
     segments: tuple
     #: the exact ReleasedSegment tuple the engine produced.
     released: tuple
-    #: ``[r.to_json() for r in released]``, precomputed once; the handler
-    #: returns a shallow copy so the response is byte-identical to a
-    #: fresh evaluation without re-serializing per hit.
-    payload: list
     #: segments-scanned count of the original store query (audited on hits).
     scanned: int
     #: approximate resident size, charged against the byte budget.
@@ -149,16 +146,21 @@ class CacheEntry:
             self.nbytes = size + self.summary.released_bytes
 
     @cached_property
-    def payload_bytes(self) -> int:
-        """``len(canonical_dumps(payload))``, measured once per entry.
+    def payload(self) -> dict:
+        """The release's wire frame, encoded on first use: the handler
+        serves (a shallow copy of) it on the miss and on every hit, and an
+        entry only ever aggregated over never encodes."""
+        return encode_release(self.released)
 
-        The query handler asks on the miss that builds the entry (which
-        pays for evaluation anyway), so the transport can count every
-        later hit's bytes without encoding ~100 KB again; an entry only
-        ever aggregated over never pays.  The length, not the text: the
-        text would add ~100 KB of resident memory per entry.
-        """
-        return len(jsonutil.canonical_dumps(self.payload))
+    @cached_property
+    def payload_bytes(self) -> int:
+        """``len(canonical_dumps(payload))``, worked out once per entry so
+        the transport can count every hit without encoding it again.  The
+        value blob — the bulk of the frame — is counted by its length, exact
+        because the base64 alphabet needs no JSON escaping."""
+        values = self.payload["Values"]
+        rest = {"Pieces": self.payload["Pieces"], "Values": {**values, "Blob": ""}}
+        return len(jsonutil.canonical_dumps(rest)) + len(values["Blob"])
 
 
 class ReleaseCache:

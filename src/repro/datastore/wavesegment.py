@@ -25,6 +25,7 @@ from repro.exceptions import ValidationError
 from repro.sensors.packets import SensorPacket
 from repro.util.geo import LatLon
 from repro.util.idgen import stable_id
+from repro.util.jsonutil import require_keys
 from repro.util.timeutil import Interval
 
 #: Name of the per-sample timestamp pseudo-channel for non-uniform segments.
@@ -251,11 +252,11 @@ class WaveSegment:
     ) -> Optional["WaveSegment"]:
         """What a uniform segment releases for one rule piece, built once.
 
-        The samples inside ``window``, projected onto ``names``, with the
-        location dropped and — when ``anchor_ms`` is given — the clock
+        The samples inside ``window``, projected onto ``names``, stripped
+        by :meth:`bare` and — when ``anchor_ms`` is given — with the clock
         re-anchored there.  Equal to ``slice_time`` → ``select_channels``
-        → re-anchor → ``drop_location`` without the intermediate copies;
-        None when no sample or no channel survives.
+        → re-anchor → ``bare`` without the intermediate copies; None when
+        no sample or no channel survives.
         """
         first, stop = self._sample_range(window)
         keep = self._kept_channels(names)
@@ -270,14 +271,7 @@ class WaveSegment:
             values = values[:, [self.channels.index(c) for c in keep]]
         if anchor_ms is None:
             anchor_ms = self.start_ms + first * self.interval_ms
-        return WaveSegment(
-            contributor=self.contributor,
-            channels=keep,
-            start_ms=anchor_ms,
-            interval_ms=self.interval_ms,
-            values=values,
-            context=self.context,
-        )
+        return self.bare(channels=keep, start_ms=anchor_ms, values=values)
 
     def with_context(self, context: dict) -> "WaveSegment":
         """Return a copy annotated with context labels."""
@@ -292,16 +286,31 @@ class WaveSegment:
             segment_id="",
         )
 
-    def drop_location(self) -> "WaveSegment":
-        """A copy of this segment with the location removed."""
-        return replace(self, location=None, segment_id="")
+    def bare(self, *, channels=None, start_ms=None, values=None) -> "WaveSegment":
+        """The waveform alone: no capture location, no stored context.
+
+        The one stripping step of release shaping (optionally with the
+        fields a shaped piece changes).  It copies what a release keeps
+        rather than clearing what it drops: where and in what context the
+        samples were taken leave the store only as the rule-shaped
+        ``Location`` and ``ContextLabels`` of the released piece.
+        """
+        return WaveSegment(
+            contributor=self.contributor,
+            channels=self.channels if channels is None else channels,
+            start_ms=self.start_ms if start_ms is None else start_ms,
+            interval_ms=self.interval_ms,
+            values=self.values if values is None else values,
+        )
 
     # ------------------------------------------------------------------
     # JSON (Fig. 5 round trip)
     # ------------------------------------------------------------------
 
-    def to_json(self, encoding: str = ENCODING_B64) -> dict:
-        """JSON wire form; sample values are codec-encoded."""
+    def to_json(self, encoding: str = ENCODING_B64, *, values: bool = True) -> dict:
+        """JSON wire form; sample values are codec-encoded, or with
+        ``values=False`` reduced to their shape (a piece of a release frame,
+        whose one blob carries them: :func:`repro.rules.engine.encode_release`)."""
         obj = {
             "SegmentId": self.segment_id,
             "Contributor": self.contributor,
@@ -309,17 +318,18 @@ class WaveSegment:
             "SamplingInterval": self.interval_ms,
             "Location": self.location.to_json() if self.location else None,
             "Format": list(self.channels),
-            "Values": encode_values(self.values, encoding),
+            "Values": encode_values(self.values, encoding)
+            if values
+            else {"Samples": self.values.shape[0], "Channels": self.values.shape[1]},
         }
         if self.context:
             obj["Context"] = dict(self.context)
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict) -> "WaveSegment":
-        """Parse a segment from its JSON wire form."""
-        from repro.util.jsonutil import require_keys
-
+    def from_json(cls, obj: dict, values: Optional[np.ndarray] = None) -> "WaveSegment":
+        """Parse a segment from its JSON wire form; ``values`` are the
+        already-decoded samples of a shape-only ``Values`` member."""
         require_keys(
             obj,
             ("Contributor", "StartTime", "Format", "Values"),
@@ -332,7 +342,7 @@ class WaveSegment:
             channels=tuple(obj["Format"]),
             start_ms=int(obj["StartTime"]),
             interval_ms=None if interval is None else int(interval),
-            values=decode_values(obj["Values"]),
+            values=decode_values(obj["Values"]) if values is None else values,
             location=LatLon.from_json(location) if location else None,
             context=dict(obj.get("Context", {})),
             segment_id=str(obj.get("SegmentId", "")),

@@ -37,14 +37,19 @@ repository is the brute-force conformance oracle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional
 
+import numpy as np
+
+from repro.datastore.codec import decode_values, encode_values
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
+from repro.exceptions import SchemaError
 from repro.rules.dependency import DependencyGraph
 from repro.rules.model import Rule
 from repro.sensors.channels import GPS_LAT, GPS_LON
 from repro.util.geo import LabeledPlace
+from repro.util.jsonutil import require_keys, require_type
 from repro.util.timeutil import Interval
 
 _GPS_CHANNELS = frozenset((GPS_LAT.name, GPS_LON.name))
@@ -98,8 +103,9 @@ class ReleasedSegment:
         """True when no data, context, or location is actually released."""
         return self.segment is None and not self.context_labels and self.location is None
 
-    def to_json(self) -> dict:
-        """Deterministic JSON wire form (what the query API returns)."""
+    def to_json(self, *, values: bool = True) -> dict:
+        """Deterministic JSON form of one piece; ``values=False`` leaves the
+        samples out, as inside the frame :func:`encode_release` builds."""
         return {
             "Contributor": self.contributor,
             "Timestamp": self.timestamp,
@@ -107,15 +113,15 @@ class ReleasedSegment:
             "Location": self.location,
             "LocationLevel": self.location_level,
             "ContextLabels": dict(self.context_labels),
-            "Segment": self.segment.to_json() if self.segment is not None else None,
+            "Segment": None if self.segment is None else self.segment.to_json(values=values),
             "Withheld": dict(self.withheld),
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ReleasedSegment":
-        """Parse a released piece from its JSON wire form."""
+    def from_json(cls, obj: dict, values=None) -> "ReleasedSegment":
+        """Parse a released piece; ``values`` are its pre-decoded samples."""
         seg = obj.get("Segment")
-        segment = WaveSegment.from_json(seg) if seg else None
+        segment = WaveSegment.from_json(seg, values) if seg else None
         if segment is not None:
             interval = segment.interval
         else:
@@ -134,6 +140,58 @@ class ReleasedSegment:
         )
 
 
+def encode_release(released: Iterable[ReleasedSegment]) -> dict:
+    """The wire form of a consumer release: one frame, one value blob.
+
+    ``Pieces`` are the pieces with each waveform reduced to its shape;
+    ``Values`` is every waveform's samples, row-major and in piece order,
+    as one codec blob (the paper's wave-segment argument applied to the
+    release).  The only producer of a query response's ``Released``
+    member; :func:`decode_release` is its only parser.
+    """
+    released = list(released)
+    arrays = [r.segment.values.ravel() for r in released if r.segment is not None]
+    flat = np.concatenate(arrays) if arrays else np.empty(0)
+    return {
+        "Pieces": [r.to_json(values=False) for r in released],
+        "Values": encode_values(flat.reshape(-1, 1)),
+    }
+
+
+def decode_release(frame: dict) -> list:
+    """Parse a release frame into its :class:`ReleasedSegment` pieces.
+
+    The blob is decoded once and each piece's ``values`` is a read-only
+    view into that one array (so holding a piece keeps its release's
+    samples alive).  :class:`~repro.exceptions.SchemaError`, before any
+    piece is returned, unless the declared shapes consume it exactly.
+    """
+    require_keys(frame, ("Pieces", "Values"), where="release frame")
+    flat = decode_values(frame["Values"]).reshape(-1)
+    flat.setflags(write=False)
+    pieces, offset = [], 0
+    for piece in require_type(frame["Pieces"], list, where="release frame Pieces"):
+        if not isinstance(piece, dict):
+            raise SchemaError(f"released piece: expected a JSON object, got {piece!r}")
+        values, segment = None, piece.get("Segment")
+        if segment:
+            try:
+                shape = segment["Values"]
+                rows, columns = int(shape["Samples"]), int(shape["Channels"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError("released piece: Values must declare its shape") from exc
+            end = offset + rows * columns
+            if rows < 0 or columns <= 0 or end > flat.size:
+                raise SchemaError(
+                    f"released piece: {rows}x{columns} values at {offset} overrun {flat.size}"
+                )
+            values, offset = flat[offset:end].reshape(rows, columns), end
+        pieces.append(ReleasedSegment.from_json(piece, values))
+    if offset != flat.size:
+        raise SchemaError(f"release frame: pieces consume {offset} of {flat.size} values")
+    return pieces
+
+
 def _shape_segment(
     segment: WaveSegment,
     piece: Interval,
@@ -141,7 +199,7 @@ def _shape_segment(
     time_level: str,
     timestamp: Optional[int],
 ) -> Optional[WaveSegment]:
-    """The data a piece releases: sliced, projected, re-anchored, unlocated.
+    """The data a piece releases: sliced, projected, re-anchored, stripped bare.
 
     The clock is re-anchored to the granted precision: at the
     ``milliseconds`` level the true start is kept; at coarser levels the
@@ -161,11 +219,11 @@ def _shape_segment(
         out = out.select_channels(channels)
     if out is None:
         return None
-    if anchor is not None:
-        values = out.values.copy()
-        values[:, out.channels.index(TIME_CHANNEL)] += anchor - out.start_ms
-        out = replace(out, start_ms=anchor, values=values, segment_id="")
-    return out.drop_location()
+    if anchor is None:
+        return out.bare()
+    values = out.values.copy()
+    values[:, out.channels.index(TIME_CHANNEL)] += anchor - out.start_ms
+    return out.bare(start_ms=anchor, values=values)
 
 
 class RuleEngine:

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from repro.exceptions import ValidationError
 from repro.sensors.channels import channel
 from repro.util.geo import LatLon
+from repro.util.jsonutil import require_keys
 from repro.util.timeutil import Interval
 
 
@@ -73,8 +74,6 @@ class SensorPacket:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SensorPacket":
-        from repro.util.jsonutil import require_keys
-
         require_keys(
             obj, ("Channel", "StartTime", "SamplingInterval", "Values"), where="packet"
         )

@@ -625,7 +625,6 @@ class DataStoreService:
         entry = CacheEntry(
             segments=tuple(result.segments),
             released=released,
-            payload=[r.to_json() for r in released],
             scanned=result.scanned_segments,
         )
         self._emit_release(endpoint, principal, contributor, entry.segments, released)
@@ -996,7 +995,7 @@ class DataStoreService:
         return Response(
             body={
                 "Raw": False,
-                "Released": list(entry.payload),
+                "Released": dict(entry.payload),
                 "Scanned": entry.scanned,
             },
             wire_bytes=_RELEASE_ENVELOPE_BYTES

@@ -330,7 +330,7 @@ class BrokerWebUI:
         consumer's escrowed key; the released pieces render as a table.
         """
         from repro.datastore.query import DataQuery
-        from repro.rules.engine import ReleasedSegment
+        from repro.rules.engine import decode_release
         from repro.util.timeutil import Interval
 
         token = request.body.get("Token")
@@ -356,7 +356,7 @@ class BrokerWebUI:
             f"https://{record.host}/api/query",
             {"Contributor": contributor, "Query": query_json},
         )
-        released = [ReleasedSegment.from_json(r) for r in body.get("Released", [])]
+        released = decode_release(body.get("Released"))
         rows = "".join(
             f"<tr><td>{r.timestamp if r.timestamp is not None else '-'}</td>"
             f"<td>{_esc(', '.join(r.channels()) or '-')}</td>"

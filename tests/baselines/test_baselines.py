@@ -12,7 +12,7 @@ from repro.rules.parser import rules_to_json
 from repro.sensors.packets import packetize
 from repro.util.timeutil import Interval
 
-from tests.conftest import MONDAY, UCLA, make_segment
+from tests.conftest import MONDAY, UCLA, make_segment, released_pieces
 
 
 class TestTupleStore:
@@ -77,7 +77,7 @@ class TestCentralized:
         alice.post("https://central/api/flush", {})
         # Default deny applies here too.
         body = bob.post("https://central/api/query", {"Contributor": "alice", "Query": {}})
-        assert body["Released"] == []
+        assert released_pieces(body) == []
         alice.post(
             "https://central/api/rules/replace",
             {
@@ -86,7 +86,7 @@ class TestCentralized:
             },
         )
         body = bob.post("https://central/api/query", {"Contributor": "alice", "Query": {}})
-        assert len(body["Released"]) == 1
+        assert len(released_pieces(body)) == 1
 
     def test_phone_flush_rides_the_last_chunk_here_too(self, central):
         """The phone speaks one upload protocol to both architectures."""

@@ -226,3 +226,30 @@ def test_piece_edges_must_sit_on_rule_flips():
     assert check_release(trial, segment, [piece]) == []
     late = replace(piece, interval=Interval(MONDAY, MONDAY + 3501))
     assert [v.invariant for v in check_release(trial, segment, [late])] == ["piece-geometry"]
+
+
+def test_released_waveform_may_not_carry_stored_context():
+    """The twin of the capture-location check: whatever the rules decide
+    about labels, the stored ones never ride out on the waveform — on the
+    uniform path and on the non-uniform (embedded ``Time``) one."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from repro.conformance.invariants import check_release
+    from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
+
+    uniform = make_segment(channels=("AccelX",), n=4)
+    timed = WaveSegment(
+        "alice", (TIME_CHANNEL, "AccelX"), MONDAY, None,
+        np.array([[MONDAY, 1.0], [MONDAY + 7, 2.0], [MONDAY + 30, 3.0]]),
+        location=uniform.location, context=dict(uniform.context),
+    )
+    for segment in (uniform, timed):
+        trial = _trial([Rule(consumers=("bob",), action=ALLOW)], [segment])
+        (piece,) = build_engine(trial).evaluate_segment("bob", segment)
+        assert segment.context and piece.segment.context == {}
+        assert piece.context_labels  # the rules did share labels, shaped
+        assert check_release(trial, segment, [piece]) == []
+        leaky = replace(piece, segment=piece.segment.with_context(segment.context))
+        assert [v.invariant for v in check_release(trial, segment, [leaky])] == ["stored-context"]

@@ -7,7 +7,12 @@ the exact *wire payload* — piece order, re-anchored timestamps, the
 SHA-256 per seeded trial.  The digests were produced by the interpreted
 engine at commit ``7502e6e``, the last commit that had one, so the single
 engine reproducing them is the byte-equivalence proof the old
-compiled-vs-interpreted sweep used to give.
+compiled-vs-interpreted sweep used to give.  They were re-pinned once, in
+PR 17, when released waveforms stopped carrying the stored
+``Segment.Context``: for 2,140/2,140 trials the old digest equals the
+digest of the new payload with that key re-inserted from the source
+segment (568 digests moved; proof in EXPERIMENTS.md), so the chain back
+to the interpreter holds for everything but the removed key.
 
 All 2,140 digests are recomputed in tier-1 (about two seconds; ``--slow``
 adds nothing here).  On a mismatch the trial is regenerated
@@ -39,7 +44,10 @@ ABOUT = (
     "One truncated SHA-256 per conformance trial over canonical_dumps of every "
     "segment's released pieces, produced by the interpreted RuleEngine at commit "
     "7502e6e (the last commit that had one). The oracle pins correctness; these "
-    "digests pin wire stability across the interpreter's deletion. If the trial "
+    "digests pin wire stability across the interpreter's deletion. Re-pinned once "
+    "(PR 17) when released waveforms stopped carrying the stored Segment.Context: "
+    "all 2,140 old digests equal the digest of the new payload with that key "
+    "re-inserted from the source segment, so nothing else moved. If the trial "
     "*generator* later changes they are regenerated after a clean oracle sweep: "
     "PYTHONPATH=src python tests/conformance/test_golden_digests.py"
 )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.conformance.generators import TrialGenerator, trial_from_json, trial_to_json
 from repro.conformance.runner import build_engine
 from repro.datastore.query import DataQuery, QueryResult
-from repro.rules.engine import ReleasedSegment
+from repro.rules.engine import ReleasedSegment, decode_release, encode_release
 from repro.rules.parser import rule_from_json, rule_to_json
 
 N = 60
@@ -80,3 +80,16 @@ def test_released_segment_roundtrip():
                 assert rebuilt.to_json() == obj
                 seen += 1
     assert seen >= 20  # the corpus must actually exercise releases
+
+
+def test_release_frame_roundtrip():
+    """A whole batch release through the frame, over the adversarial corpus
+    (non-uniform segments, label-only pieces, re-anchored clocks)."""
+    generator = TrialGenerator(SEED)
+    seen = 0
+    for trial in generator.trials(40):
+        released = build_engine(trial).evaluate(trial.consumer, trial.segments)
+        decoded = decode_release(encode_release(released))
+        assert [p.to_json() for p in decoded] == [p.to_json() for p in released]
+        seen += len(released)
+    assert seen >= 20

@@ -22,7 +22,7 @@ from repro.conformance.runner import (
 
 TRIALS = 120
 SEED = 7
-#: The five mutants that remove an enforcement layer.  The five broken
+#: The six mutants that remove an enforcement layer.  The five broken
 #: *compilers* shrink less far and one needs a bigger trial budget, so
 #: their smokes live in test_compiled_conformance.py.
 LAYER_MUTATIONS = sorted(m for m in MUTATIONS if not m.startswith("compiled-"))

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import SensorSafeSystem
 from repro.datastore.wavesegment import WaveSegment
+from repro.rules.engine import decode_release
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
 from repro.util.geo import LatLon
@@ -71,6 +72,12 @@ def make_segment(
         location=location,
         context=context,
     )
+
+
+def released_pieces(body: dict) -> list:
+    """A consumer ``/api/query`` response body's pieces, each as its
+    ``ReleasedSegment.to_json()``, read through the one frame parser."""
+    return [piece.to_json() for piece in decode_release(body["Released"])]
 
 
 @pytest.fixture(scope="session")

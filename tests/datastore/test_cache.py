@@ -21,7 +21,7 @@ from tests.conftest import make_segment
 
 
 def entry(nbytes=100):
-    return CacheEntry(segments=(), released=(), payload=[], scanned=0, nbytes=nbytes)
+    return CacheEntry(segments=(), released=(), scanned=0, nbytes=nbytes)
 
 
 class TestSegmentContentHash:
@@ -114,11 +114,11 @@ class TestReleaseCacheLru:
 
     def test_entry_size_estimate_counts_segments(self):
         seg = make_segment(n=64)
-        e = CacheEntry(segments=(seg,), released=(), payload=[], scanned=1)
+        e = CacheEntry(segments=(seg,), released=(), scanned=1)
         assert e.nbytes >= seg.storage_bytes()
 
     def test_entry_measures_its_payload_and_release_once(self):
-        from repro.rules.engine import ReleasedSegment
+        from repro.rules.engine import ReleasedSegment, decode_release
         from repro.util import jsonutil
 
         seg = make_segment(n=8)
@@ -127,9 +127,12 @@ class TestReleaseCacheLru:
                             context_labels={"Stress": "Stressed"}),
             ReleasedSegment("alice", Interval(0, 1), withheld={"ECG": "closure"}),
         )
-        payload = [r.to_json() for r in released]
-        e = CacheEntry(segments=(seg,), released=released, payload=payload, scanned=1)
-        assert e.payload_bytes == len(jsonutil.canonical_dumps(payload))
+        e = CacheEntry(segments=(seg,), released=released, scanned=1)
+        assert "payload" not in vars(e)  # derived on first use, not at construction
+        assert [p.to_json() for p in decode_release(e.payload)] == [
+            r.to_json() for r in released
+        ]
+        assert e.payload_bytes == len(jsonutil.canonical_dumps(e.payload))
         assert e.summary == ReleaseSummary(
             pieces=2, samples=8, labels=("Stress",), withheld={"ECG": "closure"},
             released_bytes=seg.storage_bytes() + 64,

@@ -134,12 +134,18 @@ class TestSliceAndProject:
         part = seg.select_channels(["ECG"])
         assert part.channels == (TIME_CHANNEL, "ECG")
 
-    def test_with_context_and_drop_location(self):
+    def test_with_context_and_bare(self):
         seg = make_segment()
         ctx = seg.with_context({"Activity": "Drive"})
         assert ctx.context == {"Activity": "Drive"}
         assert ctx.segment_id != ""
-        assert seg.drop_location().location is None
+        bare = ctx.bare()
+        assert bare.location is None and bare.context == {}
+        assert (bare.segment_id, bare.channels, bare.start_ms, bare.interval_ms) == (
+            ctx.segment_id, ctx.channels, ctx.start_ms, ctx.interval_ms
+        )
+        assert bare.values is ctx.values
+        assert set(bare.to_json()) == set(ctx.to_json()) - {"Context"}
 
 
 class TestJson:

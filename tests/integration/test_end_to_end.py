@@ -7,7 +7,7 @@ from repro.datastore.query import DataQuery
 from repro.rules.model import ALLOW, Rule
 from repro.util.timeutil import Interval
 
-from tests.conftest import MONDAY, make_segment
+from tests.conftest import MONDAY, make_segment, released_pieces
 
 
 @pytest.fixture()
@@ -103,7 +103,7 @@ class TestOwnershipBoundaries:
             {"Contributor": "alice", "Query": DataQuery().to_json()},
         )
         assert body["Raw"] is False
-        assert body["Released"] == []
+        assert released_pieces(body) == []
 
     def test_rules_are_per_owner_on_shared_stores(self, system):
         store = system.create_store("shared-store")
@@ -112,3 +112,58 @@ class TestOwnershipBoundaries:
         alice.add_rule(Rule(consumers=("bob",), action=ALLOW))
         assert len(alice.rules()) == 1
         assert carol.rules() == []
+
+
+class TestStoredContextNeverLeaves:
+    """Context reaches a consumer only as rule-shaped ``ContextLabels``:
+    the labels stored on a segment never ride out on the waveform."""
+
+    @pytest.fixture()
+    def conversation_withheld(self, system):
+        from repro.rules.model import abstraction
+
+        alice = system.add_contributor("alice")
+        bob = system.add_consumer("bob")
+        alice.upload_segments(
+            [
+                make_segment(
+                    channels=("AccelX",),
+                    n=8,
+                    context={"Activity": "Still", "Conversation": "Conversation"},
+                )
+            ]
+        )
+        alice.flush()
+        alice.add_rule(Rule(consumers=("bob",), action=ALLOW))
+        alice.add_rule(
+            Rule(contexts=("Conversation",), action=abstraction(Conversation="NotShare"))
+        )
+        bob.add_contributors(["alice"])
+        return system, bob
+
+    @pytest.mark.parametrize("path", ["direct", "via /api/data"])
+    def test_no_stored_label_anywhere_in_the_response(self, conversation_withheld, path):
+        from repro.util.jsonutil import canonical_dumps
+
+        system, bob = conversation_withheld
+        request = {"Contributor": "alice", "Query": DataQuery().to_json()}
+        if path == "direct":
+            host, key = bob._store_client("alice")
+            body = bob.client.with_key(key).post(f"https://{host}/api/query", request)
+        else:
+            body = bob.client.post("https://broker/api/data", request)
+        text = canonical_dumps(body)
+        # The waveform and the label the rules do share arrive...
+        (piece,) = released_pieces(body)
+        assert piece["Segment"]["Format"] == ["AccelX"]
+        assert piece["ContextLabels"] == {"Activity": "Still"}
+        # ...the label they withhold is nowhere, under any key.
+        assert "Conversation" not in text
+        assert '"Context":' not in text
+
+    def test_consumer_objects_carry_no_stored_context(self, conversation_withheld):
+        _, bob = conversation_withheld
+        for released in (bob.fetch("alice"), bob.fetch_via_broker("alice")):
+            (piece,) = released
+            assert piece.segment.context == {} and piece.segment.location is None
+            assert piece.context_labels == {"Activity": "Still"}

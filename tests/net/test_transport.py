@@ -190,7 +190,7 @@ class TestWireAccounting:
     from ``Response.wire_bytes`` when a handler declares it, measured
     otherwise — and never the declared size of a response a fault replaced."""
 
-    BODY = {"Released": [{"Context": {"Activity": "Café ☕"}}], "Scanned": 10}
+    BODY = {"Released": {"Pieces": [{"ContextLabels": {"Activity": "Café ☕"}}]}, "Scanned": 10}
     EXACT = len(jsonutil.canonical_dumps(BODY))
 
     def network(self, wire_bytes):
@@ -236,7 +236,7 @@ class TestWireAccounting:
         broker's copy of it is an ordinary response and is measured."""
         from repro.datastore.query import DataQuery
         from repro.rules.model import ALLOW, Rule
-        from tests.conftest import make_segment
+        from tests.conftest import make_segment, released_pieces
 
         alice = system.add_contributor("alice")
         bob = system.add_consumer("bob")
@@ -253,6 +253,6 @@ class TestWireAccounting:
             raw=True,
         )
         exact = len(jsonutil.canonical_dumps(proxied.body))
-        assert proxied.ok and proxied.body["Released"] and proxied.wire_bytes is None
+        assert proxied.ok and released_pieces(proxied.body) and proxied.wire_bytes is None
         assert system.network.metrics_of("broker").bytes_out == exact
         assert system.network.metrics_of("alice-store").bytes_out == exact

@@ -48,6 +48,7 @@ from repro.server.datastore_service import DataStoreService
 from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LatLon, PolygonRegion
 from repro.util.timeutil import Interval, RepeatedTime, TimeCondition
+from tests.conftest import released_pieces
 
 HOST = "compiled-twin"
 
@@ -474,7 +475,7 @@ def _assert_served_fresh(service, key, trial, query):
         service.release_guards.remove(events.append)
     (event,) = events
     fresh = build_engine(trial).evaluate(trial.consumer, event.segments)
-    assert body["Released"] == [piece.to_json() for piece in fresh]
+    assert released_pieces(body) == [piece.to_json() for piece in fresh]
 
 
 def test_twin_stores_agree_under_random_interleavings():
@@ -597,7 +598,6 @@ def test_fail_closed_contributor_compiles_to_default_deny():
             "ApiKey": key,
         },
     ).body
-    released = body.get("Released")
-    assert released == []
+    assert released_pieces(body) == []
     engine = service._engine_for(trial.contributor)
     assert engine.compiled.compiled == ()

@@ -56,8 +56,10 @@ class TestAllow:
         assert released.timestamp == MONDAY
         assert released.time_level == "milliseconds"
         assert released.context_labels["Stress"] == "NotStressed"
-        # Released segments carry location out-of-band, not on the segment.
+        # Released segments carry location and context out-of-band, shaped
+        # by the rules, never on the segment.
         assert released.segment.location is None
+        assert released.segment.context == {}
 
     def test_wildcard_rule_applies_to_everyone(self):
         engine = RuleEngine([Rule(action=ALLOW)], PLACES)

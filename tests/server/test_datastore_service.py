@@ -10,7 +10,7 @@ from repro.rules.parser import rule_to_json
 from repro.server.datastore_service import DataStoreService
 from repro.util.geo import BoundingBox, LabeledPlace
 
-from tests.conftest import MONDAY, UCLA, make_segment
+from tests.conftest import MONDAY, UCLA, make_segment, released_pieces
 
 
 @pytest.fixture()
@@ -149,7 +149,7 @@ class TestUploadAndQuery:
             {"Contributor": "alice", "Query": DataQuery().to_json()},
         )
         assert body["Raw"] is False
-        assert body["Released"] == []
+        assert released_pieces(body) == []
 
     def test_consumer_query_after_allow(self, setup):
         _, _, alice, bob = setup
@@ -162,7 +162,7 @@ class TestUploadAndQuery:
             "https://store/api/query",
             {"Contributor": "alice", "Query": DataQuery().to_json()},
         )
-        assert len(body["Released"]) == 3
+        assert len(released_pieces(body)) == 3
 
     def test_query_unknown_contributor_404(self, setup):
         _, _, _, bob = setup

@@ -18,7 +18,7 @@ from repro.storage.recovery import recover_service
 from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LabeledPlace
 
-from tests.conftest import make_segment
+from tests.conftest import make_segment, released_pieces
 
 
 def build_service(tmp_path, network=None, register=True):
@@ -136,11 +136,13 @@ class TestRestoreInvalidatesDecisions:
         service.store.flush()
 
         def released():
-            return network.request(
-                "POST",
-                "https://store/api/query",
-                {"Contributor": "alice", "Query": {}, "ApiKey": bob_key},
-            ).body["Released"]
+            return released_pieces(
+                network.request(
+                    "POST",
+                    "https://store/api/query",
+                    {"Contributor": "alice", "Query": {}, "ApiKey": bob_key},
+                ).body
+            )
 
         assert released()  # captured on campus, and campus is shared
 

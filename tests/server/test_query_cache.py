@@ -13,7 +13,7 @@ from repro.rules.model import ALLOW, DENY, Rule, abstraction
 from repro.server.datastore_service import DataStoreService
 from repro.util import jsonutil
 
-from tests.conftest import MONDAY, make_segment
+from tests.conftest import MONDAY, make_segment, released_pieces
 
 HOST = "qc-store"
 
@@ -70,7 +70,7 @@ class TestHitPath:
         second = query(service, bob_key)
         after = cache_counters(service)
         assert canonical(first) == canonical(second)
-        assert first["Released"], "fixture should release data"
+        assert released_pieces(first), "fixture should release data"
         assert after["hits"] == mid["hits"] + 1
         # The hit must not rescan the store.
         assert after["scanned"] == mid["scanned"]
@@ -119,7 +119,7 @@ class TestHitPath:
         b2 = query(service, bob_key, {"Channels": ["ECG"], "Limit": 1})
         assert canonical(a1) == canonical(a2)
         assert canonical(b1) == canonical(b2)
-        assert len(b1["Released"]) <= len(a1["Released"])
+        assert len(released_pieces(b1)) <= len(released_pieces(a1))
         assert cache_counters(service)["hits"] == 2
 
     def test_aggregate_shares_the_release_cache(self):
@@ -135,16 +135,22 @@ class TestHitPath:
         second = service.network.request("POST", url, dict(body)).body
         assert canonical(first) == canonical(second)
         assert cache_counters(service)["hits"] == 1
+        # Aggregation reads the released pieces: the entry never built its
+        # wire frame, and builds it only when a query asks for one.
+        (entry,) = service.release_cache._entries.values()
+        assert "payload" not in vars(entry) and "payload_bytes" not in vars(entry)
+        query(service, bob_key)
+        assert cache_counters(service)["hits"] == 2 and "payload" in vars(entry)
 
 
 class TestInvalidation:
     def test_rule_mutation_misses_and_changes_the_release(self):
         service, bob_key = make_service()
         before = query(service, bob_key)
-        assert before["Released"]
+        assert released_pieces(before)
         service.rules.add("alice", Rule(consumers=("bob",), action=DENY, rule_id="r-deny"))
         after = query(service, bob_key)
-        assert after["Released"] == []
+        assert released_pieces(after) == []
         assert cache_counters(service)["hits"] == 0
 
     def test_rule_removal_restores_the_old_bytes_via_a_fresh_entry(self):
@@ -166,7 +172,7 @@ class TestInvalidation:
         service.store.flush()
         after = query(service, bob_key)
         assert cache_counters(service)["hits"] == 0
-        assert len(after["Released"]) > len(before["Released"])
+        assert len(released_pieces(after)) > len(released_pieces(before))
 
     def test_delete_moves_the_content_fingerprint(self):
         service, bob_key = make_service()
@@ -178,7 +184,7 @@ class TestInvalidation:
             {"Contributor": "alice", "Query": {}, "ApiKey": alice_key},
         )
         after = query(service, bob_key)
-        assert before["Released"] and after["Released"] == []
+        assert released_pieces(before) and released_pieces(after) == []
         assert cache_counters(service)["hits"] == 0
 
     def test_membership_keyed_not_invalidated(self):
@@ -188,10 +194,10 @@ class TestInvalidation:
         )
         service.memberships["bob"] = frozenset({"study-x"})
         granted = query(service, bob_key)
-        assert granted["Released"]
+        assert released_pieces(granted)
         service.memberships["bob"] = frozenset()
         denied = query(service, bob_key)
-        assert denied["Released"] == []
+        assert released_pieces(denied) == []
         # Reverting membership restores the original decision inputs, so
         # the original entry is legitimately served again.
         service.memberships["bob"] = frozenset({"study-x"})
@@ -213,10 +219,10 @@ class TestInvalidation:
     def test_fail_closed_flag_is_part_of_the_key(self):
         service, bob_key = make_service()
         warm = query(service, bob_key)
-        assert warm["Released"]
+        assert released_pieces(warm)
         service.fail_closed.add("alice")
         denied = query(service, bob_key)
-        assert denied["Released"] == []
+        assert released_pieces(denied) == []
         assert cache_counters(service)["hits"] == 0
 
 
@@ -240,7 +246,7 @@ class TestCacheOffParity:
     def test_zero_byte_budget_also_disables(self):
         service, bob_key = make_service(cache_max_bytes=0)
         assert service.release_cache is None
-        assert query(service, bob_key)["Released"]
+        assert released_pieces(query(service, bob_key))
 
 
 class TestDeclaredWireSize:
@@ -261,20 +267,20 @@ class TestDeclaredWireSize:
     def test_miss_and_hit_declare_the_measured_size(self):
         service, bob_key = make_service()
         miss, hit = self.assert_exact(service, bob_key)
-        assert miss.body["Released"] and miss.wire_bytes == hit.wire_bytes
+        assert released_pieces(miss.body) and miss.wire_bytes == hit.wire_bytes
         assert cache_counters(service)["hits"] == 1
 
     def test_empty_release(self):
         service, _ = make_service()
         carol_key = service.register_consumer("carol")  # no rule: default deny
         for response in self.assert_exact(service, carol_key):
-            assert response.body["Released"] == []
+            assert released_pieces(response.body) == []
 
     def test_limit_truncates_the_payload_and_its_size(self):
         service, bob_key = make_service()
         full = self.assert_exact(service, bob_key)[0]
         limited = self.assert_exact(service, bob_key, {"Limit": 2})[0]
-        assert 0 < len(limited.body["Released"]) < len(full.body["Released"])
+        assert 0 < len(released_pieces(limited.body)) < len(released_pieces(full.body))
         assert limited.wire_bytes < full.wire_bytes
 
     @pytest.mark.parametrize("scanned", [0, 9, 10, 1000])
@@ -291,12 +297,11 @@ class TestDeclaredWireSize:
         for response in self.assert_exact(service, bob_key):
             assert response.body["Scanned"] == scanned
 
-    def test_non_ascii_labels_encode_to_ascii(self):
-        """``len(str)`` is a byte count only because the canonical encoder
-        escapes everything outside ASCII; pin that alongside the sizes."""
+    @staticmethod
+    def non_ascii_service(**kwargs):
         from repro.util.geo import BoundingBox, LabeledPlace
 
-        service = DataStoreService(HOST, Network(), seed=0)
+        service = DataStoreService(HOST, Network(), seed=0, **kwargs)
         service.register_contributor("alice")
         bob_key = service.register_consumer("bob")
         service.set_places(
@@ -306,12 +311,50 @@ class TestDeclaredWireSize:
             "alice",
             Rule(consumers=("bob",), location_labels=("café-é",), action=ALLOW, rule_id="r"),
         )
-        service.store.add_segment(make_segment(n=4, context={"Activity": "Café ☕"}))
+        service.store.add_segment(
+            make_segment(n=4, channels=("AccelX",), context={"Activity": "Café ☕"})
+        )
         service.store.flush()
+        return service, bob_key
+
+    def test_non_ascii_labels_encode_to_ascii(self):
+        """``len(str)`` is a byte count only because the canonical encoder
+        escapes everything outside ASCII; pin that alongside the sizes."""
+        service, bob_key = self.non_ascii_service()
         response = self.assert_exact(service, bob_key)[1]
-        assert response.body["Released"][0]["Segment"]["Context"] == {"Activity": "Café ☕"}
+        (piece,) = released_pieces(response.body)
+        assert piece["ContextLabels"] == {"Activity": "Café ☕"}
+        assert "Context" not in piece["Segment"]
         encoded = canonical(response.body)
         assert encoded.isascii() and len(encoded.encode("utf-8")) == response.wire_bytes
+
+    @pytest.mark.parametrize("cache", [{}, {"cache_capacity": 0}], ids=["cached", "uncached"])
+    @pytest.mark.parametrize("case", ["empty", "limit", "non-ascii"])
+    def test_entry_counts_its_frame_without_encoding_the_blob(self, case, cache, monkeypatch):
+        """``payload_bytes`` is arithmetic over the blob, and still exact."""
+        from repro.datastore import cache as cache_module
+        from repro.datastore.query import DataQuery
+
+        service, _ = self.non_ascii_service(**cache) if case == "non-ascii" else make_service(**cache)
+        consumer = "bob"
+        if case == "empty":
+            consumer = "carol"
+            service.register_consumer("carol")  # no rule: default deny
+        data_query = DataQuery.from_json({"Limit": 2} if case == "limit" else {})
+        entry = service._release_for("/api/query", consumer, "alice", data_query)
+        assert (service.release_cache is None) == bool(cache)
+        assert bool(entry.released) == (case != "empty")
+
+        encoded = []
+        real = jsonutil.canonical_dumps
+        monkeypatch.setattr(
+            cache_module.jsonutil, "canonical_dumps", lambda obj: encoded.append(obj) or real(obj)
+        )
+        counted = entry.payload_bytes
+        monkeypatch.undo()
+        assert counted == len(canonical(entry.payload))
+        assert [obj["Values"]["Blob"] for obj in encoded] == [""]
+        assert (entry.payload["Values"]["Blob"] == "") == (case == "empty")
 
     def test_cache_disabled_still_declares_exactly(self):
         service, bob_key = make_service(cache_capacity=0)

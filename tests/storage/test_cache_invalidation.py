@@ -26,7 +26,7 @@ from repro.storage.migration import install_records
 from repro.util.geo import BoundingBox, LabeledPlace
 from repro.util import jsonutil
 
-from tests.conftest import UCLA, make_segment
+from tests.conftest import UCLA, make_segment, released_pieces
 from tests.storage.test_records import one_frame_batch
 
 HOST = "st"
@@ -48,7 +48,7 @@ def warm(tmp_path):
     service.store.flush()
     service._wal_commit()
     body = query_as_bob(service)
-    assert body["Released"], "warm-up query should release data"
+    assert released_pieces(body), "warm-up query should release data"
     assert len(service.release_cache) == 1
     return service, body
 
@@ -89,7 +89,7 @@ class TestRecoveryInvalidation:
         # bob held an allow-everything grant before the crash; post-crash
         # the store cannot trust alice's rules and must release nothing.
         after = query_as_bob(service2)
-        assert before["Released"] and after["Released"] == []
+        assert released_pieces(before) and released_pieces(after) == []
 
     def test_republished_rules_repopulate_the_cache_freshly(self, tmp_path):
         # Corrupt only the rules snapshot (after a checkpoint) so the
@@ -100,7 +100,7 @@ class TestRecoveryInvalidation:
         StorageFaultPlan(seed=3).corrupt_file(str(tmp_path / f"{HOST}.rules.jsonl"))
         service2 = durable_service(tmp_path)
         assert "alice" in service2.fail_closed
-        assert query_as_bob(service2)["Released"] == []
+        assert released_pieces(query_as_bob(service2)) == []
         # The owner re-publishes the same rule set: fail-closed lifts,
         # the epoch moves, and the original bytes come back via a miss.
         alice_key = service2.keys.issue("alice")
@@ -116,7 +116,7 @@ class TestRecoveryInvalidation:
         assert "Error" not in body, body
         assert "alice" not in service2.fail_closed
         restored = query_as_bob(service2)
-        assert restored["Released"] == before["Released"]
+        assert released_pieces(restored) == released_pieces(before)
         # And the denied response never poisoned the allow path: repeat
         # query is a pure hit with identical bytes.
         again = query_as_bob(service2)
@@ -164,7 +164,7 @@ class TestKeyMovesInstead:
         )
         service.store.add_segment(make_segment(channels=("AccelX",), n=8))
         service.store.flush()
-        assert query_as_bob(service)["Released"]
+        assert released_pieces(query_as_bob(service))
         assert len(service.compiled_rules) == 1
         return service
 
@@ -179,9 +179,9 @@ class TestKeyMovesInstead:
         service = self.sharing_campus(tmp_path, cache_capacity)
         before = self.drops(service)
         service.set_places("alice", {"campus": ELSEWHERE})
-        assert query_as_bob(service)["Released"] == []  # campus is somewhere else now
+        assert released_pieces(query_as_bob(service)) == []  # campus is somewhere else now
         service.set_places("alice", {"campus": CAMPUS})
-        assert query_as_bob(service)["Released"]
+        assert released_pieces(query_as_bob(service))
         assert self.drops(service) == before
 
     def test_replica_places_frame(self, tmp_path, cache_capacity):
@@ -195,7 +195,7 @@ class TestKeyMovesInstead:
         )
         service.promote(service.epoch + 1, {"alice": service.rules.version_of("alice")})
         assert service.fail_closed == set()
-        assert query_as_bob(service)["Released"] == []
+        assert released_pieces(query_as_bob(service)) == []
         assert self.drops(service) == before
 
     def test_migrated_places(self, tmp_path, cache_capacity):
@@ -206,7 +206,7 @@ class TestKeyMovesInstead:
             service,
             [[records.OP_PLACES, records.places_record("alice", {"campus": ELSEWHERE})]],
         )
-        assert query_as_bob(service)["Released"] == []
+        assert released_pieces(query_as_bob(service)) == []
         assert self.drops(service) == before
 
     def test_cutover_fence(self, tmp_path, cache_capacity):
@@ -222,6 +222,6 @@ class TestKeyMovesInstead:
             },
         ).body
         assert reply["FailClosed"] == ["alice"]
-        assert query_as_bob(service)["Released"] == []
+        assert released_pieces(query_as_bob(service)) == []
         assert service._engine_for("alice").compiled.compiled == ()  # default deny
         assert self.drops(service) == before
