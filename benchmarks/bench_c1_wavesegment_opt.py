@@ -11,18 +11,24 @@ under five policies — per-tuple rows, unmerged packets, and merging with
 max-segment sizes 256 / 1024 / 4096 — then a one-minute range query.
 Expected shape: merged stores hold >10x fewer records than per-packet and
 >100x fewer than per-tuple, with correspondingly faster range queries.
+
+End to end: the optimizer merges only neighbours with equal context
+labels, so what a contributor-day becomes also depends on the phone
+stamping every packet with the full label set — measured through
+``SmartphoneAgent.collect`` at the ledger's ``rate_scale`` and at 1.0.
 """
 
 import time
 
 from repro.baselines.tuple_store import TupleStore
+from repro.collection.phone import SmartphoneAgent
 from repro.datastore.optimizer import MergePolicy
 from repro.datastore.query import DataQuery
 from repro.datastore.segment_store import SegmentStore
 from repro.util.timeutil import Interval
 
 from conftest import report_table
-from helpers import MONDAY, ecg_packets
+from helpers import MONDAY, alice_day, ecg_packets
 
 HOURS = 2.0
 QUERY_WINDOW = Interval(MONDAY + 30 * 60_000, MONDAY + 31 * 60_000)  # one minute
@@ -121,6 +127,44 @@ def test_c1_compaction_recovers_merge_benefit(benchmark):
         ],
     )
     assert store.stats.n_segments < before / 10
+
+
+def test_c1_contributor_day_through_the_phone(benchmark):
+    """Alice's day (Drive commuter, seed 1), labelled by the phone and
+    merged by a default-policy store."""
+
+    def stored_day(rate_scale):
+        _, trace = alice_day(rate_scale=rate_scale, seed=1)
+        agent = SmartphoneAgent("alice", "alice-store", client=None)
+        kept = agent.collect(trace.all_packets_sorted(), upload=False)
+        store = SegmentStore()
+        for pkt in kept:
+            store.add_packet("alice", pkt)
+        store.flush()
+        return len(kept), store.stats
+
+    rows = []
+    for rate_scale in (0.05, 1.0):
+        packets, stats = stored_day(rate_scale)
+        per_segment = stats.n_samples / stats.n_segments
+        rows.append(
+            [
+                rate_scale,
+                f"{packets:,}",
+                f"{stats.n_samples:,}",
+                f"{stats.n_segments:,}",
+                f"{per_segment:.1f}",
+            ]
+        )
+        assert per_segment >= 150, rate_scale
+    report_table(
+        "C1 — One contributor-day through the phone (default merge policy)",
+        ["rate_scale", "Packets uploaded", "Samples", "Stored segments", "Samples/segment"],
+        rows,
+        notes="segments end where a context label or the location changes, so "
+        "merging needs every packet to carry every label",
+    )
+    benchmark.pedantic(lambda: stored_day(0.05), rounds=1, iterations=1)
 
 
 def test_c1_merge_ingest_throughput(benchmark):

@@ -13,7 +13,7 @@ from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
 
 from conftest import report_table
-from helpers import MONDAY
+from helpers import MONDAY, alice_day
 
 
 def day_for(name, **kwargs):
@@ -60,6 +60,34 @@ def test_inference_accuracy_by_persona(benchmark):
     packets = [p for p in trace.all_packets_sorted() if p.start_ms < MONDAY + 3_600_000]
     annotator = ContextAnnotator(window_ms=60_000)
     benchmark(lambda: annotator.annotate(packets))
+
+
+def test_label_coverage_by_rate_scale(benchmark):
+    """A context rule can only match a packet that carries its category:
+    coverage (share of packets labelled) beside accuracy, at the rate
+    scales the repo runs at."""
+    categories = ("Activity", "Stress", "Smoking", "Conversation")
+    rows = []
+    for rate_scale in (0.05, 0.2, 1.0):
+        _, trace = alice_day(rate_scale=rate_scale, seed=1)
+        annotated = annotate_packets(trace.all_packets_sorted())
+        accuracy = label_accuracy(annotated, trace.state_at)
+        row = [rate_scale]
+        for category in categories:
+            coverage = sum(category in p.context for p in annotated) / len(annotated)
+            row.append(f"{coverage:.3f} / {accuracy[category]:.4f}")
+            assert coverage == 1.0, (rate_scale, category)
+        rows.append(row)
+    report_table(
+        "Supporting — Label coverage / accuracy by rate_scale (alice, seed 1, 1 day)",
+        ["rate_scale", *categories],
+        rows,
+        notes="coverage = share of packets carrying the category; a window is a "
+        "span of time, so every sensed channel feeds every minute it has samples in",
+    )
+    # Timed: one hour at hardware rates (the last trace of the loop).
+    packets = [p for p in trace.all_packets_sorted() if p.start_ms < MONDAY + 3_600_000]
+    benchmark.pedantic(lambda: annotate_packets(packets), rounds=1, iterations=1)
 
 
 def test_inference_degrades_gracefully_without_channels(benchmark):

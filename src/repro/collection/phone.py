@@ -1,13 +1,18 @@
 """The smartphone agent: sensing gate, context annotation, batched upload.
 
-The agent processes a contributor's sensor stream in fixed windows:
+The agent processes a contributor's sensor stream in four steps:
 
-1. **Sensing gate** (location+time, context-agnostic): a sensor is left
-   off for a window when *no* rule could release its data at the current
+1. **Sensing gate** (location+time, context-agnostic), per packet: a
+   sensor is left off when *no* rule could release its data at the current
    location and time under *any* context — evaluated by stripping context
    conditions from the downloaded rules (optimistic), so a channel that is
    shareable only in some context is still temporarily collected.
-2. **Context inference** on the temporarily collected window.
+2. **Context inference** over the temporarily collected samples, in fixed
+   windows of time (:class:`~repro.context.annotate.ContextAnnotator`): a
+   window's labels come from every sensed sample that falls in it, and a
+   packet is stamped with the labels of the window holding its first
+   sample.  Packets the sensing gate turned off feed nothing — data the
+   rules say must not be collected cannot shape a label either.
 3. **Upload gate** (exact): each packet, now annotated with inferred
    context, is evaluated against the owner's real rules for every consumer
    named in them; packets nobody could ever receive are discarded.
@@ -255,44 +260,32 @@ class SmartphoneAgent:
         """Run the full pipeline over a packet stream.
 
         Returns the packets that passed both gates (annotated with
-        *inferred* context); uploads them in batches unless
-        ``upload=False`` (used by benchmarks that only measure the gate).
+        *inferred* context), ordered by the window of their first sample
+        and, within one, as they were given — so a stream handed over in
+        time order reaches the optimizer in time order; uploads them in
+        batches unless ``upload=False`` (used by benchmarks that only
+        measure the gate).  Inference sees this call's sensed packets
+        only: nothing is carried from one call to the next.
         """
-        windows: dict[int, list] = {}
+        stats = self.stats
+        sensed: list[SensorPacket] = []
         for packet in packets:
-            self.stats.samples_available += len(packet.values)
-            windows.setdefault(packet.start_ms // self.config.window_ms, []).append(packet)
+            n = len(packet.values)
+            stats.samples_available += n
+            if self.sensing_allowed(packet):
+                sensed.append(packet)
+                stats.samples_sensed += n
+                stats.energy_units += ENERGY_COST.get(packet.channel_name, 1.0) * n
+            else:
+                stats.samples_skipped_gate += n
 
         kept: list[SensorPacket] = []
-        for key in sorted(windows):
-            group = windows[key]
-            sensed = []
-            for packet in group:
-                if self.sensing_allowed(packet):
-                    sensed.append(packet)
-                    self.stats.samples_sensed += len(packet.values)
-                    self.stats.energy_units += ENERGY_COST.get(
-                        packet.channel_name, 1.0
-                    ) * len(packet.values)
-                else:
-                    self.stats.samples_skipped_gate += len(packet.values)
-            if not sensed:
-                continue
-            labels = self.annotator.infer_window(sensed)
-            for packet in sensed:
-                annotated = SensorPacket(
-                    channel_name=packet.channel_name,
-                    start_ms=packet.start_ms,
-                    interval_ms=packet.interval_ms,
-                    values=packet.values,
-                    location=packet.location,
-                    context=dict(labels),
-                )
-                if self.should_upload(annotated):
-                    kept.append(annotated)
-                    self.stats.samples_uploaded += len(annotated.values)
-                else:
-                    self.stats.samples_discarded_context += len(annotated.values)
+        for annotated in self.annotator.stamp(sensed):
+            if self.should_upload(annotated):
+                kept.append(annotated)
+                stats.samples_uploaded += len(annotated.values)
+            else:
+                stats.samples_discarded_context += len(annotated.values)
 
         if upload:
             self.upload(kept)

@@ -1,10 +1,10 @@
 """Annotating sensor data with inferred context labels.
 
 Section 6: "the sensor data are annotated with the context information and
-uploaded to remote data stores."  The annotator buffers packets into
-aligned time windows, extracts features across channels, runs the
-inference pipeline, and emits the same packets with their ``context``
-field replaced by the *inferred* labels.
+uploaded to remote data stores."  The annotator cuts the samples it is
+handed into aligned time windows, runs the inference pipeline over each
+window's samples across channels, and emits the same packets with their
+``context`` field replaced by the *inferred* labels.
 
 The annotator is the phone-side component; the smartphone agent
 (:mod:`repro.collection.phone`) wires it between sensing and upload, and
@@ -13,68 +13,87 @@ also consults it for rule-aware collection decisions.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import Iterable, Mapping, Optional
 
 from repro.context.classifiers import InferencePipeline
-from repro.context.features import window_features
+from repro.context.features import WindowSamples
 from repro.sensors.packets import SensorPacket
 
 
 class ContextAnnotator:
-    """Sliding-window context inference over interleaved packets.
+    """Fixed-window context inference over interleaved packets.
 
-    Packets are grouped into fixed windows of ``window_ms``; each window's
-    labels are inferred from every channel present in it, then stamped on
-    the window's packets.  Windows are keyed by
-    ``floor(start / window_ms)``, so the grouping is deterministic and
-    stateless across calls.
+    A window is a span of time: window ``k`` is inferred from every sample
+    whose timestamp falls in ``[k * window_ms, (k + 1) * window_ms)``,
+    whichever packet carried it, so a packet that outlasts the window
+    feeds each window it crosses exactly its own rows.  A packet is
+    stamped with the labels of the window holding its *first* sample;
+    packets are never split, re-timed or reordered within their stream.
+    Only the packets of one call are seen (stateless across calls), so the
+    first window of an upload may be inferred from part of its samples.
     """
 
     def __init__(self, window_ms: int = 60_000, pipeline: Optional[InferencePipeline] = None):
         self.window_ms = window_ms
         self.pipeline = pipeline or InferencePipeline()
 
-    def _window_key(self, packet: SensorPacket) -> int:
-        return packet.start_ms // self.window_ms
+    def windows(self, packets: Iterable[SensorPacket]) -> dict:
+        """Which samples each window sees: ``{key: {channel: samples}}``.
 
-    def annotate(self, packets: Iterable[SensorPacket]) -> list:
-        """Return the packets re-stamped with inferred context labels."""
-        windows: dict[int, list] = {}
+        The one place samples are assigned to windows.  Sample ``i`` of a
+        packet sits at ``start_ms + i * interval_ms``, so the rows inside a
+        window are one contiguous run ending at a ceiling division (as in
+        ``WaveSegment._sample_range``); a channel's runs are concatenated
+        in packet order.  Only windows in which some packet starts get an
+        entry — no other window's labels are ever stamped on anything.
+        """
+        packets = list(packets)
+        width = self.window_ms
+        out: dict = {packet.start_ms // width: {} for packet in packets}
         for packet in packets:
-            windows.setdefault(self._window_key(packet), []).append(packet)
-        out: list[SensorPacket] = []
-        for key in sorted(windows):
-            group = windows[key]
-            labels = self.infer_window(group)
-            for packet in group:
-                out.append(
-                    SensorPacket(
-                        channel_name=packet.channel_name,
-                        start_ms=packet.start_ms,
-                        interval_ms=packet.interval_ms,
-                        values=packet.values,
-                        location=packet.location,
-                        context=dict(labels),
-                    )
-                )
-        out.sort(key=lambda p: (p.start_ms, p.channel_name))
+            name, values = packet.channel_name, packet.values
+            start, step = packet.start_ms, packet.interval_ms
+            n, first = len(values), 0
+            while first < n:
+                key = (start + first * step) // width
+                stop = -((start - (key + 1) * width) // step)
+                if stop > n:
+                    stop = n
+                window = out.get(key)
+                if window is not None:
+                    samples = window.get(name)
+                    if samples is None:
+                        samples = window[name] = WindowSamples([], 1000.0 / step)
+                    samples.values.extend(values[first:stop])
+                first = stop
         return out
 
-    def infer_window(self, packets: Iterable[SensorPacket]) -> dict:
-        """Infer labels for one window's worth of packets."""
-        by_channel: dict[str, list] = {}
-        rates: dict[str, float] = {}
-        for packet in packets:
-            by_channel.setdefault(packet.channel_name, []).extend(packet.values)
-            rates[packet.channel_name] = 1000.0 / packet.interval_ms
-        features = {
-            name: window_features(np.asarray(values), rates[name])
-            for name, values in by_channel.items()
-            if values
-        }
-        return self.pipeline.infer(features)
+    def infer_window(self, samples: Mapping[str, WindowSamples]) -> dict:
+        """Infer labels for one window from its per-channel samples."""
+        return self.pipeline.infer(samples)
+
+    def stamp(self, packets: Iterable[SensorPacket]) -> list:
+        """The packets re-stamped with the labels of their first sample's
+        window, ordered by window and, within one, as they were given."""
+        packets = list(packets)
+        width = self.window_ms
+        labels = {key: self.infer_window(w) for key, w in self.windows(packets).items()}
+        return [
+            SensorPacket(
+                channel_name=packet.channel_name,
+                start_ms=packet.start_ms,
+                interval_ms=packet.interval_ms,
+                values=packet.values,
+                location=packet.location,
+                context=dict(labels[packet.start_ms // width]),
+            )
+            for packet in sorted(packets, key=lambda p: p.start_ms // width)
+        ]
+
+    def annotate(self, packets: Iterable[SensorPacket]) -> list:
+        """Return the packets re-stamped with inferred context labels,
+        ordered by start time."""
+        return sorted(self.stamp(packets), key=lambda p: (p.start_ms, p.channel_name))
 
 
 def annotate_packets(

@@ -68,6 +68,11 @@ class SegmentStore:
                 "codec_decode_seconds",
                 callback=lambda: DECODE_STATS.decode_seconds,
             )
+            # Samples per segment (§5.1) is the ratio of these two.  Rebound
+            # like the release cache's gauges: a restarted service must not
+            # leave them reading a dead store.
+            m.gauge("store_segments", store=name).callback = lambda: self.stats.n_segments
+            m.gauge("store_samples", store=name).callback = lambda: self.stats.n_samples
         else:
             self._c_scanned = None
             self._c_duplicates = None

@@ -4,7 +4,9 @@ import pytest
 
 from repro.collection.phone import ANYONE, PhoneConfig, SmartphoneAgent, replace_contexts
 from repro.rules.model import ALLOW, DENY, Rule, abstraction
-from repro.sensors.packets import SensorPacket
+from repro.sensors.channels import CHANNELS
+from repro.sensors.packets import SensorPacket, packetize
+from repro.sensors.simulator import SimulatorConfig
 from repro.util.geo import BoundingBox, LabeledPlace, LatLon
 
 from tests.conftest import MONDAY, UCLA
@@ -169,6 +171,50 @@ class TestCollectLoop:
     def test_no_upload_when_client_missing_but_upload_false(self):
         agent = make_agent([Rule(action=ALLOW)])
         agent.collect(self.trace_packets(), upload=False)  # must not raise
+
+
+def continuous_stream(rate_scale, minutes=30):
+    """Every default channel, firmware-sized packets, no gaps, time order."""
+    config = SimulatorConfig(rate_scale=rate_scale)
+    packets = []
+    for name in config.channels:
+        interval_ms = config.interval_ms(CHANNELS[name])
+        n = minutes * 60_000 // interval_ms
+        values = [float((7 * i) % 11) for i in range(n)]
+        packets += packetize(name, MONDAY, interval_ms, values, location=UCLA)
+    packets.sort(key=lambda p: (p.start_ms, p.channel_name))
+    return packets
+
+
+class TestWindowsAreSpansOfTime:
+    """The phone infers a minute's context from the samples that fall in
+    it, so what a packet is stamped with does not depend on which other
+    channels happened to start a packet in the same minute."""
+
+    @pytest.mark.parametrize("rate_scale", [0.05, 0.2, 1.0])
+    def test_every_kept_packet_carries_all_four_categories(self, rate_scale):
+        agent = make_agent([Rule(consumers=("bob",), action=ALLOW)])
+        packets = continuous_stream(rate_scale)
+        kept = agent.collect(packets, upload=False)
+        assert len(kept) == len(packets)
+        for pkt in kept:
+            assert set(pkt.context) == {"Activity", "Stress", "Smoking", "Conversation"}
+
+    def test_packets_the_sensing_gate_rejects_shape_no_label(self):
+        """§5.3: data the rules say must not be collected cannot feed
+        inference either — same labels as if it had never been offered."""
+        rules = [Rule(consumers=("coach",), sensors=("Accelerometer", "Microphone"), action=ALLOW)]
+        packets = continuous_stream(0.05)
+        sensed_only = [p for p in packets if make_agent(rules).sensing_allowed(p)]
+        assert 0 < len(sensed_only) < len(packets)
+        gated, never_offered = make_agent(rules), make_agent(rules)
+        kept = gated.collect(packets, upload=False)
+        assert [(p, p.context) for p in kept] == [
+            (p, p.context) for p in never_offered.collect(sensed_only, upload=False)
+        ]
+        assert gated.stats.samples_skipped_gate > 0
+        for pkt in kept:  # no Respiration was sensed, so none was inferred from
+            assert set(pkt.context) == {"Activity", "Conversation"}
 
 
 class TestReplaceContexts:

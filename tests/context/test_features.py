@@ -7,6 +7,7 @@ import pytest
 
 from repro.context.features import (
     FeatureVector,
+    WindowSamples,
     channel_features,
     dominant_frequency,
     window_features,
@@ -108,6 +109,30 @@ class TestOnePassIsBitIdentical:
         for values, rate in self.windows():
             arr = np.asarray(values, dtype=np.float64)
             assert dominant_frequency(arr, rate) == textbook_dominant_frequency(arr, rate)
+
+    def test_one_frequency_bin_equals_that_element_of_rfftfreq(self):
+        """``_peak_frequency`` no longer builds the bin array to read one."""
+        rng = np.random.default_rng(20112)
+        for _ in range(20_000):
+            n = int(rng.integers(8, 4_096))
+            rate = float(rng.choice([0.2, 0.8, 4.0, 25.0, 250.0, rng.uniform(0.01, 500.0)]))
+            peak = int(rng.integers(0, n // 2 + 1))
+            assert peak * (1.0 / (n * (1.0 / rate))) == np.fft.rfftfreq(n, d=1.0 / rate)[peak]
+
+    def test_statistics_read_on_demand_equal_the_eager_vector(self):
+        """Whatever a classifier reads first, it reads ``window_features``'s value."""
+        names = ("mean", "std", "minimum", "maximum", "dominant_freq_hz", "energy")
+        rng = np.random.default_rng(20113)
+        for values, rate in self.windows():
+            eager = textbook_features(values, rate)
+            samples = WindowSamples(list(values), rate)
+            for name in rng.permutation(names):
+                assert getattr(samples, name) == getattr(eager, name)
+
+    def test_empty_samples_are_rejected_when_first_read(self):
+        samples = WindowSamples([], 4.0)
+        with pytest.raises(ValidationError):
+            samples.mean
 
 
 class TestChannelFeatures:

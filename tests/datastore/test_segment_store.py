@@ -114,6 +114,39 @@ class TestQuery:
         assert store.stats.queries_served == before + 1
 
 
+class TestSizeGauges:
+    """Samples per segment (§5.1) is readable from telemetry alone."""
+
+    def test_gauges_follow_the_store_through_ingest_delete_and_restart(self):
+        from repro.net.transport import Network
+
+        obs = Network().obs
+        store = SegmentStore("size-store", obs=obs)
+
+        def gauges():
+            m = obs.metrics
+            return (
+                m.gauge_value("store_segments", store="size-store"),
+                m.gauge_value("store_samples", store="size-store"),
+            )
+
+        assert gauges() == (0, 0)
+        ingest_run(store, n=640)
+        store.flush()
+        assert gauges() == (store.stats.n_segments, 640)
+        assert gauges()[0] < 10  # ten packets merged, not ten segments
+        store.delete("alice", DataQuery())
+        assert gauges() == (0, 0)
+        ingest_run(store, n=64)
+        store.flush()
+        # A rebuilt store of the same name takes the gauges over.
+        fresh = SegmentStore("size-store", obs=obs)
+        assert gauges() == (0, 0)
+        ingest_run(fresh, n=128)
+        fresh.flush()
+        assert gauges() == (fresh.stats.n_segments, 128)
+
+
 class TestCompaction:
     def test_compact_after_unmerged_ingest(self):
         store = SegmentStore(merge_policy=MergePolicy(enabled=False))

@@ -96,6 +96,18 @@ class TestMetricsEndpoint:
         body = alice.client.get("https://broker/api/metrics")
         assert body["Host"] == "broker"
 
+    def test_samples_per_segment_is_readable_from_the_scrape(self, wired):
+        system, alice, _ = wired
+        gauges = alice.client.get("https://alice-store/api/metrics")["Metrics"]["Gauges"]
+        by_name = {
+            name: {s["Labels"]["store"]: s["Value"] for s in gauges[name]}
+            for name in ("store_segments", "store_samples")
+        }
+        assert by_name["store_segments"]["alice-store"] == 1
+        assert by_name["store_samples"]["alice-store"] == 16
+        scraped = system.broker.fleet.scrape()["Hosts"]["alice-store"]["Metrics"]["Gauges"]
+        assert scraped["store_samples"][0]["Value"] == 16
+
     def test_query_moves_the_rule_counters(self, wired):
         system, _, bob = wired
         registry = system.obs.metrics
