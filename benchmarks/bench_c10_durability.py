@@ -33,6 +33,7 @@ import tempfile
 import time
 
 from repro.net.transport import Network
+from repro.sensors.packets import encode_upload
 from repro.server.datastore_service import DataStoreService
 
 from conftest import format_table, report_table
@@ -66,7 +67,7 @@ def _requests_for(packets):
     return [
         {
             "Contributor": "alice",
-            "Packets": [p.to_json() for p in packets[i : i + PACKETS_PER_REQUEST]],
+            "Upload": encode_upload(packets[i : i + PACKETS_PER_REQUEST]),
         }
         for i in range(0, len(packets), PACKETS_PER_REQUEST)
     ]

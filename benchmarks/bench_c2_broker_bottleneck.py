@@ -19,6 +19,7 @@ from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rules_to_json
+from repro.sensors.packets import encode_upload
 
 from conftest import report_table
 from helpers import ecg_packets
@@ -32,7 +33,7 @@ def _upload_packets(client, url, contributor, packets, batch=200):
         chunk = packets[offset : offset + batch]
         client.post(
             url,
-            {"Contributor": contributor, "Packets": [p.to_json() for p in chunk]},
+            {"Contributor": contributor, "Upload": encode_upload(chunk)},
         )
 
 

@@ -23,6 +23,7 @@ from repro.broker.registry import ContributorRegistry
 from repro.broker.search import ContributorSearch, SearchCriteria
 from repro.core import SensorSafeSystem
 from repro.rules.model import ALLOW, DENY, Rule, abstraction
+from repro.sensors.packets import encode_upload
 from repro.util.geo import BoundingBox, LabeledPlace
 from repro.util.timeutil import RepeatedTime, TimeCondition
 
@@ -122,7 +123,7 @@ def test_c5_broker_vs_no_broker_discovery(benchmark):
             contributor.add_rule(rule)
         contributor.client.post(
             f"https://{name}-store/api/upload_packets",
-            {"Contributor": name, "Packets": [p.to_json() for p in packets]},
+            {"Contributor": name, "Upload": encode_upload(packets)},
         )
         contributor.client.post(f"https://{name}-store/api/flush", {"Contributor": name})
         names.append(name)

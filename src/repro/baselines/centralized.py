@@ -28,7 +28,7 @@ from repro.net.transport import Network
 from repro.rules.engine import RuleEngine, encode_release
 from repro.rules.parser import rules_from_json
 from repro.rules.rulestore import RuleStore
-from repro.sensors.packets import SensorPacket
+from repro.sensors.packets import decode_upload
 from repro.util.idgen import DeterministicRng
 
 
@@ -79,8 +79,8 @@ class CentralizedService:
         if principal != contributor:
             raise AuthorizationError("cannot upload for someone else")
         stored = 0
-        for obj in request.body.get("Packets", []):
-            stored += len(self.store.add_packet(contributor, SensorPacket.from_json(obj)))
+        for packet in decode_upload(request.body.get("Upload")):
+            stored += len(self.store.add_packet(contributor, packet))
         if request.body.get("Flush"):
             return {"Finalized": stored + len(self.store.flush()), "Flushed": True}
         return {"Finalized": stored}

@@ -30,12 +30,12 @@ from typing import Iterable, Optional
 
 from repro.context.annotate import ContextAnnotator
 from repro.datastore.wavesegment import segment_from_packet
-from repro.exceptions import OverloadedError, ServiceError, TransportError
+from repro.exceptions import BadRequestError, OverloadedError, ServiceError, TransportError
 from repro.net.client import HttpClient
 from repro.rules.engine import RuleEngine
 from repro.rules.model import Rule
 from repro.rules.parser import rules_from_json
-from repro.sensors.packets import SensorPacket
+from repro.sensors.packets import SensorPacket, encode_upload
 from repro.util.geo import LabeledPlace
 
 #: Sentinel for "a consumer matched only by wildcard (no-Consumer) rules".
@@ -75,8 +75,11 @@ class CollectionStats:
     packets_buffered: int = 0
     #: buffered packets later delivered by a drain or a following upload
     packets_recovered: int = 0
-    #: packets dropped on the floor (non-resilient agents only)
+    #: packets dropped on the floor (queue overflow, a non-resilient
+    #: agent's failed batches, chunks the store refused)
     packets_lost: int = 0
+    #: of those, packets in chunks the store refused as malformed (400)
+    packets_refused: int = 0
     #: uploads deferred because the store asked for backoff (Retry-After)
     upload_backoffs: int = 0
 
@@ -299,8 +302,10 @@ class SmartphoneAgent:
         with everything behind it (order preserved), and redelivered by
         the next :meth:`upload` or an explicit :meth:`drain_offline` once
         the store recovers.  Non-resilient agents count the failed batch
-        as lost and move on.
+        as lost and move on.  A chunk the store answers 400 is lost either
+        way (``packets_refused``) and the chunks behind it still go out.
 
+        A chunk is one :func:`~repro.sensors.packets.encode_upload` frame.
         The final chunk carries ``"Flush": true`` so the store finalizes,
         fsyncs and replicates in that same request; the separate
         ``/api/flush`` is sent only when no reply said ``Flushed`` (the
@@ -319,10 +324,19 @@ class SmartphoneAgent:
         pending = self._offline_queue + list(packets)
         self._offline_queue = []
         batch = self.config.upload_batch_packets
-        delivered = 0
         for offset in range(0, len(pending), batch):
             chunk = pending[offset : offset + batch]
-            if not self._post_chunk(chunk, flush=offset + batch >= len(pending)):
+            try:
+                sent = self._post_chunk(chunk, flush=offset + batch >= len(pending))
+            except BadRequestError:
+                # A 400 is final: the store refuses this chunk as malformed
+                # and always will, so parking it would re-send it ahead of
+                # everything behind it until the queue overflowed.
+                self.stats.upload_failures += 1
+                self.stats.packets_lost += len(chunk)
+                self.stats.packets_refused += len(chunk)
+                continue
+            if not sent:
                 remainder = pending[offset:]
                 if self.config.resilient:
                     self._buffer(remainder)
@@ -330,8 +344,7 @@ class SmartphoneAgent:
                     self.stats.packets_lost += len(remainder)
                     self._flush_pending = True
                 break
-            delivered += len(chunk)
-        self.stats.packets_recovered += min(delivered, recovering)
+            self.stats.packets_recovered += max(0, min(len(chunk), recovering - offset))
         self._try_flush()
 
     #: Backoff applied when an overloaded store supplies no Retry-After hint.
@@ -344,10 +357,7 @@ class SmartphoneAgent:
         return self.client.network.clock.now_ms() < self._backoff_until_ms
 
     def _post_chunk(self, chunk: list, *, flush: bool = False) -> bool:
-        body = {
-            "Contributor": self.contributor,
-            "Packets": [p.to_json() for p in chunk],
-        }
+        body = {"Contributor": self.contributor, "Upload": encode_upload(chunk)}
         if flush:
             body["Flush"] = True
         try:
@@ -361,6 +371,8 @@ class SmartphoneAgent:
             hint = max(exc.retry_after_ms, self._DEFAULT_BACKOFF_MS)
             self._backoff_until_ms = self.client.network.clock.now_ms() + hint
             return False
+        except BadRequestError:
+            raise  # final, not retryable: upload() counts the chunk refused
         except (TransportError, ServiceError):
             self.stats.upload_failures += 1
             return False

@@ -11,12 +11,15 @@ from how the store coalesces many of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
-from repro.exceptions import ValidationError
+import numpy as np
+
+from repro.exceptions import SchemaError, ValidationError
 from repro.sensors.channels import channel
 from repro.util.geo import LatLon
-from repro.util.jsonutil import require_keys
+from repro.util.jsonutil import require_keys, require_type
 from repro.util.timeutil import Interval
 
 
@@ -62,18 +65,20 @@ class SensorPacket:
         return [self.start_ms + i * self.interval_ms for i in range(len(self.values))]
 
     def to_json(self) -> dict:
-        """Wire format used by the phone's upload API."""
+        """The packet's header inside an :func:`encode_upload` frame:
+        ``Values`` is the sample count, the samples ride the frame's blob."""
         return {
             "Channel": self.channel_name,
             "StartTime": self.start_ms,
             "SamplingInterval": self.interval_ms,
-            "Values": list(self.values),
+            "Values": len(self.values),
             "Location": self.location.to_json() if self.location else None,
             "Context": dict(self.context),
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "SensorPacket":
+    def from_json(cls, obj: dict, values: tuple) -> "SensorPacket":
+        """Parse a header; ``values`` are its samples, cut from the blob."""
         require_keys(
             obj, ("Channel", "StartTime", "SamplingInterval", "Values"), where="packet"
         )
@@ -82,7 +87,7 @@ class SensorPacket:
             channel_name=str(obj["Channel"]),
             start_ms=int(obj["StartTime"]),
             interval_ms=int(obj["SamplingInterval"]),
-            values=tuple(float(v) for v in obj["Values"]),
+            values=values,
             location=LatLon.from_json(location) if location else None,
             context=dict(obj.get("Context", {})),
         )
@@ -100,6 +105,67 @@ class SensorPacket:
             and self.interval_ms == other.interval_ms
             and self.start_ms == other.end_ms
         )
+
+
+def encode_upload(packets: Iterable[SensorPacket]) -> dict:
+    """The wire form of a phone upload: one frame, one value blob.
+
+    ``Packets`` are the packets with their samples reduced to a count;
+    ``Values`` is every packet's samples, in packet order, as one codec
+    blob (the paper's wave-segment argument applied to the uplink).  The
+    only producer of an ``/api/upload_packets`` request's ``Upload``
+    member; :func:`decode_upload` is its only parser.  A non-finite
+    sample is :class:`~repro.exceptions.SchemaError` here, before
+    anything is sent: a blob would carry it into the store silently.
+    """
+    from repro.datastore.codec import encode_values  # deferred: datastore imports this module
+
+    packets = list(packets)
+    flat = np.fromiter(chain.from_iterable(p.values for p in packets), np.float64)
+    _require_finite(flat)
+    return {
+        "Packets": [p.to_json() for p in packets],
+        "Values": encode_values(flat.reshape(-1, 1)),
+    }
+
+
+def decode_upload(frame: dict) -> list:
+    """Parse an upload frame into its :class:`SensorPacket` list.
+
+    The blob is decoded once and every packet is built through its
+    constructor.  :class:`~repro.exceptions.SchemaError`, before any
+    packet is returned, unless the blob is base64 of one channel (a
+    decimal list is not a second wire form), every header parses and the
+    declared counts consume the (finite) samples exactly.
+    """
+    from repro.datastore.codec import ENCODING_B64, decode_values  # deferred, as above
+
+    require_keys(frame, ("Packets", "Values"), where="upload frame")
+    blob = frame["Values"]
+    if not isinstance(blob, dict) or (blob.get("Encoding"), blob.get("Channels")) != (ENCODING_B64, 1):
+        raise SchemaError("upload frame: Values must be one base64 blob of one channel")
+    flat = decode_values(blob).reshape(-1)
+    _require_finite(flat)
+    samples, packets, offset = flat.tolist(), [], 0
+    for header in require_type(frame["Packets"], list, where="upload frame Packets"):
+        count = header.get("Values") if isinstance(header, dict) else None
+        if type(count) is not int or count <= 0 or offset + count > len(samples):
+            raise SchemaError(
+                f"upload frame: bad packet header or count at value {offset} of {len(samples)}"
+            )
+        try:
+            packets.append(SensorPacket.from_json(header, tuple(samples[offset : offset + count])))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"upload frame: malformed packet header: {exc}") from exc
+        offset += count
+    if offset != len(samples):
+        raise SchemaError(f"upload frame: packets consume {offset} of {len(samples)} values")
+    return packets
+
+
+def _require_finite(flat: np.ndarray) -> None:
+    if not np.isfinite(flat).all():
+        raise SchemaError("upload frame: sample values must be finite")
 
 
 def packetize(

@@ -49,7 +49,7 @@ from repro.rules.engine import RuleEngine
 from repro.rules.model import Rule
 from repro.rules.parser import rule_from_json, rules_from_json, rules_to_json
 from repro.rules.rulestore import RuleStore
-from repro.sensors.packets import SensorPacket
+from repro.sensors.packets import decode_upload
 from repro.server.audit import AuditLog
 from repro.storage import records
 from repro.util import jsonutil
@@ -898,14 +898,23 @@ class DataStoreService:
         return {"Accepted": len(segments), "Finalized": stored, "Duplicates": duplicates}
 
     def _h_upload_packets(self, request: Request) -> dict:
+        """The phone's uplink: one :func:`~repro.sensors.packets.encode_upload`
+        frame per request.  Decode, then ingest: a frame the parser refuses
+        (400) has put nothing into the optimizer, the store or the log."""
         self._require_writable()
         contributor = str(request.body.get("Contributor", ""))
         self._require_contributor(request, contributor)
         self._require_resident(contributor)
-        packets = request.body.get("Packets", [])
+        packets = decode_upload(request.body.get("Upload"))
+        span = self.network.obs.tracer.current_span()
+        if span is not None:
+            # Counts only.  "readings", because the redaction boundary
+            # strips any key that says "sample", whatever it holds.
+            span.set_attributes(
+                packets=len(packets), readings=sum(len(p.values) for p in packets)
+            )
         stored = 0
-        for obj in packets:
-            packet = SensorPacket.from_json(obj)
+        for packet in packets:
             stored += len(self.store.add_packet(contributor, packet))
         reply = {"Accepted": len(packets), "Finalized": stored}
         if request.body.get("Flush"):

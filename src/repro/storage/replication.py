@@ -9,7 +9,8 @@ stores over the ordinary :mod:`repro.net` transport:
   :attr:`WriteAheadLog.on_append` (plus a :meth:`~WalShipper.backfill`
   scan of the current on-disk generation, so frames appended before the
   shipper existed are not lost), buffers frames until every replica has
-  acknowledged them, and POSTs batches to ``/api/replicate/append``;
+  acknowledged them, and POSTs batches to ``/api/replicate/append``, each
+  batch's frames as one byte stream (:func:`encode_ship`);
 * :class:`ReplicaApplier` runs on each **replica**.  Every received frame
   is verified with the same rigor the on-disk scanner applies — header
   CRC, payload CRC, chain binding to the previous frame, strict LSN
@@ -47,9 +48,10 @@ shipper demotes its own service rather than forking history.
 
 from __future__ import annotations
 
+import base64
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.exceptions import (
     ConflictError,
@@ -110,6 +112,56 @@ def read_wal_frames(path: str) -> list:
     return frames
 
 
+def encode_ship(frames) -> dict:
+    """The wire form of shipped WAL frames: one envelope, one byte stream.
+
+    ``Stream`` is the exact bytes of every ``(lsn, frame_bytes,
+    chain_prev)`` triple's frame, concatenated and base64-encoded once
+    (frames delimit themselves: the 20-byte header carries the length);
+    ``Frames`` is one ``[lsn, chain_prev]`` per frame — a batch can span a
+    checkpoint reset, where ``chain_prev`` is 0 mid-batch, so it cannot be
+    derived from the previous header.  The only producer of these two
+    ``/api/replicate/append`` members; :func:`decode_ship` is their only
+    parser.
+    """
+    frames = list(frames)
+    stream = b"".join(frame for _lsn, frame, _chain_prev in frames)
+    return {
+        "Frames": [[lsn, chain_prev] for lsn, _frame, chain_prev in frames],
+        "Stream": base64.b64encode(stream).decode("ascii"),
+    }
+
+
+def decode_ship(body: dict) -> list:
+    """Cut a shipped stream back into ``(lsn, frame_bytes, chain_prev)``.
+
+    :class:`~repro.exceptions.CorruptRecordError`, before any frame is
+    returned, unless the headers' lengths cut the stream into exactly the
+    frames the envelope lists: one that ends inside a header or payload,
+    or runs on past the last frame, is refused whole.  What each frame
+    *holds* is :meth:`ReplicaApplier._apply_frame`'s to verify.
+    """
+    try:
+        envelope = [(int(lsn), int(chain_prev)) for lsn, chain_prev in body["Frames"]]
+        stream = base64.b64decode(body["Stream"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise CorruptRecordError(f"malformed ship: {exc!r}") from exc
+    frames, offset = [], 0
+    for lsn, chain_prev in envelope:
+        end = offset + HEADER_SIZE
+        if end <= len(stream):
+            end += _HEADER.unpack_from(stream, offset)[0]
+        if end > len(stream):
+            raise CorruptRecordError(f"shipped stream ends inside frame lsn {lsn}")
+        frames.append((lsn, stream[offset:end], chain_prev))
+        offset = end
+    if offset != len(stream):
+        raise CorruptRecordError(
+            f"shipped stream: {len(frames)} frames consume {offset} of {len(stream)} bytes"
+        )
+    return frames
+
+
 @dataclass
 class ReplicaLink:
     """The primary's view of one replica: transport handle plus progress."""
@@ -127,17 +179,12 @@ class ReplicaLink:
     last_error: str = ""
 
 
-@dataclass
-class _BufferedFrame:
+class _BufferedFrame(NamedTuple):
     """One framed WAL record waiting for replica acknowledgement."""
 
     lsn: int
     frame: bytes
     chain_prev: int
-
-    def to_json(self) -> dict:
-        """Wire form of the frame (bytes hex-encoded for JSON transport)."""
-        return {"Lsn": self.lsn, "ChainPrev": self.chain_prev, "Frame": self.frame.hex()}
 
 
 class WalShipper:
@@ -320,8 +367,9 @@ class WalShipper:
             "Primary": self.service.host,
             "Epoch": self.service.epoch,
             "Resync": link.resync,
-            "Frames": [bf.to_json() for bf in pending],
+            **encode_ship(pending),
         }
+        span.set_attribute("bytes", len(body["Stream"]))
         if link.resync:
             body["BaseLsn"] = self._base_lsn
             if self._base_lsn:
@@ -511,19 +559,15 @@ class ReplicaApplier:
         the upload that journaled these frames owns the whole path.
         """
         tracer = self.service.network.obs.tracer
-        with tracer.start_span(
-            "replication.apply",
-            store=self.service.host,
-            frames=len(body.get("Frames", ())),
-        ) as span:
-            reply = self._apply_batch(body)
+        with tracer.start_span("replication.apply", store=self.service.host) as span:
+            reply = self._apply_batch(body, span)
             span.set_attributes(
                 applied_lsn=self.applied_lsn,
                 outcome="rejected" if reply.get("Rejected") else "ok",
             )
             return reply
 
-    def _apply_batch(self, body: dict) -> dict:
+    def _apply_batch(self, body: dict, span) -> dict:
         service = self.service
         epoch = int(body.get("Epoch", 0))
         if epoch < service.epoch:
@@ -533,6 +577,8 @@ class ReplicaApplier:
                 f"ship from epoch {epoch} rejected: {service.host!r} follows "
                 f"epoch {service.epoch}"
             )
+        frames = decode_ship(body)  # refused whole, before anything below moves
+        span.set_attribute("frames", len(frames))
         service.epoch = epoch
         primary = str(body.get("Primary", "")) or None
         if body.get("Resync"):
@@ -569,22 +615,16 @@ class ReplicaApplier:
                 self.applied_lsn = base
         elif primary and self.primary is None:
             self.primary = primary
-        for entry in body.get("Frames", []):
-            if not self._apply_frame(entry):
+        for lsn, frame, chain_prev in frames:
+            if not self._apply_frame(lsn, frame, chain_prev):
                 return {
                     "AppliedLsn": self.applied_lsn,
-                    "Rejected": f"continuity break at lsn {entry.get('Lsn')}",
+                    "Rejected": f"continuity break at lsn {lsn}",
                 }
         return {"AppliedLsn": self.applied_lsn}
 
-    def _apply_frame(self, entry: dict) -> bool:
+    def _apply_frame(self, lsn: int, frame: bytes, chain_prev: int) -> bool:
         """Verify + apply one frame; False on a continuity rejection."""
-        try:
-            lsn = int(entry["Lsn"])
-            chain_prev = int(entry["ChainPrev"])
-            frame = bytes.fromhex(str(entry["Frame"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptRecordError(f"malformed shipped frame: {exc}") from exc
         if lsn <= self.applied_lsn:
             self.frames_skipped += 1  # idempotent re-ship
             return True

@@ -9,7 +9,7 @@ from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rules_to_json
-from repro.sensors.packets import packetize
+from repro.sensors.packets import encode_upload, packetize
 from repro.util.timeutil import Interval
 
 from tests.conftest import MONDAY, UCLA, make_segment, released_pieces
@@ -72,7 +72,7 @@ class TestCentralized:
         packets = packetize("ECG", MONDAY, 250, list(range(64)), location=UCLA)
         alice.post(
             "https://central/api/upload_packets",
-            {"Contributor": "alice", "Packets": [p.to_json() for p in packets]},
+            {"Contributor": "alice", "Upload": encode_upload(packets)},
         )
         alice.post("https://central/api/flush", {})
         # Default deny applies here too.
@@ -110,7 +110,7 @@ class TestCentralized:
             packets = packetize("ECG", MONDAY, 250, list(range(64)), location=UCLA)
             client.post(
                 "https://central/api/upload_packets",
-                {"Contributor": name, "Packets": [p.to_json() for p in packets]},
+                {"Contributor": name, "Upload": encode_upload(packets)},
             )
         service.store.flush()
         exposure = service.breach()
@@ -121,7 +121,7 @@ class TestCentralized:
         alice = self._register(network, "alice", "contributor")
         response = alice.post(
             "https://central/api/upload_packets",
-            {"Contributor": "someone-else", "Packets": []},
+            {"Contributor": "someone-else", "Upload": encode_upload([])},
             raw=True,
         )
         assert response.status == 403

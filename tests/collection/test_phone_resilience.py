@@ -233,6 +233,97 @@ class TestFlushRidesTheLastChunk:
         assert sum(s.n_samples for s in alice.view_data()) == 40
 
 
+def garble_chunks(*which):
+    """Intercept: the n-th upload chunk from here on (1-based, for every n
+    in ``which``) reaches the store without its value blob — a 400."""
+    count = [0]
+
+    def intercept(path, body):
+        if path == "/api/upload_packets":
+            count[0] += 1
+            if count[0] in which:
+                body["Upload"] = {"Packets": body["Upload"]["Packets"]}
+        return body
+
+    return intercept
+
+
+class TestRefusedChunkIsFinal:
+    """A chunk the store answers 400 will be answered 400 for ever: it is
+    counted lost, never parked, and the chunks behind it still go out."""
+
+    def test_a_400_in_the_middle_loses_that_chunk_only(self):
+        system, alice, phone = make_phone()
+        seen = tap(system, garble_chunks(2))
+        phone.upload(make_packets(25))
+        assert seen == ["/api/upload_packets"] * 3  # the last one flushed
+        stats = phone.stats
+        assert (stats.packets_delivered, stats.packets_lost, stats.packets_refused) == (15, 10, 10)
+        assert (stats.upload_requests, stats.upload_failures) == (2, 1)
+        assert phone.offline_backlog == 0 and stats.packets_buffered == 0
+        assert not phone._flush_pending
+        assert sum(s.n_samples for s in alice.view_data()) == 60
+        # nothing is waiting to be re-sent ahead of the next upload
+        phone.upload(make_packets(5, channel="Respiration"))
+        assert seen == ["/api/upload_packets"] * 4
+        assert phone.stats.packets_delivered == 20 and phone.stats.packets_refused == 10
+        assert phone.drain_offline() == 0 and len(seen) == 4
+
+    def test_a_400_on_the_flushing_chunk_leaves_the_prefix_to_api_flush(self):
+        system, alice, phone = make_phone()
+        seen = tap(system, garble_chunks(3))
+        phone.upload(make_packets(25))
+        assert seen == ["/api/upload_packets"] * 3 + ["/api/flush"]
+        assert phone.stats.packets_refused == 5 and phone.offline_backlog == 0
+        assert not phone._flush_pending
+        assert sum(s.n_samples for s in alice.view_data()) == 80
+
+    def test_a_400_at_the_head_of_the_offline_queue_does_not_wedge_it(self):
+        """The case that made it a bug: parked, the refused chunk would be
+        re-sent ahead of everything behind it on every later upload."""
+        plan = FaultPlan(seed=11)
+        plan.add_outage("alice-store", start_ms=0, duration_ms=20_000)
+        system, alice, phone = make_phone(plan)
+        phone.upload(make_packets(20))
+        assert phone.offline_backlog == 20
+        system.clock.advance(20_000)
+        seen = tap(system, garble_chunks(1))
+        phone.upload(make_packets(5, channel="Respiration"))
+        assert seen == ["/api/upload_packets"] * 3
+        stats = phone.stats
+        assert (stats.packets_delivered, stats.packets_lost, stats.packets_refused) == (15, 10, 10)
+        assert stats.packets_recovered == 10  # the queued chunk that got through; not the new 5
+        assert phone.offline_backlog == 0
+        assert sum(s.n_samples for s in alice.view_data()) == 60
+
+    def test_the_naive_agent_treats_it_the_same(self):
+        config = PhoneConfig(resilient=False, upload_batch_packets=10)
+        system, alice, phone = make_phone(retry=NO_RETRY, config=config)
+        seen = tap(system, garble_chunks(1))
+        phone.upload(make_packets(25))
+        assert seen == ["/api/upload_packets"] * 3
+        assert (phone.stats.packets_delivered, phone.stats.packets_lost) == (15, 10)
+        assert phone.stats.packets_refused == 10
+
+    def test_a_401_is_still_parked_with_everything_behind_it(self):
+        """Only *malformed* is final; every other answer keeps its handling."""
+
+        def wrong_key_once(path, body, state=[True]):
+            if path == "/api/upload_packets" and state[0]:
+                state[0] = False
+                body["ApiKey"] = "x" * 64
+            return body
+
+        system, alice, phone = make_phone()
+        seen = tap(system, wrong_key_once)
+        phone.upload(make_packets(25))
+        assert seen == ["/api/upload_packets"]
+        assert phone.offline_backlog == 25 and phone.stats.packets_lost == 0
+        assert phone.stats.packets_refused == 0 and phone.stats.upload_failures == 1
+        assert phone.drain_offline() == 0
+        assert phone.stats.packets_recovered == 25
+
+
 class TestRetryAfterBackoff:
     """The agent honors typed-503 Retry-After hints from a shedding store."""
 

@@ -1,0 +1,71 @@
+"""Stored bytes are a function of the packets, not of the wire form.
+
+A seeded two-hour stream goes phone → durable primary → semi-sync
+replica through the public API, and the sha256 over each side's WAL
+payloads must equal what commit ``a61bce2`` journaled for the same
+packets (``stored_bytes_a61bce2.json``, written by running this module
+as a script with that commit's ``src`` on ``PYTHONPATH``).  That commit
+uploaded JSON value lists and shipped hex frames; whatever the wire
+carries since, the journal — segment ids, merges, per-packet dedupe,
+record order, the replica's verbatim copy — does not move.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from repro.collection.phone import PhoneConfig
+from repro.core import SensorSafeSystem
+from repro.rules.model import ALLOW, Rule
+from repro.sensors.personas import make_persona
+from repro.sensors.simulator import SimulatorConfig, TraceSimulator
+from repro.storage.replication import read_wal_frames
+from repro.storage.wal import HEADER_SIZE
+from repro.util.timeutil import timestamp_ms
+
+PINNED = Path(__file__).parent / "stored_bytes_a61bce2.json"
+MONDAY = timestamp_ms(2011, 2, 7)
+HOUR_MS = 3_600_000
+BATCH_MS = 600_000
+
+
+def wal_digest(service):
+    """``[sha256 over the WAL's payloads in order, frame count]``."""
+    digest, frames = hashlib.sha256(), read_wal_frames(service.durability.wal.path)
+    for _lsn, frame, _chain_prev in frames:
+        digest.update(frame[HEADER_SIZE:])
+    return [digest.hexdigest(), len(frames)]
+
+
+def stored_bytes(directory):
+    system = SensorSafeSystem(seed=19)
+    primary = system.create_replicated_store(
+        "clinic", directory=str(directory), n_replicas=1, mode="semi-sync"
+    )
+    alice = system.add_contributor("alice", store=primary)
+    persona = make_persona("alice")
+    alice.set_places(persona.places.values())
+    alice.add_rule(Rule(consumers=("bob",), action=ALLOW))
+    trace = TraceSimulator(persona, SimulatorConfig(rate_scale=0.05), seed=19).run(MONDAY, days=1)
+    # ~26 packets per ten-minute collect, so every upload is three chunks
+    # and the flush rides the last one.
+    phone = alice.phone(PhoneConfig(upload_batch_packets=10))
+    packets = trace.all_packets_sorted()
+    for start in range(MONDAY + 7 * HOUR_MS, MONDAY + 9 * HOUR_MS, BATCH_MS):
+        phone.collect([p for p in packets if start <= p.start_ms < start + BATCH_MS])
+    assert phone.stats.upload_failures == 0 and phone.stats.upload_requests > 24
+    return {
+        "primary": wal_digest(primary),
+        "replica": wal_digest(system.stores["clinic-r1"]),
+    }
+
+
+def test_the_journal_holds_what_the_parent_journaled(tmp_path):
+    assert stored_bytes(tmp_path) == json.loads(PINNED.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        PINNED.write_text(json.dumps(stored_bytes(work), indent=1) + "\n", encoding="utf-8")

@@ -90,6 +90,44 @@ class TestSpanExportNeverLeaks:
         assert str(SAMPLE_VALUE) not in dump
         assert str(UCLA_LAT) not in dump
 
+    def test_the_write_path_s_spans_count_what_travelled_and_carry_none_of_it(self, tmp_path):
+        """An upload's frame and a ship's stream are the two bodies that
+        hold every sample of the write path; their spans say how much
+        (``packets``/``readings``, ``frames``/``bytes``) and nothing else."""
+        from repro.core import SensorSafeSystem
+        from repro.datastore.codec import encode_values
+        from repro.sensors.packets import SensorPacket
+        from repro.util.geo import LatLon
+
+        system = SensorSafeSystem(seed=3)
+        primary = system.create_replicated_store(
+            "clinic", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+        )
+        alice = system.add_contributor("alice", store=primary)
+        packets = [
+            SensorPacket(
+                "ECG", 1297036800000 + i * 4_000, 250, (SAMPLE_VALUE,) * 16,
+                LatLon(UCLA_LAT, UCLA_LON), {"Stress": "Stressed"},
+            )
+            for i in range(6)
+        ]
+        system.obs.tracer.reset()
+        alice.phone().upload(packets)
+        spans = {s.name: s.to_json()["Attributes"] for s in system.obs.tracer.finished
+                 if s.name.startswith("replication.")
+                 or s.attributes.get("route") == "/api/upload_packets"}
+        assert (spans["net.request"]["packets"], spans["net.request"]["readings"]) == (6, 96)
+        ship, applied = spans["replication.ship"], spans["replication.apply"]
+        assert ship["frames"] == applied["frames"] >= 1
+        assert type(ship["bytes"]) is int and ship["bytes"] > 96 * 8
+        dump = json.dumps(system.obs.tracer.export_json())
+        assert REDACTED not in dump  # nothing had to be scrubbed: nothing was offered
+        assert str(SAMPLE_VALUE) not in dump
+        assert str(UCLA_LAT) not in dump and str(UCLA_LON) not in dump
+        assert "Stressed" not in dump
+        # nor the samples in the form they travel in
+        assert encode_values(np.full((6, 1), SAMPLE_VALUE))["Blob"][:32] not in dump
+
 
 class TestMetricLabels:
     def test_float_label_raises(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import ValidationError
-from repro.sensors.packets import SensorPacket, packetize
+from repro.sensors.packets import SensorPacket, decode_upload, encode_upload, packetize
 from repro.util.geo import LatLon
 
 LOC = LatLon(34.0, -118.0)
@@ -44,7 +44,7 @@ class TestGeometry:
 
     def test_json_roundtrip(self):
         pkt = SensorPacket("ECG", 5, 250, (1.0, 2.0), LOC, {"Activity": "Still"})
-        again = SensorPacket.from_json(pkt.to_json())
+        (again,) = decode_upload(encode_upload([pkt]))
         assert again == pkt
         assert again.context == {"Activity": "Still"}
 

@@ -1,0 +1,316 @@
+"""The upload frame: ``encode_upload`` / ``decode_upload``.
+
+A phone upload travels as ``{"Packets": [header, …], "Values": <one
+blob>}``; these tests hold the pair to being lossless bit for bit over
+every packet a phone can hold, to refusing non-finite samples on both
+sides on purpose, and to refusing — whole, never in part — a frame whose
+headers do not parse or do not consume its vector exactly, so that the
+store a refused request was sent to is exactly the store it was before.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.datastore.codec import ENCODING_B64, ENCODING_PLAIN, encode_values
+from repro.exceptions import SchemaError, SensorSafeError
+from repro.net.client import HttpClient
+from repro.net.transport import Network
+from repro.sensors.channels import channel_names
+from repro.sensors.packets import SensorPacket, decode_upload, encode_upload, packetize
+from repro.server.datastore_service import DataStoreService
+from repro.util import jsonutil
+from repro.util.geo import LatLon
+
+from tests.conftest import MONDAY, UCLA
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_TEXT = st.sampled_from(["Still", "Café ☕", "歩く", "", "Not Stressed"])
+
+
+@st.composite
+def sensor_packets(draw):
+    return SensorPacket(
+        channel_name=draw(st.sampled_from(channel_names())),
+        start_ms=draw(st.sampled_from([0, MONDAY, MONDAY + 123_457])),
+        interval_ms=draw(st.integers(min_value=1, max_value=300_000)),
+        values=tuple(draw(st.lists(_FLOATS, min_size=1, max_size=70))),
+        location=draw(st.sampled_from([None, UCLA, LatLon(-89.5, 179.25), LatLon(0.0, 0.0)])),
+        context=draw(st.dictionaries(_TEXT, _TEXT, max_size=4)),
+    )
+
+
+def bits(packet):
+    return struct.pack(f"<{len(packet.values)}d", *packet.values)
+
+
+def over_the_wire(frame):
+    """What the store's handler is handed: the frame after the transport's JSON."""
+    return jsonutil.loads(jsonutil.canonical_dumps(frame))
+
+
+def assert_same(decoded, packets):
+    assert decoded == packets  # channel, start, interval, values, location
+    for got, sent in zip(decoded, packets):
+        assert bits(got) == bits(sent)  # == cannot tell -0.0 from 0.0
+        assert got.context == sent.context  # excluded from ==
+        assert all(type(v) is float for v in got.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(sensor_packets(), max_size=8))
+def test_round_trip_is_bit_for_bit(packets):
+    assert_same(decode_upload(over_the_wire(encode_upload(packets))), packets)
+
+
+def test_round_trip_of_the_awkward_packets():
+    packets = [
+        SensorPacket("ECG", MONDAY, 4, (-0.0,)),
+        SensorPacket("SkinTemp", MONDAY, 1000, (5e-324, -5e-324, 2.2250738585072014e-308)),
+        SensorPacket("GpsLat", MONDAY, 300_000, (34.0689,), location=UCLA, context={}),
+        SensorPacket(
+            "AccelX", MONDAY, 20, (1.7976931348623157e308, 0.1 + 0.2), context={"Activity": "歩く ☕"}
+        ),
+        SensorPacket("ECG", MONDAY + 4, 4, (1, 2, 3)),  # ints, as a test might build them
+    ]
+    frame = encode_upload(packets)
+    assert [h["Values"] for h in frame["Packets"]] == [1, 3, 1, 2, 3]
+    assert frame["Values"]["Samples"] == 10 and frame["Values"]["Channels"] == 1
+    decoded = decode_upload(over_the_wire(frame))
+    assert_same(decoded, packets)
+    assert np.signbit(decoded[0].values[0])
+    assert decoded[2].location == UCLA and decoded[0].location is None
+
+
+def test_an_empty_upload_is_a_frame_too():
+    assert decode_upload(over_the_wire(encode_upload([]))) == []
+
+
+def test_the_frame_holds_each_sample_once_and_no_decimal():
+    packets = packetize("ECG", MONDAY, 4, [0.1 * i for i in range(640)], location=UCLA)
+    frame = encode_upload(packets)
+    assert set(frame) == {"Packets", "Values"}
+    assert all(type(h["Values"]) is int for h in frame["Packets"])
+    # 8 bytes a sample in base64 is 10.67; the parent's decimal list spent ~19
+    assert len(jsonutil.canonical_dumps(frame["Values"])) / 640 < 11
+
+
+# ---------------------------------------------------------------------------
+# Non-finite samples: refused on purpose, on both sides
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_encode_refuses_a_non_finite_sample(bad):
+    packets = [
+        SensorPacket("ECG", MONDAY, 4, (1.0, 2.0)),
+        SensorPacket("ECG", MONDAY + 8, 4, (bad,)),
+    ]
+    with pytest.raises(SchemaError, match="finite"):
+        encode_upload(packets)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_decode_refuses_a_hand_built_frame_that_holds_one(bad):
+    frame = encode_upload([SensorPacket("ECG", MONDAY, 4, (1.0, 2.0, 3.0))])
+    frame["Values"] = encode_values(np.array([[1.0], [bad], [3.0]]))
+    with pytest.raises(SchemaError, match="finite"):
+        decode_upload(over_the_wire(frame))
+
+
+# ---------------------------------------------------------------------------
+# Adversarial frames
+# ---------------------------------------------------------------------------
+
+
+def _frame():
+    """Three well-formed packets: 4 + 4 + 2 samples."""
+    return encode_upload(
+        packetize("ECG", MONDAY, 250, list(range(10)), packet_samples=4, location=UCLA)
+    )
+
+
+def _parent_body(packets):
+    """The packet list a61bce2 uploaded: every sample a JSON number."""
+    return [{**p.to_json(), "Values": list(p.values)} for p in packets]
+
+
+def _with_header(index, **members):
+    frame = _frame()
+    frame["Packets"][index].update(members)
+    return frame
+
+
+def _without(index, member):
+    frame = _frame()
+    del frame["Packets"][index][member]
+    return frame
+
+
+def _with_vector(n, encoding=ENCODING_B64):
+    return {**_frame(), "Values": encode_values(np.zeros((n, 1)), encoding)}
+
+
+def _with_blob(**members):
+    return {**_frame(), "Values": {**_frame()["Values"], **members}}
+
+
+#: name -> (frame, the typed error).  The malformed member sits in the
+#: *last* header wherever it can, behind two well-formed packets.
+MALFORMED = {
+    "frame is null": (None, SchemaError),
+    "frame is a list": (_frame()["Packets"], SchemaError),
+    "frame is the parent's packet list": (
+        _parent_body(packetize("ECG", MONDAY, 250, [1.0])),
+        SchemaError,
+    ),
+    "no Packets": ({"Values": _frame()["Values"]}, SchemaError),
+    "no Values": ({"Packets": _frame()["Packets"]}, SchemaError),
+    "Packets is an object": ({**_frame(), "Packets": {}}, SchemaError),
+    "Values is a list": ({**_frame(), "Values": [1.0, 2.0]}, SchemaError),
+    "header is a number": ({**_frame(), "Packets": _frame()["Packets"][:2] + [2]}, SchemaError),
+    "header is null": ({**_frame(), "Packets": _frame()["Packets"][:2] + [None]}, SchemaError),
+    "header is a list": ({**_frame(), "Packets": _frame()["Packets"][:2] + [[2]]}, SchemaError),
+    "header without a count": (_without(2, "Values"), SchemaError),
+    "header without Channel": (_without(2, "Channel"), SchemaError),
+    "header without StartTime": (_without(2, "StartTime"), SchemaError),
+    "header without SamplingInterval": (_without(2, "SamplingInterval"), SchemaError),
+    "count is zero": (_with_header(1, Values=0), SchemaError),
+    "count is negative": (_with_header(2, Values=-2), SchemaError),
+    "count is a float": (_with_header(2, Values=2.0), SchemaError),
+    "count is text": (_with_header(2, Values="2"), SchemaError),
+    "count is a boolean": (_with_header(2, Values=True), SchemaError),
+    "count is null": (_with_header(2, Values=None), SchemaError),
+    "count is the parent's sample list": (_with_header(2, Values=[8.0, 9.0]), SchemaError),
+    "last header overdraws": (_with_header(2, Values=3), SchemaError),
+    "last header underdraws": (_with_header(2, Values=1), SchemaError),
+    "vector one short": (_with_vector(9), SchemaError),
+    "vector one long": (_with_vector(11), SchemaError),
+    "vector empty": (_with_vector(0), SchemaError),
+    "one header too many": ({**_frame(), "Packets": _frame()["Packets"] * 2}, SchemaError),
+    "one header too few": ({**_frame(), "Packets": _frame()["Packets"][:2]}, SchemaError),
+    "blob is not base64": (_with_blob(Blob="@@@"), SchemaError),
+    "blob shorter than declared": (_with_blob(Samples=11), SchemaError),
+    "blob of no known encoding": (_with_blob(Encoding="hex"), SchemaError),
+    # the codec's decimal-list encoding is not a second wire form
+    "plain blob": (_with_vector(10, ENCODING_PLAIN), SchemaError),
+    "plain blob of text": (
+        _with_blob(Encoding=ENCODING_PLAIN, Samples=1, Blob=["x"]),
+        SchemaError,
+    ),
+    "two-channel blob": (
+        {**_frame(), "Values": encode_values(np.zeros((5, 2)))},
+        SchemaError,
+    ),
+    "Channels is text": (_with_blob(Channels="1"), SchemaError),
+    "StartTime is text": (_with_header(2, StartTime="noon"), SchemaError),
+    "SamplingInterval is null": (_with_header(2, SamplingInterval=None), SchemaError),
+    "Context is a list": (_with_header(2, Context=["Still"]), SchemaError),
+    # the constructor's own checks, still run for every packet
+    "unknown channel": (_with_header(2, Channel="Sonar"), SensorSafeError),
+    "zero interval": (_with_header(2, SamplingInterval=0), SensorSafeError),
+    "location off the globe": (_with_header(2, Location=[91.0, 0.0]), SensorSafeError),
+    "location is text": (_with_header(2, Location="UCLA"), SensorSafeError),
+}
+
+
+def test_the_well_formed_frame_parses():
+    assert [len(p.values) for p in decode_upload(over_the_wire(_frame()))] == [4, 4, 2]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_frame_is_refused_whole(name):
+    """Every refusal is the typed error, raised before a list exists to
+    return — including when the first packets are well formed."""
+    frame, error = MALFORMED[name]
+    with pytest.raises(error):
+        decode_upload(frame)
+
+
+# ---------------------------------------------------------------------------
+# Through the handler: a refused upload leaves nothing behind
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def store(tmp_path):
+    network = Network()
+    service = DataStoreService("store", network, directory=str(tmp_path), durable=True)
+    alice = HttpClient(network, "alice", service.register_contributor("alice"))
+    return network, service, alice
+
+
+def state_of(network, service):
+    return (
+        dict(service.store.optimizer._buffers),
+        network.obs.metrics.gauge_value("store_segments", store="store"),
+        network.obs.metrics.gauge_value("store_samples", store="store"),
+        service.durability.wal.last_lsn,
+        len(service.store._ingested_ids),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_refused_request_leaves_the_store_as_it_was(store, name):
+    network, service, alice = store
+    before = state_of(network, service)
+    response = alice.post(
+        "https://store/api/upload_packets",
+        {"Contributor": "alice", "Upload": MALFORMED[name][0], "Flush": True},
+        raw=True,
+    )
+    assert response.status == 400, response.body
+    assert state_of(network, service) == before
+    assert before[0] == {} and before[1] == 0
+    assert alice.post("https://store/api/flush", {"Contributor": "alice"}) == {"Finalized": 0}
+
+
+def test_an_unknown_channel_in_the_third_packet_costs_the_first_two_nothing(store):
+    """At a61bce2 the same request answered 400 *after* its first two
+    packets had entered the optimizer, and whoever flushed next — here
+    alice herself; on a shared store, anyone — made them durable."""
+    network, service, alice = store
+    response = alice.post(
+        "https://store/api/upload_packets",
+        {"Contributor": "alice", "Upload": _with_header(2, Channel="Sonar")},
+        raw=True,
+    )
+    assert response.status == 400 and "Sonar" in response.body["Error"]
+    assert service.store.optimizer._buffers == {}
+    assert network.obs.metrics.gauge_value("store_segments", store="store") == 0
+    assert alice.post("https://store/api/flush", {"Contributor": "alice"}) == {"Finalized": 0}
+    assert service.store.stats.n_segments == 0
+    # the same packets with the channel right are accepted whole
+    reply = alice.post(
+        "https://store/api/upload_packets",
+        {"Contributor": "alice", "Upload": _frame(), "Flush": True},
+    )
+    assert reply == {"Accepted": 3, "Finalized": 1, "Flushed": True}
+    assert network.obs.metrics.gauge_value("store_samples", store="store") == 10
+
+
+def test_the_store_does_not_read_a_packets_list(store):
+    """No second wire form: the parent's body is a 400, not a fallback."""
+    _, service, alice = store
+    packets = packetize("ECG", MONDAY, 250, list(range(8)), location=UCLA)
+    response = alice.post(
+        "https://store/api/upload_packets",
+        {"Contributor": "alice", "Packets": _parent_body(packets)},
+        raw=True,
+    )
+    assert response.status == 400
+    assert service.store.optimizer._buffers == {}
+
+
+def test_the_request_span_counts_what_arrived_and_carries_none_of_it(store):
+    network, _, alice = store
+    alice.post("https://store/api/upload_packets", {"Contributor": "alice", "Upload": _frame()})
+    (span,) = [
+        s for s in network.obs.tracer.finished
+        if s.name == "net.request" and s.attributes.get("route") == "/api/upload_packets"
+    ]
+    assert span.attributes["packets"] == 3 and span.attributes["readings"] == 10
+    exported = span.to_json()["Attributes"]
+    assert exported["packets"] == 3 and exported["readings"] == 10  # survive redaction: counts

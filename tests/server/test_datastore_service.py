@@ -131,12 +131,12 @@ class TestUploadAndQuery:
 
     def test_upload_packets_merges(self, setup):
         _, service, alice, _ = setup
-        from repro.sensors.packets import packetize
+        from repro.sensors.packets import encode_upload, packetize
 
         packets = packetize("ECG", MONDAY, 250, list(range(256)), location=UCLA)
         alice.post(
             "https://store/api/upload_packets",
-            {"Contributor": "alice", "Packets": [p.to_json() for p in packets]},
+            {"Contributor": "alice", "Upload": encode_upload(packets)},
         )
         alice.post("https://store/api/flush", {"Contributor": "alice"})
         assert service.store.stats.n_segments == 1  # merged into one segment

@@ -6,6 +6,12 @@ commit's code (see ``generate.py`` there): a checkpointed-then-journaled
 store directory, the bodies its shipper POSTed to ``/api/replicate/
 append``, and a ``/api/migrate/install`` body.  Each must land, through
 the current code, on the state the parent's own dumper recorded.
+
+Since the ship travels as one byte stream the hex entries of those
+bodies are no longer a wire form; the *frames* inside them — the durable
+artefact, byte for byte what the parent's WAL held — are re-enveloped
+through :func:`~repro.storage.replication.encode_ship` and must still be
+accepted.  The fixture files themselves are untouched.
 """
 
 import json
@@ -15,6 +21,7 @@ from pathlib import Path
 from repro.net.transport import Network
 from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
 from repro.storage.records import dump, record_owner
+from repro.storage.replication import encode_ship
 from repro.storage.wal import HEADER_SIZE
 from tests.storage.test_records import wal_payloads
 from repro.util import jsonutil
@@ -41,7 +48,15 @@ def test_parent_store_directory_recovers_clean_with_the_same_dump(tmp_path):
     assert canonical(dump(service)) == load("expected_dump.json")
 
 
-def test_replicate_append_accepts_the_parent_s_bodies(tmp_path):
+def parent_frames(body):
+    """The ``(lsn, frame_bytes, chain_prev)`` triples one parent body shipped."""
+    return [
+        (entry["Lsn"], bytes.fromhex(entry["Frame"]), entry["ChainPrev"])
+        for entry in body["Frames"]
+    ]
+
+
+def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
     network = Network()
     replica = DataStoreService(
         "st-r1", network, directory=str(tmp_path / "st-r1"), durable=True, role=ROLE_REPLICA
@@ -50,8 +65,16 @@ def test_replicate_append_accepts_the_parent_s_bodies(tmp_path):
     first, live, bootstrap = load("replicate_append.json")
     assert "Bootstrap" not in first and "Bootstrap" in bootstrap and not live["Resync"]
     for body in (first, live, bootstrap):
-        reply = network.request(
+        # the parent's own hex entries are not a wire form any more ...
+        refused = network.request(
             "POST", "https://st-r1/api/replicate/append", {**body, "ApiKey": key}
+        )
+        assert refused.status == 400 and "malformed ship" in refused.body["Error"]
+        # ... its frames, in today's envelope, are what they always were
+        reply = network.request(
+            "POST",
+            "https://st-r1/api/replicate/append",
+            {**body, **encode_ship(parent_frames(body)), "ApiKey": key},
         ).body
         assert reply == {"AppliedLsn": body["Frames"][-1]["Lsn"]}
     assert replica.applier.bootstrap_applied == len(bootstrap["Bootstrap"])
@@ -62,9 +85,9 @@ def test_replicate_append_accepts_the_parent_s_bodies(tmp_path):
     # encoded here) between frames 7 and 8.
     journaled = wal_payloads(replica)
     shipped = [
-        bytes.fromhex(entry["Frame"])[HEADER_SIZE:]
+        frame[HEADER_SIZE:]
         for body in (first, live, bootstrap)
-        for entry in body["Frames"]
+        for _lsn, frame, _chain_prev in parent_frames(body)
     ]
     assert journaled[:7] + journaled[15:] == shipped and len(journaled) == 19
 

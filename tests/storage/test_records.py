@@ -24,7 +24,7 @@ from repro.storage import records
 from repro.storage.atomic import atomic_write_jsonl
 from repro.storage.migration import install_records
 from repro.storage.recovery import SNAPSHOT_KINDS, recover_service, snapshot_path, wal_path
-from repro.storage.replication import read_wal_frames
+from repro.storage.replication import encode_ship, read_wal_frames
 from repro.storage.wal import HEADER_SIZE, WriteAheadLog, decode_payload, scan_wal
 from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LabeledPlace
@@ -111,13 +111,9 @@ def one_frame_batch(tmp_path, op, data, epoch):
     scratch = WriteAheadLog(str(tmp_path / "primary.wal"))
     scratch.append(op, data)
     scratch.close()
-    ((lsn, frame, chain_prev),) = read_wal_frames(scratch.path)
-    return {
-        "Primary": "primary",
-        "Epoch": epoch,
-        "Resync": True,
-        "Frames": [{"Lsn": lsn, "ChainPrev": chain_prev, "Frame": frame.hex()}],
-    }
+    frames = read_wal_frames(scratch.path)
+    assert len(frames) == 1
+    return {"Primary": "primary", "Epoch": epoch, "Resync": True, **encode_ship(frames)}
 
 
 def via_replica_frame(tmp_path, op, data, **pre):

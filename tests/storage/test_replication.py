@@ -20,8 +20,13 @@ from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
 from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
-from repro.storage.replication import read_wal_frames
+from repro.storage.replication import encode_ship, read_wal_frames
 from repro.storage.wal import WriteAheadLog
+
+
+def ship(frames=(), **members):
+    """The ``/api/replicate/append`` body "primary" ships for ``frames``."""
+    return {"Primary": "primary", "Epoch": 1, "Resync": False, **members, **encode_ship(frames)}
 
 
 def make_pair(tmp_path, *, mode="async", min_acks=1, n_replicas=1):
@@ -112,26 +117,17 @@ class TestShipping:
             primary.store.add_segment(make_segment(start_ms=1297036800000 + i * 60_000))
         primary.store.flush()
         primary.durability.commit()
-        frames = [
-            {"Lsn": lsn, "ChainPrev": chain_prev, "Frame": frame.hex()}
-            for lsn, frame, chain_prev in read_wal_frames(primary.durability.wal.path)
-        ]
+        frames = read_wal_frames(primary.durability.wal.path)
         assert len(frames) >= 3
         # Ship frame 1, then skip one: the gap must be answered in-band.
-        first = replica.applier.apply_batch(
-            {"Primary": "primary", "Epoch": 1, "Resync": True, "Frames": frames[:1]}
-        )
-        assert first == {"AppliedLsn": frames[0]["Lsn"]}
-        gapped = replica.applier.apply_batch(
-            {"Primary": "primary", "Epoch": 1, "Resync": False, "Frames": frames[2:]}
-        )
+        first = replica.applier.apply_batch(ship(frames[:1], Resync=True))
+        assert first == {"AppliedLsn": frames[0][0]}
+        gapped = replica.applier.apply_batch(ship(frames[2:]))
         assert "Rejected" in gapped
-        assert gapped["AppliedLsn"] == frames[0]["Lsn"]
+        assert gapped["AppliedLsn"] == frames[0][0]
         # Resync replays the generation from the top and converges.
-        done = replica.applier.apply_batch(
-            {"Primary": "primary", "Epoch": 1, "Resync": True, "Frames": frames}
-        )
-        assert done == {"AppliedLsn": frames[-1]["Lsn"]}
+        done = replica.applier.apply_batch(ship(frames, Resync=True))
+        assert done == {"AppliedLsn": frames[-1][0]}
         assert replica.store.stats.n_segments == 3
 
     def test_chain_restart_after_checkpoint_is_accepted(self, tmp_path):
@@ -153,6 +149,45 @@ class TestShipping:
         primary.replication.pump()
         assert replica.applier.applied_lsn > before
         assert replica.store.stats.n_segments == 2
+
+    def test_one_batch_can_span_a_checkpoint_reset(self, tmp_path):
+        """Why ``chain_prev`` rides the envelope per frame: frames buffered
+        before a checkpoint and frames journaled after it leave in one
+        ship, and the first of the new generation extends 0, not the
+        header before it in the stream."""
+        network, primary, (replica,) = make_pair(tmp_path)
+        primary.register_contributor("alice")
+        primary.durability.commit()
+        primary.replication.pump()  # the link is live: what follows is a plain batch
+        primary.store.add_segment(make_segment())
+        primary.store.flush()
+        primary.durability.commit()
+        primary.checkpoint()
+        primary.store.add_segment(make_segment(start_ms=1297036800000 + 3_600_000))
+        primary.store.flush()
+        primary.durability.commit()
+        pending = list(primary.replication._buffer)
+        chain_prevs = [bf.chain_prev for bf in pending]
+        assert len(pending) >= 2 and chain_prevs[0] != 0 and 0 in chain_prevs[1:]
+        ships = network.obs.metrics.counter_value("replication_ships_total", store="primary")
+        shipped = network.obs.metrics.counter_value(
+            "replication_frames_shipped_total", store="primary"
+        )
+        primary.replication.pump()
+        m = network.obs.metrics
+        assert m.counter_value("replication_ships_total", store="primary") == ships + 1
+        assert m.counter_value(
+            "replication_frames_shipped_total", store="primary"
+        ) == shipped + len(pending)  # still counts frames, not streams
+        assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+        assert replica.applier.chain == primary.durability.wal.chain
+        assert replica.store.stats.n_segments == 2
+        # the two spans say what travelled, in counts
+        spans = {s.name: s for s in network.obs.tracer.finished}
+        stream = encode_ship(pending)["Stream"]
+        assert spans["replication.ship"].attributes["frames"] == len(pending)
+        assert spans["replication.ship"].attributes["bytes"] == len(stream)
+        assert spans["replication.apply"].attributes["frames"] == len(pending)
 
 
 class TestSemiSync:
@@ -301,7 +336,7 @@ class TestFencing:
         _, primary, (replica,) = make_pair(tmp_path)
         replica.promote(5)
         with pytest.raises(StaleEpochError):
-            replica.applier.apply_batch({"Primary": "primary", "Epoch": 1, "Frames": []})
+            replica.applier.apply_batch(ship())
 
 
 class TestResyncBootstrap:
@@ -347,10 +382,7 @@ class TestResyncBootstrap:
 
     def test_resync_base_without_bootstrap_is_rejected(self, tmp_path):
         _, primary, (replica,) = make_pair(tmp_path)
-        reply = replica.applier.apply_batch(
-            {"Primary": "primary", "Epoch": 1, "Resync": True,
-             "BaseLsn": 7, "Frames": []}
-        )
+        reply = replica.applier.apply_batch(ship(Resync=True, BaseLsn=7))
         assert "Rejected" in reply
         assert reply["AppliedLsn"] == 0
 
@@ -362,15 +394,9 @@ class TestResyncBootstrap:
         primary.store.add_segment(make_segment())
         primary.store.flush()
         primary.durability.commit()
-        frames = [
-            {"Lsn": lsn, "ChainPrev": chain_prev, "Frame": frame.hex()}
-            for lsn, frame, chain_prev in read_wal_frames(primary.durability.wal.path)
-        ]
+        frames = read_wal_frames(primary.durability.wal.path)
         assert len(frames) >= 2
-        reply = replica.applier.apply_batch(
-            {"Primary": "primary", "Epoch": 1, "Resync": False,
-             "Frames": frames[1:]}
-        )
+        reply = replica.applier.apply_batch(ship(frames[1:]))
         assert "Rejected" in reply
         assert replica.applier.applied_lsn == 0
 
@@ -386,12 +412,8 @@ class TestResyncBootstrap:
 
         _, _, (replica,) = make_pair(tmp_path)
         frame, _ = encode_frame(1, 0, payload)
-        batch = {
-            "Primary": "primary", "Epoch": 1, "Resync": True,
-            "Frames": [{"Lsn": 1, "ChainPrev": 0, "Frame": frame.hex()}],
-        }
         with pytest.raises(CorruptRecordError, match="undecodable payload"):
-            replica.applier.apply_batch(batch)
+            replica.applier.apply_batch(ship([(1, frame, 0)], Resync=True))
         assert replica.applier.applied_lsn == 0 and replica.applier.chain == 0
         assert replica.durability.wal.last_lsn == 0
         assert read_wal_frames(replica.durability.wal.path) == []
