@@ -33,10 +33,10 @@ from repro.conformance.generators import TrialGenerator
 from repro.datastore.optimizer import MergePolicy
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import segment_from_packet
+from repro.net import wire
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule, TimeCondition, abstraction
 from repro.server.datastore_service import DataStoreService
-from repro.util import jsonutil
 from repro.util.timeutil import Interval
 
 from conftest import METRICS_OUT_DEFAULT, METRICS_OUT_ENV, format_table, report_table
@@ -213,7 +213,7 @@ def _compare(services, keys, trial, query):
             {"Contributor": trial.contributor, "Query": query.to_json(), "ApiKey": key},
         ).body
         assert "Error" not in body, body
-        bodies.append(jsonutil.canonical_dumps(body))
+        bodies.append(wire.encode(body))
     return bodies[0] == bodies[1]
 
 

@@ -58,7 +58,6 @@ from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
 from repro.rules.compiler import compile_rules
 from repro.rules.engine import ReleasedSegment, RuleEngine, decode_release
-from repro.util import jsonutil
 from repro.util.timeutil import TimeCondition
 
 
@@ -425,11 +424,13 @@ def end_to_end_violations(trial: Trial) -> list:
     * the payload re-derives from an independently constructed engine over
       the segments the store actually served (which may be merged);
     * the oracle diff holds on those served segments too;
-    * the transport counted exactly ``len(canonical_dumps(body))`` response
-      bytes for each request (``wire-accounting``) — a cached release
-      declares its size instead of being measured, and a wrong declared
-      size would silently falsify the C2 traffic figures.
+    * the transport counted exactly ``len(wire.encode(body))`` response
+      bytes for each request (``wire-accounting``) — measured here by the
+      encoder, not by the ``wire.size`` the transport itself uses; a
+      cached release declares its size instead of being measured, and a
+      wrong declared size would silently falsify the C2 traffic figures.
     """
+    from repro.net import wire
     from repro.net.client import HttpClient
     from repro.net.transport import Network
     from repro.server.datastore_service import DataStoreService
@@ -459,7 +460,7 @@ def end_to_end_violations(trial: Trial) -> list:
             {"Contributor": trial.contributor, "Query": DataQuery().to_json()},
         )
         counted = traffic.bytes_out - before
-        measured = len(jsonutil.canonical_dumps(body))
+        measured = len(wire.encode(body))
         if counted != measured:
             out.append(
                 Violation(

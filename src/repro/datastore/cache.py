@@ -52,6 +52,7 @@ from typing import Iterable, Optional
 
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import WaveSegment
+from repro.net import wire
 from repro.rules.engine import encode_release
 from repro.util import jsonutil
 
@@ -154,13 +155,9 @@ class CacheEntry:
 
     @cached_property
     def payload_bytes(self) -> int:
-        """``len(canonical_dumps(payload))``, worked out once per entry so
-        the transport can count every hit without encoding it again.  The
-        value blob — the bulk of the frame — is counted by its length, exact
-        because the base64 alphabet needs no JSON escaping."""
-        values = self.payload["Values"]
-        rest = {"Pieces": self.payload["Pieces"], "Values": {**values, "Blob": ""}}
-        return len(jsonutil.canonical_dumps(rest)) + len(values["Blob"])
+        """``wire.size(payload)``, worked out once per entry so the
+        transport can count every hit without encoding it again."""
+        return wire.size(self.payload)
 
 
 class ReleaseCache:

@@ -9,6 +9,10 @@ keeping the storage density of a binary blob.
 
 A "plain" encoding (nested JSON lists) is also supported for debuggability
 and for the storage-size comparison in benchmark C1.
+
+On the wire a blob needs no text armour: a frame carries ``le-f64``, the
+same bytes as a ``bytes`` leaf :mod:`repro.net.wire` sends beside the
+JSON.  Base64 is the *stored* form, and only this module names it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from repro.exceptions import SchemaError
 
 ENCODING_B64 = "b64le-f64"
+ENCODING_RAW = "le-f64"
 ENCODING_PLAIN = "plain"
 
 
@@ -53,22 +58,15 @@ def encode_values(values: np.ndarray, encoding: str = ENCODING_B64) -> dict:
     if arr.ndim != 2:
         raise SchemaError(f"value array must be 2-D (samples x channels), got shape {arr.shape}")
     n_samples, n_channels = arr.shape
-    if encoding == ENCODING_B64:
-        blob = base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
-        return {
-            "Encoding": ENCODING_B64,
-            "Samples": n_samples,
-            "Channels": n_channels,
-            "Blob": blob,
-        }
-    if encoding == ENCODING_PLAIN:
-        return {
-            "Encoding": ENCODING_PLAIN,
-            "Samples": n_samples,
-            "Channels": n_channels,
-            "Blob": arr.tolist(),
-        }
-    raise SchemaError(f"unknown blob encoding: {encoding!r}")
+    if encoding in (ENCODING_B64, ENCODING_RAW):
+        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        if encoding == ENCODING_B64:
+            blob = base64.b64encode(blob).decode("ascii")
+    elif encoding == ENCODING_PLAIN:
+        blob = arr.tolist()
+    else:
+        raise SchemaError(f"unknown blob encoding: {encoding!r}")
+    return {"Encoding": encoding, "Samples": n_samples, "Channels": n_channels, "Blob": blob}
 
 
 def decode_values(obj: dict) -> np.ndarray:
@@ -81,6 +79,16 @@ def decode_values(obj: dict) -> np.ndarray:
         DECODE_STATS.decode_seconds += time.perf_counter() - started
 
 
+def decode_frame_values(blob, *, where: str) -> np.ndarray:
+    """The flat samples of a wire frame's ``Values``: every frame parser
+    reads its blob here, so all refuse the same things — anything but one
+    ``le-f64`` blob of one channel, ``bytes`` of exactly the declared length."""
+    form = (blob.get("Encoding"), blob.get("Channels")) if isinstance(blob, dict) else None
+    if form != (ENCODING_RAW, 1):
+        raise SchemaError(f"{where}: Values must be one {ENCODING_RAW} blob of one channel")
+    return decode_values(blob).reshape(-1)
+
+
 def _decode_values(obj: dict) -> np.ndarray:
     try:
         encoding = obj["Encoding"]
@@ -91,16 +99,19 @@ def _decode_values(obj: dict) -> np.ndarray:
         raise SchemaError(f"malformed value blob: {obj!r}") from exc
     if n_samples < 0 or n_channels <= 0:
         raise SchemaError(f"bad blob dimensions: {n_samples}x{n_channels}")
-    if encoding == ENCODING_B64:
+    if encoding == ENCODING_RAW and not isinstance(blob, bytes):
+        raise SchemaError(f"{ENCODING_RAW} blob must be bytes, got {type(blob).__name__}")
+    if encoding in (ENCODING_B64, ENCODING_RAW):
         try:
-            raw = base64.b64decode(blob, validate=True)
+            raw = blob if encoding == ENCODING_RAW else base64.b64decode(blob, validate=True)
         except Exception as exc:  # binascii.Error subclasses vary
             raise SchemaError(f"undecodable base64 blob: {exc}") from exc
         expected = n_samples * n_channels * 8
         if len(raw) != expected:
             raise SchemaError(f"blob length {len(raw)} != expected {expected} bytes")
         arr = np.frombuffer(raw, dtype="<f8").reshape(n_samples, n_channels)
-        return arr.astype(np.float64)
+        # A wire blob is read in place: a read-only view of the body's bytes.
+        return arr if encoding == ENCODING_RAW else arr.astype(np.float64)
     if encoding == ENCODING_PLAIN:
         arr = np.asarray(blob, dtype=np.float64)
         if arr.ndim == 1 and n_channels == 1:

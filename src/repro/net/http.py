@@ -39,12 +39,13 @@ class Request:
 
 @dataclass
 class Response:
-    """One response; ``body`` must be JSON-serializable."""
+    """One response; ``body`` must be JSON plus ``bytes`` leaves
+    (what :func:`repro.net.wire.encode` takes)."""
 
     status: int = 200
     body: dict = field(default_factory=dict)
     content_type: str = "application/json"
-    #: ``len(canonical_dumps(body))`` when the handler already knows it;
+    #: ``wire.size(body)`` when the handler already knows it;
     #: the transport counts this instead of encoding ``body`` again.
     #: ``None`` (every route but a consumer release) means "measure me".
     wire_bytes: Optional[int] = None

@@ -1,17 +1,17 @@
 """The simulated network: named hosts, metrics, tracing, and TLS invariant.
 
 Hosts mount a :class:`~repro.net.http.Router` under a name ("broker",
-"alice-store").  :meth:`Network.request` parses a URL, serializes the body
-to measure payload bytes, enforces that API keys only travel over HTTPS
-POST bodies, dispatches to the target router, and records per-host traffic
-metrics.
+"alice-store").  :meth:`Network.request` parses a URL, measures the body's
+wire form (:mod:`repro.net.wire`), enforces that API keys only travel
+over HTTPS POST bodies, dispatches to the target router, and records
+per-host traffic metrics.
 
 The byte accounting is the instrument for benchmark C2: the paper claims
 "the broker is not a performance bottleneck because sensor data are
 directly transferred from each remote data store to data consumers" — with
 these counters we can show broker traffic stays flat while store traffic
-scales with data volume.  A response's bytes are the length of its
-canonical JSON: measured here, unless the handler declares
+scales with data volume.  A response's bytes are ``wire.size`` of its
+body: measured here, unless the handler declares
 ``Response.wire_bytes`` (a cached release knows its size from the miss
 that built it), in which case the declared size must equal the measured
 one — the conformance runner holds every end-to-end trial to that.
@@ -30,10 +30,10 @@ import re
 from typing import Optional
 
 from repro.exceptions import InsecureTransportError, TransportError
+from repro.net import wire
 from repro.net.faults import FaultPlan, SimClock
 from repro.net.http import Request, Response, Router
 from repro.obs import Observability
-from repro.util import jsonutil
 
 _URL_RE = re.compile(r"^(https?)://([A-Za-z0-9._-]+)(/.*)?$")
 
@@ -208,12 +208,14 @@ class Network:
                 except Exception:
                     metrics._dropped.inc()
                     raise
-            payload = jsonutil.canonical_dumps(body)
+            payload_bytes, part_bytes = wire.sizes(body)
+            if part_bytes:
+                span.set_attribute("part_bytes", part_bytes)
             # The request has arrived: count it (and its payload) before
             # dispatch so traffic accounting stays honest when a handler — or
             # an injected fault — errors out.
             metrics._requests.inc()
-            metrics._bytes_in.inc(len(payload))
+            metrics._bytes_in.inc(payload_bytes)
             if injected is not None:
                 response = injected
                 span.set_attribute("fault_injected", True)
@@ -243,7 +245,7 @@ class Network:
             metrics._bytes_out.inc(
                 response.wire_bytes
                 if response.wire_bytes is not None
-                else len(jsonutil.canonical_dumps(response.body))
+                else wire.size(response.body)
             )
             status_class = f"{response.status // 100}xx"
             counter = metrics._status.get(status_class)

@@ -42,7 +42,7 @@ from typing import Callable, FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.datastore.codec import decode_values, encode_values
+from repro.datastore.codec import ENCODING_RAW, decode_frame_values, encode_values
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
 from repro.exceptions import SchemaError
 from repro.rules.dependency import DependencyGraph
@@ -154,21 +154,21 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
     flat = np.concatenate(arrays) if arrays else np.empty(0)
     return {
         "Pieces": [r.to_json(values=False) for r in released],
-        "Values": encode_values(flat.reshape(-1, 1)),
+        "Values": encode_values(flat.reshape(-1, 1), ENCODING_RAW),
     }
 
 
 def decode_release(frame: dict) -> list:
     """Parse a release frame into its :class:`ReleasedSegment` pieces.
 
-    The blob is decoded once and each piece's ``values`` is a read-only
-    view into that one array (so holding a piece keeps its release's
-    samples alive).  :class:`~repro.exceptions.SchemaError`, before any
-    piece is returned, unless the declared shapes consume it exactly.
+    The blob is read in place: each piece's ``values`` is a read-only
+    view of the frame's own ``bytes`` (so holding a piece keeps its
+    release's samples alive).  :class:`~repro.exceptions.SchemaError`,
+    before any piece is returned, unless ``Values`` is one ``le-f64`` blob
+    of one channel and the declared shapes consume it exactly.
     """
     require_keys(frame, ("Pieces", "Values"), where="release frame")
-    flat = decode_values(frame["Values"]).reshape(-1)
-    flat.setflags(write=False)
+    flat = decode_frame_values(frame["Values"], where="release frame")
     pieces, offset = [], 0
     for piece in require_type(frame["Pieces"], list, where="release frame Pieces"):
         if not isinstance(piece, dict):

@@ -118,14 +118,15 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
     sample is :class:`~repro.exceptions.SchemaError` here, before
     anything is sent: a blob would carry it into the store silently.
     """
-    from repro.datastore.codec import encode_values  # deferred: datastore imports this module
+    # deferred: datastore imports this module
+    from repro.datastore.codec import ENCODING_RAW, encode_values
 
     packets = list(packets)
     flat = np.fromiter(chain.from_iterable(p.values for p in packets), np.float64)
     _require_finite(flat)
     return {
         "Packets": [p.to_json() for p in packets],
-        "Values": encode_values(flat.reshape(-1, 1)),
+        "Values": encode_values(flat.reshape(-1, 1), ENCODING_RAW),
     }
 
 
@@ -134,17 +135,14 @@ def decode_upload(frame: dict) -> list:
 
     The blob is decoded once and every packet is built through its
     constructor.  :class:`~repro.exceptions.SchemaError`, before any
-    packet is returned, unless the blob is base64 of one channel (a
-    decimal list is not a second wire form), every header parses and the
-    declared counts consume the (finite) samples exactly.
+    packet is returned, unless the blob is ``le-f64`` bytes of one channel
+    (neither base64 nor a decimal list is a second wire form), every header
+    parses and the declared counts consume the (finite) samples exactly.
     """
-    from repro.datastore.codec import ENCODING_B64, decode_values  # deferred, as above
+    from repro.datastore.codec import decode_frame_values  # deferred, as above
 
     require_keys(frame, ("Packets", "Values"), where="upload frame")
-    blob = frame["Values"]
-    if not isinstance(blob, dict) or (blob.get("Encoding"), blob.get("Channels")) != (ENCODING_B64, 1):
-        raise SchemaError("upload frame: Values must be one base64 blob of one channel")
-    flat = decode_values(blob).reshape(-1)
+    flat = decode_frame_values(frame["Values"], where="upload frame")
     _require_finite(flat)
     samples, packets, offset = flat.tolist(), [], 0
     for header in require_type(frame["Packets"], list, where="upload frame Packets"):

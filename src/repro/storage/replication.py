@@ -48,7 +48,6 @@ shipper demotes its own service rather than forking history.
 
 from __future__ import annotations
 
-import base64
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -116,8 +115,9 @@ def encode_ship(frames) -> dict:
     """The wire form of shipped WAL frames: one envelope, one byte stream.
 
     ``Stream`` is the exact bytes of every ``(lsn, frame_bytes,
-    chain_prev)`` triple's frame, concatenated and base64-encoded once
-    (frames delimit themselves: the 20-byte header carries the length);
+    chain_prev)`` triple's frame, concatenated: the journal's own bytes,
+    sent as ``bytes`` (:mod:`repro.net.wire` carries them beside the JSON;
+    frames delimit themselves: the 20-byte header carries the length);
     ``Frames`` is one ``[lsn, chain_prev]`` per frame — a batch can span a
     checkpoint reset, where ``chain_prev`` is 0 mid-batch, so it cannot be
     derived from the previous header.  The only producer of these two
@@ -128,7 +128,7 @@ def encode_ship(frames) -> dict:
     stream = b"".join(frame for _lsn, frame, _chain_prev in frames)
     return {
         "Frames": [[lsn, chain_prev] for lsn, _frame, chain_prev in frames],
-        "Stream": base64.b64encode(stream).decode("ascii"),
+        "Stream": stream,
     }
 
 
@@ -143,9 +143,11 @@ def decode_ship(body: dict) -> list:
     """
     try:
         envelope = [(int(lsn), int(chain_prev)) for lsn, chain_prev in body["Frames"]]
-        stream = base64.b64decode(body["Stream"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        stream = body["Stream"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptRecordError(f"malformed ship: {exc!r}") from exc
+    if not isinstance(stream, bytes):
+        raise CorruptRecordError(f"malformed ship: Stream is {type(stream).__name__}, not bytes")
     frames, offset = [], 0
     for lsn, chain_prev in envelope:
         end = offset + HEADER_SIZE

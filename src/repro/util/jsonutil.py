@@ -22,10 +22,14 @@ def dumps(obj: Any, *, indent: int | None = None) -> str:
         raise SchemaError(f"object is not JSON-serializable: {exc}") from exc
 
 
-def canonical_dumps(obj: Any) -> str:
-    """Serialize to canonical JSON: sorted keys, compact separators."""
+def canonical_dumps(obj: Any, *, default=None) -> str:
+    """Serialize to canonical JSON: sorted keys, compact separators.
+    ``default`` (:func:`json.dumps`'s) is :mod:`repro.net.wire`'s alone:
+    without it ``bytes`` is refused, as WAL framing and hashes rely on."""
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        return json.dumps(
+            obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=default
+        )
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"object is not JSON-serializable: {exc}") from exc
 

@@ -18,9 +18,9 @@ import pytest
 
 from repro.conformance.generators import TrialGenerator
 from repro.datastore.query import DataQuery
+from repro.net import wire
 from repro.net.transport import Network
 from repro.server.datastore_service import DataStoreService
-from repro.util import jsonutil
 
 HOST = "twin-store"
 
@@ -47,7 +47,7 @@ def post_query(service, key, trial, query):
     ).body
     # Two stores failing identically would also "agree"; rule that out.
     assert "Error" not in body, body
-    return jsonutil.canonical_dumps(body)
+    return wire.encode(body)
 
 
 class TwinDriver:

@@ -118,8 +118,8 @@ class TestReleaseCacheLru:
         assert e.nbytes >= seg.storage_bytes()
 
     def test_entry_measures_its_payload_and_release_once(self):
+        from repro.net import wire
         from repro.rules.engine import ReleasedSegment, decode_release
-        from repro.util import jsonutil
 
         seg = make_segment(n=8)
         released = (
@@ -132,7 +132,7 @@ class TestReleaseCacheLru:
         assert [p.to_json() for p in decode_release(e.payload)] == [
             r.to_json() for r in released
         ]
-        assert e.payload_bytes == len(jsonutil.canonical_dumps(e.payload))
+        assert e.payload_bytes == len(wire.encode(e.payload))
         assert e.summary == ReleaseSummary(
             pieces=2, samples=8, labels=("Stress",), withheld={"ECG": "closure"},
             released_bytes=seg.storage_bytes() + 64,

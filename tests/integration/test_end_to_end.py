@@ -143,7 +143,7 @@ class TestStoredContextNeverLeaves:
 
     @pytest.mark.parametrize("path", ["direct", "via /api/data"])
     def test_no_stored_label_anywhere_in_the_response(self, conversation_withheld, path):
-        from repro.util.jsonutil import canonical_dumps
+        from repro.net import wire
 
         system, bob = conversation_withheld
         request = {"Contributor": "alice", "Query": DataQuery().to_json()}
@@ -152,14 +152,14 @@ class TestStoredContextNeverLeaves:
             body = bob.client.with_key(key).post(f"https://{host}/api/query", request)
         else:
             body = bob.client.post("https://broker/api/data", request)
-        text = canonical_dumps(body)
+        sent = wire.encode(body)  # every byte that left: JSON head and sample part
         # The waveform and the label the rules do share arrive...
         (piece,) = released_pieces(body)
         assert piece["Segment"]["Format"] == ["AccelX"]
         assert piece["ContextLabels"] == {"Activity": "Still"}
         # ...the label they withhold is nowhere, under any key.
-        assert "Conversation" not in text
-        assert '"Context":' not in text
+        assert b"Conversation" not in sent
+        assert b'"Context":' not in sent
 
     def test_consumer_objects_carry_no_stored_context(self, conversation_withheld):
         _, bob = conversation_withheld

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import InsecureTransportError, TransportError
+from repro.net import wire
 from repro.net.http import Response, Router
 from repro.net.transport import Network
 from repro.util import jsonutil
@@ -186,12 +187,20 @@ class TestMetrics:
 
 
 class TestWireAccounting:
-    """``bytes_out`` is the canonical length of what was delivered: taken
+    """``bytes_out`` is the wire length of what was delivered: taken
     from ``Response.wire_bytes`` when a handler declares it, measured
     otherwise — and never the declared size of a response a fault replaced."""
 
-    BODY = {"Released": {"Pieces": [{"ContextLabels": {"Activity": "Café ☕"}}]}, "Scanned": 10}
-    EXACT = len(jsonutil.canonical_dumps(BODY))
+    #: samples may hold a newline, or text that looks like a placeholder
+    BLOB = b"\x00\n\xff{\"$bytes\":3}"
+    BODY = {
+        "Released": {
+            "Pieces": [{"ContextLabels": {"Activity": "Café ☕"}}],
+            "Values": {"Encoding": "le-f64", "Blob": BLOB},
+        },
+        "Scanned": 10,
+    }
+    EXACT = len(wire.encode(BODY))
 
     def network(self, wire_bytes):
         network = Network()
@@ -203,8 +212,15 @@ class TestWireAccounting:
         return network
 
     def test_canonical_json_is_ascii_so_its_length_is_a_byte_count(self):
-        encoded = jsonutil.canonical_dumps(self.BODY)
-        assert encoded.isascii() and len(encoded.encode("utf-8")) == self.EXACT
+        """... for the JSON head; a ``bytes`` part then costs its own length."""
+        head, separator, parts = wire.encode(self.BODY).partition(b"\n")
+        assert head.isascii() and separator and parts == self.BLOB
+        assert head.decode() == jsonutil.canonical_dumps(
+            {**self.BODY, "Released": {**self.BODY["Released"], "Values": {
+                "Encoding": "le-f64", "Blob": {"$bytes": len(self.BLOB)}}}}
+        )
+        assert len(head) + 1 + len(self.BLOB) == self.EXACT == wire.size(self.BODY)
+        assert wire.decode(wire.encode(self.BODY)) == self.BODY
 
     def test_undeclared_response_is_measured(self):
         network = self.network(None)
@@ -229,7 +245,7 @@ class TestWireAccounting:
         response = network.request("POST", "https://store/api/data")
         assert response.status == 503 and response.wire_bytes is None
         counted = network.metrics_of("store").bytes_out
-        assert counted == len(jsonutil.canonical_dumps(response.body)) != self.EXACT
+        assert counted == len(wire.encode(response.body)) != self.EXACT
 
     def test_broker_proxy_measures_what_the_store_declared(self, system):
         """``fetch_via_broker``: the store's release declares its size, the
@@ -252,7 +268,7 @@ class TestWireAccounting:
             {"Contributor": "alice", "Query": DataQuery().to_json()},
             raw=True,
         )
-        exact = len(jsonutil.canonical_dumps(proxied.body))
+        exact = len(wire.encode(proxied.body))
         assert proxied.ok and released_pieces(proxied.body) and proxied.wire_bytes is None
         assert system.network.metrics_of("broker").bytes_out == exact
         assert system.network.metrics_of("alice-store").bytes_out == exact

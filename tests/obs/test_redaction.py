@@ -93,10 +93,14 @@ class TestSpanExportNeverLeaks:
     def test_the_write_path_s_spans_count_what_travelled_and_carry_none_of_it(self, tmp_path):
         """An upload's frame and a ship's stream are the two bodies that
         hold every sample of the write path; their spans say how much
-        (``packets``/``readings``, ``frames``/``bytes``) and nothing else."""
+        (``packets``/``readings``/``part_bytes``, ``frames``/``bytes``) and
+        nothing else."""
+        import base64
+
         from repro.core import SensorSafeSystem
-        from repro.datastore.codec import encode_values
+        from repro.datastore.codec import ENCODING_RAW, encode_values
         from repro.sensors.packets import SensorPacket
+        from repro.storage.replication import read_wal_frames
         from repro.util.geo import LatLon
 
         system = SensorSafeSystem(seed=3)
@@ -120,13 +124,37 @@ class TestSpanExportNeverLeaks:
         ship, applied = spans["replication.ship"], spans["replication.apply"]
         assert ship["frames"] == applied["frames"] >= 1
         assert type(ship["bytes"]) is int and ship["bytes"] > 96 * 8
+        # how much of each request was samples: the upload's one blob, the
+        # ship's one stream (its true length, not a text armour's) — and a
+        # request that carried no binary part says nothing
+        requests = {s.attributes["route"]: s.to_json()["Attributes"]
+                    for s in system.obs.tracer.finished if s.name == "net.request"}
+        assert requests["/api/upload_packets"]["part_bytes"] == 96 * 8
+        assert requests["/api/replicate/append"]["part_bytes"] == ship["bytes"]
+        assert ship["bytes"] == sum(
+            len(frame) for lsn, frame, _ in read_wal_frames(primary.durability.wal.path)
+            if lsn > primary.durability.wal.last_lsn - ship["frames"]
+        )
+        alice.client.post(f"https://{primary.host}/api/flush", {"Contributor": "alice"})
+        flush = [s for s in system.obs.tracer.finished if s.attributes.get("route") == "/api/flush"]
+        assert flush and all("part_bytes" not in s.attributes for s in flush)
         dump = json.dumps(system.obs.tracer.export_json())
         assert REDACTED not in dump  # nothing had to be scrubbed: nothing was offered
         assert str(SAMPLE_VALUE) not in dump
         assert str(UCLA_LAT) not in dump and str(UCLA_LON) not in dump
         assert "Stressed" not in dump
-        # nor the samples in the form they travel in
-        assert encode_values(np.full((6, 1), SAMPLE_VALUE))["Blob"][:32] not in dump
+        # nor the samples in the form they travel in, or any text armour of it
+        raw = encode_values(np.full((6, 1), SAMPLE_VALUE), ENCODING_RAW)["Blob"]
+        for form in (
+            json.dumps(raw[:8].decode("latin-1"))[1:-1],
+            raw[:24].hex(),
+            base64.b64encode(raw[:24]).decode(),
+        ):
+            assert form not in dump
+        # a careless site that offers the part itself is scrubbed; its size is not
+        with system.obs.tracer.start_span("evil") as span:
+            span.set_attributes(stream=raw, part_bytes=len(raw))
+        assert span.to_json()["Attributes"] == {"stream": REDACTED, "part_bytes": 48}
 
 
 class TestMetricLabels:

@@ -2,20 +2,28 @@
 
 A consumer release travels as ``{"Pieces": [...], "Values": <one blob>}``;
 these tests hold the pair to being lossless over every kind of piece the
-engine can emit, to handing the consumer read-only views into one array,
-and to refusing — whole, never in part — a frame whose declared shapes
-do not consume its vector exactly.
+engine can emit, to handing the consumer read-only views of the frame's
+own bytes, and to refusing — whole, never in part — a frame whose blob is
+anything but one ``le-f64`` ``bytes`` vector or whose declared shapes do
+not consume it exactly.
 """
 
-import json
+import base64
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datastore.codec import decode_values, encode_values
+from repro.datastore.codec import (
+    ENCODING_B64,
+    ENCODING_PLAIN,
+    ENCODING_RAW,
+    decode_values,
+    encode_values,
+)
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
 from repro.exceptions import SchemaError, ValidationError
+from repro.net import wire
 from repro.rules.engine import ReleasedSegment, decode_release, encode_release
 from repro.util.jsonutil import canonical_dumps
 from repro.util.timeutil import Interval
@@ -72,10 +80,10 @@ def test_round_trip_is_lossless_and_canonical(released):
     assert [p.segment and p.segment.segment_id for p in decoded] == [
         p.segment and p.segment.segment_id for p in released
     ]
-    text = canonical_dumps(frame)
-    assert canonical_dumps(encode_release(decoded)) == text
-    # The same after a trip through JSON text, as over a real wire.
-    assert _wire(decode_release(json.loads(text))) == _wire(released)
+    sent = wire.encode(frame)
+    assert wire.encode(encode_release(decoded)) == sent
+    # The same after a trip through bytes, as over a real wire.
+    assert _wire(decode_release(wire.decode(sent))) == _wire(released)
     # One blob holds exactly the samples of every waveform, nothing else.
     assert frame["Values"]["Samples"] == sum(
         p.segment.values.size for p in released if p.segment is not None
@@ -85,8 +93,8 @@ def test_round_trip_is_lossless_and_canonical(released):
 
 def test_empty_release_is_an_empty_frame():
     frame = encode_release([])
-    assert frame == {"Pieces": [], "Values": encode_values(np.empty((0, 1)))}
-    assert frame["Values"]["Samples"] == 0 and frame["Values"]["Blob"] == ""
+    assert frame == {"Pieces": [], "Values": encode_values(np.empty((0, 1)), ENCODING_RAW)}
+    assert frame["Values"]["Samples"] == 0 and frame["Values"]["Blob"] == b""
     assert decode_release(frame) == []
 
 
@@ -144,6 +152,24 @@ def test_decoded_pieces_are_read_only_views_of_one_array():
             piece.segment.values[0, 0] = 1.0
 
 
+def test_decoded_values_are_the_frame_s_own_bytes():
+    """Nothing is decoded, so nothing is copied: every piece reads the
+    ``bytes`` the response carried, and they cannot be written through."""
+    frame = _frame()
+    blob = frame["Values"]["Blob"]
+    assert type(blob) is bytes and len(blob) == 4 * 8
+    for piece in decode_release(wire.decode(wire.encode(frame))):
+        assert piece.segment is None or not piece.segment.values.flags.writeable
+    for piece in decode_release(frame):
+        if piece.segment is None:
+            continue
+        owner = piece.segment.values
+        while isinstance(owner, np.ndarray):
+            assert not owner.flags.writeable and not owner.flags.owndata
+            owner = owner.base
+        assert owner is blob
+
+
 def _frame():
     """Two 2x1 waveforms around a label-only piece: four values."""
     wave = WaveSegment("alice", ("ECG",), 0, 250, np.array([[1.0], [2.0]]))
@@ -162,8 +188,12 @@ def _with_shape(index, **shape):
     return frame
 
 
-def _with_vector(n):
-    return {**_frame(), "Values": encode_values(np.zeros((n, 1)))}
+def _with_vector(n, encoding=ENCODING_RAW, channels=1):
+    return {**_frame(), "Values": encode_values(np.zeros((n // channels, channels)), encoding)}
+
+
+def _with_blob(**members):
+    return {**_frame(), "Values": {**_frame()["Values"], **members}}
 
 
 MALFORMED = {
@@ -189,8 +219,20 @@ MALFORMED = {
     "vector empty": _with_vector(0),
     "last piece overdraws": _with_shape(2, Samples=3),
     "last piece underdraws": _with_shape(2, Samples=1),
-    "blob is not base64": {**_frame(), "Values": {**_frame()["Values"], "Blob": "@@@"}},
-    "blob shorter than declared": {**_frame(), "Values": {**_frame()["Values"], "Samples": 5}},
+    "blob is not base64": _with_blob(Blob="@@@"),
+    "blob shorter than declared": _with_blob(Samples=5),
+    # one wire form: the codec's stored encodings are refused here exactly
+    # as the upload frame refuses them, whatever they hold
+    "plain blob": _with_vector(4, ENCODING_PLAIN),
+    "b64le-f64 blob (the parent's frame)": _with_vector(4, ENCODING_B64),
+    "two-channel blob": _with_vector(4, channels=2),
+    "Blob is a str": _with_blob(Blob=base64.b64encode(_frame()["Values"]["Blob"]).decode()),
+    "Blob is a bytearray": _with_blob(Blob=bytearray(_frame()["Values"]["Blob"])),
+    "Blob is a list of floats": _with_blob(Blob=[1.0, 2.0, 1.0, 2.0]),
+    "blob one byte short": _with_blob(Blob=_frame()["Values"]["Blob"][:-1]),
+    "blob one byte long": _with_blob(Blob=_frame()["Values"]["Blob"] + b"\0"),
+    "blob of no known encoding": _with_blob(Encoding="hex"),
+    "Channels is text": _with_blob(Channels="1"),
 }
 
 

@@ -8,20 +8,21 @@ headers do not parse or do not consume its vector exactly, so that the
 store a refused request was sent to is exactly the store it was before.
 """
 
+import base64
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datastore.codec import ENCODING_B64, ENCODING_PLAIN, encode_values
+from repro.datastore.codec import ENCODING_B64, ENCODING_PLAIN, ENCODING_RAW, encode_values
 from repro.exceptions import SchemaError, SensorSafeError
+from repro.net import wire
 from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.sensors.channels import channel_names
 from repro.sensors.packets import SensorPacket, decode_upload, encode_upload, packetize
 from repro.server.datastore_service import DataStoreService
-from repro.util import jsonutil
 from repro.util.geo import LatLon
 
 from tests.conftest import MONDAY, UCLA
@@ -47,8 +48,8 @@ def bits(packet):
 
 
 def over_the_wire(frame):
-    """What the store's handler is handed: the frame after the transport's JSON."""
-    return jsonutil.loads(jsonutil.canonical_dumps(frame))
+    """What the store's handler is handed: the frame after the transport's bytes."""
+    return wire.decode(wire.encode(frame))
 
 
 def assert_same(decoded, packets):
@@ -93,8 +94,11 @@ def test_the_frame_holds_each_sample_once_and_no_decimal():
     frame = encode_upload(packets)
     assert set(frame) == {"Packets", "Values"}
     assert all(type(h["Values"]) is int for h in frame["Packets"])
-    # 8 bytes a sample in base64 is 10.67; the parent's decimal list spent ~19
-    assert len(jsonutil.canonical_dumps(frame["Values"])) / 640 < 11
+    # 8 bytes a sample and nothing on top; base64 spent 10.67, a decimal list ~19
+    assert type(frame["Values"]["Blob"]) is bytes
+    assert wire.size(frame["Values"]) == 640 * 8 + len(
+        '{"Blob":{"$bytes":5120},"Channels":1,"Encoding":"le-f64","Samples":640}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,7 @@ def test_encode_refuses_a_non_finite_sample(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_decode_refuses_a_hand_built_frame_that_holds_one(bad):
     frame = encode_upload([SensorPacket("ECG", MONDAY, 4, (1.0, 2.0, 3.0))])
-    frame["Values"] = encode_values(np.array([[1.0], [bad], [3.0]]))
+    frame["Values"] = encode_values(np.array([[1.0], [bad], [3.0]]), ENCODING_RAW)
     with pytest.raises(SchemaError, match="finite"):
         decode_upload(over_the_wire(frame))
 
@@ -149,8 +153,8 @@ def _without(index, member):
     return frame
 
 
-def _with_vector(n, encoding=ENCODING_B64):
-    return {**_frame(), "Values": encode_values(np.zeros((n, 1)), encoding)}
+def _with_vector(n, encoding=ENCODING_RAW, channels=1):
+    return {**_frame(), "Values": encode_values(np.zeros((n // channels, channels)), encoding)}
 
 
 def _with_blob(**members):
@@ -200,10 +204,17 @@ MALFORMED = {
         _with_blob(Encoding=ENCODING_PLAIN, Samples=1, Blob=["x"]),
         SchemaError,
     ),
-    "two-channel blob": (
-        {**_frame(), "Values": encode_values(np.zeros((5, 2)))},
+    "two-channel blob": (_with_vector(10, channels=2), SchemaError),
+    # nor is base64, the parent's frame and still the stored form
+    "b64le-f64 blob (the parent's frame)": (_with_vector(10, ENCODING_B64), SchemaError),
+    "Blob is a str": (
+        _with_blob(Blob=base64.b64encode(_frame()["Values"]["Blob"]).decode()),
         SchemaError,
     ),
+    "Blob is a bytearray": (_with_blob(Blob=bytearray(_frame()["Values"]["Blob"])), SchemaError),
+    "Blob is a list of floats": (_with_blob(Blob=[float(i) for i in range(10)]), SchemaError),
+    "blob one byte short": (_with_blob(Blob=_frame()["Values"]["Blob"][:-1]), SchemaError),
+    "blob one byte long": (_with_blob(Blob=_frame()["Values"]["Blob"] + b"\0"), SchemaError),
     "Channels is text": (_with_blob(Channels="1"), SchemaError),
     "StartTime is text": (_with_header(2, StartTime="noon"), SchemaError),
     "SamplingInterval is null": (_with_header(2, SamplingInterval=None), SchemaError),
@@ -256,12 +267,15 @@ def state_of(network, service):
 def test_a_refused_request_leaves_the_store_as_it_was(store, name):
     network, service, alice = store
     before = state_of(network, service)
-    response = alice.post(
-        "https://store/api/upload_packets",
-        {"Contributor": "alice", "Upload": MALFORMED[name][0], "Flush": True},
-        raw=True,
-    )
-    assert response.status == 400, response.body
+    body = {"Contributor": "alice", "Upload": MALFORMED[name][0], "Flush": True}
+    if name == "Blob is a bytearray":
+        # not even sendable: the wire carries JSON and ``bytes``, nothing else
+        with pytest.raises(SchemaError, match="bytearray"):
+            alice.post("https://store/api/upload_packets", body, raw=True)
+        assert network.metrics_of("store").bytes_in == 0
+    else:
+        response = alice.post("https://store/api/upload_packets", body, raw=True)
+        assert response.status == 400, response.body
     assert state_of(network, service) == before
     assert before[0] == {} and before[1] == 0
     assert alice.post("https://store/api/flush", {"Contributor": "alice"}) == {"Finalized": 0}

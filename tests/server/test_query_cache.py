@@ -8,6 +8,7 @@ unreachable (key moves) or gone (wholesale invalidation).
 
 import pytest
 
+from repro.net import wire
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule, abstraction
 from repro.server.datastore_service import DataStoreService
@@ -49,8 +50,10 @@ def query(service, key, body=None):
     return counted_query(service, key, body)[0].body
 
 
-def canonical(body) -> str:
-    return jsonutil.canonical_dumps(body)
+def canonical(body) -> bytes:
+    """The body's bytes on the wire (a release holds its samples as a
+    ``bytes`` part, which ``canonical_dumps`` alone refuses)."""
+    return wire.encode(body)
 
 
 def cache_counters(service):
@@ -70,6 +73,10 @@ class TestHitPath:
         second = query(service, bob_key)
         after = cache_counters(service)
         assert canonical(first) == canonical(second)
+        # ... and the samples are not even copied: the hit serves the very
+        # bytes object the miss built
+        assert second["Released"]["Values"]["Blob"] is first["Released"]["Values"]["Blob"]
+        assert type(first["Released"]["Values"]["Blob"]) is bytes
         assert released_pieces(first), "fixture should release data"
         assert after["hits"] == mid["hits"] + 1
         # The hit must not rescan the store.
@@ -252,7 +259,7 @@ class TestCacheOffParity:
 class TestDeclaredWireSize:
     """A consumer release declares its wire size (``Response.wire_bytes``)
     instead of being encoded again by the transport; C2's traffic figures
-    are only true if declared == ``len(canonical_dumps(body))``, always."""
+    are only true if declared == ``len(wire.encode(body))``, always."""
 
     def assert_exact(self, service, key, body=None, *, rounds=2):
         """Miss then hit(s): declared, counted and measured sizes agree."""
@@ -318,20 +325,24 @@ class TestDeclaredWireSize:
         return service, bob_key
 
     def test_non_ascii_labels_encode_to_ascii(self):
-        """``len(str)`` is a byte count only because the canonical encoder
-        escapes everything outside ASCII; pin that alongside the sizes."""
+        """The JSON head's ``len(str)`` is a byte count only because the
+        canonical encoder escapes everything outside ASCII; pin that
+        alongside the sizes."""
         service, bob_key = self.non_ascii_service()
         response = self.assert_exact(service, bob_key)[1]
         (piece,) = released_pieces(response.body)
         assert piece["ContextLabels"] == {"Activity": "Café ☕"}
         assert "Context" not in piece["Segment"]
         encoded = canonical(response.body)
-        assert encoded.isascii() and len(encoded.encode("utf-8")) == response.wire_bytes
+        head, _, part = encoded.partition(b"\n")
+        assert head.isascii() and part == response.body["Released"]["Values"]["Blob"]
+        assert len(encoded) == response.wire_bytes
 
     @pytest.mark.parametrize("cache", [{}, {"cache_capacity": 0}], ids=["cached", "uncached"])
     @pytest.mark.parametrize("case", ["empty", "limit", "non-ascii"])
     def test_entry_counts_its_frame_without_encoding_the_blob(self, case, cache, monkeypatch):
-        """``payload_bytes`` is arithmetic over the blob, and still exact."""
+        """``payload_bytes`` is one pass over the frame's JSON that never
+        turns the blob into text, and still exact."""
         from repro.datastore import cache as cache_module
         from repro.datastore.query import DataQuery
 
@@ -345,16 +356,19 @@ class TestDeclaredWireSize:
         assert (service.release_cache is None) == bool(cache)
         assert bool(entry.released) == (case != "empty")
 
-        encoded = []
+        texts = []
         real = jsonutil.canonical_dumps
         monkeypatch.setattr(
-            cache_module.jsonutil, "canonical_dumps", lambda obj: encoded.append(obj) or real(obj)
+            cache_module.jsonutil,
+            "canonical_dumps",
+            lambda obj, **hooks: texts.append(real(obj, **hooks)) or texts[-1],
         )
         counted = entry.payload_bytes
         monkeypatch.undo()
-        assert counted == len(canonical(entry.payload))
-        assert [obj["Values"]["Blob"] for obj in encoded] == [""]
-        assert (entry.payload["Values"]["Blob"] == "") == (case == "empty")
+        blob = entry.payload["Values"]["Blob"]
+        assert counted == len(canonical(entry.payload)) == len(texts[0]) + 1 + len(blob)
+        assert len(texts) == 1 and '"Blob":{"$bytes":%d}' % len(blob) in texts[0]
+        assert (blob == b"") == (case == "empty")
 
     def test_cache_disabled_still_declares_exactly(self):
         service, bob_key = make_service(cache_capacity=0)

@@ -17,6 +17,7 @@ counter moves.
 import pytest
 
 from repro.datastore.query import DataQuery
+from repro.net import wire
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rule_to_json
@@ -24,7 +25,6 @@ from repro.server.datastore_service import DataStoreService
 from repro.storage import StorageFaultPlan, records, wal_path
 from repro.storage.migration import install_records
 from repro.util.geo import BoundingBox, LabeledPlace
-from repro.util import jsonutil
 
 from tests.conftest import UCLA, make_segment, released_pieces
 from tests.storage.test_records import one_frame_batch
@@ -74,7 +74,7 @@ class TestRecoveryInvalidation:
         # A clean recovery re-derives the same bytes — via a fresh
         # evaluation, not a surviving entry.
         after = query_as_bob(service2)
-        assert jsonutil.canonical_dumps(after) == jsonutil.canonical_dumps(before)
+        assert wire.encode(after) == wire.encode(before)
         m = service2.network.obs.metrics
         assert m.counter_value("cache_hits_total", store=HOST) == 0
         assert m.counter_value("cache_misses_total", store=HOST) == 1
@@ -120,7 +120,7 @@ class TestRecoveryInvalidation:
         # And the denied response never poisoned the allow path: repeat
         # query is a pure hit with identical bytes.
         again = query_as_bob(service2)
-        assert jsonutil.canonical_dumps(again) == jsonutil.canonical_dumps(restored)
+        assert wire.encode(again) == wire.encode(restored)
         m = service2.network.obs.metrics
         assert m.counter_value("cache_hits_total", store=HOST) == 1
 

@@ -1,8 +1,8 @@
 """The ship frame: ``encode_ship`` / ``decode_ship``.
 
-A batch of WAL frames travels primary → replica as one base64 ``Stream``
-of the frames' exact bytes beside one ``[lsn, chain_prev]`` envelope
-entry per frame.  These tests hold the pair to being lossless byte for
+A batch of WAL frames travels primary → replica as one ``Stream`` — the
+frames' exact bytes, a binary part of the request — beside one ``[lsn,
+chain_prev]`` envelope entry per frame.  These tests hold the pair to being lossless byte for
 byte, to refusing — whole, before anything on the replica moves — a
 stream its headers do not cut into exactly the envelope's frames, and to
 keeping every check the applier made on a frame when each travelled as
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import CorruptRecordError
+from repro.net import wire
 from repro.rules.model import ALLOW, Rule
 from repro.storage.records import dump
 from repro.storage.replication import decode_ship, encode_ship, read_wal_frames
@@ -39,7 +40,7 @@ def shipped_frames(draw):
 
 
 def over_the_wire(body):
-    return jsonutil.loads(jsonutil.canonical_dumps(body))
+    return wire.decode(wire.encode(body))
 
 
 @settings(max_examples=150, deadline=None)
@@ -53,9 +54,11 @@ def test_round_trip_is_byte_for_byte(frames):
 def test_the_stream_is_the_frames_bytes_and_nothing_else():
     frames = [(7, encode_frame(7, 0, b'{"Op":"x"}')[0], 0), (8, encode_frame(8, 5, b"")[0], 5)]
     body = encode_ship(frames)
-    assert base64.b64decode(body["Stream"]) == frames[0][1] + frames[1][1]
+    assert body["Stream"] == frames[0][1] + frames[1][1] and type(body["Stream"]) is bytes
     assert body["Frames"] == [[7, 0], [8, 5]]
-    assert encode_ship([]) == {"Frames": [], "Stream": ""} and decode_ship(encode_ship([])) == []
+    assert encode_ship([]) == {"Frames": [], "Stream": b""} and decode_ship(encode_ship([])) == []
+    # on the wire the stream costs its own length: no base64, no escaping
+    assert wire.size(body) == len('{"Frames":[[7,0],[8,5]],"Stream":{"$bytes":50}}\n') + 50
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +95,7 @@ def replica_state(replica):
 
 
 def _stream(frames, cut=None, extra=b""):
-    data = b"".join(frame for _lsn, frame, _chain_prev in frames)[:cut] + extra
-    return base64.b64encode(data).decode("ascii")
+    return b"".join(frame for _lsn, frame, _chain_prev in frames)[:cut] + extra
 
 
 def malformed(frames):
@@ -118,12 +120,14 @@ def malformed(frames):
             "Frames": envelope[:3]
             + [{"Lsn": 5, "ChainPrev": frames[3][2], "Frame": frames[3][1].hex()}],
         },
-        "Stream is not base64": {**good, "Stream": good["Stream"][:-4] + "@@@@"},
-        "Stream is hex": {**good, "Stream": b"".join(f for _l, f, _c in frames).hex() + "f"},
+        # the parent's base64 text is not a second wire form
+        "Stream is a str": {**good, "Stream": base64.b64encode(good["Stream"]).decode("ascii")},
+        "Stream is hex": {**good, "Stream": good["Stream"].hex()},
+        "Stream is a bytearray": {**good, "Stream": bytearray(good["Stream"])},
         "Stream is a number": {**good, "Stream": 7},
         "Stream is null": {**good, "Stream": None},
         "Stream is a list of streams": {**good, "Stream": [good["Stream"]]},
-        "Stream is not ASCII": {**good, "Stream": good["Stream"][:-4] + "éééé"},
+        "Stream is not ASCII": {**good, "Stream": "éééé"},
         "ends inside the last header": {**good, "Stream": _stream(frames, total - last + 7)},
         "ends at the last header": {**good, "Stream": _stream(frames, total - last)},
         "ends inside the last payload": {**good, "Stream": _stream(frames, total - 1)},
@@ -131,7 +135,7 @@ def malformed(frames):
         "a trailing header": {**good, "Stream": _stream(frames, extra=frames[0][1][:HEADER_SIZE])},
         "a frame the envelope does not list": {**good, "Frames": envelope[:3]},
         "an entry the stream does not hold": {**good, "Frames": envelope + [[6, 0]]},
-        "an envelope and no stream": {**good, "Stream": ""},
+        "an envelope and no stream": {**good, "Stream": b""},
         "a stream and no envelope": {**good, "Frames": []},
         "a header that promises 4 GB": {
             **good,

@@ -35,6 +35,16 @@ class TestCanonical:
     def test_compact(self):
         assert " " not in canonical_dumps({"a": [1, 2]})
 
+    @pytest.mark.parametrize("leaf", [b"", b"\x00\xff", bytearray(b"ab"), memoryview(b"ab")])
+    def test_refuses_bytes(self, leaf):
+        """It frames WAL records and feeds content hashes: binary never
+        gets in by default.  Only ``repro.net.wire`` passes a ``default``."""
+        with pytest.raises(SchemaError):
+            canonical_dumps({"Op": "segment", "Data": {"Blob": leaf}})
+        with pytest.raises(SchemaError):
+            dumps([leaf])
+        assert canonical_dumps({"Blob": leaf}, default=len) == '{"Blob":%d}' % len(leaf)
+
 
 class TestLoads:
     def test_malformed_raises_schema_error(self):
