@@ -49,7 +49,6 @@ from repro.conformance.generators import (
     segment_without_channel,
     segment_without_context,
     segment_without_location,
-    trial_from_json,
     trial_to_json,
 )
 from repro.conformance.invariants import Violation, check_release
@@ -693,12 +692,6 @@ def run_conformance(
         summary.repro = run_trial(shrunk_trial, engine_factory).to_json()
         break
     return summary
-
-
-def replay_repro(repro: dict, mutation: Optional[str] = None) -> TrialResult:
-    """Re-run a shrunken repro JSON (the ``Repro`` field of a summary)."""
-    trial = trial_from_json(repro["Trial"] if "Trial" in repro else repro)
-    return run_trial(trial, MUTATIONS[mutation] if mutation else None)
 
 
 # ----------------------------------------------------------------------

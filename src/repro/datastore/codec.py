@@ -7,9 +7,6 @@ n_channels) float64 array as little-endian IEEE-754 bytes wrapped in
 base64, so a wave segment remains a pure-JSON document (Fig. 5) while
 keeping the storage density of a binary blob.
 
-A "plain" encoding (nested JSON lists) is also supported for debuggability
-and for the storage-size comparison in benchmark C1.
-
 On the wire a blob needs no text armour: a frame carries ``le-f64``, the
 same bytes as a ``bytes`` leaf :mod:`repro.net.wire` sends beside the
 JSON.  Base64 is the *stored* form, and only this module names it.
@@ -26,7 +23,6 @@ from repro.exceptions import SchemaError
 
 ENCODING_B64 = "b64le-f64"
 ENCODING_RAW = "le-f64"
-ENCODING_PLAIN = "plain"
 
 
 class CodecStats:
@@ -58,14 +54,11 @@ def encode_values(values: np.ndarray, encoding: str = ENCODING_B64) -> dict:
     if arr.ndim != 2:
         raise SchemaError(f"value array must be 2-D (samples x channels), got shape {arr.shape}")
     n_samples, n_channels = arr.shape
-    if encoding in (ENCODING_B64, ENCODING_RAW):
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        if encoding == ENCODING_B64:
-            blob = base64.b64encode(blob).decode("ascii")
-    elif encoding == ENCODING_PLAIN:
-        blob = arr.tolist()
-    else:
+    if encoding not in (ENCODING_B64, ENCODING_RAW):
         raise SchemaError(f"unknown blob encoding: {encoding!r}")
+    blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    if encoding == ENCODING_B64:
+        blob = base64.b64encode(blob).decode("ascii")
     return {"Encoding": encoding, "Samples": n_samples, "Channels": n_channels, "Blob": blob}
 
 
@@ -99,24 +92,17 @@ def _decode_values(obj: dict) -> np.ndarray:
         raise SchemaError(f"malformed value blob: {obj!r}") from exc
     if n_samples < 0 or n_channels <= 0:
         raise SchemaError(f"bad blob dimensions: {n_samples}x{n_channels}")
+    if encoding not in (ENCODING_B64, ENCODING_RAW):
+        raise SchemaError(f"unknown blob encoding: {encoding!r}")
     if encoding == ENCODING_RAW and not isinstance(blob, bytes):
         raise SchemaError(f"{ENCODING_RAW} blob must be bytes, got {type(blob).__name__}")
-    if encoding in (ENCODING_B64, ENCODING_RAW):
-        try:
-            raw = blob if encoding == ENCODING_RAW else base64.b64decode(blob, validate=True)
-        except Exception as exc:  # binascii.Error subclasses vary
-            raise SchemaError(f"undecodable base64 blob: {exc}") from exc
-        expected = n_samples * n_channels * 8
-        if len(raw) != expected:
-            raise SchemaError(f"blob length {len(raw)} != expected {expected} bytes")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(n_samples, n_channels)
-        # A wire blob is read in place: a read-only view of the body's bytes.
-        return arr if encoding == ENCODING_RAW else arr.astype(np.float64)
-    if encoding == ENCODING_PLAIN:
-        arr = np.asarray(blob, dtype=np.float64)
-        if arr.ndim == 1 and n_channels == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.shape != (n_samples, n_channels):
-            raise SchemaError(f"plain blob shape {arr.shape} != ({n_samples}, {n_channels})")
-        return arr
-    raise SchemaError(f"unknown blob encoding: {encoding!r}")
+    try:
+        raw = blob if encoding == ENCODING_RAW else base64.b64decode(blob, validate=True)
+    except Exception as exc:  # binascii.Error subclasses vary
+        raise SchemaError(f"undecodable base64 blob: {exc}") from exc
+    expected = n_samples * n_channels * 8
+    if len(raw) != expected:
+        raise SchemaError(f"blob length {len(raw)} != expected {expected} bytes")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(n_samples, n_channels)
+    # A wire blob is read in place: a read-only view of the body's bytes.
+    return arr if encoding == ENCODING_RAW else arr.astype(np.float64)

@@ -277,15 +277,6 @@ class WaveSegment:
         """Return a copy annotated with context labels."""
         return replace(self, context=dict(context), segment_id="")
 
-    def with_values(self, values: np.ndarray, channels: Optional[tuple] = None) -> "WaveSegment":
-        """Return a copy with substituted values (used by abstraction)."""
-        return replace(
-            self,
-            values=values,
-            channels=channels if channels is not None else self.channels,
-            segment_id="",
-        )
-
     def bare(self, *, channels=None, start_ms=None, values=None) -> "WaveSegment":
         """The waveform alone: no capture location, no stored context.
 

@@ -243,7 +243,3 @@ class StaleEpochError(ConflictError):
     set's epoch, so a demoted primary that never heard the news has its
     WAL ships and writes rejected instead of silently forking history.
     """
-
-
-class CollectionError(SensorSafeError):
-    """The smartphone collection agent hit an unrecoverable condition."""

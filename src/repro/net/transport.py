@@ -74,11 +74,6 @@ class HostMetrics:
     def bytes_out(self) -> int:
         return self._bytes_out.value
 
-    @property
-    def requests_dropped(self) -> int:
-        """Requests a fault plan dropped before they reached this host."""
-        return self._dropped.value
-
     def total_bytes(self) -> int:
         return self.bytes_in + self.bytes_out
 
@@ -86,11 +81,6 @@ class HostMetrics:
         """Responses in one status class ("2xx", "4xx", "5xx", ...)."""
         counter = self._status.get(cls)
         return counter.value if counter is not None else 0
-
-    @property
-    def status_classes(self) -> dict:
-        """Non-zero response counts by status class."""
-        return {cls: c.value for cls, c in self._status.items() if c.value}
 
     def reset(self) -> None:
         for counter in (self._requests, self._bytes_in, self._bytes_out, self._dropped):

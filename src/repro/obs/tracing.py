@@ -125,19 +125,6 @@ class Tracer:
         self._next_trace = 0
         self._next_span = 0
 
-    # -- id generation (deterministic) ----------------------------------
-
-    def _new_trace_id(self) -> str:
-        self._next_trace += 1
-        return f"trace-{self._next_trace:06d}"
-
-    def _new_span_id(self) -> str:
-        self._next_span += 1
-        return f"span-{self._next_span:06d}"
-
-    def _now_sim_ms(self) -> int:
-        return self.clock.now_ms() if self.clock is not None else 0
-
     # -- span lifecycle -------------------------------------------------
 
     def start_span(

@@ -421,11 +421,6 @@ class CompiledRuleSet:
     # Mutation hook (conformance harness only)
     # ------------------------------------------------------------------
 
-    @property
-    def known_channel_mask(self) -> int:
-        """Mask covering every channel the artifact has assigned a bit."""
-        return (1 << len(self._bit_channels)) - 1
-
     def mutated_copy(
         self, *, compiled=None, zero_dependency_masks=False, batch_span=None
     ):

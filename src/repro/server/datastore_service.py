@@ -20,14 +20,15 @@ broker may read rule snapshots or set consumer group memberships.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from repro.auth.accounts import AccountRegistry, ROLE_CONSUMER, ROLE_CONTRIBUTOR
 from repro.auth.apikeys import ApiKeyRegistry
 from repro.datastore.cache import CacheEntry, ReleaseCache, ReleaseSummary, query_shape
 from repro.datastore.optimizer import MergePolicy
-from repro.datastore.query import DataQuery
+from repro.datastore.query import DataQuery, QueryResult
 from repro.datastore.segment_store import SegmentStore
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import (
@@ -46,7 +47,6 @@ from repro.net.overload import (
 from repro.net.transport import Network
 from repro.rules.compiler import CompiledRuleCache
 from repro.rules.engine import RuleEngine
-from repro.rules.model import Rule
 from repro.rules.parser import rule_from_json, rules_from_json, rules_to_json
 from repro.rules.rulestore import RuleStore
 from repro.sensors.packets import decode_upload
@@ -96,6 +96,48 @@ class ReleaseEvent:
     released: tuple
     trace_id: str = ""
     rules_version: int = 0
+
+
+#: Who may call a store endpoint; each names one ``_caller_*`` prelude.
+CALLERS = ("owner", "reader", "broker", "primary", "key", "open")
+
+
+class _route(NamedTuple):
+    """Declare a store endpoint: where it is mounted and who may call it.
+
+    Fig. 2's "every access passes the authentication layer", enforced
+    here and nowhere else: ``caller`` names the ``_caller_*`` prelude that
+    runs before the handler and returns what the handler receives after
+    ``request``, if anything.  ``writes=True`` brackets the request with
+    :meth:`_require_writable` *before* the key is looked at (a replica
+    answers 409 to anyone) and :meth:`_replication_barrier` as its last
+    step, so what the handler journaled ships under the request's own
+    acknowledgement.  Hence the one check order: primary-for-writes → key
+    → role/ownership → residency → existence.  ``_mount_routes`` mounts
+    exactly the handlers that carry a declaration (their ``.route``).
+    """
+
+    method: str
+    path: str
+    caller: str
+    writes: bool = False
+
+    def __call__(self, handler: Callable) -> Callable:
+        if self.caller not in CALLERS:
+            raise ValueError(f"unknown caller {self.caller!r}; one of {CALLERS}")
+        prelude, writes = f"_caller_{self.caller}", self.writes
+
+        @functools.wraps(handler)
+        def guarded(service, request: Request):
+            if writes:
+                service._require_writable()
+            result = handler(service, request, *(getattr(service, prelude)(request) or ()))
+            if writes:
+                service._replication_barrier()
+            return result
+
+        guarded.route = self
+        return guarded
 
 
 class DataStoreService:
@@ -379,11 +421,6 @@ class DataStoreService:
                 f"(now at {dest!r}); re-resolve at the broker directory"
             )
 
-    def _require_primary_peer(self, request: Request) -> None:
-        principal = self._authenticate(request)
-        if self.roles.get(principal) != "primary":
-            raise AuthorizationError("endpoint restricted to the paired primary")
-
     def _replication_barrier(self) -> None:
         """Ship WAL frames produced by the request that just mutated state.
 
@@ -452,6 +489,13 @@ class DataStoreService:
         if self.durability is not None:
             self.durability.commit()
 
+    def _last_lsn(self, *, commit: bool = True) -> int:
+        """The WAL's last LSN (0 with no WAL), by default after committing it."""
+        wal = self.durability.wal if self.durability is not None else None
+        if wal is not None and commit:
+            wal.commit()
+        return wal.last_lsn if wal is not None else 0
+
     def checkpoint(self) -> dict:
         """Snapshot state, write the generation manifest, reset the WAL."""
         if self.durability is None:
@@ -467,7 +511,7 @@ class DataStoreService:
     def _authenticate(self, request: Request) -> str:
         return self.keys.authenticate(request.api_key)
 
-    def _require_contributor(self, request: Request, contributor: str) -> str:
+    def _require_contributor(self, request: Request, contributor: str) -> None:
         principal = self._authenticate(request)
         if principal != contributor:
             raise AuthorizationError(
@@ -475,12 +519,46 @@ class DataStoreService:
             )
         if self.roles.get(principal) != ROLE_CONTRIBUTOR:
             raise AuthorizationError(f"{principal!r} is not a data contributor")
-        return principal
 
-    def _require_broker(self, request: Request) -> None:
-        principal = self._authenticate(request)
-        if self.roles.get(principal) != "broker":
+    def _known_contributor(self, request: Request) -> str:
+        """The ``Contributor`` named: resident here (else 409), registered (else 404)."""
+        contributor = str(request.body.get("Contributor", ""))
+        self._require_resident(contributor)
+        if contributor not in self.rules.contributors():
+            raise NotFoundError(f"no such contributor here: {contributor!r}")
+        return contributor
+
+    def _caller_open(self, request: Request) -> None:
+        """Anyone, unchecked."""
+
+    def _caller_key(self, request: Request) -> None:
+        """Any valid key."""
+        self._authenticate(request)
+
+    def _caller_broker(self, request: Request) -> None:
+        """The paired broker's key."""
+        if self.roles.get(self._authenticate(request)) != "broker":
             raise AuthorizationError("endpoint restricted to the paired broker")
+
+    def _caller_primary(self, request: Request) -> None:
+        """The paired replication primary's key."""
+        if self.roles.get(self._authenticate(request)) != "primary":
+            raise AuthorizationError("endpoint restricted to the paired primary")
+
+    def _caller_owner(self, request: Request) -> tuple:
+        """The named ``Contributor``'s own key, and they are resident here."""
+        contributor = str(request.body.get("Contributor", ""))
+        self._require_contributor(request, contributor)
+        self._require_resident(contributor)
+        return (contributor,)
+
+    def _caller_reader(self, request: Request) -> tuple:
+        """Primary only; any valid key; ``Contributor`` named, resident, known."""
+        self._require_writable()  # replicas serve no reads either
+        principal = self._authenticate(request)
+        if request.body.get("Contributor", "") == "":
+            raise BadRequestError(f"{request.path} needs a Contributor")
+        return principal, self._known_contributor(request)
 
     def _membership(self, consumer: str) -> frozenset:
         return frozenset({consumer}) | self.memberships.get(consumer, frozenset())
@@ -635,236 +713,20 @@ class DataStoreService:
     # ------------------------------------------------------------------
 
     def _mount_routes(self) -> None:
-        add = self.router.add
-        add("POST", "/api/register", self._h_register)
-        add("POST", "/api/upload", self._h_upload)
-        add("POST", "/api/upload_packets", self._h_upload_packets)
-        add("POST", "/api/flush", self._h_flush)
-        add("POST", "/api/query", self._h_query)
-        add("POST", "/api/rules/list", self._h_rules_list)
-        add("POST", "/api/rules/add", self._h_rules_add)
-        add("POST", "/api/rules/remove", self._h_rules_remove)
-        add("POST", "/api/rules/replace", self._h_rules_replace)
-        add("POST", "/api/rules/download", self._h_rules_download)
-        add("POST", "/api/places/set", self._h_places_set)
-        add("POST", "/api/places/list", self._h_places_list)
-        add("POST", "/api/profile", self._h_profile)
-        add("POST", "/api/profiles", self._h_profiles)
-        add("POST", "/api/migrate/export", self._h_migrate_export)
-        add("POST", "/api/migrate/install", self._h_migrate_install)
-        add("POST", "/api/migrate/fence", self._h_migrate_fence)
-        add("POST", "/api/migrate/complete", self._h_migrate_complete)
-        add("POST", "/api/membership/set", self._h_membership_set)
-        add("POST", "/api/stats", self._h_stats)
-        add("POST", "/api/audit/list", self._h_audit_list)
-        add("POST", "/api/recovery", self._h_recovery)
-        add("POST", "/api/audit/summary", self._h_audit_summary)
-        add("POST", "/api/aggregate", self._h_aggregate)
-        add("POST", "/api/delete", self._h_delete)
-        add("POST", "/api/replicate/append", self._h_replicate_append)
-        add("POST", "/api/replicate/status", self._h_replicate_status)
-        add("POST", "/api/health", self._h_health)
-        add("POST", "/api/promote", self._h_promote)
-        add("POST", "/api/demote", self._h_demote)
-        add("GET", "/api/metrics", self._h_metrics)
+        # Definition order is match order (the router scans linearly): the
+        # data plane is defined first, replication and operations after it.
+        for name, member in vars(type(self)).items():
+            if hasattr(member, "route"):
+                self.router.add(*member.route[:2], getattr(self, name))
 
-    def _h_replicate_append(self, request: Request) -> dict:
-        """Primary-only: verify and apply one batch of shipped WAL frames."""
-        self._require_primary_peer(request)
-        return self.applier.apply_batch(request.body)
-
-    def _h_replicate_status(self, request: Request) -> dict:
-        """Replication progress from both sides of this store."""
-        self._authenticate(request)
-        return {
-            "Host": self.host,
-            "Role": self.role,
-            "Epoch": self.epoch,
-            "Shipper": self.replication.status() if self.replication else None,
-            "Applier": self._applier.status() if self._applier else None,
-        }
-
-    def _h_health(self, request: Request) -> dict:
-        """Liveness + progress probe for the broker's failure detector."""
-        self._authenticate(request)
-        return {
-            "Host": self.host,
-            "Role": self.role,
-            "Epoch": self.epoch,
-            "AppliedLsn": self._applier.applied_lsn if self._applier else 0,
-            "LastLsn": (
-                self.durability.wal.last_lsn
-                if self.durability is not None and self.durability.wal is not None
-                else 0
-            ),
-            "FailClosed": sorted(self.fail_closed),
-        }
-
-    def _h_promote(self, request: Request) -> dict:
-        """Broker-only: become primary at the given epoch, fenced fail-closed."""
-        self._require_broker(request)
-        return self.promote(
-            int(request.body.get("Epoch", self.epoch + 1)),
-            dict(request.body.get("RuleVersions", {})),
-        )
-
-    def _h_demote(self, request: Request) -> dict:
-        """Broker-only: step down to replica at the given epoch."""
-        self._require_broker(request)
-        epoch = request.body.get("Epoch")
-        return self.demote(int(epoch) if epoch is not None else None)
-
-    # ------------------------------------------------------------------
-    # Shard migration (broker-driven; see repro.broker.rebalance)
-    # ------------------------------------------------------------------
-
-    def _h_migrate_export(self, request: Request) -> dict:
-        """Broker-only: export migration records for a contributor range.
-
-        With ``FromLsn`` 0 this is the snapshot bootstrap (full durable
-        state of the moving contributors, WAL-shaped); above 0 it is a
-        catch-up round (the filtered WAL tail).  ``Base`` says which the
-        response actually is: a catch-up that cannot prove WAL coverage —
-        non-durable source, or a checkpoint truncated past ``FromLsn`` —
-        degrades to a fresh snapshot, which idempotent records make safe.
-        ``LastLsn`` is captured *before* the export so the next round
-        covers anything racing it.
-        """
-        from repro.storage.migration import wal_records_since
-
-        self._require_broker(request)
-        contributors = [str(c) for c in request.body.get("Contributors", [])]
-        from_lsn = int(request.body.get("FromLsn", 0))
-        exported, last_lsn, complete = [], 0, False
-        if from_lsn > 0:
-            exported, last_lsn, complete = wal_records_since(
-                self, from_lsn, contributors
-            )
-        if from_lsn == 0 or not complete:
-            if self.durability is not None and self.durability.wal is not None:
-                self.durability.wal.commit()
-                last_lsn = self.durability.wal.last_lsn
-            exported = records.dump(self, contributors)
-            base = "snapshot"
-        else:
-            base = "wal"
-        return {
-            "Host": self.host,
-            "Records": [[op, data] for op, data in exported],
-            "LastLsn": last_lsn,
-            "Base": base,
-        }
-
-    def _h_migrate_install(self, request: Request) -> dict:
-        """Broker-only: install exported records on this (destination) store.
-
-        Records flow through the one installer and are re-journaled into
-        this store's own WAL; the replication barrier then ships them
-        to any replicas, so the migrated range is as durable here as
-        natively written data.
-        """
-        from repro.storage.migration import install_records
-
-        self._require_broker(request)
-        self._require_writable()
-        result = install_records(self, request.body.get("Records", []))
-        self._wal_commit()
-        self._replication_barrier()
-        return {"Host": self.host, **result}
-
-    def _h_migrate_fence(self, request: Request) -> dict:
-        """Broker-only: stop serving the moving contributors (cutover fence).
-
-        After this returns, every request naming a fenced contributor gets
-        :class:`NotPrimaryError` — the old shard self-demotes for exactly
-        the moved range.  The response carries the fence-time ``LastLsn``
-        so the coordinator's final catch-up round provably drains every
-        write that committed before the fence: zero committed-write loss.
-        """
-        self._require_broker(request)
-        dest = str(request.body.get("Dest", ""))
-        contributors = [str(c) for c in request.body.get("Contributors", [])]
-        if not dest or not contributors:
-            raise BadRequestError("fence needs Dest and Contributors")
-        for contributor in contributors:
-            self.moved_out[contributor] = dest
-        # Fenced contributors' cached decisions are unreachable (the fence
-        # fires before cache lookup); the LRU reclaims their memory.
-        last_lsn = 0
-        if self.durability is not None and self.durability.wal is not None:
-            self.durability.wal.commit()
-            last_lsn = self.durability.wal.last_lsn
-        return {
-            "Host": self.host,
-            "Fenced": sorted(contributors),
-            "LastLsn": last_lsn,
-        }
-
-    def _h_migrate_complete(self, request: Request) -> dict:
-        """Broker-only: destination-side cutover verification, fail-closed.
-
-        ``RuleVersions`` is the broker's mirror for the moved range; any
-        contributor whose installed rules can't be verified against it is
-        denied by default (:meth:`_fence_rule_versions` — the promotion
-        fence) until their owner re-publishes.  A migration may deny; it
-        must never widen access.
-        """
-        self._require_broker(request)
-        self._require_writable()
-        fenced = self._fence_rule_versions(
-            dict(request.body.get("RuleVersions", {}))
-        )
-        self._replication_barrier()
-        return {
-            "Host": self.host,
-            "FailClosed": fenced,
-            "RuleVersions": {
-                str(name): self.rules.version_of(str(name))
-                for name in request.body.get("RuleVersions", {})
-            },
-        }
-
-    def _h_profiles(self, request: Request) -> dict:
-        """Broker-only: bulk profile pull for one sync round.
-
-        One request per store instead of one per contributor — the fan-out
-        unit of :meth:`repro.broker.sync.SyncManager.pull_all`.  Unknown
-        and migrated-away contributors are listed in ``Missing`` rather
-        than failing the batch; the broker marks them stale and re-resolves.
-        """
-        self._require_broker(request)
-        names = [str(c) for c in request.body.get("Contributors", [])]
-        if not names:
-            names = sorted(self.rules.contributors())
-        profiles, missing = [], []
-        for name in names:
-            if name in self.moved_out or name not in self.rules.contributors():
-                missing.append(name)
-            else:
-                profiles.append(self._profile_json(name))
-        return {"Host": self.host, "Profiles": profiles, "Missing": missing}
-
-    def _h_recovery(self, request: Request) -> dict:
-        """What the last restart found on disk, and who is denied for it."""
-        self._authenticate(request)
-        report = self.recovery_report
-        return {
-            "Host": self.host,
-            "Durable": self.durability is not None,
-            "FailClosed": sorted(self.fail_closed),
-            "Recovery": report.to_json() if report is not None else None,
-        }
-
-    def _h_metrics(self, request: Request) -> dict:
-        """Telemetry scrape: the shared registry, labels redaction-checked."""
-        return {"Host": self.host, "Metrics": self.network.obs.snapshot()}
-
+    @_route("POST", "/api/register", caller="open")
     def _h_register(self, request: Request) -> dict:
         """Open registration endpoint.
 
         Consumers are registered here by the broker on their behalf (the
         paper: "the registration process is automatically handled by the
-        broker"); contributors register once at store setup.
+        broker"); contributors register once at store setup.  ``open``, not
+        ``writes``: it refuses on a replica itself and never shipped under the ack.
         """
         self._require_writable()
         body = request.body
@@ -879,11 +741,8 @@ class DataStoreService:
             key = self.register_consumer(str(name), password)
         return {"ApiKey": key, "Host": self.host}
 
-    def _h_upload(self, request: Request) -> dict:
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
+    @_route("POST", "/api/upload", caller="owner", writes=True)
+    def _h_upload(self, request: Request, contributor: str) -> dict:
         segments = request.body.get("Segments", [])
         stored = 0
         duplicates = 0
@@ -894,17 +753,13 @@ class DataStoreService:
             before = self.store.duplicate_uploads
             stored += len(self.store.add_segment(segment))
             duplicates += self.store.duplicate_uploads - before
-        self._replication_barrier()
         return {"Accepted": len(segments), "Finalized": stored, "Duplicates": duplicates}
 
-    def _h_upload_packets(self, request: Request) -> dict:
+    @_route("POST", "/api/upload_packets", caller="owner", writes=True)
+    def _h_upload_packets(self, request: Request, contributor: str) -> dict:
         """The phone's uplink: one :func:`~repro.sensors.packets.encode_upload`
         frame per request.  Decode, then ingest: a frame the parser refuses
         (400) has put nothing into the optimizer, the store or the log."""
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
         packets = decode_upload(request.body.get("Upload"))
         span = self.network.obs.tracer.current_span()
         if span is not None:
@@ -922,7 +777,6 @@ class DataStoreService:
             # ack (fsynced here, held by ``min_acks`` replicas), one request.
             reply["Finalized"] += self._flush_store()
             reply["Flushed"] = True
-        self._replication_barrier()
         return reply
 
     def _flush_store(self) -> int:
@@ -931,129 +785,107 @@ class DataStoreService:
         self._wal_commit()
         return finalized
 
-    def _h_flush(self, request: Request) -> dict:
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
-        finalized = self._flush_store()
-        self._replication_barrier()
-        return {"Finalized": finalized}
+    @_route("POST", "/api/flush", caller="owner", writes=True)
+    def _h_flush(self, request: Request, contributor: str) -> dict:
+        return {"Finalized": self._flush_store()}
 
-    def _h_query(self, request: Request) -> Union[dict, Response]:
-        """The query API: every access regulated by the owner's rules.
+    def _regulated_read(
+        self, endpoint: str, principal: str, contributor: str, query: DataQuery, audited: dict
+    ) -> Union[QueryResult, CacheEntry]:
+        """One read of a contributor's data, costed and audited once.
 
         The owner reading their own data bypasses the engine — the paper's
-        web UI lets contributors "view their own data" unfiltered.
+        web UI lets contributors "view their own data" unfiltered — and
+        gets the store's :class:`QueryResult`; anyone else gets the
+        :class:`CacheEntry` their rules release (:meth:`_release_for`).
+        ``audited`` is the query as the owner's trail should show it.
         """
-        self._require_writable()  # replicas serve no reads either
-        principal = self._authenticate(request)
-        contributor = str(request.body.get("Contributor", ""))
-        if not contributor:
-            raise BadRequestError("query needs a Contributor")
-        self._require_resident(contributor)
-        if contributor not in self.rules.contributors():
-            raise NotFoundError(f"no such contributor here: {contributor!r}")
-        query = DataQuery.from_json(request.body.get("Query", {}))
         costs = self.network.obs.costs
         token = costs.start(self.host)
-        if principal == contributor:
-            result = self.store.query(contributor, query)
-            self.audit.record_access(
-                principal=principal,
-                contributor=contributor,
-                query=query.to_json(),
-                raw_access=True,
-                segments_scanned=result.scanned_segments,
-                trace_id=self._trace_id(),
+        raw = principal == contributor
+        if raw:
+            read = self.store.query(contributor, query)
+            scanned, summary = read.scanned_segments, ReleaseSummary()
+            pieces = len(read.segments)
+            released_bytes = sum(s.storage_bytes() for s in read.segments)
+        else:
+            read = self._release_for(endpoint, principal, contributor, query)
+            self.network.obs.slo.release_observed(
+                contributor, self.rules.version_of(contributor), store=self.host
             )
-            costs.finish(
-                token,
-                endpoint="/api/query",
-                consumer=principal,
-                contributor=contributor,
-                segments_released=len(result.segments),
-                released_bytes=sum(s.storage_bytes() for s in result.segments),
-            )
-            return {
-                "Raw": True,
-                "Segments": [s.to_json() for s in result.segments],
-                "Scanned": result.scanned_segments,
-            }
-        entry = self._release_for("/api/query", principal, contributor, query)
-        self.network.obs.slo.release_observed(
-            contributor, self.rules.version_of(contributor), store=self.host
-        )
+            scanned, summary = read.scanned, read.summary
+            pieces, released_bytes = summary.pieces, summary.released_bytes
         self.audit.record_access(
             principal=principal,
             contributor=contributor,
-            query=query.to_json(),
-            raw_access=False,
-            segments_scanned=entry.scanned,
-            summary=entry.summary,
+            query=audited,
+            raw_access=raw,
+            segments_scanned=scanned,
+            summary=summary,
             trace_id=self._trace_id(),
         )
         costs.finish(
             token,
-            endpoint="/api/query",
+            endpoint=endpoint,
             consumer=principal,
             contributor=contributor,
-            segments_released=entry.summary.pieces,
-            released_bytes=entry.summary.released_bytes,
+            segments_released=pieces,
+            released_bytes=released_bytes,
         )
+        return read
+
+    @_route("POST", "/api/query", caller="reader")
+    def _h_query(
+        self, request: Request, principal: str, contributor: str
+    ) -> Union[dict, Response]:
+        """The query API: every access regulated by the owner's rules."""
+        query = DataQuery.from_json(request.body.get("Query", {}))
+        read = self._regulated_read(
+            "/api/query", principal, contributor, query, query.to_json()
+        )
+        if principal == contributor:
+            return {
+                "Raw": True,
+                "Segments": [s.to_json() for s in read.segments],
+                "Scanned": read.scanned_segments,
+            }
         return Response(
             body={
                 "Raw": False,
-                "Released": dict(entry.payload),
-                "Scanned": entry.scanned,
+                "Released": dict(read.payload),
+                "Scanned": read.scanned,
             },
             wire_bytes=_RELEASE_ENVELOPE_BYTES
-            + entry.payload_bytes
-            + len(str(entry.scanned)),
+            + read.payload_bytes
+            + len(str(read.scanned)),
         )
 
-    def _h_rules_list(self, request: Request) -> dict:
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
+    @_route("POST", "/api/rules/list", caller="owner")
+    def _h_rules_list(self, request: Request, contributor: str) -> dict:
         snapshot = self.rules.snapshot(contributor)
         return {"Version": snapshot.version, "Rules": rules_to_json(snapshot.rules)}
 
-    def _h_rules_add(self, request: Request) -> dict:
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
+    @_route("POST", "/api/rules/add", caller="owner", writes=True)
+    def _h_rules_add(self, request: Request, contributor: str) -> dict:
         rule = rule_from_json(request.body.get("Rule", {}))
         self.rules.add(contributor, rule)
-        self._replication_barrier()
         return {"RuleId": rule.rule_id, "Version": self.rules.version_of(contributor)}
 
-    def _h_rules_remove(self, request: Request) -> dict:
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
+    @_route("POST", "/api/rules/remove", caller="owner", writes=True)
+    def _h_rules_remove(self, request: Request, contributor: str) -> dict:
         rule_id = str(request.body.get("RuleId", ""))
         self.rules.remove(contributor, rule_id)
-        self._replication_barrier()
         return {"Removed": rule_id, "Version": self.rules.version_of(contributor)}
 
-    def _h_rules_replace(self, request: Request) -> dict:
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
+    @_route("POST", "/api/rules/replace", caller="owner", writes=True)
+    def _h_rules_replace(self, request: Request, contributor: str) -> dict:
         rules = rules_from_json(request.body.get("Rules", []))
         self.rules.replace_all(contributor, rules)
-        self._replication_barrier()
         return {"Count": len(rules), "Version": self.rules.version_of(contributor)}
 
-    def _h_rules_download(self, request: Request) -> dict:
+    @_route("POST", "/api/rules/download", caller="owner")
+    def _h_rules_download(self, request: Request, contributor: str) -> dict:
         """The phone downloads its owner's rules for rule-aware collection."""
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
         snapshot = self.rules.snapshot(contributor)
         return {
             "Version": snapshot.version,
@@ -1061,43 +893,34 @@ class DataStoreService:
             "Places": [p.to_json() for p in self.places.get(contributor, {}).values()],
         }
 
-    def _h_places_set(self, request: Request) -> dict:
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
+    @_route("POST", "/api/places/set", caller="owner", writes=True)
+    def _h_places_set(self, request: Request, contributor: str) -> dict:
         places = {}
         for obj in request.body.get("Places", []):
             place = LabeledPlace.from_json(obj)
             places[place.label] = place
         self.set_places(contributor, places)
-        self._replication_barrier()
         return {"Count": len(places)}
 
-    def _h_places_list(self, request: Request) -> dict:
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
+    @_route("POST", "/api/places/list", caller="owner")
+    def _h_places_list(self, request: Request, contributor: str) -> dict:
         return {"Places": [p.to_json() for p in self.places.get(contributor, {}).values()]}
 
+    @_route("POST", "/api/profile", caller="broker")
     def _h_profile(self, request: Request) -> dict:
         """Broker-only: rules + places snapshot for contributor search."""
-        self._require_broker(request)
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_resident(contributor)
-        if contributor not in self.rules.contributors():
-            raise NotFoundError(f"no such contributor here: {contributor!r}")
-        return self._profile_json(contributor)
+        return self._profile_json(self._known_contributor(request))
 
+    @_route("POST", "/api/membership/set", caller="broker")
     def _h_membership_set(self, request: Request) -> dict:
         """Broker-only: which groups/studies a consumer belongs to."""
-        self._require_broker(request)
         consumer = str(request.body.get("Consumer", ""))
         groups = frozenset(str(g) for g in request.body.get("Groups", []))
         self.memberships[consumer] = groups
         return {"Consumer": consumer, "Groups": sorted(groups)}
 
-    def _h_aggregate(self, request: Request) -> dict:
+    @_route("POST", "/api/aggregate", caller="reader")
+    def _h_aggregate(self, request: Request, principal: str, contributor: str) -> dict:
         """Windowed aggregates, computed behind the rule engine.
 
         A consumer's aggregate only ever sees the raw payload their rules
@@ -1109,65 +932,30 @@ class DataStoreService:
             aggregate_segments,
         )
 
-        self._require_writable()  # replicas serve no reads either
-        principal = self._authenticate(request)
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_resident(contributor)
-        if contributor not in self.rules.contributors():
-            raise NotFoundError(f"no such contributor here: {contributor!r}")
         query = DataQuery.from_json(request.body.get("Query", {}))
         spec = AggregateSpec.from_json(request.body.get("Aggregate", {}))
-        costs = self.network.obs.costs
-        token = costs.start(self.host)
+        audited = {**query.to_json(), "Aggregate": spec.to_json()}
+        read = self._regulated_read(
+            "/api/aggregate", principal, contributor, query, audited
+        )
         if principal == contributor:
-            result = self.store.query(contributor, query)
-            rows = aggregate_segments(result.segments, spec)
-            raw = True
-            summary = ReleaseSummary()
-            scanned = result.scanned_segments
+            rows = aggregate_segments(read.segments, spec)
         else:
-            entry = self._release_for("/api/aggregate", principal, contributor, query)
-            self.network.obs.slo.release_observed(
-                contributor, self.rules.version_of(contributor), store=self.host
-            )
-            rows = aggregate_released(entry.released, spec)
-            raw = False
-            summary = entry.summary
-            scanned = entry.scanned
-        self.audit.record_access(
-            principal=principal,
-            contributor=contributor,
-            query={**query.to_json(), "Aggregate": spec.to_json()},
-            raw_access=raw,
-            segments_scanned=scanned,
-            summary=summary,
-            trace_id=self._trace_id(),
-        )
-        costs.finish(
-            token,
-            endpoint="/api/aggregate",
-            consumer=principal,
-            contributor=contributor,
-            segments_released=summary.pieces,
-            released_bytes=summary.released_bytes,
-        )
+            rows = aggregate_released(read.released, spec)
         return {"Rows": [r.to_json() for r in rows]}
 
-    def _h_delete(self, request: Request) -> dict:
+    @_route("POST", "/api/delete", caller="owner", writes=True)
+    def _h_delete(self, request: Request, contributor: str) -> dict:
         """Owner-only data deletion — the teeth behind "data ownership".
 
         Remote data stores exist so contributors keep control of their
         data; that includes destroying it.  Only the owner may delete, and
-        deletions are recorded in the audit trail.
+        deletions are recorded in the audit trail — before the barrier, so
+        the entry ships under the same acknowledgement as the deletion.
         """
-        self._require_writable()
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
         query = DataQuery.from_json(request.body.get("Query", {}))
         removed = self.store.delete(contributor, query)
         self._wal_commit()
-        self._replication_barrier()
         self.audit.record_access(
             principal=contributor,
             contributor=contributor,
@@ -1178,26 +966,22 @@ class DataStoreService:
         )
         return {"Deleted": removed}
 
-    def _h_audit_list(self, request: Request) -> dict:
+    @_route("POST", "/api/audit/list", caller="owner")
+    def _h_audit_list(self, request: Request, contributor: str) -> dict:
         """The owner's access trail: who queried what, what left the store."""
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
         limit = request.body.get("Limit")
         trail = self.audit.trail_of(
             contributor, limit=int(limit) if limit is not None else None
         )
         return {"Records": [r.to_json() for r in trail]}
 
-    def _h_audit_summary(self, request: Request) -> dict:
+    @_route("POST", "/api/audit/summary", caller="owner")
+    def _h_audit_summary(self, request: Request, contributor: str) -> dict:
         """Per-consumer aggregate of accesses and samples taken."""
-        contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
-        self._require_resident(contributor)
         return {"Summary": self.audit.summary(contributor)}
 
+    @_route("POST", "/api/stats", caller="key")
     def _h_stats(self, request: Request) -> dict:
-        self._authenticate(request)
         stats = self.store.stats
         return {
             "Segments": stats.n_segments,
@@ -1206,3 +990,181 @@ class DataStoreService:
             "QueriesServed": stats.queries_served,
             "SegmentsScanned": stats.segments_scanned,
         }
+
+    @_route("POST", "/api/replicate/append", caller="primary")
+    def _h_replicate_append(self, request: Request) -> dict:
+        """Primary-only: verify and apply one batch of shipped WAL frames."""
+        return self.applier.apply_batch(request.body)
+
+    @_route("POST", "/api/replicate/status", caller="key")
+    def _h_replicate_status(self, request: Request) -> dict:
+        """Replication progress from both sides of this store."""
+        return {
+            "Host": self.host,
+            "Role": self.role,
+            "Epoch": self.epoch,
+            "Shipper": self.replication.status() if self.replication else None,
+            "Applier": self._applier.status() if self._applier else None,
+        }
+
+    @_route("POST", "/api/health", caller="key")
+    def _h_health(self, request: Request) -> dict:
+        """Liveness + progress probe for the broker's failure detector."""
+        return {
+            "Host": self.host,
+            "Role": self.role,
+            "Epoch": self.epoch,
+            "AppliedLsn": self._applier.applied_lsn if self._applier else 0,
+            "LastLsn": self._last_lsn(commit=False),
+            "FailClosed": sorted(self.fail_closed),
+        }
+
+    @_route("POST", "/api/promote", caller="broker")
+    def _h_promote(self, request: Request) -> dict:
+        """Broker-only: become primary at the given epoch, fenced fail-closed."""
+        return self.promote(
+            int(request.body.get("Epoch", self.epoch + 1)),
+            dict(request.body.get("RuleVersions", {})),
+        )
+
+    @_route("POST", "/api/demote", caller="broker")
+    def _h_demote(self, request: Request) -> dict:
+        """Broker-only: step down to replica at the given epoch."""
+        epoch = request.body.get("Epoch")
+        return self.demote(int(epoch) if epoch is not None else None)
+
+    # ------------------------------------------------------------------
+    # Shard migration (broker-driven; see repro.broker.rebalance)
+    # ------------------------------------------------------------------
+
+    @_route("POST", "/api/migrate/export", caller="broker")
+    def _h_migrate_export(self, request: Request) -> dict:
+        """Broker-only: export migration records for a contributor range.
+
+        With ``FromLsn`` 0 this is the snapshot bootstrap (full durable
+        state of the moving contributors, WAL-shaped); above 0 it is a
+        catch-up round (the filtered WAL tail).  ``Base`` says which the
+        response actually is: a catch-up that cannot prove WAL coverage —
+        non-durable source, or a checkpoint truncated past ``FromLsn`` —
+        degrades to a fresh snapshot, which idempotent records make safe.
+        ``LastLsn`` is captured *before* the export so the next round
+        covers anything racing it.
+        """
+        from repro.storage.migration import wal_records_since
+
+        contributors = [str(c) for c in request.body.get("Contributors", [])]
+        from_lsn = int(request.body.get("FromLsn", 0))
+        exported, last_lsn, complete = [], 0, False
+        if from_lsn > 0:
+            exported, last_lsn, complete = wal_records_since(
+                self, from_lsn, contributors
+            )
+        if from_lsn == 0 or not complete:
+            last_lsn = self._last_lsn()
+            exported = records.dump(self, contributors)
+            base = "snapshot"
+        else:
+            base = "wal"
+        return {
+            "Host": self.host,
+            "Records": [[op, data] for op, data in exported],
+            "LastLsn": last_lsn,
+            "Base": base,
+        }
+
+    @_route("POST", "/api/migrate/install", caller="broker", writes=True)
+    def _h_migrate_install(self, request: Request) -> dict:
+        """Broker-only: install exported records on this (destination) store.
+
+        Records flow through the one installer and are re-journaled into
+        this store's own WAL; the replication barrier then ships them
+        to any replicas, so the migrated range is as durable here as
+        natively written data.
+        """
+        from repro.storage.migration import install_records
+
+        result = install_records(self, request.body.get("Records", []))
+        self._wal_commit()
+        return {"Host": self.host, **result}
+
+    @_route("POST", "/api/migrate/fence", caller="broker")
+    def _h_migrate_fence(self, request: Request) -> dict:
+        """Broker-only: stop serving the moving contributors (cutover fence).
+
+        After this returns, every request naming a fenced contributor gets
+        :class:`NotPrimaryError` — the old shard self-demotes for exactly
+        the moved range.  The response carries the fence-time ``LastLsn``
+        so the coordinator's final catch-up round provably drains every
+        write that committed before the fence: zero committed-write loss.
+        """
+        dest = str(request.body.get("Dest", ""))
+        contributors = [str(c) for c in request.body.get("Contributors", [])]
+        if not dest or not contributors:
+            raise BadRequestError("fence needs Dest and Contributors")
+        for contributor in contributors:
+            self.moved_out[contributor] = dest
+        # Fenced contributors' cached decisions are unreachable (the fence
+        # fires before cache lookup); the LRU reclaims their memory.
+        return {
+            "Host": self.host,
+            "Fenced": sorted(contributors),
+            "LastLsn": self._last_lsn(),
+        }
+
+    @_route("POST", "/api/migrate/complete", caller="broker", writes=True)
+    def _h_migrate_complete(self, request: Request) -> dict:
+        """Broker-only: destination-side cutover verification, fail-closed.
+
+        ``RuleVersions`` is the broker's mirror for the moved range; any
+        contributor whose installed rules can't be verified against it is
+        denied by default (:meth:`_fence_rule_versions` — the promotion
+        fence) until their owner re-publishes.  A migration may deny; it
+        must never widen access.
+        """
+        fenced = self._fence_rule_versions(
+            dict(request.body.get("RuleVersions", {}))
+        )
+        return {
+            "Host": self.host,
+            "FailClosed": fenced,
+            "RuleVersions": {
+                str(name): self.rules.version_of(str(name))
+                for name in request.body.get("RuleVersions", {})
+            },
+        }
+
+    @_route("POST", "/api/profiles", caller="broker")
+    def _h_profiles(self, request: Request) -> dict:
+        """Broker-only: bulk profile pull for one sync round.
+
+        One request per store instead of one per contributor — the fan-out
+        unit of :meth:`repro.broker.sync.SyncManager.pull_all`.  Unknown
+        and migrated-away contributors are listed in ``Missing`` rather
+        than failing the batch; the broker marks them stale and re-resolves.
+        """
+        names = [str(c) for c in request.body.get("Contributors", [])]
+        if not names:
+            names = sorted(self.rules.contributors())
+        profiles, missing = [], []
+        for name in names:
+            if name in self.moved_out or name not in self.rules.contributors():
+                missing.append(name)
+            else:
+                profiles.append(self._profile_json(name))
+        return {"Host": self.host, "Profiles": profiles, "Missing": missing}
+
+    @_route("POST", "/api/recovery", caller="key")
+    def _h_recovery(self, request: Request) -> dict:
+        """What the last restart found on disk, and who is denied for it."""
+        report = self.recovery_report
+        return {
+            "Host": self.host,
+            "Durable": self.durability is not None,
+            "FailClosed": sorted(self.fail_closed),
+            "Recovery": report.to_json() if report is not None else None,
+        }
+
+    @_route("GET", "/api/metrics", caller="open")
+    def _h_metrics(self, request: Request) -> dict:
+        """Telemetry scrape: the shared registry, labels redaction-checked."""
+        return {"Host": self.host, "Metrics": self.network.obs.snapshot()}

@@ -75,11 +75,6 @@ def encode_frame(lsn: int, chain_prev: int, payload: bytes) -> tuple:
     return header + payload, chain
 
 
-def chain_crc(payload: bytes, prev: int) -> int:
-    """The chain value one payload produces on top of ``prev`` (public form)."""
-    return _chain(payload, prev)
-
-
 def decode_frame(frame: bytes, *, chain_prev: Optional[int] = None) -> tuple:
     """Verify one framed record and return ``(lsn, chain, payload)``.
 

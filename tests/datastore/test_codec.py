@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.datastore.codec import (
     ENCODING_B64,
-    ENCODING_PLAIN,
     decode_values,
     encode_values,
 )
@@ -20,10 +19,6 @@ class TestEncode:
         assert blob["Encoding"] == ENCODING_B64
         assert blob["Samples"] == 5
         assert blob["Channels"] == 2
-
-    def test_plain_keeps_lists(self):
-        blob = encode_values(np.array([[1.0], [2.0]]), ENCODING_PLAIN)
-        assert blob["Blob"] == [[1.0], [2.0]]
 
     def test_rejects_1d(self):
         with pytest.raises(SchemaError):
@@ -38,7 +33,7 @@ class TestEncode:
 
         arr = np.random.default_rng(0).normal(size=(512, 1))
         b64 = len(canonical_dumps(encode_values(arr, ENCODING_B64)))
-        plain = len(canonical_dumps(encode_values(arr, ENCODING_PLAIN)))
+        plain = len(canonical_dumps(arr.tolist()))
         assert b64 < plain
 
 
@@ -62,18 +57,7 @@ class TestDecode:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(SchemaError):
             decode_values(
-                {"Encoding": ENCODING_PLAIN, "Samples": 1, "Channels": 0, "Blob": []}
-            )
-
-    def test_plain_shape_mismatch(self):
-        with pytest.raises(SchemaError):
-            decode_values(
-                {
-                    "Encoding": ENCODING_PLAIN,
-                    "Samples": 3,
-                    "Channels": 1,
-                    "Blob": [[1.0], [2.0]],
-                }
+                {"Encoding": ENCODING_B64, "Samples": 1, "Channels": 0, "Blob": ""}
             )
 
 
@@ -94,18 +78,4 @@ class TestRoundtrip:
     def test_b64_roundtrip_exact(self, arr):
         out = decode_values(encode_values(arr, ENCODING_B64))
         assert out.shape == arr.shape
-        assert np.array_equal(out, arr)
-
-    @given(
-        arrays(
-            dtype=np.float64,
-            shape=st.tuples(
-                st.integers(min_value=1, max_value=20),
-                st.integers(min_value=1, max_value=3),
-            ),
-            elements=finite,
-        )
-    )
-    def test_plain_roundtrip_exact(self, arr):
-        out = decode_values(encode_values(arr, ENCODING_PLAIN))
         assert np.array_equal(out, arr)

@@ -70,6 +70,23 @@ class TestCostAttribution:
         assert record.endpoint == "/api/aggregate"
         assert record.consumer == "bob"
 
+    def test_owner_aggregate_is_costed_as_what_it_scanned(self, wired):
+        """Same accounting as the owner's raw query; the audit entry says
+        nothing was *released* either way."""
+        system, alice, _ = wired
+        alice.view_data()
+        query = system.obs.costs._recent[-1]
+        alice.client.post(
+            "https://alice-store/api/aggregate",
+            {"Contributor": "alice", "Aggregate": AggregateSpec("mean", 60_000).to_json()},
+        )
+        aggregate = system.obs.costs._recent[-1]
+        assert aggregate.endpoint == "/api/aggregate"
+        assert aggregate.segments_released == query.segments_released > 0
+        assert aggregate.released_bytes == query.released_bytes > 0
+        audit = system.stores["alice-store"].audit.trail_of("alice")[-1]
+        assert audit.raw_access and audit.pieces_released == audit.samples_released == 0
+
     def test_counters_and_histograms_move(self, wired):
         system, _, bob = wired
         before = system.obs.metrics.counter_value(

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datastore.codec import (
     ENCODING_B64,
-    ENCODING_PLAIN,
     ENCODING_RAW,
     decode_values,
     encode_values,
@@ -223,7 +222,7 @@ MALFORMED = {
     "blob shorter than declared": _with_blob(Samples=5),
     # one wire form: the codec's stored encodings are refused here exactly
     # as the upload frame refuses them, whatever they hold
-    "plain blob": _with_vector(4, ENCODING_PLAIN),
+    "plain blob": _with_blob(Encoding="plain", Blob=[[0.0]] * 4),
     "b64le-f64 blob (the parent's frame)": _with_vector(4, ENCODING_B64),
     "two-channel blob": _with_vector(4, channels=2),
     "Blob is a str": _with_blob(Blob=base64.b64encode(_frame()["Values"]["Blob"]).decode()),

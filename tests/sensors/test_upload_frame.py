@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datastore.codec import ENCODING_B64, ENCODING_PLAIN, ENCODING_RAW, encode_values
+from repro.datastore.codec import ENCODING_B64, ENCODING_RAW, encode_values
 from repro.exceptions import SchemaError, SensorSafeError
 from repro.net import wire
 from repro.net.client import HttpClient
@@ -199,11 +199,8 @@ MALFORMED = {
     "blob shorter than declared": (_with_blob(Samples=11), SchemaError),
     "blob of no known encoding": (_with_blob(Encoding="hex"), SchemaError),
     # the codec's decimal-list encoding is not a second wire form
-    "plain blob": (_with_vector(10, ENCODING_PLAIN), SchemaError),
-    "plain blob of text": (
-        _with_blob(Encoding=ENCODING_PLAIN, Samples=1, Blob=["x"]),
-        SchemaError,
-    ),
+    "plain blob": (_with_blob(Encoding="plain", Blob=[[0.0]] * 10), SchemaError),
+    "plain blob of text": (_with_blob(Encoding="plain", Samples=1, Blob=["x"]), SchemaError),
     "two-channel blob": (_with_vector(10, channels=2), SchemaError),
     # nor is base64, the parent's frame and still the stored form
     "b64le-f64 blob (the parent's frame)": (_with_vector(10, ENCODING_B64), SchemaError),

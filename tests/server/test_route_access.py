@@ -1,0 +1,231 @@
+"""Who may call a store endpoint — the declarations are the oracle.
+
+Every ``/api/`` handler of :class:`DataStoreService` says who may call it
+(``@_route(..., caller=, writes=)``).  These tests read those declarations
+back and hold the running service to them: a refusal matrix generated from
+the table, one minimal valid body per route, sent through
+``Network.request`` — and after every refused request the store's records,
+audit trail, WAL and fencing state are what they were before it.
+"""
+
+import pytest
+
+from repro.net.overload import STORE_ROUTE_CLASSES
+from repro.net.transport import Network
+from repro.rules.model import ALLOW, Rule
+from repro.rules.parser import rule_to_json
+from repro.sensors.packets import encode_upload, packetize
+from repro.server.datastore_service import CALLERS, ROLE_REPLICA, DataStoreService
+from repro.storage import records
+from repro.storage.replication import encode_ship
+
+from tests.conftest import MONDAY, make_segment
+
+#: ``"METHOD path"`` -> declaration, read off the class.
+ROUTES = {
+    f"{member.route.method} {member.route.path}": member.route
+    for member in vars(DataStoreService).values()
+    if hasattr(member, "route")
+}
+
+WRITES = {
+    "POST /api/upload",
+    "POST /api/upload_packets",
+    "POST /api/flush",
+    "POST /api/rules/add",
+    "POST /api/rules/remove",
+    "POST /api/rules/replace",
+    "POST /api/places/set",
+    "POST /api/delete",
+    "POST /api/migrate/install",
+    "POST /api/migrate/complete",
+}
+
+ALICE = {"Contributor": "alice"}
+
+#: One minimal body the right caller gets a 2xx for (the key is added).
+BODIES = {
+    "POST /api/register": {"Username": "dave", "Role": "consumer"},
+    "POST /api/upload": {**ALICE, "Segments": [make_segment(start_ms=MONDAY + 60_000).to_json()]},
+    "POST /api/upload_packets": {
+        **ALICE,
+        "Upload": encode_upload(packetize("ECG", MONDAY + 120_000, 250, [1.0, 2.0])),
+    },
+    "POST /api/flush": ALICE,
+    "POST /api/query": ALICE,
+    "POST /api/aggregate": {**ALICE, "Aggregate": {"Function": "mean", "WindowMs": 60_000}},
+    "POST /api/delete": ALICE,
+    "POST /api/rules/list": ALICE,
+    "POST /api/rules/add": {**ALICE, "Rule": rule_to_json(Rule(consumers=("bob",), action=ALLOW))},
+    "POST /api/rules/remove": {**ALICE, "RuleId": "no-such-rule"},
+    "POST /api/rules/replace": {**ALICE, "Rules": []},
+    "POST /api/rules/download": ALICE,
+    "POST /api/places/set": {**ALICE, "Places": []},
+    "POST /api/places/list": ALICE,
+    "POST /api/audit/list": ALICE,
+    "POST /api/audit/summary": ALICE,
+    "POST /api/profile": ALICE,
+    "POST /api/profiles": {},
+    "POST /api/membership/set": {"Consumer": "bob", "Groups": ["study"]},
+    "POST /api/migrate/export": {"Contributors": ["alice"]},
+    "POST /api/migrate/install": {"Records": []},
+    "POST /api/migrate/fence": {"Dest": "elsewhere", "Contributors": ["carol"]},
+    "POST /api/migrate/complete": {"RuleVersions": {}},
+    "POST /api/promote": {"Epoch": 2},
+    "POST /api/demote": {"Epoch": 2},
+    "POST /api/replicate/append": {
+        "Primary": "elsewhere", "Epoch": 1, "Resync": False, **encode_ship([])
+    },
+    "POST /api/replicate/status": {},
+    "POST /api/health": {},
+    "POST /api/recovery": {},
+    "POST /api/stats": {},
+    "GET /api/metrics": {},
+}
+
+
+class Store:
+    """A durable store with one principal of every kind and some data."""
+
+    def __init__(self, directory):
+        self.network = Network()
+        self.service = DataStoreService(
+            "store", self.network, directory=str(directory), durable=True
+        )
+        self.keys = {
+            "alice": self.service.register_contributor("alice"),
+            "carol": self.service.register_contributor("carol"),
+            "bob": self.service.register_consumer("bob"),
+            "broker": self.service.pair_broker(),
+            "primary": self.service.pair_primary(),
+        }
+        self.service.store.add_segment(make_segment())
+        self.service.store.flush()
+        self.service.durability.commit()
+
+    def send(self, name, key=None, body=None):
+        method, path = name.split()
+        body = dict(BODIES[name] if body is None else body)
+        if key is not None:
+            body["ApiKey"] = self.keys.get(key, key)
+        return self.network.request(method, f"https://store{path}", body)
+
+    def right_key(self, name):
+        """Whose key the declaration admits (``open`` needs none)."""
+        return {
+            "owner": "alice", "reader": "bob", "broker": "broker",
+            "primary": "primary", "key": "bob", "open": None,
+        }[ROUTES[name].caller]
+
+    def state(self):
+        service = self.service
+        return (
+            records.dump(service),
+            {c: [r.to_json() for r in service.audit.trail_of(c)] for c in ("alice", "carol")},
+            service.durability.wal.last_lsn,
+            (service.role, service.epoch, dict(service.moved_out), dict(service.memberships)),
+        )
+
+    def refused(self, name, key, status, kind=None):
+        """Send, expect ``status`` — and a store that did not move."""
+        before = self.state()
+        response = self.send(name, key)
+        assert response.status == status, (name, key, response.status, response.body)
+        if kind is not None:
+            assert response.body["ErrorKind"] == kind, (name, response.body)
+        assert self.state() == before, f"{name} refused {key!r} but changed the store"
+
+
+@pytest.fixture()
+def store(tmp_path):
+    return Store(tmp_path / "store")
+
+
+def routes(*callers, writes=None):
+    return [
+        name for name, route in sorted(ROUTES.items())
+        if route.caller in callers and writes in (None, route.writes)
+    ]
+
+
+class TestDeclarations:
+    def test_every_mounted_api_route_is_declared(self, store):
+        mounted = {}
+        for method, segments, handler in store.service.router._routes:
+            mounted[f"{method} /{'/'.join(segments)}"] = getattr(handler, "route", None)
+        assert mounted == ROUTES  # the web UI mounts its /web/ pages later, elsewhere
+        assert all(route.caller in CALLERS for route in ROUTES.values())
+
+    def test_the_declared_routes_are_the_admission_classes_routes(self):
+        assert set(ROUTES) == set(STORE_ROUTE_CLASSES)
+        assert len(ROUTES) == 31
+
+    def test_writes_is_exactly_the_ten_mutations_that_ship_under_their_ack(self):
+        assert {name for name, route in ROUTES.items() if route.writes} == WRITES
+
+    def test_every_route_has_a_body(self):
+        assert set(BODIES) == set(ROUTES)
+
+    def test_an_unknown_caller_cannot_be_declared(self):
+        from repro.server.datastore_service import _route
+
+        with pytest.raises(ValueError):
+            _route("POST", "/api/x", caller="anyone")(lambda self, request: {})
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("name", routes(*set(CALLERS) - {"open"}))
+    def test_no_key_and_invalid_key_are_401(self, store, name):
+        store.refused(name, None, 401)
+        store.refused(name, "f" * 64, 401)
+
+    @pytest.mark.parametrize("name", routes("owner"))
+    def test_owner_routes_refuse_consumers_and_other_contributors(self, store, name):
+        store.refused(name, "bob", 403)
+        store.refused(name, "carol", 403)
+
+    @pytest.mark.parametrize("name", routes("broker", "primary"))
+    def test_peer_routes_refuse_consumers_and_owners(self, store, name):
+        store.refused(name, "bob", 403)
+        store.refused(name, "alice", 403)
+
+    @pytest.mark.parametrize("name", routes("owner", "reader") + ["POST /api/profile"])
+    def test_fenced_contributor_is_409(self, store, name):
+        fence = store.send(
+            "POST /api/migrate/fence", "broker", {"Dest": "elsewhere", "Contributors": ["alice"]}
+        )
+        assert fence.status == 200
+        store.refused(name, store.right_key(name), 409, "NotPrimaryError")
+
+    @pytest.mark.parametrize("name", sorted(WRITES) + routes("reader"))
+    def test_demoted_store_refuses_before_it_looks_at_the_key(self, store, name):
+        store.service.demote()
+        for key in (None, "bob", store.right_key(name)):
+            store.refused(name, key, 409, "NotPrimaryError")
+
+    @pytest.mark.parametrize("name", routes("owner", writes=False))
+    def test_demoted_store_still_answers_its_owners_read_only_routes(self, store, name):
+        store.service.demote()
+        assert store.send(name, "alice").status == 200
+        store.refused(name, "bob", 403)
+
+    def test_reader_routes_need_a_named_known_contributor(self, store):
+        for name in routes("reader"):
+            before = store.state()
+            body = {k: v for k, v in BODIES[name].items() if k != "Contributor"}
+            assert store.send(name, "bob", body).status == 400, name
+            assert store.send(name, "bob", {**body, "Contributor": "nobody"}).status == 404, name
+            assert store.state() == before
+
+
+class TestRightCaller:
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    def test_right_caller_is_2xx(self, store, name):
+        if name == "POST /api/replicate/append":
+            store.service.role = ROLE_REPLICA  # only a replica takes ships
+        response = store.send(name, store.right_key(name))
+        assert 200 <= response.status < 300, (name, response.status, response.body)
+
+    def test_owner_reads_their_own_data_through_both_reader_routes(self, store):
+        for name in routes("reader"):
+            assert store.send(name, "alice").status == 200, name

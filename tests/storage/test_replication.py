@@ -270,6 +270,32 @@ class TestSemiSync:
         assert primary.rules.rules_of("alice") == ()
         assert replica.rules.rules_of("alice") == ()
 
+    def test_unacked_delete_is_still_audited(self, tmp_path):
+        """The audit entry is written before the barrier, so a delete whose
+        ack fails is on the owner's trail with its true count — and ships
+        under the same acknowledgement as the deletion once a retry lands."""
+        network, primary, (replica,) = make_pair(tmp_path, mode="semi-sync")
+        key = primary.register_contributor("alice")
+        client = HttpClient(network, name="alice-phone", api_key=key)
+        client.post(
+            "https://primary/api/upload",
+            {"Contributor": "alice", "Segments": [make_segment().to_json()]},
+        )
+        client.post("https://primary/api/flush", {"Contributor": "alice"})
+        network.unregister_host("replica-0")
+        with pytest.raises(ReplicationError):
+            client.post("https://primary/api/delete", {"Contributor": "alice"})
+        assert primary.store.stats.n_segments == 0  # the 503 removed the data
+        (entry,) = primary.audit.trail_of("alice")
+        assert entry.query["Delete"] is True and entry.segments_scanned == 1
+        network.register_host("replica-0", replica.router)
+        body = client.post("https://primary/api/delete", {"Contributor": "alice"})
+        assert body == {"Deleted": 0}
+        assert [r.segments_scanned for r in primary.audit.trail_of("alice")] == [1, 0]
+        assert [r.to_json() for r in replica.audit.trail_of("alice")] == [
+            r.to_json() for r in primary.audit.trail_of("alice")
+        ]
+
 
 class TestFencing:
     def test_stale_epoch_fences_old_primary(self, tmp_path):
