@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
+import numpy as np
+
 from repro.context.classifiers import InferencePipeline
 from repro.context.features import WindowSamples
 from repro.sensors.packets import SensorPacket
@@ -43,9 +45,10 @@ class ContextAnnotator:
         The one place samples are assigned to windows.  Sample ``i`` of a
         packet sits at ``start_ms + i * interval_ms``, so the rows inside a
         window are one contiguous run ending at a ceiling division (as in
-        ``WaveSegment._sample_range``); a channel's runs are concatenated
-        in packet order.  Only windows in which some packet starts get an
-        entry — no other window's labels are ever stamped on anything.
+        ``WaveSegment._sample_range``); a channel's runs are collected as
+        slices in packet order and concatenated once.  Only windows in
+        which some packet starts get an entry — no other window's labels
+        are ever stamped on anything.
         """
         packets = list(packets)
         width = self.window_ms
@@ -64,8 +67,11 @@ class ContextAnnotator:
                     samples = window.get(name)
                     if samples is None:
                         samples = window[name] = WindowSamples([], 1000.0 / step)
-                    samples.values.extend(values[first:stop])
+                    samples.values.append(values[first:stop])
                 first = stop
+        for window in out.values():
+            for samples in window.values():
+                samples.values = np.concatenate(samples.values)
         return out
 
     def infer_window(self, samples: Mapping[str, WindowSamples]) -> dict:

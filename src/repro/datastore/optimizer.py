@@ -9,10 +9,10 @@ channels."
 
 Two modes are provided:
 
-* **ingest-time merging** — :meth:`SegmentOptimizer.add` buffers the tail
-  segment per (channels, location, interval) stream and extends it while
-  packets keep arriving seamlessly, flushing when a gap appears or the
-  segment reaches ``MergePolicy.max_samples``;
+* **ingest-time merging** — :meth:`SegmentOptimizer.add` keeps one open
+  run per (channels, location, interval, context) stream and extends it
+  while packets keep arriving seamlessly, closing it when a gap appears
+  or it reaches ``MergePolicy.max_samples``;
 * **compaction** — :meth:`SegmentOptimizer.compact` merges an existing
   segment list in one pass, used when policy changes after data is stored.
 
@@ -22,8 +22,10 @@ have to decode unboundedly large blobs; the C1 benchmark sweeps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import ValidationError
@@ -49,20 +51,48 @@ class MergePolicy:
             raise ValidationError(f"max_samples must be positive: {self.max_samples}")
 
 
+class _OpenRun:
+    """A stream's growing tail: its first segment plus the value arrays of
+    the segments that followed it seamlessly — the one merge implementation.
+    Runs are kept per stream key, and equal keys already mean equal
+    contributor, channels, interval, location and context, so all that is
+    left of ``WaveSegment.can_merge`` is adjacency in time."""
+
+    __slots__ = ("first", "parts", "n_samples")
+
+    def __init__(self, first: WaveSegment):
+        self.first, self.parts, self.n_samples = first, [first.values], first.n_samples
+
+    def take(self, segment: WaveSegment) -> bool:
+        """Append ``segment`` if it starts where the run ends."""
+        if self.first.start_ms + self.n_samples * self.first.interval_ms != segment.start_ms:
+            return False
+        self.parts.append(segment.values)
+        self.n_samples += segment.n_samples
+        return True
+
+    def close(self) -> WaveSegment:
+        """The run as a segment: one concatenate and one ``WaveSegment``
+        however many segments it took (a run of one is that segment)."""
+        if len(self.parts) == 1:
+            return self.first
+        return replace(self.first, values=np.concatenate(self.parts), segment_id="")
+
+
 class SegmentOptimizer:
     """Stateful ingest-time merger.
 
     ``add`` returns the segments that became *final* as a result of this
-    addition (possibly none); ``flush`` drains whatever is still buffered.
+    addition (possibly none); ``flush`` drains whatever is still open.
     Callers persist only final segments, so a crash can lose at most one
-    buffered segment per stream — matching the durability of the paper's
+    open run per stream — matching the durability of the paper's
     packet-batching upload path.
     """
 
     def __init__(self, policy: Optional[MergePolicy] = None):
         self.policy = policy or MergePolicy()
-        # stream key -> buffered (growing) segment
-        self._buffers: dict[tuple, WaveSegment] = {}
+        # stream key -> open run
+        self._buffers: dict[tuple, _OpenRun] = {}
         self.merged_count = 0  # merges performed, for instrumentation
 
     @staticmethod
@@ -77,36 +107,25 @@ class SegmentOptimizer:
 
     def add(self, segment: WaveSegment) -> list:
         """Offer one segment; returns segments finalized by this call."""
-        if not self.policy.enabled:
-            return [segment]
-        if not segment.is_uniform:
-            # Non-uniform segments are never merged; pass through.
+        if not self.policy.enabled or not segment.is_uniform:
+            # Merging off, or non-uniform (never merged): pass through.
             return [segment]
         key = self._stream_key(segment)
-        buffered = self._buffers.get(key)
+        run = self._buffers.get(key)
         finalized: list[WaveSegment] = []
-        if buffered is not None:
-            if buffered.can_merge(segment):
-                merged = buffered.merge(segment)
-                self.merged_count += 1
-                if merged.n_samples >= self.policy.max_samples:
-                    finalized.append(merged)
-                    del self._buffers[key]
-                else:
-                    self._buffers[key] = merged
-                return finalized
-            # Gap or changed stream: the old buffer is final.
-            finalized.append(buffered)
-        if segment.n_samples >= self.policy.max_samples:
-            finalized.append(segment)
-            self._buffers.pop(key, None)
+        if run is not None and run.take(segment):
+            self.merged_count += 1
         else:
-            self._buffers[key] = segment
+            if run is not None:
+                finalized.append(run.close())  # gap: the old run is final
+            run = self._buffers[key] = _OpenRun(segment)
+        if run.n_samples >= self.policy.max_samples:
+            finalized.append(self._buffers.pop(key).close())
         return finalized
 
     def flush(self) -> list:
-        """Finalize and return all buffered segments."""
-        out = list(self._buffers.values())
+        """Finalize and return all open runs."""
+        out = [run.close() for run in self._buffers.values()]
         self._buffers.clear()
         return out
 
@@ -126,15 +145,14 @@ class SegmentOptimizer:
         out = passthrough
         for group in groups.values():
             group.sort(key=lambda s: s.start_ms)
-            current = group[0]
+            run = _OpenRun(group[0])
             for nxt in group[1:]:
-                can_grow = current.n_samples + nxt.n_samples <= self.policy.max_samples
-                if can_grow and current.can_merge(nxt):
-                    current = current.merge(nxt)
+                can_grow = run.n_samples + nxt.n_samples <= self.policy.max_samples
+                if can_grow and run.take(nxt):
                     self.merged_count += 1
                 else:
-                    out.append(current)
-                    current = nxt
-            out.append(current)
+                    out.append(run.close())
+                    run = _OpenRun(nxt)
+            out.append(run.close())
         out.sort(key=lambda s: (s.start_ms, s.channels))
         return out

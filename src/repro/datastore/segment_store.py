@@ -11,7 +11,7 @@ privacy rules are per-owner.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.datastore.cache import segment_content_hash
@@ -152,8 +152,15 @@ class SegmentStore:
                 self._c_duplicates.inc()
             return []
         self._note_ingested(segment.segment_id)
-        finalized = self.optimizer.add(segment)
-        for final in finalized:
+        return self._persist_final(self.optimizer.add(segment))
+
+    def _persist_final(self, finalized: list) -> list:
+        """Persist what the optimizer finalized, each owning its samples:
+        a merged run was concatenated and does; a run of one packet is
+        still a view pinning the whole upload frame, so it is copied."""
+        for i, final in enumerate(finalized):
+            if final.values.base is not None:
+                final = finalized[i] = replace(final, values=final.values.copy())
             self._persist(final)
         return finalized
 
@@ -165,10 +172,7 @@ class SegmentStore:
 
     def flush(self) -> list:
         """Persist all segments still buffered in the optimizer."""
-        finalized = self.optimizer.flush()
-        for final in finalized:
-            self._persist(final)
-        return finalized
+        return self._persist_final(self.optimizer.flush())
 
     def _index_segment(self, segment: WaveSegment) -> None:
         """Add one (already-tabled) segment to every in-memory index."""

@@ -341,14 +341,14 @@ class WaveSegment:
 
 
 def segment_from_packet(contributor: str, packet: SensorPacket) -> WaveSegment:
-    """Convert a firmware packet into a single-channel wave segment."""
-    values = np.asarray(packet.values, dtype=np.float64).reshape(-1, 1)
+    """Convert a firmware packet into a single-channel wave segment: a
+    column view of the packet's samples, not a copy."""
     return WaveSegment(
         contributor=contributor,
         channels=(packet.channel_name,),
         start_ms=packet.start_ms,
         interval_ms=packet.interval_ms,
-        values=values,
+        values=packet.values.reshape(-1, 1),
         location=packet.location,
         context=dict(packet.context),
     )

@@ -11,7 +11,6 @@ from how the store coalesces many of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,26 +30,45 @@ class SensorPacket:
         channel_name: which sensor channel produced the samples.
         start_ms: timestamp of the first sample (epoch ms, UTC).
         interval_ms: spacing between consecutive samples.
-        values: the samples, oldest first.
+        values: the samples, oldest first: a read-only 1-D float64 array.
+            One that already is (a slice of a run or of a frame's blob) is
+            adopted; anything else numeric is copied, never aliased.
         location: device location when the packet was captured, if known.
         context: ground-truth context labels at capture time, keyed by
             category ("Activity" -> "Drive").  Carried only by the
             simulator for scoring; real devices would not have this.
+
+    ``==`` is by value (``np.array_equal`` on samples); the hash leaves them and ``context`` out.
     """
 
     channel_name: str
     start_ms: int
     interval_ms: int
-    values: tuple[float, ...]
+    values: np.ndarray = field(compare=False)  # compared by __eq__
     location: Optional[LatLon] = None
     context: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         channel(self.channel_name)  # validates the name
-        if not self.values:
-            raise ValidationError("sensor packet must contain at least one sample")
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "iuf" or values.ndim != 1 or values.size == 0:
+            raise ValidationError(
+                "sensor packet must contain at least one sample, as one 1-D run of numbers: "
+                f"got dtype {values.dtype}, shape {values.shape}"
+            )
+        if values.dtype != np.float64 or values.flags.writeable:
+            values = values.astype(np.float64)  # always a copy
+            values.setflags(write=False)
+        object.__setattr__(self, "values", values)
         if self.interval_ms <= 0:
             raise ValidationError(f"non-positive sample interval: {self.interval_ms}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.channel_name, self.start_ms, self.interval_ms, self.location)
+        theirs = (other.channel_name, other.start_ms, other.interval_ms, other.location)
+        return mine == theirs and np.array_equal(self.values, other.values)
 
     @property
     def end_ms(self) -> int:
@@ -77,7 +95,7 @@ class SensorPacket:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, values: tuple) -> "SensorPacket":
+    def from_json(cls, obj: dict, values: np.ndarray) -> "SensorPacket":
         """Parse a header; ``values`` are its samples, cut from the blob."""
         require_keys(
             obj, ("Channel", "StartTime", "SamplingInterval", "Values"), where="packet"
@@ -122,7 +140,7 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
     from repro.datastore.codec import ENCODING_RAW, encode_values
 
     packets = list(packets)
-    flat = np.fromiter(chain.from_iterable(p.values for p in packets), np.float64)
+    flat = np.concatenate([p.values for p in packets]) if packets else np.empty(0)
     _require_finite(flat)
     return {
         "Packets": [p.to_json() for p in packets],
@@ -134,30 +152,31 @@ def decode_upload(frame: dict) -> list:
     """Parse an upload frame into its :class:`SensorPacket` list.
 
     The blob is decoded once and every packet is built through its
-    constructor.  :class:`~repro.exceptions.SchemaError`, before any
-    packet is returned, unless the blob is ``le-f64`` bytes of one channel
-    (neither base64 nor a decimal list is a second wire form), every header
-    parses and the declared counts consume the (finite) samples exactly.
+    constructor over a read-only view of the frame's bytes.
+    :class:`~repro.exceptions.SchemaError`, before any packet is
+    returned, unless the blob is ``le-f64`` bytes of one channel (neither
+    base64 nor a decimal list is a second wire form), every header parses
+    and the declared counts consume the (finite) samples exactly.
     """
     from repro.datastore.codec import decode_frame_values  # deferred, as above
 
     require_keys(frame, ("Packets", "Values"), where="upload frame")
     flat = decode_frame_values(frame["Values"], where="upload frame")
     _require_finite(flat)
-    samples, packets, offset = flat.tolist(), [], 0
+    packets, offset = [], 0
     for header in require_type(frame["Packets"], list, where="upload frame Packets"):
         count = header.get("Values") if isinstance(header, dict) else None
-        if type(count) is not int or count <= 0 or offset + count > len(samples):
+        if type(count) is not int or count <= 0 or offset + count > len(flat):
             raise SchemaError(
-                f"upload frame: bad packet header or count at value {offset} of {len(samples)}"
+                f"upload frame: bad packet header or count at value {offset} of {len(flat)}"
             )
         try:
-            packets.append(SensorPacket.from_json(header, tuple(samples[offset : offset + count])))
+            packets.append(SensorPacket.from_json(header, flat[offset : offset + count]))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"upload frame: malformed packet header: {exc}") from exc
         offset += count
-    if offset != len(samples):
-        raise SchemaError(f"upload frame: packets consume {offset} of {len(samples)} values")
+    if offset != len(flat):
+        raise SchemaError(f"upload frame: packets consume {offset} of {len(flat)} values")
     return packets
 
 
@@ -184,17 +203,16 @@ def packetize(
         packet_samples = channel(channel_name).packet_samples
     if packet_samples <= 0:
         raise ValidationError(f"packet_samples must be positive: {packet_samples}")
-    packets = []
-    for offset in range(0, len(values), packet_samples):
-        chunk = tuple(values[offset : offset + packet_samples])
-        packets.append(
-            SensorPacket(
-                channel_name=channel_name,
-                start_ms=start_ms + offset * interval_ms,
-                interval_ms=interval_ms,
-                values=chunk,
-                location=location,
-                context=dict(context or {}),
-            )
+    run = np.array(values, dtype=np.float64)  # the one copy; packets are views
+    run.setflags(write=False)
+    return [
+        SensorPacket(
+            channel_name=channel_name,
+            start_ms=start_ms + offset * interval_ms,
+            interval_ms=interval_ms,
+            values=run[offset : offset + packet_samples],
+            location=location,
+            context=dict(context or {}),
         )
-    return packets
+        for offset in range(0, len(run), packet_samples)
+    ]

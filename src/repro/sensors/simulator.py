@@ -171,7 +171,7 @@ class TraceSimulator:
             channel_name,
             int(state.interval.start),
             interval_ms,
-            [float(v) for v in values],
+            values,
             packet_samples=self.config.packet_size(spec),
             location=state.location,
             context=context,

@@ -743,16 +743,14 @@ class DataStoreService:
 
     @_route("POST", "/api/upload", caller="owner", writes=True)
     def _h_upload(self, request: Request, contributor: str) -> dict:
-        segments = request.body.get("Segments", [])
-        stored = 0
-        duplicates = 0
-        for obj in segments:
-            segment = WaveSegment.from_json(obj)
-            if segment.contributor != contributor:
-                raise AuthorizationError("cannot upload segments owned by someone else")
-            before = self.store.duplicate_uploads
-            stored += len(self.store.add_segment(segment))
-            duplicates += self.store.duplicate_uploads - before
+        """Decode and check, then ingest: a request refused for its third
+        segment (400, 403) has put nothing into the optimizer or the store."""
+        segments = [WaveSegment.from_json(obj) for obj in request.body.get("Segments", [])]
+        if any(segment.contributor != contributor for segment in segments):
+            raise AuthorizationError("cannot upload segments owned by someone else")
+        before = self.store.duplicate_uploads
+        stored = sum(len(self.store.add_segment(segment)) for segment in segments)
+        duplicates = self.store.duplicate_uploads - before
         return {"Accepted": len(segments), "Finalized": stored, "Duplicates": duplicates}
 
     @_route("POST", "/api/upload_packets", caller="owner", writes=True)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.collection.phone import SmartphoneAgent
@@ -28,7 +29,9 @@ class TestAnnotator:
     def test_annotation_preserves_payload(self, weekday_trace):
         packets = weekday_trace.all_packets_sorted()[:50]
         annotated = ContextAnnotator().annotate(packets)
-        assert sorted(p.values for p in annotated) == sorted(p.values for p in packets)
+        assert sorted(p.values.tobytes() for p in annotated) == sorted(
+            p.values.tobytes() for p in packets
+        )
 
     def test_windows_share_labels(self, weekday_trace):
         packets = weekday_trace.all_packets_sorted()[:100]
@@ -95,7 +98,8 @@ class TestWindowsAreSpansOfTime:
         assert sorted(windows) == [base + k for k in range(5)]
         rows = [windows[base + k]["Respiration"].values for k in range(5)]
         assert [len(r) for r in rows] == [7, 10, 10, 10, 3]
-        assert [v for r in rows for v in r] == [float(v) for v in range(40)]
+        assert all(r.dtype == np.float64 for r in rows)
+        assert np.concatenate(rows).tolist() == [float(v) for v in range(40)]
         for k, run in enumerate(rows):
             for value in run:
                 assert (start + int(value) * 6_000) // 60_000 == base + k
@@ -118,7 +122,9 @@ class TestWindowsAreSpansOfTime:
         first = packet("ECG", MONDAY, 10_000, [1, 2, 3])
         second = packet("ECG", MONDAY + 30_000, 10_000, [4, 5, 6, 7])
         windows = ContextAnnotator().windows([first, second])
-        assert windows[MONDAY // 60_000]["ECG"].values == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        samples = windows[MONDAY // 60_000]["ECG"].values
+        assert samples.dtype == np.float64
+        assert samples.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_categories_without_their_channels_are_still_omitted(self, weekday_trace):
         packets = [p for p in first_hour(weekday_trace) if p.channel_name != "Respiration"]

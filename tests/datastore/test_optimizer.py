@@ -1,12 +1,15 @@
 """Tests for the wave-segment merge optimizer (paper Section 5.1)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
-from repro.datastore.wavesegment import segment_from_packet
+from repro.datastore.wavesegment import WaveSegment, segment_from_packet
 from repro.exceptions import ValidationError
-from repro.sensors.packets import packetize
+from repro.sensors.packets import SensorPacket, packetize
 from repro.util.geo import LatLon
 
 LOC = LatLon(34.0, -118.0)
@@ -128,3 +131,149 @@ class TestCompaction:
         segments = packets_to_segments(n_samples=256, packet_samples=64)
         opt = SegmentOptimizer(MergePolicy(enabled=False))
         assert len(opt.compact(segments)) == len(segments)
+
+
+# ---------------------------------------------------------------------------
+# An open run is built once: same segments as the parent's left fold of merge
+# ---------------------------------------------------------------------------
+
+
+class ParentOptimizer:
+    """``SegmentOptimizer`` as it stood at 3541740, kept as the reference:
+    the open segment is rebuilt by ``WaveSegment.merge`` for every packet."""
+
+    def __init__(self, policy):
+        self.policy, self.buffers, self.merged_count = policy, {}, 0
+
+    def add(self, segment):
+        if not self.policy.enabled or not segment.is_uniform:
+            return [segment]
+        key = SegmentOptimizer._stream_key(segment)
+        buffered, finalized = self.buffers.get(key), []
+        if buffered is not None:
+            if buffered.can_merge(segment):
+                merged = buffered.merge(segment)
+                self.merged_count += 1
+                if merged.n_samples >= self.policy.max_samples:
+                    finalized.append(merged)
+                    del self.buffers[key]
+                else:
+                    self.buffers[key] = merged
+                return finalized
+            finalized.append(buffered)
+        if segment.n_samples >= self.policy.max_samples:
+            finalized.append(segment)
+            self.buffers.pop(key, None)
+        else:
+            self.buffers[key] = segment
+        return finalized
+
+    def flush(self):
+        out = list(self.buffers.values())
+        self.buffers.clear()
+        return out
+
+    def compact(self, segments):
+        groups, out = {}, []
+        for segment in segments:
+            if not self.policy.enabled or not segment.is_uniform:
+                out.append(segment)
+            else:
+                groups.setdefault(SegmentOptimizer._stream_key(segment), []).append(segment)
+        for group in groups.values():
+            group.sort(key=lambda s: s.start_ms)
+            current = group[0]
+            for nxt in group[1:]:
+                if (
+                    current.n_samples + nxt.n_samples <= self.policy.max_samples
+                    and current.can_merge(nxt)
+                ):
+                    current = current.merge(nxt)
+                else:
+                    out.append(current)
+                    current = nxt
+            out.append(current)
+        out.sort(key=lambda s: (s.start_ms, s.channels))
+        return out
+
+
+def fields(segment):
+    return (
+        segment.segment_id,
+        segment.contributor,
+        segment.channels,
+        segment.start_ms,
+        segment.interval_ms,
+        segment.values.shape,
+        segment.values.tobytes(),
+        segment.location,
+        segment.context,
+    )
+
+
+_CONTEXTS = ({"Activity": "Still"}, {"Activity": "Drive"}, {})
+_STEP = st.tuples(
+    st.sampled_from(["ECG", "AccelX"]),
+    st.integers(min_value=1, max_value=9),  # samples in the packet
+    st.sampled_from([0, 0, 0, 1, 7]),  # intervals skipped before it: a gap
+    st.sampled_from([0, 0, 0, 1, 2]),  # context after it: a flip ends the run
+    st.sampled_from([LOC, LOC, LOC, None]),
+    st.booleans(),  # flush after it
+)
+
+
+@st.composite
+def packet_streams(draw):
+    """Two interleaved channels with gaps, context and location flips."""
+    clock, stream, context = {"ECG": 0, "AccelX": 0}, [], 0
+    for name, n, gap, flip, location, flush in draw(st.lists(_STEP, max_size=40)):
+        interval = 4 if name == "ECG" else 20
+        start = clock[name] + gap * interval
+        values = np.arange(len(stream), len(stream) + n) * 0.1
+        packet = SensorPacket(name, start, interval, values, location, dict(_CONTEXTS[context]))
+        stream.append((segment_from_packet("alice", packet), flush and flip == 2))
+        clock[name], context = packet.end_ms, flip or context
+    return stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    packet_streams(),
+    st.sampled_from([1, 4, 16, 64, 4096]),
+    st.booleans(),
+)
+def test_finalised_segments_equal_the_parent_s_fold_of_merge(stream, max_samples, enabled):
+    policy = MergePolicy(max_samples=max_samples, enabled=enabled)
+    ours, parent = SegmentOptimizer(policy), ParentOptimizer(policy)
+    got, want, built = [], [], []
+    validate = WaveSegment.__post_init__
+
+    def counted(segment):
+        built.append(segment)
+        validate(segment)
+
+    with mock.patch.object(WaveSegment, "__post_init__", counted):
+        for segment, flush in stream:
+            got.extend(ours.add(segment))
+            if flush:
+                got.extend(ours.flush())
+        got.extend(ours.flush())
+    for segment, flush in stream:
+        want.extend(parent.add(segment))
+        if flush:
+            want.extend(parent.flush())
+    want.extend(parent.flush())
+    assert [fields(s) for s in got] == [fields(s) for s in want]
+    assert ours.merged_count == parent.merged_count
+    assert ours._buffers == {} and all(not s.values.flags.writeable for s in got)
+    # a run becomes a WaveSegment once, when it closes — not once per packet
+    offered = {id(segment) for segment, _ in stream}
+    assert len(built) == sum(id(s) not in offered for s in got) <= parent.merged_count
+
+    assert [fields(s) for s in SegmentOptimizer(policy).compact(got)] == [
+        fields(s) for s in ParentOptimizer(policy).compact(want)
+    ]
+    one_by_one = [segment for segment, _ in stream]
+    assert [fields(s) for s in SegmentOptimizer(policy).compact(one_by_one)] == [
+        fields(s) for s in ParentOptimizer(policy).compact(one_by_one)
+    ]

@@ -65,7 +65,7 @@ class TestRun:
         config = SimulatorConfig(rate_scale=0.1, channels=("ECG",))
         t1 = TraceSimulator(persona, config, seed=9).run(MONDAY, days=1)
         t2 = TraceSimulator(persona, config, seed=9).run(MONDAY, days=1)
-        assert t1.packets["ECG"][0].values == t2.packets["ECG"][0].values
+        assert t1.packets["ECG"][0].values.tobytes() == t2.packets["ECG"][0].values.tobytes()
 
     def test_total_samples_counts_everything(self, trace):
         assert trace.total_samples() == sum(

@@ -57,7 +57,8 @@ def assert_same(decoded, packets):
     for got, sent in zip(decoded, packets):
         assert bits(got) == bits(sent)  # == cannot tell -0.0 from 0.0
         assert got.context == sent.context  # excluded from ==
-        assert all(type(v) is float for v in got.values)
+        assert got.values.dtype == np.float64 and got.values.ndim == 1
+        assert not got.values.flags.writeable
 
 
 @settings(max_examples=150, deadline=None)
@@ -325,3 +326,62 @@ def test_the_request_span_counts_what_arrived_and_carries_none_of_it(store):
     assert span.attributes["packets"] == 3 and span.attributes["readings"] == 10
     exported = span.to_json()["Attributes"]
     assert exported["packets"] == 3 and exported["readings"] == 10  # survive redaction: counts
+
+
+# ---------------------------------------------------------------------------
+# Packets are views of the frame; what is stored is not
+# ---------------------------------------------------------------------------
+
+
+def test_decoded_packets_are_read_only_views_of_the_frame_s_bytes():
+    frame = over_the_wire(_frame())
+    blob = np.frombuffer(frame["Values"]["Blob"], dtype="<f8")
+    packets = decode_upload(frame)
+    assert [p.values.tolist() for p in packets] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    for pkt in packets:
+        assert np.shares_memory(pkt.values, blob) and not pkt.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pkt.values[0] = 1.0
+
+
+@pytest.mark.parametrize("merging", [True, False], ids=["merging", "per-packet"])
+def test_a_stored_segment_never_pins_the_frame_it_arrived_in(tmp_path, monkeypatch, merging):
+    """Three uploads: a run that merges (4 + 4 + 2), then two one-packet
+    runs, one closed by a gap and one by the flush.  Each stored segment
+    owns its samples, so no request body outlives its request."""
+    from repro.datastore.optimizer import MergePolicy
+    from repro.server import datastore_service
+
+    blobs, seen = [], []
+
+    def spy(frame):
+        blobs.append(np.frombuffer(frame["Values"]["Blob"], dtype="<f8"))
+        seen.extend(packets := decode_upload(frame))
+        return packets
+
+    monkeypatch.setattr(datastore_service, "decode_upload", spy)
+    network = Network()
+    service = DataStoreService(
+        "store", network, directory=str(tmp_path), durable=True,
+        merge_policy=MergePolicy(enabled=merging),
+    )  # fmt: skip
+    alice = HttpClient(network, "alice", service.register_contributor("alice"))
+    lone = [SensorPacket("ECG", MONDAY + hour * 3_600_000, 250, (1.0, 2.0, 3.0)) for hour in (1, 2)]
+    for upload, flush in ((_frame(), False), (encode_upload(lone[:1]), False),
+                          (encode_upload(lone[1:]), True)):  # fmt: skip
+        alice.post(
+            "https://store/api/upload_packets",
+            {"Contributor": "alice", "Upload": upload, "Flush": flush},
+        )
+    stored = service.store.segments_of("alice")
+    assert [s.n_samples for s in stored] == ([10, 3, 3] if merging else [4, 4, 2, 3, 3])
+    assert len(blobs) == 3 and len(seen) == 5
+    # every packet the handler ingested was a view of its own request's blob
+    assert sum(np.shares_memory(p.values, b) for p in seen for b in blobs) == 5
+    for segment in stored:
+        assert not any(np.shares_memory(segment.values, blob) for blob in blobs)
+        assert not any(np.shares_memory(segment.values, p.values) for p in seen)
+        assert segment.values.base is None and not segment.values.flags.writeable
+    assert np.concatenate([s.values for s in stored]).ravel().tolist() == [
+        *range(10), 1.0, 2.0, 3.0, 1.0, 2.0, 3.0,
+    ]  # fmt: skip

@@ -95,6 +95,66 @@ class TestAuthLayer:
         assert response.status == 403
 
 
+class TestARefusedUploadLeavesNothingBehind:
+    """``/api/upload`` is decode-then-ingest, as ``/api/upload_packets`` is
+    since PR 19: at 3541740 a request refused for its third segment had
+    already put its first two into the optimizer, and the next flush —
+    anyone's, on a shared store — made them durable."""
+
+    @pytest.fixture()
+    def durable(self, tmp_path):
+        network = Network()
+        service = DataStoreService("store", network, directory=str(tmp_path), durable=True)
+        return network, service, HttpClient(network, "alice", service.register_contributor("alice"))
+
+    @staticmethod
+    def state_of(network, service):
+        return (
+            {key: (run.n_samples, len(run.parts))
+             for key, run in service.store.optimizer._buffers.items()},
+            network.obs.metrics.gauge_value("store_segments", store="store"),
+            network.obs.metrics.gauge_value("store_samples", store="store"),
+            service.durability.wal.last_lsn,
+            list(service.store._ingested_ids),
+        )  # fmt: skip
+
+    @pytest.mark.parametrize("already_open", [False, True], ids=["empty", "open-run"])
+    @pytest.mark.parametrize(
+        "third, status",
+        [
+            ({**make_segment().to_json(), "Format": ["ECG", "ECG"]}, 400),
+            ({k: v for k, v in make_segment().to_json().items() if k != "Values"}, 400),
+            (make_segment(contributor="carol", start_ms=MONDAY + 48_000).to_json(), 403),
+        ],
+        ids=["malformed", "incomplete", "someone-else's"],
+    )
+    def test_the_first_two_segments_of_a_refused_request_are_not_ingested(
+        self, durable, third, status, already_open
+    ):
+        network, service, alice = durable
+        if already_open:  # the refused request's first segment would extend this run
+            alice.post(
+                "https://store/api/upload",
+                {"Contributor": "alice", "Segments": [make_segment(start_ms=MONDAY).to_json()]},
+            )
+        good = [make_segment(start_ms=MONDAY + 16_000 * i).to_json() for i in (1, 2)]
+        before = self.state_of(network, service)
+        response = alice.post(
+            "https://store/api/upload",
+            {"Contributor": "alice", "Segments": [*good, third]},
+            raw=True,
+        )
+        assert response.status == status, response.body
+        assert self.state_of(network, service) == before
+        assert len(before[0]) == already_open and before[1] == 0
+        flushed = alice.post("https://store/api/flush", {"Contributor": "alice"})
+        assert flushed == {"Finalized": int(already_open)}
+        assert service.store.stats.n_samples == 16 * already_open
+        # the same two segments in a request that is right are accepted
+        reply = alice.post("https://store/api/upload", {"Contributor": "alice", "Segments": good})
+        assert reply == {"Accepted": 2, "Finalized": 0, "Duplicates": 0}
+
+
 class TestRegistration:
     def test_register_route_issues_key(self, setup):
         network, _, _, _ = setup
