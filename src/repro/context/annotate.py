@@ -4,7 +4,10 @@ Section 6: "the sensor data are annotated with the context information and
 uploaded to remote data stores."  The annotator cuts the samples it is
 handed into aligned time windows, runs the inference pipeline over each
 window's samples across channels, and emits the same packets with their
-``context`` field replaced by the *inferred* labels.
+``context`` field replaced by the *inferred* labels.  The numeric work is
+per call, not per window: every window of one ``collect`` is a row of a
+:class:`~repro.context.features.WindowTable` per (channel, window length),
+whether the call holds ten minutes or a day.
 
 The annotator is the phone-side component; the smartphone agent
 (:mod:`repro.collection.phone`) wires it between sensing and upload, and
@@ -18,7 +21,8 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from repro.context.classifiers import InferencePipeline
-from repro.context.features import WindowSamples
+from repro.context.features import WindowSamples, WindowTable
+from repro.exceptions import ValidationError
 from repro.sensors.packets import SensorPacket
 
 
@@ -36,6 +40,8 @@ class ContextAnnotator:
     """
 
     def __init__(self, window_ms: int = 60_000, pipeline: Optional[InferencePipeline] = None):
+        if window_ms <= 0:
+            raise ValidationError(f"context window must be positive: {window_ms} ms")
         self.window_ms = window_ms
         self.pipeline = pipeline or InferencePipeline()
 
@@ -46,9 +52,12 @@ class ContextAnnotator:
         packet sits at ``start_ms + i * interval_ms``, so the rows inside a
         window are one contiguous run ending at a ceiling division (as in
         ``WaveSegment._sample_range``); a channel's runs are collected as
-        slices in packet order and concatenated once.  Only windows in
-        which some packet starts get an entry — no other window's labels
-        are ever stamped on anything.
+        slices in packet order.  Only windows in which some packet starts
+        get an entry — no other window's labels are ever stamped on
+        anything.  A channel's windows of equal sample count (and equal
+        ``rate_hz``, which is that of the window's first run) are then laid
+        out as the rows of one :class:`WindowTable` — one concatenate per
+        group of the call — and each window gets its row.
         """
         packets = list(packets)
         width = self.window_ms
@@ -64,14 +73,17 @@ class ContextAnnotator:
                     stop = n
                 window = out.get(key)
                 if window is not None:
-                    samples = window.get(name)
-                    if samples is None:
-                        samples = window[name] = WindowSamples([], 1000.0 / step)
-                    samples.values.append(values[first:stop])
+                    window.setdefault(name, (step, []))[1].append(values[first:stop])
                 first = stop
+        groups: dict = {}
         for window in out.values():
-            for samples in window.values():
-                samples.values = np.concatenate(samples.values)
+            for name, (step, runs) in window.items():
+                groups.setdefault((name, step, sum(map(len, runs))), []).append((window, runs))
+        for (name, step, count), members in groups.items():
+            rows = np.concatenate([run for _, runs in members for run in runs])
+            table = WindowTable(rows.reshape(len(members), count), 1000.0 / step)
+            for row, (window, _) in enumerate(members):
+                window[name] = table.row(row)
         return out
 
     def infer_window(self, samples: Mapping[str, WindowSamples]) -> dict:

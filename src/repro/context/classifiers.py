@@ -144,7 +144,7 @@ class InferencePipeline:
     """Runs every registered classifier over a window's features."""
 
     def __init__(self, classifiers: Optional[list] = None):
-        self.classifiers = classifiers or [
+        self.classifiers = classifiers if classifiers is not None else [
             ActivityClassifier(),
             StressClassifier(),
             SmokingClassifier(),

@@ -5,11 +5,18 @@ features follow the literature the paper cites: accelerometer variance and
 dominant frequency for transportation mode (Reddy et al.), heart/breathing
 rate statistics for stress and smoking (Plarre et al.), and amplitude
 statistics for conversation detection.
+
+There is one numeric kernel, :class:`WindowTable`: a channel's windows of
+equal sample count are its rows and a statistic is a column over all of
+them, computed when first read.  The default pipeline reads 9 of the 48
+(channel, statistic) columns of an eight-channel call and only three, the
+accelerometer's dominant frequencies, need an FFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -33,21 +40,111 @@ class FeatureVector:
         return self.maximum - self.minimum
 
 
-def _peak_frequency(centered: np.ndarray, rate_hz: float) -> float:
-    """Dominant non-DC frequency of an already mean-centred window, in Hz."""
-    n = len(centered)
-    if n < 8 or rate_hz <= 0:
-        return 0.0
-    spectrum = np.abs(np.fft.rfft(centered))
-    if len(spectrum) <= 1:
-        return 0.0
-    spectrum[0] = 0.0  # ignore DC
-    peak = int(np.argmax(spectrum))
-    if spectrum[peak] < 1e-9:
-        return 0.0
-    # Element ``peak`` of ``np.fft.rfftfreq(n, d=1.0 / rate_hz)``, in the
-    # same operation order, without building the other bins.
-    return peak * (1.0 / (n * (1.0 / rate_hz)))
+class WindowTable:
+    """One channel's windows of equal sample count, a window per row.
+
+    Each statistic is a column over every row, worked out when the first
+    row is asked for it and then kept, so a ``collect`` call of any size
+    pays one FFT per (channel, window length) and not one per window.  A
+    column is taken along each row in the order ``arr.mean()`` /
+    ``arr.std()`` / ``np.mean(centered**2)`` / ``np.fft.rfft(centered)``
+    use on that row alone — the mean once, the rows centred once — so
+    every cell is bit-identical to those expressions (pinned in
+    ``tests/context/test_features.py`` and ``test_window_table.py``).
+    """
+
+    def __init__(self, rows: np.ndarray, rate_hz: float):
+        self.rows = rows
+        self.rate_hz = rate_hz
+
+    def row(self, row: int) -> "WindowSamples":
+        """Window ``row`` of the table, as what a classifier reads."""
+        samples = WindowSamples.__new__(WindowSamples)
+        samples._table, samples._row = self, row
+        return samples
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        if self.rows.shape[1] == 0:
+            raise ValidationError("cannot extract features from an empty window")
+        return self.rows
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Arithmetic mean of each window."""
+        return np.add.reduce(self._samples, axis=1) / self._samples.shape[1]
+
+    @cached_property
+    def _centered(self) -> np.ndarray:
+        return self._samples - self.mean[:, None]
+
+    @cached_property
+    def energy(self) -> np.ndarray:
+        """Variance: each window's mean squared deviation from its mean."""
+        centered = self._centered
+        return np.add.reduce(centered * centered, axis=1) / centered.shape[1]
+
+    @cached_property
+    def std(self) -> np.ndarray:
+        """Population standard deviation of each window."""
+        return np.sqrt(self.energy)
+
+    @cached_property
+    def minimum(self) -> np.ndarray:
+        """Smallest sample of each window."""
+        return self._samples.min(axis=1)
+
+    @cached_property
+    def maximum(self) -> np.ndarray:
+        """Largest sample of each window."""
+        return self._samples.max(axis=1)
+
+    @cached_property
+    def dominant_freq_hz(self) -> np.ndarray:
+        """Dominant non-DC frequency of each window, in Hz: the one FFT.
+
+        0.0 for windows too short to estimate or with negligible spectral
+        energy (a flat signal has no meaningful dominant frequency).
+        """
+        n = self._samples.shape[1]
+        if n < 8 or self.rate_hz <= 0:
+            return np.zeros(len(self.rows))
+        spectrum = np.abs(np.fft.rfft(self._centered, axis=1))
+        spectrum[:, 0] = 0.0  # ignore DC
+        peak = np.argmax(spectrum, axis=1)
+        # Element ``peak`` of ``np.fft.rfftfreq(n, d=1.0 / rate_hz)``, in the
+        # same operation order, without building the other bins.
+        freq = peak * (1.0 / (n * (1.0 / self.rate_hz)))
+        freq[spectrum.max(axis=1) < 1e-9] = 0.0
+        return freq
+
+
+def _cell(name: str) -> property:
+    doc = getattr(WindowTable, name).__doc__
+    return property(lambda self: float(getattr(self._table, name)[self._row]), doc=doc)
+
+
+class WindowSamples:
+    """One channel's samples over one window: a row of a :class:`WindowTable`.
+
+    Reads like a :class:`FeatureVector`, but a statistic is a read of the
+    table's column, worked out — for every window of the table at once —
+    when a classifier first asks any row for it.  Built from ``values``
+    alone it is the one row of its own table.
+    """
+
+    __slots__ = ("_table", "_row")
+
+    def __init__(self, values, rate_hz: float):
+        self._table = WindowTable(np.asarray(values, dtype=np.float64).reshape(1, -1), rate_hz)
+        self._row = 0
+
+    values = property(lambda self: self._table.rows[self._row], doc="The window's samples.")
+    rate_hz = property(lambda self: self._table.rate_hz, doc="Sampling rate, in Hz.")
+    mean, std, energy = _cell("mean"), _cell("std"), _cell("energy")
+    minimum, maximum = _cell("minimum"), _cell("maximum")
+    dominant_freq_hz = _cell("dominant_freq_hz")
+    peak_to_peak = FeatureVector.peak_to_peak
 
 
 def dominant_frequency(values: np.ndarray, rate_hz: float) -> float:
@@ -58,81 +155,7 @@ def dominant_frequency(values: np.ndarray, rate_hz: float) -> float:
     """
     if len(values) < 8:
         return 0.0
-    return _peak_frequency(values - values.mean(), rate_hz)
-
-
-class _on_first_read:
-    """``functools.cached_property`` without the lock Python 3.11 still
-    takes on every first read: compute once, then the instance attribute answers."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
-class WindowSamples:
-    """One channel's samples over one window, summarised on first read.
-
-    Reads like a :class:`FeatureVector`, but a statistic is worked out
-    when a classifier first asks for it: the default pipeline reads 9 of
-    the 48 cells of an eight-channel window and only the accelerometer
-    needs an FFT.  The mean is taken once and the window centred once,
-    in the order ``arr.mean()`` / ``arr.std()`` / ``np.mean(centered**2)``
-    use internally, so results are bit-identical to those expressions
-    (pinned in ``tests/context/test_features.py``).
-    """
-
-    def __init__(self, values, rate_hz: float):
-        self.values = values
-        self.rate_hz = rate_hz
-
-    @_on_first_read
-    def _array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.size == 0:
-            raise ValidationError("cannot extract features from an empty window")
-        return arr
-
-    @_on_first_read
-    def mean(self) -> float:
-        """Arithmetic mean of the samples."""
-        return float(np.add.reduce(self._array) / self._array.size)
-
-    @_on_first_read
-    def _centered(self) -> np.ndarray:
-        return self._array - self.mean
-
-    @_on_first_read
-    def energy(self) -> float:
-        """Variance: mean squared deviation from the mean."""
-        centered = self._centered
-        return float(np.add.reduce(centered * centered) / centered.size)
-
-    @_on_first_read
-    def std(self) -> float:
-        """Population standard deviation."""
-        return float(np.sqrt(self.energy))
-
-    @_on_first_read
-    def minimum(self) -> float:
-        """Smallest sample."""
-        return float(self._array.min())
-
-    @_on_first_read
-    def maximum(self) -> float:
-        """Largest sample."""
-        return float(self._array.max())
-
-    @_on_first_read
-    def dominant_freq_hz(self) -> float:
-        """Dominant non-DC frequency (the only statistic that needs an FFT)."""
-        return _peak_frequency(self._centered, self.rate_hz)
+    return WindowSamples(values, rate_hz).dominant_freq_hz
 
 
 def window_features(values: np.ndarray, rate_hz: float) -> FeatureVector:
