@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.datastore.database import Database
+from repro.datastore.database import Table, TableSchema
 from repro.sensors.packets import SensorPacket
 from repro.util.timeutil import Interval
 
@@ -26,12 +26,11 @@ _TUPLE_BYTES = 56
 class TupleStore:
     """One sample per record, per contributor."""
 
-    def __init__(self, name: str = "tuple-store"):
-        self.db = Database(name)
-        self._table = self.db.create_table(
-            "samples",
-            key=lambda r: r["id"],
-            indexes={"time": lambda r: r["ts"]},
+    def __init__(self):
+        self._table = Table(
+            TableSchema(
+                "samples", key=lambda r: r["id"], indexes={"time": lambda r: r["ts"]}
+            )
         )
         self._next_id = 0
         self.storage_bytes = 0

@@ -55,9 +55,8 @@ DEFAULT_CATCHUP_ROUNDS = 3
 class ShardRebalancer:
     """Drives contributor-range migrations between the broker's shards."""
 
-    def __init__(self, broker, *, catchup_rounds: int = DEFAULT_CATCHUP_ROUNDS):
+    def __init__(self, broker):
         self.broker = broker
-        self.catchup_rounds = max(0, int(catchup_rounds))
         #: Trace-stamped migration audit records, newest last (same shape
         #: as failover events; surfaced in the fleet snapshot).
         self.events: list = []
@@ -137,7 +136,7 @@ class ShardRebalancer:
             # Phase 2: bounded catch-up.  A non-durable source has no WAL
             # to tail — its "delta" is a fresh snapshot, which idempotent
             # records make safe; one round of that is enough pre-fence.
-            for _ in range(self.catchup_rounds):
+            for _ in range(DEFAULT_CATCHUP_ROUNDS):
                 delta = self._export(source, names, max(cursor, 1))
                 records = delta.get("Records", [])
                 cursor = max(cursor, int(delta.get("LastLsn", 0)))

@@ -7,9 +7,9 @@ sample tuples.  This package provides:
 
 * :mod:`repro.datastore.wavesegment` — the wave-segment ADT;
 * :mod:`repro.datastore.codec` — blob encoding for sample arrays;
-* :mod:`repro.datastore.database` — an embedded record store with sorted
-  secondary indexes and optional JSON-lines persistence (the "underlying
-  database" of Fig. 2);
+* :mod:`repro.datastore.database` — an embedded record table with sorted
+  secondary indexes (the "underlying database" of Fig. 2; in memory —
+  durability is :mod:`repro.storage`'s);
 * :mod:`repro.datastore.optimizer` — the wave-segment merge optimizer
   (Section 5.1, "Wave Segment Optimization");
 * :mod:`repro.datastore.query` — the data query language;
@@ -19,7 +19,7 @@ sample tuples.  This package provides:
 
 from repro.datastore.wavesegment import WaveSegment, segment_from_packet
 from repro.datastore.codec import decode_values, encode_values
-from repro.datastore.database import Database, Table
+from repro.datastore.database import Table, TableSchema
 from repro.datastore.index import GridIndex, IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery, QueryResult
@@ -30,8 +30,8 @@ __all__ = [
     "segment_from_packet",
     "decode_values",
     "encode_values",
-    "Database",
     "Table",
+    "TableSchema",
     "GridIndex",
     "IntervalIndex",
     "MergePolicy",

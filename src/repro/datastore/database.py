@@ -1,28 +1,23 @@
-"""Embedded record database with sorted secondary indexes.
+"""Embedded record table with sorted secondary indexes.
 
 The paper's Fig. 2 shows each remote data store and the broker sitting on
-an unnamed "database".  This module is that substrate: an embedded,
-in-process record store with
+an unnamed "database".  This module is that substrate: an in-process
+:class:`Table` keyed by a primary key, with any number of sorted secondary
+indexes (maintained with ``bisect``, so range scans are O(log n + k)).
 
-* tables keyed by a primary key,
-* any number of sorted secondary indexes (maintained with ``bisect``, so
-  range scans are O(log n + k)),
-* optional JSON-lines persistence for durability across process runs.
-
-Records are arbitrary Python objects; each table is configured with a
-``key`` extractor and, when persistence is wanted, ``serialize`` /
-``deserialize`` hooks mapping records to JSON objects.
+Records are arbitrary Python objects; a table is configured with a ``key``
+extractor and its index key functions.  It is memory only: what a store
+must not lose is journaled and snapshotted as records by
+:mod:`repro.storage`, not by the table that holds it.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 from repro.exceptions import DuplicateKeyError, MissingRecordError, StorageError
-from repro.util import jsonutil
 
 
 class _SortedIndex:
@@ -68,8 +63,6 @@ class TableSchema:
 
     name: str
     key: Callable[[Any], Any]
-    serialize: Optional[Callable[[Any], dict]] = None
-    deserialize: Optional[Callable[[dict], Any]] = None
     indexes: dict = field(default_factory=dict)  # name -> key func
 
 
@@ -130,14 +123,6 @@ class Table:
             index.remove(pk, record)
         return record
 
-    def scan(self) -> Iterator[Any]:
-        """All records, in primary-key insertion order."""
-        return iter(list(self._records.values()))
-
-    def keys(self) -> list:
-        """Every stored primary key, in insertion order."""
-        return list(self._records.keys())
-
     def range(self, index_name: str, lo: Any = None, hi: Any = None) -> Iterator[Any]:
         """Records whose ``index_name`` key lies in ``[lo, hi)``."""
         try:
@@ -156,120 +141,3 @@ class Table:
         self._records.clear()
         for name, fn in self.schema.indexes.items():
             self._indexes[name] = _SortedIndex(name, fn)
-
-
-class Database:
-    """A named collection of tables with optional JSON-lines persistence."""
-
-    def __init__(self, name: str = "db", directory: Optional[str] = None):
-        self.name = name
-        self.directory = directory
-        self._tables: dict[str, Table] = {}
-
-    def create_table(
-        self,
-        name: str,
-        key: Callable[[Any], Any],
-        *,
-        indexes: Optional[dict] = None,
-        serialize: Optional[Callable[[Any], dict]] = None,
-        deserialize: Optional[Callable[[dict], Any]] = None,
-    ) -> Table:
-        """Create and register a table from key/serialize/deserialize functions."""
-        if name in self._tables:
-            raise StorageError(f"table {name!r} already exists in {self.name!r}")
-        schema = TableSchema(
-            name=name,
-            key=key,
-            serialize=serialize,
-            deserialize=deserialize,
-            indexes=dict(indexes or {}),
-        )
-        table = Table(schema)
-        self._tables[name] = table
-        return table
-
-    def table(self, name: str) -> Table:
-        """Look up a registered table by name; raises StorageError if absent."""
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise StorageError(f"no table named {name!r} in {self.name!r}") from None
-
-    def tables(self) -> list:
-        """Every registered table, in creation order."""
-        return list(self._tables.values())
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    def _table_path(self, table: Table) -> str:
-        if self.directory is None:
-            raise StorageError(f"database {self.name!r} has no persistence directory")
-        return os.path.join(self.directory, f"{self.name}.{table.name}.jsonl")
-
-    def save(self, *, faults=None) -> list:
-        """Write every serializable table to JSON lines; returns paths.
-
-        Each file is replaced atomically (temp + fsync + rename, see
-        :mod:`repro.storage.atomic`): a crash mid-save leaves the previous
-        complete file, never a torn one.  ``faults`` threads a
-        :class:`~repro.storage.faults.StorageFaultPlan` through for
-        crash-sweep tests.
-        """
-        from repro.storage.atomic import atomic_write_jsonl
-
-        if self.directory is None:
-            raise StorageError(f"database {self.name!r} has no persistence directory")
-        os.makedirs(self.directory, exist_ok=True)
-        paths = []
-        for table in self._tables.values():
-            if table.schema.serialize is None:
-                continue
-            path = self._table_path(table)
-            atomic_write_jsonl(
-                path,
-                (table.schema.serialize(record) for record in table.scan()),
-                faults=faults,
-            )
-            paths.append(path)
-        return paths
-
-    def load(self, *, on_corrupt=None) -> int:
-        """Reload every serializable table from disk; returns record count.
-
-        Tables with no file on disk are left empty (fresh database).  A
-        line that fails to parse or deserialize raises
-        :class:`~repro.exceptions.CorruptRecordError` naming the file and
-        line — records are never dropped silently.  Recovery passes
-        ``on_corrupt(table_name, path, lineno, line, exc)`` instead, which
-        quarantines and counts the record, and the load continues.
-        """
-        from repro.exceptions import CorruptRecordError, SensorSafeError
-
-        loaded = 0
-        for table in self._tables.values():
-            if table.schema.deserialize is None:
-                continue
-            path = self._table_path(table)
-            if not os.path.exists(path):
-                continue
-            table.clear()
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        record = table.schema.deserialize(jsonutil.loads(stripped))
-                        table.insert(record)
-                    except SensorSafeError as exc:
-                        if on_corrupt is None:
-                            raise CorruptRecordError(
-                                f"{path}:{lineno}: corrupt {table.name!r} record: {exc}"
-                            ) from exc
-                        on_corrupt(table.name, path, lineno, stripped, exc)
-                        continue
-                    loaded += 1
-        return loaded

@@ -1,11 +1,13 @@
 """The segment storage engine behind a remote data store.
 
-Ties together the embedded database (record persistence), the interval and
+Ties together the embedded table (the segments, by id), the interval and
 grid indexes (query acceleration), and the wave-segment optimizer
-(ingest-time merging).  One :class:`SegmentStore` can hold data for several
-contributors — the paper's institutional servers host every participant of
-a study — and every query is scoped to a single contributor, because
-privacy rules are per-owner.
+(ingest-time merging).  It holds segments in memory only: they leave and
+enter a store as ``segment`` records (:mod:`repro.storage.records`), on
+the same path as every other kind of state.  One :class:`SegmentStore`
+can hold data for several contributors — the paper's institutional
+servers host every participant of a study — and every query is scoped to
+a single contributor, because privacy rules are per-owner.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.datastore.cache import segment_content_hash
-from repro.datastore.database import Database
+from repro.datastore.database import Table, TableSchema
 from repro.datastore.index import GridIndex, IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery, QueryResult
@@ -48,8 +50,6 @@ class SegmentStore:
         name: str = "store",
         *,
         merge_policy: Optional[MergePolicy] = None,
-        directory: Optional[str] = None,
-        grid_cell_degrees: float = 0.01,
         dedupe_window: int = DEDUPE_WINDOW_IDS,
         obs=None,
     ):
@@ -77,19 +77,12 @@ class SegmentStore:
             self._c_scanned = None
             self._c_duplicates = None
             self._h_query = None
-        self.db = Database(name, directory=directory)
-        self._segments = self.db.create_table(
-            "segments",
-            key=lambda s: s.segment_id,
-            serialize=lambda s: s.to_json(),
-            deserialize=WaveSegment.from_json,
-        )
+        self._segments = Table(TableSchema("segments", key=lambda s: s.segment_id))
         self.optimizer = SegmentOptimizer(merge_policy)
         # contributor -> channel -> IntervalIndex of segment ids
         self._time_index: dict[str, dict[str, IntervalIndex]] = {}
         # contributor -> GridIndex of segment ids
         self._grid_index: dict[str, GridIndex] = {}
-        self._grid_cell_degrees = grid_cell_degrees
         # contributor -> set of segment ids (segments_of used to linear-scan
         # the whole table for this — an institutional store hosting many
         # participants paid O(total segments) per owner page view)
@@ -97,7 +90,7 @@ class SegmentStore:
         # Content-fingerprint accumulator.  Each segment's 128-bit content
         # hash is XORed into its contributor's fingerprint; XOR is
         # order-independent and self-inverse, so persist/unpersist in any
-        # interleaving (ingest, delete, compaction, WAL replay, disk load)
+        # interleaving (ingest, delete, compaction, installed records)
         # leaves the fingerprint a pure function of the stored content.
         # Hashing is deferred to the first fingerprint read so ingest never
         # pays for it (the C10 in-path budget stays untouched).
@@ -106,8 +99,8 @@ class SegmentStore:
         self._pending_hash: dict[str, set] = {}  # contributor -> unhashed ids
         self.stats = StoreStats()
         #: Durability hooks: fired with the segment after every persist /
-        #: unpersist so a write-ahead log can journal mutations.  Replay
-        #: and disk loads bypass them (no WAL echo of the WAL).
+        #: unpersist so a write-ahead log can journal mutations.  Installed
+        #: records bypass them (no WAL echo of the WAL).
         self.on_persist: list = []
         self.on_unpersist: list = []
         # Recently offered segment ids, for upload dedupe: a retried POST
@@ -121,9 +114,12 @@ class SegmentStore:
         #   after that many newer ingests can double-insert;
         # * deletions do NOT remove entries: a stale retry of a segment
         #   the owner has since deleted must not resurrect their data;
-        # * across a restart, only ids of *finalized* (journaled) segments
-        #   are re-seeded by WAL replay — never-finalized ids are
-        #   memory-only, so their dedupe does not survive the restart.
+        # * across a restart, recovery re-seeds the ids of *finalized*
+        #   segments — snapshot rows and WAL replay alike install through
+        #   ``restore_segment`` — while never-finalized ids are memory-only,
+        #   so their dedupe does not survive the restart.  A finalized id is
+        #   a *run's*: packets that merged are recognised when their run
+        #   closes to a stored id (``_persist_final``), not one by one.
         self._ingested_ids: dict = {}
         self.dedupe_window = dedupe_window
         self.duplicate_uploads = 0
@@ -147,22 +143,38 @@ class SegmentStore:
         only in memory (see ``_ingested_ids`` for the exact contract).
         """
         if segment.segment_id in self._ingested_ids:
-            self.duplicate_uploads += 1
-            if self._c_duplicates is not None:
-                self._c_duplicates.inc()
+            self._count_duplicate()
             return []
         self._note_ingested(segment.segment_id)
         return self._persist_final(self.optimizer.add(segment))
 
+    def _count_duplicate(self) -> None:
+        self.duplicate_uploads += 1
+        if self._c_duplicates is not None:
+            self._c_duplicates.inc()
+
     def _persist_final(self, finalized: list) -> list:
-        """Persist what the optimizer finalized, each owning its samples:
-        a merged run was concatenated and does; a run of one packet is
-        still a view pinning the whole upload frame, so it is copied."""
-        for i, final in enumerate(finalized):
+        """Persist what the optimizer finalized; returns what was stored.
+
+        Each stored segment owns its samples: a merged run was concatenated
+        and does; a run of one packet is still a view pinning the whole
+        upload frame, so it is copied.  A run that closes to an id the
+        table already holds is a re-sent upload whose packets merged the
+        way they did the first time (the stored id is the run's, not any
+        packet's, so ``add_segment`` could not know them): counted and
+        dropped like a remembered id, not a duplicate-key error that
+        refuses the new packets sharing its request.
+        """
+        stored = []
+        for final in finalized:
+            if final.segment_id in self._segments:
+                self._count_duplicate()
+                continue
             if final.values.base is not None:
-                final = finalized[i] = replace(final, values=final.values.copy())
+                final = replace(final, values=final.values.copy())
             self._persist(final)
-        return finalized
+            stored.append(final)
+        return stored
 
     def _note_ingested(self, segment_id: str) -> None:
         """Remember one offered id, evicting the oldest past the window."""
@@ -182,9 +194,7 @@ class SegmentStore:
                 segment.interval, segment.segment_id
             )
         if segment.location is not None:
-            grid = self._grid_index.setdefault(
-                segment.contributor, GridIndex(self._grid_cell_degrees)
-            )
+            grid = self._grid_index.setdefault(segment.contributor, GridIndex())
             grid.add(segment.location, segment.segment_id)
         self._by_contributor.setdefault(segment.contributor, set()).add(
             segment.segment_id
@@ -236,19 +246,19 @@ class SegmentStore:
                 hook(segment)
 
     # ------------------------------------------------------------------
-    # WAL replay (recovery path; never fires durability hooks)
+    # Record install (``records.apply``; never fires durability hooks)
     # ------------------------------------------------------------------
 
     def restore_segment(self, segment: WaveSegment) -> None:
-        """Re-install one journaled segment, idempotently."""
+        """Install one segment record, idempotently."""
         existing = self._segments.find(segment.segment_id)
         if existing is not None:
             self._unpersist(existing, notify=False)
         self._persist(segment, notify=False)
         # A restored id counts as ingested: after a restart (or on a
-        # replica) the device may re-send segments the journal already
-        # delivered, and those must dedupe rather than re-enter the
-        # optimizer alongside their persisted copies.
+        # replica) the device may re-send segments a snapshot or the
+        # journal already delivered, and those must dedupe rather than
+        # re-enter the optimizer alongside their persisted copies.
         self._note_ingested(segment.segment_id)
 
     def remove_segment(self, segment_id: str) -> bool:
@@ -417,29 +427,3 @@ class SegmentStore:
             self._unpersist(segment)
             removed += 1
         return removed
-
-    # ------------------------------------------------------------------
-    # Persistence passthrough
-    # ------------------------------------------------------------------
-
-    def save(self, *, faults=None) -> list:
-        """Flush buffered segments and write the database to disk."""
-        self.flush()
-        return self.db.save(faults=faults)
-
-    def load(self, *, on_corrupt=None) -> int:
-        """Load segments from disk, rebuilding all indexes."""
-        count = self.db.load(on_corrupt=on_corrupt)
-        self._time_index.clear()
-        self._grid_index.clear()
-        self._by_contributor.clear()
-        self._seg_hash.clear()
-        self._fingerprints.clear()
-        self._pending_hash.clear()
-        self.stats = StoreStats()
-        # Rebuild indexes/stats without reinserting into the table; loaded
-        # segments land in the pending-hash set like any other persist, so
-        # fingerprints reflect disk content on the next read.
-        for segment in self._segments.scan():
-            self._index_segment(segment)
-        return count

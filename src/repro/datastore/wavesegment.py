@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.datastore.codec import ENCODING_B64, decode_values, encode_values
+from repro.datastore.codec import decode_values, encode_values
 from repro.exceptions import ValidationError
 from repro.sensors.packets import SensorPacket
 from repro.util.geo import LatLon
@@ -298,7 +298,7 @@ class WaveSegment:
     # JSON (Fig. 5 round trip)
     # ------------------------------------------------------------------
 
-    def to_json(self, encoding: str = ENCODING_B64, *, values: bool = True) -> dict:
+    def to_json(self, *, values: bool = True) -> dict:
         """JSON wire form; sample values are codec-encoded, or with
         ``values=False`` reduced to their shape (a piece of a release frame,
         whose one blob carries them: :func:`repro.rules.engine.encode_release`)."""
@@ -309,7 +309,7 @@ class WaveSegment:
             "SamplingInterval": self.interval_ms,
             "Location": self.location.to_json() if self.location else None,
             "Format": list(self.channels),
-            "Values": encode_values(self.values, encoding)
+            "Values": encode_values(self.values)
             if values
             else {"Samples": self.values.shape[0], "Channels": self.values.shape[1]},
         }

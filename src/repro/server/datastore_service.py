@@ -177,9 +177,9 @@ class DataStoreService:
         self.replication = None
         self._applier = None
         rng = DeterministicRng(seed).fork(f"store:{host}")
-        self.store = SegmentStore(
-            host, merge_policy=merge_policy, directory=directory, obs=network.obs
-        )
+        #: Where snapshots, the WAL and quarantine live (``None``: memory only).
+        self.directory = directory
+        self.store = SegmentStore(host, merge_policy=merge_policy, obs=network.obs)
         self.rules = RuleStore()
         # Stamp rule mutations with the deployment clock: the privacy-SLO
         # tracker anchors revocation latency to these timestamps.

@@ -39,7 +39,7 @@ from repro.storage.records import (
     OP_RULES,
     OP_SEGMENT,
     OP_SEGMENT_DELETE,
-    dump,
+    dump_op,
 )
 from repro.storage.recovery import (
     SNAPSHOT_KINDS,
@@ -56,27 +56,29 @@ from repro.util import jsonutil
 def write_snapshot(service, directory: Optional[str] = None, *, faults=None) -> list:
     """Write a service's full state as snapshot files; returns their paths.
 
-    The segment store saves its own table; every other kind is the dump's
-    records of that file's op, one ``data`` per line.  Each file is
-    replaced atomically (temp + fsync + rename, never in place), so a
-    crash mid-save leaves the previous complete file.  API keys are never
-    written: they rotate at restart.  :func:`recover_service` is the
-    loader.
+    Each file is the one dumper's records of that file's op
+    (:func:`~repro.storage.records.dump_op`), one ``data`` per line, drawn
+    as the file is built: a segment is serialised once, into its row.
+    Buffered segments are flushed first, so the snapshot holds everything
+    the store was sent.  Each file is replaced atomically (temp + fsync +
+    rename, never in place), so a crash mid-save leaves the previous
+    complete file.  API keys are never written: they rotate at restart.
+    :func:`recover_service` is the loader.
     """
-    directory = directory or service.store.db.directory
+    directory = directory or service.directory
     if directory is None:
         raise StorageError(
             f"store {service.host!r} has no persistence directory configured"
         )
-    paths = service.store.save(faults=faults)
-    records = dump(service, segments=False)
-    for kind, kind_op in SNAPSHOT_KINDS:
-        path = snapshot_path(directory, service.host, kind)
+    service.store.flush()
+    return [
         atomic_write_jsonl(
-            path, [data for op, data in records if op == kind_op], faults=faults
+            snapshot_path(directory, service.host, kind),
+            dump_op(service, kind_op),
+            faults=faults,
         )
-        paths.append(path)
-    return paths
+        for kind, kind_op in SNAPSHOT_KINDS
+    ]
 
 
 class Durability:
@@ -91,7 +93,7 @@ class Durability:
         faults=None,
     ):
         self.service = service
-        self.directory = directory or service.store.db.directory
+        self.directory = directory or service.directory
         if self.directory is None:
             raise StorageError(
                 f"store {service.host!r} has no persistence directory; "

@@ -7,7 +7,10 @@ bootstraps and migration batches are all the same six shapes.  This
 module owns them:
 
 * the op names and :data:`CONTROL_OPS`, the force-synced set;
-* :func:`dump` — live state as records, optionally one contributor range;
+* :func:`dump` — live state as records, optionally one contributor range
+  — over :func:`dump_op`, one kind's records drawn lazily: the snapshot
+  writer's five files are five such draws, so segments leave a store by
+  the same dumper as everything else;
 * :func:`apply` — the **only** code that installs a record into a live
   service.  WAL replay and snapshot load call it with ``journal=False``;
   replica apply and migration install with ``journal=True``;
@@ -32,7 +35,7 @@ per-op table.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import StorageError
@@ -75,42 +78,57 @@ def record_owner(op: str, data: dict) -> str:
     return ""
 
 
-def dump(service, contributors=None, *, segments: bool = True) -> list:
-    """A service's durable state as ``(op, data)`` records.
+#: The kinds with live state (a deletion leaves none), in :func:`dump` order.
+DUMP_ORDER = (OP_ROLE, OP_SEGMENT, OP_RULES, OP_PLACES, OP_AUDIT)
 
-    ``contributors=None`` is everything (a replica's resync bootstrap);
-    a set restricts the walk to the records :func:`record_owner` assigns
-    to its members (a migration's moving range).  ``segments=False``
-    leaves the segment records out, for the snapshot writer: the segment
-    store saves its own table.
 
-    The records come from live state, not disk, so the frame CRC
-    machinery has nothing to vouch for; integrity rides the authenticated
-    transport, the same trust as any other broker- or primary-keyed call.
+def dump_op(service, op: str, contributors=None) -> Iterator[dict]:
+    """The ``data`` of every live record of one kind, lazily.
+
+    The generator under :func:`dump`, and what the snapshot writer draws
+    each file's rows from: a segment is serialised as its row is written,
+    never held beside every other.  ``contributors`` as for :func:`dump`.
     """
     wanted = None if contributors is None else set(contributors)
 
     def moving(name: str) -> bool:
         return wanted is None or name in wanted
 
-    records = [
-        (OP_ROLE, {"Principal": principal, "Role": role})
-        for principal, role in sorted(service.roles.items())
-        if moving(principal)
-    ]
-    if segments:
+    if op == OP_ROLE:
+        for principal, role in sorted(service.roles.items()):
+            if moving(principal):
+                yield {"Principal": principal, "Role": role}
+    elif op == OP_SEGMENT:
         for contributor in filter(moving, service.store.contributors()):
             for segment in service.store.segments_of(contributor):
-                records.append((OP_SEGMENT, segment.to_json()))
-    for contributor in filter(moving, service.rules.contributors()):
-        records.append((OP_RULES, service.rules.snapshot(contributor).to_json()))
-    for contributor, places in sorted(service.places.items()):
-        if moving(contributor):
-            records.append((OP_PLACES, places_record(contributor, places)))
-    for contributor in filter(moving, service.audit.contributors()):
-        for record in service.audit.trail_of(contributor):
-            records.append((OP_AUDIT, record.to_json()))
-    return records
+                yield segment.to_json()
+    elif op == OP_RULES:
+        for contributor in filter(moving, service.rules.contributors()):
+            yield service.rules.snapshot(contributor).to_json()
+    elif op == OP_PLACES:
+        for contributor, places in sorted(service.places.items()):
+            if moving(contributor):
+                yield places_record(contributor, places)
+    elif op == OP_AUDIT:
+        for contributor in filter(moving, service.audit.contributors()):
+            for record in service.audit.trail_of(contributor):
+                yield record.to_json()
+
+
+def dump(service, contributors=None) -> list:
+    """A service's durable state as ``(op, data)`` records.
+
+    ``contributors=None`` is everything (a replica's resync bootstrap);
+    a set restricts the walk to the records :func:`record_owner` assigns
+    to its members (a migration's moving range).
+
+    The records come from live state, not disk, so the frame CRC
+    machinery has nothing to vouch for; integrity rides the authenticated
+    transport, the same trust as any other broker- or primary-keyed call.
+    """
+    return [
+        (op, data) for op in DUMP_ORDER for data in dump_op(service, op, contributors)
+    ]
 
 
 def apply(

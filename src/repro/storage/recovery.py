@@ -53,9 +53,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
-from repro.exceptions import SensorSafeError, StorageError
+from repro.exceptions import CorruptRecordError, SensorSafeError, StorageError
 from repro.storage.atomic import file_sha256
 from repro.storage.records import (
     KNOWN_OPS,
@@ -63,6 +63,7 @@ from repro.storage.records import (
     OP_PLACES,
     OP_ROLE,
     OP_RULES,
+    OP_SEGMENT,
     ROLE_CONTRIBUTOR,
     apply,
     fail_close,
@@ -77,9 +78,10 @@ from repro.util import jsonutil
 # import it without a cycle)
 # ----------------------------------------------------------------------
 
-#: Snapshot file kind -> the op whose ``data`` each of its rows is.  The
-#: segment store saves and loads its own ``segments`` file.
+#: Snapshot file kind -> the op whose ``data`` each of its rows is, in the
+#: order the files are written and loaded.
 SNAPSHOT_KINDS = (
+    ("segments", OP_SEGMENT),
     ("rules", OP_RULES),
     ("places", OP_PLACES),
     ("roles", OP_ROLE),
@@ -87,8 +89,9 @@ SNAPSHOT_KINDS = (
 )
 
 
-#: Unreadable lines in these files cannot widen sharing: alert, don't deny.
+#: Lost rows of these files cannot widen sharing: alert, don't deny.
 _SNAPSHOT_ALERTS = {
+    "segments": "segment record lost to corruption (quarantined)",
     "roles": "roles snapshot had corrupt lines (quarantined)",
     "audit": "audit snapshot had corrupt lines (quarantined); trail has gaps",
 }
@@ -97,7 +100,6 @@ _SNAPSHOT_ALERTS = {
 def snapshot_path(directory: str, host: str, kind: str) -> str:
     """Path of one host's snapshot file of one kind inside a store directory."""
     return os.path.join(directory, f"{host}.{kind}.jsonl")
-
 
 
 def wal_path(directory: str, host: str) -> str:
@@ -250,23 +252,15 @@ def _read_manifest(path: str) -> Optional[dict]:
         return {"__corrupt__": True}
 
 
-def _read_lines_tolerant(path: str, quarantine: _Quarantine) -> tuple:
-    """Returns ``(objects, had_corruption)``; bad lines go to quarantine."""
-    objects = []
-    had_corruption = False
+def _snapshot_lines(path: str) -> Iterator[tuple]:
+    """``(lineno, line)`` of each non-blank line; an absent file has none."""
     if not os.path.exists(path):
-        return objects, had_corruption
+        return
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
-            try:
-                objects.append(jsonutil.loads(line))
-            except SensorSafeError as exc:
-                quarantine.record(path, lineno, line, str(exc))
-                had_corruption = True
-    return objects, had_corruption
+            if line:
+                yield lineno, line
 
 
 def recover_service(service, directory: Optional[str] = None, *, obs=None) -> RecoveryReport:
@@ -282,7 +276,7 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     ``restore``, which fires no sync listeners: the broker already has
     this state.
     """
-    directory = directory or service.store.db.directory
+    directory = directory or service.directory
     if directory is None:
         raise StorageError(
             f"store {service.host!r} has no persistence directory configured"
@@ -339,30 +333,30 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     # ------------------------------------------------------------------
     # 2. Snapshot state, loaded tolerantly.
     # ------------------------------------------------------------------
-    def on_corrupt_segment(table, path, lineno, line, exc):
-        quarantine.record(path, lineno, line, str(exc))
-        report.alert(f"segment record lost to corruption ({path}:{lineno})")
-
-    counts = {"segments": service.store.load(on_corrupt=on_corrupt_segment)}
-
-    # A snapshot row is the ``data`` of a record of its file's op, so each
-    # file loads through the one installer.  A row it refuses quarantines
-    # like an unreadable line — and for rules or places, which feed rule
-    # semantics, marks the whole file untrusted.
+    # A snapshot row is the ``data`` of a record of its file's op, so every
+    # file of every kind loads through the one installer, a row at a time
+    # (a segments file is never held in memory whole).  A line that will
+    # not parse and a row the installer refuses are the same damage: the
+    # line quarantines, and the file alerts — or, for rules and places,
+    # which feed rule semantics, is marked untrusted as a whole.
+    counts = {}
     for kind, op in SNAPSHOT_KINDS:
         path = snapshot_path(directory, host, kind)
-        rows, damaged = _read_lines_tolerant(path, quarantine)
-        if damaged and kind in _SNAPSHOT_ALERTS:
-            report.alert(_SNAPSHOT_ALERTS[kind])
         counts[kind] = 0
-        for row in rows:
+        damaged = False
+        for lineno, line in _snapshot_lines(path):
             try:
+                row = jsonutil.loads(line)
+                if not isinstance(row, dict):
+                    raise CorruptRecordError("snapshot row is not a JSON object")
                 counts[kind] += apply(
                     service, op, row, journal=False, rules_trusted=not rules_untrusted
                 )
             except (SensorSafeError, KeyError, TypeError, ValueError) as exc:
-                quarantine.record(path, 0, jsonutil.canonical_dumps(row), str(exc))
+                quarantine.record(path, lineno, line, str(exc))
                 damaged = True
+        if damaged and kind in _SNAPSHOT_ALERTS:
+            report.alert(_SNAPSHOT_ALERTS[kind])
         if kind == "rules":
             rules_untrusted = rules_untrusted or damaged
         elif kind == "places":

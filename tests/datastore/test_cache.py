@@ -15,6 +15,9 @@ from repro.datastore.optimizer import MergePolicy
 from repro.datastore.query import DataQuery
 from repro.datastore.segment_store import SegmentStore
 from repro.net.transport import Network
+from repro.server.datastore_service import DataStoreService
+from repro.storage.durability import write_snapshot
+from repro.storage.recovery import recover_service
 from repro.util.timeutil import Interval
 
 from tests.conftest import make_segment
@@ -220,14 +223,14 @@ class TestContentFingerprint:
         assert store.content_fingerprint("alice") != fp_before
 
     def test_load_rebuilds_the_fingerprint(self, tmp_path):
-        store = SegmentStore("fp-store", directory=str(tmp_path))
-        store.add_segment(make_segment(n=8))
-        store.flush()
-        fp = store.content_fingerprint("alice")
-        store.save()
-        fresh = SegmentStore("fp-store", directory=str(tmp_path))
-        fresh.load()
-        assert fresh.content_fingerprint("alice") == fp
+        service = DataStoreService("fp-store", Network(), directory=str(tmp_path))
+        service.store.add_segment(make_segment(n=8))
+        service.store.flush()
+        fp = service.store.content_fingerprint("alice")
+        write_snapshot(service)
+        fresh = DataStoreService("fp-store", Network(), directory=str(tmp_path))
+        recover_service(fresh)
+        assert fresh.store.content_fingerprint("alice") == fp
 
     def test_restore_segment_is_idempotent_for_the_fingerprint(self):
         store = SegmentStore()

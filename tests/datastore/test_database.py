@@ -1,18 +1,14 @@
-"""Tests for the embedded record database."""
+"""Tests for the embedded record table."""
 
 import pytest
 
-from repro.datastore.database import Database
+from repro.datastore.database import Table, TableSchema
 from repro.exceptions import DuplicateKeyError, MissingRecordError, StorageError
 
 
-def make_table(db=None, **kwargs):
-    db = db or Database("test")
-    return db.create_table(
-        "people",
-        key=lambda r: r["id"],
-        indexes={"age": lambda r: r["age"]},
-        **kwargs,
+def make_table():
+    return Table(
+        TableSchema("people", key=lambda r: r["id"], indexes={"age": lambda r: r["age"]})
     )
 
 
@@ -91,57 +87,3 @@ class TestIndexes:
         for i in range(5):
             table.insert({"id": i, "age": i * 10})
         assert len(table.select(lambda r: r["age"] >= 20)) == 3
-
-
-class TestDatabase:
-    def test_duplicate_table_rejected(self):
-        db = Database("d")
-        db.create_table("t", key=lambda r: r["id"])
-        with pytest.raises(StorageError):
-            db.create_table("t", key=lambda r: r["id"])
-
-    def test_unknown_table(self):
-        db = Database("d")
-        with pytest.raises(StorageError):
-            db.table("missing")
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        db = Database("d", directory=str(tmp_path))
-        table = db.create_table(
-            "people",
-            key=lambda r: r["id"],
-            indexes={"age": lambda r: r["age"]},
-            serialize=dict,
-            deserialize=dict,
-        )
-        for i in range(5):
-            table.insert({"id": i, "age": i * 10})
-        db.save()
-
-        db2 = Database("d", directory=str(tmp_path))
-        table2 = db2.create_table(
-            "people",
-            key=lambda r: r["id"],
-            indexes={"age": lambda r: r["age"]},
-            serialize=dict,
-            deserialize=dict,
-        )
-        assert db2.load() == 5
-        assert [r["age"] for r in table2.range("age", 15, 45)] == [20, 30, 40]
-
-    def test_save_without_directory_raises(self):
-        db = Database("d")
-        with pytest.raises(StorageError):
-            db.save()
-
-    def test_tables_without_serializer_skipped(self, tmp_path):
-        db = Database("d", directory=str(tmp_path))
-        db.create_table("ephemeral", key=lambda r: r["id"])
-        assert db.save() == []
-
-    def test_load_missing_file_is_fresh(self, tmp_path):
-        db = Database("d", directory=str(tmp_path))
-        db.create_table("people", key=lambda r: r["id"], serialize=dict, deserialize=dict)
-        assert db.load() == 0

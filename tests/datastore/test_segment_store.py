@@ -5,7 +5,11 @@ import pytest
 from repro.datastore.optimizer import MergePolicy
 from repro.datastore.query import DataQuery
 from repro.datastore.segment_store import SegmentStore
+from repro.net.transport import Network
 from repro.sensors.packets import packetize
+from repro.server.datastore_service import DataStoreService
+from repro.storage.durability import write_snapshot
+from repro.storage.recovery import recover_service
 from repro.util.geo import BoundingBox, LatLon
 from repro.util.timeutil import Interval
 
@@ -169,12 +173,14 @@ class TestCompaction:
 
 class TestPersistence:
     def test_save_load_preserves_queryability(self, tmp_path):
-        store = SegmentStore("alice-db", directory=str(tmp_path))
-        ingest_run(store, n=256)
-        store.save()
+        """A store's segments leave and enter a snapshot as records."""
+        service = DataStoreService("alice-db", Network(), directory=str(tmp_path))
+        ingest_run(service.store, n=256)  # still buffered: the snapshot flushes
+        write_snapshot(service)
 
-        store2 = SegmentStore("alice-db", directory=str(tmp_path))
-        assert store2.load() > 0
+        service2 = DataStoreService("alice-db", Network(), directory=str(tmp_path))
+        assert recover_service(service2).loaded["segments"] > 0
+        store2 = service2.store
         result = store2.query(
             "alice", DataQuery(channels=("ECG",), time_range=Interval(MONDAY, MONDAY + 10_000))
         )

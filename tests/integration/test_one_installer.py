@@ -1,9 +1,11 @@
-"""Tier-1 guard: one installer, one journal sync-class site, one wholesale drop.
+"""Tier-1 guard: one installer, one snapshot writer, one journal sync-class
+site, one wholesale drop.
 
 ``repro.storage.records.apply`` is the only code that installs a log
-record into a live data store service, ``Durability.journal`` the only
-WAL append that picks a sync class, and recovery the only caller of
-``invalidate_decisions``.  A new log-fed path (read-serving replicas,
+record into a live data store service, ``write_snapshot`` the only code
+that writes a snapshot file (no table persists itself), ``Durability.
+journal`` the only WAL append that picks a sync class, and recovery the
+only caller of ``invalidate_decisions``.  A new log-fed path (read-serving replicas,
 provenance stamps, …) that hand-rolls any of these would be a second
 idea of when a rule set wins, what is force-synced, or when a cached
 decision dies — so it fails ``pytest`` here, not a review.
@@ -15,6 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 INSTALLER = "storage/records.py"
+SNAPSHOT_WRITER = ("storage/durability.py", "write_snapshot")
 JOURNAL = ("storage/durability.py", "journal")
 WHOLESALE_DROP = "storage/recovery.py"
 
@@ -74,18 +77,42 @@ def test_the_guard_sees_what_it_guards():
     }
 
 
+def _functions_with(matches):
+    """``(module, function)`` of every function holding a call ``matches`` accepts."""
+    return [
+        (name, function.name)
+        for name, tree in _modules()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and matches(node)
+    ]
+
+
 def test_one_function_picks_the_sync_class():
-    sites = []
+    assert _functions_with(
+        lambda call: any(keyword.arg == "force_sync" for keyword in call.keywords)
+    ) == [JOURNAL]
+
+
+def test_one_function_writes_snapshot_files():
+    assert _functions_with(
+        lambda call: isinstance(call.func, ast.Name) and call.func.id == "atomic_write_jsonl"
+    ) == [SNAPSHOT_WRITER]
+
+
+def test_no_table_persists_itself():
+    """A second persistence engine would start as one of these."""
+    offenders = []
     for name, tree in _modules():
-        for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(function):
-                if isinstance(node, ast.Call) and any(
-                    keyword.arg == "force_sync" for keyword in node.keywords
-                ):
-                    sites.append((name, function.name))
-    assert sites == [JOURNAL]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Database":
+                offenders.append(f"{name}:{node.lineno} defines Database")
+            elif isinstance(node, ast.Call) and _attr(node.func, "save", "load"):
+                receiver = node.func.value
+                if _attr(receiver, "store", "db") or getattr(receiver, "id", "") in ("store", "db"):
+                    offenders.append(f"{name}:{node.lineno} calls .{node.func.attr}() on a store")
+    assert offenders == []
 
 
 def test_recovery_is_the_only_wholesale_drop():

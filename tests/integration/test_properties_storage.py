@@ -17,8 +17,14 @@ storage-side contracts:
 * the store's log — ``dump`` ∘ ``install`` is the identity on a store's
   durable state, installing a dump twice changes nothing, and a dump
   restricted to a contributor set is exactly the slice of the full dump
-  that ``record_concerns`` assigns to it.
+  that ``record_concerns`` assigns to it;
+* the store's snapshot — ``recover_service`` ∘ ``write_snapshot`` is the
+  identity on that dump and on every content fingerprint: what was stored
+  is queryable, and cached decisions keyed by it are reachable, after a
+  restart from a snapshot.
 """
+
+import tempfile
 
 from dataclasses import replace
 
@@ -26,10 +32,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
+from repro.datastore.query import DataQuery
 from repro.net.transport import Network
 from repro.server.datastore_service import DataStoreService
 from repro.storage.migration import record_concerns
+from repro.storage.durability import write_snapshot
 from repro.storage.records import apply, dump
+from repro.storage.recovery import recover_service
 from repro.util import jsonutil
 from repro.datastore.wavesegment import segment_from_packet
 from repro.rules.model import ALLOW, DENY, Rule, abstraction
@@ -238,9 +247,9 @@ _holdings = st.fixed_dictionaries(
 )
 
 
-def _build_store(holdings):
+def _build_store(holdings, directory=None):
     """A store holding, per contributor, the generated amount of each kind."""
-    service = DataStoreService("st", Network())
+    service = DataStoreService("st", Network(), directory=directory)
     service.register_consumer("bob")
     for name, held in sorted(holdings.items()):
         service.register_contributor(name)
@@ -295,3 +304,20 @@ def test_dump_then_install_is_the_identity(holdings, moving):
     assert dump(source, moving) == [
         (op, data) for op, data in dumped if record_concerns(op, data, moving)
     ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.dictionaries(st.sampled_from(_NAMES), _holdings, max_size=3))
+def test_snapshot_then_recover_is_the_identity(holdings):
+    with tempfile.TemporaryDirectory() as directory:
+        source = _build_store(holdings, directory)
+        write_snapshot(source)
+        restarted = DataStoreService("st", Network(), directory=directory)
+        assert recover_service(restarted).clean
+    assert _canonical(dump(restarted)) == _canonical(dump(source))
+    for name in _NAMES:
+        assert restarted.store.content_fingerprint(name) == source.store.content_fingerprint(name)
+        assert (
+            restarted.store.query(name, DataQuery()).n_samples
+            == source.store.query(name, DataQuery()).n_samples
+        )

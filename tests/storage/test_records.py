@@ -86,7 +86,7 @@ def via_wal_replay(tmp_path, op, data, **pre):
 def via_snapshot_load(tmp_path, op, data, **pre):
     kind = {kind_op: kind for kind, kind_op in SNAPSHOT_KINDS}.get(op)
     if kind is None:
-        pytest.skip("the segment store loads its own snapshot table")
+        pytest.skip("a deletion has no snapshot row")
     service = target(tmp_path, "snapshot", **pre)
     atomic_write_jsonl(snapshot_path(str(tmp_path / "snapshot"), HOST, kind), [data])
     assert recover_service(service).clean

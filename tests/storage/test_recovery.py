@@ -333,3 +333,75 @@ class TestFailedOpen:
         service = DataStoreService(HOST, net, directory=str(tmp_path), durable=True)
         assert service.recovery_report is not None
         service.durability.close()
+
+
+#: Snapshot kind -> edits that make a good row of that file one ``apply``
+#: refuses.  Every file also gets a row that is a JSON list (``list``) and
+#: a row without its owner key (``None``).
+NOT_RECORDS = {
+    "segments": [{"StartTime": "abc"}, {"Format": 5}, {"Values": {"Encoding": "b64le-f64"}}],
+    "rules": [{"Version": "abc"}, {"Rules": 5}],
+    "places": [{"Places": 5}, {"Places": [{"Label": "home"}]}],
+    "roles": [],
+    "audit": [{"Seq": "abc"}, {"Query": 5}],
+}
+NOT_RECORD_CASES = [
+    pytest.param(kind, edit, id=f"{kind}-{label}")
+    for kind, edits in NOT_RECORDS.items()
+    for edit, label in [(e, next(iter(e))) for e in edits]
+    + [(list, "json-list"), (None, "missing-key")]
+]
+
+
+class TestRowsThatAreNotRecords:
+    """A snapshot row that parses as JSON but is not its file's record is
+    the same damage as a line that does not parse, whatever the file."""
+
+    def snapshot(self, directory):
+        """Two rows in every file, no manifest and no log: the snapshot is
+        the only copy, so nothing can vouch for a contributor but its rows."""
+        from repro.storage.durability import write_snapshot
+        from repro.util.geo import BoundingBox, LabeledPlace
+
+        service = DataStoreService(HOST, Network(), directory=str(directory))
+        for name in ("alice", "carol"):
+            service.register_contributor(name)
+            service.rules.add(name, Rule(consumers=("bob",), action=ALLOW))
+            service.set_places(name, {"home": LabeledPlace("home", BoundingBox(0, 0, 1, 1))})
+            service.store.add_segment(make_segment(contributor=name, channels=("ECG",), n=16))
+            service.audit.record_access(
+                principal="bob", contributor=name, query={}, raw_access=False, segments_scanned=1
+            )
+        write_snapshot(service)
+        return {"segments": 2, "rules": 2, "places": 2, "roles": 2, "audit": 2}
+
+    @pytest.mark.parametrize("kind, edit", NOT_RECORD_CASES)
+    def test_the_row_quarantines_and_the_store_starts(self, tmp_path, kind, edit):
+        from repro.util import jsonutil
+
+        clean = self.snapshot(tmp_path)
+        path = tmp_path / f"{HOST}.{kind}.jsonl"
+        lines = path.read_text().splitlines()
+        row = jsonutil.loads(lines[0])
+        if edit is list:
+            row = [row]
+        elif edit is None:
+            del row["Principal" if kind == "roles" else "Contributor"]
+        else:
+            row.update(edit)
+        lines[0] = jsonutil.canonical_dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+
+        service = durable_service(tmp_path)  # the store starts
+        report = service.recovery_report
+        assert report.loaded == {**clean, kind: 1}  # the file's other row loaded
+        assert report.quarantined_records == 1
+        bad = tmp_path / "quarantine" / f"{HOST}.{kind}.jsonl.bad"
+        assert lines[0] in bad.read_text()
+        if kind in ("rules", "places"):  # they feed rule semantics
+            assert report.fail_closed == ["alice", "carol"]
+            assert service.rules.rules_of("carol") == ()
+        else:
+            assert report.fail_closed == [] and not service.fail_closed
+            assert len(service.rules.rules_of("alice")) == 1
+            assert any(kind.rstrip("s") in alert for alert in report.alerts)
