@@ -10,6 +10,7 @@ from how the store coalesces many of them.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -20,6 +21,9 @@ from repro.sensors.channels import channel
 from repro.util.geo import LatLon
 from repro.util.jsonutil import require_keys, require_type
 from repro.util.timeutil import Interval
+
+#: What the packets of one stream share: an upload frame writes it once.
+_STREAM = ("Channel", "SamplingInterval", "Location", "Context")
 
 
 @dataclass(frozen=True)
@@ -83,32 +87,35 @@ class SensorPacket:
         return [self.start_ms + i * self.interval_ms for i in range(len(self.values))]
 
     def to_json(self) -> dict:
-        """The packet's header inside an :func:`encode_upload` frame:
-        ``Values`` is the sample count, the samples ride the frame's blob."""
+        """The packet's stream inside an :func:`encode_upload` frame: what
+        it shares with every packet of its stream.  Its start time and
+        sample count are its row; its samples ride the frame's blob."""
         return {
             "Channel": self.channel_name,
-            "StartTime": self.start_ms,
             "SamplingInterval": self.interval_ms,
-            "Values": len(self.values),
             "Location": self.location.to_json() if self.location else None,
             "Context": dict(self.context),
         }
 
     @classmethod
-    def from_json(cls, obj: dict, values: np.ndarray) -> "SensorPacket":
-        """Parse a header; ``values`` are its samples, cut from the blob."""
-        require_keys(
-            obj, ("Channel", "StartTime", "SamplingInterval", "Values"), where="packet"
+    def from_json(cls, obj: dict, cuts: list) -> list:
+        """The packets of one stream: its header, parsed once and coerced
+        nowhere, and each packet's ``(start_ms, values)``."""
+        require_keys(obj, _STREAM, where="upload frame stream")
+        name, interval, location, context = (obj[member] for member in _STREAM)
+        place = location is None or type(location) is list and len(location) == 2 and all(
+            isinstance(x, (int, float)) and type(x) is not bool for x in location
         )
-        location = obj.get("Location")
-        return cls(
-            channel_name=str(obj["Channel"]),
-            start_ms=int(obj["StartTime"]),
-            interval_ms=int(obj["SamplingInterval"]),
-            values=values,
-            location=LatLon.from_json(location) if location else None,
-            context=dict(obj.get("Context", {})),
+        labels = type(context) is dict and all(
+            isinstance(k, str) and isinstance(v, str) for k, v in context.items()
         )
+        if not (isinstance(name, str) and type(interval) is int and place and labels):
+            raise SchemaError(
+                "upload frame: a stream is {Channel: text, SamplingInterval: integer, "
+                "Location: null or two numbers, Context: {text: text}}"
+            )
+        location = None if location is None else LatLon.from_json(location)
+        return [cls(name, t, interval, v, location, dict(context)) for t, v in cuts]
 
     def follows(self, other: "SensorPacket") -> bool:
         """True when this packet continues ``other`` seamlessly.
@@ -128,13 +135,14 @@ class SensorPacket:
 def encode_upload(packets: Iterable[SensorPacket]) -> dict:
     """The wire form of a phone upload: one frame, one value blob.
 
-    ``Packets`` are the packets with their samples reduced to a count;
-    ``Values`` is every packet's samples, in packet order, as one codec
-    blob (the paper's wave-segment argument applied to the uplink).  The
-    only producer of an ``/api/upload_packets`` request's ``Upload``
-    member; :func:`decode_upload` is its only parser.  A non-finite
-    sample is :class:`~repro.exceptions.SchemaError` here, before
-    anything is sent: a blob would carry it into the store silently.
+    ``Streams`` is each distinct :meth:`SensorPacket.to_json` once, first
+    use first, keyed by its bits (a ``-0.0`` coordinate is not ``0.0``);
+    ``Packets`` one ``[stream, start_ms, count]`` row of integers a packet;
+    ``Values`` every packet's samples, in row order, as one codec blob (the
+    paper's wave-segment argument applied to the uplink).  The only producer
+    of an ``/api/upload_packets`` request's ``Upload``; :func:`decode_upload`
+    is its only parser.  A non-finite sample is a ``SchemaError`` here,
+    before anything is sent: a blob would carry it into the store silently.
     """
     # deferred: datastore imports this module
     from repro.datastore.codec import ENCODING_RAW, encode_values
@@ -142,8 +150,17 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
     packets = list(packets)
     flat = np.concatenate([p.values for p in packets]) if packets else np.empty(0)
     _require_finite(flat)
+    index, streams, rows = {}, [], []
+    for p in packets:
+        where = None if p.location is None else struct.pack("<2d", *p.location.to_json())
+        key = (p.channel_name, p.interval_ms, where, frozenset(p.context.items()))
+        if key not in index:
+            index[key] = len(streams)
+            streams.append(p.to_json())
+        rows.append([index[key], p.start_ms, len(p.values)])
     return {
-        "Packets": [p.to_json() for p in packets],
+        "Streams": streams,
+        "Packets": rows,
         "Values": encode_values(flat.reshape(-1, 1), ENCODING_RAW),
     }
 
@@ -151,33 +168,35 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
 def decode_upload(frame: dict) -> list:
     """Parse an upload frame into its :class:`SensorPacket` list.
 
-    The blob is decoded once and every packet is built through its
-    constructor over a read-only view of the frame's bytes.
-    :class:`~repro.exceptions.SchemaError`, before any packet is
-    returned, unless the blob is ``le-f64`` bytes of one channel (neither
-    base64 nor a decimal list is a second wire form), every header parses
-    and the declared counts consume the (finite) samples exactly.
+    The blob is decoded once, each stream is parsed once, and every packet
+    is built through its constructor over a read-only view of the frame's
+    bytes, in row order.  :class:`~repro.exceptions.SchemaError`, before
+    any packet is returned, unless the blob is ``le-f64`` bytes of one
+    channel (neither base64 nor a decimal list is a second wire form),
+    every row is three integers naming a stream, every stream is used and
+    parses, and the counts consume the (finite) samples exactly.
     """
     from repro.datastore.codec import decode_frame_values  # deferred, as above
 
-    require_keys(frame, ("Packets", "Values"), where="upload frame")
+    require_keys(frame, ("Streams", "Packets", "Values"), where="upload frame")
     flat = decode_frame_values(frame["Values"], where="upload frame")
     _require_finite(flat)
-    packets, offset = [], 0
-    for header in require_type(frame["Packets"], list, where="upload frame Packets"):
-        count = header.get("Values") if isinstance(header, dict) else None
-        if type(count) is not int or count <= 0 or offset + count > len(flat):
-            raise SchemaError(
-                f"upload frame: bad packet header or count at value {offset} of {len(flat)}"
-            )
-        try:
-            packets.append(SensorPacket.from_json(header, flat[offset : offset + count]))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"upload frame: malformed packet header: {exc}") from exc
+    streams = require_type(frame["Streams"], list, where="upload frame Streams")
+    cuts, order, offset = [[] for _ in streams], [], 0
+    for row in require_type(frame["Packets"], list, where="upload frame Packets"):
+        stream, start, count = row if type(row) is list and len(row) == 3 else (None, None, None)
+        if type(stream) is not int or type(start) is not int or type(count) is not int:
+            raise SchemaError(f"upload frame: packet {len(order)} is not three integers")
+        if not 0 <= stream < len(streams) or count <= 0 or offset + count > len(flat):
+            raise SchemaError(f"upload frame: packet {len(order)} names no stream or overruns")
+        order.append((stream, len(cuts[stream])))
+        cuts[stream].append((start, flat[offset : offset + count]))
         offset += count
-    if offset != len(flat):
-        raise SchemaError(f"upload frame: packets consume {offset} of {len(flat)} values")
-    return packets
+    if offset != len(flat) or not all(cuts):
+        raise SchemaError(f"upload frame: packets consume {offset} of {len(flat)} values "
+                          f"and {sum(map(bool, cuts))} of {len(streams)} streams")  # fmt: skip
+    built = [SensorPacket.from_json(obj, cut) for obj, cut in zip(streams, cuts)]
+    return [built[stream][i] for stream, i in order]
 
 
 def _require_finite(flat: np.ndarray) -> None:

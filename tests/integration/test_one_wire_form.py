@@ -4,9 +4,10 @@ An upload travels as the frame ``repro.sensors.packets.encode_upload``
 builds and a ship as the one ``repro.storage.replication.encode_ship``
 builds; nothing else under ``src/`` or ``benchmarks/`` may spell the
 members of either by hand, and nothing may hex-encode bytes for the wire
-again.  A second writer of ``"Packets"`` or ``"Stream"`` would be a second
-wire form — a list fallback, a negotiation, a bench that measures a body
-the phone never sends — so it fails ``pytest`` here, not a review.
+again.  A second writer of ``"Streams"``, ``"Packets"`` or ``"Stream"``
+would be a second wire form — a list fallback, a negotiation, a bench
+that measures a body the phone never sends — so it fails ``pytest`` here,
+not a review.
 (``benchmarks/ledger/`` drives the public API only and is the benchmark's
 own to edit; it is not scanned.)
 
@@ -26,7 +27,12 @@ NOT_SCANNED = "benchmarks/ledger/"
 UPLOAD_FRAME = "src/repro/sensors/packets.py"
 SHIP_FRAME = "src/repro/storage/replication.py"
 #: member name -> the one file that may spell it
-MEMBERS = {"Packets": UPLOAD_FRAME, "Frames": SHIP_FRAME, "Stream": SHIP_FRAME}
+MEMBERS = {
+    "Streams": UPLOAD_FRAME,
+    "Packets": UPLOAD_FRAME,
+    "Frames": SHIP_FRAME,
+    "Stream": SHIP_FRAME,
+}
 
 STORED_FORM = "src/repro/datastore/codec.py"
 WIRE_FORM = "src/repro/net/wire.py"
@@ -126,6 +132,6 @@ def test_each_frame_member_is_spelled_in_one_file():
 def test_the_guard_sees_what_it_guards():
     """The walk is not vacuous: each frame's own module trips it."""
     modules = dict(_modules())
-    assert {what for _, what in _spellings(modules[UPLOAD_FRAME])} == {"Packets"}
+    assert {what for _, what in _spellings(modules[UPLOAD_FRAME])} == {"Streams", "Packets"}
     assert {what for _, what in _spellings(modules[SHIP_FRAME])} == {"Frames", "Stream"}
     assert len(modules) > 100 and not any(name.startswith(NOT_SCANNED) for name in modules)

@@ -1,11 +1,15 @@
 """The upload frame: ``encode_upload`` / ``decode_upload``.
 
-A phone upload travels as ``{"Packets": [header, …], "Values": <one
-blob>}``; these tests hold the pair to being lossless bit for bit over
-every packet a phone can hold, to refusing non-finite samples on both
-sides on purpose, and to refusing — whole, never in part — a frame whose
-headers do not parse or do not consume its vector exactly, so that the
-store a refused request was sent to is exactly the store it was before.
+A phone upload travels as ``{"Streams": [stream, …], "Packets": [[stream,
+start_ms, count], …], "Values": <one blob>}``: what consecutive packets of
+one channel share (channel, interval, location, labels) is written once per
+frame, and each packet is a row of three integers.  These tests hold the
+pair to being lossless bit for bit over every packet list a phone can hold,
+however its streams interleave; to writing one canonical frame; to refusing
+non-finite samples on both sides on purpose; and to refusing — whole, never
+in part — a frame whose rows or streams do not parse, or whose counts do not
+consume its vector exactly, so that the store a refused request was sent to
+is exactly the store it was before.
 """
 
 import base64
@@ -29,18 +33,42 @@ from tests.conftest import MONDAY, UCLA
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _TEXT = st.sampled_from(["Still", "Café ☕", "歩く", "", "Not Stressed"])
+#: ``LatLon(-0.0, 0.0) == LatLon(0.0, 0.0)``, but they are written apart
+_PLACES = [None, UCLA, LatLon(-89.5, 179.25), LatLon(0.0, 0.0), LatLon(-0.0, 0.0),
+           LatLon(0.0, -0.0)]  # fmt: skip
 
 
 @st.composite
-def sensor_packets(draw):
-    return SensorPacket(
-        channel_name=draw(st.sampled_from(channel_names())),
-        start_ms=draw(st.sampled_from([0, MONDAY, MONDAY + 123_457])),
-        interval_ms=draw(st.integers(min_value=1, max_value=300_000)),
-        values=tuple(draw(st.lists(_FLOATS, min_size=1, max_size=70))),
-        location=draw(st.sampled_from([None, UCLA, LatLon(-89.5, 179.25), LatLon(0.0, 0.0)])),
-        context=draw(st.dictionaries(_TEXT, _TEXT, max_size=4)),
+def streams(draw):
+    """What a stream header carries: ``(channel, interval, location, labels)``."""
+    return (
+        draw(st.sampled_from(channel_names())),
+        draw(st.integers(min_value=1, max_value=300_000)),
+        draw(st.sampled_from(_PLACES)),
+        draw(st.dictionaries(_TEXT, _TEXT, max_size=4)),
     )
+
+
+@st.composite
+def upload_batches(draw):
+    """Packets drawn from a few streams in any order: a stream's packets
+    apart from each other, equal headers with gaps between them, one
+    channel under two label sets."""
+    pool = draw(st.lists(streams(), min_size=1, max_size=4))
+    batch = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        name, interval, location, context = draw(st.sampled_from(pool))
+        batch.append(
+            SensorPacket(
+                channel_name=name,
+                start_ms=draw(st.sampled_from([0, MONDAY, MONDAY + 123_457])),
+                interval_ms=interval,
+                values=tuple(draw(st.lists(_FLOATS, min_size=1, max_size=70))),
+                location=location,
+                context=dict(context),
+            )
+        )
+    return batch
 
 
 def bits(packet):
@@ -56,15 +84,31 @@ def assert_same(decoded, packets):
     assert decoded == packets  # channel, start, interval, values, location
     for got, sent in zip(decoded, packets):
         assert bits(got) == bits(sent)  # == cannot tell -0.0 from 0.0
+        assert repr(got.location) == repr(sent.location)  # nor can LatLon's
         assert got.context == sent.context  # excluded from ==
         assert got.values.dtype == np.float64 and got.values.ndim == 1
         assert not got.values.flags.writeable
+    assert len({id(p.context) for p in decoded}) == len(decoded)  # a dict each
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(sensor_packets(), max_size=8))
+@given(upload_batches())
 def test_round_trip_is_bit_for_bit(packets):
     assert_same(decode_upload(over_the_wire(encode_upload(packets))), packets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(upload_batches())
+def test_the_frame_is_canonical(packets):
+    """One stream per distinct header as written, first use first, each
+    used; the same packets make the same frame."""
+    frame = encode_upload(packets)
+    used = [row[0] for row in frame["Packets"]]
+    assert list(dict.fromkeys(used)) == list(range(len(frame["Streams"])))
+    written = [wire.encode(stream) for stream in frame["Streams"]]
+    assert len(set(written)) == len(written)
+    assert over_the_wire(frame) == over_the_wire(encode_upload(packets))
+    assert all(type(x) is int for row in frame["Packets"] for x in row)
 
 
 def test_round_trip_of_the_awkward_packets():
@@ -78,12 +122,31 @@ def test_round_trip_of_the_awkward_packets():
         SensorPacket("ECG", MONDAY + 4, 4, (1, 2, 3)),  # ints, as a test might build them
     ]
     frame = encode_upload(packets)
-    assert [h["Values"] for h in frame["Packets"]] == [1, 3, 1, 2, 3]
+    assert [row[2] for row in frame["Packets"]] == [1, 3, 1, 2, 3]
+    assert [row[0] for row in frame["Packets"]] == [0, 1, 2, 3, 0]  # the ECG stream, twice
     assert frame["Values"]["Samples"] == 10 and frame["Values"]["Channels"] == 1
     decoded = decode_upload(over_the_wire(frame))
     assert_same(decoded, packets)
     assert np.signbit(decoded[0].values[0])
     assert decoded[2].location == UCLA and decoded[0].location is None
+
+
+def test_interleaved_streams_come_back_in_row_order():
+    still, walk = {"Activity": "Still"}, {"Activity": "Walk"}
+    packets = [
+        SensorPacket("ECG", MONDAY, 4, (1.0, 2.0), UCLA, still),
+        SensorPacket("AccelX", MONDAY, 20, (3.0,), UCLA, still),
+        SensorPacket("ECG", MONDAY + 8, 4, (4.0,), UCLA, still),  # apart from its first
+        SensorPacket("ECG", MONDAY + 12, 4, (5.0,), UCLA, walk),  # one channel, two label sets
+        SensorPacket("ECG", MONDAY + 400, 4, (6.0,), UCLA, still),  # equal header, after a gap
+        SensorPacket("ECG", MONDAY + 404, 4, (7.0,), LatLon(-0.0, 0.0), still),
+        SensorPacket("ECG", MONDAY + 408, 4, (8.0,), LatLon(0.0, 0.0), still),
+    ]
+    frame = encode_upload(packets)
+    assert [row[0] for row in frame["Packets"]] == [0, 1, 0, 2, 0, 3, 4]
+    assert frame["Packets"][4] == [0, MONDAY + 400, 1]
+    assert [s["Location"] for s in frame["Streams"][3:]] == [[-0.0, 0.0], [0.0, 0.0]]
+    assert_same(decode_upload(over_the_wire(frame)), packets)
 
 
 def test_an_empty_upload_is_a_frame_too():
@@ -93,8 +156,11 @@ def test_an_empty_upload_is_a_frame_too():
 def test_the_frame_holds_each_sample_once_and_no_decimal():
     packets = packetize("ECG", MONDAY, 4, [0.1 * i for i in range(640)], location=UCLA)
     frame = encode_upload(packets)
-    assert set(frame) == {"Packets", "Values"}
-    assert all(type(h["Values"]) is int for h in frame["Packets"])
+    assert set(frame) == {"Streams", "Packets", "Values"}
+    assert frame["Streams"] == [
+        {"Channel": "ECG", "SamplingInterval": 4, "Location": UCLA.to_json(), "Context": {}}
+    ]
+    assert frame["Packets"] == [[0, MONDAY + 256 * i, 64] for i in range(10)]
     # 8 bytes a sample and nothing on top; base64 spent 10.67, a decimal list ~19
     assert type(frame["Values"]["Blob"]) is bytes
     assert wire.size(frame["Values"]) == 640 * 8 + len(
@@ -131,26 +197,67 @@ def test_decode_refuses_a_hand_built_frame_that_holds_one(bad):
 
 
 def _frame():
-    """Three well-formed packets: 4 + 4 + 2 samples."""
+    """Three well-formed packets of one stream: 4 + 4 + 2 samples."""
     return encode_upload(
         packetize("ECG", MONDAY, 250, list(range(10)), packet_samples=4, location=UCLA)
     )
 
 
+def _parent_header(packet, values):
+    """A packet's header in the frames older commits sent, one per packet:
+    ``values`` is its sample list (a61bce2) or its sample count (8fa982b)."""
+    return {
+        "Channel": packet.channel_name,
+        "StartTime": packet.start_ms,
+        "SamplingInterval": packet.interval_ms,
+        "Values": values,
+        "Location": packet.location.to_json() if packet.location else None,
+        "Context": dict(packet.context),
+    }
+
+
 def _parent_body(packets):
     """The packet list a61bce2 uploaded: every sample a JSON number."""
-    return [{**p.to_json(), "Values": list(p.values)} for p in packets]
+    return [_parent_header(p, list(p.values)) for p in packets]
+
+
+#: a header member's place in a packet's row; any other member is its stream's
+_ROW = {"StartTime": 1, "Values": 2}
+
+
+def _own_stream(frame, row):
+    """A copy of ``row``'s stream that only ``row`` uses, to edit: the
+    packets ahead of it keep a well-formed stream."""
+    frame["Streams"].append(dict(frame["Streams"][row[0]]))
+    row[0] = len(frame["Streams"]) - 1
+    return frame["Streams"][-1]
 
 
 def _with_header(index, **members):
+    """The frame with packet ``index``'s header members set: ``StartTime``
+    and ``Values`` (the count) in its row, any other in its own stream."""
     frame = _frame()
-    frame["Packets"][index].update(members)
+    row = frame["Packets"][index]
+    for member in [m for m in members if m in _ROW]:
+        row[_ROW[member]] = members.pop(member)
+    if members:
+        _own_stream(frame, row).update(members)
     return frame
 
 
 def _without(index, member):
     frame = _frame()
-    del frame["Packets"][index][member]
+    row = frame["Packets"][index]
+    if member in _ROW:
+        del row[_ROW[member]]
+    else:
+        del _own_stream(frame, row)[member]
+    return frame
+
+
+def _with_row(index, row):
+    frame = _frame()
+    frame["Packets"][index] = row
     return frame
 
 
@@ -162,8 +269,12 @@ def _with_blob(**members):
     return {**_frame(), "Values": {**_frame()["Values"], **members}}
 
 
+_THIRD = MONDAY + 2000  # the third packet's start
+_PARENT_PACKETS = packetize("ECG", MONDAY, 250, list(range(10)), packet_samples=4, location=UCLA)
+
 #: name -> (frame, the typed error).  The malformed member sits in the
-#: *last* header wherever it can, behind two well-formed packets.
+#: *last* packet wherever it can — in its row, or in a stream only it
+#: uses — behind two well-formed packets.
 MALFORMED = {
     "frame is null": (None, SchemaError),
     "frame is a list": (_frame()["Packets"], SchemaError),
@@ -171,17 +282,30 @@ MALFORMED = {
         _parent_body(packetize("ECG", MONDAY, 250, [1.0])),
         SchemaError,
     ),
-    "no Packets": ({"Values": _frame()["Values"]}, SchemaError),
-    "no Values": ({"Packets": _frame()["Packets"]}, SchemaError),
+    "the parent's per-packet-header frame": (
+        {
+            "Packets": [_parent_header(p, len(p.values)) for p in _PARENT_PACKETS],
+            "Values": _frame()["Values"],
+        },
+        SchemaError,
+    ),
+    "no Streams": ({k: v for k, v in _frame().items() if k != "Streams"}, SchemaError),
+    "no Packets": ({k: v for k, v in _frame().items() if k != "Packets"}, SchemaError),
+    "no Values": ({k: v for k, v in _frame().items() if k != "Values"}, SchemaError),
+    "Streams is an object": ({**_frame(), "Streams": {}}, SchemaError),
     "Packets is an object": ({**_frame(), "Packets": {}}, SchemaError),
     "Values is a list": ({**_frame(), "Values": [1.0, 2.0]}, SchemaError),
     "header is a number": ({**_frame(), "Packets": _frame()["Packets"][:2] + [2]}, SchemaError),
     "header is null": ({**_frame(), "Packets": _frame()["Packets"][:2] + [None]}, SchemaError),
     "header is a list": ({**_frame(), "Packets": _frame()["Packets"][:2] + [[2]]}, SchemaError),
+    # a row is exactly [stream, start, count]
     "header without a count": (_without(2, "Values"), SchemaError),
-    "header without Channel": (_without(2, "Channel"), SchemaError),
     "header without StartTime": (_without(2, "StartTime"), SchemaError),
-    "header without SamplingInterval": (_without(2, "SamplingInterval"), SchemaError),
+    "row of length 4": (_with_row(2, [0, _THIRD, 2, 2]), SchemaError),
+    "stream index out of range": (_with_row(2, [1, _THIRD, 2]), SchemaError),
+    "stream index is negative": (_with_row(2, [-1, _THIRD, 2]), SchemaError),
+    "stream index is a boolean": (_with_row(2, [False, _THIRD, 2]), SchemaError),
+    "stream index is a float": (_with_row(2, [0.0, _THIRD, 2]), SchemaError),
     "count is zero": (_with_header(1, Values=0), SchemaError),
     "count is negative": (_with_header(2, Values=-2), SchemaError),
     "count is a float": (_with_header(2, Values=2.0), SchemaError),
@@ -203,7 +327,7 @@ MALFORMED = {
     "plain blob": (_with_blob(Encoding="plain", Blob=[[0.0]] * 10), SchemaError),
     "plain blob of text": (_with_blob(Encoding="plain", Samples=1, Blob=["x"]), SchemaError),
     "two-channel blob": (_with_vector(10, channels=2), SchemaError),
-    # nor is base64, the parent's frame and still the stored form
+    # nor is base64, an older frame's and still the stored form
     "b64le-f64 blob (the parent's frame)": (_with_vector(10, ENCODING_B64), SchemaError),
     "Blob is a str": (
         _with_blob(Blob=base64.b64encode(_frame()["Values"]["Blob"]).decode()),
@@ -214,9 +338,33 @@ MALFORMED = {
     "blob one byte short": (_with_blob(Blob=_frame()["Values"]["Blob"][:-1]), SchemaError),
     "blob one byte long": (_with_blob(Blob=_frame()["Values"]["Blob"] + b"\0"), SchemaError),
     "Channels is text": (_with_blob(Channels="1"), SchemaError),
+    # streams: every one used, every member present, nothing coerced
+    "unreferenced stream": ({**_frame(), "Streams": _frame()["Streams"] * 2}, SchemaError),
+    "stream is a number": ({**_frame(), "Streams": [5]}, SchemaError),
+    "header without Channel": (_without(2, "Channel"), SchemaError),
+    "header without SamplingInterval": (_without(2, "SamplingInterval"), SchemaError),
+    "stream without Location": (_without(2, "Location"), SchemaError),
+    "stream without Context": (_without(2, "Context"), SchemaError),
+    "Channel is a number": (_with_header(2, Channel=5), SchemaError),
+    "Channel is a list": (_with_header(2, Channel=["ECG"]), SchemaError),
     "StartTime is text": (_with_header(2, StartTime="noon"), SchemaError),
     "SamplingInterval is null": (_with_header(2, SamplingInterval=None), SchemaError),
     "Context is a list": (_with_header(2, Context=["Still"]), SchemaError),
+    # each of these was accepted at 8fa982b, re-timed or coerced by int() and dict()
+    "StartTime is a boolean": (_with_header(2, StartTime=True), SchemaError),
+    "StartTime is a float": (_with_header(2, StartTime=_THIRD + 0.7), SchemaError),
+    "StartTime is numeric text": (_with_header(2, StartTime=str(_THIRD)), SchemaError),
+    "SamplingInterval is a float": (_with_header(2, SamplingInterval=250.9), SchemaError),
+    "SamplingInterval is numeric text": (_with_header(2, SamplingInterval="250"), SchemaError),
+    "SamplingInterval is a boolean": (_with_header(2, SamplingInterval=True), SchemaError),
+    "Context is a list of pairs": (
+        _with_header(2, Context=[["Activity", "Still"]]),
+        SchemaError,
+    ),
+    "Context label is a number": (_with_header(2, Context={"Activity": 5}), SchemaError),
+    "location has three numbers": (_with_header(2, Location=[34.0, -118.0, 0.0]), SchemaError),
+    "location is an empty list": (_with_header(2, Location=[]), SchemaError),
+    "location is two booleans": (_with_header(2, Location=[True, False]), SchemaError),
     # the constructor's own checks, still run for every packet
     "unknown channel": (_with_header(2, Channel="Sonar"), SensorSafeError),
     "zero interval": (_with_header(2, SamplingInterval=0), SensorSafeError),
@@ -227,6 +375,20 @@ MALFORMED = {
 
 def test_the_well_formed_frame_parses():
     assert [len(p.values) for p in decode_upload(over_the_wire(_frame()))] == [4, 4, 2]
+
+
+def test_each_edit_is_the_only_defect_of_its_frame():
+    """The helpers put the defect where the name says and nowhere else:
+    undoing the third packet's edit gives back a frame that parses."""
+    frame = _with_header(2, Channel="Sonar", StartTime=_THIRD + 1)
+    assert frame["Packets"] == [[0, MONDAY, 4], [0, MONDAY + 1000, 4], [1, _THIRD + 1, 2]]
+    assert frame["Streams"][1] == {**frame["Streams"][0], "Channel": "Sonar"}
+    assert _with_header(2, StartTime=_THIRD) == _frame()
+    assert decode_upload(_with_header(2, Context={"Activity": "Still"}))[2].context == {
+        "Activity": "Still"
+    }
+    assert _without(2, "Values")["Packets"][2] == [0, _THIRD]
+    assert "Location" not in _without(2, "Location")["Streams"][1]
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
