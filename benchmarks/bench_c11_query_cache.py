@@ -193,9 +193,9 @@ def run_latency_comparison(hours=HOURS, repeats=REPEATS_PER_SHAPE):
 
 def _load_trial(service, trial):
     service.register_contributor(trial.contributor)
-    key = service.register_consumer(trial.consumer)
-    for name, groups in trial.memberships.items():
-        service.memberships[name] = frozenset(groups)
+    key = service.register_consumer(
+        trial.consumer, groups=trial.memberships.get(trial.consumer, ())
+    )
     service.set_places(trial.contributor, trial.places)
     service.rules.replace_all(trial.contributor, trial.rules)
     for segment in trial.segments:
@@ -297,8 +297,7 @@ def run_recovery_boundary(n_trials=4):
                     durable=True,
                     cache_capacity=capacity,
                 )
-                for name, groups in trial.memberships.items():
-                    service.memberships[name] = frozenset(groups)
+                # The consumer's groups were recovered with its role row.
                 restarted.append(service)
                 keys2.append(service.keys.issue(trial.consumer))
             assert len(restarted[0].release_cache) == 0  # fail-closed drop

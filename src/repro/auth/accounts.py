@@ -9,7 +9,7 @@ UI presents on subsequent page requests.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.exceptions import AuthenticationError, ConflictError
@@ -32,11 +32,6 @@ class Principal:
     role: str
     salt: str
     password_hash: str
-    groups: frozenset = field(default_factory=frozenset)
-
-    def principals(self) -> frozenset:
-        """The names this account can match in a Consumer condition."""
-        return frozenset({self.username}) | self.groups
 
 
 class AccountRegistry:
@@ -64,16 +59,6 @@ class AccountRegistry:
 
     def get(self, username: str) -> Optional[Principal]:
         return self._accounts.get(username)
-
-    def set_groups(self, username: str, groups) -> None:
-        account = self._require(username)
-        self._accounts[username] = Principal(
-            username=account.username,
-            role=account.role,
-            salt=account.salt,
-            password_hash=account.password_hash,
-            groups=frozenset(groups),
-        )
 
     def _require(self, username: str) -> Principal:
         account = self._accounts.get(username)

@@ -90,7 +90,7 @@ class KeyEscrow:
     def consumers_for(self, host: str) -> list:
         """Consumers holding an escrowed key at ``host``, sorted.
 
-        Failover uses this to find who must be re-registered at a newly
+        Failover uses this to find who must be enrolled at a newly
         promoted store: everyone who could reach the old primary.
         """
         return sorted(c for c, ring in self._rings.items() if host in ring)

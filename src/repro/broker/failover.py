@@ -14,7 +14,7 @@ X" for consumers.  This module adds the missing control loop:
   :meth:`FailoverManager.failover` promotes the most-caught-up reachable
   replica at a **bumped store epoch**, best-effort demotes the old
   primary, re-homes the contributor directory, force-pulls the promoted
-  store's profiles, and re-registers escrowed consumers there.
+  store's profiles, and enrolls escrowed consumers there.
 
 Safety properties, in order of precedence:
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.auth.accounts import ROLE_CONSUMER
 from repro.exceptions import OverloadedError, SensorSafeError, TransportError
 from repro.net.client import HttpClient
 
@@ -345,7 +344,7 @@ class FailoverManager:
         self.broker.sync.reconcile_host(
             self.broker.client, promoted, self.broker.store_keys
         )
-        reregistered = self._reregister_consumers(old_primary, promoted)
+        reregistered = self.broker.enroll_escrowed(old_primary, promoted)[0]
         if self._c_failovers is not None:
             self._c_failovers.inc()
         detection_ms = self.broker.network.obs.slo.failover_completed(name)
@@ -384,37 +383,6 @@ class FailoverManager:
             if host not in shipper.links:
                 self._link(shipper, group.primary, replica)
         shipper.pump()
-
-    def _reregister_consumers(self, old_host: str, new_host: str) -> int:
-        """Escrowed consumers of the old primary get keys at the new one.
-
-        Membership (study groups) is re-pushed too, so group-based
-        Consumer conditions evaluate identically after the handover.
-        Unreachable-at-the-moment registrations are skipped; the consumer
-        client re-resolves and re-registers lazily on first use.
-        """
-        broker = self.broker
-        count = 0
-        for consumer in broker.escrow.consumers_for(old_host):
-            if broker.escrow.key_for(consumer, new_host) is not None:
-                continue
-            groups = sorted(broker._membership(consumer) - {consumer})
-            try:
-                body = broker.client.post(
-                    f"https://{new_host}/api/register",
-                    {"Username": consumer, "Role": ROLE_CONSUMER},
-                )
-                broker.escrow.store_key(consumer, new_host, str(body["ApiKey"]))
-                broker_key = broker.store_keys.get(new_host)
-                if broker_key is not None and groups:
-                    broker.client.with_key(broker_key).post(
-                        f"https://{new_host}/api/membership/set",
-                        {"Consumer": consumer, "Groups": groups},
-                    )
-                count += 1
-            except (TransportError, SensorSafeError):
-                continue
-        return count
 
     # ------------------------------------------------------------------
     # Rejoin (a fenced ex-primary or repaired replica returns)

@@ -28,7 +28,7 @@ both keep serving, with the WAL as the transfer log.  The phase machine
 6. **cutover** — :meth:`~repro.broker.directory.ShardDirectory.move`
    repoints the moved range in ONE routing-epoch bump, the mirror
    force-pulls from the destination, and escrowed consumers are
-   re-registered there.  Contributor phones re-key lazily via the
+   enrolled there.  Contributor phones re-key lazily via the
    existing :meth:`~repro.core.system.SensorSafeSystem
    .repoint_contributor` runbook step.
 
@@ -172,9 +172,7 @@ class ShardRebalancer:
             moved = self.broker.directory.move(names, dest_host)
             epoch = self.broker.directory.routing_epoch
             self._converge_mirror(names, dest_host)
-            reregistered = self.broker.failover._reregister_consumers(
-                source, dest_host
-            )
+            reregistered = self.broker.enroll_escrowed(source, dest_host)[0]
         finally:
             self.active -= 1
         duration_ms = clock.now_ms() - started_ms

@@ -437,9 +437,9 @@ def end_to_end_violations(trial: Trial) -> list:
     network = Network()
     store = DataStoreService("conformance-store", network, seed=0)
     store.register_contributor(trial.contributor)
-    consumer_key = store.register_consumer(trial.consumer)
-    for name, groups in trial.memberships.items():
-        store.memberships[name] = frozenset(groups)
+    consumer_key = store.register_consumer(
+        trial.consumer, groups=trial.memberships.get(trial.consumer, ())
+    )
     store.set_places(trial.contributor, trial.places)
     store.rules.replace_all(trial.contributor, trial.rules)
     for segment in trial.segments:

@@ -100,7 +100,7 @@ STORE_ROUTE_CLASSES = {
     "POST /api/migrate/install": CLASS_REPLICATION,
     "POST /api/migrate/fence": CLASS_CONTROL,
     "POST /api/migrate/complete": CLASS_CONTROL,
-    "POST /api/membership/set": CLASS_CONTROL,
+    "POST /api/enroll": CLASS_CONTROL,
     "POST /api/recovery": CLASS_CONTROL,
     "POST /api/health": CLASS_CONTROL,
     "POST /api/promote": CLASS_CONTROL,

@@ -4,8 +4,8 @@ Exposes the broker's HTTP API:
 
 * consumer account registration and login;
 * contributor listing and *adding contributors to a consumer's account*,
-  which auto-registers the consumer at each contributor's remote data
-  store, obtains an API key there, and escrows it (Section 5.4);
+  which enrolls the consumer at each contributor's remote data store,
+  obtains an API key there, and escrows it (Section 5.4);
 * contributor search over synced privacy rules;
 * the rule-sync endpoint remote data stores push profiles to;
 * study management (group/study names usable in Consumer conditions);
@@ -30,7 +30,10 @@ from repro.broker.sync import SyncManager
 from repro.exceptions import (
     AuthorizationError,
     BadRequestError,
+    ConflictError,
     NotFoundError,
+    SensorSafeError,
+    ServiceError,
 )
 from repro.net.client import HttpClient
 from repro.net.http import Request, Router
@@ -112,7 +115,7 @@ class BrokerService:
         """Pair with a :class:`DataStoreService`: exchange keys, wire sync.
 
         The exchange is mutual: the broker obtains a key at the store (for
-        profile pulls and membership pushes) and the store obtains a key
+        profile pulls and consumer enrollment) and the store obtains a key
         at the broker (for eager rule-sync pushes over the network).  With
         ``eager_sync=False`` the store never pushes and the broker relies
         on :meth:`pull_profiles` — the lazy mode of the C5 ablation.
@@ -158,12 +161,15 @@ class BrokerService:
         first (re-issuing the broker's key there), then every contributor
         on that host is re-pulled: rule versions are monotonic, so the
         newer side — including a recovery's fail-closed deny state, which
-        carries a bumped version — wins on both ends.
+        carries a bumped version — wins on both ends.  Then every consumer
+        escrowed there is re-enrolled for a fresh key; a failed pull or
+        enrollment counts in ``failed``.
         """
+        host = store_service.host
         self.attach_store(store_service, eager_sync=True)
-        return self.sync.reconcile_host(
-            self.client, store_service.host, self.store_keys
-        )
+        out = self.sync.reconcile_host(self.client, host, self.store_keys)
+        out["failed"] += self.enroll_escrowed(host, host)[1]
+        return out
 
     def attach_replica_set(self, primary, replicas, **kwargs):
         """Pair a primary and its replicas, wiring WAL shipping + failover.
@@ -184,30 +190,70 @@ class BrokerService:
     def _membership(self, consumer: str) -> frozenset:
         return frozenset({consumer}) | self.studies.studies_of_consumer(consumer)
 
-    def add_contributors_to_account(self, consumer: str, contributors) -> dict:
-        """Auto-register ``consumer`` at each contributor's store.
+    def enroll(self, consumer: str, host: str, joining: str = "") -> None:
+        """The one way a consumer comes to exist at a store.
 
-        Returns ``{contributor: store host}``.  Keys obtained from the
-        stores go into escrow; membership (study names) is propagated so
-        the stores resolve group-based Consumer conditions identically.
+        ``/api/enroll`` writes its role record with its groups (plus the
+        study it is ``joining``, which the broker records only afterwards);
+        the key it answers is escrowed only once the request has succeeded.
+        """
+        groups = set(self._membership(consumer) - {consumer})
+        if joining:
+            groups.add(joining)
+        body = self.client.with_key(self.store_keys.get(host)).post(
+            f"https://{host}/api/enroll",
+            {"Consumer": consumer, "Groups": sorted(groups)},
+        )
+        self.escrow.store_key(consumer, host, str(body["ApiKey"]))
+
+    def enroll_escrowed(self, source: str, host: str) -> tuple:
+        """Enroll at ``host`` every consumer escrowed at ``source``, skipping
+        any the store refuses or is unreachable for: ``(enrolled, failed)``."""
+        enrolled = failed = 0
+        for consumer in self.escrow.consumers_for(source):
+            try:
+                self.enroll(consumer, host)
+                enrolled += 1
+            except SensorSafeError:
+                failed += 1
+        return enrolled, failed
+
+    def _enroll_joining(self, consumer: str, study: str) -> None:
+        """Enroll ``consumer`` in ``study`` at every store where it holds a
+        key and a contributor is routed, before the broker records it.
+
+        A store may so hold a group the broker lacks, never the reverse
+        (which would lift a group deny there).  Every store is tried; if
+        any failed the request fails 503, nothing is recorded, and the
+        client's retry finishes it.  A demoted primary serves no one and
+        takes the row from its primary's log if it rejoins.
+        """
+        routed = {record.host for record in self.registry.all()}
+        failed = []
+        for host in sorted(self.escrow.ring_of(consumer)):
+            if host not in routed:
+                continue
+            try:
+                self.enroll(consumer, host, joining=study)
+            except SensorSafeError:
+                failed.append(host)
+        if failed:
+            raise ServiceError(
+                f"{consumer!r} could not be enrolled in {study!r} at {failed}",
+                status=503,
+            )
+
+    def add_contributors_to_account(self, consumer: str, contributors) -> dict:
+        """Enroll ``consumer`` at each contributor's store it has no key for.
+
+        Returns ``{contributor: store host}``; the keys go into escrow.
         """
         out = {}
-        groups = sorted(self._membership(consumer) - {consumer})
         for name in contributors:
-            record = self.registry.get(name)
-            if self.escrow.key_for(consumer, record.host) is None:
-                body = self.client.post(
-                    f"https://{record.host}/api/register",
-                    {"Username": consumer, "Role": ROLE_CONSUMER},
-                )
-                self.escrow.store_key(consumer, record.host, str(body["ApiKey"]))
-                broker_key = self.store_keys.get(record.host)
-                if broker_key is not None:
-                    self.client.with_key(broker_key).post(
-                        f"https://{record.host}/api/membership/set",
-                        {"Consumer": consumer, "Groups": groups},
-                    )
-            out[name] = record.host
+            host = self.registry.get(name).host
+            if self.escrow.key_for(consumer, host) is None:
+                self.enroll(consumer, host)
+            out[name] = host
         return out
 
     # ------------------------------------------------------------------
@@ -364,12 +410,17 @@ class BrokerService:
         study = str(request.body.get("Study", ""))
         if not study:
             raise BadRequestError("study creation needs a Study name")
+        if study in self.studies.studies():
+            raise ConflictError(f"study already exists: {study!r}")
+        self._enroll_joining(consumer, study)
         self.studies.create(study, coordinators=[consumer])
         return {"Study": study, "Coordinators": [consumer]}
 
     def _h_studies_join(self, request: Request) -> dict:
         consumer = self._require_consumer(request)
         study = str(request.body.get("Study", ""))
+        self.studies.coordinators_of(study)  # 404 before any store hears of it
+        self._enroll_joining(consumer, study)
         self.studies.add_coordinator(study, consumer)
         return {"Study": study, "Joined": consumer}
 

@@ -15,7 +15,7 @@ Section 1).  It exposes:
 
 Authentication: API keys in HTTPS POST bodies (Section 5.4).  The broker
 itself authenticates with a dedicated key issued at pairing time; only the
-broker may read rule snapshots or set consumer group memberships.
+broker may read rule snapshots or enroll a consumer (with its groups).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import (
     AuthorizationError,
     BadRequestError,
+    ConflictError,
     NotFoundError,
     NotPrimaryError,
     SensorSafeError,
@@ -190,7 +191,7 @@ class DataStoreService:
         self.enforce_closure = enforce_closure
         self.roles: dict[str, str] = {}
         self.places: dict[str, dict] = {}  # contributor -> {label: LabeledPlace}
-        self.memberships: dict[str, frozenset] = {}  # consumer -> groups/studies
+        self.memberships: dict[str, frozenset] = {}  # enrolled consumer -> groups
         #: Observers called with a :class:`ReleaseEvent` after every
         #: engine-mediated release.  Guards must not mutate anything; a
         #: guard raising aborts the request (fail closed, nothing leaks).
@@ -437,17 +438,36 @@ class DataStoreService:
 
     def register_contributor(self, name: str, password: str = "pw") -> str:
         """Register a data owner; returns their API key."""
+        if self.roles.get(name, ROLE_CONTRIBUTOR) != ROLE_CONTRIBUTOR:
+            raise ConflictError(f"{name!r} is registered here as {self.roles[name]!r}")
         self.accounts.register(name, password, ROLE_CONTRIBUTOR)
         self._assign(records.OP_ROLE, {"Principal": name, "Role": ROLE_CONTRIBUTOR})
         self.rules.register(name)
         self.places.setdefault(name, {})
         return self.keys.issue(name)
 
-    def register_consumer(self, name: str, password: str = "pw") -> str:
-        """Register a data consumer; returns their API key."""
-        self.accounts.register(name, password, ROLE_CONSUMER)
-        self._assign(records.OP_ROLE, {"Principal": name, "Role": ROLE_CONSUMER})
-        return self.keys.issue(name)
+    def register_consumer(self, name: str, groups=()) -> str:
+        """Enroll a consumer (the broker's ``/api/enroll``); returns its key.
+
+        Its role record gains ``Groups``, which is what makes the store
+        vouch for it.  Groups only add up (a study has no leave; dropping a
+        recovered one would lift a group deny), and a key is issued only
+        when there is none, so a late study join rotates nothing.  The
+        account's password is the constant ``"pw"``: a consumer reaches a
+        store with its escrowed key.
+        """
+        if self.roles.get(name, ROLE_CONSUMER) != ROLE_CONSUMER:
+            raise ConflictError(
+                f"{name!r} is registered here as {self.roles[name]!r}"
+            )
+        if self.accounts.get(name) is None:
+            self.accounts.register(name, "pw", ROLE_CONSUMER)
+        groups = self.memberships.get(name, frozenset()).union(groups)
+        self._assign(
+            records.OP_ROLE,
+            {"Principal": name, "Role": ROLE_CONSUMER, "Groups": sorted(groups)},
+        )
+        return self.keys.key_of(name) or self.keys.issue(name)
 
     def set_places(self, contributor: str, places: dict) -> None:
         """Replace a contributor's labeled places (install + journal + sync).
@@ -511,15 +531,6 @@ class DataStoreService:
     def _authenticate(self, request: Request) -> str:
         return self.keys.authenticate(request.api_key)
 
-    def _require_contributor(self, request: Request, contributor: str) -> None:
-        principal = self._authenticate(request)
-        if principal != contributor:
-            raise AuthorizationError(
-                f"principal {principal!r} may not act for contributor {contributor!r}"
-            )
-        if self.roles.get(principal) != ROLE_CONTRIBUTOR:
-            raise AuthorizationError(f"{principal!r} is not a data contributor")
-
     def _known_contributor(self, request: Request) -> str:
         """The ``Contributor`` named: resident here (else 409), registered (else 404)."""
         contributor = str(request.body.get("Contributor", ""))
@@ -548,16 +559,26 @@ class DataStoreService:
     def _caller_owner(self, request: Request) -> tuple:
         """The named ``Contributor``'s own key, and they are resident here."""
         contributor = str(request.body.get("Contributor", ""))
-        self._require_contributor(request, contributor)
+        principal = self._authenticate(request)
+        if principal != contributor:
+            raise AuthorizationError(
+                f"principal {principal!r} may not act for contributor {contributor!r}"
+            )
+        if self.roles.get(principal) != ROLE_CONTRIBUTOR:
+            raise AuthorizationError(f"{principal!r} is not a data contributor")
         self._require_resident(contributor)
         return (contributor,)
 
     def _caller_reader(self, request: Request) -> tuple:
-        """Primary only; any valid key; ``Contributor`` named, resident, known."""
+        """Primary only; the owner's key or an enrolled consumer's (its
+        role record carries its groups); ``Contributor`` named, resident, known."""
         self._require_writable()  # replicas serve no reads either
         principal = self._authenticate(request)
-        if request.body.get("Contributor", "") == "":
+        contributor = request.body.get("Contributor", "")
+        if contributor == "":
             raise BadRequestError(f"{request.path} needs a Contributor")
+        if principal != contributor and principal not in self.memberships:
+            raise AuthorizationError(f"{principal!r} is not a consumer enrolled here")
         return principal, self._known_contributor(request)
 
     def _membership(self, consumer: str) -> frozenset:
@@ -721,24 +742,24 @@ class DataStoreService:
 
     @_route("POST", "/api/register", caller="open")
     def _h_register(self, request: Request) -> dict:
-        """Open registration endpoint.
+        """Open contributor registration.
 
-        Consumers are registered here by the broker on their behalf (the
-        paper: "the registration process is automatically handled by the
-        broker"); contributors register once at store setup.  ``open``, not
-        ``writes``: it refuses on a replica itself and never shipped under the ack.
+        Contributors register once at store setup; consumers are enrolled
+        by the broker (``/api/enroll``).  ``open``, not ``writes``: it
+        refuses on a replica itself and is not shipped under its ack, as
+        ``repoint_contributor`` re-registers on a promoted store (keys are
+        never replicated).
         """
         self._require_writable()
         body = request.body
         name = body.get("Username")
         role = body.get("Role")
-        if not name or role not in (ROLE_CONTRIBUTOR, ROLE_CONSUMER):
-            raise BadRequestError("registration needs Username and Role")
+        if role == ROLE_CONSUMER:
+            raise AuthorizationError("consumers are enrolled by the paired broker")
+        if not name or role != ROLE_CONTRIBUTOR:
+            raise BadRequestError("registration needs a Username and Role contributor")
         password = str(body.get("Password", "pw"))
-        if role == ROLE_CONTRIBUTOR:
-            key = self.register_contributor(str(name), password)
-        else:
-            key = self.register_consumer(str(name), password)
+        key = self.register_contributor(str(name), password)
         return {"ApiKey": key, "Host": self.host}
 
     @_route("POST", "/api/upload", caller="owner", writes=True)
@@ -909,13 +930,15 @@ class DataStoreService:
         """Broker-only: rules + places snapshot for contributor search."""
         return self._profile_json(self._known_contributor(request))
 
-    @_route("POST", "/api/membership/set", caller="broker")
-    def _h_membership_set(self, request: Request) -> dict:
-        """Broker-only: which groups/studies a consumer belongs to."""
+    @_route("POST", "/api/enroll", caller="broker", writes=True)
+    def _h_enroll(self, request: Request) -> dict:
+        """Broker-only: enroll a consumer with its groups; answers its key."""
         consumer = str(request.body.get("Consumer", ""))
-        groups = frozenset(str(g) for g in request.body.get("Groups", []))
-        self.memberships[consumer] = groups
-        return {"Consumer": consumer, "Groups": sorted(groups)}
+        groups = request.body.get("Groups", [])
+        if not consumer or not isinstance(groups, list):
+            raise BadRequestError("enrollment needs a Consumer and a list of Groups")
+        key = self.register_consumer(consumer, groups=map(str, groups))
+        return {"ApiKey": key, "Host": self.host}
 
     @_route("POST", "/api/aggregate", caller="reader")
     def _h_aggregate(self, request: Request, principal: str, contributor: str) -> dict:

@@ -1,10 +1,10 @@
 """The store's log vocabulary: six record kinds, one dumper, one installer.
 
 Everything a data store must not lose — segments, privacy rules, labeled
-places, principal roles, the audit trail — travels as ``(op, data)``
-records: WAL payloads, snapshot rows, shipped replica frames, resync
-bootstraps and migration batches are all the same six shapes.  This
-module owns them:
+places, principal roles (a consumer's groups ride its role), the audit
+trail — travels as ``(op, data)`` records: WAL payloads, snapshot rows,
+shipped replica frames, resync bootstraps and migration batches are all
+the same six shapes.  This module owns them:
 
 * the op names and :data:`CONTROL_OPS`, the force-synced set;
 * :func:`dump` — live state as records, optionally one contributor range
@@ -97,7 +97,11 @@ def dump_op(service, op: str, contributors=None) -> Iterator[dict]:
     if op == OP_ROLE:
         for principal, role in sorted(service.roles.items()):
             if moving(principal):
-                yield {"Principal": principal, "Role": role}
+                # Groups only where installed: other rows keep their bytes.
+                data = {"Principal": principal, "Role": role}
+                if principal in service.memberships:
+                    data["Groups"] = sorted(service.memberships[principal])
+                yield data
     elif op == OP_SEGMENT:
         for contributor in filter(moving, service.store.contributors()):
             for segment in service.store.segments_of(contributor):
@@ -168,6 +172,9 @@ def apply(
     Places move the store-wide rules epoch, exactly as an installed rule
     set does: they feed rule semantics, so decisions cached and artifacts
     compiled under the old places must become unreachable.
+
+    A role record is its principal's complete state, groups included; a
+    consumer row without ``Groups`` is one the store cannot vouch for.
     """
     if op == OP_SEGMENT:
         service.store.restore_segment(WaveSegment.from_json(data))
@@ -192,7 +199,12 @@ def apply(
         service.rules.rules_version += 1
         count = len(places)
     elif op == OP_ROLE:
-        service.roles[str(data["Principal"])] = str(data["Role"])
+        principal = str(data["Principal"])
+        service.roles[principal] = str(data["Role"])
+        if "Groups" in data:
+            service.memberships[principal] = frozenset(map(str, data["Groups"]))
+        else:
+            service.memberships.pop(principal, None)
         count = 1
     elif op == OP_AUDIT:
         count = service.audit.restore([AuditRecord.from_json(data)])

@@ -270,8 +270,8 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     and fails closed for rules per the module-docstring matrix.  On an
     undamaged directory — with or without a manifest and a WAL — that is
     a plain reload.  Principals' API keys are *not* restored: keys are
-    re-issued after a restart (a deliberate rotation; stale clients
-    re-register through the broker escrow), so key material never sits in
+    re-issued after a restart (a deliberate rotation; the broker
+    re-enrolls consumers and escrows their new keys), so key material never sits in
     the same snapshot as the data it protects.  Rules install through
     ``restore``, which fires no sync listeners: the broker already has
     this state.
@@ -423,7 +423,7 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     # 6. Fail closed for rules.
     # ------------------------------------------------------------------
     if rules_untrusted or places_untrusted or wal_untrusted:
-        for contributor in _known_contributors(service):
+        for contributor in _known_contributors(service, scan.suspect):
             if (
                 not wal_untrusted
                 and (not rules_untrusted or contributor in wal_clean_rules)
@@ -462,15 +462,15 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     return report
 
 
-def _known_contributors(service) -> list:
-    """Every contributor this store has any trace of, from every source."""
-    names = set(service.rules.contributors())
-    names.update(service.places)
-    names.update(service.store.contributors())
-    names.update(service.audit.contributors())
+def _known_contributors(service, suspect) -> list:
+    """Every contributor this store has any trace of, from every source,
+    the records past a WAL corruption (``suspect``) included."""
+    names = {record_owner(op, data) for op, data in suspect if op != OP_ROLE}
     names.update(
-        principal
-        for principal, role in service.roles.items()
-        if role == ROLE_CONTRIBUTOR
+        service.rules.contributors(),
+        service.places,
+        service.store.contributors(),
+        service.audit.contributors(),
+        (principal for principal, role in service.roles.items() if role == ROLE_CONTRIBUTOR),
     )
-    return sorted(names)
+    return sorted(names - {""})

@@ -131,6 +131,9 @@ class WalScan:
     torn_bytes: int = 0  # benign trailing bytes from an in-flight append
     corrupt_offset: Optional[int] = None  # first untrustworthy byte, if any
     corrupt_reason: str = ""
+    #: ``(op, data)`` of checksum-intact frames past a corruption: never
+    #: replayed, but evidence of whom the lost records named.
+    suspect: list = field(default_factory=list)
 
     @property
     def torn(self) -> bool:
@@ -196,6 +199,13 @@ def scan_wal(path: str) -> WalScan:
         scan.good_bytes = offset
         scan.chain = chain_prev
         scan.next_lsn = last_lsn + 1
+    while scan.corrupt and offset + HEADER_SIZE <= len(data):
+        end = offset + HEADER_SIZE + _HEADER.unpack_from(data, offset)[0]
+        try:  # best effort: a flipped length loses the frames it skips
+            scan.suspect.append(decode_payload(decode_frame(data[offset:end])[2]))
+        except CorruptRecordError:
+            pass
+        offset = end
     return scan
 
 

@@ -70,16 +70,3 @@ class TestLogin:
         reg = AccountRegistry()
         reg.register("alice", "pw", ROLE_CONTRIBUTOR)
         assert reg.login("alice", "pw") != reg.login("alice", "pw")
-
-
-class TestGroups:
-    def test_principals_include_groups(self):
-        reg = AccountRegistry()
-        reg.register("bob", "pw", ROLE_CONSUMER)
-        reg.set_groups("bob", {"stress-study"})
-        assert reg.get("bob").principals() == frozenset({"bob", "stress-study"})
-
-    def test_set_groups_unknown_account(self):
-        reg = AccountRegistry()
-        with pytest.raises(AuthenticationError):
-            reg.set_groups("ghost", {"g"})

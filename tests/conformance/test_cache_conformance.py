@@ -21,6 +21,7 @@ from repro.datastore.query import DataQuery
 from repro.net import wire
 from repro.net.transport import Network
 from repro.server.datastore_service import DataStoreService
+from repro.storage import records
 
 HOST = "twin-store"
 
@@ -28,9 +29,9 @@ HOST = "twin-store"
 def load_trial(service, trial):
     """Install one trial's rules/segments/memberships/places."""
     service.register_contributor(trial.contributor)
-    key = service.register_consumer(trial.consumer)
-    for name, groups in trial.memberships.items():
-        service.memberships[name] = frozenset(groups)
+    key = service.register_consumer(
+        trial.consumer, groups=trial.memberships.get(trial.consumer, ())
+    )
     service.set_places(trial.contributor, trial.places)
     service.rules.replace_all(trial.contributor, trial.rules)
     for segment in trial.segments:
@@ -88,8 +89,15 @@ class TwinDriver:
             )
             group = rng.choice(("study-x", "cardiology", "labmates"))
             groups.symmetric_difference_update({group})
+            # A complete role row, as a primary ships it: the toggle takes
+            # a group away as well as adding one.
+            row = {
+                "Principal": self.trial.consumer,
+                "Role": "consumer",
+                "Groups": sorted(groups),
+            }
             for service in self.services:
-                service.memberships[self.trial.consumer] = frozenset(groups)
+                records.apply(service, records.OP_ROLE, row, journal=False)
             return
         elif kind == "places":
             labels = sorted(self.trial.places)
@@ -209,12 +217,8 @@ def test_recovery_boundary_preserves_byte_identity(tmp_path):
         # Recovery wholesale-invalidates: nothing cached may survive the
         # boundary (entries were keyed to the dead process's epochs).
         assert len(restarted[0].release_cache) == 0
-        # Memberships are session state (not journaled); reinstall them
-        # identically so the twins stay comparable.
-        for service in restarted:
-            for name, groups in trial.memberships.items():
-                service.memberships[name] = frozenset(groups)
-        # API keys are session state; restored roles let us re-issue.
+        # API keys are session state; restored roles (groups included)
+        # let us re-issue.
         keys2 = [s.keys.issue(trial.consumer) for s in restarted]
         driver2 = TwinDriver(trial, restarted, keys2)
         driver2.current_rules = list(driver.current_rules)

@@ -78,10 +78,10 @@ class TestStudies:
         assert len(carol.fetch("alice")) == 1
 
     def test_membership_propagates_at_registration_time(self, wired):
-        """Groups are pushed to the store when the consumer is registered
-        there, so the store resolves study-scoped rules identically."""
+        """Groups ride the role row the broker enrolls the consumer with,
+        so the store resolves study-scoped rules identically."""
         system, alice, bob = wired
         bob.create_study("team")
         bob.add_contributors(["alice"])
         store = system.stores["alice-store"]
-        assert "team" in store.memberships["bob"]
+        assert store._membership("bob") == {"bob", "team"}

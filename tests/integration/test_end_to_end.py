@@ -4,6 +4,7 @@ data paths, and the architectural invariants of Fig. 1."""
 import pytest
 
 from repro.datastore.query import DataQuery
+from repro.exceptions import AuthorizationError
 from repro.rules.model import ALLOW, Rule
 from repro.util.timeutil import Interval
 
@@ -96,14 +97,13 @@ class TestOwnershipBoundaries:
         carol = system.add_contributor("carol", store=store)
         alice.upload_segments([make_segment(contributor="alice", n=8)])
         alice.flush()
-        # Carol queries Alice's data on the same store: she is treated as
-        # a consumer, so default deny applies.
-        body = carol.client.post(
-            "https://shared-store/api/query",
-            {"Contributor": "alice", "Query": DataQuery().to_json()},
-        )
-        assert body["Raw"] is False
-        assert released_pieces(body) == []
+        # Carol queries Alice's data on the same store: she is not a
+        # consumer the broker enrolled, so the store refuses to evaluate.
+        with pytest.raises(AuthorizationError, match="enrolled"):
+            carol.client.post(
+                "https://shared-store/api/query",
+                {"Contributor": "alice", "Query": DataQuery().to_json()},
+            )
 
     def test_rules_are_per_owner_on_shared_stores(self, system):
         store = system.create_store("shared-store")

@@ -1,5 +1,5 @@
 """Tier-1 guard: one installer, one snapshot writer, one journal sync-class
-site, one wholesale drop.
+site, one wholesale drop, and no store state nobody classified.
 
 ``repro.storage.records.apply`` is the only code that installs a log
 record into a live data store service, ``write_snapshot`` the only code
@@ -9,6 +9,12 @@ only caller of ``invalidate_decisions``.  A new log-fed path (read-serving repli
 provenance stamps, …) that hand-rolls any of these would be a second
 idea of when a rule set wins, what is force-synced, or when a cached
 decision dies — so it fails ``pytest`` here, not a review.
+
+Every attribute ``DataStoreService.__init__`` assigns is classified in
+:data:`INVENTORY`: state a restart, a replica and a migration must not
+lose has to be *record-backed*.  A consumer's groups once lived in an
+unclassified, unjournaled dict, and a group-scoped deny did not survive a
+restart; an attribute added without a line here fails the build.
 """
 
 import ast
@@ -21,9 +27,12 @@ SNAPSHOT_WRITER = ("storage/durability.py", "write_snapshot")
 JOURNAL = ("storage/durability.py", "journal")
 WHOLESALE_DROP = "storage/recovery.py"
 
-#: Files that index a ``roles``/``places`` attribute of something that is
-#: not a data store service.
+#: Files that index a ``roles``/``places``/``memberships`` attribute of
+#: something that is not a data store service.
 NOT_A_STORE = {"baselines/centralized.py"}
+
+#: Dict methods that change a consumer's groups without an index.
+MUTATORS = ("pop", "popitem", "update", "clear", "setdefault")
 
 
 def _modules():
@@ -41,7 +50,9 @@ def _state_installs(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                if isinstance(target, ast.Subscript) and _attr(target.value, "places", "roles"):
+                if isinstance(target, ast.Subscript) and _attr(
+                    target.value, "places", "roles", "memberships"
+                ):
                     yield node.lineno, f"assigns .{target.value.attr}[...]"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             func = node.func
@@ -49,6 +60,8 @@ def _state_installs(tree):
                 yield node.lineno, f"calls .{func.attr}()"
             elif func.attr == "restore" and _attr(func.value, "rules", "audit"):
                 yield node.lineno, f"calls .{func.value.attr}.restore()"
+            elif func.attr in MUTATORS and _attr(func.value, "memberships"):
+                yield node.lineno, f"calls .memberships.{func.attr}()"
 
 
 def test_only_the_installer_assigns_log_fed_state():
@@ -67,13 +80,12 @@ def test_the_guard_sees_what_it_guards():
     """The walk is not vacuous: the installer itself trips every pattern."""
     installer = dict(_modules())[INSTALLER]
     seen = {what for _, what in _state_installs(installer)}
-    assert seen == {
-        "assigns .places[...]",
-        "assigns .roles[...]",
+    assert seen == {f"assigns .{table}[...]" for table in ("places", "roles", "memberships")} | {
         "calls .rules.restore()",
         "calls .audit.restore()",
         "calls .restore_segment()",
         "calls .remove_segment()",
+        "calls .memberships.pop()",
     }
 
 
@@ -123,3 +135,67 @@ def test_recovery_is_the_only_wholesale_drop():
         if isinstance(node, ast.Call) and _attr(node.func, "invalidate_decisions")
     ]
     assert callers == [WHOLESALE_DROP]
+
+
+RECORD_BACKED, DERIVED, EPHEMERAL = "record-backed", "derived", "ephemeral by decision"
+
+#: What each attribute ``DataStoreService.__init__`` assigns is, and why.
+INVENTORY = {
+    "host": (EPHEMERAL, "configuration: the constructor is given it at every start"),
+    "network": (EPHEMERAL, "configuration: the process's transport"),
+    "institution": (EPHEMERAL, "configuration: given at every start"),
+    "directory": (EPHEMERAL, "configuration: where the records live"),
+    "enforce_closure": (EPHEMERAL, "configuration: given at every start"),
+    "role": (EPHEMERAL, "the broker re-asserts it: promote, demote, rejoin"),
+    "epoch": (EPHEMERAL, "the fencing token the broker re-asserts with the role"),
+    "replication": (EPHEMERAL, "the shipper, wired by the broker at pairing"),
+    "_applier": (EPHEMERAL, "the replica side of shipping, made on first frame"),
+    "store": (RECORD_BACKED, "segment and segment_delete records"),
+    "rules": (RECORD_BACKED, "rules records"),
+    "keys": (EPHEMERAL, "keys rotate at restart; the broker re-enrolls and re-pairs"),
+    "accounts": (EPHEMERAL, "login material; re-made at registration and enrollment"),
+    "audit": (RECORD_BACKED, "audit records"),
+    "roles": (RECORD_BACKED, "role records"),
+    "places": (RECORD_BACKED, "places records"),
+    "memberships": (RECORD_BACKED, "the Groups of a consumer's role record"),
+    "release_guards": (EPHEMERAL, "observers a harness attaches; hold no state"),
+    "_broker_push": (EPHEMERAL, "the eager-sync hook, re-wired at pairing"),
+    "fail_closed": (DERIVED, "flags a journaled empty rule set; losing it keeps the deny"),
+    "moved_out": (EPHEMERAL, "a restarted source forgets its fence (ROADMAP item 1)"),
+    "release_cache": (DERIVED, "cached releases, keyed by every input"),
+    "compiled_rules": (DERIVED, "compiled rule artifacts, keyed by the rules epoch"),
+    "durability": (EPHEMERAL, "the handle on the directory, reopened at start"),
+    "recovery_report": (DERIVED, "what the last open found on disk"),
+    "router": (DERIVED, "the routes the _route declarations mount"),
+    "admission": (DERIVED, "the overload gate over the router, from configuration"),
+}
+
+
+def _init_assignments():
+    tree = dict(_modules())["server/datastore_service.py"]
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DataStoreService"]
+    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    return {
+        leaf.attr
+        for node in ast.walk(init)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for leaf in ast.walk(target)  # ``self.a, self.b = ...`` names two
+        if isinstance(leaf, ast.Attribute) and getattr(leaf.value, "id", "") == "self"
+    }
+
+
+def test_every_store_attribute_is_classified():
+    assert _init_assignments() == set(INVENTORY), (
+        "classify each DataStoreService attribute in INVENTORY"
+    )
+    assert {kind for kind, _ in INVENTORY.values()} == {RECORD_BACKED, DERIVED, EPHEMERAL}
+    assert all(reason for _, reason in INVENTORY.values())
+
+
+def test_record_backed_state_is_the_installer_s():
+    """A record-backed attribute is one the one installer writes."""
+    installer = (SRC / INSTALLER).read_text(encoding="utf-8")
+    for name, (kind, _) in INVENTORY.items():
+        if kind == RECORD_BACKED:
+            assert f"service.{name}" in installer, name

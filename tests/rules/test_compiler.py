@@ -45,6 +45,7 @@ from repro.rules.compiler import (
 )
 from repro.rules.model import Action, Rule
 from repro.server.datastore_service import DataStoreService
+from repro.storage import records
 from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LatLon, PolygonRegion
 from repro.util.timeutil import Interval, RepeatedTime, TimeCondition
@@ -439,9 +440,9 @@ def test_cache_capacity_evicts_lru():
 
 def _load(service, trial):
     service.register_contributor(trial.contributor)
-    key = service.register_consumer(trial.consumer)
-    for name, groups in trial.memberships.items():
-        service.memberships[name] = frozenset(groups)
+    key = service.register_consumer(
+        trial.consumer, groups=trial.memberships.get(trial.consumer, ())
+    )
     service.set_places(trial.contributor, trial.places)
     service.rules.replace_all(trial.contributor, trial.rules)
     for segment in trial.segments:
@@ -513,7 +514,10 @@ def test_twin_stores_agree_under_random_interleavings():
                 trial = replace(
                     trial, memberships={trial.consumer: frozenset(groups)}
                 )
-                service.memberships[trial.consumer] = frozenset(groups)
+                # A complete role row, as a primary ships it: the toggle
+                # takes a group away as well as adding one.
+                row = {"Principal": trial.consumer, "Role": "consumer", "Groups": sorted(groups)}
+                records.apply(service, records.OP_ROLE, row, journal=False)
         _assert_served_fresh(service, key, trial, query)
         comparisons += 1
     assert comparisons >= 80
@@ -561,9 +565,9 @@ def test_recovery_invalidates_compiled_artifacts(tmp_path):
     )
     # Recovery's sweep emptied the cache; the epoch also moved (restore).
     assert len(restarted.compiled_rules) == 0
-    for name, groups in trial.memberships.items():
-        restarted.memberships[name] = frozenset(groups)
-    key2 = restarted.keys.issue(trial.consumer)
+    # The consumer's groups came back with its role row: re-enrolling
+    # issues a key and clears none of them.
+    key2 = restarted.register_consumer(trial.consumer)
     _assert_served_fresh(restarted, key2, trial, query)
 
 

@@ -306,11 +306,13 @@ class TestBrokerPairing:
         network, service, _, _ = setup
         broker_key = service.pair_broker()
         broker = HttpClient(network, "broker", broker_key)
-        broker.post(
-            "https://store/api/membership/set",
+        body = broker.post(
+            "https://store/api/enroll",
             {"Consumer": "bob", "Groups": ["stress-study"]},
         )
-        assert service.memberships["bob"] == frozenset({"stress-study"})
+        assert service._membership("bob") == {"bob", "stress-study"}
+        # bob was enrolled by the fixture: his key is answered, not rotated
+        assert body["ApiKey"] == service.keys.key_of("bob")
 
     def test_rule_change_pushes_profile(self, setup):
         _, service, alice, _ = setup

@@ -12,6 +12,7 @@ from repro.net import wire
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule, abstraction
 from repro.server.datastore_service import DataStoreService
+from repro.storage import records
 from repro.util import jsonutil
 
 from tests.conftest import MONDAY, make_segment, released_pieces
@@ -199,15 +200,18 @@ class TestInvalidation:
         service.rules.replace_all(
             "alice", [Rule(consumers=("study-x",), action=ALLOW, rule_id="r-grp")]
         )
-        service.memberships["bob"] = frozenset({"study-x"})
+        service.register_consumer("bob", groups=["study-x"])
         granted = query(service, bob_key)
         assert released_pieces(granted)
-        service.memberships["bob"] = frozenset()
+        # Enrollment only adds groups; a role row (as a primary ships it)
+        # is complete state, so one can take a group away again.
+        bob_row = {"Principal": "bob", "Role": "consumer", "Groups": []}
+        records.apply(service, records.OP_ROLE, bob_row, journal=False)
         denied = query(service, bob_key)
         assert released_pieces(denied) == []
         # Reverting membership restores the original decision inputs, so
         # the original entry is legitimately served again.
-        service.memberships["bob"] = frozenset({"study-x"})
+        service.register_consumer("bob", groups=["study-x"])
         resurrected = query(service, bob_key)
         assert canonical(resurrected) == canonical(granted)
         assert cache_counters(service)["hits"] == 1

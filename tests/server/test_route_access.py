@@ -37,6 +37,7 @@ WRITES = {
     "POST /api/rules/replace",
     "POST /api/places/set",
     "POST /api/delete",
+    "POST /api/enroll",
     "POST /api/migrate/install",
     "POST /api/migrate/complete",
 }
@@ -45,7 +46,8 @@ ALICE = {"Contributor": "alice"}
 
 #: One minimal body the right caller gets a 2xx for (the key is added).
 BODIES = {
-    "POST /api/register": {"Username": "dave", "Role": "consumer"},
+    "POST /api/register": {"Username": "dave", "Role": "contributor"},
+    "POST /api/enroll": {"Consumer": "dave", "Groups": ["study"]},
     "POST /api/upload": {**ALICE, "Segments": [make_segment(start_ms=MONDAY + 60_000).to_json()]},
     "POST /api/upload_packets": {
         **ALICE,
@@ -66,7 +68,6 @@ BODIES = {
     "POST /api/audit/summary": ALICE,
     "POST /api/profile": ALICE,
     "POST /api/profiles": {},
-    "POST /api/membership/set": {"Consumer": "bob", "Groups": ["study"]},
     "POST /api/migrate/export": {"Contributors": ["alice"]},
     "POST /api/migrate/install": {"Records": []},
     "POST /api/migrate/fence": {"Dest": "elsewhere", "Contributors": ["carol"]},
@@ -123,13 +124,13 @@ class Store:
             records.dump(service),
             {c: [r.to_json() for r in service.audit.trail_of(c)] for c in ("alice", "carol")},
             service.durability.wal.last_lsn,
-            (service.role, service.epoch, dict(service.moved_out), dict(service.memberships)),
+            (service.role, service.epoch, dict(service.moved_out)),
         )
 
-    def refused(self, name, key, status, kind=None):
+    def refused(self, name, key, status, kind=None, body=None):
         """Send, expect ``status`` — and a store that did not move."""
         before = self.state()
-        response = self.send(name, key)
+        response = self.send(name, key, body)
         assert response.status == status, (name, key, response.status, response.body)
         if kind is not None:
             assert response.body["ErrorKind"] == kind, (name, response.body)
@@ -160,7 +161,7 @@ class TestDeclarations:
         assert set(ROUTES) == set(STORE_ROUTE_CLASSES)
         assert len(ROUTES) == 31
 
-    def test_writes_is_exactly_the_ten_mutations_that_ship_under_their_ack(self):
+    def test_writes_is_exactly_the_ten_mutations_that_ship_under_their_ack_plus_enrollment(self):
         assert {name for name, route in ROUTES.items() if route.writes} == WRITES
 
     def test_every_route_has_a_body(self):
@@ -208,6 +209,29 @@ class TestRefusals:
         store.service.demote()
         assert store.send(name, "alice").status == 200
         store.refused(name, "bob", 403)
+
+    @pytest.mark.parametrize("username", ["bob", "study", "dave"])
+    def test_open_registration_enrolls_no_consumer(self, store, username):
+        """A consumer's name, a group's, or a new one: only the broker
+        enrolls a consumer, so nobody can claim one at ``/api/register``."""
+        body = {"Username": username, "Role": "consumer"}
+        for key in (None, "bob", "alice"):
+            store.refused("POST /api/register", key, 403, "AuthorizationError", body)
+
+    def test_enrollment_cannot_take_over_a_contributor(self, store):
+        body = {"Consumer": "alice", "Groups": ["study"]}
+        store.refused("POST /api/enroll", "broker", 409, "ConflictError", body)
+
+    @pytest.mark.parametrize("username", ["bob", "__broker__", "__primary__"])
+    def test_registration_cannot_take_over_another_role(self, store, username):
+        body = {"Username": username, "Role": "contributor"}
+        store.refused("POST /api/register", None, 409, "ConflictError", body)
+
+    @pytest.mark.parametrize(
+        "body", [{"Groups": ["study"]}, {"Consumer": "dave", "Groups": "study"}]
+    )
+    def test_enrollment_needs_a_consumer_and_a_list_of_groups(self, store, body):
+        store.refused("POST /api/enroll", "broker", 400, "BadRequestError", body)
 
     def test_reader_routes_need_a_named_known_contributor(self, store):
         for name in routes("reader"):

@@ -119,6 +119,27 @@ class TestFailClosed:
         )
         assert all(r.segment is None and not r.context_labels for r in released)
 
+    def test_a_contributor_named_only_past_the_break_fails_closed(self, tmp_path):
+        """The first frame is alice's role row: with it corrupt nothing
+        replays, but the intact frames after it still name her — she is
+        denied by default, not forgotten (a broker mirror keeps her)."""
+        from repro.storage.wal import HEADER_SIZE
+
+        service = populated(tmp_path)
+        service.durability.close()
+        path = wal_path(str(tmp_path), HOST)
+        with open(path, "r+b") as fh:
+            fh.seek(HEADER_SIZE + 2)
+            byte = fh.read(1)
+            fh.seek(HEADER_SIZE + 2)
+            fh.write(bytes([byte[0] ^ 1]))
+        service2 = durable_service(tmp_path)
+        report = service2.recovery_report
+        assert report.wal_corrupt and report.wal_records_replayed == 0
+        assert report.fail_closed == ["alice"]
+        assert service2.rules.contributors() == ["alice"]
+        assert service2.rules.rules_of("alice") == ()
+
     def test_rules_snapshot_flip_fails_closed(self, tmp_path):
         service = populated(tmp_path)
         service.checkpoint()
