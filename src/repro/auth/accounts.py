@@ -1,14 +1,16 @@
-"""Web-UI accounts: username/password login and sessions.
+"""Web-UI passwords: salted SHA-256 digests, and the broker's accounts.
 
 "Accesses to web user interfaces are authenticated by a login system using
-a username and a password" (Section 5.4).  Passwords are stored as salted
-SHA-256 digests; successful login returns an opaque session token the web
-UI presents on subsequent page requests.
+a username and a password" (Section 5.4).  A data store keeps a
+contributor's digest on its role record (:func:`credential`); the broker
+keeps its consumers' in an :class:`AccountRegistry`, whose login returns
+an opaque session token its web UI presents on later page requests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +24,17 @@ _ROLES = (ROLE_CONTRIBUTOR, ROLE_CONSUMER)
 
 def _hash_password(salt: str, password: str) -> str:
     return hashlib.sha256(f"{salt}\x1f{password}".encode("utf-8")).hexdigest()
+
+
+def credential(password: str, rng: DeterministicRng) -> dict:
+    """``{"Salt", "PasswordHash"}`` for ``password``, under a fresh salt."""
+    salt = f"salt-{rng.next_nonce()}"
+    return {"Salt": salt, "PasswordHash": _hash_password(salt, password)}
+
+
+def password_matches(salt: str, password_hash: str, password: str) -> bool:
+    """Does ``password`` hash, under ``salt``, to ``password_hash``?"""
+    return hmac.compare_digest(_hash_password(salt, password), password_hash)
 
 
 @dataclass
@@ -47,13 +60,8 @@ class AccountRegistry:
             raise ConflictError(f"unknown role {role!r}; expected one of {_ROLES}")
         if username in self._accounts:
             raise ConflictError(f"username already registered: {username!r}")
-        salt = f"salt-{self._rng.next_nonce()}"
-        account = Principal(
-            username=username,
-            role=role,
-            salt=salt,
-            password_hash=_hash_password(salt, password),
-        )
+        salted = credential(password, self._rng)
+        account = Principal(username, role, salted["Salt"], salted["PasswordHash"])
         self._accounts[username] = account
         return account
 
@@ -69,7 +77,7 @@ class AccountRegistry:
     def login(self, username: str, password: str) -> str:
         """Validate credentials and open a session; returns the token."""
         account = self._require(username)
-        if _hash_password(account.salt, password) != account.password_hash:
+        if not password_matches(account.salt, account.password_hash, password):
             raise AuthenticationError("bad username or password")
         token = hashlib.sha256(
             f"session\x1f{username}\x1f{self._rng.next_nonce()}".encode("utf-8")
@@ -85,6 +93,3 @@ class AccountRegistry:
         if username is None:
             raise AuthenticationError("invalid or expired session token")
         return self._require(username)
-
-    def logout(self, token: str) -> bool:
-        return self._sessions.pop(token, None) is not None

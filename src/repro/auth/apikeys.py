@@ -45,9 +45,6 @@ class ApiKeyRegistry:
     def key_of(self, principal: str) -> Optional[str]:
         return self._by_principal.get(principal)
 
-    def is_registered(self, principal: str) -> bool:
-        return principal in self._by_principal
-
     def authenticate(self, key: Optional[str]) -> str:
         """Return the principal owning ``key`` or raise 401."""
         if key is None:
@@ -56,14 +53,6 @@ class ApiKeyRegistry:
         if principal is None:
             raise AuthenticationError("invalid API key")
         return principal
-
-    def revoke(self, principal: str) -> bool:
-        """Revoke a principal's key; True if one existed."""
-        key = self._by_principal.pop(principal, None)
-        if key is None:
-            return False
-        del self._keys[key]
-        return True
 
 
 class KeyEscrow:
@@ -80,12 +69,6 @@ class KeyEscrow:
 
     def ring_of(self, consumer: str) -> dict:
         return dict(self._rings.get(consumer, {}))
-
-    def drop(self, consumer: str, host: Optional[str] = None) -> None:
-        if host is None:
-            self._rings.pop(consumer, None)
-        else:
-            self._rings.get(consumer, {}).pop(host, None)
 
     def consumers_for(self, host: str) -> list:
         """Consumers holding an escrowed key at ``host``, sorted.

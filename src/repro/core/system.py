@@ -277,10 +277,9 @@ class SensorSafeSystem:
         keys), but a contributor authenticates with a key issued by their
         own store — which just died.  The recovery step the runbook
         prescribes: ask the broker's directory for the current host and,
-        if it moved, register there for a fresh key.  Replicated rules
-        and data survive untouched (:meth:`RuleStore.register` is a
-        no-op for a known contributor); only the account/key material,
-        which is deliberately never replicated, is re-issued.
+        if it moved, re-key there with the owner's password, whose hash
+        rode the role record there by shipping or migration (a wrong one
+        is a 401).  Keys are never replicated; rules and data are untouched.
         """
         from repro.auth.accounts import ROLE_CONTRIBUTOR
 

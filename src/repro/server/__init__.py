@@ -1,8 +1,9 @@
 """The SensorSafe services: remote data stores and the broker.
 
 Both services follow the layered design of the paper's Fig. 2: every
-request passes the *user authentication* layer (API key for APIs, session
-token for web pages) before reaching the *query/privacy processing* layer,
+request passes the *user authentication* layer (an API key, which is also
+a store web page's token; a session token for the broker's pages) before
+reaching the *query/privacy processing* layer,
 which consults the rule engine and the underlying database.
 """
 

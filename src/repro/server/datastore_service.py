@@ -24,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
-from repro.auth.accounts import AccountRegistry, ROLE_CONSUMER, ROLE_CONTRIBUTOR
+from repro.auth.accounts import ROLE_CONSUMER, ROLE_CONTRIBUTOR, credential, password_matches
 from repro.auth.apikeys import ApiKeyRegistry
 from repro.datastore.cache import CacheEntry, ReleaseCache, ReleaseSummary, query_shape
 from repro.datastore.optimizer import MergePolicy
@@ -32,6 +32,7 @@ from repro.datastore.query import DataQuery, QueryResult
 from repro.datastore.segment_store import SegmentStore
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import (
+    AuthenticationError,
     AuthorizationError,
     BadRequestError,
     ConflictError,
@@ -186,12 +187,13 @@ class DataStoreService:
         # tracker anchors revocation latency to these timestamps.
         self.rules.set_clock(network.clock.now_ms)
         self.keys = ApiKeyRegistry(f"secret:{host}", rng.fork("keys"))
-        self.accounts = AccountRegistry(rng.fork("accounts"))
+        self._salts = rng.fork("salts")
         self.audit = AuditLog()
         self.enforce_closure = enforce_closure
         self.roles: dict[str, str] = {}
         self.places: dict[str, dict] = {}  # contributor -> {label: LabeledPlace}
         self.memberships: dict[str, frozenset] = {}  # enrolled consumer -> groups
+        self.credentials: dict[str, tuple] = {}  # contributor -> (salt, password hash)
         #: Observers called with a :class:`ReleaseEvent` after every
         #: engine-mediated release.  Guards must not mutate anything; a
         #: guard raising aborts the request (fail closed, nothing leaks).
@@ -437,14 +439,34 @@ class DataStoreService:
     # ------------------------------------------------------------------
 
     def register_contributor(self, name: str, password: str = "pw") -> str:
-        """Register a data owner; returns their API key."""
-        if self.roles.get(name, ROLE_CONTRIBUTOR) != ROLE_CONTRIBUTOR:
-            raise ConflictError(f"{name!r} is registered here as {self.roles[name]!r}")
-        self.accounts.register(name, password, ROLE_CONTRIBUTOR)
-        self._assign(records.OP_ROLE, {"Principal": name, "Role": ROLE_CONTRIBUTOR})
+        """Register a data owner, or re-key one; returns a fresh API key.
+
+        A new name's role record carries its salted password hash, so every
+        store the row reaches can check it.  A known owner is re-keyed only
+        for that password (:meth:`check_password`); another role's is 409.
+        """
+        role = self.roles.get(name)
+        if role is None:
+            salted = credential(password, self._salts)
+            self._assign(records.OP_ROLE, {"Principal": name, "Role": ROLE_CONTRIBUTOR, **salted})
+        elif role != ROLE_CONTRIBUTOR:
+            raise ConflictError(f"{name!r} is registered here as {role!r}")
+        else:
+            self.check_password(name, password)
         self.rules.register(name)
         self.places.setdefault(name, {})
         return self.keys.issue(name)
+
+    def check_password(self, name: str, password: str) -> None:
+        """401 unless ``password`` matches ``name``'s contributor role record.
+
+        Consumers, peers and rows written before rows carried a credential
+        have none, so they are refused alike.
+        """
+        salted = self.credentials.get(name)
+        is_owner = self.roles.get(name) == ROLE_CONTRIBUTOR and salted is not None
+        if not (is_owner and password_matches(*salted, password)):
+            raise AuthenticationError("bad username or password")
 
     def register_consumer(self, name: str, groups=()) -> str:
         """Enroll a consumer (the broker's ``/api/enroll``); returns its key.
@@ -452,16 +474,14 @@ class DataStoreService:
         Its role record gains ``Groups``, which is what makes the store
         vouch for it.  Groups only add up (a study has no leave; dropping a
         recovered one would lift a group deny), and a key is issued only
-        when there is none, so a late study join rotates nothing.  The
-        account's password is the constant ``"pw"``: a consumer reaches a
-        store with its escrowed key.
+        when there is none, so a late study join rotates nothing.  A
+        consumer has no password here: it reaches a store with the key the
+        broker escrows, and logs in at the broker.
         """
         if self.roles.get(name, ROLE_CONSUMER) != ROLE_CONSUMER:
             raise ConflictError(
                 f"{name!r} is registered here as {self.roles[name]!r}"
             )
-        if self.accounts.get(name) is None:
-            self.accounts.register(name, "pw", ROLE_CONSUMER)
         groups = self.memberships.get(name, frozenset()).union(groups)
         self._assign(
             records.OP_ROLE,
@@ -742,13 +762,14 @@ class DataStoreService:
 
     @_route("POST", "/api/register", caller="open")
     def _h_register(self, request: Request) -> dict:
-        """Open contributor registration.
+        """Open contributor registration, and an owner's re-key.
 
-        Contributors register once at store setup; consumers are enrolled
-        by the broker (``/api/enroll``).  ``open``, not ``writes``: it
-        refuses on a replica itself and is not shipped under its ack, as
-        ``repoint_contributor`` re-registers on a promoted store (keys are
-        never replicated).
+        A known owner gets a fresh key only for the password on their role
+        row (401 for another, 409 for none): that is how a restarted
+        store's owner and ``repoint_contributor`` get a key back, as keys
+        are never replicated.  Consumers come through ``/api/enroll``.
+        ``open``, not ``writes``: it refuses on a replica itself and is not
+        shipped under its ack.
         """
         self._require_writable()
         body = request.body
@@ -758,8 +779,10 @@ class DataStoreService:
             raise AuthorizationError("consumers are enrolled by the paired broker")
         if not name or role != ROLE_CONTRIBUTOR:
             raise BadRequestError("registration needs a Username and Role contributor")
-        password = str(body.get("Password", "pw"))
-        key = self.register_contributor(str(name), password)
+        name, password = str(name), body.get("Password")
+        if password is None and name in self.roles:
+            raise ConflictError(f"{name!r} is registered here; re-key with its Password")
+        key = self.register_contributor(name, "pw" if password is None else str(password))
         return {"ApiKey": key, "Host": self.host}
 
     @_route("POST", "/api/upload", caller="owner", writes=True)

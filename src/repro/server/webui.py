@@ -8,8 +8,9 @@ where the Google Maps widget would mount.  Form submissions are translated
 into the same Fig. 4 JSON rules the API accepts, so the web path and the
 API path exercise one rule pipeline.
 
-Web sessions use username/password login (distinct from API keys), per
-Section 5.4.  Pages are served as ``{"Html": ...}`` bodies with a
+Web access uses username/password login, per Section 5.4: a store's login
+answers the owner's API key as the page token, the broker's opens a
+session.  Pages are served as ``{"Html": ...}`` bodies with a
 ``text/html`` content type through the simulated transport.
 """
 
@@ -19,10 +20,12 @@ import html as html_escape
 from typing import Optional
 
 from repro.datastore.query import DataQuery
-from repro.exceptions import AuthorizationError, BadRequestError
+from repro.datastore.wavesegment import WaveSegment
+from repro.exceptions import AuthenticationError, AuthorizationError, BadRequestError
 from repro.net.http import Request, Response, html_response
 from repro.rules.model import Rule
-from repro.rules.parser import rule_from_json
+from repro.rules.parser import rule_from_json, rules_from_json
+from repro.server.audit import AuditRecord
 from repro.sensors.channels import CHANNEL_GROUPS
 from repro.sensors.contexts import CONTEXT_NAMES, CONTEXTS
 from repro.util.timeutil import WEEKDAY_NAMES
@@ -231,7 +234,12 @@ def render_audit_view(contributor: str, records, summary) -> str:
 
 
 class DataStoreWebUI:
-    """Web pages mounted on a remote data store service."""
+    """Web pages mounted on a remote data store service.
+
+    ``/web/login`` answers the owner's API key as the page token, and each
+    page calls the declared ``/api/*`` handler it renders with that key,
+    so it passes the same ``caller``/``writes`` preludes as the API.
+    """
 
     def __init__(self, service) -> None:
         self.service = service
@@ -242,40 +250,47 @@ class DataStoreWebUI:
         router.add("GET", "/web/data/{token}", self._h_data_page)
         router.add("GET", "/web/audit/{token}", self._h_audit_page)
 
-    def _session_contributor(self, token: str) -> str:
-        account = self.service.accounts.session_user(token)
-        return account.username
+    def _call(self, handler, token, **body) -> tuple:
+        """``(owner, reply)``: a declared handler's reply to the token's owner."""
+        service = self.service
+        request = Request("POST", service.host, handler.route.path, {**body, "ApiKey": token})
+        try:
+            request.body["Contributor"] = service.keys.authenticate(request.api_key)
+        except AuthenticationError:
+            pass  # the handler's own prelude answers the 401
+        return request.body.get("Contributor", ""), handler(request)
 
     def _h_login(self, request: Request) -> dict:
         username = str(request.body.get("Username", ""))
-        password = str(request.body.get("Password", ""))
-        token = self.service.accounts.login(username, password)
-        return {"Token": token}
+        self.service.check_password(username, str(request.body.get("Password", "")))
+        keys = self.service.keys
+        return {"Token": keys.key_of(username) or keys.issue(username)}
 
     def _h_rules_page(self, request: Request, token: str) -> Response:
-        contributor = self._session_contributor(token)
-        rules = self.service.rules.rules_of(contributor)
-        places = self.service.places.get(contributor, {})
+        contributor, reply = self._call(self.service._h_rules_download, token)
+        rules = rules_from_json(reply["Rules"])
+        places = [obj["Label"] for obj in reply["Places"]]
         return html_response(render_rule_editor(contributor, rules, places))
 
     def _h_rules_submit(self, request: Request) -> dict:
-        token = request.body.get("Token")
-        contributor = self._session_contributor(token)
         rule_json = form_to_rule_json(dict(request.body.get("Form", {})))
-        rule = rule_from_json(rule_json)
-        self.service.rules.add(contributor, rule)
-        return {"RuleId": rule.rule_id, "Rule": rule_json}
+        _, reply = self._call(
+            self.service._h_rules_add, request.body.get("Token"), Rule=rule_json
+        )
+        return {"RuleId": reply["RuleId"], "Rule": rule_json}
 
     def _h_data_page(self, request: Request, token: str) -> Response:
-        contributor = self._session_contributor(token)
-        segments = self.service.store.segments_of(contributor)
+        """The owner's raw read, audited like any other."""
+        contributor, reply = self._call(self.service._h_query, token)
+        segments = [WaveSegment.from_json(obj) for obj in reply["Segments"]]
         return html_response(render_data_view(contributor, segments))
 
     def _h_audit_page(self, request: Request, token: str) -> Response:
-        contributor = self._session_contributor(token)
-        records = self.service.audit.trail_of(contributor, limit=50)
-        summary = self.service.audit.summary(contributor)
-        return html_response(render_audit_view(contributor, records, summary))
+        contributor, trail = self._call(self.service._h_audit_list, token, Limit=50)
+        _, summary = self._call(self.service._h_audit_summary, token)
+        records = [AuditRecord.from_json(obj) for obj in trail["Records"]]
+        html = render_audit_view(contributor, records, summary["Summary"])
+        return html_response(html)
 
 
 class BrokerWebUI:

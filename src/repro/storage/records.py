@@ -1,10 +1,11 @@
 """The store's log vocabulary: six record kinds, one dumper, one installer.
 
 Everything a data store must not lose — segments, privacy rules, labeled
-places, principal roles (a consumer's groups ride its role), the audit
-trail — travels as ``(op, data)`` records: WAL payloads, snapshot rows,
-shipped replica frames, resync bootstraps and migration batches are all
-the same six shapes.  This module owns them:
+places, principal roles (a consumer's groups and a contributor's
+password hash ride its role), the audit trail — travels as ``(op, data)``
+records: WAL payloads, snapshot rows, shipped replica frames, resync
+bootstraps and migration batches are all the same six shapes.  This
+module owns them:
 
 * the op names and :data:`CONTROL_OPS`, the force-synced set;
 * :func:`dump` — live state as records, optionally one contributor range
@@ -97,10 +98,12 @@ def dump_op(service, op: str, contributors=None) -> Iterator[dict]:
     if op == OP_ROLE:
         for principal, role in sorted(service.roles.items()):
             if moving(principal):
-                # Groups only where installed: other rows keep their bytes.
+                # Groups and credential only where installed: other rows keep their bytes.
                 data = {"Principal": principal, "Role": role}
                 if principal in service.memberships:
                     data["Groups"] = sorted(service.memberships[principal])
+                if principal in service.credentials:
+                    data["Salt"], data["PasswordHash"] = service.credentials[principal]
                 yield data
     elif op == OP_SEGMENT:
         for contributor in filter(moving, service.store.contributors()):
@@ -173,8 +176,10 @@ def apply(
     set does: they feed rule semantics, so decisions cached and artifacts
     compiled under the old places must become unreachable.
 
-    A role record is its principal's complete state, groups included; a
-    consumer row without ``Groups`` is one the store cannot vouch for.
+    A role record is its principal's complete state, groups and
+    credential included; a consumer row without ``Groups`` is one the
+    store cannot vouch for, a contributor row without ``PasswordHash`` one
+    nobody can re-key.
     """
     if op == OP_SEGMENT:
         service.store.restore_segment(WaveSegment.from_json(data))
@@ -205,6 +210,10 @@ def apply(
             service.memberships[principal] = frozenset(map(str, data["Groups"]))
         else:
             service.memberships.pop(principal, None)
+        if "PasswordHash" in data:
+            service.credentials[principal] = (str(data["Salt"]), str(data["PasswordHash"]))
+        else:
+            service.credentials.pop(principal, None)
         count = 1
     elif op == OP_AUDIT:
         count = service.audit.restore([AuditRecord.from_json(data)])

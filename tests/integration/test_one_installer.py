@@ -27,11 +27,12 @@ SNAPSHOT_WRITER = ("storage/durability.py", "write_snapshot")
 JOURNAL = ("storage/durability.py", "journal")
 WHOLESALE_DROP = "storage/recovery.py"
 
-#: Files that index a ``roles``/``places``/``memberships`` attribute of
-#: something that is not a data store service.
+#: Files that index a ``roles``/``places``/``memberships``/``credentials``
+#: attribute of something that is not a data store service.
 NOT_A_STORE = {"baselines/centralized.py"}
 
-#: Dict methods that change a consumer's groups without an index.
+#: Dict methods that change a consumer's groups or a contributor's
+#: credential without an index.
 MUTATORS = ("pop", "popitem", "update", "clear", "setdefault")
 
 
@@ -51,7 +52,7 @@ def _state_installs(tree):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Subscript) and _attr(
-                    target.value, "places", "roles", "memberships"
+                    target.value, "places", "roles", "memberships", "credentials"
                 ):
                     yield node.lineno, f"assigns .{target.value.attr}[...]"
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -60,8 +61,8 @@ def _state_installs(tree):
                 yield node.lineno, f"calls .{func.attr}()"
             elif func.attr == "restore" and _attr(func.value, "rules", "audit"):
                 yield node.lineno, f"calls .{func.value.attr}.restore()"
-            elif func.attr in MUTATORS and _attr(func.value, "memberships"):
-                yield node.lineno, f"calls .memberships.{func.attr}()"
+            elif func.attr in MUTATORS and _attr(func.value, "memberships", "credentials"):
+                yield node.lineno, f"calls .{func.value.attr}.{func.attr}()"
 
 
 def test_only_the_installer_assigns_log_fed_state():
@@ -80,12 +81,14 @@ def test_the_guard_sees_what_it_guards():
     """The walk is not vacuous: the installer itself trips every pattern."""
     installer = dict(_modules())[INSTALLER]
     seen = {what for _, what in _state_installs(installer)}
-    assert seen == {f"assigns .{table}[...]" for table in ("places", "roles", "memberships")} | {
+    tables = ("places", "roles", "memberships", "credentials")
+    assert seen == {f"assigns .{table}[...]" for table in tables} | {
         "calls .rules.restore()",
         "calls .audit.restore()",
         "calls .restore_segment()",
         "calls .remove_segment()",
         "calls .memberships.pop()",
+        "calls .credentials.pop()",
     }
 
 
@@ -152,12 +155,13 @@ INVENTORY = {
     "_applier": (EPHEMERAL, "the replica side of shipping, made on first frame"),
     "store": (RECORD_BACKED, "segment and segment_delete records"),
     "rules": (RECORD_BACKED, "rules records"),
-    "keys": (EPHEMERAL, "keys rotate at restart; the broker re-enrolls and re-pairs"),
-    "accounts": (EPHEMERAL, "login material; re-made at registration and enrollment"),
+    "keys": (EPHEMERAL, "keys rotate at restart; owners re-key, the broker re-enrolls"),
+    "_salts": (EPHEMERAL, "draws salts; a salt lives in the role record it salts"),
     "audit": (RECORD_BACKED, "audit records"),
     "roles": (RECORD_BACKED, "role records"),
     "places": (RECORD_BACKED, "places records"),
     "memberships": (RECORD_BACKED, "the Groups of a consumer's role record"),
+    "credentials": (RECORD_BACKED, "the Salt and PasswordHash of a contributor's role record"),
     "release_guards": (EPHEMERAL, "observers a harness attaches; hold no state"),
     "_broker_push": (EPHEMERAL, "the eager-sync hook, re-wired at pairing"),
     "fail_closed": (DERIVED, "flags a journaled empty rule set; losing it keeps the deny"),

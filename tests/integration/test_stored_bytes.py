@@ -8,6 +8,11 @@ as a script with that commit's ``src`` on ``PYTHONPATH``).  That commit
 uploaded JSON value lists and shipped hex frames; whatever the wire
 carries since, the journal — segment ids, merges, per-packet dedupe,
 record order, the replica's verbatim copy — does not move.
+
+A contributor's role record has carried its credential (``Salt``,
+``PasswordHash``) since; each role payload is hashed without those two
+fields, which is exactly the bytes the pinned commit journaled for it, so
+segment, rules, places and audit bytes are held to the pin unchanged.
 """
 
 import hashlib
@@ -19,21 +24,33 @@ from repro.core import SensorSafeSystem
 from repro.rules.model import ALLOW, Rule
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
+from repro.storage import records
 from repro.storage.replication import read_wal_frames
 from repro.storage.wal import HEADER_SIZE
+from repro.util.jsonutil import canonical_dumps
 from repro.util.timeutil import timestamp_ms
 
 PINNED = Path(__file__).parent / "stored_bytes_a61bce2.json"
 MONDAY = timestamp_ms(2011, 2, 7)
 HOUR_MS = 3_600_000
 BATCH_MS = 600_000
+CREDENTIAL = ("Salt", "PasswordHash")
+
+
+def pinned_payload(payload):
+    """A WAL payload as the pinned commit wrote it: a role record loses its credential."""
+    record = json.loads(payload)
+    if record["Op"] != records.OP_ROLE:
+        return payload
+    data = {k: v for k, v in record["Data"].items() if k not in CREDENTIAL}
+    return canonical_dumps({"Op": record["Op"], "Data": data}).encode("utf-8")
 
 
 def wal_digest(service):
     """``[sha256 over the WAL's payloads in order, frame count]``."""
     digest, frames = hashlib.sha256(), read_wal_frames(service.durability.wal.path)
     for _lsn, frame, _chain_prev in frames:
-        digest.update(frame[HEADER_SIZE:])
+        digest.update(pinned_payload(frame[HEADER_SIZE:]))
     return [digest.hexdigest(), len(frames)]
 
 
@@ -54,6 +71,8 @@ def stored_bytes(directory):
     for start in range(MONDAY + 7 * HOUR_MS, MONDAY + 9 * HOUR_MS, BATCH_MS):
         phone.collect([p for p in packets if start <= p.start_ms < start + BATCH_MS])
     assert phone.stats.upload_failures == 0 and phone.stats.upload_requests > 24
+    (role,) = [data for op, data in records.dump(primary, ["alice"]) if op == records.OP_ROLE]
+    assert set(CREDENTIAL) <= set(role)
     return {
         "primary": wal_digest(primary),
         "replica": wal_digest(system.stores["clinic-r1"]),

@@ -5,7 +5,9 @@ Every ``/api/`` handler of :class:`DataStoreService` says who may call it
 back and hold the running service to them: a refusal matrix generated from
 the table, one minimal valid body per route, sent through
 ``Network.request`` — and after every refused request the store's records,
-audit trail, WAL and fencing state are what they were before it.
+audit trail, WAL and fencing state are what they were before it.  The web
+UI's ``/web/`` pages are held to the declaration of the handler each one
+renders.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rule_to_json
 from repro.sensors.packets import encode_upload, packetize
 from repro.server.datastore_service import CALLERS, ROLE_REPLICA, DataStoreService
+from repro.server.webui import DataStoreWebUI
 from repro.storage import records
 from repro.storage.replication import encode_ship
 
@@ -85,6 +88,17 @@ BODIES = {
 }
 
 
+#: Each web UI page -> the declared handler it renders, with its token as the key.
+WEB = {
+    "GET /web/rules/{token}": "POST /api/rules/download",
+    "POST /web/rules/submit": "POST /api/rules/add",
+    "GET /web/data/{token}": "POST /api/query",
+    "GET /web/audit/{token}": "POST /api/audit/list",
+}
+
+WEB_BODIES = {"POST /web/rules/submit": {"Form": {"consumers": "bob", "action": "Allow"}}}
+
+
 class Store:
     """A durable store with one principal of every kind and some data."""
 
@@ -106,9 +120,13 @@ class Store:
 
     def send(self, name, key=None, body=None):
         method, path = name.split()
-        body = dict(BODIES[name] if body is None else body)
+        body = dict(body if body is not None else BODIES.get(name) or WEB_BODIES.get(name, {}))
         if key is not None:
-            body["ApiKey"] = self.keys.get(key, key)
+            key = self.keys.get(key, key)
+            if "{token}" in path:
+                path = path.replace("{token}", key)
+            else:
+                body["Token" if name in WEB else "ApiKey"] = key
         return self.network.request(method, f"https://store{path}", body)
 
     def right_key(self, name):
@@ -253,3 +271,50 @@ class TestRightCaller:
     def test_owner_reads_their_own_data_through_both_reader_routes(self, store):
         for name in routes("reader"):
             assert store.send(name, "alice").status == 200, name
+
+
+class TestWebPages:
+    """A page is refused exactly as the ``/api/`` handler it renders."""
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        store = Store(tmp_path / "store")
+        DataStoreWebUI(store.service)
+        return store
+
+    @pytest.mark.parametrize("name", sorted(WEB))
+    def test_the_owner_s_token_is_2xx(self, store, name):
+        assert store.send(name, "alice").status == 200
+
+    @pytest.mark.parametrize("name", sorted(WEB))
+    def test_no_invalid_and_a_consumer_s_token_are_refused(self, store, name):
+        store.refused(name, None, 401)
+        store.refused(name, "f" * 64, 401)
+        # bob is no contributor: the owner prelude says so, the reader's finds none
+        store.refused(name, "bob", {"owner": 403, "reader": 404}[ROUTES[WEB[name]].caller])
+
+    @pytest.mark.parametrize("name", sorted(WEB))
+    def test_fenced_contributor_is_409(self, store, name):
+        fence = store.send(
+            "POST /api/migrate/fence", "broker", {"Dest": "elsewhere", "Contributors": ["alice"]}
+        )
+        assert fence.status == 200
+        store.refused(name, "alice", 409, "NotPrimaryError")
+
+    @pytest.mark.parametrize("name", sorted(WEB))
+    def test_demoted_store_answers_a_page_as_its_handler(self, store, name):
+        store.service.demote()
+        handler = ROUTES[WEB[name]]
+        if handler.writes or handler.caller == "reader":
+            store.refused(name, "alice", 409, "NotPrimaryError")
+        else:
+            assert store.send(name, "alice").status == 200
+
+    @pytest.mark.parametrize(
+        "username, password", [("alice", "wrong"), ("bob", "pw"), ("__broker__", "pw")]
+    )
+    def test_login_is_the_owner_s_password_only(self, store, username, password):
+        body = {"Username": username, "Password": password}
+        store.refused("POST /web/login", None, 401, "AuthenticationError", body)
+        body = {"Username": "alice", "Password": "pw"}
+        assert store.send("POST /web/login", None, body).body == {"Token": store.keys["alice"]}
