@@ -11,11 +11,11 @@ both keep serving, with the WAL as the transfer log.  The phase machine
 2. **catch-up** — bounded rounds of filtered WAL-tail export/install
    drain writes that raced the bootstrap, until a round comes back
    empty (or the bound trips — the fence drains the rest).
-3. **fence** — ``/api/migrate/fence`` marks the range ``moved_out`` on
-   the source: from that instant every request naming a moved
-   contributor bounces with :class:`~repro.exceptions.NotPrimaryError`
-   (the old shard self-demotes for exactly that range), and the fence
-   response pins the source's final LSN.
+3. **fence** — ``/api/migrate/fence`` makes the range's role rows on the
+   source ``moved`` (records: they survive its restart, ship to its
+   replicas, and a move back replaces them): every request naming a
+   moved contributor bounces with :class:`~repro.exceptions.NotPrimaryError`,
+   and the fence response pins the source's final LSN.
 4. **drain** — one last export from the pre-fence cursor provably
    captures every write that committed before the fence: zero
    committed-write loss across the cutover.
@@ -111,16 +111,13 @@ class ShardRebalancer:
 
     def _migrate(self, contributors, dest_host: str, span) -> dict:
         names = sorted(set(str(c) for c in contributors))
-        if not names:
-            return {"Moved": 0, "Source": None, "Dest": dest_host,
-                    "FailClosed": [], "RecordsShipped": 0}
         sources = {self.broker.registry.get(name).host for name in names}
-        if len(sources) != 1:
+        if len(sources) > 1:
             raise BadRequestError(
                 f"one source shard per migration, got {sorted(sources)}"
             )
-        source = sources.pop()
-        if source == dest_host:
+        source = sources.pop() if sources else None
+        if source in (None, dest_host):
             return {"Moved": 0, "Source": source, "Dest": dest_host,
                     "FailClosed": [], "RecordsShipped": 0}
         clock = self.broker.network.clock
@@ -146,11 +143,7 @@ class ShardRebalancer:
                 if not records or delta.get("Base") == "snapshot":
                     break
             # Phase 3: fence the source — the moved range now answers 409.
-            fence = self._store_call(
-                source,
-                "/api/migrate/fence",
-                {"Contributors": names, "Dest": dest_host},
-            )
+            fence = self._store_call(source, "/api/migrate/fence", {"Contributors": names})
             final_lsn = int(fence.get("LastLsn", 0))
             # Phase 4: final drain — everything committed before the fence.
             if final_lsn > cursor or cursor == 0:

@@ -163,9 +163,15 @@ class BrokerService:
         newer side — including a recovery's fail-closed deny state, which
         carries a bumped version — wins on both ends.  Then every consumer
         escrowed there is re-enrolled for a fresh key; a failed pull or
-        enrollment counts in ``failed``.
+        enrollment counts in ``failed``.  A set member its set does not name
+        as primary (restarted, it is a primary at epoch 1, and a read ships
+        nothing an epoch fence could stop) rejoins instead, as a replica.
         """
         host = store_service.host
+        for name, group in self.failover.sets.items():
+            if host in group.services and host != group.primary:
+                self.failover.rejoin(name, store_service)
+                return {"pulled": 0, "applied": 0, "failed": 0}
         self.attach_store(store_service, eager_sync=True)
         out = self.sync.reconcile_host(self.client, host, self.store_keys)
         out["failed"] += self.enroll_escrowed(host, host)[1]

@@ -115,7 +115,7 @@ class _route(NamedTuple):
     answers 409 to anyone) and :meth:`_replication_barrier` as its last
     step, so what the handler journaled ships under the request's own
     acknowledgement.  Hence the one check order: primary-for-writes → key
-    → role/ownership → residency → existence.  ``_mount_routes`` mounts
+    → ownership → residency → role → existence.  ``_mount_routes`` mounts
     exactly the handlers that carry a declaration (their ``.route``).
     """
 
@@ -202,14 +202,6 @@ class DataStoreService:
         #: Contributors whose persisted rules could not be trusted after a
         #: restart: they are deny-by-default until rules are re-published.
         self.fail_closed: set = set()
-        #: Contributors migrated off this store -> destination host.  Any
-        #: request naming them is fenced with :class:`NotPrimaryError` so a
-        #: client's stale route cache self-identifies on first use (same
-        #: 409-then-re-resolve contract as demotion).  In-memory only: a
-        #: restarted source forgets the fence, but by then the broker
-        #: directory already points at the destination, so fresh resolves
-        #: never reach it (documented in docs/OPERATIONS.md).
-        self.moved_out: dict[str, str] = {}
         #: Versioned rule-decision cache for the consumer-query hot path
         #: (``None`` disables it).  Created *before* durability opens so
         #: recovery's wholesale invalidation has a target; a zero capacity
@@ -410,18 +402,18 @@ class DataStoreService:
             )
 
     def _require_resident(self, contributor: str) -> None:
-        """Fence requests for a contributor migrated off this store.
+        """Fence requests for a contributor migrated off this store: her
+        role row here is ``moved`` (:meth:`_h_migrate_fence`).
 
         Raises the same :class:`NotPrimaryError` (409) as a demoted
         primary, so the client's existing one-fenced-retry path handles
         both: drop the cached route, re-resolve at the broker directory,
         retry once against the destination.
         """
-        dest = self.moved_out.get(contributor)
-        if dest is not None:
+        if self.roles.get(contributor) == records.ROLE_MOVED:
             raise NotPrimaryError(
-                f"contributor {contributor!r} migrated off {self.host!r} "
-                f"(now at {dest!r}); re-resolve at the broker directory"
+                f"contributor {contributor!r} migrated off {self.host!r}; "
+                "re-resolve at the broker directory"
             )
 
     def _replication_barrier(self) -> None:
@@ -577,16 +569,17 @@ class DataStoreService:
             raise AuthorizationError("endpoint restricted to the paired primary")
 
     def _caller_owner(self, request: Request) -> tuple:
-        """The named ``Contributor``'s own key, and they are resident here."""
+        """The named ``Contributor``'s own key, resident here, a contributor —
+        residency first, so a moved owner's stale key gets the 409 she re-resolves on."""
         contributor = str(request.body.get("Contributor", ""))
         principal = self._authenticate(request)
         if principal != contributor:
             raise AuthorizationError(
                 f"principal {principal!r} may not act for contributor {contributor!r}"
             )
+        self._require_resident(contributor)
         if self.roles.get(principal) != ROLE_CONTRIBUTOR:
             raise AuthorizationError(f"{principal!r} is not a data contributor")
-        self._require_resident(contributor)
         return (contributor,)
 
     def _caller_reader(self, request: Request) -> tuple:
@@ -1092,7 +1085,8 @@ class DataStoreService:
         non-durable source, or a checkpoint truncated past ``FromLsn`` —
         degrades to a fresh snapshot, which idempotent records make safe.
         ``LastLsn`` is captured *before* the export so the next round
-        covers anything racing it.
+        covers anything racing it.  Neither path ships a ``moved`` role
+        row: the fence is this store's, and would fence the destination.
         """
         from repro.storage.migration import wal_records_since
 
@@ -1109,9 +1103,10 @@ class DataStoreService:
             base = "snapshot"
         else:
             base = "wal"
+        fenceless = [[op, data] for op, data in exported if data.get("Role") != records.ROLE_MOVED]
         return {
             "Host": self.host,
-            "Records": [[op, data] for op, data in exported],
+            "Records": fenceless,
             "LastLsn": last_lsn,
             "Base": base,
         }
@@ -1131,22 +1126,22 @@ class DataStoreService:
         self._wal_commit()
         return {"Host": self.host, **result}
 
-    @_route("POST", "/api/migrate/fence", caller="broker")
+    @_route("POST", "/api/migrate/fence", caller="broker", writes=True)
     def _h_migrate_fence(self, request: Request) -> dict:
         """Broker-only: stop serving the moving contributors (cutover fence).
 
-        After this returns, every request naming a fenced contributor gets
-        :class:`NotPrimaryError` — the old shard self-demotes for exactly
-        the moved range.  The response carries the fence-time ``LastLsn``
-        so the coordinator's final catch-up round provably drains every
-        write that committed before the fence: zero committed-write loss.
+        Each one's role row becomes ``moved``, a credential-less record, so
+        every request naming her is a :class:`NotPrimaryError` (the old
+        shard self-demotes for exactly the moved range) until a move back
+        replaces it.  The response carries the fence-time ``LastLsn`` so
+        the final catch-up round provably drains every write that
+        committed before the fence: zero committed-write loss.
         """
-        dest = str(request.body.get("Dest", ""))
         contributors = [str(c) for c in request.body.get("Contributors", [])]
-        if not dest or not contributors:
-            raise BadRequestError("fence needs Dest and Contributors")
+        if not contributors:
+            raise BadRequestError("fence needs Contributors")
         for contributor in contributors:
-            self.moved_out[contributor] = dest
+            self._assign(records.OP_ROLE, {"Principal": contributor, "Role": records.ROLE_MOVED})
         # Fenced contributors' cached decisions are unreachable (the fence
         # fires before cache lookup); the LRU reclaims their memory.
         return {
@@ -1191,7 +1186,7 @@ class DataStoreService:
             names = sorted(self.rules.contributors())
         profiles, missing = [], []
         for name in names:
-            if name in self.moved_out or name not in self.rules.contributors():
+            if self.roles.get(name) == records.ROLE_MOVED or name not in self.rules.contributors():
                 missing.append(name)
             else:
                 profiles.append(self._profile_json(name))

@@ -2,7 +2,8 @@
 
 Everything a data store must not lose — segments, privacy rules, labeled
 places, principal roles (a consumer's groups and a contributor's
-password hash ride its role), the audit trail — travels as ``(op, data)``
+password hash ride its role; a contributor migrated away is fenced by a
+``moved`` role), the audit trail — travels as ``(op, data)``
 records: WAL payloads, snapshot rows, shipped replica frames, resync
 bootstraps and migration batches are all the same six shapes.  This
 module owns them:
@@ -60,6 +61,7 @@ KNOWN_OPS = (OP_SEGMENT, OP_SEGMENT_DELETE, OP_RULES, OP_PLACES, OP_ROLE, OP_AUD
 CONTROL_OPS = frozenset((OP_RULES, OP_PLACES, OP_ROLE, OP_AUDIT))
 
 ROLE_CONTRIBUTOR = "contributor"
+ROLE_MOVED = "moved"  # a contributor migrated off: her fence
 
 
 def places_record(contributor: str, places: dict) -> dict:
@@ -179,7 +181,8 @@ def apply(
     A role record is its principal's complete state, groups and
     credential included; a consumer row without ``Groups`` is one the
     store cannot vouch for, a contributor row without ``PasswordHash`` one
-    nobody can re-key.
+    nobody can re-key.  Over a ``moved`` row (a move back), a contributor
+    row first drops the segments left behind; those she still holds follow.
     """
     if op == OP_SEGMENT:
         service.store.restore_segment(WaveSegment.from_json(data))
@@ -204,8 +207,11 @@ def apply(
         service.rules.rules_version += 1
         count = len(places)
     elif op == OP_ROLE:
-        principal = str(data["Principal"])
-        service.roles[principal] = str(data["Role"])
+        principal, role = str(data["Principal"]), str(data["Role"])
+        if role == ROLE_CONTRIBUTOR and service.roles.get(principal) == ROLE_MOVED:
+            for segment in service.store.segments_of(principal):
+                service.store.remove_segment(segment.segment_id)
+        service.roles[principal] = role
         if "Groups" in data:
             service.memberships[principal] = frozenset(map(str, data["Groups"]))
         else:

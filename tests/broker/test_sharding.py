@@ -11,6 +11,7 @@ import pytest
 from repro.broker.search import SearchCriteria
 from repro.core import SensorSafeSystem
 from repro.rules.model import ALLOW, Rule
+from repro.storage import records
 from tests.conftest import make_segment
 
 
@@ -73,7 +74,7 @@ class TestOnlineSplit:
         ]
         assert len(moved) == report["Moved"]
         for name in moved:
-            assert name in shards[0].moved_out
+            assert shards[0].roles[name] == records.ROLE_MOVED
         # Every contributor — moved or not — still serves their data.
         for name in names:
             assert len(bob.fetch(name)) == 1

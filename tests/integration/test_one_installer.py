@@ -158,14 +158,13 @@ INVENTORY = {
     "keys": (EPHEMERAL, "keys rotate at restart; owners re-key, the broker re-enrolls"),
     "_salts": (EPHEMERAL, "draws salts; a salt lives in the role record it salts"),
     "audit": (RECORD_BACKED, "audit records"),
-    "roles": (RECORD_BACKED, "role records"),
+    "roles": (RECORD_BACKED, "role records; a moved contributor's is her fence"),
     "places": (RECORD_BACKED, "places records"),
     "memberships": (RECORD_BACKED, "the Groups of a consumer's role record"),
     "credentials": (RECORD_BACKED, "the Salt and PasswordHash of a contributor's role record"),
     "release_guards": (EPHEMERAL, "observers a harness attaches; hold no state"),
     "_broker_push": (EPHEMERAL, "the eager-sync hook, re-wired at pairing"),
     "fail_closed": (DERIVED, "flags a journaled empty rule set; losing it keeps the deny"),
-    "moved_out": (EPHEMERAL, "a restarted source forgets its fence (ROADMAP item 1)"),
     "release_cache": (DERIVED, "cached releases, keyed by every input"),
     "compiled_rules": (DERIVED, "compiled rule artifacts, keyed by the rules epoch"),
     "durability": (EPHEMERAL, "the handle on the directory, reopened at start"),

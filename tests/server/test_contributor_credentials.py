@@ -168,8 +168,11 @@ class TestWebSubmitIsTheApi:
 
     def test_a_moved_out_contributor_is_fenced(self, replicated):
         system, token = replicated
-        primary = system.stores["alice-store"]
-        primary.moved_out["alice"] = "elsewhere"
+        broker_key = system.broker.store_keys["alice-store"]
+        fence = {"Contributors": ["alice"], "ApiKey": broker_key}
+        url = "https://alice-store/api/migrate/fence"
+        assert system.network.request("POST", url, fence).status == 200
+        assert system.stores["alice-store-r1"].roles["alice"] == records.ROLE_MOVED
         before = self.versions(system)
         response = submit(system.network, "alice-store", token)
         assert response.status == 409 and response.body["ErrorKind"] == "NotPrimaryError"

@@ -42,6 +42,7 @@ WRITES = {
     "POST /api/delete",
     "POST /api/enroll",
     "POST /api/migrate/install",
+    "POST /api/migrate/fence",
     "POST /api/migrate/complete",
 }
 
@@ -73,7 +74,7 @@ BODIES = {
     "POST /api/profiles": {},
     "POST /api/migrate/export": {"Contributors": ["alice"]},
     "POST /api/migrate/install": {"Records": []},
-    "POST /api/migrate/fence": {"Dest": "elsewhere", "Contributors": ["carol"]},
+    "POST /api/migrate/fence": {"Contributors": ["carol"]},
     "POST /api/migrate/complete": {"RuleVersions": {}},
     "POST /api/promote": {"Epoch": 2},
     "POST /api/demote": {"Epoch": 2},
@@ -142,7 +143,7 @@ class Store:
             records.dump(service),
             {c: [r.to_json() for r in service.audit.trail_of(c)] for c in ("alice", "carol")},
             service.durability.wal.last_lsn,
-            (service.role, service.epoch, dict(service.moved_out)),
+            (service.role, service.epoch),
         )
 
     def refused(self, name, key, status, kind=None, body=None):
@@ -179,7 +180,7 @@ class TestDeclarations:
         assert set(ROUTES) == set(STORE_ROUTE_CLASSES)
         assert len(ROUTES) == 31
 
-    def test_writes_is_exactly_the_ten_mutations_that_ship_under_their_ack_plus_enrollment(self):
+    def test_writes_is_exactly_the_eleven_mutations_that_ship_under_their_ack_plus_enrollment(self):
         assert {name for name, route in ROUTES.items() if route.writes} == WRITES
 
     def test_every_route_has_a_body(self):
@@ -211,7 +212,7 @@ class TestRefusals:
     @pytest.mark.parametrize("name", routes("owner", "reader") + ["POST /api/profile"])
     def test_fenced_contributor_is_409(self, store, name):
         fence = store.send(
-            "POST /api/migrate/fence", "broker", {"Dest": "elsewhere", "Contributors": ["alice"]}
+            "POST /api/migrate/fence", "broker", {"Contributors": ["alice"]}
         )
         assert fence.status == 200
         store.refused(name, store.right_key(name), 409, "NotPrimaryError")
@@ -296,7 +297,7 @@ class TestWebPages:
     @pytest.mark.parametrize("name", sorted(WEB))
     def test_fenced_contributor_is_409(self, store, name):
         fence = store.send(
-            "POST /api/migrate/fence", "broker", {"Dest": "elsewhere", "Contributors": ["alice"]}
+            "POST /api/migrate/fence", "broker", {"Contributors": ["alice"]}
         )
         assert fence.status == 200
         store.refused(name, "alice", 409, "NotPrimaryError")
