@@ -32,6 +32,23 @@ from repro.util.timeutil import Interval
 TIME_CHANNEL = "Time"
 
 
+def check_format(channels: tuple, interval_ms: Optional[int]) -> None:
+    """What a segment's tuple format and clock must be, whatever its samples:
+    at least one channel, none twice, and either a positive whole sampling
+    interval or a ``Time`` column.  Every :class:`WaveSegment` is held to it
+    at construction; a release frame holds each of its headers to it once.
+    """
+    if not channels:
+        raise ValidationError("segment must declare at least one channel")
+    if len(set(channels)) != len(channels):
+        raise ValidationError(f"duplicate channels in segment format: {channels}")
+    if interval_ms is None:
+        if TIME_CHANNEL not in channels:
+            raise ValidationError("non-uniform segment must carry a Time column in its blob")
+    elif interval_ms <= 0 or interval_ms != int(interval_ms):
+        raise ValidationError(f"sampling interval must be a positive integer: {interval_ms!r}")
+
+
 @dataclass(frozen=True)
 class WaveSegment:
     """An immutable run of samples over one or more channels.
@@ -68,16 +85,7 @@ class WaveSegment:
             )
         if arr.shape[0] == 0:
             raise ValidationError("segment must contain at least one sample")
-        if not self.channels:
-            raise ValidationError("segment must declare at least one channel")
-        if len(set(self.channels)) != len(self.channels):
-            raise ValidationError(f"duplicate channels in segment format: {self.channels}")
-        if self.interval_ms is not None and self.interval_ms <= 0:
-            raise ValidationError(f"non-positive sampling interval: {self.interval_ms}")
-        if self.interval_ms is None and TIME_CHANNEL not in self.channels:
-            raise ValidationError(
-                "non-uniform segment must carry a Time column in its blob"
-            )
+        check_format(self.channels, self.interval_ms)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if not self.segment_id:
@@ -86,6 +94,27 @@ class WaveSegment:
                 "segment_id",
                 stable_id(self.contributor, self.channels, self.start_ms, arr.shape[0]),
             )
+
+    @classmethod
+    def _of_checked_format(
+        cls, contributor, channels, start_ms, interval_ms, values, segment_id
+    ) -> "WaveSegment":
+        """A bare segment whose format already passed :func:`check_format`
+        and whose ``values`` are a read-only float64 ``(n > 0, len(channels))``
+        view: how :func:`repro.rules.engine.decode_release` builds every
+        waveform of a frame after checking each header once."""
+        segment = object.__new__(cls)
+        vars(segment).update(
+            contributor=contributor,
+            channels=channels,
+            start_ms=start_ms,
+            interval_ms=interval_ms,
+            values=values,
+            location=None,
+            context={},
+            segment_id=segment_id,
+        )
+        return segment
 
     # ------------------------------------------------------------------
     # Basic geometry
@@ -298,10 +327,8 @@ class WaveSegment:
     # JSON (Fig. 5 round trip)
     # ------------------------------------------------------------------
 
-    def to_json(self, *, values: bool = True) -> dict:
-        """JSON wire form; sample values are codec-encoded, or with
-        ``values=False`` reduced to their shape (a piece of a release frame,
-        whose one blob carries them: :func:`repro.rules.engine.encode_release`)."""
+    def to_json(self) -> dict:
+        """JSON wire form (Fig. 5); sample values are codec-encoded."""
         obj = {
             "SegmentId": self.segment_id,
             "Contributor": self.contributor,
@@ -309,18 +336,15 @@ class WaveSegment:
             "SamplingInterval": self.interval_ms,
             "Location": self.location.to_json() if self.location else None,
             "Format": list(self.channels),
-            "Values": encode_values(self.values)
-            if values
-            else {"Samples": self.values.shape[0], "Channels": self.values.shape[1]},
+            "Values": encode_values(self.values),
         }
         if self.context:
             obj["Context"] = dict(self.context)
         return obj
 
     @classmethod
-    def from_json(cls, obj: dict, values: Optional[np.ndarray] = None) -> "WaveSegment":
-        """Parse a segment from its JSON wire form; ``values`` are the
-        already-decoded samples of a shape-only ``Values`` member."""
+    def from_json(cls, obj: dict) -> "WaveSegment":
+        """Parse a segment from its JSON wire form."""
         require_keys(
             obj,
             ("Contributor", "StartTime", "Format", "Values"),
@@ -333,7 +357,7 @@ class WaveSegment:
             channels=tuple(obj["Format"]),
             start_ms=int(obj["StartTime"]),
             interval_ms=None if interval is None else int(interval),
-            values=decode_values(obj["Values"]) if values is None else values,
+            values=decode_values(obj["Values"]),
             location=LatLon.from_json(location) if location else None,
             context=dict(obj.get("Context", {})),
             segment_id=str(obj.get("SegmentId", "")),

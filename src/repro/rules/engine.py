@@ -37,14 +37,16 @@ repository is the brute-force conformance oracle
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
 
 from repro.datastore.codec import ENCODING_RAW, decode_frame_values, encode_values
-from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
-from repro.exceptions import SchemaError
+from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment, check_format
+from repro.exceptions import SchemaError, ValidationError
 from repro.rules.dependency import DependencyGraph
 from repro.rules.model import Rule
 from repro.sensors.channels import GPS_LAT, GPS_LON
@@ -53,6 +55,21 @@ from repro.util.jsonutil import require_keys, require_type
 from repro.util.timeutil import Interval
 
 _GPS_CHANNELS = frozenset((GPS_LAT.name, GPS_LON.name))
+
+#: What the pieces of a release share: a release frame writes it once.
+_HEADER = (
+    "Contributor",
+    "TimeLevel",
+    "Location",
+    "LocationLevel",
+    "ContextLabels",
+    "Withheld",
+    "Format",
+    "SamplingInterval",
+)
+_HEADER_KEYS = frozenset(_HEADER)
+_members = itemgetter(*_HEADER)
+_TEXT, _NUMBER = frozenset((str,)), frozenset((int, float))
 
 
 def _self_membership(consumer: str) -> FrozenSet[str]:
@@ -103,9 +120,9 @@ class ReleasedSegment:
         """True when no data, context, or location is actually released."""
         return self.segment is None and not self.context_labels and self.location is None
 
-    def to_json(self, *, values: bool = True) -> dict:
-        """Deterministic JSON form of one piece; ``values=False`` leaves the
-        samples out, as inside the frame :func:`encode_release` builds."""
+    def to_json(self) -> dict:
+        """Deterministic JSON form of one piece, its waveform a Fig. 5
+        segment: what release digests and output checks compare."""
         return {
             "Contributor": self.contributor,
             "Timestamp": self.timestamp,
@@ -113,15 +130,15 @@ class ReleasedSegment:
             "Location": self.location,
             "LocationLevel": self.location_level,
             "ContextLabels": dict(self.context_labels),
-            "Segment": None if self.segment is None else self.segment.to_json(values=values),
+            "Segment": None if self.segment is None else self.segment.to_json(),
             "Withheld": dict(self.withheld),
         }
 
     @classmethod
-    def from_json(cls, obj: dict, values=None) -> "ReleasedSegment":
-        """Parse a released piece; ``values`` are its pre-decoded samples."""
+    def from_json(cls, obj: dict) -> "ReleasedSegment":
+        """Parse the :meth:`to_json` form of one piece."""
         seg = obj.get("Segment")
-        segment = WaveSegment.from_json(seg, values) if seg else None
+        segment = WaveSegment.from_json(seg) if seg else None
         if segment is not None:
             interval = segment.interval
         else:
@@ -143,17 +160,67 @@ class ReleasedSegment:
 def encode_release(released: Iterable[ReleasedSegment]) -> dict:
     """The wire form of a consumer release: one frame, one value blob.
 
-    ``Pieces`` are the pieces with each waveform reduced to its shape;
-    ``Values`` is every waveform's samples, row-major and in piece order,
-    as one codec blob (the paper's wave-segment argument applied to the
+    ``Headers`` is each distinct :data:`_HEADER` — what pieces share, a
+    waveform's ``Format`` and ``SamplingInterval`` included — once, first
+    use first, keyed by its bits (as :func:`repro.sensors.packets.encode_upload`
+    keys a stream); ``Pieces`` one row a piece, ``[header, Timestamp]``
+    for labels alone or ``[header, Timestamp, StartTime, Samples,
+    SegmentId]`` for a waveform, integers all (``Timestamp`` is null when
+    time is not shared, ``SegmentId`` the 16-hex id as a number);
+    ``Values`` every waveform's samples, row-major and in piece order, as
+    one codec blob (the paper's wave-segment argument applied to the
     release).  The only producer of a query response's ``Released``
-    member; :func:`decode_release` is its only parser.
+    member; :func:`decode_release` is its only parser.  A waveform that is
+    not :meth:`~WaveSegment.bare`, not its piece's contributor's or not
+    under its own id has no place in the frame: a ``ValidationError``.
     """
-    released = list(released)
-    arrays = [r.segment.values.ravel() for r in released if r.segment is not None]
+    index, headers, rows, arrays = {}, [], [], []
+    for r in released:
+        segment, location = r.segment, r.location
+        where = location
+        if location is not None and type(location) is not str:
+            where = struct.pack("<2d", *location)
+        shape = None if segment is None else (segment.channels, segment.interval_ms)
+        labels, withheld = frozenset(r.context_labels.items()), frozenset(r.withheld.items())
+        key = (r.contributor, r.time_level, where, r.location_level, labels, withheld, shape)
+        header = index.get(key)
+        if header is None:
+            header = index[key] = len(headers)
+            headers.append(
+                {
+                    "Contributor": r.contributor,
+                    "TimeLevel": r.time_level,
+                    "Location": location,
+                    "LocationLevel": r.location_level,
+                    "ContextLabels": dict(r.context_labels),
+                    "Withheld": dict(r.withheld),
+                    "Format": None if segment is None else list(segment.channels),
+                    "SamplingInterval": None if segment is None else segment.interval_ms,
+                }
+            )
+        if segment is None:
+            rows.append([header, r.timestamp])
+            continue
+        try:
+            number = int(segment.segment_id, 16)
+        except ValueError:
+            number = -1
+        if (
+            segment.location is not None
+            or segment.context
+            or segment.contributor != r.contributor
+            or f"{number:016x}" != segment.segment_id
+        ):
+            raise ValidationError(
+                f"released piece {len(rows)}: a waveform travels bare (no capture location, "
+                "no stored context), as its piece's contributor's, under its own id"
+            )
+        rows.append([header, r.timestamp, segment.start_ms, segment.n_samples, number])
+        arrays.append(segment.values.ravel())
     flat = np.concatenate(arrays) if arrays else np.empty(0)
     return {
-        "Pieces": [r.to_json(values=False) for r in released],
+        "Headers": headers,
+        "Pieces": rows,
         "Values": encode_values(flat.reshape(-1, 1), ENCODING_RAW),
     }
 
@@ -161,35 +228,126 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
 def decode_release(frame: dict) -> list:
     """Parse a release frame into its :class:`ReleasedSegment` pieces.
 
-    The blob is read in place: each piece's ``values`` is a read-only
-    view of the frame's own ``bytes`` (so holding a piece keeps its
-    release's samples alive).  :class:`~repro.exceptions.SchemaError`,
-    before any piece is returned, unless ``Values`` is one ``le-f64`` blob
-    of one channel and the declared shapes consume it exactly.
+    Each header is parsed once, coerced nowhere, and its ``Format`` held
+    once to :func:`~repro.datastore.wavesegment.check_format`; a row then
+    only has to be integers naming a header that fits it, with a positive
+    sample count the blob can pay.  The blob is read in place: each
+    waveform's ``values`` is a read-only view of the frame's own ``bytes``
+    (so holding a piece keeps its release's samples alive).
+    :class:`~repro.exceptions.SchemaError`, and no piece returned, unless
+    ``Values`` is one ``le-f64`` blob of one channel, every header parses
+    and is used, and the rows consume the blob exactly.
     """
-    require_keys(frame, ("Pieces", "Values"), where="release frame")
+    require_keys(frame, ("Headers", "Pieces", "Values"), where="release frame")
     flat = decode_frame_values(frame["Values"], where="release frame")
-    pieces, offset = [], 0
-    for piece in require_type(frame["Pieces"], list, where="release frame Pieces"):
-        if not isinstance(piece, dict):
-            raise SchemaError(f"released piece: expected a JSON object, got {piece!r}")
-        values, segment = None, piece.get("Segment")
-        if segment:
-            try:
-                shape = segment["Values"]
-                rows, columns = int(shape["Samples"]), int(shape["Channels"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError("released piece: Values must declare its shape") from exc
-            end = offset + rows * columns
-            if rows < 0 or columns <= 0 or end > flat.size:
+    headers = [
+        _header(obj, n)
+        for n, obj in enumerate(require_type(frame["Headers"], list, where="release frame Headers"))
+    ]
+    used = [False] * len(headers)
+    pieces, offset, size = [], 0, flat.size
+    for n, row in enumerate(require_type(frame["Pieces"], list, where="release frame Pieces")):
+        cells = len(row) if type(row) is list else 0
+        if cells == 5:
+            header, timestamp, start, count, number = row
+        elif cells == 2:
+            header, timestamp = row
+            start = count = number = 0
+        else:
+            raise SchemaError(f"release frame: piece {n} is not a row of two or five integers")
+        if not (
+            type(header) is type(start) is type(count) is type(number) is int
+            and (timestamp is None or type(timestamp) is int)
+        ):
+            raise SchemaError(f"release frame: piece {n} is not a row of integers")
+        if not 0 <= header < len(headers):
+            raise SchemaError(f"release frame: piece {n} names no header")
+        contributor, time_level, location, location_level, labels, withheld, channels, interval = (
+            headers[header]
+        )
+        if (cells == 5) != (channels is not None):
+            raise SchemaError(f"release frame: piece {n} is a row its header does not fit")
+        used[header] = True
+        if cells == 2:
+            segment, span = None, Interval(timestamp or 0, (timestamp or 0) + 1)
+        else:
+            end = offset + count * len(channels)
+            if count <= 0 or end > size or not 0 <= number < 1 << 64:
                 raise SchemaError(
-                    f"released piece: {rows}x{columns} values at {offset} overrun {flat.size}"
+                    f"release frame: piece {n} has no samples, overruns the blob "
+                    "or has no 64-bit SegmentId"
                 )
-            values, offset = flat[offset:end].reshape(rows, columns), end
-        pieces.append(ReleasedSegment.from_json(piece, values))
-    if offset != flat.size:
-        raise SchemaError(f"release frame: pieces consume {offset} of {flat.size} values")
+            values = flat[offset:end].reshape(count, len(channels))
+            segment = WaveSegment._of_checked_format(
+                contributor, channels, start, interval, values, f"{number:016x}"
+            )
+            if interval is not None:  # segment.interval, without its property chain
+                span = Interval(start, start + count * interval)
+            else:
+                try:
+                    span = segment.interval
+                except ValidationError as exc:  # a Time column that runs backwards
+                    raise SchemaError(f"release frame: piece {n}: {exc}") from None
+            offset = end
+        pieces.append(
+            ReleasedSegment(
+                contributor,
+                span,
+                segment,
+                timestamp,
+                time_level,
+                list(location) if type(location) is list else location,
+                location_level,
+                dict(labels),
+                dict(withheld),
+            )
+        )
+    if offset != size or not all(used):
+        raise SchemaError(
+            f"release frame: pieces consume {offset} of {size} values "
+            f"and {sum(used)} of {len(headers)} headers"
+        )
     return pieces
+
+
+def _header(obj, n: int) -> tuple:
+    """One release-frame header, its members in :data:`_HEADER` order."""
+    if type(obj) is not dict or obj.keys() != _HEADER_KEYS:
+        raise SchemaError(f"release frame: header {n} is not exactly {{{', '.join(_HEADER)}}}")
+    contributor, time_level, location, location_level, labels, withheld, channels, interval = (
+        _members(obj)
+    )
+    if not (
+        type(contributor) is type(time_level) is type(location_level) is str
+        and (
+            location is None
+            or type(location) is str
+            or type(location) is list and len(location) == 2 and {*map(type, location)} <= _NUMBER
+        )
+        and type(labels) is type(withheld) is dict
+        and {*map(type, labels), *map(type, labels.values())} <= _TEXT
+        and {*map(type, withheld), *map(type, withheld.values())} <= _TEXT
+    ):
+        raise SchemaError(
+            f"release frame: header {n} is not {{Contributor, TimeLevel, LocationLevel: text, "
+            "Location: null, text or two numbers, ContextLabels, Withheld: {text: text}}"
+        )
+    if channels is not None or interval is not None:
+        if not (
+            type(channels) is list
+            and {*map(type, channels)} <= _TEXT
+            and (interval is None or type(interval) is int)
+        ):
+            raise SchemaError(
+                f"release frame: header {n} is not {{Format: [text], SamplingInterval: "
+                "null or an integer}"
+            )
+        channels = tuple(channels)
+        try:
+            check_format(channels, interval)
+        except ValidationError as exc:
+            raise SchemaError(f"release frame: header {n}: {exc}") from None
+    return contributor, time_level, location, location_level, labels, withheld, channels, interval
 
 
 def _shape_segment(

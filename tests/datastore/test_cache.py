@@ -126,7 +126,7 @@ class TestReleaseCacheLru:
 
         seg = make_segment(n=8)
         released = (
-            ReleasedSegment("alice", seg.interval, segment=seg,
+            ReleasedSegment("alice", seg.interval, segment=seg.bare(),
                             context_labels={"Stress": "Stressed"}),
             ReleasedSegment("alice", Interval(0, 1), withheld={"ECG": "closure"}),
         )

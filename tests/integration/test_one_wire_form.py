@@ -1,13 +1,15 @@
-"""Tier-1 guard: one producer and one parser per write-path frame.
+"""Tier-1 guard: one producer and one parser per wire frame.
 
 An upload travels as the frame ``repro.sensors.packets.encode_upload``
-builds and a ship as the one ``repro.storage.replication.encode_ship``
-builds; nothing else under ``src/`` or ``benchmarks/`` may spell the
-members of either by hand, and nothing may hex-encode bytes for the wire
-again.  A second writer of ``"Streams"``, ``"Packets"`` or ``"Stream"``
-would be a second wire form — a list fallback, a negotiation, a bench
-that measures a body the phone never sends — so it fails ``pytest`` here,
-not a review.
+builds, a ship as the one ``repro.storage.replication.encode_ship`` builds
+and a release as the one ``repro.rules.engine.encode_release`` builds;
+nothing else under ``src/`` or ``benchmarks/`` may spell the members of
+any of them by hand, and nothing may hex-encode bytes for the wire again.
+A second writer of ``"Streams"``, ``"Packets"``, ``"Stream"``,
+``"Headers"`` or ``"Pieces"`` would be a second wire form — a list
+fallback, a negotiation, a bench that measures a body the phone never
+sends or a consumer never receives — so it fails ``pytest`` here, not a
+review.
 (``benchmarks/ledger/`` drives the public API only and is the benchmark's
 own to edit; it is not scanned.)
 
@@ -26,12 +28,15 @@ NOT_SCANNED = "benchmarks/ledger/"
 
 UPLOAD_FRAME = "src/repro/sensors/packets.py"
 SHIP_FRAME = "src/repro/storage/replication.py"
+RELEASE_FRAME = "src/repro/rules/engine.py"
 #: member name -> the one file that may spell it
 MEMBERS = {
     "Streams": UPLOAD_FRAME,
     "Packets": UPLOAD_FRAME,
     "Frames": SHIP_FRAME,
     "Stream": SHIP_FRAME,
+    "Headers": RELEASE_FRAME,
+    "Pieces": RELEASE_FRAME,
 }
 
 STORED_FORM = "src/repro/datastore/codec.py"
@@ -134,4 +139,5 @@ def test_the_guard_sees_what_it_guards():
     modules = dict(_modules())
     assert {what for _, what in _spellings(modules[UPLOAD_FRAME])} == {"Streams", "Packets"}
     assert {what for _, what in _spellings(modules[SHIP_FRAME])} == {"Frames", "Stream"}
+    assert {what for _, what in _spellings(modules[RELEASE_FRAME])} == {"Headers", "Pieces"}
     assert len(modules) > 100 and not any(name.startswith(NOT_SCANNED) for name in modules)

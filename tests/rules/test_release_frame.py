@@ -1,14 +1,19 @@
 """The release frame: ``encode_release`` / ``decode_release``.
 
-A consumer release travels as ``{"Pieces": [...], "Values": <one blob>}``;
-these tests hold the pair to being lossless over every kind of piece the
-engine can emit, to handing the consumer read-only views of the frame's
-own bytes, and to refusing — whole, never in part — a frame whose blob is
-anything but one ``le-f64`` ``bytes`` vector or whose declared shapes do
-not consume it exactly.
+A consumer release travels as ``{"Headers": [...], "Pieces": [...],
+"Values": <one blob>}``: what pieces share is a header written once, a
+piece is one row of integers, and every waveform's samples ride one blob.
+These tests hold the pair to being lossless over every kind of piece the
+engine can emit, to writing each header once and checking it once, to
+handing the consumer read-only views of the frame's own bytes, and to
+refusing — whole, never in part — a frame whose blob is anything but one
+``le-f64`` ``bytes`` vector, whose headers are mistyped or fail the
+segment format checks, or whose rows do not consume the blob exactly.
 """
 
 import base64
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,10 +25,11 @@ from repro.datastore.codec import (
     decode_values,
     encode_values,
 )
-from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
+from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment, check_format
 from repro.exceptions import SchemaError, ValidationError
 from repro.net import wire
 from repro.rules.engine import ReleasedSegment, decode_release, encode_release
+from repro.util.geo import LatLon
 from repro.util.jsonutil import canonical_dumps
 from repro.util.timeutil import Interval
 
@@ -47,11 +53,12 @@ def _waveform(draw, channels, interval_ms):
 def pieces(draw):
     """One released piece: label-only, or a waveform of any shape."""
     labels = draw(st.sampled_from([{}, {"Activity": "Still"}, {"Activity": "Café ☕"}]))
+    location = draw(st.sampled_from([None, "zip-5203-8834", [34.07, -118.44], [-0.0, 0.0]]))
     kind = draw(st.sampled_from(["labels", "single", "multi", "nonuniform"]))
     if kind == "labels":
         ts = draw(st.sampled_from([None, 0, MONDAY]))
         return ReleasedSegment(
-            "alice", Interval(ts or 0, (ts or 0) + 1), timestamp=ts,
+            "alice", Interval(ts or 0, (ts or 0) + 1), timestamp=ts, location=location,
             context_labels=labels or {"Stress": "Stressed"},
         )
     channels, interval_ms = {
@@ -62,7 +69,8 @@ def pieces(draw):
     segment = _waveform(draw, channels, interval_ms)
     return ReleasedSegment(
         "alice", segment.interval, segment=segment, timestamp=segment.start_ms,
-        context_labels=labels, withheld=draw(st.sampled_from([{}, {"GpsLat": "closure"}])),
+        location=location, context_labels=labels,
+        withheld=draw(st.sampled_from([{}, {"GpsLat": "closure"}])),
     )
 
 
@@ -79,36 +87,73 @@ def test_round_trip_is_lossless_and_canonical(released):
     assert [p.segment and p.segment.segment_id for p in decoded] == [
         p.segment and p.segment.segment_id for p in released
     ]
+    assert [p.interval for p in decoded] == [p.interval for p in released]
     sent = wire.encode(frame)
     assert wire.encode(encode_release(decoded)) == sent
     # The same after a trip through bytes, as over a real wire.
     assert _wire(decode_release(wire.decode(sent))) == _wire(released)
-    # One blob holds exactly the samples of every waveform, nothing else.
+    # One blob holds exactly the samples of every waveform, nothing else;
+    # a header is written once, and a piece is integers (or a null Timestamp).
     assert frame["Values"]["Samples"] == sum(
         p.segment.values.size for p in released if p.segment is not None
     )
-    assert "Blob" not in canonical_dumps(frame["Pieces"])
+    headers = [canonical_dumps(h) for h in frame["Headers"]]
+    assert len(set(headers)) == len(headers) and "Blob" not in "".join(headers)
+    assert all(
+        type(cell) is int or (column == 1 and cell is None)
+        for row in frame["Pieces"]
+        for column, cell in enumerate(row)
+    )
 
 
 def test_empty_release_is_an_empty_frame():
     frame = encode_release([])
-    assert frame == {"Pieces": [], "Values": encode_values(np.empty((0, 1)), ENCODING_RAW)}
+    assert frame == {
+        "Headers": [], "Pieces": [], "Values": encode_values(np.empty((0, 1)), ENCODING_RAW)
+    }
     assert frame["Values"]["Samples"] == 0 and frame["Values"]["Blob"] == b""
     assert decode_release(frame) == []
 
 
 def test_label_only_pieces_consume_nothing():
-    labels = ReleasedSegment("alice", Interval(5, 6), timestamp=5, context_labels={"Stress": "Stressed"})
+    labels = ReleasedSegment(
+        "alice", Interval(5, 6), timestamp=5, context_labels={"Stress": "Stressed"}
+    )
     wave = ReleasedSegment(
         "alice", Interval(0, 1000), timestamp=0,
         segment=WaveSegment("alice", ("ECG",), 0, 1000, np.array([[1.5]])),  # 1 sample
     )
     frame = encode_release([labels, wave, labels])
-    assert [p["Segment"] and p["Segment"]["Values"] for p in frame["Pieces"]] == [
-        None, {"Samples": 1, "Channels": 1}, None,
+    assert frame["Pieces"] == [
+        [0, 5], [1, 0, 0, 1, int(wave.segment.segment_id, 16)], [0, 5],
+    ]
+    assert [(h["Format"], h["SamplingInterval"]) for h in frame["Headers"]] == [
+        (None, None), (["ECG"], 1000),
     ]
     assert decode_values(frame["Values"]).tolist() == [[1.5]]
     assert _wire(decode_release(frame)) == _wire([labels, wave, labels])
+
+
+def test_pieces_that_share_a_header_name_it_once():
+    """What pieces share travels once a frame: one header for two dozen
+    one-channel pieces of the same person, levels and labels, a second
+    for the label-only piece among them."""
+    waves = [
+        WaveSegment("alice", ("ECG",), 1000 * i, 250, np.full((4, 1), float(i)))
+        for i in range(24)
+    ]
+    released = [
+        ReleasedSegment("alice", w.interval, segment=w, timestamp=w.start_ms,
+                        location="zip-5203-8834", location_level="zipcode",
+                        context_labels={"Activity": "Still"}, withheld={"GpsLat": "closure"})
+        for w in waves
+    ]
+    labels = ReleasedSegment("alice", Interval(0, 1), context_labels={"Stress": "Stressed"})
+    released.insert(7, labels)
+    frame = encode_release(released)
+    assert len(frame["Headers"]) == 2
+    assert [row[0] for row in frame["Pieces"]] == [0] * 7 + [1] + [0] * 17
+    assert _wire(decode_release(frame)) == _wire(released)
 
 
 def test_multi_channel_and_non_uniform_pieces_ravel_row_major():
@@ -116,7 +161,9 @@ def test_multi_channel_and_non_uniform_pieces_ravel_row_major():
     timed = WaveSegment(
         "alice", (TIME_CHANNEL, "ECG"), 100, None, np.array([[100.0, 9.0], [107.0, 8.0]])
     )
-    released = [ReleasedSegment("alice", s.interval, segment=s, timestamp=s.start_ms) for s in (accel, timed)]
+    released = [
+        ReleasedSegment("alice", s.interval, segment=s, timestamp=s.start_ms) for s in (accel, timed)
+    ]
     frame = encode_release(released)
     assert decode_values(frame["Values"]).ravel().tolist() == [1, 2, 3, 4, 100, 9, 107, 8]
     first, second = decode_release(frame)
@@ -169,8 +216,71 @@ def test_decoded_values_are_the_frame_s_own_bytes():
         assert owner is blob
 
 
+def test_decoded_pieces_share_no_mutable_member_with_the_frame():
+    """A cache hit serves one frame to many fetches: what a consumer does
+    to its pieces must not reach the frame, or the next consumer."""
+    wave = WaveSegment("alice", ("ECG",), 0, 250, np.array([[1.0], [2.0]]))
+    piece = ReleasedSegment("alice", wave.interval, segment=wave, location=[34.07, -118.44],
+                            context_labels={"Activity": "Still"}, withheld={"GpsLat": "closure"})
+    frame = encode_release([piece, piece])
+    first, second = decode_release(frame)
+    first.location.append(0.0)
+    first.context_labels["Stress"] = "Stressed"
+    first.withheld.clear()
+    assert _wire([second]) == _wire([piece])
+    assert _wire(decode_release(frame)) == _wire([piece, piece])
+
+
+def test_each_header_is_checked_once_and_no_piece_is_parsed_from_json():
+    """The format checks run per header, not per piece, and no waveform
+    goes through a constructor that would repeat them or through a
+    ``from_json``: a warm fetch builds 25 pieces from 2 checks."""
+    wave = WaveSegment("alice", ("ECG",), 0, 250, np.ones((2, 1)))
+    labels = ReleasedSegment("alice", Interval(0, 1), context_labels={"Stress": "Stressed"})
+    released = [ReleasedSegment("alice", wave.interval, segment=wave)] * 5 + [labels] * 3
+    frame = encode_release(released)
+    assert len(frame["Headers"]) == 2
+    with mock.patch(
+        "repro.rules.engine.check_format", wraps=check_format
+    ) as checked, mock.patch(
+        "repro.datastore.wavesegment.check_format", side_effect=AssertionError("per piece")
+    ), mock.patch.object(
+        WaveSegment, "from_json", side_effect=AssertionError("from_json")
+    ), mock.patch.object(
+        ReleasedSegment, "from_json", side_effect=AssertionError("from_json")
+    ):
+        decoded = decode_release(frame)
+    assert len(decoded) == 8 and checked.call_count == 1
+    assert _wire(decoded) == _wire(released)
+
+
+_NOT_BARE = {
+    "capture location": lambda w: replace(w, location=LatLon(34.07, -118.44)),
+    "stored context": lambda w: w.with_context({"Activity": "Still"}),
+    "another owner's waveform": lambda w: replace(w, contributor="mallory", segment_id=""),
+    "an id of its own making": lambda w: replace(w, segment_id="ecg-1"),
+    "an upper-case id": lambda w: replace(w, segment_id="00000000000000AB"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_NOT_BARE))
+def test_a_waveform_that_is_not_bare_has_no_place_in_the_frame(what):
+    """A header has no member for a waveform's capture location, stored
+    context or owner, and a row carries its id as a number: ``encode_release``
+    refuses what the frame could not carry rather than dropping it silently."""
+    wave = WaveSegment("alice", ("ECG",), 0, 250, np.array([[1.0], [2.0]]))
+    bad = _NOT_BARE[what](wave)
+    with pytest.raises(ValidationError, match="bare"):
+        encode_release([ReleasedSegment("alice", bad.interval, segment=bad)])
+    assert decode_release(encode_release([ReleasedSegment("alice", wave.interval, segment=wave)]))
+
+
 def _frame():
-    """Two 2x1 waveforms around a label-only piece: four values."""
+    """Two 2x1 waveforms around a label-only piece: four values.
+
+    ``Headers`` is ``[waveform, labels]``; ``Pieces`` is ``[[0, null, 0,
+    2, id], [1, null], [0, null, 0, 2, id]]``.
+    """
     wave = WaveSegment("alice", ("ECG",), 0, 250, np.array([[1.0], [2.0]]))
     return encode_release(
         [
@@ -181,10 +291,24 @@ def _frame():
     )
 
 
-def _with_shape(index, **shape):
+_COLUMNS = ("Header", "Timestamp", "StartTime", "Samples", "SegmentId")
+
+
+def _with_cells(index, **cells):
     frame = _frame()
-    frame["Pieces"][index]["Segment"]["Values"].update(shape)
+    for name, value in cells.items():
+        frame["Pieces"][index][_COLUMNS.index(name)] = value
     return frame
+
+
+def _with_header(index, **members):
+    frame = _frame()
+    frame["Headers"][index].update(members)
+    return frame
+
+
+def _with_pieces(pieces):
+    return {**_frame(), "Pieces": pieces}
 
 
 def _with_vector(n, encoding=ENCODING_RAW, channels=1):
@@ -195,33 +319,111 @@ def _with_blob(**members):
     return {**_frame(), "Values": {**_frame()["Values"], **members}}
 
 
+def _parent_piece(**segment):
+    """One piece as the parent's frame sent it: an object whose waveform is
+    a Fig. 5 segment with ``Values`` reduced to its shape."""
+    waveform = {
+        "SegmentId": "00000000000000ab", "Contributor": "alice", "StartTime": 0,
+        "SamplingInterval": 250, "Location": None, "Format": ["ECG"],
+        "Values": {"Samples": 2, "Channels": 1}, **segment,
+    }
+    return {
+        "Contributor": "alice", "Timestamp": None, "TimeLevel": "milliseconds",
+        "Location": None, "LocationLevel": "coordinates", "ContextLabels": {},
+        "Segment": waveform, "Withheld": {},
+    }
+
+
+_WAVE, _LABELS = 0, 1  # header indexes in _frame()
+
 MALFORMED = {
+    # the frame and its members
     "frame is a list": _frame()["Pieces"],
     "frame is null": None,
-    "no Pieces": {"Values": _frame()["Values"]},
-    "no Values": {"Pieces": _frame()["Pieces"]},
+    "no Headers": {"Pieces": _frame()["Pieces"], "Values": _frame()["Values"]},
+    "no Pieces": {"Headers": _frame()["Headers"], "Values": _frame()["Values"]},
+    "no Values": {"Headers": _frame()["Headers"], "Pieces": _frame()["Pieces"]},
+    "Headers is an object": {**_frame(), "Headers": {}},
     "Pieces is an object": {**_frame(), "Pieces": {}},
-    "trailing non-object piece": {**_frame(), "Pieces": _frame()["Pieces"] + ["piece"]},
-    "null piece": {**_frame(), "Pieces": [None] + _frame()["Pieces"]},
-    "Segment is a string": {**_frame(), "Pieces": [{"Segment": "ECG"}]},
-    "negative Samples": _with_shape(2, Samples=-2),
-    "zero Channels": _with_shape(2, Channels=0),
-    "negative Channels": _with_shape(0, Channels=-1),
-    "Samples is text": _with_shape(0, Samples="two"),
-    "shape without Channels": {
+    # a piece is a row, not an object: the parent's piece objects, whatever
+    # they carry, are no second form
+    "trailing non-object piece": _with_pieces(_frame()["Pieces"] + ["piece"]),
+    "null piece": _with_pieces([None] + _frame()["Pieces"]),
+    "Segment is a string": _with_pieces([{"Segment": "ECG"}]),
+    "shape without Channels": _with_pieces([{"Segment": {"Values": {"Samples": 4}}}]),
+    "shape is a number": _with_pieces([{"Segment": {"Values": 4}}]),
+    "negative Channels": _with_pieces([{"Segment": {"Values": {"Samples": 2, "Channels": -1}}}]),
+    "parent piece, well formed": _with_pieces([_parent_piece(), _parent_piece()]),
+    "parent piece, waveform carries a capture location": _with_pieces(
+        [_parent_piece(Location=[34.07, -118.44]), _parent_piece()]
+    ),
+    "parent piece, waveform carries stored context": _with_pieces(
+        [_parent_piece(Context={"Activity": "Drive"}), _parent_piece()]
+    ),
+    "parent piece, waveform is another owner's": _with_pieces(
+        [_parent_piece(Contributor="mallory"), _parent_piece()]
+    ),
+    # a header is exactly its eight members, typed, coerced nowhere
+    "header is a list": {**_frame(), "Headers": [["alice"], _frame()["Headers"][1]]},
+    "header without Withheld": {
         **_frame(),
-        "Pieces": [{"Segment": {"Values": {"Samples": 4}}}],
+        "Headers": [
+            {k: v for k, v in _frame()["Headers"][0].items() if k != "Withheld"},
+            _frame()["Headers"][1],
+        ],
     },
-    "shape is a number": {**_frame(), "Pieces": [{"Segment": {"Values": 4}}]},
+    "header carries the waveform's Context": _with_header(_WAVE, Context={"Activity": "Drive"}),
+    "header carries a Segment": _with_header(_WAVE, Segment={"Location": [34.07, -118.44]}),
+    "Contributor is a number": _with_header(_WAVE, Contributor=7),
+    "TimeLevel is a number": _with_header(_WAVE, TimeLevel=7),
+    "LocationLevel is null": _with_header(_LABELS, LocationLevel=None),
+    "Location has three numbers": _with_header(_WAVE, Location=[34.0, -118.0, 0.0]),
+    "Location is two booleans": _with_header(_WAVE, Location=[True, False]),
+    "Location is an object": _with_header(_WAVE, Location={"Lat": 34.0}),
+    "ContextLabels label is a number": _with_header(_LABELS, ContextLabels={"Stress": 3}),
+    "ContextLabels is a list of pairs": _with_header(
+        _LABELS, ContextLabels=[["Stress", "Stressed"]]
+    ),
+    "Withheld is text": _with_header(_WAVE, Withheld="x"),
+    "Withheld reason is a number": _with_header(_WAVE, Withheld={"GpsLat": 1}),
+    "Format is text": _with_header(_WAVE, Format="ECG"),
+    "Format channel is a number": _with_header(_WAVE, Format=[7]),
+    "SamplingInterval is a float": _with_header(_WAVE, SamplingInterval=250.9),
+    "SamplingInterval is a whole float": _with_header(_WAVE, SamplingInterval=250.0),
+    "SamplingInterval is numeric text": _with_header(_WAVE, SamplingInterval="250"),
+    "SamplingInterval is a boolean": _with_header(_WAVE, SamplingInterval=True),
+    "label header with an interval": _with_header(_LABELS, SamplingInterval=250),
+    "zero Channels": _with_header(_WAVE, Format=[]),
+    "header no piece names": {**_frame(), "Headers": _frame()["Headers"] + _frame()["Headers"][1:]},
+    # a row is integers naming a header it fits
+    "row of one": _with_pieces(_frame()["Pieces"][:2] + [[0]]),
+    "row of three": _with_pieces(_frame()["Pieces"][:2] + [[0, None, 0]]),
+    "row names no header": _with_cells(0, Header=2),
+    "row names a negative header": _with_cells(0, Header=-1),
+    "row header is a boolean": _with_cells(1, Header=True),
+    "label row under a waveform header": _with_pieces(_frame()["Pieces"][:2] + [[0, None]]),
+    "waveform row under a label header": _with_cells(0, Header=1),
+    "label piece Timestamp is text": _with_cells(1, Timestamp="5"),
+    "Timestamp is a float": _with_cells(0, Timestamp=5.0),
+    "StartTime is a boolean": _with_cells(0, StartTime=True),
+    "StartTime is numeric text": _with_cells(0, StartTime="1000"),
+    "StartTime is null": _with_cells(0, StartTime=None),
+    "Samples is text": _with_cells(0, Samples="two"),
+    "zero Samples": _with_cells(0, Samples=0),
+    "negative Samples": _with_cells(2, Samples=-2),
+    "SegmentId is hex text": _with_cells(0, SegmentId="00000000000000ab"),
+    "SegmentId is negative": _with_cells(0, SegmentId=-1),
+    "SegmentId is past 64 bits": _with_cells(0, SegmentId=1 << 64),
+    # the rows must consume the blob exactly
     "vector one short": _with_vector(3),
     "vector one long": _with_vector(5),
     "vector empty": _with_vector(0),
-    "last piece overdraws": _with_shape(2, Samples=3),
-    "last piece underdraws": _with_shape(2, Samples=1),
+    "last piece overdraws": _with_cells(2, Samples=3),
+    "last piece underdraws": _with_cells(2, Samples=1),
+    # one blob, one wire form: the codec's stored encodings are refused here
+    # exactly as the upload frame refuses them, whatever they hold
     "blob is not base64": _with_blob(Blob="@@@"),
     "blob shorter than declared": _with_blob(Samples=5),
-    # one wire form: the codec's stored encodings are refused here exactly
-    # as the upload frame refuses them, whatever they hold
     "plain blob": _with_blob(Encoding="plain", Blob=[[0.0]] * 4),
     "b64le-f64 blob (the parent's frame)": _with_vector(4, ENCODING_B64),
     "two-channel blob": _with_vector(4, channels=2),
@@ -237,6 +439,7 @@ MALFORMED = {
 
 def test_the_well_formed_frame_parses():
     assert len(decode_release(_frame())) == 3
+    assert len(decode_release(wire.decode(wire.encode(_frame())))) == 3
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -247,11 +450,23 @@ def test_malformed_frame_is_refused_whole(name):
         decode_release(MALFORMED[name])
 
 
-def test_shape_that_fits_the_vector_but_not_the_format_is_still_refused():
-    """The per-piece constructor checks stay on: 4 values declared as 2x2
-    against a one-channel format fit the vector and fail the segment."""
-    frame = _frame()
-    frame["Pieces"] = [frame["Pieces"][0]]
-    frame["Pieces"][0]["Segment"]["Values"] = {"Samples": 2, "Channels": 2}
+_BAD_FORMATS = {
+    "no channel": ([], 250),
+    "a channel twice": (["ECG", "ECG"], 250),
+    "zero interval": (["ECG"], 0),
+    "negative interval": (["ECG"], -250),
+    "non-uniform without a Time column": (["ECG"], None),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_BAD_FORMATS))
+def test_a_header_failing_the_format_checks_is_refused_whole(what):
+    """A header is held to the very checks a ``WaveSegment`` is built
+    under (``check_format``), once, before any row is read: a format no
+    segment may have is a SchemaError for the frame, not a piece that
+    fails later or a ValidationError from a constructor."""
+    channels, interval_ms = _BAD_FORMATS[what]
     with pytest.raises(ValidationError):
-        decode_release(frame)
+        WaveSegment("alice", tuple(channels), 0, interval_ms, np.zeros((2, len(channels))))
+    with pytest.raises(SchemaError, match="header 0"):
+        decode_release(_with_header(_WAVE, Format=channels, SamplingInterval=interval_ms))
