@@ -12,7 +12,7 @@ transfer.  This module makes that directory real at fleet scale:
   the world.
 * :class:`ShardDirectory` — the routing table.  Per-contributor routes
   stay authoritative in the :class:`~repro.broker.registry
-  .ContributorRegistry` (one record, one host); the directory wraps every
+  .ContributorRegistry` (one record, one host); the directory makes every
   route *change* (shard add/remove, failover repoint, migration cutover)
   and stamps it with a monotonically increasing ``routing_epoch``.
 
@@ -105,7 +105,11 @@ class ShardDirectory:
     for "where does contributor X live"; this class owns the *placement*
     policy (the hash ring) and the *version* of the table (the routing
     epoch).  Every mutation path that changes any route goes through here
-    so the epoch can never miss a change:
+    so the epoch can never miss a change — after
+    :meth:`~repro.broker.registry.ContributorRegistry.register`, :meth:`move`
+    is the only code that assigns a record's ``host`` (a synced profile
+    moves the rules mirror, never the route; ``tests/broker/
+    test_directory.py`` fails the build otherwise):
 
     * :meth:`add_shard` / :meth:`remove_shard` — topology changes;
     * :meth:`repoint` — failover re-homing a whole host;
@@ -164,10 +168,7 @@ class ShardDirectory:
 
     def repoint(self, old_host: str, new_host: str) -> int:
         """Failover path: re-home every contributor of one host; returns moved."""
-        moved = self.registry.repoint_host(old_host, new_host)
-        if moved:
-            self._bump(moved)
-        return moved
+        return self.move([r.name for r in self.registry.on_host(old_host)], new_host)
 
     def move(self, contributors, new_host: str) -> int:
         """Migration cutover: re-home chosen contributors in one epoch bump."""

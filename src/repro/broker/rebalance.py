@@ -1,31 +1,32 @@
 """Online shard split/migration: the broker-driven rebalance coordinator.
 
 A migration moves a contributor range from one shard to another while
-both keep serving, with the WAL as the transfer log.  The phase machine
-(documented with a diagram in ``docs/ARCHITECTURE.md``):
+both keep serving.  The phase machine (documented with a diagram in
+``docs/ARCHITECTURE.md``):
 
-1. **bootstrap** — ``/api/migrate/export`` (FromLsn 0) snapshots the
-   moving contributors' durable state, WAL-shaped;
-   ``/api/migrate/install`` replays it through the destination's
-   recovery path and re-journals it there.
-2. **catch-up** — bounded rounds of filtered WAL-tail export/install
-   drain writes that raced the bootstrap, until a round comes back
-   empty (or the bound trips — the fence drains the rest).
-3. **fence** — ``/api/migrate/fence`` makes the range's role rows on the
+1. **export** — ``/api/migrate/export`` answers the moving contributors'
+   durable state, WAL-shaped, and its ``Digest``
+   (:func:`repro.storage.records.export_range`).
+2. **install** — ``/api/migrate/install`` applies it through the
+   destination's one installer and re-journals it there.
+3. **fence** — ``/api/migrate/fence`` recomputes the range's digest and,
+   only if it is still the export's, makes the range's role rows on the
    source ``moved`` (records: they survive its restart, ship to its
    replicas, and a move back replaces them): every request naming a
-   moved contributor bounces with :class:`~repro.exceptions.NotPrimaryError`,
-   and the fence response pins the source's final LSN.
-4. **drain** — one last export from the pre-fence cursor provably
-   captures every write that committed before the fence: zero
+   moved contributor bounces with :class:`~repro.exceptions.NotPrimaryError`.
+   A write that raced the copy changed the digest: the fence is a 409
+   :class:`~repro.exceptions.ConflictError`, the source keeps serving the
+   range, nothing is repointed, and the destination's unrouted copy is
+   fenced so that a retry replaces it.  A fence that lands proves the
+   destination holds the range's exact pre-fence state: zero
    committed-write loss across the cutover.
-5. **verify (fail-closed)** — ``/api/migrate/complete`` checks the
+4. **verify (fail-closed)** — ``/api/migrate/complete`` checks the
    destination's installed rule versions against the broker mirror;
    any contributor whose rule state isn't verifiably current is denied
    by default until their owner re-publishes (the promotion fence from
    :mod:`repro.broker.failover`).  A migration may deny; it must never
    widen access.
-6. **cutover** — :meth:`~repro.broker.directory.ShardDirectory.move`
+5. **cutover** — :meth:`~repro.broker.directory.ShardDirectory.move`
    repoints the moved range in ONE routing-epoch bump, the mirror
    force-pulls from the destination, and escrowed consumers are
    enrolled there.  Contributor phones re-key lazily via the
@@ -41,15 +42,11 @@ from __future__ import annotations
 
 from repro.exceptions import (
     BadRequestError,
+    ConflictError,
     SensorSafeError,
     ServiceError,
     TransportError,
 )
-
-#: Catch-up export/install rounds before fencing; each round shrinks the
-#: remaining delta, and the post-fence drain is what guarantees zero
-#: loss, so the bound trades fence-window length against pre-fence work.
-DEFAULT_CATCHUP_ROUNDS = 3
 
 
 class ShardRebalancer:
@@ -86,25 +83,33 @@ class ShardRebalancer:
             raise ServiceError(f"no broker key for store host {host!r}", status=404)
         return self.broker.client.with_key(key).post(f"https://{host}{path}", body)
 
-    def _export(self, source: str, contributors: list, from_lsn: int) -> dict:
-        return self._store_call(
-            source,
-            "/api/migrate/export",
-            {"Contributors": contributors, "FromLsn": int(from_lsn)},
-        )
-
     def _install(self, dest: str, records: list) -> dict:
         result = self._store_call(dest, "/api/migrate/install", {"Records": records})
         if self._c_shipped is not None and records:
             self._c_shipped.inc(len(records))
         return result
 
+    def _fence(self, host: str, names: list, digest: str) -> None:
+        self._store_call(
+            host, "/api/migrate/fence", {"Contributors": names, "Digest": digest}
+        )
+
+    def _disown(self, dest: str, names: list) -> None:
+        """Fence the unrouted copy an aborted move left at ``dest``.
+
+        A retry's install then lands over a fence, and a contributor row
+        over a fence drops the segments left behind: a segment deleted at
+        the source in between does not come back with the retry.
+        """
+        copy = self._store_call(dest, "/api/migrate/export", {"Contributors": names})
+        self._fence(dest, names, copy["Digest"])
+
     # ------------------------------------------------------------------
     # Migration
     # ------------------------------------------------------------------
 
     def migrate(self, contributors, dest_host: str) -> dict:
-        """Move a contributor range to ``dest_host`` (phases 1–6 above)."""
+        """Move a contributor range to ``dest_host`` (phases 1–5 above)."""
         tracer = self.broker.network.obs.tracer
         with tracer.start_span("shard.migrate", dest=dest_host) as span:
             return self._migrate(contributors, dest_host, span)
@@ -124,35 +129,18 @@ class ShardRebalancer:
         started_ms = clock.now_ms()
         self.active += 1
         try:
-            # Phase 1: snapshot bootstrap.  The export pins LastLsn before
-            # reading state, so the first catch-up covers racing writes.
-            export = self._export(source, names, 0)
-            cursor = int(export.get("LastLsn", 0))
-            shipped = len(export.get("Records", []))
-            self._install(dest_host, export.get("Records", []))
-            # Phase 2: bounded catch-up.  A non-durable source has no WAL
-            # to tail — its "delta" is a fresh snapshot, which idempotent
-            # records make safe; one round of that is enough pre-fence.
-            for _ in range(DEFAULT_CATCHUP_ROUNDS):
-                delta = self._export(source, names, max(cursor, 1))
-                records = delta.get("Records", [])
-                cursor = max(cursor, int(delta.get("LastLsn", 0)))
-                if records:
-                    shipped += len(records)
-                    self._install(dest_host, records)
-                if not records or delta.get("Base") == "snapshot":
-                    break
-            # Phase 3: fence the source — the moved range now answers 409.
-            fence = self._store_call(source, "/api/migrate/fence", {"Contributors": names})
-            final_lsn = int(fence.get("LastLsn", 0))
-            # Phase 4: final drain — everything committed before the fence.
-            if final_lsn > cursor or cursor == 0:
-                drain = self._export(source, names, max(cursor, 1))
-                records = drain.get("Records", [])
-                if records:
-                    shipped += len(records)
-                    self._install(dest_host, records)
-            # Phase 5: fail-closed verification against the broker mirror.
+            # Phases 1-2: copy the range.
+            export = self._store_call(source, "/api/migrate/export", {"Contributors": names})
+            shipped = len(export["Records"])
+            self._install(dest_host, export["Records"])
+            # Phase 3: fence the source — the moved range now answers 409 —
+            # unless the range changed since the export (a 409 here).
+            try:
+                self._fence(source, names, export["Digest"])
+            except ConflictError:
+                self._disown(dest_host, names)
+                raise
+            # Phase 4: fail-closed verification against the broker mirror.
             versions = {
                 name: self.broker.registry.get(name).rules_version
                 for name in names
@@ -161,7 +149,7 @@ class ShardRebalancer:
                 dest_host, "/api/migrate/complete", {"RuleVersions": versions}
             )
             fail_closed = sorted(complete.get("FailClosed", []))
-            # Phase 6: cutover — one routing-epoch bump repoints the range.
+            # Phase 5: cutover — one routing-epoch bump repoints the range.
             moved = self.broker.directory.move(names, dest_host)
             epoch = self.broker.directory.routing_epoch
             self._converge_mirror(names, dest_host)

@@ -10,7 +10,7 @@ Studies group consumers (coordinators) so a single Consumer condition like
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.exceptions import ConflictError, NotFoundError
 from repro.rules.model import Rule
@@ -67,11 +67,13 @@ class ContributorRegistry:
         version: int,
         rules: Iterable[Rule],
         places: Iterable[LabeledPlace],
-        host: Optional[str] = None,
-        institution: Optional[str] = None,
         force: bool = False,
     ) -> bool:
-        """Apply a synced profile; returns False when it was stale.
+        """Apply a synced profile to the rules mirror; False when it was stale.
+
+        The route (``host``) is not a profile's to move: after
+        :meth:`register`, only :class:`~repro.broker.directory.ShardDirectory`
+        assigns it, under a routing-epoch bump.
 
         Version monotonicity makes eager pushes and periodic pulls safely
         composable: whichever arrives later with an older version is a
@@ -87,29 +89,11 @@ class ContributorRegistry:
         record.rules_version = version
         record.rules = tuple(rules)
         record.places = {p.label: p for p in places}
-        if host is not None:
-            record.host = host
-        if institution is not None:
-            record.institution = institution
         return True
 
     def on_host(self, host: str) -> list:
         """Records of every contributor whose store is ``host``, sorted."""
         return [r for r in self.all() if r.host == host]
-
-    def repoint_host(self, old_host: str, new_host: str) -> int:
-        """Re-home every contributor from one store host to another.
-
-        The failover path: after a replica is promoted, the directory must
-        answer searches and key requests with the new primary.  Returns
-        the number of records moved.
-        """
-        moved = 0
-        for record in self._records.values():
-            if record.host == old_host:
-                record.host = new_host
-                moved += 1
-        return moved
 
 
 class StudyRegistry:

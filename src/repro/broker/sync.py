@@ -93,7 +93,12 @@ class SyncManager:
     def apply_profile(
         self, profile: dict, *, via_pull: bool = False, force: bool = False
     ) -> bool:
-        """Apply one profile JSON (from a push or a pull); False if stale."""
+        """Apply one profile JSON (from a push or a pull); False if stale.
+
+        Only the rules mirror moves: the profile's ``Host`` and
+        ``Institution`` are not the broker's route, which only the shard
+        directory changes.
+        """
         try:
             name = str(profile["Contributor"])
             version = int(profile["Version"])
@@ -106,13 +111,7 @@ class SyncManager:
         else:
             self.stats.pushes_received += 1
         applied = self.registry.update_profile(
-            name,
-            version=version,
-            rules=rules,
-            places=places,
-            host=profile.get("Host"),
-            institution=profile.get("Institution"),
-            force=force,
+            name, version=version, rules=rules, places=places, force=force
         )
         if applied:
             self.stats.applied += 1

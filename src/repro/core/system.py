@@ -42,8 +42,8 @@ class SensorSafeSystem:
         self.seed = seed
         self.eager_sync = eager_sync
         #: admission-control mode for every host this system creates:
-        #: ``"off"`` (no gate), ``"observe"`` (account, never shed — the
-        #: default, so functional tests see no behavior change), or
+        #: ``"observe"`` (account, never shed — the default, so
+        #: functional tests see no behavior change), or
         #: ``"enforce"`` (shed with typed 503/504s under overload).
         self.overload = overload
         self.clock = SimClock()
@@ -123,8 +123,8 @@ class SensorSafeSystem:
         contributors on shards by consistent hashing instead of creating
         one personal store per contributor — the smart-city topology the
         C14 benchmark measures.  With ``durable=True`` each shard gets a
-        WAL under ``directory/<host>`` (required for WAL-based shard
-        migration; non-durable shards migrate by full snapshot).
+        WAL under ``directory/<host>``; durable or not, a shard migrates
+        the same way (:mod:`repro.broker.rebalance`).
         Returns the shard services, hosts ``{prefix}-1 … -N``.
         """
         import os
@@ -160,8 +160,8 @@ class SensorSafeSystem:
 
         The destination joins the ring first (new registrations land
         there immediately); the migration then moves exactly the
-        contributors whose ring placement is the new shard — bootstrap,
-        WAL catch-up, fence, drain, fail-closed verify, cutover (see
+        contributors whose ring placement is the new shard — export,
+        install, digest-checked fence, fail-closed verify, cutover (see
         :mod:`repro.broker.rebalance`).  Returns the migration report.
         """
         import os

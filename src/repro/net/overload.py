@@ -44,7 +44,7 @@ follows the machine instead of a hand-tuned constant.
 
 Modes: ``"observe"`` (the default everywhere) accounts and reports
 would-shed decisions but admits everything — existing workloads see zero
-behavior change; ``"enforce"`` sheds; ``"off"`` skips accounting too.
+behavior change; ``"enforce"`` sheds.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ from typing import Callable, Optional
 from repro.exceptions import DeadlineExpiredError, OverloadedError
 from repro.net.http import Request, Response, Router
 
-MODE_OFF = "off"
 MODE_OBSERVE = "observe"
 MODE_ENFORCE = "enforce"
-MODES = (MODE_OFF, MODE_OBSERVE, MODE_ENFORCE)
+MODES = (MODE_OBSERVE, MODE_ENFORCE)
 
 #: Priority classes, highest priority (shed last) first.
 CLASS_CONTROL = "control"
@@ -153,7 +152,6 @@ class OverloadConfig:
     control-plane work even before the queue budgets bite.
     """
 
-    mode: str = MODE_OBSERVE
     service_ms: dict = field(default_factory=lambda: {
         CLASS_CONTROL: 2.0,
         CLASS_REPLICATION: 2.0,
@@ -188,10 +186,6 @@ class OverloadConfig:
     #: Cap on the pending-entry ledger: observe-mode workloads that never
     #: advance the clock must not grow unbounded accounting state.
     max_pending: int = 4096
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown overload mode {self.mode!r}")
 
     def service_cost(self, cls: str, cached: bool) -> float:
         """Modelled service time (ms) of one request of this class."""
@@ -302,7 +296,7 @@ class AdmissionController:
         self.host = host
         self.network = network
         self.mode = mode
-        self.config = config or OverloadConfig(mode=mode)
+        self.config = config or OverloadConfig()
         self.classes = dict(classes or {})
         self.default_class = default_class
         self.cache_probe = cache_probe
@@ -461,11 +455,8 @@ class AdmissionController:
     def gate(self, request: Request):
         """Admission decision for one request; raises on shed (enforce).
 
-        Returns an opaque ticket handed back to :meth:`gate_done`, or
-        ``None`` when the controller is off.
+        Returns an opaque ticket (the class) handed back to :meth:`gate_done`.
         """
-        if self.mode == MODE_OFF:
-            return None
         cfg = self.config
         now = self._clock.now_ms()
         cls = self.classify(request.method, request.path)
@@ -541,8 +532,6 @@ class AdmissionController:
 
     def gate_done(self, ticket, response: Response) -> None:
         """Completion hook: count served (2xx) responses per class."""
-        if ticket is None:
-            return
         if response.ok:
             ctr = self._served_ctr(ticket)
             if ctr is not None:

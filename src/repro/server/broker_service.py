@@ -37,11 +37,7 @@ from repro.exceptions import (
 )
 from repro.net.client import HttpClient
 from repro.net.http import Request, Router
-from repro.net.overload import (
-    BROKER_ROUTE_CLASSES,
-    AdmissionController,
-    OverloadConfig,
-)
+from repro.net.overload import BROKER_ROUTE_CLASSES, AdmissionController
 from repro.net.resilience import RetryPolicy
 from repro.net.transport import Network
 from repro.obs.fleet import FleetAggregator
@@ -60,7 +56,6 @@ class BrokerService:
         *,
         seed: int = 0,
         overload: str = "observe",
-        overload_config: "OverloadConfig | None" = None,
     ):
         self.host = host
         self.network = network
@@ -94,17 +89,11 @@ class BrokerService:
         self._mount_routes()
         #: Overload control (PR 9): same contract as the stores' —
         #: "observe" accounts without shedding, "enforce" sheds typed
-        #: 503/504s, "off" disables the gate entirely.
-        self.admission: "AdmissionController | None" = None
-        if overload != "off":
-            self.admission = AdmissionController(
-                host,
-                network,
-                mode=overload,
-                config=overload_config,
-                classes=BROKER_ROUTE_CLASSES,
-            )
-            self.admission.attach(self.router)
+        #: 503/504s.
+        self.admission = AdmissionController(
+            host, network, mode=overload, classes=BROKER_ROUTE_CLASSES
+        )
+        self.admission.attach(self.router)
         network.register_host(host, self.router)
 
     # ------------------------------------------------------------------
@@ -436,7 +425,12 @@ class BrokerService:
         return {"Sets": self.failover.status(), "Events": list(self.failover.events)}
 
     def _h_sync(self, request: Request) -> dict:
-        """Rule-sync push endpoint for remote data stores."""
+        """Rule-sync push endpoint for remote data stores.
+
+        A store syncs only contributors the directory routes to it: a push
+        writes the rules mirror, never the route.  An unknown name is
+        registered at the pushing store (first come, first served).
+        """
         store_host = self._require_store(request)
         profile = dict(request.body.get("Profile", {}))
         if profile.get("Host") != store_host:
@@ -444,6 +438,10 @@ class BrokerService:
         name = str(profile.get("Contributor", ""))
         if name and name not in self.registry:
             self.registry.register(name, store_host, str(profile.get("Institution", "")))
+        elif name and self.registry.get(name).host != store_host:
+            raise AuthorizationError(
+                f"{name!r} is routed to another store, not {store_host!r}"
+            )
         applied = self.sync.apply_profile(profile)
         return {"Applied": applied}
 

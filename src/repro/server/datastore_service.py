@@ -41,11 +41,7 @@ from repro.exceptions import (
     SensorSafeError,
 )
 from repro.net.http import Request, Response, Router
-from repro.net.overload import (
-    STORE_ROUTE_CLASSES,
-    AdmissionController,
-    OverloadConfig,
-)
+from repro.net.overload import STORE_ROUTE_CLASSES, AdmissionController
 from repro.net.transport import Network
 from repro.rules.compiler import CompiledRuleCache
 from repro.rules.engine import RuleEngine
@@ -162,7 +158,6 @@ class DataStoreService:
         cache_max_bytes: int = 32 << 20,
         role: str = ROLE_PRIMARY,
         overload: str = "observe",
-        overload_config: Optional[OverloadConfig] = None,
     ):
         self.host = host
         self.network = network
@@ -223,18 +218,15 @@ class DataStoreService:
         #: Overload control (PR 9): admission + brownout on every route.
         #: "observe" (the default) accounts and reports would-shed
         #: decisions without shedding; "enforce" sheds with typed 503/504s
-        #: *before* rule evaluation; "off" disables even the accounting.
-        self.admission: Optional[AdmissionController] = None
-        if overload != "off":
-            self.admission = AdmissionController(
-                host,
-                network,
-                mode=overload,
-                config=overload_config,
-                classes=STORE_ROUTE_CLASSES,
-                cache_probe=self._cache_would_hit,
-            )
-            self.admission.attach(self.router)
+        #: *before* rule evaluation.
+        self.admission = AdmissionController(
+            host,
+            network,
+            mode=overload,
+            classes=STORE_ROUTE_CLASSES,
+            cache_probe=self._cache_would_hit,
+        )
+        self.admission.attach(self.router)
         if durable:
             from repro.storage.durability import Durability
 
@@ -521,11 +513,9 @@ class DataStoreService:
         if self.durability is not None:
             self.durability.commit()
 
-    def _last_lsn(self, *, commit: bool = True) -> int:
-        """The WAL's last LSN (0 with no WAL), by default after committing it."""
+    def _last_lsn(self) -> int:
+        """The WAL's last LSN (0 with no WAL)."""
         wal = self.durability.wal if self.durability is not None else None
-        if wal is not None and commit:
-            wal.commit()
         return wal.last_lsn if wal is not None else 0
 
     def checkpoint(self) -> dict:
@@ -1052,7 +1042,7 @@ class DataStoreService:
             "Role": self.role,
             "Epoch": self.epoch,
             "AppliedLsn": self._applier.applied_lsn if self._applier else 0,
-            "LastLsn": self._last_lsn(commit=False),
+            "LastLsn": self._last_lsn(),
             "FailClosed": sorted(self.fail_closed),
         }
 
@@ -1076,40 +1066,15 @@ class DataStoreService:
 
     @_route("POST", "/api/migrate/export", caller="broker")
     def _h_migrate_export(self, request: Request) -> dict:
-        """Broker-only: export migration records for a contributor range.
+        """Broker-only: a contributor range's records, and their ``Digest``.
 
-        With ``FromLsn`` 0 this is the snapshot bootstrap (full durable
-        state of the moving contributors, WAL-shaped); above 0 it is a
-        catch-up round (the filtered WAL tail).  ``Base`` says which the
-        response actually is: a catch-up that cannot prove WAL coverage —
-        non-durable source, or a checkpoint truncated past ``FromLsn`` —
-        degrades to a fresh snapshot, which idempotent records make safe.
-        ``LastLsn`` is captured *before* the export so the next round
-        covers anything racing it.  Neither path ships a ``moved`` role
-        row: the fence is this store's, and would fence the destination.
+        The range's durable state, WAL-shaped, with no ``moved`` role row:
+        the fence is this store's, and would fence the destination
+        (:func:`repro.storage.records.export_range`).
         """
-        from repro.storage.migration import wal_records_since
-
         contributors = [str(c) for c in request.body.get("Contributors", [])]
-        from_lsn = int(request.body.get("FromLsn", 0))
-        exported, last_lsn, complete = [], 0, False
-        if from_lsn > 0:
-            exported, last_lsn, complete = wal_records_since(
-                self, from_lsn, contributors
-            )
-        if from_lsn == 0 or not complete:
-            last_lsn = self._last_lsn()
-            exported = records.dump(self, contributors)
-            base = "snapshot"
-        else:
-            base = "wal"
-        fenceless = [[op, data] for op, data in exported if data.get("Role") != records.ROLE_MOVED]
-        return {
-            "Host": self.host,
-            "Records": fenceless,
-            "LastLsn": last_lsn,
-            "Base": base,
-        }
+        shipped, digest = records.export_range(self, contributors)
+        return {"Host": self.host, "Records": shipped, "Digest": digest}
 
     @_route("POST", "/api/migrate/install", caller="broker", writes=True)
     def _h_migrate_install(self, request: Request) -> dict:
@@ -1118,37 +1083,51 @@ class DataStoreService:
         Records flow through the one installer and are re-journaled into
         this store's own WAL; the replication barrier then ships them
         to any replicas, so the migrated range is as durable here as
-        natively written data.
+        natively written data.  ``RuleVersions`` are those of the
+        contributors the batch touched, which cutover checks against the
+        broker mirror.
         """
-        from repro.storage.migration import install_records
-
-        result = install_records(self, request.body.get("Records", []))
+        batch = request.body.get("Records", [])
+        touched = set()
+        for op, data in batch:
+            records.apply(self, str(op), data, journal=True)
+            touched.add(records.record_owner(str(op), data))
         self._wal_commit()
-        return {"Host": self.host, **result}
+        known = self.rules.contributors()
+        return {
+            "Host": self.host,
+            "Installed": len(batch),
+            "RuleVersions": {
+                name: self.rules.version_of(name) for name in sorted(touched) if name in known
+            },
+        }
 
     @_route("POST", "/api/migrate/fence", caller="broker", writes=True)
     def _h_migrate_fence(self, request: Request) -> dict:
         """Broker-only: stop serving the moving contributors (cutover fence).
 
+        Only while the range is still what was exported: ``Digest`` must be
+        the export's, recomputed now, or the fence is a 409
+        :class:`ConflictError` that changes nothing — a write that raced
+        the copy aborts the move instead of being left behind, so a fence
+        that lands leaves the destination holding the range's exact state.
         Each one's role row becomes ``moved``, a credential-less record, so
         every request naming her is a :class:`NotPrimaryError` (the old
         shard self-demotes for exactly the moved range) until a move back
-        replaces it.  The response carries the fence-time ``LastLsn`` so
-        the final catch-up round provably drains every write that
-        committed before the fence: zero committed-write loss.
+        replaces it.
         """
         contributors = [str(c) for c in request.body.get("Contributors", [])]
         if not contributors:
             raise BadRequestError("fence needs Contributors")
+        if records.export_range(self, contributors)[1] != request.body.get("Digest"):
+            raise ConflictError(
+                f"{sorted(contributors)} changed on {self.host!r} since the export"
+            )
         for contributor in contributors:
             self._assign(records.OP_ROLE, {"Principal": contributor, "Role": records.ROLE_MOVED})
         # Fenced contributors' cached decisions are unreachable (the fence
         # fires before cache lookup); the LRU reclaims their memory.
-        return {
-            "Host": self.host,
-            "Fenced": sorted(contributors),
-            "LastLsn": self._last_lsn(),
-        }
+        return {"Host": self.host, "Fenced": sorted(contributors)}
 
     @_route("POST", "/api/migrate/complete", caller="broker", writes=True)
     def _h_migrate_complete(self, request: Request) -> dict:

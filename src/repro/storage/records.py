@@ -13,6 +13,8 @@ module owns them:
   — over :func:`dump_op`, one kind's records drawn lazily: the snapshot
   writer's five files are five such draws, so segments leave a store by
   the same dumper as everything else;
+* :func:`export_range` — a migration's batch and its digest, which the
+  export answers and the fence checks;
 * :func:`apply` — the **only** code that installs a record into a live
   service.  WAL replay and snapshot load call it with ``journal=False``;
   replica apply and migration install with ``journal=True``;
@@ -30,19 +32,21 @@ attaches.
 
 Every op is idempotent or last-wins (rule snapshots carry a version and
 install monotonically, segments replace by id, audit restore dedupes per
-seq), so overlapping snapshots, bootstraps and log tails converge instead
-of double-applying.  docs/ARCHITECTURE.md, "The store's log", has the
-per-op table.
+seq), so overlapping snapshots, bootstraps, log tails and a retried
+migration install converge instead of double-applying.
+docs/ARCHITECTURE.md, "The store's log", has the per-op table.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterator, Optional
 
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import StorageError
 from repro.rules.rulestore import RuleSetSnapshot
 from repro.server.audit import AuditRecord
+from repro.util import jsonutil
 from repro.util.geo import LabeledPlace
 
 OP_SEGMENT = "segment"
@@ -138,6 +142,25 @@ def dump(service, contributors=None) -> list:
     return [
         (op, data) for op in DUMP_ORDER for data in dump_op(service, op, contributors)
     ]
+
+
+def export_range(service, contributors) -> tuple:
+    """``(records, digest)``: a contributor range as a migration ships it.
+
+    ``records`` is the range's :func:`dump` as ``[op, data]`` lists, minus
+    ``moved`` role rows (the fence is the source's own and would fence the
+    destination); ``digest`` is the SHA-256 of their canonical JSON.
+    ``/api/migrate/export`` answers both and ``/api/migrate/fence``
+    recomputes the digest before it writes a fence, so a write that raced
+    the copy aborts the move instead of being left behind.
+    """
+    shipped = [
+        [op, data]
+        for op, data in dump(service, contributors)
+        if not (op == OP_ROLE and data["Role"] == ROLE_MOVED)
+    ]
+    digest = hashlib.sha256(jsonutil.canonical_dumps(shipped).encode("utf-8"))
+    return shipped, digest.hexdigest()
 
 
 def apply(

@@ -1,5 +1,8 @@
 """Tests for the consistent-hash ring and the versioned shard directory."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.broker.directory import DEFAULT_VNODES, HashRing, ShardDirectory
@@ -134,3 +137,50 @@ class TestShardDirectory:
         assert status["Contributors"] == 2
         directory.move(["a1"], "off-ring-host")
         assert directory.status()["OffRing"] == 1
+
+
+# -- one route writer -----------------------------------------------------
+#
+# Tier-1 guard in the style of ``tests/integration/test_one_installer.py``:
+# after ``ContributorRegistry.register``, only the directory assigns a
+# contributor record's ``host``, so no route change can miss the epoch.  A
+# rule-sync push once re-homed a contributor to whichever paired store
+# pushed her profile, with the epoch unmoved.
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROUTE_WRITER = "broker/directory.py"
+
+
+def _host_assignments(tree):
+    """Line numbers of ``x.host = ...`` where ``x`` is not ``self``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if (
+                        isinstance(leaf, ast.Attribute)
+                        and leaf.attr == "host"
+                        and getattr(leaf.value, "id", "") != "self"
+                    ):
+                        yield leaf.lineno
+
+
+def _modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_only_the_directory_moves_a_route():
+    offenders = [
+        f"{name}:{lineno}"
+        for name, tree in _modules()
+        if name != ROUTE_WRITER
+        for lineno in _host_assignments(tree)
+    ]
+    assert offenders == [], "move a route through ShardDirectory: " + "; ".join(offenders)
+
+
+def test_the_route_guard_sees_what_it_guards():
+    """The walk is not vacuous: the directory itself trips it, once."""
+    assert len(list(_host_assignments(dict(_modules())[ROUTE_WRITER]))) == 1

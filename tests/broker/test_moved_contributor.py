@@ -155,8 +155,8 @@ class TestMovingBack:
 @pytest.mark.parametrize("durable", [True, False], ids=["wal-tail", "dump"])
 def test_the_drain_carries_no_fence(tmp_path, durable):
     """After a split, every moved contributor's row at the destination is her
-    contributor row with its credential: the drain shipped no fence, whether
-    it read the source's log or (no log) dumped its state."""
+    contributor row with its credential and no fence, whether the source
+    keeps a log (``wal-tail``) or not (``dump``)."""
     system = SensorSafeSystem(seed=7)
     directory = str(tmp_path) if durable else None
     (source,) = system.create_shard_fleet(1, directory=directory, durable=durable)

@@ -50,11 +50,15 @@ class TestContributorRegistry:
         # Equal version is allowed (idempotent replay).
         assert reg.update_profile("alice", version=2, rules=[], places=[])
 
-    def test_update_profile_can_move_host(self):
+    def test_update_profile_never_moves_the_route(self):
+        """A synced profile moves the rules mirror; only the directory moves a route."""
         reg = ContributorRegistry()
-        reg.register("alice", "old-host")
-        reg.update_profile("alice", version=1, rules=[], places=[], host="new-host")
-        assert reg.get("alice").host == "new-host"
+        reg.register("alice", "alice-store", "UCLA")
+        assert reg.update_profile("alice", version=1, rules=[Rule(action=ALLOW)], places=[])
+        record = reg.get("alice")
+        assert (record.host, record.institution, record.rules_version) == ("alice-store", "UCLA", 1)
+        with pytest.raises(TypeError):
+            reg.update_profile("alice", version=2, rules=[], places=[], host="mallory-store")
 
 
 class TestStudyRegistry:

@@ -174,6 +174,35 @@ class TestSyncAttacks:
         )
         assert response.status == 403
 
+    def test_a_paired_store_cannot_take_over_another_stores_contributor(self, deployment):
+        """Anyone can register ``alice`` at a store she never used, and that
+        store pushes every rule added there.  The pushes must not move her
+        route: a moved route enrolls new consumers at the wrong store and
+        drops her own next edit as stale."""
+        system, alice, bob = deployment
+        assert bob.fetch("alice")
+        system.create_store("mallory-store")
+        broker = system.broker
+        epoch = broker.directory.routing_epoch
+        squat = {"Username": "alice", "Role": "contributor"}
+        key = system.network.request("POST", "https://mallory-store/api/register", squat).body["ApiKey"]
+        pushed = []
+        for consumer in ("mallory", "mallet", "eve"):
+            rule = rule_to_json(Rule(consumers=(consumer,), action=ALLOW))
+            body = {"Contributor": "alice", "Rule": rule, "ApiKey": key}
+            pushed.append(system.network.request("POST", "https://mallory-store/api/rules/add", body))
+        record = broker.registry.get("alice")
+        assert (record.host, broker.directory.routing_epoch) == ("alice-store", epoch)
+        # The broker refused every push; the store answers its caller so.
+        assert [(r.status, r.body["ErrorKind"]) for r in pushed] == [(403, "AuthorizationError")] * 3
+        own = system.stores["alice-store"].rules.snapshot("alice")
+        assert (record.rules_version, record.rules) == (1, own.rules)
+        carol = system.add_consumer("carol")
+        assert carol.add_contributors(["alice"]) == {"alice": "alice-store"}
+        assert broker.escrow.key_for("carol", "mallory-store") is None
+        alice.add_rule(Rule(consumers=("carol",), action=ALLOW))
+        assert broker.registry.get("alice").rules_version == 2
+
     def test_replayed_stale_profile_ignored(self, deployment):
         """Replaying an old (more permissive) rule snapshot does not roll
         the broker's mirror back — version monotonicity."""

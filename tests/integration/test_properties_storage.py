@@ -17,7 +17,7 @@ storage-side contracts:
 * the store's log — ``dump`` ∘ ``install`` is the identity on a store's
   durable state, installing a dump twice changes nothing, and a dump
   restricted to a contributor set is exactly the slice of the full dump
-  that ``record_concerns`` assigns to it;
+  that ``record_owner`` assigns to it;
 * the store's snapshot — ``recover_service`` ∘ ``write_snapshot`` is the
   identity on that dump and on every content fingerprint: what was stored
   is queryable, and cached decisions keyed by it are reachable, after a
@@ -35,9 +35,8 @@ from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery
 from repro.net.transport import Network
 from repro.server.datastore_service import DataStoreService
-from repro.storage.migration import record_concerns
 from repro.storage.durability import write_snapshot
-from repro.storage.records import apply, dump
+from repro.storage.records import apply, dump, record_owner
 from repro.storage.recovery import recover_service
 from repro.util import jsonutil
 from repro.datastore.wavesegment import segment_from_packet
@@ -302,7 +301,7 @@ def test_dump_then_install_is_the_identity(holdings, moving):
 
     # A contributor range is a filter over the one walk, not a second walk.
     assert dump(source, moving) == [
-        (op, data) for op, data in dumped if record_concerns(op, data, moving)
+        (op, data) for op, data in dumped if record_owner(op, data) in moving
     ]
 
 

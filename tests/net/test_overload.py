@@ -65,10 +65,9 @@ class TestOverloadConfig:
         assert budgets == sorted(budgets)  # shed-first classes tolerate least
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            OverloadConfig(mode="panic")
-        with pytest.raises(ValueError):
-            make_controller(mode="panic")
+        for mode in ("panic", "off"):
+            with pytest.raises(ValueError):
+                make_controller(mode=mode)
 
     def test_route_tables_cover_known_classes(self):
         known = set(BROWNOUT_ORDER)
@@ -228,12 +227,6 @@ class TestAdmissionController:
             "admission_would_shed_total", **{"class": CLASS_SCRAPE}
         ) == 1
         assert metrics.sum_counter("admission_shed_total") == 0
-
-    def test_off_mode_gates_nothing(self):
-        _, controller = make_controller(mode="off")
-        for _ in range(500):
-            assert controller.gate(req("/api/query")) is None
-        assert controller.queue_ms() == 0.0
 
     def test_shed_metrics_labelled_by_class_and_reason(self):
         network, controller = make_controller()

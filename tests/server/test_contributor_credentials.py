@@ -170,8 +170,9 @@ class TestWebSubmitIsTheApi:
         system, token = replicated
         broker_key = system.broker.store_keys["alice-store"]
         fence = {"Contributors": ["alice"], "ApiKey": broker_key}
-        url = "https://alice-store/api/migrate/fence"
-        assert system.network.request("POST", url, fence).status == 200
+        url = "https://alice-store/api/migrate/"
+        fence["Digest"] = system.network.request("POST", url + "export", fence).body["Digest"]
+        assert system.network.request("POST", url + "fence", fence).status == 200
         assert system.stores["alice-store-r1"].roles["alice"] == records.ROLE_MOVED
         before = self.versions(system)
         response = submit(system.network, "alice-store", token)

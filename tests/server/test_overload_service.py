@@ -186,7 +186,6 @@ class TestBrokerToleratesOverload:
         system.clock.advance(60_000)
         # Shrink every budget so a handful of requests is an overload.
         primary.admission.config = OverloadConfig(
-            mode="enforce",
             queue_budget_ms={cls: 10.0 for cls in BROWNOUT_ORDER},
             cached_query_budget_ms=10.0,
         )

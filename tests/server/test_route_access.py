@@ -122,6 +122,9 @@ class Store:
     def send(self, name, key=None, body=None):
         method, path = name.split()
         body = dict(body if body is not None else BODIES.get(name) or WEB_BODIES.get(name, {}))
+        if name == "POST /api/migrate/fence" and "Digest" not in body:  # as just exported
+            export = {"Contributors": body["Contributors"]}
+            body["Digest"] = self.send("POST /api/migrate/export", "broker", export).body["Digest"]
         if key is not None:
             key = self.keys.get(key, key)
             if "{token}" in path:
@@ -236,6 +239,14 @@ class TestRefusals:
         body = {"Username": username, "Role": "consumer"}
         for key in (None, "bob", "alice"):
             store.refused("POST /api/register", key, 403, "AuthorizationError", body)
+
+    def test_a_fence_over_a_changed_range_fences_nothing(self, store):
+        export = {"Contributors": ["alice"]}
+        stale = store.send("POST /api/migrate/export", "broker", export).body["Digest"]
+        assert store.send("POST /api/rules/add", "alice").status == 200
+        body = {**export, "Digest": stale}
+        store.refused("POST /api/migrate/fence", "broker", 409, "ConflictError", body)
+        assert store.service.roles["alice"] == records.ROLE_CONTRIBUTOR
 
     def test_enrollment_cannot_take_over_a_contributor(self, store):
         body = {"Consumer": "alice", "Groups": ["study"]}

@@ -23,7 +23,6 @@ from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rule_to_json
 from repro.server.datastore_service import DataStoreService
 from repro.storage import StorageFaultPlan, records, wal_path
-from repro.storage.migration import install_records
 from repro.util.geo import BoundingBox, LabeledPlace
 
 from tests.conftest import UCLA, make_segment, released_pieces
@@ -202,9 +201,11 @@ class TestKeyMovesInstead:
         """A places record installed by ``/api/migrate/install``'s path."""
         service = self.sharing_campus(tmp_path, cache_capacity)
         before = self.drops(service)
-        install_records(
-            service,
-            [[records.OP_PLACES, records.places_record("alice", {"campus": ELSEWHERE})]],
+        moved = records.places_record("alice", {"campus": ELSEWHERE})
+        service.network.request(
+            "POST",
+            f"https://{HOST}/api/migrate/install",
+            {"Records": [[records.OP_PLACES, moved]], "ApiKey": service.pair_broker()},
         )
         assert released_pieces(query_as_bob(service)) == []
         assert self.drops(service) == before

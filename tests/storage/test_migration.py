@@ -1,10 +1,10 @@
-"""Tests for the WAL-as-transfer-log migration primitives."""
+"""Tests for what a migration ships: the export and the install."""
 
 import pytest
 
 from repro.core import SensorSafeSystem
 from repro.rules.model import ALLOW, Rule
-from repro.storage.migration import install_records, wal_records_since
+from repro.server.datastore_service import BROKER_PRINCIPAL
 from repro.storage.records import dump
 from tests.conftest import make_segment
 
@@ -25,6 +25,14 @@ def shard_system(tmp_path):
     return system, shards
 
 
+def install(dest, records):
+    """``/api/migrate/install`` at ``dest``, with the broker's key there."""
+    body = {"Records": [list(r) for r in records], "ApiKey": dest.keys.key_of(BROKER_PRINCIPAL)}
+    response = dest.network.request("POST", f"https://{dest.host}/api/migrate/install", body)
+    assert response.status == 200, response.body
+    return response.body
+
+
 class TestMigrationRecords:
     def test_snapshot_is_filtered_to_the_moving_range(self, shard_system):
         _, shards = shard_system
@@ -35,53 +43,13 @@ class TestMigrationRecords:
             owner = data.get("Contributor") or data.get("Principal")
             assert owner == "alice", (op, data)
 
-    def test_wal_tail_filters_and_reports_completeness(self, shard_system):
-        _, shards = shard_system
-        source = shards[0]
-        source.durability.wal.commit()
-        cursor = source.durability.wal.last_lsn
-        seg = make_segment(contributor="alice", start_ms=1_300_000_000_000)
-        source.store.add_segment(seg)
-        source.store.flush()
-        source.durability.commit()
-        records, last_lsn, complete = wal_records_since(source, cursor, ["alice"])
-        assert complete
-        assert last_lsn > cursor
-        assert all(op == "segment" for op, _ in records)
-        assert all(data["Contributor"] == "alice" for _, data in records)
-        # Ben's writes in the same window never appear in alice's delta.
-        records_ben, _, _ = wal_records_since(source, cursor, ["ben"])
-        assert records_ben == []
-
-    def test_checkpoint_truncation_degrades_to_snapshot(self, shard_system):
-        _, shards = shard_system
-        source = shards[0]
-        source.durability.wal.commit()
-        cursor = source.durability.wal.last_lsn
-        assert cursor > 0
-        source.checkpoint()
-        seg = make_segment(contributor="alice", start_ms=1_300_000_100_000)
-        source.store.add_segment(seg)
-        source.store.flush()
-        source.durability.commit()
-        # The checkpoint reset the WAL; the tail cannot prove coverage
-        # back to the pre-checkpoint cursor.
-        _, _, complete = wal_records_since(source, 1, ["alice"])
-        assert not complete
-
-    def test_non_durable_store_has_no_wal_to_tail(self):
-        system = SensorSafeSystem(seed=7)
-        store = system.create_store("plain-store")
-        records, last_lsn, complete = wal_records_since(store, 1, ["alice"])
-        assert (records, last_lsn, complete) == ([], 0, False)
-
 
 class TestInstallRecords:
     def test_roundtrip_installs_state_on_the_destination(self, shard_system):
         _, shards = shard_system
         source, dest = shards
         records = dump(source, ["alice"])
-        result = install_records(dest, records)
+        result = install(dest, records)
         assert result["Installed"] == len(records)
         assert result["RuleVersions"]["alice"] == source.rules.version_of("alice")
         assert "alice" in dest.store.contributors()
@@ -96,10 +64,10 @@ class TestInstallRecords:
         _, shards = shard_system
         source, dest = shards
         records = dump(source, ["alice"])
-        install_records(dest, records)
+        install(dest, records)
         before = len(dest.store.segments_of("alice"))
         version = dest.rules.version_of("alice")
-        install_records(dest, records)
+        install(dest, records)
         assert len(dest.store.segments_of("alice")) == before
         assert dest.rules.version_of("alice") == version
 
@@ -113,7 +81,7 @@ class TestInstallRecords:
             for op, data in dump(source, ["alice"])
             if op != "rules"
         ]
-        install_records(dest, records)
+        install(dest, records)
         fenced = dest._fence_rule_versions(
             {"alice": source.rules.version_of("alice")}
         )
@@ -131,10 +99,10 @@ class TestInstallRecords:
         source, dest = shards
         version = source.rules.version_of("alice")
         records = dump(source, ["alice"])
-        install_records(dest, [r for r in records if r[0] != "rules"])
+        install(dest, [r for r in records if r[0] != "rules"])
         assert dest._fence_rule_versions({"alice": version}) == ["alice"]
 
-        install_records(dest, records)
+        install(dest, records)
 
         assert dest.rules.rules_of("alice") == ()
         assert dest.rules.version_of("alice") == version + 1
@@ -151,7 +119,7 @@ class TestInstallRecords:
         # The owner's current rules — a version that wins — do lift it.
         source.rules.add("alice", Rule(consumers=("carol",), action=ALLOW))
         source.rules.add("alice", Rule(consumers=("dave",), action=ALLOW))
-        install_records(dest, dump(source, ["alice"]))
+        install(dest, dump(source, ["alice"]))
         assert "alice" not in dest.fail_closed
         assert len(dest.rules.rules_of("alice")) == 3
         assert dest.network.obs.slo.report()["OpenFailClosed"] == []

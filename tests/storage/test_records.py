@@ -19,10 +19,9 @@ from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule
 from repro.rules.rulestore import RuleSetSnapshot
-from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
+from repro.server.datastore_service import BROKER_PRINCIPAL, ROLE_REPLICA, DataStoreService
 from repro.storage import records
 from repro.storage.atomic import atomic_write_jsonl
-from repro.storage.migration import install_records
 from repro.storage.recovery import SNAPSHOT_KINDS, recover_service, snapshot_path, wal_path
 from repro.storage.replication import encode_ship, read_wal_frames
 from repro.storage.wal import HEADER_SIZE, WriteAheadLog, decode_payload, scan_wal
@@ -36,10 +35,11 @@ MIRROR = 5  # the broker-mirror version the fail-closed pre-state is fenced abov
 
 
 def target(tmp_path, name, *, durable=False, role="primary", fail_closed=False):
-    """A store in the table's pre-state: alice at rule version 2."""
+    """A store in the table's pre-state: alice at rule version 2, a paired broker."""
     service = DataStoreService(
         HOST, Network(), directory=str(tmp_path / name), durable=durable, role=role
     )
+    service.pair_broker()
     service.register_contributor("alice")
     service.register_consumer("bob")
     service.rules.add("alice", Rule(consumers=("bob",), action=ALLOW, rule_id="r1"))
@@ -127,8 +127,16 @@ def via_replica_frame(tmp_path, op, data, **pre):
 def via_migration_install(tmp_path, op, data, **pre):
     service = target(tmp_path, "dest", durable=True, **pre)
     seen = journaled(service)
-    assert install_records(service, [[op, data]])["Installed"] == 1
+    assert migration_install(service, [[op, data]])["Installed"] == 1
     return service, seen
+
+
+def migration_install(service, batch):
+    """``/api/migrate/install``, called with the paired broker's key."""
+    body = {"Records": batch, "ApiKey": service.keys.key_of(BROKER_PRINCIPAL)}
+    response = service.network.request("POST", f"https://{HOST}/api/migrate/install", body)
+    assert response.status == 200, response.body
+    return response.body
 
 
 PATHS = [via_wal_replay, via_snapshot_load, via_replica_frame, via_migration_install]
@@ -187,7 +195,8 @@ TABLE = [
      records.places_record("alice", {"work": WORK}), {},
      {"places": {"alice": ["work"]}}),
     ("role", records.OP_ROLE, {"Principal": "carol", "Role": "consumer"}, {},
-     {"roles": {"alice": "contributor", "bob": "consumer", "carol": "consumer"}}),
+     {"roles": {"__broker__": "broker", "alice": "contributor", "bob": "consumer",
+                "carol": "consumer"}}),
     ("segment", records.OP_SEGMENT, new_segment, {}, None),
     ("segment-delete", records.OP_SEGMENT_DELETE, held_segment_id, {},
      {"segments": []}),
@@ -328,7 +337,7 @@ def test_only_verified_bytes_skip_the_encoder(tmp_path):
     service = target(tmp_path, "dest", durable=True)
     before = wal_payloads(service)
     data = {"Principal": "carol", "Role": "consumer"}
-    assert install_records(service, [[records.OP_ROLE, data]])["Installed"] == 1
+    assert migration_install(service, [[records.OP_ROLE, data]])["Installed"] == 1
     assert wal_payloads(service)[len(before):] == [
         jsonutil.canonical_dumps({"Op": records.OP_ROLE, "Data": data}).encode("utf-8")
     ]
