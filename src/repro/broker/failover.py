@@ -112,7 +112,7 @@ class FailoverManager:
         health probes, promotion/demotion authority, post-failover
         profile pulls), replicas are demoted, and the primary's shipper
         gets one authenticated link per replica.  The initial pump ships
-        the backfilled generation so replicas converge immediately.
+        each replica a resync, so replicas converge immediately.
         """
         set_name = name or primary.host
         if set_name in self.sets:
@@ -366,7 +366,9 @@ class FailoverManager:
     def _rewire(self, group: ReplicaSet) -> None:
         """Point surviving replicas' shipping links at the new primary.
 
-        With no surviving replica the new primary ships to nobody — and
+        Every link is new, so each survivor's first ship is a resync: it
+        becomes the new primary's records, not the dead primary's.  With no
+        surviving replica the new primary ships to nobody — and
         deliberately does *not* enable semi-sync shipping, which with
         zero reachable replicas would reject every write.
         """
@@ -375,12 +377,10 @@ class FailoverManager:
             return
         shipper = primary.enable_replication(group.mode, min_acks=group.min_acks)
         shipper.fenced = False
-        shipper.backfill()
         for host in group.replicas:
             replica = group.services.get(host)
-            if replica is None:
-                continue
-            if host not in shipper.links:
+            if replica is not None:
+                shipper.detach(host)
                 self._link(shipper, group.primary, replica)
         shipper.pump()
 
@@ -392,9 +392,9 @@ class FailoverManager:
         """Bring a returned store back into a set as a replica.
 
         The store is re-paired (a restart rotated its keys), demoted at
-        the current epoch, and linked into the current primary's shipper
-        with resync semantics — its divergent, fenced history is replaced
-        by an idempotent replay of the primary's generation.
+        the current epoch, and linked into the current primary's shipper,
+        whose first ship to it is a resync: its divergent, fenced state
+        becomes the primary's records.
         """
         tracer = self.broker.network.obs.tracer
         with tracer.start_span("failover.rejoin", set=name,
@@ -416,11 +416,6 @@ class FailoverManager:
             shipper = primary.enable_replication(group.mode, min_acks=group.min_acks)
             shipper.detach(service.host)  # drop any stale link/key
             self._link(shipper, group.primary, service)
-            # An existing shipper's buffer has been trimmed to what the
-            # surviving replicas still need; the rejoiner's resync must
-            # replay the whole generation, so re-seed it from the on-disk
-            # WAL first (exactly as _rewire does after a promotion).
-            shipper.backfill()
             shipper.pump()
         self._record_event("rejoin", name, service.host, group.epoch,
                            span.trace_id)

@@ -160,6 +160,18 @@ class RuleStore:
         self.rules_version += 1
         self._stamp(contributor)
 
+    def forget(self, contributor: str) -> None:
+        """Drop a contributor's rule set entirely, without notifying.
+
+        A resync's drop (:func:`repro.storage.records.replace`): the
+        primary holds no rule set for her.  The epoch moves, as on
+        :meth:`restore`.
+        """
+        self._rules.pop(contributor, None)
+        self._versions.pop(contributor, None)
+        self._mutated_at.pop(contributor, None)
+        self.rules_version += 1
+
     def _bump(self, contributor: str) -> None:
         """Advance both version counters, then fire change listeners."""
         self._versions[contributor] = self._versions.get(contributor, 0) + 1

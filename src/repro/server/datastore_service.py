@@ -311,15 +311,14 @@ class DataStoreService:
     def enable_replication(self, mode: str = "async", *, min_acks: int = 1):
         """Start shipping this store's WAL to replicas; returns the shipper.
 
-        The shipper immediately backfills the current on-disk WAL
-        generation, so state written before replication was wired (roles,
-        early rules) still reaches replicas attached afterwards.
+        A replica attached to it starts with a resync — every record this
+        store holds, which the replica becomes — so state written before
+        replication was wired (roles, early rules) reaches it too.
         """
         if self.replication is None:
             from repro.storage.replication import WalShipper
 
             self.replication = WalShipper(self, mode=mode, min_acks=min_acks)
-            self.replication.backfill()
         return self.replication
 
     def pair_primary(self) -> str:
@@ -329,7 +328,7 @@ class DataStoreService:
         records.apply(
             self,
             records.OP_ROLE,
-            {"Principal": PRIMARY_PRINCIPAL, "Role": "primary"},
+            {"Principal": PRIMARY_PRINCIPAL, "Role": records.ROLE_PAIRED_PRIMARY},
             journal=False,
         )
         return self.keys.issue(PRIMARY_PRINCIPAL)
@@ -437,8 +436,6 @@ class DataStoreService:
             raise ConflictError(f"{name!r} is registered here as {role!r}")
         else:
             self.check_password(name, password)
-        self.rules.register(name)
-        self.places.setdefault(name, {})
         return self.keys.issue(name)
 
     def check_password(self, name: str, password: str) -> None:
@@ -555,7 +552,7 @@ class DataStoreService:
 
     def _caller_primary(self, request: Request) -> None:
         """The paired replication primary's key."""
-        if self.roles.get(self._authenticate(request)) != "primary":
+        if self.roles.get(self._authenticate(request)) != records.ROLE_PAIRED_PRIMARY:
             raise AuthorizationError("endpoint restricted to the paired primary")
 
     def _caller_owner(self, request: Request) -> tuple:

@@ -14,13 +14,13 @@ state as suspect until proven intact:
 * :mod:`repro.storage.recovery` — replay + quarantine + fail-closed;
 * :mod:`repro.storage.durability` — the manager wiring it into a service;
 * :mod:`repro.storage.replication` — WAL shipping to replica stores with
-  verify-then-replay application and epoch fencing.
+  verify-then-replay application, one resync form and epoch fencing.
 """
 
 from repro.storage.atomic import atomic_write_bytes, atomic_write_jsonl, file_sha256
 from repro.storage.durability import Durability
 from repro.storage.faults import CRASH_POINTS, StorageFaultPlan, StorageFaultRule
-from repro.storage.replication import ReplicaApplier, WalShipper, read_wal_frames
+from repro.storage.replication import ReplicaApplier, WalShipper
 from repro.storage.recovery import (
     RecoveryReport,
     manifest_path,
@@ -49,7 +49,6 @@ __all__ = [
     "StorageFaultRule",
     "ReplicaApplier",
     "WalShipper",
-    "read_wal_frames",
     "RecoveryReport",
     "manifest_path",
     "quarantine_dir",

@@ -103,11 +103,6 @@ class Durability:
         self.faults = faults
         self.wal: Optional[WriteAheadLog] = None
         self.generation = 0
-        #: LSN the last checkpoint covered (0 before any checkpoint).  The
-        #: current WAL generation holds only frames *above* this, which is
-        #: what tells a WAL shipper whether frames alone can converge a
-        #: resyncing replica or a snapshot bootstrap must precede them.
-        self.checkpoint_lsn = 0
         self.recovery_report: Optional[RecoveryReport] = None
         obs = service.network.obs
         self.obs = obs if obs is not None and obs.enabled else None
@@ -140,7 +135,6 @@ class Durability:
         """Recover from disk, then start journaling every mutation."""
         report = recover_service(self.service, self.directory, obs=self.obs)
         self.generation = report.generation
-        self.checkpoint_lsn = report.checkpoint_lsn
         self.recovery_report = report
         os.makedirs(self.directory, exist_ok=True)
         # recover_service repaired the log, so a fresh scan is clean — but
@@ -273,7 +267,6 @@ class Durability:
             point="checkpoint.manifest",
         )
         self.generation += 1
-        self.checkpoint_lsn = checkpoint_lsn
         if faults is not None:
             faults.at_point("checkpoint.pre_wal_reset")
         self.wal.reset()

@@ -21,6 +21,8 @@ module owns them:
   ``DataStoreService.set_places`` and principal registration are its
   live callers.  ``tests/integration/test_one_installer.py`` fails the
   build if any other module assigns that state;
+* :func:`replace` — a replica's resync: the service's state becomes a
+  primary's :func:`dump`, through :func:`apply`, dropping what it lacks;
 * the two fail-closed transitions, :func:`fail_close` and
   :func:`lift_fail_closed`.
 
@@ -66,6 +68,7 @@ CONTROL_OPS = frozenset((OP_RULES, OP_PLACES, OP_ROLE, OP_AUDIT))
 
 ROLE_CONTRIBUTOR = "contributor"
 ROLE_MOVED = "moved"  # a contributor migrated off: her fence
+ROLE_PAIRED_PRIMARY = "primary"  # the primary a replica takes frames from: never journaled
 
 
 def places_record(contributor: str, places: dict) -> dict:
@@ -204,8 +207,10 @@ def apply(
     A role record is its principal's complete state, groups and
     credential included; a consumer row without ``Groups`` is one the
     store cannot vouch for, a contributor row without ``PasswordHash`` one
-    nobody can re-key.  Over a ``moved`` row (a move back), a contributor
-    row first drops the segments left behind; those she still holds follow.
+    nobody can re-key.  A contributor row registers her (empty, version 0)
+    rule set if she has none, so every store it reaches knows her.  Over a
+    ``moved`` row (a move back), it first drops the segments left behind;
+    those she still holds follow.
     """
     if op == OP_SEGMENT:
         service.store.restore_segment(WaveSegment.from_json(data))
@@ -231,9 +236,11 @@ def apply(
         count = len(places)
     elif op == OP_ROLE:
         principal, role = str(data["Principal"]), str(data["Role"])
-        if role == ROLE_CONTRIBUTOR and service.roles.get(principal) == ROLE_MOVED:
-            for segment in service.store.segments_of(principal):
-                service.store.remove_segment(segment.segment_id)
+        if role == ROLE_CONTRIBUTOR:
+            service.rules.register(principal)
+            if service.roles.get(principal) == ROLE_MOVED:
+                for segment in service.store.segments_of(principal):
+                    service.store.remove_segment(segment.segment_id)
         service.roles[principal] = role
         if "Groups" in data:
             service.memberships[principal] = frozenset(map(str, data["Groups"]))
@@ -251,6 +258,49 @@ def apply(
     if journal and service.durability is not None:
         service.durability.journal(op, data, own=False, payload=payload)
     return count
+
+
+def replace(service, batch) -> None:
+    """Make a service's state exactly ``batch``: a replica's resync.
+
+    ``batch`` is a primary's :func:`dump`.  Every segment, role (its
+    groups and credential with it), rule set and places row it does not
+    carry is dropped, then each record installs through :func:`apply`
+    without journaling: the caller checkpoints, so the disk becomes the
+    new state in one step.
+
+    Two things stay.  The replica's ``primary`` pairing role, which is
+    never journaled and lives as long as the key it was issued with.  And
+    the audit trail: records merge as :meth:`AuditLog.restore` always has,
+    because a record held here alone can be the only trace of a read that
+    a partitioned ex-primary served.
+
+    A carried rule set installs version-monotonically like any rule
+    record, so a fail-closed deny above the primary's version stands.
+    """
+    carried = {
+        (op, data.get("SegmentId") if op == OP_SEGMENT else record_owner(op, data))
+        for op, data in batch
+    }
+    for contributor in service.store.contributors():
+        for segment in service.store.segments_of(contributor):
+            if (OP_SEGMENT, segment.segment_id) not in carried:
+                service.store.remove_segment(segment.segment_id)
+    for principal, role in sorted(service.roles.items()):
+        if role != ROLE_PAIRED_PRIMARY and (OP_ROLE, principal) not in carried:
+            service.roles.pop(principal)
+            service.memberships.pop(principal, None)
+            service.credentials.pop(principal, None)
+    for contributor in service.rules.contributors():
+        if (OP_RULES, contributor) not in carried:
+            service.rules.forget(contributor)
+            lift_fail_closed(service, contributor)
+    for contributor in sorted(service.places):
+        if (OP_PLACES, contributor) not in carried:
+            service.places.pop(contributor)
+            service.rules.rules_version += 1
+    for op, data in batch:
+        apply(service, op, data, journal=False)
 
 
 def fail_close(service, contributor: str, version: int) -> None:

@@ -6,27 +6,29 @@ shipping the exact framed bytes the WAL appends to one or more replica
 stores over the ordinary :mod:`repro.net` transport:
 
 * :class:`WalShipper` runs on the **primary**.  It tails the log through
-  :attr:`WriteAheadLog.on_append` (plus a :meth:`~WalShipper.backfill`
-  scan of the current on-disk generation, so frames appended before the
-  shipper existed are not lost), buffers frames until every replica has
-  acknowledged them, and POSTs batches to ``/api/replicate/append``, each
-  batch's frames as one byte stream (:func:`encode_ship`);
+  :attr:`WriteAheadLog.on_append`, buffers frames until every streaming
+  replica has acknowledged them, and POSTs batches to
+  ``/api/replicate/append``, each batch's frames as one byte stream
+  (:func:`encode_ship`);
 * :class:`ReplicaApplier` runs on each **replica**.  Every received frame
   is verified with the same rigor the on-disk scanner applies — header
   CRC, payload CRC, chain binding to the previous frame, strict LSN
-  continuity (a stream with no applied history must start at lsn 1) —
-  and only then installed by :func:`repro.storage.records.apply`, the
-  installer crash recovery uses, so replication cannot apply anything a
-  crash recovery would have refused.
+  continuity — and only then installed by
+  :func:`repro.storage.records.apply`, the installer crash recovery uses,
+  so replication cannot apply anything a crash recovery would have
+  refused.
 
-Checkpoints truncate the WAL, so once a primary has checkpointed its
-frames no longer reach back to lsn 1.  A resync then leads with a
-**snapshot bootstrap** (:func:`repro.storage.records.dump`): the
-primary's full durable state as WAL-shaped ``(op, data)`` records,
-installed the same way, after which the applier resumes frame continuity
-at ``BaseLsn + 1``.  A resync that names a base but carries no bootstrap is
-rejected — a joiner must never be marked caught-up with a silent hole in
-its history.
+A link starts, and restarts after a rejection or a lag, with a
+**resync**, which has one form: the primary's records
+(:func:`repro.storage.records.dump`) taken at its WAL's last LSN, sent
+with that LSN (``BaseLsn``) and the chain value there (``BaseChain``).
+The replica *becomes* those records (:func:`repro.storage.records.
+replace`: what they lack is dropped, the audit trail aside) and
+checkpoints, so its disk holds them too; frames above the base then
+stream as usual, the first one chained from ``BaseChain``.  An applier
+that has installed no resync since it started refuses every other batch,
+so a replica is never caught up with a hole in its history or a record
+its primary does not hold.
 
 Acknowledgement modes:
 
@@ -48,7 +50,6 @@ shipper demotes its own service rather than forking history.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -61,14 +62,8 @@ from repro.exceptions import (
     StorageError,
     TransportError,
 )
-from repro.storage.records import apply, dump
-from repro.storage.wal import (
-    HEADER_SIZE,
-    MAX_FRAME_BYTES,
-    _HEADER,
-    decode_frame,
-    decode_payload,
-)
+from repro.storage.records import KNOWN_OPS, apply, dump, replace
+from repro.storage.wal import HEADER_SIZE, _HEADER, decode_frame, decode_payload
 
 MODE_ASYNC = "async"
 MODE_SEMI_SYNC = "semi-sync"
@@ -76,39 +71,8 @@ _MODES = (MODE_ASYNC, MODE_SEMI_SYNC)
 
 #: Consecutive failed ships before a replica is declared *lagging*: it
 #: stops pinning the primary's in-memory frame buffer and is converged by
-#: a full resync (disk backfill + snapshot bootstrap) when it returns.
+#: a resync when it returns.
 LAGGING_AFTER_FAILURES = 3
-
-
-def read_wal_frames(path: str) -> list:
-    """Extract ``(lsn, frame_bytes, chain_prev)`` for every intact frame.
-
-    The raw-bytes sibling of :func:`repro.storage.wal.scan_wal`: frames
-    are CRC-verified and chain-checked while scanning, and extraction
-    stops at the first torn or suspect byte — a shipper must never ship
-    bytes it cannot vouch for.
-    """
-    frames = []
-    if not os.path.exists(path):
-        return frames
-    with open(path, "rb") as fh:
-        data = fh.read()
-    offset = 0
-    chain_prev = 0
-    while offset + HEADER_SIZE <= len(data):
-        length = _HEADER.unpack_from(data, offset)[0]
-        end = offset + HEADER_SIZE + length
-        if length > MAX_FRAME_BYTES or end > len(data):
-            break  # torn tail or implausible header: stop shipping here
-        frame = data[offset:end]
-        try:
-            lsn, chain, _payload = decode_frame(frame, chain_prev=chain_prev)
-        except CorruptRecordError:
-            break
-        frames.append((lsn, frame, chain_prev))
-        chain_prev = chain
-        offset = end
-    return frames
 
 
 def encode_ship(frames) -> dict:
@@ -171,8 +135,8 @@ class ReplicaLink:
     host: str
     client: object  # HttpClient bound to the primary's identity
     acked_lsn: int = 0
-    #: next ship must tell the replica to reset continuity and replay
-    #: idempotently (new link, or a post-promotion stream change).
+    #: next ship is a resync: the primary's records, which the replica
+    #: becomes (new link, a rejected batch, or a lagging replica).
     resync: bool = True
     alive: bool = True
     #: consecutive failed ships; at :data:`LAGGING_AFTER_FAILURES` the
@@ -209,14 +173,7 @@ class WalShipper:
         self.links: dict = {}
         self._buffer: list = []
         self.fenced = False  # a replica rejected our epoch: we were demoted
-        #: LSN the current WAL generation starts *above* (the last
-        #: checkpoint's LSN; 0 when the log has never been truncated).  A
-        #: resync can be served from frames alone only when they reach
-        #: back to ``_base_lsn + 1 == 1``; otherwise the ship leads with a
-        #: snapshot bootstrap covering everything at or below the base.
-        self._base_lsn = service.durability.checkpoint_lsn
         service.durability.wal.on_append.append(self._on_append)
-        service.durability.wal.on_reset.append(self._on_reset)
         obs = service.network.obs
         self.obs = obs if obs is not None and obs.enabled else None
         if self.obs is not None:
@@ -240,47 +197,6 @@ class WalShipper:
 
     def _on_append(self, lsn: int, frame: bytes, chain_prev: int) -> None:
         self._buffer.append(_BufferedFrame(lsn, frame, chain_prev))
-
-    def _on_reset(self) -> None:
-        # A checkpoint truncated the log: the generation now starts above
-        # the checkpoint LSN, so any later resync needs the snapshot
-        # bootstrap — frames alone no longer reach back to lsn 1.
-        self._base_lsn = self.service.durability.wal.last_lsn
-
-    def _cover_generation(self) -> None:
-        """Make the buffer span the whole current WAL generation.
-
-        A resyncing link replays from the generation start; after trims on
-        behalf of caught-up links (or a buffer cleared while every link
-        was down) those frames exist only on disk, so re-seed them via
-        :meth:`backfill` before building the resync batch.
-        """
-        wal = self.service.durability.wal
-        if wal.last_lsn <= self._base_lsn:
-            return  # generation is empty: nothing to cover
-        if self._buffer and self._buffer[0].lsn <= self._base_lsn + 1:
-            return  # already reaches the generation start
-        self.backfill()
-
-    def backfill(self) -> int:
-        """Seed the buffer from the on-disk WAL (frames predating us).
-
-        Also the post-promotion resync source: a freshly promoted primary
-        backfills its whole current generation and ships it with
-        ``Resync`` semantics so surviving replicas converge on *its*
-        history, not the dead primary's.  Returns the frames seeded.
-        """
-        wal = self.service.durability.wal
-        wal.commit()  # ship only bytes that are truly on disk
-        have = {bf.lsn for bf in self._buffer}
-        frames = [
-            _BufferedFrame(lsn, frame, chain_prev)
-            for lsn, frame, chain_prev in read_wal_frames(wal.path)
-            if lsn not in have
-        ]
-        if frames:
-            self._buffer = sorted(self._buffer + frames, key=lambda bf: bf.lsn)
-        return len(frames)
 
     # ------------------------------------------------------------------
     # Replica management
@@ -348,37 +264,27 @@ class WalShipper:
             return self._ship_frames(link, span)
 
     def _ship_frames(self, link: ReplicaLink, span) -> bool:
+        body = {
+            "Primary": self.service.host,
+            "Epoch": self.service.epoch,
+            "Resync": link.resync,
+        }
         if link.resync:
-            # A resync replays the whole generation from its start (the
-            # applier resets continuity), plus a snapshot bootstrap when
-            # the generation itself starts above lsn 1 — without it a
-            # post-checkpoint joiner would silently lack all checkpointed
-            # state while staying promotion-eligible.  The bootstrap is
-            # everything the checkpoint covers; every op is idempotent or
-            # last-wins, so replaying the generation's frames *over* it
-            # converges on the live state.
-            self._cover_generation()
-            pending = list(self._buffer)
+            # The one resync form: every record this store holds, taken at
+            # its last LSN.  The replica becomes them and checkpoints; the
+            # frames journaled after the base stream on later ships.
+            wal = self.service.durability.wal
+            body["BaseLsn"], body["BaseChain"] = wal.last_lsn, wal.chain
+            body["Bootstrap"] = [{"Op": op, "Data": data} for op, data in dump(self.service)]
+            pending = []
         else:
             pending = [bf for bf in self._buffer if bf.lsn > link.acked_lsn]
         span.set_attributes(frames=len(pending), resync=link.resync)
         if not pending and not link.resync:
             span.set_attribute("outcome", "noop")
             return True
-        body = {
-            "Primary": self.service.host,
-            "Epoch": self.service.epoch,
-            "Resync": link.resync,
-            **encode_ship(pending),
-        }
+        body.update(encode_ship(pending))
         span.set_attribute("bytes", len(body["Stream"]))
-        if link.resync:
-            body["BaseLsn"] = self._base_lsn
-            if self._base_lsn:
-                body["Bootstrap"] = [
-                    {"Op": op, "Data": data}
-                    for op, data in dump(self.service)
-                ]
         try:
             reply = link.client.post(f"https://{link.host}/api/replicate/append", body)
         except ConflictError as exc:
@@ -398,8 +304,7 @@ class WalShipper:
             if link.fails >= LAGGING_AFTER_FAILURES and not link.resync:
                 # Declared lagging: stop letting a dead replica pin the
                 # in-memory frame buffer.  Its acked position is void —
-                # when it returns, a full resync (disk backfill plus
-                # bootstrap) converges it instead of the buffer.
+                # when it returns, a resync converges it instead.
                 link.resync = True
                 link.acked_lsn = 0
             if self._c_failures is not None:
@@ -419,7 +324,7 @@ class WalShipper:
             link.last_error = str(rejected)
             return False
         span.set_attribute("outcome", "ok")
-        link.acked_lsn = max(link.acked_lsn, applied)
+        link.acked_lsn = applied if link.resync else max(link.acked_lsn, applied)
         link.resync = False
         if self._c_ships is not None:
             self._c_ships.inc()
@@ -438,29 +343,18 @@ class WalShipper:
         return caught_up
 
     def _trim(self) -> None:
-        """Drop buffered frames every link that still needs them has acked.
+        """Drop buffered frames every streaming link has acked.
 
-        The buffer is an optimization, not the source of truth: every
-        frame is also in the on-disk WAL until the next checkpoint, and a
-        resync re-seeds from there (:meth:`_cover_generation`).  So the
-        only links that pin the buffer are live ones mid-stream; a link
-        declared lagging (dead past :data:`LAGGING_AFTER_FAILURES`) is
-        excluded — that is what keeps the buffer bounded while a replica
-        is down for a long time.
+        Only a link mid-stream needs the buffer: a resyncing one is sent
+        the primary's records instead.  So a link declared lagging (dead
+        past :data:`LAGGING_AFTER_FAILURES`) pins nothing, which is what
+        keeps the buffer bounded while a replica is down for a long time.
         """
-        if not self._buffer:
-            return
-        floors = []
-        for link in self.links.values():
-            if link.resync and not link.alive:
-                continue  # lagging: converged by resync-on-return, not the buffer
-            floors.append(0 if link.resync else link.acked_lsn)
-        if not floors:
-            # Nobody (reachable) needs these frames; the WAL still has them.
+        floor = min((link.acked_lsn for link in self.links.values() if not link.resync),
+                    default=None)
+        if floor is None:
             self._buffer = []
-            return
-        floor = min(floors)
-        if floor:
+        elif self._buffer and self._buffer[0].lsn <= floor:
             self._buffer = [bf for bf in self._buffer if bf.lsn > floor]
 
     def after_write(self) -> None:
@@ -497,7 +391,6 @@ class WalShipper:
             "Mode": self.mode,
             "MinAcks": self.min_acks,
             "LastLsn": self.last_lsn(),
-            "BaseLsn": self._base_lsn,
             "Fenced": self.fenced,
             "Replicas": {
                 host: {
@@ -519,7 +412,8 @@ class ReplicaApplier:
     Frames install through :func:`repro.storage.records.apply` — the
     code path crash recovery trusts — which, when the replica is itself
     durable, re-journals them into its own WAL so a replica crash
-    recovers to the replicated state.
+    recovers to the replicated state.  A resync installs through
+    :func:`repro.storage.records.replace` and a checkpoint instead.
     """
 
     def __init__(self, service):
@@ -530,6 +424,9 @@ class ReplicaApplier:
         self.frames_applied = 0
         self.frames_skipped = 0
         self.bootstrap_applied = 0
+        #: A resync has been installed since this applier started; until
+        #: then every batch that is not one is refused.
+        self.resynced = False
         obs = service.network.obs
         self.obs = obs if obs is not None and obs.enabled else None
         if self.obs is not None:
@@ -582,41 +479,12 @@ class ReplicaApplier:
         frames = decode_ship(body)  # refused whole, before anything below moves
         span.set_attribute("frames", len(frames))
         service.epoch = epoch
-        primary = str(body.get("Primary", "")) or None
         if body.get("Resync"):
-            # A (re)joining stream replays its whole generation; the ops
-            # are idempotent, so starting over is safe.
-            self.applied_lsn = 0
-            self.chain = 0
-            self.primary = primary or self.primary
-            # When the primary has checkpointed, its generation starts
-            # above lsn 1 and frames alone cannot converge us: the batch
-            # must lead with a snapshot bootstrap covering everything at
-            # or below BaseLsn.  A base without a bootstrap is refused —
-            # accepting it would leave a silent hole below the first
-            # frame while this replica stays promotion-eligible.
-            base = int(body.get("BaseLsn", 0))
-            if base:
-                bootstrap = body.get("Bootstrap")
-                if bootstrap is None:
-                    return {
-                        "AppliedLsn": 0,
-                        "Rejected": (
-                            f"resync from base lsn {base} carries no "
-                            "state bootstrap"
-                        ),
-                    }
-                for record in bootstrap:
-                    apply(
-                        service,
-                        str(record.get("Op", "")),
-                        record.get("Data", {}),
-                        journal=True,
-                    )
-                    self.bootstrap_applied += 1
-                self.applied_lsn = base
-        elif primary and self.primary is None:
-            self.primary = primary
+            refused = self._resync(body)
+        else:
+            refused = "" if self.resynced else "no resync installed since this store started"
+        if refused:
+            return {"AppliedLsn": self.applied_lsn, "Rejected": refused}
         for lsn, frame, chain_prev in frames:
             if not self._apply_frame(lsn, frame, chain_prev):
                 return {
@@ -625,22 +493,48 @@ class ReplicaApplier:
                 }
         return {"AppliedLsn": self.applied_lsn}
 
+    def _resync(self, body: dict) -> str:
+        """Become the primary's records at ``BaseLsn``; why not, or ''.
+
+        The state is replaced (:func:`repro.storage.records.replace`), then
+        checkpointed so the disk holds it and none of it needs the WAL.  A
+        base without a ``Bootstrap`` is refused: it would leave a hole
+        below the first frame on a promotion candidate.  No ``Bootstrap``
+        and no base is the form older primaries sent first: nothing, then
+        frames from lsn 1.  A ``Bootstrap`` that is not a list of records
+        of known kinds is refused whole, before anything moves.
+        """
+        base, chain = int(body.get("BaseLsn", 0)), int(body.get("BaseChain", 0))
+        bootstrap = body.get("Bootstrap")
+        if bootstrap is None:
+            if base:
+                return f"resync from base lsn {base} carries no state bootstrap"
+            bootstrap = []
+        if not isinstance(bootstrap, list) or not all(
+            isinstance(r, dict) and r.get("Op") in KNOWN_OPS and isinstance(r.get("Data"), dict)
+            for r in bootstrap
+        ):
+            raise CorruptRecordError("malformed resync: Bootstrap holds a non-record")
+        self.resynced = False  # until the state below is the primary's, on disk
+        self.applied_lsn = self.chain = 0
+        replace(self.service, [(r["Op"], r["Data"]) for r in bootstrap])
+        if self.service.durability is not None:
+            self.service.durability.checkpoint()
+        self.bootstrap_applied += len(bootstrap)
+        self.applied_lsn, self.chain = base, chain
+        self.primary = str(body.get("Primary", "")) or self.primary
+        self.resynced = True
+        return ""
+
     def _apply_frame(self, lsn: int, frame: bytes, chain_prev: int) -> bool:
         """Verify + apply one frame; False on a continuity rejection."""
         if lsn <= self.applied_lsn:
             self.frames_skipped += 1  # idempotent re-ship
             return True
-        if self.applied_lsn and lsn != self.applied_lsn + 1:
-            return False  # gap: frames were lost in shipping
-        if not self.applied_lsn and lsn != 1:
-            # A stream with no history here must start at its beginning
-            # (lsn 1, or a bootstrap that raised applied_lsn above zero).
-            # Silently adopting a mid-stream start would leave an
-            # undetectable hole below ``lsn`` on a promotion candidate.
-            return False
-        # ChainPrev must extend our chain — or be zero, which marks the
-        # primary's checkpoint reset (a new log generation).
-        if self.applied_lsn and chain_prev not in (self.chain, 0):
+        # The next LSN, and a ChainPrev that extends our chain — or is
+        # zero, which marks the primary's checkpoint reset (a new log
+        # generation).  Anything else is a gap: frames lost in shipping.
+        if lsn != self.applied_lsn + 1 or chain_prev not in (self.chain, 0):
             return False
         frame_lsn, chain, payload = decode_frame(frame, chain_prev=chain_prev)
         if frame_lsn != lsn:

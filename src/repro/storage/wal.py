@@ -279,10 +279,6 @@ class WriteAheadLog:
         #: (:mod:`repro.storage.replication`) tails the log through this
         #: hook; replay and recovery never fire it.
         self.on_append: list = []
-        #: Observers fired after :meth:`reset` (checkpoint): the chain
-        #: restarts at zero for the new log generation, and anyone shipping
-        #: frames downstream must mark the generation boundary.
-        self.on_reset: list = []
         #: Wall-clock seconds spent inside append()/commit() — the journal's
         #: entire cost on the request path (serialize, frame, write, fsync).
         #: Benchmark C10 gates on this share of ingest time: accounting
@@ -397,8 +393,6 @@ class WriteAheadLog:
         self._fh.seek(0)
         self._chain = 0
         self._unsynced = 0
-        for hook in self.on_reset:
-            hook()
 
     def close(self) -> None:
         """Close the underlying file handle."""

@@ -9,7 +9,7 @@ denies by default until the owner re-publishes.
 
 import pytest
 
-from tests.conftest import MONDAY, make_segment
+from tests.conftest import MONDAY, assert_replica_matches, make_segment
 from repro.conformance.generators import Trial
 from repro.conformance.invariants import check_release
 from repro.core.system import SensorSafeSystem
@@ -82,6 +82,7 @@ class TestDetectionAndPromotion:
         # (the heartbeat tick is the replication tick).
         system.broker.failover.heartbeat()
         assert r2.applier.applied_lsn == r1.durability.wal.last_lsn
+        assert_replica_matches(r1, r2)
 
     def test_no_reachable_replica_means_no_promotion(self, tmp_path):
         system, alice, bob = replicated_system(tmp_path)
@@ -197,14 +198,15 @@ class TestRevocationFencing:
             == new_primary.durability.wal.last_lsn
         )
         assert old_primary.store.stats.n_segments == new_primary.store.stats.n_segments
+        assert_replica_matches(new_primary, old_primary)
 
     def test_rejoin_with_surviving_replica_receives_full_history(self, tmp_path):
         # Regression: with a surviving replica the promoted primary's
         # shipper already exists and its buffer has been trimmed to empty,
         # so the rejoiner's resync used to ship zero frames — the rejoined
         # store silently skipped the new primary's earlier history while
-        # staying promotion-eligible.  rejoin() must backfill, and the
-        # applier must refuse a mid-stream start.
+        # staying promotion-eligible.  A resync is the primary's records,
+        # whatever its buffer holds.
         system, alice, bob = replicated_system(
             tmp_path, n_replicas=2, mode="semi-sync"
         )
@@ -231,6 +233,8 @@ class TestRevocationFencing:
         )
         assert old_primary.store.stats.n_segments == new_primary.store.stats.n_segments
         assert old_primary.store.stats.n_samples == new_primary.store.stats.n_samples
+        assert_replica_matches(new_primary, old_primary)
+        assert_replica_matches(new_primary, system.stores["alice-store-r2"])
         # And it is safe to promote again: a second failover must not
         # shrink what bob can read.
         before = sum(len(r.segment.sample_times()) for r in bob.fetch("alice"))
@@ -239,6 +243,35 @@ class TestRevocationFencing:
         assert second["Promoted"] is not None
         after = sum(len(r.segment.sample_times()) for r in bob.fetch("alice"))
         assert after == before > 0
+
+
+    def test_a_re_promoted_ex_primary_resyncs_every_survivor(self, tmp_path):
+        """An ex-primary that rejoined without restarting still has the
+        shipper and links of its first term.  Promoted again, it starts a
+        new link to each survivor, so each is resynced to its records; a
+        link kept from the first term shipped frames the survivor, resynced
+        by another primary since, refused, and the next semi-sync write
+        failed."""
+        system, alice, bob = replicated_system(tmp_path, n_replicas=2, mode="semi-sync")
+        alice.upload_segments([make_segment()])
+        alice.flush()
+        old_primary = system.stores["alice-store"]
+        kill(system, "alice-store")
+        assert detect_and_fail_over(system)["Promoted"] == "alice-store-r1"
+        system.network.register_host("alice-store", old_primary.router)
+        system.broker.failover.rejoin("alice-store", old_primary)
+        alice = system.repoint_contributor("alice")
+        for hour in (1, 2, 3):
+            alice.upload_segments([make_segment(start_ms=MONDAY + hour * 3_600_000)])
+            alice.flush()
+        kill(system, "alice-store-r1")
+        assert detect_and_fail_over(system)["Promoted"] == "alice-store"
+        alice = system.repoint_contributor("alice")
+        alice.upload_segments([make_segment(start_ms=MONDAY + 9 * 3_600_000)])
+        alice.flush()
+        r2 = system.stores["alice-store-r2"]
+        assert r2.applier.applied_lsn == old_primary.durability.wal.last_lsn
+        assert_replica_matches(old_primary, r2)
 
 
 class TestStatusSurface:

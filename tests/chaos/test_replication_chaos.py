@@ -8,7 +8,8 @@ are the replication contract, not any particular failure:
   acknowledged is readable after the primary dies at *any* WAL or
   checkpoint crash point;
 * **convergence** — a partition during shipment never duplicates or
-  forks replica state once healed;
+  forks replica state once healed, and a replica that dies at any crash
+  point of its resync restarts, rejoins and holds its primary's records;
 * **promotion is all-or-nothing** — a candidate that crashes mid-promote
   is skipped; the directory only ever points at a store that completed
   promotion, and fail-closed denies survive the detour.
@@ -16,17 +17,22 @@ are the replication contract, not any particular failure:
 
 import pytest
 
-from tests.conftest import MONDAY, make_segment
+from tests.conftest import MONDAY, assert_replica_matches, make_segment
 from repro.conformance.generators import Trial
 from repro.conformance.invariants import check_release
 from repro.core.system import SensorSafeSystem
 from repro.exceptions import SensorSafeError
 from repro.net.faults import FaultPlan
 from repro.rules.model import ALLOW, Rule
+from repro.server.datastore_service import DataStoreService
 from repro.storage import CRASH_POINTS, StorageFaultPlan
 
 ALLOW_BOB = Rule(consumers=("bob",), action=ALLOW)
 HOUR = 3_600_000
+
+#: The crash points a replica's resync passes: it journals nothing, so its
+#: checkpoint's (commit fsync, snapshot files, manifest, WAL reset) only.
+RESYNC_POINTS = tuple(point for point in CRASH_POINTS if not point.startswith("wal.append"))
 
 
 def sample_count(pieces):
@@ -47,6 +53,18 @@ def build(tmp_path, *, mode="semi-sync", n_replicas=1, seed=11):
     return system, alice, bob
 
 
+def arm(service, point, seed=5):
+    """Arm a store's storage injector to die at ``point``; returns the plan."""
+    plan = StorageFaultPlan(seed=seed)
+    if point.endswith(".write"):
+        plan.add_torn_write(point)  # the ".write" points tear, then die
+    else:
+        plan.add_crash(point)
+    service.durability.faults = plan
+    service.durability.wal.faults = plan
+    return plan
+
+
 def fail_over(system, set_name="alice-store"):
     report = None
     for _ in range(system.broker.failover.miss_threshold):
@@ -63,13 +81,7 @@ class TestCrashPointSweep:
         committed = sample_count(bob.fetch("alice"))
         assert committed > 0
         primary = system.stores["alice-store"]
-        plan = StorageFaultPlan(seed=5)
-        if point.endswith(".write"):
-            plan.add_torn_write(point)  # the ".write" points tear, then die
-        else:
-            plan.add_crash(point)
-        primary.durability.faults = plan
-        primary.durability.wal.faults = plan
+        arm(primary, point)
         # Drive a write burst, a force-synced rules append, and a
         # checkpoint so every armed point — WAL append, append/commit
         # fsync, snapshot, manifest, WAL reset — is hit.
@@ -100,6 +112,41 @@ class TestCrashPointSweep:
         trial = Trial(seed=f"chaos-{point}", rules=[ALLOW_BOB], segments=[seg1])
         assert check_release(trial, seg1, pieces1) == []
 
+    @pytest.mark.parametrize("point", RESYNC_POINTS)
+    def test_replica_dies_at_every_point_of_its_resync(self, tmp_path, point):
+        """A resync replaces the replica's state and checkpoints it.  Dying
+        anywhere in that leaves a directory the restart recovers, and the
+        rejoin's resync converges it: the primary's records, its applied
+        LSN at the primary's tail, and nothing acknowledged lost."""
+        system, alice, bob = build(tmp_path, mode="semi-sync")
+        committed = sample_count(bob.fetch("alice"))
+        primary, replica = system.stores["alice-store"], system.stores["alice-store-r1"]
+        plan = arm(replica, point)
+        # What a rejected batch or a lagging link does.  The segment frame
+        # the replica journaled rides its group window, so the resync's
+        # checkpoint passes the commit fsync too.
+        primary.replication.links["alice-store-r1"].resync = True
+        primary.replication.pump()
+        assert [e.point for e in plan.log if e.outcome != "pass"] == [point]
+
+        # The process is gone: what its handle wrote is what is on disk.
+        replica.durability.wal.faults = None
+        replica.durability.close()
+        system.network.unregister_host("alice-store-r1")
+        back = DataStoreService(
+            "alice-store-r1", system.network, directory=replica.directory, durable=True,
+            seed=system.seed,
+        )
+        system.stores["alice-store-r1"] = back
+        assert system.broker.reconcile_store(back)["failed"] == 0
+        system.broker.failover.heartbeat()
+        assert_replica_matches(primary, back)
+        assert back.applier.applied_lsn == primary.durability.wal.last_lsn
+
+        system.network.unregister_host("alice-store")
+        assert fail_over(system)["Promoted"] == "alice-store-r1"
+        assert sample_count(bob.fetch("alice")) == committed
+
 
 class TestPartitionDuringShipment:
     def test_healed_partition_converges_without_duplicates(self, tmp_path):
@@ -119,6 +166,7 @@ class TestPartitionDuringShipment:
         system.broker.failover.heartbeat()  # the tick pumps the shipper
         assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
         assert replica.store.stats.n_segments == primary.store.stats.n_segments
+        assert_replica_matches(primary, replica)
         # A second resync-free pump ships nothing new and changes nothing.
         skipped_before = replica.applier.frames_skipped
         primary.replication.pump()
@@ -142,6 +190,7 @@ class TestPartitionDuringShipment:
         primary = system.stores["alice-store"]
         assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
         assert replica.store.stats.n_segments == primary.store.stats.n_segments
+        assert_replica_matches(primary, replica)
 
 
 class TestCrashDuringPromotion:

@@ -6,15 +6,22 @@ mutate them.  Everything is seeded, so the suite is deterministic.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core import SensorSafeSystem
 from repro.datastore.wavesegment import WaveSegment
+from repro.exceptions import CorruptRecordError
 from repro.rules.engine import decode_release
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
+from repro.server.datastore_service import PRIMARY_PRINCIPAL
+from repro.storage import records
+from repro.storage.wal import HEADER_SIZE, _HEADER, decode_frame
 from repro.util.geo import LatLon
+from repro.util.jsonutil import canonical_dumps
 from repro.util.timeutil import timestamp_ms
 
 def pytest_addoption(parser):
@@ -78,6 +85,56 @@ def released_pieces(body: dict) -> list:
     """A consumer ``/api/query`` response body's pieces, each as its
     ``ReleasedSegment.to_json()``, read through the one frame parser."""
     return [piece.to_json() for piece in decode_release(body["Released"])]
+
+
+def read_wal_frames(path: str) -> list:
+    """``(lsn, frame_bytes, chain_prev)`` of every intact frame of a WAL file.
+
+    The raw-bytes sibling of :func:`repro.storage.wal.scan_wal`, in the
+    triples :func:`repro.storage.replication.encode_ship` takes: frames are
+    CRC- and chain-checked while scanning, and extraction stops at the
+    first torn or suspect byte.
+    """
+    frames = []
+    if not os.path.exists(path):
+        return frames
+    with open(path, "rb") as fh:
+        data = fh.read()
+    offset = chain_prev = 0
+    while offset + HEADER_SIZE <= len(data):
+        end = offset + HEADER_SIZE + _HEADER.unpack_from(data, offset)[0]
+        if end > len(data):
+            break  # torn tail
+        try:
+            lsn, chain, _payload = decode_frame(data[offset:end], chain_prev=chain_prev)
+        except CorruptRecordError:
+            break
+        frames.append((lsn, data[offset:end], chain_prev))
+        chain_prev, offset = chain, end
+    return frames
+
+
+def assert_replica_matches(primary, replica) -> None:
+    """Invariant 8: a replica holds exactly its primary's records.
+
+    ``records.dump`` of both, compared as sorted canonical JSON, minus the
+    ``__primary__`` pairing row (a replica's own, never journaled; a
+    promoted store keeps the one from its replica days).
+    """
+
+    def records_of(service):
+        return sorted(
+            canonical_dumps([op, data])
+            for op, data in records.dump(service)
+            if not (op == records.OP_ROLE and data["Principal"] == PRIMARY_PRINCIPAL)
+        )
+
+    ours, theirs = records_of(primary), records_of(replica)
+    assert ours == theirs, (
+        f"{replica.host} differs from {primary.host}: "
+        f"only at the primary {sorted(set(ours) - set(theirs))}, "
+        f"only at the replica {sorted(set(theirs) - set(ours))}"
+    )
 
 
 @pytest.fixture(scope="session")

@@ -31,8 +31,8 @@ WHOLESALE_DROP = "storage/recovery.py"
 #: attribute of something that is not a data store service.
 NOT_A_STORE = {"baselines/centralized.py"}
 
-#: Dict methods that change a consumer's groups or a contributor's
-#: credential without an index.
+#: Dict methods that change a principal's role, groups or credential, or
+#: a contributor's places, without an index.
 MUTATORS = ("pop", "popitem", "update", "clear", "setdefault")
 
 
@@ -61,7 +61,11 @@ def _state_installs(tree):
                 yield node.lineno, f"calls .{func.attr}()"
             elif func.attr == "restore" and _attr(func.value, "rules", "audit"):
                 yield node.lineno, f"calls .{func.value.attr}.restore()"
-            elif func.attr in MUTATORS and _attr(func.value, "memberships", "credentials"):
+            elif func.attr == "forget" and _attr(func.value, "rules"):
+                yield node.lineno, "calls .rules.forget()"
+            elif func.attr in MUTATORS and _attr(
+                func.value, "places", "roles", "memberships", "credentials"
+            ):
                 yield node.lineno, f"calls .{func.value.attr}.{func.attr}()"
 
 
@@ -87,9 +91,8 @@ def test_the_guard_sees_what_it_guards():
         "calls .audit.restore()",
         "calls .restore_segment()",
         "calls .remove_segment()",
-        "calls .memberships.pop()",
-        "calls .credentials.pop()",
-    }
+        "calls .rules.forget()",
+    } | {f"calls .{table}.pop()" for table in tables}
 
 
 def _functions_with(matches):

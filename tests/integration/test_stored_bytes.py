@@ -9,6 +9,12 @@ uploaded JSON value lists and shipped hex frames; whatever the wire
 carries since, the journal — segment ids, merges, per-packet dedupe,
 record order, the replica's verbatim copy — does not move.
 
+Since a resync is one export, the replica's log starts above the resync's
+base: the pinned replica log is its own broker pairing followed by every
+primary payload, and today's is the primary's payloads above the base,
+byte for byte (the records at or below it were installed and
+checkpointed).
+
 A contributor's role record has carried its credential (``Salt``,
 ``PasswordHash``) since; each role payload is hashed without those two
 fields, which is exactly the bytes the pinned commit journaled for it, so
@@ -25,10 +31,11 @@ from repro.rules.model import ALLOW, Rule
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
 from repro.storage import records
-from repro.storage.replication import read_wal_frames
 from repro.storage.wal import HEADER_SIZE
 from repro.util.jsonutil import canonical_dumps
 from repro.util.timeutil import timestamp_ms
+
+from tests.conftest import read_wal_frames
 
 PINNED = Path(__file__).parent / "stored_bytes_a61bce2.json"
 MONDAY = timestamp_ms(2011, 2, 7)
@@ -46,15 +53,36 @@ def pinned_payload(payload):
     return canonical_dumps({"Op": record["Op"], "Data": data}).encode("utf-8")
 
 
+#: The replica's own broker pairing, the first record of its pinned log.
+PAIRING = canonical_dumps(
+    {"Op": records.OP_ROLE, "Data": {"Principal": "__broker__", "Role": "broker"}}
+).encode("utf-8")
+
+
+def wal_payloads(service):
+    return [frame[HEADER_SIZE:] for _lsn, frame, _chain_prev in
+            read_wal_frames(service.durability.wal.path)]
+
+
+def digest_of(payloads):
+    """``[sha256 over the payloads in order, their count]``."""
+    digest = hashlib.sha256()
+    for payload in payloads:
+        digest.update(pinned_payload(payload))
+    return [digest.hexdigest(), len(payloads)]
+
+
 def wal_digest(service):
     """``[sha256 over the WAL's payloads in order, frame count]``."""
-    digest, frames = hashlib.sha256(), read_wal_frames(service.durability.wal.path)
-    for _lsn, frame, _chain_prev in frames:
-        digest.update(pinned_payload(frame[HEADER_SIZE:]))
-    return [digest.hexdigest(), len(frames)]
+    return digest_of(wal_payloads(service))
 
 
 def stored_bytes(directory):
+    primary, replica = stream(directory)
+    return {"primary": wal_digest(primary), "replica": wal_digest(replica)}
+
+
+def stream(directory):
     system = SensorSafeSystem(seed=19)
     primary = system.create_replicated_store(
         "clinic", directory=str(directory), n_replicas=1, mode="semi-sync"
@@ -73,14 +101,17 @@ def stored_bytes(directory):
     assert phone.stats.upload_failures == 0 and phone.stats.upload_requests > 24
     (role,) = [data for op, data in records.dump(primary, ["alice"]) if op == records.OP_ROLE]
     assert set(CREDENTIAL) <= set(role)
-    return {
-        "primary": wal_digest(primary),
-        "replica": wal_digest(system.stores["clinic-r1"]),
-    }
+    return primary, system.stores["clinic-r1"]
 
 
 def test_the_journal_holds_what_the_parent_journaled(tmp_path):
-    assert stored_bytes(tmp_path) == json.loads(PINNED.read_text(encoding="utf-8"))
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    primary, replica = stream(tmp_path)
+    ours, theirs = wal_payloads(primary), wal_payloads(replica)
+    assert digest_of(ours) == pinned["primary"]
+    assert digest_of([PAIRING] + ours) == pinned["replica"]
+    # The resync's base is the primary's first record, its broker pairing.
+    assert theirs == ours[1:]
 
 
 if __name__ == "__main__":

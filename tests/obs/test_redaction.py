@@ -100,7 +100,7 @@ class TestSpanExportNeverLeaks:
         from repro.core import SensorSafeSystem
         from repro.datastore.codec import ENCODING_RAW, encode_values
         from repro.sensors.packets import SensorPacket
-        from repro.storage.replication import read_wal_frames
+        from tests.conftest import read_wal_frames
         from repro.util.geo import LatLon
 
         system = SensorSafeSystem(seed=3)

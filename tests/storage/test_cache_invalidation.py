@@ -26,7 +26,7 @@ from repro.storage import StorageFaultPlan, records, wal_path
 from repro.util.geo import BoundingBox, LabeledPlace
 
 from tests.conftest import UCLA, make_segment, released_pieces
-from tests.storage.test_records import one_frame_batch
+from tests.storage.test_records import one_frame_batch, self_resync
 
 HOST = "st"
 
@@ -188,6 +188,7 @@ class TestKeyMovesInstead:
         service = self.sharing_campus(tmp_path, cache_capacity)
         before = self.drops(service)
         service.demote()
+        self_resync(service)
         moved = records.places_record("alice", {"campus": ELSEWHERE})
         service.applier.apply_batch(
             one_frame_batch(tmp_path, records.OP_PLACES, moved, service.epoch)

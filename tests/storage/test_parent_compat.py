@@ -62,6 +62,8 @@ def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
         "st-r1", network, directory=str(tmp_path / "st-r1"), durable=True, role=ROLE_REPLICA
     )
     key = replica.pair_primary()
+    # The parent's first resync carries no Bootstrap: it reads as "become
+    # nothing, then frames from lsn 1".
     first, live, bootstrap = load("replicate_append.json")
     assert "Bootstrap" not in first and "Bootstrap" in bootstrap and not live["Resync"]
     for body in (first, live, bootstrap):
@@ -80,16 +82,10 @@ def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
     assert replica.applier.bootstrap_applied == len(bootstrap["Bootstrap"])
     replicated = [r for r in dump(replica) if r[1].get("Principal") != "__primary__"]
     assert canonical(replicated) == load("expected_dump.json")
-    # The replica's own log holds the parent's payloads byte for byte: the
-    # 11 shipped frames verbatim, with the 8 bootstrap records (dicts,
-    # encoded here) between frames 7 and 8.
-    journaled = wal_payloads(replica)
-    shipped = [
-        frame[HEADER_SIZE:]
-        for body in (first, live, bootstrap)
-        for _lsn, frame, _chain_prev in parent_frames(body)
-    ]
-    assert journaled[:7] + journaled[15:] == shipped and len(journaled) == 19
+    # A resync is the parent's records, checkpointed: the replica's own log
+    # holds the frames shipped after the last resync, byte for byte.
+    shipped = [frame[HEADER_SIZE:] for _lsn, frame, _chain_prev in parent_frames(bootstrap)]
+    assert wal_payloads(replica) == shipped and len(shipped) == 4
 
 
 def test_migrate_install_accepts_the_parent_s_body(tmp_path):

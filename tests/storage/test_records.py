@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tests.conftest import make_segment
+from tests.conftest import make_segment, read_wal_frames
 from repro.datastore.query import DataQuery
 from repro.net.client import HttpClient
 from repro.net.transport import Network
@@ -23,7 +23,7 @@ from repro.server.datastore_service import BROKER_PRINCIPAL, ROLE_REPLICA, DataS
 from repro.storage import records
 from repro.storage.atomic import atomic_write_jsonl
 from repro.storage.recovery import SNAPSHOT_KINDS, recover_service, snapshot_path, wal_path
-from repro.storage.replication import encode_ship, read_wal_frames
+from repro.storage.replication import encode_ship
 from repro.storage.wal import HEADER_SIZE, WriteAheadLog, decode_payload, scan_wal
 from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LabeledPlace
@@ -51,8 +51,13 @@ def target(tmp_path, name, *, durable=False, role="primary", fail_closed=False):
         principal="bob", contributor="alice", query={}, raw_access=False, segments_scanned=1
     )
     if fail_closed:
-        assert service._fence_rule_versions({"alice": MIRROR}) == ["alice"]
+        fence(service)
     return service
+
+
+def fence(service):
+    """Fail alice closed above the broker mirror, as a promotion would."""
+    assert service._fence_rule_versions({"alice": MIRROR}) == ["alice"]
 
 
 def observe(service):
@@ -106,18 +111,31 @@ def journaled(service):
     return seen
 
 
+def self_resync(service):
+    """Resync a store to its own records at base 0: its state stands, and
+    the frame at lsn 1 of that primary's stream is the next it takes."""
+    bootstrap = [{"Op": op, "Data": data} for op, data in records.dump(service)]
+    body = {"Primary": "primary", "Epoch": service.epoch, "Resync": True, "BaseLsn": 0,
+            "Bootstrap": bootstrap, **encode_ship([])}
+    assert service.applier.apply_batch(body) == {"AppliedLsn": 0}
+
+
 def one_frame_batch(tmp_path, op, data, epoch):
-    """The ``/api/replicate/append`` body a primary would ship for one record."""
+    """The ``/api/replicate/append`` body a primary would ship for one
+    record, the first frame above a resync at base 0."""
     scratch = WriteAheadLog(str(tmp_path / "primary.wal"))
     scratch.append(op, data)
     scratch.close()
     frames = read_wal_frames(scratch.path)
     assert len(frames) == 1
-    return {"Primary": "primary", "Epoch": epoch, "Resync": True, **encode_ship(frames)}
+    return {"Primary": "primary", "Epoch": epoch, "Resync": False, **encode_ship(frames)}
 
 
 def via_replica_frame(tmp_path, op, data, **pre):
-    service = target(tmp_path, "replica", durable=True, role=ROLE_REPLICA, **pre)
+    service = target(tmp_path, "replica", durable=True, role=ROLE_REPLICA)
+    self_resync(service)
+    if pre.get("fail_closed"):
+        fence(service)
     seen = journaled(service)
     reply = service.applier.apply_batch(one_frame_batch(tmp_path, op, data, service.epoch))
     assert reply == {"AppliedLsn": 1}
@@ -285,6 +303,7 @@ def shipping_pair(tmp_path):
     shipper.attach(
         "replica", HttpClient(network, name="primary", api_key=replica.pair_primary())
     )
+    shipper.pump()  # the resync, of nothing: every record below arrives as a frame
     primary.register_contributor("alice")
     primary.register_consumer("bob")
     primary.rules.add("alice", Rule(consumers=("bob",), action=ALLOW, rule_id="r1"))

@@ -1,7 +1,7 @@
 """WAL shipping and replica application (PR 6 tentpole, storage layer).
 
 These tests wire a primary and replica directly (no broker) so every
-protocol edge — backfill, idempotent re-ship, gaps, checkpoint chain
+protocol edge — the resync, idempotent re-ship, gaps, checkpoint chain
 restarts, semi-sync acknowledgement, epoch fencing, replica read fencing
 — is exercised in isolation.
 """
@@ -10,18 +10,23 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import make_segment
+from tests.conftest import assert_replica_matches, make_segment, read_wal_frames
 from repro.exceptions import (
     NotPrimaryError,
     ReplicationError,
     StaleEpochError,
+    StorageError,
 )
 from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
-from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
-from repro.storage.replication import encode_ship, read_wal_frames
+from repro.server.datastore_service import PRIMARY_PRINCIPAL, ROLE_REPLICA, DataStoreService
+from repro.util.geo import BoundingBox, LabeledPlace
+from repro.storage.replication import encode_ship
 from repro.storage.wal import WriteAheadLog
+
+
+HOME = LabeledPlace("home", BoundingBox(0, 0, 1, 1))
 
 
 def ship(frames=(), **members):
@@ -70,6 +75,8 @@ class TestShipping:
         assert replica.roles.get("alice") == "contributor"
 
     def test_backfill_ships_state_written_before_replication(self, tmp_path):
+        """Named for the disk backfill this once took; the link's first
+        ship, a resync, carries everything written before it."""
         network = Network()
         primary = DataStoreService(
             "primary", network, directory=str(tmp_path / "p"), durable=True
@@ -90,25 +97,47 @@ class TestShipping:
         key = replica.pair_primary()
         shipper.attach("replica", HttpClient(network, name="primary", api_key=key))
         shipper.pump()
+        # The resync carried them: the replica became the primary's records.
+        assert replica.applier.bootstrap_applied > 0
         assert replica.store.stats.n_segments == 1
         assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+        assert_replica_matches(primary, replica)
 
     def test_reship_is_idempotent(self, tmp_path):
         _, primary, (replica,) = make_pair(tmp_path)
+        primary.replication.pump()  # the resync: frames follow from lsn 1
         primary.register_contributor("alice")
         primary.store.add_segment(make_segment())
         primary.store.flush()
         primary.durability.commit()
         primary.replication.pump()
         applied = replica.applier.applied_lsn
-        # Force a full re-send of everything the replica already holds.
-        link = primary.replication.links["replica-0"]
-        link.acked_lsn = 0
-        primary.replication.backfill()
-        primary.replication.pump()
-        assert replica.applier.applied_lsn == applied
+        # Re-send everything the replica already holds, as a lost ack would.
+        frames = read_wal_frames(primary.durability.wal.path)
+        assert replica.applier.apply_batch(ship(frames)) == {"AppliedLsn": applied}
         assert replica.store.stats.n_segments == 1
-        assert replica.applier.frames_skipped > 0
+        assert replica.applier.frames_skipped == len(frames) == applied
+        assert_replica_matches(primary, replica)
+
+    def test_a_contributor_with_no_places_dumps_alike_everywhere(self, tmp_path):
+        """Registration writes only what it journals.  A contributor who set
+        no places (and no rules) has the same records at the primary, at
+        its replica, and at the primary restarted from its own disk."""
+        network, primary, (replica,) = make_pair(tmp_path)
+        primary.replication.pump()  # the resync: what follows ships as frames
+        primary.register_contributor("alice")
+        primary.store.add_segment(make_segment())
+        primary.store.flush()
+        primary.durability.commit()
+        primary.replication.pump()
+        assert "alice" not in primary.places
+        assert_replica_matches(primary, replica)
+        primary.durability.close()
+        network.unregister_host("primary")
+        restarted = DataStoreService(
+            "primary", network, directory=primary.directory, durable=True
+        )
+        assert_replica_matches(primary, restarted)
 
     def test_gap_is_rejected_and_resync_converges(self, tmp_path):
         _, primary, (replica,) = make_pair(tmp_path)
@@ -125,10 +154,12 @@ class TestShipping:
         gapped = replica.applier.apply_batch(ship(frames[2:]))
         assert "Rejected" in gapped
         assert gapped["AppliedLsn"] == frames[0][0]
-        # Resync replays the generation from the top and converges.
+        # A resync with no Bootstrap (a parent primary's form) replaces the
+        # state with nothing, then takes the frames from lsn 1: it converges.
         done = replica.applier.apply_batch(ship(frames, Resync=True))
         assert done == {"AppliedLsn": frames[-1][0]}
         assert replica.store.stats.n_segments == 3
+        assert_replica_matches(primary, replica)
 
     def test_chain_restart_after_checkpoint_is_accepted(self, tmp_path):
         _, primary, (replica,) = make_pair(tmp_path)
@@ -145,10 +176,19 @@ class TestShipping:
         primary.store.add_segment(make_segment(start_ms=1297036800000 + 3_600_000))
         primary.store.flush()
         primary.durability.commit()
-        primary.replication.backfill()
         primary.replication.pump()
         assert replica.applier.applied_lsn > before
+        assert replica.applier.chain == primary.durability.wal.chain
         assert replica.store.stats.n_segments == 2
+        # A resync after the checkpoint chains from BaseChain: the next
+        # frame is checked against the primary's chain, not taken on trust.
+        primary.replication.links["replica-0"].resync = True
+        primary.replication.pump()
+        assert replica.applier.chain == primary.durability.wal.chain != 0
+        primary.rules.add("alice", Rule(consumers=("bob",), action=ALLOW))
+        primary.replication.pump()
+        assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+        assert_replica_matches(primary, replica)
 
     def test_one_batch_can_span_a_checkpoint_reset(self, tmp_path):
         """Why ``chain_prev`` rides the envelope per frame: frames buffered
@@ -366,11 +406,11 @@ class TestFencing:
 
 
 class TestResyncBootstrap:
-    """A joiner after a checkpoint converges via the snapshot bootstrap.
+    """A resync is the primary's records: the replica becomes them.
 
-    Checkpoints truncate the WAL, so frames alone reach back only to the
-    checkpoint LSN; the resync ship must lead with the primary's full
-    state or refuse to mark the link caught-up.
+    Whatever the primary's WAL still holds — a checkpoint truncates it —
+    the resync carries every record at its base, and the replica drops
+    what those records lack.
     """
 
     def test_attach_after_checkpoint_ships_full_state(self, tmp_path):
@@ -405,6 +445,59 @@ class TestResyncBootstrap:
         assert replica.roles.get("alice") == "contributor"
         assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
         assert shipper.lag_of("replica") == 0
+        assert_replica_matches(primary, replica)
+
+    def test_the_replica_becomes_the_primary_s_records(self, tmp_path):
+        """What the primary does not hold goes — a segment, a principal
+        with her credential, a rule set, places — and the replica's disk
+        says so at once; its own pairing and its audit trail stay."""
+        network, primary, (replica,) = make_pair(tmp_path)
+        primary.register_contributor("alice")
+        primary.rules.add("alice", Rule(consumers=("bob",), action=ALLOW))
+        primary.replication.pump()
+        assert_replica_matches(primary, replica)
+        # State only the replica holds: an ex-primary's refused writes.
+        replica.register_contributor("carol")
+        replica.rules.add("carol", Rule(consumers=("bob",), action=ALLOW))
+        replica.set_places("alice", {"home": HOME})
+        replica.store.add_segment(make_segment())
+        replica.store.flush()
+        read = replica.audit.record_access(
+            principal="bob", contributor="alice", query={}, raw_access=False, segments_scanned=1
+        )
+        primary.replication.links["replica-0"].resync = True
+        primary.replication.pump()
+        assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+        assert "carol" not in replica.roles and "carol" not in replica.credentials
+        assert "carol" not in replica.rules.contributors() and replica.places == {}
+        assert replica.store.stats.n_segments == 0
+        assert replica.roles[PRIMARY_PRINCIPAL] == "primary"
+        assert [r.to_json() for r in replica.audit.trail_of("alice")] == [read.to_json()]
+        primary.audit.restore([read])  # the one record a resync merges, not replaces
+        assert_replica_matches(primary, replica)
+        # Checkpointed: nothing of the resync is in the replica's log, and
+        # a restart of it holds the same records.
+        assert read_wal_frames(replica.durability.wal.path) == []
+        replica.durability.close()
+        network.unregister_host("replica-0")
+        restarted = DataStoreService(
+            "replica-0", network, directory=replica.directory, durable=True, role=ROLE_REPLICA
+        )
+        assert restarted.recovery_report.clean
+        assert_replica_matches(primary, restarted)
+
+    def test_a_bootstrap_that_holds_no_records_is_refused_whole(self, tmp_path):
+        _, primary, (replica,) = make_pair(tmp_path)
+        primary.register_contributor("alice")
+        primary.replication.pump()
+        applied = replica.applier.applied_lsn
+        good = {"Op": "role", "Data": {"Principal": "eve", "Role": "consumer"}}
+        for bootstrap in ({}, [good, {"Op": "teleport", "Data": {}}], [good, {"Op": "role"}],
+                          [good, ["role", {}]]):
+            with pytest.raises(StorageError):
+                replica.applier.apply_batch(ship(Resync=True, BaseLsn=9, Bootstrap=bootstrap))
+            assert "alice" in replica.roles and "eve" not in replica.roles
+            assert replica.applier.applied_lsn == applied
 
     def test_resync_base_without_bootstrap_is_rejected(self, tmp_path):
         _, primary, (replica,) = make_pair(tmp_path)
@@ -413,8 +506,9 @@ class TestResyncBootstrap:
         assert reply["AppliedLsn"] == 0
 
     def test_mid_stream_first_frame_is_rejected(self, tmp_path):
-        # A replica with no applied history must never silently adopt a
-        # stream that starts above lsn 1 — that hole would be permanent.
+        # A replica that has installed no resync since it started refuses
+        # every other batch: adopting a stream mid-way would leave a hole
+        # below its first frame on a promotion candidate.
         _, primary, (replica,) = make_pair(tmp_path)
         primary.register_contributor("alice")
         primary.store.add_segment(make_segment())
@@ -422,9 +516,10 @@ class TestResyncBootstrap:
         primary.durability.commit()
         frames = read_wal_frames(primary.durability.wal.path)
         assert len(frames) >= 2
-        reply = replica.applier.apply_batch(ship(frames[1:]))
-        assert "Rejected" in reply
-        assert replica.applier.applied_lsn == 0
+        for batch in (frames[1:], frames):  # lsn 1 is no exception
+            reply = replica.applier.apply_batch(ship(batch))
+            assert reply == {"AppliedLsn": 0, "Rejected": "no resync installed since this store started"}
+        assert replica.applier.frames_applied == 0 and replica.store.stats.n_segments == 0
 
     @pytest.mark.parametrize(
         "payload", [b"[1,2]", b'{"Data":{}}', b'"rules"', b"\xff\xfe", b"{not json"]
@@ -463,11 +558,12 @@ class TestLaggingReplica:
         assert link.resync and not link.alive
         # The buffer no longer accumulates on behalf of the dead replica.
         assert primary.replication._buffer == []
-        # When it returns, a full resync (backfill from disk) converges it.
+        # When it returns, a resync converges it.
         network.register_host("replica-0", replica.router)
         primary.replication.pump()
         assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
         assert replica.store.stats.n_segments == primary.store.stats.n_segments
+        assert_replica_matches(primary, replica)
 
 
 class TestReadWalFrames:

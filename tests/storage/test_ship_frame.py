@@ -18,11 +18,11 @@ from repro.exceptions import CorruptRecordError
 from repro.net import wire
 from repro.rules.model import ALLOW, Rule
 from repro.storage.records import dump
-from repro.storage.replication import decode_ship, encode_ship, read_wal_frames
+from repro.storage.replication import decode_ship, encode_ship
 from repro.storage.wal import HEADER_SIZE, encode_frame
 from repro.util import jsonutil
 
-from tests.conftest import make_segment
+from tests.conftest import make_segment, read_wal_frames
 from tests.storage.test_replication import make_pair, ship
 
 _U32 = st.integers(min_value=0, max_value=2**32 - 1)
