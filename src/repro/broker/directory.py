@@ -33,6 +33,7 @@ import hashlib
 from typing import Optional
 
 from repro.exceptions import ConflictError, NotFoundError
+from repro.obs import NOOP_OBS
 
 #: Virtual nodes per shard host.  More vnodes flatten placement skew at
 #: the cost of a larger ring; 64 keeps the max/min contributor ratio
@@ -122,16 +123,12 @@ class ShardDirectory:
         #: Monotonic routing-table version; bumped by every route change.
         #: Starts at 1 so "0" can mean "client has never resolved".
         self.routing_epoch = 1
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._c_lookups = m.counter("routing_lookups_total")
-            self._c_moves = m.counter("routing_moves_total")
-            m.gauge("routing_epoch", callback=lambda: self.routing_epoch)
-            m.gauge("shard_count", callback=lambda: len(self.ring))
-        else:
-            self._c_lookups = None
-            self._c_moves = None
+        self.obs = obs or NOOP_OBS
+        m = self.obs.metrics
+        self._c_lookups = m.counter("routing_lookups_total")
+        self._c_moves = m.counter("routing_moves_total")
+        m.gauge("routing_epoch", callback=lambda: self.routing_epoch)
+        m.gauge("shard_count", callback=lambda: len(self.ring))
 
     # -- topology --------------------------------------------------------
 
@@ -160,8 +157,7 @@ class ShardDirectory:
     def route(self, contributor: str) -> tuple:
         """Authoritative ``(host, routing_epoch)`` for one contributor."""
         record = self.registry.get(contributor)
-        if self._c_lookups is not None:
-            self._c_lookups.inc()
+        self._c_lookups.inc()
         return record.host, self.routing_epoch
 
     # -- route changes (every one bumps the epoch) -----------------------
@@ -184,8 +180,7 @@ class ShardDirectory:
 
     def _bump(self, moved: int = 0) -> int:
         self.routing_epoch += 1
-        if self._c_moves is not None and moved:
-            self._c_moves.inc(moved)
+        self._c_moves.inc(moved)
         return self.routing_epoch
 
     # -- split planning --------------------------------------------------

@@ -81,17 +81,11 @@ class FailoverManager:
         #: Surfaced via /api/replicas/status and the fleet snapshot so an
         #: operator can jump from "who promoted when" to the exact trace.
         self.events: list = []
-        obs = broker.network.obs
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._c_heartbeats = m.counter("failover_heartbeats_total")
-            self._c_failovers = m.counter("failover_promotions_total")
-            self._c_noquorum = m.counter("failover_no_candidate_total")
-        else:
-            self._c_heartbeats = None
-            self._c_failovers = None
-            self._c_noquorum = None
+        self.obs = broker.network.obs
+        m = self.obs.metrics
+        self._c_heartbeats = m.counter("failover_heartbeats_total")
+        self._c_failovers = m.counter("failover_promotions_total")
+        self._c_noquorum = m.counter("failover_no_candidate_total")
 
     # ------------------------------------------------------------------
     # Set construction
@@ -138,12 +132,7 @@ class FailoverManager:
         for host in group.members():
             group.missed[host] = 0
         shipper.pump()
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "replica_set_epoch",
-                callback=lambda g=group: g.epoch,
-                set=set_name,
-            )
+        self.obs.metrics.gauge("replica_set_epoch", callback=lambda: group.epoch, set=set_name)
         self.sets[set_name] = group
         return group
 
@@ -185,8 +174,7 @@ class FailoverManager:
         when its probe *succeeded*: the broker never drives I/O on behalf
         of a store it just observed to be dead or unreachable.
         """
-        if self._c_heartbeats is not None:
-            self._c_heartbeats.inc()
+        self._c_heartbeats.inc()
         slo = self.broker.network.obs.slo
         report = {}
         for name, group in sorted(self.sets.items()):
@@ -286,8 +274,7 @@ class FailoverManager:
             applier = status.get("Applier") or {}
             candidates.append((int(applier.get("AppliedLsn", 0)), host))
         if not candidates:
-            if self._c_noquorum is not None:
-                self._c_noquorum.inc()
+            self._c_noquorum.inc()
             self._record_event("no-candidate", name, None, group.epoch,
                                span.trace_id, OldPrimary=old_primary)
             return {"Promoted": None, "Reason": "no reachable replica"}
@@ -313,8 +300,7 @@ class FailoverManager:
             promoted = host
             break
         if promoted is None:
-            if self._c_noquorum is not None:
-                self._c_noquorum.inc()
+            self._c_noquorum.inc()
             self._record_event("no-candidate", name, None, group.epoch,
                                span.trace_id, OldPrimary=old_primary)
             return {"Promoted": None, "Reason": "every candidate refused promotion"}
@@ -345,8 +331,7 @@ class FailoverManager:
             self.broker.client, promoted, self.broker.store_keys
         )
         reregistered = self.broker.enroll_escrowed(old_primary, promoted)[0]
-        if self._c_failovers is not None:
-            self._c_failovers.inc()
+        self._c_failovers.inc()
         detection_ms = self.broker.network.obs.slo.failover_completed(name)
         span.set_attributes(promoted=promoted, old_primary=old_primary,
                             epoch=new_epoch)

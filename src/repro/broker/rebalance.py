@@ -58,20 +58,13 @@ class ShardRebalancer:
         #: as failover events; surfaced in the fleet snapshot).
         self.events: list = []
         self.active = 0
-        obs = broker.network.obs
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._c_migrations = m.counter("migrations_total")
-            self._c_shipped = m.counter("migration_records_shipped_total")
-            self._c_failclosed = m.counter("migration_failclosed_total")
-            self._h_duration = m.histogram("migration_ms")
-            m.gauge("migration_active", callback=lambda: self.active)
-        else:
-            self._c_migrations = None
-            self._c_shipped = None
-            self._c_failclosed = None
-            self._h_duration = None
+        self.obs = broker.network.obs
+        m = self.obs.metrics
+        self._c_migrations = m.counter("migrations_total")
+        self._c_shipped = m.counter("migration_records_shipped_total")
+        self._c_failclosed = m.counter("migration_failclosed_total")
+        self._h_duration = m.histogram("migration_ms")
+        m.gauge("migration_active", callback=lambda: self.active)
 
     # ------------------------------------------------------------------
     # Store RPC plumbing
@@ -85,8 +78,7 @@ class ShardRebalancer:
 
     def _install(self, dest: str, records: list) -> dict:
         result = self._store_call(dest, "/api/migrate/install", {"Records": records})
-        if self._c_shipped is not None and records:
-            self._c_shipped.inc(len(records))
+        self._c_shipped.inc(len(records))
         return result
 
     def _fence(self, host: str, names: list, digest: str) -> None:
@@ -157,11 +149,9 @@ class ShardRebalancer:
         finally:
             self.active -= 1
         duration_ms = clock.now_ms() - started_ms
-        if self._c_migrations is not None:
-            self._c_migrations.inc()
-            if fail_closed:
-                self._c_failclosed.inc(len(fail_closed))
-            self._h_duration.observe(duration_ms)
+        self._c_migrations.inc()
+        self._c_failclosed.inc(len(fail_closed))
+        self._h_duration.observe(duration_ms)
         span.set_attributes(source=source, moved=moved, epoch=epoch)
         report = {
             "Moved": moved,

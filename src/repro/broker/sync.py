@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from repro.broker.registry import ContributorRegistry
 from repro.exceptions import SchemaError, ServiceError, TransportError
 from repro.net.client import HttpClient
+from repro.obs import NOOP_OBS
 from repro.rules.parser import rules_from_json
 from repro.util.geo import LabeledPlace
 
@@ -71,20 +72,15 @@ class SyncManager:
         self._stale: set[str] = set()
         # Observability (repro.obs.Observability): sync counters mirror
         # SyncStats into the shared registry so /api/metrics sees them.
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._c_pulls = m.counter("sync_pulls_total")
-            self._c_pushes = m.counter("sync_pushes_total")
-            self._c_applied = m.counter("sync_profiles_applied_total")
-            self._c_stale = m.counter("sync_stale_dropped_total")
-            self._c_failures = m.counter("sync_pull_failures_total")
-            self._c_skipped = m.counter("sync_skipped_total")
-            self.obs.metrics.gauge(
-                "sync_stale_contributors", callback=lambda: len(self._stale)
-            )
-        else:
-            self._c_pulls = None
+        self.obs = obs or NOOP_OBS
+        m = self.obs.metrics
+        self._c_pulls = m.counter("sync_pulls_total")
+        self._c_pushes = m.counter("sync_pushes_total")
+        self._c_applied = m.counter("sync_profiles_applied_total")
+        self._c_stale = m.counter("sync_stale_dropped_total")
+        self._c_failures = m.counter("sync_pull_failures_total")
+        self._c_skipped = m.counter("sync_skipped_total")
+        m.gauge("sync_stale_contributors", callback=lambda: len(self._stale))
 
     def stale_contributors(self) -> list[str]:
         """Contributors whose broker-side rule mirror may be outdated."""
@@ -117,9 +113,8 @@ class SyncManager:
             self.stats.applied += 1
         else:
             self.stats.stale_dropped += 1
-        if self._c_pulls is not None:
-            (self._c_pulls if via_pull else self._c_pushes).inc()
-            (self._c_applied if applied else self._c_stale).inc()
+        (self._c_pulls if via_pull else self._c_pushes).inc()
+        (self._c_applied if applied else self._c_stale).inc()
         return applied
 
     def pull(
@@ -177,8 +172,7 @@ class SyncManager:
             key = store_keys.get(host)
             if key is None:
                 self.stats.skipped_no_key += len(names)
-                if self._c_pulls is not None:
-                    self._c_skipped.inc(len(names))
+                self._c_skipped.inc(len(names))
                 continue
             started = time.perf_counter()
             try:
@@ -197,10 +191,8 @@ class SyncManager:
                 )
                 self.stats.skipped_broken_host += len(names) - 1
                 self._stale.update(names)
-                if self._c_pulls is not None:
-                    self._c_failures.inc()
-                    if len(names) > 1:
-                        self._c_skipped.inc(len(names) - 1)
+                self._c_failures.inc()
+                self._c_skipped.inc(len(names) - 1)
                 continue
             self._observe_host_ms(host, started)
             missing = set(str(m) for m in body.get("Missing", []))
@@ -218,8 +210,7 @@ class SyncManager:
                     # stale until the directory repoints and re-pulls.
                     self.stats.pull_failures += 1
                     self._stale.add(name)
-                    if self._c_pulls is not None:
-                        self._c_failures.inc()
+                    self._c_failures.inc()
         return applied
 
     def _observe_host_ms(self, host: str, started: float) -> None:
@@ -227,10 +218,7 @@ class SyncManager:
 
         elapsed_ms = (time.perf_counter() - started) * 1e3
         self.stats.host_pull_ms[host] = elapsed_ms
-        if self.obs is not None:
-            self.obs.metrics.histogram("sync_host_pull_ms", store=host).observe(
-                elapsed_ms
-            )
+        self.obs.metrics.histogram("sync_host_pull_ms", store=host).observe(elapsed_ms)
 
     def reconcile_host(self, client: HttpClient, host: str, store_keys: dict) -> dict:
         """Re-pull every contributor of one store after it restarts.
@@ -260,8 +248,7 @@ class SyncManager:
                 self.stats.pull_failures += 1
                 self._stale.add(name)
                 out["failed"] += 1
-                if self._c_pulls is not None:
-                    self._c_failures.inc()
+                self._c_failures.inc()
                 continue
             out["pulled"] += 1
             if name in self._stale:

@@ -32,6 +32,7 @@ from repro.context.annotate import ContextAnnotator
 from repro.datastore.wavesegment import segment_from_packet
 from repro.exceptions import BadRequestError, OverloadedError, ServiceError, TransportError
 from repro.net.client import HttpClient
+from repro.obs import NOOP_OBS
 from repro.rules.engine import RuleEngine
 from repro.rules.model import Rule
 from repro.rules.parser import rules_from_json
@@ -122,20 +123,17 @@ class SmartphoneAgent:
         self._offline_queue: list[SensorPacket] = []
         # Observability: queue depth as a gauge, overflow drops as a
         # counter, both labelled by contributor (a name, never a value).
-        # A clientless agent (offline unit tests) has no hub to report to.
-        obs = client.network.obs if client is not None else None
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "phone_offline_queue_depth",
-                callback=lambda: len(self._offline_queue),
-                contributor=contributor,
-            )
-            self._c_dropped = self.obs.metrics.counter(
-                "phone_packets_dropped_total", contributor=contributor
-            )
-        else:
-            self._c_dropped = None
+        # A clientless agent (offline unit tests) meters into the shared
+        # disabled hub.
+        self.obs = client.network.obs if client is not None else NOOP_OBS
+        self.obs.metrics.gauge(
+            "phone_offline_queue_depth",
+            callback=lambda: len(self._offline_queue),
+            contributor=contributor,
+        )
+        self._c_dropped = self.obs.metrics.counter(
+            "phone_packets_dropped_total", contributor=contributor
+        )
         self._flush_pending = False
         #: Simulated-clock timestamp before which the agent will not send:
         #: set from the store's Retry-After hint on a typed 503 shed, so a
@@ -389,8 +387,7 @@ class SmartphoneAgent:
         if overflow > 0:
             del self._offline_queue[:overflow]
             self.stats.packets_lost += overflow
-            if self._c_dropped is not None:
-                self._c_dropped.inc(overflow)
+            self._c_dropped.inc(overflow)
 
     def _try_flush(self) -> None:
         if not self._flush_pending:

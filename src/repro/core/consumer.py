@@ -34,11 +34,9 @@ class Consumer:
         #: comparing epochs — the epoch lets tests and operators assert
         #: convergence ("the client caught up to the cutover's epoch").
         self._route_epoch = 0
-
-    def _obs(self):
-        network = getattr(self.client, "network", None)
-        obs = getattr(network, "obs", None)
-        return obs if obs is not None and obs.enabled else None
+        m = client.network.obs.metrics
+        self._c_route_hits = m.counter("route_cache_hits_total")
+        self._c_route_misses = m.counter("route_cache_misses_total")
 
     def _broker(self, path: str) -> str:
         return f"https://{self.broker_host}{path}"
@@ -110,10 +108,8 @@ class Consumer:
         if force:
             self._hosts.pop(contributor, None)
         host = self._hosts.get(contributor)
-        obs = self._obs()
         if host is not None:
-            if obs is not None:
-                obs.metrics.counter("route_cache_hits_total").inc()
+            self._c_route_hits.inc()
             return host
         try:
             body = self.client.post(
@@ -126,8 +122,7 @@ class Consumer:
         self._route_epoch = max(
             self._route_epoch, int(body.get("RoutingEpoch", 0))
         )
-        if obs is not None:
-            obs.metrics.counter("route_cache_misses_total").inc()
+        self._c_route_misses.inc()
         return host
 
     def _store_client(self, contributor: str) -> tuple:

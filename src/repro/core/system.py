@@ -47,8 +47,9 @@ class SensorSafeSystem:
         #: ``"enforce"`` (shed with typed 503/504s under overload).
         self.overload = overload
         self.clock = SimClock()
-        #: ``telemetry=False`` builds the deployment with observability
-        #: disabled end to end — no metrics, no spans, no SLO tracking,
+        #: ``telemetry=False`` builds the deployment on a disabled hub:
+        #: every instrument is inert (traffic counters included, so
+        #: ``traffic()`` reads zeros), no span finishes, no SLO tracking,
         #: no fleet scrapes.  Benchmark C15 uses this as the baseline to
         #: price full-fleet telemetry.
         obs = None if telemetry else Observability(clock=self.clock, enabled=False)

@@ -53,6 +53,7 @@ from typing import Iterable, Optional
 from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import WaveSegment
 from repro.net import wire
+from repro.obs import NOOP_OBS
 from repro.rules.engine import encode_release
 from repro.util import jsonutil
 
@@ -181,25 +182,14 @@ class ReleaseCache:
         self.max_bytes = int(max_bytes)
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self._bytes = 0
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._c_hits = m.counter("cache_hits_total", store=store)
-            self._c_misses = m.counter("cache_misses_total", store=store)
-            self._c_evictions = m.counter("cache_evictions_total", store=store)
-            self._c_invalidations = m.counter("cache_invalidations_total", store=store)
-            # Force-rebind the callbacks: gauge() is get-or-create, and a
-            # restarted service must not leave the gauge reading a dead
-            # cache instance.
-            g = m.gauge("cache_bytes", store=store)
-            g.callback = lambda: self._bytes
-            g = m.gauge("cache_entries", store=store)
-            g.callback = lambda: len(self._entries)
-        else:
-            self._c_hits = None
-            self._c_misses = None
-            self._c_evictions = None
-            self._c_invalidations = None
+        self.obs = obs or NOOP_OBS
+        m = self.obs.metrics
+        self._c_hits = m.counter("cache_hits_total", store=store)
+        self._c_misses = m.counter("cache_misses_total", store=store)
+        self._c_evictions = m.counter("cache_evictions_total", store=store)
+        self._c_invalidations = m.counter("cache_invalidations_total", store=store)
+        m.gauge("cache_bytes", callback=lambda: self._bytes, store=store)
+        m.gauge("cache_entries", callback=lambda: len(self._entries), store=store)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -230,12 +220,10 @@ class ReleaseCache:
         """Return the cached entry for ``key`` (marking it recently used)."""
         entry = self._entries.get(key)
         if entry is None:
-            if self._c_misses is not None:
-                self._c_misses.inc()
+            self._c_misses.inc()
             return None
         self._entries.move_to_end(key)
-        if self._c_hits is not None:
-            self._c_hits.inc()
+        self._c_hits.inc()
         return entry
 
     def put(self, key: tuple, entry: CacheEntry) -> None:
@@ -254,8 +242,7 @@ class ReleaseCache:
         ):
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
-            if self._c_evictions is not None:
-                self._c_evictions.inc()
+            self._c_evictions.inc()
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -270,6 +257,5 @@ class ReleaseCache:
         dropped = len(self._entries)
         self._entries.clear()
         self._bytes = 0
-        if dropped and self._c_invalidations is not None:
-            self._c_invalidations.inc(dropped)
+        self._c_invalidations.inc(dropped)
         return dropped

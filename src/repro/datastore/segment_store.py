@@ -17,11 +17,13 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.datastore.cache import segment_content_hash
+from repro.datastore.codec import DECODE_STATS
 from repro.datastore.database import Table, TableSchema
 from repro.datastore.index import GridIndex, IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery, QueryResult
 from repro.datastore.wavesegment import WaveSegment, segment_from_packet
+from repro.obs import NOOP_OBS
 from repro.sensors.packets import SensorPacket
 from repro.util.timeutil import Interval
 
@@ -55,28 +57,16 @@ class SegmentStore:
     ):
         self.name = name
         # Observability (repro.obs.Observability); instruments bound once.
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            from repro.datastore.codec import DECODE_STATS
-
-            m = self.obs.metrics
-            self._c_scanned = m.counter("store_segments_scanned_total", store=name)
-            self._c_duplicates = m.counter("store_duplicate_uploads_total", store=name)
-            self._h_query = m.histogram("store_query_us", store=name)
-            m.gauge("codec_decode_calls", callback=lambda: DECODE_STATS.decode_calls)
-            m.gauge(
-                "codec_decode_seconds",
-                callback=lambda: DECODE_STATS.decode_seconds,
-            )
-            # Samples per segment (§5.1) is the ratio of these two.  Rebound
-            # like the release cache's gauges: a restarted service must not
-            # leave them reading a dead store.
-            m.gauge("store_segments", store=name).callback = lambda: self.stats.n_segments
-            m.gauge("store_samples", store=name).callback = lambda: self.stats.n_samples
-        else:
-            self._c_scanned = None
-            self._c_duplicates = None
-            self._h_query = None
+        self.obs = obs or NOOP_OBS
+        m = self.obs.metrics
+        self._c_scanned = m.counter("store_segments_scanned_total", store=name)
+        self._c_duplicates = m.counter("store_duplicate_uploads_total", store=name)
+        self._h_query = m.histogram("store_query_us", store=name)
+        m.gauge("codec_decode_calls", callback=lambda: DECODE_STATS.decode_calls)
+        m.gauge("codec_decode_seconds", callback=lambda: DECODE_STATS.decode_seconds)
+        # Samples per segment (§5.1) is the ratio of these two.
+        m.gauge("store_segments", callback=lambda: self.stats.n_segments, store=name)
+        m.gauge("store_samples", callback=lambda: self.stats.n_samples, store=name)
         self._segments = Table(TableSchema("segments", key=lambda s: s.segment_id))
         self.optimizer = SegmentOptimizer(merge_policy)
         # contributor -> channel -> IntervalIndex of segment ids
@@ -150,8 +140,7 @@ class SegmentStore:
 
     def _count_duplicate(self) -> None:
         self.duplicate_uploads += 1
-        if self._c_duplicates is not None:
-            self._c_duplicates.inc()
+        self._c_duplicates.inc()
 
     def _persist_final(self, finalized: list) -> list:
         """Persist what the optimizer finalized; returns what was stored.
@@ -305,8 +294,7 @@ class SegmentStore:
         ids = self._by_contributor.get(contributor, ())
         out = [self._segments.get(segment_id) for segment_id in ids]
         out.sort(key=lambda s: (s.start_ms, s.channels))
-        if self._c_scanned is not None:
-            self._c_scanned.inc(len(out))
+        self._c_scanned.inc(len(out))
         return out
 
     def content_fingerprint(self, contributor: str) -> int:
@@ -336,38 +324,35 @@ class SegmentStore:
         per-segment test) narrows by region, then segments are projected to
         the requested channels and sliced to the time range.
         """
-        if self.obs is None:
-            return self._query(contributor, query)
         started = time.perf_counter()
         with self.obs.tracer.start_span("store.scan", store=self.name) as span:
-            result = self._query(contributor, query)
+            wanted_channels = query.expanded_channels()  # validates names
+            candidate_ids = self._candidates(contributor, query, wanted_channels)
+            result = QueryResult()
+            result.scanned_segments = len(candidate_ids)
+            self.stats.queries_served += 1
+            self.stats.segments_scanned += len(candidate_ids)
+            segments = sorted(
+                (self._segments.get(sid) for sid in candidate_ids),
+                key=lambda s: (s.start_ms, s.channels),
+            )
+            for segment in segments:
+                clipped = self._clip(segment, query, wanted_channels)
+                if clipped is None:
+                    continue
+                if (
+                    query.limit_segments is not None
+                    and len(result.segments) >= query.limit_segments
+                ):
+                    result.truncated = True
+                    break
+                result.segments.append(clipped)
             span.set_attributes(
                 segments_scanned=result.scanned_segments,
                 segments_returned=len(result.segments),
             )
         self._h_query.observe((time.perf_counter() - started) * 1e6)
         self._c_scanned.inc(result.scanned_segments)
-        return result
-
-    def _query(self, contributor: str, query: DataQuery) -> QueryResult:
-        wanted_channels = query.expanded_channels()  # validates names
-        candidate_ids = self._candidates(contributor, query, wanted_channels)
-        result = QueryResult()
-        result.scanned_segments = len(candidate_ids)
-        self.stats.queries_served += 1
-        self.stats.segments_scanned += len(candidate_ids)
-        segments = sorted(
-            (self._segments.get(sid) for sid in candidate_ids),
-            key=lambda s: (s.start_ms, s.channels),
-        )
-        for segment in segments:
-            clipped = self._clip(segment, query, wanted_channels)
-            if clipped is None:
-                continue
-            if query.limit_segments is not None and len(result.segments) >= query.limit_segments:
-                result.truncated = True
-                break
-            result.segments.append(clipped)
         return result
 
     def _candidates(

@@ -310,35 +310,19 @@ class AdmissionController:
         #: queue wait and total latency (safe: dispatch is synchronous).
         self.last_queue_ms = 0.0
         self.last_rtt_ms = 0.0
-        obs = network.obs
-        self.obs = obs if obs is not None and obs.enabled else None
+        self.obs = network.obs
         self._c_requests: dict = {}
         self._c_served: dict = {}
         self._c_shed: dict = {}
         self._c_would_shed: dict = {}
         self._h_queue: dict = {}
-        if self.obs is not None:
-            m = self.obs.metrics
-            m.gauge(
-                "admission_queue_depth",
-                callback=lambda: self.inflight(),
-                host=host,
-            )
-            m.gauge(
-                "admission_queue_wait_ms",
-                callback=lambda: self.queue_ms(),
-                host=host,
-            )
-            m.gauge(
-                "concurrency_limit",
-                callback=lambda: self.limiter.limit,
-                host=host,
-            )
-            m.gauge(
-                "admission_brownout_level",
-                callback=lambda: self.brownout_level(),
-                host=host,
-            )
+        m = self.obs.metrics
+        m.gauge("admission_queue_depth", callback=lambda: self.inflight(), host=host)
+        m.gauge("admission_queue_wait_ms", callback=lambda: self.queue_ms(), host=host)
+        m.gauge("concurrency_limit", callback=lambda: self.limiter.limit, host=host)
+        m.gauge(
+            "admission_brownout_level", callback=lambda: self.brownout_level(), host=host
+        )
 
     # ------------------------------------------------------------------
     # Wiring
@@ -394,7 +378,7 @@ class AdmissionController:
 
     def _requests_ctr(self, cls: str):
         ctr = self._c_requests.get(cls)
-        if ctr is None and self.obs is not None:
+        if ctr is None:
             ctr = self._c_requests[cls] = self.obs.metrics.counter(
                 "admission_requests_total", **{"host": self.host, "class": cls}
             )
@@ -402,7 +386,7 @@ class AdmissionController:
 
     def _served_ctr(self, cls: str):
         ctr = self._c_served.get(cls)
-        if ctr is None and self.obs is not None:
+        if ctr is None:
             ctr = self._c_served[cls] = self.obs.metrics.counter(
                 "admission_served_total", **{"host": self.host, "class": cls}
             )
@@ -410,7 +394,7 @@ class AdmissionController:
 
     def _shed_ctr(self, cls: str, reason: str):
         ctr = self._c_shed.get((cls, reason))
-        if ctr is None and self.obs is not None:
+        if ctr is None:
             ctr = self._c_shed[(cls, reason)] = self.obs.metrics.counter(
                 "admission_shed_total",
                 **{"host": self.host, "class": cls, "reason": reason},
@@ -419,7 +403,7 @@ class AdmissionController:
 
     def _would_shed_ctr(self, cls: str, reason: str):
         ctr = self._c_would_shed.get((cls, reason))
-        if ctr is None and self.obs is not None:
+        if ctr is None:
             ctr = self._c_would_shed[(cls, reason)] = self.obs.metrics.counter(
                 "admission_would_shed_total",
                 **{"host": self.host, "class": cls, "reason": reason},
@@ -428,7 +412,7 @@ class AdmissionController:
 
     def _queue_hist(self, cls: str):
         hist = self._h_queue.get(cls)
-        if hist is None and self.obs is not None:
+        if hist is None:
             hist = self._h_queue[cls] = self.obs.metrics.histogram(
                 "admission_queue_ms", **{"host": self.host, "class": cls}
             )
@@ -466,9 +450,7 @@ class AdmissionController:
             and self.cache_probe(request)
         )
         queue_ms = self.queue_ms(now)
-        ctr = self._requests_ctr(cls)
-        if ctr is not None:
-            ctr.inc()
+        self._requests_ctr(cls).inc()
 
         shed: Optional[tuple] = None  # (reason, exception)
         remaining = self._deadline_remaining(request)
@@ -505,15 +487,11 @@ class AdmissionController:
         if shed is not None:
             reason, exc = shed
             if self.mode == MODE_ENFORCE:
-                ctr = self._shed_ctr(cls, reason)
-                if ctr is not None:
-                    ctr.inc()
+                self._shed_ctr(cls, reason).inc()
                 raise exc
             # Observe mode: record what enforcement *would* have shed —
             # the runbook's dry-run signal — then admit anyway.
-            ctr = self._would_shed_ctr(cls, reason)
-            if ctr is not None:
-                ctr.inc()
+            self._would_shed_ctr(cls, reason).inc()
 
         # Admitted: extend the virtual backlog by this request's cost.
         service = cfg.service_cost(cls, cached)
@@ -524,18 +502,14 @@ class AdmissionController:
         self._pending.append((self.busy_until_ms, cls))
         self.last_queue_ms = queue_ms
         self.last_rtt_ms = queue_ms + service
-        hist = self._queue_hist(cls)
-        if hist is not None:
-            hist.observe(queue_ms)
+        self._queue_hist(cls).observe(queue_ms)
         self.limiter.observe(self.last_rtt_ms, now)
         return cls
 
     def gate_done(self, ticket, response: Response) -> None:
         """Completion hook: count served (2xx) responses per class."""
         if response.ok:
-            ctr = self._served_ctr(ticket)
-            if ctr is not None:
-                ctr.inc()
+            self._served_ctr(ticket).inc()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,14 +9,26 @@ same registry and the same trace store.
 
 Telemetry is privacy-safe by construction: every span attribute and every
 metric label passes the redaction boundary in :mod:`repro.obs.redaction`.
+
+Whether telemetry is on is decided here and nowhere else.  A disabled hub
+(``Observability(enabled=False)``) hands out inert instruments and the
+no-op span, so components meter unconditionally; a component built
+without a hub meters into the shared :data:`NOOP_OBS`.  Only the three
+subsystems that do real work beyond metering — :class:`SloTracker`,
+:class:`QueryCostLog` and the broker's fleet aggregator — check
+``enabled`` themselves.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.obs.costs import CostRecord, QueryCostLog
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    InertRegistry,
+    MetricsRegistry,
+)
 from repro.obs.redaction import (
     REDACTED,
     check_label,
@@ -32,7 +44,7 @@ class Observability:
 
     def __init__(self, clock=None, *, enabled: bool = True):
         self.enabled = enabled
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry() if enabled else InertRegistry()
         self.tracer = Tracer(clock, enabled=enabled)
         self.slo = SloTracker(self, clock)
         self.costs = QueryCostLog(self, clock)
@@ -48,24 +60,32 @@ class Observability:
         self.costs.reset()
 
 
-def noop_observability() -> Observability:
-    """A disabled hub: spans are no-ops, the registry stays empty-ish.
+#: The one disabled hub every component built without a hub meters into.
+#: Its registry holds no series and its tracer finishes no span, so it
+#: keeps no mutable state and any thread may share it.
+NOOP_OBS = Observability(enabled=False)
 
-    Handed to components running outside any deployment (bare engines in
-    unit tests, the conformance oracle) so instrumentation code never has
-    to null-check.
+
+def noop_observability() -> Observability:
+    """The shared disabled hub: inert instruments and no-op spans.
+
+    What a component running outside any deployment (a bare engine in a
+    unit test, the broker's per-record search engines, the phone's gating
+    engines) meters into, so instrumentation code never null-checks.
     """
-    return Observability(enabled=False)
+    return NOOP_OBS
 
 
 __all__ = [
     "Observability",
+    "NOOP_OBS",
     "noop_observability",
     "CostRecord",
     "QueryCostLog",
     "SloThresholds",
     "SloTracker",
     "MetricsRegistry",
+    "InertRegistry",
     "Counter",
     "Gauge",
     "Histogram",

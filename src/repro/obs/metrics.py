@@ -17,6 +17,14 @@ observations, plus exact count/sum/min/max for everything) and report
 p50/p95/p99 from it; with the deterministic simulated clock driving every
 workload, the early prefix is as representative as any reservoir and the
 snapshot stays reproducible.
+
+Metering is unconditional: a component binds its instruments in its
+constructor and calls them unguarded.  What "telemetry off" means is
+decided here, once — a disabled hub's :class:`InertRegistry` hands out
+shared inert instruments whose writes do nothing and whose reads answer
+as an empty instrument does, so its snapshot stays empty.  A gauge
+callback is bound to its newest owner: a restarted component's gauges
+read the live instance, not the one that died.
 """
 
 from __future__ import annotations
@@ -57,11 +65,11 @@ class Gauge:
 
     __slots__ = ("name", "labels", "_value", "callback")
 
-    def __init__(self, name: str, labels: dict, callback: Optional[Callable] = None):
+    def __init__(self, name: str, labels: dict):
         self.name = name
         self.labels = labels
         self._value = 0.0
-        self.callback = callback
+        self.callback: Optional[Callable] = None
 
     @property
     def value(self) -> float:
@@ -197,16 +205,21 @@ class MetricsRegistry:
         return instrument
 
     def gauge(self, name: str, callback: Optional[Callable] = None, **labels) -> Gauge:
+        """Get-or-create; a passed ``callback`` replaces the held one.
+
+        The newest owner wins: a restarted store's new component takes
+        over its series instead of leaving it reading the dead instance.
+        """
         memo_key, instrument = self._memo_get("g", name, labels)
         if instrument is None:
             clean = self._clean_labels(labels)
             key = _series_key(name, clean)
             instrument = self._gauges.get(key)
             if instrument is None:
-                instrument = self._gauges[key] = Gauge(name, clean, callback)
+                instrument = self._gauges[key] = Gauge(name, clean)
             if memo_key is not None:
                 self._lookup[memo_key] = instrument
-        if callback is not None and instrument.callback is None:
+        if callback is not None:
             instrument.callback = callback
         return instrument
 
@@ -280,3 +293,57 @@ class MetricsRegistry:
             for instrument in table.values():
                 if instrument.name.startswith(name_prefix):
                     instrument.reset()
+
+
+class _InertCounter(Counter):
+    __slots__ = ()
+
+    def inc(self, amount: int = 1) -> None:
+        pass
+
+
+class _InertGauge(Gauge):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        pass
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    def dec(self, amount: float = 1.0) -> None:
+        pass
+
+
+class _InertHistogram(Histogram):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+_INERT_COUNTER = _InertCounter("inert", {})
+_INERT_GAUGE = _InertGauge("inert", {})
+_INERT_HISTOGRAM = _InertHistogram("inert", {})
+
+
+class InertRegistry(MetricsRegistry):
+    """A disabled hub's registry: every instrument is a shared inert one.
+
+    Writes do nothing and a gauge callback is dropped, so the registry
+    never holds a series — the metering twin of the tracer's no-op span.
+    Holding no mutable state, one instance is safe to share across
+    deployments and threads.
+    """
+
+    def counter(self, name: str, **labels) -> Counter:
+        """The shared inert counter: ``inc`` does nothing, it reads 0."""
+        return _INERT_COUNTER
+
+    def gauge(self, name: str, callback: Optional[Callable] = None, **labels) -> Gauge:
+        """The shared inert gauge: ``callback`` is dropped, it reads 0.0."""
+        return _INERT_GAUGE
+
+    def histogram(self, name: str, **labels) -> Histogram:
+        """The shared inert histogram: ``observe`` does nothing."""
+        return _INERT_HISTOGRAM

@@ -273,7 +273,14 @@ class _NoopSpan(Span):
                          name="noop", start_sim_ms=0)
         self._finished = True
 
+    # Shared by every disabled tracer (and their threads): nothing writes.
     def set_attribute(self, key: str, value: object) -> None:
+        pass
+
+    def set_attributes(self, **attrs) -> None:
+        pass
+
+    def set_error(self, message: str) -> None:
         pass
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -63,6 +63,7 @@ from typing import FrozenSet, Iterable, Mapping, Optional
 
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import RuleError
+from repro.obs import NOOP_OBS
 from repro.rules.abstraction import coarsen_context_label
 from repro.rules.dependency import DEFAULT_DEPENDENCIES, DependencyGraph
 from repro.rules.engine import ReleasedSegment, _GPS_CHANNELS, _shape_segment
@@ -304,18 +305,15 @@ class CompiledRuleSet:
         self._empty_cell: frozenset = frozenset()
 
         # --- observability ----------------------------------------------
-        self.obs = obs if obs is not None and getattr(obs, "enabled", False) else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            self._c_batches = m.counter("compiled_eval_batches_total")
-            self._c_segments = m.counter("compiled_eval_segments_total")
-            self._c_bucket_skips = m.counter("compiled_bucket_skips_total")
-            self._c_grid_prunes = m.counter("compiled_grid_prunes_total")
-            self._c_time_prunes = m.counter("compiled_time_prunes_total")
-            self._c_full_deny = m.counter("compiled_full_deny_short_circuits_total")
-            self._c_default_deny = m.counter("compiled_default_deny_total")
-        else:
-            self._c_batches = None
+        self.obs = obs or NOOP_OBS
+        m = self.obs.metrics
+        self._c_batches = m.counter("compiled_eval_batches_total")
+        self._c_segments = m.counter("compiled_eval_segments_total")
+        self._c_bucket_skips = m.counter("compiled_bucket_skips_total")
+        self._c_grid_prunes = m.counter("compiled_grid_prunes_total")
+        self._c_time_prunes = m.counter("compiled_time_prunes_total")
+        self._c_full_deny = m.counter("compiled_full_deny_short_circuits_total")
+        self._c_default_deny = m.counter("compiled_default_deny_total")
 
     # ------------------------------------------------------------------
     # Compile-time lowering
@@ -538,13 +536,10 @@ class CompiledRuleSet:
                         ],
                     )
                 out.extend(self._evaluate_segment(segment, start, end, *scope, windows))
-        if self._c_batches is not None:
-            self._c_batches.inc()
-            self._c_segments.inc(len(segments))
-            self._c_bucket_skips.inc(
-                (len(self.compiled) - len(candidates)) * len(segments)
-            )
-            self._c_time_prunes.inc(time_pruned)
+        self._c_batches.inc()
+        self._c_segments.inc(len(segments))
+        self._c_bucket_skips.inc((len(self.compiled) - len(candidates)) * len(segments))
+        self._c_time_prunes.inc(time_pruned)
         return out
 
     def evaluate_segment(
@@ -619,11 +614,10 @@ class CompiledRuleSet:
             if cr.kind == _KIND_ALLOW:
                 has_allow = True
 
-        if self._c_batches is not None and grid_pruned:
+        if grid_pruned:
             self._c_grid_prunes.inc(grid_pruned)
         if not has_allow:
-            if self._c_batches is not None:
-                self._c_default_deny.inc()
+            self._c_default_deny.inc()
             return []  # default deny: nothing grants access
 
         released: list = []
@@ -735,8 +729,7 @@ class CompiledRuleSet:
         has_allow = False
         for cr in rules:
             if cr.kind == _KIND_DENY and cr.scope_mask is None:
-                if self._c_batches is not None:
-                    self._c_full_deny.inc()
+                self._c_full_deny.inc()
                 return None
             if cr.kind == _KIND_ALLOW:
                 has_allow = True
@@ -926,18 +919,13 @@ class CompiledRuleCache:
             raise RuleError(f"compiled-rule cache capacity must be positive: {capacity}")
         self.capacity = int(capacity)
         self._entries: OrderedDict = OrderedDict()
-        self._obs = obs if obs is not None and getattr(obs, "enabled", False) else None
-        if self._obs is not None:
-            m = self._obs.metrics
-            labels = {"store": store} if store else {}
-            self._c_compiles = m.counter("rules_compile_total", **labels)
-            self._h_compile_s = m.histogram("rules_compile_seconds", **labels)
-            self._c_hits = m.counter("compiled_cache_hits_total", **labels)
-            self._c_invalidations = m.counter(
-                "compiled_cache_invalidations_total", **labels
-            )
-        else:
-            self._c_compiles = None
+        self._obs = obs or NOOP_OBS
+        m = self._obs.metrics
+        labels = {"store": store} if store else {}
+        self._c_compiles = m.counter("rules_compile_total", **labels)
+        self._h_compile_s = m.histogram("rules_compile_seconds", **labels)
+        self._c_hits = m.counter("compiled_cache_hits_total", **labels)
+        self._c_invalidations = m.counter("compiled_cache_invalidations_total", **labels)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -964,8 +952,7 @@ class CompiledRuleCache:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
-            if self._c_compiles is not None:
-                self._c_hits.inc()
+            self._c_hits.inc()
             return entry
         started = _time.perf_counter()
         artifact = CompiledRuleSet(
@@ -976,9 +963,8 @@ class CompiledRuleCache:
             contributor=contributor,
             obs=self._obs,
         )
-        if self._c_compiles is not None:
-            self._c_compiles.inc()
-            self._h_compile_s.observe(_time.perf_counter() - started)
+        self._c_compiles.inc()
+        self._h_compile_s.observe(_time.perf_counter() - started)
         self._entries[key] = artifact
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -993,6 +979,5 @@ class CompiledRuleCache:
         del reason
         dropped = len(self._entries)
         self._entries.clear()
-        if self._c_compiles is not None and dropped:
-            self._c_invalidations.inc(dropped)
+        self._c_invalidations.inc(dropped)
         return dropped

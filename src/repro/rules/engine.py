@@ -47,6 +47,7 @@ import numpy as np
 from repro.datastore.codec import ENCODING_RAW, decode_frame_values, encode_values
 from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment, check_format
 from repro.exceptions import SchemaError, ValidationError
+from repro.obs import NOOP_OBS
 from repro.rules.dependency import DependencyGraph
 from repro.rules.model import Rule
 from repro.sensors.channels import GPS_LAT, GPS_LON
@@ -422,14 +423,11 @@ class RuleEngine:
         obs=None,
     ):
         self.membership = membership or _self_membership
-        # Observability (repro.obs.Observability): with obs=None
-        # instrumentation costs one None-check per call.
-        self.obs = obs if obs is not None and obs.enabled else None
-        self._c_evals = (
-            self.obs.metrics.counter("rule_evaluations_total")
-            if self.obs is not None
-            else None
-        )
+        # Observability (repro.obs.Observability): without a hub the
+        # engine meters into the shared disabled one — an inert counter
+        # and a no-op span per evaluate() call.
+        self.obs = obs or NOOP_OBS
+        self._c_evals = self.obs.metrics.counter("rule_evaluations_total")
         if compiled is None:
             # Deferred: the compiler module imports this one.
             from repro.rules.compiler import CompiledRuleSet
@@ -446,8 +444,6 @@ class RuleEngine:
     def evaluate(self, consumer: str, segments: Iterable[WaveSegment]) -> list:
         """Evaluate many segments; returns the released pieces in order."""
         principals = self.membership(consumer)
-        if self.obs is None:
-            return self.compiled.evaluate_batch(principals, segments)
         with self.obs.tracer.start_span("rules.evaluate", consumer=consumer) as span:
             segments = list(segments)
             out = self.compiled.evaluate_batch(principals, segments)
@@ -457,6 +453,5 @@ class RuleEngine:
 
     def evaluate_segment(self, consumer: str, segment: WaveSegment) -> list:
         """Evaluate one segment for one consumer; returns released pieces."""
-        if self._c_evals is not None:
-            self._c_evals.inc()
+        self._c_evals.inc()
         return self.compiled.evaluate_segment(self.membership(consumer), segment)

@@ -697,13 +697,11 @@ class DataStoreService:
             return self._evaluate_release(endpoint, principal, contributor, query)
         key = self._cache_key(principal, contributor, query)
         entry = cache.get(key)
-        obs = self.network.obs
-        if obs is not None and obs.enabled:
-            # The probe rides the enclosing request span as an attribute:
-            # the lookup is a dict hit, far below span granularity.
-            span = obs.tracer.current_span()
-            if span is not None:
-                span.set_attribute("cache_hit", entry is not None)
+        # The probe rides the enclosing request span as an attribute: the
+        # lookup is a dict hit, far below span granularity.
+        span = self.network.obs.tracer.current_span()
+        if span is not None:
+            span.set_attribute("cache_hit", entry is not None)
         if entry is None:
             entry = self._evaluate_release(endpoint, principal, contributor, query)
             cache.put(key, entry)

@@ -104,28 +104,22 @@ class Durability:
         self.wal: Optional[WriteAheadLog] = None
         self.generation = 0
         self.recovery_report: Optional[RecoveryReport] = None
-        obs = service.network.obs
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            host = service.host
-            self._c_appends = m.counter("wal_appends_total", store=host)
-            self._c_commits = m.counter("wal_commits_total", store=host)
-            self._c_checkpoints = m.counter("checkpoints_total", store=host)
-            m.gauge(
-                "wal_size_bytes",
-                callback=lambda: self.wal.size_bytes() if self.wal is not None else 0,
-                store=host,
-            )
-            m.gauge(
-                "wal_io_seconds",
-                callback=lambda: self.wal.io_seconds if self.wal is not None else 0.0,
-                store=host,
-            )
-        else:
-            self._c_appends = None
-            self._c_commits = None
-            self._c_checkpoints = None
+        self.obs = service.network.obs
+        m = self.obs.metrics
+        host = service.host
+        self._c_appends = m.counter("wal_appends_total", store=host)
+        self._c_commits = m.counter("wal_commits_total", store=host)
+        self._c_checkpoints = m.counter("checkpoints_total", store=host)
+        m.gauge(
+            "wal_size_bytes",
+            callback=lambda: self.wal.size_bytes() if self.wal is not None else 0,
+            store=host,
+        )
+        m.gauge(
+            "wal_io_seconds",
+            callback=lambda: self.wal.io_seconds if self.wal is not None else 0.0,
+            store=host,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -206,7 +200,7 @@ class Durability:
         if self.wal is None:  # recovery replay phase, or closed
             return None
         lsn = self.wal.append(op, data, force_sync=op in CONTROL_OPS, payload=payload)
-        if own and self._c_appends is not None:
+        if own:
             self._c_appends.inc()
         return lsn
 
@@ -219,8 +213,7 @@ class Durability:
         """
         if self.wal is not None:
             self.wal.commit()
-            if self._c_commits is not None:
-                self._c_commits.inc()
+            self._c_commits.inc()
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -272,6 +265,5 @@ class Durability:
         self.wal.reset()
         if faults is not None:
             faults.at_point("checkpoint.done")
-        if self._c_checkpoints is not None:
-            self._c_checkpoints.inc()
+        self._c_checkpoints.inc()
         return manifest

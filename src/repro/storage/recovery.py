@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.exceptions import CorruptRecordError, SensorSafeError, StorageError
+from repro.obs import NOOP_OBS
 from repro.storage.atomic import file_sha256
 from repro.storage.records import (
     KNOWN_OPS,
@@ -452,13 +453,12 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     # reasoned about (tests/storage/test_cache_invalidation.py).
     service.invalidate_decisions("recovery")
 
-    if obs is not None and getattr(obs, "enabled", False):
-        m = obs.metrics
-        m.counter("recovery_runs_total").inc()
-        m.counter("recovery_replayed_total").inc(report.wal_records_replayed)
-        m.counter("records_quarantined_total").inc(report.quarantined_records)
-        m.counter("fail_closed_total").inc(len(report.fail_closed))
-        m.counter("recovery_torn_bytes_total").inc(report.wal_torn_bytes)
+    m = (obs or NOOP_OBS).metrics
+    m.counter("recovery_runs_total").inc()
+    m.counter("recovery_replayed_total").inc(report.wal_records_replayed)
+    m.counter("records_quarantined_total").inc(report.quarantined_records)
+    m.counter("fail_closed_total").inc(len(report.fail_closed))
+    m.counter("recovery_torn_bytes_total").inc(report.wal_torn_bytes)
     return report
 
 

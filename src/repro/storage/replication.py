@@ -174,22 +174,14 @@ class WalShipper:
         self._buffer: list = []
         self.fenced = False  # a replica rejected our epoch: we were demoted
         service.durability.wal.on_append.append(self._on_append)
-        obs = service.network.obs
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            host = service.host
-            self._c_ships = m.counter("replication_ships_total", store=host)
-            self._c_frames = m.counter("replication_frames_shipped_total", store=host)
-            self._c_failures = m.counter("replication_ship_failures_total", store=host)
-            self._c_fenced = m.counter("replication_fenced_total", store=host)
-            self._c_rejected = m.counter("replication_writes_rejected_total", store=host)
-        else:
-            self._c_ships = None
-            self._c_frames = None
-            self._c_failures = None
-            self._c_fenced = None
-            self._c_rejected = None
+        self.obs = service.network.obs
+        m = self.obs.metrics
+        host = service.host
+        self._c_ships = m.counter("replication_ships_total", store=host)
+        self._c_frames = m.counter("replication_frames_shipped_total", store=host)
+        self._c_failures = m.counter("replication_ship_failures_total", store=host)
+        self._c_fenced = m.counter("replication_fenced_total", store=host)
+        self._c_rejected = m.counter("replication_writes_rejected_total", store=host)
 
     # ------------------------------------------------------------------
     # WAL tailing
@@ -206,13 +198,12 @@ class WalShipper:
         """Register one replica; its first ship carries resync semantics."""
         link = ReplicaLink(host=host, client=client)
         self.links[host] = link
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "replication_lag_frames",
-                callback=lambda link=link: self.lag_of(link.host),
-                store=self.service.host,
-                replica=host,
-            )
+        self.obs.metrics.gauge(
+            "replication_lag_frames",
+            callback=lambda: self.lag_of(host),
+            store=self.service.host,
+            replica=host,
+        )
         return link
 
     def detach(self, host: str) -> None:
@@ -292,8 +283,7 @@ class WalShipper:
             span.set_attribute("outcome", "fenced")
             link.last_error = str(exc)
             self.fenced = True
-            if self._c_fenced is not None:
-                self._c_fenced.inc()
+            self._c_fenced.inc()
             self.service.demote()
             return False
         except (TransportError, ServiceError) as exc:
@@ -307,8 +297,7 @@ class WalShipper:
                 # when it returns, a resync converges it instead.
                 link.resync = True
                 link.acked_lsn = 0
-            if self._c_failures is not None:
-                self._c_failures.inc()
+            self._c_failures.inc()
             return False
         link.alive = True
         link.fails = 0
@@ -326,9 +315,8 @@ class WalShipper:
         span.set_attribute("outcome", "ok")
         link.acked_lsn = applied if link.resync else max(link.acked_lsn, applied)
         link.resync = False
-        if self._c_ships is not None:
-            self._c_ships.inc()
-            self._c_frames.inc(len(pending))
+        self._c_ships.inc()
+        self._c_frames.inc(len(pending))
         return not pending or link.acked_lsn >= pending[-1].lsn
 
     def pump(self) -> int:
@@ -369,8 +357,7 @@ class WalShipper:
         target = self.last_lsn()
         self.pump()
         if self.fenced:
-            if self._c_rejected is not None:
-                self._c_rejected.inc()
+            self._c_rejected.inc()
             raise ReplicationError(
                 f"store {self.service.host!r} was fenced at epoch "
                 f"{self.service.epoch}; writes rejected"
@@ -378,8 +365,7 @@ class WalShipper:
         if self.mode != MODE_SEMI_SYNC:
             return
         if self.acked_count(target) < self.min_acks:
-            if self._c_rejected is not None:
-                self._c_rejected.inc()
+            self._c_rejected.inc()
             raise ReplicationError(
                 f"semi-sync write needs {self.min_acks} replica ack(s) up to "
                 f"lsn {target}; reachable replicas are behind or down"
@@ -427,21 +413,12 @@ class ReplicaApplier:
         #: A resync has been installed since this applier started; until
         #: then every batch that is not one is refused.
         self.resynced = False
-        obs = service.network.obs
-        self.obs = obs if obs is not None and obs.enabled else None
-        if self.obs is not None:
-            m = self.obs.metrics
-            host = service.host
-            self._c_applied = m.counter("replication_frames_applied_total", store=host)
-            self._c_stale = m.counter("replication_stale_epoch_total", store=host)
-            m.gauge(
-                "replication_applied_lsn",
-                callback=lambda: self.applied_lsn,
-                store=host,
-            )
-        else:
-            self._c_applied = None
-            self._c_stale = None
+        self.obs = service.network.obs
+        m = self.obs.metrics
+        host = service.host
+        self._c_applied = m.counter("replication_frames_applied_total", store=host)
+        self._c_stale = m.counter("replication_stale_epoch_total", store=host)
+        m.gauge("replication_applied_lsn", callback=lambda: self.applied_lsn, store=host)
 
     def apply_batch(self, body: dict) -> dict:
         """Apply one shipped batch; returns the acknowledgement body.
@@ -470,8 +447,7 @@ class ReplicaApplier:
         service = self.service
         epoch = int(body.get("Epoch", 0))
         if epoch < service.epoch:
-            if self._c_stale is not None:
-                self._c_stale.inc()
+            self._c_stale.inc()
             raise StaleEpochError(
                 f"ship from epoch {epoch} rejected: {service.host!r} follows "
                 f"epoch {service.epoch}"
@@ -547,8 +523,7 @@ class ReplicaApplier:
         self.applied_lsn = lsn
         self.chain = chain
         self.frames_applied += 1
-        if self._c_applied is not None:
-            self._c_applied.inc()
+        self._c_applied.inc()
         return True
 
     def status(self) -> dict:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SensorSafeError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import InertRegistry, MetricsRegistry
 
 
 class TestCounters:
@@ -61,6 +61,14 @@ class TestGauges:
         registry.gauge("depth")
         registry.gauge("depth", callback=lambda: 9)
         assert registry.gauge("depth").value == 9
+
+    def test_a_new_callback_replaces_the_old_owner(self):
+        registry = MetricsRegistry()
+        registry.gauge("wal_size_bytes", callback=lambda: 0, store="s")
+        registry.gauge("wal_size_bytes", callback=lambda: 1727, store="s")
+        assert registry.gauge_value("wal_size_bytes", store="s") == 1727
+        registry.gauge("wal_size_bytes", store="s")  # a read keeps the owner
+        assert registry.gauge_value("wal_size_bytes", store="s") == 1727
 
 
 class TestHistograms:
@@ -129,3 +137,25 @@ class TestRegistry:
         registry.counter("x", host="a")
         registry.gauge("x", host="b")
         assert len(registry.series("x")) == 2
+
+
+class TestInertRegistry:
+    def test_writes_do_nothing_and_reads_answer_empty(self):
+        registry = InertRegistry()
+        counter = registry.counter("requests_total", host="a")
+        counter.inc(3)
+        gauge = registry.gauge("depth", callback=lambda: 9)
+        gauge.set(5)
+        gauge.inc()
+        histogram = registry.histogram("latency_us")
+        histogram.observe(1.0)
+        assert counter.value == 0
+        assert gauge.value == 0.0 and gauge.callback is None
+        assert histogram.count == 0 and histogram.percentile(99) == 0.0
+        assert registry.counter_value("requests_total", host="a") == 0
+        assert registry.snapshot() == {"Counters": {}, "Gauges": {}, "Histograms": {}}
+
+    def test_instruments_are_shared(self):
+        a, b = InertRegistry(), InertRegistry()
+        assert a.counter("x") is b.counter("y", host="z")
+        assert a.histogram("x") is b.histogram("y")

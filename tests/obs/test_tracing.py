@@ -63,8 +63,12 @@ class TestSpanLifecycle:
         tracer = Tracer(enabled=False)
         with tracer.start_span("ignored") as span:
             span.set_attribute("k", "v")
+            span.set_attributes(n=1)
+            span.set_error("boom")
         assert tracer.finished == []
         assert tracer.current_trace_id() == ""
+        # The no-op span is shared by every disabled tracer: nothing sticks.
+        assert span.attributes == {} and span.status == "ok"
 
 
 class TestPropagation:
