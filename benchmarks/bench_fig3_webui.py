@@ -28,7 +28,7 @@ def test_fig3_rule_editor_page(benchmark):
     browser, token = _login(system, alice)
 
     def render():
-        return browser.get(f"https://alice-store/web/rules/{token}", raw=True)
+        return browser.post("https://alice-store/web/rules", {"Token": token}, raw=True)
 
     response = benchmark(render)
     html = response.body["Html"]
@@ -92,7 +92,7 @@ def test_fig3_broker_search_page(benchmark):
     )["Token"]
 
     def render():
-        return browser.get(f"https://broker/web/search/{token}", raw=True)
+        return browser.post("https://broker/web/search", {"Token": token}, raw=True)
 
     response = benchmark(render)
     assert "Required sensors" in response.body["Html"]

@@ -3,8 +3,8 @@
 "Accesses to web user interfaces are authenticated by a login system using
 a username and a password" (Section 5.4).  A data store keeps a
 contributor's digest on its role record (:func:`credential`); the broker
-keeps its consumers' in an :class:`AccountRegistry`, whose login returns
-an opaque session token its web UI presents on later page requests.
+keeps its consumers' in an :class:`AccountRegistry`.  Neither keeps a
+session: a web login answers the principal's API key as the page token.
 """
 
 from __future__ import annotations
@@ -48,12 +48,11 @@ class Principal:
 
 
 class AccountRegistry:
-    """Accounts and login sessions for one server."""
+    """Password accounts for one server."""
 
     def __init__(self, rng: Optional[DeterministicRng] = None):
         self._rng = rng or DeterministicRng(0)
         self._accounts: dict[str, Principal] = {}
-        self._sessions: dict[str, str] = {}  # token -> username
 
     def register(self, username: str, password: str, role: str) -> Principal:
         if role not in _ROLES:
@@ -68,28 +67,11 @@ class AccountRegistry:
     def get(self, username: str) -> Optional[Principal]:
         return self._accounts.get(username)
 
-    def _require(self, username: str) -> Principal:
+    def check_password(self, username: str, password: str) -> Principal:
+        """The account, or 401 for an unknown name or a wrong password alike."""
         account = self._accounts.get(username)
-        if account is None:
-            raise AuthenticationError(f"unknown account: {username!r}")
-        return account
-
-    def login(self, username: str, password: str) -> str:
-        """Validate credentials and open a session; returns the token."""
-        account = self._require(username)
-        if not password_matches(account.salt, account.password_hash, password):
+        if account is None or not password_matches(
+            account.salt, account.password_hash, password
+        ):
             raise AuthenticationError("bad username or password")
-        token = hashlib.sha256(
-            f"session\x1f{username}\x1f{self._rng.next_nonce()}".encode("utf-8")
-        ).hexdigest()
-        self._sessions[token] = username
-        return token
-
-    def session_user(self, token: Optional[str]) -> Principal:
-        """Resolve a session token or raise 401."""
-        if token is None:
-            raise AuthenticationError("missing session token")
-        username = self._sessions.get(token)
-        if username is None:
-            raise AuthenticationError("invalid or expired session token")
-        return self._require(username)
+        return account

@@ -186,67 +186,38 @@ class ContributorSearch:
 
     def search(self, criteria: SearchCriteria) -> list:
         """Contributor records matching the criteria, name order."""
-        return [r for r in self.registry.all() if self.matches(r, criteria)]
+        return self.search_sharded(criteria)[0]
 
-    def search_sharded(self, criteria: SearchCriteria, *, max_workers: int = 8):
-        """Fan probe evaluation out across shards concurrently.
+    def search_sharded(self, criteria: SearchCriteria):
+        """The one scan, with per-shard accounting.
 
-        Registry records are partitioned by store host and each shard's
-        partition is evaluated in its own worker thread.  This is safe
-        because probe evaluation is pure CPU over the broker's *local*
-        mirror (rules + places synced into the registry) — it never
-        touches the network, the clock, or shared observability state.
-
-        Per-shard partial-failure accounting: a record whose evaluation
-        raises is fail-closed (counted as an error, never a match) and
-        the rest of its shard — and every other shard — still evaluates.
-        The merged result is sorted by contributor name, so the order is
-        deterministic regardless of shard count or thread completion
-        order.
+        Probe evaluation is pure CPU over the broker's *local* mirror
+        (rules + places synced into the registry), so it runs in the
+        calling thread, shard by shard.  A record whose evaluation raises
+        is fail-closed (counted as an error, never a match) and the rest
+        of its shard — and every other shard — still evaluates.  Matches
+        come back in contributor-name order, whatever the shard count.
 
         Returns ``(records, shard_stats)`` with ``shard_stats`` keyed by
         host: ``{"Contributors": n, "Matched": n, "Errors": n}``.
         """
-        by_host: dict[str, list] = {}
-        for record in self.registry.all():
-            by_host.setdefault(record.host, []).append(record)
-
-        def scan(partition: list) -> tuple:
-            matched, errors = [], 0
-            for record in partition:
-                try:
-                    if self.matches(record, criteria):
-                        matched.append(record)
-                except SensorSafeError:
-                    errors += 1  # fail closed: unevaluable mirror, no match
-            return matched, errors
-
-        hosts = sorted(by_host)
-        results: dict[str, tuple] = {}
-        if len(hosts) <= 1:
-            for host in hosts:
-                results[host] = scan(by_host[host])
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                max_workers=min(len(hosts), max(1, int(max_workers)))
-            ) as pool:
-                futures = {host: pool.submit(scan, by_host[host]) for host in hosts}
-                for host in hosts:
-                    results[host] = futures[host].result()
         matches: list = []
         stats: dict[str, dict] = {}
-        for host in hosts:
-            matched, errors = results[host]
-            matches.extend(matched)
-            stats[host] = {
-                "Contributors": len(by_host[host]),
-                "Matched": len(matched),
-                "Errors": errors,
-            }
+        for record in self.registry.all():
+            shard = stats.setdefault(
+                record.host, {"Contributors": 0, "Matched": 0, "Errors": 0}
+            )
+            shard["Contributors"] += 1
+            try:
+                matched = self.matches(record, criteria)
+            except SensorSafeError:
+                shard["Errors"] += 1  # fail closed: unevaluable mirror, no match
+                continue
+            if matched:
+                shard["Matched"] += 1
+                matches.append(record)
         matches.sort(key=lambda r: r.name)
-        return matches, stats
+        return matches, dict(sorted(stats.items()))
 
     @staticmethod
     def _probe_location(

@@ -8,8 +8,7 @@ sample tuples.  This package provides:
 * :mod:`repro.datastore.wavesegment` — the wave-segment ADT;
 * :mod:`repro.datastore.codec` — blob encoding for sample arrays;
 * :mod:`repro.datastore.database` — an embedded record table with sorted
-  secondary indexes (the "underlying database" of Fig. 2; in memory —
-  durability is :mod:`repro.storage`'s);
+  secondary indexes, which the per-tuple baseline (C1) stores rows in;
 * :mod:`repro.datastore.optimizer` — the wave-segment merge optimizer
   (Section 5.1, "Wave Segment Optimization");
 * :mod:`repro.datastore.query` — the data query language;

@@ -1,9 +1,10 @@
 """Embedded record table with sorted secondary indexes.
 
-The paper's Fig. 2 shows each remote data store and the broker sitting on
-an unnamed "database".  This module is that substrate: an in-process
-:class:`Table` keyed by a primary key, with any number of sorted secondary
-indexes (maintained with ``bisect``, so range scans are O(log n + k)).
+An in-process :class:`Table` keyed by a primary key, with any number of
+sorted secondary indexes (maintained with ``bisect``, so range scans are
+O(log n + k)).  The per-tuple baseline (:mod:`repro.baselines.tuple_store`,
+claim C1) stores its rows here; a wave-segment store needs no secondary
+index and keeps its segments in a dict.
 
 Records are arbitrary Python objects; a table is configured with a ``key``
 extractor and its index key functions.  It is memory only: what a store
@@ -96,13 +97,6 @@ class Table:
         for index in self._indexes.values():
             index.insert(pk, record)
         return pk
-
-    def upsert(self, record: Any) -> Any:
-        """Insert, or replace the record with the same primary key."""
-        pk = self.schema.key(record)
-        if pk in self._records:
-            self.delete(pk)
-        return self.insert(record)
 
     def get(self, pk: Any) -> Any:
         """The record stored under ``pk``; raises MissingRecordError if absent."""

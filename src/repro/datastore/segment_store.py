@@ -18,11 +18,11 @@ from typing import Optional
 
 from repro.datastore.cache import segment_content_hash
 from repro.datastore.codec import DECODE_STATS
-from repro.datastore.database import Table, TableSchema
 from repro.datastore.index import GridIndex, IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery, QueryResult
 from repro.datastore.wavesegment import WaveSegment, segment_from_packet
+from repro.exceptions import DuplicateKeyError
 from repro.obs import NOOP_OBS
 from repro.sensors.packets import SensorPacket
 from repro.util.timeutil import Interval
@@ -67,7 +67,7 @@ class SegmentStore:
         # Samples per segment (§5.1) is the ratio of these two.
         m.gauge("store_segments", callback=lambda: self.stats.n_segments, store=name)
         m.gauge("store_samples", callback=lambda: self.stats.n_samples, store=name)
-        self._segments = Table(TableSchema("segments", key=lambda s: s.segment_id))
+        self._segments: dict[str, WaveSegment] = {}  # segment id -> segment
         self.optimizer = SegmentOptimizer(merge_policy)
         # contributor -> channel -> IntervalIndex of segment ids
         self._time_index: dict[str, dict[str, IntervalIndex]] = {}
@@ -220,7 +220,9 @@ class SegmentStore:
 
     def _persist(self, segment: WaveSegment, *, notify: bool = True) -> None:
         """Insert one finalized segment into the table and every index."""
-        self._segments.insert(segment)
+        if segment.segment_id in self._segments:
+            raise DuplicateKeyError(f"segments: duplicate primary key {segment.segment_id!r}")
+        self._segments[segment.segment_id] = segment
         self._index_segment(segment)
         if notify:
             for hook in self.on_persist:
@@ -228,7 +230,7 @@ class SegmentStore:
 
     def _unpersist(self, segment: WaveSegment, *, notify: bool = True) -> None:
         """Remove one stored segment from the table and every index."""
-        self._segments.delete(segment.segment_id)
+        del self._segments[segment.segment_id]
         self._deindex_segment(segment)
         if notify:
             for hook in self.on_unpersist:
@@ -240,7 +242,7 @@ class SegmentStore:
 
     def restore_segment(self, segment: WaveSegment) -> None:
         """Install one segment record, idempotently."""
-        existing = self._segments.find(segment.segment_id)
+        existing = self._segments.get(segment.segment_id)
         if existing is not None:
             self._unpersist(existing, notify=False)
         self._persist(segment, notify=False)
@@ -252,7 +254,7 @@ class SegmentStore:
 
     def remove_segment(self, segment_id: str) -> bool:
         """Replay a journaled deletion; False when already absent."""
-        segment = self._segments.find(segment_id)
+        segment = self._segments.get(segment_id)
         if segment is None:
             return False
         self._unpersist(segment, notify=False)
@@ -292,7 +294,7 @@ class SegmentStore:
         visible in telemetry.
         """
         ids = self._by_contributor.get(contributor, ())
-        out = [self._segments.get(segment_id) for segment_id in ids]
+        out = [self._segments[segment_id] for segment_id in ids]
         out.sort(key=lambda s: (s.start_ms, s.channels))
         self._c_scanned.inc(len(out))
         return out
@@ -310,7 +312,7 @@ class SegmentStore:
         if pending:
             fingerprint = self._fingerprints.get(contributor, 0)
             for segment_id in pending:
-                content_hash = segment_content_hash(self._segments.get(segment_id))
+                content_hash = segment_content_hash(self._segments[segment_id])
                 self._seg_hash[segment_id] = content_hash
                 fingerprint ^= content_hash
             pending.clear()
@@ -333,7 +335,7 @@ class SegmentStore:
             self.stats.queries_served += 1
             self.stats.segments_scanned += len(candidate_ids)
             segments = sorted(
-                (self._segments.get(sid) for sid in candidate_ids),
+                (self._segments[sid] for sid in candidate_ids),
                 key=lambda s: (s.start_ms, s.channels),
             )
             for segment in segments:
@@ -406,7 +408,7 @@ class SegmentStore:
         candidate_ids = self._candidates(contributor, query, wanted_channels)
         removed = 0
         for segment_id in candidate_ids:
-            segment = self._segments.get(segment_id)
+            segment = self._segments[segment_id]
             if wanted_channels and not set(wanted_channels) & set(segment.channels):
                 continue
             self._unpersist(segment)

@@ -11,8 +11,9 @@ runs — never a hurried or partial release.
 Three cooperating pieces, wired into a service's
 :class:`~repro.net.http.Router` via :meth:`AdmissionController.attach`:
 
-* **Priority classes** — every route maps to one of six classes, shed in
-  reverse priority order: control-plane rule mutations > replication
+* **Priority classes** — every route declares one of six classes (its
+  ``@route`` declaration, :mod:`repro.server.routes`), shed in reverse
+  priority order: control-plane rule mutations > replication
   frames > uploads > queries > aggregates > metrics scrapes.  Each class
   has a *queue budget* (how much backlog it tolerates before shedding)
   and a *limit fraction* (how much of the adaptive concurrency limit it
@@ -82,62 +83,6 @@ BROWNOUT_ORDER = (
 #: Data-plane classes counted by the goodput SLO.  Scrapes are excluded:
 #: shedding telemetry reads under pressure is the design, not lost goodput.
 GOODPUT_CLASSES = (CLASS_UPLOAD, CLASS_QUERY, CLASS_AGGREGATE, CLASS_REPLICATION)
-
-#: Route -> class for :class:`~repro.server.datastore_service.DataStoreService`.
-STORE_ROUTE_CLASSES = {
-    "POST /api/register": CLASS_CONTROL,
-    "POST /api/rules/list": CLASS_CONTROL,
-    "POST /api/rules/add": CLASS_CONTROL,
-    "POST /api/rules/remove": CLASS_CONTROL,
-    "POST /api/rules/replace": CLASS_CONTROL,
-    "POST /api/rules/download": CLASS_CONTROL,
-    "POST /api/places/set": CLASS_CONTROL,
-    "POST /api/places/list": CLASS_CONTROL,
-    "POST /api/profile": CLASS_CONTROL,
-    "POST /api/profiles": CLASS_CONTROL,
-    "POST /api/migrate/export": CLASS_REPLICATION,
-    "POST /api/migrate/install": CLASS_REPLICATION,
-    "POST /api/migrate/fence": CLASS_CONTROL,
-    "POST /api/migrate/complete": CLASS_CONTROL,
-    "POST /api/enroll": CLASS_CONTROL,
-    "POST /api/recovery": CLASS_CONTROL,
-    "POST /api/health": CLASS_CONTROL,
-    "POST /api/promote": CLASS_CONTROL,
-    "POST /api/demote": CLASS_CONTROL,
-    "POST /api/replicate/append": CLASS_REPLICATION,
-    "POST /api/replicate/status": CLASS_REPLICATION,
-    "POST /api/upload": CLASS_UPLOAD,
-    "POST /api/upload_packets": CLASS_UPLOAD,
-    "POST /api/flush": CLASS_UPLOAD,
-    "POST /api/delete": CLASS_UPLOAD,
-    "POST /api/query": CLASS_QUERY,
-    "POST /api/audit/list": CLASS_QUERY,
-    "POST /api/audit/summary": CLASS_QUERY,
-    "POST /api/aggregate": CLASS_AGGREGATE,
-    "POST /api/stats": CLASS_SCRAPE,
-    "GET /api/metrics": CLASS_SCRAPE,
-}
-
-#: Route -> class for :class:`~repro.server.broker_service.BrokerService`.
-BROKER_ROUTE_CLASSES = {
-    "POST /api/register_consumer": CLASS_CONTROL,
-    "POST /api/contributors/list": CLASS_CONTROL,
-    "POST /api/contributors/add": CLASS_CONTROL,
-    "POST /api/keys": CLASS_CONTROL,
-    "POST /api/lists/save": CLASS_CONTROL,
-    "POST /api/lists/get": CLASS_CONTROL,
-    "POST /api/studies/create": CLASS_CONTROL,
-    "POST /api/studies/join": CLASS_CONTROL,
-    "POST /api/sync": CLASS_REPLICATION,
-    "POST /api/replicas/status": CLASS_CONTROL,
-    "POST /api/route": CLASS_CONTROL,
-    "POST /api/shards/status": CLASS_CONTROL,
-    "POST /api/search": CLASS_QUERY,
-    "POST /api/data": CLASS_QUERY,
-    "GET /api/metrics": CLASS_SCRAPE,
-    "GET /api/fleet/metrics": CLASS_SCRAPE,
-}
-
 
 @dataclass(frozen=True)
 class OverloadConfig:
@@ -273,10 +218,12 @@ class AdaptiveConcurrencyLimiter:
 class AdmissionController:
     """Admission control + brownout for one host's router.
 
-    Construct with the host's route->class table (and, for stores, a
-    ``cache_probe`` that predicts whether a query would be served from
-    the release cache) and :meth:`attach` it to the service's router: the
-    gate then runs before every handler and the completion hook after.
+    Construct with the host's ``"METHOD path"`` -> class map — what its
+    route declarations imply (:func:`repro.server.routes.mount`) — and,
+    for stores, a ``cache_probe`` that predicts whether a query would be
+    served from the release cache, and :meth:`attach` it to the service's
+    router: the gate then runs before every handler and the completion
+    hook after.
     """
 
     def __init__(
@@ -284,10 +231,9 @@ class AdmissionController:
         host: str,
         network,
         *,
+        classes: dict,
         mode: str = MODE_OBSERVE,
         config: Optional[OverloadConfig] = None,
-        classes: Optional[dict] = None,
-        default_class: str = CLASS_QUERY,
         cache_probe: Optional[Callable[[Request], bool]] = None,
         limiter: Optional[AdaptiveConcurrencyLimiter] = None,
     ):
@@ -297,8 +243,8 @@ class AdmissionController:
         self.network = network
         self.mode = mode
         self.config = config or OverloadConfig()
-        self.classes = dict(classes or {})
-        self.default_class = default_class
+        #: ``"METHOD path"`` -> class; a web UI mounted later adds its pages.
+        self.classes = classes
         self.cache_probe = cache_probe
         self.limiter = limiter or AdaptiveConcurrencyLimiter()
         self._clock = network.clock
@@ -334,8 +280,8 @@ class AdmissionController:
         router.gate_done = self.gate_done
 
     def classify(self, method: str, path: str) -> str:
-        """The priority class of one request (exact-route table lookup)."""
-        return self.classes.get(f"{method} {path}", self.default_class)
+        """The priority class of one request: its route's declared class."""
+        return self.classes[f"{method} {path}"]
 
     # ------------------------------------------------------------------
     # State probes

@@ -157,9 +157,10 @@ class Network:
     ) -> Response:
         """Deliver one request and return the response.
 
-        Raises :class:`InsecureTransportError` when an ``ApiKey`` field
-        would travel over plain http or outside a request body that HTTPS
-        protects (the paper's Section 5.4 invariant).
+        Raises :class:`InsecureTransportError` when an ``ApiKey`` field — or
+        a web page's ``Token``, which is an API key too — would travel over
+        plain http or outside a request body that HTTPS protects (the
+        paper's Section 5.4 invariant).
         """
         secure, host, path = self.parse_url(url)
         body = dict(body or {})
@@ -253,20 +254,25 @@ class Network:
         return response
 
 
+def _has_key(obj: dict) -> bool:
+    return "ApiKey" in obj or "Token" in obj
+
+
 def _carries_api_key(body: dict) -> bool:
-    """Does the body carry an ``ApiKey`` at the top level or one level deep?
+    """Does the body carry an ``ApiKey`` or a page ``Token`` (an owner's or
+    a consumer's API key) at the top level or one level deep?
 
     Section 5.4's invariant must also catch keys smuggled inside a nested
     object (e.g. ``{"Profile": {"ApiKey": ...}}``) — one level is as deep
     as any legitimate request schema nests.
     """
-    if "ApiKey" in body:
+    if _has_key(body):
         return True
     for value in body.values():
-        if isinstance(value, dict) and "ApiKey" in value:
+        if isinstance(value, dict) and _has_key(value):
             return True
         if isinstance(value, list) and any(
-            isinstance(item, dict) and "ApiKey" in item for item in value
+            isinstance(item, dict) and _has_key(item) for item in value
         ):
             return True
     return False

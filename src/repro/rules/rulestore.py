@@ -61,23 +61,6 @@ class RuleStore:
         #: per-contributor versions exist for broker sync and cannot serve
         #: that role because ``restore`` rewinds them.
         self.rules_version = 0
-        #: Optional ``now_ms`` callable (the deployment's simulated clock).
-        #: When set, every mutation stamps :meth:`mutated_at`, which is
-        #: what the privacy-SLO tracker anchors revocation latency to.
-        self._clock: Optional[Callable[[], int]] = None
-        self._mutated_at: dict[str, int] = {}
-
-    def set_clock(self, now_ms: Callable[[], int]) -> None:
-        """Wire the deployment clock so mutations carry timestamps."""
-        self._clock = now_ms
-
-    def mutated_at(self, contributor: str) -> int:
-        """Sim ms of the contributor's last mutation (0 when unstamped)."""
-        return self._mutated_at.get(contributor, 0)
-
-    def _stamp(self, contributor: str) -> None:
-        if self._clock is not None:
-            self._mutated_at[contributor] = int(self._clock())
 
     def on_change(self, listener: Callable[[RuleSetSnapshot], None]) -> None:
         """Register a callback fired after every rule mutation.
@@ -158,7 +141,6 @@ class RuleStore:
         self._rules[contributor] = list(rules)
         self._versions[contributor] = version
         self.rules_version += 1
-        self._stamp(contributor)
 
     def forget(self, contributor: str) -> None:
         """Drop a contributor's rule set entirely, without notifying.
@@ -169,14 +151,12 @@ class RuleStore:
         """
         self._rules.pop(contributor, None)
         self._versions.pop(contributor, None)
-        self._mutated_at.pop(contributor, None)
         self.rules_version += 1
 
     def _bump(self, contributor: str) -> None:
         """Advance both version counters, then fire change listeners."""
         self._versions[contributor] = self._versions.get(contributor, 0) + 1
         self.rules_version += 1
-        self._stamp(contributor)
         self._notify(contributor)
 
     # ------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Both services follow the layered design of the paper's Fig. 2: every
 request passes the *user authentication* layer (an API key, which is also
-a store web page's token; a session token for the broker's pages) before
-reaching the *query/privacy processing* layer,
-which consults the rule engine and the underlying database.
+a web page's token) before reaching the *query/privacy processing* layer,
+which consults the rule engine and the underlying database.  Both declare
+their endpoints with :mod:`repro.server.routes`.
 """
 
 from repro.server.datastore_service import DataStoreService

@@ -2,7 +2,7 @@
 
 Exposes the broker's HTTP API:
 
-* consumer account registration and login;
+* consumer account registration (the password a web login checks);
 * contributor listing and *adding contributors to a consumer's account*,
   which enrolls the consumer at each contributor's remote data store,
   obtains an API key there, and escrows it (Section 5.4);
@@ -37,10 +37,11 @@ from repro.exceptions import (
 )
 from repro.net.client import HttpClient
 from repro.net.http import Request, Router
-from repro.net.overload import BROKER_ROUTE_CLASSES, AdmissionController
+from repro.net.overload import AdmissionController
 from repro.net.resilience import RetryPolicy
 from repro.net.transport import Network
 from repro.obs.fleet import FleetAggregator
+from repro.server.routes import mount, route
 from repro.util.idgen import DeterministicRng
 
 STORE_PRINCIPAL_PREFIX = "store:"
@@ -86,12 +87,11 @@ class BrokerService:
         #: per-consumer saved contributor lists, keyed by list name.
         self.saved_lists: dict[str, dict] = {}
         self.router = Router()
-        self._mount_routes()
         #: Overload control (PR 9): same contract as the stores' —
         #: "observe" accounts without shedding, "enforce" sheds typed
-        #: 503/504s.
+        #: 503/504s, by the class each declaration carries.
         self.admission = AdmissionController(
-            host, network, mode=overload, classes=BROKER_ROUTE_CLASSES
+            host, network, mode=overload, classes=mount(self, self.router, {})
         )
         self.admission.attach(self.router)
         network.register_host(host, self.router)
@@ -182,6 +182,10 @@ class BrokerService:
         self.accounts.register(name, password, ROLE_CONSUMER)
         return self.keys.issue(name)
 
+    def check_password(self, name: str, password: str) -> None:
+        """401 unless ``password`` is ``name``'s broker account password."""
+        self.accounts.check_password(name, password)
+
     def _membership(self, consumer: str) -> frozenset:
         return frozenset({consumer}) | self.studies.studies_of_consumer(consumer)
 
@@ -258,50 +262,40 @@ class BrokerService:
     def _authenticate(self, request: Request) -> str:
         return self.keys.authenticate(request.api_key)
 
-    def _require_consumer(self, request: Request) -> str:
+    def _caller_key(self, request: Request) -> None:
+        """Any valid key."""
+        self._authenticate(request)
+
+    def _caller_consumer(self, request: Request) -> tuple:
+        """A registered data consumer's key; the handler receives its name."""
         principal = self._authenticate(request)
         account = self.accounts.get(principal)
         if account is None or account.role != ROLE_CONSUMER:
             raise AuthorizationError(f"{principal!r} is not a registered data consumer")
-        return principal
+        return (principal,)
 
-    def _require_store(self, request: Request) -> str:
+    def _caller_store(self, request: Request) -> tuple:
+        """A paired data store's key; the handler receives its host."""
         principal = self._authenticate(request)
         if not principal.startswith(STORE_PRINCIPAL_PREFIX):
             raise AuthorizationError("endpoint restricted to paired data stores")
-        return principal[len(STORE_PRINCIPAL_PREFIX) :]
+        return (principal[len(STORE_PRINCIPAL_PREFIX) :],)
 
     # ------------------------------------------------------------------
-    # Routes
+    # Routes (declared with ``@route``, as a store's are)
     # ------------------------------------------------------------------
 
-    def _mount_routes(self) -> None:
-        add = self.router.add
-        add("POST", "/api/register_consumer", self._h_register_consumer)
-        add("POST", "/api/contributors/list", self._h_contributors_list)
-        add("POST", "/api/contributors/add", self._h_contributors_add)
-        add("POST", "/api/keys", self._h_keys)
-        add("POST", "/api/search", self._h_search)
-        add("POST", "/api/route", self._h_route)
-        add("POST", "/api/shards/status", self._h_shards_status)
-        add("POST", "/api/lists/save", self._h_lists_save)
-        add("POST", "/api/lists/get", self._h_lists_get)
-        add("POST", "/api/studies/create", self._h_studies_create)
-        add("POST", "/api/studies/join", self._h_studies_join)
-        add("POST", "/api/sync", self._h_sync)
-        add("POST", "/api/replicas/status", self._h_replicas_status)
-        add("POST", "/api/data", self._h_data_proxy)
-        add("GET", "/api/metrics", self._h_metrics)
-        add("GET", "/api/fleet/metrics", self._h_fleet_metrics)
-
+    @route("GET", "/api/metrics", caller="open", admission="scrape")
     def _h_metrics(self, request: Request) -> dict:
         """Telemetry scrape: the shared registry, labels redaction-checked."""
         return {"Host": self.host, "Metrics": self.network.obs.snapshot()}
 
+    @route("GET", "/api/fleet/metrics", caller="open", admission="scrape")
     def _h_fleet_metrics(self, request: Request) -> dict:
         """Fleet telemetry: scrape every host now, serve the fresh snapshot."""
         return self.fleet.scrape()
 
+    @route("POST", "/api/register_consumer", caller="open", admission="control")
     def _h_register_consumer(self, request: Request) -> dict:
         name = str(request.body.get("Username", ""))
         if not name:
@@ -309,8 +303,8 @@ class BrokerService:
         key = self.register_consumer(name, str(request.body.get("Password", "pw")))
         return {"ApiKey": key}
 
+    @route("POST", "/api/contributors/list", caller="key", admission="control")
     def _h_contributors_list(self, request: Request) -> dict:
-        self._authenticate(request)
         return {
             "Contributors": [
                 {
@@ -323,19 +317,19 @@ class BrokerService:
             ]
         }
 
-    def _h_contributors_add(self, request: Request) -> dict:
-        consumer = self._require_consumer(request)
+    @route("POST", "/api/contributors/add", caller="consumer", admission="control")
+    def _h_contributors_add(self, request: Request, consumer: str) -> dict:
         contributors = [str(c) for c in request.body.get("Contributors", [])]
         added = self.add_contributors_to_account(consumer, contributors)
         return {"Added": added}
 
-    def _h_keys(self, request: Request) -> dict:
+    @route("POST", "/api/keys", caller="consumer", admission="control")
+    def _h_keys(self, request: Request, consumer: str) -> dict:
         """The consumer's escrowed key ring: {store host: API key}."""
-        consumer = self._require_consumer(request)
         return {"Keys": self.escrow.ring_of(consumer)}
 
-    def _h_search(self, request: Request) -> dict:
-        consumer = self._require_consumer(request)
+    @route("POST", "/api/search", caller="consumer", admission="query")
+    def _h_search(self, request: Request, consumer: str) -> dict:
         criteria_json = dict(request.body.get("Criteria", {}))
         criteria_json.setdefault("Consumer", consumer)
         if criteria_json["Consumer"] != consumer:
@@ -361,6 +355,7 @@ class BrokerService:
             "Shards": shard_stats,
         }
 
+    @route("POST", "/api/route", caller="key", admission="control")
     def _h_route(self, request: Request) -> dict:
         """Directory lookup: authoritative (host, epoch) for one contributor.
 
@@ -368,23 +363,22 @@ class BrokerService:
         a route goes stale the old shard answers 409 and the client
         re-resolves here — one bounded retry, never a silent wrong read.
         """
-        self._authenticate(request)
         contributor = str(request.body.get("Contributor", ""))
         if not contributor:
             raise BadRequestError("route lookup needs a Contributor")
         host, epoch = self.directory.route(contributor)
         return {"Contributor": contributor, "Host": host, "RoutingEpoch": epoch}
 
+    @route("POST", "/api/shards/status", caller="key", admission="control")
     def _h_shards_status(self, request: Request) -> dict:
         """Shard topology + rebalance history, for operators and the CLI."""
-        self._authenticate(request)
         return {
             "Directory": self.directory.status(),
             "Rebalancer": self.rebalancer.status(),
         }
 
-    def _h_lists_save(self, request: Request) -> dict:
-        consumer = self._require_consumer(request)
+    @route("POST", "/api/lists/save", caller="consumer", admission="control")
+    def _h_lists_save(self, request: Request, consumer: str) -> dict:
         list_name = str(request.body.get("Name", "default"))
         members = [str(c) for c in request.body.get("Contributors", [])]
         for name in members:
@@ -392,16 +386,16 @@ class BrokerService:
         self.saved_lists.setdefault(consumer, {})[list_name] = members
         return {"Name": list_name, "Count": len(members)}
 
-    def _h_lists_get(self, request: Request) -> dict:
-        consumer = self._require_consumer(request)
+    @route("POST", "/api/lists/get", caller="consumer", admission="control")
+    def _h_lists_get(self, request: Request, consumer: str) -> dict:
         list_name = str(request.body.get("Name", "default"))
         lists = self.saved_lists.get(consumer, {})
         if list_name not in lists:
             raise NotFoundError(f"no saved list {list_name!r}")
         return {"Name": list_name, "Contributors": lists[list_name]}
 
-    def _h_studies_create(self, request: Request) -> dict:
-        consumer = self._require_consumer(request)
+    @route("POST", "/api/studies/create", caller="consumer", admission="control")
+    def _h_studies_create(self, request: Request, consumer: str) -> dict:
         study = str(request.body.get("Study", ""))
         if not study:
             raise BadRequestError("study creation needs a Study name")
@@ -411,27 +405,27 @@ class BrokerService:
         self.studies.create(study, coordinators=[consumer])
         return {"Study": study, "Coordinators": [consumer]}
 
-    def _h_studies_join(self, request: Request) -> dict:
-        consumer = self._require_consumer(request)
+    @route("POST", "/api/studies/join", caller="consumer", admission="control")
+    def _h_studies_join(self, request: Request, consumer: str) -> dict:
         study = str(request.body.get("Study", ""))
         self.studies.coordinators_of(study)  # 404 before any store hears of it
         self._enroll_joining(consumer, study)
         self.studies.add_coordinator(study, consumer)
         return {"Study": study, "Joined": consumer}
 
+    @route("POST", "/api/replicas/status", caller="key", admission="control")
     def _h_replicas_status(self, request: Request) -> dict:
         """Replica-set topology: who is primary, at which epoch, who lags."""
-        self._authenticate(request)
         return {"Sets": self.failover.status(), "Events": list(self.failover.events)}
 
-    def _h_sync(self, request: Request) -> dict:
+    @route("POST", "/api/sync", caller="store", admission="replication")
+    def _h_sync(self, request: Request, store_host: str) -> dict:
         """Rule-sync push endpoint for remote data stores.
 
         A store syncs only contributors the directory routes to it: a push
         writes the rules mirror, never the route.  An unknown name is
         registered at the pushing store (first come, first served).
         """
-        store_host = self._require_store(request)
         profile = dict(request.body.get("Profile", {}))
         if profile.get("Host") != store_host:
             raise AuthorizationError("stores may only sync their own contributors")
@@ -445,7 +439,8 @@ class BrokerService:
         applied = self.sync.apply_profile(profile)
         return {"Applied": applied}
 
-    def _h_data_proxy(self, request: Request) -> dict:
+    @route("POST", "/api/data", caller="consumer", admission="query")
+    def _h_data_proxy(self, request: Request, consumer: str) -> dict:
         """Web-UI convenience: fetch a contributor's data via the broker.
 
         The broker forwards the query to the store using the consumer's
@@ -453,7 +448,6 @@ class BrokerService:
         programmatic consumers use the direct path instead (benchmark C2
         contrasts the two).
         """
-        consumer = self._require_consumer(request)
         contributor = str(request.body.get("Contributor", ""))
         record = self.registry.get(contributor)
         key = self.escrow.key_for(consumer, record.host)

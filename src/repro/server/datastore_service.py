@@ -20,9 +20,8 @@ broker may read rule snapshots or enroll a consumer (with its groups).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.auth.accounts import ROLE_CONSUMER, ROLE_CONTRIBUTOR, credential, password_matches
 from repro.auth.apikeys import ApiKeyRegistry
@@ -41,7 +40,7 @@ from repro.exceptions import (
     SensorSafeError,
 )
 from repro.net.http import Request, Response, Router
-from repro.net.overload import STORE_ROUTE_CLASSES, AdmissionController
+from repro.net.overload import AdmissionController
 from repro.net.transport import Network
 from repro.rules.compiler import CompiledRuleCache
 from repro.rules.engine import RuleEngine
@@ -49,6 +48,7 @@ from repro.rules.parser import rule_from_json, rules_from_json, rules_to_json
 from repro.rules.rulestore import RuleStore
 from repro.sensors.packets import decode_upload
 from repro.server.audit import AuditLog
+from repro.server.routes import mount, route
 from repro.storage import records
 from repro.util import jsonutil
 from repro.util.geo import LabeledPlace
@@ -96,48 +96,6 @@ class ReleaseEvent:
     rules_version: int = 0
 
 
-#: Who may call a store endpoint; each names one ``_caller_*`` prelude.
-CALLERS = ("owner", "reader", "broker", "primary", "key", "open")
-
-
-class _route(NamedTuple):
-    """Declare a store endpoint: where it is mounted and who may call it.
-
-    Fig. 2's "every access passes the authentication layer", enforced
-    here and nowhere else: ``caller`` names the ``_caller_*`` prelude that
-    runs before the handler and returns what the handler receives after
-    ``request``, if anything.  ``writes=True`` brackets the request with
-    :meth:`_require_writable` *before* the key is looked at (a replica
-    answers 409 to anyone) and :meth:`_replication_barrier` as its last
-    step, so what the handler journaled ships under the request's own
-    acknowledgement.  Hence the one check order: primary-for-writes → key
-    → ownership → residency → role → existence.  ``_mount_routes`` mounts
-    exactly the handlers that carry a declaration (their ``.route``).
-    """
-
-    method: str
-    path: str
-    caller: str
-    writes: bool = False
-
-    def __call__(self, handler: Callable) -> Callable:
-        if self.caller not in CALLERS:
-            raise ValueError(f"unknown caller {self.caller!r}; one of {CALLERS}")
-        prelude, writes = f"_caller_{self.caller}", self.writes
-
-        @functools.wraps(handler)
-        def guarded(service, request: Request):
-            if writes:
-                service._require_writable()
-            result = handler(service, request, *(getattr(service, prelude)(request) or ()))
-            if writes:
-                service._replication_barrier()
-            return result
-
-        guarded.route = self
-        return guarded
-
-
 class DataStoreService:
     """One remote data store mounted on the simulated network."""
 
@@ -178,9 +136,6 @@ class DataStoreService:
         self.directory = directory
         self.store = SegmentStore(host, merge_policy=merge_policy, obs=network.obs)
         self.rules = RuleStore()
-        # Stamp rule mutations with the deployment clock: the privacy-SLO
-        # tracker anchors revocation latency to these timestamps.
-        self.rules.set_clock(network.clock.now_ms)
         self.keys = ApiKeyRegistry(f"secret:{host}", rng.fork("keys"))
         self._salts = rng.fork("salts")
         self.audit = AuditLog()
@@ -214,16 +169,15 @@ class DataStoreService:
         self.durability = None
         self.recovery_report = None
         self.router = Router()
-        self._mount_routes()
-        #: Overload control (PR 9): admission + brownout on every route.
-        #: "observe" (the default) accounts and reports would-shed
-        #: decisions without shedding; "enforce" sheds with typed 503/504s
-        #: *before* rule evaluation.
+        #: Overload control: admission + brownout on every route, by
+        #: the class each declaration carries.  "observe" (the default)
+        #: accounts and reports would-shed decisions without shedding;
+        #: "enforce" sheds with typed 503/504s *before* rule evaluation.
         self.admission = AdmissionController(
             host,
             network,
             mode=overload,
-            classes=STORE_ROUTE_CLASSES,
+            classes=mount(self, self.router, {}),
             cache_probe=self._cache_would_hit,
         )
         self.admission.attach(self.router)
@@ -264,13 +218,10 @@ class DataStoreService:
         # An owner re-publishing rules lifts the post-recovery deny state.
         records.lift_fail_closed(self, contributor)
         # Open a revocation-latency window: releases evaluated at versions
-        # below this mutation are stale until a fresh one settles it.
-        self.network.obs.slo.rule_mutated(
-            contributor,
-            snapshot.version,
-            store=self.host,
-            at_ms=self.rules.mutated_at(contributor) or None,
-        )
+        # below this mutation are stale until a fresh one settles it.  The
+        # listener runs inside the mutation, so the tracker's clock reads
+        # the mutation's instant.
+        self.network.obs.slo.rule_mutated(contributor, snapshot.version, store=self.host)
         if self._broker_push is not None:
             self._broker_push(self._profile_json(contributor))
 
@@ -538,9 +489,6 @@ class DataStoreService:
             raise NotFoundError(f"no such contributor here: {contributor!r}")
         return contributor
 
-    def _caller_open(self, request: Request) -> None:
-        """Anyone, unchecked."""
-
     def _caller_key(self, request: Request) -> None:
         """Any valid key."""
         self._authenticate(request)
@@ -731,14 +679,10 @@ class DataStoreService:
     # Routes
     # ------------------------------------------------------------------
 
-    def _mount_routes(self) -> None:
-        # Definition order is match order (the router scans linearly): the
-        # data plane is defined first, replication and operations after it.
-        for name, member in vars(type(self)).items():
-            if hasattr(member, "route"):
-                self.router.add(*member.route[:2], getattr(self, name))
+    # Definition order is match order (the router scans linearly): the
+    # data plane is defined first, replication and operations after it.
 
-    @_route("POST", "/api/register", caller="open")
+    @route("POST", "/api/register", caller="open", admission="control")
     def _h_register(self, request: Request) -> dict:
         """Open contributor registration, and an owner's re-key.
 
@@ -763,7 +707,7 @@ class DataStoreService:
         key = self.register_contributor(name, "pw" if password is None else str(password))
         return {"ApiKey": key, "Host": self.host}
 
-    @_route("POST", "/api/upload", caller="owner", writes=True)
+    @route("POST", "/api/upload", caller="owner", admission="upload", writes=True)
     def _h_upload(self, request: Request, contributor: str) -> dict:
         """Decode and check, then ingest: a request refused for its third
         segment (400, 403) has put nothing into the optimizer or the store."""
@@ -775,7 +719,7 @@ class DataStoreService:
         duplicates = self.store.duplicate_uploads - before
         return {"Accepted": len(segments), "Finalized": stored, "Duplicates": duplicates}
 
-    @_route("POST", "/api/upload_packets", caller="owner", writes=True)
+    @route("POST", "/api/upload_packets", caller="owner", admission="upload", writes=True)
     def _h_upload_packets(self, request: Request, contributor: str) -> dict:
         """The phone's uplink: one :func:`~repro.sensors.packets.encode_upload`
         frame per request.  Decode, then ingest: a frame the parser refuses
@@ -805,7 +749,7 @@ class DataStoreService:
         self._wal_commit()
         return finalized
 
-    @_route("POST", "/api/flush", caller="owner", writes=True)
+    @route("POST", "/api/flush", caller="owner", admission="upload", writes=True)
     def _h_flush(self, request: Request, contributor: str) -> dict:
         return {"Finalized": self._flush_store()}
 
@@ -854,7 +798,7 @@ class DataStoreService:
         )
         return read
 
-    @_route("POST", "/api/query", caller="reader")
+    @route("POST", "/api/query", caller="reader", admission="query")
     def _h_query(
         self, request: Request, principal: str, contributor: str
     ) -> Union[dict, Response]:
@@ -880,30 +824,30 @@ class DataStoreService:
             + len(str(read.scanned)),
         )
 
-    @_route("POST", "/api/rules/list", caller="owner")
+    @route("POST", "/api/rules/list", caller="owner", admission="control")
     def _h_rules_list(self, request: Request, contributor: str) -> dict:
         snapshot = self.rules.snapshot(contributor)
         return {"Version": snapshot.version, "Rules": rules_to_json(snapshot.rules)}
 
-    @_route("POST", "/api/rules/add", caller="owner", writes=True)
+    @route("POST", "/api/rules/add", caller="owner", admission="control", writes=True)
     def _h_rules_add(self, request: Request, contributor: str) -> dict:
         rule = rule_from_json(request.body.get("Rule", {}))
         self.rules.add(contributor, rule)
         return {"RuleId": rule.rule_id, "Version": self.rules.version_of(contributor)}
 
-    @_route("POST", "/api/rules/remove", caller="owner", writes=True)
+    @route("POST", "/api/rules/remove", caller="owner", admission="control", writes=True)
     def _h_rules_remove(self, request: Request, contributor: str) -> dict:
         rule_id = str(request.body.get("RuleId", ""))
         self.rules.remove(contributor, rule_id)
         return {"Removed": rule_id, "Version": self.rules.version_of(contributor)}
 
-    @_route("POST", "/api/rules/replace", caller="owner", writes=True)
+    @route("POST", "/api/rules/replace", caller="owner", admission="control", writes=True)
     def _h_rules_replace(self, request: Request, contributor: str) -> dict:
         rules = rules_from_json(request.body.get("Rules", []))
         self.rules.replace_all(contributor, rules)
         return {"Count": len(rules), "Version": self.rules.version_of(contributor)}
 
-    @_route("POST", "/api/rules/download", caller="owner")
+    @route("POST", "/api/rules/download", caller="owner", admission="control")
     def _h_rules_download(self, request: Request, contributor: str) -> dict:
         """The phone downloads its owner's rules for rule-aware collection."""
         snapshot = self.rules.snapshot(contributor)
@@ -913,7 +857,7 @@ class DataStoreService:
             "Places": [p.to_json() for p in self.places.get(contributor, {}).values()],
         }
 
-    @_route("POST", "/api/places/set", caller="owner", writes=True)
+    @route("POST", "/api/places/set", caller="owner", admission="control", writes=True)
     def _h_places_set(self, request: Request, contributor: str) -> dict:
         places = {}
         for obj in request.body.get("Places", []):
@@ -922,16 +866,16 @@ class DataStoreService:
         self.set_places(contributor, places)
         return {"Count": len(places)}
 
-    @_route("POST", "/api/places/list", caller="owner")
+    @route("POST", "/api/places/list", caller="owner", admission="control")
     def _h_places_list(self, request: Request, contributor: str) -> dict:
         return {"Places": [p.to_json() for p in self.places.get(contributor, {}).values()]}
 
-    @_route("POST", "/api/profile", caller="broker")
+    @route("POST", "/api/profile", caller="broker", admission="control")
     def _h_profile(self, request: Request) -> dict:
         """Broker-only: rules + places snapshot for contributor search."""
         return self._profile_json(self._known_contributor(request))
 
-    @_route("POST", "/api/enroll", caller="broker", writes=True)
+    @route("POST", "/api/enroll", caller="broker", admission="control", writes=True)
     def _h_enroll(self, request: Request) -> dict:
         """Broker-only: enroll a consumer with its groups; answers its key."""
         consumer = str(request.body.get("Consumer", ""))
@@ -941,7 +885,7 @@ class DataStoreService:
         key = self.register_consumer(consumer, groups=map(str, groups))
         return {"ApiKey": key, "Host": self.host}
 
-    @_route("POST", "/api/aggregate", caller="reader")
+    @route("POST", "/api/aggregate", caller="reader", admission="aggregate")
     def _h_aggregate(self, request: Request, principal: str, contributor: str) -> dict:
         """Windowed aggregates, computed behind the rule engine.
 
@@ -966,7 +910,7 @@ class DataStoreService:
             rows = aggregate_released(read.released, spec)
         return {"Rows": [r.to_json() for r in rows]}
 
-    @_route("POST", "/api/delete", caller="owner", writes=True)
+    @route("POST", "/api/delete", caller="owner", admission="upload", writes=True)
     def _h_delete(self, request: Request, contributor: str) -> dict:
         """Owner-only data deletion — the teeth behind "data ownership".
 
@@ -988,7 +932,7 @@ class DataStoreService:
         )
         return {"Deleted": removed}
 
-    @_route("POST", "/api/audit/list", caller="owner")
+    @route("POST", "/api/audit/list", caller="owner", admission="query")
     def _h_audit_list(self, request: Request, contributor: str) -> dict:
         """The owner's access trail: who queried what, what left the store."""
         limit = request.body.get("Limit")
@@ -997,12 +941,12 @@ class DataStoreService:
         )
         return {"Records": [r.to_json() for r in trail]}
 
-    @_route("POST", "/api/audit/summary", caller="owner")
+    @route("POST", "/api/audit/summary", caller="owner", admission="query")
     def _h_audit_summary(self, request: Request, contributor: str) -> dict:
         """Per-consumer aggregate of accesses and samples taken."""
         return {"Summary": self.audit.summary(contributor)}
 
-    @_route("POST", "/api/stats", caller="key")
+    @route("POST", "/api/stats", caller="key", admission="scrape")
     def _h_stats(self, request: Request) -> dict:
         stats = self.store.stats
         return {
@@ -1013,12 +957,12 @@ class DataStoreService:
             "SegmentsScanned": stats.segments_scanned,
         }
 
-    @_route("POST", "/api/replicate/append", caller="primary")
+    @route("POST", "/api/replicate/append", caller="primary", admission="replication")
     def _h_replicate_append(self, request: Request) -> dict:
         """Primary-only: verify and apply one batch of shipped WAL frames."""
         return self.applier.apply_batch(request.body)
 
-    @_route("POST", "/api/replicate/status", caller="key")
+    @route("POST", "/api/replicate/status", caller="key", admission="replication")
     def _h_replicate_status(self, request: Request) -> dict:
         """Replication progress from both sides of this store."""
         return {
@@ -1029,7 +973,7 @@ class DataStoreService:
             "Applier": self._applier.status() if self._applier else None,
         }
 
-    @_route("POST", "/api/health", caller="key")
+    @route("POST", "/api/health", caller="key", admission="control")
     def _h_health(self, request: Request) -> dict:
         """Liveness + progress probe for the broker's failure detector."""
         return {
@@ -1041,7 +985,7 @@ class DataStoreService:
             "FailClosed": sorted(self.fail_closed),
         }
 
-    @_route("POST", "/api/promote", caller="broker")
+    @route("POST", "/api/promote", caller="broker", admission="control")
     def _h_promote(self, request: Request) -> dict:
         """Broker-only: become primary at the given epoch, fenced fail-closed."""
         return self.promote(
@@ -1049,7 +993,7 @@ class DataStoreService:
             dict(request.body.get("RuleVersions", {})),
         )
 
-    @_route("POST", "/api/demote", caller="broker")
+    @route("POST", "/api/demote", caller="broker", admission="control")
     def _h_demote(self, request: Request) -> dict:
         """Broker-only: step down to replica at the given epoch."""
         epoch = request.body.get("Epoch")
@@ -1059,7 +1003,7 @@ class DataStoreService:
     # Shard migration (broker-driven; see repro.broker.rebalance)
     # ------------------------------------------------------------------
 
-    @_route("POST", "/api/migrate/export", caller="broker")
+    @route("POST", "/api/migrate/export", caller="broker", admission="replication")
     def _h_migrate_export(self, request: Request) -> dict:
         """Broker-only: a contributor range's records, and their ``Digest``.
 
@@ -1071,7 +1015,7 @@ class DataStoreService:
         shipped, digest = records.export_range(self, contributors)
         return {"Host": self.host, "Records": shipped, "Digest": digest}
 
-    @_route("POST", "/api/migrate/install", caller="broker", writes=True)
+    @route("POST", "/api/migrate/install", caller="broker", admission="replication", writes=True)
     def _h_migrate_install(self, request: Request) -> dict:
         """Broker-only: install exported records on this (destination) store.
 
@@ -1097,7 +1041,7 @@ class DataStoreService:
             },
         }
 
-    @_route("POST", "/api/migrate/fence", caller="broker", writes=True)
+    @route("POST", "/api/migrate/fence", caller="broker", admission="control", writes=True)
     def _h_migrate_fence(self, request: Request) -> dict:
         """Broker-only: stop serving the moving contributors (cutover fence).
 
@@ -1124,7 +1068,7 @@ class DataStoreService:
         # fires before cache lookup); the LRU reclaims their memory.
         return {"Host": self.host, "Fenced": sorted(contributors)}
 
-    @_route("POST", "/api/migrate/complete", caller="broker", writes=True)
+    @route("POST", "/api/migrate/complete", caller="broker", admission="control", writes=True)
     def _h_migrate_complete(self, request: Request) -> dict:
         """Broker-only: destination-side cutover verification, fail-closed.
 
@@ -1146,7 +1090,7 @@ class DataStoreService:
             },
         }
 
-    @_route("POST", "/api/profiles", caller="broker")
+    @route("POST", "/api/profiles", caller="broker", admission="control")
     def _h_profiles(self, request: Request) -> dict:
         """Broker-only: bulk profile pull for one sync round.
 
@@ -1166,7 +1110,7 @@ class DataStoreService:
                 profiles.append(self._profile_json(name))
         return {"Host": self.host, "Profiles": profiles, "Missing": missing}
 
-    @_route("POST", "/api/recovery", caller="key")
+    @route("POST", "/api/recovery", caller="key", admission="control")
     def _h_recovery(self, request: Request) -> dict:
         """What the last restart found on disk, and who is denied for it."""
         report = self.recovery_report
@@ -1177,7 +1121,7 @@ class DataStoreService:
             "Recovery": report.to_json() if report is not None else None,
         }
 
-    @_route("GET", "/api/metrics", caller="open")
+    @route("GET", "/api/metrics", caller="open", admission="scrape")
     def _h_metrics(self, request: Request) -> dict:
         """Telemetry scrape: the shared registry, labels redaction-checked."""
         return {"Host": self.host, "Metrics": self.network.obs.snapshot()}

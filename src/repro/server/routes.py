@@ -1,0 +1,99 @@
+"""One declaration per endpoint, for the store and the broker alike.
+
+``@route(method, path, caller=, admission=, writes=)`` says where a
+handler is mounted, who may call it and which priority class
+(:mod:`repro.net.overload`) it is shed as.  :func:`mount` mounts exactly
+the declared handlers of one object and records each one's class in the
+``"METHOD path"`` map its host's admission controller classifies by, so a
+route cannot exist without a caller and a class.  A web page is declared
+with :func:`page`: it names the declared handler it renders and inherits
+that handler's caller and class.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Callable, NamedTuple
+
+from repro.net.http import Request, Router
+from repro.net.overload import BROWNOUT_ORDER
+
+#: Who may call an endpoint.  Each but ``open`` (no check) names a
+#: ``_caller_*`` prelude of the service that declares it: ``owner``,
+#: ``reader``, ``broker`` and ``primary`` are a store's, ``consumer`` and
+#: ``store`` the broker's, ``key`` (any valid key) both.
+CALLERS = ("open", "key", "owner", "reader", "broker", "primary", "consumer", "store")
+
+
+class route(NamedTuple):
+    """Declare an endpoint: where it is mounted, who may call it, how it is shed.
+
+    Fig. 2's "every access passes the authentication layer", enforced
+    here and nowhere else: ``caller`` names the ``_caller_*`` prelude that
+    runs before the handler and returns what the handler receives after
+    ``request``, if anything.  ``writes=True`` (a store's mutations)
+    brackets the request with ``_require_writable`` *before* the key is
+    looked at (a replica answers 409 to anyone) and
+    ``_replication_barrier`` as its last step, so what the handler
+    journaled ships under the request's own acknowledgement.  Hence the
+    one check order: primary-for-writes → key → ownership → residency →
+    role → existence.
+    """
+
+    method: str
+    path: str
+    caller: str
+    admission: str
+    writes: bool = False
+
+    def __call__(self, handler: Callable) -> Callable:
+        if self.caller not in CALLERS:
+            raise ValueError(f"unknown caller {self.caller!r}; one of {CALLERS}")
+        if self.admission not in BROWNOUT_ORDER:
+            raise ValueError(f"unknown class {self.admission!r}; one of {BROWNOUT_ORDER}")
+        prelude = None if self.caller == "open" else f"_caller_{self.caller}"
+        writes = self.writes
+
+        @functools.wraps(handler)
+        def guarded(service, request: Request):
+            if writes:
+                service._require_writable()
+            admitted = getattr(service, prelude)(request) if prelude else None
+            result = handler(service, request, *(admitted or ()))
+            if writes:
+                service._replication_barrier()
+            return result
+
+        guarded.route = self
+        return guarded
+
+
+def page(path: str, renders: Callable) -> Callable:
+    """Declare a web page at ``POST path`` that renders a declared handler.
+
+    The page is admitted as ``renders`` (its caller and class ride along)
+    and answers through it with the page's ``Token`` as the key, so it is
+    refused exactly as that handler is.
+    """
+    declared = renders.route._replace(method="POST", path=path)
+
+    def mark(fn: Callable) -> Callable:
+        fn.route = declared
+        return fn
+
+    return mark
+
+
+def mount(owner, router: Router, classes: dict) -> dict:
+    """Mount every handler ``owner``'s class declares; answer ``classes``
+    with each one's ``"METHOD path"`` mapped to its admission class.
+
+    Definition order is match order (the router scans linearly).
+    """
+    for klass in reversed(type(owner).__mro__):
+        for name, member in vars(klass).items():
+            declared = getattr(member, "route", None)
+            if isinstance(declared, route):
+                router.add(declared.method, declared.path, getattr(owner, name))
+                classes[f"{declared.method} {declared.path}"] = declared.admission
+    return classes

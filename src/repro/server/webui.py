@@ -8,9 +8,11 @@ where the Google Maps widget would mount.  Form submissions are translated
 into the same Fig. 4 JSON rules the API accepts, so the web path and the
 API path exercise one rule pipeline.
 
-Web access uses username/password login, per Section 5.4: a store's login
-answers the owner's API key as the page token, the broker's opens a
-session.  Pages are served as ``{"Html": ...}`` bodies with a
+Web access uses username/password login, per Section 5.4: a login answers
+the principal's API key (an owner's at a store, a consumer's at the
+broker) as the page token, which a page ``POST``s in its body, never in
+its path.  Each page is declared with the ``/api`` handler it renders and
+answers through it.  Pages are served as ``{"Html": ...}`` bodies with a
 ``text/html`` content type through the simulated transport.
 """
 
@@ -19,16 +21,18 @@ from __future__ import annotations
 import html as html_escape
 from typing import Optional
 
-from repro.datastore.query import DataQuery
 from repro.datastore.wavesegment import WaveSegment
-from repro.exceptions import AuthenticationError, AuthorizationError, BadRequestError
+from repro.exceptions import AuthenticationError, BadRequestError
 from repro.net.http import Request, Response, html_response
-from repro.rules.model import Rule
-from repro.rules.parser import rule_from_json, rules_from_json
-from repro.server.audit import AuditRecord
+from repro.rules.engine import decode_release
+from repro.rules.parser import rules_from_json
 from repro.sensors.channels import CHANNEL_GROUPS
 from repro.sensors.contexts import CONTEXT_NAMES, CONTEXTS
-from repro.util.timeutil import WEEKDAY_NAMES
+from repro.server.audit import AuditRecord
+from repro.server.broker_service import BrokerService
+from repro.server.datastore_service import DataStoreService
+from repro.server.routes import mount, page, route
+from repro.util.timeutil import WEEKDAY_NAMES, Interval
 
 
 def _esc(text: object) -> str:
@@ -233,152 +237,126 @@ def render_audit_view(contributor: str, records, summary) -> str:
     return _page("Access Audit", body)
 
 
-class DataStoreWebUI:
-    """Web pages mounted on a remote data store service.
+class _WebUI:
+    """Pages mounted on a service's router, each answering through the
+    declared handler it renders (:func:`~repro.server.routes.page`).
 
-    ``/web/login`` answers the owner's API key as the page token, and each
-    page calls the declared ``/api/*`` handler it renders with that key,
-    so it passes the same ``caller``/``writes`` preludes as the API.
+    ``POST /web/login`` checks the principal's password and answers its API
+    key as the page ``Token``.  A page sends that token to its handler as
+    the key, so it is admitted in the handler's class and passes the same
+    ``caller``/``writes`` preludes as the API; no page reads the service's
+    state for itself.
     """
 
     def __init__(self, service) -> None:
         self.service = service
-        router = service.router
-        router.add("POST", "/web/login", self._h_login)
-        router.add("GET", "/web/rules/{token}", self._h_rules_page)
-        router.add("POST", "/web/rules/submit", self._h_rules_submit)
-        router.add("GET", "/web/data/{token}", self._h_data_page)
-        router.add("GET", "/web/audit/{token}", self._h_audit_page)
+        mount(self, service.router, service.admission.classes)
 
-    def _call(self, handler, token, **body) -> tuple:
-        """``(owner, reply)``: a declared handler's reply to the token's owner."""
-        service = self.service
-        request = Request("POST", service.host, handler.route.path, {**body, "ApiKey": token})
-        try:
-            request.body["Contributor"] = service.keys.authenticate(request.api_key)
-        except AuthenticationError:
-            pass  # the handler's own prelude answers the 401
-        return request.body.get("Contributor", ""), handler(request)
-
+    @route("POST", "/web/login", caller="open", admission="control")
     def _h_login(self, request: Request) -> dict:
         username = str(request.body.get("Username", ""))
         self.service.check_password(username, str(request.body.get("Password", "")))
         keys = self.service.keys
         return {"Token": keys.key_of(username) or keys.issue(username)}
 
-    def _h_rules_page(self, request: Request, token: str) -> Response:
-        contributor, reply = self._call(self.service._h_rules_download, token)
+    def _call(self, handler, request: Request, **body) -> dict:
+        """The declared ``handler``'s reply, with the page's ``Token`` as the key."""
+        token = request.body.get("Token")
+        api = Request("POST", self.service.host, handler.route.path, {**body, "ApiKey": token})
+        return handler(self.service, api)
+
+
+class DataStoreWebUI(_WebUI):
+    """The owner's pages on a remote data store: her rules, data and trail."""
+
+    def _call(self, handler, request: Request, **body) -> tuple:
+        """``(owner, reply)``: the handler, asked for the token's owner."""
+        token = request.body.get("Token")
+        try:
+            owner = self.service.keys.authenticate(None if token is None else str(token))
+        except AuthenticationError:
+            owner = ""  # the handler's own prelude answers the 401
+        return owner, super()._call(handler, request, Contributor=owner, **body)
+
+    @page("/web/rules", DataStoreService._h_rules_download)
+    def _h_rules_page(self, request: Request) -> Response:
+        contributor, reply = self._call(DataStoreService._h_rules_download, request)
         rules = rules_from_json(reply["Rules"])
         places = [obj["Label"] for obj in reply["Places"]]
         return html_response(render_rule_editor(contributor, rules, places))
 
+    @page("/web/rules/submit", DataStoreService._h_rules_add)
     def _h_rules_submit(self, request: Request) -> dict:
         rule_json = form_to_rule_json(dict(request.body.get("Form", {})))
-        _, reply = self._call(
-            self.service._h_rules_add, request.body.get("Token"), Rule=rule_json
-        )
+        _, reply = self._call(DataStoreService._h_rules_add, request, Rule=rule_json)
         return {"RuleId": reply["RuleId"], "Rule": rule_json}
 
-    def _h_data_page(self, request: Request, token: str) -> Response:
+    @page("/web/data", DataStoreService._h_query)
+    def _h_data_page(self, request: Request) -> Response:
         """The owner's raw read, audited like any other."""
-        contributor, reply = self._call(self.service._h_query, token)
+        contributor, reply = self._call(DataStoreService._h_query, request)
         segments = [WaveSegment.from_json(obj) for obj in reply["Segments"]]
         return html_response(render_data_view(contributor, segments))
 
-    def _h_audit_page(self, request: Request, token: str) -> Response:
-        contributor, trail = self._call(self.service._h_audit_list, token, Limit=50)
-        _, summary = self._call(self.service._h_audit_summary, token)
+    @page("/web/audit", DataStoreService._h_audit_list)
+    def _h_audit_page(self, request: Request) -> Response:
+        contributor, trail = self._call(DataStoreService._h_audit_list, request, Limit=50)
+        _, summary = self._call(DataStoreService._h_audit_summary, request)
         records = [AuditRecord.from_json(obj) for obj in trail["Records"]]
-        html = render_audit_view(contributor, records, summary["Summary"])
-        return html_response(html)
+        return html_response(render_audit_view(contributor, records, summary["Summary"]))
 
 
-class BrokerWebUI:
-    """Web pages mounted on the broker service."""
+class BrokerWebUI(_WebUI):
+    """A consumer's pages on the broker: search, the directory, data."""
 
-    def __init__(self, service) -> None:
-        self.service = service
-        router = service.router
-        router.add("POST", "/web/login", self._h_login)
-        router.add("GET", "/web/search/{token}", self._h_search_page)
-        router.add("POST", "/web/search", self._h_search_submit)
-        router.add("GET", "/web/contributors/{token}", self._h_contributors_page)
-        router.add("POST", "/web/data", self._h_data_submit)
-
-    def _h_login(self, request: Request) -> dict:
-        username = str(request.body.get("Username", ""))
-        password = str(request.body.get("Password", ""))
-        token = self.service.accounts.login(username, password)
-        return {"Token": token}
-
-    def _h_search_page(self, request: Request, token: str) -> Response:
-        self.service.accounts.session_user(token)
-        return html_response(render_search_page())
-
-    def _h_search_submit(self, request: Request) -> Response:
-        from repro.broker.search import SearchCriteria
-
-        token = request.body.get("Token")
-        account = self.service.accounts.session_user(token)
+    @page("/web/search", BrokerService._h_search)
+    def _h_search_page(self, request: Request) -> Response:
+        """The search form, and the contributors its criteria match (a
+        blank form is the vacuous search)."""
         form = dict(request.body.get("Form", {}))
-        criteria_json: dict = {"Consumer": account.username}
+        criteria: dict = {}
         sensors = list(form.get("sensors", []))
         if sensors:
-            criteria_json["Sensor"] = sensors
+            criteria["Sensor"] = sensors
         if form.get("location_label"):
-            criteria_json["LocationLabel"] = str(form["location_label"])
+            criteria["LocationLabel"] = str(form["location_label"])
         days = list(form.get("days", []))
         if days and form.get("time_from") and form.get("time_to"):
-            criteria_json["RepeatTime"] = {
+            criteria["RepeatTime"] = {
                 "Day": days,
                 "HourMin": [str(form["time_from"]), str(form["time_to"])],
             }
-        criteria = SearchCriteria.from_json(criteria_json)
-        matches = [r.name for r in self.service.search.search(criteria)]
-        return html_response(render_search_page(matches))
+        reply = self._call(BrokerService._h_search, request, Criteria=criteria)
+        return html_response(render_search_page([m["Contributor"] for m in reply["Matches"]]))
 
-    def _h_data_submit(self, request: Request) -> Response:
+    @page("/web/data", BrokerService._h_data_proxy)
+    def _h_data_page(self, request: Request) -> Response:
         """The broker's data-access page (Section 5.2): "The web interface
         provides query options such as location, time, and data channels".
 
         The query is proxied to the contributor's store with the
         consumer's escrowed key; the released pieces render as a table.
         """
-        from repro.datastore.query import DataQuery
-        from repro.rules.engine import decode_release
-        from repro.util.timeutil import Interval
-
-        token = request.body.get("Token")
-        account = self.service.accounts.session_user(token)
         form = dict(request.body.get("Form", {}))
         contributor = str(form.get("contributor", ""))
-        query_json: dict = {}
+        query: dict = {}
         channels = list(form.get("channels", []))
         if channels:
-            query_json["Channels"] = channels
+            query["Channels"] = channels
         if form.get("time_start") and form.get("time_end"):
-            query_json["TimeRange"] = Interval(
+            query["TimeRange"] = Interval(
                 int(form["time_start"]), int(form["time_end"])
             ).to_json()
-        DataQuery.from_json(query_json)  # validate before proxying
-        record = self.service.registry.get(contributor)
-        key = self.service.escrow.key_for(account.username, record.host)
-        if key is None:
-            raise AuthorizationError(
-                f"{account.username!r} has not added {contributor!r} to their account"
-            )
-        body = self.service.client.with_key(key).post(
-            f"https://{record.host}/api/query",
-            {"Contributor": contributor, "Query": query_json},
+        reply = self._call(
+            BrokerService._h_data_proxy, request, Contributor=contributor, Query=query
         )
-        released = decode_release(body.get("Released"))
         rows = "".join(
             f"<tr><td>{r.timestamp if r.timestamp is not None else '-'}</td>"
             f"<td>{_esc(', '.join(r.channels()) or '-')}</td>"
             f"<td>{r.n_samples}</td>"
             f"<td>{_esc(r.location)}</td>"
             f"<td>{_esc(', '.join(f'{k}={v}' for k, v in sorted(r.context_labels.items())) or '-')}</td></tr>"
-            for r in released
+            for r in decode_release(reply.get("Released"))
         )
         html = _page(
             f"Data from {contributor}",
@@ -389,12 +367,13 @@ class BrokerWebUI:
         )
         return html_response(html)
 
-    def _h_contributors_page(self, request: Request, token: str) -> Response:
-        self.service.accounts.session_user(token)
+    @page("/web/contributors", BrokerService._h_contributors_list)
+    def _h_contributors_page(self, request: Request) -> Response:
+        reply = self._call(BrokerService._h_contributors_list, request)
         rows = "".join(
-            f"<tr><td>{_esc(r.name)}</td><td>{_esc(r.host)}</td>"
-            f"<td>{_esc(r.institution)}</td><td>{r.rules_version}</td></tr>"
-            for r in self.service.registry.all()
+            f"<tr><td>{_esc(r['Contributor'])}</td><td>{_esc(r['Host'])}</td>"
+            f"<td>{_esc(r['Institution'])}</td><td>{r['RulesVersion']}</td></tr>"
+            for r in reply["Contributors"]
         )
         body = (
             '<table border="1"><tr><th>Contributor</th><th>Store</th>'

@@ -1,4 +1,4 @@
-"""Tests for web-UI accounts and sessions."""
+"""Tests for web-UI accounts."""
 
 import pytest
 
@@ -33,31 +33,20 @@ class TestRegistration:
 
 
 class TestLogin:
-    def test_good_credentials_open_session(self):
+    """The password check a web login runs; no session is kept."""
+
+    def test_good_password_answers_the_account(self):
         reg = AccountRegistry()
         reg.register("alice", "pw", ROLE_CONTRIBUTOR)
-        token = reg.login("alice", "pw")
-        assert reg.session_user(token).username == "alice"
+        assert reg.check_password("alice", "pw").username == "alice"
 
     def test_bad_password_rejected(self):
         reg = AccountRegistry()
         reg.register("alice", "pw", ROLE_CONTRIBUTOR)
         with pytest.raises(AuthenticationError):
-            reg.login("alice", "wrong")
+            reg.check_password("alice", "wrong")
 
     def test_unknown_user_rejected(self):
         reg = AccountRegistry()
         with pytest.raises(AuthenticationError):
-            reg.login("ghost", "pw")
-
-    def test_invalid_token_rejected(self):
-        reg = AccountRegistry()
-        with pytest.raises(AuthenticationError):
-            reg.session_user("bogus")
-        with pytest.raises(AuthenticationError):
-            reg.session_user(None)
-
-    def test_sessions_distinct_per_login(self):
-        reg = AccountRegistry()
-        reg.register("alice", "pw", ROLE_CONTRIBUTOR)
-        assert reg.login("alice", "pw") != reg.login("alice", "pw")
+            reg.check_password("ghost", "pw")

@@ -26,13 +26,6 @@ class TestCrud:
         with pytest.raises(DuplicateKeyError):
             table.insert({"id": 1, "age": 31})
 
-    def test_upsert_replaces(self):
-        table = make_table()
-        table.insert({"id": 1, "age": 30})
-        table.upsert({"id": 1, "age": 44})
-        assert table.get(1)["age"] == 44
-        assert len(table) == 1
-
     def test_get_missing_raises_find_returns_none(self):
         table = make_table()
         with pytest.raises(MissingRecordError):

@@ -256,7 +256,7 @@ class TestWebSessionAttacks:
         system, _, _ = deployment
         DataStoreWebUI(system.stores["alice-store"])
         response = system.network.request(
-            "GET", "https://alice-store/web/rules/deadbeef" + "0" * 56
+            "POST", "https://alice-store/web/rules", {"Token": "deadbeef" + "0" * 56}
         )
         assert response.status == 401
 

@@ -6,7 +6,6 @@ from repro.exceptions import DeadlineExpiredError, OverloadedError
 from repro.net.faults import SimClock
 from repro.net.http import Request, Router, json_response
 from repro.net.overload import (
-    BROKER_ROUTE_CLASSES,
     BROWNOUT_ORDER,
     CLASS_AGGREGATE,
     CLASS_CONTROL,
@@ -14,12 +13,25 @@ from repro.net.overload import (
     CLASS_SCRAPE,
     CLASS_UPLOAD,
     GOODPUT_CLASSES,
-    STORE_ROUTE_CLASSES,
     AdaptiveConcurrencyLimiter,
     AdmissionController,
     OverloadConfig,
 )
 from repro.net.transport import Network
+from repro.server.broker_service import BrokerService
+from repro.server.datastore_service import DataStoreService
+
+
+def declared_classes(service_type) -> dict:
+    """``"METHOD path"`` -> admission class, as a service's routes declare."""
+    return {
+        f"{member.route.method} {member.route.path}": member.route.admission
+        for member in vars(service_type).values()
+        if hasattr(member, "route")
+    }
+
+
+STORE_ROUTE_CLASSES = declared_classes(DataStoreService)
 
 
 def permissive_limiter():
@@ -72,7 +84,7 @@ class TestOverloadConfig:
     def test_route_tables_cover_known_classes(self):
         known = set(BROWNOUT_ORDER)
         assert set(STORE_ROUTE_CLASSES.values()) <= known
-        assert set(BROKER_ROUTE_CLASSES.values()) <= known
+        assert set(declared_classes(BrokerService).values()) <= known
         assert set(GOODPUT_CLASSES) <= known
         assert CLASS_SCRAPE not in GOODPUT_CLASSES
 
@@ -109,12 +121,13 @@ class TestAdaptiveConcurrencyLimiter:
 
 
 class TestAdmissionController:
-    def test_classify_uses_route_table_with_query_default(self):
+    def test_classify_is_the_declared_route_table(self):
         _, controller = make_controller()
         assert controller.classify("POST", "/api/rules/add") == CLASS_CONTROL
         assert controller.classify("POST", "/api/upload") == CLASS_UPLOAD
         assert controller.classify("POST", "/api/stats") == CLASS_SCRAPE
-        assert controller.classify("POST", "/api/not-a-route") == CLASS_QUERY
+        with pytest.raises(KeyError):  # no default: an undeclared route is a bug
+            controller.classify("POST", "/api/not-a-route")
 
     def test_virtual_backlog_accumulates_and_drains(self):
         clock = SimClock()

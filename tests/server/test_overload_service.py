@@ -131,6 +131,37 @@ class TestCachedReleasesUnderBrownout:
         assert not probe({**body, "Query": {"Nope": 1}})  # bad query: cold
 
 
+class TestWebRevocationUnderBrownout:
+    """OPERATIONS' promise — a revocation lands on a store that is shedding
+    everything else — holds for the owner's web UI too: a page is admitted
+    in the class of the handler it renders, not as a cold query."""
+
+    def test_a_web_deny_is_control_and_bob_s_cached_release_is_gone(self):
+        from repro.server.webui import DataStoreWebUI
+
+        system, alice, bob = build()
+        store = system.stores["alice-store"]
+        DataStoreWebUI(store)
+        assert len(bob.fetch("alice")) > 0  # bob's release is cached
+        token = system.network.request(
+            "POST", "https://alice-store/web/login", {"Username": "alice", "Password": "pw"}
+        ).body["Token"]
+        system.clock.advance(60_000)
+        for _ in range(125):  # 125 owner flushes x 4ms = 500ms of upload backlog
+            alice.flush()
+        assert store.admission.queue_ms() == pytest.approx(500.0)
+        deny = {"Token": token, "Form": {"consumers": "bob", "action": "Deny"}}
+        response = system.network.request("POST", "https://alice-store/web/rules/submit", deny)
+        assert response.status == 200, response.body
+        assert store.admission.classify("POST", "/web/rules/submit") == "control"
+        # The deny moved the rules epoch: bob's next query is cold, and sheds…
+        with pytest.raises(OverloadedError):
+            bob.fetch("alice")
+        # …and once the backlog drains, it releases nothing.
+        system.clock.advance(60_000)
+        assert bob.fetch("alice") == []
+
+
 class TestDeadlineRejection:
     def test_expired_deadline_rejected_before_rule_engine(self):
         system, _, bob = build()

@@ -7,18 +7,20 @@ the table, one minimal valid body per route, sent through
 ``Network.request`` — and after every refused request the store's records,
 audit trail, WAL and fencing state are what they were before it.  The web
 UI's ``/web/`` pages are held to the declaration of the handler each one
-renders.
+renders.  The broker's twin is ``tests/server/test_broker_route_access.py``.
 """
 
 import pytest
 
-from repro.net.overload import STORE_ROUTE_CLASSES
+from repro.exceptions import InsecureTransportError
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rule_to_json
 from repro.sensors.packets import encode_upload, packetize
-from repro.server.datastore_service import CALLERS, ROLE_REPLICA, DataStoreService
-from repro.server.webui import DataStoreWebUI
+from repro.server.broker_service import BrokerService
+from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
+from repro.server.routes import CALLERS, route
+from repro.server.webui import BrokerWebUI, DataStoreWebUI
 from repro.storage import records
 from repro.storage.replication import encode_ship
 
@@ -91,13 +93,16 @@ BODIES = {
 
 #: Each web UI page -> the declared handler it renders, with its token as the key.
 WEB = {
-    "GET /web/rules/{token}": "POST /api/rules/download",
+    "POST /web/rules": "POST /api/rules/download",
     "POST /web/rules/submit": "POST /api/rules/add",
-    "GET /web/data/{token}": "POST /api/query",
-    "GET /web/audit/{token}": "POST /api/audit/list",
+    "POST /web/data": "POST /api/query",
+    "POST /web/audit": "POST /api/audit/list",
 }
 
 WEB_BODIES = {"POST /web/rules/submit": {"Form": {"consumers": "bob", "action": "Allow"}}}
+
+#: The pages' retired GET URLs, which carried the token in the path: none is a route.
+RETIRED = ["GET /web/audit/{token}", "GET /web/data/{token}", "GET /web/rules/{token}"]
 
 
 class Store:
@@ -125,12 +130,10 @@ class Store:
         if name == "POST /api/migrate/fence" and "Digest" not in body:  # as just exported
             export = {"Contributors": body["Contributors"]}
             body["Digest"] = self.send("POST /api/migrate/export", "broker", export).body["Digest"]
-        if key is not None:
-            key = self.keys.get(key, key)
-            if "{token}" in path:
-                path = path.replace("{token}", key)
-            else:
-                body["Token" if name in WEB else "ApiKey"] = key
+        if key is not None and name in RETIRED:
+            path = path.replace("{token}", self.keys.get(key, key))
+        elif key is not None:
+            body["Token" if name in WEB else "ApiKey"] = self.keys.get(key, key)
         return self.network.request(method, f"https://store{path}", body)
 
     def right_key(self, name):
@@ -179,8 +182,9 @@ class TestDeclarations:
         assert mounted == ROUTES  # the web UI mounts its /web/ pages later, elsewhere
         assert all(route.caller in CALLERS for route in ROUTES.values())
 
-    def test_the_declared_routes_are_the_admission_classes_routes(self):
-        assert set(ROUTES) == set(STORE_ROUTE_CLASSES)
+    def test_the_declarations_are_the_admission_classes(self, store):
+        classes = {name: declared.admission for name, declared in ROUTES.items()}
+        assert store.service.admission.classes == classes
         assert len(ROUTES) == 31
 
     def test_writes_is_exactly_the_eleven_mutations_that_ship_under_their_ack_plus_enrollment(self):
@@ -190,10 +194,10 @@ class TestDeclarations:
         assert set(BODIES) == set(ROUTES)
 
     def test_an_unknown_caller_cannot_be_declared(self):
-        from repro.server.datastore_service import _route
-
         with pytest.raises(ValueError):
-            _route("POST", "/api/x", caller="anyone")(lambda self, request: {})
+            route("POST", "/api/x", caller="anyone", admission="query")(lambda s, r: {})
+        with pytest.raises(ValueError):
+            route("POST", "/api/x", caller="open", admission="urgent")(lambda s, r: {})
 
 
 class TestRefusals:
@@ -298,8 +302,12 @@ class TestWebPages:
     def test_the_owner_s_token_is_2xx(self, store, name):
         assert store.send(name, "alice").status == 200
 
-    @pytest.mark.parametrize("name", sorted(WEB))
+    @pytest.mark.parametrize("name", sorted(WEB) + RETIRED)
     def test_no_invalid_and_a_consumer_s_token_are_refused(self, store, name):
+        if name in RETIRED:  # a token in a URL reaches no handler, whoever's it is
+            for key in (None, "f" * 64, "bob", "alice"):
+                store.refused(name, key, 404)
+            return
         store.refused(name, None, 401)
         store.refused(name, "f" * 64, 401)
         # bob is no contributor: the owner prelude says so, the reader's finds none
@@ -313,14 +321,31 @@ class TestWebPages:
         assert fence.status == 200
         store.refused(name, "alice", 409, "NotPrimaryError")
 
-    @pytest.mark.parametrize("name", sorted(WEB))
+    @pytest.mark.parametrize("name", sorted(WEB) + RETIRED)
     def test_demoted_store_answers_a_page_as_its_handler(self, store, name):
         store.service.demote()
+        if name in RETIRED:  # a replica mounts no GET page either
+            store.refused(name, "alice", 404)
+            return
         handler = ROUTES[WEB[name]]
         if handler.writes or handler.caller == "reader":
             store.refused(name, "alice", 409, "NotPrimaryError")
         else:
             assert store.send(name, "alice").status == 200
+
+    @pytest.mark.parametrize("name", sorted(WEB))
+    def test_a_page_is_admitted_as_its_handler(self, store, name):
+        method, path = name.split()
+        handler = ROUTES[WEB[name]]
+        assert store.service.admission.classify(method, path) == handler.admission
+
+    @pytest.mark.parametrize("name", sorted(WEB))
+    def test_a_token_travels_only_in_an_https_post_body(self, store, name):
+        path, token = name.split()[1], store.keys["alice"]
+        with pytest.raises(InsecureTransportError):
+            store.network.request("POST", f"http://store{path}", {"Token": token})
+        with pytest.raises(InsecureTransportError):
+            store.network.request("GET", f"https://store{path}", {"Token": token})
 
     @pytest.mark.parametrize(
         "username, password", [("alice", "wrong"), ("bob", "pw"), ("__broker__", "pw")]
@@ -330,3 +355,23 @@ class TestWebPages:
         store.refused("POST /web/login", None, 401, "AuthenticationError", body)
         body = {"Username": "alice", "Password": "pw"}
         assert store.send("POST /web/login", None, body).body == {"Token": store.keys["alice"]}
+
+
+def test_every_route_a_web_ui_mounts_has_a_declared_class():
+    """A store with its web UI and a broker with its own: every mounted
+    route is a declaration, and the admission map holds its class — no
+    route falls through to a default."""
+    network = Network()
+    store = DataStoreService("store", network)
+    broker = BrokerService(network)
+    for service, web_ui, pages in ((store, DataStoreWebUI, 5), (broker, BrokerWebUI, 4)):
+        web_ui(service)
+        mounted = {
+            f"{method} /{'/'.join(segments)}": handler.route
+            for method, segments, handler in service.router._routes
+        }
+        assert all("{" not in name for name in mounted)  # concrete paths only
+        assert service.admission.classes == {
+            name: declared.admission for name, declared in mounted.items()
+        }
+        assert sum(name.startswith("POST /web/") for name in mounted) == pages

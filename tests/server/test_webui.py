@@ -1,5 +1,7 @@
 """Tests for the web user interfaces (Fig. 3)."""
 
+import re
+
 import pytest
 
 from repro.net.client import HttpClient
@@ -48,7 +50,7 @@ class TestLogin:
 
     def test_pages_require_session(self, store_ui):
         _, _, client, _ = store_ui
-        response = client.get("https://store/web/rules/bogus-token", raw=True)
+        response = client.post("https://store/web/rules", {"Token": "bogus-token"}, raw=True)
         assert response.status == 401
 
 
@@ -58,7 +60,7 @@ class TestRuleEditorPage:
         service.set_places(
             "alice", {"UCLA": LabeledPlace("UCLA", BoundingBox(34, -119, 35, -118))}
         )
-        response = client.get(f"https://store/web/rules/{token}", raw=True)
+        response = client.post("https://store/web/rules", {"Token": token}, raw=True)
         assert response.content_type == "text/html"
         html = response.body["Html"]
         # The paper's Fig. 3 building blocks: map, checkboxes, radios.
@@ -70,7 +72,7 @@ class TestRuleEditorPage:
     def test_existing_rules_listed(self, store_ui):
         _, service, client, token = store_ui
         service.rules.add("alice", Rule(consumers=("bob",), action=ALLOW))
-        html = client.get(f"https://store/web/rules/{token}", raw=True).body["Html"]
+        html = client.post("https://store/web/rules", {"Token": token}, raw=True).body["Html"]
         assert "Allow bob" in html
 
     def test_html_escapes_user_content(self):
@@ -124,13 +126,13 @@ class TestDataViewPage:
         _, service, client, token = store_ui
         service.store.add_segment(make_segment(n=32))
         service.store.flush()
-        html = client.get(f"https://store/web/data/{token}", raw=True).body["Html"]
+        html = client.post("https://store/web/data", {"Token": token}, raw=True).body["Html"]
         assert "ECG" in html
         assert "32" in html
 
     def test_empty_store_message(self, store_ui):
         _, _, client, token = store_ui
-        html = client.get(f"https://store/web/data/{token}", raw=True).body["Html"]
+        html = client.post("https://store/web/data", {"Token": token}, raw=True).body["Html"]
         assert "No data uploaded yet" in html
 
 
@@ -146,15 +148,26 @@ class TestBrokerWebUI:
         )["Token"]
         return system, client, token
 
+    def test_login_answers_the_consumer_s_broker_key(self, broker_ui):
+        system, client, token = broker_ui
+        assert token == system.broker.keys.key_of("bob")
+        for username, password in (("bob", "wrong"), ("alice", "pw"), ("ghost", "pw")):
+            response = client.post(
+                "https://broker/web/login",
+                {"Username": username, "Password": password},
+                raw=True,
+            )
+            assert response.status == 401 and "Token" not in response.body
+
     def test_contributor_list_page(self, broker_ui):
         _, client, token = broker_ui
-        html = client.get(f"https://broker/web/contributors/{token}", raw=True).body["Html"]
-        assert "alice" in html and "alice-store" in html
+        response = client.post("https://broker/web/contributors", {"Token": token}, raw=True)
+        assert "alice" in response.body["Html"] and "alice-store" in response.body["Html"]
 
     def test_search_page_and_submit(self, broker_ui):
         system, client, token = broker_ui
-        page = client.get(f"https://broker/web/search/{token}", raw=True).body["Html"]
-        assert "Required sensors" in page
+        page = client.post("https://broker/web/search", {"Token": token}, raw=True)
+        assert "Required sensors" in page.body["Html"]
         result = client.post(
             "https://broker/web/search",
             {"Token": token, "Form": {"sensors": ["ECG"]}},
@@ -162,6 +175,25 @@ class TestBrokerWebUI:
         )
         assert result.ok
         assert "Matches" in result.body["Html"]
+
+    def test_a_web_search_is_the_api_search(self, broker_ui):
+        """The page answers exactly ``/api/search``'s ``Matches`` for the same
+        criteria, and is counted as the search it is."""
+        system, client, token = broker_ui
+        system.contributors["alice"].add_rule(Rule(consumers=("bob",), action=ALLOW))
+        system.add_contributor("carol")  # shares nothing with bob
+        key = system.broker.keys.key_of("bob")
+        api = client.post(
+            "https://broker/api/search", {"ApiKey": key, "Criteria": {"Sensor": ["ECG"]}}
+        )
+        metrics = system.obs.metrics
+        before = metrics.sum_counter("broker_searches_total")
+        page = client.post(
+            "https://broker/web/search", {"Token": token, "Form": {"sensors": ["ECG"]}}, raw=True
+        )
+        listed = re.findall(r"<li>(.*?)</li>", page.body["Html"])
+        assert listed == [m["Contributor"] for m in api["Matches"]] == ["alice"]
+        assert metrics.sum_counter("broker_searches_total") == before + 1
 
 
 class TestAuditPage:
@@ -176,18 +208,18 @@ class TestAuditPage:
             raw_access=False,
             segments_scanned=2,
         )
-        html = client.get(f"https://store/web/audit/{token}", raw=True).body["Html"]
+        html = client.post("https://store/web/audit", {"Token": token}, raw=True).body["Html"]
         assert "bob" in html
         assert "Access summary" in html
 
     def test_audit_page_empty_state(self, store_ui):
         _, _, client, token = store_ui
-        html = client.get(f"https://store/web/audit/{token}", raw=True).body["Html"]
+        html = client.post("https://store/web/audit", {"Token": token}, raw=True).body["Html"]
         assert "No accesses recorded" in html
 
     def test_audit_page_requires_session(self, store_ui):
         _, _, client, _ = store_ui
-        assert client.get("https://store/web/audit/bogus", raw=True).status == 401
+        assert client.post("https://store/web/audit", {"Token": "bogus"}, raw=True).status == 401
 
 
 class TestBrokerDataPage:
@@ -201,7 +233,6 @@ class TestBrokerDataPage:
         alice.flush()
         alice.add_rule(Rule(consumers=("webbob",), action=_ALLOW))
         key = system.broker.register_consumer("webbob", password="pw")
-        # Web sessions and API keys are separate credentials.
         from repro.core.consumer import Consumer
 
         consumer = Consumer("webbob", "broker", HttpClient(system.network, "webbob", key))
