@@ -39,7 +39,7 @@ def test_fig2_authentication_matrix(benchmark):
         ["upload API", "owner key", status_for(network, "/api/upload", dict(upload_body, ApiKey=alice_key))],
         ["rules API", "consumer key (403)", status_for(network, "/api/rules/list", dict({"Contributor": "alice"}, ApiKey=bob_key))],
         ["rules API", "owner key", status_for(network, "/api/rules/list", dict({"Contributor": "alice"}, ApiKey=alice_key))],
-        ["broker profile API", "consumer key (403)", status_for(network, "/api/profile", dict({"Contributor": "alice"}, ApiKey=bob_key))],
+        ["broker profile API", "consumer key (403)", status_for(network, "/api/profiles", dict({"Contributors": ["alice"]}, ApiKey=bob_key))],
     ]
     report_table(
         "Fig. 2 — Authentication layer: status per (endpoint, credential)",

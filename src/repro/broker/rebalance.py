@@ -40,13 +40,7 @@ window shows up as one fenced retry on the client, not as divergence.
 
 from __future__ import annotations
 
-from repro.exceptions import (
-    BadRequestError,
-    ConflictError,
-    SensorSafeError,
-    ServiceError,
-    TransportError,
-)
+from repro.exceptions import BadRequestError, ConflictError, ServiceError
 
 
 class ShardRebalancer:
@@ -144,7 +138,11 @@ class ShardRebalancer:
             # Phase 5: cutover — one routing-epoch bump repoints the range.
             moved = self.broker.directory.move(names, dest_host)
             epoch = self.broker.directory.routing_epoch
-            self._converge_mirror(names, dest_host)
+            # The destination is the authority for the range it took:
+            # fail-closed denies carry bumped versions and must win.
+            self.broker.sync.reconcile_host(
+                self.broker.client, dest_host, self.broker.store_keys, names
+            )
             reregistered = self.broker.enroll_escrowed(source, dest_host)[0]
         finally:
             self.active -= 1
@@ -178,19 +176,6 @@ class ShardRebalancer:
             "TraceId": span.trace_id,
         })
         return report
-
-    def _converge_mirror(self, names: list, dest_host: str) -> None:
-        """Force-pull the moved range from the destination (store is
-        authority — fail-closed denies there carry bumped versions and
-        must win over the mirror, exactly as restart reconciliation)."""
-        key = self.broker.store_keys.get(dest_host)
-        if key is None:
-            return
-        for name in names:
-            try:
-                self.broker.sync.pull(self.broker.client, name, key, force=True)
-            except (TransportError, SensorSafeError):
-                self.broker.sync._stale.add(name)
 
     # ------------------------------------------------------------------
     # Split

@@ -97,17 +97,15 @@ class ContributorRegistry:
 
 
 class StudyRegistry:
-    """Named studies: coordinator consumers and participant contributors."""
+    """Named studies and the consumers who coordinate them."""
 
     def __init__(self) -> None:
         self._coordinators: dict[str, set] = {}
-        self._participants: dict[str, set] = {}
 
     def create(self, study: str, coordinators: Iterable[str] = ()) -> None:
         if study in self._coordinators:
             raise ConflictError(f"study already exists: {study!r}")
         self._coordinators[study] = set(coordinators)
-        self._participants[study] = set()
 
     def studies(self) -> list:
         return sorted(self._coordinators)
@@ -116,17 +114,9 @@ class StudyRegistry:
         self._require(study)
         self._coordinators[study].add(consumer)
 
-    def add_participant(self, study: str, contributor: str) -> None:
-        self._require(study)
-        self._participants[study].add(contributor)
-
     def coordinators_of(self, study: str) -> frozenset:
         self._require(study)
         return frozenset(self._coordinators[study])
-
-    def participants_of(self, study: str) -> frozenset:
-        self._require(study)
-        return frozenset(self._participants[study])
 
     def studies_of_consumer(self, consumer: str) -> frozenset:
         """Study names a consumer coordinates — their extra principals."""

@@ -9,9 +9,14 @@ Two composable modes:
 
 * **eager push** — the store's :class:`~repro.rules.rulestore.RuleStore`
   fires on every mutation and posts the contributor's profile to the
-  broker immediately (low staleness, one message per edit);
-* **periodic pull** — the broker polls each store's profile endpoint
-  (bounded staleness, constant message rate regardless of edit rate).
+  broker immediately (low staleness, one message per edit).  A push is
+  only a hint: one that is lost or refused changes nothing at the store
+  and fails no owner's edit;
+* **pull** — :meth:`SyncManager.pull_host` asks one store for many
+  profiles in one bulk ``/api/profiles`` request.  The periodic round
+  (bounded staleness, constant message rate regardless of edit rate),
+  restart reconciliation, failover promotion and a split's cutover all
+  converge the mirror through it, one request per host.
 
 The C5 ablation compares the two on staleness vs. sync traffic.  Profile
 versions make the modes idempotent and safely concurrent.
@@ -28,6 +33,7 @@ any state a push or pull can observe was already keyed to a fresh epoch.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.broker.registry import ContributorRegistry
@@ -117,25 +123,6 @@ class SyncManager:
         (self._c_applied if applied else self._c_stale).inc()
         return applied
 
-    def pull(
-        self,
-        client: HttpClient,
-        contributor: str,
-        store_key: str,
-        *,
-        force: bool = False,
-    ) -> bool:
-        """Pull one contributor's profile from their store and apply it.
-
-        ``client`` must be bound to the broker's network identity;
-        ``store_key`` is the broker's API key at that store.
-        """
-        record = self.registry.get(contributor)
-        body = client.with_key(store_key).post(
-            f"https://{record.host}/api/profile", {"Contributor": contributor}
-        )
-        return self.apply_profile(body, via_pull=True, force=force)
-
     def pull_all(
         self,
         client: HttpClient,
@@ -145,24 +132,12 @@ class SyncManager:
     ) -> int:
         """Pull every registered contributor; returns profiles applied.
 
-        Fans out *per shard*: contributors are grouped by store host and
-        each host answers one bulk ``/api/profiles`` request under a
-        ``deadline_ms`` budget, so a slow or dead shard costs the round
-        one bounded request instead of stalling it host-by-host (the
-        pre-sharding behavior pulled one profile at a time and a single
-        slow host serialized everything behind it).
-
-        Per-shard partial-failure accounting: a shard that fails its bulk
-        pull is charged one failure, its remaining contributors are
-        counted ``skipped_broken_host`` and marked stale rather than
-        hammered, and every *other* shard still pulls.  Contributors left
-        stale by an earlier round are retried — and counted as recovered —
-        once their shard answers again.  Per-host wall time lands in
-        :attr:`SyncStats.host_pull_ms` and the ``sync_host_pull_ms``
-        histogram.
+        One :meth:`pull_host` per store host, each under a ``deadline_ms``
+        budget, so a slow or dead shard costs the round one bounded
+        request instead of stalling it, and every *other* shard still
+        pulls.  Contributors whose host the broker holds no key for are
+        counted ``skipped_no_key``.
         """
-        import time
-
         by_host: dict[str, list] = {}
         for name in self.registry.names():
             by_host.setdefault(self.registry.get(name).host, []).append(name)
@@ -174,86 +149,96 @@ class SyncManager:
                 self.stats.skipped_no_key += len(names)
                 self._c_skipped.inc(len(names))
                 continue
-            started = time.perf_counter()
-            try:
-                body = client.with_key(key).post(
-                    f"https://{host}/api/profiles",
-                    {"Contributors": names},
-                    deadline_ms=deadline_ms,
-                )
-            except (TransportError, ServiceError):
-                self._observe_host_ms(host, started)
-                # One charged failure for the shard; the rest of its
-                # contributors are skipped, all of them go stale.
-                self.stats.pull_failures += 1
-                self.stats.host_failures[host] = (
-                    self.stats.host_failures.get(host, 0) + 1
-                )
-                self.stats.skipped_broken_host += len(names) - 1
-                self._stale.update(names)
-                self._c_failures.inc()
-                self._c_skipped.inc(len(names) - 1)
-                continue
-            self._observe_host_ms(host, started)
-            missing = set(str(m) for m in body.get("Missing", []))
-            for profile in body.get("Profiles", []):
-                name = str(profile.get("Contributor", ""))
-                fresh = self.apply_profile(profile, via_pull=True)
-                if name in self._stale:
-                    self._stale.discard(name)
-                    self.stats.recovered += 1
-                if fresh:
-                    applied += 1
-            for name in names:
-                if name in missing:
-                    # Unknown (or migrated away) at the shard we asked:
-                    # stale until the directory repoints and re-pulls.
-                    self.stats.pull_failures += 1
-                    self._stale.add(name)
-                    self._c_failures.inc()
+            out = self.pull_host(client, host, key, names, deadline_ms=deadline_ms)
+            applied += out["applied"]
         return applied
 
-    def _observe_host_ms(self, host: str, started: float) -> None:
-        import time
-
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        self.stats.host_pull_ms[host] = elapsed_ms
-        self.obs.metrics.histogram("sync_host_pull_ms", store=host).observe(elapsed_ms)
-
-    def reconcile_host(self, client: HttpClient, host: str, store_keys: dict) -> dict:
-        """Re-pull every contributor of one store after it restarts.
+    def reconcile_host(
+        self, client: HttpClient, host: str, store_keys: dict, names=None
+    ) -> dict:
+        """Force-pull ``names`` (default: every contributor routed to
+        ``host``) after the store restarted, was promoted, or took a range.
 
         A store that crashed between acknowledging a rule change and the
         eager push reaching the broker leaves the two sides divergent;
-        the store's recovery may also have *fail-closed* contributors
-        (bumped version, empty rules).  The store is the authority for its
-        own contributors, so these pulls are applied with ``force=True``:
-        the mirror adopts the store's post-recovery state even when a
-        fail-closed recovery left it at a lower version than the mirror —
-        a mirror shadowing rules the store no longer trusts would show
-        consumers matches the store will deny.
-
-        Returns ``{"pulled": n, "applied": n, "failed": n}``.
+        the store's recovery, a promotion or a migration may also have
+        *fail-closed* contributors (bumped version, empty rules).  The
+        store is the authority for its own contributors, so the pull is
+        applied with ``force=True``: the mirror adopts the store's state
+        even when a fail-closed recovery left it at a lower version than
+        the mirror — a mirror shadowing rules the store no longer trusts
+        would show consumers matches the store will deny.
         """
         key = store_keys.get(host)
         if key is None:
             raise ServiceError(f"no broker key for store host {host!r}", status=404)
+        if names is None:
+            names = [n for n in self.registry.names() if self.registry.get(n).host == host]
+        return self.pull_host(client, host, key, names, force=True)
+
+    def pull_host(
+        self,
+        client: HttpClient,
+        host: str,
+        key: str,
+        names: list,
+        *,
+        force: bool = False,
+        deadline_ms: int = 10_000,
+    ) -> dict:
+        """Refresh the mirror of ``names`` from ``host`` in one bulk
+        ``/api/profiles`` request — the one way the mirror is pulled.
+
+        ``client`` is bound to the broker's network identity and ``key``
+        is the broker's API key at ``host``.  A failed request charges the
+        host one failure, counts the rest of ``names`` ``skipped_broken_host``
+        and leaves every one of them failed and stale, its mirror as it
+        was.  A name the store lists as ``Missing`` (unknown there, or
+        migrated away) is failed and stale until the directory repoints
+        it.  A previously stale name that pulls again counts as recovered.
+        A profile for a name not asked for is ignored.  Per-host wall
+        time lands in :attr:`SyncStats.host_pull_ms` and the
+        ``sync_host_pull_ms`` histogram.
+
+        Returns ``{"pulled": n, "applied": n, "failed": n}``.
+        """
         out = {"pulled": 0, "applied": 0, "failed": 0}
-        for name in self.registry.names():
-            if self.registry.get(name).host != host:
-                continue
-            try:
-                fresh = self.pull(client, name, key, force=True)
-            except (TransportError, ServiceError):
-                self.stats.pull_failures += 1
-                self._stale.add(name)
-                out["failed"] += 1
-                self._c_failures.inc()
+        if not names:
+            return out
+        started = time.perf_counter()
+        try:
+            body = client.with_key(key).post(
+                f"https://{host}/api/profiles",
+                {"Contributors": list(names)},
+                deadline_ms=deadline_ms,
+            )
+        except (TransportError, ServiceError):
+            body = None
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        self.stats.host_pull_ms[host] = elapsed_ms
+        self.obs.metrics.histogram("sync_host_pull_ms", store=host).observe(elapsed_ms)
+        if body is None:
+            self.stats.pull_failures += 1
+            self.stats.host_failures[host] = self.stats.host_failures.get(host, 0) + 1
+            self.stats.skipped_broken_host += len(names) - 1
+            self._stale.update(names)
+            self._c_failures.inc()
+            self._c_skipped.inc(len(names) - 1)
+            out["failed"] = len(names)
+            return out
+        asked = set(names)
+        for profile in body.get("Profiles", []):
+            name = str(profile.get("Contributor", ""))
+            if name not in asked:
                 continue
             out["pulled"] += 1
+            out["applied"] += self.apply_profile(profile, via_pull=True, force=force)
             if name in self._stale:
                 self._stale.discard(name)
                 self.stats.recovered += 1
-            if fresh:
-                out["applied"] += 1
+        for name in asked.intersection(str(m) for m in body.get("Missing", [])):
+            self.stats.pull_failures += 1
+            self._stale.add(name)
+            self._c_failures.inc()
+            out["failed"] += 1
         return out

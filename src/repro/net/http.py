@@ -1,8 +1,7 @@
 """HTTP-like request/response model and a path router.
 
-Routes are registered as ``"POST /api/query"`` or with path parameters,
-``"GET /web/rules/{contributor}"``; handlers receive the request plus the
-extracted parameters as keyword arguments.  Service-layer exceptions
+Routes are registered as ``"POST /api/query"``, a method and a literal
+path; handlers receive the request.  Service-layer exceptions
 (:class:`~repro.exceptions.ServiceError`) are mapped to their status codes
 by :meth:`Router.dispatch`, so handlers raise instead of hand-building
 error responses.
@@ -64,10 +63,10 @@ def html_response(html: str, status: int = 200) -> Response:
 
 
 class Router:
-    """Maps ``METHOD /path/{param}`` patterns to handler callables."""
+    """Maps ``"METHOD /path"`` to handler callables, one dict entry each."""
 
     def __init__(self) -> None:
-        self._routes: list[tuple[str, list, Callable]] = []
+        self._routes: dict[str, Callable] = {}
         #: Admission gate (see :mod:`repro.net.overload`): called with the
         #: request before the handler runs; may raise a
         #: :class:`~repro.exceptions.ServiceError` to shed the request
@@ -76,63 +75,15 @@ class Router:
         self.gate: Optional[Callable[[Request], object]] = None
         self.gate_done: Optional[Callable[[object, "Response"], None]] = None
 
-    def route(self, method: str, pattern: str) -> Callable:
-        """Decorator: ``@router.route("POST", "/api/query")``."""
+    def add(self, method: str, pattern: str, handler: Callable) -> None:
+        """Mount ``handler`` at ``METHOD pattern`` (a literal path)."""
         if method not in _METHODS:
             raise ValueError(f"unsupported HTTP method: {method!r}")
-        segments = self._split(pattern)
-
-        def decorator(handler: Callable) -> Callable:
-            self._routes.append((method, segments, handler))
-            return handler
-
-        return decorator
-
-    def add(self, method: str, pattern: str, handler: Callable) -> None:
-        """Imperative registration (used by service classes)."""
-        self.route(method, pattern)(handler)
-
-    @staticmethod
-    def _split(path: str) -> list:
-        return [seg for seg in path.split("/") if seg]
-
-    def _match(self, method: str, path: str):
-        segments = self._split(path)
-        for route_method, pattern, handler in self._routes:
-            if route_method != method or len(pattern) != len(segments):
-                continue
-            params = {}
-            matched = True
-            for pat, seg in zip(pattern, segments):
-                if pat.startswith("{") and pat.endswith("}"):
-                    params[pat[1:-1]] = seg
-                elif pat != seg:
-                    matched = False
-                    break
-            if matched:
-                return handler, params
-        return None, {}
-
-    def route_pattern(self, method: str, path: str) -> Optional[str]:
-        """The registered pattern a path resolves to, e.g. ``/web/rules/{contributor}``.
-
-        Used as the low-cardinality ``route`` metric label: path *parameters*
-        (contributor names) collapse into their placeholder.
-        """
-        segments = self._split(path)
-        for route_method, pattern, _handler in self._routes:
-            if route_method != method or len(pattern) != len(segments):
-                continue
-            if all(
-                pat == seg or (pat.startswith("{") and pat.endswith("}"))
-                for pat, seg in zip(pattern, segments)
-            ):
-                return "/" + "/".join(pattern)
-        return None
+        self._routes[f"{method} {pattern}"] = handler
 
     def dispatch(self, request: Request) -> Response:
         """Route and invoke; translate errors into status codes."""
-        handler, params = self._match(request.method, request.path)
+        handler = self._routes.get(f"{request.method} {request.path}")
         if handler is None:
             return json_response(
                 {"Error": f"no route for {request.method} {request.path}"}, status=404
@@ -144,7 +95,7 @@ class Router:
                 # deadline reject) costs no rule evaluation.  A shed raise
                 # leaves ticket None, so gate_done never fires for it.
                 ticket = self.gate(request)
-            result = handler(request, **params)
+            result = handler(request)
         except ServiceError as exc:
             # ErrorKind lets clients react to the *specific* failure — a
             # NotPrimaryError must trigger re-resolution at the broker,

@@ -178,7 +178,6 @@ class Network:
         if router is None:
             raise TransportError(f"no such host: {host!r}")
         headers = dict(headers or {})
-        route = router.route_pattern(method, path) or path
         metrics = self.metrics[host]
         tracer = self.obs.tracer
         with tracer.start_span(
@@ -186,7 +185,7 @@ class Network:
             remote_parent=tracer.extract(headers),
             method=method,
             host=host,
-            route=route,
+            route=path,
             peer=client,
         ) as span:
             injected: Optional[Response] = None
@@ -245,7 +244,7 @@ class Network:
             self.obs.metrics.counter(
                 "net_route_requests_total",
                 host=host,
-                route=route,
+                route=path,
                 status_class=status_class,
             ).inc()
             span.set_attribute("status", response.status)

@@ -148,11 +148,12 @@ class BrokerService:
 
         A restart rotates the store's keys, so the pairing is re-done
         first (re-issuing the broker's key there), then every contributor
-        on that host is re-pulled: rule versions are monotonic, so the
-        newer side — including a recovery's fail-closed deny state, which
-        carries a bumped version — wins on both ends.  Then every consumer
-        escrowed there is re-enrolled for a fresh key; a failed pull or
-        enrollment counts in ``failed``.  A set member its set does not name
+        on that host is re-pulled, in one bulk request: rule versions are
+        monotonic, so the newer side — including a recovery's fail-closed
+        deny state, which carries a bumped version — wins on both ends.
+        Then every consumer escrowed there is re-enrolled for a fresh key;
+        each name a failed pull carried and each failed enrollment counts
+        in ``failed``.  A set member its set does not name
         as primary (restarted, it is a primary at epoch 1, and a read ships
         nothing an epoch fence could stop) rejoins instead, as a replica.
         """

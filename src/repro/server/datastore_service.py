@@ -9,8 +9,8 @@ Section 1).  It exposes:
 * **query API** — consumers pull data, with *every* access regulated by
   the owner's privacy rules;
 * **rules API** — owners create/manage privacy rules; each mutation bumps
-  a version and is pushed to the broker (rule sync);
-* **profile API** — the broker pulls rules + places for contributor search;
+  a version and is pushed to the broker as a hint (rule sync);
+* **profiles API** — the broker pulls rules + places for contributor search;
 * **web UI** — mounted by :mod:`repro.server.webui`.
 
 Authentication: API keys in HTTPS POST bodies (Section 5.4).  The broker
@@ -38,6 +38,8 @@ from repro.exceptions import (
     NotFoundError,
     NotPrimaryError,
     SensorSafeError,
+    ServiceError,
+    TransportError,
 )
 from repro.net.http import Request, Response, Router
 from repro.net.overload import AdmissionController
@@ -222,8 +224,22 @@ class DataStoreService:
         # listener runs inside the mutation, so the tracker's clock reads
         # the mutation's instant.
         self.network.obs.slo.rule_mutated(contributor, snapshot.version, store=self.host)
-        if self._broker_push is not None:
+        self._push_profile(contributor)
+
+    def _push_profile(self, contributor: str) -> None:
+        """Hint the paired broker that ``contributor``'s profile moved.
+
+        Only a hint: a push that is dropped, refused or shed changes
+        nothing here and fails no owner's edit, whose replication barrier
+        then runs as for any write.  The broker's next pull repairs its
+        mirror (DESIGN.md, "The broker's mirror converges one way").
+        """
+        if self._broker_push is None:
+            return
+        try:
             self._broker_push(self._profile_json(contributor))
+        except (TransportError, ServiceError):
+            pass
 
     def _profile_json(self, contributor: str) -> dict:
         snapshot = self.rules.snapshot(contributor)
@@ -430,9 +446,7 @@ class DataStoreService:
         self._assign(records.OP_PLACES, records.places_record(contributor, places))
         # Places affect rule semantics; nudge a sync so the broker's
         # search sees the same geography the engine enforces.
-        if self.rules.version_of(contributor) or self._broker_push is not None:
-            if self._broker_push is not None:
-                self._broker_push(self._profile_json(contributor))
+        self._push_profile(contributor)
 
     def _assign(self, op: str, data: dict) -> None:
         """A live "assign complete state" mutation, as one of this store's own.
@@ -679,9 +693,6 @@ class DataStoreService:
     # Routes
     # ------------------------------------------------------------------
 
-    # Definition order is match order (the router scans linearly): the
-    # data plane is defined first, replication and operations after it.
-
     @route("POST", "/api/register", caller="open", admission="control")
     def _h_register(self, request: Request) -> dict:
         """Open contributor registration, and an owner's re-key.
@@ -869,11 +880,6 @@ class DataStoreService:
     @route("POST", "/api/places/list", caller="owner", admission="control")
     def _h_places_list(self, request: Request, contributor: str) -> dict:
         return {"Places": [p.to_json() for p in self.places.get(contributor, {}).values()]}
-
-    @route("POST", "/api/profile", caller="broker", admission="control")
-    def _h_profile(self, request: Request) -> dict:
-        """Broker-only: rules + places snapshot for contributor search."""
-        return self._profile_json(self._known_contributor(request))
 
     @route("POST", "/api/enroll", caller="broker", admission="control", writes=True)
     def _h_enroll(self, request: Request) -> dict:
@@ -1092,10 +1098,10 @@ class DataStoreService:
 
     @route("POST", "/api/profiles", caller="broker", admission="control")
     def _h_profiles(self, request: Request) -> dict:
-        """Broker-only: bulk profile pull for one sync round.
+        """Broker-only: the one profile pull, for many contributors.
 
-        One request per store instead of one per contributor — the fan-out
-        unit of :meth:`repro.broker.sync.SyncManager.pull_all`.  Unknown
+        One request per store instead of one per contributor — the unit
+        of :meth:`repro.broker.sync.SyncManager.pull_host`.  Unknown
         and migrated-away contributors are listed in ``Missing`` rather
         than failing the batch; the broker marks them stale and re-resolves.
         """

@@ -88,12 +88,16 @@ def mount(owner, router: Router, classes: dict) -> dict:
     """Mount every handler ``owner``'s class declares; answer ``classes``
     with each one's ``"METHOD path"`` mapped to its admission class.
 
-    Definition order is match order (the router scans linearly).
+    ``classes`` holds what is already mounted on ``router``: a second
+    handler for one of its ``"METHOD path"`` keys is a ``ValueError``.
     """
     for klass in reversed(type(owner).__mro__):
         for name, member in vars(klass).items():
             declared = getattr(member, "route", None)
             if isinstance(declared, route):
+                key = f"{declared.method} {declared.path}"
+                if key in classes:
+                    raise ValueError(f"{key} is already mounted")
                 router.add(declared.method, declared.path, getattr(owner, name))
-                classes[f"{declared.method} {declared.path}"] = declared.admission
+                classes[key] = declared.admission
     return classes

@@ -172,6 +172,30 @@ class TestRevocationFencing:
         alice.replace_rules([ALLOW_BOB])
         assert len(bob.fetch("alice")) > 0
 
+    def test_a_dropped_push_does_not_undo_a_revocation_at_failover(self, tmp_path):
+        """The eager push is only a hint.  With every ``/api/sync`` dropped,
+        alice's revocation still answers 200 and ships under its semi-sync
+        ack, so the replica holds it before any heartbeat; promotion then
+        serves bob nothing, though the broker's mirror never saw the push."""
+        system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+        alice.upload_segments([make_segment()])
+        alice.flush()
+        assert len(bob.fetch("alice")) > 0
+        plan = FaultPlan(seed=7)
+        plan.add_drop("broker", path="/api/sync")
+        system.install_faults(plan)
+        assert alice.replace_rules([]) == 2
+        replica = system.stores["alice-store-r1"]
+        assert replica.rules.version_of("alice") == 2
+        assert system.broker.registry.get("alice").rules_version == 1
+        assert bob.fetch("alice") == []
+        kill(system, "alice-store")
+        system.install_faults(None)
+        result = detect_and_fail_over(system)
+        assert result["Promoted"] == "alice-store-r1"
+        assert bob.fetch("alice") == []
+        assert system.broker.registry.get("alice").rules_version == 2
+
     def test_fenced_ex_primary_rejoins_as_replica(self, tmp_path):
         system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
         alice.upload_segments([make_segment()])

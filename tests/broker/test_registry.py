@@ -66,9 +66,7 @@ class TestStudyRegistry:
         studies = StudyRegistry()
         studies.create("s1", coordinators=["bob"])
         studies.add_coordinator("s1", "carol")
-        studies.add_participant("s1", "alice")
         assert studies.coordinators_of("s1") == frozenset({"bob", "carol"})
-        assert studies.participants_of("s1") == frozenset({"alice"})
         assert studies.studies() == ["s1"]
 
     def test_studies_of_consumer(self):

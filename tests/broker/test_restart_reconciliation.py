@@ -118,12 +118,12 @@ class TestReconcileUnderPartition:
         # and the miss is remembered for recovery, not forgotten.
         record = broker.registry.get("alice")
         assert (record.rules_version, record.rules) == before_state
-        assert "alice" in broker.sync._stale
+        assert broker.sync.stale_contributors() == ["alice"]
         # Partition heals: the same call now converges and clears the mark.
         network.install_faults(None)
         out2 = broker.reconcile_store(store2)
         assert out2["failed"] == 0 and out2["pulled"] == 1
-        assert "alice" not in broker.sync._stale
+        assert broker.sync.stale_contributors() == []
 
     def test_partial_failure_never_half_applies(self, tmp_path):
         from repro.net.faults import FaultPlan
@@ -132,19 +132,28 @@ class TestReconcileUnderPartition:
         store.register_contributor("carol")
         store.rules.replace_all("carol", [ALLOW_ECG])
         assert broker.registry.get("carol").rules_version == 1
-        store2 = restart(network, tmp_path)
-        # The first profile pull of the reconcile dies — including every
-        # retry the broker's policy fires (4 attempts) — and the second
-        # gets through.  Pulls run in sorted contributor order, so alice
-        # fails and carol lands.
+        # carol's v2 commits at the store while its push is lost: the
+        # store is ahead of the mirror, which only a pull can repair.
         plan = FaultPlan(seed=0)
-        plan.add_flaky(HOST, fail_first=4, path="/api/profile")
+        plan.add_drop(broker.host, path="/api/sync")
+        network.install_faults(plan)
+        store.rules.replace_all("carol", [ALLOW_ECG, DENY_GPS])
+        assert broker.registry.get("carol").rules_version == 1
+        store2 = restart(network, tmp_path)
+        # The host's one bulk profile pull dies, including every retry
+        # the broker's policy fires (4 attempts): every name it carried
+        # is failed and stale, and no mirror moves.
+        plan = FaultPlan(seed=0)
+        plan.add_flaky(HOST, fail_first=4, path="/api/profiles")
         network.install_faults(plan)
         out = broker.reconcile_store(store2)
-        assert out["failed"] == 1 and out["pulled"] == 1
+        assert out == {"pulled": 0, "applied": 0, "failed": 2}
         alice, carol = broker.registry.get("alice"), broker.registry.get("carol")
-        # alice's mirror: bit-identical to before the attempt, and stale.
-        assert alice.rules_version == 1 and len(alice.rules) == 1
-        assert "alice" in broker.sync._stale
-        assert "carol" not in broker.sync._stale
-        assert carol.rules_version == 1
+        assert (alice.rules_version, alice.rules) == (1, (ALLOW_ECG,))
+        assert (carol.rules_version, carol.rules) == (1, (ALLOW_ECG,))
+        assert broker.sync.stale_contributors() == ["alice", "carol"]
+        # The next reconcile converges both and clears the marks.
+        out = broker.reconcile_store(store2)
+        assert out == {"pulled": 2, "applied": 2, "failed": 0}
+        assert broker.registry.get("carol").rules_version == 2
+        assert broker.sync.stale_contributors() == []

@@ -70,6 +70,26 @@ class TestPullOverNetwork:
         assert applied == 1
         assert system.broker.registry.get("alice").rules_version == 1
 
+    def test_a_profile_not_asked_for_is_ignored(self, sync):
+        """A store answers for the names the broker asked it about, even
+        under a forced pull: a profile for anyone else moves no mirror."""
+        from repro.net.client import HttpClient
+        from repro.net.http import Router
+        from repro.net.transport import Network
+
+        sync.registry.register("carol", "carol-store")
+        network = Network()
+        router = Router()
+        router.add("POST", "/api/profiles", lambda request: {
+            "Profiles": [profile(version=2), profile("carol", version=9, host="alice-store")],
+            "Missing": ["carol"],
+        })
+        network.register_host("alice-store", router)
+        out = sync.pull_host(HttpClient(network, "broker"), "alice-store", "k", ["alice"], force=True)
+        assert out == {"pulled": 1, "applied": 1, "failed": 0}
+        assert sync.registry.get("carol").rules_version == 0
+        assert sync.stale_contributors() == []
+
     def test_pull_all_skips_unknown_hosts(self, sync):
         from repro.net.client import HttpClient
         from repro.net.transport import Network
@@ -137,3 +157,60 @@ class TestPullAllUnderFaults:
         assert stats.pull_failures == 1
         assert stats.skipped_broken_host == 1
         assert sorted(system.broker.sync.stale_contributors()) == ["amy", "ann"]
+
+
+def profile_pulls(system, host):
+    """``(bulk, single)`` profile requests ``host`` has answered so far."""
+    count = system.obs.metrics.sum_counter
+    return (
+        count("net_route_requests_total", host=host, route="/api/profiles"),
+        count("net_route_requests_total", host=host, route="/api/profile"),
+    )
+
+
+class TestOnePullPerHost:
+    """Reconcile, promotion and a split's cutover converge the mirror with
+    one bulk ``/api/profiles`` request per host, not one per contributor."""
+
+    def test_reconcile_store_sends_one_bulk_request(self):
+        from repro.core import SensorSafeSystem
+
+        system = SensorSafeSystem(seed=5)
+        lab = system.create_store("lab-store")
+        for name in ("ann", "ben", "cal"):
+            system.add_contributor(name, store=lab).add_rule(Rule(consumers=("bob",), action=ALLOW))
+        before = profile_pulls(system, "lab-store")
+        out = system.broker.reconcile_store(lab)
+        after = profile_pulls(system, "lab-store")
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
+        assert out == {"pulled": 3, "applied": 3, "failed": 0}
+
+    def test_promotion_sends_one_bulk_request(self, tmp_path):
+        from repro.core import SensorSafeSystem
+
+        system = SensorSafeSystem(seed=7)
+        primary = system.create_replicated_store(
+            "lab-store", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+        )
+        for name in ("ann", "ben", "cal"):
+            system.add_contributor(name, store=primary).add_rule(Rule(consumers=("bob",), action=ALLOW))
+        system.network.unregister_host("lab-store")
+        before = profile_pulls(system, "lab-store-r1")
+        for _ in range(system.broker.failover.miss_threshold):
+            report = system.broker.failover.heartbeat()
+        assert report["lab-store"]["FailedOver"]["Promoted"] == "lab-store-r1"
+        after = profile_pulls(system, "lab-store-r1")
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
+        assert system.broker.sync.stale_contributors() == []
+
+    def test_split_cutover_sends_one_bulk_request(self, tmp_path):
+        from repro.core import SensorSafeSystem
+
+        system = SensorSafeSystem(seed=7)
+        system.create_shard_fleet(1, directory=str(tmp_path), durable=True)
+        for i in range(10):
+            system.add_contributor(f"user-{i}").add_rule(Rule(consumers=("bob",), action=ALLOW))
+        report = system.split_shard("shard-1", "shard-2", directory=str(tmp_path), durable=True)
+        assert report["Moved"] >= 2
+        assert profile_pulls(system, "shard-2") == (1, 0)
+        assert system.broker.sync.stale_contributors() == []

@@ -193,8 +193,10 @@ class TestSyncAttacks:
             pushed.append(system.network.request("POST", "https://mallory-store/api/rules/add", body))
         record = broker.registry.get("alice")
         assert (record.host, broker.directory.routing_epoch) == ("alice-store", epoch)
-        # The broker refused every push; the store answers its caller so.
-        assert [(r.status, r.body["ErrorKind"]) for r in pushed] == [(403, "AuthorizationError")] * 3
+        # The broker refused every push, and a push is only a hint: the
+        # edits stand at mallory-store, and nothing moved at the broker.
+        assert [r.status for r in pushed] == [200] * 3
+        assert system.stores["mallory-store"].rules.version_of("alice") == 3
         own = system.stores["alice-store"].rules.snapshot("alice")
         assert (record.rules_version, record.rules) == (1, own.rules)
         carol = system.add_consumer("carol")
@@ -202,6 +204,29 @@ class TestSyncAttacks:
         assert broker.escrow.key_for("carol", "mallory-store") is None
         alice.add_rule(Rule(consumers=("carol",), action=ALLOW))
         assert broker.registry.get("alice").rules_version == 2
+
+    def test_a_refused_push_fails_no_owner_edit(self, deployment):
+        """A push the broker refuses is not the owner's answer: her
+        revocation answers 200 and is enforced, the route and the mirror
+        stay where they were, and the next pull round repairs the mirror."""
+        from repro.net.faults import FaultPlan
+
+        system, alice, bob = deployment
+        broker = system.broker
+        epoch = broker.directory.routing_epoch
+        plan = FaultPlan(seed=0)
+        plan.add_error("broker", path="/api/sync", status=403)
+        system.install_faults(plan)
+        body = {"Contributor": "alice", "Rules": [], "ApiKey": alice.client.api_key}
+        response = system.network.request("POST", "https://alice-store/api/rules/replace", body)
+        assert (response.status, response.body["Version"]) == (200, 2)
+        assert bob.fetch("alice") == []
+        record = broker.registry.get("alice")
+        assert (record.host, broker.directory.routing_epoch) == ("alice-store", epoch)
+        assert (record.rules_version, len(record.rules)) == (1, 1)
+        system.install_faults(None)
+        assert broker.pull_profiles() == 1
+        assert (record.rules_version, record.rules) == (2, ())
 
     def test_replayed_stale_profile_ignored(self, deployment):
         """Replaying an old (more permissive) rule snapshot does not roll

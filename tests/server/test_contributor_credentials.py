@@ -194,7 +194,7 @@ def test_no_profile_and_no_consumer_response_carries_the_credential():
     broker_key = store.keys.key_of("__broker__")
     bob_key = store.keys.key_of("bob")
     aggregate = {"Aggregate": {"Function": "mean", "WindowMs": 60_000}}
-    asked = [(broker_key, "profile", {}), (broker_key, "profiles", {})] + [
+    asked = [(broker_key, "profiles", {}), (broker_key, "profiles", {"Contributors": ["alice"]})] + [
         (bob_key, path, body)
         for path, body in [("query", {}), ("aggregate", aggregate), ("stats", {}),
                            ("health", {}), ("recovery", {}), ("replicate/status", {})]

@@ -90,7 +90,7 @@ class TestAuthLayer:
     def test_broker_endpoints_restricted(self, setup):
         _, _, alice, _ = setup
         response = alice.post(
-            "https://store/api/profile", {"Contributor": "alice"}, raw=True
+            "https://store/api/profiles", {"Contributors": ["alice"]}, raw=True
         )
         assert response.status == 403
 
@@ -298,7 +298,8 @@ class TestBrokerPairing:
         network, service, alice, _ = setup
         broker_key = service.pair_broker()
         broker = HttpClient(network, "broker", broker_key)
-        profile = broker.post("https://store/api/profile", {"Contributor": "alice"})
+        body = broker.post("https://store/api/profiles", {"Contributors": ["alice"]})
+        [profile] = body["Profiles"]
         assert profile["Contributor"] == "alice"
         assert profile["Host"] == "store"
 

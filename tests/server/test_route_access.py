@@ -19,7 +19,7 @@ from repro.rules.parser import rule_to_json
 from repro.sensors.packets import encode_upload, packetize
 from repro.server.broker_service import BrokerService
 from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
-from repro.server.routes import CALLERS, route
+from repro.server.routes import CALLERS, mount, route
 from repro.server.webui import BrokerWebUI, DataStoreWebUI
 from repro.storage import records
 from repro.storage.replication import encode_ship
@@ -72,7 +72,6 @@ BODIES = {
     "POST /api/places/list": ALICE,
     "POST /api/audit/list": ALICE,
     "POST /api/audit/summary": ALICE,
-    "POST /api/profile": ALICE,
     "POST /api/profiles": {},
     "POST /api/migrate/export": {"Contributors": ["alice"]},
     "POST /api/migrate/install": {"Records": []},
@@ -176,16 +175,17 @@ def routes(*callers, writes=None):
 
 class TestDeclarations:
     def test_every_mounted_api_route_is_declared(self, store):
-        mounted = {}
-        for method, segments, handler in store.service.router._routes:
-            mounted[f"{method} /{'/'.join(segments)}"] = getattr(handler, "route", None)
+        mounted = {
+            name: getattr(handler, "route", None)
+            for name, handler in store.service.router._routes.items()
+        }
         assert mounted == ROUTES  # the web UI mounts its /web/ pages later, elsewhere
         assert all(route.caller in CALLERS for route in ROUTES.values())
 
     def test_the_declarations_are_the_admission_classes(self, store):
         classes = {name: declared.admission for name, declared in ROUTES.items()}
         assert store.service.admission.classes == classes
-        assert len(ROUTES) == 31
+        assert len(ROUTES) == 30
 
     def test_writes_is_exactly_the_eleven_mutations_that_ship_under_their_ack_plus_enrollment(self):
         assert {name for name, route in ROUTES.items() if route.writes} == WRITES
@@ -216,13 +216,22 @@ class TestRefusals:
         store.refused(name, "bob", 403)
         store.refused(name, "alice", 403)
 
-    @pytest.mark.parametrize("name", routes("owner", "reader") + ["POST /api/profile"])
+    @pytest.mark.parametrize("name", routes("owner", "reader"))
     def test_fenced_contributor_is_409(self, store, name):
         fence = store.send(
             "POST /api/migrate/fence", "broker", {"Contributors": ["alice"]}
         )
         assert fence.status == 200
         store.refused(name, store.right_key(name), 409, "NotPrimaryError")
+
+    def test_fenced_contributor_is_missing_from_the_profile_pull(self, store):
+        fence = store.send(
+            "POST /api/migrate/fence", "broker", {"Contributors": ["alice"]}
+        )
+        assert fence.status == 200
+        body = store.send("POST /api/profiles", "broker", {"Contributors": ["alice", "carol"]}).body
+        assert [p["Contributor"] for p in body["Profiles"]] == ["carol"]
+        assert body["Missing"] == ["alice"]
 
     @pytest.mark.parametrize("name", sorted(WRITES) + routes("reader"))
     def test_demoted_store_refuses_before_it_looks_at_the_key(self, store, name):
@@ -366,12 +375,28 @@ def test_every_route_a_web_ui_mounts_has_a_declared_class():
     broker = BrokerService(network)
     for service, web_ui, pages in ((store, DataStoreWebUI, 5), (broker, BrokerWebUI, 4)):
         web_ui(service)
-        mounted = {
-            f"{method} /{'/'.join(segments)}": handler.route
-            for method, segments, handler in service.router._routes
-        }
-        assert all("{" not in name for name in mounted)  # concrete paths only
+        mounted = {name: handler.route for name, handler in service.router._routes.items()}
         assert service.admission.classes == {
             name: declared.admission for name, declared in mounted.items()
         }
         assert sum(name.startswith("POST /web/") for name in mounted) == pages
+
+
+def test_a_second_handler_for_a_mounted_route_is_refused():
+    """``mount`` refuses a ``"METHOD path"`` its router already serves, so
+    the admission class and the handler answering a route cannot disagree."""
+
+    class Shadow:
+        @route("POST", "/api/query", caller="open", admission="scrape")
+        def _h_shadow(self, request):
+            return {}
+
+    store = DataStoreService("store", Network())
+    served = store.router._routes["POST /api/query"]
+    with pytest.raises(ValueError, match="already mounted"):
+        mount(Shadow(), store.router, store.admission.classes)
+    assert store.router._routes["POST /api/query"] is served
+    assert store.admission.classes["POST /api/query"] == served.route.admission == "query"
+    DataStoreWebUI(store)
+    with pytest.raises(ValueError, match="already mounted"):
+        DataStoreWebUI(store)
