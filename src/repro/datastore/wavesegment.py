@@ -49,6 +49,25 @@ def check_format(channels: tuple, interval_ms: Optional[int]) -> None:
         raise ValidationError(f"sampling interval must be a positive integer: {interval_ms!r}")
 
 
+class _DerivedId:
+    """``WaveSegment.segment_id`` of a segment built without one — a cut, a
+    decoded release waveform: derived on first read, exactly as
+    ``__post_init__`` derives it, and kept on the instance.  A non-data
+    descriptor, unlike a property, steps aside once the instance holds
+    the value, so every later read is a plain attribute read.  Its
+    default (the class-level read) is the empty id the constructor
+    replaces."""
+
+    def __get__(self, segment, owner=None):
+        if segment is None:
+            return ""
+        segment_id = stable_id(
+            segment.contributor, segment.channels, segment.start_ms, len(segment.values)
+        )
+        vars(segment)["segment_id"] = segment_id
+        return segment_id
+
+
 @dataclass(frozen=True)
 class WaveSegment:
     """An immutable run of samples over one or more channels.
@@ -73,7 +92,7 @@ class WaveSegment:
     values: np.ndarray
     location: Optional[LatLon] = None
     context: dict = field(default_factory=dict)
-    segment_id: str = ""
+    segment_id: str = _DerivedId()
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
@@ -97,24 +116,49 @@ class WaveSegment:
 
     @classmethod
     def _of_checked_format(
-        cls, contributor, channels, start_ms, interval_ms, values, segment_id
+        cls, contributor, channels, start_ms, interval_ms, values, location=None, context=None
     ) -> "WaveSegment":
-        """A bare segment whose format already passed :func:`check_format`
-        and whose ``values`` are a read-only float64 ``(n > 0, len(channels))``
-        view: how :func:`repro.rules.engine.decode_release` builds every
-        waveform of a frame after checking each header once."""
+        """A segment built from fields that already hold what ``__post_init__``
+        checks, without checking them again: ``channels`` already passed
+        :func:`check_format` (a checked segment's own, or an ordered subset
+        of them that keeps ``Time``) and ``values`` is a non-empty 2-D
+        float64 ``(n, len(channels))`` view or copy, made read-only here.
+        Every cut of a segment is built here, and so is every waveform
+        :func:`repro.rules.engine.decode_release` reads after checking its
+        header once; the ``segment_id`` is derived when first read
+        (:class:`_DerivedId`).
+        """
+        if values.flags.writeable:  # a copy; a view of a checked segment is read-only
+            values.setflags(write=False)
         segment = object.__new__(cls)
-        vars(segment).update(
-            contributor=contributor,
-            channels=channels,
-            start_ms=start_ms,
-            interval_ms=interval_ms,
-            values=values,
-            location=None,
-            context={},
-            segment_id=segment_id,
+        object.__setattr__(
+            segment,
+            "__dict__",
+            {
+                "contributor": contributor,
+                "channels": channels,
+                "start_ms": start_ms,
+                "interval_ms": interval_ms,
+                "values": values,
+                "location": location,
+                "context": {} if context is None else context,
+            },
         )
         return segment
+
+    def _cut(self, start_ms: int, values: np.ndarray, channels=None) -> "WaveSegment":
+        """This segment's samples ``values`` from ``start_ms``, over
+        ``channels`` (its own by default), where and in what context they
+        were taken kept."""
+        return WaveSegment._of_checked_format(
+            self.contributor,
+            self.channels if channels is None else channels,
+            start_ms,
+            self.interval_ms,
+            values,
+            self.location,
+            self.context,
+        )
 
     # ------------------------------------------------------------------
     # Basic geometry
@@ -123,7 +167,7 @@ class WaveSegment:
     @property
     def n_samples(self) -> int:
         """Number of samples (rows) per channel."""
-        return int(self.values.shape[0])
+        return len(self.values)
 
     @property
     def end_ms(self) -> int:
@@ -216,7 +260,7 @@ class WaveSegment:
         """
         step = self.interval_ms
         first = max(0, -((self.start_ms - window.start) // step))
-        stop = min(self.n_samples, -((self.start_ms - window.end) // step))
+        stop = min(len(self.values), -((self.start_ms - window.end) // step))
         return first, stop
 
     def slice_time(self, window: Interval) -> Optional["WaveSegment"]:
@@ -227,24 +271,14 @@ class WaveSegment:
                 return None
             if first == 0 and stop == self.n_samples:
                 return self
-            return replace(
-                self,
-                start_ms=self.start_ms + first * self.interval_ms,
-                values=self.values[first:stop],
-                segment_id="",
-            )
+            return self._cut(self.start_ms + first * self.interval_ms, self.values[first:stop])
         times = self.sample_times()
         mask = (times >= window.start) & (times < window.end)
         if not mask.any():
             return None
         if mask.all():
             return self
-        return replace(
-            self,
-            start_ms=int(times[mask][0]),
-            values=self.values[mask],
-            segment_id="",
-        )
+        return self._cut(int(times[mask][0]), self.values[mask])
 
     def _kept_channels(self, names: Sequence[str]) -> tuple:
         """The segment's channels among ``names``, in segment order.
@@ -254,8 +288,9 @@ class WaveSegment:
         that change nothing share the tuple instead of holding a copy.
         """
         wanted = {TIME_CHANNEL, *names}
-        keep = tuple(c for c in self.channels if c in wanted)
-        return self.channels if keep == self.channels else keep
+        if wanted.issuperset(self.channels):
+            return self.channels
+        return tuple([c for c in self.channels if c in wanted])
 
     def select_channels(self, names: Sequence[str]) -> Optional["WaveSegment"]:
         """Project onto a subset of channels; None when none remain.
@@ -269,12 +304,7 @@ class WaveSegment:
         if keep is self.channels:
             return self
         cols = [self.channels.index(c) for c in keep]
-        return replace(
-            self,
-            channels=keep,
-            values=self.values[:, cols],
-            segment_id="",
-        )
+        return self._cut(self.start_ms, self.values[:, cols], keep)
 
     def released_piece(
         self, window: Interval, names: Sequence[str], anchor_ms: Optional[int] = None
@@ -294,7 +324,7 @@ class WaveSegment:
         # A fully covered segment shares the stored array itself, not a
         # fresh view of it: the release cache holds these by the thousand.
         values = self.values
-        if first > 0 or stop < self.n_samples:
+        if first > 0 or stop < len(values):
             values = values[first:stop]
         if keep is not self.channels:
             values = values[:, [self.channels.index(c) for c in keep]]
@@ -315,12 +345,12 @@ class WaveSegment:
         samples were taken leave the store only as the rule-shaped
         ``Location`` and ``ContextLabels`` of the released piece.
         """
-        return WaveSegment(
-            contributor=self.contributor,
-            channels=self.channels if channels is None else channels,
-            start_ms=self.start_ms if start_ms is None else start_ms,
-            interval_ms=self.interval_ms,
-            values=self.values if values is None else values,
+        return WaveSegment._of_checked_format(
+            self.contributor,
+            self.channels if channels is None else channels,
+            self.start_ms if start_ms is None else start_ms,
+            self.interval_ms,
+            self.values if values is None else values,
         )
 
     # ------------------------------------------------------------------

@@ -3,7 +3,7 @@
 :class:`~repro.rules.engine.RuleEngine` decides every release through a
 :class:`CompiledRuleSet`.  Evaluating rules as written would re-derive
 everything per segment — consumer buckets, sensor-group expansion,
-context-label grouping, networkx dependency-graph walks, ``datetime``
+context-label grouping, dependency-graph lookups, ``datetime``
 arithmetic for weekly windows — so a contributor's rule set is compiled
 **once per rules-version epoch** into:
 
@@ -40,7 +40,7 @@ safe are stated where they are used (coalesce distributes over span
 intersection: :func:`_compile_time`; a batch's windows clip to each
 segment's own: ``_matching_windows``; pruning by the batch span:
 ``evaluate_batch``; piece membership reduces to a start-point test:
-``_time_pieces``; deny dominance: ``_release_piece``);
+``_time_pieces``; deny dominance: ``_decide``);
 docs/ARCHITECTURE.md, "The rule engine", lists the evaluation order and
 the test that pins each step.
 
@@ -106,6 +106,9 @@ _NOTSHARE_TIME = len(TIME_LEVELS) - 1
 _KIND_ALLOW = 0
 _KIND_DENY = 1
 _KIND_ABSTRACTION = 2
+
+#: A piece decision: an unscoped Deny matched (counted on every piece).
+_FULL_DENY = object()
 
 
 @dataclass(frozen=True)
@@ -293,6 +296,8 @@ class CompiledRuleSet:
                 for consumer in cr.rule.consumers:
                     self._buckets.setdefault(consumer, []).append(cr.index)
         self._candidate_memo: OrderedDict = OrderedDict()
+        # (channel mask, piece rule indices) -> _decide's answer.
+        self._decision_memo: OrderedDict = OrderedDict()
 
         # --- spatial grid ------------------------------------------------
         self._grid: dict = {}
@@ -428,13 +433,14 @@ class CompiledRuleSet:
         use this to build *broken* artifacts — off-by-one interval
         boundaries, zeroed dependency bitmasks, a batch window that
         misses segments — that the oracle differential sweep must catch.
-        Candidate memos are reset so the substituted rules are actually
-        consulted.  Never used on the serving path.
+        The candidate and decision memos are reset so the substituted
+        rules are actually consulted.  Never used on the serving path.
         """
         import copy
 
         clone = copy.copy(self)
         clone._candidate_memo = OrderedDict()
+        clone._decision_memo = OrderedDict()
         clone._seg_mask_memo = dict(self._seg_mask_memo)
         if compiled is not None:
             clone.compiled = tuple(compiled)
@@ -723,18 +729,89 @@ class CompiledRuleSet:
         rules: list,
         seg_mask: int,
     ) -> Optional[ReleasedSegment]:
+        """One piece released: the memoized decision, then its shaping —
+        timestamp, waveform cut, abstracted location, coarsened labels."""
+        decision = self._decision(rules, seg_mask)
+        if decision is _FULL_DENY:
+            self._c_full_deny.inc()
+            return None
+        if not decision:
+            return None
+        names, withheld, eligible, loc_idx, time_idx, levels = decision
+        time_level = TIME_LEVELS[time_idx]
+        timestamp: Optional[int] = None
+        if time_idx != _NOTSHARE_TIME:
+            timestamp = truncate_timestamp(piece.start, time_level)
+        out_segment: Optional[WaveSegment] = None
+        if names:
+            out_segment = _shape_segment(segment, piece, names, time_level, timestamp)
+
+        location_level = LOCATION_LEVELS[loc_idx]
+        location = None
+        if segment.location is not None and loc_idx != _NOTSHARE_LOC:
+            location = abstract_location(segment.location, location_level)
+
+        labels: dict = {}
+        for category, fine_label in segment.context.items():
+            pos = self._sharing_pos.get(category)
+            if pos is None or not (eligible >> self._cat_bit[category]) & 1:
+                continue
+            label = coarsen_context_label(
+                category, fine_label, self._ladders[pos][levels[pos]]
+            )
+            if label is not None:
+                labels[category] = label
+
+        if out_segment is None and not labels:
+            return None  # bare location/timestamp metadata would leak
+
+        return ReleasedSegment(
+            segment.contributor,
+            piece,
+            out_segment,
+            timestamp,
+            time_level,
+            location,
+            location_level,
+            labels,
+            dict(withheld),
+        )
+
+    def _decision(self, rules: list, seg_mask: int):
+        """:meth:`_decide`, memoized per channel mask and rule indices.
+
+        Within one artifact the decision depends on nothing else: the
+        rules behind an index and every table the decision reads are fixed
+        at compile time (a channel first seen later only adds a bit).  The
+        memo dies with its artifact, and an artifact with its rules-version
+        epoch, so it needs no invalidation of its own.
+        """
+        key = (seg_mask, *[cr.index for cr in rules])
+        memo = self._decision_memo
+        decision = memo.get(key)
+        if decision is None:
+            decision = self._decide(rules, seg_mask)
+            if len(memo) >= CANDIDATE_MEMO_MAX:
+                memo.popitem(last=False)
+            memo[key] = decision
+        return decision
+
+    def _decide(self, rules: list, seg_mask: int):
+        """What a piece of a segment with channels ``seg_mask``, matched by
+        ``rules``, may release: :data:`_FULL_DENY`, ``()`` when nothing,
+        or ``(granted channel names, withheld reasons, eligible category
+        mask, location level, time level, context levels)``."""
         # Deny-first short-circuit: a matching unscoped Deny suppresses
         # the whole piece no matter what else matches (deny dominance —
         # invariant C8), so check it before computing any grant.
         has_allow = False
         for cr in rules:
             if cr.kind == _KIND_DENY and cr.scope_mask is None:
-                self._c_full_deny.inc()
-                return None
+                return _FULL_DENY
             if cr.kind == _KIND_ALLOW:
                 has_allow = True
         if not has_allow:
-            return None  # this window grants nothing
+            return ()  # this window grants nothing
 
         granted = 0
         for cr in rules:
@@ -776,7 +853,7 @@ class CompiledRuleSet:
                     ctx_idx = list(self._ctx_zero)
                 if level > ctx_idx[pos]:
                     ctx_idx[pos] = level
-        levels = self._ctx_zero if ctx_idx is None else ctx_idx
+        levels = self._ctx_zero if ctx_idx is None else tuple(ctx_idx)
         if (
             loc_idx == _NOTSHARE_LOC
             and time_idx == _NOTSHARE_TIME
@@ -784,7 +861,7 @@ class CompiledRuleSet:
                 levels[i] == self._ctx_notshare[i] for i in range(len(levels))
             )
         ):
-            return None  # every aspect at NotShare — equivalent to deny
+            return ()  # every aspect at NotShare — equivalent to deny
 
         # Dependency closure via bitmasks: a raw channel flows only if
         # every context it could reveal is itself shared raw.  Graph-only
@@ -836,46 +913,7 @@ class CompiledRuleSet:
                     withheld[name] = reason
             granted &= ~self._gps_mask
 
-        time_level = TIME_LEVELS[time_idx]
-        timestamp: Optional[int] = None
-        if time_idx != _NOTSHARE_TIME:
-            timestamp = truncate_timestamp(piece.start, time_level)
-        out_segment: Optional[WaveSegment] = None
-        if granted:
-            out_segment = _shape_segment(
-                segment, piece, self._bit_names(granted), time_level, timestamp
-            )
-
-        location_level = LOCATION_LEVELS[loc_idx]
-        location = None
-        if segment.location is not None and loc_idx != _NOTSHARE_LOC:
-            location = abstract_location(segment.location, location_level)
-
-        labels: dict = {}
-        for category, fine_label in segment.context.items():
-            pos = self._sharing_pos.get(category)
-            if pos is None or not (eligible >> self._cat_bit[category]) & 1:
-                continue
-            label = coarsen_context_label(
-                category, fine_label, self._ladders[pos][levels[pos]]
-            )
-            if label is not None:
-                labels[category] = label
-
-        if out_segment is None and not labels:
-            return None  # bare location/timestamp metadata would leak
-
-        return ReleasedSegment(
-            contributor=segment.contributor,
-            interval=piece,
-            segment=out_segment,
-            timestamp=timestamp,
-            time_level=time_level,
-            location=location,
-            location_level=location_level,
-            context_labels=labels,
-            withheld=withheld,
-        )
+        return tuple(self._bit_names(granted)), withheld, eligible, loc_idx, time_idx, levels
 
 
 def compile_rules(

@@ -6,55 +6,49 @@ and smoking).  Therefore, if a contributor chooses not to share such a
 sensor or a related context, the raw sensor data will not be shared even
 though other relevant contexts are chosen to be shared in raw data form."
 
-We model the dependency as a bipartite digraph (channels → contexts they
-can reveal) in :mod:`networkx`, and the enforcement as a *closure*: a raw
-channel may flow to a consumer only when **every** context reachable from
-it is being shared at its raw ladder level.  Benchmark C4 shows that
-without this closure a consumer can re-infer a denied context from leaked
-raw channels.
+We model the dependency as a bipartite graph (channels → contexts they
+can reveal), held as its two adjacency maps — every path runs from a
+channel to a context in one edge, so reachability is a lookup — and the
+enforcement as a *closure*: a raw channel may flow to a consumer only
+when **every** context reachable from it is being shared at its raw
+ladder level.  Benchmark C4 shows that without this closure a consumer
+can re-infer a denied context from leaked raw channels.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-import networkx as nx
-
 from repro.exceptions import UnknownContextError
 from repro.sensors.contexts import CONTEXTS, ContextSpec
 
 
 class DependencyGraph:
-    """Bipartite digraph: sensor channels → inferable context categories."""
+    """Bipartite graph: sensor channels → inferable context categories."""
 
     def __init__(self, contexts: Optional[Dict[str, ContextSpec]] = None):
         self.contexts = dict(contexts or CONTEXTS)
-        self.graph = nx.DiGraph()
-        for spec in self.contexts.values():
-            self.graph.add_node(spec.name, kind="context")
-            for channel_name in spec.source_channels:
-                self.graph.add_node(channel_name, kind="channel")
-                self.graph.add_edge(channel_name, spec.name)
+        #: context category -> the channels it can be inferred from.
+        self._revealing = {
+            spec.name: frozenset(spec.source_channels) for spec in self.contexts.values()
+        }
+        revealed: dict = {}
+        for context_name, channel_names in self._revealing.items():
+            for channel_name in channel_names:
+                revealed.setdefault(channel_name, set()).add(context_name)
+        #: channel -> the context categories it can reveal.
+        self._revealed = {name: frozenset(cats) for name, cats in revealed.items()}
 
     def contexts_revealed_by(self, channel_name: str) -> frozenset:
         """Context categories inferable from a raw channel."""
-        if channel_name not in self.graph:
-            return frozenset()
-        return frozenset(
-            node
-            for node in nx.descendants(self.graph, channel_name)
-            if self.graph.nodes[node].get("kind") == "context"
-        )
+        return self._revealed.get(channel_name, frozenset())
 
     def channels_revealing(self, context_name: str) -> frozenset:
         """Raw channels from which a context category can be inferred."""
-        if context_name not in self.graph:
-            raise UnknownContextError(f"unknown context category: {context_name!r}")
-        return frozenset(
-            node
-            for node in nx.ancestors(self.graph, context_name)
-            if self.graph.nodes[node].get("kind") == "channel"
-        )
+        try:
+            return self._revealing[context_name]
+        except KeyError:
+            raise UnknownContextError(f"unknown context category: {context_name!r}") from None
 
     def raw_permitted_channels(
         self, candidate_channels: Iterable[str], raw_shared_contexts: Iterable[str]

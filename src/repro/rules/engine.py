@@ -52,6 +52,7 @@ from repro.rules.dependency import DependencyGraph
 from repro.rules.model import Rule
 from repro.sensors.channels import GPS_LAT, GPS_LON
 from repro.util.geo import LabeledPlace
+from repro.util.idgen import stable_id
 from repro.util.jsonutil import require_keys, require_type
 from repro.util.timeutil import Interval
 
@@ -165,15 +166,18 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
     waveform's ``Format`` and ``SamplingInterval`` included — once, first
     use first, keyed by its bits (as :func:`repro.sensors.packets.encode_upload`
     keys a stream); ``Pieces`` one row a piece, ``[header, Timestamp]``
-    for labels alone or ``[header, Timestamp, StartTime, Samples,
-    SegmentId]`` for a waveform, integers all (``Timestamp`` is null when
-    time is not shared, ``SegmentId`` the 16-hex id as a number);
-    ``Values`` every waveform's samples, row-major and in piece order, as
-    one codec blob (the paper's wave-segment argument applied to the
-    release).  The only producer of a query response's ``Released``
-    member; :func:`decode_release` is its only parser.  A waveform that is
-    not :meth:`~WaveSegment.bare`, not its piece's contributor's or not
-    under its own id has no place in the frame: a ``ValidationError``.
+    for labels alone or ``[header, Timestamp, StartTime, Samples]`` for a
+    waveform, integers all (``Timestamp`` is null when time is not
+    shared); ``Values`` every waveform's samples, row-major and in piece
+    order, as one codec blob (the paper's wave-segment argument applied to
+    the release).  A waveform's ``segment_id`` does not travel: it is
+    derived from the contributor, ``Format``, ``StartTime`` and
+    ``Samples`` the frame already carries, so :func:`decode_release`
+    derives it again.  The only producer of a query response's
+    ``Released`` member; :func:`decode_release` is its only parser.  A
+    waveform that is not :meth:`~WaveSegment.bare`, not its piece's
+    contributor's or set under an id other than its own derivation has no
+    place in the frame: a ``ValidationError``.
     """
     index, headers, rows, arrays = {}, [], [], []
     for r in released:
@@ -202,22 +206,22 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
         if segment is None:
             rows.append([header, r.timestamp])
             continue
-        try:
-            number = int(segment.segment_id, 16)
-        except ValueError:
-            number = -1
+        # Only an id set at construction can differ from its derivation:
+        # a cut has none until it is read, so no cut is hashed here.
+        given, values = vars(segment).get("segment_id"), segment.values
         if (
             segment.location is not None
             or segment.context
             or segment.contributor != r.contributor
-            or f"{number:016x}" != segment.segment_id
+            or given is not None
+            and given != stable_id(r.contributor, segment.channels, segment.start_ms, len(values))
         ):
             raise ValidationError(
                 f"released piece {len(rows)}: a waveform travels bare (no capture location, "
                 "no stored context), as its piece's contributor's, under its own id"
             )
-        rows.append([header, r.timestamp, segment.start_ms, segment.n_samples, number])
-        arrays.append(segment.values.ravel())
+        rows.append([header, r.timestamp, segment.start_ms, len(values)])
+        arrays.append(values.ravel())
     flat = np.concatenate(arrays) if arrays else np.empty(0)
     return {
         "Headers": headers,
@@ -234,7 +238,8 @@ def decode_release(frame: dict) -> list:
     only has to be integers naming a header that fits it, with a positive
     sample count the blob can pay.  The blob is read in place: each
     waveform's ``values`` is a read-only view of the frame's own ``bytes``
-    (so holding a piece keeps its release's samples alive).
+    (so holding a piece keeps its release's samples alive), and its
+    ``segment_id`` is derived from its header and row when first read.
     :class:`~repro.exceptions.SchemaError`, and no piece returned, unless
     ``Values`` is one ``le-f64`` blob of one channel, every header parses
     and is used, and the rows consume the blob exactly.
@@ -249,15 +254,15 @@ def decode_release(frame: dict) -> list:
     pieces, offset, size = [], 0, flat.size
     for n, row in enumerate(require_type(frame["Pieces"], list, where="release frame Pieces")):
         cells = len(row) if type(row) is list else 0
-        if cells == 5:
-            header, timestamp, start, count, number = row
+        if cells == 4:
+            header, timestamp, start, count = row
         elif cells == 2:
             header, timestamp = row
-            start = count = number = 0
+            start = count = 0
         else:
-            raise SchemaError(f"release frame: piece {n} is not a row of two or five integers")
+            raise SchemaError(f"release frame: piece {n} is not a row of two or four integers")
         if not (
-            type(header) is type(start) is type(count) is type(number) is int
+            type(header) is type(start) is type(count) is int
             and (timestamp is None or type(timestamp) is int)
         ):
             raise SchemaError(f"release frame: piece {n} is not a row of integers")
@@ -266,22 +271,17 @@ def decode_release(frame: dict) -> list:
         contributor, time_level, location, location_level, labels, withheld, channels, interval = (
             headers[header]
         )
-        if (cells == 5) != (channels is not None):
+        if (cells == 4) != (channels is not None):
             raise SchemaError(f"release frame: piece {n} is a row its header does not fit")
         used[header] = True
         if cells == 2:
             segment, span = None, Interval(timestamp or 0, (timestamp or 0) + 1)
         else:
             end = offset + count * len(channels)
-            if count <= 0 or end > size or not 0 <= number < 1 << 64:
-                raise SchemaError(
-                    f"release frame: piece {n} has no samples, overruns the blob "
-                    "or has no 64-bit SegmentId"
-                )
+            if count <= 0 or end > size:
+                raise SchemaError(f"release frame: piece {n} has no samples or overruns the blob")
             values = flat[offset:end].reshape(count, len(channels))
-            segment = WaveSegment._of_checked_format(
-                contributor, channels, start, interval, values, f"{number:016x}"
-            )
+            segment = WaveSegment._of_checked_format(contributor, channels, start, interval, values)
             if interval is not None:  # segment.interval, without its property chain
                 span = Interval(start, start + count * interval)
             else:

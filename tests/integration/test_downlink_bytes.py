@@ -10,8 +10,9 @@ is divided by the samples bob received.  An hour releases ~22 pieces of
 ~200 samples, so whatever each piece repeats shows here: while every
 piece was its own ~400 B object with the waveform's shape, format and
 interval inside, the day cost 9.95 B a sample (c572d47); with each shared
-header written once a frame and a five-integer row per piece it costs
-8.81.
+header written once a frame and a five-integer row per piece it cost
+8.81 (19154d4); with the row's 20-digit segment id dropped — the consumer
+derives it from the header and the row — a four-integer row costs 8.72.
 """
 
 from repro.core import SensorSafeSystem

@@ -82,3 +82,38 @@ class TestCustomGraph:
 
         graph = DependencyGraph({"Stress": CONTEXTS["Stress"]})
         assert graph.contexts_revealed_by("Respiration") == frozenset({"Stress"})
+
+
+def test_importing_the_package_loads_no_graph_library():
+    """The dependency graph is two dicts: ``import repro`` (which builds
+    :data:`DEFAULT_DEPENDENCIES`) leaves ``networkx`` unloaded."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = "import sys, repro, repro.rules.compiler; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
+class TestAdjacency:
+    def test_every_edge_reads_the_same_both_ways(self):
+        for context, channels in (
+            (name, DEFAULT_DEPENDENCIES.channels_revealing(name))
+            for name in DEFAULT_DEPENDENCIES.contexts
+        ):
+            for channel in channels:
+                assert context in DEFAULT_DEPENDENCIES.contexts_revealed_by(channel)
+
+    def test_a_channel_name_is_no_context(self):
+        with pytest.raises(UnknownContextError):
+            DEFAULT_DEPENDENCIES.channels_revealing("Respiration")

@@ -3,6 +3,8 @@
 A consumer release travels as ``{"Headers": [...], "Pieces": [...],
 "Values": <one blob>}``: what pieces share is a header written once, a
 piece is one row of integers, and every waveform's samples ride one blob.
+A waveform's id does not ride at all: the consumer derives it from the
+header and row, as the store derived it.
 These tests hold the pair to being lossless over every kind of piece the
 engine can emit, to writing each header once and checking it once, to
 handing the consumer read-only views of the frame's own bytes, and to
@@ -124,9 +126,7 @@ def test_label_only_pieces_consume_nothing():
         segment=WaveSegment("alice", ("ECG",), 0, 1000, np.array([[1.5]])),  # 1 sample
     )
     frame = encode_release([labels, wave, labels])
-    assert frame["Pieces"] == [
-        [0, 5], [1, 0, 0, 1, int(wave.segment.segment_id, 16)], [0, 5],
-    ]
+    assert frame["Pieces"] == [[0, 5], [1, 0, 0, 1], [0, 5]]
     assert [(h["Format"], h["SamplingInterval"]) for h in frame["Headers"]] == [
         (None, None), (["ECG"], 1000),
     ]
@@ -266,8 +266,9 @@ _NOT_BARE = {
 @pytest.mark.parametrize("what", sorted(_NOT_BARE))
 def test_a_waveform_that_is_not_bare_has_no_place_in_the_frame(what):
     """A header has no member for a waveform's capture location, stored
-    context or owner, and a row carries its id as a number: ``encode_release``
-    refuses what the frame could not carry rather than dropping it silently."""
+    context or owner, and no cell carries its id, which the consumer derives:
+    ``encode_release`` refuses what the frame could not carry rather than
+    dropping it silently — an id set other than its derivation included."""
     wave = WaveSegment("alice", ("ECG",), 0, 250, np.array([[1.0], [2.0]]))
     bad = _NOT_BARE[what](wave)
     with pytest.raises(ValidationError, match="bare"):
@@ -279,7 +280,7 @@ def _frame():
     """Two 2x1 waveforms around a label-only piece: four values.
 
     ``Headers`` is ``[waveform, labels]``; ``Pieces`` is ``[[0, null, 0,
-    2, id], [1, null], [0, null, 0, 2, id]]``.
+    2], [1, null], [0, null, 0, 2]]``.
     """
     wave = WaveSegment("alice", ("ECG",), 0, 250, np.array([[1.0], [2.0]]))
     return encode_release(
@@ -291,7 +292,7 @@ def _frame():
     )
 
 
-_COLUMNS = ("Header", "Timestamp", "StartTime", "Samples", "SegmentId")
+_COLUMNS = ("Header", "Timestamp", "StartTime", "Samples")
 
 
 def _with_cells(index, **cells):
@@ -398,6 +399,9 @@ MALFORMED = {
     # a row is integers naming a header it fits
     "row of one": _with_pieces(_frame()["Pieces"][:2] + [[0]]),
     "row of three": _with_pieces(_frame()["Pieces"][:2] + [[0, None, 0]]),
+    "row of five (the parent's, its id a number)": _with_pieces(
+        _frame()["Pieces"][:2] + [[0, None, 0, 2, 0xAB]]
+    ),
     "row names no header": _with_cells(0, Header=2),
     "row names a negative header": _with_cells(0, Header=-1),
     "row header is a boolean": _with_cells(1, Header=True),
@@ -411,9 +415,6 @@ MALFORMED = {
     "Samples is text": _with_cells(0, Samples="two"),
     "zero Samples": _with_cells(0, Samples=0),
     "negative Samples": _with_cells(2, Samples=-2),
-    "SegmentId is hex text": _with_cells(0, SegmentId="00000000000000ab"),
-    "SegmentId is negative": _with_cells(0, SegmentId=-1),
-    "SegmentId is past 64 bits": _with_cells(0, SegmentId=1 << 64),
     # the rows must consume the blob exactly
     "vector one short": _with_vector(3),
     "vector one long": _with_vector(5),
