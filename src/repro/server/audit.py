@@ -96,6 +96,9 @@ class AuditLog:
 
     def __init__(self) -> None:
         self._records: dict[str, list] = {}
+        #: contributor -> the seqs its trail holds, so a restore tests a
+        #: record's presence without scanning the trail.
+        self._seqs: dict[str, set] = {}
         self._next_seq = 1
         #: Durability hooks fired with each freshly appended record (the
         #: write-ahead log journals the trail through these); restores do
@@ -137,6 +140,7 @@ class AuditLog:
         prev = trail[-1].chain if trail else ""
         record = replace(record, chain=chain_value(prev, record))
         trail.append(record)
+        self._seqs.setdefault(contributor, set()).add(seq)
         for listener in self._listeners:
             listener(record)
         return record
@@ -160,10 +164,11 @@ class AuditLog:
         max_seq = 0
         for record in records:
             max_seq = max(max_seq, record.seq)
-            trail = self._records.setdefault(record.contributor, [])
-            if any(existing.seq == record.seq for existing in trail):
+            seqs = self._seqs.setdefault(record.contributor, set())
+            if record.seq in seqs:
                 continue
-            trail.append(record)
+            seqs.add(record.seq)
+            self._records.setdefault(record.contributor, []).append(record)
             count += 1
         self._next_seq = max(self._next_seq, max_seq + 1)
         return count

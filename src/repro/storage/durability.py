@@ -29,6 +29,7 @@ benchmark C10 budget.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Optional
 
 from repro.exceptions import CorruptRecordError, StorageError
@@ -47,9 +48,8 @@ from repro.storage.recovery import (
     manifest_path,
     recover_service,
     snapshot_path,
-    wal_path,
 )
-from repro.storage.wal import SYNC_GROUP, WriteAheadLog, scan_wal
+from repro.storage.wal import SYNC_GROUP, WriteAheadLog
 from repro.util import jsonutil
 
 
@@ -131,24 +131,25 @@ class Durability:
         self.generation = report.generation
         self.recovery_report = report
         os.makedirs(self.directory, exist_ok=True)
-        # recover_service repaired the log, so a fresh scan is clean — but
-        # after a checkpoint reset it the file alone says next_lsn=1.  Seed
-        # the LSN from the manifest too, or every post-restart mutation
-        # would be numbered at or below CheckpointLsn and silently skipped
-        # by the replay filter on the *next* recovery (a committed rule
-        # change lost without any corruption signal).
-        scan = scan_wal(wal_path(self.directory, self.service.host))
-        if scan.corrupt or scan.torn:
+        # recover_service read the log once and repaired it: reopen at the
+        # end that pass verified, unless the file is not exactly that prefix.
+        # Seed the LSN from the manifest too — after a checkpoint reset the
+        # file alone says next_lsn=1, and every post-restart mutation would
+        # then be numbered at or below CheckpointLsn and silently skipped by
+        # the replay filter on the *next* recovery (a committed rule change
+        # lost without any corruption signal).
+        end = report.wal_end
+        size = os.path.getsize(end.path) if os.path.exists(end.path) else 0
+        if size != end.good_bytes:
             raise CorruptRecordError(
-                f"WAL {scan.path!r} still damaged after recovery "
-                f"({scan.corrupt_reason or 'torn tail'})"
+                f"WAL {end.path!r} still damaged after recovery "
+                f"({size} bytes on disk, {end.good_bytes} verified)"
             )
-        scan.next_lsn = max(scan.next_lsn, report.checkpoint_lsn + 1)
         self.wal = WriteAheadLog(
-            wal_path(self.directory, self.service.host),
+            end.path,
             sync=self.sync,
             faults=self.faults,
-            resume=scan,
+            resume=replace(end, next_lsn=max(end.next_lsn, report.checkpoint_lsn + 1)),
         )
         # Journal the fail-closed deny state itself (the sweep ran before
         # the log was open): a second crash before the next checkpoint

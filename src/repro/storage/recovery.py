@@ -9,11 +9,12 @@ DataStoreService` (driven by :class:`~repro.storage.durability.Durability`):
    :func:`repro.storage.records.apply` — routing undecodable lines and
    refused rows to **quarantine** (they are copied out and counted,
    never silently dropped);
-3. scan the write-ahead log: truncate a *torn tail* (the append that was
-   in flight when the process died — never acknowledged, safe to cut),
-   quarantine anything *corrupt* (checksum/chain/LSN breaks);
-4. replay WAL records with LSN above the manifest's checkpoint LSN,
-   through the same installer;
+3. replay write-ahead-log records with LSN above the manifest's
+   checkpoint LSN, through the same installer, each as it is read and
+   verified (the log is read once, a frame at a time);
+4. repair the log: truncate a *torn tail* (the append that was in flight
+   when the process died — never acknowledged, safe to cut), quarantine
+   anything *corrupt* (checksum/chain/LSN breaks);
 5. verify the audit trail's checksum chain;
 6. **fail closed for rules**: when corruption touched anything that feeds
    rule semantics, affected contributors get an *empty* rule set with a
@@ -70,7 +71,7 @@ from repro.storage.records import (
     fail_close,
     record_owner,
 )
-from repro.storage.wal import WalScan, repair_wal, scan_wal
+from repro.storage.wal import WalScan, read_wal, repair_wal
 from repro.util import jsonutil
 
 
@@ -142,6 +143,10 @@ class RecoveryReport:
     fail_closed: list = field(default_factory=list)
     audit_chain_breaks: dict = field(default_factory=dict)  # contributor -> seqs
     alerts: list = field(default_factory=list)
+    #: The repaired log's end as the replay pass read it (``good_bytes``,
+    #: ``chain``, ``next_lsn``): the WAL reopens there without a second
+    #: read.  Not part of the report's JSON.
+    wal_end: Optional[WalScan] = field(default=None, repr=False, compare=False)
 
     @property
     def clean(self) -> bool:
@@ -373,9 +378,30 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     wal_clean_places: set = set()
 
     # ------------------------------------------------------------------
-    # 3 + 4. WAL: repair, then replay past the checkpoint LSN.
+    # 3 + 4. WAL: replay past the checkpoint LSN as it reads, then repair.
     # ------------------------------------------------------------------
-    scan = scan_wal(wal_path(directory, host))
+    # Each verified frame is applied as the reader yields it, so neither the
+    # file nor its records are held whole.  A record that fails to apply is
+    # kept aside and quarantined after the scan, so the report reads as if
+    # the log's damage were known first: the corruption, then each record.
+    scan = WalScan(path=wal_path(directory, host))
+    refused = []
+    for lsn, op, data in read_wal(scan):
+        if lsn <= checkpoint_lsn:
+            report.wal_records_skipped += 1
+            continue
+        try:
+            apply(service, op, data, journal=False, rules_trusted=not rules_untrusted)
+        except SensorSafeError as exc:
+            refused.append((lsn, op, data, exc))
+            continue
+        report.wal_records_replayed += 1
+        # Rule and place records carry complete state, so replaying one
+        # vouches for its contributor whether or not its version won.
+        if op == OP_RULES:
+            wal_clean_rules.add(record_owner(op, data))
+        elif op == OP_PLACES:
+            wal_clean_places.add(record_owner(op, data))
     report.wal_torn_bytes = scan.torn_bytes
     if scan.corrupt:
         report.wal_corrupt = True
@@ -386,27 +412,14 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     if qpath is not None:
         report.quarantined_files.append(qpath)
         report.quarantined_records += 1
-    for lsn, op, data in scan.records:
-        if lsn <= checkpoint_lsn:
-            report.wal_records_skipped += 1
-            continue
-        try:
-            apply(service, op, data, journal=False, rules_trusted=not rules_untrusted)
-        except SensorSafeError as exc:
-            quarantine.record(wal_path(directory, host), lsn,
-                              jsonutil.canonical_dumps({"Op": op, "Data": data}),
-                              str(exc))
-            if op in (OP_RULES, OP_PLACES) or op not in KNOWN_OPS:
-                wal_untrusted = True
-            report.alert(f"WAL record lsn={lsn} op={op!r} failed to apply: {exc}")
-            continue
-        report.wal_records_replayed += 1
-        # Rule and place records carry complete state, so replaying one
-        # vouches for its contributor whether or not its version won.
-        if op == OP_RULES:
-            wal_clean_rules.add(record_owner(op, data))
-        elif op == OP_PLACES:
-            wal_clean_places.add(record_owner(op, data))
+    report.wal_end = scan
+    for lsn, op, data, exc in refused:
+        quarantine.record(scan.path, lsn,
+                          jsonutil.canonical_dumps({"Op": op, "Data": data}),
+                          str(exc))
+        if op in (OP_RULES, OP_PLACES) or op not in KNOWN_OPS:
+            wal_untrusted = True
+        report.alert(f"WAL record lsn={lsn} op={op!r} failed to apply: {exc}")
 
     # ------------------------------------------------------------------
     # 5. Audit chain verification.

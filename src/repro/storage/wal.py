@@ -24,7 +24,8 @@ widen sharing, so the frame format is built to make every failure mode
   manifest records the LSN it covers, making replay idempotent when a
   crash lands between snapshot commit and log reset.
 
-Scan policy (:func:`scan_wal`): a torn tail is the expected crash artifact
+Scan policy (:func:`read_wal`, which reads the file a frame at a time and
+yields each frame it verified): a torn tail is the expected crash artifact
 — the in-flight append was never acknowledged — and is truncated away by
 :func:`repair_wal`.  Anything else (bad header CRC, bad payload CRC, chain
 or LSN break) marks the frame *and everything after it* as suspect; those
@@ -41,11 +42,12 @@ force-sync control-plane records), ``"never"`` leaves flushing to the OS
 from __future__ import annotations
 
 import os
+import shutil
 import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.exceptions import CorruptRecordError, SensorSafeError, StorageError
 from repro.util import jsonutil
@@ -120,10 +122,11 @@ def decode_payload(payload: bytes) -> tuple:
 
 @dataclass
 class WalScan:
-    """Result of reading a WAL file back: records plus damage assessment."""
+    """Result of reading a WAL file back: its end plus damage assessment."""
 
     path: str
-    #: ``(lsn, op, data)`` for every intact, chain-consistent frame.
+    #: ``(lsn, op, data)`` for every intact, chain-consistent frame; filled
+    #: only by :func:`scan_wal` (:func:`read_wal` yields them instead).
     records: list = field(default_factory=list)
     chain: int = 0  # chain value after the last good frame
     next_lsn: int = 1
@@ -146,66 +149,82 @@ class WalScan:
         return self.corrupt_offset is not None
 
 
+def read_wal(scan: WalScan) -> Iterator[tuple]:
+    """Yield ``(lsn, op, data)`` of each verified frame of ``scan.path``.
+
+    The one WAL reader: it holds one frame at a time, never the file, and
+    checks each frame (header CRC, plausible length, payload CRC, chain,
+    monotonic LSN, decodable payload) before yielding it.  When it stops
+    it has filled ``scan`` with the log's end (``good_bytes``, ``chain``,
+    ``next_lsn``) and its damage (torn bytes, the corrupt offset and
+    reason, the suspect records past a corruption); ``scan.records`` is
+    left alone.  Never raises on bad bytes.
+    """
+    if not os.path.exists(scan.path):
+        return
+    with open(scan.path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
+        chain_prev = 0
+        last_lsn = 0
+        while offset < size:
+            remaining = size - offset
+            if remaining < HEADER_SIZE:
+                scan.torn_bytes = remaining  # tear landed inside the header
+                return
+            header = fh.read(HEADER_SIZE)
+            length, lsn, chain, payload_crc, header_crc = _HEADER.unpack(header)
+            if zlib.crc32(header[:16]) & 0xFFFFFFFF != header_crc:
+                scan.corrupt_reason = "header checksum mismatch"
+            elif length > MAX_FRAME_BYTES:
+                scan.corrupt_reason = f"implausible frame length {length}"
+            elif remaining < HEADER_SIZE + length:
+                scan.torn_bytes = remaining  # valid header, short payload: torn
+                return
+            else:
+                payload = fh.read(length)
+                if zlib.crc32(payload) & 0xFFFFFFFF != payload_crc:
+                    scan.corrupt_reason = "payload checksum mismatch"
+                elif chain != _chain(payload, chain_prev):
+                    scan.corrupt_reason = "chain break (frames missing or reordered)"
+                elif lsn <= last_lsn:
+                    scan.corrupt_reason = f"LSN not monotonic ({lsn} after {last_lsn})"
+                else:
+                    try:
+                        op, body = decode_payload(payload)
+                    except CorruptRecordError as exc:
+                        scan.corrupt_reason = str(exc)
+            if scan.corrupt_reason:
+                scan.corrupt_offset = offset
+                break
+            chain_prev = chain
+            last_lsn = lsn
+            offset += HEADER_SIZE + length
+            scan.good_bytes = offset
+            scan.chain = chain_prev
+            scan.next_lsn = last_lsn + 1
+            yield lsn, op, body
+        while scan.corrupt and offset + HEADER_SIZE <= size:
+            fh.seek(offset)
+            header = fh.read(HEADER_SIZE)
+            length = _HEADER.unpack(header)[0]
+            # A flipped length may point past the end: read what is there.
+            frame = header + fh.read(min(length, size - offset - HEADER_SIZE))
+            try:  # best effort: a flipped length loses the frames it skips
+                scan.suspect.append(decode_payload(decode_frame(frame)[2]))
+            except CorruptRecordError:
+                pass
+            offset += HEADER_SIZE + length
+
+
 def scan_wal(path: str) -> WalScan:
-    """Parse a WAL file, classifying any damage; never raises on bad bytes."""
+    """Parse a WAL file, classifying any damage; never raises on bad bytes.
+
+    :func:`read_wal` drained into ``records``, for tools and tests; a
+    restart replays from the reader itself and keeps no list of records.
+    """
     scan = WalScan(path=path)
-    if not os.path.exists(path):
-        return scan
-    with open(path, "rb") as fh:
-        data = fh.read()
-    offset = 0
-    chain_prev = 0
-    last_lsn = 0
-    while offset < len(data):
-        remaining = len(data) - offset
-        if remaining < HEADER_SIZE:
-            scan.torn_bytes = remaining  # tear landed inside the header
-            break
-        length, lsn, chain, payload_crc, header_crc = _HEADER.unpack_from(data, offset)
-        if zlib.crc32(data[offset : offset + 16]) & 0xFFFFFFFF != header_crc:
-            scan.corrupt_offset = offset
-            scan.corrupt_reason = "header checksum mismatch"
-            break
-        if length > MAX_FRAME_BYTES:
-            scan.corrupt_offset = offset
-            scan.corrupt_reason = f"implausible frame length {length}"
-            break
-        if remaining < HEADER_SIZE + length:
-            scan.torn_bytes = remaining  # valid header, short payload: torn
-            break
-        payload = data[offset + HEADER_SIZE : offset + HEADER_SIZE + length]
-        if zlib.crc32(payload) & 0xFFFFFFFF != payload_crc:
-            scan.corrupt_offset = offset
-            scan.corrupt_reason = "payload checksum mismatch"
-            break
-        if chain != _chain(payload, chain_prev):
-            scan.corrupt_offset = offset
-            scan.corrupt_reason = "chain break (frames missing or reordered)"
-            break
-        if lsn <= last_lsn:
-            scan.corrupt_offset = offset
-            scan.corrupt_reason = f"LSN not monotonic ({lsn} after {last_lsn})"
-            break
-        try:
-            op, body = decode_payload(payload)
-        except CorruptRecordError as exc:
-            scan.corrupt_offset = offset
-            scan.corrupt_reason = str(exc)
-            break
-        scan.records.append((lsn, op, body))
-        chain_prev = chain
-        last_lsn = lsn
-        offset += HEADER_SIZE + length
-        scan.good_bytes = offset
-        scan.chain = chain_prev
-        scan.next_lsn = last_lsn + 1
-    while scan.corrupt and offset + HEADER_SIZE <= len(data):
-        end = offset + HEADER_SIZE + _HEADER.unpack_from(data, offset)[0]
-        try:  # best effort: a flipped length loses the frames it skips
-            scan.suspect.append(decode_payload(decode_frame(data[offset:end])[2]))
-        except CorruptRecordError:
-            pass
-        offset = end
+    scan.records = list(read_wal(scan))
     return scan
 
 
@@ -226,11 +245,9 @@ def repair_wal(scan: WalScan, *, quarantine_dir: Optional[str] = None) -> Option
         quarantine_path = os.path.join(
             quarantine_dir, f"{name}.offset{scan.corrupt_offset}.bin"
         )
-        with open(scan.path, "rb") as fh:
-            fh.seek(scan.corrupt_offset)
-            suspect = fh.read()
-        with open(quarantine_path, "wb") as fh:
-            fh.write(suspect)
+        with open(scan.path, "rb") as src, open(quarantine_path, "wb") as fh:
+            src.seek(scan.corrupt_offset)
+            shutil.copyfileobj(src, fh)  # in chunks, never the tail whole
             fh.flush()
             os.fsync(fh.fileno())
     with open(scan.path, "r+b") as fh:
@@ -243,9 +260,11 @@ def repair_wal(scan: WalScan, *, quarantine_dir: Optional[str] = None) -> Option
 class WriteAheadLog:
     """Append-only durable log of store mutations.
 
-    Open over an *already repaired* file (see :func:`scan_wal` /
-    :func:`repair_wal`; the recovery path does this) — the constructor
-    refuses a damaged log rather than appending garbage after garbage.
+    Open over an *already repaired* file (see :func:`read_wal` /
+    :func:`repair_wal`; the recovery path does this).  ``resume`` is the
+    log's end recovery's pass found; given none, the constructor reads the
+    file through once and refuses a damaged log rather than appending
+    garbage after garbage.
     """
 
     def __init__(
@@ -262,7 +281,9 @@ class WriteAheadLog:
         self.sync = sync
         self.faults = faults
         if resume is None:
-            resume = scan_wal(path)
+            resume = WalScan(path=path)
+            for _record in read_wal(resume):
+                pass
             if resume.corrupt or resume.torn:
                 raise CorruptRecordError(
                     f"WAL {path!r} is damaged ({resume.corrupt_reason or 'torn tail'}); "
