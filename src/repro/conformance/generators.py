@@ -8,10 +8,13 @@ place labels, overlapping and zero-length time windows, wrapping weekly
 windows, conflicting Allow/Deny over the same channels, abstraction
 actions at every ladder rung, segments with missing location or partial
 context annotation, and the occasional non-uniform (Time-column) segment.
+:class:`GeoEdgeTrialGenerator` moves the same trials to where a lat/lon box
+misjudges a region: across the antimeridian and at high latitudes.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -24,7 +27,7 @@ from repro.rules.model import LOCATION_ASPECT, LOCATION_LEVELS, TIME_ASPECT, TIM
 from repro.rules.parser import rules_from_json, rules_to_json
 from repro.sensors.channels import CHANNEL_GROUPS, channel_names
 from repro.sensors.contexts import CONTEXTS, CONTEXT_NAMES
-from repro.util.geo import BoundingBox, CircleRegion, LabeledPlace, LatLon, Region
+from repro.util.geo import EARTH_RADIUS_M, BoundingBox, CircleRegion, LabeledPlace, LatLon, Region
 from repro.util.timeutil import (
     Interval,
     RepeatedTime,
@@ -349,6 +352,51 @@ class TrialGenerator:
             scanned_segments=rng.randint(len(segments), len(segments) + 20),
             truncated=rng.random() < 0.3,
         )
+
+
+#: (site, circle radii in m) where a lat/lon box is not the region: the
+#: antimeridian, and a high latitude where a ~1,000 km circle reaches past
+#: the longitude its centre's ``cos(lat)`` suggests.
+_EDGE_SITES = (
+    (LatLon(0.0, 180.0), (2_000.0, 10_000.0)),
+    (LatLon(78.0, 0.0), (400_000.0, 1_000_000.0)),
+)
+
+
+def _destination(origin: LatLon, bearing_deg: float, distance_m: float) -> LatLon:
+    """The point ``distance_m`` from ``origin`` along a great circle."""
+    lat, lon, theta = map(math.radians, (origin.lat, origin.lon, bearing_deg))
+    d = distance_m / EARTH_RADIUS_M
+    lat2 = math.asin(math.sin(lat) * math.cos(d) + math.cos(lat) * math.sin(d) * math.cos(theta))
+    lon2 = lon + math.atan2(
+        math.sin(theta) * math.sin(d) * math.cos(lat), math.cos(d) - math.sin(lat) * math.sin(lat2)
+    )
+    return LatLon(math.degrees(lat2), (math.degrees(lon2) + 540.0) % 360.0 - 180.0)
+
+
+class GeoEdgeTrialGenerator(TrialGenerator):
+    """The base trials with every region and capture point at an edge site.
+
+    A region is a circle about a site (or the circle's box); a capture
+    point lands about one radius from a site, near some circle's rim,
+    where only ``Region.contains`` answers right.
+    """
+
+    def gen_location(self, rng: random.Random) -> Optional[LatLon]:
+        """A capture point about one site radius out, or (10 %) none."""
+        if rng.random() < 0.10:
+            return None
+        anchor, radii = rng.choice(_EDGE_SITES)
+        reach = rng.choice(radii) * rng.uniform(0.9, 1.02)
+        return _destination(anchor, rng.uniform(0.0, 360.0), reach)
+
+    def gen_region(self, rng: random.Random) -> Region:
+        """A circle about a site, or (20 %) that circle's bounding box."""
+        anchor, radii = rng.choice(_EDGE_SITES)
+        radius = rng.choice(radii)
+        offset = radius * rng.uniform(0.0, 0.02)
+        circle = CircleRegion(_destination(anchor, rng.uniform(0.0, 360.0), offset), radius)
+        return circle.bounding_box() if rng.random() < 0.2 else circle
 
 
 # ----------------------------------------------------------------------

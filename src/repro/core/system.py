@@ -140,7 +140,7 @@ class SensorSafeSystem:
                     directory=(
                         os.path.join(directory, host) if directory else None
                     ),
-                    durable=durable and directory is not None,
+                    durable=durable,
                     wal_sync=wal_sync,
                 )
             )
@@ -174,7 +174,7 @@ class SensorSafeSystem:
                 directory=(
                     os.path.join(directory, dest_host) if directory else None
                 ),
-                durable=durable and directory is not None,
+                durable=durable,
                 wal_sync=wal_sync,
             )
         return self.broker.rebalancer.split_shard(source_host, dest_host)

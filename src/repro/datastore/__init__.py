@@ -19,7 +19,7 @@ sample tuples.  This package provides:
 from repro.datastore.wavesegment import WaveSegment, segment_from_packet
 from repro.datastore.codec import decode_values, encode_values
 from repro.datastore.database import Table, TableSchema
-from repro.datastore.index import GridIndex, IntervalIndex
+from repro.datastore.index import IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery, QueryResult
 from repro.datastore.segment_store import SegmentStore
@@ -31,7 +31,6 @@ __all__ = [
     "encode_values",
     "Table",
     "TableSchema",
-    "GridIndex",
     "IntervalIndex",
     "MergePolicy",
     "SegmentOptimizer",

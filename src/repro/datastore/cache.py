@@ -166,8 +166,9 @@ class ReleaseCache:
 
     ``capacity`` bounds the entry count and ``max_bytes`` the resident
     byte estimate; whichever is exceeded first evicts from the LRU tail.
-    A ``capacity`` (or ``max_bytes``) of zero disables insertion, which
-    the service uses as its cache-off switch.
+    A ``capacity`` (or ``max_bytes``) of zero disables insertion; a
+    service configured so builds no cache at all (``release_cache is
+    None``).
     """
 
     def __init__(

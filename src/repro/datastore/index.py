@@ -1,26 +1,19 @@
-"""Spatio-temporal indexes for wave segments.
+"""The time index for wave segments.
 
-Two access paths dominate the query API of a remote data store:
-
-* *time-range queries* — "ECG between 9am and 6pm on these days" — served
-  by :class:`IntervalIndex`, a sorted-by-start interval list with a
-  running-maximum-end augmentation (a flattened interval tree; overlap
-  lookups are O(log n + k) because segment lengths are bounded);
-* *location queries* — "data inside this map region" — served by
-  :class:`GridIndex`, a uniform lat/lon grid of buckets.
-
-Both indexes store opaque item ids; the segment store owns the id → segment
-mapping.
+A time-range query — "ECG between 9am and 6pm on these days" — is served
+by :class:`IntervalIndex`, a sorted-by-start interval list with a
+running-maximum-end augmentation (a flattened interval tree; overlap
+lookups are O(log n + k) because segment lengths are bounded).  It stores
+opaque item ids; the segment store owns the id → segment mapping, and
+filters a location query with ``Region.contains`` on each candidate.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Any, Iterator, Optional
 
 from repro.exceptions import StorageError
-from repro.util.geo import BoundingBox, LatLon, Region
 from repro.util.timeutil import Interval
 
 
@@ -85,62 +78,3 @@ class IntervalIndex:
         if not self._entries:
             return None
         return Interval(self._entries[0][0], self._prefix_max_end[-1])
-
-
-class GridIndex:
-    """Uniform lat/lon grid mapping cells to item-id buckets."""
-
-    def __init__(self, cell_degrees: float = 0.01):
-        if cell_degrees <= 0:
-            raise StorageError(f"grid cell size must be positive: {cell_degrees}")
-        self.cell_degrees = cell_degrees
-        self._cells: dict[tuple[int, int], set] = {}
-        self._locations: dict[Any, LatLon] = {}
-
-    def __len__(self) -> int:
-        return len(self._locations)
-
-    def _cell_of(self, point: LatLon) -> tuple[int, int]:
-        return (
-            math.floor((point.lat + 90.0) / self.cell_degrees),
-            math.floor((point.lon + 180.0) / self.cell_degrees),
-        )
-
-    def add(self, point: LatLon, item_id: Any) -> None:
-        """Index one item id at a geographic point."""
-        if item_id in self._locations:
-            raise StorageError(f"grid index: duplicate item id {item_id!r}")
-        self._cells.setdefault(self._cell_of(point), set()).add(item_id)
-        self._locations[item_id] = point
-
-    def remove(self, item_id: Any) -> None:
-        """Remove one item id from the grid, wherever it was added."""
-        point = self._locations.pop(item_id, None)
-        if point is None:
-            raise StorageError(f"grid index: item id {item_id!r} not found")
-        cell = self._cell_of(point)
-        bucket = self._cells.get(cell, set())
-        bucket.discard(item_id)
-        if not bucket:
-            self._cells.pop(cell, None)
-
-    def _cells_for_box(self, box: BoundingBox) -> Iterator[tuple[int, int]]:
-        lo_r = math.floor((box.south + 90.0) / self.cell_degrees)
-        hi_r = math.floor((box.north + 90.0) / self.cell_degrees)
-        lo_c = math.floor((box.west + 180.0) / self.cell_degrees)
-        hi_c = math.floor((box.east + 180.0) / self.cell_degrees)
-        for r in range(lo_r, hi_r + 1):
-            for c in range(lo_c, hi_c + 1):
-                yield (r, c)
-
-    def within(self, region: Region) -> Iterator[Any]:
-        """Item ids whose location lies inside ``region`` (exact test)."""
-        box = region.bounding_box()
-        for cell in self._cells_for_box(box):
-            for item_id in self._cells.get(cell, ()):
-                if region.contains(self._locations[item_id]):
-                    yield item_id
-
-    def location_of(self, item_id: Any) -> Optional[LatLon]:
-        """The point an item id was indexed at, or None when absent."""
-        return self._locations.get(item_id)

@@ -1,13 +1,15 @@
 """The segment storage engine behind a remote data store.
 
-Ties together the embedded table (the segments, by id), the interval and
-grid indexes (query acceleration), and the wave-segment optimizer
-(ingest-time merging).  It holds segments in memory only: they leave and
-enter a store as ``segment`` records (:mod:`repro.storage.records`), on
-the same path as every other kind of state.  One :class:`SegmentStore`
-can hold data for several contributors — the paper's institutional
-servers host every participant of a study — and every query is scoped to
-a single contributor, because privacy rules are per-owner.
+Ties together the embedded table (the segments, by id), the per-channel
+interval indexes (query acceleration), and the wave-segment optimizer
+(ingest-time merging); a query's region filters the time-and-channel
+candidates with ``Region.contains``.  It holds segments in memory only:
+they leave and enter a store as ``segment`` records
+(:mod:`repro.storage.records`), on the same path as every other kind of
+state.  One :class:`SegmentStore` can hold data for several contributors
+— the paper's institutional servers host every participant of a study —
+and every query is scoped to a single contributor, because privacy rules
+are per-owner.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 
 from repro.datastore.cache import segment_content_hash
 from repro.datastore.codec import DECODE_STATS
-from repro.datastore.index import GridIndex, IntervalIndex
+from repro.datastore.index import IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery, QueryResult
 from repro.datastore.wavesegment import WaveSegment, segment_from_packet
@@ -45,7 +47,7 @@ class StoreStats:
 
 
 class SegmentStore:
-    """Wave-segment storage with time/location indexes and merging."""
+    """Wave-segment storage with time indexes and merging."""
 
     def __init__(
         self,
@@ -71,8 +73,6 @@ class SegmentStore:
         self.optimizer = SegmentOptimizer(merge_policy)
         # contributor -> channel -> IntervalIndex of segment ids
         self._time_index: dict[str, dict[str, IntervalIndex]] = {}
-        # contributor -> GridIndex of segment ids
-        self._grid_index: dict[str, GridIndex] = {}
         # contributor -> set of segment ids (segments_of used to linear-scan
         # the whole table for this — an institutional store hosting many
         # participants paid O(total segments) per owner page view)
@@ -182,9 +182,6 @@ class SegmentStore:
             per_contrib.setdefault(channel_name, IntervalIndex()).add(
                 segment.interval, segment.segment_id
             )
-        if segment.location is not None:
-            grid = self._grid_index.setdefault(segment.contributor, GridIndex())
-            grid.add(segment.location, segment.segment_id)
         self._by_contributor.setdefault(segment.contributor, set()).add(
             segment.segment_id
         )
@@ -200,8 +197,6 @@ class SegmentStore:
         per_contrib = self._time_index.get(segment.contributor, {})
         for channel_name in segment.channels:
             per_contrib[channel_name].remove(segment.interval, segment.segment_id)
-        if segment.location is not None:
-            self._grid_index[segment.contributor].remove(segment.segment_id)
         self._by_contributor.get(segment.contributor, set()).discard(
             segment.segment_id
         )
@@ -322,9 +317,9 @@ class SegmentStore:
     def query(self, contributor: str, query: DataQuery) -> QueryResult:
         """Execute a query against one contributor's data.
 
-        Resolution order: interval index narrows by time, grid index (or a
-        per-segment test) narrows by region, then segments are projected to
-        the requested channels and sliced to the time range.
+        Resolution order: interval index narrows by time and channel, the
+        region (if any) filters those exactly, then segments are projected
+        to the requested channels and sliced to the time range.
         """
         started = time.perf_counter()
         with self.obs.tracer.start_span("store.scan", store=self.name) as span:
@@ -363,22 +358,20 @@ class SegmentStore:
         per_contrib = self._time_index.get(contributor, {})
         channels = wanted_channels or tuple(per_contrib)
         ids: set = set()
-        if query.time_range is not None:
-            for channel_name in channels:
-                index = per_contrib.get(channel_name)
-                if index is not None:
-                    ids.update(index.overlapping(query.time_range))
-        else:
-            for channel_name in channels:
-                index = per_contrib.get(channel_name)
-                if index is not None:
-                    span = index.span()
-                    if span is not None:
-                        ids.update(index.overlapping(span))
-        if query.region is not None:
-            grid = self._grid_index.get(contributor)
-            in_region = set(grid.within(query.region)) if grid is not None else set()
-            ids &= in_region
+        for channel_name in channels:
+            index = per_contrib.get(channel_name)
+            if index is not None:
+                window = query.time_range or index.span()
+                if window is not None:  # None: the index is empty
+                    ids.update(index.overlapping(window))
+        region = query.region
+        if region is not None:
+            ids = {
+                sid
+                for sid in ids
+                if (location := self._segments[sid].location) is not None
+                and region.contains(location)
+            }
         return sorted(ids)
 
     @staticmethod
@@ -406,11 +399,6 @@ class SegmentStore:
         self.flush()
         wanted_channels = query.expanded_channels()
         candidate_ids = self._candidates(contributor, query, wanted_channels)
-        removed = 0
         for segment_id in candidate_ids:
-            segment = self._segments[segment_id]
-            if wanted_channels and not set(wanted_channels) & set(segment.channels):
-                continue
-            self._unpersist(segment)
-            removed += 1
-        return removed
+            self._unpersist(self._segments[segment_id])
+        return len(candidate_ids)

@@ -19,9 +19,8 @@ arithmetic for weekly windows — so a contributor's rule set is compiled
   against the span its segments cover — a rule with none is dropped for
   the whole batch — and clips them per segment, so piece membership is
   pointer-walking over sorted tuples;
-* **spatial grid** — location-conditioned rules indexed by the grid
-  cells their regions' bounding boxes cover, so a segment's capture
-  point prunes region tests to the rules that could possibly contain it;
+* **resolved regions** — a location rule's place labels looked up once;
+  a segment's capture point is tested with ``Region.contains`` on them;
 * **dependency-closure bitmasks** — one bit per channel and per context
   category, with ``channels → revealable contexts`` and
   ``context → revealing channels`` masks precomputed from
@@ -54,7 +53,6 @@ alone also invalidates wholesale, exactly where the release cache does
 
 from __future__ import annotations
 
-import math
 import time as _time
 from bisect import bisect_right
 from collections import OrderedDict
@@ -87,16 +85,6 @@ from repro.util.timeutil import (
 _MS_PER_MINUTE = 60_000
 _MS_PER_DAY = 86_400_000
 
-#: Spatial-grid cell edge in degrees (~5.5 km of latitude).  Regions are
-#: indexed by the cells their bounding boxes cover — a conservative
-#: superset, so grid pruning can never skip a region that contains the
-#: point; exact containment is still tested per candidate.
-GRID_DEGREES = 0.05
-
-#: A region whose bounding box covers more cells than this is kept in an
-#: unpruned side list instead of exploding the grid.
-GRID_MAX_CELLS = 512
-
 #: Upper bound on memoized principal sets (one query audience each).
 CANDIDATE_MEMO_MAX = 4096
 
@@ -116,7 +104,7 @@ class CompiledRule:
     """One rule lowered to precomputed match/effect structures.
 
     Attributes:
-        index: position in the contributor's rule list (grid/bucket key).
+        index: position in the contributor's rule list (bucket key).
         rule: the source :class:`~repro.rules.model.Rule` (ids, messages).
         kind: 0 = allow, 1 = deny, 2 = abstraction (int compare is the
             hottest branch in piece resolution).
@@ -125,13 +113,10 @@ class CompiledRule:
         ctx_req: ``((category, accepted_values), ...)`` — the context
             condition compiled to per-category accepted-value frozensets
             (AND across categories, OR within one).
-        has_location: True when the rule carries a location condition.
-        regions: resolved region geometries (labels looked up through the
+        regions: None when the rule has no location condition, else its
+            resolved region geometries (labels looked up through the
             contributor's places at compile time; an undefined label
             contributes nothing, so ``regions == ()`` never matches).
-        grid_indexed: True when every region was small enough to index in
-            the spatial grid (pruning applies); False puts the rule on the
-            always-tested path.
         time_unconstrained: True when the rule has no time condition.
         static_windows: pre-coalesced, empties-dropped static time ranges
             as sorted disjoint ``(start_ms, end_ms)`` tuples.
@@ -150,9 +135,7 @@ class CompiledRule:
     kind: int
     scope_mask: Optional[int]
     ctx_req: tuple
-    has_location: bool
-    regions: tuple
-    grid_indexed: bool
+    regions: Optional[tuple]
     time_unconstrained: bool
     static_windows: tuple
     day_windows: Optional[tuple]
@@ -299,23 +282,12 @@ class CompiledRuleSet:
         # (channel mask, piece rule indices) -> _decide's answer.
         self._decision_memo: OrderedDict = OrderedDict()
 
-        # --- spatial grid ------------------------------------------------
-        self._grid: dict = {}
-        for cr in self.compiled:
-            if not cr.has_location or not cr.regions or not cr.grid_indexed:
-                continue
-            for cell in self._region_cells(cr.regions):
-                self._grid.setdefault(cell, set()).add(cr.index)
-        self._grid = {cell: frozenset(ids) for cell, ids in self._grid.items()}
-        self._empty_cell: frozenset = frozenset()
-
         # --- observability ----------------------------------------------
         self.obs = obs or NOOP_OBS
         m = self.obs.metrics
         self._c_batches = m.counter("compiled_eval_batches_total")
         self._c_segments = m.counter("compiled_eval_segments_total")
         self._c_bucket_skips = m.counter("compiled_bucket_skips_total")
-        self._c_grid_prunes = m.counter("compiled_grid_prunes_total")
         self._c_time_prunes = m.counter("compiled_time_prunes_total")
         self._c_full_deny = m.counter("compiled_full_deny_short_circuits_total")
         self._c_default_deny = m.counter("compiled_default_deny_total")
@@ -356,15 +328,13 @@ class CompiledRuleSet:
             grouped[category] = frozenset(accepted)
         ctx_req = tuple(grouped.items())
 
-        has_location = bool(rule.location_labels or rule.location_regions)
-        regions: list = []
-        if has_location:
-            for label in rule.location_labels:
-                place = self.places.get(label)
-                if place is not None:
-                    regions.append(place.region)
-            regions.extend(rule.location_regions)
-        grid_indexed = bool(regions) and self._region_cells(tuple(regions)) is not None
+        regions = None
+        if rule.location_labels or rule.location_regions:
+            regions = tuple(
+                self.places[label].region
+                for label in rule.location_labels
+                if label in self.places
+            ) + tuple(rule.location_regions)
 
         time_unconstrained, static_windows, day_windows = _compile_time(rule)
 
@@ -391,9 +361,7 @@ class CompiledRuleSet:
             kind=kind,
             scope_mask=scope_mask,
             ctx_req=ctx_req,
-            has_location=has_location,
-            regions=tuple(regions),
-            grid_indexed=grid_indexed,
+            regions=regions,
             time_unconstrained=time_unconstrained,
             static_windows=static_windows,
             day_windows=day_windows,
@@ -401,24 +369,6 @@ class CompiledRuleSet:
             abs_time=abs_time,
             abs_contexts=tuple(abs_contexts),
         )
-
-    def _region_cells(self, regions: tuple) -> Optional[frozenset]:
-        """Grid cells the regions' bounding boxes cover, or None if too many."""
-        cells: set = set()
-        for region in regions:
-            bbox = region.bounding_box()
-            row0 = math.floor((bbox.south + 90.0) / GRID_DEGREES)
-            row1 = math.floor((bbox.north + 90.0) / GRID_DEGREES)
-            col0 = math.floor((bbox.west + 180.0) / GRID_DEGREES)
-            col1 = math.floor((bbox.east + 180.0) / GRID_DEGREES)
-            if (row1 - row0 + 1) * (col1 - col0 + 1) > GRID_MAX_CELLS:
-                return None
-            for row in range(row0, row1 + 1):
-                for col in range(col0, col1 + 1):
-                    cells.add((row, col))
-            if len(cells) > GRID_MAX_CELLS:
-                return None
-        return frozenset(cells)
 
     # ------------------------------------------------------------------
     # Mutation hook (conformance harness only)
@@ -571,31 +521,16 @@ class CompiledRuleSet:
         """
         location = segment.location
         context = segment.context
-        grid_allowed: Optional[frozenset] = None
-        if location is not None and self._grid:
-            cell = (
-                math.floor((location.lat + 90.0) / GRID_DEGREES),
-                math.floor((location.lon + 180.0) / GRID_DEGREES),
-            )
-            grid_allowed = self._grid.get(cell, self._empty_cell)
 
         applicable: list = []
         clipped: dict = {}  # timed rule index -> its windows inside this segment
         has_allow = False
-        grid_pruned = 0
         for cr in candidates:
-            if cr.has_location:
-                if location is None or not cr.regions:
-                    continue
-                if (
-                    cr.grid_indexed
-                    and grid_allowed is not None
-                    and cr.index not in grid_allowed
-                ):
-                    grid_pruned += 1
-                    continue
-                if not any(region.contains(location) for region in cr.regions):
-                    continue
+            if cr.regions is not None and (
+                location is None
+                or not any(region.contains(location) for region in cr.regions)
+            ):
+                continue
             if cr.ctx_req:
                 matched = True
                 for category, accepted in cr.ctx_req:
@@ -620,8 +555,6 @@ class CompiledRuleSet:
             if cr.kind == _KIND_ALLOW:
                 has_allow = True
 
-        if grid_pruned:
-            self._c_grid_prunes.inc(grid_pruned)
         if not has_allow:
             self._c_default_deny.inc()
             return []  # default deny: nothing grants access

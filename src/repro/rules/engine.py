@@ -4,7 +4,7 @@ For every (consumer, wave segment) pair the engine decides what — if
 anything — leaves the remote data store.  :class:`RuleEngine` is the one
 production decider: it owns a
 :class:`~repro.rules.compiler.CompiledRuleSet` (one contributor's rules
-lowered once into buckets, interval tables, a spatial grid, and
+lowered once into buckets, interval tables, resolved regions, and
 dependency bitmasks) and a membership resolver, and every evaluation is
 ``artifact.evaluate_batch(membership(consumer), segments)``:
 
@@ -402,13 +402,13 @@ class RuleEngine:
     themselves — evaluation is a pure function producing byte-identical
     :meth:`ReleasedSegment.to_json` output.  The release cache
     (:mod:`repro.datastore.cache`) leans on exactly this: its key folds
-    in every one of those inputs (rules via the store-wide epoch,
-    membership directly, places via wholesale invalidation, segments via
-    the content fingerprint), so replaying a cached decision is
-    indistinguishable from re-running the engine.  Anything that would
-    make evaluation nondeterministic (wall-clock reads, unordered
-    iteration over rule sets) must not be introduced here without
-    revisiting the cache key.
+    in every one of those inputs (rules and places via the store-wide
+    rules epoch, which a places assignment moves too, membership
+    directly, segments via the content fingerprint), so replaying a
+    cached decision is indistinguishable from re-running the engine.
+    Anything that would make evaluation nondeterministic (wall-clock
+    reads, unordered iteration over rule sets) must not be introduced
+    here without revisiting the cache key.
     """
 
     def __init__(

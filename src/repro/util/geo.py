@@ -255,12 +255,6 @@ _LEVEL_PREFIX = {
     "country": "country",
 }
 
-#: Kept for introspection/tests: effective cell edge per level, degrees.
-_GRID_DEGREES = {
-    level: _FINEST_DEGREES * factor for level, factor in _LEVEL_FACTOR.items()
-}
-
-
 def _grid_cell(point: LatLon, level: str) -> tuple[int, int]:
     factor = _LEVEL_FACTOR[level]
     fine_row = math.floor((point.lat + 90.0) / _FINEST_DEGREES)
@@ -279,7 +273,7 @@ def abstract_location(point: LatLon, granularity: str) -> Union[list, str]:
     """
     if granularity == "coordinates":
         return point.to_json()
-    if granularity not in _GRID_DEGREES:
+    if granularity not in _LEVEL_FACTOR:
         raise GeoError(f"unknown location granularity: {granularity!r}")
     row, col = _grid_cell(point, granularity)
     return f"{_LEVEL_PREFIX[granularity]}-{row}-{col}"

@@ -10,6 +10,7 @@ import pytest
 
 from repro.broker.search import SearchCriteria
 from repro.core import SensorSafeSystem
+from repro.exceptions import StorageError
 from repro.rules.model import ALLOW, Rule
 from repro.storage import records
 from tests.conftest import make_segment
@@ -42,6 +43,18 @@ class TestFleetPlacement:
         for name in names:
             record = system.broker.registry.get(name)
             assert record.host == system.broker.directory.ring.route(name)
+
+    def test_durable_without_a_directory_is_refused_not_dropped(self):
+        # create_store refuses durable=True with nowhere to put the log;
+        # a fleet or a split must not quietly build non-durable shards.
+        system = SensorSafeSystem(seed=7)
+        with pytest.raises(StorageError):
+            system.create_shard_fleet(1, durable=True)
+        assert "shard-1" not in system.stores
+        system.create_shard_fleet(1, prefix="plain")
+        with pytest.raises(StorageError):
+            system.split_shard("plain-1", "plain-2", durable=True)
+        assert "plain-2" not in system.stores
 
     def test_without_a_fleet_personal_stores_still_work(self):
         system = SensorSafeSystem(seed=7)

@@ -2,11 +2,12 @@
 
 Every JSON file next to this test is a shrunken conformance failure kept
 as a regression: it must stay *clean* against the real engine and must
-still be *caught* when its recorded mutation is applied.  The sweep over
-seeds 1-5, 7, 11, 42 (2,600 trials) found **no** divergence in the real
-engine, so the stored repros all come from the mutation smoke runs; if a
-future engine change introduces a real leak, the harness will shrink it
-and its repro belongs here with ``"Mutation"`` absent.
+still be *caught* when its recorded mutation is applied.  Most come from
+the mutation smoke runs.  A repro with ``"Mutation"`` absent is a real
+engine bug, shrunk by the harness and kept clean since its fix:
+``antimeridian-deny`` is a Deny whose circle straddles the antimeridian,
+which the engine once skipped because the circle's bounding box was
+clamped at 180° and a lat/lon grid of those boxes pruned the rule.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""Tests for the interval and grid indexes, including a naive-model check."""
+"""Tests for the interval index, including a naive-model check."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.datastore.index import GridIndex, IntervalIndex
+from repro.datastore.index import IntervalIndex
 from repro.exceptions import StorageError
-from repro.util.geo import BoundingBox, CircleRegion, LatLon
 from repro.util.timeutil import Interval
 
 
@@ -69,67 +68,3 @@ class TestIntervalIndex:
         expected = sorted(i for i, iv in enumerate(intervals) if iv.overlaps(window))
         assert sorted(idx.overlapping(window)) == expected
 
-
-class TestGridIndex:
-    def test_within_region_exact(self):
-        grid = GridIndex(cell_degrees=0.1)
-        inside = LatLon(34.05, -118.25)
-        outside = LatLon(35.5, -118.25)
-        grid.add(inside, "in")
-        grid.add(outside, "out")
-        box = BoundingBox(34.0, -118.3, 34.1, -118.2)
-        assert list(grid.within(box)) == ["in"]
-
-    def test_circle_region_filtering(self):
-        grid = GridIndex(cell_degrees=0.01)
-        center = LatLon(34.0, -118.0)
-        near = LatLon(34.0005, -118.0005)
-        far = LatLon(34.02, -118.02)
-        grid.add(near, "near")
-        grid.add(far, "far")
-        assert list(grid.within(CircleRegion(center, 200.0))) == ["near"]
-
-    def test_duplicate_id_rejected(self):
-        grid = GridIndex()
-        grid.add(LatLon(0, 0), "x")
-        with pytest.raises(StorageError):
-            grid.add(LatLon(1, 1), "x")
-
-    def test_remove(self):
-        grid = GridIndex()
-        grid.add(LatLon(0, 0), "x")
-        grid.remove("x")
-        assert len(grid) == 0
-        with pytest.raises(StorageError):
-            grid.remove("x")
-
-    def test_location_of(self):
-        grid = GridIndex()
-        point = LatLon(10, 20)
-        grid.add(point, "x")
-        assert grid.location_of("x") == point
-        assert grid.location_of("y") is None
-
-    def test_rejects_bad_cell_size(self):
-        with pytest.raises(StorageError):
-            GridIndex(cell_degrees=0)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-80, max_value=80, allow_nan=False),
-                st.floats(min_value=-170, max_value=170, allow_nan=False),
-            ),
-            max_size=30,
-            unique=True,
-        )
-    )
-    def test_matches_naive_bbox(self, points):
-        grid = GridIndex(cell_degrees=0.5)
-        for i, (lat, lon) in enumerate(points):
-            grid.add(LatLon(lat, lon), i)
-        box = BoundingBox(-10.0, -50.0, 30.0, 60.0)
-        expected = sorted(
-            i for i, (lat, lon) in enumerate(points) if box.contains(LatLon(lat, lon))
-        )
-        assert sorted(grid.within(box)) == expected

@@ -38,7 +38,6 @@ from repro.datastore.wavesegment import WaveSegment
 from repro.net.transport import Network
 from repro.obs import Observability
 from repro.rules.compiler import (
-    GRID_DEGREES,
     CompiledRuleCache,
     CompiledRuleSet,
     compile_rules,
@@ -176,15 +175,19 @@ def test_weekday_windows_only_fire_on_their_day():
 
 
 # ----------------------------------------------------------------------
-# Boundary units: spatial grid
+# Boundary units: location conditions
 # ----------------------------------------------------------------------
+
+#: Region edges on multiples of this sit on the cell borders of any 0.05°
+#: lat/lon grid: a point there must get the region's own answer.
+CELL_DEGREES = 0.05
 
 
 def _cell_border_box():
-    """A bbox region whose edges sit exactly on grid-cell borders."""
-    south = -90.0 + 680 * GRID_DEGREES
-    west = -180.0 + 1230 * GRID_DEGREES
-    box = BoundingBox(south, west, south + 2 * GRID_DEGREES, west + 2 * GRID_DEGREES)
+    """A polygon region whose edges sit exactly on 0.05° cell borders."""
+    south = -90.0 + 680 * CELL_DEGREES
+    west = -180.0 + 1230 * CELL_DEGREES
+    box = BoundingBox(south, west, south + 2 * CELL_DEGREES, west + 2 * CELL_DEGREES)
     return PolygonRegion(
         (
             LatLon(box.south, box.west),
@@ -208,8 +211,8 @@ def test_location_exactly_on_grid_cell_border(corner):
     rules = [Rule(location_regions=(region,), action=Action("allow"))]
     released = assert_conforms(rules, seg)
     # The ray-cast includes the south-west edges and excludes north-east
-    # ones; either way the *grid* must agree with the exact region test —
-    # the oracle check above is the load-bearing assertion.
+    # ones; either way the engine must agree with the oracle's exact region
+    # test — the oracle check above is the load-bearing assertion.
     if corner in ("south-west", "center"):
         assert released != "[]"
 
@@ -224,15 +227,12 @@ def test_location_just_outside_grid_indexed_region():
 
 
 def test_oversized_region_skips_the_grid_but_still_matches():
-    # A near-hemisphere bbox blows the cell cap: the rule must fall back
-    # to the always-tested path, not vanish from the index.
+    # A near-hemisphere region is tested like any other: it matches.
     region = PolygonRegion(
         (LatLon(-60, -170), LatLon(-60, 170), LatLon(60, 170), LatLon(60, -170))
     )
     seg = _segment(BASE_MS, n=5, location=LatLon(10.0, 10.0))
     rules = [Rule(location_regions=(region,), action=Action("allow"))]
-    art = compile_rules(rules)
-    assert not art.compiled[0].grid_indexed
     assert assert_conforms(rules, seg) != "[]"
 
 

@@ -40,7 +40,6 @@ COUNTERS = {
     "compiled_eval_batches_total": 5,
     "compiled_eval_segments_total": 22,
     "compiled_full_deny_short_circuits_total": 27,
-    "compiled_grid_prunes_total": 0,
     "compiled_time_prunes_total": 19,
     "rule_evaluations_total": 22,
 }
