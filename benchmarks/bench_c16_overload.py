@@ -11,9 +11,10 @@ Claims under test for the overload-control PR:
 * **Sheds are privacy-clean** — every non-2xx during the storm is a
   typed 503 ``OverloadedError`` or 504 ``DeadlineExpiredError`` whose
   body carries no released data: **zero violations** (acceptance gate).
-* **The control plane stays responsive** — p99 queue wait observed by
-  control-class requests stays bounded (the brownout ladder sheds
-  scrapes/aggregates/queries first), even at 10× offered load.
+* **The control plane stays responsive** — every owner's rules-list
+  probe answers 200, and the p99 queue wait it observes stays bounded
+  (the brownout ladder sheds scrapes/aggregates/queries first), even at
+  10× offered load.
 * **Recovery is immediate** — once the burst ends, the enforced store's
   bounded backlog drains within simulated seconds and 1× goodput
   returns to baseline; the unprotected twin owes its whole backlog.
@@ -103,6 +104,7 @@ class LoadDriver:
     def __init__(self, system, key):
         self.system = system
         self.key = key
+        self.owner_key = system.contributors["alice"].client.api_key
         self.controller = system.stores["alice-store"].admission
         self.unique = 0
         self.offered = 0
@@ -111,6 +113,8 @@ class LoadDriver:
         self.shed = 0
         self.violations = []
         self.control_queue_ms = []
+        #: status of every control probe that did not answer 200.
+        self.control_failures = []
 
     def _query(self):
         self.unique += 1
@@ -148,9 +152,13 @@ class LoadDriver:
         # What a control-class request experiences: the queue wait at its
         # arrival (control is admitted while lower classes shed).
         self.control_queue_ms.append(self.controller.queue_ms())
-        self.system.network.request(
-            "POST", "https://alice-store/api/rules/list", {}
+        response = self.system.network.request(
+            "POST",
+            "https://alice-store/api/rules/list",
+            {"ApiKey": self.owner_key, "Contributor": "alice"},
         )
+        if response.status != 200:
+            self.control_failures.append(response.status)
 
     def run(self, rate_x, duration_ms):
         """Offered load ``rate_x × CAPACITY_QPS`` for ``duration_ms``."""
@@ -190,6 +198,7 @@ def run_load(mode, rate_x, duration_ms):
         "shed": driver.shed,
         "goodput_qps": driver.goodput_qps(duration_ms),
         "p99_control_queue_ms": _p99(driver.control_queue_ms),
+        "control_failures": driver.control_failures,
         "end_queue_ms": controller.queue_ms(),
         "violations": driver.violations,
         "system": system,
@@ -252,6 +261,11 @@ def check_gates(runs, recovery, rates):
                 f"{r['mode']}@{r['rate_x']}x privacy violations: {r['violations'][:3]}"
             )
     for r in runs:
+        if r["mode"] == "enforce" and r["control_failures"]:
+            failures.append(
+                f"{len(r['control_failures'])} control probes at {r['rate_x']}x "
+                f"did not answer 200: {sorted(set(r['control_failures']))}"
+            )
         if r["mode"] == "enforce" and r["p99_control_queue_ms"] > 600:
             failures.append(
                 f"control-plane p99 queue {r['p99_control_queue_ms']:.0f}ms "

@@ -1,4 +1,4 @@
-"""Server-side overload control: admission, adaptive concurrency, brownout.
+"""Server-side overload control: admission by queue budget, brownout.
 
 PR 1's resilience layer protects *clients* (retries, breakers); this
 module protects *servers* from the load those very retries generate — the
@@ -8,28 +8,29 @@ property, not just an availability one: a loaded store must degrade
 (:class:`~repro.exceptions.OverloadedError`) before any rule evaluation
 runs — never a hurried or partial release.
 
-Three cooperating pieces, wired into a service's
+Admission depends only on the backlog at arrival, the request's class,
+whether it would hit the release cache, and its deadline.  Two
+cooperating pieces, wired into a service's
 :class:`~repro.net.http.Router` via :meth:`AdmissionController.attach`:
 
-* **Priority classes** — every route declares one of six classes (its
-  ``@route`` declaration, :mod:`repro.server.routes`), shed in reverse
-  priority order: control-plane rule mutations > replication
-  frames > uploads > queries > aggregates > metrics scrapes.  Each class
-  has a *queue budget* (how much backlog it tolerates before shedding)
-  and a *limit fraction* (how much of the adaptive concurrency limit it
-  may consume), which together implement brownout: as backlog grows,
-  scrapes go dark first, then aggregates, then cold (cache-miss)
-  queries — while cached releases keep serving and uploads and rule
-  mutations are protected longest.
-
-* **Virtual backlog** — the simulated network dispatches synchronously,
-  so server work is modeled as a serial queue: each admitted request
-  extends ``busy_until_ms`` by its class's service cost (simulated ms),
-  and the queue wait seen at arrival is ``busy_until - now``.  The
-  controller never advances the shared :class:`~repro.net.faults.SimClock`
-  — offered load is whatever the workload drives between clock ticks,
-  which is exactly what lets a benchmark offer 10× capacity.  Shedding is
-  cheap by construction: a rejected request adds no work.
+* **Brownout by queue budget** — every route declares one of six
+  priority classes (its ``@route`` declaration,
+  :mod:`repro.server.routes`), shed in reverse priority order:
+  control-plane rule mutations > replication frames > uploads > queries
+  > aggregates > metrics scrapes.  Each class has a *queue budget* (how
+  much backlog it tolerates at arrival before shedding), and the budget
+  table is the brownout order: as backlog grows, scrapes go dark first,
+  then aggregates, then cold (cache-miss) queries — while cached
+  releases keep serving and uploads and rule mutations are protected
+  longest.  The backlog is virtual: the simulated network dispatches
+  synchronously, so server work is modeled as a serial queue where each
+  admitted request extends ``busy_until_ms`` by its class's service cost
+  (simulated ms), and the queue wait seen at arrival is
+  ``busy_until - now``.  The controller never advances the shared
+  :class:`~repro.net.faults.SimClock` — offered load is whatever the
+  workload drives between clock ticks, which is exactly what lets a
+  benchmark offer 10× capacity.  Shedding is cheap by construction: a
+  rejected request adds no work.
 
 * **LIFO-with-deadline rejection** — clients stamp their remaining
   budget into the ``X-Deadline-Ms`` header; a request whose budget is
@@ -39,10 +40,6 @@ Three cooperating pieces, wired into a service's
   is equivalent to LIFO service discarding expired work at dequeue: work
   whose caller already gave up is never performed.
 
-The :class:`AdaptiveConcurrencyLimiter` tracks capacity gradient-style
-(AIMD on observed latency vs a moving minimum) so the admission limit
-follows the machine instead of a hand-tuned constant.
-
 Modes: ``"observe"`` (the default everywhere) accounts and reports
 would-shed decisions but admits everything — existing workloads see zero
 behavior change; ``"enforce"`` sheds.
@@ -50,7 +47,6 @@ behavior change; ``"enforce"`` sheds.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -92,9 +88,7 @@ class OverloadConfig:
     each class adds to the backlog; ``queue_budget_ms`` is how much
     backlog a class tolerates at arrival before it sheds — the brownout
     ladder *is* this table (scrape's budget < aggregate's < cold query's
-    < …).  ``limit_fraction`` caps how much of the adaptive concurrency
-    limit each class may fill, so low-priority floods cannot starve
-    control-plane work even before the queue budgets bite.
+    < …).
     """
 
     service_ms: dict = field(default_factory=lambda: {
@@ -118,101 +112,20 @@ class OverloadConfig:
     })
     #: Backlog a *cached* query tolerates (between cold queries and uploads).
     cached_query_budget_ms: float = 750.0
-    limit_fraction: dict = field(default_factory=lambda: {
-        CLASS_CONTROL: 1.0,
-        CLASS_REPLICATION: 0.9,
-        CLASS_UPLOAD: 0.8,
-        CLASS_QUERY: 0.6,
-        CLASS_AGGREGATE: 0.4,
-        CLASS_SCRAPE: 0.2,
-    })
     #: Floor on the Retry-After hint attached to sheds.
     min_retry_after_ms: int = 250
-    #: Cap on the pending-entry ledger: observe-mode workloads that never
-    #: advance the clock must not grow unbounded accounting state.
-    max_pending: int = 4096
 
     def service_cost(self, cls: str, cached: bool) -> float:
         """Modelled service time (ms) of one request of this class."""
         if cached and cls == CLASS_QUERY:
             return self.cached_query_ms
-        return self.service_ms.get(cls, self.service_ms[CLASS_QUERY])
+        return self.service_ms[cls]
 
     def queue_budget(self, cls: str, cached: bool) -> float:
         """Queueing delay (ms) a request of this class may absorb before shedding."""
         if cached and cls == CLASS_QUERY:
             return self.cached_query_budget_ms
-        return self.queue_budget_ms.get(cls, self.queue_budget_ms[CLASS_QUERY])
-
-
-class AdaptiveConcurrencyLimiter:
-    """Gradient-style AIMD concurrency limit for one host.
-
-    Tracks a moving minimum of observed request latency (queue wait +
-    service) over a sliding sample window; latencies within ``tolerance``
-    of that minimum grow the limit additively (+1), latencies beyond it
-    shrink it multiplicatively (×``decrease``).  The moving minimum is
-    re-seeded every ``window`` samples so a long-gone congestion episode
-    cannot pin the baseline forever.
-
-    In the virtual-backlog model, "in flight" is the whole pending queue,
-    so the limit is an adaptive *queue-depth* cap in request slots.  Its
-    bounds sit above the per-class queue budgets at baseline — static
-    budgets are the first line of brownout — and multiplicative decrease
-    is rate-limited to once per ``cooldown_ms`` of simulated time, so the
-    limit tightens under *sustained* congestion (the gradient signal)
-    rather than collapsing inside a single instantaneous burst.
-    """
-
-    def __init__(
-        self,
-        *,
-        min_limit: int = 64,
-        max_limit: int = 4096,
-        initial: int = 512,
-        tolerance: float = 2.0,
-        decrease: float = 0.9,
-        window: int = 500,
-        cooldown_ms: float = 100.0,
-    ):
-        self.min_limit = float(min_limit)
-        self.max_limit = float(max_limit)
-        self.limit = float(initial)
-        self.tolerance = tolerance
-        self.decrease = decrease
-        self.window = int(window)
-        self.cooldown_ms = float(cooldown_ms)
-        self._min_rtt = float("inf")
-        self._since_reset = 0
-        self._last_decrease_ms: Optional[float] = None
-
-    def observe(self, rtt_ms: float, now_ms: Optional[float] = None) -> None:
-        """Feed one admitted request's latency; adapt the limit.
-
-        ``now_ms`` (the simulated clock) arms the decrease cooldown;
-        without it every congested sample decays the limit (the direct
-        unit-test path).
-        """
-        self._since_reset += 1
-        if self._since_reset > self.window:
-            # Re-seed the baseline from current conditions.
-            self._min_rtt = rtt_ms
-            self._since_reset = 1
-        elif rtt_ms < self._min_rtt:
-            self._min_rtt = rtt_ms
-        if rtt_ms <= max(self._min_rtt, 1e-9) * self.tolerance:
-            self.limit = min(self.max_limit, self.limit + 1.0)
-            return
-        if now_ms is not None and self._last_decrease_ms is not None:
-            if now_ms - self._last_decrease_ms < self.cooldown_ms:
-                return  # one multiplicative decrease per cooldown window
-        self._last_decrease_ms = now_ms
-        self.limit = max(self.min_limit, self.limit * self.decrease)
-
-    @property
-    def min_rtt_ms(self) -> float:
-        """Current moving-minimum latency (inf before the first sample)."""
-        return self._min_rtt
+        return self.queue_budget_ms[cls]
 
 
 class AdmissionController:
@@ -235,7 +148,6 @@ class AdmissionController:
         mode: str = MODE_OBSERVE,
         config: Optional[OverloadConfig] = None,
         cache_probe: Optional[Callable[[Request], bool]] = None,
-        limiter: Optional[AdaptiveConcurrencyLimiter] = None,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown overload mode {mode!r}")
@@ -246,15 +158,11 @@ class AdmissionController:
         #: ``"METHOD path"`` -> class; a web UI mounted later adds its pages.
         self.classes = classes
         self.cache_probe = cache_probe
-        self.limiter = limiter or AdaptiveConcurrencyLimiter()
         self._clock = network.clock
         #: end of the virtual serial work queue, in simulated ms.
         self.busy_until_ms = 0.0
-        #: (virtual finish ms, class) of admitted-but-unfinished requests.
-        self._pending: deque = deque()
-        #: benchmark/test probes: the last admitted request's virtual
-        #: queue wait and total latency (safe: dispatch is synchronous).
-        self.last_queue_ms = 0.0
+        #: benchmark probe: the last admitted request's virtual queue wait
+        #: plus service cost (safe: dispatch is synchronous).
         self.last_rtt_ms = 0.0
         self.obs = network.obs
         self._c_requests: dict = {}
@@ -263,9 +171,7 @@ class AdmissionController:
         self._c_would_shed: dict = {}
         self._h_queue: dict = {}
         m = self.obs.metrics
-        m.gauge("admission_queue_depth", callback=lambda: self.inflight(), host=host)
         m.gauge("admission_queue_wait_ms", callback=lambda: self.queue_ms(), host=host)
-        m.gauge("concurrency_limit", callback=lambda: self.limiter.limit, host=host)
         m.gauge(
             "admission_brownout_level", callback=lambda: self.brownout_level(), host=host
         )
@@ -291,14 +197,6 @@ class AdmissionController:
         """Current virtual backlog: the wait an arriving request sees."""
         now = self._clock.now_ms() if now_ms is None else now_ms
         return max(0.0, self.busy_until_ms - now)
-
-    def inflight(self, now_ms: Optional[float] = None) -> int:
-        """Admitted requests whose virtual finish time has not passed."""
-        now = self._clock.now_ms() if now_ms is None else now_ms
-        pending = self._pending
-        while pending and pending[0][0] <= now:
-            pending.popleft()
-        return len(pending)
 
     def brownout_level(self) -> int:
         """How deep the brownout is: the count of classes currently shedding.
@@ -420,15 +318,6 @@ class AdmissionController:
                     retry_after_ms=self._retry_after(queue_ms, budget),
                 ),
             )
-        elif self.inflight(now) >= self.limiter.limit * cfg.limit_fraction.get(cls, 1.0):
-            shed = (
-                "limit",
-                OverloadedError(
-                    f"{self.host!r} is at its adaptive concurrency limit "
-                    f"({self.limiter.limit:.0f}) for class {cls!r}",
-                    retry_after_ms=self._retry_after(queue_ms, 0.0),
-                ),
-            )
 
         if shed is not None:
             reason, exc = shed
@@ -443,35 +332,11 @@ class AdmissionController:
         service = cfg.service_cost(cls, cached)
         start = max(now, self.busy_until_ms)
         self.busy_until_ms = start + service
-        if len(self._pending) >= cfg.max_pending:
-            self._pending.popleft()
-        self._pending.append((self.busy_until_ms, cls))
-        self.last_queue_ms = queue_ms
         self.last_rtt_ms = queue_ms + service
         self._queue_hist(cls).observe(queue_ms)
-        self.limiter.observe(self.last_rtt_ms, now)
         return cls
 
     def gate_done(self, ticket, response: Response) -> None:
         """Completion hook: count served (2xx) responses per class."""
         if response.ok:
             self._served_ctr(ticket).inc()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def status(self) -> dict:
-        """Operator view of this controller (JSON-serializable)."""
-        return {
-            "Host": self.host,
-            "Mode": self.mode,
-            "QueueMs": round(self.queue_ms(), 3),
-            "Inflight": self.inflight(),
-            "ConcurrencyLimit": round(self.limiter.limit, 2),
-            "MinRttMs": (
-                None if self.limiter.min_rtt_ms == float("inf")
-                else round(self.limiter.min_rtt_ms, 3)
-            ),
-            "BrownoutLevel": self.brownout_level(),
-        }

@@ -1,4 +1,4 @@
-"""Tests for admission control, adaptive concurrency, and brownout."""
+"""Tests for admission control and brownout."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.net.overload import (
     CLASS_SCRAPE,
     CLASS_UPLOAD,
     GOODPUT_CLASSES,
-    AdaptiveConcurrencyLimiter,
     AdmissionController,
     OverloadConfig,
 )
@@ -34,12 +33,6 @@ def declared_classes(service_type) -> dict:
 STORE_ROUTE_CLASSES = declared_classes(DataStoreService)
 
 
-def permissive_limiter():
-    """A limiter that never binds, isolating the queue-budget paths."""
-    size = 1_000_000
-    return AdaptiveConcurrencyLimiter(initial=size, min_limit=size, max_limit=size)
-
-
 def make_controller(mode="enforce", *, clock=None, config=None, cache_probe=None):
     network = Network(clock=clock or SimClock())
     controller = AdmissionController(
@@ -49,7 +42,6 @@ def make_controller(mode="enforce", *, clock=None, config=None, cache_probe=None
         config=config,
         classes=STORE_ROUTE_CLASSES,
         cache_probe=cache_probe,
-        limiter=permissive_limiter(),
     )
     return network, controller
 
@@ -89,37 +81,6 @@ class TestOverloadConfig:
         assert CLASS_SCRAPE not in GOODPUT_CLASSES
 
 
-class TestAdaptiveConcurrencyLimiter:
-    def test_grows_additively_on_low_latency(self):
-        limiter = AdaptiveConcurrencyLimiter(initial=32, max_limit=40)
-        for _ in range(20):
-            limiter.observe(5.0)
-        assert limiter.limit == 40  # capped at max
-
-    def test_shrinks_multiplicatively_on_congestion(self):
-        limiter = AdaptiveConcurrencyLimiter(initial=32, min_limit=4)
-        limiter.observe(5.0)  # seeds the moving minimum
-        for _ in range(100):
-            limiter.observe(500.0)  # way past tolerance * min
-        assert limiter.limit == 4  # floored
-
-    def test_window_reseed_lets_limit_recover(self):
-        limiter = AdaptiveConcurrencyLimiter(
-            initial=32, min_limit=4, window=10, tolerance=2.0
-        )
-        limiter.observe(1.0)  # a pre-congestion baseline of 1ms
-        for _ in range(5):
-            limiter.observe(100.0)  # congestion: limit decays
-        decayed = limiter.limit
-        assert decayed < 32
-        # After the window rolls, 100ms becomes the new baseline and the
-        # limit climbs again even though latency never returned to 1ms.
-        for _ in range(20):
-            limiter.observe(100.0)
-        assert limiter.min_rtt_ms == 100.0
-        assert limiter.limit > decayed
-
-
 class TestAdmissionController:
     def test_classify_is_the_declared_route_table(self):
         _, controller = make_controller()
@@ -135,13 +96,10 @@ class TestAdmissionController:
         for _ in range(10):
             controller.gate(req("/api/query"))  # 5ms each
         assert controller.queue_ms() == pytest.approx(50.0)
-        assert controller.inflight() == 10
         clock.advance(25)
         assert controller.queue_ms() == pytest.approx(25.0)
-        assert controller.inflight() == 5
         clock.advance(100)
         assert controller.queue_ms() == 0.0
-        assert controller.inflight() == 0
 
     def test_brownout_sheds_in_priority_order(self):
         clock = SimClock()
@@ -205,31 +163,6 @@ class TestAdmissionController:
         hits["cached"] = True
         assert controller.gate(req("/api/query")) == CLASS_QUERY
 
-    def test_concurrency_limit_fraction_gates_low_priority(self):
-        clock = SimClock()
-        config = OverloadConfig(queue_budget_ms={
-            cls: 1e9 for cls in BROWNOUT_ORDER
-        })  # disable queue budgets: isolate the limit path
-        network = Network(clock=clock)
-        controller = AdmissionController(
-            "store", network, mode="enforce", config=config,
-            classes=STORE_ROUTE_CLASSES,
-            limiter=AdaptiveConcurrencyLimiter(
-                initial=10, min_limit=10, max_limit=10
-            ),
-        )
-        for _ in range(9):
-            controller.gate(req("/api/rules/add"))  # control: fraction 1.0
-        # 9 in flight ≥ 10 * 0.2 (scrape), 10 * 0.4 (aggregate), 10 * 0.6
-        # (query) — but control still fits under the full limit.
-        with pytest.raises(OverloadedError):
-            controller.gate(req("/api/stats"))
-        with pytest.raises(OverloadedError):
-            controller.gate(req("/api/aggregate"))
-        with pytest.raises(OverloadedError):
-            controller.gate(req("/api/query"))
-        assert controller.gate(req("/api/rules/add")) == CLASS_CONTROL
-
     def test_observe_mode_admits_but_counts_would_sheds(self):
         network, controller = make_controller(mode="observe")
         for _ in range(60):
@@ -259,16 +192,6 @@ class TestAdmissionController:
             **{"host": "store", "class": CLASS_QUERY, "reason": "deadline"},
         ) == 1
         assert metrics.sum_counter("admission_requests_total") == 62
-        assert metrics.gauge_value("concurrency_limit", host="store") > 0
-
-    def test_status_snapshot(self):
-        _, controller = make_controller()
-        controller.gate(req("/api/query"))
-        status = controller.status()
-        assert status["Mode"] == "enforce"
-        assert status["QueueMs"] == pytest.approx(5.0)
-        assert status["Inflight"] == 1
-        assert status["BrownoutLevel"] == 0
 
 
 class TestRouterIntegration:
@@ -280,8 +203,7 @@ class TestRouterIntegration:
         router.add("POST", "/api/stats", lambda r: {"Ok": True})
         network.register_host("store", router)
         controller = AdmissionController(
-            "store", network, mode=mode, classes=STORE_ROUTE_CLASSES,
-            limiter=permissive_limiter(),
+            "store", network, mode=mode, classes=STORE_ROUTE_CLASSES
         )
         controller.attach(router)
         return network, controller

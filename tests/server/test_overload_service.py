@@ -3,9 +3,12 @@
 Unit coverage of the controller lives in ``tests/net/test_overload.py``;
 these tests exercise the *wiring*: brownout order on a live store, cached
 releases outliving cold queries, the typed 504 firing before the rule
-engine, and the broker's failure detector tolerating an overloaded (but
-alive) primary.
+engine, the broker's failure detector tolerating an overloaded (but
+alive) primary, and — with the clock running between arrivals — a shed
+only ever past the arriving request's class budget.
 """
+
+import random
 
 import pytest
 
@@ -236,3 +239,97 @@ class TestBrokerToleratesOverload:
         report = manager.heartbeat()["alice-store"]
         assert report["FailedOver"] is None
         assert report["Health"]["alice-store"]["Alive"]
+
+
+def tick(system, rate_per_s, duration_ms, send):
+    """Call ``send`` at ``rate_per_s`` for ``duration_ms`` of simulated time.
+
+    The clock advances one millisecond per step, as live traffic lets it:
+    the backlog drains between arrivals instead of piling up at one
+    frozen instant.
+    """
+    per_ms, credit, answers = rate_per_s / 1000.0, 0.0, []
+    for _ in range(duration_ms):
+        system.clock.advance(1)
+        credit += per_ms
+        while credit >= 1.0:
+            credit -= 1.0
+            answers.append(send())
+    return answers
+
+
+class TestAdmissionWithTheClockRunning:
+    """A request sheds only when the backlog at its arrival is past its
+    class's budget (or its caller's deadline): nothing else decides."""
+
+    def test_a_cached_release_outlives_a_cold_storm(self):
+        system, _, bob = build()
+        warmed = bob.fetch("alice")
+        key = bob.refresh_keys()["alice-store"]
+        store = system.stores["alice-store"]
+        shapes = iter(range(100_000, 200_000))
+
+        def cold_query():  # a fresh Limit each time: always a cache miss
+            return system.network.request(
+                "POST", "https://alice-store/api/query",
+                {"ApiKey": key, "Contributor": "alice",
+                 "Query": {"Limit": next(shapes)}},
+            )
+
+        answers = tick(system, 300, 3_000, cold_query)  # 1.5x cold capacity
+        assert any(answer.status == 503 for answer in answers)
+        # The backlog sits near the cold budget (400ms), well inside the
+        # cached one (750ms): the warmed shape still serves.
+        assert store.admission.queue_ms() <= 750
+        again = bob.fetch("alice")
+        assert [r.to_json() for r in again] == [r.to_json() for r in warmed]
+
+    def test_uploads_at_1_2x_capacity_never_shed(self):
+        system, _, _ = build()
+        store = system.stores["alice-store"]
+        answers = tick(system, 300, 3_000, lambda: system.network.request(
+            "POST", "https://alice-store/api/upload", {}
+        ))  # 300/s x 4ms: the backlog grows 0.2ms per ms, to ~600ms
+        assert store.admission.queue_ms() <= 1_000
+        assert [answer.status for answer in answers if answer.status == 503] == []
+
+    def test_a_mixed_storm_sheds_exactly_past_each_budget(self):
+        system, _, bob = build()
+        bob.fetch("alice")  # the cached shape below
+        key = bob.refresh_keys()["alice-store"]
+        admission = system.stores["alice-store"].admission
+        kinds = {  # kind -> (path, body, served from the release cache)
+            "control": ("/api/rules/list", {}, False),
+            "replication": ("/api/replicate/status", {}, False),
+            "upload": ("/api/upload", {}, False),
+            "cold": ("/api/query", {}, False),
+            "cached": (
+                "/api/query", {"ApiKey": key, "Contributor": "alice", "Query": {}}, True
+            ),
+            "aggregate": ("/api/aggregate", {}, False),
+            "scrape": ("/api/stats", {}, False),
+        }
+        rng = random.Random(40)
+        rates = [0, 1_000, 2_000, 4_000, 10_000, 10_000]  # per simulated second
+        rng.shuffle(rates)
+        seen = {kind: {"admitted": 0, "shed": 0} for kind in kinds}
+
+        def arrive():
+            kind = rng.choice(sorted(kinds))
+            path, body, cached = kinds[kind]
+            budget = admission.config.queue_budget(
+                admission.classify("POST", path), cached
+            )
+            backlog = admission.queue_ms()
+            answer = system.network.request("POST", f"https://alice-store{path}", body)
+            shed = answer.status == 503
+            assert shed == (answer.body.get("ErrorKind") == "OverloadedError"), kind
+            assert shed == (backlog > budget), (kind, backlog, budget, answer.body)
+            if cached and not shed:
+                assert answer.ok, answer.body
+            seen[kind]["shed" if shed else "admitted"] += 1
+
+        for rate in rates:
+            tick(system, rate, 500, arrive)
+        # The storm reached past every budget, and under it too.
+        assert all(count["admitted"] and count["shed"] for count in seen.values()), seen

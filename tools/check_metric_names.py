@@ -58,9 +58,7 @@ _REQUIRED_NAMES = (
     "admission_served_total",
     "admission_shed_total",
     "admission_would_shed_total",
-    "admission_queue_depth",
     "admission_queue_ms",
-    "concurrency_limit",
     "retry_budget_exhausted_total",
 )
 
