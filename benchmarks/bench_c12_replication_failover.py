@@ -6,20 +6,19 @@ Claims under test for the replication PR:
   broker heartbeating every 2 s (simulated), a dead primary is replaced
   and the first consumer query succeeds within
   ``miss_threshold × heartbeat + promotion`` on the simulated clock.
-* **Semi-sync loses nothing it acknowledged** — every sample whose
-  upload/flush was acked before the crash is readable from the promoted
-  replica: committed-write loss is **zero** (the acceptance gate).
-  Async shipping is reported alongside as the contrast: its unshipped
-  tail is lost by design.
+* **Failover loses nothing it acknowledged** — a write is acked only
+  once a replica holds it, so every sample whose upload/flush was acked
+  before the crash is readable from the promoted replica: committed-write
+  loss is **zero** (the acceptance gate).
 * **Replica lag stays bounded under sustained ingest** — the shipper's
-  per-replica backlog (frames behind the primary's WAL) drains to zero
-  at every pump in both modes; semi-sync additionally holds it at zero
-  at every *ack*.
-* **Revocation-to-silence across failover** — a rule revocation that
-  only ever reached the broker's mirror still silences the contributor's
-  data after the stale replica is promoted (fail-closed promotion), and
-  the benchmark reports how much simulated time passes between the
-  revocation and the first denied read.
+  per-replica backlog (frames behind the primary's WAL) is zero at every
+  *ack* and drains to zero at every pump.
+* **Revocation-to-silence across failover** — a rule revocation that no
+  replica acked (refused to the owner) but that reached the broker's
+  mirror still silences the contributor's data after the stale replica
+  is promoted (fail-closed promotion), and the benchmark reports how much
+  simulated time passes between the revocation and the first denied
+  read.
 
 Run standalone for the CI smoke check::
 
@@ -34,6 +33,7 @@ import numpy as np
 
 from repro.core.system import SensorSafeSystem
 from repro.datastore.wavesegment import WaveSegment
+from repro.exceptions import ReplicationError
 from repro.rules.model import ALLOW, Rule
 from repro.util.timeutil import timestamp_ms
 
@@ -47,9 +47,9 @@ HEARTBEAT_MS = 2_000
 SEGMENTS = 8
 SAMPLES_PER_SEGMENT = 64
 
-FAILOVER_HEADERS = ["mode", "detect ms", "first query ms", "promoted"]
-LOSS_HEADERS = ["mode", "committed", "readable", "lost", "gate"]
-LAG_HEADERS = ["mode", "max lag (frames)", "lag after pump", "lag after ack"]
+FAILOVER_HEADERS = ["detect ms", "first query ms", "promoted"]
+LOSS_HEADERS = ["committed", "readable", "lost", "gate"]
+LAG_HEADERS = ["max lag (frames)", "lag after pump", "lag after ack"]
 
 
 def _segment(i):
@@ -65,11 +65,9 @@ def _segment(i):
     )
 
 
-def _build(workdir, mode):
+def _build(workdir):
     system = SensorSafeSystem(seed=12)
-    primary = system.create_replicated_store(
-        "alice-store", directory=workdir, n_replicas=1, mode=mode
-    )
+    primary = system.create_replicated_store("alice-store", directory=workdir, n_replicas=1)
     alice = system.add_contributor("alice", store=primary)
     bob = system.add_consumer("bob")
     bob.add_contributors(["alice"])
@@ -86,17 +84,17 @@ def _tick(system):
     return system.broker.failover.heartbeat()
 
 
-def run_failover(mode):
+def run_failover():
     """Kill the primary mid-workload; clock the detect→promote→query path."""
     workdir = tempfile.mkdtemp(prefix="c12-")
     try:
-        system, alice, bob = _build(workdir, mode)
+        system, alice, bob = _build(workdir)
         committed = 0
         for i in range(SEGMENTS):
             alice.upload_segments([_segment(i)])
             alice.flush()
             committed += SAMPLES_PER_SEGMENT
-            _tick(system)  # the heartbeat is also the async replication tick
+            _tick(system)
         system.network.unregister_host("alice-store")
         killed_at = system.clock.now_ms()
         promoted = None
@@ -109,7 +107,6 @@ def run_failover(mode):
         readable = _samples(bob.fetch("alice"))
         first_query_ms = system.clock.now_ms() - killed_at
         return {
-            "mode": mode,
             "detect_ms": detect_ms,
             "first_query_ms": first_query_ms,
             "promoted": promoted,
@@ -121,11 +118,11 @@ def run_failover(mode):
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def run_replica_lag(mode):
+def run_replica_lag():
     """Shipper backlog per ingest round: before pump, after pump, at ack."""
     workdir = tempfile.mkdtemp(prefix="c12-")
     try:
-        system, alice, bob = _build(workdir, mode)
+        system, alice, bob = _build(workdir)
         primary = system.stores["alice-store"]
         shipper = primary.replication
         max_lag = 0
@@ -134,14 +131,13 @@ def run_replica_lag(mode):
         for i in range(SEGMENTS):
             alice.upload_segments([_segment(i)])
             alice.flush()
-            # The flush barrier pumped (and, semi-sync, required an ack):
-            # lag here is the post-request steady state.
+            # The flush barrier pumped and required an ack: lag here is
+            # the post-request steady state.
             after_ack.append(shipper.lag_of("alice-store-r1"))
             max_lag = max(max_lag, shipper.lag_of("alice-store-r1"))
             shipper.pump()
             after_pump.append(shipper.lag_of("alice-store-r1"))
         return {
-            "mode": mode,
             "max_lag": max_lag,
             "after_pump": max(after_pump),
             "after_ack": max(after_ack),
@@ -154,22 +150,26 @@ def run_revocation_to_silence():
     """Simulated ms from revocation to the first denied read, across failover.
 
     Worst case for privacy: the revocation never reaches the replica (the
-    ship link is partitioned), the primary dies, and the stale replica —
-    still carrying the revoked allow — is promoted.  Fail-closed
-    promotion must silence the data anyway.
+    ship link is partitioned), so the owner is told it was refused, but
+    the primary applied it and the broker's mirror saw it.  The primary
+    dies, and the stale replica — still carrying the revoked allow — is
+    promoted.  Fail-closed promotion must silence the data anyway.
     """
     from repro.net.faults import FaultPlan
 
     workdir = tempfile.mkdtemp(prefix="c12-")
     try:
-        system, alice, bob = _build(workdir, "async")
+        system, alice, bob = _build(workdir)
         alice.upload_segments([_segment(0)])
         alice.flush()
         _tick(system)
         plan = FaultPlan(seed=12)
         plan.add_partition("ship-lost", {"alice-store"}, {"alice-store-r1"})
         system.install_faults(plan)
-        alice.replace_rules([])  # the revocation; mirror sees v2
+        try:
+            alice.replace_rules([])  # the revocation; the mirror sees it
+        except ReplicationError:
+            pass  # no replica acked it: refused, yet possibly applied
         revoked_at = system.clock.now_ms()
         system.network.unregister_host("alice-store")
         system.install_faults(None)
@@ -187,59 +187,40 @@ def run_revocation_to_silence():
 
 
 def run_all():
-    failover = [run_failover(mode) for mode in ("semi-sync", "async")]
-    lag = [run_replica_lag(mode) for mode in ("semi-sync", "async")]
-    revocation = run_revocation_to_silence()
-    return {"failover": failover, "lag": lag, "revocation": revocation}
+    return {
+        "failover": run_failover(),
+        "lag": run_replica_lag(),
+        "revocation": run_revocation_to_silence(),
+    }
 
 
-def tables(results):
-    failover_rows = [
-        [r["mode"], f"{r['detect_ms']}", f"{r['first_query_ms']}", r["promoted"]]
-        for r in results["failover"]
-    ]
-    loss_rows = [
-        [
-            r["mode"],
-            str(r["committed"]),
-            str(r["readable"]),
-            str(r["lost"]),
-            "== 0" if r["mode"] == "semi-sync" else "(tail loss allowed)",
-        ]
-        for r in results["failover"]
-    ]
-    lag_rows = [
-        [r["mode"], str(r["max_lag"]), str(r["after_pump"]), str(r["after_ack"])]
-        for r in results["lag"]
-    ]
-    return failover_rows, loss_rows, lag_rows
+def _failover_row(r):
+    return [str(r["detect_ms"]), str(r["first_query_ms"]), r["promoted"]]
 
 
-def test_c12_semi_sync_failover_loses_nothing(benchmark):
-    result = benchmark(lambda: run_failover("semi-sync"))
+def _lag_row(r):
+    return [str(r["max_lag"]), str(r["after_pump"]), str(r["after_ack"])]
+
+
+def test_c12_failover_loses_nothing(benchmark):
+    result = benchmark(run_failover)
     assert result["lost"] == 0
     assert result["promoted"] == "alice-store-r1"
     benchmark.extra_info["detect_ms"] = result["detect_ms"]
     benchmark.extra_info["first_query_ms"] = result["first_query_ms"]
     report_table(
-        "C12 — Semi-sync failover",
+        "C12 — Failover",
         FAILOVER_HEADERS,
-        [[result["mode"], str(result["detect_ms"]), str(result["first_query_ms"]), result["promoted"]]],
+        [_failover_row(result)],
         notes="zero committed-write loss across primary death",
     )
 
 
 def test_c12_replica_lag_drains():
-    results = [run_replica_lag(mode) for mode in ("semi-sync", "async")]
-    for r in results:
-        assert r["after_pump"] == 0  # every pump drains the backlog
-    semi = next(r for r in results if r["mode"] == "semi-sync")
-    assert semi["after_ack"] == 0  # an acked request is a shipped request
-    report_table(
-        "C12 — Replica lag under sustained ingest",
-        LAG_HEADERS,
-        [[r["mode"], str(r["max_lag"]), str(r["after_pump"]), str(r["after_ack"])] for r in results],
-    )
+    result = run_replica_lag()
+    assert result["after_pump"] == 0  # every pump drains the backlog
+    assert result["after_ack"] == 0  # an acked request is a shipped request
+    report_table("C12 — Replica lag under sustained ingest", LAG_HEADERS, [_lag_row(result)])
 
 
 def test_c12_revocation_to_silence():
@@ -259,32 +240,31 @@ def main(argv) -> int:
         print(__doc__)
         return 2
     results = run_all()
-    failover_rows, loss_rows, lag_rows = tables(results)
+    failover, lag = results["failover"], results["lag"]
     print("C12 — Failover time (simulated clock)")
-    print(format_table(FAILOVER_HEADERS, failover_rows))
+    print(format_table(FAILOVER_HEADERS, [_failover_row(failover)]))
     print("\nC12 — Committed-write loss")
-    print(format_table(LOSS_HEADERS, loss_rows))
+    loss_row = [str(failover["committed"]), str(failover["readable"]), str(failover["lost"]), "== 0"]
+    print(format_table(LOSS_HEADERS, [loss_row]))
     print("\nC12 — Replica lag")
-    print(format_table(LAG_HEADERS, lag_rows))
+    print(format_table(LAG_HEADERS, [_lag_row(lag)]))
     revocation = results["revocation"]
     print(
         f"\nC12 — Revocation-to-silence: {revocation['silence_ms']} ms simulated, "
         f"silenced={revocation['silenced']}, fail_closed={revocation['fail_closed']}"
     )
-    semi = next(r for r in results["failover"] if r["mode"] == "semi-sync")
-    if semi["lost"] != 0:
-        print(f"C12 SMOKE FAILED: semi-sync lost {semi['lost']} committed samples")
+    if failover["lost"] != 0:
+        print(f"C12 SMOKE FAILED: lost {failover['lost']} committed samples")
         return 1
     if not (revocation["silenced"] and revocation["fail_closed"]):
         print("C12 SMOKE FAILED: revoked data readable after failover")
         return 1
-    lag_gate = [r for r in results["lag"] if r["after_pump"] != 0]
-    if lag_gate:
-        print(f"C12 SMOKE FAILED: replica lag did not drain: {lag_gate}")
+    if lag["after_pump"] != 0:
+        print(f"C12 SMOKE FAILED: replica lag did not drain: {lag}")
         return 1
     print(
-        f"replication smoke ok (semi-sync loss 0/{semi['committed']}, "
-        f"failover {semi['first_query_ms']} ms simulated)"
+        f"replication smoke ok (loss 0/{failover['committed']}, "
+        f"failover {failover['first_query_ms']} ms simulated)"
     )
     return 0
 

@@ -11,10 +11,11 @@ X" for consumers.  This module adds the missing control loop:
   over the real (simulated, faultable) network and pumps the primary's
   shipper — the broker tick is the replication tick;
 * after ``miss_threshold`` consecutive failed probes of a primary,
-  :meth:`FailoverManager.failover` promotes the most-caught-up reachable
-  replica at a **bumped store epoch**, best-effort demotes the old
-  primary, re-homes the contributor directory, force-pulls the promoted
-  store's profiles, and enrolls escrowed consumers there.
+  :meth:`FailoverManager.failover` promotes the most-caught-up replica,
+  once every replica answers, at a **bumped store epoch**, best-effort
+  demotes the old primary, re-homes the contributor directory,
+  force-pulls the promoted store's profiles, and enrolls escrowed
+  consumers there.
 
 Safety properties, in order of precedence:
 
@@ -25,11 +26,15 @@ Safety properties, in order of precedence:
 2. **Fail closed** — promotion passes the broker's mirrored rule
    versions to the new primary; any contributor whose replicated rules
    lag that mirror is denied by default until their owner re-publishes
-   (same contract as crash recovery).  If no replica is reachable there
-   is *no* promotion: the set stays down rather than serving stale.
-3. **Progress** — among reachable replicas the one with the highest
-   applied LSN wins (ties break on host name for determinism), which
-   under semi-sync shipping makes committed-write loss zero.
+   (same contract as crash recovery).  If any replica does not answer,
+   or the one elected does not confirm its promotion, there is *no*
+   promotion: the set stays down rather than serving stale, and the next
+   heartbeat elects again.
+3. **Progress** — a write is acknowledged once one replica holds it
+   (:mod:`repro.storage.replication`), and that replica is among every
+   replica the election sees; the one with the highest applied LSN wins
+   (ties break on host name for determinism), so committed-write loss is
+   zero.
 """
 
 from __future__ import annotations
@@ -55,8 +60,6 @@ class ReplicaSet:
     #: deployment's directory; in the simulation it also holds the
     #: service handles it uses to wire shipping links at setup time.
     services: dict = field(default_factory=dict)
-    mode: str = "async"
-    min_acks: int = 1
     epoch: int = 1
     missed: dict = field(default_factory=dict)  # host -> consecutive misses
     demoted: list = field(default_factory=list)  # fenced ex-primaries
@@ -97,8 +100,6 @@ class FailoverManager:
         replicas,
         *,
         name: Optional[str] = None,
-        mode: str = "async",
-        min_acks: int = 1,
     ) -> ReplicaSet:
         """Pair a primary with its replicas and start WAL shipping.
 
@@ -111,17 +112,11 @@ class FailoverManager:
         set_name = name or primary.host
         if set_name in self.sets:
             raise SensorSafeError(f"replica set already registered: {set_name!r}")
-        group = ReplicaSet(
-            name=set_name,
-            primary=primary.host,
-            mode=mode,
-            min_acks=min_acks,
-            epoch=primary.epoch,
-        )
+        group = ReplicaSet(name=set_name, primary=primary.host, epoch=primary.epoch)
         group.services[primary.host] = primary
         if primary.host not in self.broker.store_keys:
             self.broker.attach_store(primary)
-        shipper = primary.enable_replication(mode, min_acks=min_acks)
+        shipper = primary.enable_replication()
         for replica in replicas:
             group.services[replica.host] = replica
             group.replicas.append(replica.host)
@@ -248,11 +243,13 @@ class FailoverManager:
         return record
 
     def failover(self, name: str) -> dict:
-        """Promote the most-caught-up reachable replica of one set.
+        """Promote the most-caught-up replica of one set.
 
-        Returns a report; when no replica answers, nothing is promoted
-        and the directory is left untouched (requests keep failing until
-        a member returns — unavailability is the fail-closed outcome).
+        Returns a report; when a replica does not answer, or the elected
+        one does not confirm its promotion, nothing is promoted and the
+        directory is left untouched (requests keep failing until the next
+        heartbeat's election succeeds — unavailability is the fail-closed
+        outcome).
         The whole election runs inside a ``failover.promote`` span, and
         the returned report (and audit record) carries its trace id.
         """
@@ -264,46 +261,36 @@ class FailoverManager:
     def _failover(self, name: str, span) -> dict:
         group = self.sets[name]
         old_primary = group.primary
-        candidates = []
-        highest_epoch = group.epoch
-        for host in group.replicas:
-            status = self._replication_status(host)
-            if status is None:
-                continue
-            highest_epoch = max(highest_epoch, int(status.get("Epoch", 0)))
-            applier = status.get("Applier") or {}
-            candidates.append((int(applier.get("AppliedLsn", 0)), host))
-        if not candidates:
-            self._c_noquorum.inc()
-            self._record_event("no-candidate", name, None, group.epoch,
-                               span.trace_id, OldPrimary=old_primary)
-            return {"Promoted": None, "Reason": "no reachable replica"}
+        statuses = {host: self._replication_status(host) for host in group.replicas}
+        silent = sorted(host for host, status in statuses.items() if status is None)
+        if not statuses:
+            return self._no_candidate(group, span, "no replica")
+        if silent:
+            # A write is acked by one replica, so only the whole set is
+            # certain to include the one that acked the last write.
+            return self._no_candidate(group, span, f"replicas not answering: {silent}")
         # Highest applied LSN wins; ties break on host name so two
-        # brokers (or two runs) elect identically.
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        new_epoch = highest_epoch + 1
+        # brokers (or two runs) elect identically.  The epoch is above
+        # every epoch a replica reports, so a promotion whose reply was
+        # lost is superseded, not repeated.
+        _lsn, promoted = min(
+            (-int((status.get("Applier") or {}).get("AppliedLsn", 0)), host)
+            for host, status in statuses.items()
+        )
+        new_epoch = 1 + max(
+            [group.epoch] + [int(status.get("Epoch", 0)) for status in statuses.values()]
+        )
         versions = {
             record.name: record.rules_version
             for record in self.broker.registry.on_host(old_primary)
         }
-        promoted = None
-        promotion = None
-        for _lsn, host in candidates:
-            key = self.broker.store_keys.get(host)
-            try:
-                promotion = self._probe.with_key(key).post(
-                    f"https://{host}/api/promote",
-                    {"Epoch": new_epoch, "RuleVersions": versions},
-                )
-            except (TransportError, SensorSafeError):
-                continue  # candidate died between probe and promote: next
-            promoted = host
-            break
-        if promoted is None:
-            self._c_noquorum.inc()
-            self._record_event("no-candidate", name, None, group.epoch,
-                               span.trace_id, OldPrimary=old_primary)
-            return {"Promoted": None, "Reason": "every candidate refused promotion"}
+        try:
+            promotion = self._probe.with_key(self.broker.store_keys.get(promoted)).post(
+                f"https://{promoted}/api/promote",
+                {"Epoch": new_epoch, "RuleVersions": versions},
+            )
+        except (TransportError, SensorSafeError):
+            return self._no_candidate(group, span, f"{promoted} did not confirm promotion")
         # Fence the old primary if it still answers; if not, its next WAL
         # ship is rejected at the new epoch and it demotes itself.
         old_key = self.broker.store_keys.get(old_primary)
@@ -343,10 +330,17 @@ class FailoverManager:
             "Epoch": new_epoch,
             "Repointed": moved,
             "ConsumersReRegistered": reregistered,
-            "FailClosed": list((promotion or {}).get("FailClosed", [])),
+            "FailClosed": list(promotion.get("FailClosed", [])),
             "TraceId": span.trace_id,
             "DetectionMs": detection_ms,
         }
+
+    def _no_candidate(self, group: ReplicaSet, span, reason: str) -> dict:
+        """Promote nobody: record the event and leave the set down."""
+        self._c_noquorum.inc()
+        self._record_event("no-candidate", group.name, None, group.epoch,
+                           span.trace_id, OldPrimary=group.primary, Reason=reason)
+        return {"Promoted": None, "Reason": reason}
 
     def _rewire(self, group: ReplicaSet) -> None:
         """Point surviving replicas' shipping links at the new primary.
@@ -354,13 +348,13 @@ class FailoverManager:
         Every link is new, so each survivor's first ship is a resync: it
         becomes the new primary's records, not the dead primary's.  With no
         surviving replica the new primary ships to nobody — and
-        deliberately does *not* enable semi-sync shipping, which with
-        zero reachable replicas would reject every write.
+        deliberately does *not* enable shipping, whose barrier would
+        reject every write with no replica to ack it.
         """
         primary = group.services.get(group.primary)
         if primary is None or primary.durability is None or not group.replicas:
             return
-        shipper = primary.enable_replication(group.mode, min_acks=group.min_acks)
+        shipper = primary.enable_replication()
         shipper.fenced = False
         for host in group.replicas:
             replica = group.services.get(host)
@@ -398,7 +392,7 @@ class FailoverManager:
         group.missed[service.host] = 0
         primary = group.services.get(group.primary)
         if primary is not None and primary.durability is not None:
-            shipper = primary.enable_replication(group.mode, min_acks=group.min_acks)
+            shipper = primary.enable_replication()
             shipper.detach(service.host)  # drop any stale link/key
             self._link(shipper, group.primary, service)
             shipper.pump()
@@ -418,8 +412,6 @@ class FailoverManager:
                 "Primary": group.primary,
                 "Replicas": sorted(group.replicas),
                 "Demoted": sorted(group.demoted),
-                "Mode": group.mode,
-                "MinAcks": group.min_acks,
                 "Epoch": group.epoch,
                 "Failovers": group.failovers,
                 "Missed": dict(sorted(group.missed.items())),

@@ -8,7 +8,7 @@ kills the primary, lets the broker detect and promote, and verifies the
 replication contract end to end:
 
 * the most-caught-up replica is promoted at a bumped epoch;
-* in semi-sync mode, every acknowledged sample is readable afterwards;
+* every acknowledged sample is readable afterwards;
 * a revocation that only reached the broker's rules mirror fails closed
   on the promoted replica until the owner re-publishes.
 
@@ -28,8 +28,7 @@ def _topology_lines(status: dict) -> list:
     lines = []
     for name, group in status.items():
         lines.append(
-            f"  set {name}: primary={group['Primary']} epoch={group['Epoch']} "
-            f"mode={group['Mode']} min_acks={group['MinAcks']}"
+            f"  set {name}: primary={group['Primary']} epoch={group['Epoch']}"
         )
         for replica in group["Replicas"]:
             lines.append(f"    replica {replica}")
@@ -61,12 +60,6 @@ def main(argv: list) -> int:
     )
     parser.add_argument(
         "--replicas", type=int, default=2, help="replicas per set (default 2)"
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("semi-sync", "async"),
-        default="semi-sync",
-        help="WAL shipping ack mode (default semi-sync)",
     )
     parser.add_argument(
         "--segments", type=int, default=4, help="segments to commit (default 4)"
@@ -110,10 +103,7 @@ def main(argv: list) -> int:
         print("========================")
         system = SensorSafeSystem(seed=6)
         primary = system.create_replicated_store(
-            "alice-store",
-            directory=workdir,
-            n_replicas=args.replicas,
-            mode=args.mode,
+            "alice-store", directory=workdir, n_replicas=args.replicas
         )
         alice = system.add_contributor("alice", store=primary)
         bob = system.add_consumer("bob")
@@ -150,12 +140,12 @@ def main(argv: list) -> int:
         system.install_faults(plan)
         try:
             alice.replace_rules([])
-            print("  revoked all of alice's rules (replicas partitioned away)")
+            failures.append("a revocation no replica holds was acknowledged")
         except ReplicationError as exc:
-            # Semi-sync refuses a write no replica can ack — but the
+            # The barrier refuses a write no replica can ack — but the
             # primary and the broker's mirror have already adopted it, so
             # the stale replicas must still fail closed after promotion.
-            print(f"  revocation ack refused by semi-sync barrier: {exc}")
+            print(f"  revocation ack refused by the replication barrier: {exc}")
         revoked = system.broker.registry.get("alice").rules_version >= 2
         system.network.unregister_host("alice-store")
         system.install_faults(None)
@@ -163,11 +153,11 @@ def main(argv: list) -> int:
 
         result = None
         beats = 0
-        while result is None and beats < 10:
+        while not (result and result["Promoted"]) and beats < 10:
             system.clock.advance(2_000)
             beats += 1
             result = system.broker.failover.heartbeat()["alice-store"]["FailedOver"]
-        if result is None:
+        if not (result and result["Promoted"]):
             failures.append("broker never promoted a replica")
         else:
             print(
@@ -197,10 +187,8 @@ def main(argv: list) -> int:
             if p.segment is not None
         )
         print(f"  after re-publish: {readable}/{committed} committed samples readable")
-        if args.mode == "semi-sync" and readable < committed:
-            failures.append(
-                f"semi-sync lost {committed - readable} acknowledged samples"
-            )
+        if readable < committed:
+            failures.append(f"lost {committed - readable} acknowledged samples")
 
         print("  post-drill topology:")
         for line in _topology_lines(system.broker.failover.status()):

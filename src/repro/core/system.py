@@ -7,7 +7,7 @@ from typing import Optional
 from repro.core.consumer import Consumer
 from repro.core.contributor import Contributor
 from repro.datastore.optimizer import MergePolicy
-from repro.exceptions import ConflictError
+from repro.exceptions import ConflictError, StorageError
 from repro.net.client import HttpClient
 from repro.net.faults import FaultPlan, SimClock
 from repro.net.resilience import RetryPolicy
@@ -186,8 +186,7 @@ class SensorSafeSystem:
         directory: str,
         n_replicas: int = 1,
         institution: str = "self-hosted",
-        mode: str = "async",
-        min_acks: int = 1,
+        mode: str = "semi-sync",
         wal_sync: str = "group",
         storage_faults=None,
         merge_policy: Optional[MergePolicy] = None,
@@ -200,9 +199,14 @@ class SensorSafeSystem:
         :meth:`BrokerService.failover` heartbeats promote the
         most-caught-up replica when the primary dies.  Returns the
         primary service; the set is ``system.broker.failover.sets[host]``.
+
+        A write is acknowledged once a replica holds it; ``mode`` names that
+        rule, ``"semi-sync"``, and takes no other value.
         """
         import os
 
+        if mode != "semi-sync":
+            raise StorageError(f"unknown replication mode {mode!r}; the one mode is 'semi-sync'")
         if host in self.stores:
             raise ConflictError(f"store host already exists: {host!r}")
         primary = DataStoreService(
@@ -235,9 +239,7 @@ class SensorSafeSystem:
             )
             self.stores[replica_host] = replica
             replicas.append(replica)
-        self.broker.attach_replica_set(
-            primary, replicas, name=host, mode=mode, min_acks=min_acks
-        )
+        self.broker.attach_replica_set(primary, replicas, name=host)
         return primary
 
     def add_contributor(

@@ -216,12 +216,14 @@ class DeadlineExpiredError(ServiceError):
 
 
 class ReplicationError(ServiceError):
-    """A replicated write could not be acknowledged by enough replicas.
+    """A replicated write could not be acknowledged by a replica.
 
-    Raised on the primary in ``semi-sync`` mode when fewer than the
-    required number of replicas acknowledged the shipped WAL frames: the
-    write is rejected rather than acknowledged un-replicated, which is the
-    trade that makes committed-write loss zero across a failover.
+    Raised on the primary when no replica acknowledged the shipped WAL
+    frames: the write is rejected rather than acknowledged un-replicated,
+    which is the trade that makes committed-write loss zero across a
+    failover.  The write may still have been applied at the primary (and
+    its rule change pushed to the broker), so a refused write counts as
+    *possibly applied*.
     """
 
     status = 503

@@ -440,9 +440,7 @@ def run_fleet_scenario(*, drill: bool = False, seed: int = 7):
 
     workdir = tempfile.mkdtemp(prefix="sensorsafe-fleet-")
     system = SensorSafeSystem(seed=seed)
-    primary = system.create_replicated_store(
-        "alice-store", directory=workdir, n_replicas=2, mode="semi-sync"
-    )
+    primary = system.create_replicated_store("alice-store", directory=workdir, n_replicas=2)
     alice = system.add_contributor("alice", store=primary)
     bob = system.add_consumer("bob")
     bob.add_contributors(["alice"])

@@ -89,7 +89,7 @@ class RuleStore:
         """Add one rule for a contributor; duplicate rule ids are rejected.
 
         Re-adding a rule *identical* to the one already stored under its
-        id is an idempotent no-op: a semi-sync replication rejection (503)
+        id is an idempotent no-op: a replication rejection (503)
         leaves the rule applied locally, and the client's retry of the
         same request must converge instead of faulting on its own success.
         """
@@ -110,7 +110,7 @@ class RuleStore:
 
         Returns the removed rule, or ``None`` when no such rule exists
         (no version bump, no listener fire).  The no-op arm mirrors
-        :meth:`add`'s identical-rule tolerance: a semi-sync replication
+        :meth:`add`'s identical-rule tolerance: a replication
         rejection (503) leaves the rule already removed locally, and the
         client's retry of the same request must converge instead of
         faulting on its own success.

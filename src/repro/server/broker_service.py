@@ -167,13 +167,13 @@ class BrokerService:
         out["failed"] += self.enroll_escrowed(host, host)[1]
         return out
 
-    def attach_replica_set(self, primary, replicas, **kwargs):
+    def attach_replica_set(self, primary, replicas, *, name=None):
         """Pair a primary and its replicas, wiring WAL shipping + failover.
 
         Convenience over :meth:`FailoverManager.register_set`; see
         :mod:`repro.broker.failover` for the promotion/fencing contract.
         """
-        return self.failover.register_set(primary, replicas, **kwargs)
+        return self.failover.register_set(primary, replicas, name=name)
 
     # ------------------------------------------------------------------
     # Consumer-side helpers

@@ -275,7 +275,7 @@ class DataStoreService:
             self._applier = ReplicaApplier(self)
         return self._applier
 
-    def enable_replication(self, mode: str = "async", *, min_acks: int = 1):
+    def enable_replication(self):
         """Start shipping this store's WAL to replicas; returns the shipper.
 
         A replica attached to it starts with a resync — every record this
@@ -285,7 +285,7 @@ class DataStoreService:
         if self.replication is None:
             from repro.storage.replication import WalShipper
 
-            self.replication = WalShipper(self, mode=mode, min_acks=min_acks)
+            self.replication = WalShipper(self)
         return self.replication
 
     def pair_primary(self) -> str:
@@ -308,12 +308,19 @@ class DataStoreService:
         across the handover: any contributor whose applied rules are
         *older* than what the broker last saw — or entirely unknown here —
         is denied by default until their owner re-publishes rules, exactly
-        like PR 4's unverifiable-rules recovery path.  A promotion may
-        deny; it must never widen access.
+        like the unverifiable-rules recovery path.  A promotion may deny;
+        it must never widen access.
+
+        The role changes only once the fence has run, so a promotion that
+        dies mid-fence leaves a replica for the next election.  The report's
+        ``FailClosed`` lists every mirrored contributor now denied here,
+        not only those this call fenced: a re-election of a store whose
+        earlier promotion ran but whose reply was lost must still name them.
         """
+        rule_versions = rule_versions or {}
         self.epoch = max(self.epoch, int(epoch))
+        self._fence_rule_versions(rule_versions)
         self.role = ROLE_PRIMARY
-        fenced = self._fence_rule_versions(rule_versions)
         if self.replication is not None:
             # Our stream is the authoritative one now; stop honoring any
             # fencing verdict aimed at the *old* primary's stream.
@@ -321,7 +328,7 @@ class DataStoreService:
         return {
             "Host": self.host,
             "Epoch": self.epoch,
-            "FailClosed": fenced,
+            "FailClosed": sorted(c for c in rule_versions if c in self.fail_closed),
             "AppliedLsn": self._applier.applied_lsn if self._applier else 0,
         }
 
@@ -377,9 +384,8 @@ class DataStoreService:
     def _replication_barrier(self) -> None:
         """Ship WAL frames produced by the request that just mutated state.
 
-        In ``semi-sync`` mode this is the commit acknowledgement barrier:
-        the request fails (503, retryable) unless enough replicas hold the
-        frames.  In ``async`` mode it is a best-effort pump.
+        This is the commit acknowledgement barrier: the request fails
+        (503, retryable) unless a replica holds the frames.
         """
         if self.replication is not None and self.is_primary:
             self.replication.after_write()
@@ -749,7 +755,7 @@ class DataStoreService:
         reply = {"Accepted": len(packets), "Finalized": stored}
         if request.body.get("Flush"):
             # The phone's last chunk carries its flush: same routine, same
-            # ack (fsynced here, held by ``min_acks`` replicas), one request.
+            # ack (fsynced here, held by a replica), one request.
             reply["Finalized"] += self._flush_store()
             reply["Flushed"] = True
         return reply

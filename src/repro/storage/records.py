@@ -311,20 +311,22 @@ def fail_close(service, contributor: str, version: int) -> None:
     rule set — the engine's default deny — at a version the caller picks
     *above* any it distrusts, so the deny wins the next broker sync
     instead of the stale-but-newer-looking copy.  The deny itself is
-    journaled (``restore`` fires no hooks): a crash right after must
-    recover to deny, not to the state this rejected.  During recovery the
-    WAL is not open yet; :meth:`Durability.open` journals the denies it
-    finds in the report once it is.  The flag lifts per :func:`apply`'s
-    lift rule, or when the owner re-publishes.
+    journaled (``restore`` fires no hooks) *before* it is applied: a
+    crash right after must recover to deny, not to the state this
+    rejected, and a crash in the append leaves the lag in place for the
+    next fence to find, instead of a deny held only in memory.  During
+    recovery the WAL is not open yet; :meth:`Durability.open` journals
+    the denies it finds in the report once it is.  The flag lifts per
+    :func:`apply`'s lift rule, or when the owner re-publishes.
     """
+    if service.durability is not None:
+        service.durability.journal(
+            OP_RULES, RuleSetSnapshot(contributor, version, ()).to_json()
+        )
     service.rules.register(contributor)
     service.rules.restore(contributor, [], version)
     service.fail_closed.add(contributor)
     service.network.obs.slo.fail_closed_entered(service.host, contributor)
-    if service.durability is not None:
-        service.durability.journal(
-            OP_RULES, service.rules.snapshot(contributor).to_json()
-        )
 
 
 def lift_fail_closed(service, contributor: str) -> None:

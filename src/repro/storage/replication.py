@@ -30,16 +30,14 @@ that has installed no resync since it started refuses every other batch,
 so a replica is never caught up with a hole in its history or a record
 its primary does not hold.
 
-Acknowledgement modes:
-
-* ``"async"`` — frames ship opportunistically (after each mutating
-  request and on broker heartbeats); a write is acknowledged to the
-  client before replicas have it, so a failover can lose the tail;
-* ``"semi-sync"`` — a mutating request is only acknowledged once at
-  least ``min_acks`` replicas hold every frame it produced; otherwise
-  the request fails with :class:`~repro.exceptions.ReplicationError`.
-  Availability is traded for durability: committed-write loss across a
-  failover is zero by construction (benchmark C12 asserts it).
+Acknowledgement: a mutating request is acknowledged only once a replica
+holds every frame it produced; otherwise the request fails with
+:class:`~repro.exceptions.ReplicationError` (503, retryable).  One ack
+suffices because the broker promotes only when it can see every replica
+and then picks the most caught-up (:mod:`repro.broker.failover`), so the
+replica that acked is always among those it chooses from.  Availability
+is traded for durability: committed-write loss across a failover is zero
+by construction (benchmark C12 asserts it).
 
 Epoch fencing: every ship carries the primary's **store epoch**.  The
 broker bumps the epoch when it promotes a replica, so a demoted primary
@@ -64,10 +62,6 @@ from repro.exceptions import (
 )
 from repro.storage.records import KNOWN_OPS, apply, dump, replace
 from repro.storage.wal import HEADER_SIZE, _HEADER, decode_frame, decode_payload
-
-MODE_ASYNC = "async"
-MODE_SEMI_SYNC = "semi-sync"
-_MODES = (MODE_ASYNC, MODE_SEMI_SYNC)
 
 #: Consecutive failed ships before a replica is declared *lagging*: it
 #: stops pinning the primary's in-memory frame buffer and is converged by
@@ -160,16 +154,12 @@ class WalShipper:
     service to be durable (the WAL *is* the replication stream).
     """
 
-    def __init__(self, service, *, mode: str = MODE_ASYNC, min_acks: int = 1):
-        if mode not in _MODES:
-            raise StorageError(f"unknown replication mode {mode!r}; use {_MODES}")
+    def __init__(self, service):
         if service.durability is None or service.durability.wal is None:
             raise StorageError(
                 f"store {service.host!r} is not durable; replication ships the WAL"
             )
         self.service = service
-        self.mode = mode
-        self.min_acks = max(1, int(min_acks))
         self.links: dict = {}
         self._buffer: list = []
         self.fenced = False  # a replica rejected our epoch: we were demoted
@@ -223,11 +213,6 @@ class WalShipper:
         if link is None:
             return 0
         return max(0, self.last_lsn() - link.acked_lsn)
-
-    def acked_count(self, lsn: Optional[int] = None) -> int:
-        """Replicas that have acknowledged everything up to ``lsn``."""
-        target = self.last_lsn() if lsn is None else lsn
-        return sum(1 for link in self.links.values() if link.acked_lsn >= target)
 
     # ------------------------------------------------------------------
     # Shipping
@@ -348,11 +333,10 @@ class WalShipper:
     def after_write(self) -> None:
         """The service's per-request replication barrier.
 
-        Called after every mutating API request.  ``async`` ships on a
-        best-effort basis; ``semi-sync`` additionally *requires* at least
-        ``min_acks`` replicas to hold every frame this request journaled,
-        or the request is rejected (the client retries — upload dedupe
-        and idempotent rule replace make those retries safe).
+        Called after every mutating API request: ships, then *requires* a
+        replica to hold every frame this request journaled, or the request
+        is rejected (the client retries — upload dedupe and idempotent
+        rule replace make those retries safe).
         """
         target = self.last_lsn()
         self.pump()
@@ -362,20 +346,16 @@ class WalShipper:
                 f"store {self.service.host!r} was fenced at epoch "
                 f"{self.service.epoch}; writes rejected"
             )
-        if self.mode != MODE_SEMI_SYNC:
-            return
-        if self.acked_count(target) < self.min_acks:
+        if not any(link.acked_lsn >= target for link in self.links.values()):
             self._c_rejected.inc()
             raise ReplicationError(
-                f"semi-sync write needs {self.min_acks} replica ack(s) up to "
-                f"lsn {target}; reachable replicas are behind or down"
+                f"write needs a replica ack up to lsn {target}; "
+                "reachable replicas are behind or down"
             )
 
     def status(self) -> dict:
         """Shipping progress per replica, for the CLI and status endpoint."""
         return {
-            "Mode": self.mode,
-            "MinAcks": self.min_acks,
             "LastLsn": self.last_lsn(),
             "Fenced": self.fenced,
             "Replicas": {

@@ -13,7 +13,7 @@ from tests.conftest import MONDAY, assert_replica_matches, make_segment
 from repro.conformance.generators import Trial
 from repro.conformance.invariants import check_release
 from repro.core.system import SensorSafeSystem
-from repro.exceptions import TransportError
+from repro.exceptions import ReplicationError, StorageError, TransportError
 from repro.net.faults import FaultPlan
 from repro.rules.model import ALLOW, Rule
 from repro.server.datastore_service import ROLE_REPLICA
@@ -21,11 +21,11 @@ from repro.server.datastore_service import ROLE_REPLICA
 ALLOW_BOB = Rule(consumers=("bob",), action=ALLOW)
 
 
-def replicated_system(tmp_path, *, n_replicas=1, mode="semi-sync"):
+def replicated_system(tmp_path, *, n_replicas=1):
     """System + replicated alice-store + contributor alice + consumer bob."""
     system = SensorSafeSystem(seed=7)
     primary = system.create_replicated_store(
-        "alice-store", directory=str(tmp_path), n_replicas=n_replicas, mode=mode
+        "alice-store", directory=str(tmp_path), n_replicas=n_replicas
     )
     alice = system.add_contributor("alice", store=primary)
     bob = system.add_consumer("bob")
@@ -63,7 +63,7 @@ class TestDetectionAndPromotion:
         assert system.stores["alice-store-r1"].is_primary
 
     def test_most_caught_up_replica_wins(self, tmp_path):
-        system, alice, bob = replicated_system(tmp_path, n_replicas=2, mode="async")
+        system, alice, bob = replicated_system(tmp_path, n_replicas=2)
         alice.upload_segments([make_segment()])
         alice.flush()
         system.broker.failover.heartbeat()  # both replicas converge
@@ -84,6 +84,12 @@ class TestDetectionAndPromotion:
         assert r2.applier.applied_lsn == r1.durability.wal.last_lsn
         assert_replica_matches(r1, r2)
 
+    def test_semi_sync_is_the_only_mode(self, tmp_path):
+        system = SensorSafeSystem(seed=7)
+        with pytest.raises(StorageError):
+            system.create_replicated_store("alice-store", directory=str(tmp_path), mode="async")
+        assert "alice-store" not in system.stores
+
     def test_no_reachable_replica_means_no_promotion(self, tmp_path):
         system, alice, bob = replicated_system(tmp_path)
         alice.upload_segments([make_segment()])
@@ -101,7 +107,7 @@ class TestDetectionAndPromotion:
 
 class TestZeroCommittedWriteLoss:
     def test_semi_sync_failover_loses_nothing_acknowledged(self, tmp_path):
-        system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+        system, alice, bob = replicated_system(tmp_path)
         for i in range(3):
             alice.upload_segments([make_segment(start_ms=MONDAY + i * 3_600_000)])
             alice.flush()  # semi-sync: the ack means a replica holds it
@@ -118,7 +124,7 @@ class TestZeroCommittedWriteLoss:
         assert samples_after == samples_before
 
     def test_releases_stay_conformant_after_promotion(self, tmp_path):
-        system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+        system, alice, bob = replicated_system(tmp_path)
         segment = make_segment(n=50)
         alice.upload_segments([segment])
         alice.flush()
@@ -142,7 +148,7 @@ class TestRevocationFencing:
         until she re-publishes.  Removing the deny in
         :meth:`DataStoreService.promote` makes this test fail.
         """
-        system, alice, bob = replicated_system(tmp_path, mode="async")
+        system, alice, bob = replicated_system(tmp_path)
         alice.upload_segments([make_segment()])
         alice.flush()
         system.broker.failover.heartbeat()
@@ -153,9 +159,13 @@ class TestRevocationFencing:
         plan.add_partition("ship-lost", {"alice-store"}, {"alice-store-r1"})
         system.install_faults(plan)
         # ...then alice revokes: v2 reaches the broker mirror (eager
-        # push), but never the replica.
-        alice.replace_rules([])
-        assert system.broker.registry.get("alice").rules_version == 2
+        # push), but never the replica, so no replica acks it and the
+        # owner is told it was refused.  The primary applied it anyway.
+        with pytest.raises(ReplicationError):
+            alice.replace_rules([])
+        # The client's retries re-sent it, each a new version: the mirror
+        # is ahead of the replica, whatever number it reached.
+        assert system.broker.registry.get("alice").rules_version > 1
         assert replica.rules.version_of("alice") == 1  # stale allow
         kill(system, "alice-store")
         system.install_faults(None)
@@ -177,7 +187,7 @@ class TestRevocationFencing:
         alice's revocation still answers 200 and ships under its semi-sync
         ack, so the replica holds it before any heartbeat; promotion then
         serves bob nothing, though the broker's mirror never saw the push."""
-        system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+        system, alice, bob = replicated_system(tmp_path)
         alice.upload_segments([make_segment()])
         alice.flush()
         assert len(bob.fetch("alice")) > 0
@@ -197,7 +207,7 @@ class TestRevocationFencing:
         assert system.broker.registry.get("alice").rules_version == 2
 
     def test_fenced_ex_primary_rejoins_as_replica(self, tmp_path):
-        system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+        system, alice, bob = replicated_system(tmp_path)
         alice.upload_segments([make_segment()])
         alice.flush()
         old_primary = system.stores["alice-store"]
@@ -232,7 +242,7 @@ class TestRevocationFencing:
         # staying promotion-eligible.  A resync is the primary's records,
         # whatever its buffer holds.
         system, alice, bob = replicated_system(
-            tmp_path, n_replicas=2, mode="semi-sync"
+            tmp_path, n_replicas=2
         )
         alice.upload_segments([make_segment()])
         alice.flush()
@@ -276,7 +286,7 @@ class TestRevocationFencing:
         link kept from the first term shipped frames the survivor, resynced
         by another primary since, refused, and the next semi-sync write
         failed."""
-        system, alice, bob = replicated_system(tmp_path, n_replicas=2, mode="semi-sync")
+        system, alice, bob = replicated_system(tmp_path, n_replicas=2)
         alice.upload_segments([make_segment()])
         alice.flush()
         old_primary = system.stores["alice-store"]
@@ -296,6 +306,139 @@ class TestRevocationFencing:
         r2 = system.stores["alice-store-r2"]
         assert r2.applier.applied_lsn == old_primary.durability.wal.last_lsn
         assert_replica_matches(old_primary, r2)
+
+
+def sample_count(pieces):
+    return sum(len(p.segment.sample_times()) for p in pieces if p.segment is not None)
+
+
+class TestAcknowledgedWritesSurvivePromotion:
+    """A write is acknowledged once one replica holds it, and a promotion
+    picks among every replica: the one that acked is always a candidate.
+    Each test below failed while a set could ship ``async``, ack below its
+    replica count, or fall through to the next candidate when a promote
+    failed."""
+
+    def test_a_revocation_no_replica_holds_is_refused(self, tmp_path):
+        """Repro (a): with the primary cut off from its replica and the
+        rule push dropped, the revocation reached only the primary.  It
+        used to answer 200, and after failover bob read again."""
+        system, alice, bob = replicated_system(tmp_path)
+        alice.upload_segments([make_segment()])
+        alice.flush()
+        assert len(bob.fetch("alice")) == 1
+        plan = FaultPlan(seed=7)
+        plan.add_partition("ship-lost", {"alice-store"}, {"alice-store-r1"})
+        plan.add_drop("broker", path="/api/sync")
+        system.install_faults(plan)
+        with pytest.raises(ReplicationError):
+            alice.replace_rules([])
+        kill(system, "alice-store")
+        system.install_faults(None)
+        assert detect_and_fail_over(system)["Promoted"] == "alice-store-r1"
+        # The owner was told no; her retry at the promoted store is acked.
+        alice = system.repoint_contributor("alice")
+        alice.replace_rules([])
+        assert bob.fetch("alice") == []
+
+    def test_promotion_waits_for_the_replica_that_acked(self, tmp_path):
+        """Repro (b): r2 acks the revocation while r1 lags, and the push
+        is dropped.  The broker reaching only r1 used to promote it, and
+        bob read under the revoked allow."""
+        system, alice, bob = replicated_system(tmp_path, n_replicas=2)
+        alice.upload_segments([make_segment()])
+        alice.flush()
+        system.broker.failover.heartbeat()
+        plan = FaultPlan(seed=7)
+        plan.add_partition("r1-lags", {"alice-store"}, {"alice-store-r1"})
+        plan.add_drop("broker", path="/api/sync")
+        system.install_faults(plan)
+        assert alice.replace_rules([]) == 2
+        r1, r2 = system.stores["alice-store-r1"], system.stores["alice-store-r2"]
+        assert (r1.rules.version_of("alice"), r2.rules.version_of("alice")) == (1, 2)
+        assert system.broker.registry.get("alice").rules_version == 1
+        kill(system, "alice-store")
+        plan = FaultPlan(seed=7)
+        plan.add_partition("r2-unseen", {"broker"}, {"alice-store-r2"})
+        system.install_faults(plan)
+        assert detect_and_fail_over(system)["Promoted"] is None
+        assert system.broker.registry.get("alice").host == "alice-store"
+        assert not r1.is_primary
+        plan.heal("r2-unseen")
+        result = system.broker.failover.heartbeat()["alice-store"]["FailedOver"]
+        assert result["Promoted"] == "alice-store-r2"
+        assert bob.fetch("alice") == []
+
+    def test_a_failed_promote_does_not_fall_through_to_a_laggard(self, tmp_path):
+        """Repro (d): r2 was cut off from the primary, so 48 of 64 acked
+        samples are on r1 alone.  r1's promote is dropped; the broker used
+        to fall through to r2, and bob read 16 of the 64."""
+        system, alice, bob = replicated_system(tmp_path, n_replicas=2)
+        alice.upload_segments([make_segment()])
+        alice.flush()
+        system.broker.failover.heartbeat()
+        plan = FaultPlan(seed=7)
+        plan.add_partition("r2-lags", {"alice-store"}, {"alice-store-r2"})
+        system.install_faults(plan)
+        for hour in (1, 2, 3):
+            alice.upload_segments([make_segment(start_ms=MONDAY + hour * 3_600_000)])
+            alice.flush()
+        assert sample_count(bob.fetch("alice")) == 64
+        kill(system, "alice-store")
+        plan = FaultPlan(seed=7)
+        plan.add_flaky("alice-store-r1", fail_first=1, path="/api/promote")
+        system.install_faults(plan)
+        assert detect_and_fail_over(system)["Promoted"] is None
+        assert not system.stores["alice-store-r2"].is_primary
+        result = system.broker.failover.heartbeat()["alice-store"]["FailedOver"]
+        assert result["Promoted"] == "alice-store-r1"
+        assert sample_count(bob.fetch("alice")) == 64
+
+    def test_a_lost_promote_reply_leaves_one_primary(self, tmp_path):
+        """Repro (e): r1 promoted itself but its reply was lost.  The broker
+        used to promote r2 as well, leaving two primaries at epoch 2."""
+        system, alice, bob = replicated_system(tmp_path, n_replicas=2)
+        alice.upload_segments([make_segment()])
+        alice.flush()
+        kill(system, "alice-store")
+        plan = FaultPlan(seed=7)
+        plan.add_response_error("alice-store-r1", path="/api/promote", fail_first=1)
+        system.install_faults(plan)
+        assert detect_and_fail_over(system)["Promoted"] is None
+        result = system.broker.failover.heartbeat()["alice-store"]["FailedOver"]
+        assert result["Epoch"] == 3
+        group = system.broker.failover.sets["alice-store"]
+        primaries = [h for h in group.members() if system.stores[h].is_primary]
+        assert primaries == [system.broker.registry.get("alice").host] == [result["Promoted"]]
+        assert system.stores[result["Promoted"]].epoch == 3
+        assert len(bob.fetch("alice")) == 1
+
+    def test_a_lost_promote_reply_still_reports_the_fenced_revocation(self, tmp_path):
+        """Repro (e) with a revocation no replica holds: r1 fences alice in
+        the promotion whose reply is lost, so the re-election finds nothing
+        left to fence.  The report must still name her, or the runbook's
+        re-home list misses her."""
+        system, alice, bob = replicated_system(tmp_path, n_replicas=2)
+        alice.upload_segments([make_segment()])
+        alice.flush()
+        system.broker.failover.heartbeat()
+        plan = FaultPlan(seed=7)
+        plan.add_partition(
+            "ship-lost", {"alice-store"}, {"alice-store-r1", "alice-store-r2"}
+        )
+        system.install_faults(plan)
+        with pytest.raises(ReplicationError):
+            alice.replace_rules([])
+        kill(system, "alice-store")
+        plan = FaultPlan(seed=7)
+        plan.add_response_error("alice-store-r1", path="/api/promote", fail_first=1)
+        system.install_faults(plan)
+        assert detect_and_fail_over(system)["Promoted"] is None
+        assert "alice" in system.stores["alice-store-r1"].fail_closed
+        result = system.broker.failover.heartbeat()["alice-store"]["FailedOver"]
+        assert result["Promoted"] == "alice-store-r1"
+        assert "alice" in result["FailClosed"]
+        assert bob.fetch("alice") == []
 
 
 class TestStatusSurface:

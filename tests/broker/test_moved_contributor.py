@@ -97,7 +97,7 @@ class TestTheSourceRemembers:
         """Repro (c): the fence shipped under its own ack, so the replica has it."""
         system = SensorSafeSystem(seed=7)
         clinic = system.create_replicated_store(
-            "clinic", directory=str(tmp_path / "clinic"), n_replicas=1, mode="semi-sync"
+            "clinic", directory=str(tmp_path / "clinic"), n_replicas=1
         )
         system.create_store("shard-1", directory=str(tmp_path / "shard-1"), durable=True)
         owner(system, "alice", clinic, [make_segment()])

@@ -45,7 +45,7 @@ def restart_ex_primary(system):
 
 def test_a_restarted_ex_primary_rejoins_and_serves_no_read(tmp_path):
     """Repro (f)."""
-    system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+    system, alice, bob = replicated_system(tmp_path)
     alice.upload_segments([make_segment()])
     alice.flush()
     assert len(bob.fetch("alice")) == 1
@@ -85,7 +85,7 @@ def test_a_segment_the_owner_deleted_at_the_promoted_replica_stays_deleted(
     """Cells 1 and 2.  With the delete still in the promoted replica's WAL
     a frame replay carried it; once a checkpoint had taken it out, the
     ex-primary kept the segment and bob read it after the next failover."""
-    system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+    system, alice, bob = replicated_system(tmp_path)
     alice.upload_segments([KEPT, GONE])
     alice.flush()
     assert system.stores["alice-store-r1"].store.stats.n_segments == 2
@@ -103,7 +103,7 @@ def test_an_upload_semi_sync_refused_is_not_served_after_a_rejoin(tmp_path):
     """Cell 3.  The primary journaled the upload, could not ship it to its
     replica and refused it; the owner was told so.  It kept it through a
     restart and a rejoin, and bob read it once it was primary again."""
-    system, alice, bob = replicated_system(tmp_path, mode="semi-sync")
+    system, alice, bob = replicated_system(tmp_path)
     alice.upload_segments([KEPT])
     alice.flush()
     plan = FaultPlan(seed=7)

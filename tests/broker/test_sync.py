@@ -190,7 +190,7 @@ class TestOnePullPerHost:
 
         system = SensorSafeSystem(seed=7)
         primary = system.create_replicated_store(
-            "lab-store", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+            "lab-store", directory=str(tmp_path), n_replicas=1
         )
         for name in ("ann", "ben", "cal"):
             system.add_contributor(name, store=primary).add_rule(Rule(consumers=("bob",), action=ALLOW))

@@ -11,8 +11,9 @@ are the replication contract, not any particular failure:
   forks replica state once healed, and a replica that dies at any crash
   point of its resync restarts, rejoins and holds its primary's records;
 * **promotion is all-or-nothing** — a candidate that crashes mid-promote
-  is skipped; the directory only ever points at a store that completed
-  promotion, and fail-closed denies survive the detour.
+  stalls the set until the next heartbeat elects again; the directory
+  only ever points at a store that completed promotion, and fail-closed
+  denies survive the stall.
 """
 
 import pytest
@@ -21,11 +22,12 @@ from tests.conftest import MONDAY, assert_replica_matches, make_segment
 from repro.conformance.generators import Trial
 from repro.conformance.invariants import check_release
 from repro.core.system import SensorSafeSystem
-from repro.exceptions import SensorSafeError
+from repro.exceptions import ReplicationError, SensorSafeError, TransportError
 from repro.net.faults import FaultPlan
 from repro.rules.model import ALLOW, Rule
 from repro.server.datastore_service import DataStoreService
 from repro.storage import CRASH_POINTS, StorageFaultPlan
+from repro.storage.wal import WalScan, read_wal
 
 ALLOW_BOB = Rule(consumers=("bob",), action=ALLOW)
 HOUR = 3_600_000
@@ -39,10 +41,10 @@ def sample_count(pieces):
     return sum(len(p.segment.sample_times()) for p in pieces if p.segment is not None)
 
 
-def build(tmp_path, *, mode="semi-sync", n_replicas=1, seed=11):
+def build(tmp_path, *, n_replicas=1, seed=11):
     system = SensorSafeSystem(seed=seed)
     primary = system.create_replicated_store(
-        "alice-store", directory=str(tmp_path), n_replicas=n_replicas, mode=mode
+        "alice-store", directory=str(tmp_path), n_replicas=n_replicas
     )
     alice = system.add_contributor("alice", store=primary)
     bob = system.add_consumer("bob")
@@ -77,7 +79,7 @@ class TestCrashPointSweep:
     def test_primary_dies_at_every_point_without_committed_loss(
         self, tmp_path, point
     ):
-        system, alice, bob = build(tmp_path, mode="semi-sync")
+        system, alice, bob = build(tmp_path)
         committed = sample_count(bob.fetch("alice"))
         assert committed > 0
         primary = system.stores["alice-store"]
@@ -118,7 +120,7 @@ class TestCrashPointSweep:
         anywhere in that leaves a directory the restart recovers, and the
         rejoin's resync converges it: the primary's records, its applied
         LSN at the primary's tail, and nothing acknowledged lost."""
-        system, alice, bob = build(tmp_path, mode="semi-sync")
+        system, alice, bob = build(tmp_path)
         committed = sample_count(bob.fetch("alice"))
         primary, replica = system.stores["alice-store"], system.stores["alice-store-r1"]
         plan = arm(replica, point)
@@ -150,18 +152,21 @@ class TestCrashPointSweep:
 
 class TestPartitionDuringShipment:
     def test_healed_partition_converges_without_duplicates(self, tmp_path):
-        system, alice, bob = build(tmp_path, mode="async")
+        system, alice, bob = build(tmp_path)
         system.broker.failover.heartbeat()
         primary = system.stores["alice-store"]
         replica = system.stores["alice-store-r1"]
         plan = FaultPlan(seed=11)
         plan.add_partition("mid-ship", {"alice-store"}, {"alice-store-r1"})
         system.install_faults(plan)
-        # Writes keep landing on the async primary while ships bounce.
-        for i in range(1, 4):
-            alice.upload_segments([make_segment(start_ms=MONDAY + i * HOUR)])
-            alice.flush()
+        # No replica acks while ships bounce, so the writes are refused
+        # (the client's retries too); the primary applied them anyway.
+        with pytest.raises(ReplicationError):
+            alice.upload_segments([make_segment(start_ms=MONDAY + i * HOUR) for i in range(1, 4)])
         assert replica.store.stats.n_segments == 1  # stuck at pre-partition
+        # The primary moved past its replica, so the heal has work to do.
+        assert primary.durability.wal.last_lsn > replica.applier.applied_lsn
+        assert primary.store.stats.n_segments > 1
         plan.heal("mid-ship")
         system.broker.failover.heartbeat()  # the tick pumps the shipper
         assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
@@ -174,7 +179,7 @@ class TestPartitionDuringShipment:
         assert replica.applier.frames_skipped == skipped_before
 
     def test_flaky_ship_link_retries_idempotently(self, tmp_path):
-        system, alice, bob = build(tmp_path, mode="async")
+        system, alice, bob = build(tmp_path)
         plan = FaultPlan(seed=11)
         # The replica answers, but its first few acks are lost: the
         # shipper must re-send and the applier must skip what it holds.
@@ -194,31 +199,51 @@ class TestPartitionDuringShipment:
 
 
 class TestCrashDuringPromotion:
-    def test_crashing_candidate_is_skipped_and_fencing_survives(self, tmp_path):
-        system, alice, bob = build(tmp_path, mode="async", n_replicas=2)
+    def test_crashing_candidate_stalls_promotion_and_fencing_survives(self, tmp_path):
+        system, alice, bob = build(tmp_path, n_replicas=2)
         system.broker.failover.heartbeat()
         # A revocation the replicas never see: it reaches the broker's
-        # mirror, then the primary dies.
+        # mirror, no replica acks it, then the primary dies.
         plan = FaultPlan(seed=11)
         plan.add_partition(
             "ship-lost", {"alice-store"}, {"alice-store-r1", "alice-store-r2"}
         )
         system.install_faults(plan)
-        alice.replace_rules([])
-        assert system.broker.registry.get("alice").rules_version == 2
+        with pytest.raises(ReplicationError):
+            alice.replace_rules([])
+        assert system.broker.registry.get("alice").rules_version > 1
         system.network.unregister_host("alice-store")
         system.install_faults(None)
-        # The preferred candidate (r1, by tie-break) crashes while
-        # journaling its promotion; the broker must move on to r2.
+        # The elected candidate (r1, by tie-break) crashes while journaling
+        # its promotion.  Nothing is promoted that tick: the broker does not
+        # fall through to another candidate, and the directory stays put.
         r1 = system.stores["alice-store-r1"]
         crash = StorageFaultPlan(seed=5)
         crash.add_crash("wal.append")
         r1.durability.faults = crash
         r1.durability.wal.faults = crash
-        result = fail_over(system)
-        assert result["Promoted"] == "alice-store-r2"
+        assert fail_over(system)["Promoted"] is None
+        assert system.broker.registry.get("alice").host == "alice-store"
+        with pytest.raises(TransportError):
+            bob.fetch("alice")
+        # The next tick elects again, above every epoch a member reached,
+        # and exactly one member is primary: the one the directory names.
+        group = system.broker.failover.sets["alice-store"]
+        epochs = [system.stores[host].epoch for host in group.replicas]
+        result = system.broker.failover.heartbeat()["alice-store"]["FailedOver"]
+        promoted = result["Promoted"]
+        assert result["Epoch"] > max(epochs)
+        assert [h for h in group.members() if system.stores[h].is_primary] == [promoted]
+        assert system.broker.registry.get("alice").host == promoted
         assert "alice" in result["FailClosed"]
-        assert system.broker.registry.get("alice").host == "alice-store-r2"
-        # Fail-closed held across the detour: the revoked allow rule the
+        # The deny is on the promoted store's disk, not only in its memory:
+        # the crashed append left nothing the re-election could skip.
+        mirrored = system.broker.registry.get("alice").rules_version
+        denies = [
+            data for _lsn, op, data in read_wal(WalScan(system.stores[promoted].durability.wal.path))
+            if op == "rules" and data["Contributor"] == "alice" and not data["Rules"]
+        ]
+        assert denies and denies[-1]["Version"] >= mirrored
+        # Fail-closed held across the stall: the revoked allow rule the
         # replicas still carry releases nothing.
         assert bob.fetch("alice") == []

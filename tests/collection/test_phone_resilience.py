@@ -146,7 +146,7 @@ class TestFlushRidesTheLastChunk:
         store with one replica, exactly one ship."""
         system = SensorSafeSystem(seed=11)
         primary = system.create_replicated_store(
-            "clinic", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+            "clinic", directory=str(tmp_path), n_replicas=1
         )
         total = system.obs.metrics.sum_counter
         for store, requests, ships in ((primary, 2, 1), (None, 1, 0)):

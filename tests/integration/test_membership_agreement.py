@@ -45,7 +45,7 @@ class Fleet:
         self.rng = random.Random(f"membership-agreement:{seed}")
         self.system = system = SensorSafeSystem(seed=seed)
         clinic = system.create_replicated_store(
-            "clinic", directory=str(tmp_path / "clinic"), n_replicas=1, mode="semi-sync"
+            "clinic", directory=str(tmp_path / "clinic"), n_replicas=1
         )
         system.create_shard_fleet(2, directory=str(tmp_path / "fleet"), durable=True)
         for name in CONTRIBUTORS:

@@ -85,7 +85,7 @@ def stored_bytes(directory):
 def stream(directory):
     system = SensorSafeSystem(seed=19)
     primary = system.create_replicated_store(
-        "clinic", directory=str(directory), n_replicas=1, mode="semi-sync"
+        "clinic", directory=str(directory), n_replicas=1
     )
     alice = system.add_contributor("alice", store=primary)
     persona = make_persona("alice")

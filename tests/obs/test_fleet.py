@@ -12,10 +12,10 @@ from repro.rules.model import ALLOW, Rule
 ALLOW_BOB = Rule(consumers=("bob",), action=ALLOW)
 
 
-def replicated_system(tmp_path, *, n_replicas=1, mode="semi-sync"):
+def replicated_system(tmp_path, *, n_replicas=1):
     system = SensorSafeSystem(seed=7)
     primary = system.create_replicated_store(
-        "alice-store", directory=str(tmp_path), n_replicas=n_replicas, mode=mode
+        "alice-store", directory=str(tmp_path), n_replicas=n_replicas
     )
     alice = system.add_contributor("alice", store=primary)
     bob = system.add_consumer("bob")
@@ -198,7 +198,7 @@ class TestReplicationTracePropagation:
     def test_one_upload_one_trace_tree_spanning_primary_and_replica(
         self, tmp_path
     ):
-        system, alice, _ = replicated_system(tmp_path, mode="semi-sync")
+        system, alice, _ = replicated_system(tmp_path)
         system.obs.tracer.reset()
         alice.upload_segments([make_segment(start_ms=MONDAY + 3_600_000)])
         alice.flush()

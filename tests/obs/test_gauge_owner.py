@@ -41,7 +41,7 @@ def gauge(system, name, **labels):
 
 
 def test_a_restarted_semi_sync_replica_gauges_its_live_applier_and_wal(tmp_path):
-    system, alice, _ = replicated_system(tmp_path, mode="semi-sync")
+    system, alice, _ = replicated_system(tmp_path)
     alice.upload_segments([make_segment()])
     alice.flush()
 

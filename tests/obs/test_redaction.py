@@ -105,7 +105,7 @@ class TestSpanExportNeverLeaks:
 
         system = SensorSafeSystem(seed=3)
         primary = system.create_replicated_store(
-            "clinic", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+            "clinic", directory=str(tmp_path), n_replicas=1
         )
         alice = system.add_contributor("alice", store=primary)
         packets = [

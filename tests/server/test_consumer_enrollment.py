@@ -203,7 +203,7 @@ class TestPromotion:
     def test_a_promoted_replica_knows_bob_s_groups_from_shipped_rows(self, tmp_path):
         system = SensorSafeSystem(seed=7)
         primary = system.create_replicated_store(
-            "clinic", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+            "clinic", directory=str(tmp_path), n_replicas=1
         )
         alice = system.add_contributor("alice", store=primary)
         alice.upload_segments([make_segment(n=8)])

@@ -72,7 +72,7 @@ class TestReKey:
     def test_promoted_replica(self, tmp_path):
         system = SensorSafeSystem(seed=7)
         primary = system.create_replicated_store(
-            "alice-store", directory=str(tmp_path), n_replicas=1, mode="semi-sync"
+            "alice-store", directory=str(tmp_path), n_replicas=1
         )
         alice = system.add_contributor("alice", store=primary, password=SECRET)
         alice.upload_segments([make_segment(n=8)])

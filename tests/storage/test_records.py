@@ -295,7 +295,7 @@ def shipping_pair(tmp_path):
     primary = DataStoreService(
         "primary", network, directory=str(tmp_path / "primary"), durable=True
     )
-    shipper = primary.enable_replication("async")
+    shipper = primary.enable_replication()
     replica = DataStoreService(
         "replica", network, directory=str(tmp_path / "replica"), durable=True,
         role=ROLE_REPLICA,
@@ -375,7 +375,7 @@ class TestFailClosedReplica:
         primary = DataStoreService(
             "primary", network, directory=str(tmp_path / "primary"), durable=True
         )
-        shipper = primary.enable_replication("async")
+        shipper = primary.enable_replication()
 
         def start_replica():
             replica = DataStoreService(
@@ -430,7 +430,10 @@ class TestFailClosedReplica:
         assert replica.rules.rules_of("alice") == ()
 
         promoted = replica.promote(replica.epoch + 1, {"alice": 1})
-        assert promoted["FailClosed"] == []  # nobody *newly* fenced
+        # Nothing lags the mirror, so nothing is newly fenced, but the
+        # report names every mirrored contributor denied here.
+        assert promoted["FailClosed"] == ["alice"]
+        assert replica.rules.version_of("alice") == denied_at
         assert replica.fail_closed == {"alice"}
         probe = replica.keys.issue("probe")
         health = network.request(

@@ -34,14 +34,14 @@ def ship(frames=(), **members):
     return {"Primary": "primary", "Epoch": 1, "Resync": False, **members, **encode_ship(frames)}
 
 
-def make_pair(tmp_path, *, mode="async", min_acks=1, n_replicas=1):
+def make_pair(tmp_path, *, n_replicas=1):
     """A durable primary shipping to durable replicas, hand-wired."""
     network = Network()
     primary = DataStoreService(
         "primary", network, directory=str(tmp_path / "primary"), durable=True
     )
     replicas = []
-    shipper = primary.enable_replication(mode, min_acks=min_acks)
+    shipper = primary.enable_replication()
     for i in range(n_replicas):
         host = f"replica-{i}"
         replica = DataStoreService(
@@ -86,7 +86,7 @@ class TestShipping:
         primary.store.flush()
         primary.durability.commit()
         # Replication wired only *after* the writes above.
-        shipper = primary.enable_replication("async")
+        shipper = primary.enable_replication()
         replica = DataStoreService(
             "replica",
             network,
@@ -232,7 +232,7 @@ class TestShipping:
 
 class TestSemiSync:
     def test_write_rejected_until_replica_reachable(self, tmp_path):
-        network, primary, (replica,) = make_pair(tmp_path, mode="semi-sync")
+        network, primary, (replica,) = make_pair(tmp_path)
         key = primary.register_contributor("alice")
         client = HttpClient(network, name="alice-phone", api_key=key)
         network.unregister_host("replica-0")
@@ -259,7 +259,7 @@ class TestSemiSync:
         assert replica.store.stats.n_segments == 1
 
     def test_identical_rule_retry_converges(self, tmp_path):
-        network, primary, (replica,) = make_pair(tmp_path, mode="semi-sync")
+        network, primary, (replica,) = make_pair(tmp_path)
         key = primary.register_contributor("alice")
         client = HttpClient(network, name="alice-phone", api_key=key)
         rule = Rule(consumers=("bob",), action=ALLOW)
@@ -281,7 +281,7 @@ class TestSemiSync:
         assert len(replica.rules.rules_of("alice")) == 1
 
     def test_rule_remove_retry_converges(self, tmp_path):
-        network, primary, (replica,) = make_pair(tmp_path, mode="semi-sync")
+        network, primary, (replica,) = make_pair(tmp_path)
         key = primary.register_contributor("alice")
         client = HttpClient(network, name="alice-phone", api_key=key)
         rule = Rule(consumers=("bob",), action=ALLOW)
@@ -314,7 +314,7 @@ class TestSemiSync:
         """The audit entry is written before the barrier, so a delete whose
         ack fails is on the owner's trail with its true count — and ships
         under the same acknowledgement as the deletion once a retry lands."""
-        network, primary, (replica,) = make_pair(tmp_path, mode="semi-sync")
+        network, primary, (replica,) = make_pair(tmp_path)
         key = primary.register_contributor("alice")
         client = HttpClient(network, name="alice-phone", api_key=key)
         client.post(
@@ -427,7 +427,7 @@ class TestResyncBootstrap:
         primary.store.add_segment(make_segment(start_ms=1297036800000 + 3_600_000))
         primary.store.flush()
         primary.durability.commit()
-        shipper = primary.enable_replication("async")
+        shipper = primary.enable_replication()
         replica = DataStoreService(
             "replica",
             network,
