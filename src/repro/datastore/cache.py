@@ -1,12 +1,13 @@
-"""Versioned rule-decision cache for the consumer-query hot path.
+"""Versioned release cache for the consumer-query hot path.
 
-Every ``/api/query`` and ``/api/aggregate`` re-runs the full rule
-pipeline — candidate matching, time-piecing, abstraction, dependency
-closure — over every candidate segment, even though privacy rules change
-orders of magnitude less often than queries arrive.  This module caches
-the *outcome* of that pipeline: the exact :class:`~repro.rules.engine.ReleasedSegment`
-tuple (and its serialized JSON) one consumer receives for one query
-against one contributor's data under one rule state.
+Every ``/api/query`` runs the full rule pipeline — candidate matching,
+time-piecing, abstraction, dependency closure — over every candidate
+segment, even though privacy rules change orders of magnitude less often
+than queries arrive.  This module caches the *outcome* of that pipeline
+as the bytes a repeat of the query is served: the wire frame one consumer
+receives for one query against one contributor's data under one rule
+state, and the totals its bookkeeping needs.  ``/api/aggregate`` reads the
+engine's pieces, which an entry does not keep, so it is never cached.
 
 A stale grant here is a privacy leak, so the cache is **versioned, not
 timed**: entries can never be served stale because everything a release
@@ -31,11 +32,11 @@ correctness never depends on an entry "aging out" or on an invalidation
 call arriving.  Recovery alone also calls
 :meth:`ReleaseCache.invalidate_all`, as belt and braces.
 
-An entry also remembers what its release *amounts to* — its wire frame,
-that frame's encoded length and a :class:`ReleaseSummary` of the pieces —
-so the per-request bookkeeping a hit still owes (traffic accounting, the
-audit record, cost attribution) is O(1) rather than a re-encode and two
-walks over the released pieces.
+An entry is its frame (:class:`CacheEntry`): that frame's encoded length
+and a :class:`ReleaseSummary` of the pieces ride beside it, so the
+per-request bookkeeping a hit still owes (traffic accounting, the audit
+record, cost attribution) is O(1) rather than a re-encode and two walks
+over the released pieces.
 
 The cache is a bounded LRU with byte-size accounting; hits, misses,
 evictions, invalidations, resident bytes, and entry count are exported
@@ -47,7 +48,6 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional
 
 from repro.datastore.query import DataQuery
@@ -122,43 +122,39 @@ class ReleaseSummary:
         return cls(pieces, samples, tuple(sorted(labels)), withheld, released_bytes)
 
 
-@dataclass
-class CacheEntry:
-    """One cached release: everything the query handler needs on a hit."""
+#: bytes an entry costs beyond its frame: key, summary and bookkeeping.
+ENTRY_OVERHEAD_BYTES = 512
 
-    #: the (possibly merged) segments the store served to the engine —
-    #: release guards receive these so conformance containment checks run
-    #: identically on hits and misses.
-    segments: tuple
-    #: the exact ReleasedSegment tuple the engine produced.
-    released: tuple
+
+@dataclass(frozen=True)
+class CacheEntry:
+    """One cached release: the frame a hit serves and the totals it books.
+
+    Built once, at the miss that had to encode and size the frame to serve
+    it anyway (:meth:`of`).  It keeps neither the engine's pieces nor the
+    segments the store scanned: a hit needs neither, and the scan's cut
+    segments would outweigh the frame itself.
+    """
+
+    #: the release's wire frame (:func:`encode_release`), served on every hit.
+    payload: dict
+    #: ``wire.size(payload)``, so the transport counts a hit without encoding it.
+    payload_bytes: int
+    #: totals over the released pieces for the audit record and cost attribution.
+    summary: ReleaseSummary
     #: segments-scanned count of the original store query (audited on hits).
     scanned: int
-    #: approximate resident size, charged against the byte budget.
-    nbytes: int = 0
-    #: totals over ``released`` for the audit record and cost attribution.
-    summary: ReleaseSummary = field(init=False)
+    #: resident size charged against the byte budget.
+    nbytes: int
 
-    def __post_init__(self) -> None:
-        self.summary = ReleaseSummary.of(self.released)
-        if not self.nbytes:
-            size = 512  # key + bookkeeping overhead
-            for segment in self.segments:
-                size += segment.storage_bytes()
-            self.nbytes = size + self.summary.released_bytes
-
-    @cached_property
-    def payload(self) -> dict:
-        """The release's wire frame, encoded on first use: the handler
-        serves (a shallow copy of) it on the miss and on every hit, and an
-        entry only ever aggregated over never encodes."""
-        return encode_release(self.released)
-
-    @cached_property
-    def payload_bytes(self) -> int:
-        """``wire.size(payload)``, worked out once per entry so the
-        transport can count every hit without encoding it again."""
-        return wire.size(self.payload)
+    @classmethod
+    def of(cls, released: tuple, scanned: int) -> "CacheEntry":
+        """The entry for the engine's ``released`` pieces: one encode and
+        one canonical pass over the frame, which never turns the blob into
+        text."""
+        payload = encode_release(released)
+        size = wire.size(payload)
+        return cls(payload, size, ReleaseSummary.of(released), scanned, ENTRY_OVERHEAD_BYTES + size)
 
 
 class ReleaseCache:

@@ -61,9 +61,11 @@ class IntervalIndex:
     def overlapping(self, window: Interval) -> Iterator[Any]:
         """Item ids of intervals overlapping ``window``, start order."""
         # Find the first position whose prefix-max end exceeds window.start:
-        # everything before it ends at or before the window opens.
-        lo = bisect.bisect_right(self._prefix_max_end, window.start)
-        for start, end, item_id in self._entries[lo:]:
+        # everything before it ends at or before the window opens.  Walk on
+        # from there by position: a slice would copy the whole tail.
+        entries = self._entries
+        for pos in range(bisect.bisect_right(self._prefix_max_end, window.start), len(entries)):
+            start, end, item_id = entries[pos]
             if start >= window.end:
                 break
             if end > window.start:

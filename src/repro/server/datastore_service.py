@@ -79,7 +79,10 @@ class ReleaseEvent:
     guards (see :attr:`DataStoreService.release_guards`) receive these so
     external checkers — notably the conformance harness's query-containment
     invariant — can verify the API never returns more than the engine
-    released, without re-implementing the query path.
+    released, without re-implementing the query path.  A cached query
+    keeps only its frame, so a hit with guards attached evaluates again
+    to raise its event; the cache key fixes every input, so that event
+    equals the miss's.
 
     ``trace_id`` ties the release to the request's trace tree (empty when
     tracing is disabled), so a guard report can name the exact request.
@@ -647,53 +650,49 @@ class DataStoreService:
         except SensorSafeError:
             return False
 
-    def _release_for(
-        self, endpoint: str, principal: str, contributor: str, query: DataQuery
-    ) -> CacheEntry:
-        """Resolve one consumer query to its released payload, cached.
+    def _release_for(self, principal: str, contributor: str, query: DataQuery) -> CacheEntry:
+        """Resolve one consumer ``/api/query`` to the frame it is served, cached.
 
         On a miss (or with the cache disabled) this runs the full path —
-        store query, rule-engine evaluation, JSON serialization — and
-        memoizes the result; on a hit the stored entry is returned without
-        touching store or engine.  Release guards and audit records fire
-        identically either way: a hit replays the exact segments/released
-        tuples the original evaluation produced, so the conformance
-        harness's containment checks see no difference between the paths.
+        store query, rule-engine evaluation, encoding — and keeps only the
+        frame and its totals.  An unguarded hit touches neither store nor
+        engine.  With release guards attached a hit evaluates again for its
+        :class:`ReleaseEvent`: the key fixes every input of the evaluation,
+        so the event equals the miss's, and the harness still compares it
+        with the frame served.
         """
+        endpoint = "/api/query"
         cache = self.release_cache
-        if cache is None:
-            return self._evaluate_release(endpoint, principal, contributor, query)
-        key = self._cache_key(principal, contributor, query)
-        entry = cache.get(key)
-        # The probe rides the enclosing request span as an attribute: the
-        # lookup is a dict hit, far below span granularity.
-        span = self.network.obs.tracer.current_span()
-        if span is not None:
-            span.set_attribute("cache_hit", entry is not None)
+        key = entry = None
+        if cache is not None:
+            key = self._cache_key(principal, contributor, query)
+            entry = cache.get(key)
+            # The probe rides the enclosing request span as an attribute:
+            # the lookup is a dict hit, far below span granularity.
+            span = self.network.obs.tracer.current_span()
+            if span is not None:
+                span.set_attribute("cache_hit", entry is not None)
         if entry is None:
-            entry = self._evaluate_release(endpoint, principal, contributor, query)
-            cache.put(key, entry)
-            return entry
-        # A hit is still a served query for the store's bookkeeping, but
-        # scans nothing — that is the point.
-        self.store.stats.queries_served += 1
-        self._emit_release(endpoint, principal, contributor, entry.segments, entry.released)
+            entry = CacheEntry.of(*self._evaluate_release(endpoint, principal, contributor, query))
+            if cache is not None:
+                cache.put(key, entry)
+        elif self.release_guards:
+            self._evaluate_release(endpoint, principal, contributor, query)
+        else:
+            # Still a served query for the store's bookkeeping, but it scans
+            # nothing: that is the point.
+            self.store.stats.queries_served += 1
         return entry
 
     def _evaluate_release(
         self, endpoint: str, principal: str, contributor: str, query: DataQuery
-    ) -> CacheEntry:
-        """The uncached path: store scan + rule engine + serialization."""
+    ) -> tuple:
+        """The uncached path: store scan + rule engine, then the release
+        guards.  Returns ``(released pieces, segments scanned)``."""
         result = self.store.query(contributor, query)
-        engine = self._engine_for(contributor)
-        released = tuple(engine.evaluate(principal, result.segments))
-        entry = CacheEntry(
-            segments=tuple(result.segments),
-            released=released,
-            scanned=result.scanned_segments,
-        )
-        self._emit_release(endpoint, principal, contributor, entry.segments, released)
-        return entry
+        released = tuple(self._engine_for(contributor).evaluate(principal, result.segments))
+        self._emit_release(endpoint, principal, contributor, result.segments, released)
+        return released, result.scanned_segments
 
     # ------------------------------------------------------------------
     # Routes
@@ -772,14 +771,15 @@ class DataStoreService:
 
     def _regulated_read(
         self, endpoint: str, principal: str, contributor: str, query: DataQuery, audited: dict
-    ) -> Union[QueryResult, CacheEntry]:
+    ) -> Union[QueryResult, CacheEntry, tuple]:
         """One read of a contributor's data, costed and audited once.
 
         The owner reading their own data bypasses the engine — the paper's
         web UI lets contributors "view their own data" unfiltered — and
-        gets the store's :class:`QueryResult`; anyone else gets the
-        :class:`CacheEntry` their rules release (:meth:`_release_for`).
-        ``audited`` is the query as the owner's trail should show it.
+        gets the store's :class:`QueryResult`.  Anyone else gets what their
+        rules release: a query the :class:`CacheEntry` it is served
+        (:meth:`_release_for`), an aggregate the released pieces, evaluated
+        afresh.  ``audited`` is the query as the owner's trail should show it.
         """
         costs = self.network.obs.costs
         token = costs.start(self.host)
@@ -790,11 +790,15 @@ class DataStoreService:
             pieces = len(read.segments)
             released_bytes = sum(s.storage_bytes() for s in read.segments)
         else:
-            read = self._release_for(endpoint, principal, contributor, query)
+            if endpoint == "/api/query":
+                read = self._release_for(principal, contributor, query)
+                scanned, summary = read.scanned, read.summary
+            else:
+                read, scanned = self._evaluate_release(endpoint, principal, contributor, query)
+                summary = ReleaseSummary.of(read)
             self.network.obs.slo.release_observed(
                 contributor, self.rules.version_of(contributor), store=self.host
             )
-            scanned, summary = read.scanned, read.summary
             pieces, released_bytes = summary.pieces, summary.released_bytes
         self.audit.record_access(
             principal=principal,
@@ -919,7 +923,7 @@ class DataStoreService:
         if principal == contributor:
             rows = aggregate_segments(read.segments, spec)
         else:
-            rows = aggregate_released(read.released, spec)
+            rows = aggregate_released(read, spec)
         return {"Rows": [r.to_json() for r in rows]}
 
     @route("POST", "/api/delete", caller="owner", admission="upload", writes=True)

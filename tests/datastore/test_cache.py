@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.datastore.cache import (
+    ENTRY_OVERHEAD_BYTES,
     CacheEntry,
     ReleaseCache,
     ReleaseSummary,
@@ -24,7 +25,9 @@ from tests.conftest import make_segment
 
 
 def entry(nbytes=100):
-    return CacheEntry(segments=(), released=(), scanned=0, nbytes=nbytes)
+    return CacheEntry(
+        payload={}, payload_bytes=0, summary=ReleaseSummary(), scanned=0, nbytes=nbytes
+    )
 
 
 class TestSegmentContentHash:
@@ -115,12 +118,12 @@ class TestReleaseCacheLru:
         assert cache.invalidate_all("test") == 2
         assert len(cache) == 0 and cache.resident_bytes == 0
 
-    def test_entry_size_estimate_counts_segments(self):
-        seg = make_segment(n=64)
-        e = CacheEntry(segments=(seg,), released=(), scanned=1)
-        assert e.nbytes >= seg.storage_bytes()
-
     def test_entry_measures_its_payload_and_release_once(self):
+        """Built once from the engine's pieces, the entry keeps the frame a
+        hit serves, its size and its totals — never the pieces or the
+        segments they were cut from — and charges the frame's bytes."""
+        from dataclasses import fields
+
         from repro.net import wire
         from repro.rules.engine import ReleasedSegment, decode_release
 
@@ -130,8 +133,10 @@ class TestReleaseCacheLru:
                             context_labels={"Stress": "Stressed"}),
             ReleasedSegment("alice", Interval(0, 1), withheld={"ECG": "closure"}),
         )
-        e = CacheEntry(segments=(seg,), released=released, scanned=1)
-        assert "payload" not in vars(e)  # derived on first use, not at construction
+        e = CacheEntry.of(released, 1)
+        assert set(vars(e)) == {f.name for f in fields(CacheEntry)} == {
+            "payload", "payload_bytes", "summary", "scanned", "nbytes"
+        }
         assert [p.to_json() for p in decode_release(e.payload)] == [
             r.to_json() for r in released
         ]
@@ -140,7 +145,8 @@ class TestReleaseCacheLru:
             pieces=2, samples=8, labels=("Stress",), withheld={"ECG": "closure"},
             released_bytes=seg.storage_bytes() + 64,
         )
-        assert e.nbytes == 512 + seg.storage_bytes() + e.summary.released_bytes
+        assert e.scanned == 1
+        assert e.nbytes == ENTRY_OVERHEAD_BYTES + e.payload_bytes
 
 
 class TestCacheMetrics:

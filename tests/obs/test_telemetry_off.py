@@ -58,7 +58,7 @@ def test_components_without_a_hub_share_one_that_holds_nothing():
     cache = ReleaseCache(capacity=1)
     for n in range(3):
         assert cache.get(("k", n)) is None
-        cache.put(("k", n), CacheEntry(segments=(), released=(), scanned=0))
+        cache.put(("k", n), CacheEntry.of((), 0))
     assert cache.invalidate_all() == 1
 
     assert hub.snapshot() == EMPTY

@@ -63,6 +63,7 @@ def cache_counters(service):
         "hits": m.counter_value("cache_hits_total", store=service.host),
         "misses": m.counter_value("cache_misses_total", store=service.host),
         "scanned": m.counter_value("store_segments_scanned_total", store=service.host),
+        "evaluations": m.counter_value("rule_evaluations_total"),
     }
 
 
@@ -80,19 +81,56 @@ class TestHitPath:
         assert type(first["Released"]["Values"]["Blob"]) is bytes
         assert released_pieces(first), "fixture should release data"
         assert after["hits"] == mid["hits"] + 1
-        # The hit must not rescan the store.
+        # An unguarded hit neither rescans the store nor runs the engine.
+        assert mid["scanned"] > 0 and mid["evaluations"] > 0
         assert after["scanned"] == mid["scanned"]
+        assert after["evaluations"] == mid["evaluations"]
 
     def test_hit_still_audited_and_guarded(self):
+        """The entry keeps no pieces, so a hit with a guard attached
+        evaluates again; the key fixes every input, so the event it raises
+        is the miss's, piece for piece, and the frame served is unchanged."""
         service, bob_key = make_service()
         events = []
         service.release_guards.append(events.append)
-        query(service, bob_key)
-        query(service, bob_key)
-        assert len(events) == 2
-        assert events[0].segments == events[1].segments
-        assert events[0].released == events[1].released
+        first = query(service, bob_key)
+        second = query(service, bob_key)
+        assert cache_counters(service)["hits"] == 1 and len(events) == 2
+        miss, hit = events
+        for parts in ("segments", "released"):
+            assert [p.to_json() for p in getattr(miss, parts)] == [
+                p.to_json() for p in getattr(hit, parts)
+            ]
+            assert [p.interval for p in getattr(miss, parts)] == [
+                p.interval for p in getattr(hit, parts)
+            ]
+        assert released_pieces(second) == [r.to_json() for r in hit.released]
+        assert second["Released"]["Values"]["Blob"] is first["Released"]["Values"]["Blob"]
         assert len(service.audit.accesses_by("alice", "bob")) == 2
+
+    def test_cache_holds_frames_and_charges_them(self):
+        """Nothing reachable from the entries is a piece or a segment, and
+        the ``cache_bytes`` gauge is the entries' own charge."""
+        import gc
+
+        from repro.datastore.wavesegment import WaveSegment
+        from repro.rules.engine import ReleasedSegment
+
+        service, bob_key = make_service()
+        for body in ({}, {"Channels": ["ECG"]}, {"Limit": 2}):
+            assert released_pieces(query(service, bob_key, body))
+        entries = service.release_cache._entries
+        assert len(entries) == 3
+        seen, todo = set(), [entries]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(obj, (ReleasedSegment, WaveSegment)), obj
+            todo.extend(gc.get_referents(obj))
+        gauge = service.network.obs.metrics.gauge("cache_bytes", store=service.host)
+        assert gauge.value == sum(e.nbytes for e in entries.values()) > 0
 
     def test_hit_books_the_same_release_as_the_miss(self):
         """Audit and cost attribution read the entry's one-time summary on
@@ -130,8 +168,11 @@ class TestHitPath:
         assert len(released_pieces(b1)) <= len(released_pieces(a1))
         assert cache_counters(service)["hits"] == 2
 
-    def test_aggregate_shares_the_release_cache(self):
+    def test_aggregate_bypasses_the_release_cache(self):
+        """An aggregate reads the engine's pieces, which no entry keeps: it
+        evaluates every time and neither reads nor fills the cache."""
         service, bob_key = make_service()
+        query(service, bob_key)
         body = {
             "Contributor": "alice",
             "Query": {},
@@ -139,16 +180,17 @@ class TestHitPath:
             "ApiKey": bob_key,
         }
         url = f"https://{service.host}/api/aggregate"
+        before = cache_counters(service)
         first = service.network.request("POST", url, dict(body)).body
+        mid = cache_counters(service)
         second = service.network.request("POST", url, dict(body)).body
-        assert canonical(first) == canonical(second)
-        assert cache_counters(service)["hits"] == 1
-        # Aggregation reads the released pieces: the entry never built its
-        # wire frame, and builds it only when a query asks for one.
-        (entry,) = service.release_cache._entries.values()
-        assert "payload" not in vars(entry) and "payload_bytes" not in vars(entry)
-        query(service, bob_key)
-        assert cache_counters(service)["hits"] == 2 and "payload" in vars(entry)
+        after = cache_counters(service)
+        assert first["Rows"] and canonical(first) == canonical(second)
+        for a, b in ((before, mid), (mid, after)):
+            assert (a["hits"], a["misses"]) == (b["hits"], b["misses"])
+            assert b["scanned"] > a["scanned"] and b["evaluations"] > a["evaluations"]
+        assert len(service.release_cache) == 1
+        assert len(service.audit.accesses_by("alice", "bob")) == 3
 
 
 class TestInvalidation:
@@ -345,10 +387,10 @@ class TestDeclaredWireSize:
     @pytest.mark.parametrize("cache", [{}, {"cache_capacity": 0}], ids=["cached", "uncached"])
     @pytest.mark.parametrize("case", ["empty", "limit", "non-ascii"])
     def test_entry_counts_its_frame_without_encoding_the_blob(self, case, cache, monkeypatch):
-        """``payload_bytes`` is one pass over the frame's JSON that never
-        turns the blob into text, and still exact."""
-        from repro.datastore import cache as cache_module
+        """The miss sizes its frame in one pass over the frame's JSON that
+        never turns the blob into text, and the count is still exact."""
         from repro.datastore.query import DataQuery
+        from repro.net import wire as wire_module
 
         service, _ = self.non_ascii_service(**cache) if case == "non-ascii" else make_service(**cache)
         consumer = "bob"
@@ -356,21 +398,23 @@ class TestDeclaredWireSize:
             consumer = "carol"
             service.register_consumer("carol")  # no rule: default deny
         data_query = DataQuery.from_json({"Limit": 2} if case == "limit" else {})
-        entry = service._release_for("/api/query", consumer, "alice", data_query)
-        assert (service.release_cache is None) == bool(cache)
-        assert bool(entry.released) == (case != "empty")
 
-        texts = []
+        texts = []  # every canonical pass that could meet a blob
         real = jsonutil.canonical_dumps
-        monkeypatch.setattr(
-            cache_module.jsonutil,
-            "canonical_dumps",
-            lambda obj, **hooks: texts.append(real(obj, **hooks)) or texts[-1],
-        )
-        counted = entry.payload_bytes
+
+        def counting(obj, **hooks):
+            text = real(obj, **hooks)
+            if hooks.get("default") is not None:
+                texts.append(text)
+            return text
+
+        monkeypatch.setattr(wire_module.jsonutil, "canonical_dumps", counting)
+        entry = service._release_for(consumer, "alice", data_query)
         monkeypatch.undo()
+        assert (service.release_cache is None) == bool(cache)
+        assert bool(entry.summary.pieces) == (case != "empty")
         blob = entry.payload["Values"]["Blob"]
-        assert counted == len(canonical(entry.payload)) == len(texts[0]) + 1 + len(blob)
+        assert entry.payload_bytes == len(canonical(entry.payload)) == len(texts[0]) + 1 + len(blob)
         assert len(texts) == 1 and '"Blob":{"$bytes":%d}' % len(blob) in texts[0]
         assert (blob == b"") == (case == "empty")
 
