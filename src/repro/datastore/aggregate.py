@@ -103,20 +103,22 @@ def aggregate_segments(
     """Aggregate raw segments into per-channel windowed rows.
 
     Windows are aligned to ``floor(ts / window_ms)`` so rows from separate
-    segments of one stream combine deterministically.  Rows are returned
-    sorted by (channel, window start).
+    segments of one stream combine deterministically.  A segment's samples
+    are grouped by window once, by a stable sort, so each window gets its
+    samples in their segment's order.  Rows are returned sorted by
+    (channel, window start).
     """
     buckets: dict = {}  # (channel, window) -> list of value arrays
     for segment in segments:
-        times = segment.sample_times()
-        window_ids = times // spec.window_ms
+        window_ids = segment.sample_times() // spec.window_ms
+        order = np.argsort(window_ids, kind="stable")
+        ids, firsts = np.unique(window_ids[order], return_index=True)
         for channel in segment.channels:
             if channel == TIME_CHANNEL:
                 continue
-            values = segment.channel_values(channel)
-            for window_id in np.unique(window_ids):
-                mask = window_ids == window_id
-                buckets.setdefault((channel, int(window_id)), []).append(values[mask])
+            groups = np.split(segment.channel_values(channel)[order], firsts[1:])
+            for window_id, values in zip(ids.tolist(), groups):
+                buckets.setdefault((channel, window_id), []).append(values)
     rows = []
     for (channel, window_id), chunks in sorted(buckets.items()):
         values = np.concatenate(chunks)

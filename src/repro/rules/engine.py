@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
@@ -58,7 +57,8 @@ from repro.util.timeutil import Interval
 
 _GPS_CHANNELS = frozenset((GPS_LAT.name, GPS_LON.name))
 
-#: What the pieces of a release share: a release frame writes it once.
+#: What the pieces of a release share, in the order of a release frame's
+#: header row: a release frame writes it once.
 _HEADER = (
     "Contributor",
     "TimeLevel",
@@ -69,8 +69,6 @@ _HEADER = (
     "Format",
     "SamplingInterval",
 )
-_HEADER_KEYS = frozenset(_HEADER)
-_members = itemgetter(*_HEADER)
 _TEXT, _NUMBER = frozenset((str,)), frozenset((int, float))
 
 
@@ -163,21 +161,23 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
     """The wire form of a consumer release: one frame, one value blob.
 
     ``Headers`` is each distinct :data:`_HEADER` — what pieces share, a
-    waveform's ``Format`` and ``SamplingInterval`` included — once, first
-    use first, keyed by its bits (as :func:`repro.sensors.packets.encode_upload`
-    keys a stream); ``Pieces`` one row a piece, ``[header, Timestamp]``
-    for labels alone or ``[header, Timestamp, StartTime, Samples]`` for a
-    waveform, integers all (``Timestamp`` is null when time is not
-    shared); ``Values`` every waveform's samples, row-major and in piece
+    waveform's ``Format`` and ``SamplingInterval`` included — once, as a
+    row in that order, first use first, keyed by its bits (as
+    :func:`repro.sensors.packets.encode_upload` keys a capture); ``Pieces``
+    one row a piece, ``[header, Timestamp]`` for labels alone or ``[header,
+    Timestamp, Offset, Samples]`` for a waveform, integers all
+    (``Timestamp`` is null when time is not shared; the waveform starts at
+    ``(Timestamp or 0) + Offset``, so ``Offset`` is 0 where the timestamp
+    is exact); ``Values`` every waveform's samples, row-major and in piece
     order, as one codec blob (the paper's wave-segment argument applied to
     the release).  A waveform's ``segment_id`` does not travel: it is
-    derived from the contributor, ``Format``, ``StartTime`` and
-    ``Samples`` the frame already carries, so :func:`decode_release`
-    derives it again.  The only producer of a query response's
-    ``Released`` member; :func:`decode_release` is its only parser.  A
-    waveform that is not :meth:`~WaveSegment.bare`, not its piece's
-    contributor's or set under an id other than its own derivation has no
-    place in the frame: a ``ValidationError``.
+    derived from the contributor, ``Format``, start and ``Samples`` the
+    frame already carries, so :func:`decode_release` derives it again.
+    The only producer of a query response's ``Released`` member;
+    :func:`decode_release` is its only parser.  A waveform that is not
+    :meth:`~WaveSegment.bare`, not its piece's contributor's or set under an
+    id other than its own derivation has no place in the frame: a
+    ``ValidationError``.
     """
     index, headers, rows, arrays = {}, [], [], []
     for r in released:
@@ -192,16 +192,16 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
         if header is None:
             header = index[key] = len(headers)
             headers.append(
-                {
-                    "Contributor": r.contributor,
-                    "TimeLevel": r.time_level,
-                    "Location": location,
-                    "LocationLevel": r.location_level,
-                    "ContextLabels": dict(r.context_labels),
-                    "Withheld": dict(r.withheld),
-                    "Format": None if segment is None else list(segment.channels),
-                    "SamplingInterval": None if segment is None else segment.interval_ms,
-                }
+                [
+                    r.contributor,
+                    r.time_level,
+                    location,
+                    r.location_level,
+                    dict(r.context_labels),
+                    dict(r.withheld),
+                    None if segment is None else list(segment.channels),
+                    None if segment is None else segment.interval_ms,
+                ]
             )
         if segment is None:
             rows.append([header, r.timestamp])
@@ -220,7 +220,7 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
                 f"released piece {len(rows)}: a waveform travels bare (no capture location, "
                 "no stored context), as its piece's contributor's, under its own id"
             )
-        rows.append([header, r.timestamp, segment.start_ms, len(values)])
+        rows.append([header, r.timestamp, segment.start_ms - (r.timestamp or 0), len(values)])
         arrays.append(values.ravel())
     flat = np.concatenate(arrays) if arrays else np.empty(0)
     return {
@@ -233,7 +233,7 @@ def encode_release(released: Iterable[ReleasedSegment]) -> dict:
 def decode_release(frame: dict) -> list:
     """Parse a release frame into its :class:`ReleasedSegment` pieces.
 
-    Each header is parsed once, coerced nowhere, and its ``Format`` held
+    Each header row is parsed once, coerced nowhere, and its ``Format`` held
     once to :func:`~repro.datastore.wavesegment.check_format`; a row then
     only has to be integers naming a header that fits it, with a positive
     sample count the blob can pay.  The blob is read in place: each
@@ -255,14 +255,14 @@ def decode_release(frame: dict) -> list:
     for n, row in enumerate(require_type(frame["Pieces"], list, where="release frame Pieces")):
         cells = len(row) if type(row) is list else 0
         if cells == 4:
-            header, timestamp, start, count = row
+            header, timestamp, offset_ms, count = row
         elif cells == 2:
             header, timestamp = row
-            start = count = 0
+            offset_ms = count = 0
         else:
             raise SchemaError(f"release frame: piece {n} is not a row of two or four integers")
         if not (
-            type(header) is type(start) is type(count) is int
+            type(header) is type(offset_ms) is type(count) is int
             and (timestamp is None or type(timestamp) is int)
         ):
             raise SchemaError(f"release frame: piece {n} is not a row of integers")
@@ -274,8 +274,9 @@ def decode_release(frame: dict) -> list:
         if (cells == 4) != (channels is not None):
             raise SchemaError(f"release frame: piece {n} is a row its header does not fit")
         used[header] = True
+        start = (timestamp or 0) + offset_ms
         if cells == 2:
-            segment, span = None, Interval(timestamp or 0, (timestamp or 0) + 1)
+            segment, span = None, Interval(start, start + 1)
         else:
             end = offset + count * len(channels)
             if count <= 0 or end > size:
@@ -312,12 +313,10 @@ def decode_release(frame: dict) -> list:
 
 
 def _header(obj, n: int) -> tuple:
-    """One release-frame header, its members in :data:`_HEADER` order."""
-    if type(obj) is not dict or obj.keys() != _HEADER_KEYS:
-        raise SchemaError(f"release frame: header {n} is not exactly {{{', '.join(_HEADER)}}}")
-    contributor, time_level, location, location_level, labels, withheld, channels, interval = (
-        _members(obj)
-    )
+    """One release-frame header row, its cells in :data:`_HEADER` order."""
+    if type(obj) is not list or len(obj) != len(_HEADER):
+        raise SchemaError(f"release frame: header {n} is not exactly [{', '.join(_HEADER)}]")
+    contributor, time_level, location, location_level, labels, withheld, channels, interval = obj
     if not (
         type(contributor) is type(time_level) is type(location_level) is str
         and (

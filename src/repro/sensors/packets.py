@@ -22,9 +22,6 @@ from repro.util.geo import LatLon
 from repro.util.jsonutil import require_keys, require_type
 from repro.util.timeutil import Interval
 
-#: What the packets of one stream share: an upload frame writes it once.
-_STREAM = ("Channel", "SamplingInterval", "Location", "Context")
-
 
 @dataclass(frozen=True)
 class SensorPacket:
@@ -86,35 +83,27 @@ class SensorPacket:
     def sample_times(self) -> list[int]:
         return [self.start_ms + i * self.interval_ms for i in range(len(self.values))]
 
-    def to_json(self) -> dict:
-        """The packet's stream inside an :func:`encode_upload` frame: what
-        it shares with every packet of its stream.  Its start time and
-        sample count are its row; its samples ride the frame's blob."""
-        return {
-            "Channel": self.channel_name,
-            "SamplingInterval": self.interval_ms,
-            "Location": self.location.to_json() if self.location else None,
-            "Context": dict(self.context),
-        }
+    def to_json(self) -> list:
+        """The packet's capture inside an :func:`encode_upload` frame,
+        ``[Location, Context]``: what it shares with every packet taken at
+        the same place under the same labels, whatever its channel.  Its
+        channel and interval are its stream's row, its start time and sample
+        count its own row; its samples ride the frame's blob."""
+        return [self.location.to_json() if self.location else None, dict(self.context)]
 
     @classmethod
-    def from_json(cls, obj: dict, cuts: list) -> list:
-        """The packets of one stream: its header, parsed once and coerced
-        nowhere, and each packet's ``(start_ms, values)``."""
-        require_keys(obj, _STREAM, where="upload frame stream")
-        name, interval, location, context = (obj[member] for member in _STREAM)
-        place = location is None or type(location) is list and len(location) == 2 and all(
-            isinstance(x, (int, float)) and type(x) is not bool for x in location
-        )
-        labels = type(context) is dict and all(
-            isinstance(k, str) and isinstance(v, str) for k, v in context.items()
-        )
-        if not (isinstance(name, str) and type(interval) is int and place and labels):
+    def from_json(cls, row, captures: list, cuts: list) -> list:
+        """The packets of one stream: its ``[Channel, SamplingInterval,
+        capture]`` row, checked once and coerced nowhere, the parsed
+        ``captures`` it points into, and each packet's ``(start_ms, values)``."""
+        name, interval, capture = row if type(row) is list and len(row) == 3 else [None] * 3
+        if not (isinstance(name, str) and type(interval) is type(capture) is int
+                and 0 <= capture < len(captures)):  # fmt: skip
             raise SchemaError(
-                "upload frame: a stream is {Channel: text, SamplingInterval: integer, "
-                "Location: null or two numbers, Context: {text: text}}"
+                "upload frame: a stream is [Channel: text, SamplingInterval: integer, "
+                "capture: an index into Captures]"
             )
-        location = None if location is None else LatLon.from_json(location)
+        location, context = captures[capture]
         return [cls(name, t, interval, v, location, dict(context)) for t, v in cuts]
 
     def follows(self, other: "SensorPacket") -> bool:
@@ -135,8 +124,10 @@ class SensorPacket:
 def encode_upload(packets: Iterable[SensorPacket]) -> dict:
     """The wire form of a phone upload: one frame, one value blob.
 
-    ``Streams`` is each distinct :meth:`SensorPacket.to_json` once, first
-    use first, keyed by its bits (a ``-0.0`` coordinate is not ``0.0``);
+    ``Captures`` is each distinct :meth:`SensorPacket.to_json` — a
+    ``[Location, Context]`` pair — once, first use first, keyed by its bits
+    (a ``-0.0`` coordinate is not ``0.0``); ``Streams`` each distinct
+    ``[Channel, SamplingInterval, capture]`` row once, the same way;
     ``Packets`` one ``[stream, start_ms, count]`` row of integers a packet;
     ``Values`` every packet's samples, in row order, as one codec blob (the
     paper's wave-segment argument applied to the uplink).  The only producer
@@ -150,15 +141,20 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
     packets = list(packets)
     flat = np.concatenate([p.values for p in packets]) if packets else np.empty(0)
     _require_finite(flat)
-    index, streams, rows = {}, [], []
+    index, captures, streams, rows = {}, [], [], []  # a capture's key is a pair, a stream's three
     for p in packets:
         where = None if p.location is None else struct.pack("<2d", *p.location.to_json())
-        key = (p.channel_name, p.interval_ms, where, frozenset(p.context.items()))
-        if key not in index:
-            index[key] = len(streams)
-            streams.append(p.to_json())
-        rows.append([index[key], p.start_ms, len(p.values)])
+        capture = (where, frozenset(p.context.items()))
+        if capture not in index:
+            index[capture] = len(captures)
+            captures.append(p.to_json())
+        stream = (p.channel_name, p.interval_ms, index[capture])
+        if stream not in index:
+            index[stream] = len(streams)
+            streams.append(list(stream))
+        rows.append([index[stream], p.start_ms, len(p.values)])
     return {
+        "Captures": captures,
         "Streams": streams,
         "Packets": rows,
         "Values": encode_values(flat.reshape(-1, 1), ENCODING_RAW),
@@ -168,19 +164,22 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
 def decode_upload(frame: dict) -> list:
     """Parse an upload frame into its :class:`SensorPacket` list.
 
-    The blob is decoded once, each stream is parsed once, and every packet
-    is built through its constructor over a read-only view of the frame's
-    bytes, in row order.  :class:`~repro.exceptions.SchemaError`, before
-    any packet is returned, unless the blob is ``le-f64`` bytes of one
-    channel (neither base64 nor a decimal list is a second wire form),
-    every row is three integers naming a stream, every stream is used and
-    parses, and the counts consume the (finite) samples exactly.
+    The blob is decoded once, each capture and each stream is parsed once,
+    and every packet is built through its constructor over a read-only view
+    of the frame's bytes, in row order.
+    :class:`~repro.exceptions.SchemaError`, before any packet is returned,
+    unless the blob is ``le-f64`` bytes of one channel (neither base64 nor a
+    decimal list is a second wire form), every row is three integers naming
+    a stream, every stream names a capture, every capture and stream is
+    used and parses, and the counts consume the (finite) samples exactly.
     """
     from repro.datastore.codec import decode_frame_values  # deferred, as above
 
-    require_keys(frame, ("Streams", "Packets", "Values"), where="upload frame")
+    require_keys(frame, ("Captures", "Streams", "Packets", "Values"), where="upload frame")
     flat = decode_frame_values(frame["Values"], where="upload frame")
     _require_finite(flat)
+    captures = require_type(frame["Captures"], list, where="upload frame Captures")
+    captures = [_capture(obj, n) for n, obj in enumerate(captures)]
     streams = require_type(frame["Streams"], list, where="upload frame Streams")
     cuts, order, offset = [[] for _ in streams], [], 0
     for row in require_type(frame["Packets"], list, where="upload frame Packets"):
@@ -195,8 +194,27 @@ def decode_upload(frame: dict) -> list:
     if offset != len(flat) or not all(cuts):
         raise SchemaError(f"upload frame: packets consume {offset} of {len(flat)} values "
                           f"and {sum(map(bool, cuts))} of {len(streams)} streams")  # fmt: skip
-    built = [SensorPacket.from_json(obj, cut) for obj, cut in zip(streams, cuts)]
+    built = [SensorPacket.from_json(stream, captures, cut) for stream, cut in zip(streams, cuts)]
+    named = {stream[2] for stream in streams}
+    if len(named) != len(captures):
+        raise SchemaError(f"upload frame: streams name {len(named)} of {len(captures)} captures")
     return [built[stream][i] for stream, i in order]
+
+
+def _capture(obj, n: int) -> tuple:
+    """One upload-frame capture, ``[Location, Context]``, as ``(LatLon or
+    None, labels)``: what its streams' packets are built with."""
+    location, context = obj if type(obj) is list and len(obj) == 2 else (False, None)
+    place = location is None or type(location) is list and len(location) == 2 and all(
+        isinstance(x, (int, float)) and type(x) is not bool for x in location
+    )
+    labels = type(context) is dict and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in context.items()
+    )
+    if not (place and labels):
+        raise SchemaError(f"upload frame: capture {n} is not [Location: null or two numbers, "
+                          "Context: {text: text}]")  # fmt: skip
+    return None if location is None else LatLon.from_json(location), context
 
 
 def _require_finite(flat: np.ndarray) -> None:

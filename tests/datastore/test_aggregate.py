@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datastore.aggregate import (
+    AGGREGATE_FUNCTIONS,
     AggregateRow,
     AggregateSpec,
+    _reduce,
     aggregate_released,
     aggregate_segments,
 )
+from repro.datastore.wavesegment import TIME_CHANNEL, WaveSegment
 from repro.exceptions import QueryError
 
 from tests.conftest import MONDAY, make_segment
@@ -83,6 +87,63 @@ class TestAggregation:
     def test_row_json_roundtrip(self):
         row = AggregateRow("ECG", MONDAY, 70.5, 60)
         assert AggregateRow.from_json(row.to_json()) == row
+
+
+def _masked_rows(segments, spec):
+    """The reference: one mask per (segment, channel, window), as the
+    aggregate was first written."""
+    buckets = {}
+    for segment in segments:
+        window_ids = segment.sample_times() // spec.window_ms
+        for channel in segment.channels:
+            if channel == TIME_CHANNEL:
+                continue
+            values = segment.channel_values(channel)
+            for window_id in np.unique(window_ids):
+                mask = window_ids == window_id
+                buckets.setdefault((channel, int(window_id)), []).append(values[mask])
+    return [
+        AggregateRow(channel, window_id * spec.window_ms,
+                     _reduce(spec.function, np.concatenate(chunks)), sum(map(len, chunks)))
+        for (channel, window_id), chunks in sorted(buckets.items())
+    ]  # fmt: skip
+
+
+@st.composite
+def aggregated_segments(draw):
+    """Uniform segments, and non-uniform ones whose Time column runs in
+    any order, repeats and straddles window edges."""
+    segments = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        n = draw(st.integers(min_value=1, max_value=40))
+        values = np.array(
+            draw(st.lists(st.floats(-1e6, 1e6), min_size=2 * n, max_size=2 * n))
+        ).reshape(n, 2)
+        if draw(st.booleans()):
+            interval = draw(st.integers(min_value=1, max_value=5_000))
+            segments.append(WaveSegment("alice", ("ECG", "Respiration"), MONDAY, interval, values))
+        else:
+            times = draw(st.lists(st.integers(0, 300_000), min_size=n, max_size=n))
+            values[:, 0] = MONDAY + np.array(times)
+            segments.append(WaveSegment("alice", (TIME_CHANNEL, "ECG"), MONDAY, None, values))
+    return segments
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    aggregated_segments(),
+    st.sampled_from(AGGREGATE_FUNCTIONS),
+    st.sampled_from([1, 1_000, 60_000]),
+)
+def test_grouping_by_window_once_gives_the_masked_rows_bit_for_bit(segments, function, window):
+    """Each window gets the same samples in the same order as one mask
+    per window gave it, so every row is the same float, not a near one."""
+    spec = AggregateSpec(function, window)
+    got, want = aggregate_segments(segments, spec), _masked_rows(segments, spec)
+    assert [(r.channel, r.window_start_ms, r.count) for r in got] == [
+        (r.channel, r.window_start_ms, r.count) for r in want
+    ]
+    assert np.array([r.value for r in got]).tobytes() == np.array([r.value for r in want]).tobytes()
 
 
 class TestRuleInteraction:

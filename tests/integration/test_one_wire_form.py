@@ -5,11 +5,11 @@ builds, a ship as the one ``repro.storage.replication.encode_ship`` builds
 and a release as the one ``repro.rules.engine.encode_release`` builds;
 nothing else under ``src/`` or ``benchmarks/`` may spell the members of
 any of them by hand, and nothing may hex-encode bytes for the wire again.
-A second writer of ``"Streams"``, ``"Packets"``, ``"Stream"``,
-``"Headers"`` or ``"Pieces"`` would be a second wire form — a list
-fallback, a negotiation, a bench that measures a body the phone never
-sends or a consumer never receives — so it fails ``pytest`` here, not a
-review.
+A second writer of ``"Captures"``, ``"Streams"``, ``"Packets"``,
+``"Stream"``, ``"Headers"`` or ``"Pieces"`` would be a second wire form —
+a list fallback, a negotiation, a bench that measures a body the phone
+never sends or a consumer never receives — so it fails ``pytest`` here,
+not a review.
 (``benchmarks/ledger/`` drives the public API only and is the benchmark's
 own to edit; it is not scanned.)
 
@@ -31,6 +31,7 @@ SHIP_FRAME = "src/repro/storage/replication.py"
 RELEASE_FRAME = "src/repro/rules/engine.py"
 #: member name -> the one file that may spell it
 MEMBERS = {
+    "Captures": UPLOAD_FRAME,
     "Streams": UPLOAD_FRAME,
     "Packets": UPLOAD_FRAME,
     "Frames": SHIP_FRAME,
@@ -137,7 +138,9 @@ def test_each_frame_member_is_spelled_in_one_file():
 def test_the_guard_sees_what_it_guards():
     """The walk is not vacuous: each frame's own module trips it."""
     modules = dict(_modules())
-    assert {what for _, what in _spellings(modules[UPLOAD_FRAME])} == {"Streams", "Packets"}
+    assert {what for _, what in _spellings(modules[UPLOAD_FRAME])} == {
+        "Captures", "Streams", "Packets",
+    }  # fmt: skip
     assert {what for _, what in _spellings(modules[SHIP_FRAME])} == {"Frames", "Stream"}
     assert {what for _, what in _spellings(modules[RELEASE_FRAME])} == {"Headers", "Pieces"}
     assert len(modules) > 100 and not any(name.startswith(NOT_SCANNED) for name in modules)

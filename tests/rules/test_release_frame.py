@@ -1,9 +1,12 @@
 """The release frame: ``encode_release`` / ``decode_release``.
 
-A consumer release travels as ``{"Headers": [...], "Pieces": [...],
-"Values": <one blob>}``: what pieces share is a header written once, a
-piece is one row of integers, and every waveform's samples ride one blob.
-A waveform's id does not ride at all: the consumer derives it from the
+A consumer release travels as ``{"Headers": [[Contributor, TimeLevel,
+Location, LocationLevel, ContextLabels, Withheld, Format, SamplingInterval],
+...], "Pieces": [[header, Timestamp] or [header, Timestamp, Offset,
+Samples], ...], "Values": <one blob>}``: what pieces share is a header row
+written once, a piece is one row of integers — a waveform's start an offset
+from its timestamp — and every waveform's samples ride one blob.  A
+waveform's id does not ride at all: the consumer derives it from the
 header and row, as the store derived it.
 These tests hold the pair to being lossless over every kind of piece the
 engine can emit, to writing each header once and checking it once, to
@@ -69,8 +72,10 @@ def pieces(draw):
         "nonuniform": ((TIME_CHANNEL, "ECG", "Respiration"), None),
     }[kind]
     segment = _waveform(draw, channels, interval_ms)
+    hour = segment.start_ms - segment.start_ms % 3_600_000  # a timestamp truncated to the hour
     return ReleasedSegment(
-        "alice", segment.interval, segment=segment, timestamp=segment.start_ms,
+        "alice", segment.interval, segment=segment,
+        timestamp=draw(st.sampled_from([segment.start_ms, hour, None])),
         location=location, context_labels=labels,
         withheld=draw(st.sampled_from([{}, {"GpsLat": "closure"}])),
     )
@@ -127,11 +132,28 @@ def test_label_only_pieces_consume_nothing():
     )
     frame = encode_release([labels, wave, labels])
     assert frame["Pieces"] == [[0, 5], [1, 0, 0, 1], [0, 5]]
-    assert [(h["Format"], h["SamplingInterval"]) for h in frame["Headers"]] == [
-        (None, None), (["ECG"], 1000),
-    ]
+    assert [header[6:] for header in frame["Headers"]] == [[None, None], [["ECG"], 1000]]
     assert decode_values(frame["Values"]).tolist() == [[1.5]]
     assert _wire(decode_release(frame)) == _wire([labels, wave, labels])
+
+
+def test_a_waveform_s_start_rides_as_its_offset_from_its_timestamp():
+    """``StartTime = (Timestamp or 0) + Offset``: 0 where the timestamp is
+    the waveform's own start, the distance to it where time is truncated,
+    the start itself where time is not shared."""
+    wave = WaveSegment("alice", ("ECG",), MONDAY + 123, 250, np.array([[1.0], [2.0]]))
+    released = [
+        ReleasedSegment("alice", wave.interval, segment=wave, timestamp=ts)
+        for ts in (MONDAY + 123, MONDAY, None)
+    ]
+    frame = encode_release(released)
+    assert [row[1:3] for row in frame["Pieces"]] == [
+        [MONDAY + 123, 0], [MONDAY, 123], [None, MONDAY + 123],
+    ]  # fmt: skip
+    decoded = decode_release(frame)
+    assert [piece.segment.start_ms for piece in decoded] == [MONDAY + 123] * 3
+    assert [piece.segment.segment_id for piece in decoded] == [wave.segment_id] * 3
+    assert _wire(decoded) == _wire(released)
 
 
 def test_pieces_that_share_a_header_name_it_once():
@@ -292,7 +314,10 @@ def _frame():
     )
 
 
-_COLUMNS = ("Header", "Timestamp", "StartTime", "Samples")
+_COLUMNS = ("Header", "Timestamp", "Offset", "Samples")
+#: a header row's cells, in order
+_CELLS = ("Contributor", "TimeLevel", "Location", "LocationLevel", "ContextLabels", "Withheld",
+          "Format", "SamplingInterval")  # fmt: skip
 
 
 def _with_cells(index, **cells):
@@ -302,9 +327,16 @@ def _with_cells(index, **cells):
     return frame
 
 
-def _with_header(index, **members):
+def _with_header(index, **cells):
     frame = _frame()
-    frame["Headers"][index].update(members)
+    for name, value in cells.items():
+        frame["Headers"][index][_CELLS.index(name)] = value
+    return frame
+
+
+def _with_header_row(index, row):
+    frame = _frame()
+    frame["Headers"][index] = row
     return frame
 
 
@@ -364,17 +396,22 @@ MALFORMED = {
     "parent piece, waveform is another owner's": _with_pieces(
         [_parent_piece(Contributor="mallory"), _parent_piece()]
     ),
-    # a header is exactly its eight members, typed, coerced nowhere
-    "header is a list": {**_frame(), "Headers": [["alice"], _frame()["Headers"][1]]},
-    "header without Withheld": {
-        **_frame(),
-        "Headers": [
-            {k: v for k, v in _frame()["Headers"][0].items() if k != "Withheld"},
-            _frame()["Headers"][1],
-        ],
-    },
-    "header carries the waveform's Context": _with_header(_WAVE, Context={"Activity": "Drive"}),
-    "header carries a Segment": _with_header(_WAVE, Segment={"Location": [34.07, -118.44]}),
+    # a header is a row of exactly its eight cells, typed, coerced nowhere
+    "header is an object": _with_header_row(
+        _WAVE, dict(zip(_CELLS, _frame()["Headers"][_WAVE]))
+    ),
+    "header is null": _with_header_row(_LABELS, None),
+    "header of one cell": _with_header_row(_WAVE, ["alice"]),
+    "header without Withheld": _with_header_row(
+        _WAVE, [c for n, c in zip(_CELLS, _frame()["Headers"][_WAVE]) if n != "Withheld"]
+    ),
+    "header without SamplingInterval": _with_header_row(_WAVE, _frame()["Headers"][_WAVE][:7]),
+    "header carries the waveform's Context": _with_header_row(
+        _WAVE, _frame()["Headers"][_WAVE] + [{"Activity": "Drive"}]
+    ),
+    "header carries a Segment": _with_header_row(
+        _WAVE, _frame()["Headers"][_WAVE] + [{"Location": [34.07, -118.44]}]
+    ),
     "Contributor is a number": _with_header(_WAVE, Contributor=7),
     "TimeLevel is a number": _with_header(_WAVE, TimeLevel=7),
     "LocationLevel is null": _with_header(_LABELS, LocationLevel=None),
@@ -409,9 +446,10 @@ MALFORMED = {
     "waveform row under a label header": _with_cells(0, Header=1),
     "label piece Timestamp is text": _with_cells(1, Timestamp="5"),
     "Timestamp is a float": _with_cells(0, Timestamp=5.0),
-    "StartTime is a boolean": _with_cells(0, StartTime=True),
-    "StartTime is numeric text": _with_cells(0, StartTime="1000"),
-    "StartTime is null": _with_cells(0, StartTime=None),
+    "Offset is a boolean": _with_cells(0, Offset=True),
+    "Offset is numeric text": _with_cells(0, Offset="1000"),
+    "Offset is null": _with_cells(0, Offset=None),
+    "Offset is a float": _with_cells(2, Offset=0.0),
     "Samples is text": _with_cells(0, Samples="two"),
     "zero Samples": _with_cells(0, Samples=0),
     "negative Samples": _with_cells(2, Samples=-2),
@@ -441,6 +479,19 @@ MALFORMED = {
 def test_the_well_formed_frame_parses():
     assert len(decode_release(_frame())) == 3
     assert len(decode_release(wire.decode(wire.encode(_frame())))) == 3
+
+
+def test_each_edit_is_the_only_defect_of_its_frame():
+    """The helpers put the defect where the name says and nowhere else:
+    putting the cell back gives back the well-formed frame."""
+    assert _frame()["Headers"][_WAVE] == [
+        "alice", "milliseconds", None, "coordinates", {}, {}, ["ECG"], 250,
+    ]  # fmt: skip
+    assert _with_header(_WAVE, Format=["ECG"], SamplingInterval=250) == _frame()
+    assert _with_header(_LABELS, Withheld={}, LocationLevel="coordinates") == _frame()
+    assert _with_header_row(_WAVE, list(_frame()["Headers"][_WAVE])) == _frame()
+    assert _with_cells(0, Offset=0) == _with_cells(2, Samples=2) == _frame()
+    assert _with_cells(2, Offset=0.0)["Pieces"][:2] == _frame()["Pieces"][:2]
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

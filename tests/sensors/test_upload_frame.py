@@ -1,15 +1,17 @@
 """The upload frame: ``encode_upload`` / ``decode_upload``.
 
-A phone upload travels as ``{"Streams": [stream, …], "Packets": [[stream,
-start_ms, count], …], "Values": <one blob>}``: what consecutive packets of
-one channel share (channel, interval, location, labels) is written once per
-frame, and each packet is a row of three integers.  These tests hold the
-pair to being lossless bit for bit over every packet list a phone can hold,
-however its streams interleave; to writing one canonical frame; to refusing
-non-finite samples on both sides on purpose; and to refusing — whole, never
-in part — a frame whose rows or streams do not parse, or whose counts do not
-consume its vector exactly, so that the store a refused request was sent to
-is exactly the store it was before.
+A phone upload travels as ``{"Captures": [[Location, Context], …],
+"Streams": [[Channel, SamplingInterval, capture], …], "Packets": [[stream,
+start_ms, count], …], "Values": <one blob>}``: what the channels of an
+upload share (location, labels) is a capture written once per frame, what
+consecutive packets of one channel share (channel, interval, capture) a
+stream written once, and each packet is a row of three integers.  These
+tests hold the pair to being lossless bit for bit over every packet list a
+phone can hold, however its streams interleave; to writing one canonical
+frame; to refusing non-finite samples on both sides on purpose; and to
+refusing — whole, never in part — a frame whose rows, streams or captures
+do not parse, or whose counts do not consume its vector exactly, so that
+the store a refused request was sent to is exactly the store it was before.
 """
 
 import base64
@@ -100,13 +102,18 @@ def test_round_trip_is_bit_for_bit(packets):
 @settings(max_examples=150, deadline=None)
 @given(upload_batches())
 def test_the_frame_is_canonical(packets):
-    """One stream per distinct header as written, first use first, each
-    used; the same packets make the same frame."""
+    """One capture per distinct (location, labels) and one stream per
+    distinct (channel, interval, capture), as written, first use first,
+    each used; the same packets make the same frame."""
     frame = encode_upload(packets)
     used = [row[0] for row in frame["Packets"]]
     assert list(dict.fromkeys(used)) == list(range(len(frame["Streams"])))
-    written = [wire.encode(stream) for stream in frame["Streams"]]
-    assert len(set(written)) == len(written)
+    named = [stream[2] for stream in frame["Streams"]]
+    assert list(dict.fromkeys(named)) == list(range(len(frame["Captures"])))
+    for table in ("Captures", "Streams"):
+        written = [wire.encode(row) for row in frame[table]]
+        assert len(set(written)) == len(written)
+    assert all(type(x) is int for stream in frame["Streams"] for x in stream[1:])
     assert over_the_wire(frame) == over_the_wire(encode_upload(packets))
     assert all(type(x) is int for row in frame["Packets"] for x in row)
 
@@ -124,6 +131,8 @@ def test_round_trip_of_the_awkward_packets():
     frame = encode_upload(packets)
     assert [row[2] for row in frame["Packets"]] == [1, 3, 1, 2, 3]
     assert [row[0] for row in frame["Packets"]] == [0, 1, 2, 3, 0]  # the ECG stream, twice
+    assert [stream[2] for stream in frame["Streams"]] == [0, 0, 1, 2]
+    assert frame["Captures"] == [[None, {}], [UCLA.to_json(), {}], [None, {"Activity": "歩く ☕"}]]
     assert frame["Values"]["Samples"] == 10 and frame["Values"]["Channels"] == 1
     decoded = decode_upload(over_the_wire(frame))
     assert_same(decoded, packets)
@@ -145,7 +154,11 @@ def test_interleaved_streams_come_back_in_row_order():
     frame = encode_upload(packets)
     assert [row[0] for row in frame["Packets"]] == [0, 1, 0, 2, 0, 3, 4]
     assert frame["Packets"][4] == [0, MONDAY + 400, 1]
-    assert [s["Location"] for s in frame["Streams"][3:]] == [[-0.0, 0.0], [0.0, 0.0]]
+    assert frame["Streams"] == [["ECG", 4, 0], ["AccelX", 20, 0], ["ECG", 4, 1], ["ECG", 4, 2],
+                                ["ECG", 4, 3]]  # fmt: skip
+    assert [struct.pack("<2d", *c[0]) for c in frame["Captures"][2:]] == [
+        struct.pack("<2d", -0.0, 0.0), struct.pack("<2d", 0.0, 0.0),
+    ]  # fmt: skip
     assert_same(decode_upload(over_the_wire(frame)), packets)
 
 
@@ -156,16 +169,31 @@ def test_an_empty_upload_is_a_frame_too():
 def test_the_frame_holds_each_sample_once_and_no_decimal():
     packets = packetize("ECG", MONDAY, 4, [0.1 * i for i in range(640)], location=UCLA)
     frame = encode_upload(packets)
-    assert set(frame) == {"Streams", "Packets", "Values"}
-    assert frame["Streams"] == [
-        {"Channel": "ECG", "SamplingInterval": 4, "Location": UCLA.to_json(), "Context": {}}
-    ]
+    assert set(frame) == {"Captures", "Streams", "Packets", "Values"}
+    assert frame["Captures"] == [[UCLA.to_json(), {}]]
+    assert frame["Streams"] == [["ECG", 4, 0]]
     assert frame["Packets"] == [[0, MONDAY + 256 * i, 64] for i in range(10)]
     # 8 bytes a sample and nothing on top; base64 spent 10.67, a decimal list ~19
     assert type(frame["Values"]["Blob"]) is bytes
     assert wire.size(frame["Values"]) == 640 * 8 + len(
         '{"Blob":{"$bytes":5120},"Channels":1,"Encoding":"le-f64","Samples":640}\n'
     )
+
+
+def test_the_channels_of_an_upload_share_one_capture():
+    """A phone samples every channel at one place under one label set: the
+    pair is written once a frame, not once a channel."""
+    still = {"Activity": "Still", "Stress": "NotStressed"}
+    packets = [
+        packet
+        for name in ("ECG", "Respiration", "AccelX", "AccelY", "AccelZ")
+        for packet in packetize(name, MONDAY, 20, [1.0] * 8, packet_samples=4, location=UCLA,
+                                context=still)  # fmt: skip
+    ]
+    frame = encode_upload(packets)
+    assert frame["Captures"] == [[UCLA.to_json(), still]]
+    assert [stream[2] for stream in frame["Streams"]] == [0] * 5
+    assert_same(decode_upload(over_the_wire(frame)), packets)
 
 
 # ---------------------------------------------------------------------------
@@ -221,37 +249,68 @@ def _parent_body(packets):
     return [_parent_header(p, list(p.values)) for p in packets]
 
 
-#: a header member's place in a packet's row; any other member is its stream's
-_ROW = {"StartTime": 1, "Values": 2}
+def _parent_stream(packet):
+    """A packet's stream as ebc00ff wrote it: one object, its capture inside."""
+    header = _parent_header(packet, None)
+    return {k: header[k] for k in ("Channel", "SamplingInterval", "Location", "Context")}
 
 
-def _own_stream(frame, row):
-    """A copy of ``row``'s stream that only ``row`` uses, to edit: the
-    packets ahead of it keep a well-formed stream."""
-    frame["Streams"].append(dict(frame["Streams"][row[0]]))
-    row[0] = len(frame["Streams"]) - 1
-    return frame["Streams"][-1]
+#: a header member -> (its table: 0 the packet's row, 1 its stream, 2 its
+#: capture; its cell there)
+_CELL = {
+    "StartTime": (0, 1), "Values": (0, 2), "Channel": (1, 0), "SamplingInterval": (1, 1),
+    "Location": (2, 0), "Context": (2, 1),
+}  # fmt: skip
+
+
+def _own(frame, index, members):
+    """Packet ``index``'s row, stream and capture, the last two copies only
+    it uses where ``members`` edit them: the packets ahead of it keep a
+    well-formed stream and capture."""
+    row, tables = frame["Packets"][index], {_CELL[m][0] for m in members}
+    if tables & {1, 2}:
+        frame["Streams"].append(list(frame["Streams"][row[0]]))
+        row[0] = len(frame["Streams"]) - 1
+    stream = frame["Streams"][row[0]]
+    if 2 in tables:
+        frame["Captures"].append(list(frame["Captures"][stream[2]]))
+        stream[2] = len(frame["Captures"]) - 1
+    return row, stream, frame["Captures"][stream[2]]
 
 
 def _with_header(index, **members):
     """The frame with packet ``index``'s header members set: ``StartTime``
-    and ``Values`` (the count) in its row, any other in its own stream."""
+    and ``Values`` (the count) in its row, ``Channel`` and
+    ``SamplingInterval`` in its own stream, ``Location`` and ``Context`` in
+    its own capture."""
     frame = _frame()
-    row = frame["Packets"][index]
-    for member in [m for m in members if m in _ROW]:
-        row[_ROW[member]] = members.pop(member)
-    if members:
-        _own_stream(frame, row).update(members)
+    tables = _own(frame, index, members)
+    for member, value in members.items():
+        table, cell = _CELL[member]
+        tables[table][cell] = value
     return frame
 
 
 def _without(index, member):
     frame = _frame()
-    row = frame["Packets"][index]
-    if member in _ROW:
-        del row[_ROW[member]]
-    else:
-        del _own_stream(frame, row)[member]
+    table, cell = _CELL[member]
+    del _own(frame, index, [member])[table][cell]
+    return frame
+
+
+def _with_stream(index, stream):
+    """The frame with packet ``index``'s stream row replaced by ``stream``."""
+    frame = _frame()
+    frame["Streams"].append(stream)
+    frame["Packets"][index][0] = len(frame["Streams"]) - 1
+    return frame
+
+
+def _with_capture(index, capture):
+    """The frame with packet ``index``'s capture replaced by ``capture``."""
+    frame = _frame()
+    frame["Captures"].append(capture)
+    _own(frame, index, ["Channel"])[1][2] = len(frame["Captures"]) - 1
     return frame
 
 
@@ -289,9 +348,19 @@ MALFORMED = {
         },
         SchemaError,
     ),
+    "the parent's stream-object frame": (
+        {
+            "Streams": [_parent_stream(_PARENT_PACKETS[0])],
+            "Packets": _frame()["Packets"],
+            "Values": _frame()["Values"],
+        },
+        SchemaError,
+    ),
+    "no Captures": ({k: v for k, v in _frame().items() if k != "Captures"}, SchemaError),
     "no Streams": ({k: v for k, v in _frame().items() if k != "Streams"}, SchemaError),
     "no Packets": ({k: v for k, v in _frame().items() if k != "Packets"}, SchemaError),
     "no Values": ({k: v for k, v in _frame().items() if k != "Values"}, SchemaError),
+    "Captures is an object": ({**_frame(), "Captures": {}}, SchemaError),
     "Streams is an object": ({**_frame(), "Streams": {}}, SchemaError),
     "Packets is an object": ({**_frame(), "Packets": {}}, SchemaError),
     "Values is a list": ({**_frame(), "Values": [1.0, 2.0]}, SchemaError),
@@ -341,6 +410,25 @@ MALFORMED = {
     # streams: every one used, every member present, nothing coerced
     "unreferenced stream": ({**_frame(), "Streams": _frame()["Streams"] * 2}, SchemaError),
     "stream is a number": ({**_frame(), "Streams": [5]}, SchemaError),
+    "stream is the parent's object": (_with_stream(2, _parent_stream(_PARENT_PACKETS[2])),
+                                      SchemaError),  # fmt: skip
+    "stream of four cells": (_with_stream(2, ["ECG", 250, 0, 0]), SchemaError),
+    "stream names no capture": (_with_stream(2, ["ECG", 250]), SchemaError),
+    "stream capture out of range": (_with_stream(2, ["ECG", 250, 1]), SchemaError),
+    "stream capture is negative": (_with_stream(2, ["ECG", 250, -1]), SchemaError),
+    "stream capture is a boolean": (_with_stream(2, ["ECG", 250, False]), SchemaError),
+    "stream capture is a float": (_with_stream(2, ["ECG", 250, 0.0]), SchemaError),
+    "stream capture is null": (_with_stream(2, ["ECG", 250, None]), SchemaError),
+    # captures: every one used, exactly [Location, Context], nothing coerced
+    "unreferenced capture": ({**_frame(), "Captures": _frame()["Captures"] * 2}, SchemaError),
+    "capture is a number": (_with_capture(2, 5), SchemaError),
+    "capture is null": (_with_capture(2, None), SchemaError),
+    "capture is an object": (
+        _with_capture(2, {"Location": UCLA.to_json(), "Context": {}}),
+        SchemaError,
+    ),
+    "capture of three cells": (_with_capture(2, [UCLA.to_json(), {}, {}]), SchemaError),
+    "capture is a bare location": (_with_capture(2, UCLA.to_json()), SchemaError),
     "header without Channel": (_without(2, "Channel"), SchemaError),
     "header without SamplingInterval": (_without(2, "SamplingInterval"), SchemaError),
     "stream without Location": (_without(2, "Location"), SchemaError),
@@ -382,13 +470,18 @@ def test_each_edit_is_the_only_defect_of_its_frame():
     undoing the third packet's edit gives back a frame that parses."""
     frame = _with_header(2, Channel="Sonar", StartTime=_THIRD + 1)
     assert frame["Packets"] == [[0, MONDAY, 4], [0, MONDAY + 1000, 4], [1, _THIRD + 1, 2]]
-    assert frame["Streams"][1] == {**frame["Streams"][0], "Channel": "Sonar"}
+    assert frame["Streams"] == [["ECG", 250, 0], ["Sonar", 250, 0]]
+    assert frame["Captures"] == [[UCLA.to_json(), {}]]
     assert _with_header(2, StartTime=_THIRD) == _frame()
-    assert decode_upload(_with_header(2, Context={"Activity": "Still"}))[2].context == {
-        "Activity": "Still"
-    }
+    frame = _with_header(2, Context={"Activity": "Still"}, SamplingInterval=250)
+    assert frame["Streams"] == [["ECG", 250, 0], ["ECG", 250, 1]]
+    assert frame["Captures"] == [[UCLA.to_json(), {}], [UCLA.to_json(), {"Activity": "Still"}]]
+    assert decode_upload(frame)[2].context == {"Activity": "Still"}
     assert _without(2, "Values")["Packets"][2] == [0, _THIRD]
-    assert "Location" not in _without(2, "Location")["Streams"][1]
+    assert _without(2, "Location")["Captures"] == [[UCLA.to_json(), {}], [{}]]
+    assert _without(2, "Channel")["Streams"] == [["ECG", 250, 0], [250, 0]]
+    assert decode_upload(_with_stream(2, ["ECG", 250, 0]))[2] == decode_upload(_frame())[2]
+    assert len(decode_upload(_with_capture(2, [UCLA.to_json(), {}]))) == 3
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
