@@ -8,8 +8,9 @@ uncached path** on a repeated-query workload — while staying *provably*
 fresh: a differential sweep drives a cached and an uncached twin through
 identical query/mutation/recovery scripts and requires **zero divergent
 response bytes across at least 500 comparisons**, including rule
-mutations between repeats and a crash/recovery boundary (where the cache
-is wholesale-invalidated rather than trusted).
+mutations between repeats and a crash/recovery boundary (where the
+restarted process starts with an empty cache, and every record recovery
+installs moves the key's rules or data epoch).
 
 Reported alongside the gates: the cold/warm latency split, the hit ratio
 of the workload, and the cache's own telemetry (``cache_*`` counters and

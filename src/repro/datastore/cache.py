@@ -19,18 +19,19 @@ depends on is folded into the key —
   epoch, which moves on *every* rule mutation anywhere in the store, on
   every restore, and on every labeled-places assignment (places feed
   rule geography);
-* the contributor's **content fingerprint** — an XOR accumulator over
-  per-segment content hashes maintained incrementally by
-  :class:`~repro.datastore.segment_store.SegmentStore`, so any persist,
-  delete, compaction, or WAL-replayed mutation moves the key;
+* the contributor's **data epoch**
+  (:meth:`~repro.datastore.segment_store.SegmentStore.data_epoch`), a
+  counter that moves wherever one of the contributor's segments enters
+  or leaves the table — ingest, delete, compaction, an installed or
+  removed record — and never for another contributor's;
 * the contributor's fail-closed flag (recovery can deny a contributor
   without a rule mutation);
 * the canonical **query shape** (channels, time range, region, limit).
 
 Every event that changes release semantics moves a key component, so
 correctness never depends on an entry "aging out" or on an invalidation
-call arriving.  Recovery alone also calls
-:meth:`ReleaseCache.invalidate_all`, as belt and braces.
+call arriving, and nothing drops entries wholesale: an entry made under
+an old state is unreachable and ages out of the LRU.
 
 An entry is its frame (:class:`CacheEntry`): that frame's encoded length
 and a :class:`ReleaseSummary` of the pieces ride beside it, so the
@@ -39,45 +40,21 @@ record, cost attribution) is O(1) rather than a re-encode and two walks
 over the released pieces.
 
 The cache is a bounded LRU with byte-size accounting; hits, misses,
-evictions, invalidations, resident bytes, and entry count are exported
-through the shared metrics registry (``cache_*``).
+evictions, resident bytes, and entry count are exported through the
+shared metrics registry (``cache_*``).
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.datastore.query import DataQuery
-from repro.datastore.wavesegment import WaveSegment
 from repro.net import wire
 from repro.obs import NOOP_OBS
 from repro.rules.engine import encode_release
 from repro.util import jsonutil
-
-
-def segment_content_hash(segment: WaveSegment) -> int:
-    """A 128-bit content hash of one stored wave segment.
-
-    Unlike :attr:`WaveSegment.segment_id` (derived from contributor,
-    channels, start time, and sample *count* only), this digests the
-    actual sample values, location, and context, so two segments that
-    would collide on id but differ in content hash differently.  Returned
-    as an ``int`` so fingerprints can be XOR-combined cheaply.
-    """
-    h = hashlib.sha256()
-    h.update(segment.contributor.encode("utf-8"))
-    h.update("\x1f".join(segment.channels).encode("utf-8"))
-    h.update(str(segment.start_ms).encode("ascii"))
-    h.update(str(segment.interval_ms).encode("ascii"))
-    h.update(segment.values.tobytes())
-    if segment.location is not None:
-        h.update(repr(segment.location.to_json()).encode("utf-8"))
-    if segment.context:
-        h.update(jsonutil.canonical_dumps(dict(segment.context)).encode("utf-8"))
-    return int.from_bytes(h.digest()[:16], "big")
 
 
 def query_shape(query: DataQuery) -> str:
@@ -184,7 +161,6 @@ class ReleaseCache:
         self._c_hits = m.counter("cache_hits_total", store=store)
         self._c_misses = m.counter("cache_misses_total", store=store)
         self._c_evictions = m.counter("cache_evictions_total", store=store)
-        self._c_invalidations = m.counter("cache_invalidations_total", store=store)
         m.gauge("cache_bytes", callback=lambda: self._bytes, store=store)
         m.gauge("cache_entries", callback=lambda: len(self._entries), store=store)
 
@@ -240,19 +216,3 @@ class ReleaseCache:
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
             self._c_evictions.inc()
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-
-    def invalidate_all(self, reason: str = "") -> int:
-        """Drop every entry; returns how many were dropped.
-
-        Recovery's fail-closed sweep: the rule state on disk cannot be
-        trusted to match what any cached decision was made under.
-        """
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._bytes = 0
-        self._c_invalidations.inc(dropped)
-        return dropped

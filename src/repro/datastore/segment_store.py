@@ -10,15 +10,21 @@ state.  One :class:`SegmentStore` can hold data for several contributors
 — the paper's institutional servers host every participant of a study —
 and every query is scoped to a single contributor, because privacy rules
 are per-owner.
+
+Each contributor's stored segments carry a **data epoch**, a counter
+that moves wherever a segment enters or leaves the table
+(:meth:`SegmentStore.data_epoch`); the release cache keys decisions by
+it.  :meth:`SegmentStore.content_fingerprint` digests the same segments
+by content, on demand, for checks that two stores hold the same data.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.datastore.cache import segment_content_hash
 from repro.datastore.codec import DECODE_STATS
 from repro.datastore.index import IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
@@ -27,12 +33,35 @@ from repro.datastore.wavesegment import WaveSegment, segment_from_packet
 from repro.exceptions import DuplicateKeyError
 from repro.obs import NOOP_OBS
 from repro.sensors.packets import SensorPacket
+from repro.util import jsonutil
 from repro.util.timeutil import Interval
 
 #: Default bound on remembered upload ids (retry dedupe).  FIFO eviction:
 #: once a store has ingested this many *newer* segments, a retry of a
 #: very old upload is no longer recognized as a duplicate.
 DEDUPE_WINDOW_IDS = 65536
+
+
+def segment_content_hash(segment: WaveSegment) -> int:
+    """A 128-bit content hash of one stored wave segment.
+
+    Unlike :attr:`WaveSegment.segment_id` (derived from contributor,
+    channels, start time, and sample *count* only), this digests the
+    actual sample values, location, and context, so two segments that
+    would collide on id but differ in content hash differently.  Returned
+    as an ``int`` so fingerprints can be XOR-combined cheaply.
+    """
+    h = hashlib.sha256()
+    h.update(segment.contributor.encode("utf-8"))
+    h.update("\x1f".join(segment.channels).encode("utf-8"))
+    h.update(str(segment.start_ms).encode("ascii"))
+    h.update(str(segment.interval_ms).encode("ascii"))
+    h.update(segment.values.tobytes())
+    if segment.location is not None:
+        h.update(repr(segment.location.to_json()).encode("utf-8"))
+    if segment.context:
+        h.update(jsonutil.canonical_dumps(dict(segment.context)).encode("utf-8"))
+    return int.from_bytes(h.digest()[:16], "big")
 
 
 @dataclass
@@ -77,16 +106,8 @@ class SegmentStore:
         # the whole table for this — an institutional store hosting many
         # participants paid O(total segments) per owner page view)
         self._by_contributor: dict[str, set] = {}
-        # Content-fingerprint accumulator.  Each segment's 128-bit content
-        # hash is XORed into its contributor's fingerprint; XOR is
-        # order-independent and self-inverse, so persist/unpersist in any
-        # interleaving (ingest, delete, compaction, installed records)
-        # leaves the fingerprint a pure function of the stored content.
-        # Hashing is deferred to the first fingerprint read so ingest never
-        # pays for it (the C10 in-path budget stays untouched).
-        self._seg_hash: dict[str, int] = {}  # segment id -> content hash
-        self._fingerprints: dict[str, int] = {}  # contributor -> XOR accum
-        self._pending_hash: dict[str, set] = {}  # contributor -> unhashed ids
+        # contributor -> data epoch (see data_epoch)
+        self._epochs: dict[str, int] = {}
         self.stats = StoreStats()
         #: Durability hooks: fired with the segment after every persist /
         #: unpersist so a write-ahead log can journal mutations.  Installed
@@ -185,9 +206,7 @@ class SegmentStore:
         self._by_contributor.setdefault(segment.contributor, set()).add(
             segment.segment_id
         )
-        self._pending_hash.setdefault(segment.contributor, set()).add(
-            segment.segment_id
-        )
+        self._bump_epoch(segment.contributor)
         self.stats.n_segments += 1
         self.stats.n_samples += segment.n_samples
         self.stats.storage_bytes += segment.storage_bytes()
@@ -200,15 +219,7 @@ class SegmentStore:
         self._by_contributor.get(segment.contributor, set()).discard(
             segment.segment_id
         )
-        cached_hash = self._seg_hash.pop(segment.segment_id, None)
-        if cached_hash is not None:
-            self._fingerprints[segment.contributor] = (
-                self._fingerprints.get(segment.contributor, 0) ^ cached_hash
-            )
-        else:
-            self._pending_hash.get(segment.contributor, set()).discard(
-                segment.segment_id
-            )
+        self._bump_epoch(segment.contributor)
         self.stats.n_segments -= 1
         self.stats.n_samples -= segment.n_samples
         self.stats.storage_bytes -= segment.storage_bytes()
@@ -294,25 +305,32 @@ class SegmentStore:
         self._c_scanned.inc(len(out))
         return out
 
+    def data_epoch(self, contributor: str) -> int:
+        """How many times one contributor's stored segments have changed.
+
+        Moves on every segment that enters or leaves the table (ingest,
+        delete, compaction, an installed or removed record), never for
+        another contributor's, and never goes back: the release cache keys
+        decisions by it, so no entry made before a change is reachable
+        after it.
+        """
+        return self._epochs.get(contributor, 0)
+
+    def _bump_epoch(self, contributor: str) -> None:
+        self._epochs[contributor] = self._epochs.get(contributor, 0) + 1
+
     def content_fingerprint(self, contributor: str) -> int:
         """XOR of the content hashes of one contributor's stored segments.
 
-        O(1) when nothing changed since the last call; newly persisted
-        segments are hashed on demand.  Any persist, delete, compaction,
-        or replayed mutation moves this value, which is what lets the
-        release cache key decisions by store content without wiring an
-        invalidation event to every mutation path.
+        A verification digest, computed on demand: two stores holding the
+        same segments agree on it whatever order they were stored in (a
+        recovered store against its replica).  Nothing on the request path
+        reads it; cached decisions ride :meth:`data_epoch`.
         """
-        pending = self._pending_hash.get(contributor)
-        if pending:
-            fingerprint = self._fingerprints.get(contributor, 0)
-            for segment_id in pending:
-                content_hash = segment_content_hash(self._segments[segment_id])
-                self._seg_hash[segment_id] = content_hash
-                fingerprint ^= content_hash
-            pending.clear()
-            self._fingerprints[contributor] = fingerprint
-        return self._fingerprints.get(contributor, 0)
+        fingerprint = 0
+        for segment_id in self._by_contributor.get(contributor, ()):
+            fingerprint ^= segment_content_hash(self._segments[segment_id])
+        return fingerprint
 
     def query(self, contributor: str, query: DataQuery) -> QueryResult:
         """Execute a query against one contributor's data.

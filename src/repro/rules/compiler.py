@@ -44,11 +44,10 @@ docs/ARCHITECTURE.md, "The rule engine", lists the evaluation order and
 the test that pins each step.
 
 Artifacts are cached by :class:`CompiledRuleCache` keyed on the
-store-wide ``rules_version`` epoch — the same invariant the PR 5 release
+store-wide ``rules_version`` epoch — the same invariant the release
 cache rides, moved by rule mutations, restores and places assignments
-alike — so a stale artifact is unreachable by construction; recovery
-alone also invalidates wholesale, exactly where the release cache does
-(``DataStoreService.invalidate_decisions``).
+alike — so a stale artifact is unreachable by construction, and nothing
+drops artifacts wholesale.
 """
 
 from __future__ import annotations
@@ -873,16 +872,15 @@ class CompiledRuleCache:
     """Epoch-keyed LRU of compiled artifacts, beside the release cache.
 
     A stale compiled artifact is a privacy leak of exactly the same shape
-    as a stale cached decision, so the key copies the PR 5 argument: it
+    as a stale cached decision, so the key copies the release cache's: it
     folds in the **store-wide rules-version epoch**, which moves on every
     rule mutation for any contributor, on every post-recovery/failover
     ``restore`` and on every labeled-places assignment — a rule or place
     state this process has never evaluated under can never hit an old
-    entry.  Recovery also calls :meth:`invalidate_all`, with the release
-    cache's.
+    entry; an old one ages out of the LRU.
 
     Compile telemetry (``rules_compile_total``, ``rules_compile_seconds``,
-    hits, invalidations) is exported through the shared metrics registry.
+    hits) is exported through the shared metrics registry.
     """
 
     def __init__(self, capacity: int = 64, *, obs=None, store: str = ""):
@@ -896,7 +894,6 @@ class CompiledRuleCache:
         self._c_compiles = m.counter("rules_compile_total", **labels)
         self._h_compile_s = m.histogram("rules_compile_seconds", **labels)
         self._c_hits = m.counter("compiled_cache_hits_total", **labels)
-        self._c_invalidations = m.counter("compiled_cache_invalidations_total", **labels)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -940,15 +937,3 @@ class CompiledRuleCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return artifact
-
-    def invalidate_all(self, reason: str = "") -> int:
-        """Drop every artifact (recovery).
-
-        Returns the number of entries dropped; ``reason`` is for logs and
-        symmetry with :meth:`ReleaseCache.invalidate_all`.
-        """
-        del reason
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._c_invalidations.inc(dropped)
-        return dropped

@@ -424,16 +424,15 @@ class BrokerService:
         """Rule-sync push endpoint for remote data stores.
 
         A store syncs only contributors the directory routes to it: a push
-        writes the rules mirror, never the route.  An unknown name is
-        registered at the pushing store (first come, first served).
+        writes the rules mirror, never the route, and never registers a
+        name (an unknown one is a 404 with nothing recorded).  Names come
+        only from store signup (:meth:`register_contributor`).
         """
         profile = dict(request.body.get("Profile", {}))
         if profile.get("Host") != store_host:
             raise AuthorizationError("stores may only sync their own contributors")
         name = str(profile.get("Contributor", ""))
-        if name and name not in self.registry:
-            self.registry.register(name, store_host, str(profile.get("Institution", "")))
-        elif name and self.registry.get(name).host != store_host:
+        if self.registry.get(name).host != store_host:
             raise AuthorizationError(
                 f"{name!r} is routed to another store, not {store_host!r}"
             )

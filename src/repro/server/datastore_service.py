@@ -158,18 +158,15 @@ class DataStoreService:
         #: restart: they are deny-by-default until rules are re-published.
         self.fail_closed: set = set()
         #: Versioned rule-decision cache for the consumer-query hot path
-        #: (``None`` disables it).  Created *before* durability opens so
-        #: recovery's wholesale invalidation has a target; a zero capacity
-        #: or byte budget turns the cache off.
+        #: (``None`` disables it); a zero capacity or byte budget turns the
+        #: cache off.
         self.release_cache: Optional[ReleaseCache] = None
         if cache_capacity > 0 and cache_max_bytes > 0:
             self.release_cache = ReleaseCache(
                 cache_capacity, cache_max_bytes, obs=network.obs, store=host
             )
         #: Per-contributor compiled rule artifacts, keyed by the same
-        #: store-wide rules-version epoch as the release cache and dropped
-        #: with it by :meth:`invalidate_decisions`.  Created before
-        #: durability opens so recovery's sweep has a target.
+        #: store-wide rules-version epoch as the release cache.
         self.compiled_rules = CompiledRuleCache(obs=network.obs, store=host)
         self.durability = None
         self.recovery_report = None
@@ -555,19 +552,6 @@ class DataStoreService:
     def _membership(self, consumer: str) -> frozenset:
         return frozenset({consumer}) | self.memberships.get(consumer, frozenset())
 
-    def invalidate_decisions(self, reason: str) -> None:
-        """Drop every cached release decision and compiled rule artifact.
-
-        Recovery's belt and braces, and its only caller: every other
-        change to an input of a release decision moves a component of
-        :meth:`_cache_key` (rules and labeled places the store-wide epoch,
-        segments the content fingerprint, fail-closed its flag), which
-        makes stale entries unreachable without an event.
-        """
-        if self.release_cache is not None:
-            self.release_cache.invalidate_all(reason)
-        self.compiled_rules.invalidate_all(reason)
-
     def _engine_for(self, contributor: str) -> RuleEngine:
         # Belt and braces: recovery already emptied a fail-closed
         # contributor's rules, and an empty rule set is default-deny.
@@ -612,11 +596,12 @@ class DataStoreService:
         """Everything a release decision depends on, folded into one key.
 
         Membership is keyed directly (a reverted membership may correctly
-        resurrect an old entry); rules ride the store-wide epoch; store
-        content rides the contributor's XOR fingerprint; the fail-closed
-        flag covers recovery denying a contributor without a rule bump.
-        Labeled places ride the same epoch (their one installer,
-        :func:`repro.storage.records.apply`, moves it).
+        resurrect an old entry); rules ride the store-wide epoch; stored
+        segments ride the contributor's data epoch; the fail-closed flag
+        covers recovery denying a contributor without a rule bump.
+        Labeled places ride the rules epoch (their one installer,
+        :func:`repro.storage.records.apply`, moves it).  Every input is an
+        epoch or its own value, so no event has to drop an entry.
         """
         return (
             principal,
@@ -624,7 +609,7 @@ class DataStoreService:
             contributor,
             contributor in self.fail_closed,
             self.rules.rules_version,
-            self.store.content_fingerprint(contributor),
+            self.store.data_epoch(contributor),
             query_shape(query),
         )
 

@@ -457,15 +457,6 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
                 + " until rules are re-published"
             )
 
-    # Fail closed on the caches too: every decision cached and artifact
-    # compiled before this recovery was made under a rule/data state this
-    # process can no longer vouch for.  Every record installed above moved
-    # a cache-key component (rules and places the epoch, segments the
-    # content fingerprint, the sweep the fail-closed flag), so this is
-    # belt and braces — the one wholesale drop left, emptied rather than
-    # reasoned about (tests/storage/test_cache_invalidation.py).
-    service.invalidate_decisions("recovery")
-
     m = (obs or NOOP_OBS).metrics
     m.counter("recovery_runs_total").inc()
     m.counter("recovery_replayed_total").inc(report.wal_records_replayed)

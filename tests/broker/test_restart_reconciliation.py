@@ -33,6 +33,7 @@ def paired_system(tmp_path):
     )
     broker.attach_store(store, eager_sync=True)
     store.register_contributor("alice")
+    broker.register_contributor("alice", HOST)  # store signup, as the system does
     store.rules.replace_all("alice", [ALLOW_ECG])  # v1, eagerly pushed
     assert broker.registry.get("alice").rules_version == 1
     return network, broker, store
@@ -130,6 +131,7 @@ class TestReconcileUnderPartition:
 
         network, broker, store = paired_system(tmp_path)
         store.register_contributor("carol")
+        broker.register_contributor("carol", HOST)
         store.rules.replace_all("carol", [ALLOW_ECG])
         assert broker.registry.get("carol").rules_version == 1
         # carol's v2 commits at the store while its push is lost: the

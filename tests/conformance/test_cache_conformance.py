@@ -3,13 +3,16 @@
 Twin stores are loaded with the same generated trial — one with the
 release cache enabled, one with it disabled — and driven through an
 identical step script of repeated queries interleaved with rule
-mutations, membership flips, and places edits.  Every response body must
-be byte-identical between the twins at every step; the cached twin must
-also actually take cache hits, or the sweep proves nothing.
+mutations, membership flips, places edits, and changes to the stored
+data: a delete, a delete followed by re-installing the identical
+segments (content back where it was, a new data epoch), a compaction and
+a self-resync.  Every response body must be byte-identical between the
+twins at every step; the cached twin must also actually take cache hits,
+or the sweep proves nothing.
 
 A second variant makes the twins durable and puts a crash/recovery
-boundary in the middle of the script: the cache is wholesale-invalidated
-on recovery, and the first post-restart responses must still match.
+boundary in the middle of the script: the restarted process starts with
+an empty cache, and the first post-restart responses must still match.
 """
 
 import random
@@ -99,6 +102,10 @@ class TwinDriver:
             for service in self.services:
                 records.apply(service, records.OP_ROLE, row, journal=False)
             return
+        elif kind in DATA_CHANGES:
+            for service in self.services:
+                self.change_data(service, kind)
+            return
         elif kind == "places":
             labels = sorted(self.trial.places)
             keep = {
@@ -113,6 +120,27 @@ class TwinDriver:
             return
         for service in self.services:
             service.rules.replace_all(self.trial.contributor, self.current_rules)
+
+    def change_data(self, service, kind):
+        store, contributor = service.store, self.trial.contributor
+        if kind == "compact":
+            store.compact(contributor)
+        elif kind == "resync":
+            records.replace(service, list(records.dump(service)))
+        else:
+            held = store.segments_of(contributor)
+            if not held:
+                return
+            store.delete(contributor, DataQuery(time_range=held[0].interval))
+            if kind == "reupload":
+                kept = {s.segment_id for s in store.segments_of(contributor)}
+                for segment in held:
+                    if segment.segment_id not in kept:
+                        records.apply(service, records.OP_SEGMENT, segment.to_json(), journal=False)
+
+
+#: Changes to the stored data, each run between queries by :func:`drive`.
+DATA_CHANGES = ("delete", "reupload", "compact", "resync")
 
 
 def drive(trial, services, keys, *, rounds=3):
@@ -130,6 +158,10 @@ def drive(trial, services, keys, *, rounds=3):
         )
     # One final look after the last mutation.
     driver.compare(queries[0])
+    for kind in DATA_CHANGES:
+        driver.mutate(kind, rng, gen)
+        driver.compare(queries[0])
+        driver.compare(queries[0])
     return driver
 
 
@@ -214,8 +246,8 @@ def test_recovery_boundary_preserves_byte_identity(tmp_path):
             )
             for directory, capacity in zip(dirs, (256, 0))
         ]
-        # Recovery wholesale-invalidates: nothing cached may survive the
-        # boundary (entries were keyed to the dead process's epochs).
+        # A restarted process starts with an empty cache: nothing cached
+        # survives the boundary.
         assert len(restarted[0].release_cache) == 0
         # API keys are session state; restored roles (groups included)
         # let us re-issue.

@@ -1,5 +1,5 @@
-"""Unit tests for the release cache, content fingerprints, and the
-per-contributor index behind ``segments_of``."""
+"""Unit tests for the release cache, data epochs, content fingerprints,
+and the per-contributor index behind ``segments_of``."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,10 @@ from repro.datastore.cache import (
     ReleaseCache,
     ReleaseSummary,
     query_shape,
-    segment_content_hash,
 )
 from repro.datastore.optimizer import MergePolicy
 from repro.datastore.query import DataQuery
-from repro.datastore.segment_store import SegmentStore
+from repro.datastore.segment_store import SegmentStore, segment_content_hash
 from repro.net.transport import Network
 from repro.server.datastore_service import DataStoreService
 from repro.storage.durability import write_snapshot
@@ -111,13 +110,6 @@ class TestReleaseCacheLru:
         cache.put(("k",), entry())
         assert cache.get(("k",)) is None and len(cache) == 0
 
-    def test_invalidate_all_empties(self):
-        cache = ReleaseCache(capacity=4, max_bytes=10_000)
-        cache.put(("a",), entry())
-        cache.put(("b",), entry())
-        assert cache.invalidate_all("test") == 2
-        assert len(cache) == 0 and cache.resident_bytes == 0
-
     def test_entry_measures_its_payload_and_release_once(self):
         """Built once from the engine's pieces, the entry keeps the frame a
         hit serves, its size and its totals — never the pieces or the
@@ -164,9 +156,6 @@ class TestCacheMetrics:
         assert m.counter_value("cache_evictions_total", store="s1") == 1
         assert m.gauge("cache_entries", store="s1").value == 2
         assert m.gauge("cache_bytes", store="s1").value == cache.resident_bytes
-        cache.invalidate_all("test")
-        assert m.counter_value("cache_invalidations_total", store="s1") == 2
-        assert m.gauge("cache_entries", store="s1").value == 0
 
     def test_gauge_rebinds_to_a_new_cache_instance(self):
         # A restarted service must not leave the gauge reading the dead
@@ -246,6 +235,77 @@ class TestContentFingerprint:
         fp = store.content_fingerprint("alice")
         store.restore_segment(seg)  # WAL replay re-installs the same record
         assert store.content_fingerprint("alice") == fp
+
+
+class TestDataEpoch:
+    """The release cache's key for stored data: a per-contributor counter
+    that every change to the contributor's table moves and nothing rewinds."""
+
+    def _step(self, store, change):
+        """Run one change to alice's table; alice's epoch must rise and
+        carol's stay."""
+        alice, carol = store.data_epoch("alice"), store.data_epoch("carol")
+        change()
+        assert store.data_epoch("alice") > alice
+        assert store.data_epoch("carol") == carol
+
+    def test_unknown_contributor_is_zero(self):
+        assert SegmentStore().data_epoch("nobody") == 0
+
+    def test_every_table_change_moves_it_and_only_for_its_owner(self):
+        store = SegmentStore()
+        store.restore_segment(make_segment(contributor="carol", n=8))
+        first = make_segment(n=8)
+        second = make_segment(n=8, start_ms=first.end_ms)
+        self._step(store, lambda: (store.add_segment(first), store.flush()))
+        self._step(store, lambda: store.restore_segment(first))  # identical record
+        self._step(store, lambda: store.restore_segment(second))
+        self._step(store, lambda: store.compact("alice"))
+        (merged,) = store.segments_of("alice")  # the two merged into one
+        self._step(store, lambda: store.remove_segment(merged.segment_id))
+        self._step(store, lambda: store.restore_segment(merged))
+        self._step(store, lambda: store.delete("alice", DataQuery()))
+        self._step(store, lambda: store.restore_segment(merged))  # re-upload
+
+    def test_reads_and_no_ops_leave_it(self):
+        store = SegmentStore()
+        store.add_segment(make_segment(n=8))
+        store.flush()
+        epoch = store.data_epoch("alice")
+        store.query("alice", DataQuery())
+        store.segments_of("alice")
+        store.content_fingerprint("alice")
+        assert store.compact("alice") == 0  # one segment: nothing to merge
+        assert store.remove_segment("absent") is False
+        assert store.delete("alice", DataQuery(time_range=Interval(0, 1))) == 0
+        store.add_segment(make_segment(n=8))  # a re-sent upload, deduped
+        assert store.data_epoch("alice") == epoch
+
+    def test_a_resync_moves_it_for_every_contributor_it_installs(self):
+        from tests.storage.test_records import self_resync
+
+        service = DataStoreService("epoch-store", Network())
+        for name in ("alice", "carol"):
+            service.register_contributor(name)
+            service.store.add_segment(make_segment(contributor=name, n=8))
+        service.store.flush()
+        before = {name: service.store.data_epoch(name) for name in ("alice", "carol")}
+        service.demote()
+        self_resync(service)  # records.replace with the state it already holds
+        for name, epoch in before.items():
+            assert service.store.data_epoch(name) > epoch
+
+    def test_it_never_goes_back(self):
+        """A revert to content the store held before is a new epoch, not the
+        old one: the one case where the content fingerprint would repeat."""
+        store = SegmentStore()
+        seen = [store.data_epoch("alice")]
+        for _ in range(3):
+            store.restore_segment(make_segment(n=8))
+            seen.append(store.data_epoch("alice"))
+            store.delete("alice", DataQuery())
+            seen.append(store.data_epoch("alice"))
+        assert seen == sorted(set(seen))
 
 
 class TestSegmentsOfIndex:

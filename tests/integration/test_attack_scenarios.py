@@ -205,6 +205,29 @@ class TestSyncAttacks:
         alice.add_rule(Rule(consumers=("carol",), action=ALLOW))
         assert broker.registry.get("alice").rules_version == 2
 
+    def test_a_paired_store_cannot_register_a_name_by_pushing(self, deployment):
+        """A push only updates the mirror of a name the broker already
+        routes.  A push for a name nobody has registered is refused with
+        nothing recorded, so the name stays free for its owner's signup
+        and no consumer is routed to the pushing store."""
+        from repro.net.client import HttpClient
+
+        system, _, bob = deployment
+        broker = system.broker
+        rogue = HttpClient(system.network, "alice-store", broker.keys.key_of("store:alice-store"))
+        profile = {
+            "Contributor": "dave",
+            "Host": "alice-store",
+            "Version": 1,
+            "Rules": [rule_to_json(Rule(action=ALLOW))],
+        }
+        response = rogue.post("https://broker/api/sync", {"Profile": profile}, raw=True)
+        assert (response.status, response.body["ErrorKind"]) == (404, "NotFoundError")
+        assert "dave" not in broker.registry
+        system.add_contributor("dave")
+        assert bob.add_contributors(["dave"]) == {"dave": "dave-store"}
+        assert broker.registry.get("dave").rules == ()
+
     def test_a_refused_push_fails_no_owner_edit(self, deployment):
         """A push the broker refuses is not the owner's answer: her
         revocation answers 200 and is enforced, the route and the mirror

@@ -1,11 +1,12 @@
 """Tier-1 guard: one installer, one snapshot writer, one journal sync-class
-site, one wholesale drop, and no store state nobody classified.
+site, no wholesale drop, and no store state nobody classified.
 
 ``repro.storage.records.apply`` is the only code that installs a log
 record into a live data store service, ``write_snapshot`` the only code
 that writes a snapshot file (no table persists itself), ``Durability.
-journal`` the only WAL append that picks a sync class, and recovery the
-only caller of ``invalidate_decisions``.  A new log-fed path (read-serving replicas,
+journal`` the only WAL append that picks a sync class, and no code drops
+cached decisions by event: every input of one is an epoch or its own
+value in the cache key.  A new log-fed path (read-serving replicas,
 provenance stamps, …) that hand-rolls any of these would be a second
 idea of when a rule set wins, what is force-synced, or when a cached
 decision dies — so it fails ``pytest`` here, not a review.
@@ -25,7 +26,6 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 INSTALLER = "storage/records.py"
 SNAPSHOT_WRITER = ("storage/durability.py", "write_snapshot")
 JOURNAL = ("storage/durability.py", "journal")
-WHOLESALE_DROP = "storage/recovery.py"
 
 #: Files that index a ``roles``/``places``/``memberships``/``credentials``
 #: attribute of something that is not a data store service.
@@ -133,14 +133,27 @@ def test_no_table_persists_itself():
     assert offenders == []
 
 
-def test_recovery_is_the_only_wholesale_drop():
-    callers = [
-        name
-        for name, tree in _modules()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and _attr(node.func, "invalidate_decisions")
-    ]
-    assert callers == [WHOLESALE_DROP]
+def _called(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_no_wholesale_drop_and_no_content_hash_in_the_key():
+    """No ``invalidate*`` is defined or called, and the release cache's key
+    reads the contributor's data epoch, never the content fingerprint (a
+    hash over every stored sample)."""
+    offenders, key_calls = [], []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("invalidate"):
+                    offenders.append(f"{name}:{node.lineno} defines {node.name}")
+                if node.name == "_cache_key":
+                    key_calls += [_called(c) for c in ast.walk(node) if isinstance(c, ast.Call)]
+            elif isinstance(node, ast.Call) and _called(node).startswith("invalidate"):
+                offenders.append(f"{name}:{node.lineno} calls {_called(node)}")
+    assert offenders == []
+    assert "data_epoch" in key_calls and "content_fingerprint" not in key_calls
 
 
 RECORD_BACKED, DERIVED, EPHEMERAL = "record-backed", "derived", "ephemeral by decision"

@@ -50,9 +50,10 @@ _HISTOGRAM_UNITS = ("_us", "_ms", "_seconds", "_bytes", "_frames", "_count")
 _BAD_UNIT_SUFFIXES = ("_sec", "_secs", "_millis", "_msec", "_usec", "_kb", "_mb")
 #: Keyword arguments on instrument factories that are not metric labels.
 _NON_LABEL_KWARGS = {"callback", "buckets"}
-#: Metric families the overload-control subsystem must export: dashboards
-#: and the C16 benchmark key on these, so a rename (or an accidental
-#: deletion) of any of them is a gate failure, not a silent drift.
+#: Metric families benchmarks and dashboards key on: overload control's
+#: (C16) and the release cache's (C11 and the perf ledger's hit share and
+#: evictions per op), so a rename (or an accidental deletion) of any of
+#: them is a gate failure, not a silent drift.
 _REQUIRED_NAMES = (
     "admission_requests_total",
     "admission_served_total",
@@ -60,6 +61,11 @@ _REQUIRED_NAMES = (
     "admission_would_shed_total",
     "admission_queue_ms",
     "retry_budget_exhausted_total",
+    "cache_hits_total",
+    "cache_misses_total",
+    "cache_evictions_total",
+    "cache_bytes",
+    "cache_entries",
 )
 
 
