@@ -148,12 +148,12 @@ class FleetAggregator:
     def _health(self, host: str) -> dict:
         key = self.broker.store_keys.get(host)
         if key is None:
-            return {"Role": "broker", "Epoch": 0, "AppliedLsn": 0}
+            return {"Role": "broker", "Epoch": 0, "Position": None}
         body = self._client.with_key(key).post(f"https://{host}/api/health", {})
         return {
             "Role": str(body.get("Role", "")),
             "Epoch": int(body.get("Epoch", 0)),
-            "AppliedLsn": int(body.get("AppliedLsn", 0)),
+            "Position": body.get("Position"),
             "FailClosed": list(body.get("FailClosed", [])),
         }
 
@@ -299,10 +299,11 @@ def render_fleet(snapshot: dict) -> str:
         f"{len(hosts)} hosts ({reachable} reachable, {tombstoned} tombstoned)",
         "",
         f"{'HOST':<18} {'ROLE':<8} {'EPOCH':>5} {'STATE':<10} "
-        f"{'REQS':>8} {'BYTES_IN':>12} {'APPLIED':>8}",
+        f"{'REQS':>8} {'BYTES_IN':>12} {'POSITION':>8}",
     ]
     for host in sorted(hosts):
         section = hosts[host]
+        position = section.get("Position")
         state = ("tombstone" if section.get("Tombstoned")
                  else "busy" if section.get("Overloaded")
                  else "up" if section.get("Reachable") else "down")
@@ -311,7 +312,7 @@ def render_fleet(snapshot: dict) -> str:
             f"{section.get('Epoch', 0):>5} {state:<10} "
             f"{_fmt_count(_host_counter(section, 'net_requests_total')):>8} "
             f"{_fmt_count(_host_counter(section, 'net_bytes_in_total')):>12} "
-            f"{section.get('AppliedLsn', 0):>8}"
+            f"{'-' if position is None else '{Epoch}/{Lsn}'.format(**position):>8}"
         )
     totals = snapshot.get("Totals", {})
     if totals:

@@ -403,8 +403,8 @@ class RuleEngine:
     (:mod:`repro.datastore.cache`) leans on exactly this: its key folds
     in every one of those inputs (rules and places via the store-wide
     rules epoch, which a places assignment moves too, membership
-    directly, segments via the content fingerprint), so replaying a
-    cached decision is indistinguishable from re-running the engine.
+    directly, segments via the contributor's data epoch), so replaying
+    a cached decision is indistinguishable from re-running the engine.
     Anything that would make evaluation nondeterministic (wall-clock
     reads, unordered iteration over rule sets) must not be introduced
     here without revisiting the cache key.

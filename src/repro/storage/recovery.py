@@ -131,6 +131,8 @@ class RecoveryReport:
     #: numbering *above* this, or post-restart appends would replay-filter
     #: as already-checkpointed (see :meth:`Durability.open`).
     checkpoint_lsn: int = 0
+    #: The epoch the manifest says the journal follows (None: it names none).
+    epoch: Optional[int] = None
     #: snapshot rows loaded per kind (segments/rules/places/roles/audit)
     loaded: dict = field(default_factory=dict)
     wal_records_replayed: int = 0
@@ -313,6 +315,7 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
         report.generation = int(manifest.get("Generation", 0))
         checkpoint_lsn = int(manifest.get("CheckpointLsn", 0))
         report.checkpoint_lsn = checkpoint_lsn
+        report.epoch = int(manifest["Epoch"]) if "Epoch" in manifest else None
         for name, expected in sorted(dict(manifest.get("Files", {})).items()):
             path = os.path.join(directory, name)
             actual = file_sha256(path)

@@ -401,12 +401,12 @@ class WriteAheadLog:
     # Checkpoint support
     # ------------------------------------------------------------------
 
-    def reset(self) -> None:
+    def reset(self, last_lsn: Optional[int] = None) -> None:
         """Empty the log after a checkpoint; LSNs keep counting upward.
 
-        The chain restarts at zero for the new log generation — cross-
-        generation continuity is the checkpoint manifest's job (it records
-        the LSN and chain value it covers).
+        ``last_lsn`` renumbers it: the next append is ``last_lsn + 1``.  The
+        chain restarts at zero; across generations the manifest records
+        the ``CheckpointLsn`` it covers and the ``Epoch``, no chain value.
         """
         self._fh.truncate(0)
         self._fh.flush()
@@ -414,6 +414,8 @@ class WriteAheadLog:
         self._fh.seek(0)
         self._chain = 0
         self._unsynced = 0
+        if last_lsn is not None:
+            self._last_lsn, self._next_lsn = last_lsn, last_lsn + 1
 
     def close(self) -> None:
         """Close the underlying file handle."""

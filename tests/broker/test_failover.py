@@ -74,14 +74,14 @@ class TestDetectionAndPromotion:
         alice.upload_segments([make_segment(start_ms=MONDAY + 3_600_000)])
         alice.flush()
         r1, r2 = system.stores["alice-store-r1"], system.stores["alice-store-r2"]
-        assert r1.applier.applied_lsn > r2.applier.applied_lsn  # r2 lags
+        assert r1.durability.wal.last_lsn > r2.durability.wal.last_lsn  # r2 lags
         kill(system, "alice-store")
         result = detect_and_fail_over(system)
         assert result["Promoted"] == "alice-store-r1"
         # Promotion re-wires shipping, so the laggard catches up *from r1*
         # (the heartbeat tick is the replication tick).
         system.broker.failover.heartbeat()
-        assert r2.applier.applied_lsn == r1.durability.wal.last_lsn
+        assert r2.durability.wal.last_lsn == r1.durability.wal.last_lsn
         assert_replica_matches(r1, r2)
 
     def test_semi_sync_is_the_only_mode(self, tmp_path):
@@ -228,7 +228,7 @@ class TestRevocationFencing:
         alice.flush()
         new_primary = system.stores["alice-store-r1"]
         assert (
-            old_primary.applier.applied_lsn
+            old_primary.durability.wal.last_lsn
             == new_primary.durability.wal.last_lsn
         )
         assert old_primary.store.stats.n_segments == new_primary.store.stats.n_segments
@@ -262,7 +262,7 @@ class TestRevocationFencing:
         # The rejoined store holds the new primary's WHOLE history, not
         # just frames shipped after it returned.
         assert (
-            old_primary.applier.applied_lsn
+            old_primary.durability.wal.last_lsn
             == new_primary.durability.wal.last_lsn
         )
         assert old_primary.store.stats.n_segments == new_primary.store.stats.n_segments
@@ -304,7 +304,7 @@ class TestRevocationFencing:
         alice.upload_segments([make_segment(start_ms=MONDAY + 9 * 3_600_000)])
         alice.flush()
         r2 = system.stores["alice-store-r2"]
-        assert r2.applier.applied_lsn == old_primary.durability.wal.last_lsn
+        assert r2.durability.wal.last_lsn == old_primary.durability.wal.last_lsn
         assert_replica_matches(old_primary, r2)
 
 

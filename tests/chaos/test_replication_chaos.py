@@ -143,7 +143,7 @@ class TestCrashPointSweep:
         assert system.broker.reconcile_store(back)["failed"] == 0
         system.broker.failover.heartbeat()
         assert_replica_matches(primary, back)
-        assert back.applier.applied_lsn == primary.durability.wal.last_lsn
+        assert back.durability.wal.last_lsn == primary.durability.wal.last_lsn
 
         system.network.unregister_host("alice-store")
         assert fail_over(system)["Promoted"] == "alice-store-r1"
@@ -165,11 +165,11 @@ class TestPartitionDuringShipment:
             alice.upload_segments([make_segment(start_ms=MONDAY + i * HOUR) for i in range(1, 4)])
         assert replica.store.stats.n_segments == 1  # stuck at pre-partition
         # The primary moved past its replica, so the heal has work to do.
-        assert primary.durability.wal.last_lsn > replica.applier.applied_lsn
+        assert primary.durability.wal.last_lsn > replica.durability.wal.last_lsn
         assert primary.store.stats.n_segments > 1
         plan.heal("mid-ship")
         system.broker.failover.heartbeat()  # the tick pumps the shipper
-        assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+        assert replica.durability.wal.last_lsn == primary.durability.wal.last_lsn
         assert replica.store.stats.n_segments == primary.store.stats.n_segments
         assert_replica_matches(primary, replica)
         # A second resync-free pump ships nothing new and changes nothing.
@@ -193,7 +193,7 @@ class TestPartitionDuringShipment:
             system.broker.failover.heartbeat()
         replica = system.stores["alice-store-r1"]
         primary = system.stores["alice-store"]
-        assert replica.applier.applied_lsn == primary.durability.wal.last_lsn
+        assert replica.durability.wal.last_lsn == primary.durability.wal.last_lsn
         assert replica.store.stats.n_segments == primary.store.stats.n_segments
         assert_replica_matches(primary, replica)
 

@@ -158,7 +158,7 @@ class TestFlushRidesTheLastChunk:
             after = total("net_requests_total"), total("replication_ships_total")
             assert (after[0] - before[0], after[1] - before[1]) == (requests, ships)
             if store is primary:  # the ack means the replica holds every frame
-                held = system.stores["clinic-r1"].applier.applied_lsn
+                held = system.stores["clinic-r1"].durability.wal.last_lsn
                 assert held == primary.durability.wal.last_lsn
             assert sum(s.n_samples for s in alice.view_data()) == 40
 

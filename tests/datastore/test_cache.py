@@ -281,10 +281,11 @@ class TestDataEpoch:
         store.add_segment(make_segment(n=8))  # a re-sent upload, deduped
         assert store.data_epoch("alice") == epoch
 
-    def test_a_resync_moves_it_for_every_contributor_it_installs(self):
+    def test_a_resync_moves_it_for_every_contributor_it_installs(self, tmp_path):
         from tests.storage.test_records import self_resync
 
-        service = DataStoreService("epoch-store", Network())
+        # Durable: a replica's position is its journal.
+        service = DataStoreService("epoch-store", Network(), directory=str(tmp_path), durable=True)
         for name in ("alice", "carol"):
             service.register_contributor(name)
             service.store.add_segment(make_segment(contributor=name, n=8))

@@ -72,7 +72,7 @@ class TestFleetSnapshot:
         assert hosts["alice-store"]["Role"] == "primary"
         assert hosts["alice-store-r1"]["Role"] == "replica"
         assert hosts["broker"]["Role"] == "broker"
-        assert hosts["alice-store-r1"]["AppliedLsn"] > 0
+        assert hosts["alice-store-r1"]["Position"]["Lsn"] > 0
 
     def test_versions_are_monotonic(self, tmp_path):
         system, _, _ = replicated_system(tmp_path)

@@ -48,9 +48,9 @@ def test_a_restarted_semi_sync_replica_gauges_its_live_applier_and_wal(tmp_path)
     replica = restart(system, "alice-store-r1")
     three_uploads(alice)
 
-    assert replica.applier.applied_lsn > 0
+    assert replica.durability.wal.last_lsn > 0
     assert gauge(system, "replication_applied_lsn", store="alice-store-r1") == (
-        replica.applier.applied_lsn
+        replica.durability.wal.last_lsn
     )
     live_wal = replica.durability.wal.size_bytes()
     assert live_wal > 0

@@ -62,11 +62,16 @@ def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
         "st-r1", network, directory=str(tmp_path / "st-r1"), durable=True, role=ROLE_REPLICA
     )
     key = replica.pair_primary()
-    # The parent's first resync carries no Bootstrap: it reads as "become
-    # nothing, then frames from lsn 1".
+    # The parent's first resync carries no Bootstrap: it is refused, like
+    # the live ship after it, and its resync with a Bootstrap converges.
     first, live, bootstrap = load("replicate_append.json")
     assert "Bootstrap" not in first and "Bootstrap" in bootstrap and not live["Resync"]
-    for body in (first, live, bootstrap):
+    answers = (
+        {"AppliedLsn": 0, "Rejected": "resync carries no state bootstrap"},
+        {"AppliedLsn": 0, "Rejected": "no resync installed since this store started"},
+        {"AppliedLsn": bootstrap["Frames"][-1]["Lsn"]},
+    )
+    for body, answer in zip((first, live, bootstrap), answers):
         # the parent's own hex entries are not a wire form any more ...
         refused = network.request(
             "POST", "https://st-r1/api/replicate/append", {**body, "ApiKey": key}
@@ -78,7 +83,7 @@ def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
             "https://st-r1/api/replicate/append",
             {**body, **encode_ship(parent_frames(body)), "ApiKey": key},
         ).body
-        assert reply == {"AppliedLsn": body["Frames"][-1]["Lsn"]}
+        assert reply == answer
     assert replica.applier.bootstrap_applied == len(bootstrap["Bootstrap"])
     replicated = [r for r in dump(replica) if r[1].get("Principal") != "__primary__"]
     assert canonical(replicated) == load("expected_dump.json")

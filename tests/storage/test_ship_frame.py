@@ -78,14 +78,14 @@ def pair(tmp_path):
     primary.durability.commit()
     frames = read_wal_frames(primary.durability.wal.path)
     assert len(frames) == 5
-    assert replica.applier.apply_batch(ship(frames[:1], Resync=True)) == {"AppliedLsn": 1}
+    assert replica.applier.apply_batch(ship(frames[:1], Resync=True, Bootstrap=[])) == {"AppliedLsn": 1}
     return primary, replica, frames[1:]
 
 
 def replica_state(replica):
     applier = replica.applier
     return (
-        applier.applied_lsn,
+        replica.durability.wal.last_lsn,
         applier.chain,
         applier.frames_applied,
         replica.epoch,
@@ -197,7 +197,7 @@ def test_envelope_lsn_must_be_the_header_lsn(pair):
     relabelled = [(lsn, rest[0][1], chain_prev)]  # frame 3's bytes under lsn 2
     with pytest.raises(CorruptRecordError):
         replica.applier.apply_batch(ship(relabelled))
-    assert replica.applier.applied_lsn == 1
+    assert replica.durability.wal.last_lsn == 1
 
 
 @pytest.mark.parametrize(
@@ -215,8 +215,8 @@ def test_a_flipped_bit_is_caught_by_the_frame_s_own_crcs(pair, index, reason):
         replica.applier.apply_batch(ship(damaged))
     # index 0 flips the length: refused whole; otherwise frame 2 landed
     # first, exactly as when each frame travelled alone
-    assert replica.applier.applied_lsn == (1 if index == 0 else 2)
-    assert replica.applier.frames_applied == replica.applier.applied_lsn
+    assert replica.durability.wal.last_lsn == (1 if index == 0 else 2)
+    assert replica.applier.frames_applied == replica.durability.wal.last_lsn
 
 
 def test_a_frame_bound_to_another_history_is_refused(pair):
@@ -225,7 +225,7 @@ def test_a_frame_bound_to_another_history_is_refused(pair):
     with pytest.raises(CorruptRecordError, match="chain"):
         # claims to start a new generation (0), but its chain extends frame 2
         replica.applier.apply_batch(ship([frames[0], (lsn, frame, 0)]))
-    assert replica.applier.applied_lsn == 2
+    assert replica.durability.wal.last_lsn == 2
 
 
 def test_a_chain_prev_that_is_neither_ours_nor_zero_is_a_continuity_break(pair):

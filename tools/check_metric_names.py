@@ -51,9 +51,10 @@ _BAD_UNIT_SUFFIXES = ("_sec", "_secs", "_millis", "_msec", "_usec", "_kb", "_mb"
 #: Keyword arguments on instrument factories that are not metric labels.
 _NON_LABEL_KWARGS = {"callback", "buckets"}
 #: Metric families benchmarks and dashboards key on: overload control's
-#: (C16) and the release cache's (C11 and the perf ledger's hit share and
-#: evictions per op), so a rename (or an accidental deletion) of any of
-#: them is a gate failure, not a silent drift.
+#: (C16), the release cache's (C11 and the perf ledger's hit share and
+#: evictions per op) and a store's replication position (the LSN its
+#: status route answers, -1 when unknown), so a rename (or an accidental
+#: deletion) of any of them is a gate failure, not a silent drift.
 _REQUIRED_NAMES = (
     "admission_requests_total",
     "admission_served_total",
@@ -66,6 +67,7 @@ _REQUIRED_NAMES = (
     "cache_evictions_total",
     "cache_bytes",
     "cache_entries",
+    "replication_applied_lsn",
 )
 
 
