@@ -77,6 +77,27 @@ def _self_membership(consumer: str) -> FrozenSet[str]:
     return frozenset((consumer,))
 
 
+class _DerivedInterval:
+    """``ReleasedSegment.interval`` of a piece built without one — a uniform
+    waveform or a label-only piece :func:`decode_release` reads: derived on
+    first read and kept on the instance, as
+    :class:`~repro.datastore.wavesegment._DerivedId` derives a cut's id.  A
+    waveform spans its segment's ``interval``; labels alone span
+    ``[Timestamp or 0, +1)``.  The class-level read raises, so the field
+    keeps no default."""
+
+    def __get__(self, piece, owner=None):
+        if piece is None:
+            raise AttributeError("interval")
+        if piece.segment is not None:
+            interval = piece.segment.interval
+        else:
+            start = piece.timestamp or 0
+            interval = Interval(start, start + 1)
+        vars(piece)["interval"] = interval
+        return interval
+
+
 @dataclass
 class ReleasedSegment:
     """What a data consumer actually receives for one segment piece.
@@ -84,7 +105,8 @@ class ReleasedSegment:
     Attributes:
         contributor: data owner.
         interval: the span of the underlying piece (engine bookkeeping;
-            not revealed beyond ``timestamp``'s precision).
+            not revealed beyond ``timestamp``'s precision); derived when
+            first read for a piece decoded without one.
         segment: surviving raw channels, time-sliced and timestamp-shaped,
             or None when only labels are released.
         timestamp: the released (possibly truncated) start time, or None
@@ -98,7 +120,7 @@ class ReleasedSegment:
     """
 
     contributor: str
-    interval: Interval
+    interval: Interval = _DerivedInterval()
     segment: Optional[WaveSegment] = None
     timestamp: Optional[int] = None
     time_level: str = "milliseconds"
@@ -106,6 +128,24 @@ class ReleasedSegment:
     location_level: str = "coordinates"
     context_labels: dict = field(default_factory=dict)
     withheld: dict = field(default_factory=dict)
+
+    @classmethod
+    def _of_checked(
+        cls, contributor, segment, timestamp, time_level, location, location_level, labels, withheld
+    ) -> "ReleasedSegment":
+        """A piece built from cells :func:`decode_release` already checked,
+        its own copies of them included, without an ``interval``: a piece
+        left without one derives it when first read (:class:`_DerivedInterval`)."""
+        piece = object.__new__(cls)
+        piece.contributor = contributor
+        piece.segment = segment
+        piece.timestamp = timestamp
+        piece.time_level = time_level
+        piece.location = location
+        piece.location_level = location_level
+        piece.context_labels = labels
+        piece.withheld = withheld
+        return piece
 
     @property
     def n_samples(self) -> int:
@@ -238,8 +278,12 @@ def decode_release(frame: dict) -> list:
     only has to be integers naming a header that fits it, with a positive
     sample count the blob can pay.  The blob is read in place: each
     waveform's ``values`` is a read-only view of the frame's own ``bytes``
-    (so holding a piece keeps its release's samples alive), and its
-    ``segment_id`` is derived from its header and row when first read.
+    (so holding a piece keeps its release's samples alive) — a
+    single-channel one a row slice of one column view — and its
+    ``segment_id`` is derived from its header and row when first read.  A
+    piece is built from checked cells (:meth:`ReleasedSegment._of_checked`)
+    and derives its ``interval`` when first read, but a non-uniform
+    waveform's is read here: its ``Time`` column must not run backwards.
     :class:`~repro.exceptions.SchemaError`, and no piece returned, unless
     ``Values`` is one ``le-f64`` blob of one channel, every header parses
     and is used, and the rows consume the blob exactly.
@@ -251,7 +295,9 @@ def decode_release(frame: dict) -> list:
         for n, obj in enumerate(require_type(frame["Headers"], list, where="release frame Headers"))
     ]
     used = [False] * len(headers)
+    column = flat.reshape(-1, 1)  # a single-channel waveform is a row slice of it
     pieces, offset, size = [], 0, flat.size
+    new_waveform, new_piece = WaveSegment._of_checked_format, ReleasedSegment._of_checked
     for n, row in enumerate(require_type(frame["Pieces"], list, where="release frame Pieces")):
         cells = len(row) if type(row) is list else 0
         if cells == 4:
@@ -274,36 +320,33 @@ def decode_release(frame: dict) -> list:
         if (cells == 4) != (channels is not None):
             raise SchemaError(f"release frame: piece {n} is a row its header does not fit")
         used[header] = True
-        start = (timestamp or 0) + offset_ms
-        if cells == 2:
-            segment, span = None, Interval(start, start + 1)
-        else:
-            end = offset + count * len(channels)
+        segment = None
+        if cells == 4:
+            width = len(channels)
+            end = offset + count * width
             if count <= 0 or end > size:
                 raise SchemaError(f"release frame: piece {n} has no samples or overruns the blob")
-            values = flat[offset:end].reshape(count, len(channels))
-            segment = WaveSegment._of_checked_format(contributor, channels, start, interval, values)
-            if interval is not None:  # segment.interval, without its property chain
-                span = Interval(start, start + count * interval)
-            else:
-                try:
-                    span = segment.interval
-                except ValidationError as exc:  # a Time column that runs backwards
-                    raise SchemaError(f"release frame: piece {n}: {exc}") from None
-            offset = end
-        pieces.append(
-            ReleasedSegment(
-                contributor,
-                span,
-                segment,
-                timestamp,
-                time_level,
-                list(location) if type(location) is list else location,
-                location_level,
-                dict(labels),
-                dict(withheld),
+            values = column[offset:end] if width == 1 else flat[offset:end].reshape(count, width)
+            segment = new_waveform(
+                contributor, channels, (timestamp or 0) + offset_ms, interval, values
             )
+            offset = end
+        piece = new_piece(
+            contributor,
+            segment,
+            timestamp,
+            time_level,
+            list(location) if type(location) is list else location,
+            location_level,
+            dict(labels),
+            dict(withheld),
         )
+        if segment is not None and interval is None:
+            try:  # derived now, so a Time column that runs backwards refuses the frame
+                piece.interval = segment.interval
+            except ValidationError as exc:
+                raise SchemaError(f"release frame: piece {n}: {exc}") from None
+        pieces.append(piece)
     if offset != size or not all(used):
         raise SchemaError(
             f"release frame: pieces consume {offset} of {size} values "

@@ -215,7 +215,7 @@ class Durability:
         if own:
             self._c_appends.inc()
             if self.service._applier is not None:  # its primary's next LSN is taken
-                self.service._applier.resynced = False
+                self.service._applier.journaled_own(lsn)
         return lsn
 
     def commit(self) -> None:

@@ -386,9 +386,9 @@ class ReplicaApplier:
         self.frames_applied = 0
         self.frames_skipped = 0
         self.bootstrap_applied = 0
-        #: A resync is installed and no own record journaled since; until
-        #: then every other batch is refused, and its reply acks nothing.
-        self.resynced = False
+        #: Why every batch but a resync is refused (its reply acks nothing),
+        #: or "" while a resync is installed and no own record journaled since.
+        self.refused = "no resync installed since this store started"
         m = service.network.obs.metrics
         self._c_applied = m.counter("replication_frames_applied_total", store=service.host)
         self._c_stale = m.counter("replication_stale_epoch_total", store=service.host)
@@ -431,12 +431,12 @@ class ReplicaApplier:
         if body.get("Resync"):
             refused = self._resync(body, epoch)
         else:
-            refused = "" if self.resynced else "no resync installed since this store started"
+            refused = self.refused
         for lsn, frame, chain_prev in [] if refused else frames:
             if not self._apply_frame(lsn, frame, chain_prev):
                 refused = f"continuity break at lsn {lsn}"
                 break
-        reply = {"AppliedLsn": service.durability.wal.last_lsn if self.resynced else 0}
+        reply = {"AppliedLsn": 0 if self.refused else service.durability.wal.last_lsn}
         return {**reply, "Rejected": refused} if refused else reply
 
     def _resync(self, body: dict, epoch: int) -> str:
@@ -457,14 +457,21 @@ class ReplicaApplier:
             for r in bootstrap
         ):
             raise CorruptRecordError("malformed resync: Bootstrap holds a non-record")
-        self.resynced = False  # until the state below is the primary's, on disk
+        self.refused = "the last resync did not finish"  # until the state below is on disk
         replace(self.service, [(r["Op"], r["Data"]) for r in bootstrap])
         self.service.durability.checkpoint(lsn=base, epoch=epoch)
         self.bootstrap_applied += len(bootstrap)
         self.chain = chain
         self.primary = str(body.get("Primary", "")) or self.primary
-        self.resynced = True
+        self.refused = ""
         return ""
+
+    def journaled_own(self, lsn: int) -> None:
+        """This store journaled a record of its own at ``lsn``: its
+        primary's frame for that LSN can no longer apply, so every batch
+        but a resync is refused until the next one installs."""
+        if not self.refused:
+            self.refused = f"own record at lsn {lsn} journaled since the last resync"
 
     def _apply_frame(self, lsn: int, frame: bytes, chain_prev: int) -> bool:
         """Verify + apply one frame; False on a continuity rejection."""

@@ -182,6 +182,7 @@ INVENTORY = {
     "_broker_push": (EPHEMERAL, "the eager-sync hook, re-wired at pairing"),
     "fail_closed": (DERIVED, "flags a journaled empty rule set; losing it keeps the deny"),
     "release_cache": (DERIVED, "cached releases, keyed by every input"),
+    "_probed": (EPHEMERAL, "the admission probe's parse, taken by the same request's handler"),
     "compiled_rules": (DERIVED, "compiled rule artifacts, keyed by the rules epoch"),
     "durability": (EPHEMERAL, "the handle on the directory, reopened at start"),
     "recovery_report": (DERIVED, "what the last open found on disk"),

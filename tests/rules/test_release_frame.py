@@ -276,6 +276,35 @@ def test_each_header_is_checked_once_and_no_piece_is_parsed_from_json():
     assert _wire(decoded) == _wire(released)
 
 
+def test_a_decoded_piece_derives_its_interval_when_first_read():
+    """No ``Interval`` is built for a uniform waveform or a label-only piece
+    until its ``interval`` is read: then a waveform's is its segment's, and
+    labels alone span ``[Timestamp or 0, +1)``, with a timestamp or without."""
+    wave = WaveSegment("alice", ("ECG",), MONDAY + 123, 250, np.ones((3, 1)))
+    released = [
+        ReleasedSegment("alice", wave.interval, segment=wave, timestamp=MONDAY),
+        ReleasedSegment("alice", Interval(MONDAY, MONDAY + 1), timestamp=MONDAY,
+                        context_labels={"Stress": "Stressed"}),
+        ReleasedSegment("alice", Interval(0, 1), context_labels={"Stress": "Stressed"}),
+    ]
+    frame = encode_release(released)
+    with mock.patch(
+        "repro.rules.engine.Interval", wraps=Interval
+    ) as built_here, mock.patch(
+        "repro.datastore.wavesegment.Interval", wraps=Interval
+    ) as built_by_segment:
+        decoded = decode_release(frame)
+        assert built_here.call_count == built_by_segment.call_count == 0
+        assert all("interval" not in vars(piece) for piece in decoded)
+        spans = [piece.interval for piece in decoded]  # read: derived now, once each
+        assert built_here.call_count == 2 and built_by_segment.call_count == 1
+    waveform, stamped, unstamped = decoded
+    assert spans == [waveform.segment.interval, Interval(MONDAY, MONDAY + 1), Interval(0, 1)]
+    assert spans[0] == Interval(MONDAY + 123, MONDAY + 123 + 3 * 250)
+    assert spans == [piece.interval for piece in released]
+    assert all(vars(piece)["interval"] is piece.interval for piece in decoded)
+
+
 _NOT_BARE = {
     "capture location": lambda w: replace(w, location=LatLon(34.07, -118.44)),
     "stored context": lambda w: w.with_context({"Activity": "Still"}),
@@ -459,6 +488,13 @@ MALFORMED = {
     "vector empty": _with_vector(0),
     "last piece overdraws": _with_cells(2, Samples=3),
     "last piece underdraws": _with_cells(2, Samples=1),
+    # a non-uniform waveform's span is read at decode: its Time column must
+    # not run backwards (this one ends at 11, before its start at 1000)
+    "non-uniform waveform whose Time column ends before its start": {
+        "Headers": [["alice", "milliseconds", None, "coordinates", {}, {}, ["Time", "ECG"], None]],
+        "Pieces": [[0, 1000, 0, 2]],
+        "Values": encode_values(np.array([[1000.0], [1.0], [10.0], [2.0]]), ENCODING_RAW),
+    },
     # one blob, one wire form: the codec's stored encodings are refused here
     # exactly as the upload frame refuses them, whatever they hold
     "blob is not base64": _with_blob(Blob="@@@"),

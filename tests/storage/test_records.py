@@ -145,7 +145,7 @@ def via_replica_frame(tmp_path, op, data, **pre):
         fence(service)
         assert service.durability.wal.last_lsn == 1
         assert service.applier.apply_batch(batch) == {
-            "AppliedLsn": 0, "Rejected": "no resync installed since this store started",
+            "AppliedLsn": 0, "Rejected": "own record at lsn 1 journaled since the last resync",
         }
         self_resync(service, primary_held)
     seen = journaled(service)
