@@ -39,10 +39,10 @@ def _topology_lines(status: dict) -> list:
     return lines
 
 
-def _shipper_lines(primary) -> list:
-    if primary.replication is None:
+def _shipper_lines(status) -> list:
+    """Lines for a store's ``/api/replicate/status`` ``Shipper`` answer."""
+    if status is None:
         return ["  (no shipper attached)"]
-    status = primary.replication.status()
     lines = [f"  wal last_lsn={status['LastLsn']} fenced={status['Fenced']}"]
     for host, link in status["Replicas"].items():
         lines.append(
@@ -122,7 +122,11 @@ def main(argv: list) -> int:
         for line in _topology_lines(system.broker.failover.status()):
             print(line)
         print("  shipping:")
-        for line in _shipper_lines(primary):
+        key = system.broker.store_keys["alice-store"]
+        status = system.network.request(
+            "POST", "https://alice-store/api/replicate/status", {"ApiKey": key}
+        ).body
+        for line in _shipper_lines(status["Shipper"]):
             print(line)
 
         if not args.drill:

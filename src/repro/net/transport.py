@@ -99,6 +99,8 @@ class Network:
         obs: Optional[Observability] = None,
     ) -> None:
         self._hosts: dict[str, Router] = {}
+        #: names taken off the network: they neither answer nor send.
+        self._down: set = set()
         self.clock = clock or SimClock()
         self.faults = fault_plan
         self.obs = obs if obs is not None else Observability(clock=self.clock)
@@ -112,17 +114,20 @@ class Network:
         if name in self._hosts:
             raise TransportError(f"host name already registered: {name!r}")
         self._hosts[name] = router
+        self._down.discard(name)
         if name not in self.metrics:  # a restarted host keeps its counters
             self.metrics[name] = HostMetrics(self.obs.metrics, name)
 
     def unregister_host(self, name: str) -> None:
         """Take a host off the network — a process crash or shutdown.
 
-        Requests to it fail like any unknown host until a restarted
+        Requests to it fail like any unknown host, and requests sent by it
+        fail too (a dead process acts on nothing), until a restarted
         service re-registers under the same name (crash-recovery tests do
         exactly this); traffic accounting is preserved across the restart.
         """
         self._hosts.pop(name, None)
+        self._down.add(name)
 
     def hosts(self) -> list[str]:
         return sorted(self._hosts)
@@ -163,6 +168,8 @@ class Network:
         paper's Section 5.4 invariant).
         """
         secure, host, path = self.parse_url(url)
+        if client in self._down:
+            raise TransportError(f"{client!r} is down: it sends nothing until it registers again")
         body = dict(body or {})
         if _carries_api_key(body):
             if not secure:

@@ -215,7 +215,7 @@ class TestRevocationFencing:
         detect_and_fail_over(system)
         # The machine comes back with its old (epoch-1) state and rejoins.
         system.network.register_host("alice-store", old_primary.router)
-        report = system.broker.failover.rejoin("alice-store", old_primary)
+        report = system.broker.failover.rejoin("alice-store", "alice-store")
         assert report["Rejoined"] == "alice-store"
         assert report["Epoch"] == 2
         assert report["Set"] == "alice-store"
@@ -258,7 +258,7 @@ class TestRevocationFencing:
         alice.flush()
         system.broker.failover.heartbeat()
         system.network.register_host("alice-store", old_primary.router)
-        system.broker.failover.rejoin("alice-store", old_primary)
+        system.broker.failover.rejoin("alice-store", "alice-store")
         # The rejoined store holds the new primary's WHOLE history, not
         # just frames shipped after it returned.
         assert (
@@ -293,7 +293,7 @@ class TestRevocationFencing:
         kill(system, "alice-store")
         assert detect_and_fail_over(system)["Promoted"] == "alice-store-r1"
         system.network.register_host("alice-store", old_primary.router)
-        system.broker.failover.rejoin("alice-store", old_primary)
+        system.broker.failover.rejoin("alice-store", "alice-store")
         alice = system.repoint_contributor("alice")
         for hour in (1, 2, 3):
             alice.upload_segments([make_segment(start_ms=MONDAY + hour * 3_600_000)])

@@ -36,7 +36,7 @@ def restart(system, host):
         host, system.network, directory=store.directory, durable=True, seed=system.seed
     )
     system.stores[host] = fresh
-    assert system.broker.reconcile_store(fresh)["failed"] == 0
+    assert system.reconcile(fresh)["failed"] == 0
     return fresh
 
 

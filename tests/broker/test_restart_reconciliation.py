@@ -3,14 +3,16 @@
 The dangerous window: the store durably commits a rule change (WAL
 fsync) and crashes before the eager push reaches the broker.  The two
 sides diverge — the broker's mirror would keep matching searches against
-rules the store has already superseded.  :meth:`BrokerService.
-reconcile_store` re-pairs with the restarted store and force-pulls every
-contributor on that host, so the mirror adopts the store's recovered
-state — including a fail-closed recovery's deny-by-default rules.
+rules the store has already superseded.  Once the restarted store is
+re-paired (:func:`repro.core.system.pair`), :meth:`BrokerService.
+reconcile_store` force-pulls every contributor on that host, so the
+mirror adopts the store's recovered state — including a fail-closed
+recovery's deny-by-default rules.
 """
 
 import pytest
 
+from repro.core.system import pair
 from repro.exceptions import SimulatedCrashError
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule
@@ -31,7 +33,7 @@ def paired_system(tmp_path):
     store = DataStoreService(
         HOST, network, directory=str(tmp_path), durable=True
     )
-    broker.attach_store(store, eager_sync=True)
+    pair(broker, store)
     store.register_contributor("alice")
     broker.register_contributor("alice", HOST)  # store signup, as the system does
     store.rules.replace_all("alice", [ALLOW_ECG])  # v1, eagerly pushed
@@ -42,6 +44,12 @@ def paired_system(tmp_path):
 def restart(network, tmp_path):
     network.unregister_host(HOST)
     return DataStoreService(HOST, network, directory=str(tmp_path), durable=True)
+
+
+def reconcile(broker, store):
+    """Re-pair the restarted store (its keys rotated), then reconcile it."""
+    pair(broker, store)
+    return broker.reconcile_store(store.host)
 
 
 class TestCrashBeforePush:
@@ -61,7 +69,7 @@ class TestCrashBeforePush:
         assert store2.recovery_report.clean
         assert store2.rules.version_of("alice") == 2  # committed ⇒ recovered
 
-        out = broker.reconcile_store(store2)
+        out = reconcile(broker, store2)
         assert out == {"pulled": 1, "applied": 1, "failed": 0}
         record = broker.registry.get("alice")
         assert record.rules_version == 2
@@ -71,7 +79,7 @@ class TestCrashBeforePush:
         network, broker, store = paired_system(tmp_path)
         store.durability.close()
         store2 = restart(network, tmp_path)
-        broker.reconcile_store(store2)
+        reconcile(broker, store2)
         # Re-pairing rewired the eager push with fresh keys on both sides.
         store2.rules.replace_all("alice", [ALLOW_ECG, DENY_GPS])
         assert broker.registry.get("alice").rules_version == 2
@@ -92,7 +100,7 @@ class TestFailClosedConvergence:
         # The broker still mirrors the optimistic v2 rules...
         assert len(broker.registry.get("alice").rules) == 2
 
-        broker.reconcile_store(store2)
+        reconcile(broker, store2)
         # ...until the force-pull makes it adopt the store's deny state:
         # a mirror shadowing rules the store no longer trusts would show
         # consumers matches the store will deny.
@@ -113,7 +121,7 @@ class TestReconcileUnderPartition:
         network.install_faults(plan)
         before = broker.registry.get("alice")
         before_state = (before.rules_version, before.rules)
-        out = broker.reconcile_store(store2)
+        out = reconcile(broker, store2)
         assert out == {"pulled": 0, "applied": 0, "failed": 1}
         # The mirror is exactly what it was — no half-applied profile —
         # and the miss is remembered for recovery, not forgotten.
@@ -122,7 +130,7 @@ class TestReconcileUnderPartition:
         assert broker.sync.stale_contributors() == ["alice"]
         # Partition heals: the same call now converges and clears the mark.
         network.install_faults(None)
-        out2 = broker.reconcile_store(store2)
+        out2 = reconcile(broker, store2)
         assert out2["failed"] == 0 and out2["pulled"] == 1
         assert broker.sync.stale_contributors() == []
 
@@ -148,14 +156,14 @@ class TestReconcileUnderPartition:
         plan = FaultPlan(seed=0)
         plan.add_flaky(HOST, fail_first=4, path="/api/profiles")
         network.install_faults(plan)
-        out = broker.reconcile_store(store2)
+        out = reconcile(broker, store2)
         assert out == {"pulled": 0, "applied": 0, "failed": 2}
         alice, carol = broker.registry.get("alice"), broker.registry.get("carol")
         assert (alice.rules_version, alice.rules) == (1, (ALLOW_ECG,))
         assert (carol.rules_version, carol.rules) == (1, (ALLOW_ECG,))
         assert broker.sync.stale_contributors() == ["alice", "carol"]
         # The next reconcile converges both and clears the marks.
-        out = broker.reconcile_store(store2)
+        out = reconcile(broker, store2)
         assert out == {"pulled": 2, "applied": 2, "failed": 0}
         assert broker.registry.get("carol").rules_version == 2
         assert broker.sync.stale_contributors() == []

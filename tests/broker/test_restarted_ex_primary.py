@@ -39,7 +39,7 @@ def restart_ex_primary(system):
         "alice-store", system.network, directory=old.directory, durable=True, seed=system.seed
     )
     system.stores["alice-store"] = back
-    assert system.broker.reconcile_store(back)["failed"] == 0
+    assert system.reconcile(back)["failed"] == 0
     return back
 
 

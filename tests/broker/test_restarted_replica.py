@@ -46,8 +46,6 @@ def lagging_r2_then_dead_primary(tmp_path):
         alice.flush()
     assert samples(bob.fetch("alice")) == 64
     kill(system, "alice-store")
-    others = {"alice-store-r1", "alice-store-r2", system.broker.host}
-    plan.add_partition("dead", {"alice-store"}, others)
     return system, bob
 
 
@@ -61,7 +59,7 @@ def restart_r1(system):
         old.host, system.network, directory=old.directory, durable=True, seed=system.seed
     )
     system.stores[old.host] = back
-    system.broker.reconcile_store(back)
+    system.reconcile(back)
     key = system.broker.store_keys[old.host]
     status = system.network.request(
         "POST", f"https://{old.host}/api/replicate/status", {"ApiKey": key}

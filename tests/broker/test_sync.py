@@ -180,7 +180,7 @@ class TestOnePullPerHost:
         for name in ("ann", "ben", "cal"):
             system.add_contributor(name, store=lab).add_rule(Rule(consumers=("bob",), action=ALLOW))
         before = profile_pulls(system, "lab-store")
-        out = system.broker.reconcile_store(lab)
+        out = system.reconcile(lab)
         after = profile_pulls(system, "lab-store")
         assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
         assert out == {"pulled": 3, "applied": 3, "failed": 0}

@@ -140,7 +140,7 @@ class TestCrashPointSweep:
             seed=system.seed,
         )
         system.stores["alice-store-r1"] = back
-        assert system.broker.reconcile_store(back)["failed"] == 0
+        assert system.reconcile(back)["failed"] == 0
         system.broker.failover.heartbeat()
         assert_replica_matches(primary, back)
         assert back.durability.wal.last_lsn == primary.durability.wal.last_lsn

@@ -14,6 +14,7 @@ import pytest
 from repro.core import SensorSafeSystem
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import CorruptRecordError
+from repro.net.http import Router
 from repro.rules.engine import decode_release
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
@@ -112,6 +113,16 @@ def read_wal_frames(path: str) -> list:
         frames.append((lsn, data[offset:end], chain_prev))
         chain_prev, offset = chain, end
     return frames
+
+
+def broker_pushes(network, host: str = "broker") -> list:
+    """A stand-in broker at ``host``: the list returned collects each
+    profile a store paired with it (``pair_broker(host, key)``) pushes."""
+    pushed = []
+    router = Router()
+    router.add("POST", "/api/sync", lambda request: pushed.append(request.body["Profile"]) or {})
+    network.register_host(host, router)
+    return pushed
 
 
 def assert_replica_matches(primary, replica) -> None:

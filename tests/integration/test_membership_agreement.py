@@ -143,7 +143,7 @@ class Fleet:
             host, system.network, directory=store.directory, durable=True, seed=system.seed
         )
         system.stores[host] = fresh
-        assert system.broker.reconcile_store(fresh)["failed"] == 0
+        assert system.reconcile(fresh)["failed"] == 0
 
     def check(self):
         broker, stores = self.system.broker, self.system.stores

@@ -167,7 +167,7 @@ INVENTORY = {
     "enforce_closure": (EPHEMERAL, "configuration: given at every start"),
     "role": (EPHEMERAL, "the broker re-asserts it: promote, demote, rejoin"),
     "epoch": (EPHEMERAL, "the fencing token the broker re-asserts with the role"),
-    "replication": (EPHEMERAL, "the shipper, wired by the broker at pairing"),
+    "replication": (EPHEMERAL, "the shipper, built when the broker links replicas here"),
     "_applier": (EPHEMERAL, "the replica side of shipping, made on first frame"),
     "store": (RECORD_BACKED, "segment and segment_delete records"),
     "rules": (RECORD_BACKED, "rules records"),
@@ -179,7 +179,7 @@ INVENTORY = {
     "memberships": (RECORD_BACKED, "the Groups of a consumer's role record"),
     "credentials": (RECORD_BACKED, "the Salt and PasswordHash of a contributor's role record"),
     "release_guards": (EPHEMERAL, "observers a harness attaches; hold no state"),
-    "_broker_push": (EPHEMERAL, "the eager-sync hook, re-wired at pairing"),
+    "_push_to": (EPHEMERAL, "the client rule changes are pushed to the broker with, built at pairing"),
     "fail_closed": (DERIVED, "flags a journaled empty rule set; losing it keeps the deny"),
     "release_cache": (DERIVED, "cached releases, keyed by every input"),
     "_probed": (EPHEMERAL, "the admission probe's parse, taken by the same request's handler"),

@@ -48,6 +48,16 @@ class TestDelivery:
         with pytest.raises(TransportError):
             network.register_host("store", Router())
 
+    def test_a_host_taken_off_the_network_sends_nothing_until_it_returns(self):
+        network = make_network()
+        network.register_host("peer", Router())
+        network.unregister_host("peer")
+        with pytest.raises(TransportError, match="down"):
+            network.request("POST", "https://store/api/echo", {}, client="peer")
+        assert network.metrics_of("store").requests_in == 0
+        network.register_host("peer", Router())
+        assert network.request("POST", "https://store/api/echo", {}, client="peer").status == 200
+
 
 class TestTlsInvariant:
     """Section 5.4: API keys travel only in HTTPS POST bodies."""

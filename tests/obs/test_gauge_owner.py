@@ -26,7 +26,7 @@ def restart(system, host):
         host, system.network, directory=old.directory, durable=True, seed=system.seed
     )
     system.stores[host] = back
-    assert system.broker.reconcile_store(back)["failed"] == 0
+    assert system.reconcile(back)["failed"] == 0
     return back
 
 

@@ -80,7 +80,7 @@ class TestRestart:
     def test_reconcile_re_enrolls_and_the_deny_holds(self, restarted):
         system, store, bob = restarted
         assert store._membership("bob") == {"bob", "insurers"}  # from the log
-        system.broker.reconcile_store(store)
+        system.reconcile(store)
         bob.refresh_keys()
         assert bob.fetch("alice") == []
 
@@ -244,7 +244,7 @@ class TestUnvouchedRows:
         broker = system.broker
         broker.register_contributor("alice", "st")
         broker.escrow.store_key("bob", "st", key)
-        assert broker.reconcile_store(store)["failed"] == 0
+        assert system.reconcile(store)["failed"] == 0
         assert broker.escrow.key_for("bob", "st") == key  # not rotated
         served = system.network.request("POST", "https://st/api/query", query)
         assert served.status == 200 and released_pieces(served.body)

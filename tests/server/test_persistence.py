@@ -18,7 +18,7 @@ from repro.storage.recovery import recover_service
 from repro.util import jsonutil
 from repro.util.geo import BoundingBox, LabeledPlace
 
-from tests.conftest import make_segment, released_pieces
+from tests.conftest import broker_pushes, make_segment, released_pieces
 
 
 def build_service(tmp_path, network=None, register=True):
@@ -98,9 +98,9 @@ class TestRoundtrip:
         assert service2.keys.key_of("alice") is None
 
     def test_reload_does_not_refire_broker_sync(self, saved):
-        _, service2, _ = build_service(saved, register=False)
-        pushes = []
-        service2.pair_broker(push=pushes.append)
+        network2, service2, _ = build_service(saved, register=False)
+        pushes = broker_pushes(network2)
+        service2.pair_broker("broker", "push-key")
         recover_service(service2)
         assert pushes == []  # restore() bypasses change listeners
 
