@@ -213,7 +213,7 @@ class TestKeyMovesInstead:
         service.network.request(
             "POST",
             f"https://{HOST}/api/migrate/install",
-            {"Records": [[records.OP_PLACES, moved]], "ApiKey": service.pair_broker()},
+            {"Records": [[records.OP_PLACES, moved]], "ApiKey": service.pair_broker("", "")},
         )
         assert released_pieces(query_as_bob(service)) == []
         assert self.held(service) > before  # new keys, none dropped
@@ -221,7 +221,7 @@ class TestKeyMovesInstead:
     def test_cutover_fence(self, tmp_path, cache_capacity):
         service = self.sharing_campus(tmp_path, cache_capacity)
         before = self.held(service)
-        broker_key = service.pair_broker()
+        broker_key = service.pair_broker("", "")
         reply = service.network.request(
             "POST",
             f"https://{HOST}/api/migrate/complete",

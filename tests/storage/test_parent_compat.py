@@ -96,7 +96,7 @@ def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
 def test_migrate_install_accepts_the_parent_s_body(tmp_path):
     network = Network()
     dest = DataStoreService("dest", network, directory=str(tmp_path / "dest"), durable=True)
-    key = dest.pair_broker()
+    key = dest.pair_broker("", "")
     body = load("migrate_install.json")
     reply = network.request(
         "POST", "https://dest/api/migrate/install", {**body, "ApiKey": key}

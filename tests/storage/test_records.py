@@ -39,7 +39,7 @@ def target(tmp_path, name, *, durable=False, role="primary", fail_closed=False):
     service = DataStoreService(
         HOST, Network(), directory=str(tmp_path / name), durable=durable, role=role
     )
-    service.pair_broker()
+    service.pair_broker("", "")
     service.register_contributor("alice")
     service.register_consumer("bob")
     service.rules.add("alice", Rule(consumers=("bob",), action=ALLOW, rule_id="r1"))
