@@ -16,23 +16,27 @@ is told nothing.  This module adds the missing control loop:
   replication tick and a dead primary ships nothing; a live replica the
   primary's answer does not list as linked is linked again;
 * after ``miss_threshold`` consecutive failed probes of a primary,
-  :meth:`FailoverManager.failover` promotes the most-caught-up replica,
-  once every replica answers, at a **bumped store epoch**, best-effort
-  demotes the old primary, links the survivors to the new one, re-homes
-  the contributor directory, force-pulls the promoted store's profiles,
-  and enrolls escrowed consumers there.
+  :meth:`FailoverManager.failover` fences every replica at the next
+  epoch, promotes the most-caught-up one, once every replica confirms,
+  at a **bumped store epoch**, best-effort demotes the old primary, links
+  the survivors to the new one, re-homes the contributor directory,
+  force-pulls the promoted store's profiles, and enrolls escrowed
+  consumers there.
 
 Safety properties, in order of precedence:
 
-1. **Fencing** — the epoch only moves forward.  A demoted primary that
-   missed the news has its WAL ships answered with 409 and demotes
-   itself; its clients' writes bounce with
-   :class:`~repro.exceptions.NotPrimaryError` and re-resolve here.
+1. **Fencing** — the epoch only moves forward, and every replica follows
+   the new one before anyone is promoted.  A primary answers a write or
+   a read only once a replica holds its journal frame, so one that
+   missed the news has that ship answered with 409 and demotes itself
+   (or, cut off, gets no ack); its clients' requests bounce with
+   :class:`~repro.exceptions.NotPrimaryError` or
+   :class:`~repro.exceptions.ReplicationError` and re-resolve here.
 2. **Fail closed** — promotion passes the broker's mirrored rule
    versions to the new primary; any contributor whose replicated rules
    lag that mirror is denied by default until their owner re-publishes
-   (same contract as crash recovery).  If any replica does not answer,
-   or the one elected does not confirm its promotion, there is *no*
+   (same contract as crash recovery).  If any replica does not confirm
+   its fence, or the one elected does not confirm its promotion, there is *no*
    promotion: the set stays down rather than serving stale, and the next
    heartbeat elects again.
 3. **Progress** — a write is acknowledged once one replica holds it
@@ -54,9 +58,9 @@ DEFAULT_MISS_THRESHOLD = 2
 
 
 def elect(statuses: dict) -> tuple:
-    """``(host, "")`` to promote given each replica's status answer (None:
-    silent), or ``(None, why not)``.  One replica acks a write, so all must
-    answer with a known position.  The highest ``(Epoch, Lsn)`` wins, so an
+    """``(host, "")`` to promote given each replica's answer carrying its
+    ``Position`` (None: silent), or ``(None, why not)``.  One replica acks
+    a write, so all must answer with a known position.  The highest ``(Epoch, Lsn)`` wins, so an
     ex-primary's tail at an older epoch ranks below; ties break on host."""
     if not statuses:
         return None, "no replica"
@@ -147,11 +151,9 @@ class FailoverManager:
         """
         links = []
         for host in hosts:
-            try:
-                key = self._command(host, "/api/demote", {"Epoch": group.epoch})["ApiKey"]
-            except (TransportError, SensorSafeError):
-                continue
-            links.append({"Host": host, "ApiKey": key})
+            answer = self._fence(host, group.epoch)
+            if answer is not None:
+                links.append({"Host": host, "ApiKey": answer["ApiKey"]})
         try:
             return bool(links) and bool(
                 self._command(group.primary, "/api/replicate/link", {"Replicas": links})
@@ -159,13 +161,15 @@ class FailoverManager:
         except (TransportError, SensorSafeError):
             return False
 
-    def _fence(self, host: str, epoch: int) -> None:
-        """Best effort: demote ``host`` at ``epoch`` (one that does not answer
-        has its next WAL ship refused at that epoch, and demotes itself)."""
+    def _fence(self, host: str, epoch: int) -> Optional[dict]:
+        """Demote ``host`` at ``epoch``; its ``/api/demote`` answer, or None
+        when it does not confirm (silent, refusing or shedding).  A fenced
+        replica refuses every ship below ``epoch``, so a primary that missed
+        the news can no longer have it ack a write or a read."""
         try:
-            self._command(host, "/api/demote", {"Epoch": epoch})
+            return self._command(host, "/api/demote", {"Epoch": epoch})
         except (TransportError, SensorSafeError):
-            pass
+            return None
 
     # ------------------------------------------------------------------
     # Failure detection
@@ -177,10 +181,10 @@ class FailoverManager:
         key = self.broker.store_keys.get(host)
         return self._probe.with_key(key).post(f"https://{host}{path}", body)
 
-    def _probe_host(self, host: str, path: str = "/api/health") -> Optional[dict]:
-        """One probe of ``path``; None when the host missed it."""
+    def _probe_host(self, host: str) -> Optional[dict]:
+        """One ``/api/health`` probe; None when the host missed it."""
         try:
-            return self._command(host, path, {})
+            return self._command(host, "/api/health", {})
         except OverloadedError:
             # Explicit backpressure is an *answer*: the host is alive and
             # shedding by design.  Overload must never read as death —
@@ -237,9 +241,7 @@ class FailoverManager:
             }
         # The broker tick is also the fleet-telemetry tick: scrape every
         # fleet.interval_ms of simulated time (no-op between intervals).
-        fleet = getattr(self.broker, "fleet", None)
-        if fleet is not None:
-            fleet.maybe_scrape()
+        self.broker.fleet.maybe_scrape()
         return report
 
     # ------------------------------------------------------------------
@@ -264,8 +266,8 @@ class FailoverManager:
     def failover(self, name: str) -> dict:
         """Promote the most-caught-up replica of one set.
 
-        Returns a report; when a replica does not answer, or the elected
-        one does not confirm its promotion, nothing is promoted and the
+        Returns a report; when a replica does not confirm its fence, or the
+        elected one does not confirm its promotion, nothing is promoted and the
         directory is left untouched (requests keep failing until the next
         heartbeat's election succeeds — unavailability is the fail-closed
         outcome).
@@ -280,14 +282,17 @@ class FailoverManager:
     def _failover(self, name: str, span) -> dict:
         group = self.sets[name]
         old_primary = group.primary
-        statuses = {h: self._probe_host(h, "/api/replicate/status") for h in group.replicas}
+        # Fence, then elect: once every replica follows an epoch above the
+        # old primary's, none can ack it a write or a read, so the one
+        # promoted below is the only store that can answer.
+        statuses = {h: self._fence(h, group.epoch + 1) for h in group.replicas}
         promoted, reason = elect(statuses)
         if promoted is None:
             return self._no_candidate(group, span, reason)
-        # Above every (fencing) epoch a replica reports, so a promotion
-        # whose reply was lost is superseded, not repeated.
+        # Above every epoch a replica followed before the fence, so a
+        # promotion whose reply was lost is superseded, not repeated.
         new_epoch = 1 + max(
-            [group.epoch] + [int(status.get("Epoch", 0)) for status in statuses.values()]
+            [group.epoch] + [int(status["PriorEpoch"]) for status in statuses.values()]
         )
         versions = {
             record.name: record.rules_version
@@ -381,7 +386,7 @@ class FailoverManager:
     def _leads(self, group: ReplicaSet) -> bool:
         """Whether electing among all members ranks the primary first (a tie
         keeps it): only then does a resync to it erase no acked frame."""
-        statuses = {h: self._probe_host(h, "/api/replicate/status") for h in group.members()}
+        statuses = {h: self._probe_host(h) for h in group.members()}
         winner = elect(statuses)[0]
         return bool(winner) and statuses[winner]["Position"] == statuses[group.primary]["Position"]
 

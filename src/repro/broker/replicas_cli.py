@@ -40,7 +40,7 @@ def _topology_lines(status: dict) -> list:
 
 
 def _shipper_lines(status) -> list:
-    """Lines for a store's ``/api/replicate/status`` ``Shipper`` answer."""
+    """Lines for a store's ``/api/health`` ``Shipper`` answer."""
     if status is None:
         return ["  (no shipper attached)"]
     lines = [f"  wal last_lsn={status['LastLsn']} fenced={status['Fenced']}"]
@@ -124,7 +124,7 @@ def main(argv: list) -> int:
         print("  shipping:")
         key = system.broker.store_keys["alice-store"]
         status = system.network.request(
-            "POST", "https://alice-store/api/replicate/status", {"ApiKey": key}
+            "POST", "https://alice-store/api/health", {"ApiKey": key}
         ).body
         for line in _shipper_lines(status["Shipper"]):
             print(line)

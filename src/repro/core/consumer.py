@@ -14,7 +14,14 @@ from typing import Iterable, Optional, Union
 
 from repro.broker.search import SearchCriteria
 from repro.datastore.query import DataQuery
-from repro.exceptions import AuthorizationError, NotFoundError, NotPrimaryError, TransportError
+from repro.exceptions import (
+    AuthenticationError,
+    AuthorizationError,
+    NotFoundError,
+    NotPrimaryError,
+    ReplicationError,
+    TransportError,
+)
 from repro.net.client import HttpClient
 from repro.rules.engine import decode_release
 
@@ -139,10 +146,14 @@ class Consumer:
         A store that answers :class:`~repro.exceptions.NotPrimaryError`
         was demoted — or the contributor migrated to another shard and
         the old shard fenced the request.  An unreachable host may be a
-        dead primary mid-failover.  Either way the cure is the same:
+        dead primary mid-failover, and one that answers
+        :class:`~repro.exceptions.ReplicationError` a primary no replica
+        follows any more.  One that answers
+        :class:`~repro.exceptions.AuthenticationError` re-keyed this
+        consumer (a restart or a re-enrollment).  The cure is the same:
         forget the cached route, re-resolve at the broker directory,
         refresh the key ring, and retry exactly once against the new
-        host.  One fenced retry, then the client has converged.
+        host or key.  One fenced retry, then the client has converged.
         """
         host, key = self._store_client(contributor)
         if host is None or key is None:
@@ -152,7 +163,7 @@ class Consumer:
             )
         try:
             return self.client.with_key(key).post(f"https://{host}{path}", dict(body))
-        except (NotPrimaryError, TransportError):
+        except (NotPrimaryError, ReplicationError, AuthenticationError, TransportError):
             self.resolve(contributor, force=True)
             self.refresh_keys()
             new_host, new_key = self._store_client(contributor)

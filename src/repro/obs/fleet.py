@@ -242,21 +242,12 @@ class FleetAggregator:
         return snapshot
 
     def _shard_section(self) -> dict:
-        """Routing-table + rebalance summary for the fleet snapshot.
-
-        Tolerates a broker without the directory wiring (older drills)
-        by returning an empty section rather than failing the scrape.
-        """
-        directory = getattr(self.broker, "directory", None)
-        rebalancer = getattr(self.broker, "rebalancer", None)
-        if directory is None:
-            return {}
+        """Routing-table + rebalance summary for the fleet snapshot."""
+        rebalancer = self.broker.rebalancer
         return {
-            "Directory": directory.status(),
-            "MigrationEvents": (
-                [dict(e) for e in rebalancer.events] if rebalancer else []
-            ),
-            "ActiveMigrations": rebalancer.active if rebalancer else 0,
+            "Directory": self.broker.directory.status(),
+            "MigrationEvents": [dict(e) for e in rebalancer.events],
+            "ActiveMigrations": rebalancer.active,
         }
 
     def maybe_scrape(self) -> Optional[dict]:

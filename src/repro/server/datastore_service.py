@@ -63,6 +63,9 @@ PRIMARY_PRINCIPAL = "__primary__"
 ROLE_PRIMARY = "primary"
 ROLE_REPLICA = "replica"
 
+#: The release cache's resident-byte budget (frame bytes plus overhead).
+CACHE_MAX_BYTES = 32 << 20
+
 #: Canonical-JSON bytes of the consumer ``/api/query`` response around its
 #: two variable parts — ``{"Raw":false,"Released":`` payload ``,"Scanned":``
 #: digits ``}`` — taken from the encoder itself rather than counted by hand.
@@ -119,7 +122,6 @@ class DataStoreService:
         wal_sync: str = "group",
         storage_faults=None,
         cache_capacity: int = 1024,
-        cache_max_bytes: int = 32 << 20,
         role: str = ROLE_PRIMARY,
         overload: str = "observe",
     ):
@@ -162,12 +164,11 @@ class DataStoreService:
         #: restart: they are deny-by-default until rules are re-published.
         self.fail_closed: set = set()
         #: Versioned rule-decision cache for the consumer-query hot path
-        #: (``None`` disables it); a zero capacity or byte budget turns the
-        #: cache off.
+        #: (``None`` disables it); a zero capacity turns the cache off.
         self.release_cache: Optional[ReleaseCache] = None
-        if cache_capacity > 0 and cache_max_bytes > 0:
+        if cache_capacity > 0:
             self.release_cache = ReleaseCache(
-                cache_capacity, cache_max_bytes, obs=network.obs, store=host
+                cache_capacity, CACHE_MAX_BYTES, obs=network.obs, store=host
             )
         #: ``(request, query, shape)`` the admission probe parsed, until the
         #: handler of that same request takes it (:meth:`_probed_query`).
@@ -334,10 +335,6 @@ class DataStoreService:
             self.durability.checkpoint(epoch=self.epoch)
         self._fence_rule_versions(rule_versions)
         self.role = ROLE_PRIMARY
-        if self.replication is not None:
-            # Our stream is the authoritative one now; stop honoring any
-            # fencing verdict aimed at the *old* primary's stream.
-            self.replication.fenced = False
         return {
             "Host": self.host,
             "Epoch": self.epoch,
@@ -397,7 +394,11 @@ class DataStoreService:
         """Ship WAL frames produced by the request that just mutated state.
 
         This is the commit acknowledgement barrier: the request fails
-        (503, retryable) unless a replica holds the frames.
+        (503, retryable) unless a replica holds the frames.  A read's frame
+        is its audit record, so a replicated primary answers a read only
+        once a replica still following its epoch holds it: that round trip
+        is its proof of primacy (a fenced one hears 409 and demotes itself).
+        An unreplicated store pays the attribute check alone.
         """
         if self.replication is not None and self.is_primary:
             self.replication.after_write()
@@ -552,9 +553,8 @@ class DataStoreService:
         return (contributor,)
 
     def _caller_reader(self, request: Request) -> tuple:
-        """Primary only; the owner's key or an enrolled consumer's (its
-        role record carries its groups); ``Contributor`` named, resident, known."""
-        self._require_writable()  # replicas serve no reads either
+        """The owner's key or an enrolled consumer's (its role record carries
+        its groups); ``Contributor`` named, resident, known."""
         principal = self._authenticate(request)
         contributor = request.body.get("Contributor", "")
         if contributor == "":
@@ -844,7 +844,7 @@ class DataStoreService:
         )
         return read
 
-    @route("POST", "/api/query", caller="reader", admission="query")
+    @route("POST", "/api/query", caller="reader", admission="query", writes=True)
     def _h_query(
         self, request: Request, principal: str, contributor: str
     ) -> Union[dict, Response]:
@@ -926,7 +926,7 @@ class DataStoreService:
         key = self.register_consumer(consumer, groups=map(str, groups))
         return {"ApiKey": key, "Host": self.host}
 
-    @route("POST", "/api/aggregate", caller="reader", admission="aggregate")
+    @route("POST", "/api/aggregate", caller="reader", admission="aggregate", writes=True)
     def _h_aggregate(self, request: Request, principal: str, contributor: str) -> dict:
         """Windowed aggregates, computed behind the rule engine.
 
@@ -1003,18 +1003,6 @@ class DataStoreService:
         """Primary-only: verify and apply one batch of shipped WAL frames."""
         return self.applier.apply_batch(request.body)
 
-    @route("POST", "/api/replicate/status", caller="key", admission="replication")
-    def _h_replicate_status(self, request: Request) -> dict:
-        """This store's position, and replication progress from both sides."""
-        return {
-            "Host": self.host,
-            "Role": self.role,
-            "Epoch": self.epoch,
-            "Position": self.position(),
-            "Shipper": self.replication.status() if self.replication else None,
-            "Applier": self._applier.status() if self._applier else None,
-        }
-
     @route("POST", "/api/replicate/link", caller="broker", admission="control")
     def _h_replicate_link(self, request: Request) -> dict:
         """Broker-only, at a primary: ship the WAL to each ``{Host, ApiKey}``
@@ -1032,7 +1020,8 @@ class DataStoreService:
 
     @route("POST", "/api/health", caller="key", admission="control")
     def _h_health(self, request: Request) -> dict:
-        """Liveness + progress probe for the broker's failure detector.
+        """Liveness, position and shipping progress: the broker's failure
+        detector and election read it, and the ``replicas`` CLI prints it.
 
         A replicating primary pumps its shipper first: the broker's probe is
         the replication tick, and a dead primary answers no probe.
@@ -1046,6 +1035,7 @@ class DataStoreService:
             "Position": self.position(),
             "FailClosed": sorted(self.fail_closed),
             "Linked": sorted(self.replication.links) if self.replication else [],
+            "Shipper": self.replication.status() if self.replication else None,
         }
 
     @route("POST", "/api/promote", caller="broker", admission="control")
@@ -1061,9 +1051,13 @@ class DataStoreService:
 
     @route("POST", "/api/demote", caller="broker", admission="control")
     def _h_demote(self, request: Request) -> dict:
-        """Broker-only: step down to replica at the given epoch; answers the
-        key its primary ships here with (the broker links it there)."""
-        return {**self.demote(request.body.get("Epoch")), "ApiKey": self.pair_primary()}
+        """Broker-only: step down to replica at the given epoch (a fence);
+        answers the key its primary ships here with (the broker links it
+        there), the ``Position`` an election ranks, and the ``PriorEpoch``
+        it followed before, which the promotion's epoch is chosen above."""
+        prior = self.epoch
+        return {**self.demote(request.body.get("Epoch")), "ApiKey": self.pair_primary(),
+                "Position": self.position(), "PriorEpoch": prior}
 
     # ------------------------------------------------------------------
     # Shard migration (broker-driven; see repro.broker.rebalance)

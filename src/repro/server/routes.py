@@ -31,11 +31,12 @@ class route(NamedTuple):
     Fig. 2's "every access passes the authentication layer", enforced
     here and nowhere else: ``caller`` names the ``_caller_*`` prelude that
     runs before the handler and returns what the handler receives after
-    ``request``, if anything.  ``writes=True`` (a store's mutations)
-    brackets the request with ``_require_writable`` *before* the key is
-    looked at (a replica answers 409 to anyone) and
-    ``_replication_barrier`` as its last step, so what the handler
-    journaled ships under the request's own acknowledgement.  Hence the
+    ``request``, if anything.  ``writes=True`` (a store's mutations, and
+    its reads, whose audit record is a write) brackets the request with
+    ``_require_writable`` *before* the key is looked at (a replica
+    answers 409 to anyone) and ``_replication_barrier`` as its last
+    step, so what the handler journaled ships under the request's own
+    acknowledgement.  Hence the
     one check order: primary-for-writes → key → ownership → residency →
     role → existence.
     """

@@ -50,7 +50,7 @@ shipper demotes its own service rather than forking history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from repro.exceptions import (
     ConflictError,
@@ -163,7 +163,6 @@ class WalShipper:
         self.service = service
         self.links: dict = {}
         self._buffer: list = []
-        self.fenced = False  # a replica rejected our epoch: we were demoted
         service.durability.wal.on_append.append(self._on_append)
         self.obs = service.network.obs
         m = self.obs.metrics
@@ -262,7 +261,6 @@ class WalShipper:
             # The replica follows a newer epoch: we are a fenced zombie.
             span.set_attribute("outcome", "fenced")
             link.last_error = str(exc)
-            self.fenced = True
             self._c_fenced.inc()
             self.service.demote()
             return False
@@ -305,7 +303,7 @@ class WalShipper:
         for link in list(self.links.values()):
             if self._ship_to(link):
                 caught_up += 1
-            if self.fenced:
+            if not self.service.is_primary:  # fenced: a replica follows a newer epoch
                 break
         self._trim()
         return caught_up
@@ -335,7 +333,7 @@ class WalShipper:
         """
         target = self.last_lsn()
         self.pump()
-        if self.fenced:
+        if not self.service.is_primary:
             self._c_rejected.inc()
             raise ReplicationError(
                 f"store {self.service.host!r} was fenced at epoch "
@@ -349,10 +347,10 @@ class WalShipper:
             )
 
     def status(self) -> dict:
-        """Shipping progress per replica, for the CLI and status endpoint."""
+        """Shipping progress per replica, for ``/api/health`` and the CLI."""
         return {
             "LastLsn": self.last_lsn(),
-            "Fenced": self.fenced,
+            "Fenced": not self.service.is_primary,
             "Replicas": {
                 host: {
                     "AckedLsn": link.acked_lsn,
@@ -381,7 +379,6 @@ class ReplicaApplier:
         if service.durability is None:
             raise StorageError(f"store {service.host!r} is not durable; its WAL is its position")
         self.service = service
-        self.primary: Optional[str] = None
         self.chain = 0
         self.frames_applied = 0
         self.frames_skipped = 0
@@ -462,7 +459,6 @@ class ReplicaApplier:
         self.service.durability.checkpoint(lsn=base, epoch=epoch)
         self.bootstrap_applied += len(bootstrap)
         self.chain = chain
-        self.primary = str(body.get("Primary", "")) or self.primary
         self.refused = ""
         return ""
 
@@ -496,13 +492,3 @@ class ReplicaApplier:
         self.frames_applied += 1
         self._c_applied.inc()
         return True
-
-    def status(self) -> dict:
-        """Apply progress, for ``/api/replicate/status`` and the CLI."""
-        return {
-            "Primary": self.primary,
-            "Chain": self.chain,
-            "FramesApplied": self.frames_applied,
-            "FramesSkipped": self.frames_skipped,
-            "BootstrapApplied": self.bootstrap_applied,
-        }

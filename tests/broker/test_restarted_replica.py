@@ -51,7 +51,7 @@ def lagging_r2_then_dead_primary(tmp_path):
 
 def restart_r1(system):
     """r1 restarts from its directory and the broker reconciles it; returns
-    the restarted store and its ``/api/replicate/status`` answer."""
+    the restarted store and its ``/api/health`` answer."""
     old = system.stores["alice-store-r1"]
     old.durability.close()
     system.network.unregister_host(old.host)
@@ -62,7 +62,7 @@ def restart_r1(system):
     system.reconcile(back)
     key = system.broker.store_keys[old.host]
     status = system.network.request(
-        "POST", f"https://{old.host}/api/replicate/status", {"ApiKey": key}
+        "POST", f"https://{old.host}/api/health", {"ApiKey": key}
     ).body
     return back, status
 
@@ -132,7 +132,7 @@ def test_an_unknown_position_outlives_a_second_restart(tmp_path):
 
 
 def rows(*members):
-    """``/api/replicate/status`` answers from ``(host, epoch, lsn)``; a
+    """Election answers (a fence's or a health probe's) from ``(host, epoch, lsn)``; a
     ``None`` epoch is a position the journal cannot vouch for."""
     return {
         host: {"Host": host, "Position": None if epoch is None else {"Epoch": epoch, "Lsn": lsn}}

@@ -121,8 +121,8 @@ class TestCrashPointSweep:
         rejoin's resync converges it: the primary's records, its applied
         LSN at the primary's tail, and nothing acknowledged lost."""
         system, alice, bob = build(tmp_path)
-        committed = sample_count(bob.fetch("alice"))
         primary, replica = system.stores["alice-store"], system.stores["alice-store-r1"]
+        committed = primary.store.stats.n_samples
         plan = arm(replica, point)
         # What a rejected batch or a lagging link does.  The segment frame
         # the replica journaled rides its group window, so the resync's

@@ -197,7 +197,7 @@ def test_no_profile_and_no_consumer_response_carries_the_credential():
     asked = [(broker_key, "profiles", {}), (broker_key, "profiles", {"Contributors": ["alice"]})] + [
         (bob_key, path, body)
         for path, body in [("query", {}), ("aggregate", aggregate), ("stats", {}),
-                           ("health", {}), ("recovery", {}), ("replicate/status", {})]
+                           ("health", {}), ("recovery", {})]
     ]
     bodies = [
         system.network.request(

@@ -300,7 +300,7 @@ class TestAdmissionWithTheClockRunning:
         admission = system.stores["alice-store"].admission
         kinds = {  # kind -> (path, body, served from the release cache)
             "control": ("/api/rules/list", {}, False),
-            "replication": ("/api/replicate/status", {}, False),
+            "replication": ("/api/replicate/append", {}, False),
             "upload": ("/api/upload", {}, False),
             "cold": ("/api/query", {}, False),
             "cached": (

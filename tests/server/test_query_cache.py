@@ -296,11 +296,6 @@ class TestCacheOffParity:
             bodies.append(per_service)
         assert bodies[0] == bodies[1]
 
-    def test_zero_byte_budget_also_disables(self):
-        service, bob_key = make_service(cache_max_bytes=0)
-        assert service.release_cache is None
-        assert released_pieces(query(service, bob_key))
-
 
 class TestDeclaredWireSize:
     """A consumer release declares its wire size (``Response.wire_bytes``)

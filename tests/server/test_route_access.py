@@ -37,6 +37,8 @@ WRITES = {
     "POST /api/upload",
     "POST /api/upload_packets",
     "POST /api/flush",
+    "POST /api/query",
+    "POST /api/aggregate",
     "POST /api/rules/add",
     "POST /api/rules/remove",
     "POST /api/rules/replace",
@@ -83,7 +85,6 @@ BODIES = {
         "Primary": "elsewhere", "Epoch": 1, "Resync": False, **encode_ship([])
     },
     "POST /api/replicate/link": {"Replicas": []},
-    "POST /api/replicate/status": {},
     "POST /api/health": {},
     "POST /api/recovery": {},
     "POST /api/stats": {},
@@ -186,9 +187,11 @@ class TestDeclarations:
     def test_the_declarations_are_the_admission_classes(self, store):
         classes = {name: declared.admission for name, declared in ROUTES.items()}
         assert store.service.admission.classes == classes
-        assert len(ROUTES) == 31
+        assert len(ROUTES) == 30
 
-    def test_writes_is_exactly_the_eleven_mutations_that_ship_under_their_ack_plus_enrollment(self):
+    def test_writes_is_every_mutation_and_every_read(self):
+        """What ships under its own ack: the mutations, enrollment, and the
+        two reads, whose audit record is their write."""
         assert {name for name, route in ROUTES.items() if route.writes} == WRITES
 
     def test_every_route_has_a_body(self):
