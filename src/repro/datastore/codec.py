@@ -7,9 +7,13 @@ n_channels) float64 array as little-endian IEEE-754 bytes wrapped in
 base64, so a wave segment remains a pure-JSON document (Fig. 5) while
 keeping the storage density of a binary blob.
 
-On the wire a blob needs no text armour: a frame carries ``le-f64``, the
-same bytes as a ``bytes`` leaf :mod:`repro.net.wire` sends beside the
-JSON.  Base64 is the *stored* form, and only this module names it.
+Where a blob travels beside JSON instead of inside it, it needs no text
+armour and is ``le-f64``: the same bytes as a ``bytes`` leaf
+:mod:`repro.net.wire` carries.  Every wire frame holds it so, and so does
+the journal, whose payloads are that wire form
+(:mod:`repro.storage.wal`).  Base64 is kept only where a segment must be
+a pure JSON document — JSON-lines snapshot rows, a record dump, a resync
+bootstrap, a migration batch — and only this module names it.
 """
 
 from __future__ import annotations
@@ -103,6 +107,7 @@ def _decode_values(obj: dict) -> np.ndarray:
     expected = n_samples * n_channels * 8
     if len(raw) != expected:
         raise SchemaError(f"blob length {len(raw)} != expected {expected} bytes")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(n_samples, n_channels)
-    # A wire blob is read in place: a read-only view of the body's bytes.
+    arr = np.ndarray((n_samples, n_channels), "<f8", buffer=raw)
+    # A journaled or wire blob is read in place: one read-only array over
+    # the part's bytes (a reshaped 1-D view would keep two alive).
     return arr if encoding == ENCODING_RAW else arr.astype(np.float64)

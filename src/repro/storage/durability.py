@@ -32,6 +32,7 @@ import os
 from dataclasses import replace
 from typing import Optional
 
+from repro.datastore.codec import ENCODING_RAW
 from repro.exceptions import CorruptRecordError, StorageError
 from repro.storage.atomic import atomic_write_bytes, atomic_write_jsonl, file_sha256
 from repro.storage.records import (
@@ -176,7 +177,7 @@ class Durability:
             lambda snapshot: self.journal(OP_RULES, snapshot.to_json())
         )
         service.store.on_persist.append(
-            lambda segment: self.journal(OP_SEGMENT, segment.to_json())
+            lambda segment: self.journal(OP_SEGMENT, segment.to_json(ENCODING_RAW))
         )
         service.store.on_unpersist.append(
             lambda segment: self.journal(

@@ -235,7 +235,6 @@ class WalShipper:
 
     def _ship_frames(self, link: ReplicaLink, span) -> bool:
         body = {
-            "Primary": self.service.host,
             "Epoch": self.service.epoch,
             "Resync": link.resync,
         }

@@ -9,6 +9,15 @@ widen sharing, so the frame format is built to make every failure mode
 
 ``[length u32][lsn u32][chain u32][payload_crc u32][header_crc u32][payload]``
 
+The payload is the record ``{"Op", "Data"}`` in its wire form
+(:mod:`repro.net.wire`): canonical JSON, and after it the record's
+``bytes`` leaves.  A segment record carries its samples so, as one
+``le-f64`` part, not as base64 text.  A record with no such leaf (rules,
+roles, places, audit, a migrated segment, and every record of a log
+written before segments carried parts) is exactly its canonical JSON, so
+one reader takes old, new and mixed logs alike, with no format byte.
+JSON-lines snapshots keep base64 (:mod:`repro.datastore.codec`).
+
 * **length / payload_crc** — a record is trusted only when its payload is
   complete and its CRC-32 matches;
 * **header_crc** (CRC-32 of the first 16 header bytes) — distinguishes a
@@ -50,7 +59,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.exceptions import CorruptRecordError, SensorSafeError, StorageError
-from repro.util import jsonutil
+from repro.net import wire
 
 _HEADER = struct.Struct("<IIIII")  # length, lsn, chain, payload_crc, header_crc
 HEADER_SIZE = _HEADER.size
@@ -108,15 +117,17 @@ def decode_frame(frame: bytes, *, chain_prev: Optional[int] = None) -> tuple:
 
 
 def decode_payload(payload: bytes) -> tuple:
-    """Parse one frame payload into ``(op, data)``.
+    """Parse one frame payload, a wire body (:func:`repro.net.wire.decode`),
+    into ``(op, data)``.
 
-    A payload that is not a JSON object with an ``Op`` is corruption the
-    CRCs could not see; raises :class:`~repro.exceptions.CorruptRecordError`.
+    A payload that is not a wire-form object with an ``Op`` is corruption
+    the CRCs could not see; raises
+    :class:`~repro.exceptions.CorruptRecordError`.
     """
     try:
-        obj = jsonutil.loads(payload.decode("utf-8"))
+        obj = wire.decode(payload)
         return str(obj["Op"]), obj.get("Data", {})
-    except (SensorSafeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+    except (SensorSafeError, KeyError, TypeError) as exc:
         raise CorruptRecordError(f"undecodable payload: {exc}") from exc
 
 
@@ -351,7 +362,7 @@ class WriteAheadLog:
         """
         started = time.perf_counter()
         if payload is None:
-            payload = jsonutil.canonical_dumps({"Op": op, "Data": data}).encode("utf-8")
+            payload = wire.encode({"Op": op, "Data": data})
         chain_prev = self._chain
         frame, chain = encode_frame(self._next_lsn, chain_prev, payload)
         if self.faults is not None:

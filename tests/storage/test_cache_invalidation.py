@@ -24,9 +24,10 @@ from repro.rules.model import ALLOW, Rule
 from repro.rules.parser import rule_to_json
 from repro.server.datastore_service import DataStoreService
 from repro.storage import StorageFaultPlan, records, wal_path
+from repro.storage.wal import HEADER_SIZE, decode_payload
 from repro.util.geo import BoundingBox, LabeledPlace
 
-from tests.conftest import UCLA, make_segment, released_pieces
+from tests.conftest import UCLA, make_segment, read_wal_frames, released_pieces
 from tests.storage.test_records import one_frame_batch, self_resync
 
 HOST = "st"
@@ -51,6 +52,24 @@ def warm(tmp_path):
     assert released_pieces(body), "warm-up query should release data"
     assert len(service.release_cache) == 1
     return service, body
+
+
+def flip_in_rules_frame(path, contributor):
+    """Flip one bit in the middle of the payload of ``contributor``'s last
+    rules frame in the WAL at ``path``: that frame and every later one are
+    corrupt, and the records before it (the enrollments) stay intact."""
+    offset = target = 0
+    for _lsn, frame, _chain_prev in read_wal_frames(path):
+        op, data = decode_payload(frame[HEADER_SIZE:])
+        if op == records.OP_RULES and data["Contributor"] == contributor:
+            target = offset + HEADER_SIZE + (len(frame) - HEADER_SIZE) // 2
+        offset += len(frame)
+    assert target, f"no rules frame of {contributor!r} in {path}"
+    with open(path, "r+b") as fh:
+        fh.seek(target)
+        byte = fh.read(1)[0]
+        fh.seek(target)
+        fh.write(bytes([byte ^ 0x01]))
 
 
 def query_as_bob(service):
@@ -82,8 +101,9 @@ class TestRecoveryInvalidation:
     def test_fail_closed_recovery_serves_no_stale_grant(self, tmp_path):
         service, before = warm(tmp_path)
         service.durability.close()
-        StorageFaultPlan(seed=7).corrupt_file(wal_path(str(tmp_path), HOST))
+        flip_in_rules_frame(wal_path(str(tmp_path), HOST), "alice")
         service2 = durable_service(tmp_path)
+        assert service2.roles["bob"] == "consumer"  # the flip spared his enrollment
         assert "alice" in service2.fail_closed
         assert len(service2.release_cache) == 0
         # bob held an allow-everything grant before the crash; post-crash

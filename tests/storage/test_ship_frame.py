@@ -61,6 +61,22 @@ def test_the_stream_is_the_frames_bytes_and_nothing_else():
     assert wire.size(body) == len('{"Frames":[[7,0],[8,5]],"Stream":{"$bytes":50}}\n') + 50
 
 
+def test_a_ship_names_no_sender(tmp_path):
+    """A replica knows its primary by the ship key the link holds, so a
+    body carries the epoch, the resync flag and the frames (and a resync's
+    base and records), never the sender's host."""
+    _, primary, _ = make_pair(tmp_path)
+    client = primary.replication.links["replica-0"].client
+    sent, post = [], client.post
+    client.post = lambda url, body, **kwargs: sent.append(set(body)) or post(url, body, **kwargs)
+    primary.register_contributor("alice")
+    primary.replication.pump()
+    primary.rules.add("alice", Rule(consumers=("bob",), action=ALLOW))
+    primary.replication.pump()
+    stream = {"Epoch", "Resync", "Frames", "Stream"}
+    assert sent == [stream | {"BaseLsn", "BaseChain", "Bootstrap"}, stream]
+
+
 # ---------------------------------------------------------------------------
 # Adversarial ships
 # ---------------------------------------------------------------------------
