@@ -109,9 +109,11 @@ class SegmentStore:
         # contributor -> data epoch (see data_epoch)
         self._epochs: dict[str, int] = {}
         self.stats = StoreStats()
-        #: Durability hooks: fired with the segment after every persist /
-        #: unpersist so a write-ahead log can journal mutations.  Installed
-        #: records bypass them (no WAL echo of the WAL).
+        #: Durability hooks, so a write-ahead log can journal mutations:
+        #: ``on_persist`` is fired with the list of segments one call stored
+        #: (an upload, a flush, a compaction), ``on_unpersist`` with each
+        #: segment removed.  Installed records bypass them (no WAL echo of
+        #: the WAL).
         self.on_persist: list = []
         self.on_unpersist: list = []
         # Recently offered segment ids, for upload dedupe: a retried POST
@@ -141,10 +143,22 @@ class SegmentStore:
 
     def add_packet(self, contributor: str, packet: SensorPacket) -> list:
         """Ingest one firmware packet; returns segments persisted now."""
-        return self.add_segment(segment_from_packet(contributor, packet))
+        return self.add_packets(contributor, [packet])
+
+    def add_packets(self, contributor: str, packets, *, flush: bool = False) -> list:
+        """Ingest one upload's packets (and, with ``flush``, drain every open
+        run after them) as one unit; returns the segments persisted, which
+        the durability hooks see as one list."""
+        return self.add_segments(
+            [segment_from_packet(contributor, packet) for packet in packets], flush=flush
+        )
 
     def add_segment(self, segment: WaveSegment) -> list:
-        """Offer a segment to the optimizer and persist what finalizes.
+        """Offer one segment; returns segments persisted now."""
+        return self.add_segments([segment])
+
+    def add_segments(self, segments, *, flush: bool = False) -> list:
+        """Offer segments to the optimizer and persist what finalizes, once.
 
         Idempotent per segment id: re-offering an id this store has
         already ingested is counted and dropped, so a client retrying an
@@ -153,18 +167,24 @@ class SegmentStore:
         window (``dedupe_window``) and, for never-finalized segments,
         only in memory (see ``_ingested_ids`` for the exact contract).
         """
-        if segment.segment_id in self._ingested_ids:
-            self._count_duplicate()
-            return []
-        self._note_ingested(segment.segment_id)
-        return self._persist_final(self.optimizer.add(segment))
+        finalized = []
+        for segment in segments:
+            if segment.segment_id in self._ingested_ids:
+                self._count_duplicate()
+                continue
+            self._note_ingested(segment.segment_id)
+            finalized += self.optimizer.add(segment)
+        if flush:
+            finalized += self.optimizer.flush()
+        return self._persist_final(finalized)
 
     def _count_duplicate(self) -> None:
         self.duplicate_uploads += 1
         self._c_duplicates.inc()
 
     def _persist_final(self, finalized: list) -> list:
-        """Persist what the optimizer finalized; returns what was stored.
+        """Persist what the optimizer finalized; returns what was stored,
+        which ``on_persist`` hooks are handed as one list.
 
         Each stored segment owns its samples: a merged run was concatenated
         and does; a run of one packet is still a view pinning the whole
@@ -184,7 +204,13 @@ class SegmentStore:
                 final = replace(final, values=final.values.copy())
             self._persist(final)
             stored.append(final)
+        self._notify_persisted(stored)
         return stored
+
+    def _notify_persisted(self, stored: list) -> None:
+        if stored:
+            for hook in self.on_persist:
+                hook(stored)
 
     def _note_ingested(self, segment_id: str) -> None:
         """Remember one offered id, evicting the oldest past the window."""
@@ -224,15 +250,13 @@ class SegmentStore:
         self.stats.n_samples -= segment.n_samples
         self.stats.storage_bytes -= segment.storage_bytes()
 
-    def _persist(self, segment: WaveSegment, *, notify: bool = True) -> None:
-        """Insert one finalized segment into the table and every index."""
+    def _persist(self, segment: WaveSegment) -> None:
+        """Insert one finalized segment into the table and every index
+        (its caller fires the ``on_persist`` hooks, once for all it stored)."""
         if segment.segment_id in self._segments:
             raise DuplicateKeyError(f"segments: duplicate primary key {segment.segment_id!r}")
         self._segments[segment.segment_id] = segment
         self._index_segment(segment)
-        if notify:
-            for hook in self.on_persist:
-                hook(segment)
 
     def _unpersist(self, segment: WaveSegment, *, notify: bool = True) -> None:
         """Remove one stored segment from the table and every index."""
@@ -251,7 +275,7 @@ class SegmentStore:
         existing = self._segments.get(segment.segment_id)
         if existing is not None:
             self._unpersist(existing, notify=False)
-        self._persist(segment, notify=False)
+        self._persist(segment)
         # A restored id counts as ingested: after a restart (or on a
         # replica) the device may re-send segments a snapshot or the
         # journal already delivered, and those must dedupe rather than
@@ -280,6 +304,7 @@ class SegmentStore:
             self._unpersist(segment)
         for segment in merged:
             self._persist(segment)
+        self._notify_persisted(merged)
         return len(before) - len(merged)
 
     # ------------------------------------------------------------------

@@ -58,6 +58,12 @@ def size(body) -> int:
     return sizes(body)[0]
 
 
+#: A head that holds neither the placeholder's key nor an escape that could
+#: spell it has no part to find: one shared decoder parses it, hookless.
+_PLAIN = json.JSONDecoder()
+_PART_TOKEN = b'"%s"' % _PART.encode("ascii")
+
+
 def decode(data: bytes):
     """The body :func:`encode` was given; :class:`~repro.exceptions.SchemaError`
     unless the placeholders consume the part section exactly."""
@@ -73,8 +79,10 @@ def decode(data: bytes):
         ends.append(ends[-1] + n)
         return tail[ends[-2] : ends[-1]]
 
+    hooked = _PART_TOKEN in head or b"\\u" in head
+    decoder = json.JSONDecoder(object_hook=part) if hooked else _PLAIN
     try:
-        body = json.loads(head.decode("ascii"), object_hook=part)
+        body = decoder.decode(head.decode("ascii"))
     except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
         raise SchemaError(f"wire body: malformed JSON: {exc}") from exc
     if ends[-1] != len(tail) or bool(separator) != (len(ends) > 1):

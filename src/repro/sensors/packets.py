@@ -89,7 +89,7 @@ class SensorPacket:
         the same place under the same labels, whatever its channel.  Its
         channel and interval are its stream's row, its start time and sample
         count its own row; its samples ride the frame's blob."""
-        return [self.location.to_json() if self.location else None, dict(self.context)]
+        return _capture_row(self.location, self.context)
 
     @classmethod
     def from_json(cls, row, captures: list, cuts: list) -> list:
@@ -141,20 +141,16 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
     packets = list(packets)
     flat = np.concatenate([p.values for p in packets]) if packets else np.empty(0)
     _require_finite(flat)
-    index, captures, streams, rows = {}, [], [], []  # a capture's key is a pair, a stream's three
-    for p in packets:
-        where = None if p.location is None else struct.pack("<2d", *p.location.to_json())
-        capture = (where, frozenset(p.context.items()))
-        if capture not in index:
-            index[capture] = len(captures)
-            captures.append(p.to_json())
-        stream = (p.channel_name, p.interval_ms, index[capture])
+    table, capture_of = encode_captures((p.location, p.context) for p in packets)
+    index, streams, rows = {}, [], []
+    for p, capture in zip(packets, capture_of):
+        stream = (p.channel_name, p.interval_ms, capture)
         if stream not in index:
             index[stream] = len(streams)
             streams.append(list(stream))
         rows.append([index[stream], p.start_ms, len(p.values)])
     return {
-        "Captures": captures,
+        **table,
         "Streams": streams,
         "Packets": rows,
         "Values": encode_values(flat.reshape(-1, 1), ENCODING_RAW),
@@ -178,8 +174,7 @@ def decode_upload(frame: dict) -> list:
     require_keys(frame, ("Captures", "Streams", "Packets", "Values"), where="upload frame")
     flat = decode_frame_values(frame["Values"], where="upload frame")
     _require_finite(flat)
-    captures = require_type(frame["Captures"], list, where="upload frame Captures")
-    captures = [_capture(obj, n) for n, obj in enumerate(captures)]
+    captures = decode_captures(frame, where="upload frame")
     streams = require_type(frame["Streams"], list, where="upload frame Streams")
     cuts, order, offset = [[] for _ in streams], [], 0
     for row in require_type(frame["Packets"], list, where="upload frame Packets"):
@@ -201,9 +196,41 @@ def decode_upload(frame: dict) -> list:
     return [built[stream][i] for stream, i in order]
 
 
-def _capture(obj, n: int) -> tuple:
-    """One upload-frame capture, ``[Location, Context]``, as ``(LatLon or
-    None, labels)``: what its streams' packets are built with."""
+def _capture_row(location: Optional[LatLon], context: dict) -> list:
+    return [location.to_json() if location else None, dict(context)]
+
+
+def encode_captures(taken: Iterable[tuple]) -> tuple:
+    """``(table, index)``: a frame's ``Captures`` member for the ``(location,
+    context)`` pairs ``taken`` — each distinct ``[Location, Context]`` once,
+    first use first, keyed by its bits (a ``-0.0`` coordinate is not ``0.0``)
+    — and, for each pair in order, the row it points at.  The one producer
+    of a capture table, which an upload frame and a journaled segment batch
+    (:mod:`repro.storage.records`) share; :func:`decode_captures` reads it."""
+    index, rows, capture_of = {}, [], []
+    for location, context in taken:
+        where = None if location is None else struct.pack("<2d", *location.to_json())
+        key = (where, frozenset(context.items()))
+        if key not in index:
+            index[key] = len(rows)
+            rows.append(_capture_row(location, context))
+        capture_of.append(index[key])
+    return {"Captures": rows}, capture_of
+
+
+def decode_captures(frame: dict, *, where: str) -> list:
+    """Each capture of ``frame``'s table as ``(LatLon or None, labels)``,
+    parsed once: :class:`~repro.exceptions.SchemaError` unless every one is
+    exactly ``[Location: null or two numbers, Context: {text: text}]``.
+    Whether every capture is used is the frame parser's to check."""
+    require_keys(frame, ("Captures",), where=where)
+    captures = require_type(frame["Captures"], list, where=f"{where} Captures")
+    return [_capture(obj, n, where) for n, obj in enumerate(captures)]
+
+
+def _capture(obj, n: int, where: str) -> tuple:
+    """One capture, ``[Location, Context]``, as ``(LatLon or None, labels)``:
+    what the packets or segments pointing at it are built with."""
     location, context = obj if type(obj) is list and len(obj) == 2 else (False, None)
     place = location is None or type(location) is list and len(location) == 2 and all(
         isinstance(x, (int, float)) and type(x) is not bool for x in location
@@ -212,7 +239,7 @@ def _capture(obj, n: int) -> tuple:
         isinstance(k, str) and isinstance(v, str) for k, v in context.items()
     )
     if not (place and labels):
-        raise SchemaError(f"upload frame: capture {n} is not [Location: null or two numbers, "
+        raise SchemaError(f"{where}: capture {n} is not [Location: null or two numbers, "
                           "Context: {text: text}]")  # fmt: skip
     return None if location is None else LatLon.from_json(location), context
 

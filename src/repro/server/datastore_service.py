@@ -145,8 +145,6 @@ class DataStoreService:
         self.directory = directory
         self.store = SegmentStore(host, merge_policy=merge_policy, obs=network.obs)
         self.rules = RuleStore()
-        self.keys = ApiKeyRegistry(f"secret:{host}", rng.fork("keys"))
-        self._salts = rng.fork("salts")
         self.audit = AuditLog()
         self.enforce_closure = enforce_closure
         self.roles: dict[str, str] = {}
@@ -199,6 +197,13 @@ class DataStoreService:
             )
             self.recovery_report = self.durability.open()
             self.epoch = max(self.epoch, self.recovery_report.epoch or 1)
+        # Keys and salts never repeat across a restart: a durable store's
+        # nonces start at its boot number (counted on disk by the open,
+        # before anything is served) times 2**32.  A store in memory never
+        # restarts and keeps the seed's streams from nonce 0.
+        first = self.durability.boot << 32 if self.durability is not None else 0
+        self.keys = ApiKeyRegistry(f"secret:{host}", rng.fork("keys", first_nonce=first))
+        self._salts = rng.fork("salts", first_nonce=first)
         # Join the network only once recovery has succeeded: a failed
         # open() must leave no half-constructed host registered, or the
         # constructor retry dies on "host name already registered" instead
@@ -390,17 +395,28 @@ class DataStoreService:
                 "re-resolve at the broker directory"
             )
 
-    def _replication_barrier(self) -> None:
-        """Ship WAL frames produced by the request that just mutated state.
+    def _barrier_mark(self) -> Optional[int]:
+        """The journal's end as a request comes in, when this store ships
+        under acknowledgements (a replicating primary); None when it does
+        not, and the request's records ship under no ack of its own: a
+        replica's, and a promotion's (:class:`~repro.server.routes.route`).
+        An unreplicated store pays the attribute check alone."""
+        if self.replication is None or not self.is_primary:
+            return None
+        return self.replication.last_lsn()
 
-        This is the commit acknowledgement barrier: the request fails
-        (503, retryable) unless a replica holds the frames.  A read's frame
-        is its audit record, so a replicated primary answers a read only
-        once a replica still following its epoch holds it: that round trip
-        is its proof of primacy (a fenced one hears 409 and demotes itself).
-        An unreplicated store pays the attribute check alone.
+    def _replication_barrier(self, mark: int, writes: bool) -> None:
+        """Ship WAL frames produced by the request that just ran.
+
+        This is the commit acknowledgement barrier, run after every
+        ``writes`` request and every request whose handler journaled (the
+        journal's end moved past ``mark``): the request fails (503,
+        retryable) unless a replica holds the frames.  A read's frame is
+        its audit record, so a replicated primary answers a read only once
+        a replica still following its epoch holds it: that round trip is
+        its proof of primacy (a fenced one hears 409 and demotes itself).
         """
-        if self.replication is not None and self.is_primary:
+        if writes or self.replication.last_lsn() != mark:
             self.replication.after_write()
 
     # ------------------------------------------------------------------
@@ -724,8 +740,10 @@ class DataStoreService:
         row (401 for another, 409 for none): that is how a restarted
         store's owner and ``repoint_contributor`` get a key back, as keys
         are never replicated.  Consumers come through ``/api/enroll``.
-        ``open``, not ``writes``: it refuses on a replica itself and is not
-        shipped under its ack.
+        ``open``, not ``writes``: it refuses on a replica itself.  A new
+        name's role row ships under the request's own ack (the barrier
+        follows the journal); a re-key journals nothing, so it is answered
+        during a link gap.
         """
         self._require_writable()
         body = request.body
@@ -749,7 +767,7 @@ class DataStoreService:
         if any(segment.contributor != contributor for segment in segments):
             raise AuthorizationError("cannot upload segments owned by someone else")
         before = self.store.duplicate_uploads
-        stored = sum(len(self.store.add_segment(segment)) for segment in segments)
+        stored = len(self.store.add_segments(segments))
         duplicates = self.store.duplicate_uploads - before
         return {"Accepted": len(segments), "Finalized": stored, "Duplicates": duplicates}
 
@@ -757,7 +775,9 @@ class DataStoreService:
     def _h_upload_packets(self, request: Request, contributor: str) -> dict:
         """The phone's uplink: one :func:`~repro.sensors.packets.encode_upload`
         frame per request.  Decode, then ingest: a frame the parser refuses
-        (400) has put nothing into the optimizer, the store or the log."""
+        (400) has put nothing into the optimizer, the store or the log.  The
+        frame and its optional flush are one store call, so what they
+        finalize is journaled as one segment batch record."""
         packets = decode_upload(request.body.get("Upload"))
         span = self.network.obs.tracer.current_span()
         if span is not None:
@@ -766,14 +786,13 @@ class DataStoreService:
             span.set_attributes(
                 packets=len(packets), readings=sum(len(p.values) for p in packets)
             )
-        stored = 0
-        for packet in packets:
-            stored += len(self.store.add_packet(contributor, packet))
-        reply = {"Accepted": len(packets), "Finalized": stored}
-        if request.body.get("Flush"):
-            # The phone's last chunk carries its flush: same routine, same
-            # ack (fsynced here, held by a replica), one request.
-            reply["Finalized"] += self._flush_store()
+        flush = bool(request.body.get("Flush"))
+        stored = self.store.add_packets(contributor, packets, flush=flush)
+        reply = {"Accepted": len(packets), "Finalized": len(stored)}
+        if flush:
+            # The phone's last chunk carries its flush: one store call, one
+            # record, one ack (fsynced here, held by a replica).
+            self._wal_commit()
             reply["Flushed"] = True
         return reply
 

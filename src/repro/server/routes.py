@@ -34,11 +34,22 @@ class route(NamedTuple):
     ``request``, if anything.  ``writes=True`` (a store's mutations, and
     its reads, whose audit record is a write) brackets the request with
     ``_require_writable`` *before* the key is looked at (a replica
-    answers 409 to anyone) and ``_replication_barrier`` as its last
-    step, so what the handler journaled ships under the request's own
-    acknowledgement.  Hence the
-    one check order: primary-for-writes → key → ownership → residency →
-    role → existence.
+    answers 409 to anyone).  Hence the one check order:
+    primary-for-writes → key → ownership → residency → role → existence.
+
+    **The barrier follows the journal.**  On an owner that journals (a
+    store: it declares ``_barrier_mark``), the request's last step is
+    ``_replication_barrier`` whenever the store was a replicating primary
+    as the request came in and either the route ``writes`` or its handler
+    moved the journal's end, whatever the route declares.  So a record
+    cannot be journaled outside an acknowledgement: a registration's new
+    role row ships under its own ack, while a re-key, which journals
+    nothing (keys are never replicated), is answered during a link gap.
+    A ``writes`` route keeps the barrier even when it journaled nothing:
+    its retry must still wait for what its first attempt journaled.  A
+    promotion is served by a replica, so it is answered unbarriered; the
+    fail-closed denies it may journal reach its survivors in the resync of
+    the link that follows.
     """
 
     method: str
@@ -59,10 +70,11 @@ class route(NamedTuple):
         def guarded(service, request: Request):
             if writes:
                 service._require_writable()
+            mark = service._barrier_mark() if hasattr(service, "_barrier_mark") else None
             admitted = getattr(service, prelude)(request) if prelude else None
             result = handler(service, request, *(admitted or ()))
-            if writes:
-                service._replication_barrier()
+            if mark is not None:
+                service._replication_barrier(mark, writes)
             return result
 
         guarded.route = self

@@ -1,14 +1,21 @@
-"""The store's log vocabulary: six record kinds, one dumper, one installer.
+"""The store's log vocabulary: seven record kinds, one dumper, one installer.
 
 Everything a data store must not lose — segments, privacy rules, labeled
 places, principal roles (a consumer's groups and a contributor's
 password hash ride its role; a contributor migrated away is fenced by a
 ``moved`` role), the audit trail — travels as ``(op, data)``
 records: WAL payloads, snapshot rows, shipped replica frames, resync
-bootstraps and migration batches are all the same six shapes.  This
-module owns them:
+bootstraps and migration batches are all the same shapes.  The journal
+writes the segments one request stored as one **segment batch**
+(:func:`segment_batch`, parsed by :func:`batch_segments` alone): one
+record, one frame, one ship and one replica decode an upload.  Snapshot
+rows, :func:`dump`, resync bootstraps and migration batches keep one
+``segment`` record a segment, and a log written before batches (or a
+migration install) holds those too.  This module owns them:
 
 * the op names and :data:`CONTROL_OPS`, the force-synced set;
+* :func:`segment_batch` and :func:`batch_segments`, the batch's one
+  writer and one reader;
 * :func:`dump` — live state as records, optionally one contributor range
   — over :func:`dump_op`, one kind's records drawn lazily: the snapshot
   writer's five files are five such draws, so segments leave a store by
@@ -33,9 +40,9 @@ and journal from the hooks :class:`~repro.storage.durability.Durability`
 attaches.
 
 Every op is idempotent or last-wins (rule snapshots carry a version and
-install monotonically, segments replace by id, audit restore dedupes per
-seq), so overlapping snapshots, bootstraps, log tails and a retried
-migration install converge instead of double-applying.
+install monotonically, segments replace by id, a batch row by row, audit
+restore dedupes per seq), so overlapping snapshots, bootstraps, log tails
+and a retried migration install converge instead of double-applying.
 docs/ARCHITECTURE.md, "The store's log", has the per-op table.
 """
 
@@ -44,20 +51,28 @@ from __future__ import annotations
 import hashlib
 from typing import Iterator, Optional
 
+import numpy as np
+
+from repro.datastore.codec import ENCODING_RAW, decode_frame_values, encode_values
 from repro.datastore.wavesegment import WaveSegment
-from repro.exceptions import StorageError
+from repro.exceptions import SchemaError, StorageError
 from repro.rules.rulestore import RuleSetSnapshot
+from repro.sensors.packets import decode_captures, encode_captures
 from repro.server.audit import AuditRecord
 from repro.util import jsonutil
 from repro.util.geo import LabeledPlace
+from repro.util.jsonutil import require_keys, require_type
 
 OP_SEGMENT = "segment"
+OP_SEGMENT_BATCH = "segment_batch"
 OP_SEGMENT_DELETE = "segment_delete"
 OP_RULES = "rules"
 OP_PLACES = "places"
 OP_ROLE = "role"
 OP_AUDIT = "audit"
-KNOWN_OPS = (OP_SEGMENT, OP_SEGMENT_DELETE, OP_RULES, OP_PLACES, OP_ROLE, OP_AUDIT)
+KNOWN_OPS = (
+    OP_SEGMENT, OP_SEGMENT_BATCH, OP_SEGMENT_DELETE, OP_RULES, OP_PLACES, OP_ROLE, OP_AUDIT
+)
 
 #: Ops that carry rule semantics or the audit trail.  Every journal append
 #: of one is ``force_sync``: an acknowledged rule change is on disk before
@@ -81,11 +96,81 @@ def places_record(contributor: str, places: dict) -> dict:
 
 def record_owner(op: str, data: dict) -> str:
     """The contributor (or principal) one record names ('' = store-wide)."""
-    if op in (OP_SEGMENT, OP_RULES, OP_PLACES, OP_AUDIT):
+    if op in (OP_SEGMENT, OP_SEGMENT_BATCH, OP_RULES, OP_PLACES, OP_AUDIT):
         return str(data.get("Contributor", ""))
     if op == OP_ROLE:
         return str(data.get("Principal", ""))
     return ""
+
+
+def segment_batch(segments) -> dict:
+    """The ``data`` of a segment batch: one contributor's segments that one
+    request finalized, as one columnar body.
+
+    ``Contributor`` once; ``Captures`` each distinct ``[Location, Context]``
+    once, first use first (:func:`~repro.sensors.packets.encode_captures`,
+    the upload frame's table); ``Segments`` one ``[SegmentId, StartTime,
+    SamplingInterval, Format, capture, Samples]`` row a segment, in the
+    order they were stored; ``Values`` every segment's samples back to back
+    (each row-major over its ``Format``) as one ``le-f64`` blob, which the
+    journal's wire form carries as one part.  :func:`batch_segments` is its
+    only parser.
+    """
+    table, capture_of = encode_captures((s.location, s.context) for s in segments)
+    flat = np.concatenate([s.values.reshape(-1) for s in segments])
+    return {
+        "Contributor": segments[0].contributor,
+        **table,
+        "Segments": [
+            [s.segment_id, s.start_ms, s.interval_ms, list(s.channels), capture, s.n_samples]
+            for s, capture in zip(segments, capture_of)
+        ],
+        "Values": encode_values(flat.reshape(-1, 1), ENCODING_RAW),
+    }
+
+
+def batch_segments(data: dict) -> list:
+    """The segments of a :func:`segment_batch` body, in row order.
+
+    The blob is decoded once and each segment's samples are a read-only
+    view of it.  :class:`~repro.exceptions.SchemaError`, before any segment
+    is returned, unless every row is six cells of the right types naming a
+    capture, every capture is used, and the rows consume the samples
+    exactly; each segment is then held to :class:`WaveSegment`'s checks.
+    """
+    where = "segment batch"
+    require_keys(data, ("Contributor", "Segments", "Values"), where=where)
+    contributor = str(data["Contributor"])
+    flat = decode_frame_values(data["Values"], where=where)
+    captures = decode_captures(data, where=where)
+    segments, used, offset = [], set(), 0
+    for row in require_type(data["Segments"], list, where=f"{where} Segments"):
+        cells = row if type(row) is list and len(row) == 6 else [None] * 6
+        segment_id, start, interval, channels, capture, n = cells
+        if not (
+            isinstance(segment_id, str) and type(start) is type(capture) is type(n) is int
+            and (interval is None or type(interval) is int)
+            and type(channels) is list and all(isinstance(c, str) for c in channels)
+            and 0 <= capture < len(captures) and n > 0
+        ):
+            raise SchemaError(
+                f"{where}: row {len(segments)} is not [SegmentId, StartTime, "
+                "SamplingInterval, Format, capture, Samples]"
+            )
+        end = offset + n * len(channels)
+        if end > len(flat):
+            raise SchemaError(f"{where}: row {len(segments)} overruns the samples")
+        location, context = captures[capture]
+        segments.append(WaveSegment(
+            contributor, tuple(channels), start, interval,
+            flat[offset:end].reshape(n, len(channels)), location, dict(context), segment_id,
+        ))  # fmt: skip
+        used.add(capture)
+        offset = end
+    if offset != len(flat) or len(used) != len(captures):
+        raise SchemaError(f"{where}: rows consume {offset} of {len(flat)} values "
+                          f"and {len(used)} of {len(captures)} captures")  # fmt: skip
+    return segments
 
 
 #: The kinds with live state (a deletion leaves none), in :func:`dump` order.
@@ -178,8 +263,8 @@ def apply(
     """Install one record into a live service; returns the items it installed.
 
     The count is rules, places or audit records actually taken (a rule
-    record whose version lost, or an audit record already held, is 0) and
-    1 for a role or a segment.
+    record whose version lost, or an audit record already held, is 0),
+    1 for a role or a segment, and a batch's rows.
 
     ``journal=True`` re-journals the record into the service's own WAL
     with its op's sync class — a replica or migration destination must
@@ -215,6 +300,11 @@ def apply(
     if op == OP_SEGMENT:
         service.store.restore_segment(WaveSegment.from_json(data))
         count = 1
+    elif op == OP_SEGMENT_BATCH:
+        segments = batch_segments(data)
+        for segment in segments:
+            service.store.restore_segment(segment)
+        count = len(segments)
     elif op == OP_SEGMENT_DELETE:
         count = int(service.store.remove_segment(str(data["SegmentId"])))
     elif op == OP_RULES:

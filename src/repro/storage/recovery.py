@@ -57,6 +57,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.exceptions import CorruptRecordError, SensorSafeError, StorageError
+from repro.net import wire
 from repro.obs import NOOP_OBS
 from repro.storage.atomic import file_sha256
 from repro.storage.records import (
@@ -133,6 +134,13 @@ class RecoveryReport:
     checkpoint_lsn: int = 0
     #: The epoch the manifest says the journal follows (None: it names none).
     epoch: Optional[int] = None
+    #: How many times the store has been opened, by the manifest's ``Boot``
+    #: (0 when it has none: absent, corrupt, or written before it counted).
+    boot: int = 0
+    #: The manifest as read, ``{}`` when absent, None when corrupt: what
+    #: :meth:`~repro.storage.durability.Durability.open` carries forward
+    #: when it counts a boot.  Not part of the report's JSON.
+    manifest: Optional[dict] = field(default=None, repr=False, compare=False)
     #: snapshot rows loaded per kind (segments/rules/places/roles/audit)
     loaded: dict = field(default_factory=dict)
     wal_records_replayed: int = 0
@@ -226,11 +234,13 @@ class _Quarantine:
         self.directory = quarantine_dir(directory)
         self.report = report
 
-    def record(self, source: str, lineno: int, line: str, reason: str) -> None:
+    def record(self, source: str, lineno: int, line, reason: str) -> None:
+        """Append one refused row (``str``) or WAL record (its payload, ``bytes``)."""
         os.makedirs(self.directory, exist_ok=True)
         path = os.path.join(self.directory, os.path.basename(source) + ".bad")
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(f"# line {lineno}: {reason}\n{line}\n")
+        raw = line if isinstance(line, bytes) else line.encode("utf-8")
+        with open(path, "ab") as fh:
+            fh.write(f"# line {lineno}: {reason}\n".encode("utf-8") + raw + b"\n")
         if path not in self.report.quarantined_files:
             self.report.quarantined_files.append(path)
         self.report.quarantined_records += 1
@@ -305,13 +315,15 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
     # ------------------------------------------------------------------
     manifest = _read_manifest(manifest_path(directory, host))
     checkpoint_lsn = 0
+    report.manifest = {} if manifest is None else manifest
     if manifest is not None and "__corrupt__" in manifest:
         report.alert("checkpoint manifest is corrupt; treating snapshots as untrusted")
         rules_untrusted = True
         places_untrusted = True
-        manifest = None
+        manifest = report.manifest = None
     if manifest is not None:
         report.manifest_found = True
+        report.boot = int(manifest.get("Boot", 0))
         report.generation = int(manifest.get("Generation", 0))
         checkpoint_lsn = int(manifest.get("CheckpointLsn", 0))
         report.checkpoint_lsn = checkpoint_lsn
@@ -417,9 +429,8 @@ def recover_service(service, directory: Optional[str] = None, *, obs=None) -> Re
         report.quarantined_records += 1
     report.wal_end = scan
     for lsn, op, data, exc in refused:
-        quarantine.record(scan.path, lsn,
-                          jsonutil.canonical_dumps({"Op": op, "Data": data}),
-                          str(exc))
+        # The record's wire form: a segment's samples are raw bytes in it.
+        quarantine.record(scan.path, lsn, wire.encode({"Op": op, "Data": data}), str(exc))
         if op in (OP_RULES, OP_PLACES) or op not in KNOWN_OPS:
             wal_untrusted = True
         report.alert(f"WAL record lsn={lsn} op={op!r} failed to apply: {exc}")

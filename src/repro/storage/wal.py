@@ -1,7 +1,7 @@
 """Checksummed, length-prefixed, fsync-on-commit write-ahead log.
 
-Every store mutation (segment upload/merge, rule set/delete, places,
-roles, audit appends) is framed and appended here *before* it is
+Every store mutation (an upload's or flush's segments, rule set/delete,
+places, roles, audit appends) is framed and appended here *before* it is
 acknowledged; on restart the log replays over the last good snapshot
 (:mod:`repro.storage.recovery`).  Losing a privacy rule would silently
 widen sharing, so the frame format is built to make every failure mode
@@ -11,12 +11,16 @@ widen sharing, so the frame format is built to make every failure mode
 
 The payload is the record ``{"Op", "Data"}`` in its wire form
 (:mod:`repro.net.wire`): canonical JSON, and after it the record's
-``bytes`` leaves.  A segment record carries its samples so, as one
-``le-f64`` part, not as base64 text.  A record with no such leaf (rules,
-roles, places, audit, a migrated segment, and every record of a log
-written before segments carried parts) is exactly its canonical JSON, so
-one reader takes old, new and mixed logs alike, with no format byte.
-JSON-lines snapshots keep base64 (:mod:`repro.datastore.codec`).
+``bytes`` leaves.  The segments one request stored are one segment batch
+record (:func:`repro.storage.records.segment_batch`), their samples one
+``le-f64`` part, not base64 text: one upload is one frame, one ``write``
+and one shipped frame, and a torn batch is dropped whole with its frame.
+A per-segment record of an older log carries its samples as one part or
+as base64 text; a record with no ``bytes`` leaf (rules, roles, places,
+audit, a migrated segment, and every record of a log written before
+segments carried parts) is exactly its canonical JSON, so one reader
+takes old, new and mixed logs alike, with no format byte.  JSON-lines
+snapshots keep base64 (:mod:`repro.datastore.codec`).
 
 * **length / payload_crc** — a record is trusted only when its payload is
   complete and its CRC-32 matches;

@@ -6,6 +6,7 @@ mutate them.  Everything is seeded, so the suite is deterministic.
 
 from __future__ import annotations
 
+import base64
 import os
 
 import numpy as np
@@ -113,6 +114,30 @@ def read_wal_frames(path: str) -> list:
         frames.append((lsn, data[offset:end], chain_prev))
         chain_prev, offset = chain, end
     return frames
+
+
+def disk_holds(directory, values) -> list:
+    """The disk referee: ``(path, form)`` for every file under ``directory``
+    (quarantine included) that holds the run of samples ``values``.
+
+    A store keeps samples in two forms: as raw ``le-f64`` bytes (a journaled
+    segment or batch record's part) and as base64 text (snapshot rows,
+    quarantined rows, a migrated record).  Each file is searched for the
+    run's bytes, and for its base64 at each of the three byte alignments the
+    run can start at inside a longer blob.  Give it a run of a few samples
+    or more: a short one can match by chance.
+    """
+    run = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    armoured = [base64.b64encode(run[skip:][: (len(run) - skip) // 3 * 3]) for skip in range(3)]
+    found = []
+    for root, _dirs, names in sorted(os.walk(directory)):
+        for name in sorted(names):
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            found += [(path, "le-f64")] if run in data else []
+            found += [(path, "base64")] if any(a in data for a in armoured) else []
+    return found
 
 
 def broker_pushes(network, host: str = "broker") -> list:

@@ -19,13 +19,16 @@ A contributor's role record has carried its credential (``Salt``,
 ``PasswordHash``) since; each role payload is hashed without those two
 fields, which is exactly the bytes the pinned commit journaled for it.
 
-And a segment record's samples are journaled as one raw ``le-f64`` part
-beside the JSON (the payload is its :mod:`repro.net.wire` form) where the
-pinned commit wrote them as base64 text inside it; each segment payload
-is hashed with its samples written back as that base64 blob.  So rules,
-places and audit bytes are held to the pin unchanged, and segment ids,
-merges, dedupe, record order and the replica's verbatim copy are held to
-it through one re-encoding of the samples, and nothing else.
+And the segments one upload stored are journaled as one segment batch
+record, their samples as one raw ``le-f64`` part beside the JSON (the
+payload is its :mod:`repro.net.wire` form), where the pinned commit wrote
+one record a segment with its samples as base64 text inside it.  Each
+batch is hashed as the segment records its rows stand for, in row order,
+each with its samples written back as that base64 blob, and the count is
+of those records.  So rules, places and audit bytes are held to the pin
+unchanged, and segment ids, merges, dedupe, record order and the
+replica's verbatim copy are held to it through that one expansion, and
+nothing else.
 """
 
 import hashlib
@@ -51,21 +54,49 @@ MONDAY = timestamp_ms(2011, 2, 7)
 HOUR_MS = 3_600_000
 BATCH_MS = 600_000
 CREDENTIAL = ("Salt", "PasswordHash")
-WAL_BUDGET = 13.8  # B per stored sample in the primary's journal
+WAL_BUDGET = 9.5  # B per stored sample in the primary's journal
 
 
-def pinned_payload(payload):
-    """A WAL payload as the pinned commit wrote it: a role record loses its
-    credential, a segment record's raw samples become their base64 blob."""
+def pinned_payloads(payload):
+    """A WAL payload as the records the pinned commit wrote for it: a role
+    record loses its credential, a segment record's raw samples become
+    their base64 blob, and a segment batch is the segment records its rows
+    stand for, in row order."""
     record = wire.decode(payload)
-    data = record["Data"]
-    if record["Op"] == records.OP_ROLE:
-        data = {k: v for k, v in data.items() if k not in CREDENTIAL}
-    elif record["Op"] == records.OP_SEGMENT:
-        data = {**data, "Values": encode_values(decode_values(data["Values"]), ENCODING_B64)}
+    op, data = record["Op"], record["Data"]
+    if op == records.OP_ROLE:
+        pinned = [(op, {k: v for k, v in data.items() if k not in CREDENTIAL})]
+    elif op == records.OP_SEGMENT:
+        pinned = [(op, {**data, "Values": as_base64(decode_values(data["Values"]))})]
+    elif op == records.OP_SEGMENT_BATCH:
+        pinned = [(records.OP_SEGMENT, segment) for segment in expanded(data)]
     else:
-        return payload
-    return canonical_dumps({"Op": record["Op"], "Data": data}).encode("utf-8")
+        return [payload]
+    return [canonical_dumps({"Op": op, "Data": data}).encode("utf-8") for op, data in pinned]
+
+
+def as_base64(values):
+    return encode_values(values, ENCODING_B64)
+
+
+def expanded(batch):
+    """The segment records a batch's rows stand for, rebuilt cell by cell."""
+    flat, offset = decode_values(batch["Values"]).reshape(-1), 0
+    for segment_id, start, interval, channels, capture, n in batch["Segments"]:
+        location, context = batch["Captures"][capture]
+        values = flat[offset : offset + n * len(channels)].reshape(n, len(channels))
+        offset += n * len(channels)
+        yield {
+            "SegmentId": segment_id,
+            "Contributor": batch["Contributor"],
+            "StartTime": start,
+            "SamplingInterval": interval,
+            "Location": location,
+            "Format": channels,
+            "Values": as_base64(values),
+            **({"Context": context} if context else {}),
+        }
+    assert offset == len(flat)
 
 
 #: The replica's own broker pairing, the first record of its pinned log.
@@ -80,15 +111,16 @@ def wal_payloads(service):
 
 
 def digest_of(payloads):
-    """``[sha256 over the payloads in order, their count]``."""
+    """``[sha256 over the pinned records in order, their count]``."""
+    pinned = [record for payload in payloads for record in pinned_payloads(payload)]
     digest = hashlib.sha256()
-    for payload in payloads:
-        digest.update(pinned_payload(payload))
-    return [digest.hexdigest(), len(payloads)]
+    for record in pinned:
+        digest.update(record)
+    return [digest.hexdigest(), len(pinned)]
 
 
 def wal_digest(service):
-    """``[sha256 over the WAL's payloads in order, frame count]``."""
+    """``[sha256 over the WAL's pinned records in order, their count]``."""
     return digest_of(wal_payloads(service))
 
 
@@ -128,7 +160,9 @@ def test_the_journal_holds_what_the_parent_journaled(tmp_path):
     # The resync's base is the primary's first record, its broker pairing.
     assert theirs == ours[1:]
     decoded = [wire.decode(payload) for payload in ours + theirs]
-    segments = [r["Data"]["Values"] for r in decoded if r["Op"] == records.OP_SEGMENT]
+    # Every segment the stream stored was journaled inside a batch.
+    assert records.OP_SEGMENT not in {r["Op"] for r in decoded}
+    segments = [r["Data"]["Values"] for r in decoded if r["Op"] == records.OP_SEGMENT_BATCH]
     assert segments and all(
         (values["Encoding"], type(values["Blob"])) == (ENCODING_RAW, bytes)
         for values in segments
@@ -138,9 +172,10 @@ def test_the_journal_holds_what_the_parent_journaled(tmp_path):
 
 def test_the_journal_spends_a_sample_s_eight_bytes_and_a_record_s_share(tmp_path):
     """The primary's WAL bytes over the samples it stores: a float64 is 8
-    of them, the rest is each record's JSON and frame header (~375 B a
-    segment of ~72 samples here).  While the journal wrote samples as
-    base64 text this stream cost 16.25 B a sample; with raw parts 13.71."""
+    of them, the rest is each record's JSON and frame header (~100 B a
+    segment of ~72 samples here, as one batch row).  While the journal
+    wrote samples as base64 text this stream cost 16.25 B a sample; with
+    raw parts 13.71; with one batch record per upload 9.43."""
     primary, _ = stream(tmp_path)
     samples = sum(segment.n_samples for segment in primary.store.segments_of("alice"))
     per_sample = primary.durability.wal.size_bytes() / samples

@@ -239,3 +239,26 @@ def test_the_broker_s_traffic_is_what_c2_always_read(fleet, broker_bytes):
     requests = [s for s in system.obs.tracer.finished if s.name == "net.request"]
     assert any(s.attributes["host"] == "broker" for s in requests)
     assert not any("part_bytes" in s.attributes for s in requests)  # owner uploads are stored-form JSON
+
+
+def test_a_head_without_the_placeholder_is_parsed_without_the_hook(monkeypatch):
+    """A head holding neither ``"$bytes"`` nor an escape that could spell it
+    is parsed by the shared hookless decoder, and keeps every refusal: a
+    separator with no placeholder before it is still refused."""
+
+    def no_hook(**kwargs):
+        raise AssertionError("a head with no placeholder built a hooked decoder")
+
+    monkeypatch.setattr(wire.json, "JSONDecoder", no_hook)
+    assert wire.decode(b'{"a":{"b":[1,{"c":null}]},"d":"bytes"}') == {
+        "a": {"b": [1, {"c": None}]}, "d": "bytes",
+    }
+    for unreadable in (b'{"a":1}\n', b'{"a":1}\nabc', b"[1]\n", '{"A":"é"}'.encode(), b""):
+        with pytest.raises(SchemaError):
+            wire.decode(unreadable)
+
+
+def test_an_escaped_placeholder_still_takes_the_hook():
+    assert wire.decode(b'{"A":{"\\u0024bytes":3}}\nabc') == {"A": b"abc"}
+    with pytest.raises(SchemaError):
+        wire.decode(b'{"A":{"\\u0024bytes":3}}')
