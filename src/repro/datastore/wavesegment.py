@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.datastore.codec import ENCODING_B64, decode_values, encode_values
+from repro.datastore.codec import decode_values, encode_values
 from repro.exceptions import ValidationError
 from repro.sensors.packets import SensorPacket
 from repro.util.geo import LatLon
@@ -357,13 +357,11 @@ class WaveSegment:
     # JSON (Fig. 5 round trip)
     # ------------------------------------------------------------------
 
-    def to_json(self, encoding: str = ENCODING_B64) -> dict:
-        """JSON wire form (Fig. 5); sample values are codec-encoded.
-
-        ``encoding`` is the blob's: base64 text keeps the segment a pure
-        JSON document (snapshot rows, dumps); a journal record takes
-        ``le-f64`` bytes, which its wire-form payload carries as a part.
-        """
+    def to_json(self) -> dict:
+        """JSON wire form (Fig. 5); sample values are codec-encoded as
+        base64 text, so the segment is a pure JSON document (snapshot rows,
+        dumps).  The journal writes segments as a batch
+        (:func:`repro.storage.records.segment_batch`), samples as bytes."""
         obj = {
             "SegmentId": self.segment_id,
             "Contributor": self.contributor,
@@ -371,7 +369,7 @@ class WaveSegment:
             "SamplingInterval": self.interval_ms,
             "Location": self.location.to_json() if self.location else None,
             "Format": list(self.channels),
-            "Values": encode_values(self.values, encoding),
+            "Values": encode_values(self.values),
         }
         if self.context:
             obj["Context"] = dict(self.context)
