@@ -78,12 +78,12 @@ class CentralizedService:
         contributor = str(request.body.get("Contributor", ""))
         if principal != contributor:
             raise AuthorizationError("cannot upload for someone else")
-        stored = 0
-        for packet in decode_upload(request.body.get("Upload")):
-            stored += len(self.store.add_packet(contributor, packet))
-        if request.body.get("Flush"):
-            return {"Finalized": stored + len(self.store.flush()), "Flushed": True}
-        return {"Finalized": stored}
+        flush = bool(request.body.get("Flush"))
+        packets = decode_upload(request.body.get("Upload"))
+        stored = self.store.add_packets(contributor, packets, flush=flush)
+        if flush:
+            return {"Finalized": len(stored), "Flushed": True}
+        return {"Finalized": len(stored)}
 
     def _h_flush(self, request: Request) -> dict:
         self._principal(request)

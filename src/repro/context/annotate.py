@@ -92,19 +92,15 @@ class ContextAnnotator:
 
     def stamp(self, packets: Iterable[SensorPacket]) -> list:
         """The packets re-stamped with the labels of their first sample's
-        window, ordered by window and, within one, as they were given."""
+        window, ordered by window and, within one, as they were given.  A
+        re-stamp is a re-label (:meth:`SensorPacket.relabeled`): the packet's
+        samples are not checked or copied again, and the packets of one
+        window share its label dict."""
         packets = list(packets)
         width = self.window_ms
         labels = {key: self.infer_window(w) for key, w in self.windows(packets).items()}
         return [
-            SensorPacket(
-                channel_name=packet.channel_name,
-                start_ms=packet.start_ms,
-                interval_ms=packet.interval_ms,
-                values=packet.values,
-                location=packet.location,
-                context=dict(labels[packet.start_ms // width]),
-            )
+            packet.relabeled(labels[packet.start_ms // width])
             for packet in sorted(packets, key=lambda p: p.start_ms // width)
         ]
 

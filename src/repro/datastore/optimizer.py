@@ -9,10 +9,13 @@ channels."
 
 Two modes are provided:
 
-* **ingest-time merging** — :meth:`SegmentOptimizer.add` keeps one open
-  run per (channels, location, interval, context) stream and extends it
-  while packets keep arriving seamlessly, closing it when a gap appears
-  or it reaches ``MergePolicy.max_samples``;
+* **ingest-time merging** — :meth:`SegmentOptimizer.add` (a segment) and
+  :meth:`SegmentOptimizer.add_cut` (a packet's samples, which get no
+  segment of their own) keep one open run per (channels, location,
+  interval, context) stream and extend it while cuts keep arriving
+  seamlessly, closing it when a gap appears or it reaches
+  ``MergePolicy.max_samples``: a run becomes one ``WaveSegment`` when it
+  closes, however many packets it took;
 * **compaction** — :meth:`SegmentOptimizer.compact` merges an existing
   segment list in one pass, used when policy changes after data is stored.
 
@@ -22,7 +25,7 @@ have to decode unboundedly large blobs; the C1 benchmark sweeps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -52,41 +55,58 @@ class MergePolicy:
 
 
 class _OpenRun:
-    """A stream's growing tail: its first segment plus the value arrays of
-    the segments that followed it seamlessly — the one merge implementation.
-    Runs are kept per stream key, and equal keys already mean equal
-    contributor, channels, interval, location and context, so all that is
-    left of ``WaveSegment.can_merge`` is adjacency in time."""
+    """A stream's growing tail: where it starts and the value arrays of
+    the cuts that followed each other seamlessly — the one merge
+    implementation.  Runs are kept per stream key, and equal keys already
+    mean equal contributor, channels, interval, location and context, so
+    all that is left of ``WaveSegment.can_merge`` is adjacency in time.
 
-    __slots__ = ("first", "parts", "n_samples")
+    ``first`` is what opened the run: an offered :class:`WaveSegment`, or
+    the id of a packet's cut (its samples as one ``(n, 1)`` column view).
+    The run's one :class:`WaveSegment` is built when it closes."""
 
-    def __init__(self, first: WaveSegment):
-        self.first, self.parts, self.n_samples = first, [first.values], first.n_samples
+    __slots__ = ("key", "start_ms", "parts", "n_samples", "first", "context")
 
-    def take(self, segment: WaveSegment) -> bool:
-        """Append ``segment`` if it starts where the run ends."""
-        if self.first.start_ms + self.n_samples * self.first.interval_ms != segment.start_ms:
+    def __init__(self, key: tuple, start_ms: int, values, first, context: dict):
+        self.key, self.start_ms, self.first, self.context = key, start_ms, first, context
+        self.parts, self.n_samples = [values], len(values)
+
+    def take(self, start_ms: int, values) -> bool:
+        """Append a cut's ``values`` if it starts where the run ends."""
+        if self.start_ms + self.n_samples * self.key[2] != start_ms:
             return False
-        self.parts.append(segment.values)
-        self.n_samples += segment.n_samples
+        self.parts.append(values)
+        self.n_samples += len(values)
         return True
 
     def close(self) -> WaveSegment:
-        """The run as a segment: one concatenate and one ``WaveSegment``
-        however many segments it took (a run of one is that segment)."""
-        if len(self.parts) == 1:
-            return self.first
-        return replace(self.first, values=np.concatenate(self.parts), segment_id="")
+        """The run as one checked ``WaveSegment``, its samples its own (one
+        concatenate, however many cuts it took), its id the one packet's
+        when it took one; a run of one offered segment is that segment."""
+        first, parts = self.first, self.parts
+        if len(parts) == 1 and isinstance(first, WaveSegment):
+            return first
+        contributor, channels, interval_ms, location, _ = self.key
+        return WaveSegment(
+            contributor,
+            channels,
+            self.start_ms,
+            interval_ms,
+            np.concatenate(parts),
+            location,
+            dict(self.context),
+            first if len(parts) == 1 else "",
+        )
 
 
 class SegmentOptimizer:
     """Stateful ingest-time merger.
 
-    ``add`` returns the segments that became *final* as a result of this
-    addition (possibly none); ``flush`` drains whatever is still open.
-    Callers persist only final segments, so a crash can lose at most one
-    open run per stream — matching the durability of the paper's
-    packet-batching upload path.
+    ``add`` (a segment) and ``add_cut`` (a packet's samples) return the
+    segments that became *final* as a result of this addition (possibly
+    none); ``flush`` drains whatever is still open.  Callers persist only
+    final segments, so a crash can lose at most one open run per stream —
+    matching the durability of the paper's packet-batching upload path.
     """
 
     def __init__(self, policy: Optional[MergePolicy] = None):
@@ -96,29 +116,48 @@ class SegmentOptimizer:
         self.merged_count = 0  # merges performed, for instrumentation
 
     @staticmethod
+    def stream_key(contributor: str, channels: tuple, interval_ms, location, context) -> tuple:
+        """What two cuts must share to merge, whatever their times: one run
+        is kept per key."""
+        return (contributor, channels, interval_ms, location, tuple(sorted(context.items())))
+
+    @staticmethod
     def _stream_key(segment: WaveSegment) -> tuple:
-        return (
+        return SegmentOptimizer.stream_key(
             segment.contributor,
             segment.channels,
             segment.interval_ms,
             segment.location,
-            tuple(sorted(segment.context.items())),
+            segment.context,
         )
 
     def add(self, segment: WaveSegment) -> list:
         """Offer one segment; returns segments finalized by this call."""
-        if not self.policy.enabled or not segment.is_uniform:
-            # Merging off, or non-uniform (never merged): pass through.
-            return [segment]
+        if not segment.is_uniform:
+            return [segment]  # never merged: passes through
         key = self._stream_key(segment)
+        return self._offer(key, segment.start_ms, segment.values, segment, segment.context)
+
+    def add_cut(self, key: tuple, start_ms: int, column, segment_id: str, context: dict) -> list:
+        """Offer one packet's samples without a segment of their own: its
+        stream's ``key`` (:meth:`stream_key`), its ``(n, 1)`` ``column``
+        of checked samples, the ``segment_id`` a segment of that packet
+        alone would have, and its labels; returns segments finalized by
+        this call.  A run this cut opens and closes alone is stored under
+        ``segment_id``."""
+        return self._offer(key, start_ms, column, segment_id, context)
+
+    def _offer(self, key: tuple, start_ms: int, values, first, context: dict) -> list:
+        if not self.policy.enabled:
+            return [_OpenRun(key, start_ms, values, first, context).close()]
         run = self._buffers.get(key)
         finalized: list[WaveSegment] = []
-        if run is not None and run.take(segment):
+        if run is not None and run.take(start_ms, values):
             self.merged_count += 1
         else:
             if run is not None:
                 finalized.append(run.close())  # gap: the old run is final
-            run = self._buffers[key] = _OpenRun(segment)
+            run = self._buffers[key] = _OpenRun(key, start_ms, values, first, context)
         if run.n_samples >= self.policy.max_samples:
             finalized.append(self._buffers.pop(key).close())
         return finalized
@@ -143,16 +182,16 @@ class SegmentOptimizer:
             else:
                 groups.setdefault(self._stream_key(segment), []).append(segment)
         out = passthrough
-        for group in groups.values():
+        for key, group in groups.items():
             group.sort(key=lambda s: s.start_ms)
-            run = _OpenRun(group[0])
+            run = _OpenRun(key, group[0].start_ms, group[0].values, group[0], group[0].context)
             for nxt in group[1:]:
                 can_grow = run.n_samples + nxt.n_samples <= self.policy.max_samples
-                if can_grow and run.take(nxt):
+                if can_grow and run.take(nxt.start_ms, nxt.values):
                     self.merged_count += 1
                 else:
                     out.append(run.close())
-                    run = _OpenRun(nxt)
+                    run = _OpenRun(key, nxt.start_ms, nxt.values, nxt, nxt.context)
             out.append(run.close())
         out.sort(key=lambda s: (s.start_ms, s.channels))
         return out

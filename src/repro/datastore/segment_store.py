@@ -29,11 +29,12 @@ from repro.datastore.codec import DECODE_STATS
 from repro.datastore.index import IntervalIndex
 from repro.datastore.optimizer import MergePolicy, SegmentOptimizer
 from repro.datastore.query import DataQuery, QueryResult
-from repro.datastore.wavesegment import WaveSegment, segment_from_packet
+from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import DuplicateKeyError
 from repro.obs import NOOP_OBS
 from repro.sensors.packets import SensorPacket
 from repro.util import jsonutil
+from repro.util.idgen import stable_id
 from repro.util.timeutil import Interval
 
 #: Default bound on remembered upload ids (retry dedupe).  FIFO eviction:
@@ -148,10 +149,32 @@ class SegmentStore:
     def add_packets(self, contributor: str, packets, *, flush: bool = False) -> list:
         """Ingest one upload's packets (and, with ``flush``, drain every open
         run after them) as one unit; returns the segments persisted, which
-        the durability hooks see as one list."""
-        return self.add_segments(
-            [segment_from_packet(contributor, packet) for packet in packets], flush=flush
-        )
+        the durability hooks see as one list.
+
+        A packet becomes no segment of its own: the optimizer is handed
+        its cut (:meth:`SegmentOptimizer.add_cut`) — the stream key,
+        computed once per stream (per channel, interval, location and
+        label dict a packet carries), its samples as a column view, and
+        the id ``segment_from_packet`` would give it, by which it is
+        deduped exactly as ``add_segments`` dedupes — and each stored
+        run is built, checked and hashed once, when it closes.
+        """
+        optimizer, keys, finalized = self.optimizer, {}, []
+        for packet in packets:
+            location, context = packet.location, packet.context
+            stream = (packet.channel_name, packet.interval_ms, id(location), id(context))
+            key = keys.get(stream)
+            if key is None:
+                key = keys[stream] = optimizer.stream_key(
+                    contributor, (packet.channel_name,), packet.interval_ms, location, context
+                )
+            start, column = packet.start_ms, packet.values.reshape(-1, 1)
+            segment_id = stable_id(contributor, key[1], start, len(column))
+            if self._offered_first(segment_id):
+                finalized += optimizer.add_cut(key, start, column, segment_id, context)
+        if flush:
+            finalized += optimizer.flush()
+        return self._persist_final(finalized)
 
     def add_segment(self, segment: WaveSegment) -> list:
         """Offer one segment; returns segments persisted now."""
@@ -169,14 +192,20 @@ class SegmentStore:
         """
         finalized = []
         for segment in segments:
-            if segment.segment_id in self._ingested_ids:
-                self._count_duplicate()
-                continue
-            self._note_ingested(segment.segment_id)
-            finalized += self.optimizer.add(segment)
+            if self._offered_first(segment.segment_id):
+                finalized += self.optimizer.add(segment)
         if flush:
             finalized += self.optimizer.flush()
         return self._persist_final(finalized)
+
+    def _offered_first(self, segment_id: str) -> bool:
+        """Remember one offered id; False, counted as a duplicate, when
+        this store already took it."""
+        if segment_id in self._ingested_ids:
+            self._count_duplicate()
+            return False
+        self._note_ingested(segment_id)
+        return True
 
     def _count_duplicate(self) -> None:
         self.duplicate_uploads += 1
@@ -186,14 +215,16 @@ class SegmentStore:
         """Persist what the optimizer finalized; returns what was stored,
         which ``on_persist`` hooks are handed as one list.
 
-        Each stored segment owns its samples: a merged run was concatenated
-        and does; a run of one packet is still a view pinning the whole
-        upload frame, so it is copied.  A run that closes to an id the
-        table already holds is a re-sent upload whose packets merged the
-        way they did the first time (the stored id is the run's, not any
-        packet's, so ``add_segment`` could not know them): counted and
-        dropped like a remembered id, not a duplicate-key error that
-        refuses the new packets sharing its request.
+        Each stored segment owns its samples: a run the optimizer built
+        was concatenated and does, from one packet's cut as from many; a
+        segment offered whole and stored alone (``add_segments``) may
+        still be a view pinning the request it was decoded from, so it is
+        copied.  A run that closes to an id the table already holds is a
+        re-sent upload whose packets merged the way they did the first
+        time (the stored id is the run's, not any packet's, so the ingest
+        could not know them): counted and dropped like a remembered id,
+        not a duplicate-key error that refuses the new packets sharing its
+        request.
         """
         stored = []
         for final in finalized:

@@ -399,7 +399,11 @@ class WaveSegment:
 
 def segment_from_packet(contributor: str, packet: SensorPacket) -> WaveSegment:
     """Convert a firmware packet into a single-channel wave segment: a
-    column view of the packet's samples, not a copy."""
+    column view of the packet's samples, not a copy, under the id the store
+    dedupes that packet by.  The store's ingest builds no such segment (a
+    packet enters the optimizer as a cut, :meth:`SegmentStore.add_packets`);
+    this is the phone's rule probe and a test's or benchmark's way to offer
+    one packet as a segment."""
     return WaveSegment(
         contributor=contributor,
         channels=(packet.channel_name,),

@@ -64,6 +64,31 @@ class SensorPacket:
         if self.interval_ms <= 0:
             raise ValidationError(f"non-positive sample interval: {self.interval_ms}")
 
+    @classmethod
+    def _of_checked(cls, channel_name, start_ms, interval_ms, values, location, context):
+        """A packet built from fields that already hold what ``__post_init__``
+        checks, without checking them again: a known channel, a positive
+        interval, ``values`` a non-empty read-only 1-D float64 array — a
+        checked packet's own, or a slice of a frame's checked blob.
+        ``context`` is adopted, not copied.  Set field by field, as the
+        constructor does, so the instance keeps CPython's shared-key dict."""
+        packet = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(packet, "channel_name", channel_name)
+        setattr_(packet, "start_ms", start_ms)
+        setattr_(packet, "interval_ms", interval_ms)
+        setattr_(packet, "values", values)
+        setattr_(packet, "location", location)
+        setattr_(packet, "context", context)
+        return packet
+
+    def relabeled(self, context: dict) -> "SensorPacket":
+        """This packet with ``context`` (adopted) as its labels; nothing
+        else is copied or checked again."""
+        return SensorPacket._of_checked(
+            self.channel_name, self.start_ms, self.interval_ms, self.values, self.location, context
+        )
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -95,7 +120,11 @@ class SensorPacket:
     def from_json(cls, row, captures: list, cuts: list) -> list:
         """The packets of one stream: its ``[Channel, SamplingInterval,
         capture]`` row, checked once and coerced nowhere, the parsed
-        ``captures`` it points into, and each packet's ``(start_ms, values)``."""
+        ``captures`` it points into, and each packet's ``(start_ms, values)``
+        — a non-empty slice of a checked blob.  The row is the only thing
+        checked: every packet is built over its slice unchecked
+        (:meth:`_of_checked`), and the stream's packets share its
+        capture's location and label dict."""
         name, interval, capture = row if type(row) is list and len(row) == 3 else [None] * 3
         if not (isinstance(name, str) and type(interval) is type(capture) is int
                 and 0 <= capture < len(captures)):  # fmt: skip
@@ -103,8 +132,12 @@ class SensorPacket:
                 "upload frame: a stream is [Channel: text, SamplingInterval: integer, "
                 "capture: an index into Captures]"
             )
+        channel(name)  # validates the name
+        if interval <= 0:
+            raise ValidationError(f"non-positive sample interval: {interval}")
         location, context = captures[capture]
-        return [cls(name, t, interval, v, location, dict(context)) for t, v in cuts]
+        build = cls._of_checked
+        return [build(name, t, interval, v, location, context) for t, v in cuts]
 
     def follows(self, other: "SensorPacket") -> bool:
         """True when this packet continues ``other`` seamlessly.
@@ -160,9 +193,10 @@ def encode_upload(packets: Iterable[SensorPacket]) -> dict:
 def decode_upload(frame: dict) -> list:
     """Parse an upload frame into its :class:`SensorPacket` list.
 
-    The blob is decoded once, each capture and each stream is parsed once,
-    and every packet is built through its constructor over a read-only view
-    of the frame's bytes, in row order.
+    The blob is decoded once, each capture and each stream row is parsed
+    and checked once (:meth:`SensorPacket.from_json`), and every packet is
+    built over a read-only view of the frame's bytes, in row order, with no
+    check or label copy of its own: a stream's packets share its capture.
     :class:`~repro.exceptions.SchemaError`, before any packet is returned,
     unless the blob is ``le-f64`` bytes of one channel (neither base64 nor a
     decimal list is a second wire form), every row is three integers naming

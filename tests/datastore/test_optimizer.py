@@ -270,6 +270,25 @@ def test_finalised_segments_equal_the_parent_s_fold_of_merge(stream, max_samples
     offered = {id(segment) for segment, _ in stream}
     assert len(built) == sum(id(s) not in offered for s in got) <= parent.merged_count
 
+    # the same packets offered as cuts (``SegmentStore.add_packets``'s way in):
+    # the same segments, each run built — and checked — once, when it closes,
+    # a run of one packet stored under that packet's id with samples of its own
+    cuts, from_cuts, built[:] = SegmentOptimizer(policy), [], []
+    with mock.patch.object(WaveSegment, "__post_init__", counted):
+        for segment, flush in stream:
+            key = SegmentOptimizer._stream_key(segment)
+            from_cuts.extend(
+                cuts.add_cut(key, segment.start_ms, segment.values, segment.segment_id,
+                             segment.context)  # fmt: skip
+            )
+            if flush:
+                from_cuts.extend(cuts.flush())
+        from_cuts.extend(cuts.flush())
+    assert [fields(s) for s in from_cuts] == [fields(s) for s in want]
+    assert cuts.merged_count == parent.merged_count
+    assert [id(s) for s in built] == [id(s) for s in from_cuts]
+    assert all(s.values.base is None for s in from_cuts)
+
     assert [fields(s) for s in SegmentOptimizer(policy).compact(got)] == [
         fields(s) for s in ParentOptimizer(policy).compact(want)
     ]

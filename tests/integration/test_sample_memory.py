@@ -6,7 +6,9 @@ every wire hop.  These tests hold the same line *in memory*, on the phone
 final: ``SensorPacket.values`` is a float64 array — a view of the run or of
 the upload frame it was cut from — not a tuple of boxed ``float``s at
 32 B each, and nothing between the sensor and the optimizer turns samples
-into Python objects one by one.
+into Python objects one by one.  On the server's own path (a decoded
+frame through one ``add_packets``) a stored run is the one segment built
+for it, and pins no request.
 
 Both measurements are ``tracemalloc`` counts, deterministic on one
 interpreter, so they gate in tier-1 where a sixth ``ledger-smoke``
@@ -18,15 +20,20 @@ import ast
 import gc
 import tracemalloc
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
 
 from repro.datastore.optimizer import MergePolicy
 from repro.datastore.segment_store import SegmentStore
+from repro.datastore.wavesegment import WaveSegment, segment_from_packet
 from repro.net import wire
 from repro.sensors.packets import decode_upload, encode_upload, packetize
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
 
-from tests.conftest import MONDAY
+from tests.conftest import MONDAY, UCLA
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -88,6 +95,78 @@ def test_an_upload_allocates_per_packet_not_per_sample():
     twice = _blocks_allocated_by_one_upload(300, 4)
     assert abs(thick - thin) <= 16, (thin, thick)
     assert twice - thin >= 300, (thin, twice)
+
+
+def _a_phone_frame() -> tuple:
+    """An upload as the store receives it: three channels' packets
+    interleaved in time (two label sets, one location, a gap) as one
+    decoded frame, and the frame's blob as bytes."""
+    still, walk = {"Activity": "Still"}, {"Activity": "Walk"}
+    runs = [
+        packetize("ECG", MONDAY, 4, range(640), packet_samples=64, location=UCLA, context=still),
+        packetize("AccelX", MONDAY, 20, range(96), packet_samples=32, location=UCLA,
+                  context=still),  # fmt: skip
+        packetize("AccelY", MONDAY, 20, range(96), packet_samples=32, location=UCLA,
+                  context=still),  # fmt: skip
+        packetize("ECG", MONDAY + 10_000, 4, range(64), location=UCLA, context=still),  # a gap
+        packetize("ECG", MONDAY + 10_256, 4, range(64), location=UCLA, context=walk),
+    ]
+    packets = sorted((p for run in runs for p in run), key=lambda p: p.start_ms)
+    frame = wire.decode(wire.encode(encode_upload(packets)))
+    return frame, frame["Values"]["Blob"]
+
+
+@pytest.mark.parametrize("flush", [True, False], ids=["flush-in-the-call", "flush-after"])
+def test_one_add_packets_builds_a_segment_a_stored_run_and_pins_no_frame(flush):
+    """The server's path, ``decode_upload`` → one ``add_packets``: each
+    stored run is the one ``WaveSegment`` built for it, and owns its samples.
+    Offering each packet as a segment (``segment_from_packet``) builds one
+    per packet (18 here) before merging, and one more to copy each run of a
+    single packet out of the frame."""
+    frame, blob = _a_phone_frame()
+    store = SegmentStore(merge_policy=MergePolicy(max_samples=256))
+    built = []
+    validate, unchecked = WaveSegment.__post_init__, WaveSegment._of_checked_format.__func__
+
+    def checked(segment):
+        built.append(segment)
+        validate(segment)
+
+    def cut(cls, *fields):
+        built.append(fields)
+        return unchecked(cls, *fields)
+
+    packets = decode_upload(frame)
+    with mock.patch.object(WaveSegment, "__post_init__", checked), mock.patch.object(
+        WaveSegment, "_of_checked_format", classmethod(cut)
+    ):
+        stored = store.add_packets("alice", packets, flush=flush)
+        if not flush:
+            stored += store.flush()
+    # ECG 256 + 256 + 128, then one packet after the gap, one under "Walk";
+    # AccelX and AccelY one run each
+    assert sorted(s.n_samples for s in stored) == [64, 64, 96, 96, 128, 256, 256]
+    assert len(packets) == 18 and store.stats.n_segments == len(stored)
+    assert [id(s) for s in built] == [id(s) for s in stored]
+    frame_bytes = np.frombuffer(blob, dtype=np.uint8)
+    for segment in stored:
+        assert segment.values.base is None and not segment.values.flags.writeable
+        assert not np.shares_memory(segment.values, frame_bytes)
+    # what is stored is what offering each packet as a segment stores
+    by_segments = SegmentStore(merge_policy=MergePolicy(max_samples=256))
+    want = by_segments.add_segments([segment_from_packet("alice", p) for p in packets], flush=True)
+    assert sorted(_fields(s) for s in stored) == sorted(_fields(s) for s in want)
+
+
+def _fields(segment) -> tuple:
+    return (
+        segment.segment_id,
+        segment.start_ms,
+        segment.channels,
+        segment.values.tobytes(),
+        repr(segment.location),
+        sorted(segment.context.items()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,13 @@ from repro.net import wire
 from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.sensors.channels import channel_names
-from repro.sensors.packets import SensorPacket, decode_upload, encode_upload, packetize
+from repro.sensors.packets import (
+    SensorPacket,
+    decode_upload,
+    encode_captures,
+    encode_upload,
+    packetize,
+)
 from repro.server.datastore_service import DataStoreService
 from repro.util.geo import LatLon
 
@@ -90,7 +96,9 @@ def assert_same(decoded, packets):
         assert got.context == sent.context  # excluded from ==
         assert got.values.dtype == np.float64 and got.values.ndim == 1
         assert not got.values.flags.writeable
-    assert len({id(p.context) for p in decoded}) == len(decoded)  # a dict each
+    # one label dict a capture, which its packets share: none copied per packet
+    captures = encode_captures((p.location, p.context) for p in packets)[0]["Captures"]
+    assert len({id(p.context) for p in decoded}) == len(captures)
 
 
 @settings(max_examples=150, deadline=None)
