@@ -45,10 +45,13 @@ class ContextClassifier:
     category = "abstract"
     #: Channels whose features must be present.
     required_channels: tuple = ()
+    #: Channels whose features it reads; None (undeclared) means every one.
+    reads: Optional[tuple] = None
 
     def classify(self, features: Mapping[str, FeatureVector]) -> Optional[str]:
-        if any(name not in features for name in self.required_channels):
-            return None
+        for name in self.required_channels:
+            if name not in features:
+                return None
         return self._classify(features)
 
     def _classify(self, features: Mapping[str, FeatureVector]) -> str:
@@ -59,15 +62,14 @@ class ActivityClassifier(ContextClassifier):
     """Transportation mode from accelerometer magnitude statistics."""
 
     category = "Activity"
-    required_channels = ("AccelX", "AccelY", "AccelZ")
+    required_channels = reads = ("AccelX", "AccelY", "AccelZ")
 
     def _classify(self, features: Mapping[str, FeatureVector]) -> str:
         # Combine the three axes: total non-gravity variance and the
         # strongest dominant frequency across axes.
-        std = math.sqrt(
-            sum(features[axis].std ** 2 for axis in self.required_channels)
-        )
-        freq = max(features[axis].dominant_freq_hz for axis in self.required_channels)
+        x, y, z = features["AccelX"], features["AccelY"], features["AccelZ"]
+        std = math.sqrt(x.std ** 2 + y.std ** 2 + z.std ** 2)
+        freq = max(x.dominant_freq_hz, y.dominant_freq_hz, z.dominant_freq_hz)
         best_mode, best_dist = "Still", float("inf")
         for mode, (c_std, c_freq) in _ACTIVITY_CENTROIDS.items():
             # std carries most of the signal; frequency is down-weighted
@@ -82,7 +84,7 @@ class SmokingClassifier(ContextClassifier):
     """Smoking episodes: slow, deep breathing signature."""
 
     category = "Smoking"
-    required_channels = ("Respiration",)
+    required_channels = reads = ("Respiration",)
 
     def _classify(self, features: Mapping[str, FeatureVector]) -> str:
         resp = features["Respiration"]
@@ -98,7 +100,7 @@ class StressClassifier(ContextClassifier):
     """
 
     category = "Stress"
-    required_channels = ("Respiration",)
+    required_channels = reads = ("Respiration",)
 
     def _classify(self, features: Mapping[str, FeatureVector]) -> str:
         resp = features["Respiration"]
@@ -118,6 +120,7 @@ class ConversationClassifier(ContextClassifier):
 
     category = "Conversation"
     required_channels = ()
+    reads = ("MicAmplitude", "Respiration")
 
     def classify(self, features: Mapping[str, FeatureVector]) -> Optional[str]:
         mic = features.get("MicAmplitude")
@@ -150,6 +153,12 @@ class InferencePipeline:
             SmokingClassifier(),
             ConversationClassifier(),
         ]
+
+    @property
+    def channels(self) -> Optional[frozenset]:
+        """Every channel some classifier reads, or None when one reads all."""
+        reads = [clf.reads for clf in self.classifiers]
+        return None if None in reads else frozenset(name for names in reads for name in names)
 
     def infer(self, features: Mapping[str, FeatureVector]) -> dict:
         """Labels keyed by category; categories lacking input are omitted."""

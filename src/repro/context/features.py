@@ -7,16 +7,18 @@ rate statistics for stress and smoking (Plarre et al.), and amplitude
 statistics for conversation detection.
 
 There is one numeric kernel, :class:`WindowTable`: a channel's windows of
-equal sample count are its rows and a statistic is a column over all of
-them, computed when first read.  The default pipeline reads 9 of the 48
-(channel, statistic) columns of an eight-channel call and only three, the
-accelerometer's dominant frequencies, need an FFT.
+equal rate and sample count are its rows, and a statistic is a column over
+all of them, computed when some row is first asked for it — per table, not
+per window.  A row, :class:`WindowSamples`, then holds that statistic as a
+plain float, so a classifier's per-window reads are attribute lookups.  The
+default pipeline reads 9 (channel, statistic) columns of the 30 its five
+channels have, and only three, the accelerometer's dominant frequencies,
+need an FFT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -40,6 +42,21 @@ class FeatureVector:
         return self.maximum - self.minimum
 
 
+class _column:
+    """A table's statistic, worked out on first read and then kept in the
+    instance: ``functools.cached_property`` without the lock it takes on
+    every first read, which a ten-minute upload's small tables feel."""
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        value = table.__dict__[self.name] = self.compute(table)
+        return value
+
+
 class WindowTable:
     """One channel's windows of equal sample count, a window per row.
 
@@ -56,50 +73,48 @@ class WindowTable:
     def __init__(self, rows: np.ndarray, rate_hz: float):
         self.rows = rows
         self.rate_hz = rate_hz
+        #: Each row as what a classifier reads, a :class:`WindowSamples`.
+        self.cells = [WindowSamples.__new__(WindowSamples) for _ in range(len(rows))]
+        for row, cell in enumerate(self.cells):
+            cell._table, cell._row = self, row
 
-    def row(self, row: int) -> "WindowSamples":
-        """Window ``row`` of the table, as what a classifier reads."""
-        samples = WindowSamples.__new__(WindowSamples)
-        samples._table, samples._row = self, row
-        return samples
-
-    @cached_property
+    @_column
     def _samples(self) -> np.ndarray:
         if self.rows.shape[1] == 0:
             raise ValidationError("cannot extract features from an empty window")
         return self.rows
 
-    @cached_property
+    @_column
     def mean(self) -> np.ndarray:
         """Arithmetic mean of each window."""
         return np.add.reduce(self._samples, axis=1) / self._samples.shape[1]
 
-    @cached_property
+    @_column
     def _centered(self) -> np.ndarray:
         return self._samples - self.mean[:, None]
 
-    @cached_property
+    @_column
     def energy(self) -> np.ndarray:
         """Variance: each window's mean squared deviation from its mean."""
         centered = self._centered
         return np.add.reduce(centered * centered, axis=1) / centered.shape[1]
 
-    @cached_property
+    @_column
     def std(self) -> np.ndarray:
         """Population standard deviation of each window."""
         return np.sqrt(self.energy)
 
-    @cached_property
+    @_column
     def minimum(self) -> np.ndarray:
         """Smallest sample of each window."""
         return self._samples.min(axis=1)
 
-    @cached_property
+    @_column
     def maximum(self) -> np.ndarray:
         """Largest sample of each window."""
         return self._samples.max(axis=1)
 
-    @cached_property
+    @_column
     def dominant_freq_hz(self) -> np.ndarray:
         """Dominant non-DC frequency of each window, in Hz: the one FFT.
 
@@ -119,31 +134,36 @@ class WindowTable:
         return freq
 
 
-def _cell(name: str) -> property:
-    doc = getattr(WindowTable, name).__doc__
-    return property(lambda self: float(getattr(self._table, name)[self._row]), doc=doc)
+#: What a window is summarised by: the fields of a :class:`FeatureVector`.
+STATISTICS = tuple(field.name for field in fields(FeatureVector))
 
 
 class WindowSamples:
     """One channel's samples over one window: a row of a :class:`WindowTable`.
 
-    Reads like a :class:`FeatureVector`, but a statistic is a read of the
-    table's column, worked out — for every window of the table at once —
-    when a classifier first asks any row for it.  Built from ``values``
-    alone it is the one row of its own table.
+    Reads like a :class:`FeatureVector`, and a statistic is a plain float
+    attribute.  The first read of one on any row works its column out for
+    every window of the table at once and sets it, from one ``tolist()``,
+    on every row; each later read is an attribute lookup.  Built from
+    ``values`` alone it is the one row of its own table.
     """
 
-    __slots__ = ("_table", "_row")
+    __slots__ = ("_table", "_row", *STATISTICS)
 
     def __init__(self, values, rate_hz: float):
         self._table = WindowTable(np.asarray(values, dtype=np.float64).reshape(1, -1), rate_hz)
-        self._row = 0
+        self._row, self._table.cells[0] = 0, self
+
+    def __getattr__(self, name: str) -> float:
+        """An unset statistic: fill its column into every row of the table."""
+        if name not in STATISTICS:
+            raise AttributeError(f"'WindowSamples' object has no attribute {name!r}")
+        for cell, value in zip(self._table.cells, getattr(self._table, name).tolist()):
+            setattr(cell, name, value)
+        return getattr(self, name)
 
     values = property(lambda self: self._table.rows[self._row], doc="The window's samples.")
     rate_hz = property(lambda self: self._table.rate_hz, doc="Sampling rate, in Hz.")
-    mean, std, energy = _cell("mean"), _cell("std"), _cell("energy")
-    minimum, maximum = _cell("minimum"), _cell("maximum")
-    dominant_freq_hz = _cell("dominant_freq_hz")
     peak_to_peak = FeatureVector.peak_to_peak
 
 

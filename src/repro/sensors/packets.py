@@ -240,15 +240,22 @@ def encode_captures(taken: Iterable[tuple]) -> tuple:
     first use first, keyed by its bits (a ``-0.0`` coordinate is not ``0.0``)
     — and, for each pair in order, the row it points at.  The one producer
     of a capture table, which an upload frame and a journaled segment batch
-    (:mod:`repro.storage.records`) share; :func:`decode_captures` reads it."""
-    index, rows, capture_of = {}, [], []
+    (:mod:`repro.storage.records`) share; :func:`decode_captures` reads it.
+
+    Packets of one window share a label dict, so the key is worked out once
+    per distinct pair of *objects*; the pair is held for the call, so its
+    ids cannot be reused by another pair."""
+    index, rows, capture_of, seen = {}, [], [], {}
     for location, context in taken:
-        where = None if location is None else struct.pack("<2d", *location.to_json())
-        key = (where, frozenset(context.items()))
-        if key not in index:
-            index[key] = len(rows)
-            rows.append(_capture_row(location, context))
-        capture_of.append(index[key])
+        known = seen.get((id(location), id(context)))
+        if known is None:
+            where = None if location is None else struct.pack("<2d", *location.to_json())
+            key = (where, frozenset(context.items()))
+            if key not in index:
+                index[key] = len(rows)
+                rows.append(_capture_row(location, context))
+            known = seen[id(location), id(context)] = (index[key], location, context)
+        capture_of.append(known[0])
     return {"Captures": rows}, capture_of
 
 

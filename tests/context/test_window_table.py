@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.collection.phone import PhoneConfig, SmartphoneAgent
 from repro.context.annotate import ContextAnnotator, annotate_packets
 from repro.context.classifiers import ContextClassifier, InferencePipeline
-from repro.context.features import FeatureVector, WindowSamples, window_features
+from repro.context.features import FeatureVector, WindowSamples, WindowTable, window_features
 from repro.exceptions import ValidationError
 from repro.sensors.packets import SensorPacket
 from repro.sensors.personas import make_persona
@@ -203,6 +203,53 @@ def test_one_fft_per_accelerometer_axis_and_window_length():
     batch = [p for p in day if 8 * 3_600_000 <= p.start_ms - MONDAY < 8 * 3_600_000 + 600_000]
     assert len({p.start_ms // 60_000 for p in batch}) >= 8
     assert 3 <= fft_calls(batch) <= 6
+
+
+def tables_made(run):
+    """``[(shape, rate_hz)]`` of every ``WindowTable`` built during ``run()``."""
+    made, init = [], WindowTable.__init__
+
+    def spy(self, rows, rate_hz):
+        made.append((rows.shape, rate_hz))
+        init(self, rows, rate_hz)
+
+    with mock.patch.object(WindowTable, "__init__", spy):
+        return made, run()
+
+
+def ten_minutes(day):
+    return [p for p in day if 8 * 3_600_000 <= p.start_ms - MONDAY < 8 * 3_600_000 + 600_000]
+
+
+@pytest.mark.parametrize("span", ["day", "ten minutes"])
+def test_a_call_tables_only_what_its_classifiers_read_and_shares_label_dicts(span):
+    day = simulated_day(seed=29)
+    packets = day if span == "day" else ten_minutes(day)
+    read = {"AccelX", "AccelY", "AccelZ", "Respiration", "MicAmplitude"}
+    made, stamped = tables_made(lambda: ContextAnnotator().stamp(packets))
+    # No table for ECG (0.4 Hz here) or GPS (one fix in 300 s): a row per
+    # (window, channel) cell of a channel some classifier reads.
+    cells = ContextAnnotator().windows(packets)
+    assert {rate for _, rate in made} == {1000.0 / p.interval_ms for p in packets
+                                          if p.channel_name in read}  # fmt: skip
+    assert sum(rows for (rows, _), _ in made) == sum(
+        name in read for window in cells.values() for name in window
+    )
+    # One label dict per distinct label set, whatever the number of windows.
+    label_sets = {tuple(p.context.items()) for p in stamped}
+    assert len({id(p.context) for p in stamped}) == len(label_sets) < len(cells)
+    assert [(p.channel_name, p.start_ms, p.context) for p in stamped] == parent_stamp(packets)
+    assert InferencePipeline().channels == read
+
+
+def test_a_classifier_that_declares_no_channels_sees_every_channel():
+    assert ContextClassifier.reads is None
+    assert InferencePipeline([RangeClassifier(), *InferencePipeline().classifiers]).channels is None
+    assert InferencePipeline([]).channels == frozenset()
+    packets = ten_minutes(simulated_day(seed=29))
+    annotator = ContextAnnotator(pipeline=InferencePipeline([RangeClassifier()]))
+    made, _ = tables_made(lambda: annotator.stamp(packets))
+    assert {rate for _, rate in made} == {1000.0 / p.interval_ms for p in packets}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ the store a refused request was sent to is exactly the store it was before.
 
 import base64
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,6 +203,23 @@ def test_the_channels_of_an_upload_share_one_capture():
     assert frame["Captures"] == [[UCLA.to_json(), still]]
     assert [stream[2] for stream in frame["Streams"]] == [0] * 5
     assert_same(decode_upload(over_the_wire(frame)), packets)
+
+
+def test_a_capture_key_is_worked_out_once_per_distinct_pair_of_objects():
+    """The stamped packets of one window share a label dict, so the key (a
+    packed location and a frozen label set) is built per distinct pair of
+    objects; pairs equal by value still share one row."""
+    shared = {"Activity": "Still"}
+    taken = [(UCLA, shared)] * 50 + [(UCLA, dict(shared))] * 3 + [(None, shared)] * 4
+    with mock.patch("repro.sensors.packets.struct", wraps=struct) as packed:
+        table, index = encode_captures(taken)
+    assert packed.pack.call_count == 2  # (UCLA, shared) and (UCLA, its copy)
+    assert table["Captures"] == [[UCLA.to_json(), shared], [None, shared]]
+    assert index == [0] * 53 + [1] * 4
+    # Pairs built on the fly are freed as the next is drawn; ids are not keys.
+    fresh = encode_captures((LatLon(34.0, -118.0 - k % 2), {"Activity": str(k % 3)})
+                            for k in range(12))  # fmt: skip
+    assert fresh[1] == [0, 1, 2, 3, 4, 5] * 2
 
 
 # ---------------------------------------------------------------------------
