@@ -7,9 +7,10 @@ X" for consumers.  It holds host names, keys and epochs only, and
 commands a store over the network alone, so a store that does not answer
 is told nothing.  This module adds the missing control loop:
 
-* :meth:`FailoverManager.register_set` makes the named hosts a set: each
-  replica is demoted, and the primary is sent a link per replica and
-  ships to them (:mod:`repro.storage.replication`);
+* :meth:`FailoverManager.register_set` makes the named hosts a set: the
+  primary is promoted (``/api/promote``, the one way a member, which
+  reopens as a replica, becomes primary), each replica is demoted, and
+  the primary is linked to them (:mod:`repro.storage.replication`);
 * :meth:`FailoverManager.heartbeat` probes every member's ``/api/health``
   over the real (simulated, faultable) network; a replicating primary
   pumps its shipper when it answers, so the broker tick is the
@@ -21,7 +22,8 @@ is told nothing.  This module adds the missing control loop:
   at a **bumped store epoch**, best-effort demotes the old primary, links
   the survivors to the new one, re-homes the contributor directory,
   force-pulls the promoted store's profiles, and enrolls escrowed
-  consumers there.
+  consumers there; :meth:`FailoverManager.rejoin` of a restarted primary
+  runs the same election.
 
 Safety properties, in order of precedence:
 
@@ -120,15 +122,15 @@ class FailoverManager:
     def register_set(self, primary: str, replicas, *, name: Optional[str] = None) -> ReplicaSet:
         """Make ``primary`` and ``replicas`` (paired host names) one set.
 
-        The set takes the primary's epoch, and every replica is linked into
-        the primary (:meth:`_link`), whose first ship to each is a resync,
-        so replicas converge immediately.  Raises when the primary took no
-        link (it would acknowledge writes no replica holds).
+        The primary is promoted at its own epoch, which the set takes, and
+        every replica is linked into it (:meth:`_link`), whose first ship to
+        each is a resync, so replicas converge immediately.  Raises when the
+        primary took no link (it would acknowledge writes no replica holds).
         """
         set_name = name or primary
         if set_name in self.sets:
             raise SensorSafeError(f"replica set already registered: {set_name!r}")
-        epoch = int(self._command(primary, "/api/health", {})["Epoch"])
+        epoch = int(self._command(primary, "/api/promote", {"Epoch": 1})["Epoch"])
         group = ReplicaSet(name=set_name, primary=primary, replicas=list(replicas), epoch=epoch)
         group.missed = dict.fromkeys(group.members(), 0)
         if group.replicas and not self._link(group, group.replicas):
@@ -263,9 +265,11 @@ class FailoverManager:
         self.events.append(record)
         return record
 
-    def failover(self, name: str) -> dict:
+    def failover(self, name: str, returned: Optional[str] = None) -> dict:
         """Promote the most-caught-up replica of one set.
 
+        ``returned``, the set's own primary back from a restart, is one more
+        candidate if its fence answers a known position (:meth:`rejoin`).
         Returns a report; when a replica does not confirm its fence, or the
         elected one does not confirm its promotion, nothing is promoted and the
         directory is left untouched (requests keep failing until the next
@@ -276,17 +280,20 @@ class FailoverManager:
         """
         tracer = self.broker.network.obs.tracer
         with tracer.start_span("failover.promote", set=name) as span:
-            report = self._failover(name, span)
+            report = self._failover(name, span, returned)
         return report
 
-    def _failover(self, name: str, span) -> dict:
+    def _failover(self, name: str, span, returned: Optional[str]) -> dict:
         group = self.sets[name]
         old_primary = group.primary
         # Fence, then elect: once every replica follows an epoch above the
         # old primary's, none can ack it a write or a read, so the one
         # promoted below is the only store that can answer.
         statuses = {h: self._fence(h, group.epoch + 1) for h in group.replicas}
-        promoted, reason = elect(statuses)
+        back = self._fence(returned, group.epoch + 1) if returned else None
+        if back and (back["Position"] or not statuses):  # alone, it is not ranked
+            statuses[returned] = back
+        promoted, reason = elect(statuses) if group.replicas else (back and returned, "no replica")
         if promoted is None:
             return self._no_candidate(group, span, reason)
         # Above every epoch a replica followed before the fence, so a
@@ -298,21 +305,23 @@ class FailoverManager:
             record.name: record.rules_version
             for record in self.broker.registry.on_host(old_primary)
         }
+        survivors = [h for h in [*group.replicas, returned] if h not in (None, promoted)]
         try:
             promotion = self._command(promoted, "/api/promote", {
-                "Epoch": new_epoch, "RuleVersions": versions, "Replicated": len(statuses) > 1
+                "Epoch": new_epoch, "RuleVersions": versions, "Replicated": bool(survivors)
             })
         except (TransportError, SensorSafeError):
             return self._no_candidate(group, span, f"{promoted} did not confirm promotion")
-        self._fence(old_primary, new_epoch)
+        if returned is None:
+            self._fence(old_primary, new_epoch)
+            group.demoted.append(old_primary)
         group.epoch = new_epoch
         group.primary = promoted
-        group.replicas = [h for h in group.replicas if h != promoted]
-        group.demoted.append(old_primary)
+        group.replicas = survivors
         group.missed[promoted] = 0
         group.failovers += 1
-        # Every survivor gets a new link, so its first ship is a resync: it
-        # becomes the new primary's records, not the dead primary's.
+        # Every survivor (a returned primary too) gets a new link, so its first
+        # ship is a resync: it becomes the new primary's records, not the old's.
         self._link(group, group.replicas)
         # Through the directory, not the raw registry: a failover is a
         # route change, and every route change bumps the routing epoch so
@@ -356,39 +365,29 @@ class FailoverManager:
     def rejoin(self, name: str, host: str) -> dict:
         """Bring a returned member (re-paired: a restart rotates keys) back.
 
-        The set's primary is re-linked to every replica, since a restart
-        left it no shipper, if it leads (:meth:`_leads`).  One back behind a
-        replica, or that cannot vouch for its tail, would resync acked frames
-        away: it is demoted, the set fails over, and it rejoins as a replica
-        (if nobody is promoted, the heartbeat counts it a miss).  Any other
-        member becomes a replica at the current epoch, linked into the
-        primary, whose first ship to it is a resync: it becomes the primary's.
+        A member reopens as a replica.  The set's own primary stands in the
+        set's election (:meth:`failover`; a tie keeps it, a set with no
+        replica too): one behind a replica, or that cannot vouch for its tail,
+        would resync acked frames away, so it rejoins under the one promoted
+        (if nobody is, the heartbeat counts it a miss).  Any other member
+        becomes a replica at the current epoch, linked into the primary, whose
+        first ship to it is a resync: it becomes the primary's.
         """
         tracer = self.broker.network.obs.tracer
         with tracer.start_span("failover.rejoin", set=name, host=host) as span:
             group = self.sets[name]
-            leads = host != group.primary or not group.replicas or self._leads(group)
-            if not leads:
-                self._fence(host, group.epoch)
-                self.failover(name)
-            if host != group.primary:
+            if host == group.primary:
+                self.failover(name, returned=host)
+            else:
                 if host in group.demoted:
                     group.demoted.remove(host)
                 if host not in group.replicas:
                     group.replicas.append(host)
-            if leads or host != group.primary:
-                self._link(group, group.replicas if host == group.primary else [host])
+                self._link(group, [host])
             group.missed[host] = 0
             self._record_event("rejoin", name, host, group.epoch, span.trace_id)
             return {"Rejoined": host, "Epoch": group.epoch, "Set": name,
                     "TraceId": span.trace_id}
-
-    def _leads(self, group: ReplicaSet) -> bool:
-        """Whether electing among all members ranks the primary first (a tie
-        keeps it): only then does a resync to it erase no acked frame."""
-        statuses = {h: self._probe_host(h) for h in group.members()}
-        winner = elect(statuses)[0]
-        return bool(winner) and statuses[winner]["Position"] == statuses[group.primary]["Position"]
 
     # ------------------------------------------------------------------
     # Introspection

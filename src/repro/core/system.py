@@ -210,8 +210,8 @@ class SensorSafeSystem:
 
         Members live in per-host subdirectories of ``directory``; replica
         hosts are ``{host}-r1 … -rN``.  Every member is paired
-        (:func:`pair`); the broker links the replicas into the primary
-        over the network and owns failure detection —
+        (:func:`pair`); the broker promotes the primary, links the
+        replicas into it over the network and owns failure detection —
         :meth:`BrokerService.failover` heartbeats promote the
         most-caught-up replica when the primary dies.  Returns the
         primary service; the set is ``system.broker.failover.sets[host]``.
@@ -239,8 +239,6 @@ class SensorSafeSystem:
                 storage_faults=storage_faults if member == host else None,
                 overload=self.overload,
             )
-            if member == host:  # the numbering's origin: its journal names epoch 1
-                store.durability.checkpoint(epoch=store.epoch)
             self.stores[member] = store
             pair(self.broker, store, eager_sync=self.eager_sync)
         self.broker.failover.register_set(host, members[1:], name=host)

@@ -139,15 +139,14 @@ class BrokerService:
         deny state, which carries a bumped version — wins on both ends.
         Then every consumer escrowed there is re-enrolled for a fresh key;
         each name a failed pull carried and each failed enrollment counts
-        in ``failed``.  A replica set's member rejoins it first
-        (:meth:`FailoverManager.rejoin`); one that is not then the set's
-        primary is a replica, and nothing is pulled or enrolled for it.
+        in ``failed``.  A replica set's member rejoins it instead
+        (:meth:`FailoverManager.rejoin`), counting nothing: it serves only
+        if the set's election promotes it, which pulls and enrolls there.
         """
         for name, group in self.failover.sets.items():
             if host in group.members() or host in group.demoted:
                 self.failover.rejoin(name, host)
-                if host != group.primary:
-                    return {"pulled": 0, "applied": 0, "failed": 0}
+                return {"pulled": 0, "applied": 0, "failed": 0}
         out = self.sync.reconcile_host(self.client, host, self.store_keys)
         out["failed"] += self.enroll_escrowed(host, host)[1]
         return out

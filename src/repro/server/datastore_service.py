@@ -122,19 +122,18 @@ class DataStoreService:
         wal_sync: str = "group",
         storage_faults=None,
         cache_capacity: int = 1024,
-        role: str = ROLE_PRIMARY,
         overload: str = "observe",
     ):
         self.host = host
         self.network = network
         self.institution = institution
-        #: "primary" serves reads and writes; "replica" only applies
-        #: shipped WAL frames until the broker promotes it.  The store
-        #: epoch is the fencing token: it only ever moves forward, and the
-        #: broker bumps it at every promotion so a demoted primary's
+        #: "primary" serves reads and writes; "replica" only applies shipped
+        #: WAL frames until the broker promotes it, and a set member reopens
+        #: as one.  The store epoch is the fencing token: it only moves up,
+        #: and the broker bumps it at every promotion so a demoted primary's
         #: requests date themselves.  Never below ``position()["Epoch"]``,
         #: which elections rank by: a restart starts it at the manifest's.
-        self.role = role
+        self.role = ROLE_PRIMARY
         self.epoch = 1
         #: :class:`~repro.storage.replication.WalShipper` once the broker
         #: links replicas here (``/api/replicate/link``).
@@ -197,6 +196,8 @@ class DataStoreService:
             )
             self.recovery_report = self.durability.open()
             self.epoch = max(self.epoch, self.recovery_report.epoch or 1)
+            if self.durability.member:
+                self.role = ROLE_REPLICA
         # Keys and salts never repeat across a restart: a durable store's
         # nonces start at its boot number (counted on disk by the open,
         # before anything is served) times 2**32.  A store in memory never
@@ -326,18 +327,18 @@ class DataStoreService:
         like the unverifiable-rules recovery path.  A promotion may deny;
         it must never widen access.
 
-        The journal takes the new epoch first, in a checkpoint (it keeps its
-        primary's numbering).  The role changes only once the fence has run,
-        so a promotion that dies mid-fence leaves a replica for the next
-        election.  The report's ``FailClosed`` lists every mirrored
-        contributor now denied here, not only those this call fenced: a
-        re-election of a store whose earlier promotion ran but whose reply
-        was lost must still name them.
+        The journal takes the new epoch first, in the manifest that marks the
+        store a set member (its log keeps its primary's numbering).  The
+        role changes only once the fence has run, so a promotion that dies
+        mid-fence leaves a replica for the next election.  The report's
+        ``FailClosed`` lists every mirrored contributor now denied here, not
+        only those this call fenced: a re-election of a store whose earlier
+        promotion ran but whose reply was lost must still name them.
         """
         rule_versions = rule_versions or {}
         self.epoch = max(self.epoch, int(epoch))
         if self.durability is not None:
-            self.durability.checkpoint(epoch=self.epoch)
+            self.durability.join(self.epoch)
         self._fence_rule_versions(rule_versions)
         self.role = ROLE_PRIMARY
         return {
@@ -367,8 +368,10 @@ class DataStoreService:
         return fenced
 
     def demote(self, epoch: Optional[int] = None) -> dict:
-        """Step down to replica (fenced, or administratively demoted)."""
+        """Step down to replica (fenced or demoted by hand); it reopens as one."""
         self.role = ROLE_REPLICA
+        if self.durability is not None:
+            self.durability.join()
         if epoch is not None:
             self.epoch = max(self.epoch, int(epoch))
         return {"Host": self.host, "Epoch": self.epoch, "Role": self.role}

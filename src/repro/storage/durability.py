@@ -10,7 +10,7 @@ One :class:`Durability` instance owns crash safety for one
   that caused it returns;
 * :meth:`checkpoint` snapshots the full service state through
   :func:`write_snapshot`, records a manifest (generation marker +
-  checkpoint LSN + epoch + file SHA-256s), and resets the WAL.  A crash
+  checkpoint LSN + epoch + member + SHA-256s), and resets the WAL.  A crash
   at *any* interior point leaves a state recovery handles: the manifest
   and log cover each other, and name the store's replication position.
 
@@ -110,6 +110,8 @@ class Durability:
         self.boot = 0
         #: The epoch the journal follows (the manifest's); None: it cannot vouch.
         self.epoch: Optional[int] = None
+        self.member = False  # a replica-set member (:meth:`join`)
+        self.manifest: Optional[dict] = None  # the last written; None: corrupt
         self.recovery_report: Optional[RecoveryReport] = None
         self.obs = service.network.obs
         m = self.obs.metrics
@@ -143,6 +145,8 @@ class Durability:
         self.generation = report.generation
         self.recovery_report = report
         self.boot = report.boot + 1
+        # A manifest from before ``Member`` existed marks a member by its Epoch.
+        self.member = bool({"Member", "Epoch"} & set(report.manifest or {}))
         if report.manifest is not None:  # a corrupt one waits for the next checkpoint
             self._write_manifest({**report.manifest, "Boot": self.boot})
         # Damage, or a fail-closed deny journaled below, is no position.
@@ -248,9 +252,22 @@ class Durability:
     # Checkpoints
     # ------------------------------------------------------------------
 
+    def join(self, epoch: Optional[int] = None) -> None:
+        """Record set membership (``Member``: the store reopens as a replica) and a
+        promotion's ``epoch`` in the manifest, keeping the log (a corrupt one: a checkpoint)."""
+        epoch = self.epoch if epoch is None else epoch
+        if not self.member or epoch != self.epoch:
+            self.member, self.epoch = True, epoch
+            if self.manifest is None:
+                self.checkpoint()
+            else:
+                self._write_manifest({**self.manifest, "Member": True,
+                                      **({} if epoch is None else {"Epoch": epoch})})
+
     def _write_manifest(self, manifest: dict, *, faults=None) -> None:
         """Replace the manifest atomically (a checkpoint's, or the one
-        :meth:`open` carries forward with this boot's number)."""
+        :meth:`open` or :meth:`join` carries forward with a field changed)."""
+        self.manifest = manifest
         host = self.service.host
         atomic_write_bytes(
             manifest_path(self.directory, host),
@@ -299,6 +316,7 @@ class Durability:
             "Generation": self.generation + 1,
             "CheckpointLsn": lsn,
             **({} if epoch is None else {"Epoch": epoch}),
+            **({"Member": True} if self.member else {}),
             "Files": {
                 os.path.basename(path): file_sha256(path) for path in paths
             },

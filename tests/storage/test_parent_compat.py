@@ -19,7 +19,7 @@ import shutil
 from pathlib import Path
 
 from repro.net.transport import Network
-from repro.server.datastore_service import ROLE_REPLICA, DataStoreService
+from repro.server.datastore_service import DataStoreService
 from repro.storage.records import dump, record_owner
 from repro.storage.replication import encode_ship
 from repro.storage.wal import HEADER_SIZE
@@ -58,9 +58,8 @@ def parent_frames(body):
 
 def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
     network = Network()
-    replica = DataStoreService(
-        "st-r1", network, directory=str(tmp_path / "st-r1"), durable=True, role=ROLE_REPLICA
-    )
+    replica = DataStoreService("st-r1", network, directory=str(tmp_path / "st-r1"), durable=True)
+    replica.demote()
     key = replica.pair_primary()
     # The parent's first resync carries no Bootstrap: it is refused, like
     # the live ship after it, and its resync with a Bootstrap converges.

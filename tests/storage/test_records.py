@@ -23,7 +23,7 @@ from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule
 from repro.rules.rulestore import RuleSetSnapshot
-from repro.server.datastore_service import BROKER_PRINCIPAL, ROLE_REPLICA, DataStoreService
+from repro.server.datastore_service import BROKER_PRINCIPAL, DataStoreService
 from repro.storage import CRASH_POINTS, StorageFaultPlan, records
 from repro.storage.atomic import atomic_write_jsonl
 from repro.storage.recovery import SNAPSHOT_KINDS, recover_service, snapshot_path, wal_path
@@ -38,11 +38,9 @@ WORK = LabeledPlace("work", BoundingBox(2, 2, 3, 3))
 MIRROR = 5  # the broker-mirror version the fail-closed pre-state is fenced above
 
 
-def target(tmp_path, name, *, durable=False, role="primary", fail_closed=False):
+def target(tmp_path, name, *, durable=False, fail_closed=False):
     """A store in the table's pre-state: alice at rule version 2, a paired broker."""
-    service = DataStoreService(
-        HOST, Network(), directory=str(tmp_path / name), durable=durable, role=role
-    )
+    service = DataStoreService(HOST, Network(), directory=str(tmp_path / name), durable=durable)
     service.pair_broker("", "")
     service.register_contributor("alice")
     service.register_consumer("bob")
@@ -138,7 +136,8 @@ def one_frame_batch(tmp_path, op, data, epoch):
 
 
 def via_replica_frame(tmp_path, op, data, **pre):
-    service = target(tmp_path, "replica", durable=True, role=ROLE_REPLICA)
+    service = target(tmp_path, "replica", durable=True)
+    service.demote()
     primary_held = list(records.dump(service))
     self_resync(service)
     batch = one_frame_batch(tmp_path, op, data, service.epoch)
@@ -332,9 +331,9 @@ def shipping_pair(tmp_path):
     )
     shipper = primary.enable_replication()
     replica = DataStoreService(
-        "replica", network, directory=str(tmp_path / "replica"), durable=True,
-        role=ROLE_REPLICA,
+        "replica", network, directory=str(tmp_path / "replica"), durable=True
     )
+    replica.demote()
     shipper.attach(
         "replica", HttpClient(network, name="primary", api_key=replica.pair_primary())
     )
@@ -584,9 +583,9 @@ class TestFailClosedReplica:
 
         def start_replica():
             replica = DataStoreService(
-                "replica", network, directory=str(tmp_path / "replica"), durable=True,
-                role=ROLE_REPLICA,
+                "replica", network, directory=str(tmp_path / "replica"), durable=True
             )
+            replica.demote()
             key = replica.pair_primary()
             shipper.attach("replica", HttpClient(network, name="primary", api_key=key))
             return replica

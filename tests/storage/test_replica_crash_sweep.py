@@ -15,7 +15,7 @@ import pytest
 from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, Rule
-from repro.server.datastore_service import PRIMARY_PRINCIPAL, ROLE_REPLICA, DataStoreService
+from repro.server.datastore_service import PRIMARY_PRINCIPAL, DataStoreService
 from repro.storage import CRASH_POINTS, StorageFaultPlan, records
 from repro.util.jsonutil import canonical_dumps
 
@@ -49,9 +49,9 @@ class Deployment:
         self.network = Network()
         self.seen = {}
         self.replica = DataStoreService(
-            "replica", self.network, directory=str(tmp_path / "replica"),
-            durable=True, role=ROLE_REPLICA,
+            "replica", self.network, directory=str(tmp_path / "replica"), durable=True
         )
+        self.replica.demote()
         self.primary = self.start_primary("primary", epoch=1)
 
     def start_primary(self, host, *, epoch):
@@ -98,8 +98,7 @@ class Deployment:
         old.durability.wal.faults = None
         old.durability.close()
         self.network.unregister_host(old.host)
-        return DataStoreService(old.host, self.network, directory=old.directory, durable=True,
-                                role=ROLE_REPLICA)
+        return DataStoreService(old.host, self.network, directory=old.directory, durable=True)
 
 
 def fired(plan):

@@ -44,13 +44,8 @@ def make_pair(tmp_path, *, n_replicas=1):
     shipper = primary.enable_replication()
     for i in range(n_replicas):
         host = f"replica-{i}"
-        replica = DataStoreService(
-            host,
-            network,
-            directory=str(tmp_path / host),
-            durable=True,
-            role=ROLE_REPLICA,
-        )
+        replica = DataStoreService(host, network, directory=str(tmp_path / host), durable=True)
+        replica.demote()
         ship_key = replica.pair_primary()
         shipper.attach(host, HttpClient(network, name="primary", api_key=ship_key))
         replicas.append(replica)
@@ -88,12 +83,9 @@ class TestShipping:
         # Replication wired only *after* the writes above.
         shipper = primary.enable_replication()
         replica = DataStoreService(
-            "replica",
-            network,
-            directory=str(tmp_path / "r"),
-            durable=True,
-            role=ROLE_REPLICA,
+            "replica", network, directory=str(tmp_path / "r"), durable=True
         )
+        replica.demote()
         key = replica.pair_primary()
         shipper.attach("replica", HttpClient(network, name="primary", api_key=key))
         shipper.pump()
@@ -437,9 +429,7 @@ class TestFencing:
         assert held == {"Epoch": 3, "Lsn": primary.durability.wal.last_lsn}
         replica.durability.close()
         network.unregister_host(replica.host)
-        back = DataStoreService(
-            replica.host, network, directory=replica.directory, durable=True, role=ROLE_REPLICA
-        )
+        back = DataStoreService(replica.host, network, directory=replica.directory, durable=True)
         assert back.epoch == 3 and back.position() == held
         with pytest.raises(StaleEpochError):
             back.applier.apply_batch(ship(Epoch=2, Resync=True, BaseLsn=0, Bootstrap=[]))
@@ -469,12 +459,9 @@ class TestResyncBootstrap:
         primary.durability.commit()
         shipper = primary.enable_replication()
         replica = DataStoreService(
-            "replica",
-            network,
-            directory=str(tmp_path / "r"),
-            durable=True,
-            role=ROLE_REPLICA,
+            "replica", network, directory=str(tmp_path / "r"), durable=True
         )
+        replica.demote()
         key = replica.pair_primary()
         shipper.attach("replica", HttpClient(network, name="primary", api_key=key))
         shipper.pump()
@@ -521,7 +508,7 @@ class TestResyncBootstrap:
         replica.durability.close()
         network.unregister_host("replica-0")
         restarted = DataStoreService(
-            "replica-0", network, directory=replica.directory, durable=True, role=ROLE_REPLICA
+            "replica-0", network, directory=replica.directory, durable=True
         )
         assert restarted.recovery_report.clean
         assert_replica_matches(primary, restarted)
