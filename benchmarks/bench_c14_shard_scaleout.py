@@ -20,7 +20,9 @@ path.  Three phases:
   Gates: **zero committed-write loss** (every acknowledged sample is
   readable from the new topology) and **zero oracle divergences**
   (PR 2 conformance harness across the migration boundary), with
-  nothing left fail-closed.
+  nothing left fail-closed.  The source sends the moved range to the
+  destination itself, so the bytes through the broker during the split
+  must not grow when each moved contributor's samples double.
 
 Run standalone for the CI smoke check (small points only)::
 
@@ -41,6 +43,7 @@ from repro.conformance.runner import diff_segment
 from repro.core import SensorSafeSystem
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import NotPrimaryError
+from repro.net import wire
 from repro.rules.model import ALLOW, Rule
 from repro.util.geo import LatLon
 
@@ -82,13 +85,13 @@ B_HEADERS = (
 C_HEADERS = ("metric", "value")
 
 
-def _segment(contributor: str, index: int) -> WaveSegment:
+def _segment(contributor: str, index: int, samples: int = SAMPLES_PER_SEGMENT) -> WaveSegment:
     return WaveSegment(
         contributor=contributor,
         channels=("ECG",),
         start_ms=MONDAY + index * HOUR,
         interval_ms=1000,
-        values=np.arange(SAMPLES_PER_SEGMENT, dtype=float).reshape(-1, 1),
+        values=np.arange(samples, dtype=float).reshape(-1, 1),
         location=UCLA,
         context={
             "Activity": "Still",
@@ -193,7 +196,26 @@ def run_broker_flatness(fleet_sizes=FLEET_SIZES) -> dict:
 # ----------------------------------------------------------------------
 
 
-def run_live_split(tmp_dir: str, rounds=SPLIT_ROUNDS) -> dict:
+def _through_broker(system, action):
+    """``(action(), bytes)``: what ``action`` answers, and the wire bytes of
+    every body sent to, sent by or answered to the broker meanwhile."""
+    network, broker = system.network, system.broker.host
+    request, crossed = network.request, []
+
+    def counted(method, url, body=None, *, client="anonymous", headers=None):
+        response = request(method, url, body, client=client, headers=headers)
+        if broker in (client, network.parse_url(url)[1]):
+            crossed.append(wire.size(body or {}) + wire.size(response.body))
+        return response
+
+    network.request = counted
+    try:
+        return action(), sum(crossed)
+    finally:
+        del network.request
+
+
+def run_live_split(tmp_dir: str, rounds=SPLIT_ROUNDS, samples=SAMPLES_PER_SEGMENT) -> dict:
     system = SensorSafeSystem(seed=14)
     system.create_shard_fleet(1, directory=tmp_dir, durable=True)
     # "dora" ring-routes to shard-2 on a two-shard ring (deterministic
@@ -213,11 +235,11 @@ def run_live_split(tmp_dir: str, rounds=SPLIT_ROUNDS) -> dict:
     report = None
     for index in range(rounds):
         if index == rounds // 2:
-            report = system.split_shard(
+            report, broker_bytes = _through_broker(system, lambda: system.split_shard(
                 "shard-1", "shard-2", directory=tmp_dir, durable=True
-            )
+            ))
         for name in names:
-            segment = _segment(name, index)
+            segment = _segment(name, index, samples)
             person = people[name]
             try:
                 person.upload_segments([segment])
@@ -263,6 +285,7 @@ def run_live_split(tmp_dir: str, rounds=SPLIT_ROUNDS) -> dict:
         "epoch_after": system.broker.directory.routing_epoch,
         "lost_samples": lost,
         "divergences": divergences,
+        "broker_bytes": broker_bytes,
         "system": system,
     }
     result["rows"] = [
@@ -274,8 +297,19 @@ def run_live_split(tmp_dir: str, rounds=SPLIT_ROUNDS) -> dict:
         ["routing epoch", f"{epoch_before} -> {result['epoch_after']}"],
         ["committed samples lost", lost],
         ["oracle divergences", divergences],
+        ["bytes through the broker during the split", broker_bytes],
     ]
     return result
+
+
+def run_doubled_split(tmp_dir: str, split: dict) -> dict:
+    """The split of ``split`` again, with each segment's samples doubled."""
+    doubled = run_live_split(tmp_dir, rounds=split["rounds"], samples=2 * SAMPLES_PER_SEGMENT)
+    split["rows"].append(
+        ["... with each moved contributor's samples doubled", doubled["broker_bytes"]]
+    )
+    split["doubled_broker_bytes"] = doubled["broker_bytes"]
+    return split
 
 
 def _check_gates(lookups, flatness, split) -> list:
@@ -303,6 +337,11 @@ def _check_gates(lookups, flatness, split) -> list:
         failures.append(f"stuck fail-closed after cutover: {split['fail_closed']}")
     if split["epoch_after"] <= split["epoch_before"]:
         failures.append("split did not advance the routing epoch")
+    if split["doubled_broker_bytes"] > split["broker_bytes"]:
+        failures.append(
+            f"the broker carried the moved range: {split['doubled_broker_bytes']} B "
+            f"with doubled samples vs {split['broker_bytes']} B"
+        )
     return failures
 
 
@@ -329,13 +368,14 @@ def test_c14_shard_scaleout(benchmark, tmp_path):
         notes="Acceptance: broker request volume ~flat as shards grow "
         "(route caching keeps the broker off the data path).",
     )
-    split = run_live_split(str(tmp_path))
+    split = run_doubled_split(str(tmp_path / "doubled"), run_live_split(str(tmp_path)))
     report_table(
         "C14 — Live shard split under upload load",
         C_HEADERS,
         split["rows"],
         notes="Acceptance: zero committed-write loss, zero oracle "
-        "divergences, nothing fail-closed, epoch advanced.",
+        "divergences, nothing fail-closed, epoch advanced, and no more "
+        "bytes through the broker when the moved samples double.",
     )
     failures = _check_gates(lookups, flatness, split)
     assert not failures, "; ".join(failures)
@@ -369,7 +409,8 @@ def main(argv) -> int:
     print("\nC14 — Broker requests vs shard count")
     print(format_table(B_HEADERS, [[str(c) for c in r] for r in flatness["rows"]]))
     with tempfile.TemporaryDirectory(prefix="c14-") as tmp_dir:
-        split = run_live_split(tmp_dir, rounds=SMOKE_SPLIT_ROUNDS)
+        split = run_live_split(os.path.join(tmp_dir, "once"), rounds=SMOKE_SPLIT_ROUNDS)
+        split = run_doubled_split(os.path.join(tmp_dir, "doubled"), split)
     print("\nC14 — Live shard split under upload load")
     print(format_table(C_HEADERS, [[str(c) for c in r] for r in split["rows"]]))
     out_path = os.environ.get(METRICS_OUT_ENV, METRICS_OUT_DEFAULT)
@@ -390,7 +431,8 @@ def main(argv) -> int:
     print(
         f"shard scale-out smoke ok ({lookups['results'][-1]['qps']:,.0f} "
         f"route/s, {split['moved']} moved, {split['lost_samples']} lost, "
-        f"{split['divergences']} divergences)"
+        f"{split['divergences']} divergences, {split['broker_bytes']} B through "
+        "the broker at both sample counts)"
     )
     return 0
 

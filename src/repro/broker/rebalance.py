@@ -4,20 +4,25 @@ A migration moves a contributor range from one shard to another while
 both keep serving.  The phase machine (documented with a diagram in
 ``docs/ARCHITECTURE.md``):
 
-1. **export** — ``/api/migrate/export`` answers the moving contributors'
-   durable state, WAL-shaped, and its ``Digest``
-   (:func:`repro.storage.records.export_range`).
-2. **install** — ``/api/migrate/install`` applies it through the
-   destination's one installer and re-journals it there.
+1. **accept** — ``/api/migrate/accept`` has the destination issue a key
+   for this move alone: it installs only the moving contributors' records,
+   sent only by the source, and a restart ends it.
+2. **send** — ``/api/migrate/send`` hands the source that key; the source
+   posts the range's durable state to the destination itself, which
+   re-journals it through its one installer.  The broker hears back only
+   digests and a count: it never holds a record of the range.
 3. **fence** — ``/api/migrate/fence`` recomputes the range's digest and,
-   only if it is still the export's, makes the range's role rows on the
+   only if it is still the send's, makes the range's role rows on the
    source ``moved`` (records: they survive its restart, ship to its
    replicas, and a move back replaces them): every request naming a
    moved contributor bounces with :class:`~repro.exceptions.NotPrimaryError`.
    A write that raced the copy changed the digest: the fence is a 409
    :class:`~repro.exceptions.ConflictError`, the source keeps serving the
    range, nothing is repointed, and the destination's unrouted copy is
-   fenced so that a retry replaces it.  A fence that lands proves the
+   fenced with the ``DestDigest`` the send answered, so that a retry
+   replaces it: a retry's install lands over that fence, and a contributor
+   row over a fence drops the segments left behind, so a segment deleted at
+   the source in between does not come back.  A fence that lands proves the
    destination holds the range's exact pre-fence state: zero
    committed-write loss across the cutover.
 4. **verify (fail-closed)** — ``/api/migrate/complete`` checks the
@@ -70,25 +75,10 @@ class ShardRebalancer:
             raise ServiceError(f"no broker key for store host {host!r}", status=404)
         return self.broker.client.with_key(key).post(f"https://{host}{path}", body)
 
-    def _install(self, dest: str, records: list) -> dict:
-        result = self._store_call(dest, "/api/migrate/install", {"Records": records})
-        self._c_shipped.inc(len(records))
-        return result
-
     def _fence(self, host: str, names: list, digest: str) -> None:
         self._store_call(
             host, "/api/migrate/fence", {"Contributors": names, "Digest": digest}
         )
-
-    def _disown(self, dest: str, names: list) -> None:
-        """Fence the unrouted copy an aborted move left at ``dest``.
-
-        A retry's install then lands over a fence, and a contributor row
-        over a fence drops the segments left behind: a segment deleted at
-        the source in between does not come back with the retry.
-        """
-        copy = self._store_call(dest, "/api/migrate/export", {"Contributors": names})
-        self._fence(dest, names, copy["Digest"])
 
     # ------------------------------------------------------------------
     # Migration
@@ -115,16 +105,20 @@ class ShardRebalancer:
         started_ms = clock.now_ms()
         self.active += 1
         try:
-            # Phases 1-2: copy the range.
-            export = self._store_call(source, "/api/migrate/export", {"Contributors": names})
-            shipped = len(export["Records"])
-            self._install(dest_host, export["Records"])
+            # Phases 1-2: the source copies the range to the destination.
+            accept = {"Contributors": names, "Source": source}
+            key = self._store_call(dest_host, "/api/migrate/accept", accept)["ApiKey"]
+            sent = self._store_call(source, "/api/migrate/send", {
+                "Contributors": names, "Dest": {"Host": dest_host, "ApiKey": key}})
+            shipped = sent["Installed"]
+            self._c_shipped.inc(shipped)
             # Phase 3: fence the source — the moved range now answers 409 —
-            # unless the range changed since the export (a 409 here).
+            # unless the range changed since the copy (a 409 here, which
+            # fences the destination's unrouted copy instead).
             try:
-                self._fence(source, names, export["Digest"])
+                self._fence(source, names, sent["Digest"])
             except ConflictError:
-                self._disown(dest_host, names)
+                self._fence(dest_host, names, sent["DestDigest"])
                 raise
             # Phase 4: fail-closed verification against the broker mirror.
             versions = {

@@ -351,14 +351,11 @@ class SegmentStore:
 
         Served from the per-contributor id index — O(own segments), where
         it used to scan the whole table (every other participant's data on
-        an institutional store).  The segments actually touched are counted
-        against ``store_segments_scanned_total`` so the regression is
-        visible in telemetry.
+        an institutional store).
         """
         ids = self._by_contributor.get(contributor, ())
         out = [self._segments[segment_id] for segment_id in ids]
         out.sort(key=lambda s: (s.start_ms, s.channels))
-        self._c_scanned.inc(len(out))
         return out
 
     def data_epoch(self, contributor: str) -> int:

@@ -59,6 +59,7 @@ from repro.util.idgen import DeterministicRng
 
 BROKER_PRINCIPAL = "__broker__"
 PRIMARY_PRINCIPAL = "__primary__"
+MOVER_PRINCIPAL = "__mover__"
 
 ROLE_PRIMARY = "primary"
 ROLE_REPLICA = "replica"
@@ -316,6 +317,17 @@ class DataStoreService:
         )
         return self.keys.issue(PRIMARY_PRINCIPAL)
 
+    def accept_move(self, contributors, source: str) -> str:
+        """Issue the key ``source`` installs one move's range here with.
+
+        ``/api/migrate/install`` takes it only from ``source``, and only
+        with records of ``contributors``.  Its principal is the move's
+        scope, a tuple no registration can name.  Not journaled and in no
+        dump: it dies at restart, like :meth:`pair_primary`'s key.
+        """
+        names = tuple(sorted({str(c) for c in contributors}))
+        return self.keys.issue((MOVER_PRINCIPAL, str(source), names))
+
     def promote(self, epoch: int, rule_versions: Optional[dict] = None) -> dict:
         """Become the primary at ``epoch`` (broker-driven failover).
 
@@ -556,6 +568,14 @@ class DataStoreService:
         """The paired replication primary's key."""
         if self.roles.get(self._authenticate(request)) != records.ROLE_PAIRED_PRIMARY:
             raise AuthorizationError("endpoint restricted to the paired primary")
+
+    def _caller_mover(self, request: Request) -> tuple:
+        """A key :meth:`accept_move` issued, sent by that move's source;
+        answers the contributors the move may install."""
+        principal = self._authenticate(request)
+        if not isinstance(principal, tuple) or principal[:2] != (MOVER_PRINCIPAL, request.client):
+            raise AuthorizationError("endpoint restricted to an accepted move's source")
+        return (frozenset(principal[2]),)
 
     def _caller_owner(self, request: Request) -> tuple:
         """The named ``Contributor``'s own key, resident here, a contributor —
@@ -1085,50 +1105,72 @@ class DataStoreService:
     # Shard migration (broker-driven; see repro.broker.rebalance)
     # ------------------------------------------------------------------
 
-    @route("POST", "/api/migrate/export", caller="broker", admission="replication")
-    def _h_migrate_export(self, request: Request) -> dict:
-        """Broker-only: a contributor range's records, and their ``Digest``.
+    @route("POST", "/api/migrate/accept", caller="broker", admission="control")
+    def _h_migrate_accept(self, request: Request) -> dict:
+        """Broker-only, at the destination: the key ``Source`` installs the
+        range of ``Contributors`` here with (:meth:`accept_move`)."""
+        contributors, source = request.body.get("Contributors"), request.body.get("Source")
+        if not isinstance(contributors, list) or not contributors or not isinstance(source, str):
+            raise BadRequestError("accept needs Contributors, a list, and a Source host")
+        return {"Host": self.host, "ApiKey": self.accept_move(contributors, source)}
 
-        The range's durable state, WAL-shaped, with no ``moved`` role row:
-        the fence is this store's, and would fence the destination
-        (:func:`repro.storage.records.export_range`).
+    @route("POST", "/api/migrate/send", caller="broker", admission="replication")
+    def _h_migrate_send(self, request: Request) -> dict:
+        """Broker-only, at the source: post a contributor range's records to
+        ``Dest``, ``{Host, ApiKey}`` with the key the destination accepted.
+
+        The records go store to store (:func:`~repro.storage.records.export_range`);
+        the broker hears the range's ``Digest``, which its fence checks, the
+        count ``Installed``, and the ``DestDigest`` that fences the
+        destination's copy when the move aborts.
         """
         contributors = [str(c) for c in request.body.get("Contributors", [])]
+        dest = request.body.get("Dest")
+        if not isinstance(dest, dict) or not all(
+                isinstance(dest.get(k), str) for k in ("Host", "ApiKey")):
+            raise BadRequestError("send needs Dest, a {Host, ApiKey} of strings")
         shipped, digest = records.export_range(self, contributors)
-        return {"Host": self.host, "Records": shipped, "Digest": digest}
+        client = HttpClient(self.network, name=self.host, api_key=dest["ApiKey"])
+        url = f"https://{dest['Host']}/api/migrate/install"
+        installed = client.post(url, {"Records": shipped})
+        return {"Host": self.host, "Digest": digest, "Installed": installed["Installed"],
+                "DestDigest": installed["Digest"]}
 
-    @route("POST", "/api/migrate/install", caller="broker", admission="replication", writes=True)
-    def _h_migrate_install(self, request: Request) -> dict:
-        """Broker-only: install exported records on this (destination) store.
+    @route("POST", "/api/migrate/install", caller="mover", admission="replication", writes=True)
+    def _h_migrate_install(self, request: Request, scope: frozenset) -> dict:
+        """The accepted move's source only: install its records here.
 
+        A batch naming anyone outside the move is refused whole (403).
         Records flow through the one installer and are re-journaled into
         this store's own WAL; the replication barrier then ships them
         to any replicas, so the migrated range is as durable here as
         natively written data.  ``RuleVersions`` are those of the
         contributors the batch touched, which cutover checks against the
-        broker mirror.
+        broker mirror; ``Digest`` is the range's as this store now holds it.
         """
         batch = request.body.get("Records", [])
-        touched = set()
+        owners = {records.record_owner(str(op), data) for op, data in batch}
+        if not owners <= scope:
+            raise AuthorizationError(f"{sorted(owners - scope)} are not in the accepted move")
         for op, data in batch:
             records.apply(self, str(op), data, journal=True)
-            touched.add(records.record_owner(str(op), data))
         self._wal_commit()
         known = self.rules.contributors()
         return {
             "Host": self.host,
             "Installed": len(batch),
             "RuleVersions": {
-                name: self.rules.version_of(name) for name in sorted(touched) if name in known
+                name: self.rules.version_of(name) for name in sorted(owners) if name in known
             },
+            "Digest": records.export_range(self, sorted(scope))[1],
         }
 
     @route("POST", "/api/migrate/fence", caller="broker", admission="control", writes=True)
     def _h_migrate_fence(self, request: Request) -> dict:
         """Broker-only: stop serving the moving contributors (cutover fence).
 
-        Only while the range is still what was exported: ``Digest`` must be
-        the export's, recomputed now, or the fence is a 409
+        Only while the range is still what was sent: ``Digest`` must be
+        the send's, recomputed now, or the fence is a 409
         :class:`ConflictError` that changes nothing — a write that raced
         the copy aborts the move instead of being left behind, so a fence
         that lands leaves the destination holding the range's exact state.
@@ -1142,7 +1184,7 @@ class DataStoreService:
             raise BadRequestError("fence needs Contributors")
         if records.export_range(self, contributors)[1] != request.body.get("Digest"):
             raise ConflictError(
-                f"{sorted(contributors)} changed on {self.host!r} since the export"
+                f"{sorted(contributors)} changed on {self.host!r} since the copy"
             )
         for contributor in contributors:
             self._assign(records.OP_ROLE, {"Principal": contributor, "Role": records.ROLE_MOVED})

@@ -20,9 +20,9 @@ from repro.net.overload import BROWNOUT_ORDER
 
 #: Who may call an endpoint.  Each but ``open`` (no check) names a
 #: ``_caller_*`` prelude of the service that declares it: ``owner``,
-#: ``reader``, ``broker`` and ``primary`` are a store's, ``consumer`` and
-#: ``store`` the broker's, ``key`` (any valid key) both.
-CALLERS = ("open", "key", "owner", "reader", "broker", "primary", "consumer", "store")
+#: ``reader``, ``broker``, ``primary`` and ``mover`` are a store's, ``consumer``
+#: and ``store`` the broker's, ``key`` (any valid key) both.
+CALLERS = ("open", "key", "owner", "reader", "broker", "primary", "mover", "consumer", "store")
 
 
 class route(NamedTuple):
@@ -86,12 +86,12 @@ def page(path: str, renders: Callable) -> Callable:
 
     The page is admitted as ``renders`` (its caller and class ride along)
     and answers through it with the page's ``Token`` as the key, so it is
-    refused exactly as that handler is.
+    refused exactly as that handler is; ``fn.renders`` names it.
     """
     declared = renders.route._replace(method="POST", path=path)
 
     def mark(fn: Callable) -> Callable:
-        fn.route = declared
+        fn.route, fn.renders = declared, renders
         return fn
 
     return mark

@@ -238,9 +238,10 @@ def export_range(service, contributors) -> tuple:
     ``records`` is the range's :func:`dump` as ``[op, data]`` lists, minus
     ``moved`` role rows (the fence is the source's own and would fence the
     destination); ``digest`` is the SHA-256 of their canonical JSON.
-    ``/api/migrate/export`` answers both and ``/api/migrate/fence``
-    recomputes the digest before it writes a fence, so a write that raced
-    the copy aborts the move instead of being left behind.
+    ``/api/migrate/send`` posts the records to the destination and answers
+    the broker the digest, which ``/api/migrate/fence`` recomputes before it
+    writes a fence, so a write that raced the copy aborts the move instead
+    of being left behind.
     """
     shipped = [
         [op, data]

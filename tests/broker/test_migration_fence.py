@@ -1,12 +1,12 @@
-"""A migration is one export, checked at the fence.
+"""A migration is one copy, checked at the fence.
 
-The broker copies a contributor range (export → install) and then fences
-the source with the export's ``Digest``.  The source recomputes it: a
-write to the range between the copy and the fence is a 409 that moves
-nothing, so the write is never left behind at a store the directory no
-longer routes to.  A fence that lands means the destination holds the
-range's exact state, so one export ships each record once, whether the
-source keeps a log or not.
+The source sends a contributor range to the destination (send → install)
+and the broker then fences the source with the send's ``Digest``.  The
+source recomputes it: a write to the range between the copy and the fence
+is a 409 that moves nothing, so the write is never left behind at a store
+the directory no longer routes to.  A fence that lands means the
+destination holds the range's exact state, so one copy ships each record
+once, whether the source keeps a log or not.
 """
 
 import pytest
@@ -39,16 +39,16 @@ def alice_on_shard_1(tmp_path):
 
 class TestARacingWriteAbortsTheMove:
     def race(self, system, monkeypatch, write):
-        """Run ``write`` right after the install, before the fence."""
-        rebalancer = system.broker.rebalancer
-        install = rebalancer._install
+        """Run ``write`` right after the destination installs, before the fence."""
+        routes = system.stores["shard-2"].router._routes
+        install = routes["POST /api/migrate/install"]
 
-        def install_then_write(dest, batch):
-            result = install(dest, batch)
+        def install_then_write(request):
+            response = install(request)
             write()
-            return result
+            return response
 
-        monkeypatch.setattr(rebalancer, "_install", install_then_write)
+        monkeypatch.setitem(routes, "POST /api/migrate/install", install_then_write)
 
     def test_the_fence_is_a_409_and_nothing_moves(self, tmp_path, monkeypatch):
         system, alice, bob = alice_on_shard_1(tmp_path)

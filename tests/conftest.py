@@ -16,7 +16,9 @@ from repro.core import SensorSafeSystem
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import CorruptRecordError
 from repro.net.http import Router
+from repro.net.transport import Network
 from repro.rules.engine import decode_release
+from repro.server.broker_service import BrokerService
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
 from repro.server.datastore_service import PRIMARY_PRINCIPAL
@@ -171,6 +173,80 @@ def assert_replica_matches(primary, replica) -> None:
         f"only at the primary {sorted(set(ours) - set(theirs))}, "
         f"only at the replica {sorted(set(theirs) - set(ours))}"
     )
+
+
+#: Keys no body that crosses the broker may carry: samples and credentials.
+TAPPED_KEYS = frozenset({"Values", "Samples", "Salt", "PasswordHash"})
+#: The web UI's data proxy (and its page), with every call it forwards,
+#: carries a release through the broker on purpose: benchmark C2 contrasts
+#: it with the direct path programmatic consumers take.
+TAP_ALLOWED = frozenset({"/api/data"})
+
+
+def carried_payload(body, where: str = "body"):
+    """Where ``body`` carries raw bytes, an array, or a tapped key; or None."""
+    if isinstance(body, (bytes, bytearray, memoryview, np.ndarray)):
+        return where
+    items = body.items() if isinstance(body, dict) else (
+        enumerate(body) if isinstance(body, (list, tuple)) else ())
+    for key, value in items:
+        if key in TAPPED_KEYS:
+            return f"{where}.{key}"
+        found = carried_payload(value, f"{where}.{key}")
+        if found is not None:
+            return found
+    return None
+
+
+def _broker_routes(network, host: str) -> dict:
+    """The routes of ``host`` if a broker serves them, else ``{}``."""
+    router = network._hosts.get(host)
+    routes = router._routes if router is not None else {}
+    first = next(iter(routes.values()), None)
+    return routes if isinstance(getattr(first, "__self__", None), BrokerService) else {}
+
+
+def _tap_allows(routes: dict, method: str, path: str) -> bool:
+    """Is ``path`` on a broker an allowed route, or a page that renders one?"""
+    handler = routes.get(f"{method} {path}")
+    declared = getattr(getattr(handler, "renders", handler), "route", None)
+    return declared is not None and declared.path in TAP_ALLOWED
+
+
+@pytest.fixture(autouse=True)
+def broker_tap(monkeypatch):
+    """The honest-but-curious referee, on every test: no body sent to, sent
+    by or answered to a broker carries an owner's samples or credentials
+    (§5.2: the broker brokers; data moves between stores and consumers).
+
+    Hits are collected, not raised, so a test that expects an error cannot
+    swallow one; the test fails at teardown with every hit listed.
+    """
+    hits, allowed = [], []
+    request = Network.request
+
+    def tapped(network, method, url, body=None, *, client="anonymous", headers=None):
+        host, path = network.parse_url(url)[1:]
+        routes = _broker_routes(network, host)
+        watched = not allowed and bool(routes or _broker_routes(network, client))
+        allows = watched and _tap_allows(routes, method, path)
+        if allows:
+            allowed.append(path)
+        try:
+            response = request(network, method, url, body, client=client, headers=headers)
+        finally:
+            if allows:
+                allowed.pop()
+        if watched and not allows:
+            for part, payload in (("request", body), ("response", response.body)):
+                found = carried_payload(payload)
+                if found is not None:
+                    hits.append(f"{method} {host}{path} from {client}: {part} {found}")
+        return response
+
+    monkeypatch.setattr(Network, "request", tapped)
+    yield hits
+    assert not hits, "payload crossed the broker:\n" + "\n".join(hits)
 
 
 @pytest.fixture(scope="session")

@@ -339,11 +339,15 @@ class TestSegmentsOfIndex:
         assert store.segments_of("nobody") == []
 
     def test_scan_counter_counts_only_own_segments(self):
+        """A query counts its candidates, the named contributor's alone; a
+        read of her whole range (a dump's, a checkpoint's) is no scan."""
         obs = Network().obs
         store = self._store_with_two_contributors(obs=obs)
         m = obs.metrics
         before = m.counter_value("store_segments_scanned_total", store="idx-store")
         store.segments_of("alice")
+        assert m.counter_value("store_segments_scanned_total", store="idx-store") == before
+        store.query("alice", DataQuery())
         after = m.counter_value("store_segments_scanned_total", store="idx-store")
         # 20 segments stored in total; only alice's 3 are touched.
         assert after - before == 3

@@ -171,7 +171,7 @@ class TestWebSubmitIsTheApi:
         broker_key = system.broker.store_keys["alice-store"]
         fence = {"Contributors": ["alice"], "ApiKey": broker_key}
         url = "https://alice-store/api/migrate/"
-        fence["Digest"] = system.network.request("POST", url + "export", fence).body["Digest"]
+        fence["Digest"] = records.export_range(system.stores["alice-store"], ["alice"])[1]
         assert system.network.request("POST", url + "fence", fence).status == 200
         assert system.stores["alice-store-r1"].roles["alice"] == records.ROLE_MOVED
         before = self.versions(system)

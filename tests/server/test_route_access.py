@@ -75,7 +75,8 @@ BODIES = {
     "POST /api/audit/list": ALICE,
     "POST /api/audit/summary": ALICE,
     "POST /api/profiles": {},
-    "POST /api/migrate/export": {"Contributors": ["alice"]},
+    "POST /api/migrate/accept": {"Contributors": ["alice"], "Source": "src"},
+    "POST /api/migrate/send": {"Contributors": ["alice"]},
     "POST /api/migrate/install": {"Records": []},
     "POST /api/migrate/fence": {"Contributors": ["carol"]},
     "POST /api/migrate/complete": {"RuleVersions": {}},
@@ -107,19 +108,23 @@ RETIRED = ["GET /web/audit/{token}", "GET /web/data/{token}", "GET /web/rules/{t
 
 
 class Store:
-    """A durable store with one principal of every kind and some data."""
+    """A durable store with one principal of every kind and some data; a
+    second store, ``dest``, takes what it sends.  Every request comes from
+    ``src``, the host the store accepted a move from."""
 
     def __init__(self, directory):
         self.network = Network()
         self.service = DataStoreService(
             "store", self.network, directory=str(directory), durable=True
         )
+        self.dest = DataStoreService("dest", self.network)
         self.keys = {
             "alice": self.service.register_contributor("alice"),
             "carol": self.service.register_contributor("carol"),
             "bob": self.service.register_consumer("bob"),
             "broker": self.service.pair_broker("", ""),
             "primary": self.service.pair_primary(),
+            "mover": self.service.accept_move(["alice"], "src"),
         }
         self.service.store.add_segment(make_segment())
         self.service.store.flush()
@@ -128,20 +133,22 @@ class Store:
     def send(self, name, key=None, body=None):
         method, path = name.split()
         body = dict(body if body is not None else BODIES.get(name) or WEB_BODIES.get(name, {}))
-        if name == "POST /api/migrate/fence" and "Digest" not in body:  # as just exported
-            export = {"Contributors": body["Contributors"]}
-            body["Digest"] = self.send("POST /api/migrate/export", "broker", export).body["Digest"]
+        if name == "POST /api/migrate/fence" and "Digest" not in body:  # as just sent
+            body["Digest"] = records.export_range(self.service, body["Contributors"])[1]
+        if name == "POST /api/migrate/send" and "Dest" not in body:
+            accepted = self.dest.accept_move(body["Contributors"], "store")
+            body["Dest"] = {"Host": "dest", "ApiKey": accepted}
         if key is not None and name in RETIRED:
             path = path.replace("{token}", self.keys.get(key, key))
         elif key is not None:
             body["Token" if name in WEB else "ApiKey"] = self.keys.get(key, key)
-        return self.network.request(method, f"https://store{path}", body)
+        return self.network.request(method, f"https://store{path}", body, client="src")
 
     def right_key(self, name):
         """Whose key the declaration admits (``open`` needs none)."""
         return {
             "owner": "alice", "reader": "bob", "broker": "broker",
-            "primary": "primary", "key": "bob", "open": None,
+            "primary": "primary", "mover": "mover", "key": "bob", "open": None,
         }[ROUTES[name].caller]
 
     def state(self):
@@ -187,7 +194,7 @@ class TestDeclarations:
     def test_the_declarations_are_the_admission_classes(self, store):
         classes = {name: declared.admission for name, declared in ROUTES.items()}
         assert store.service.admission.classes == classes
-        assert len(ROUTES) == 30
+        assert len(ROUTES) == 31
 
     def test_writes_is_every_mutation_and_every_read(self):
         """What ships under its own ack: the mutations, enrollment, and the
@@ -215,7 +222,7 @@ class TestRefusals:
         store.refused(name, "bob", 403)
         store.refused(name, "carol", 403)
 
-    @pytest.mark.parametrize("name", routes("broker", "primary"))
+    @pytest.mark.parametrize("name", routes("broker", "primary", "mover"))
     def test_peer_routes_refuse_consumers_and_owners(self, store, name):
         store.refused(name, "bob", 403)
         store.refused(name, "alice", 403)
@@ -258,10 +265,9 @@ class TestRefusals:
             store.refused("POST /api/register", key, 403, "AuthorizationError", body)
 
     def test_a_fence_over_a_changed_range_fences_nothing(self, store):
-        export = {"Contributors": ["alice"]}
-        stale = store.send("POST /api/migrate/export", "broker", export).body["Digest"]
+        stale = records.export_range(store.service, ["alice"])[1]
         assert store.send("POST /api/rules/add", "alice").status == 200
-        body = {**export, "Digest": stale}
+        body = {"Contributors": ["alice"], "Digest": stale}
         store.refused("POST /api/migrate/fence", "broker", 409, "ConflictError", body)
         assert store.service.roles["alice"] == records.ROLE_CONTRIBUTOR
 

@@ -233,7 +233,8 @@ class TestKeyMovesInstead:
         service.network.request(
             "POST",
             f"https://{HOST}/api/migrate/install",
-            {"Records": [[records.OP_PLACES, moved]], "ApiKey": service.pair_broker("", "")},
+            {"Records": [[records.OP_PLACES, moved]], "ApiKey": service.accept_move(["alice"], "src")},
+            client="src",
         )
         assert released_pieces(query_as_bob(service)) == []
         assert self.held(service) > before  # new keys, none dropped

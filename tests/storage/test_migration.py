@@ -1,11 +1,12 @@
-"""Tests for what a migration ships: the export and the install."""
+"""Tests for what a migration ships: the range and the install."""
 
 import pytest
 
 from repro.core import SensorSafeSystem
+from repro.exceptions import AuthenticationError
 from repro.rules.model import ALLOW, Rule
-from repro.server.datastore_service import BROKER_PRINCIPAL
-from repro.storage.records import dump
+from repro.server.datastore_service import DataStoreService
+from repro.storage.records import dump, record_owner
 from tests.conftest import make_segment
 
 
@@ -26,9 +27,13 @@ def shard_system(tmp_path):
 
 
 def install(dest, records):
-    """``/api/migrate/install`` at ``dest``, with the broker's key there."""
-    body = {"Records": [list(r) for r in records], "ApiKey": dest.keys.key_of(BROKER_PRINCIPAL)}
-    response = dest.network.request("POST", f"https://{dest.host}/api/migrate/install", body)
+    """``/api/migrate/install`` at ``dest``, from shard-1 with the key ``dest``
+    accepted for the records' owners."""
+    key = dest.accept_move({record_owner(op, data) for op, data in records}, "shard-1")
+    body = {"Records": [list(r) for r in records], "ApiKey": key}
+    response = dest.network.request(
+        "POST", f"https://{dest.host}/api/migrate/install", body, client="shard-1"
+    )
     assert response.status == 200, response.body
     return response.body
 
@@ -123,3 +128,90 @@ class TestInstallRecords:
         assert "alice" not in dest.fail_closed
         assert len(dest.rules.rules_of("alice")) == 3
         assert dest.network.obs.slo.report()["OpenFailClosed"] == []
+
+
+class TestTheInstallKey:
+    """The destination takes a move's records only with the key it accepted
+    for that move: from its source, for its contributors, until it restarts."""
+
+    def post_install(self, dest, records, key, client="shard-1"):
+        body = {"Records": [list(r) for r in records], "ApiKey": key}
+        return dest.network.request(
+            "POST", f"https://{dest.host}/api/migrate/install", body, client=client
+        )
+
+    @pytest.mark.parametrize("client", ["shard-1", "shard-3"])
+    def test_a_key_for_alice_installs_nobody_else(self, shard_system, client):
+        """ben's records beside alice's refuse the whole batch, and a key
+        sent by another host than the move's source installs nothing."""
+        _, (source, dest) = shard_system
+        key = dest.accept_move(["alice"], "shard-1")
+        records = dump(source, ["alice", "ben"]) if client == "shard-1" else dump(source, ["alice"])
+        before = dest.durability.wal.last_lsn
+        response = self.post_install(dest, records, key, client)
+        assert response.status == 403, response.body
+        assert response.body["ErrorKind"] == "AuthorizationError"
+        assert dump(dest, ["alice", "ben"]) == []
+        assert dest.durability.wal.last_lsn == before
+
+    def test_the_broker_s_own_key_is_refused(self, shard_system):
+        system, (source, dest) = shard_system
+        dest.accept_move(["alice"], "shard-1")
+        response = self.post_install(
+            dest, dump(source, ["alice"]), system.broker.store_keys[dest.host]
+        )
+        assert response.status == 403, response.body
+        assert dump(dest, ["alice"]) == []
+
+    def test_a_restart_ends_the_key_and_a_retried_move_accepts_again(
+        self, shard_system, monkeypatch
+    ):
+        """The destination restarts between the accept and the send: the
+        send is refused with the dead key, and the retry is let in."""
+        system, (source, dest) = shard_system
+        stale = dest.accept_move(["alice"], "shard-1")
+        routes = source.router._routes
+        send = routes["POST /api/migrate/send"]
+
+        def restart_dest_then_send(request):
+            dest.durability.close()
+            system.network.unregister_host(dest.host)
+            fresh = DataStoreService(
+                dest.host, system.network, directory=dest.directory, durable=True,
+                seed=system.seed,
+            )
+            system.stores[dest.host] = fresh
+            assert system.reconcile(fresh)["failed"] == 0
+            monkeypatch.setitem(routes, "POST /api/migrate/send", send)
+            return send(request)
+
+        monkeypatch.setitem(routes, "POST /api/migrate/send", restart_dest_then_send)
+        with pytest.raises(AuthenticationError):
+            system.broker.rebalancer.migrate(["alice"], "shard-2")
+        fresh = system.stores["shard-2"]
+        assert fresh is not dest and dump(fresh, ["alice"]) == []
+        assert system.broker.registry.get("alice").host == "shard-1"
+        assert self.post_install(fresh, dump(source, ["alice"]), stale).status == 401
+        assert system.broker.rebalancer.migrate(["alice"], "shard-2")["Moved"] == 1
+        assert len(fresh.store.segments_of("alice")) == 1
+
+
+def test_dumps_are_not_scans(shard_system):
+    """``store_segments_scanned_total`` counts query candidates only: a
+    checkpoint and a migration read whole ranges and leave it alone."""
+    system, (source, dest) = shard_system
+    bob = system.add_consumer("bob")
+    bob.add_contributors(["alice", "ben"])
+    metrics = system.network.obs.metrics
+
+    def scanned():
+        return [metrics.counter_value("store_segments_scanned_total", store=s.host)
+                for s in (source, dest)]
+
+    before = scanned()
+    source.checkpoint()
+    assert system.broker.rebalancer.migrate(["alice"], dest.host)["Moved"] == 1
+    dest.checkpoint()
+    assert scanned() == before
+    assert len(bob.fetch("ben")) == 1
+    assert scanned() == [before[0] + len(source.store.segments_of("ben")), before[1]]

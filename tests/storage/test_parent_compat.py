@@ -95,10 +95,10 @@ def test_replicate_append_accepts_the_parent_s_frames(tmp_path):
 def test_migrate_install_accepts_the_parent_s_body(tmp_path):
     network = Network()
     dest = DataStoreService("dest", network, directory=str(tmp_path / "dest"), durable=True)
-    key = dest.pair_broker("", "")
+    key = dest.accept_move(["alice"], "source")
     body = load("migrate_install.json")
     reply = network.request(
-        "POST", "https://dest/api/migrate/install", {**body, "ApiKey": key}
+        "POST", "https://dest/api/migrate/install", {**body, "ApiKey": key}, client="source"
     ).body
     assert reply["Installed"] == len(body["Records"])
     assert reply["RuleVersions"] == {"alice": 3}

@@ -23,7 +23,7 @@ from repro.net.client import HttpClient
 from repro.net.transport import Network
 from repro.rules.model import ALLOW, DENY, Rule
 from repro.rules.rulestore import RuleSetSnapshot
-from repro.server.datastore_service import BROKER_PRINCIPAL, DataStoreService
+from repro.server.datastore_service import DataStoreService
 from repro.storage import CRASH_POINTS, StorageFaultPlan, records
 from repro.storage.atomic import atomic_write_jsonl
 from repro.storage.recovery import SNAPSHOT_KINDS, recover_service, snapshot_path, wal_path
@@ -164,9 +164,13 @@ def via_migration_install(tmp_path, op, data, **pre):
 
 
 def migration_install(service, batch):
-    """``/api/migrate/install``, called with the paired broker's key."""
-    body = {"Records": batch, "ApiKey": service.keys.key_of(BROKER_PRINCIPAL)}
-    response = service.network.request("POST", f"https://{HOST}/api/migrate/install", body)
+    """``/api/migrate/install``, from the source of a move accepted for the
+    batch's owners."""
+    owners = {records.record_owner(op, data) for op, data in batch}
+    body = {"Records": batch, "ApiKey": service.accept_move(owners, "src")}
+    response = service.network.request(
+        "POST", f"https://{HOST}/api/migrate/install", body, client="src"
+    )
     assert response.status == 200, response.body
     return response.body
 
