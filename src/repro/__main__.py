@@ -21,10 +21,10 @@ store's durable state offline — replays the write-ahead log over the
 last good snapshot, reports torn/quarantined/fail-closed outcomes, and
 can write a fresh checkpoint; see :mod:`repro.storage.cli`.
 
-``python -m repro replicas [--drill ...]`` builds a replicated store
-set, prints its topology and shipping status, and (with ``--drill``)
-kills the primary to verify broker-driven failover, zero committed-write
-loss, and fail-closed rules fencing; see :mod:`repro.broker.replicas_cli`.
+``python -m repro sim --seed N [--out F]`` drives a replicated shard
+through seeded schedules of writes, reads, crashes, restarts, partitions
+and failovers, checking the fleet's invariants after every step, and
+shrinks a failing schedule into ``F``; see :mod:`repro.conformance.sim`.
 """
 
 from __future__ import annotations
@@ -114,14 +114,13 @@ def dispatch(argv: list) -> int:
         from repro.storage.cli import main as recover_main
 
         return recover_main(argv[1:])
-    if argv and argv[0] == "replicas":
-        from repro.broker.replicas_cli import main as replicas_main
+    if argv and argv[0] == "sim":
+        from repro.conformance.sim import main as sim_main
 
-        return replicas_main(argv[1:])
+        return sim_main(argv[1:])
     if argv:
         print(
-            f"unknown subcommand {argv[0]!r}; known: conformance, obs, recover, "
-            "replicas",
+            f"unknown subcommand {argv[0]!r}; known: conformance, obs, recover, sim",
             file=sys.stderr,
         )
         return 2

@@ -42,6 +42,14 @@ class ApiKeyRegistry:
         self._by_principal[principal] = key
         return key
 
+    def revoke(self, principal) -> None:
+        """Revoke ``principal``'s key, if it holds one."""
+        self._keys.pop(self._by_principal.pop(principal, None), None)
+
+    def principals(self) -> list:
+        """Every principal holding a key."""
+        return list(self._by_principal)
+
     def key_of(self, principal: str) -> Optional[str]:
         return self._by_principal.get(principal)
 

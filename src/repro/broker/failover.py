@@ -59,11 +59,13 @@ from repro.net.client import HttpClient
 DEFAULT_MISS_THRESHOLD = 2
 
 
-def elect(statuses: dict) -> tuple:
+def elect(statuses: dict, floor: int = 0) -> tuple:
     """``(host, "")`` to promote given each replica's answer carrying its
     ``Position`` (None: silent), or ``(None, why not)``.  One replica acks
     a write, so all must answer with a known position.  The highest ``(Epoch, Lsn)`` wins, so an
-    ex-primary's tail at an older epoch ranks below; ties break on host."""
+    ex-primary's tail at an older epoch ranks below; ties break on host.
+    A winner below ``floor``, the epoch of a primary that served alone, lacks
+    what that primary acknowledged: nobody is promoted."""
     if not statuses:
         return None, "no replica"
     silent = sorted(host for host, status in statuses.items() if status is None)
@@ -73,7 +75,10 @@ def elect(statuses: dict) -> tuple:
     if unknown:
         return None, f"replica position unknown: {unknown}"
     rank = {host: status["Position"] for host, status in statuses.items()}
-    return min(rank, key=lambda host: (-rank[host]["Epoch"], -rank[host]["Lsn"], host)), ""
+    best = min(rank, key=lambda host: (-rank[host]["Epoch"], -rank[host]["Lsn"], host))
+    if rank[best]["Epoch"] < floor:
+        return None, f"every replica is behind epoch {floor}, whose primary served alone"
+    return best, ""
 
 
 @dataclass
@@ -89,6 +94,9 @@ class ReplicaSet:
     missed: dict = field(default_factory=dict)  # host -> consecutive misses
     demoted: list = field(default_factory=list)  # fenced ex-primaries
     failovers: int = 0
+    #: The last epoch a member was promoted at with no survivor to link: it
+    #: acknowledged writes no other member holds, so nobody behind it is elected.
+    alone: int = 0
 
     def members(self) -> list:
         """Every live member of the set, primary first."""
@@ -293,7 +301,8 @@ class FailoverManager:
         back = self._fence(returned, group.epoch + 1) if returned else None
         if back and (back["Position"] or not statuses):  # alone, it is not ranked
             statuses[returned] = back
-        promoted, reason = elect(statuses) if group.replicas else (back and returned, "no replica")
+        promoted, reason = (elect(statuses, group.alone) if group.replicas
+                            else (back and returned, "no replica"))
         if promoted is None:
             return self._no_candidate(group, span, reason)
         # Above every epoch a replica followed before the fence, so a
@@ -316,6 +325,7 @@ class FailoverManager:
             self._fence(old_primary, new_epoch)
             group.demoted.append(old_primary)
         group.epoch = new_epoch
+        group.alone = group.alone if survivors else new_epoch
         group.primary = promoted
         group.replicas = survivors
         group.missed[promoted] = 0

@@ -500,8 +500,18 @@ def end_to_end_violations(trial: Trial) -> list:
                 f"released {len(engine_payload)} — payload and release differ",
             )
         )
+    return out + served_violations(trial, event.segments, api_released)
+
+
+def served_violations(trial: Trial, segments, released: list) -> list:
+    """``released`` (its pieces' JSON) against an engine built afresh from
+    ``trial`` over the ``segments`` a store served: the payload must
+    re-derive, and each segment's pieces must match the oracle and hold the
+    release invariants.  The store may have merged uploads, so this diffs
+    what it actually served."""
     reference = build_engine(trial)
-    if api_released != [r.to_json() for r in reference.evaluate(trial.consumer, event.segments)]:
+    out = []
+    if released != [r.to_json() for r in reference.evaluate(trial.consumer, segments)]:
         out.append(
             Violation(
                 "query-containment",
@@ -509,17 +519,13 @@ def end_to_end_violations(trial: Trial) -> list:
                 "constructed engine over the served segments",
             )
         )
-    # The store may have merged uploads; diff whatever it actually served.
-    for segment in event.segments:
+    for segment in segments:
         pieces = reference.evaluate_segment(trial.consumer, segment)
-        for divergence in diff_segment(trial, segment, pieces):
-            out.append(
-                Violation(
-                    "query-containment",
-                    f"served segment diverges from oracle: {divergence.detail}",
-                    divergence.segment_id,
-                )
-            )
+        out += [
+            Violation("query-containment", f"served segment diverges from oracle: {d.detail}",
+                      d.segment_id)
+            for d in diff_segment(trial, segment, pieces)
+        ]
         out.extend(check_release(trial, segment, pieces))
     return out
 
@@ -582,24 +588,22 @@ def _trial_edits(trial: Trial):
                 )
 
 
-def shrink_trial(
-    trial: Trial,
-    failing: Callable[[Trial], bool],
-    *,
-    max_checks: int = 400,
-) -> Trial:
+def shrink(value, edits: Callable, failing: Callable, *, max_checks: int = 400):
     """Greedy structural shrink: keep any single edit that still fails.
 
-    ``failing(trial)`` must be True on entry; the returned trial also
-    fails and is at a local minimum (no single edit keeps it failing), up
-    to the ``max_checks`` evaluation budget.  Fully deterministic.
+    ``edits(value)`` yields candidate one-step simplifications, most
+    aggressive first; ``failing(value)`` must be True on entry.  The
+    returned value also fails and is at a local minimum (no single edit
+    keeps it failing), up to the ``max_checks`` evaluation budget.  Fully
+    deterministic.  Trials and fleet schedules
+    (:mod:`repro.conformance.sim`) shrink through this one loop.
     """
     checks = 0
-    current = trial
+    current = value
     improved = True
     while improved and checks < max_checks:
         improved = False
-        for candidate in _trial_edits(current):
+        for candidate in edits(current):
             if checks >= max_checks:
                 break
             checks += 1
@@ -611,6 +615,16 @@ def shrink_trial(
             except Exception:  # a crashing candidate is a different bug
                 continue
     return current
+
+
+def shrink_trial(
+    trial: Trial,
+    failing: Callable[[Trial], bool],
+    *,
+    max_checks: int = 400,
+) -> Trial:
+    """:func:`shrink` over a trial's rules, segments and their conditions."""
+    return shrink(trial, _trial_edits, failing, max_checks=max_checks)
 
 
 # ----------------------------------------------------------------------

@@ -151,6 +151,7 @@ class DataStoreService:
         self.places: dict[str, dict] = {}  # contributor -> {label: LabeledPlace}
         self.memberships: dict[str, frozenset] = {}  # enrolled consumer -> groups
         self.credentials: dict[str, tuple] = {}  # contributor -> (salt, password hash)
+        self._registered_at: dict[str, int] = {}  # contributor -> LSN of her new role row
         #: Observers called with a :class:`ReleaseEvent` after every
         #: engine-mediated release.  Guards must not mutate anything; a
         #: guard raising aborts the request (fail closed, nothing leaks).
@@ -328,6 +329,14 @@ class DataStoreService:
         names = tuple(sorted({str(c) for c in contributors}))
         return self.keys.issue((MOVER_PRINCIPAL, str(source), names))
 
+    def _end_move(self, contributors) -> None:
+        """A move of any of ``contributors`` ended (its cutover, or a fence
+        here that aborts it): the key :meth:`accept_move` issued for it dies."""
+        names = {str(c) for c in contributors}
+        for principal in self.keys.principals():
+            if isinstance(principal, tuple) and names.intersection(principal[2]):
+                self.keys.revoke(principal)
+
     def promote(self, epoch: int, rule_versions: Optional[dict] = None) -> dict:
         """Become the primary at ``epoch`` (broker-driven failover).
 
@@ -448,7 +457,8 @@ class DataStoreService:
         role = self.roles.get(name)
         if role is None:
             salted = credential(password, self._salts)
-            self._assign(records.OP_ROLE, {"Principal": name, "Role": ROLE_CONTRIBUTOR, **salted})
+            row = {"Principal": name, "Role": ROLE_CONTRIBUTOR, **salted}
+            self._registered_at[name] = self._assign(records.OP_ROLE, row) or 0
         elif role != ROLE_CONTRIBUTOR:
             raise ConflictError(f"{name!r} is registered here as {role!r}")
         else:
@@ -498,8 +508,9 @@ class DataStoreService:
         # search sees the same geography the engine enforces.
         self._push_profile(contributor)
 
-    def _assign(self, op: str, data: dict) -> None:
-        """A live "assign complete state" mutation, as one of this store's own.
+    def _assign(self, op: str, data: dict) -> Optional[int]:
+        """A live "assign complete state" mutation, as one of this store's own;
+        returns its LSN (None: not journaled).
 
         Places and principal roles have no store object that versions or
         hashes them, so the live write *is* the record: install it the way
@@ -507,7 +518,8 @@ class DataStoreService:
         """
         records.apply(self, op, data, journal=False)
         if self.durability is not None:
-            self.durability.journal(op, data)
+            return self.durability.journal(op, data)
+        return None
 
     def _wal_commit(self) -> None:
         """Group-commit barrier: journaled bulk mutations become durable.
@@ -556,8 +568,9 @@ class DataStoreService:
         return contributor
 
     def _caller_key(self, request: Request) -> None:
-        """Any valid key."""
-        self._authenticate(request)
+        """Any valid key but a move's, which installs its range and nothing else."""
+        if isinstance(self._authenticate(request), tuple):
+            raise AuthorizationError("a move's key installs its range and nothing else")
 
     def _caller_broker(self, request: Request) -> None:
         """The paired broker's key."""
@@ -766,7 +779,8 @@ class DataStoreService:
         ``open``, not ``writes``: it refuses on a replica itself.  A new
         name's role row ships under the request's own ack (the barrier
         follows the journal); a re-key journals nothing, so it is answered
-        during a link gap.
+        during a link gap, unless it retries a registration whose row no
+        replica holds yet: the first attempt's 503 left that row here alone.
         """
         self._require_writable()
         body = request.body
@@ -779,7 +793,10 @@ class DataStoreService:
         name, password = str(name), body.get("Password")
         if password is None and name in self.roles:
             raise ConflictError(f"{name!r} is registered here; re-key with its Password")
+        pending = self._registered_at.get(name, 0) if name in self.roles else 0
         key = self.register_contributor(name, "pw" if password is None else str(password))
+        if self.replication is not None and pending > self.replication.acked_lsn():
+            self.replication.after_write()  # a retry answers once a replica holds her row
         return {"ApiKey": key, "Host": self.host}
 
     @route("POST", "/api/upload", caller="owner", admission="upload", writes=True)
@@ -1062,8 +1079,9 @@ class DataStoreService:
 
     @route("POST", "/api/health", caller="key", admission="control")
     def _h_health(self, request: Request) -> dict:
-        """Liveness, position and shipping progress: the broker's failure
-        detector and election read it, and the ``replicas`` CLI prints it.
+        """Liveness, position and linked replicas: the broker's failure
+        detector and election read it (per-replica lag is the
+        ``replication_lag_frames`` gauge).
 
         A replicating primary pumps its shipper first: the broker's probe is
         the replication tick, and a dead primary answers no probe.
@@ -1077,7 +1095,6 @@ class DataStoreService:
             "Position": self.position(),
             "FailClosed": sorted(self.fail_closed),
             "Linked": sorted(self.replication.links) if self.replication else [],
-            "Shipper": self.replication.status() if self.replication else None,
         }
 
     @route("POST", "/api/promote", caller="broker", admission="control")
@@ -1144,9 +1161,8 @@ class DataStoreService:
         Records flow through the one installer and are re-journaled into
         this store's own WAL; the replication barrier then ships them
         to any replicas, so the migrated range is as durable here as
-        natively written data.  ``RuleVersions`` are those of the
-        contributors the batch touched, which cutover checks against the
-        broker mirror; ``Digest`` is the range's as this store now holds it.
+        natively written data.  ``Digest`` is the range's as this store now
+        holds it; ``/api/migrate/complete`` answers the rule versions.
         """
         batch = request.body.get("Records", [])
         owners = {records.record_owner(str(op), data) for op, data in batch}
@@ -1155,13 +1171,9 @@ class DataStoreService:
         for op, data in batch:
             records.apply(self, str(op), data, journal=True)
         self._wal_commit()
-        known = self.rules.contributors()
         return {
             "Host": self.host,
             "Installed": len(batch),
-            "RuleVersions": {
-                name: self.rules.version_of(name) for name in sorted(owners) if name in known
-            },
             "Digest": records.export_range(self, sorted(scope))[1],
         }
 
@@ -1177,11 +1189,13 @@ class DataStoreService:
         Each one's role row becomes ``moved``, a credential-less record, so
         every request naming her is a :class:`NotPrimaryError` (the old
         shard self-demotes for exactly the moved range) until a move back
-        replaces it.
+        replaces it.  A move of them into this store ends here: the fence that
+        aborts it is the destination's (:meth:`_end_move`).
         """
         contributors = [str(c) for c in request.body.get("Contributors", [])]
         if not contributors:
             raise BadRequestError("fence needs Contributors")
+        self._end_move(contributors)
         if records.export_range(self, contributors)[1] != request.body.get("Digest"):
             raise ConflictError(
                 f"{sorted(contributors)} changed on {self.host!r} since the copy"
@@ -1200,8 +1214,9 @@ class DataStoreService:
         contributor whose installed rules can't be verified against it is
         denied by default (:meth:`_fence_rule_versions` — the promotion
         fence) until their owner re-publishes.  A migration may deny; it
-        must never widen access.
+        must never widen access.  The move's key dies (:meth:`_end_move`).
         """
+        self._end_move(request.body.get("RuleVersions", {}))
         fenced = self._fence_rule_versions(
             dict(request.body.get("RuleVersions", {}))
         )

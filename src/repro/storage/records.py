@@ -366,8 +366,11 @@ def replace(service, batch) -> None:
     because a record held here alone can be the only trace of a read that
     a partitioned ex-primary served.
 
-    A carried rule set installs version-monotonically like any rule
-    record, so a fail-closed deny above the primary's version stands.
+    A carried rule set replaces the replica's, whatever their versions:
+    one above the primary's is a change the primary never acknowledged
+    (an ex-primary's unshipped tail), whose number the primary's next
+    change would reuse.  A fail-closed deny installs version-monotonically,
+    so a deny above the primary's version stands.
     """
     carried = {
         (op, data.get("SegmentId") if op == OP_SEGMENT else record_owner(op, data))
@@ -391,7 +394,8 @@ def replace(service, batch) -> None:
             service.places.pop(contributor)
             service.rules.rules_version += 1
     for op, data in batch:
-        apply(service, op, data, journal=False)
+        denied = data.get("Contributor") in service.fail_closed  # read by rule records only
+        apply(service, op, data, journal=False, rules_trusted=denied)
 
 
 def fail_close(service, contributor: str, version: int) -> None:

@@ -137,7 +137,6 @@ class ReplicaLink:
     #: consecutive failed ships; at :data:`LAGGING_AFTER_FAILURES` the
     #: link flips to resync-on-return and stops pinning the frame buffer.
     fails: int = 0
-    last_error: str = ""
 
 
 class _BufferedFrame(NamedTuple):
@@ -201,6 +200,10 @@ class WalShipper:
         wal = self.service.durability.wal
         return wal.last_lsn if wal is not None else 0
 
+    def acked_lsn(self) -> int:
+        """The highest LSN a replica holds."""
+        return max((link.acked_lsn for link in self.links.values()), default=0)
+
     def lag_of(self, host: str) -> int:
         """Frames the named replica is behind the primary's WAL tail."""
         link = self.links.get(host)
@@ -256,18 +259,16 @@ class WalShipper:
         span.set_attribute("bytes", len(body["Stream"]))
         try:
             reply = link.client.post(f"https://{link.host}/api/replicate/append", body)
-        except ConflictError as exc:
+        except ConflictError:
             # The replica follows a newer epoch: we are a fenced zombie.
             span.set_attribute("outcome", "fenced")
-            link.last_error = str(exc)
             self._c_fenced.inc()
             self.service.demote()
             return False
-        except (TransportError, ServiceError) as exc:
+        except (TransportError, ServiceError):
             span.set_attribute("outcome", "unreachable")
             link.alive = False
             link.fails += 1
-            link.last_error = str(exc)
             if link.fails >= LAGGING_AFTER_FAILURES and not link.resync:
                 # Declared lagging: stop letting a dead replica pin the
                 # in-memory frame buffer.  Its acked position is void —
@@ -278,7 +279,6 @@ class WalShipper:
             return False
         link.alive = True
         link.fails = 0
-        link.last_error = ""
         applied = int(reply.get("AppliedLsn", link.acked_lsn))
         rejected = reply.get("Rejected")
         if rejected:
@@ -287,7 +287,6 @@ class WalShipper:
             span.set_attribute("outcome", "rejected")
             link.acked_lsn = applied
             link.resync = True
-            link.last_error = str(rejected)
             return False
         span.set_attribute("outcome", "ok")
         link.acked_lsn = applied if link.resync else max(link.acked_lsn, applied)
@@ -345,23 +344,6 @@ class WalShipper:
                 "reachable replicas are behind or down"
             )
 
-    def status(self) -> dict:
-        """Shipping progress per replica, for ``/api/health`` and the CLI."""
-        return {
-            "LastLsn": self.last_lsn(),
-            "Fenced": not self.service.is_primary,
-            "Replicas": {
-                host: {
-                    "AckedLsn": link.acked_lsn,
-                    "Lag": self.lag_of(host),
-                    "Alive": link.alive,
-                    "Resync": link.resync,
-                    "Fails": link.fails,
-                    "LastError": link.last_error,
-                }
-                for host, link in sorted(self.links.items())
-            },
-        }
 
 
 class ReplicaApplier:

@@ -8,6 +8,8 @@ engine bug, shrunk by the harness and kept clean since its fix:
 ``antimeridian-deny`` is a Deny whose circle straddles the antimeridian,
 which the engine once skipped because the circle's bounding box was
 clamped at 180° and a lat/lon grid of those boxes pruned the rule.
+The ``sim-*`` files are fleet schedules, replayed by
+``tests/conformance/test_sim.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.conformance.generators import trial_from_json
 from repro.conformance.runner import MUTATIONS, run_trial
 
 HERE = Path(__file__).parent
-REPRO_FILES = sorted(HERE.glob("*.json"))
+REPRO_FILES = sorted(p for p in HERE.glob("*.json") if not p.name.startswith("sim-"))
 
 
 def _load(path: Path) -> dict:

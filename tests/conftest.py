@@ -12,6 +12,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.conformance.sim import assert_replica_matches  # noqa: F401  (tests import it here)
 from repro.core import SensorSafeSystem
 from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import CorruptRecordError
@@ -21,11 +22,8 @@ from repro.rules.engine import decode_release
 from repro.server.broker_service import BrokerService
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
-from repro.server.datastore_service import PRIMARY_PRINCIPAL
-from repro.storage import records
 from repro.storage.wal import HEADER_SIZE, _HEADER, decode_frame
 from repro.util.geo import LatLon
-from repro.util.jsonutil import canonical_dumps
 from repro.util.timeutil import timestamp_ms
 
 def pytest_addoption(parser):
@@ -150,29 +148,6 @@ def broker_pushes(network, host: str = "broker") -> list:
     router.add("POST", "/api/sync", lambda request: pushed.append(request.body["Profile"]) or {})
     network.register_host(host, router)
     return pushed
-
-
-def assert_replica_matches(primary, replica) -> None:
-    """Invariant 8: a replica holds exactly its primary's records.
-
-    ``records.dump`` of both, compared as sorted canonical JSON, minus the
-    ``__primary__`` pairing row (a replica's own, never journaled; a
-    promoted store keeps the one from its replica days).
-    """
-
-    def records_of(service):
-        return sorted(
-            canonical_dumps([op, data])
-            for op, data in records.dump(service)
-            if not (op == records.OP_ROLE and data["Principal"] == PRIMARY_PRINCIPAL)
-        )
-
-    ours, theirs = records_of(primary), records_of(replica)
-    assert ours == theirs, (
-        f"{replica.host} differs from {primary.host}: "
-        f"only at the primary {sorted(set(ours) - set(theirs))}, "
-        f"only at the replica {sorted(set(theirs) - set(ours))}"
-    )
 
 
 #: Keys no body that crosses the broker may carry: samples and credentials.

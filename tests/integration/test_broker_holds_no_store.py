@@ -30,6 +30,7 @@ HELD = {
         "missed": "host name -> consecutive missed probes",
         "demoted": "fenced ex-primaries' host names",
         "failovers": "a count",
+        "alone": "the epoch of the last primary promoted with no replica",
     },
     "FailoverManager": {
         "broker": "the broker service it runs in",

@@ -178,6 +178,7 @@ INVENTORY = {
     "places": (RECORD_BACKED, "places records"),
     "memberships": (RECORD_BACKED, "the Groups of a consumer's role record"),
     "credentials": (RECORD_BACKED, "the Salt and PasswordHash of a contributor's role record"),
+    "_registered_at": (EPHEMERAL, "this boot's new role rows' LSNs; a restart resyncs its replicas"),
     "release_guards": (EPHEMERAL, "observers a harness attaches; hold no state"),
     "_push_to": (EPHEMERAL, "the client rule changes are pushed to the broker with, built at pairing"),
     "fail_closed": (DERIVED, "flags a journaled empty rule set; losing it keeps the deny"),
