@@ -227,6 +227,10 @@ class TestRefusals:
         store.refused(name, "bob", 403)
         store.refused(name, "alice", 403)
 
+    @pytest.mark.parametrize("name", routes("key"))
+    def test_any_key_routes_refuse_a_move_key(self, store, name):
+        store.refused(name, "mover", 403, "AuthorizationError")
+
     @pytest.mark.parametrize("name", routes("owner", "reader"))
     def test_fenced_contributor_is_409(self, store, name):
         fence = store.send(
