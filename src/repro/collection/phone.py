@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.context.annotate import ContextAnnotator
-from repro.datastore.wavesegment import segment_from_packet
+from repro.datastore.wavesegment import WaveSegment
 from repro.exceptions import BadRequestError, OverloadedError, ServiceError, TransportError
 from repro.net.client import HttpClient
 from repro.obs import NOOP_OBS
@@ -212,8 +212,7 @@ class SmartphoneAgent:
         """
         if not self.config.rule_aware:
             return True
-        probe = segment_from_packet(self.contributor, packet)
-        probe = probe.with_context(dict(self._NEUTRAL_CONTEXT))
+        probe = self._probe(packet, dict(self._NEUTRAL_CONTEXT))
         engine = self._optimistic_engine
         assert engine is not None, "rules not downloaded"
         return any(
@@ -226,12 +225,28 @@ class SmartphoneAgent:
         raw, or as a context label inferable from this channel?"""
         if not self.config.rule_aware:
             return True
-        segment = segment_from_packet(self.contributor, packet)
+        probe = self._probe(packet, packet.context)
         engine = self._exact_engine
         assert engine is not None, "rules not downloaded"
         return any(
-            self._channel_released(packet.channel_name, engine.evaluate_segment(c, segment))
+            self._channel_released(packet.channel_name, engine.evaluate_segment(c, probe))
             for c in self._consumers
+        )
+
+    def _probe(self, packet: SensorPacket, context: dict) -> WaveSegment:
+        """The packet as a one-channel segment under ``context``, for a gate:
+        :func:`~repro.datastore.wavesegment.segment_from_packet`'s fields,
+        built unchecked (the packet was checked; one channel and its
+        positive interval pass the segment's checks) and with its id
+        derived only if the engine reads it."""
+        return WaveSegment._of_checked_format(
+            self.contributor,
+            (packet.channel_name,),
+            packet.start_ms,
+            packet.interval_ms,
+            packet.values.reshape(-1, 1),
+            packet.location,
+            context,
         )
 
     @staticmethod

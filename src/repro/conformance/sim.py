@@ -289,7 +289,6 @@ class _Sim:
         try:
             call(owner)
         except (AuthenticationError, NotPrimaryError, TransportError):
-            owner.store_host = ""  # a restart rotates keys: re-key even at the same host
             return _ok(self.system.repoint_contributor, name, PASSWORD) and _ok(call, owner)
         except SensorSafeError:
             return False

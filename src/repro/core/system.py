@@ -7,7 +7,7 @@ from typing import Optional
 from repro.core.consumer import Consumer
 from repro.core.contributor import Contributor
 from repro.datastore.optimizer import MergePolicy
-from repro.exceptions import ConflictError, StorageError
+from repro.exceptions import AuthenticationError, ConflictError, StorageError
 from repro.net.client import HttpClient
 from repro.net.faults import FaultPlan, SimClock
 from repro.net.resilience import RetryPolicy
@@ -288,9 +288,10 @@ class SensorSafeSystem:
 
         Consumers re-resolve transparently (the broker escrows their
         keys), but a contributor authenticates with a key issued by their
-        own store — which just died.  The recovery step the runbook
-        prescribes: ask the broker's directory for the current host and,
-        if it moved, re-key there with the owner's password, whose hash
+        own store — which just died, or restarted and rotated its keys.
+        The recovery step the runbook prescribes: ask the broker's
+        directory for the current host and, if it moved or refuses the
+        owner's key, re-key there with the owner's password, whose hash
         rode the role record there by shipping or migration (a wrong one
         is a 401).  Keys are never replicated; rules and data are untouched.
         """
@@ -299,7 +300,11 @@ class SensorSafeSystem:
         contributor = self.contributors[name]
         record = self.broker.registry.get(name)
         if record.host == contributor.store_host:
-            return contributor  # directory agrees: nothing to do
+            try:  # any read a valid key may make
+                contributor.client.post(f"https://{record.host}/api/stats", {})
+                return contributor  # directory agrees, key accepted: nothing to do
+            except AuthenticationError:
+                pass  # restarted in place: its keys rotated
         body = HttpClient(self.network, name=f"{name}-phone").post(
             f"https://{record.host}/api/register",
             {"Username": name, "Role": ROLE_CONTRIBUTOR, "Password": password},

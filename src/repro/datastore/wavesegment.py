@@ -402,8 +402,8 @@ def segment_from_packet(contributor: str, packet: SensorPacket) -> WaveSegment:
     column view of the packet's samples, not a copy, under the id the store
     dedupes that packet by.  The store's ingest builds no such segment (a
     packet enters the optimizer as a cut, :meth:`SegmentStore.add_packets`);
-    this is the phone's rule probe and a test's or benchmark's way to offer
-    one packet as a segment."""
+    this is a test's or benchmark's way to offer one packet as a segment
+    (the phone's gates build the same fields unchecked as their probe)."""
     return WaveSegment(
         contributor=contributor,
         channels=(packet.channel_name,),

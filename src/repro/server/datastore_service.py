@@ -20,6 +20,7 @@ broker may read rule snapshots or enroll a consumer (with its groups).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -429,8 +430,10 @@ class DataStoreService:
             return None
         return self.replication.last_lsn()
 
-    def _replication_barrier(self, mark: int, writes: bool) -> None:
-        """Ship WAL frames produced by the request that just ran.
+    @contextmanager
+    def _replication_barrier(self, mark: int, writes: bool):
+        """Around a request that came in while this store was a replicating
+        primary: once its handler returns, ship the WAL frames it produced.
 
         This is the commit acknowledgement barrier, run after every
         ``writes`` request and every request whose handler journaled (the
@@ -439,9 +442,19 @@ class DataStoreService:
         its audit record, so a replicated primary answers a read only once
         a replica still following its epoch holds it: that round trip is
         its proof of primacy (a fenced one hears 409 and demotes itself).
+
+        The request's commit fsync (:meth:`_wal_commit`) runs on the WAL's
+        helper thread meanwhile; the ``finally`` joins it on every way out
+        (an ack, a refusal, a handler's error), so the request answers
+        only once its journal is on this disk *and* a replica holds it.
         """
-        if writes or self.replication.last_lsn() != mark:
-            self.replication.after_write()
+        try:
+            yield
+            if writes or self.replication.last_lsn() != mark:
+                self.replication.after_write()
+        finally:
+            if self.durability.wal is not None:
+                self.durability.wal.join_fsync()
 
     # ------------------------------------------------------------------
     # Registration helpers (used directly by the system facade too)
@@ -533,9 +546,14 @@ class DataStoreService:
         re-sends — the bounded-loss trade that keeps WAL ingest overhead
         inside the C10 budget.  Control-plane records (rules, roles,
         places, audit) never ride the window; they force-sync at append.
+
+        A replicating primary's request is inside :meth:`_replication_barrier`,
+        so its fsync is handed to the WAL's helper thread and runs beside
+        the replica round trip; the barrier joins it.  An unreplicated store
+        has no round trip to hide it behind and fsyncs here.
         """
         if self.durability is not None:
-            self.durability.commit()
+            self.durability.commit(beside=self._barrier_mark() is not None)
 
     def position(self) -> Optional[dict]:
         """Its ``{"Epoch", "Lsn"}``, or None when its journal cannot vouch."""

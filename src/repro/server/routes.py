@@ -38,10 +38,11 @@ class route(NamedTuple):
     primary-for-writes → key → ownership → residency → role → existence.
 
     **The barrier follows the journal.**  On an owner that journals (a
-    store: it declares ``_barrier_mark``), the request's last step is
+    store: it declares ``_barrier_mark``), the handler runs inside
     ``_replication_barrier`` whenever the store was a replicating primary
-    as the request came in and either the route ``writes`` or its handler
-    moved the journal's end, whatever the route declares.  So a record
+    as the request came in, and the request's last step ships what it
+    journaled whenever the route ``writes`` or its handler moved the
+    journal's end, whatever the route declares.  So a record
     cannot be journaled outside an acknowledgement: a registration's new
     role row ships under its own ack, while a re-key, which journals
     nothing (keys are never replicated), is answered during a link gap.
@@ -72,10 +73,10 @@ class route(NamedTuple):
                 service._require_writable()
             mark = service._barrier_mark() if hasattr(service, "_barrier_mark") else None
             admitted = getattr(service, prelude)(request) if prelude else None
-            result = handler(service, request, *(admitted or ()))
-            if mark is not None:
-                service._replication_barrier(mark, writes)
-            return result
+            if mark is None:
+                return handler(service, request, *(admitted or ()))
+            with service._replication_barrier(mark, writes):
+                return handler(service, request, *(admitted or ()))
 
         guarded.route = self
         return guarded

@@ -237,15 +237,16 @@ class Durability:
                 self.service._applier.journaled_own(lsn)
         return lsn
 
-    def commit(self) -> None:
+    def commit(self, *, beside: bool = False) -> None:
         """Group-commit barrier: everything journaled so far becomes durable.
 
         The service calls this from barrier-bearing requests (``flush``,
         ``delete``) and before every checkpoint, so those acks imply the
         journal entries are on disk; plain uploads ride the group window.
+        ``beside`` hands the fsync off (:meth:`WriteAheadLog.commit`).
         """
         if self.wal is not None:
-            self.wal.commit()
+            self.wal.commit(beside=beside)
             self._c_commits.inc()
 
     # ------------------------------------------------------------------
@@ -259,6 +260,8 @@ class Durability:
         if not self.member or epoch != self.epoch:
             self.member, self.epoch = True, epoch
             if self.manifest is None:
+                if self.wal is not None:  # a primary fenced mid-request demotes
+                    self.wal.join_fsync()
                 self.checkpoint()
             else:
                 self._write_manifest({**self.manifest, "Member": True,
@@ -298,6 +301,7 @@ class Durability:
         """
         if self.wal is None:
             raise StorageError("durability not opened; call open() first")
+        self.wal._require_settled("checkpoint")
         faults = self.faults
         if faults is not None:
             faults.at_point("checkpoint.pre_snapshot")

@@ -50,19 +50,30 @@ Sync policies: ``"always"`` fsyncs every append (every ack is durable),
 :meth:`~WriteAheadLog.commit` (bounded loss window for bulk data; callers
 force-sync control-plane records), ``"never"`` leaves flushing to the OS
 (benchmark baseline only).
+
+A commit's fsync may run *beside* the caller's next wait: ``commit(beside=
+True)`` hands it to the process's one ``wal-fsync`` daemon thread and
+returns once that thread is in it (``os.fsync`` releases the GIL), and
+:meth:`~WriteAheadLog.join_fsync` waits for it before the caller answers.
+A replicating primary does this for a request's commit, so the fsync and
+the replica round trip overlap (:meth:`~repro.server.datastore_service.
+DataStoreService._replication_barrier`).
 """
 
 from __future__ import annotations
 
+import _thread
 import os
+import queue
 import shutil
 import struct
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.exceptions import CorruptRecordError, SensorSafeError, StorageError
+from repro.exceptions import CorruptRecordError, SensorSafeError, ServiceError, StorageError
 from repro.net import wire
 
 _HEADER = struct.Struct("<IIIII")  # length, lsn, chain, payload_crc, header_crc
@@ -272,6 +283,83 @@ def repair_wal(scan: WalScan, *, quarantine_dir: Optional[str] = None) -> Option
     return quarantine_path
 
 
+class _Fsync:
+    """One commit's fsync, handed to the ``wal-fsync`` thread.
+
+    ``started`` and ``done`` are held locks the thread releases: the first
+    once it has the job, the second once the fsync returned.  ``error``
+    starts as the failure of a thread that never finished the job and is
+    cleared only by an fsync that returned.
+    """
+
+    __slots__ = ("fd", "started", "done", "seconds", "error")
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.started = _thread.allocate_lock()
+        self.started.acquire()
+        self.done = _thread.allocate_lock()
+        self.done.acquire()
+        self.seconds = 0.0
+        self.error: Optional[BaseException] = StorageError("the wal-fsync thread stopped")
+
+
+_fsync_jobs: "queue.SimpleQueue[_Fsync]" = queue.SimpleQueue()
+_lock = threading.Lock()  # guards the two below
+_fsync_thread: Optional[threading.Thread] = None
+#: Fsyncs handed off and not yet joined, across every log of the process.
+_unjoined = 0
+
+
+def _fsync_loop() -> None:
+    while True:
+        job = _fsync_jobs.get()
+        # The caller waits for this release, so it goes on only once this
+        # thread holds the GIL, which it next drops inside os.fsync.
+        job.started.release()
+        started = time.perf_counter()
+        try:
+            os.fsync(job.fd)  # looked up now: a patched os.fsync is seen
+            job.error = None
+        except Exception as exc:  # the caller's join raises it
+            job.error = exc
+        finally:
+            job.seconds = time.perf_counter() - started
+            job.done.release()
+
+
+def _hand_off(fd: int) -> _Fsync:
+    """Start ``fd``'s fsync on the ``wal-fsync`` thread (started here the
+    first time, or again in a forked child); returns once it runs."""
+    global _fsync_thread, _unjoined
+    job = _Fsync(fd)
+    with _lock:
+        if _fsync_thread is None or not _fsync_thread.is_alive():
+            _fsync_thread = threading.Thread(target=_fsync_loop, name="wal-fsync", daemon=True)
+            _fsync_thread.start()
+        _unjoined += 1
+    _fsync_jobs.put(job)
+    job.started.acquire()
+    return job
+
+
+def _join(job: _Fsync) -> None:
+    global _unjoined
+    with _lock:
+        _unjoined -= 1
+    job.done.acquire()
+
+
+def fsyncs_in_flight() -> int:
+    """Commits whose fsync was handed off and not yet joined, process-wide."""
+    return _unjoined
+
+
+def _commit_failed(path: str, exc: BaseException) -> ServiceError:
+    """A commit whose fsync failed fails its request: a 500 the client may retry."""
+    return ServiceError(f"WAL {path!r}: commit fsync failed: {exc}")
+
+
 class WriteAheadLog:
     """Append-only durable log of store mutations.
 
@@ -308,6 +396,9 @@ class WriteAheadLog:
         self._next_lsn = resume.next_lsn
         self._last_lsn = resume.next_lsn - 1
         self._unsynced = 0
+        #: ``(job, appended)`` of a commit whose fsync runs on the
+        #: ``wal-fsync`` thread until :meth:`join_fsync`; None: none does.
+        self._in_flight: Optional[tuple] = None
         self.appended = 0  # appends through this handle (not the file total)
         #: Observers fired after every successful append with
         #: ``(lsn, frame_bytes, chain_prev)`` — the exact framed bytes that
@@ -316,7 +407,8 @@ class WriteAheadLog:
         #: hook; replay and recovery never fire it.
         self.on_append: list = []
         #: Wall-clock seconds spent inside append()/commit() — the journal's
-        #: entire cost on the request path (serialize, frame, write, fsync).
+        #: entire cost on the request path (serialize, frame, write, fsync;
+        #: a handed-off fsync as the helper timed it, added at the join).
         #: Benchmark C10 gates on this share of ingest time: accounting
         #: measured *inside* one run is immune to host drift between runs.
         self.io_seconds = 0.0
@@ -400,17 +492,52 @@ class WriteAheadLog:
             return True
         return self._unsynced >= GROUP_COMMIT_APPENDS
 
-    def commit(self) -> None:
-        """Make everything appended so far durable (group-commit barrier)."""
+    def commit(self, *, beside: bool = False) -> None:
+        """Make everything appended so far durable (group-commit barrier).
+
+        ``beside=True`` hands the fsync to the ``wal-fsync`` thread and
+        returns once that thread runs it, so the caller's next wait
+        overlaps it; the caller must :meth:`join_fsync` before it answers.
+        A failed fsync is a :class:`~repro.exceptions.ServiceError` (500),
+        raised here or by the join.
+        """
+        self._require_settled("commit")
         if self.sync == SYNC_NEVER or self._unsynced == 0:
             return
         started = time.perf_counter()
         if self.faults is not None:
             self.faults.at_point("wal.commit.pre_fsync", path=self.path)
         self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._unsynced = 0
+        if beside:
+            self._in_flight = (_hand_off(self._fh.fileno()), self.appended)
+        else:
+            try:
+                os.fsync(self._fh.fileno())
+            except OSError as exc:
+                raise _commit_failed(self.path, exc) from exc
+            self._unsynced = 0
         self.io_seconds += time.perf_counter() - started
+
+    def join_fsync(self) -> None:
+        """Wait for the fsync ``commit(beside=True)`` handed off, if one is
+        in flight; its time joins :attr:`io_seconds`, its error is raised.
+
+        Appends made meanwhile stay unsynced, unless one synced inline.
+        """
+        if self._in_flight is None:
+            return
+        (job, appended), self._in_flight = self._in_flight, None
+        _join(job)
+        self.io_seconds += job.seconds
+        if job.error is not None:
+            raise _commit_failed(self.path, job.error) from job.error
+        self._unsynced = min(self._unsynced, self.appended - appended)
+
+    def _require_settled(self, what: str) -> None:
+        if self._in_flight is not None:
+            raise StorageError(
+                f"WAL {self.path!r}: {what} refused while a commit's fsync is in flight"
+            )
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -423,6 +550,7 @@ class WriteAheadLog:
         chain restarts at zero; across generations the manifest records
         the ``CheckpointLsn`` it covers and the ``Epoch``, no chain value.
         """
+        self._require_settled("reset")
         self._fh.truncate(0)
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -434,6 +562,7 @@ class WriteAheadLog:
 
     def close(self) -> None:
         """Close the underlying file handle."""
+        self._require_settled("close")
         try:
             self.commit()
         finally:

@@ -132,6 +132,40 @@ class TestCollectLoop:
         assert stats.samples_available == stats.samples_sensed + stats.samples_skipped_gate
         assert sum(len(p.values) for p in kept) == stats.samples_uploaded
 
+    def test_the_gates_build_no_checked_segment(self, monkeypatch):
+        """Each gate probes with one unchecked segment: the packet was
+        checked already, so no ``WaveSegment.__post_init__`` runs (and no
+        SHA-256 id is derived) inside ``sensing_allowed`` or ``should_upload``."""
+        from repro.datastore.wavesegment import WaveSegment
+
+        rules = [
+            Rule(consumers=("bob",), sensors=("ECG",), action=ALLOW),
+            Rule(consumers=("bob",), contexts=("Drive",), action=DENY),
+        ]
+        agent = make_agent(rules)
+        inside, checked = [], []
+        for name in ("sensing_allowed", "should_upload"):
+            gate = getattr(SmartphoneAgent, name)
+
+            def counted(agent, packet, gate=gate):
+                inside.append(gate)
+                try:
+                    return gate(agent, packet)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(SmartphoneAgent, name, counted)
+        post_init = WaveSegment.__post_init__
+
+        def noted(segment):
+            checked.append(bool(inside))
+            post_init(segment)
+
+        monkeypatch.setattr(WaveSegment, "__post_init__", noted)
+        kept = agent.collect(self.trace_packets(), upload=False)
+        assert kept and agent.stats.samples_skipped_gate > 0
+        assert True not in checked
+
     def test_rule_aware_collects_strict_subset(self):
         rules = [
             Rule(consumers=("bob",), sensors=("ECG",), action=ALLOW),

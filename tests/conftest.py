@@ -22,7 +22,7 @@ from repro.rules.engine import decode_release
 from repro.server.broker_service import BrokerService
 from repro.sensors.personas import make_persona
 from repro.sensors.simulator import SimulatorConfig, TraceSimulator
-from repro.storage.wal import HEADER_SIZE, _HEADER, decode_frame
+from repro.storage.wal import HEADER_SIZE, _HEADER, decode_frame, fsyncs_in_flight
 from repro.util.geo import LatLon
 from repro.util.timeutil import timestamp_ms
 
@@ -222,6 +222,15 @@ def broker_tap(monkeypatch):
     monkeypatch.setattr(Network, "request", tapped)
     yield hits
     assert not hits, "payload crossed the broker:\n" + "\n".join(hits)
+
+
+@pytest.fixture(autouse=True)
+def no_fsync_in_flight():
+    """No commit's fsync outlives the test that handed it to the WAL's
+    helper thread: a request joins its own before it answers."""
+    before = fsyncs_in_flight()
+    yield
+    assert fsyncs_in_flight() == before, "a commit's fsync was handed off and never joined"
 
 
 @pytest.fixture(scope="session")
